@@ -1,0 +1,36 @@
+//! `parking_lot::Mutex` as the workspace uses it: `lock()` returns the
+//! guard directly and a poisoned lock is recovered, as the published
+//! crate has no poisoning.
+
+use std::sync::{Mutex as StdMutex, MutexGuard};
+
+#[derive(Debug, Default)]
+pub struct Mutex<T: ?Sized>(StdMutex<T>);
+
+impl<T> Mutex<T> {
+    pub const fn new(value: T) -> Self {
+        Mutex(StdMutex::new(value))
+    }
+
+    pub fn into_inner(self) -> T {
+        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+impl<T: ?Sized> Mutex<T> {
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        match self.0.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(std::sync::TryLockError::WouldBlock) => None,
+        }
+    }
+
+    pub fn get_mut(&mut self) -> &mut T {
+        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
+    }
+}
