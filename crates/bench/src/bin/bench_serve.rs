@@ -5,8 +5,8 @@
 //! Emits `results/BENCH_serve.json` with qps, p50/p99/p999 (shared
 //! nearest-rank `bench::percentile`), shed rate, the `serve_*` metric
 //! deltas, and — under `store` — the at-rest footprint of the served
-//! corpus: compressed (v4) vs uncompressed (v3) store bytes and cache
-//! resident bytes at a fixed budget (`bench::store_footprint`).
+//! corpus: store bytes and cache resident bytes at a fixed budget
+//! (`bench::store_footprint`).
 //!
 //! Knobs (environment): `SERVE_BENCH_SECS` per-phase duration (default
 //! 2), `SERVE_BENCH_CONNS` closed-loop connections (default 8),
@@ -442,10 +442,8 @@ fn main() {
     let cache_budget = env_usize("SERVE_BENCH_CACHE_BYTES", 32 * 1024);
     let footprint = store_footprint(&Index::build(Arc::clone(&doc)), &keyword_sets, cache_budget);
     println!(
-        "store: v3 {} B, v4 {} B ({:.2}x smaller); cache resident {} B of {} B (hit rate {:.3})",
-        footprint.v3_bytes,
+        "store: {} B; cache resident {} B of {} B (hit rate {:.3})",
         footprint.v4_bytes,
-        footprint.v3_bytes as f64 / footprint.v4_bytes.max(1) as f64,
         footprint.cache.cached_bytes,
         cache_budget,
         footprint.cache_hit_rate(),

@@ -5,10 +5,9 @@
 //! the concurrent read p99 exceeds `2 × idle p99` (plus a small noise
 //! floor): a committing writer must not block readers.
 //!
-//! Also reports the at-rest store footprint of the seed corpus —
-//! compressed (v4) vs uncompressed (v3) bytes and cache resident bytes
-//! at a fixed budget (`bench::store_footprint`) — under the `store`
-//! key.
+//! Also reports the at-rest store footprint of the seed corpus — store
+//! bytes and cache resident bytes at a fixed budget
+//! (`bench::store_footprint`) — under the `store` key.
 //!
 //! Knobs (environment): `UPDATE_BENCH_SECS` per-phase duration (default
 //! 2), `UPDATE_BENCH_READERS` reader threads (default 4),
@@ -172,10 +171,8 @@ fn main() {
     let cache_budget = env_usize("UPDATE_BENCH_CACHE_BYTES", 32 * 1024);
     let footprint = store_footprint(&built, &keyword_sets, cache_budget);
     println!(
-        "store: v3 {} B, v4 {} B ({:.2}x smaller); cache resident {} B of {} B (hit rate {:.3})",
-        footprint.v3_bytes,
+        "store: {} B; cache resident {} B of {} B (hit rate {:.3})",
         footprint.v4_bytes,
-        footprint.v3_bytes as f64 / footprint.v4_bytes.max(1) as f64,
         footprint.cache.cached_bytes,
         cache_budget,
         footprint.cache_hit_rate(),

@@ -1,11 +1,11 @@
 //! Index construction statistics (§VII): sizes of the keyword inverted
 //! lists vs the frequent table — the paper claims "for real dataset which
 //! has well organized structures, the size of the frequent table is
-//! comparable to that of the keyword inverted lists" — plus sequential
-//! vs parallel build time and persisted store size.
+//! comparable to that of the keyword inverted lists" — plus DOM-oracle
+//! vs streaming build time and persisted store size.
 
 use bench::{dblp, f3, time_ms, Table};
-use invindex::{build_parallel, persist, Index};
+use invindex::{build_streaming, persist, Index};
 use kvstore::{KvStore, MemKv};
 use std::sync::Arc;
 
@@ -17,8 +17,8 @@ fn main() {
         "postings",
         "list bytes",
         "freq entries",
-        "build seq (ms)",
-        "build par4 (ms)",
+        "build dom (ms)",
+        "build stream4 (ms)",
     ]);
 
     for scale in [0.1, 0.25, 0.5] {
@@ -29,9 +29,10 @@ fn main() {
             },
             2,
         );
-        let par_ms = time_ms(
+        let xml = doc.to_xml();
+        let stream_ms = time_ms(
             || {
-                std::hint::black_box(build_parallel(Arc::clone(&doc), 4));
+                std::hint::black_box(build_streaming(&xml, 4).expect("generated corpus scans"));
             },
             2,
         );
@@ -39,7 +40,7 @@ fn main() {
         let list_bytes: usize = index
             .vocabulary()
             .iter()
-            .map(|(k, _)| index.list_by_id(k).encode().len())
+            .map(|(k, _)| index.list_by_id(k).encode_compressed().len())
             .sum();
         t.row(vec![
             format!("{:.0}%", scale * 100.0),
@@ -49,7 +50,7 @@ fn main() {
             format!("{list_bytes}"),
             format!("{}", index.stats().df_entries()),
             f3(seq_ms),
-            f3(par_ms),
+            f3(stream_ms),
         ]);
     }
     println!("== Index construction statistics (§VII) ==\n");

@@ -85,12 +85,10 @@ pub fn answer(engine: &XRefineEngine, keywords: &[String]) -> usize {
     out.refinements.iter().map(|r| r.slcas.len()).sum()
 }
 
-/// At-rest and resident cost of an index: persisted size at the flat
-/// (v3) and compressed (v4) store formats, plus the `ShardedListCache`
-/// state after one pass of a query workload over a cache-budgeted
-/// reader on the compressed store.
+/// At-rest and resident cost of an index: persisted store size, plus the
+/// `ShardedListCache` state after one pass of a query workload over a
+/// cache-budgeted reader on that store.
 pub struct StoreFootprint {
-    pub v3_bytes: usize,
     pub v4_bytes: usize,
     pub cache_budget: usize,
     pub cache: CacheStats,
@@ -109,12 +107,9 @@ impl StoreFootprint {
     /// JSON fragment shared by the serving/update benches.
     pub fn json(&self) -> String {
         format!(
-            "{{\"uncompressed_v3_bytes\": {}, \"compressed_v4_bytes\": {}, \
-             \"ratio_v3_over_v4\": {:.3}, \"cache_budget_bytes\": {}, \
+            "{{\"compressed_v4_bytes\": {}, \"cache_budget_bytes\": {}, \
              \"cache_resident_bytes\": {}, \"cache_hit_rate\": {:.4}}}",
-            self.v3_bytes,
             self.v4_bytes,
-            self.v3_bytes as f64 / self.v4_bytes.max(1) as f64,
             self.cache_budget,
             self.cache.cached_bytes,
             self.cache_hit_rate(),
@@ -122,33 +117,27 @@ impl StoreFootprint {
     }
 }
 
-/// Measures [`StoreFootprint`] for `index`: persists it at both format
-/// versions (counting every key and value byte), then warms a
-/// [`KvBackedIndex`] over the compressed store with one pass of
-/// `queries` to observe cache residency at the given byte budget.
+/// Measures [`StoreFootprint`] for `index`: persists it (counting every
+/// key and value byte), then warms a [`KvBackedIndex`] over the store
+/// with one pass of `queries` to observe cache residency at the given
+/// byte budget.
 pub fn store_footprint(
     index: &Index,
     queries: &[Vec<String>],
     cache_budget: usize,
 ) -> StoreFootprint {
-    let dump_bytes = |store: &MemKv| -> usize {
-        store
-            .scan_range(b"", None)
-            .expect("dump store")
-            .iter()
-            .map(|(k, v)| k.len() + v.len())
-            .sum()
-    };
-    let mut flat = MemKv::new();
-    persist::persist_versioned(index, &mut flat, persist::V3_FORMAT_VERSION).expect("persist v3");
-    let v3_bytes = dump_bytes(&flat);
     let mut packed = MemKv::new();
-    persist::persist_versioned(index, &mut packed, persist::FORMAT_VERSION).expect("persist v4");
-    let v4_bytes = dump_bytes(&packed);
+    persist::persist(index, &mut packed).expect("persist");
+    let v4_bytes = packed
+        .scan_range(b"", None)
+        .expect("dump store")
+        .iter()
+        .map(|(k, v)| k.len() + v.len())
+        .sum();
 
     let reader = Arc::new(
         KvBackedIndex::open(Box::new(packed))
-            .expect("open compressed store")
+            .expect("open store")
             .with_cache_budget(cache_budget),
     );
     let engine = XRefineEngine::from_reader(
@@ -161,7 +150,6 @@ pub fn store_footprint(
             .expect("footprint query");
     }
     StoreFootprint {
-        v3_bytes,
         v4_bytes,
         cache_budget,
         cache: reader.cache_stats(),
@@ -259,7 +247,7 @@ mod tests {
     }
 
     #[test]
-    fn store_footprint_reports_a_smaller_compressed_store() {
+    fn store_footprint_reports_size_and_cache_state() {
         let doc = dblp(0.02);
         let index = Index::build(Arc::clone(&doc));
         let queries = vec![
@@ -267,12 +255,7 @@ mod tests {
             vec!["database".to_string(), "system".to_string()],
         ];
         let fp = store_footprint(&index, &queries, 16 * 1024);
-        assert!(
-            fp.v4_bytes < fp.v3_bytes,
-            "compressed store not smaller: v3 {} v4 {}",
-            fp.v3_bytes,
-            fp.v4_bytes
-        );
+        assert!(fp.v4_bytes > 0);
         assert!(fp.cache.cached_bytes <= fp.cache_budget);
         assert!((0.0..=1.0).contains(&fp.cache_hit_rate()));
         let json = fp.json();

@@ -1,11 +1,8 @@
-//! The `f^T_k` pass (XML DF, Definition 3.2), shared by every builder.
-//!
-//! Given complete posting lists, the distinct-ancestor count per
-//! `(type, keyword)` is independent of how the lists were produced, so
-//! the DOM-parallel builder ([`crate::parallel`]) and the streaming
-//! builder ([`crate::stream`]) both delegate here. The pass is
-//! embarrassingly parallel across keywords: each worker owns a disjoint
-//! keyword range and produces a local `df` map, merged at the end.
+//! The frequency pass of the streaming builder ([`crate::stream`]):
+//! `tf(k, T)` and `f^T_k` (XML DF, Definition 3.2) over complete posting
+//! lists. The pass is embarrassingly parallel across keywords: each
+//! worker owns a disjoint keyword range and produces local maps, merged
+//! at the end.
 //!
 //! The prefix-path lookup that the sequential reference builder performs
 //! per posting per ancestor level (`NodeTypeTable::get`, which allocates
@@ -21,7 +18,7 @@ use xmldom::{Document, NodeTypeId};
 /// For each node type `t` (by id), the interned types of all prefixes of
 /// `t`'s path: entry `m - 1` is the type of the length-`m` prefix, the
 /// last entry is `t` itself.
-pub(crate) fn prefix_type_table(doc: &Document) -> Vec<Vec<NodeTypeId>> {
+fn prefix_type_table(doc: &Document) -> Vec<Vec<NodeTypeId>> {
     let types = doc.node_types();
     let mut table = Vec::with_capacity(types.len());
     for t in types.iter() {
@@ -39,21 +36,11 @@ pub(crate) fn prefix_type_table(doc: &Document) -> Vec<Vec<NodeTypeId>> {
     table
 }
 
-/// Computes all `(T, k) -> f^T_k` entries over `lists` using up to
-/// `threads` workers (`<= 1` runs inline). Values are independent of the
-/// thread count; only the (irrelevant) map iteration order varies.
-pub(crate) fn compute_df(
-    doc: &Document,
-    lists: &[PostingList],
-    threads: usize,
-) -> HashMap<(NodeTypeId, KeywordId), u64> {
-    compute_tf_df(doc, lists, None, threads).1
-}
-
-/// The fused frequency pass: `tf(k, T)` (when per-posting occurrence
-/// counts are supplied) and `f^T_k` in one ancestor walk per posting.
+/// The fused frequency pass: `tf(k, T)` and `f^T_k` in one ancestor walk
+/// per posting, using up to `threads` workers (`<= 1` runs inline).
 /// `counts` is parallel to `lists` — `counts[k][i]` is the token count
-/// behind posting `i` of keyword `k`.
+/// behind posting `i` of keyword `k`. Values are independent of the
+/// thread count; only the (irrelevant) map iteration order varies.
 ///
 /// Per keyword the accumulators are dense arrays indexed by `NodeTypeId`
 /// (document type counts are tiny), drained into the result maps once
@@ -61,7 +48,7 @@ pub(crate) fn compute_df(
 pub(crate) fn compute_tf_df(
     doc: &Document,
     lists: &[PostingList],
-    counts: Option<&[Vec<u64>]>,
+    counts: &[Vec<u64>],
     threads: usize,
 ) -> FreqMaps {
     let prefixes = prefix_type_table(doc);
@@ -124,7 +111,7 @@ type FreqMaps = (FreqMap, FreqMap);
 #[allow(clippy::too_many_arguments)]
 fn stats_range(
     lists: &[PostingList],
-    counts: Option<&[Vec<u64>]>,
+    counts: &[Vec<u64>],
     prefixes: &[Vec<NodeTypeId>],
     num_types: usize,
     start: usize,
@@ -143,16 +130,10 @@ fn stats_range(
                 .unwrap_or(0);
             // A node's type path has exactly one entry per Dewey level.
             let path_types = &prefixes[p.node_type.0 as usize];
-            if let Some(counts) = counts {
-                let c = counts[kid][i];
-                for (m, &t) in path_types.iter().enumerate() {
-                    tf_local[t.0 as usize] += c;
-                    if m >= shared {
-                        df_local[t.0 as usize] += 1;
-                    }
-                }
-            } else {
-                for &t in &path_types[shared..p.dewey.len()] {
+            let c = counts[kid][i];
+            for (m, &t) in path_types.iter().enumerate() {
+                tf_local[t.0 as usize] += c;
+                if m >= shared {
                     df_local[t.0 as usize] += 1;
                 }
             }

@@ -34,7 +34,7 @@ use crate::persist;
 use crate::reader::{IndexReader, ListHandle};
 use crate::stats::{KeywordId, KeywordTable, TypeStats};
 use kvstore::{KvError, KvStore, Result};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
 use xmldom::{Document, NodeTypeId};
@@ -187,40 +187,19 @@ pub struct KvBackedIndex {
     vocab: KeywordTable,
     stats: TypeStats,
     cooccur: CoOccurrence,
-    version: u64,
     store: Arc<StoreGen>,
     cache: Arc<ShardedListCache>,
     /// The generation this reader pinned at open; list-cache lookups
     /// and inserts carry it so epochs never cross-contaminate.
     gen: u64,
-    /// Keywords whose statistics entries failed validation at open:
-    /// their lists still answer, their ranking inputs are incomplete.
-    /// See [`crate::persist::load_stats_lenient`].
-    damaged: HashMap<u32, String>,
 }
 
 impl KvBackedIndex {
-    /// Opens a version-2 store (which embeds its source document) with
-    /// the default cache budget.
+    /// Opens a persisted store, rebuilding the document from its embedded
+    /// `D/doc` record, with the default cache budget.
     pub fn open(store: Box<dyn KvStore>) -> Result<Self> {
-        let version = persist::read_version(store.as_ref())?;
-        let blob = store.get(b"D/doc")?.ok_or_else(|| {
-            KvError::corrupt(format!(
-                "store (version {version}) has no embedded document; \
-                 use open_with_document or re-persist at version 2+"
-            ))
-        })?;
-        let doc = Arc::new(persist::decode_document(
-            version,
-            persist::decode_value(version, &blob, "D/doc")?,
-        )?);
-        Self::open_with_document(doc, store)
-    }
-
-    /// Opens a store of either format version against an externally
-    /// supplied document (the version-1 path, where the document was
-    /// never embedded).
-    pub fn open_with_document(doc: Arc<Document>, store: Box<dyn KvStore>) -> Result<Self> {
+        persist::read_version(store.as_ref())?;
+        let doc = Arc::new(persist::load_document(store.as_ref())?);
         Self::open_snapshot_with_document(
             doc,
             Arc::new(StoreGen::read_only(store)),
@@ -241,19 +220,9 @@ impl KvBackedIndex {
         cache: Arc<ShardedListCache>,
     ) -> Result<Self> {
         let store: &dyn KvStore = &*snap;
-        let version = persist::read_version(store)?;
-        let vocab = persist::load_vocab(store, version)?;
-        // Statistics load leniently: a damaged tf/df entry degrades one
-        // keyword's ranking, it does not take the whole index down.
-        let (stats, stat_damage) = persist::load_stats_lenient(store, version)?;
-        let mut damaged: HashMap<u32, String> = HashMap::new();
-        for d in stat_damage {
-            let slot = damaged.entry(d.keyword.0).or_default();
-            if !slot.is_empty() {
-                slot.push_str("; ");
-            }
-            slot.push_str(&format!("{}: {}", d.entry, d.detail));
-        }
+        persist::read_version(store)?;
+        let vocab = persist::load_vocab(store)?;
+        let stats = persist::load_stats(store)?;
         if stats.n_nodes_vec().len() != doc.node_types().len() {
             return Err(KvError::corrupt(
                 "document does not match persisted index (type count)",
@@ -265,11 +234,9 @@ impl KvBackedIndex {
             vocab,
             stats,
             cooccur: CoOccurrence::new(),
-            version,
             store: snap,
             cache,
             gen,
-            damaged,
         })
     }
 
@@ -308,23 +275,6 @@ impl KvBackedIndex {
     /// Current cache counters, aggregated over all shards.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// The persisted format version this reader is serving.
-    pub fn format_version(&self) -> u64 {
-        self.version
-    }
-
-    /// Keywords whose statistics were damaged on disk (sorted by id),
-    /// with what is wrong with each. Empty for a healthy store.
-    pub fn damaged_keywords(&self) -> Vec<(KeywordId, &str)> {
-        let mut out: Vec<(KeywordId, &str)> = self
-            .damaged
-            .iter()
-            .map(|(&k, detail)| (KeywordId(k), detail.as_str()))
-            .collect();
-        out.sort_by_key(|(k, _)| k.0);
-        out
     }
 }
 
@@ -369,7 +319,7 @@ impl IndexReader for KvBackedIndex {
                 k.0
             )));
         };
-        let list = Arc::new(persist::decode_list_value(self.version, &value)?);
+        let list = Arc::new(persist::decode_list_value(&value)?);
         obs::trace::event(
             "list_load",
             &[
@@ -390,10 +340,6 @@ impl IndexReader for KvBackedIndex {
 
     fn cache_stats(&self) -> Option<CacheStats> {
         Some(self.cache.stats())
-    }
-
-    fn keyword_damage(&self, k: KeywordId) -> Option<&str> {
-        self.damaged.get(&k.0).map(String::as_str)
     }
 }
 
@@ -460,10 +406,7 @@ mod tests {
         // Budget sized to roughly two typical lists: inserting many
         // distinct lists must evict, and used bytes never exceed it.
         // One shard so the budget boundary is exercised globally.
-        let budget =
-            2 * persist::encode_list_value(persist::FORMAT_VERSION, built.list("xml").unwrap())
-                .len()
-                + 8;
+        let budget = 2 * persist::encode_list_value(built.list("xml").unwrap()).len() + 8;
         let idx = KvBackedIndex::open(Box::new(store))
             .unwrap()
             .with_cache_shards(1)
@@ -488,9 +431,7 @@ mod tests {
         // *global* budget still bounds the summed bytes, because the
         // per-shard budgets sum to it.
         let (_, built, store) = persisted();
-        let budget =
-            3 * persist::encode_list_value(persist::FORMAT_VERSION, built.list("xml").unwrap())
-                .len();
+        let budget = 3 * persist::encode_list_value(built.list("xml").unwrap()).len();
         let idx = KvBackedIndex::open(Box::new(store))
             .unwrap()
             .with_cache_budget(budget);
@@ -516,9 +457,7 @@ mod tests {
             .map(|(_, t)| t.to_string())
             .collect();
         // budget that fits ~3 small lists; one shard for a global LRU
-        let cost = |kw: &str| {
-            persist::encode_list_value(persist::FORMAT_VERSION, built.list(kw).unwrap()).len()
-        };
+        let cost = |kw: &str| persist::encode_list_value(built.list(kw).unwrap()).len();
         let budget = cost(&vocab[0]) + cost(&vocab[1]) + cost(&vocab[2]) + 2;
         let idx = KvBackedIndex::open(Box::new(store))
             .unwrap()
@@ -586,69 +525,18 @@ mod tests {
     }
 
     #[test]
-    fn damaged_stats_degrade_one_keyword_not_the_open() {
-        // v3 store: per-entry stat keys give per-keyword damage
-        // isolation (v4 packs the tables, so damage there is fatal —
-        // see `damaged_packed_stats_fail_the_open`).
-        let doc = Arc::new(figure1());
-        let built = Index::build(Arc::clone(&doc));
-        let mut store = MemKv::new();
-        persist::persist_versioned(&built, &mut store, persist::V3_FORMAT_VERSION).unwrap();
-        let victim = built.vocabulary().get("xml").unwrap();
-        let (key, value) = store
-            .scan_prefix(b"S/T/")
-            .unwrap()
-            .into_iter()
-            .find(|(k, _)| k[8..12] == victim.0.to_be_bytes())
-            .expect("xml has tf entries");
-        let mut bad = value.clone();
-        *bad.last_mut().unwrap() ^= 0xFF;
-        store.put(&key, &bad).unwrap();
-
-        let idx = KvBackedIndex::open(Box::new(store)).unwrap();
-        assert!(idx.keyword_damage(victim).is_some());
-        assert_eq!(idx.damaged_keywords().len(), 1);
-        // The damaged keyword's list still answers.
-        assert_eq!(
-            handle_of(&idx, "xml").postings(),
-            built.list("xml").unwrap().as_slice()
-        );
-        // Healthy keywords report no damage.
-        let john = built.vocabulary().get("john").unwrap();
-        assert!(idx.keyword_damage(john).is_none());
-    }
-
-    #[test]
     fn damaged_packed_stats_fail_the_open() {
-        // v4 packs the stat tables into one CRC-framed blob each, so a
-        // flipped byte there has no per-keyword owner: the open fails
-        // corrupt instead of degrading.
+        // Each stat table is one CRC-framed blob, so a flipped byte there
+        // has no per-keyword owner: the open fails corrupt instead of
+        // degrading.
         let (_, _, mut store) = persisted();
-        let mut bad = store.get(b"S/T").unwrap().expect("v4 packed tf table");
+        let mut bad = store.get(b"S/T").unwrap().expect("packed tf table");
         *bad.last_mut().unwrap() ^= 0xFF;
         store.put(b"S/T", &bad).unwrap();
         match KvBackedIndex::open(Box::new(store)) {
             Err(e) => assert!(e.is_corrupt(), "unexpected error class: {e}"),
             Ok(_) => panic!("damaged packed stats opened"),
         }
-    }
-
-    #[test]
-    fn version1_store_opens_with_external_document() {
-        let doc = Arc::new(figure1());
-        let built = Index::build(Arc::clone(&doc));
-        let v1_store = || {
-            let mut store = MemKv::new();
-            persist::persist_versioned(&built, &mut store, persist::LEGACY_FORMAT_VERSION).unwrap();
-            store
-        };
-        // v1 has no embedded doc:
-        assert!(KvBackedIndex::open(Box::new(v1_store())).is_err());
-        let idx = KvBackedIndex::open_with_document(doc, Box::new(v1_store())).unwrap();
-        assert_eq!(
-            handle_of(&idx, "xml").postings(),
-            built.list("xml").unwrap().as_slice()
-        );
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! `invindex` — keyword inverted lists and document statistics (§VII).
 //!
-//! * [`postings`]: document-ordered posting lists with delta/front-coded
-//!   serialization — flat (store v1–v3) and blocked compressed behind a
-//!   per-block skip table ([`CompressedList`], store v4);
+//! * [`postings`]: document-ordered posting lists, serialized blocked
+//!   and front-coded behind a per-block skip table ([`CompressedList`]);
 //! * [`reader`]: the [`IndexReader`] trait and [`ListHandle`] — the
 //!   storage-agnostic read path every query layer consumes;
 //! * [`index`]: the one-pass index builder and resident
@@ -16,7 +15,7 @@
 //!   one-scan property of the refinement algorithms in tests);
 //! * [`stream`]: the streaming builder — zero-copy span scan, parallel
 //!   chunked tokenization, deterministic merge (byte-identical stores
-//!   with the DOM path);
+//!   with the DOM oracle [`Index::build`]);
 //! * [`persist`]: storage of the whole index in any [`kvstore::KvStore`];
 //! * [`maint`]: online maintenance — WAL-backed document insert/delete
 //!   with epoch/snapshot reader handoff ([`MaintIndex`]).
@@ -28,7 +27,6 @@ mod dfpass;
 pub mod index;
 pub mod kvindex;
 pub mod maint;
-pub mod parallel;
 pub mod persist;
 pub mod postings;
 pub mod reader;
@@ -40,8 +38,7 @@ pub use cursor::{ListCursor, PostingsCursor, ScanStats};
 pub use index::{InMemoryIndex, Index};
 pub use kvindex::{KvBackedIndex, StoreGen};
 pub use maint::{MaintIndex, MaintOp, MaintReport};
-pub use parallel::build_parallel;
-pub use persist::{verify_store, IntegrityReport, SectionReport, StatDamage};
+pub use persist::{verify_store, IntegrityReport, SectionReport};
 pub use postings::{BlockMeta, CompressedList, Posting, PostingList, BLOCK_POSTINGS};
 pub use reader::{IndexReader, ListHandle};
 pub use stats::{KeywordId, KeywordTable, TypeStats};

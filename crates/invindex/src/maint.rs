@@ -163,21 +163,12 @@ impl MaintIndex {
     /// crash-recovery testing).
     pub fn open_with_vfs(vfs: Arc<dyn Vfs>, base: &Path) -> Result<Self> {
         let durable = DurableKv::open_with_vfs(Arc::clone(&vfs), base)?;
-        let version = persist::read_version(&durable)?;
-        let blob = durable.get(b"D/doc")?.ok_or_else(|| {
-            KvError::corrupt(format!(
-                "store (version {version}) has no embedded document; \
-                 online maintenance needs a version 2+ store"
-            ))
-        })?;
-        let doc = Arc::new(persist::decode_document(
-            version,
-            persist::decode_value(version, &blob, "D/doc")?,
-        )?);
+        persist::read_version(&durable)?;
+        let doc = Arc::new(persist::load_document(&durable)?);
         let (records, root_tag, root_attrs, root_text) = derive_records(&doc);
         let seq = match durable.get(MAINT_KEY)? {
             Some(value) => {
-                let (seq, count) = decode_maint_meta(version, &value)?;
+                let (seq, count) = decode_maint_meta(&value)?;
                 if count != records.len() as u64 {
                     return Err(KvError::corrupt(format!(
                         "maintenance metadata claims {count} records but the \
@@ -304,20 +295,13 @@ impl MaintIndex {
                 KvError::corrupt(format!("reconstructed corpus does not parse: {e}"))
             })?);
         let built = Index::build(Arc::clone(&doc));
-        // Preserve the store's format version: incremental updates to a
-        // v3 store must stay byte-identical to a v3 scratch build, and
-        // likewise for v4 (see tests/maint_differential.rs).
-        let version = persist::read_version(&w.durable)?;
         let mut target = MemKv::new();
-        persist::persist_versioned(&built, &mut target, version)?;
+        persist::persist(&built, &mut target)?;
         let seq = w.seq + 1;
         // Re-derive the canonical records from the parsed corpus so the
         // in-memory list always matches what a reopen would derive.
         let (canonical, root_tag, root_attrs, root_text) = derive_records(&doc);
-        target.put(
-            MAINT_KEY,
-            &encode_maint_meta(version, seq, canonical.len() as u64),
-        )?;
+        target.put(MAINT_KEY, &encode_maint_meta(seq, canonical.len() as u64))?;
 
         // 3. Diff against the live store; ship only the delta.
         let batch = diff_stores(&w.durable, &target)?;
@@ -531,17 +515,17 @@ fn changed_list_ids(batch: &[BatchOp]) -> Vec<u32> {
 }
 
 /// `M/maint` value: persist-framed `varint(seq) ‖ varint(record_count)`.
-fn encode_maint_meta(version: u64, seq: u64, records: u64) -> Vec<u8> {
+fn encode_maint_meta(seq: u64, records: u64) -> Vec<u8> {
     let mut payload = Vec::with_capacity(8);
     write_varint(&mut payload, seq);
     write_varint(&mut payload, records);
-    persist::encode_value(version, payload)
+    persist::frame_value(&payload)
 }
 
 /// Decodes an `M/maint` value into (seq, record_count). Public to the
 /// crate so the CLI `scrub` path can report maintenance state.
-pub fn decode_maint_meta(version: u64, value: &[u8]) -> Result<(u64, u64)> {
-    let raw = persist::decode_value(version, value, "M/maint")?;
+pub fn decode_maint_meta(value: &[u8]) -> Result<(u64, u64)> {
+    let raw = persist::unframe_value(value, "M/maint")?;
     let mut pos = 0;
     let seq = read_varint(raw, &mut pos)
         .ok_or_else(|| KvError::corrupt("M/maint: bad sequence varint"))?;
@@ -566,7 +550,7 @@ mod tests {
         <paper><title>query refinement</title><year>2009</year></paper>\
         </bib>";
 
-    /// Builds a version-2 store for CORPUS at `base` (vfs-backed).
+    /// Builds a store for CORPUS at `base` (vfs-backed).
     fn seed_store(vfs: &Arc<dyn Vfs>, base: &Path) -> PathBuf {
         let built = build_streaming(CORPUS, 1).unwrap();
         let db = base.with_extension("db");
@@ -692,11 +676,10 @@ mod tests {
 
     #[test]
     fn maint_meta_codec_round_trips_and_rejects_garbage() {
-        let v = persist::FORMAT_VERSION;
-        let enc = encode_maint_meta(v, 42, 7);
-        assert_eq!(decode_maint_meta(v, &enc).unwrap(), (42, 7));
+        let enc = encode_maint_meta(42, 7);
+        assert_eq!(decode_maint_meta(&enc).unwrap(), (42, 7));
         let mut bad = enc.clone();
         *bad.last_mut().unwrap() ^= 0xFF;
-        assert!(decode_maint_meta(v, &bad).is_err());
+        assert!(decode_maint_meta(&bad).is_err());
     }
 }

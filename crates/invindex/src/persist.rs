@@ -1,38 +1,33 @@
 //! Index persistence over any [`KvStore`] (the paper stores all indices in
 //! Berkeley DB, §VII; we store them in the workspace B+-tree).
 //!
-//! Key space (format version 4):
+//! There is one on-disk format. Its key space:
 //!
 //! * `M/version`                — format version (raw varint: it is the
 //!   byte that says how everything else is framed, so it cannot itself
 //!   be framed);
-//! * `D/doc`                    — the source document, so
-//!   [`crate::KvBackedIndex`] can open with no re-parse (v4: hash-consed
-//!   subtree DAG with an interned string table; v2/v3: builder replay
-//!   stream);
+//! * `D/doc`                    — the source document as a hash-consed
+//!   subtree DAG with an interned string table, so
+//!   [`crate::KvBackedIndex`] can open with no re-parse;
 //! * `V/<keyword>`              — keyword id (u32 LE);
-//! * `L/<id:u32 BE>`            — posting list (v4: blocked
-//!   [`CompressedList`] encoding with a skip table; v1–v3: flat
-//!   front-coded [`PostingList`] encoding);
+//! * `L/<id:u32 BE>`            — posting list (blocked
+//!   [`CompressedList`] encoding with a skip table);
 //! * `S/N`, `S/G`               — `N_T` / `G_T` vectors (varints);
 //! * `S/T`, `S/D`               — `tf(k,T)` / `f^T_k` tables, packed
-//!   into one delta-encoded blob each (v4; v1–v3 store them as
-//!   per-entry keys `S/T/<type BE><kw BE>` and `S/D/<type BE><kw BE>`,
-//!   each holding one varint).
+//!   into one delta-encoded blob each.
 //!
-//! From version 3 on **every** value except `M/version` is framed as
+//! **Every** value except `M/version` is framed as
 //! `varint(len(payload)) ‖ crc32(payload):u32 LE ‖ payload`, so a flipped
 //! byte in any stored value is detected at decode time, not interpreted.
-//! Version 4 keeps the framing and changes the `L/` and `D/doc`
-//! payloads to the compressed encodings plus the stat-table packing
-//! above. Version 2 framed only the `L/` lists; version 1 framed
-//! nothing and has no `D/doc`. All remain readable. Corruption of any
-//! entry yields [`KvError::Corrupt`], never a panic.
+//! Corruption of any entry yields [`KvError::Corrupt`], never a panic.
+//! How a value is framed and encoded is known to this module and
+//! [`crate::postings`] alone; [`read_version`] is the one place a store
+//! written by another build is recognised, and it refuses it.
 //!
 //! Node-type and keyword ids are deterministic for a given document (both
-//! interners assign ids in parse order, and the v4 document expansion
+//! interners assign ids in parse order, and the document expansion
 //! replays exactly that order), so an index loaded against the same
-//! document is bit-identical to a rebuilt one — at every format version.
+//! document is bit-identical to a rebuilt one.
 
 use crate::index::Index;
 use crate::postings::{read_varint, write_varint, CompressedList, PostingList};
@@ -42,122 +37,65 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use xmldom::{Document, DocumentBuilder, NodeId, NodeTypeId};
 
-/// Current on-disk format: compressed posting lists (blocked front-coded
-/// Dewey deltas behind a skip table) and a DAG-deduplicated document,
-/// every value class framed and checksummed.
+/// The on-disk format: compressed posting lists (blocked front-coded
+/// Dewey deltas behind a skip table), a DAG-deduplicated document and
+/// packed stat tables, every value class framed and checksummed.
 pub const FORMAT_VERSION: u64 = 4;
 
-/// The previous format: flat front-coded posting lists and the replay-
-/// stream document, fully framed. Still readable and writable (the
-/// maintenance layer preserves the version a store was created at).
-pub const V3_FORMAT_VERSION: u64 = 3;
-
-/// The intermediate format: framed posting lists and the embedded
-/// document, but raw vocabulary/statistics values. Still readable.
-pub const V2_FORMAT_VERSION: u64 = 2;
-
-/// The original format: raw list encodings, document supplied by the
-/// caller. Still readable.
-pub const LEGACY_FORMAT_VERSION: u64 = 1;
-
-/// Damage to one statistics entry, recorded by the lenient loader
-/// instead of failing the whole open: the named keyword's ranking inputs
-/// are incomplete, everything else is intact.
-#[derive(Debug, Clone)]
-pub struct StatDamage {
-    pub keyword: KeywordId,
-    /// The damaged entry (`S/T/...` or `S/D/...`), human-readable.
-    pub entry: String,
-    pub detail: String,
-}
-
-/// Writes the index into `store` at the current format version.
+/// Writes the index into `store`.
 pub fn persist(index: &Index, store: &mut dyn KvStore) -> Result<()> {
-    persist_versioned(index, store, FORMAT_VERSION)
-}
-
-/// Writes the index at an explicit format version (the older paths keep
-/// version-1/2 fixtures producible for compatibility tests).
-pub fn persist_versioned(index: &Index, store: &mut dyn KvStore, version: u64) -> Result<()> {
-    if !(LEGACY_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
-        return Err(KvError::corrupt(format!(
-            "cannot write unknown index version {version}"
-        )));
-    }
     let mut buf = Vec::new();
-    write_varint(&mut buf, version);
+    write_varint(&mut buf, FORMAT_VERSION);
     store.put(b"M/version", &buf)?;
 
-    if version >= 2 {
-        store.put(
-            b"D/doc",
-            &encode_value(version, encode_document(version, index.document())),
-        )?;
-    }
+    store.put(b"D/doc", &frame_value(&encode_document(index.document())))?;
 
     for (k, text) in index.vocabulary().iter() {
         let mut key = Vec::with_capacity(2 + text.len());
         key.extend_from_slice(b"V/");
         key.extend_from_slice(text.as_bytes());
-        store.put(&key, &encode_value(version, k.0.to_le_bytes().to_vec()))?;
+        store.put(&key, &frame_value(&k.0.to_le_bytes()))?;
     }
 
     for (i, list) in index.lists().iter().enumerate() {
-        store.put(&list_key(i as u32), &encode_list_value(version, list))?;
+        store.put(&list_key(i as u32), &encode_list_value(list))?;
     }
 
     let mut nbuf = Vec::new();
     for &n in index.stats().n_nodes_vec() {
         write_varint(&mut nbuf, n);
     }
-    store.put(b"S/N", &encode_value(version, nbuf))?;
+    store.put(b"S/N", &frame_value(&nbuf))?;
 
     let mut gbuf = Vec::new();
     for &g in index.stats().distinct_keywords_vec() {
         write_varint(&mut gbuf, g);
     }
-    store.put(b"S/G", &encode_value(version, gbuf))?;
+    store.put(b"S/G", &frame_value(&gbuf))?;
 
-    // The stat tables are hash maps; write their entries in sorted
-    // (t, k) order so the put sequence — and therefore the page layout
-    // of ordered stores — is a pure function of the index contents.
-    // `tests/parallel_persist.rs` relies on persisted byte-identity.
+    // The stat tables are hash maps; pack their entries in sorted (t, k)
+    // order so the stored bytes are a pure function of the index
+    // contents (`ingest_differential.rs` relies on persisted
+    // byte-identity). Each table is one delta-encoded blob: a per-entry
+    // layout spends ~18 bytes of key + frame on a value that is usually
+    // one byte, and the stat tables dominate store size on real corpora.
+    // The trade-off (DESIGN.md §4i): the CRC covers the whole table, so
+    // stat damage is table-granular rather than per-keyword.
     let mut tf: Vec<_> = index.stats().iter_tf().collect();
     tf.sort_unstable_by_key(|&(t, k, _)| (t.0, k.0));
     let mut df: Vec<_> = index.stats().iter_df().collect();
     df.sort_unstable_by_key(|&(t, k, _)| (t.0, k.0));
-    if version >= 4 {
-        // v4 packs each table into one delta-encoded blob: the per-entry
-        // layout spends ~18 bytes of key + frame on a value that is
-        // usually one byte, and the stat tables dominate store size on
-        // real corpora. The trade-off (documented in DESIGN.md §4i): the
-        // CRC now covers the whole table, so stat damage on a v4 store
-        // is table-granular rather than per-keyword.
-        store.put(b"S/T", &encode_value(version, encode_packed_stats(&tf)))?;
-        store.put(b"S/D", &encode_value(version, encode_packed_stats(&df)))?;
-    } else {
-        for (t, k, v) in tf {
-            store.put(
-                &stat_key(b"S/T/", t, k),
-                &encode_value(version, varint_vec(v)),
-            )?;
-        }
-        for (t, k, v) in df {
-            store.put(
-                &stat_key(b"S/D/", t, k),
-                &encode_value(version, varint_vec(v)),
-            )?;
-        }
-    }
+    store.put(b"S/T", &frame_value(&encode_packed_stats(&tf)))?;
+    store.put(b"S/D", &frame_value(&encode_packed_stats(&df)))?;
     store.sync()
 }
 
 /// Loads an index from `store` against the (identical) source document.
-/// Accepts every known format version; any damage is an error (the
-/// resident path has no way to degrade per keyword).
+/// Any damage is an error (the resident path has no way to degrade per
+/// keyword).
 pub fn load(doc: Arc<Document>, store: &dyn KvStore) -> Result<Index> {
-    let version = read_version(store)?;
-    let vocab = load_vocab(store, version)?;
+    read_version(store)?;
+    let vocab = load_vocab(store)?;
 
     let mut lists = vec![PostingList::new(); vocab.len()];
     for (key, value) in store.scan_prefix(b"L/")? {
@@ -167,12 +105,12 @@ pub fn load(doc: Arc<Document>, store: &dyn KvStore) -> Result<Index> {
                 .map_err(|_| KvError::corrupt("bad list key"))?,
         ) as usize;
         match lists.get_mut(id) {
-            Some(slot) => *slot = decode_list_value(version, &value)?,
+            Some(slot) => *slot = decode_list_value(&value)?,
             None => return Err(KvError::corrupt("list for unknown keyword")),
         }
     }
 
-    let stats = load_stats(store, version)?;
+    let stats = load_stats(store)?;
     if stats.n_nodes_vec().len() != doc.node_types().len() {
         return Err(KvError::corrupt(
             "document does not match persisted index (type count)",
@@ -181,7 +119,9 @@ pub fn load(doc: Arc<Document>, store: &dyn KvStore) -> Result<Index> {
     Ok(Index::from_parts(doc, vocab, lists, stats))
 }
 
-/// Reads and validates the format version.
+/// Reads the format version and refuses anything but [`FORMAT_VERSION`]:
+/// the store is outside input, and a store written by another build is
+/// reported, never interpreted.
 pub(crate) fn read_version(store: &dyn KvStore) -> Result<u64> {
     let vbuf = store
         .get(b"M/version")?
@@ -189,24 +129,33 @@ pub(crate) fn read_version(store: &dyn KvStore) -> Result<u64> {
     let mut pos = 0;
     let version =
         read_varint(&vbuf, &mut pos).ok_or_else(|| KvError::corrupt("bad version encoding"))?;
-    if !(LEGACY_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+    if version != FORMAT_VERSION {
         return Err(KvError::corrupt(format!(
-            "unsupported index version {version}"
+            "unsupported index format version {version} (this build reads version \
+             {FORMAT_VERSION} only); re-index the corpus with `xrefine-cli index`"
         )));
     }
     Ok(version)
 }
 
+/// Decodes the embedded `D/doc` document.
+pub(crate) fn load_document(store: &dyn KvStore) -> Result<Document> {
+    let blob = store
+        .get(b"D/doc")?
+        .ok_or_else(|| KvError::corrupt("store has no embedded document (D/doc)"))?;
+    decode_document(unframe_value(&blob, "D/doc")?)
+}
+
 /// Rebuilds the keyword table from the `V/` entries. Vocabulary damage
 /// is always fatal: keyword ids must be gapless, so a single undecodable
 /// id makes every later id ambiguous.
-pub(crate) fn load_vocab(store: &dyn KvStore, version: u64) -> Result<KeywordTable> {
+pub(crate) fn load_vocab(store: &dyn KvStore) -> Result<KeywordTable> {
     let mut vocab = KeywordTable::new();
     let mut texts: Vec<(u32, String)> = Vec::new();
     for (key, value) in store.scan_prefix(b"V/")? {
         let text = String::from_utf8(key[2..].to_vec())
             .map_err(|_| KvError::corrupt("non-UTF-8 keyword"))?;
-        let raw = decode_value(version, &value, &format!("keyword id for {text:?}"))?;
+        let raw = unframe_value(&value, &format!("keyword id for {text:?}"))?;
         let id = u32::from_le_bytes(
             raw.try_into()
                 .map_err(|_| KvError::corrupt(format!("bad keyword id for {text:?}")))?,
@@ -223,76 +172,20 @@ pub(crate) fn load_vocab(store: &dyn KvStore, version: u64) -> Result<KeywordTab
     Ok(vocab)
 }
 
-/// Rebuilds the frequency statistics from the `S/` entries. Any damage
-/// is an error (see [`load_stats_lenient`] for the serving path).
-pub(crate) fn load_stats(store: &dyn KvStore, version: u64) -> Result<TypeStats> {
-    let (stats, damage) = load_stats_lenient(store, version)?;
-    match damage.first() {
-        None => Ok(stats),
-        Some(d) => Err(KvError::corrupt(format!("{}: {}", d.entry, d.detail))),
-    }
-}
-
-/// Rebuilds the frequency statistics, recording per-keyword damage
-/// instead of failing: a damaged `tf`/`df` entry is dropped (reads as 0)
-/// and attributed to its keyword, so the serving layer can answer the
-/// remaining keywords and report the degradation. The global `S/N`/`S/G`
-/// vectors have no per-keyword owner, so damage there is still fatal.
-pub(crate) fn load_stats_lenient(
-    store: &dyn KvStore,
-    version: u64,
-) -> Result<(TypeStats, Vec<StatDamage>)> {
-    let n_raw = store
-        .get(b"S/N")?
-        .ok_or_else(|| KvError::corrupt("missing S/N"))?;
-    let n_nodes = decode_varint_vec(decode_value(version, &n_raw, "S/N")?)?;
-    let g_raw = store
-        .get(b"S/G")?
-        .ok_or_else(|| KvError::corrupt("missing S/G"))?;
-    let distinct = decode_varint_vec(decode_value(version, &g_raw, "S/G")?)?;
-
-    if version >= 4 {
-        // v4 packs each table into one CRC-framed blob ("S/T"/"S/D"):
-        // damage there has no per-keyword owner any more, so — like the
-        // global vectors — it is fatal rather than degradable.
-        let load_packed = |key: &[u8], name: &str| -> Result<_> {
-            let raw = store
-                .get(key)?
-                .ok_or_else(|| KvError::corrupt(format!("missing {name}")))?;
-            decode_packed_stats(decode_value(version, &raw, name)?)
-        };
-        let tf = load_packed(b"S/T", "S/T")?;
-        let df = load_packed(b"S/D", "S/D")?;
-        return Ok((
-            TypeStats::set_from_parts(n_nodes, distinct, tf, df),
-            Vec::new(),
-        ));
-    }
-
-    let mut damage: Vec<StatDamage> = Vec::new();
-    let mut load_table =
-        |prefix: &[u8], name: &str| -> Result<HashMap<(NodeTypeId, KeywordId), u64>> {
-            let mut table = HashMap::new();
-            for (key, value) in store.scan_prefix(prefix)? {
-                let (t, k) = parse_stat_key(&key)?;
-                let entry = format!("{name}(type {}, keyword {})", t.0, k.0);
-                let decoded = decode_value(version, &value, &entry).and_then(decode_varint_scalar);
-                match decoded {
-                    Ok(v) => {
-                        table.insert((t, k), v);
-                    }
-                    Err(e) => damage.push(StatDamage {
-                        keyword: k,
-                        entry,
-                        detail: e.to_string(),
-                    }),
-                }
-            }
-            Ok(table)
-        };
-    let tf = load_table(b"S/T/", "tf")?;
-    let df = load_table(b"S/D/", "df")?;
-    Ok((TypeStats::set_from_parts(n_nodes, distinct, tf, df), damage))
+/// Rebuilds the frequency statistics from the `S/` entries. Each table
+/// is one CRC-framed blob with no per-keyword owner, so any damage is
+/// an error.
+pub(crate) fn load_stats(store: &dyn KvStore) -> Result<TypeStats> {
+    let framed = |name: &str| -> Result<Vec<u8>> {
+        store
+            .get(name.as_bytes())?
+            .ok_or_else(|| KvError::corrupt(format!("missing {name}")))
+    };
+    let n_nodes = decode_varint_vec(unframe_value(&framed("S/N")?, "S/N")?)?;
+    let distinct = decode_varint_vec(unframe_value(&framed("S/G")?, "S/G")?)?;
+    let tf = decode_packed_stats(unframe_value(&framed("S/T")?, "S/T")?)?;
+    let df = decode_packed_stats(unframe_value(&framed("S/D")?, "S/D")?)?;
+    Ok(TypeStats::set_from_parts(n_nodes, distinct, tf, df))
 }
 
 /// The `L/` key of a keyword id.
@@ -340,149 +233,22 @@ pub(crate) fn unframe_value<'a>(value: &'a [u8], what: &str) -> Result<&'a [u8]>
     Ok(payload)
 }
 
-/// Encodes a non-list stored value for `version` (framed from v3 on).
-pub(crate) fn encode_value(version: u64, payload: Vec<u8>) -> Vec<u8> {
-    if version >= 3 {
-        frame_value(&payload)
-    } else {
-        payload
-    }
-}
-
-/// Decodes a non-list stored value for `version`.
-pub(crate) fn decode_value<'a>(version: u64, value: &'a [u8], what: &str) -> Result<&'a [u8]> {
-    if version >= 3 {
-        unframe_value(value, what)
-    } else {
-        Ok(value)
-    }
-}
-
-/// Encodes one posting list as a stored value for `version` (framed
-/// from v2 on; blocked compressed payload from v4 on). Public so the
+/// Encodes one posting list as a stored value. Public so the
 /// compression test battery can corrupt framed values directly.
-pub fn encode_list_value(version: u64, list: &PostingList) -> Vec<u8> {
-    let payload = if version >= 4 {
-        let compressed = list.encode_compressed();
-        obs::counter!("compress_encoded_bytes_total").add(compressed.len() as u64);
-        compressed
-    } else {
-        list.encode()
-    };
-    if version >= 2 {
-        frame_value(&payload)
-    } else {
-        payload
-    }
+pub fn encode_list_value(list: &PostingList) -> Vec<u8> {
+    let compressed = list.encode_compressed();
+    obs::counter!("compress_encoded_bytes_total").add(compressed.len() as u64);
+    frame_value(&compressed)
 }
 
-/// Decodes one stored list value, validating the frame where the
-/// version has one. Public so the compression test battery can assert
-/// corrupt frames surface [`KvError::Corrupt`].
-pub fn decode_list_value(version: u64, value: &[u8]) -> Result<PostingList> {
-    let payload = if version >= 2 {
-        unframe_value(value, "posting list")?
-    } else {
-        value
-    };
-    if version >= 4 {
-        return CompressedList::parse(payload)?.decode_all();
-    }
-    PostingList::decode(payload).ok_or_else(|| KvError::corrupt("undecodable posting list"))
+/// Decodes one stored list value, validating the frame. Public so the
+/// compression test battery can assert corrupt frames surface
+/// [`KvError::Corrupt`].
+pub fn decode_list_value(value: &[u8]) -> Result<PostingList> {
+    CompressedList::parse(unframe_value(value, "posting list")?)?.decode_all()
 }
 
-/// Serializes the document for `version`: the hash-consed subtree DAG
-/// from v4 on, the builder replay stream before that. Both expansions
-/// reproduce byte-identical Dewey labels, symbols and node types (the
-/// interners assign ids in first-appearance order, which both decoders
-/// replay in pre-order).
-pub(crate) fn encode_document(version: u64, doc: &Document) -> Vec<u8> {
-    if version >= 4 {
-        encode_document_dag(doc)
-    } else {
-        encode_document_replay(doc)
-    }
-}
-
-/// Rebuilds the document from its stored payload for `version`.
-pub(crate) fn decode_document(version: u64, bytes: &[u8]) -> Result<Document> {
-    if version >= 4 {
-        decode_document_dag(bytes)
-    } else {
-        decode_document_replay(bytes)
-    }
-}
-
-/// Serializes the document as a builder replay stream (v2/v3): per node
-/// in pre-order, its depth, tag, attributes and text.
-pub(crate) fn encode_document_replay(doc: &Document) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_varint(&mut out, doc.len() as u64);
-    for (id, node) in doc.nodes() {
-        write_varint(&mut out, node.dewey.len() as u64);
-        write_bytes(&mut out, doc.tag_name(id).as_bytes());
-        write_varint(&mut out, node.attributes.len() as u64);
-        for (name, value) in &node.attributes {
-            write_bytes(&mut out, name.as_bytes());
-            write_bytes(&mut out, value.as_bytes());
-        }
-        write_bytes(&mut out, node.text.as_bytes());
-    }
-    out
-}
-
-/// Rebuilds the document from a replay stream.
-pub(crate) fn decode_document_replay(bytes: &[u8]) -> Result<Document> {
-    let corrupt = |what: &str| KvError::corrupt(format!("document blob: {what}"));
-    let mut pos = 0;
-    let count = read_varint(bytes, &mut pos).ok_or_else(|| corrupt("missing node count"))?;
-    if count == 0 {
-        return Err(corrupt("empty document"));
-    }
-    let mut builder = DocumentBuilder::new();
-    let mut open_depth = 0usize;
-    let mut seen_root = false;
-    for _ in 0..count {
-        let depth =
-            read_varint(bytes, &mut pos).ok_or_else(|| corrupt("missing node depth"))? as usize;
-        if depth == 0 || depth > open_depth + 1 {
-            return Err(corrupt("invalid node depth"));
-        }
-        if depth == 1 {
-            if seen_root {
-                return Err(corrupt("multiple roots"));
-            }
-            seen_root = true;
-        }
-        let tag = read_string(bytes, &mut pos).ok_or_else(|| corrupt("bad tag"))?;
-        while open_depth >= depth {
-            builder.close_element();
-            open_depth -= 1;
-        }
-        builder.open_element(&tag);
-        open_depth += 1;
-        let attrs = read_varint(bytes, &mut pos).ok_or_else(|| corrupt("missing attr count"))?;
-        for _ in 0..attrs {
-            let name = read_string(bytes, &mut pos).ok_or_else(|| corrupt("bad attr name"))?;
-            let value = read_string(bytes, &mut pos).ok_or_else(|| corrupt("bad attr value"))?;
-            builder.attribute(&name, &value);
-        }
-        let text = read_string(bytes, &mut pos).ok_or_else(|| corrupt("bad text"))?;
-        if !text.is_empty() {
-            builder.text(&text);
-        }
-    }
-    if pos != bytes.len() {
-        return Err(corrupt("trailing bytes"));
-    }
-    while open_depth > 0 {
-        builder.close_element();
-        open_depth -= 1;
-    }
-    Ok(builder.finish())
-}
-
-// ----- DAG document codec (v4) ---------------------------------------
+// ----- DAG document codec ---------------------------------------------
 //
 // Repeated subtrees (DBLP-style corpora are full of them: every
 // `<paper><title>…</title></paper>` shares its shape, many share whole
@@ -510,8 +276,8 @@ struct DagTuple {
     children: Vec<u32>,
 }
 
-/// Serializes the document as a hash-consed subtree DAG (v4).
-pub(crate) fn encode_document_dag(doc: &Document) -> Vec<u8> {
+/// Serializes the document as a hash-consed subtree DAG.
+pub(crate) fn encode_document(doc: &Document) -> Vec<u8> {
     let mut strings: Vec<String> = Vec::new();
     let mut string_ids: HashMap<String, u32> = HashMap::new();
     let mut intern_str = |s: &str| -> u32 {
@@ -611,10 +377,10 @@ pub(crate) fn encode_document_dag(doc: &Document) -> Vec<u8> {
     out
 }
 
-/// Rebuilds the document from a v4 DAG payload, replaying pre-order
-/// through [`DocumentBuilder`] so interner id assignment matches the
-/// replay-stream path exactly.
-pub(crate) fn decode_document_dag(bytes: &[u8]) -> Result<Document> {
+/// Rebuilds the document from its DAG payload, replaying pre-order
+/// through [`DocumentBuilder`] so interner id assignment matches a parse
+/// of the source exactly.
+pub(crate) fn decode_document(bytes: &[u8]) -> Result<Document> {
     let corrupt = |what: &str| KvError::corrupt(format!("document dag: {what}"));
     let mut pos = 0usize;
 
@@ -759,7 +525,8 @@ impl SectionReport {
 /// The result of a full offline integrity walk over a persisted index.
 #[derive(Debug, Clone)]
 pub struct IntegrityReport {
-    /// The format version, when the `M/version` entry itself was readable.
+    /// The format version, when `M/version` was readable and is the one
+    /// this build supports.
     pub version: Option<u64>,
     pub sections: Vec<SectionReport>,
 }
@@ -803,34 +570,17 @@ pub fn verify_store(store: &dyn KvStore) -> IntegrityReport {
             None
         }
     };
-    // Without a version byte, assume the current format: damage reports
-    // for the rest of the store are then best-effort rather than absent.
-    let v = version.unwrap_or(FORMAT_VERSION);
+    // An unreadable or foreign version does not stop the walk: the rest
+    // of the store is checked against the one format this build knows,
+    // so the damage report is best-effort rather than absent.
 
-    // Document blob (v2+).
     let mut doc_section = SectionReport {
         name: "document",
-        entries: 0,
+        entries: 1,
         damaged: Vec::new(),
     };
-    match store.get(b"D/doc") {
-        Ok(Some(blob)) => {
-            doc_section.entries = 1;
-            if let Err(e) =
-                decode_value(v, &blob, "D/doc").and_then(|raw| decode_document(v, raw).map(|_| ()))
-            {
-                doc_section.damaged.push(("D/doc".into(), e.to_string()));
-            }
-        }
-        Ok(None) => {
-            doc_section.entries = 1;
-            if v >= 2 {
-                doc_section
-                    .damaged
-                    .push(("D/doc".into(), "missing embedded document".into()));
-            }
-        }
-        Err(e) => doc_section.damaged.push(("D/doc".into(), e.to_string())),
+    if let Err(e) = load_document(store) {
+        doc_section.damaged.push(("D/doc".into(), e.to_string()));
     }
     sections.push(doc_section);
 
@@ -848,7 +598,7 @@ pub fn verify_store(store: &dyn KvStore) -> IntegrityReport {
                 vocab_section.entries += 1;
                 let text = String::from_utf8_lossy(&key[2..]).into_owned();
                 let entry = format!("V/{text}");
-                match decode_value(v, &value, &entry).and_then(|raw| {
+                match unframe_value(&value, &entry).and_then(|raw| {
                     raw.try_into()
                         .map(u32::from_le_bytes)
                         .map_err(|_| KvError::corrupt("keyword id is not 4 bytes"))
@@ -874,9 +624,9 @@ pub fn verify_store(store: &dyn KvStore) -> IntegrityReport {
     }
     sections.push(vocab_section);
 
-    // Posting lists. For v4 stores the skip table is validated first,
-    // then every block is decoded independently so damage is attributed
-    // per block, not just per list.
+    // Posting lists: the skip table is validated first, then every
+    // block is decoded independently so damage is attributed per block,
+    // not just per list.
     let mut list_section = SectionReport {
         name: "lists",
         entries: 0,
@@ -893,21 +643,17 @@ pub fn verify_store(store: &dyn KvStore) -> IntegrityReport {
                     },
                     Err(_) => format!("L/{:?}", &key[2..]),
                 };
-                if v >= 4 {
-                    match unframe_value(&value, "posting list").and_then(|payload| {
-                        CompressedList::parse(payload).map(|c| c.check_blocks())
-                    }) {
-                        Ok(damaged_blocks) => {
-                            for (block, detail) in damaged_blocks {
-                                list_section
-                                    .damaged
-                                    .push((format!("{entry} block {block}"), detail));
-                            }
+                match unframe_value(&value, "posting list")
+                    .and_then(|payload| CompressedList::parse(payload).map(|c| c.check_blocks()))
+                {
+                    Ok(damaged_blocks) => {
+                        for (block, detail) in damaged_blocks {
+                            list_section
+                                .damaged
+                                .push((format!("{entry} block {block}"), detail));
                         }
-                        Err(e) => list_section.damaged.push((entry, e.to_string())),
                     }
-                } else if let Err(e) = decode_list_value(v, &value) {
-                    list_section.damaged.push((entry, e.to_string()));
+                    Err(e) => list_section.damaged.push((entry, e.to_string())),
                 }
             }
         }
@@ -915,62 +661,31 @@ pub fn verify_store(store: &dyn KvStore) -> IntegrityReport {
     }
     sections.push(list_section);
 
-    // Statistics: the global vectors, then both per-keyword tables.
+    // Statistics: the global vectors, then one packed, delta-encoded
+    // blob per table.
     let mut stat_section = SectionReport {
         name: "stats",
         entries: 0,
         damaged: Vec::new(),
     };
-    for name in ["S/N", "S/G"] {
+    type Check = fn(&[u8]) -> Result<()>;
+    let vector: Check = |raw| decode_varint_vec(raw).map(|_| ());
+    let table: Check = |raw| decode_packed_stats(raw).map(|_| ());
+    for (key, name, check) in [
+        ("S/N", "S/N", vector),
+        ("S/G", "S/G", vector),
+        ("S/T", "tf (packed)", table),
+        ("S/D", "df (packed)", table),
+    ] {
         stat_section.entries += 1;
-        match store.get(name.as_bytes()) {
+        match store.get(key.as_bytes()) {
             Ok(Some(value)) => {
-                if let Err(e) =
-                    decode_value(v, &value, name).and_then(|raw| decode_varint_vec(raw).map(|_| ()))
-                {
+                if let Err(e) = unframe_value(&value, name).and_then(check) {
                     stat_section.damaged.push((name.into(), e.to_string()));
                 }
             }
             Ok(None) => stat_section.damaged.push((name.into(), "missing".into())),
             Err(e) => stat_section.damaged.push((name.into(), e.to_string())),
-        }
-    }
-    if v >= 4 {
-        // v4: one packed, delta-encoded blob per table.
-        for (key, name) in [(b"S/T".as_slice(), "tf (packed)"), (b"S/D", "df (packed)")] {
-            stat_section.entries += 1;
-            match store.get(key) {
-                Ok(Some(value)) => {
-                    if let Err(e) = decode_value(v, &value, name)
-                        .and_then(|raw| decode_packed_stats(raw).map(|_| ()))
-                    {
-                        stat_section.damaged.push((name.into(), e.to_string()));
-                    }
-                }
-                Ok(None) => stat_section.damaged.push((name.into(), "missing".into())),
-                Err(e) => stat_section.damaged.push((name.into(), e.to_string())),
-            }
-        }
-        sections.push(stat_section);
-        return IntegrityReport { version, sections };
-    }
-    for (prefix, name) in [(b"S/T/".as_slice(), "tf"), (b"S/D/".as_slice(), "df")] {
-        match store.scan_prefix(prefix) {
-            Ok(entries) => {
-                for (key, value) in entries {
-                    stat_section.entries += 1;
-                    let entry = match parse_stat_key(&key) {
-                        Ok((t, k)) => format!("{name}(type {}, keyword {})", t.0, k.0),
-                        Err(_) => format!("{name}/{:?}", &key[4..]),
-                    };
-                    if let Err(e) = decode_value(v, &value, &entry)
-                        .and_then(|raw| decode_varint_scalar(raw).map(|_| ()))
-                    {
-                        stat_section.damaged.push((entry, e.to_string()));
-                    }
-                }
-            }
-            Err(e) => stat_section.damaged.push(("<scan>".into(), e.to_string())),
         }
     }
     sections.push(stat_section);
@@ -994,7 +709,7 @@ fn read_string(bytes: &[u8], pos: &mut usize) -> Option<String> {
     Some(s)
 }
 
-/// v4 packed stat table. Rows must be sorted by `(t, k)`; they are
+/// Packed stat table. Rows must be sorted by `(t, k)`; they are
 /// grouped by type with both the type and keyword axes delta-encoded:
 ///
 /// ```text
@@ -1035,7 +750,7 @@ fn encode_packed_stats(rows: &[(NodeTypeId, KeywordId, u64)]) -> Vec<u8> {
     out
 }
 
-/// Decodes a v4 packed stat table (see [`encode_packed_stats`]).
+/// Decodes a packed stat table (see [`encode_packed_stats`]).
 fn decode_packed_stats(payload: &[u8]) -> Result<HashMap<(NodeTypeId, KeywordId), u64>> {
     let bad = |what: &str| KvError::corrupt(format!("packed stat table: {what}"));
     let mut pos = 0usize;
@@ -1085,41 +800,6 @@ fn decode_packed_stats(payload: &[u8]) -> Result<HashMap<(NodeTypeId, KeywordId)
     Ok(table)
 }
 
-fn stat_key(prefix: &[u8], t: NodeTypeId, k: KeywordId) -> Vec<u8> {
-    let mut key = Vec::with_capacity(prefix.len() + 8);
-    key.extend_from_slice(prefix);
-    key.extend_from_slice(&t.0.to_be_bytes());
-    key.extend_from_slice(&k.0.to_be_bytes());
-    key
-}
-
-fn parse_stat_key(key: &[u8]) -> Result<(NodeTypeId, KeywordId)> {
-    if key.len() != 4 + 8 {
-        return Err(KvError::corrupt("bad stat key"));
-    }
-    let be = |s: &[u8]| -> Result<u32> {
-        s.try_into()
-            .map(u32::from_be_bytes)
-            .map_err(|_| KvError::corrupt("bad stat key"))
-    };
-    Ok((NodeTypeId(be(&key[4..8])?), KeywordId(be(&key[8..12])?)))
-}
-
-fn varint_vec(v: u64) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(2);
-    write_varint(&mut buf, v);
-    buf
-}
-
-fn decode_varint_scalar(bytes: &[u8]) -> Result<u64> {
-    let mut pos = 0;
-    let v = read_varint(bytes, &mut pos).ok_or_else(|| KvError::corrupt("bad varint"))?;
-    if pos != bytes.len() {
-        return Err(KvError::corrupt("trailing bytes in varint"));
-    }
-    Ok(v)
-}
-
 fn decode_varint_vec(bytes: &[u8]) -> Result<Vec<u64>> {
     let mut out = Vec::new();
     let mut pos = 0;
@@ -1164,25 +844,6 @@ mod tests {
     }
 
     #[test]
-    fn older_format_stores_remain_readable() {
-        let doc = Arc::new(figure1());
-        let built = Index::build(Arc::clone(&doc));
-        for version in [LEGACY_FORMAT_VERSION, V2_FORMAT_VERSION, V3_FORMAT_VERSION] {
-            let mut store = MemKv::new();
-            persist_versioned(&built, &mut store, version).unwrap();
-            if version == LEGACY_FORMAT_VERSION {
-                // no embedded document in v1
-                assert!(store.get(b"D/doc").unwrap().is_none());
-            }
-            let loaded = load(Arc::clone(&doc), &store).unwrap();
-            assert_eq!(loaded.total_postings(), built.total_postings());
-            for (k, _) in built.vocabulary().iter() {
-                assert_eq!(built.list_by_id(k), loaded.list_by_id(k));
-            }
-        }
-    }
-
-    #[test]
     fn corrupted_list_payload_is_an_error_not_a_panic() {
         let doc = Arc::new(figure1());
         let built = Index::build(Arc::clone(&doc));
@@ -1211,13 +872,13 @@ mod tests {
     }
 
     #[test]
-    fn v3_frames_every_value_class() {
+    fn every_value_class_is_framed() {
         let doc = Arc::new(figure1());
         let built = Index::build(Arc::clone(&doc));
         let mut store = MemKv::new();
         persist(&built, &mut store).unwrap();
-        // Flipping a byte in a *stat* or *vocabulary* value — unframed in
-        // v2 — must now be detected, not silently reinterpreted.
+        // Flipping a byte in a *stat* or *vocabulary* value must be
+        // detected, not silently reinterpreted.
         for prefix in [b"V/".as_slice(), b"S/".as_slice()] {
             for (key, value) in store.scan_prefix(prefix).unwrap() {
                 for pos in 0..value.len() {
@@ -1239,39 +900,6 @@ mod tests {
     }
 
     #[test]
-    fn lenient_stats_attribute_damage_to_the_keyword() {
-        // Per-keyword stat entries (and therefore per-keyword damage
-        // attribution) are a v1–v3 property; v4 packs the tables.
-        let doc = Arc::new(figure1());
-        let built = Index::build(Arc::clone(&doc));
-        let mut store = MemKv::new();
-        persist_versioned(&built, &mut store, V3_FORMAT_VERSION).unwrap();
-        let victim = built.vocabulary().get("xml").unwrap();
-        // Damage one tf entry of "xml".
-        let (key, value) = store
-            .scan_prefix(b"S/T/")
-            .unwrap()
-            .into_iter()
-            .find(|(k, _)| k[8..12] == victim.0.to_be_bytes())
-            .expect("xml has tf entries");
-        let mut bad = value.clone();
-        *bad.last_mut().unwrap() ^= 0xFF;
-        store.put(&key, &bad).unwrap();
-
-        // Strict loading fails…
-        assert!(load_stats(&store, V3_FORMAT_VERSION).is_err());
-        // …lenient loading degrades exactly that keyword.
-        let (stats, damage) = load_stats_lenient(&store, V3_FORMAT_VERSION).unwrap();
-        assert_eq!(damage.len(), 1);
-        assert_eq!(damage[0].keyword, victim);
-        // The damaged entry reads as 0; undamaged keywords are untouched.
-        let john = built.vocabulary().get("john").unwrap();
-        for t in doc.node_types().iter() {
-            assert_eq!(stats.tf(t, john), built.stats().tf(t, john));
-        }
-    }
-
-    #[test]
     fn packed_stat_tables_roundtrip_and_fail_whole_on_damage() {
         let doc = Arc::new(figure1());
         let built = Index::build(Arc::clone(&doc));
@@ -1284,8 +912,7 @@ mod tests {
         assert_eq!(store.scan_prefix(b"S/D").unwrap().len(), 1);
 
         // Round-trip: every tf/df cell matches the built index.
-        let (stats, damage) = load_stats_lenient(&store, FORMAT_VERSION).unwrap();
-        assert!(damage.is_empty());
+        let stats = load_stats(&store).unwrap();
         for t in doc.node_types().iter() {
             for (k, _) in built.vocabulary().iter() {
                 assert_eq!(stats.tf(t, k), built.stats().tf(t, k));
@@ -1299,7 +926,7 @@ mod tests {
         let mut bad = value.clone();
         *bad.last_mut().unwrap() ^= 0xFF;
         store.put(&key, &bad).unwrap();
-        match load_stats_lenient(&store, FORMAT_VERSION) {
+        match load_stats(&store) {
             Err(e) => assert!(e.is_corrupt(), "unexpected error class: {e}"),
             Ok(_) => panic!("damaged packed table accepted"),
         }
@@ -1338,24 +965,20 @@ mod tests {
     }
 
     #[test]
-    fn document_blob_roundtrips_exactly_at_every_version() {
+    fn document_blob_roundtrips_exactly() {
         let doc = Arc::new(figure1());
         let built = Index::build(Arc::clone(&doc));
-        for version in [V2_FORMAT_VERSION, V3_FORMAT_VERSION, FORMAT_VERSION] {
-            let mut store = MemKv::new();
-            persist_versioned(&built, &mut store, version).unwrap();
-            let framed = store.get(b"D/doc").unwrap().expect("v2+ embeds the doc");
-            let blob = decode_value(version, &framed, "D/doc").unwrap();
-            let replayed = decode_document(version, blob).unwrap();
-            assert_eq!(replayed.len(), doc.len(), "v{version}");
-            for ((_, a), (_, b)) in doc.nodes().zip(replayed.nodes()) {
-                assert_eq!(a.dewey, b.dewey);
-                assert_eq!(a.node_type, b.node_type);
-                assert_eq!(a.text, b.text);
-                assert_eq!(a.attributes, b.attributes);
-            }
-            assert_eq!(doc.to_xml(), replayed.to_xml());
+        let mut store = MemKv::new();
+        persist(&built, &mut store).unwrap();
+        let replayed = load_document(&store).unwrap();
+        assert_eq!(replayed.len(), doc.len());
+        for ((_, a), (_, b)) in doc.nodes().zip(replayed.nodes()) {
+            assert_eq!(a.dewey, b.dewey);
+            assert_eq!(a.node_type, b.node_type);
+            assert_eq!(a.text, b.text);
+            assert_eq!(a.attributes, b.attributes);
         }
+        assert_eq!(doc.to_xml(), replayed.to_xml());
     }
 
     #[test]
@@ -1367,15 +990,14 @@ mod tests {
         }
         xml.push_str("</bib>");
         let doc = xmldom::parse_document(&xml).unwrap();
-        let dag = encode_document_dag(&doc);
-        let replay = encode_document_replay(&doc);
+        let dag = encode_document(&doc);
         assert!(
-            dag.len() * 5 < replay.len(),
-            "dag {} vs replay {}: expected >5x shrink on repeated records",
+            dag.len() * 5 < xml.len(),
+            "dag {} vs xml {}: expected >5x shrink on repeated records",
             dag.len(),
-            replay.len()
+            xml.len()
         );
-        let back = decode_document_dag(&dag).unwrap();
+        let back = decode_document(&dag).unwrap();
         assert_eq!(back.to_xml(), doc.to_xml());
         for ((_, a), (_, b)) in doc.nodes().zip(back.nodes()) {
             assert_eq!(a.dewey, b.dewey);
@@ -1386,10 +1008,10 @@ mod tests {
     #[test]
     fn dag_document_rejects_structural_damage() {
         let doc = figure1();
-        let dag = encode_document_dag(&doc);
+        let dag = encode_document(&doc);
         // truncations at every prefix must error, never panic
         for cut in 0..dag.len() {
-            assert!(decode_document_dag(&dag[..cut]).is_err(), "cut {cut}");
+            assert!(decode_document(&dag[..cut]).is_err(), "cut {cut}");
         }
         // every single-byte flip must error or produce a well-formed doc
         // (the store frame CRC is what guarantees detection; here we only
@@ -1397,7 +1019,7 @@ mod tests {
         for i in 0..dag.len() {
             let mut bad = dag.clone();
             bad[i] ^= 0xFF;
-            let _ = decode_document_dag(&bad);
+            let _ = decode_document(&bad);
         }
         // a DAG bomb — node count understating the expansion — is cut off
         let mut bomb = dag.clone();
@@ -1406,38 +1028,8 @@ mod tests {
         // nodes, so the count is the final single byte)
         assert_eq!(*bomb.last().unwrap() as u64, n);
         *bomb.last_mut().unwrap() = 1;
-        let err = decode_document_dag(&bomb).unwrap_err();
+        let err = decode_document(&bomb).unwrap_err();
         assert!(err.to_string().contains("expands past"), "{err}");
-    }
-
-    #[test]
-    fn v4_store_is_smaller_than_v3_for_repetitive_corpora() {
-        let mut xml = String::from("<bib>");
-        for i in 0..120 {
-            xml.push_str(&format!(
-                "<paper><title>xml keyword search {}</title><year>2009</year></paper>",
-                ["query", "refinement", "ranking"][i % 3]
-            ));
-        }
-        xml.push_str("</bib>");
-        let doc = Arc::new(xmldom::parse_document(&xml).unwrap());
-        let built = Index::build(Arc::clone(&doc));
-        let size = |version: u64| -> usize {
-            let mut store = MemKv::new();
-            persist_versioned(&built, &mut store, version).unwrap();
-            store
-                .scan_prefix(b"")
-                .unwrap()
-                .iter()
-                .map(|(k, v)| k.len() + v.len())
-                .sum()
-        };
-        let v3 = size(V3_FORMAT_VERSION);
-        let v4 = size(FORMAT_VERSION);
-        assert!(
-            v4 * 2 < v3,
-            "v4 store {v4} vs v3 {v3}: expected >= 2x shrink"
-        );
     }
 
     #[test]

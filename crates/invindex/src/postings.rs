@@ -2,20 +2,15 @@
 //! whose tag name or text contains the keyword.
 //!
 //! Lists are kept in memory as plain vectors for query processing and are
-//! (de)serialized with delta-varint compression for storage in the
-//! key-value store, mirroring how the paper keeps its keyword inverted
-//! lists in Berkeley DB (§VII).
+//! stored compressed in the key-value store, mirroring how the paper keeps
+//! its keyword inverted lists in Berkeley DB (§VII).
 //!
-//! Two wire encodings exist:
-//!
-//! * the flat front-coded stream ([`PostingList::encode`]) — store
-//!   format v1–v3;
-//! * the blocked compressed encoding ([`PostingList::encode_compressed`]
-//!   / [`CompressedList`]) — store format v4: postings are grouped into
-//!   fixed-size blocks of [`BLOCK_POSTINGS`], each independently
-//!   decodable, behind a skip table of `(byte length, count, min label,
-//!   max label)` entries so a cursor can skip whole blocks without
-//!   decoding them (see [`crate::cursor::PostingsCursor`]).
+//! The wire encoding ([`PostingList::encode_compressed`] /
+//! [`CompressedList`]) groups postings into fixed-size blocks of
+//! [`BLOCK_POSTINGS`], each independently decodable, behind a skip table
+//! of `(byte length, count, min label, max label)` entries so a cursor can
+//! skip whole blocks without decoding them (see
+//! [`crate::cursor::PostingsCursor`]).
 
 use kvstore::{KvError, Result};
 use xmldom::{Dewey, NodeTypeId};
@@ -114,55 +109,6 @@ impl PostingList {
         let end = tail.partition_point(|p| partition_root.is_ancestor_or_self_of(&p.dewey)) + start;
         start..end
     }
-
-    /// Serializes with per-posting Dewey front-coding: each posting stores
-    /// the length of the component prefix shared with its predecessor, the
-    /// remaining components (varint) and the node type (varint).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.postings.len() * 6 + 4);
-        write_varint(&mut out, self.postings.len() as u64);
-        let mut prev: &[u32] = &[];
-        for p in &self.postings {
-            let comps = p.dewey.components();
-            let shared = comps
-                .iter()
-                .zip(prev.iter())
-                .take_while(|(a, b)| a == b)
-                .count();
-            write_varint(&mut out, shared as u64);
-            write_varint(&mut out, (comps.len() - shared) as u64);
-            for &c in comps.iter().skip(shared) {
-                write_varint(&mut out, c as u64);
-            }
-            write_varint(&mut out, p.node_type.0 as u64);
-            prev = comps;
-        }
-        out
-    }
-
-    /// Inverse of [`PostingList::encode`].
-    pub fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut pos = 0usize;
-        let n = read_varint(bytes, &mut pos)? as usize;
-        let mut postings = Vec::with_capacity(n);
-        let mut prev: Vec<u32> = Vec::new();
-        for _ in 0..n {
-            let shared = read_varint(bytes, &mut pos)? as usize;
-            let rest = read_varint(bytes, &mut pos)? as usize;
-            let mut comps = prev.get(..shared)?.to_vec();
-            for _ in 0..rest {
-                comps.push(read_varint(bytes, &mut pos)? as u32);
-            }
-            let node_type = NodeTypeId(read_varint(bytes, &mut pos)? as u32);
-            let dewey = Dewey::new(comps.clone())?;
-            postings.push(Posting { dewey, node_type });
-            prev = comps;
-        }
-        if pos != bytes.len() {
-            return None;
-        }
-        Some(PostingList { postings })
-    }
 }
 
 /// LEB128 unsigned varint.
@@ -197,14 +143,14 @@ pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
-// ----- compressed (store format v4) list encoding --------------------
+// ----- compressed list encoding ---------------------------------------
 
 /// Postings per compressed block. Every block except the last holds
 /// exactly this many; the skip table references block boundaries, so the
-/// value is part of the v4 wire format and must not change.
+/// value is part of the wire format and must not change.
 pub const BLOCK_POSTINGS: usize = 64;
 
-// v4 delta-posting header byte: bits 0–2 trim (7 = varint escape),
+// Delta-posting header byte: bits 0–2 trim (7 = varint escape),
 // bits 3–5 rest (7 = varint escape), bit 6 = node type repeats, bit 7
 // reserved (must be zero).
 const HDR_FIELD_ESCAPE: u8 = 7;
@@ -229,7 +175,7 @@ pub struct BlockMeta {
     pub max: Dewey,
 }
 
-/// A parsed v4 compressed posting list: validated skip table over
+/// A parsed compressed posting list: validated skip table over
 /// borrowed, still-encoded block data. Parsing validates every skip-table
 /// invariant (block sizing, label ordering, byte extents) without
 /// decoding any block; blocks decode individually on demand.
@@ -241,7 +187,7 @@ pub struct CompressedList<'a> {
 }
 
 impl PostingList {
-    /// Serializes in the blocked v4 format: `varint(n) ‖ varint(blocks)
+    /// Serializes in the blocked format: `varint(n) ‖ varint(blocks)
     /// ‖ skip table ‖ block data`. Within a block the first posting's
     /// label lives in the skip entry; each later posting is a packed
     /// header byte (trim/rest/type-repeat), its divergent components
@@ -334,7 +280,7 @@ fn encode_delta_posting(out: &mut Vec<u8>, prev: &Posting, curr: &Posting) {
 }
 
 impl<'a> CompressedList<'a> {
-    /// Parses and fully validates a v4 payload's header and skip table.
+    /// Parses and fully validates a payload's header and skip table.
     /// Any structural violation — block sizing, label ordering, byte
     /// extents — is [`KvError::Corrupt`]; block *contents* are validated
     /// by [`CompressedList::decode_block`].
@@ -639,25 +585,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip() {
-        let list = sample();
-        let bytes = list.encode();
-        assert_eq!(PostingList::decode(&bytes).unwrap(), list);
-        // empty list
-        let empty = PostingList::new();
-        assert_eq!(PostingList::decode(&empty.encode()).unwrap(), empty);
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(PostingList::decode(&[]).is_none());
-        assert!(PostingList::decode(&[5, 0]).is_none()); // claims 5, has none
-        let mut bytes = sample().encode();
-        bytes.push(0); // trailing junk
-        assert!(PostingList::decode(&bytes).is_none());
-    }
-
-    #[test]
     fn bounds_and_partition_range() {
         let list = sample();
         assert_eq!(list.lower_bound(&"0.1".parse().unwrap()), 2);
@@ -679,7 +606,7 @@ mod tests {
         PostingList::from_sorted(vec![p("0.1", 0), p("0.0", 0)]);
     }
 
-    // ----- compressed (v4) codec --------------------------------------
+    // ----- compressed codec -------------------------------------------
 
     /// A multi-block list: three full blocks plus a partial tail, with
     /// sibling runs (shared prefixes), type changes and depth jumps.
@@ -707,19 +634,6 @@ mod tests {
             assert_eq!(parsed.decode_all().unwrap(), list);
             assert!(parsed.check_blocks().is_empty());
         }
-    }
-
-    #[test]
-    fn compressed_is_smaller_than_flat_for_sibling_runs() {
-        let list = big_list();
-        let flat = list.encode().len();
-        let compressed = list.encode_compressed().len();
-        // ~1.5x on lists alone (the store-level 2x goal additionally
-        // rides on the v4 document DAG codec; see bench_compress).
-        assert!(
-            compressed * 10 < flat * 7,
-            "compressed {compressed} vs flat {flat}: expected >1.4x shrink"
-        );
     }
 
     #[test]

@@ -164,14 +164,6 @@ pub trait IndexReader: Send + Sync {
     fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
         None
     }
-
-    /// What is wrong with this keyword's on-disk statistics, if its
-    /// store was damaged (see `KvBackedIndex`'s lenient open). Resident
-    /// backends are never damaged. Query layers use this to report
-    /// degraded ranking instead of failing or silently mis-ranking.
-    fn keyword_damage(&self, _k: KeywordId) -> Option<&str> {
-        None
-    }
 }
 
 // The whole query path is built on shared readers: one engine, many

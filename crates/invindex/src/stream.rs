@@ -365,7 +365,7 @@ pub fn build_streaming(xml: &str, threads: usize) -> Result<Index, ScanError> {
 
     // ---- phase 4: tf(k,T) and f^T_k (parallel) -----------------------
     let t_df = Instant::now();
-    let (tf, df) = dfpass::compute_tf_df(&doc, &lists, Some(&counts_flat), threads);
+    let (tf, df) = dfpass::compute_tf_df(&doc, &lists, &counts_flat, threads);
     let num_types = doc.node_types().len();
     n_nodes.resize(num_types, 0);
     let mut distinct = vec![0u64; num_types];

@@ -14,7 +14,7 @@
 //!   and never violate the decoded-structure invariants.
 
 use datagen::{random_dewey_corpus, DeweyCorpusConfig};
-use invindex::persist::{decode_list_value, encode_list_value, FORMAT_VERSION};
+use invindex::persist::{decode_list_value, encode_list_value};
 use invindex::{CompressedList, Posting, PostingList, PostingsCursor, ScanStats, BLOCK_POSTINGS};
 use std::sync::Arc;
 use xmldom::{Dewey, NodeTypeId};
@@ -65,9 +65,8 @@ fn assert_roundtrip(list: &PostingList, label: &str) {
     assert_eq!(&decoded, list, "{label}: contents");
     assert!(parsed.check_blocks().is_empty(), "{label}: block damage");
     // The framed path (what a v4 store holds) round-trips too.
-    let framed = encode_list_value(FORMAT_VERSION, list);
-    let back = decode_list_value(FORMAT_VERSION, &framed)
-        .unwrap_or_else(|e| panic!("{label}: framed decode: {e}"));
+    let framed = encode_list_value(list);
+    let back = decode_list_value(&framed).unwrap_or_else(|e| panic!("{label}: framed decode: {e}"));
     assert_eq!(&back, list, "{label}: framed contents");
 }
 
@@ -255,9 +254,9 @@ fn block_boundary_seeks_agree_with_the_uncompressed_model() {
 fn truncated_framed_values_surface_corrupt() {
     let labels = random_dewey_corpus(7, &DeweyCorpusConfig::default()).remove(0);
     let list = list_from(labels);
-    let framed = encode_list_value(FORMAT_VERSION, &list);
+    let framed = encode_list_value(&list);
     for cut in 0..framed.len() {
-        match decode_list_value(FORMAT_VERSION, &framed[..cut]) {
+        match decode_list_value(&framed[..cut]) {
             Err(e) => assert!(e.is_corrupt(), "cut {cut}: non-corrupt error {e}"),
             Ok(_) => panic!("cut {cut}: truncated frame accepted"),
         }
@@ -275,12 +274,12 @@ fn bit_flipped_framed_values_surface_corrupt() {
     };
     let labels = random_dewey_corpus(11, &cfg).remove(0);
     let list = list_from(labels);
-    let framed = encode_list_value(FORMAT_VERSION, &list);
+    let framed = encode_list_value(&list);
     for i in 0..framed.len() {
         for bit in 0..8 {
             let mut bad = framed.clone();
             bad[i] ^= 1 << bit;
-            match decode_list_value(FORMAT_VERSION, &bad) {
+            match decode_list_value(&bad) {
                 Err(e) => assert!(e.is_corrupt(), "flip {i}.{bit}: non-corrupt error {e}"),
                 // A flip in the frame's *length varint* can reframe the
                 // value so the checksum window still validates (e.g. a

@@ -160,60 +160,6 @@ fn maintained_store_is_byte_identical_to_scratch_rebuild_at_1_and_3_threads() {
 }
 
 #[test]
-fn maintenance_preserves_the_store_format_version() {
-    // A store keeps the format version it was created at: incremental
-    // updates against a v3 (flat) store must stay byte-identical to a
-    // v3 scratch rebuild, and likewise for v4 (compressed) — committing
-    // never silently migrates a store between formats. The `persist`
-    // default used elsewhere in this file already covers v4; here both
-    // versions are pinned explicitly.
-    for seed_version in [persist::V3_FORMAT_VERSION, persist::FORMAT_VERSION] {
-        let vfs = FaultVfs::new();
-        let dynvfs = vfs.as_dyn();
-        let base = PathBuf::from("/diff/store.db");
-        {
-            let built = build_streaming(SEED_CORPUS, 1).unwrap();
-            let mut disk = DiskKv::open_with_vfs(&dynvfs, &base.with_extension("db")).unwrap();
-            persist::persist_versioned(&built, &mut disk, seed_version).unwrap();
-            disk.sync().unwrap();
-        }
-
-        let maint = MaintIndex::open_with_vfs(Arc::clone(&dynvfs), &base).unwrap();
-        let mut rng = XorShift(0xF0F0_0000 + seed_version);
-        let final_xml = run_workload(&maint, &mut rng, 8);
-        drop(maint);
-
-        let live = maintained_dump(&dynvfs, &base);
-        // The version marker survived every commit (raw varint value).
-        assert_eq!(
-            live.get(b"M/version".as_slice()).map(Vec::as_slice),
-            Some([seed_version as u8].as_slice()),
-            "v{seed_version}: store changed format under maintenance"
-        );
-
-        let rebuilt = build_streaming(&final_xml, 1).unwrap();
-        let mut scratch = MemKv::new();
-        persist::persist_versioned(&rebuilt, &mut scratch, seed_version).unwrap();
-        let fresh: BTreeMap<Vec<u8>, Vec<u8>> =
-            scratch.scan_range(b"", None).unwrap().into_iter().collect();
-        assert_eq!(
-            live.len(),
-            fresh.len(),
-            "v{seed_version}: entry count differs"
-        );
-        for ((ka, va), (kb, vb)) in live.iter().zip(fresh.iter()) {
-            assert_eq!(ka, kb, "v{seed_version}: key sequence diverges");
-            assert_eq!(
-                va,
-                vb,
-                "v{seed_version}: value differs at key {:?}",
-                String::from_utf8_lossy(ka)
-            );
-        }
-    }
-}
-
-#[test]
 fn snapshot_answers_like_an_in_memory_index_of_the_final_corpus() {
     let vfs = FaultVfs::new();
     let dynvfs = vfs.as_dyn();

@@ -1,4 +1,5 @@
-//! Property tests for posting-list encoding and range operations.
+//! Property tests for posting-list range operations (the stored
+//! encoding has its own battery in `compress_prop.rs`).
 
 use invindex::{Posting, PostingList};
 use proptest::prelude::*;
@@ -29,27 +30,6 @@ fn posting_set() -> impl Strategy<Value = Vec<Posting>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn encode_decode_roundtrip(postings in posting_set()) {
-        let list = PostingList::from_sorted(postings);
-        let decoded = PostingList::decode(&list.encode()).expect("decodes");
-        prop_assert_eq!(decoded, list);
-    }
-
-    #[test]
-    fn truncated_encodings_never_panic(postings in posting_set(), cut in 0usize..64) {
-        let list = PostingList::from_sorted(postings);
-        let bytes = list.encode();
-        let cut = cut.min(bytes.len());
-        // any strict prefix either fails to decode or decodes to a list
-        // that re-encodes to that same prefix (impossible unless cut==len)
-        if cut < bytes.len() {
-            if let Some(out) = PostingList::decode(&bytes[..cut]) {
-                prop_assert_eq!(out.encode().len(), cut);
-            }
-        }
-    }
 
     #[test]
     fn bounds_partition_the_list(postings in posting_set(), probe in proptest::collection::vec(0u32..5, 0..5)) {

@@ -25,8 +25,6 @@ pub enum KvError {
     KeyTooLarge(usize),
     /// Value exceeds the maximum representable length.
     ValueTooLarge(usize),
-    /// The store was opened read-only and a write was attempted.
-    ReadOnly,
 }
 
 impl KvError {
@@ -68,7 +66,6 @@ impl fmt::Display for KvError {
             } => write!(f, "corrupt store: {context}"),
             KvError::KeyTooLarge(n) => write!(f, "key of {n} bytes exceeds maximum"),
             KvError::ValueTooLarge(n) => write!(f, "value of {n} bytes exceeds maximum"),
-            KvError::ReadOnly => write!(f, "store is read-only"),
         }
     }
 }

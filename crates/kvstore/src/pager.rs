@@ -6,7 +6,7 @@
 //! logic testable against the in-memory pager and makes the disk format a
 //! detail of [`FilePager`].
 //!
-//! ## On-disk page format (version 2)
+//! ## On-disk page format
 //!
 //! Each page occupies [`PHYS_PAGE_SIZE`] (4096) bytes on disk: a
 //! [`PAGE_SIZE`] (4088) byte payload followed by an 8-byte trailer
@@ -15,12 +15,9 @@
 //! [`KvError::Corrupt`]` { page, .. }` on read instead of being parsed as
 //! garbage. Pages that are entirely zero are valid: they are the state of
 //! allocated-but-never-flushed pages after the file is grown with
-//! `set_len`.
-//!
-//! Version-1 files (no trailer; raw 4096-byte payloads) are detected by
-//! their all-zero trailer bytes on page 0 and served **read-only**; the
-//! checkpoint path of [`crate::DurableKv`] rewrites them in the current
-//! format.
+//! `set_len`. A file whose header page lacks the trailer (the
+//! unchecksummed layout of early builds) is rejected at open as
+//! [`KvError::Corrupt`]` { page: 0, .. }`.
 
 use crate::codec;
 use crate::error::{KvError, Result};
@@ -147,8 +144,6 @@ impl Pager for MemPager {
 /// Checksum verification summary produced by [`FilePager::verify_pages`].
 #[derive(Debug, Clone)]
 pub struct PageVerifyReport {
-    /// On-disk format version (1 = legacy unchecksummed, 2 = trailer CRCs).
-    pub format_version: u8,
     /// Total pages in the file.
     pub total_pages: u64,
     /// All-zero pages (allocated but never flushed, or freed).
@@ -160,14 +155,9 @@ pub struct PageVerifyReport {
 }
 
 impl PageVerifyReport {
-    /// True when every page verified (or the format has no checksums).
+    /// True when every page verified.
     pub fn is_clean(&self) -> bool {
         self.bad_pages.is_empty()
-    }
-
-    /// True when the file carries per-page checksums at all.
-    pub fn checksummed(&self) -> bool {
-        self.format_version >= 2
     }
 }
 
@@ -182,8 +172,6 @@ pub struct FilePager {
     cache_limit: usize,
     page_count: u64,
     free: Vec<PageId>,
-    /// On-disk format version; 1 (legacy) is served read-only.
-    format_version: u8,
 }
 
 struct CachedPage {
@@ -244,80 +232,37 @@ impl FilePager {
                 )));
             }
         }
-        let mut page_count = len / PHYS_PAGE_SIZE as u64;
-        let mut format_version = 2;
-        if page_count == 0 {
-            // Write the header page eagerly so page 0 always exists.
-            let pager = FilePager {
-                file,
-                cache: HashMap::new(),
-                cache_limit: 4096,
-                page_count: 1,
-                free: Vec::new(),
-                format_version,
-            };
-            pager.write_through(PageId(0), &[0u8; PAGE_SIZE])?;
-            return Ok(pager);
-        }
-        // Distinguish checksummed (v2) files from legacy (v1) ones by
-        // page 0's trailer: v2 closes it with `PAGE_TRAILER_MAGIC`,
-        // legacy headers are zero past byte 22, and anything else means
-        // the header page itself is damaged.
-        let mut page0 = vec![0u8; PHYS_PAGE_SIZE];
-        file.read_exact_at(0, &mut page0)?;
-        let trailer_magic = codec::u32_at(&page0, PAGE_SIZE + 4, "page trailer magic")?;
-        if trailer_magic != PAGE_TRAILER_MAGIC && !page0.iter().all(|&b| b == 0) {
-            if page0[PAGE_SIZE..].iter().all(|&b| b == 0) {
-                format_version = 1;
-            } else {
-                return Err(KvError::corrupt_page(
-                    0,
-                    "header page trailer is damaged (neither checksummed nor legacy)",
-                ));
-            }
-        }
-        if format_version == 2 {
-            // Fail fast on a rotten header rather than at first read.
-            verify_phys_page(&page0, 0)?;
-        }
-        if format_version == 1 {
-            page_count = len / PHYS_PAGE_SIZE as u64;
-        }
-        Ok(FilePager {
+        let page_count = len / PHYS_PAGE_SIZE as u64;
+        let pager = FilePager {
             file,
             cache: HashMap::new(),
             cache_limit: 4096,
-            page_count,
+            page_count: page_count.max(1),
             free: Vec::new(),
-            format_version,
-        })
-    }
-
-    /// On-disk format version: 1 = legacy (read-only), 2 = checksummed.
-    pub fn format_version(&self) -> u8 {
-        self.format_version
-    }
-
-    /// True when the file is legacy-format and rejects writes.
-    pub fn is_read_only(&self) -> bool {
-        self.format_version < 2
+        };
+        if page_count == 0 {
+            // Write the header page eagerly so page 0 always exists.
+            pager.write_through(PageId(0), &[0u8; PAGE_SIZE])?;
+        } else {
+            // Fail fast on a rotten or trailer-less header rather than
+            // at first read.
+            let mut page0 = vec![0u8; PHYS_PAGE_SIZE];
+            pager.file.read_exact_at(0, &mut page0)?;
+            verify_phys_page(&page0, 0)?;
+        }
+        Ok(pager)
     }
 
     /// Verifies the trailer checksum of every page in the file,
-    /// bypassing the cache. Legacy files carry no checksums, so their
-    /// report only counts pages.
+    /// bypassing the cache.
     pub fn verify_pages(&self) -> Result<PageVerifyReport> {
         let total = self.file.len()? / PHYS_PAGE_SIZE as u64;
         let mut report = PageVerifyReport {
-            format_version: self.format_version,
             total_pages: total,
             zero_pages: 0,
             valid_pages: 0,
             bad_pages: Vec::new(),
         };
-        if self.format_version < 2 {
-            return Ok(report);
-        }
         let mut phys = vec![0u8; PHYS_PAGE_SIZE];
         for id in 0..total {
             self.file
@@ -366,9 +311,6 @@ impl FilePager {
 
 impl Pager for FilePager {
     fn allocate(&mut self) -> Result<PageId> {
-        if self.is_read_only() {
-            return Err(KvError::ReadOnly);
-        }
         if let Some(id) = self.free.pop() {
             self.cache.insert(
                 id,
@@ -410,10 +352,6 @@ impl Pager for FilePager {
         let mut phys = vec![0u8; PHYS_PAGE_SIZE];
         self.file
             .read_exact_at(id.0 * PHYS_PAGE_SIZE as u64, &mut phys)?;
-        if self.format_version < 2 {
-            // Legacy pages are raw payloads with no trailer.
-            return Ok(phys);
-        }
         let verified = verify_phys_page(&phys, id.0);
         if verified.is_err() {
             obs::counter!("kvstore_pager_corrupt_pages_total").inc();
@@ -426,9 +364,6 @@ impl Pager for FilePager {
 
     fn write(&mut self, id: PageId, data: &[u8]) -> Result<()> {
         debug_assert_eq!(data.len(), PAGE_SIZE);
-        if self.is_read_only() {
-            return Err(KvError::ReadOnly);
-        }
         if id.0 >= self.page_count {
             return Err(KvError::corrupt_page(id.0, "write of unallocated page"));
         }
@@ -453,9 +388,6 @@ impl Pager for FilePager {
     }
 
     fn free(&mut self, id: PageId) -> Result<()> {
-        if self.is_read_only() {
-            return Err(KvError::ReadOnly);
-        }
         if id.is_null() || id.0 >= self.page_count {
             return Err(KvError::corrupt_page(id.0, "free of invalid page"));
         }
@@ -469,9 +401,6 @@ impl Pager for FilePager {
     }
 
     fn sync(&mut self) -> Result<()> {
-        if self.is_read_only() {
-            return Err(KvError::ReadOnly);
-        }
         obs::counter!("kvstore_pager_syncs_total").inc();
         obs::trace::count("pager.syncs", 1);
         // Grow the file to cover all allocated pages, then flush dirty pages.
@@ -548,7 +477,6 @@ mod tests {
         }
         // Reopen and verify durability.
         let p = FilePager::open(&path).unwrap();
-        assert_eq!(p.format_version(), 2);
         assert_eq!(p.read(a).unwrap(), pa);
         std::fs::remove_file(&path).unwrap();
     }
@@ -668,7 +596,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_files_are_detected_and_read_only() {
+    fn legacy_v1_files_are_rejected_at_open() {
         // Handcraft a minimal legacy (version-1) store: raw 4096-byte
         // pages, no trailers. Page 0 is the tree header, page 1 a leaf
         // holding one entry.
@@ -692,24 +620,14 @@ mod tests {
         bytes.extend_from_slice(&leaf);
         std::fs::write(&path, &bytes).unwrap();
 
-        let mut p = FilePager::open(&path).unwrap();
-        assert_eq!(p.format_version(), 1);
-        assert!(p.is_read_only());
-        assert_eq!(p.read(PageId(1)).unwrap()[17], b'k');
-        assert!(matches!(p.allocate(), Err(KvError::ReadOnly)));
-        let zero_page = [0u8; PAGE_SIZE];
-        assert!(matches!(
-            p.write(PageId(1), &zero_page),
-            Err(KvError::ReadOnly)
-        ));
-        let report = p.verify_pages().unwrap();
-        assert_eq!(report.format_version, 1);
-        assert!(!report.checksummed());
-        assert!(report.is_clean());
-
-        // The tree layer reads the legacy entry back.
-        let tree = crate::BTree::new(p).unwrap();
-        assert_eq!(tree.get(b"k").unwrap(), Some(b"v".to_vec()));
+        match FilePager::open(&path) {
+            Err(KvError::Corrupt { page, context }) => {
+                assert_eq!(page, Some(0));
+                assert!(context.contains("trailer"), "context: {context}");
+            }
+            Err(other) => panic!("expected Corrupt {{ page: 0 }}, got {other:?}"),
+            Ok(_) => panic!("a trailer-less store opened"),
+        }
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -196,7 +196,6 @@ fn at_rest_bit_rot_surfaces_as_corrupt_never_a_wrong_answer() {
             }
         };
         let report = kv.verify_pages().unwrap();
-        assert!(report.checksummed());
         assert!(
             report.bad_pages.iter().any(|(id, _)| *id == page as u64),
             "page {page}: verify_pages missed the damage: {:?}",

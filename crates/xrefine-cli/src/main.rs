@@ -4,7 +4,7 @@
 //! xrefine-cli [--data <file.xml>|dblp|baseball|figure1] \
 //!             [--algorithm partition|sle|stack] [--k N]
 //! xrefine-cli index <file.xml>|dblp|baseball|figure1 <store.db> \
-//!             [--ingest dom|stream] [--threads N] [--format v3|v4]
+//!             [--threads N]
 //! xrefine-cli query --store <store.db> [--algorithm ...] [--k N] \
 //!             [--threads N --batch <queries.txt>]
 //! ```
@@ -15,15 +15,12 @@
 //! straight from that file — the document is replayed from the embedded
 //! blob and posting lists are decoded lazily, per query.
 //!
-//! `index --ingest stream` builds via the zero-copy scanner
-//! (`invindex::build_streaming`) instead of DOM parsing; `--threads N`
-//! parallelises the tokenize/DF phases (or, with `--ingest dom`, uses
-//! the DOM-parallel builder). Both paths persist byte-identical stores.
-//! `--format` picks the store layout: `v4` (default) writes compressed
-//! postings — blocked front-coded Dewey lists with skip tables, the
-//! deduplicated DAG document and packed stat tables — while `v3` writes
-//! the flat layout for tooling that predates compression. Every reader
-//! (`query --store`, `update`, `scrub`, the HTTP server) accepts both.
+//! `index` builds via the zero-copy scanner
+//! (`invindex::build_streaming`); `--threads N` parallelises its
+//! tokenize/DF phases, and the persisted store is byte-identical at any
+//! thread count: compressed postings (blocked front-coded Dewey lists
+//! with skip tables), the deduplicated DAG document and packed stat
+//! tables.
 //!
 //! `--batch <file>` switches from the REPL to a concurrent driver: the
 //! file's queries (one per line, `#` comments allowed) are striped
@@ -47,33 +44,22 @@ use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xrefine::{Algorithm, EngineConfig, PhaseTimings, XRefineEngine};
+use xrefine::{Algorithm, EngineConfig, XRefineEngine};
 
 const USAGE: &str = "usage: xrefine-cli [--data <file.xml>|dblp|baseball|figure1] \
 [--algorithm partition|sle|stack] [--k N]\n       \
-xrefine-cli index <file.xml>|dblp|baseball|figure1 <store.db> \
-[--ingest dom|stream] [--threads N] [--format v3|v4]\n       \
+xrefine-cli index <file.xml>|dblp|baseball|figure1 <store.db> [--threads N]\n       \
 xrefine-cli query --store <store.db> [--algorithm partition|sle|stack] [--k N] \
 [--threads N --batch <queries.txt>] [--metrics] [--trace <query>]\n       \
 xrefine-cli update --store <store.db> [--add <fragment.xml>]... [--remove SLOT]... [--compact]
        xrefine-cli scrub --store <store.db>";
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum IngestMode {
-    /// Parse a DOM, then walk it (the reference path).
-    Dom,
-    /// Zero-copy span scan with parallel chunked tokenization.
-    Stream,
-}
 
 enum Command {
     /// Build an index for a document and persist it to a kvstore file.
     Index {
         data: String,
         store: String,
-        ingest: IngestMode,
         threads: usize,
-        version: u64,
     },
     /// Verify the integrity of a persisted store, section by section.
     Scrub { store: String },
@@ -108,34 +94,13 @@ struct Options {
     trace: Option<String>,
 }
 
-fn parse_args() -> Result<Command, String> {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+fn parse_args(mut args: Vec<String>) -> Result<Command, String> {
     if args.first().map(|s| s.as_str()) == Some("index") {
-        let mut ingest = IngestMode::Dom;
         let mut threads = 1usize;
-        let mut version = invindex::persist::FORMAT_VERSION;
         let mut positional: Vec<String> = Vec::new();
         let mut i = 1;
         while i < args.len() {
             match args[i].as_str() {
-                "--format" => {
-                    version = match args.get(i + 1).map(|s| s.as_str()) {
-                        Some("v3") => invindex::persist::V3_FORMAT_VERSION,
-                        Some("v4") => invindex::persist::FORMAT_VERSION,
-                        other => return Err(format!("--format must be v3 or v4, got {other:?}")),
-                    };
-                    i += 2;
-                }
-                "--ingest" => {
-                    ingest = match args.get(i + 1).map(|s| s.as_str()) {
-                        Some("dom") => IngestMode::Dom,
-                        Some("stream") => IngestMode::Stream,
-                        other => {
-                            return Err(format!("--ingest must be dom or stream, got {other:?}"))
-                        }
-                    };
-                    i += 2;
-                }
                 "--threads" => {
                     threads = args
                         .get(i + 1)
@@ -157,9 +122,7 @@ fn parse_args() -> Result<Command, String> {
         return Ok(Command::Index {
             data: positional.remove(0),
             store: positional.remove(0),
-            ingest,
             threads,
-            version,
         });
     }
     if args.first().map(|s| s.as_str()) == Some("update") {
@@ -321,43 +284,23 @@ fn load_xml(spec: &str) -> Result<String, String> {
     }
 }
 
-/// `xrefine-cli index <data> <db> [--ingest dom|stream] [--threads N]
-/// [--format v3|v4]`: build and persist. Both ingest modes write
-/// byte-identical stores at whichever format version is selected.
-fn build_store(
-    data: &str,
-    store_path: &str,
-    ingest: IngestMode,
-    threads: usize,
-    version: u64,
-) -> Result<(), String> {
-    let index = match ingest {
-        IngestMode::Dom => {
-            let doc = load_document(data)?;
-            if threads > 1 {
-                invindex::build_parallel(doc, threads)
-            } else {
-                invindex::Index::build(doc)
-            }
-        }
-        IngestMode::Stream => {
-            let xml = load_xml(data)?;
-            invindex::build_streaming(&xml, threads)
-                .map_err(|e| format!("scan error in '{data}': {e}"))?
-        }
-    };
+/// `xrefine-cli index <data> <db> [--threads N]`: build with the
+/// streaming scanner and persist. The store is byte-identical at any
+/// thread count.
+fn build_store(data: &str, store_path: &str, threads: usize) -> Result<(), String> {
+    let xml = load_xml(data)?;
+    let index = invindex::build_streaming(&xml, threads)
+        .map_err(|e| format!("scan error in '{data}': {e}"))?;
     let mut store = kvstore::DiskKv::open(std::path::Path::new(store_path))
         .map_err(|e| format!("cannot open store {store_path}: {e}"))?;
-    invindex::persist::persist_versioned(&index, &mut store, version)
+    invindex::persist::persist(&index, &mut store)
         .map_err(|e| format!("cannot persist index: {e}"))?;
     eprintln!(
-        "indexed {} elements ({} keywords) from '{}' into {} \
-         (format v{version}, {:?} ingest, {} thread(s))",
+        "indexed {} elements ({} keywords) from '{}' into {} ({} thread(s))",
         index.document().len(),
         index.vocabulary().len(),
         data,
         store_path,
-        ingest,
         threads.max(1)
     );
     Ok(())
@@ -416,30 +359,22 @@ fn scrub_store(store_path: &str) -> Result<bool, String> {
     let pages = kv
         .verify_pages()
         .map_err(|e| format!("cannot scan pages of {store_path}: {e}"))?;
-    if pages.checksummed() {
-        println!(
-            "pages: format v{}, {} total: {} valid, {} free, {} damaged",
-            pages.format_version,
-            pages.total_pages,
-            pages.valid_pages,
-            pages.zero_pages,
-            pages.bad_pages.len()
-        );
-        for (id, reason) in &pages.bad_pages {
-            println!("  page {id}: {reason}");
-        }
-    } else {
-        println!(
-            "pages: legacy format v{} ({} pages, no checksums to verify)",
-            pages.format_version, pages.total_pages
-        );
+    println!(
+        "pages: {} total: {} valid, {} free, {} damaged",
+        pages.total_pages,
+        pages.valid_pages,
+        pages.zero_pages,
+        pages.bad_pages.len()
+    );
+    for (id, reason) in &pages.bad_pages {
+        println!("  page {id}: {reason}");
     }
 
     // Layer 2: the index's own framing, section by section.
     let report = invindex::verify_store(&kv);
     match report.version {
         Some(v) => println!("index format: v{v}"),
-        None => println!("index format: unreadable version record"),
+        None => println!("index format: unreadable or unsupported version record"),
     }
     for section in &report.sections {
         println!(
@@ -491,10 +426,8 @@ fn scrub_store(store_path: &str) -> Result<bool, String> {
                         println!("  {entry}: {detail}");
                     }
                 }
-                if let (Some(version), Ok(Some(value))) =
-                    (merged.version, durable.get(invindex::maint::MAINT_KEY))
-                {
-                    match invindex::maint::decode_maint_meta(version, &value) {
+                if let Ok(Some(value)) = durable.get(invindex::maint::MAINT_KEY) {
+                    match invindex::maint::decode_maint_meta(&value) {
                         Ok((seq, records)) => println!(
                             "maintenance: seq {seq}, {records} record(s) under maintenance"
                         ),
@@ -563,15 +496,13 @@ fn build_engine(opts: &Options) -> Result<XRefineEngine, String> {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
+    let opts = match parse_args(std::env::args().skip(1).collect()) {
         Ok(Command::Index {
             data,
             store,
-            ingest,
             threads,
-            version,
         }) => {
-            return match build_store(&data, &store, ingest, threads, version) {
+            return match build_store(&data, &store, threads) {
                 Ok(()) => ExitCode::SUCCESS,
                 Err(msg) => {
                     eprintln!("{msg}");
@@ -812,7 +743,6 @@ struct ThreadTally {
     answered: usize,
     failures: Vec<(String, String)>,
     latencies: Vec<Duration>,
-    phases: PhaseTimings,
     advances: u64,
     random_accesses: u64,
     busy: Duration,
@@ -822,6 +752,7 @@ struct ThreadTally {
 /// and renders the throughput/latency/phase report.
 fn run_batch(engine: &XRefineEngine, queries: &[String], threads: usize) -> String {
     let threads = threads.max(1);
+    let metrics_before = obs::global().snapshot();
     let wall_start = Instant::now();
     let mut tallies: Vec<ThreadTally> = Vec::with_capacity(threads);
     std::thread::scope(|s| {
@@ -832,11 +763,10 @@ fn run_batch(engine: &XRefineEngine, queries: &[String], threads: usize) -> Stri
                 let t0 = Instant::now();
                 for q in queries.iter().skip(tid).step_by(threads) {
                     let q_start = Instant::now();
-                    match engine.answer_timed(q) {
-                        Ok((outcome, timings)) => {
+                    match engine.answer(q) {
+                        Ok(outcome) => {
                             tally.answered += 1;
                             tally.latencies.push(q_start.elapsed());
-                            tally.phases.accumulate(&timings);
                             tally.advances += outcome.advances;
                             tally.random_accesses += outcome.random_accesses;
                         }
@@ -854,12 +784,14 @@ fn run_batch(engine: &XRefineEngine, queries: &[String], threads: usize) -> Stri
         }
     });
     let wall = wall_start.elapsed();
-    render_batch_report(&tallies, wall, engine.index().cache_stats())
+    let metrics = obs::global().snapshot().delta_since(&metrics_before);
+    render_batch_report(&tallies, wall, &metrics, engine.index().cache_stats())
 }
 
 fn render_batch_report(
     tallies: &[ThreadTally],
     wall: Duration,
+    metrics: &obs::MetricsSnapshot,
     cache: Option<invindex::CacheStats>,
 ) -> String {
     use std::fmt::Write as _;
@@ -874,10 +806,10 @@ fn render_batch_report(
         .flat_map(|t| t.latencies.iter().copied())
         .collect();
     latencies.sort_unstable();
-    let mut phases = PhaseTimings::default();
-    for t in tallies {
-        phases.accumulate(&t.phases);
-    }
+    // Exact per-phase sums over the run, from the histograms the engine
+    // already feeds (failed queries included up to the phase they reached).
+    let phase =
+        |name: &str| Duration::from_nanos(metrics.histograms.get(name).map_or(0, |h| h.sum));
     let advances: u64 = tallies.iter().map(|t| t.advances).sum();
     let random: u64 = tallies.iter().map(|t| t.random_accesses).sum();
 
@@ -914,7 +846,9 @@ fn render_batch_report(
     let _ = writeln!(
         out,
         "phases (cpu, summed): rules {:?}  session {:?}  algorithm {:?}",
-        phases.rules, phases.session, phases.algorithm,
+        phase("xrefine_phase_rules_nanos"),
+        phase("xrefine_phase_session_nanos"),
+        phase("xrefine_phase_algorithm_nanos"),
     );
     let _ = writeln!(
         out,
@@ -988,14 +922,7 @@ mod tests {
         let _ = std::fs::remove_file(&store_path);
         let spath = store_path.to_str().unwrap();
 
-        build_store(
-            "figure1",
-            spath,
-            IngestMode::Dom,
-            1,
-            invindex::persist::FORMAT_VERSION,
-        )
-        .unwrap();
+        build_store("figure1", spath, 1).unwrap();
         assert!(scrub_store(spath).unwrap(), "fresh store must scrub clean");
 
         // At-rest bit rot in the first data page: scrub must fail.
@@ -1007,66 +934,42 @@ mod tests {
         assert!(scrub_store("/no/such/store.db").is_err());
     }
 
+    /// The CLI surface of `index`: one ingest path, one format. The
+    /// store it writes is byte-for-byte what `persist` makes of
+    /// `build_streaming` — so a store indexed by an earlier build with
+    /// default flags and one indexed now are the same file — and the
+    /// removed `--format`/`--ingest` selectors are plain unknown flags.
     #[test]
-    fn stream_and_dom_ingest_write_identical_stores() {
-        let dir = std::env::temp_dir().join(format!("xref_ingest_{}", std::process::id()));
+    fn index_writes_the_streaming_store_and_has_no_selectors() {
+        let dir = std::env::temp_dir().join(format!("xref_index_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let dom_path = dir.join("dom.db");
-        let stream_path = dir.join("stream.db");
-        let _ = std::fs::remove_file(&dom_path);
-        let _ = std::fs::remove_file(&stream_path);
+        let cli_path = dir.join("cli.db");
+        let ref_path = dir.join("reference.db");
+        let _ = std::fs::remove_file(&cli_path);
+        let _ = std::fs::remove_file(&ref_path);
 
-        build_store(
-            "figure1",
-            dom_path.to_str().unwrap(),
-            IngestMode::Dom,
-            1,
-            invindex::persist::FORMAT_VERSION,
-        )
-        .unwrap();
-        build_store(
-            "figure1",
-            stream_path.to_str().unwrap(),
-            IngestMode::Stream,
-            3,
-            invindex::persist::FORMAT_VERSION,
-        )
-        .unwrap();
+        build_store("figure1", cli_path.to_str().unwrap(), 3).unwrap();
+        let xml = xmldom::fixtures::figure1().to_xml();
+        let index = invindex::build_streaming(&xml, 1).unwrap();
+        let mut reference = kvstore::DiskKv::open(&ref_path).unwrap();
+        invindex::persist::persist(&index, &mut reference).unwrap();
+        drop(reference);
         assert_eq!(
-            std::fs::read(&dom_path).unwrap(),
-            std::fs::read(&stream_path).unwrap(),
-            "ingest modes must persist byte-identical stores"
+            std::fs::read(&cli_path).unwrap(),
+            std::fs::read(&ref_path).unwrap(),
+            "`index` must write persist(build_streaming(..)) byte for byte"
         );
-        assert!(scrub_store(stream_path.to_str().unwrap()).unwrap());
-    }
+        assert!(scrub_store(cli_path.to_str().unwrap()).unwrap());
+        let engine = XRefineEngine::from_store(&cli_path, EngineConfig::default()).unwrap();
+        assert!(engine.answer("john fishing").unwrap().original_ok);
 
-    /// `index --format` writes the requested store version; both
-    /// versions scrub clean and serve queries through `from_store`.
-    #[test]
-    fn index_format_flag_selects_store_version() {
-        let dir = std::env::temp_dir().join(format!("xref_format_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        for (name, version) in [
-            ("v3", invindex::persist::V3_FORMAT_VERSION),
-            ("v4", invindex::persist::FORMAT_VERSION),
-        ] {
-            let path = dir.join(format!("fig1_{name}.db"));
-            let _ = std::fs::remove_file(&path);
-            let spath = path.to_str().unwrap();
-            build_store("figure1", spath, IngestMode::Dom, 1, version).unwrap();
-
-            let kv = kvstore::DiskKv::open(&path).unwrap();
-            assert_eq!(
-                kv.get(b"M/version").unwrap().as_deref(),
-                Some([version as u8].as_slice()),
-                "--format {name} wrote the wrong store version"
-            );
-            drop(kv);
-            assert!(scrub_store(spath).unwrap(), "{name} store must scrub clean");
-
-            let engine = XRefineEngine::from_store(&path, EngineConfig::default())
-                .unwrap_or_else(|e| panic!("cannot serve {name} store: {e}"));
-            assert!(engine.answer("john fishing").unwrap().original_ok);
+        for flag in ["--format", "--ingest"] {
+            assert!(!USAGE.contains(flag), "USAGE still offers {flag}");
+            let argv = ["index", "figure1", "x.db", flag, "v4"].map(String::from);
+            match parse_args(argv.to_vec()) {
+                Err(msg) => assert_eq!(msg, format!("unknown flag {flag}")),
+                Ok(_) => panic!("{flag} was accepted"),
+            }
         }
     }
 

@@ -18,7 +18,7 @@ use lexicon::{generate_rules, AcronymTable, RuleGenConfig, RuleSet, Thesaurus, V
 use slca::SearchForConfig;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use xmldom::{parse_document, Dewey, Document, ParseError};
 
 /// Which refinement algorithm answers queries.
@@ -55,34 +55,6 @@ impl Default for EngineConfig {
     }
 }
 
-/// Wall-clock decomposition of one `answer` call, for serving drivers
-/// and benchmarks. The three phases partition the whole call:
-///
-/// * `rules` — refinement-rule generation (`getNewKeywords`);
-/// * `session` — session setup: keyword resolution and posting-list
-///   acquisition (the only phase that touches storage);
-/// * `algorithm` — the refinement algorithm itself (SLCA scans,
-///   ranking, Top-K maintenance).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseTimings {
-    pub rules: Duration,
-    pub session: Duration,
-    pub algorithm: Duration,
-}
-
-impl PhaseTimings {
-    pub fn total(&self) -> Duration {
-        self.rules + self.session + self.algorithm
-    }
-
-    /// Accumulates another call's timings (for per-thread totals).
-    pub fn accumulate(&mut self, other: &PhaseTimings) {
-        self.rules += other.rules;
-        self.session += other.session;
-        self.algorithm += other.algorithm;
-    }
-}
-
 /// The XRefine prototype engine.
 pub struct XRefineEngine {
     reader: Arc<dyn IndexReader>,
@@ -101,16 +73,6 @@ impl XRefineEngine {
     /// Indexes an already-built document.
     pub fn from_document(doc: Arc<Document>, config: EngineConfig) -> Self {
         Self::from_index(Index::build(doc), config)
-    }
-
-    /// Indexes an already-built document using `threads` workers for the
-    /// index build (identical output; see `invindex::parallel`).
-    pub fn from_document_parallel(
-        doc: Arc<Document>,
-        config: EngineConfig,
-        threads: usize,
-    ) -> Self {
-        Self::from_index(invindex::build_parallel(doc, threads), config)
     }
 
     /// Wraps an existing resident index.
@@ -198,7 +160,7 @@ impl XRefineEngine {
 
     /// Answers a parsed query with the configured algorithm.
     pub fn answer_query(&self, query: Query) -> kvstore::Result<RefineOutcome> {
-        self.answer_query_timed(query).map(|(outcome, _)| outcome)
+        self.answer_query_detailed(query).map_err(Into::into)
     }
 
     /// Like [`XRefineEngine::answer`], but failures keep their keyword
@@ -208,31 +170,14 @@ impl XRefineEngine {
     /// report, while the engine keeps serving everything else.
     pub fn answer_detailed(&self, query_text: &str) -> Result<RefineOutcome, QueryFailure> {
         self.answer_query_detailed(Query::parse(query_text))
-            .map(|(outcome, _)| outcome)
     }
 
-    /// Like [`XRefineEngine::answer`], additionally reporting where the
-    /// wall-clock time went (see [`PhaseTimings`]).
-    pub fn answer_timed(&self, query_text: &str) -> kvstore::Result<(RefineOutcome, PhaseTimings)> {
-        self.answer_query_timed(Query::parse(query_text))
-    }
-
-    /// Answers a parsed query, reporting per-phase timings.
-    pub fn answer_query_timed(
-        &self,
-        query: Query,
-    ) -> kvstore::Result<(RefineOutcome, PhaseTimings)> {
-        self.answer_query_detailed(query).map_err(Into::into)
-    }
-
-    /// Answers a parsed query with per-phase timings, keyword-attributed
-    /// failures and degradation notes. Each phase is also recorded as a
-    /// trace span (when a capture is active) and a latency histogram in
-    /// the global metrics registry.
-    pub fn answer_query_detailed(
-        &self,
-        query: Query,
-    ) -> Result<(RefineOutcome, PhaseTimings), QueryFailure> {
+    /// Answers a parsed query with keyword-attributed failures and
+    /// degradation notes. Each phase (rules, session, algorithm) is
+    /// recorded as a trace span (when a capture is active) and a latency
+    /// histogram `xrefine_phase_*_nanos` in the global metrics registry —
+    /// the one place phase time is kept.
+    pub fn answer_query_detailed(&self, query: Query) -> Result<RefineOutcome, QueryFailure> {
         obs::counter!("xrefine_queries_total").inc();
         let result = self.answer_phases(query);
         if result.is_err() {
@@ -241,10 +186,9 @@ impl XRefineEngine {
         result
     }
 
-    fn answer_phases(&self, query: Query) -> Result<(RefineOutcome, PhaseTimings), QueryFailure> {
+    fn answer_phases(&self, query: Query) -> Result<RefineOutcome, QueryFailure> {
         // xlint::allow(no-wallclock-in-hot-paths): once per query — whole-query latency histogram, not per-node work
         let started = Instant::now();
-        let mut timings = PhaseTimings::default();
 
         // xlint::allow(no-wallclock-in-hot-paths): once per query, brackets the rules phase
         let t0 = Instant::now();
@@ -253,8 +197,7 @@ impl XRefineEngine {
             obs::trace::attr("query", query.keywords().join(" "));
             self.rules_for(&query)
         };
-        timings.rules = t0.elapsed();
-        obs::histogram!("xrefine_phase_rules_nanos").observe_duration(timings.rules);
+        obs::histogram!("xrefine_phase_rules_nanos").observe_duration(t0.elapsed());
 
         // xlint::allow(no-wallclock-in-hot-paths): once per query, brackets the session phase
         let t1 = Instant::now();
@@ -268,8 +211,7 @@ impl XRefineEngine {
                 &self.config.search_for,
             )?
         };
-        timings.session = t1.elapsed();
-        obs::histogram!("xrefine_phase_session_nanos").observe_duration(timings.session);
+        obs::histogram!("xrefine_phase_session_nanos").observe_duration(t1.elapsed());
 
         // xlint::allow(no-wallclock-in-hot-paths): once per query, brackets the algorithm phase
         let t2 = Instant::now();
@@ -300,15 +242,14 @@ impl XRefineEngine {
                 ),
             }
         };
-        timings.algorithm = t2.elapsed();
-        obs::histogram!("xrefine_phase_algorithm_nanos").observe_duration(timings.algorithm);
+        obs::histogram!("xrefine_phase_algorithm_nanos").observe_duration(t2.elapsed());
         obs::histogram!("xrefine_query_nanos").observe_duration(started.elapsed());
 
         obs::counter!("invindex_scan_advances_total").add(outcome.advances);
         obs::counter!("invindex_random_accesses_total").add(outcome.random_accesses);
         obs::trace::count("scan.advances", outcome.advances);
         obs::trace::count("scan.random_accesses", outcome.random_accesses);
-        Ok((outcome, timings))
+        Ok(outcome)
     }
 
     /// Answers a free-text query while capturing a per-query span tree
@@ -320,11 +261,7 @@ impl XRefineEngine {
         query_text: &str,
     ) -> (Result<RefineOutcome, QueryFailure>, obs::QueryTrace) {
         let query = Query::parse(query_text);
-        let (result, trace) = obs::trace::capture("query", || {
-            self.answer_query_detailed(query)
-                .map(|(outcome, _)| outcome)
-        });
-        (result, trace)
+        obs::trace::capture("query", || self.answer_query_detailed(query))
     }
 
     /// Explains how a refined query derives from `query_text`: the

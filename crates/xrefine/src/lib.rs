@@ -35,7 +35,7 @@ pub mod util;
 pub use dp::{
     brute_force_rqs, explain_rq, get_optimal_rq, get_top_optimal_rqs, AppliedOp, DpResult,
 };
-pub use engine::{Algorithm, EngineConfig, PhaseTimings, XRefineEngine};
+pub use engine::{Algorithm, EngineConfig, XRefineEngine};
 pub use live::LiveEngine;
 pub use narrow::{narrow_refine, NarrowOptions, Narrowing};
 pub use partition::{partition_refine, PartitionOptions, SlcaMethod};

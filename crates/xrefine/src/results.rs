@@ -5,13 +5,13 @@ use crate::query::RqCandidate;
 use std::fmt;
 use xmldom::Dewey;
 
-/// A keyword the engine dropped or de-weighted because its on-disk state
-/// is damaged: the answer was still produced, from the remaining
-/// keywords and statistics, and this records what was ignored.
+/// A rule-generated keyword the engine dropped because its on-disk
+/// posting list is damaged: the answer was still produced, from the
+/// remaining keywords, and this records what was ignored.
 #[derive(Debug, Clone)]
 pub struct DegradedKeyword {
     pub keyword: String,
-    /// What is damaged (posting list frame, statistics entry, …).
+    /// What is damaged (the posting list's frame, skip table or block).
     pub reason: String,
 }
 
@@ -21,8 +21,8 @@ pub struct DegradedKeyword {
 /// The split with [`DegradedKeyword`] is the degradation policy: damage
 /// to an *original* query keyword's posting list changes what the query
 /// means, so it fails the query (this type); damage to a rule-*generated*
-/// keyword or to ranking statistics only narrows the refinement space,
-/// so the query proceeds and reports the degradation.
+/// keyword only narrows the refinement space, so the query proceeds and
+/// reports the degradation.
 #[derive(Debug)]
 pub struct QueryFailure {
     /// The query keyword whose list could not be served, when the

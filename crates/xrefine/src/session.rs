@@ -35,9 +35,8 @@ pub struct RefineSession<'a> {
     /// time: a corrupt posting list of an *original* query keyword fails
     /// construction (the query's meaning is gone); a corrupt list of a
     /// rule-*generated* keyword only removes refinements that would use
-    /// it, so the keyword gets an empty list and a note here; damaged
-    /// *statistics* only skew ranking, so the keyword stays and gets a
-    /// note here. Non-corruption storage errors always fail.
+    /// it, so the keyword gets an empty list and a note here.
+    /// Non-corruption storage errors always fail.
     pub degraded: Vec<DegradedKeyword>,
 }
 
@@ -99,18 +98,6 @@ impl<'a> RefineSession<'a> {
                         keyword: Some(k.clone()),
                         error: e,
                     })
-                }
-            }
-        }
-        // Damaged statistics never fail a query — they only skew its
-        // ranking — but the caller deserves to know.
-        for k in &ks {
-            if let Some(id) = index.keyword_id(k) {
-                if let Some(damage) = index.keyword_damage(id) {
-                    degraded.push(DegradedKeyword {
-                        keyword: k.clone(),
-                        reason: format!("ranking statistics damaged: {damage}"),
-                    });
                 }
             }
         }

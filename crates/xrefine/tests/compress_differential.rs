@@ -1,17 +1,17 @@
-//! Compression test battery, part 2: the v3/v4 store differential.
+//! Compression test battery, part 2: the stored-vs-resident differential.
 //!
 //! Over the same 200+ seeded corpus set as the ingest differential
-//! (DBLP-shaped, baseball-shaped, structural edge cases), the index is
-//! persisted both as a v3 (flat lists, replay document) and a v4
-//! (compressed lists, DAG document) store, and the two must be
-//! *behaviourally indistinguishable*: every query answered through a
-//! [`KvBackedIndex`] over either store yields identical refinements,
-//! SLCA result sets, and scan counters (`advances`/`random_accesses` —
-//! the cursor advance sequence collapsed to its invariant), with the
-//! whole comparison repeated for stores built at 1 and 3 ingest
-//! threads. Each format must also be byte-deterministic across thread
-//! counts, which is what keeps the maintenance rebuild-diff oracles
-//! meaningful on compressed stores.
+//! (DBLP-shaped, baseball-shaped, structural edge cases), the index from
+//! one `build_streaming` call is queried twice — resident, as built
+//! (format-free: no encoder or decoder has touched it), and through a
+//! [`KvBackedIndex`] over its persisted store (compressed lists, DAG
+//! document, packed stat tables) — and the two must be *behaviourally
+//! indistinguishable*: identical refinements, SLCA result sets, scores
+//! and scan counters (`advances`/`random_accesses` — the cursor advance
+//! sequence collapsed to its invariant), with the whole comparison
+//! repeated for builds at 1 and 3 ingest threads. The store must also
+//! be byte-deterministic across thread counts, which is what keeps the
+//! maintenance rebuild-diff oracles meaningful.
 
 use datagen::{generate_baseball, generate_dblp, BaseballConfig, DblpConfig};
 use invindex::{build_streaming, persist, KvBackedIndex};
@@ -28,53 +28,33 @@ const QUERIES: &[&str] = &[
     "absentword",
 ];
 
-/// Every key/value pair of a store, in key order.
-type Dump = Vec<(Vec<u8>, Vec<u8>)>;
-
-fn dump(store: &dyn KvStore) -> Dump {
-    store.scan_range(b"", None).unwrap()
-}
-
-fn store_at(xml: &str, threads: usize, version: u64, label: &str) -> MemKv {
-    let built = build_streaming(xml, threads)
-        .unwrap_or_else(|e| panic!("{label}: streaming ({threads}t): {e}"));
-    let mut store = MemKv::new();
-    persist::persist_versioned(&built, &mut store, version)
-        .unwrap_or_else(|e| panic!("{label}: persist v{version} ({threads}t): {e}"));
-    store
-}
-
-fn engine_over(store: MemKv, label: &str) -> XRefineEngine {
-    let index =
-        KvBackedIndex::open(Box::new(store)).unwrap_or_else(|e| panic!("{label}: open: {e}"));
-    XRefineEngine::from_reader(Arc::new(index), EngineConfig::default())
-}
-
 /// The full oracle for one document.
 fn check(xml: &str, label: &str) {
-    let mut reference: Option<(Dump, Dump)> = None;
+    let mut reference: Option<Vec<(Vec<u8>, Vec<u8>)>> = None;
     for threads in [1usize, 3] {
-        let v3 = store_at(xml, threads, persist::V3_FORMAT_VERSION, label);
-        let v4 = store_at(xml, threads, persist::FORMAT_VERSION, label);
-        let (d3, d4) = (dump(&v3), dump(&v4));
+        let built = build_streaming(xml, threads)
+            .unwrap_or_else(|e| panic!("{label}: streaming ({threads}t): {e}"));
+        let mut store = MemKv::new();
+        persist::persist(&built, &mut store)
+            .unwrap_or_else(|e| panic!("{label}: persist ({threads}t): {e}"));
 
-        // Each format is byte-deterministic across build thread counts.
+        // The store is byte-deterministic across build thread counts.
+        let dump = store.scan_range(b"", None).unwrap();
         match &reference {
-            None => reference = Some((d3, d4)),
-            Some((r3, r4)) => {
-                assert_eq!(r3, &d3, "{label}: v3 store differs at {threads} threads");
-                assert_eq!(r4, &d4, "{label}: v4 store differs at {threads} threads");
-            }
+            None => reference = Some(dump),
+            Some(first) => assert_eq!(first, &dump, "{label}: store differs at {threads} threads"),
         }
 
-        // Both stores answer every query identically — refinements,
-        // SLCA sets, scores and scan counters all live in the outcome's
-        // Debug rendering.
-        let e3 = engine_over(v3, &format!("{label} v3"));
-        let e4 = engine_over(v4, &format!("{label} v4"));
+        // The stored index answers every query exactly as the resident
+        // one it was written from — refinements, SLCA sets, scores and
+        // scan counters all live in the outcome's Debug rendering.
+        let stored = KvBackedIndex::open(Box::new(store))
+            .unwrap_or_else(|e| panic!("{label}: open ({threads}t): {e}"));
+        let stored = XRefineEngine::from_reader(Arc::new(stored), EngineConfig::default());
+        let resident = XRefineEngine::from_index(built, EngineConfig::default());
         for q in QUERIES {
-            let want = e3.answer_detailed(q);
-            let got = e4.answer_detailed(q);
+            let want = resident.answer_detailed(q);
+            let got = stored.answer_detailed(q);
             assert_eq!(
                 format!("{want:?}"),
                 format!("{got:?}"),
@@ -169,25 +149,4 @@ fn structural_edge_cases() {
     for (label, xml) in &cases {
         check(xml, label);
     }
-}
-
-/// The v4 store is materially smaller than the v3 store on a corpus
-/// with DBLP-style repetitive structure — the acceptance-size claim,
-/// here at unit scale (the full-size run lives in `bench_compress`).
-#[test]
-fn v4_store_is_smaller_on_a_dblp_corpus() {
-    let xml = generate_dblp(&DblpConfig {
-        authors: 60,
-        ..Default::default()
-    })
-    .to_xml();
-    let v3 = store_at(&xml, 1, persist::V3_FORMAT_VERSION, "size");
-    let v4 = store_at(&xml, 1, persist::FORMAT_VERSION, "size");
-    let bytes =
-        |d: &[(Vec<u8>, Vec<u8>)]| -> usize { d.iter().map(|(k, v)| k.len() + v.len()).sum() };
-    let (b3, b4) = (bytes(&dump(&v3)), bytes(&dump(&v4)));
-    assert!(
-        b4 * 2 <= b3,
-        "v4 store {b4}B not >= 2x smaller than v3 {b3}B"
-    );
 }

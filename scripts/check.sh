@@ -11,7 +11,7 @@ cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace -q
 
-scripts/suites.sh analysis release_smoke torture observability ingest serve maintenance compress
+scripts/suites.sh analysis release_smoke torture observability ingest serve maintenance compress bench_e2e
 
 if [[ "${CHECK_TSAN:-0}" == "1" ]]; then
     scripts/suites.sh tsan

@@ -22,9 +22,12 @@
 #                  (incremental == from-scratch), full stride-1 power-
 #                  cut sweep of the updating store (release), live
 #                  updates over HTTP, and the update/read-tail bench
-#   compress       store format v4 (compressed postings): property/fuzz
-#                  round-trips + corruption sweeps, v3-vs-v4 behavioural
-#                  differential, and the size/scan-neutrality bench
+#   compress       the store format (compressed postings): property/fuzz
+#                  round-trips + corruption sweeps, and the stored-vs-
+#                  resident behavioural differential
+#   bench_e2e      the BENCHMARK.json harness's own tests, built against
+#                  the workspace crates: an API deletion in a measured
+#                  crate that breaks the benchmark fails here, pre-merge
 #   analysis       xlint over the live workspace + its golden fixtures,
 #                  then the xcheck model checker (exhaustive bounded DFS
 #                  over the distilled concurrency models + seeded bugs)
@@ -88,11 +91,10 @@ suite_maintenance() {
 suite_compress() {
     cargo test --release -q -p invindex --test compress_prop
     cargo test --release -q -p xrefine --test compress_differential
-    cargo test --release -q -p invindex --test maint_differential \
-        maintenance_preserves_the_store_format_version
-    COMPRESS_BENCH_FRACTION="${COMPRESS_BENCH_FRACTION:-0.1}" \
-    COMPRESS_BENCH_ROUNDS="${COMPRESS_BENCH_ROUNDS:-3}" \
-        cargo run --release -q -p bench --bin bench_compress
+}
+
+suite_bench_e2e() {
+    cargo test --release --offline -q --manifest-path bench_e2e/Cargo.toml
 }
 
 suite_analysis() {
@@ -131,7 +133,7 @@ suite_miri() {
 if [[ "${BASH_SOURCE[0]}" == "$0" ]]; then
     if [[ $# -eq 0 ]]; then
         echo "usage: $0 <suite> [<suite>...]" >&2
-        echo "suites: release_smoke torture observability ingest serve maintenance compress analysis tsan miri" >&2
+        echo "suites: release_smoke torture observability ingest serve maintenance compress bench_e2e analysis tsan miri" >&2
         exit 2
     fi
     for suite in "$@"; do

@@ -7,7 +7,7 @@
 //! * answers **identically** to the pristine store, or
 //! * answers differently but *says so* (`RefineOutcome::is_degraded`) —
 //!   the graceful-degradation path for damage confined to generated
-//!   keywords or ranking statistics.
+//!   keywords.
 //!
 //! A panic or a silently different Top-K list is a failure. This is the
 //! engine-level counterpart of the per-value framing tests in
@@ -30,8 +30,8 @@ const QUERIES: [&str; 4] = [
 
 /// The comparable part of an outcome: whether the original sufficed and
 /// the Top-K refinements' keyword sets and result lists. Rank scores are
-/// intentionally excluded — statistics damage skews them, and those runs
-/// must flag themselves as degraded instead.
+/// intentionally excluded: a run that drops a generated keyword re-ranks
+/// the survivors, and must flag itself as degraded instead.
 type Signature = (bool, Vec<(Vec<String>, Vec<String>)>);
 
 fn signature(out: &RefineOutcome) -> Signature {
