@@ -161,16 +161,6 @@ impl Shard {
         Some(entry.cost)
     }
 
-    /// Drops every entry, returning (entries dropped, bytes freed).
-    fn invalidate_all(&mut self) -> (u64, usize) {
-        let dropped = self.map.len() as u64;
-        let freed = self.used;
-        self.map.clear();
-        self.lru.clear();
-        self.used = 0;
-        (dropped, freed)
-    }
-
     fn add_to(&self, total: &mut CacheStats) {
         total.hits += self.hits;
         total.misses += self.misses;
@@ -298,25 +288,6 @@ impl ShardedListCache {
             }
             None => false,
         }
-    }
-
-    /// Flushes every shard. Returns the number of entries dropped.
-    pub fn invalidate_all(&self) -> u64 {
-        let mut dropped = 0u64;
-        let mut freed = 0usize;
-        for shard in &self.shards {
-            let (d, f) = {
-                let _rank = obs::lockrank::acquire(obs::lockrank::rank::CACHE_SHARD, "cache.shard");
-                shard.lock().invalidate_all() // xlint::lock(cache.shard)
-            };
-            dropped += d;
-            freed += f;
-        }
-        if dropped > 0 {
-            obs::counter!("invindex_cache_invalidations_total").add(dropped);
-            obs::gauge!("invindex_cache_resident_bytes").add(-(freed as i64));
-        }
-        dropped
     }
 
     /// Publishes `gen` as the current generation. Called by the writer
@@ -479,21 +450,6 @@ mod tests {
         assert!(cache.get(1).is_none());
         assert!(cache.get(2).is_some());
         assert_eq!(cache.stats().cached_bytes, 40);
-        cache.check_invariants();
-    }
-
-    #[test]
-    fn invalidate_all_flushes_every_shard() {
-        let cache = ShardedListCache::new(1 << 20, 4);
-        for id in 0..9u32 {
-            cache.insert(id, list_of(1), 10);
-        }
-        assert_eq!(cache.invalidate_all(), 9);
-        assert_eq!(cache.invalidate_all(), 0);
-        assert_eq!(cache.stats().cached_bytes, 0);
-        for id in 0..9u32 {
-            assert!(cache.get(id).is_none());
-        }
         cache.check_invariants();
     }
 

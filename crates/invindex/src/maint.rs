@@ -5,15 +5,17 @@
 //! [`KvBackedIndex`] *epoch* that readers pin via [`MaintIndex::snapshot`].
 //! The corpus model is a root element containing *records* (its direct
 //! children, kept as canonical XML fragments); a maintenance transaction
-//! ([`MaintTxn`]) appends and/or removes records, commits the resulting
-//! store delta as **one atomic WAL transaction group**, and publishes a
-//! fresh generation.
+//! ([`MaintIndex::commit`] over a slice of [`MaintOp`]s) appends and/or
+//! removes records, commits the resulting store delta as **one atomic
+//! WAL transaction group**, and publishes a fresh generation.
 //!
 //! # Commit protocol (rebuild-diff)
 //!
 //! A commit reconstructs the post-transaction corpus, rebuilds the full
-//! index in memory, persists it to a scratch store, and diffs that
-//! against the live store; only the differing keys ship as the WAL
+//! index in memory with [`build_streaming`] — the same builder
+//! `xrefine-cli index` runs, single-threaded because the build happens
+//! under the writer lock — persists it to a scratch store, and diffs
+//! that against the live store; only the differing keys ship as the WAL
 //! batch. This is deliberately the *strongest* maintenance discipline:
 //! after every commit the durable store is byte-identical to a
 //! from-scratch rebuild of the same corpus (the differential oracle in
@@ -48,10 +50,10 @@
 //! Prior epochs still read the old inode through their pinned handle.
 
 use crate::cache::ShardedListCache;
-use crate::index::Index;
 use crate::kvindex::{KvBackedIndex, StoreGen, DEFAULT_CACHE_BUDGET, DEFAULT_CACHE_SHARDS};
 use crate::persist;
 use crate::postings::{read_varint, write_varint};
+use crate::stream::build_streaming;
 use kvstore::{BatchOp, DiskKv, DurableKv, KvError, KvStore, MemKv, Result, StdVfs, Vfs};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -102,7 +104,7 @@ struct Writer {
     /// a new file over the path, so old handles keep reading the old
     /// inode and this handle is reopened after each compaction.
     base_handle: Arc<dyn KvStore>,
-    /// Current corpus document (reparsed on every commit).
+    /// Current corpus document (rebuilt on every commit).
     doc: Arc<Document>,
     /// Canonical record fragments — `doc`'s root children rendered back
     /// to XML. Invariant: reopening the store re-derives exactly this.
@@ -121,34 +123,6 @@ pub struct MaintIndex {
     writer: Mutex<Writer>,
     epoch: Mutex<Arc<KvBackedIndex>>,
     cache: Arc<ShardedListCache>,
-}
-
-/// A staged maintenance transaction: accumulate ops, then
-/// [`MaintTxn::commit`] them as one atomic WAL transaction.
-pub struct MaintTxn<'a> {
-    maint: &'a MaintIndex,
-    ops: Vec<MaintOp>,
-}
-
-impl MaintTxn<'_> {
-    /// Stages a record append.
-    pub fn add(&mut self, fragment: &str) -> &mut Self {
-        self.ops.push(MaintOp::Add {
-            fragment: fragment.to_string(),
-        });
-        self
-    }
-
-    /// Stages a record removal by root-child ordinal.
-    pub fn remove(&mut self, slot: usize) -> &mut Self {
-        self.ops.push(MaintOp::Remove { slot });
-        self
-    }
-
-    /// Commits the staged ops atomically.
-    pub fn commit(self) -> Result<MaintReport> {
-        self.maint.commit(&self.ops)
-    }
 }
 
 impl MaintIndex {
@@ -213,14 +187,6 @@ impl MaintIndex {
             epoch: Mutex::new(reader),
             cache,
         })
-    }
-
-    /// Begins a staged transaction.
-    pub fn txn(&self) -> MaintTxn<'_> {
-        MaintTxn {
-            maint: self,
-            ops: Vec::new(),
-        }
     }
 
     /// The epoch readers currently pin. Cheap: one mutex, one
@@ -290,11 +256,9 @@ impl MaintIndex {
 
         // 2. Rebuild the post-transaction index in memory.
         let xml = compose_corpus(&w.root_tag, &w.root_attrs, &w.root_text, &records);
-        let doc =
-            Arc::new(parse_document(&xml).map_err(|e| {
-                KvError::corrupt(format!("reconstructed corpus does not parse: {e}"))
-            })?);
-        let built = Index::build(Arc::clone(&doc));
+        let built = build_streaming(&xml, 1)
+            .map_err(|e| KvError::corrupt(format!("reconstructed corpus does not parse: {e}")))?;
+        let doc = Arc::clone(built.document());
         let mut target = MemKv::new();
         persist::persist(&built, &mut target)?;
         let seq = w.seq + 1;
@@ -313,7 +277,7 @@ impl MaintIndex {
         w.root_tag = root_tag;
         w.root_attrs = root_attrs;
         w.root_text = root_text;
-        w.doc = Arc::clone(&doc);
+        w.doc = doc;
         w.seq = seq;
         self.publish(w, &changed_lists)?;
         obs::gauge!("maint_overlay_entries").set(w.durable.overlay_len() as i64);
@@ -374,15 +338,6 @@ impl MaintIndex {
         obs::counter!("maint_epochs_total").inc();
         obs::gauge!("maint_overlay_entries").set(0);
         Ok(true)
-    }
-
-    /// Compacts once the overlay holds at least `threshold` entries.
-    pub fn compact_if_needed(&self, threshold: usize) -> Result<bool> {
-        if threshold == 0 || self.overlay_len() >= threshold {
-            self.compact()
-        } else {
-            Ok(false)
-        }
     }
 
     /// Committed maintenance transactions so far (monotonic across
@@ -541,7 +496,6 @@ pub fn decode_maint_meta(value: &[u8]) -> Result<(u64, u64)> {
 mod tests {
     use super::*;
     use crate::reader::IndexReader;
-    use crate::stream::build_streaming;
     use kvstore::{FaultVfs, MemTreeKv};
     use std::path::PathBuf;
 
@@ -560,6 +514,12 @@ mod tests {
         base.to_path_buf()
     }
 
+    fn add(fragment: &str) -> MaintOp {
+        MaintOp::Add {
+            fragment: fragment.to_string(),
+        }
+    }
+
     fn fresh() -> (FaultVfs, PathBuf) {
         let vfs = FaultVfs::new();
         let base = PathBuf::from("/maint/store.db");
@@ -574,9 +534,9 @@ mod tests {
         assert_eq!(maint.record_count(), 2);
         assert_eq!(maint.seq(), 0);
 
-        let mut txn = maint.txn();
-        txn.add("<paper><title>stack algorithms</title></paper>");
-        let r = txn.commit().unwrap();
+        let r = maint
+            .commit(&[add("<paper><title>stack algorithms</title></paper>")])
+            .unwrap();
         assert_eq!((r.seq, r.records, r.added, r.removed), (1, 3, 1, 0));
         assert!(r.batch_ops > 0);
 
@@ -584,9 +544,7 @@ mod tests {
         assert!(!snap.list_handle("stack").unwrap().is_empty());
         assert_eq!(snap.generation(), 1);
 
-        let mut txn = maint.txn();
-        txn.remove(2);
-        let r = txn.commit().unwrap();
+        let r = maint.commit(&[MaintOp::Remove { slot: 2 }]).unwrap();
         assert_eq!((r.seq, r.records, r.removed), (2, 2, 1));
         let snap = maint.snapshot();
         assert!(snap.list_handle("stack").unwrap().is_empty());
@@ -596,13 +554,17 @@ mod tests {
     fn committed_store_is_byte_identical_to_a_fresh_build() {
         let (vfs, base) = fresh();
         let maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
-        let mut txn = maint.txn();
-        txn.add("<paper><title>stack algorithms</title><year>2004</year></paper>");
-        txn.remove(0);
-        txn.commit().unwrap();
+        maint
+            .commit(&[
+                add("<paper><title>stack algorithms</title><year>2004</year></paper>"),
+                MaintOp::Remove { slot: 0 },
+            ])
+            .unwrap();
 
-        let final_xml = maint.full_xml();
-        let rebuilt = build_streaming(&final_xml, 1).unwrap();
+        // The DOM builder, not the one the commit ran: an independent
+        // reference for what the store must contain.
+        let final_doc = parse_document(&maint.full_xml()).unwrap();
+        let rebuilt = crate::index::Index::build(Arc::new(final_doc));
         let mut scratch = MemTreeKv::new().unwrap();
         persist::persist(&rebuilt, &mut scratch).unwrap();
 
@@ -626,9 +588,8 @@ mod tests {
         let old_refinement = old.list_handle("refinement").unwrap().len();
         assert!(old_refinement > 0);
 
-        let mut txn = maint.txn();
-        txn.remove(1); // drops the "query refinement" paper
-        txn.commit().unwrap();
+        // drops the "query refinement" paper
+        maint.commit(&[MaintOp::Remove { slot: 1 }]).unwrap();
         assert!(maint.compact().unwrap());
 
         // New epoch: the keyword is gone.
@@ -643,9 +604,9 @@ mod tests {
         let (vfs, base) = fresh();
         {
             let maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
-            let mut txn = maint.txn();
-            txn.add("<paper><title>third</title></paper>");
-            txn.commit().unwrap();
+            maint
+                .commit(&[add("<paper><title>third</title></paper>")])
+                .unwrap();
         }
         let maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
         assert_eq!(maint.seq(), 1);
@@ -664,12 +625,8 @@ mod tests {
         let (vfs, base) = fresh();
         let maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
         let before = maint.snapshot();
-        let mut txn = maint.txn();
-        txn.add("<unclosed>");
-        assert!(txn.commit().is_err());
-        let mut txn = maint.txn();
-        txn.remove(7);
-        assert!(txn.commit().is_err());
+        assert!(maint.commit(&[add("<unclosed>")]).is_err());
+        assert!(maint.commit(&[MaintOp::Remove { slot: 7 }]).is_err());
         assert_eq!(maint.seq(), 0);
         assert!(Arc::ptr_eq(&before, &maint.snapshot()));
     }

@@ -5,11 +5,13 @@
 //! The strongest form (and the one checked first) is **store byte
 //! identity**: after any interleaved sequence of add/remove commits,
 //! dumping the maintained `DurableKv` (minus its `M/maint` bookkeeping
-//! key) must equal the persisted store of `build_streaming` over the
-//! final corpus — at 1 and at 3 ingest threads. On top of that the
-//! pinned snapshot must *answer* like an in-memory index built from the
-//! final document (lists, stats, co-occurrence), and a reopen of the
-//! store must restore the exact same state.
+//! key) must equal the persisted store of a from-scratch build of the
+//! final corpus by both builders — the DOM oracle (`Index::build`),
+//! which shares no code with the commit path, and `build_streaming` at
+//! 1 and at 3 ingest threads. On top of that the pinned snapshot must
+//! *answer* like an in-memory index built from the final document
+//! (lists, stats, co-occurrence), and a reopen of the store must restore
+//! the exact same state.
 
 use invindex::maint::{MaintIndex, MaintOp, MAINT_KEY};
 use invindex::reader::IndexReader;
@@ -134,24 +136,31 @@ fn maintained_store_is_byte_identical_to_scratch_rebuild_at_1_and_3_threads() {
         drop(maint);
 
         let live = maintained_dump(&dynvfs, &base);
+        // The commit builds with `build_streaming`, so the DOM builder
+        // is the reference that shares no code with the writer.
+        let dom = Index::build(Arc::new(parse_document(&final_xml).unwrap()));
+        let mut references = vec![("dom".to_string(), dom)];
         for threads in [1usize, 3] {
             let rebuilt = build_streaming(&final_xml, threads)
                 .unwrap_or_else(|e| panic!("seed {seed}: streaming ({threads}t): {e}"));
+            references.push((format!("stream {threads}t"), rebuilt));
+        }
+        for (name, rebuilt) in &references {
             let mut scratch = MemKv::new();
-            persist::persist(&rebuilt, &mut scratch).unwrap();
+            persist::persist(rebuilt, &mut scratch).unwrap();
             let fresh: BTreeMap<Vec<u8>, Vec<u8>> =
                 scratch.scan_range(b"", None).unwrap().into_iter().collect();
             assert_eq!(
                 live.len(),
                 fresh.len(),
-                "seed {seed} ({threads}t): entry count differs"
+                "seed {seed} ({name}): entry count differs"
             );
             for ((ka, va), (kb, vb)) in live.iter().zip(fresh.iter()) {
-                assert_eq!(ka, kb, "seed {seed} ({threads}t): key sequence diverges");
+                assert_eq!(ka, kb, "seed {seed} ({name}): key sequence diverges");
                 assert_eq!(
                     va,
                     vb,
-                    "seed {seed} ({threads}t): value differs at key {:?}",
+                    "seed {seed} ({name}): value differs at key {:?}",
                     String::from_utf8_lossy(ka)
                 );
             }

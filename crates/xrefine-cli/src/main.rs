@@ -5,8 +5,7 @@
 //!             [--algorithm partition|sle|stack] [--k N]
 //! xrefine-cli index <file.xml>|dblp|baseball|figure1 <store.db> \
 //!             [--threads N]
-//! xrefine-cli query --store <store.db> [--algorithm ...] [--k N] \
-//!             [--threads N --batch <queries.txt>]
+//! xrefine-cli query --store <store.db> [--algorithm ...] [--k N]
 //! ```
 //!
 //! The flag-only form parses and indexes the document in memory, then
@@ -22,35 +21,26 @@
 //! with skip tables), the deduplicated DAG document and packed stat
 //! tables.
 //!
-//! `--batch <file>` switches from the REPL to a concurrent driver: the
-//! file's queries (one per line, `#` comments allowed) are striped
-//! across `--threads` workers sharing one engine, and the run reports
-//! per-thread throughput, latency percentiles, per-phase timers and
-//! cache/cursor counters. Per-query storage errors are reported and do
-//! not stop the batch.
-//!
 //! Observability (see DESIGN.md "Observability"):
 //!
 //! * `--metrics` dumps the global metrics registry in Prometheus text
-//!   format when the session (REPL, batch or `--trace`) ends — pager
+//!   format when the session (REPL or `--trace`) ends — pager
 //!   page reads, WAL syncs, cache hit/miss, SLCA steps, per-phase
 //!   latency histograms;
 //! * `--trace <query>` answers that one query with span capture on and
 //!   pretty-prints the span tree (phases, per-keyword list loads,
 //!   cursor counters), then exits.
 
-use bench::percentile;
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 use xrefine::{Algorithm, EngineConfig, XRefineEngine};
 
 const USAGE: &str = "usage: xrefine-cli [--data <file.xml>|dblp|baseball|figure1] \
 [--algorithm partition|sle|stack] [--k N]\n       \
 xrefine-cli index <file.xml>|dblp|baseball|figure1 <store.db> [--threads N]\n       \
 xrefine-cli query --store <store.db> [--algorithm partition|sle|stack] [--k N] \
-[--threads N --batch <queries.txt>] [--metrics] [--trace <query>]\n       \
+[--metrics] [--trace <query>]\n       \
 xrefine-cli update --store <store.db> [--add <fragment.xml>]... [--remove SLOT]... [--compact]
        xrefine-cli scrub --store <store.db>";
 
@@ -88,8 +78,6 @@ struct Options {
     algorithm: Algorithm,
     k: usize,
     max_render: usize,
-    threads: usize,
-    batch: Option<String>,
     metrics: bool,
     trace: Option<String>,
 }
@@ -184,8 +172,6 @@ fn parse_args(mut args: Vec<String>) -> Result<Command, String> {
         algorithm: Algorithm::Partition,
         k: 3,
         max_render: 2,
-        threads: 1,
-        batch: None,
         metrics: false,
         trace: None,
     };
@@ -223,18 +209,6 @@ fn parse_args(mut args: Vec<String>) -> Result<Command, String> {
                     .ok_or("--max-render needs an integer")?;
                 i += 2;
             }
-            "--threads" => {
-                opts.threads = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or("--threads needs a positive integer")?;
-                i += 2;
-            }
-            "--batch" => {
-                opts.batch = Some(args.get(i + 1).ok_or("--batch needs a file")?.clone());
-                i += 2;
-            }
             "--metrics" => {
                 opts.metrics = true;
                 i += 1;
@@ -248,9 +222,6 @@ fn parse_args(mut args: Vec<String>) -> Result<Command, String> {
             }
             other => return Err(format!("unknown flag {other}")),
         }
-    }
-    if opts.threads > 1 && opts.batch.is_none() {
-        return Err("--threads only applies to --batch runs".into());
     }
     Ok(Command::Repl(opts))
 }
@@ -555,22 +526,6 @@ fn main() -> ExitCode {
         return code;
     }
 
-    if let Some(batch_path) = &opts.batch {
-        let queries = match load_batch(batch_path) {
-            Ok(q) => q,
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let report = run_batch(&engine, &queries, opts.threads);
-        print!("{report}");
-        if opts.metrics {
-            dump_metrics();
-        }
-        return ExitCode::SUCCESS;
-    }
-
     let code = repl(&engine, &opts);
     if opts.metrics {
         dump_metrics();
@@ -719,181 +674,14 @@ fn render(engine: &XRefineEngine, slcas: &[xmldom::Dewey], max: usize, out: &mut
     }
 }
 
-// ---------------------------------------------------------------------
-// Concurrent batch driver
-// ---------------------------------------------------------------------
-
-/// Reads a batch file: one query per line; blank lines and `#` comments
-/// are skipped.
-fn load_batch(path: &str) -> Result<Vec<String>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    Ok(text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(str::to_string)
-        .collect())
-}
-
-/// One worker's tally of a batch run. Failures are collected (query +
-/// error) rather than printed mid-run: under `--threads N` interleaved
-/// `eprintln!` lines from workers would garble the report.
-#[derive(Default)]
-struct ThreadTally {
-    answered: usize,
-    failures: Vec<(String, String)>,
-    latencies: Vec<Duration>,
-    advances: u64,
-    random_accesses: u64,
-    busy: Duration,
-}
-
-/// Runs `queries` striped across `threads` workers sharing `engine`,
-/// and renders the throughput/latency/phase report.
-fn run_batch(engine: &XRefineEngine, queries: &[String], threads: usize) -> String {
-    let threads = threads.max(1);
-    let metrics_before = obs::global().snapshot();
-    let wall_start = Instant::now();
-    let mut tallies: Vec<ThreadTally> = Vec::with_capacity(threads);
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(threads);
-        for tid in 0..threads {
-            handles.push(s.spawn(move || {
-                let mut tally = ThreadTally::default();
-                let t0 = Instant::now();
-                for q in queries.iter().skip(tid).step_by(threads) {
-                    let q_start = Instant::now();
-                    match engine.answer(q) {
-                        Ok(outcome) => {
-                            tally.answered += 1;
-                            tally.latencies.push(q_start.elapsed());
-                            tally.advances += outcome.advances;
-                            tally.random_accesses += outcome.random_accesses;
-                        }
-                        Err(e) => {
-                            tally.failures.push((q.clone(), e.to_string()));
-                        }
-                    }
-                }
-                tally.busy = t0.elapsed();
-                tally
-            }));
-        }
-        for h in handles {
-            tallies.push(h.join().expect("batch worker panicked"));
-        }
-    });
-    let wall = wall_start.elapsed();
-    let metrics = obs::global().snapshot().delta_since(&metrics_before);
-    render_batch_report(&tallies, wall, &metrics, engine.index().cache_stats())
-}
-
-fn render_batch_report(
-    tallies: &[ThreadTally],
-    wall: Duration,
-    metrics: &obs::MetricsSnapshot,
-    cache: Option<invindex::CacheStats>,
-) -> String {
-    use std::fmt::Write as _;
-    let answered: usize = tallies.iter().map(|t| t.answered).sum();
-    let errors: usize = tallies.iter().map(|t| t.failures.len()).sum();
-    // Failed queries burned the same wall clock as answered ones, so
-    // `answered / wall` alone would overstate a partially-failing run:
-    // report attempted and answered throughput side by side.
-    let attempted = answered + errors;
-    let mut latencies: Vec<Duration> = tallies
-        .iter()
-        .flat_map(|t| t.latencies.iter().copied())
-        .collect();
-    latencies.sort_unstable();
-    // Exact per-phase sums over the run, from the histograms the engine
-    // already feeds (failed queries included up to the phase they reached).
-    let phase =
-        |name: &str| Duration::from_nanos(metrics.histograms.get(name).map_or(0, |h| h.sum));
-    let advances: u64 = tallies.iter().map(|t| t.advances).sum();
-    let random: u64 = tallies.iter().map(|t| t.random_accesses).sum();
-
-    let mut out = String::new();
-    let wall_secs = wall.as_secs_f64().max(1e-9);
-    let _ = writeln!(
-        out,
-        "batch: {attempted} attempted ({answered} answered, {errors} failed), {} thread(s), \
-         wall {:?}, {:.1} q/s attempted, {:.1} q/s answered",
-        tallies.len(),
-        wall,
-        attempted as f64 / wall_secs,
-        answered as f64 / wall_secs,
-    );
-    for (tid, t) in tallies.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "  thread {tid}: {} answered, {} failed in {:?} ({:.1} q/s)",
-            t.answered,
-            t.failures.len(),
-            t.busy,
-            t.answered as f64 / t.busy.as_secs_f64().max(1e-9),
-        );
-    }
-    let _ = writeln!(
-        out,
-        "latency: p50 {:?}  p90 {:?}  p99 {:?}  p999 {:?}  max {:?}",
-        percentile(&latencies, 0.50),
-        percentile(&latencies, 0.90),
-        percentile(&latencies, 0.99),
-        percentile(&latencies, 0.999),
-        latencies.last().copied().unwrap_or(Duration::ZERO),
-    );
-    let _ = writeln!(
-        out,
-        "phases (cpu, summed): rules {:?}  session {:?}  algorithm {:?}",
-        phase("xrefine_phase_rules_nanos"),
-        phase("xrefine_phase_session_nanos"),
-        phase("xrefine_phase_algorithm_nanos"),
-    );
-    let _ = writeln!(
-        out,
-        "cursors: {advances} advances, {random} random accesses"
-    );
-    if let Some(c) = cache {
-        let _ = writeln!(
-            out,
-            "cache: {} hits, {} misses, {} decoded, {} evictions, {} bytes resident",
-            c.hits, c.misses, c.lists_decoded, c.evictions, c.cached_bytes,
-        );
-    }
-    // Failed queries, rendered once after the join so worker output
-    // never interleaves with the report.
-    if errors > 0 {
-        let _ = writeln!(out, "failed queries:");
-        for (tid, t) in tallies.iter().enumerate() {
-            for (query, error) in &t.failures {
-                let _ = writeln!(out, "  thread {tid}: \"{query}\": {error}");
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use kvstore::KvStore;
 
-    #[test]
-    fn percentile_is_nearest_rank() {
-        // The shared helper (crates/bench) computes true nearest rank:
-        // ⌈q·n⌉, 1-based — so the even-length median of 1..=100 ms is
-        // 50 ms, where the old `round((n−1)·q)` formula said 51 ms.
-        let ms: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        assert_eq!(percentile(&ms, 0.50), Duration::from_millis(50));
-        assert_eq!(percentile(&ms, 0.99), Duration::from_millis(99));
-        assert_eq!(percentile(&ms, 0.999), Duration::from_millis(100));
-        assert_eq!(percentile(&[], 0.5), Duration::ZERO);
-    }
-
     /// A corrupt posting list must fail the query that touches it — and
-    /// only that query. The engine (and so the REPL/batch loops) keeps
-    /// serving keywords whose lists are intact.
+    /// only that query. The engine (and so the REPL loop) keeps serving
+    /// keywords whose lists are intact.
     #[test]
     fn corrupt_list_fails_one_query_not_the_engine() {
         let doc = Arc::new(xmldom::fixtures::figure1());
@@ -973,21 +761,16 @@ mod tests {
         }
     }
 
+    /// The query side has no load-generation flags: `bench_e2e` is the
+    /// one benchmark driver, and `--threads` belongs to `index` alone.
     #[test]
-    fn batch_reports_and_survives_query_errors() {
-        let engine = XRefineEngine::from_document(
-            Arc::new(xmldom::fixtures::figure1()),
-            EngineConfig::default(),
-        );
-        let queries: Vec<String> = ["xml 2003", "john fishing", "database publication"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        for threads in [1, 4] {
-            let report = run_batch(&engine, &queries, threads);
-            assert!(report.contains("3 answered, 0 failed"), "{report}");
-            assert!(report.contains(&format!("{threads} thread(s)")), "{report}");
-            assert!(report.contains("latency: p50"), "{report}");
+    fn query_rejects_the_retired_batch_flags() {
+        for flag in ["--batch", "--threads"] {
+            let argv = ["query", "--store", "x.db", flag, "2"].map(String::from);
+            match parse_args(argv.to_vec()) {
+                Err(msg) => assert_eq!(msg, format!("unknown flag {flag}")),
+                Ok(_) => panic!("{flag} was accepted"),
+            }
         }
     }
 }

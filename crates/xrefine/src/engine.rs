@@ -120,11 +120,6 @@ impl XRefineEngine {
         self
     }
 
-    pub fn with_acronyms(mut self, acronyms: AcronymTable) -> Self {
-        self.acronyms = acronyms;
-        self
-    }
-
     pub fn index(&self) -> &dyn IndexReader {
         self.reader.as_ref()
     }

@@ -91,15 +91,6 @@ impl LiveEngine {
         Ok(ran)
     }
 
-    /// Compacts once the overlay holds at least `threshold` entries.
-    pub fn compact_if_needed(&self, threshold: usize) -> Result<bool> {
-        let ran = self.maint.compact_if_needed(threshold)?;
-        if ran {
-            self.republish();
-        }
-        Ok(ran)
-    }
-
     /// The underlying maintained index (sequence, records, metrics).
     pub fn maint(&self) -> &MaintIndex {
         &self.maint
@@ -123,8 +114,11 @@ impl LiveEngine {
 mod tests {
     use super::*;
     use invindex::{build_streaming, persist};
-    use kvstore::{DiskKv, FaultVfs, KvStore};
+    use kvstore::{DiskKv, FaultVfs, KvStore, VfsFile};
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     const CORPUS: &str = "<bib>\
         <paper><title>xml keyword search</title></paper>\
@@ -177,5 +171,120 @@ mod tests {
         assert!(live.engine().answer("compaction").unwrap().original_ok);
         // A second compact with an empty overlay is a no-op.
         assert!(!live.compact().unwrap());
+    }
+
+    /// Parks the first armed `sync_data` on the `.wal` file: reports
+    /// `parked`, then waits for `release`.
+    struct WalSyncGate {
+        armed: AtomicBool,
+        parked: mpsc::SyncSender<()>,
+        release: Mutex<mpsc::Receiver<()>>,
+    }
+
+    struct GateVfs {
+        inner: Arc<dyn Vfs>,
+        gate: Arc<WalSyncGate>,
+    }
+
+    struct GatedWal {
+        inner: Box<dyn VfsFile>,
+        gate: Arc<WalSyncGate>,
+    }
+
+    impl Vfs for GateVfs {
+        fn open(&self, path: &Path) -> Result<Box<dyn VfsFile>> {
+            let inner = self.inner.open(path)?;
+            if path.extension().is_some_and(|e| e == "wal") {
+                let gate = Arc::clone(&self.gate);
+                return Ok(Box::new(GatedWal { inner, gate }));
+            }
+            Ok(inner)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            self.inner.exists(path)
+        }
+        fn remove(&self, path: &Path) -> Result<()> {
+            self.inner.remove(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn sync_parent_dir(&self, path: &Path) -> Result<()> {
+            self.inner.sync_parent_dir(path)
+        }
+    }
+
+    impl VfsFile for GatedWal {
+        fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+            self.inner.read_exact_at(offset, buf)
+        }
+        fn write_all_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+            self.inner.write_all_at(offset, data)
+        }
+        fn set_len(&self, len: u64) -> Result<()> {
+            self.inner.set_len(len)
+        }
+        fn len(&self) -> Result<u64> {
+            self.inner.len()
+        }
+        fn sync_data(&self) -> Result<()> {
+            if self.gate.armed.swap(false, Ordering::SeqCst) {
+                self.gate.parked.send(()).expect("test is waiting");
+                let release = self.gate.release.lock().expect("gate lock");
+                release.recv().expect("test opens the gate");
+            }
+            self.inner.sync_data()
+        }
+    }
+
+    /// Readers never wait for a commit in flight: with the writer parked
+    /// in its WAL fsync — inside `commit`, holding `maint.writer` — a
+    /// cold-cache query on another thread completes and answers from the
+    /// pre-commit generation.
+    #[test]
+    fn readers_are_not_blocked_by_a_commit_in_flight() {
+        let (inner, base) = fresh();
+        let (parked_tx, parked_rx) = mpsc::sync_channel(1);
+        let (release_tx, release_rx) = mpsc::sync_channel(1);
+        let gate = Arc::new(WalSyncGate {
+            armed: AtomicBool::new(false),
+            parked: parked_tx,
+            release: Mutex::new(release_rx),
+        });
+        let vfs = Arc::new(GateVfs {
+            inner,
+            gate: Arc::clone(&gate),
+        });
+        let live = LiveEngine::open_with_vfs(vfs, &base, EngineConfig::default()).unwrap();
+
+        std::thread::scope(|s| {
+            gate.armed.store(true, Ordering::SeqCst);
+            let writer = s.spawn(|| {
+                live.update(&[MaintOp::Add {
+                    fragment: "<paper><title>epoch handoff</title></paper>".into(),
+                }])
+            });
+            parked_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the commit reaches its WAL fsync");
+
+            let (done_tx, done_rx) = mpsc::channel();
+            let live = &live;
+            s.spawn(move || {
+                let engine = live.engine();
+                let hit = engine.answer("xml keyword").unwrap().original_ok;
+                let miss = engine.answer("epoch").unwrap().needs_refinement();
+                let _ = done_tx.send((live.generation(), hit, miss));
+            });
+            let answered = done_rx.recv_timeout(Duration::from_secs(10));
+            // Open the gate before asserting, so a failure cannot leave
+            // the scope waiting on a parked writer.
+            release_tx.send(()).unwrap();
+            let (gen, hit, miss) = answered.expect("a reader waited for the commit in flight");
+            assert_eq!(gen, 0, "nothing is published before the WAL is durable");
+            assert!(hit && miss, "the reader saw the pre-commit corpus");
+            assert_eq!(writer.join().unwrap().unwrap().added, 1);
+        });
+        assert!(live.engine().answer("epoch").unwrap().original_ok);
     }
 }

@@ -8,7 +8,7 @@
 //! its read budget is answered `408` and the connection closed.
 //!
 //! `/query` goes through admission control: the parsed request is
-//! pushed onto the sharded worker queue with a rendezvous reply channel
+//! pushed onto the shared worker queue with a rendezvous reply channel
 //! and the connection thread blocks (bounded by `request_timeout`) for
 //! the worker's answer. A full queue is a `503` + `Retry-After` — the
 //! shed path never blocks. `/metrics`, `/healthz` and `/admin/drain`
@@ -228,8 +228,8 @@ fn query(shared: &Arc<Shared>, req: &Request) -> Response {
         deadline,
         reply: tx,
     };
-    match shared.queue().push(job) {
-        Ok(_shard) => shared.refresh_gauges(),
+    match shared.queue().try_push(job) {
+        Ok(()) => shared.refresh_gauges(),
         Err(PushError::Full(_)) => {
             obs::counter!("serve_requests_shed_total").inc();
             return Response::error(503, "request queue is full").with_retry_after(1);

@@ -6,13 +6,13 @@
 //! other substrate in this workspace) with the admission-control
 //! behaviours a server needs before it can face open-loop load:
 //!
-//! * **sharded accept/worker model** — one acceptor thread hands each
+//! * **accept/worker model** — one acceptor thread hands each
 //!   connection to a dedicated connection thread (bounded by
 //!   [`ServeConfig::max_connections`]); parsed requests are pushed onto
-//!   per-worker bounded queues ([`queue::ShardedQueue`], two-choice
-//!   routing) drained by [`ServeConfig::workers`] query workers sharing
-//!   one engine;
-//! * **load shedding** — a request that finds both probed shards full is
+//!   one bounded queue ([`queue::BoundedQueue`]) drained by
+//!   [`ServeConfig::workers`] query workers sharing one engine, so a
+//!   queued request goes to whichever worker frees up first;
+//! * **load shedding** — a request that finds the queue full is
 //!   answered `503 Service Unavailable` with a `Retry-After` header
 //!   instead of queueing unboundedly; connections beyond the cap are
 //!   shed the same way;
@@ -33,9 +33,9 @@
 //! Endpoints: `GET /query?q=<keywords>` (JSON refinement outcome),
 //! `GET /metrics`, `GET /healthz`, `POST /admin/drain`.
 //!
-//! The load generator that drives this server to overload lives in
-//! `crates/bench/src/bin/bench_serve.rs` and writes
-//! `results/BENCH_serve.json`.
+//! Load is generated, and latency reported, by the `bench_e2e` harness
+//! (`BENCHMARK.json`); shedding and drain under load are pinned by
+//! `tests/server_lifecycle.rs`.
 
 pub mod conn;
 pub mod http;
@@ -50,16 +50,16 @@ pub use service::{EngineService, LiveEngineService, QueryService, ServiceReply, 
 use std::time::Duration;
 
 /// Server tunables. The defaults suit an interactive deployment; the
-/// lifecycle tests and `bench_serve` shrink queues and timeouts to
-/// provoke shedding quickly.
+/// lifecycle tests shrink queues and timeouts to provoke shedding
+/// quickly.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7878`; port 0 binds an ephemeral
     /// port (the bound address is reported by [`ServerHandle::addr`]).
     pub addr: String,
-    /// Query worker threads (= queue shards).
+    /// Query worker threads.
     pub workers: usize,
-    /// Total queued-request capacity, split across the worker shards.
+    /// Queued-request capacity of the one queue the workers share.
     pub queue_capacity: usize,
     /// Connections beyond this are answered `503` and closed.
     pub max_connections: usize,

@@ -1,15 +1,13 @@
-//! Bounded request queues with load-shedding semantics.
+//! The bounded request queue, with load-shedding semantics.
 //!
 //! [`BoundedQueue`] is a hand-rolled MPMC queue (`Mutex<VecDeque>` +
 //! `Condvar` — the workspace owns its substrates) whose `try_push`
 //! *never blocks and never grows past capacity*: admission control is a
-//! property of the queue, not a convention of its callers.
-//! [`ShardedQueue`] splits capacity across one queue per worker and
-//! routes with two-choice placement, probing shard depths through
-//! relaxed atomics so no path ever holds two shard locks at once (the
-//! `serve.queue` rank covers every shard; nesting them would be a
-//! same-rank acquisition, which both xlint's `lock-order` rule and the
-//! runtime rank checker reject).
+//! property of the queue, not a convention of its callers. The server
+//! runs exactly one, shared by every worker, so the queue is
+//! work-conserving: a queued request is taken by whichever worker
+//! frees up first and never waits behind a slow one while another
+//! worker sleeps.
 //!
 //! Poisoning is deliberately ignored (`unwrap_or_else(into_inner)`): a
 //! panicking worker must not wedge the accept path, and queue state —
@@ -43,8 +41,8 @@ pub struct BoundedQueue<T> {
     state: Mutex<State<T>>,
     cond: Condvar,
     capacity: usize,
-    /// Lock-free depth mirror for routing probes; maintained on every
-    /// successful push/pop under the lock.
+    /// Lock-free depth mirror for the `serve_queued_requests` gauge;
+    /// maintained on every successful push/pop under the lock.
     depth: AtomicUsize,
 }
 
@@ -134,80 +132,6 @@ impl<T> BoundedQueue<T> {
             .lock() // xlint::lock(serve.queue)
             .unwrap_or_else(PoisonError::into_inner)
             .closed
-    }
-}
-
-/// One [`BoundedQueue`] per worker with two-choice routing: probe two
-/// shards' depths (relaxed), push to the shallower; on `Full`, try the
-/// other before shedding. Keeps tail latency close to a single shared
-/// queue while letting each worker pop from its own shard uncontended.
-pub struct ShardedQueue<T> {
-    shards: Vec<BoundedQueue<T>>,
-    /// Rotates the probe pair so uniform load spreads over all shards.
-    cursor: AtomicUsize,
-}
-
-impl<T> ShardedQueue<T> {
-    /// `total_capacity` is divided across `shards` queues (each gets at
-    /// least 1 slot).
-    pub fn new(shards: usize, total_capacity: usize) -> ShardedQueue<T> {
-        let shards = shards.max(1);
-        let per_shard = (total_capacity / shards).max(1);
-        ShardedQueue {
-            shards: (0..shards).map(|_| BoundedQueue::new(per_shard)).collect(),
-            cursor: AtomicUsize::new(0),
-        }
-    }
-
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total queued items across shards (approximate).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(BoundedQueue::len).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Shard handle for worker `i` (workers pop their own shard).
-    pub fn shard(&self, i: usize) -> Option<&BoundedQueue<T>> {
-        self.shards.get(i)
-    }
-
-    /// Two-choice push. `Err(Full)` means both probed shards (and, for
-    /// the 1-shard case, the only shard) refused — shed upstream.
-    pub fn push(&self, item: T) -> Result<usize, PushError<T>> {
-        let n = self.shards.len();
-        let c = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let a = c % n;
-        let b = if n > 1 { (c / n + 1 + a) % n } else { a };
-        let (first, second) = match (self.shards.get(a), self.shards.get(b)) {
-            (Some(qa), Some(qb)) => {
-                if qb.len() < qa.len() {
-                    ((b, qb), (a, qa))
-                } else {
-                    ((a, qa), (b, qb))
-                }
-            }
-            _ => return Err(PushError::Closed(item)), // shards is non-empty; unreachable
-        };
-        match first.1.try_push(item) {
-            Ok(()) => Ok(first.0),
-            Err(PushError::Full(item)) if second.0 != first.0 => {
-                second.1.try_push(item).map(|()| second.0)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Closes every shard (drain entry point).
-    pub fn close(&self) {
-        for q in &self.shards {
-            q.close();
-        }
     }
 }
 
@@ -307,48 +231,5 @@ mod tests {
             .collect();
         all.sort_unstable();
         assert_eq!(all, (0..400).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sharded_routing_spreads_and_sheds() {
-        let sq = ShardedQueue::new(4, 8); // 2 slots per shard
-        let mut admitted = 0;
-        for i in 0..64 {
-            if sq.push(i).is_ok() {
-                admitted += 1;
-            }
-        }
-        // Capacity is a hard ceiling and two-choice fills it fully.
-        assert_eq!(admitted, 8);
-        assert_eq!(sq.len(), 8);
-        for s in 0..sq.num_shards() {
-            assert_eq!(sq.shard(s).unwrap().len(), 2, "shard {s} imbalance");
-        }
-    }
-
-    #[test]
-    fn sharded_close_ends_every_shard() {
-        let sq = ShardedQueue::new(2, 4);
-        sq.push(1).unwrap();
-        sq.close();
-        assert!(matches!(sq.push(2), Err(PushError::Closed(2))));
-        let drained: usize = (0..sq.num_shards())
-            .map(|s| {
-                let mut n = 0;
-                while sq.shard(s).unwrap().pop().is_some() {
-                    n += 1;
-                }
-                n
-            })
-            .sum();
-        assert_eq!(drained, 1);
-    }
-
-    #[test]
-    fn single_shard_degenerates_cleanly() {
-        let sq = ShardedQueue::new(1, 2);
-        assert!(sq.push(1).is_ok());
-        assert!(sq.push(2).is_ok());
-        assert!(matches!(sq.push(3), Err(PushError::Full(3))));
     }
 }

@@ -1,12 +1,12 @@
 //! The server chassis: acceptor thread, worker pool, drain sequencing.
 //!
-//! Thread model (sharded accept/worker):
+//! Thread model:
 //!
 //! ```text
 //! acceptor ── accept ──> conn thread (≤ max_connections, detached)
-//!                            │  push Job (two-choice, bounded)
+//!                            │  try_push Job (never blocks)
 //!                            ▼
-//!                   ShardedQueue — one shard per worker
+//!                   BoundedQueue — one, shared by all workers
 //!                            │  pop
 //!                            ▼
 //!                    worker 0..N  ── QueryService::answer ──┐
@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use crate::conn::{self, Job};
 use crate::http::{self, Response};
-use crate::queue::ShardedQueue;
+use crate::queue::BoundedQueue;
 use crate::service::QueryService;
 use crate::ServeConfig;
 
@@ -41,7 +41,7 @@ use crate::ServeConfig;
 /// (ranked) locks.
 pub struct Shared {
     config: ServeConfig,
-    queue: ShardedQueue<Job>,
+    queue: BoundedQueue<Job>,
     service: Arc<dyn QueryService>,
     /// Set once drain begins; acceptor exits, idle connections close,
     /// admission answers `503`.
@@ -54,10 +54,9 @@ pub struct Shared {
 
 impl Shared {
     fn new(config: ServeConfig, service: Arc<dyn QueryService>) -> Shared {
-        let queue = ShardedQueue::new(config.workers.max(1), config.queue_capacity.max(1));
         Shared {
+            queue: BoundedQueue::new(config.queue_capacity),
             config,
-            queue,
             service,
             draining: AtomicBool::new(false),
             drain_requested: AtomicBool::new(false),
@@ -73,7 +72,7 @@ impl Shared {
         &self.service
     }
 
-    pub fn queue(&self) -> &ShardedQueue<Job> {
+    pub fn queue(&self) -> &BoundedQueue<Job> {
         &self.queue
     }
 
@@ -186,7 +185,7 @@ pub fn start(config: ServeConfig, service: Arc<dyn QueryService>) -> io::Result<
             let shared = Arc::clone(&shared);
             thread::Builder::new()
                 .name(format!("xserve-worker-{i}"))
-                .spawn(move || worker_loop(&shared, i))
+                .spawn(move || worker_loop(&shared))
         })
         .collect::<io::Result<Vec<_>>>()?;
 
@@ -253,12 +252,9 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Worker: pops its own shard until the queue closes and is empty.
-fn worker_loop(shared: &Arc<Shared>, shard: usize) {
-    let Some(q) = shared.queue.shard(shard) else {
-        return;
-    };
-    while let Some(job) = q.pop() {
+/// Worker: pops the shared queue until it closes and is empty.
+fn worker_loop(shared: &Arc<Shared>) {
+    while let Some(job) = shared.queue.pop() {
         shared.refresh_gauges();
         obs::histogram!("serve_queue_wait_nanos").observe_duration(job.admitted.elapsed());
         if Instant::now() >= job.deadline {

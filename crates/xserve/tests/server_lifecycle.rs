@@ -5,7 +5,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -232,6 +232,56 @@ fn saturated_queue_sheds_with_503_and_retry_after() {
     assert_eq!(handle.join(), 0);
 }
 
+// ------------------------------------------------------- work conservation
+
+/// Answers at once, except `long`: that reports it has reached a worker
+/// and then occupies it for 600 ms.
+struct LongQuery {
+    started: mpsc::SyncSender<()>,
+}
+
+impl QueryService for LongQuery {
+    fn answer(&self, query: &str) -> ServiceReply {
+        if query == "long" {
+            let _ = self.started.send(());
+            thread::sleep(Duration::from_millis(600));
+        }
+        ServiceReply {
+            status: 200,
+            body: format!("{{\"q\":{}}}", obs::metrics::json_string(query)),
+        }
+    }
+}
+
+/// With two workers and one of them busy, the other takes every queued
+/// request: nothing waits behind the long query while a worker sleeps.
+#[test]
+fn short_requests_are_not_queued_behind_a_long_one() {
+    let (started, long_started) = mpsc::sync_channel(1);
+    let handle = xserve::start(test_config(), Arc::new(LongQuery { started })).expect("start");
+    let addr = handle.addr();
+
+    let long = thread::spawn(move || get(addr, "/query?q=long").0);
+    long_started
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the long request reaches a worker");
+
+    let mut client = KeepAlive::connect(addr);
+    for i in 0..4 {
+        let sent = Instant::now();
+        let (status, body) = client.get(&format!("/query?q=short{i}"));
+        assert_eq!(status, 200, "{body}");
+        assert!(
+            sent.elapsed() < Duration::from_millis(300),
+            "short request {i} took {:?} with a worker idle",
+            sent.elapsed()
+        );
+    }
+    assert_eq!(long.join().expect("long client"), 200);
+    drop(client);
+    assert_eq!(handle.join(), 0);
+}
+
 // ---------------------------------------------------------------- draining
 
 #[test]
@@ -245,26 +295,37 @@ fn drain_completes_in_flight_requests() {
     .expect("start");
     let addr = handle.addr();
 
-    let worker = thread::spawn(move || {
-        let started = Instant::now();
-        let (status, _, body) = get(addr, "/query?q=inflight");
-        (status, body, started.elapsed())
-    });
-    // Let the request reach the queue, then drain underneath it.
-    thread::sleep(Duration::from_millis(100));
+    // Six clients on two workers: when the drain lands two requests are
+    // executing and four are still queued.
+    let clients: Vec<_> = (0..6)
+        .map(|i| {
+            thread::spawn(move || {
+                let started = Instant::now();
+                let (status, _, body) = get(addr, &format!("/query?q=inflight{i}"));
+                (status, body, started.elapsed())
+            })
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while handle.shared().queue().len() < 4 {
+        assert!(Instant::now() < deadline, "six requests never queued up");
+        thread::sleep(Duration::from_millis(1));
+    }
     handle.begin_drain();
     let stragglers = handle.join();
 
-    let (status, body, elapsed) = worker.join().expect("client");
-    assert_eq!(
-        status, 200,
-        "in-flight request must be answered, not dropped: {body}"
-    );
-    assert!(body.contains("inflight"), "{body}");
-    assert!(
-        elapsed >= Duration::from_millis(300),
-        "the answer really went through the slow worker"
-    );
+    for (i, client) in clients.into_iter().enumerate() {
+        let (status, body, elapsed) = client.join().expect("client");
+        assert_eq!(
+            status, 200,
+            "admitted request {i} must be answered, not dropped: {body}"
+        );
+        assert!(body.contains(&format!("inflight{i}")), "{body}");
+        assert!(
+            elapsed >= Duration::from_millis(300),
+            "the answer really went through the slow worker"
+        );
+    }
     assert_eq!(stragglers, 0, "drain left connections behind");
 
     // After the drain completes the listener is gone.

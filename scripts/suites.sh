@@ -13,15 +13,15 @@
 #   observability  obs invariants, differential oracles, tracer
 #                  well-nestedness, metrics-overhead bench
 #   ingest         streaming-vs-DOM ingest differential oracle (byte-
-#                  identical stores) + scanner fuzz sweep + a release-
-#                  mode medium-corpus ingest bench smoke
-#   serve          server lifecycle tests (shedding, drain, SIGTERM,
-#                  corruption-over-HTTP) + a short overload run of the
-#                  bench_serve load generator
+#                  identical stores) + scanner fuzz sweep
+#   serve          server lifecycle tests (work-conserving queue,
+#                  shedding, drain under load, SIGTERM, corruption-over-
+#                  HTTP)
 #   maintenance    online-maintenance guarantees: differential oracle
-#                  (incremental == from-scratch), full stride-1 power-
-#                  cut sweep of the updating store (release), live
-#                  updates over HTTP, and the update/read-tail bench
+#                  (incremental == from-scratch, by both builders), full
+#                  stride-1 power-cut sweep of the updating store
+#                  (release), readers not blocked by a commit in flight,
+#                  live updates over HTTP
 #   compress       the store format (compressed postings): property/fuzz
 #                  round-trips + corruption sweeps, and the stored-vs-
 #                  resident behavioural differential
@@ -63,29 +63,20 @@ suite_observability() {
 suite_ingest() {
     cargo test --release -q -p invindex --test ingest_differential
     cargo test -q -p xmldom --test scan_fuzz
-    INGEST_AUTHORS="${INGEST_AUTHORS:-20000}" \
-    INGEST_REPS="${INGEST_REPS:-1}" \
-        cargo run --release -q -p bench --bin bench_ingest
 }
 
 suite_serve() {
     cargo test -q -p xserve
     cargo test --release -q -p xserve --test server_lifecycle
-    cargo test --release -q -p bench --test percentile_prop
-    SERVE_BENCH_SECS="${SERVE_BENCH_SECS:-2}" \
-    SERVE_BENCH_FRACTION="${SERVE_BENCH_FRACTION:-0.02}" \
-        cargo run --release -q -p bench --bin bench_serve
 }
 
 suite_maintenance() {
     cargo test --release -q -p invindex --test maint_differential
     cargo test --release -q -p xrefine --test live_differential
+    cargo test --release -q -p xrefine --lib live::
     MAINT_TORTURE_STRIDE="${MAINT_TORTURE_STRIDE:-1}" \
         cargo test --release -q -p invindex --test maint_torture
     cargo test --release -q -p xserve --test live_updates
-    UPDATE_BENCH_SECS="${UPDATE_BENCH_SECS:-2}" \
-    UPDATE_BENCH_RECORDS="${UPDATE_BENCH_RECORDS:-150}" \
-        cargo run --release -q -p bench --bin bench_update
 }
 
 suite_compress() {
