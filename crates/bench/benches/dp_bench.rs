@@ -1,12 +1,14 @@
-//! Criterion bench: `getOptimalRQ` (§V) — the paper gives its complexity
-//! as `O(|Q|^2 log |R|)`; this bench sweeps query length and rule-set
-//! size to confirm the scaling.
+//! `getOptimalRQ` (§V) scaling: the paper gives its complexity as
+//! `O(|Q|^2 log |R|)`; this sweeps query length and rule-set size and
+//! prints the mean time per call. Run with `cargo bench -p bench`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use bench::{f3, time_ms, Table};
 use lexicon::{RefineOp, Rule, RuleSet, RuleSource};
 use std::collections::HashSet;
 use std::hint::black_box;
 use xrefine::{get_top_optimal_rqs, Query};
+
+const REPS: usize = 200;
 
 fn rule_set(n: usize) -> RuleSet {
     let mut rs = RuleSet::new();
@@ -22,31 +24,38 @@ fn rule_set(n: usize) -> RuleSet {
     rs
 }
 
-fn bench_dp(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dp_query_length");
-    for len in [2usize, 4, 8, 16] {
-        let q = Query::from_keywords((0..len).map(|i| format!("w{i}")));
-        let rules = rule_set(64);
-        let avail_set: HashSet<String> = (0..len).map(|i| format!("v{i}")).collect();
-        let avail = move |w: &str| avail_set.contains(w);
-        group.bench_with_input(BenchmarkId::from_parameter(len), &q, |b, q| {
-            b.iter(|| black_box(get_top_optimal_rqs(q, &avail, &rules, 4)))
-        });
-    }
-    group.finish();
-
-    let mut group = c.benchmark_group("dp_rule_count");
-    for n in [8usize, 64, 512] {
-        let q = Query::from_keywords((0..6).map(|i| format!("w{i}")));
-        let rules = rule_set(n);
-        let avail_set: HashSet<String> = (0..n).map(|i| format!("v{i}")).collect();
-        let avail = move |w: &str| avail_set.contains(w);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &q, |b, q| {
-            b.iter(|| black_box(get_top_optimal_rqs(q, &avail, &rules, 4)))
-        });
-    }
-    group.finish();
+/// Mean microseconds per `get_top_optimal_rqs` call on a `len`-keyword
+/// query whose every keyword has one applicable rule among `rules`.
+fn dp_us(len: usize, rules: usize) -> f64 {
+    let q = Query::from_keywords((0..len).map(|i| format!("w{i}")));
+    let rule_table = rule_set(rules);
+    let avail_set: HashSet<String> = (0..rules).map(|i| format!("v{i}")).collect();
+    let avail = |w: &str| avail_set.contains(w);
+    let call = || {
+        black_box(get_top_optimal_rqs(black_box(&q), &avail, &rule_table, 4));
+    };
+    time_ms(call, REPS) * 1000.0
 }
 
-criterion_group!(benches, bench_dp);
-criterion_main!(benches);
+fn main() {
+    let mut table = Table::new(&["sweep", "|Q|", "|R|", "us/call"]);
+    for len in [2usize, 4, 8, 16] {
+        let us = dp_us(len, 64);
+        table.row(vec![
+            "query_length".into(),
+            len.to_string(),
+            "64".into(),
+            f3(us),
+        ]);
+    }
+    for rules in [8usize, 64, 512] {
+        let us = dp_us(6, rules);
+        table.row(vec![
+            "rule_count".into(),
+            "6".into(),
+            rules.to_string(),
+            f3(us),
+        ]);
+    }
+    table.print();
+}

@@ -1,6 +1,6 @@
 //! `bench` — shared infrastructure for the table/figure regeneration
-//! binaries (one per experiment; see DESIGN.md §3) and the Criterion
-//! benches.
+//! binaries (one per experiment; see DESIGN.md §3) and the `dp_bench`
+//! timing main.
 
 use datagen::{generate_baseball, generate_dblp, BaseballConfig, DblpConfig};
 use std::sync::Arc;

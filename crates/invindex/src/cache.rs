@@ -36,7 +36,7 @@
 //! unchanged entries keep serving every generation.
 
 use crate::postings::PostingList;
-use parking_lot::Mutex;
+use obs::sync::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

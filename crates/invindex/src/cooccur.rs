@@ -12,7 +12,7 @@
 
 use crate::reader::{typed_ancestors_in, IndexReader};
 use crate::stats::KeywordId;
-use parking_lot::Mutex;
+use obs::sync::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use xmldom::{Dewey, NodeTypeId};

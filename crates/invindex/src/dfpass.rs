@@ -64,12 +64,12 @@ pub(crate) fn compute_tf_df(
     }
     let kw_chunk = kw_count.div_ceil(threads).max(1);
     let mut partials: Vec<FreqMaps> = Vec::new();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let mut handles = Vec::new();
         let prefixes_ref = &prefixes;
         for start in (0..kw_count).step_by(kw_chunk) {
             let end = (start + kw_chunk).min(kw_count);
-            handles.push(s.spawn(move |_| {
+            handles.push(s.spawn(move || {
                 let mut tf = HashMap::new();
                 let mut df = HashMap::new();
                 stats_range(
@@ -88,8 +88,7 @@ pub(crate) fn compute_tf_df(
         for h in handles {
             partials.push(h.join().expect("stats worker panicked"));
         }
-    })
-    .expect("crossbeam scope");
+    });
 
     // Workers own disjoint keyword ranges, so the key sets are disjoint.
     let (mut tf, mut df) = partials.pop().unwrap_or_default();

@@ -55,7 +55,7 @@ use crate::persist;
 use crate::postings::{read_varint, write_varint};
 use crate::stream::build_streaming;
 use kvstore::{BatchOp, DiskKv, DurableKv, KvError, KvStore, MemKv, Result, StdVfs, Vfs};
-use parking_lot::Mutex;
+use obs::sync::Mutex;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;

@@ -307,13 +307,13 @@ pub fn build_streaming(xml: &str, threads: usize) -> Result<Index, ScanError> {
         }
     } else {
         let next = std::sync::atomic::AtomicUsize::new(0);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, ChunkOut)>(threads);
             let (ranges, next) = (&ranges, &next);
             let (nodes, texts, text_start) = (&nodes, &texts, &text_start);
             for _ in 0..threads.min(ranges.len()) {
                 let tx = tx.clone();
-                s.spawn(move |_| loop {
+                s.spawn(move || loop {
                     let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     let Some(&(lo, hi)) = ranges.get(i) else {
                         break;
@@ -339,8 +339,7 @@ pub fn build_streaming(xml: &str, threads: usize) -> Result<Index, ScanError> {
                     merge_spent += t_merge.elapsed();
                 }
             }
-        })
-        .expect("crossbeam scope");
+        });
     }
     let MergeState {
         mut builder,

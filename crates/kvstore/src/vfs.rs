@@ -31,7 +31,7 @@
 
 use crate::error::{KvError, Result};
 use crate::fsutil;
-use parking_lot::Mutex;
+use obs::sync::Mutex;
 use std::collections::HashMap;
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};

@@ -3,7 +3,7 @@
 //! deletes, lookups and range scans.
 
 use kvstore::{KvStore, MemKv, MemTreeKv};
-use proptest::prelude::*;
+use xcheck::prop::{check, Gen};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -14,73 +14,82 @@ enum Op {
     ScanRange(Vec<u8>, Option<Vec<u8>>),
 }
 
-fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
+fn key(g: &mut Gen) -> Vec<u8> {
     // Small alphabet so operations collide often.
-    proptest::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c')], 0..6)
+    g.vec(0..6, |g| g.pick(b"abc"))
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (
-            key_strategy(),
-            proptest::collection::vec(any::<u8>(), 0..64)
-        )
-            .prop_map(|(k, v)| Op::Put(k, v)),
-        key_strategy().prop_map(Op::Delete),
-        key_strategy().prop_map(Op::Get),
-        key_strategy().prop_map(Op::ScanPrefix),
-        (key_strategy(), proptest::option::of(key_strategy()))
-            .prop_map(|(s, e)| Op::ScanRange(s, e)),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn btree_matches_btreemap_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        let mut model = MemKv::new();
-        let mut tree = MemTreeKv::new().unwrap();
-        for op in ops {
-            match op {
-                Op::Put(k, v) => {
-                    model.put(&k, &v).unwrap();
-                    tree.put(&k, &v).unwrap();
-                }
-                Op::Delete(k) => {
-                    prop_assert_eq!(model.delete(&k).unwrap(), tree.delete(&k).unwrap());
-                }
-                Op::Get(k) => {
-                    prop_assert_eq!(model.get(&k).unwrap(), tree.get(&k).unwrap());
-                }
-                Op::ScanPrefix(p) => {
-                    prop_assert_eq!(model.scan_prefix(&p).unwrap(), tree.scan_prefix(&p).unwrap());
-                }
-                Op::ScanRange(s, e) => {
-                    prop_assert_eq!(
-                        model.scan_range(&s, e.as_deref()).unwrap(),
-                        tree.scan_range(&s, e.as_deref()).unwrap()
-                    );
-                }
-            }
-            prop_assert_eq!(model.len(), tree.len());
-        }
+fn op(g: &mut Gen) -> Op {
+    match g.range(0u32..5) {
+        0 => Op::Put(key(g), g.vec(0..64, Gen::any::<u8>)),
+        1 => Op::Delete(key(g)),
+        2 => Op::Get(key(g)),
+        3 => Op::ScanPrefix(key(g)),
+        _ => Op::ScanRange(key(g), g.bool().then(|| key(g))),
     }
+}
 
-    #[test]
-    fn btree_handles_bulk_then_scan(keys in proptest::collection::btree_set(
-        proptest::collection::vec(any::<u8>(), 1..32), 1..300))
-    {
+fn apply(ops: Vec<Op>) {
+    let mut model = MemKv::new();
+    let mut tree = MemTreeKv::new().unwrap();
+    for op in ops {
+        match op {
+            Op::Put(k, v) => {
+                model.put(&k, &v).unwrap();
+                tree.put(&k, &v).unwrap();
+            }
+            Op::Delete(k) => {
+                assert_eq!(model.delete(&k).unwrap(), tree.delete(&k).unwrap());
+            }
+            Op::Get(k) => {
+                assert_eq!(model.get(&k).unwrap(), tree.get(&k).unwrap());
+            }
+            Op::ScanPrefix(p) => {
+                assert_eq!(
+                    model.scan_prefix(&p).unwrap(),
+                    tree.scan_prefix(&p).unwrap()
+                );
+            }
+            Op::ScanRange(s, e) => {
+                assert_eq!(
+                    model.scan_range(&s, e.as_deref()).unwrap(),
+                    tree.scan_range(&s, e.as_deref()).unwrap()
+                );
+            }
+        }
+        assert_eq!(model.len(), tree.len());
+    }
+}
+
+#[test]
+fn btree_matches_btreemap_model() {
+    check(64, |g| apply(g.vec(1..200, op)));
+}
+
+/// The case the retired proptest regression file pinned: a range scan
+/// whose end bound (empty) sorts before its start.
+#[test]
+fn btree_matches_model_on_an_inverted_scan_range() {
+    apply(vec![
+        Op::Put(vec![], vec![]),
+        Op::ScanRange(vec![b'a'], Some(vec![])),
+    ]);
+}
+
+#[test]
+fn btree_handles_bulk_then_scan() {
+    check(64, |g| {
+        let keys = g.btree_set(1..300, |g| g.vec(1..32, Gen::any::<u8>));
         let mut tree = MemTreeKv::new().unwrap();
         for (i, k) in keys.iter().enumerate() {
             tree.put(k, &i.to_le_bytes()).unwrap();
         }
         let scanned = tree.scan_range(&[], None).unwrap();
-        prop_assert_eq!(scanned.len(), keys.len());
+        assert_eq!(scanned.len(), keys.len());
         let scanned_keys: Vec<&[u8]> = scanned.iter().map(|(k, _)| k.as_slice()).collect();
         let model_keys: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-        prop_assert_eq!(scanned_keys, model_keys);
-    }
+        assert_eq!(scanned_keys, model_keys);
+    });
 }
 
 #[derive(Debug, Clone)]
@@ -91,25 +100,21 @@ enum DurableOp {
     Reopen,
 }
 
-fn durable_op_strategy() -> impl Strategy<Value = DurableOp> {
-    prop_oneof![
-        4 => (key_strategy(), proptest::collection::vec(any::<u8>(), 0..32))
-            .prop_map(|(k, v)| DurableOp::Put(k, v)),
-        2 => key_strategy().prop_map(DurableOp::Delete),
-        1 => Just(DurableOp::Checkpoint),
-        1 => Just(DurableOp::Reopen),
-    ]
+fn durable_op(g: &mut Gen) -> DurableOp {
+    match g.weighted(&[4, 2, 1, 1]) {
+        0 => DurableOp::Put(key(g), g.vec(0..32, Gen::any::<u8>)),
+        1 => DurableOp::Delete(key(g)),
+        2 => DurableOp::Checkpoint,
+        _ => DurableOp::Reopen,
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn durable_store_matches_model_across_reopens(
-        ops in proptest::collection::vec(durable_op_strategy(), 1..60),
-        case_id in any::<u64>(),
-    ) {
-        use kvstore::DurableKv;
+#[test]
+fn durable_store_matches_model_across_reopens() {
+    use kvstore::DurableKv;
+    check(24, |g| {
+        let ops = g.vec(1..60, durable_op);
+        let case_id: u64 = g.any();
         let dir = std::env::temp_dir().join(format!("durable_prop_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let base = dir.join(format!("case_{case_id}"));
@@ -125,7 +130,7 @@ proptest! {
                     store.put(&k, &v).unwrap();
                 }
                 DurableOp::Delete(k) => {
-                    prop_assert_eq!(model.delete(&k).unwrap(), store.delete(&k).unwrap());
+                    assert_eq!(model.delete(&k).unwrap(), store.delete(&k).unwrap());
                 }
                 DurableOp::Checkpoint => store.checkpoint().unwrap(),
                 DurableOp::Reopen => {
@@ -133,16 +138,16 @@ proptest! {
                     store = DurableKv::open(&base).unwrap();
                 }
             }
-            prop_assert_eq!(model.len(), store.len());
+            assert_eq!(model.len(), store.len());
         }
         // final full-state comparison (after one more recovery)
         drop(store);
         let store = DurableKv::open(&base).unwrap();
-        prop_assert_eq!(
+        assert_eq!(
             model.scan_range(&[], None).unwrap(),
             store.scan_range(&[], None).unwrap()
         );
         let _ = std::fs::remove_file(base.with_extension("db"));
         let _ = std::fs::remove_file(base.with_extension("wal"));
-    }
+    });
 }

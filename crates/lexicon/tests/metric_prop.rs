@@ -5,80 +5,95 @@ use lexicon::{
     damerau_levenshtein, generate_rules, levenshtein, porter_stem, within_distance, AcronymTable,
     RuleGenConfig, Thesaurus, VocabIndex,
 };
-use proptest::prelude::*;
+use std::ops::RangeInclusive;
+use xcheck::prop::{check, Gen};
 
-fn word() -> impl Strategy<Value = String> {
-    "[a-z]{0,10}"
+/// `[a-z]{len}`
+fn lowercase(g: &mut Gen, len: RangeInclusive<usize>) -> String {
+    g.string(len, |g| g.char_in('a'..='z'))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+fn word(g: &mut Gen) -> String {
+    lowercase(g, 0..=10)
+}
 
-    #[test]
-    fn levenshtein_is_a_metric(a in word(), b in word(), c in word()) {
+#[test]
+fn levenshtein_is_a_metric() {
+    check(256, |g| {
+        let (a, b, c) = (word(g), word(g), word(g));
         // identity
-        prop_assert_eq!(levenshtein(&a, &a), 0);
-        prop_assert_eq!(levenshtein(&a, &b) == 0, a == b);
+        assert_eq!(levenshtein(&a, &a), 0);
+        assert_eq!(levenshtein(&a, &b) == 0, a == b);
         // symmetry
-        prop_assert_eq!(levenshtein(&a, &b), levenshtein(&b, &a));
+        assert_eq!(levenshtein(&a, &b), levenshtein(&b, &a));
         // triangle inequality
-        prop_assert!(levenshtein(&a, &c) <= levenshtein(&a, &b) + levenshtein(&b, &c));
+        assert!(levenshtein(&a, &c) <= levenshtein(&a, &b) + levenshtein(&b, &c));
         // bounded by longer length
-        prop_assert!(levenshtein(&a, &b) <= a.len().max(b.len()));
-    }
+        assert!(levenshtein(&a, &b) <= a.len().max(b.len()));
+    });
+}
 
-    #[test]
-    fn damerau_is_symmetric_and_bounded_by_levenshtein(a in word(), b in word()) {
+#[test]
+fn damerau_is_symmetric_and_bounded_by_levenshtein() {
+    check(256, |g| {
+        let (a, b) = (word(g), word(g));
         let d = damerau_levenshtein(&a, &b);
-        prop_assert_eq!(d, damerau_levenshtein(&b, &a));
-        prop_assert!(d <= levenshtein(&a, &b));
+        assert_eq!(d, damerau_levenshtein(&b, &a));
+        assert!(d <= levenshtein(&a, &b));
         // length difference is a lower bound
-        prop_assert!(d >= a.chars().count().abs_diff(b.chars().count()));
-    }
+        assert!(d >= a.chars().count().abs_diff(b.chars().count()));
+    });
+}
 
-    #[test]
-    fn within_distance_is_consistent(a in word(), b in word(), max in 0usize..4) {
+#[test]
+fn within_distance_is_consistent() {
+    check(256, |g| {
+        let (a, b, max) = (word(g), word(g), g.range(0usize..4));
         match within_distance(&a, &b, max) {
             Some(d) => {
-                prop_assert!(d <= max);
-                prop_assert_eq!(d, damerau_levenshtein(&a, &b));
+                assert!(d <= max);
+                assert_eq!(d, damerau_levenshtein(&a, &b));
             }
-            None => prop_assert!(damerau_levenshtein(&a, &b) > max),
+            None => assert!(damerau_levenshtein(&a, &b) > max),
         }
-    }
+    });
+}
 
-    #[test]
-    fn single_edits_are_distance_one(a in "[a-z]{2,8}", pos_seed in any::<usize>()) {
+#[test]
+fn single_edits_are_distance_one() {
+    check(256, |g| {
+        let a = lowercase(g, 2..=8);
         let chars: Vec<char> = a.chars().collect();
-        let pos = pos_seed % chars.len();
+        let pos = g.range(0..chars.len());
         // deletion
         let mut del: Vec<char> = chars.clone();
         del.remove(pos);
         let del: String = del.into_iter().collect();
-        prop_assert_eq!(damerau_levenshtein(&a, &del), 1);
+        assert_eq!(damerau_levenshtein(&a, &del), 1);
         // substitution with a guaranteed-different char
         let mut sub = chars.clone();
         sub[pos] = if sub[pos] == 'z' { 'a' } else { 'z' };
-        let changed = sub != chars;
         let sub: String = sub.into_iter().collect();
-        if changed {
-            prop_assert_eq!(damerau_levenshtein(&a, &sub), 1);
-        }
-    }
+        assert_eq!(damerau_levenshtein(&a, &sub), 1);
+    });
+}
 
-    #[test]
-    fn porter_stem_never_grows_lowercase_ascii_words(a in "[a-z]{3,12}") {
+#[test]
+fn porter_stem_never_grows_lowercase_ascii_words() {
+    check(256, |g| {
+        let a = lowercase(g, 3..=12);
         let s = porter_stem(&a);
-        prop_assert!(s.len() <= a.len());
-        prop_assert!(!s.is_empty());
-        prop_assert!(s.bytes().all(|b| b.is_ascii_lowercase()));
-    }
+        assert!(s.len() <= a.len());
+        assert!(!s.is_empty());
+        assert!(s.bytes().all(|b| b.is_ascii_lowercase()));
+    });
+}
 
-    #[test]
-    fn generated_rules_are_sound(
-        query in proptest::collection::vec("[a-z]{2,8}", 1..4),
-        vocab_words in proptest::collection::btree_set("[a-z]{2,8}", 1..12),
-    ) {
+#[test]
+fn generated_rules_are_sound() {
+    check(256, |g| {
+        let query = g.vec(1..4, |g| lowercase(g, 2..=8));
+        let vocab_words = g.btree_set(1..12, |g| lowercase(g, 2..=8));
         let vocab = VocabIndex::new(vocab_words.iter().cloned());
         let rules = generate_rules(
             &query,
@@ -90,16 +105,16 @@ proptest! {
         for (_, r) in rules.iter() {
             // every RHS keyword must exist in the data
             for w in &r.rhs {
-                prop_assert!(vocab.contains(w), "rule {} has non-vocab RHS", r);
+                assert!(vocab.contains(w), "rule {r} has non-vocab RHS");
             }
             // every LHS is a contiguous subsequence of the query
             let l = r.lhs.len();
-            let found = (0..query.len().saturating_sub(l - 1))
-                .any(|i| query[i..i + l] == r.lhs[..]);
-            prop_assert!(found, "rule {} LHS not in query {:?}", r, query);
+            let found =
+                (0..query.len().saturating_sub(l - 1)).any(|i| query[i..i + l] == r.lhs[..]);
+            assert!(found, "rule {r} LHS not in query {query:?}");
             // scores are positive and below the deletion cost ceiling for
             // merge/split (the paper's ordering principle)
-            prop_assert!(r.dissimilarity > 0.0);
+            assert!(r.dissimilarity > 0.0);
         }
-    }
+    });
 }

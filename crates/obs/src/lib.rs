@@ -12,11 +12,15 @@
 //!   call [`trace::span`]/[`trace::event`]/[`trace::count`] which are no-ops
 //!   unless a capture is active on the calling thread.
 //!
+//! Beside them, [`lockrank`] checks the lock hierarchy at run time and
+//! [`sync`] holds the one `Mutex` (and poison policy) the ranked locks use.
+//!
 //! The crate is `std`-only by design: it sits below `kvstore` in the
 //! dependency order so every layer of the system can use it.
 
 pub mod lockrank;
 pub mod metrics;
+pub mod sync;
 pub mod trace;
 
 pub use metrics::{

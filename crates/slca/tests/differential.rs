@@ -6,9 +6,10 @@
 //! corpora, and the allocation-free `closest_match` is micro-checked
 //! against its previous (cloning) definition.
 //!
-//! These are deliberately plain `#[test]` loops over seeded corpora rather
-//! than proptest properties: the cases must actually execute, with a case
-//! count (>= 500 per property) this suite can state in its assertions.
+//! These are deliberately plain `#[test]` loops over `datagen`'s seeded
+//! corpora rather than `xcheck::prop` properties: the corpora are the
+//! ones the rest of the workspace is built on, and the case count
+//! (>= 500 per property) is one this suite states in its assertions.
 
 use datagen::{random_dewey_corpus, DeweyCorpusConfig};
 use invindex::Posting;

@@ -2,76 +2,68 @@
 //! brute-force reference on arbitrary document-ordered posting lists.
 
 use invindex::Posting;
-use proptest::prelude::*;
 use slca::{
     slca_brute_force, slca_indexed_lookup_eager, slca_multiway, slca_scan_eager, slca_stack,
 };
+use xcheck::prop::{check, Gen};
 use xmldom::{Dewey, NodeTypeId};
 
-/// Random Dewey label with small fanout/depth so collisions, nestings and
-/// shared prefixes are frequent.
-fn dewey_strategy() -> impl Strategy<Value = Dewey> {
-    proptest::collection::vec(0u32..3, 0..5).prop_map(|mut tail| {
-        let mut comps = vec![0u32];
-        comps.append(&mut tail);
-        Dewey::new(comps).expect("non-empty")
-    })
+/// Random Dewey components with small fanout/depth so collisions,
+/// nestings and shared prefixes are frequent.
+fn dewey_components(g: &mut Gen) -> Vec<u32> {
+    let mut comps = vec![0u32];
+    comps.extend(g.vec(0..5, |g| g.range(0u32..3)));
+    comps
 }
 
-fn list_strategy() -> impl Strategy<Value = Vec<Posting>> {
-    proptest::collection::btree_set(
-        dewey_strategy().prop_map(|d| d.components().to_vec()),
-        1..12,
-    )
-    .prop_map(|set| {
-        set.into_iter()
-            .map(|c| Posting::new(Dewey::new(c).unwrap(), NodeTypeId(0)))
-            .collect()
-    })
+fn list(g: &mut Gen) -> Vec<Posting> {
+    g.btree_set(1..12, dewey_components)
+        .into_iter()
+        .map(|c| Posting::new(Dewey::new(c).unwrap(), NodeTypeId(0)))
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    #[test]
-    fn all_algorithms_agree_with_brute_force(
-        lists in proptest::collection::vec(list_strategy(), 1..4)
-    ) {
+#[test]
+fn all_algorithms_agree_with_brute_force() {
+    check(512, |g| {
+        let lists = g.vec(1..4, list);
         let refs: Vec<&[Posting]> = lists.iter().map(|l| l.as_slice()).collect();
         let expected = slca_brute_force(&refs);
-        prop_assert_eq!(slca_stack(&refs), expected.clone(), "stack");
-        prop_assert_eq!(slca_scan_eager(&refs), expected.clone(), "scan-eager");
-        prop_assert_eq!(slca_indexed_lookup_eager(&refs), expected.clone(), "ile");
-        prop_assert_eq!(slca_multiway(&refs), expected, "multiway");
-    }
+        assert_eq!(slca_stack(&refs), expected, "stack");
+        assert_eq!(slca_scan_eager(&refs), expected, "scan-eager");
+        assert_eq!(slca_indexed_lookup_eager(&refs), expected, "ile");
+        assert_eq!(slca_multiway(&refs), expected, "multiway");
+    });
+}
 
-    #[test]
-    fn slca_results_are_antichain_and_cover_all_keywords(
-        lists in proptest::collection::vec(list_strategy(), 1..4)
-    ) {
+#[test]
+fn slca_results_are_antichain_and_cover_all_keywords() {
+    check(512, |g| {
+        let lists = g.vec(1..4, list);
         let refs: Vec<&[Posting]> = lists.iter().map(|l| l.as_slice()).collect();
         let result = slca_stack(&refs);
         // antichain: no result is an ancestor of another
         for a in &result {
             for b in &result {
-                prop_assert!(!(a != b && a.is_ancestor_of(b)));
+                assert!(!(a != b && a.is_ancestor_of(b)));
             }
         }
         // soundness: every result's subtree contains a match of every list
         for r in &result {
             for list in &refs {
-                prop_assert!(
+                assert!(
                     list.iter().any(|p| r.is_ancestor_or_self_of(&p.dewey)),
-                    "result {} misses a keyword", r
+                    "result {r} misses a keyword"
                 );
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn lemma1_subset_queries_keep_results(
-        lists in proptest::collection::vec(list_strategy(), 2..4)
-    ) {
+#[test]
+fn lemma1_subset_queries_keep_results() {
+    check(512, |g| {
+        let lists = g.vec(2..4, list);
         // Lemma 1: if a keyword superset has an SLCA, every subset has one.
         let refs: Vec<&[Posting]> = lists.iter().map(|l| l.as_slice()).collect();
         let full = slca_stack(&refs);
@@ -83,29 +75,26 @@ proptest! {
                     .filter(|(i, _)| *i != skip)
                     .map(|(_, l)| *l)
                     .collect();
-                prop_assert!(!slca_stack(&subset).is_empty());
+                assert!(!slca_stack(&subset).is_empty());
             }
         }
-    }
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn elca_agrees_with_reference_and_contains_slca(
-        lists in proptest::collection::vec(list_strategy(), 1..4)
-    ) {
-        use slca::{elca, elca_brute_force, slca_via_elca};
+#[test]
+fn elca_agrees_with_reference_and_contains_slca() {
+    use slca::{elca, elca_brute_force, slca_via_elca};
+    check(256, |g| {
+        let lists = g.vec(1..4, list);
         let refs: Vec<&[Posting]> = lists.iter().map(|l| l.as_slice()).collect();
         let fast = elca(&refs);
         let slow = elca_brute_force(&refs);
-        prop_assert_eq!(&fast, &slow);
+        assert_eq!(fast, slow);
         // ELCA ⊇ SLCA, and minimal(ELCA) == SLCA
         let slca = slca_brute_force(&refs);
         for s in &slca {
-            prop_assert!(fast.contains(s), "SLCA {} missing from ELCA", s);
+            assert!(fast.contains(s), "SLCA {s} missing from ELCA");
         }
-        prop_assert_eq!(slca_via_elca(&refs), slca);
-    }
+        assert_eq!(slca_via_elca(&refs), slca);
+    });
 }

@@ -19,8 +19,14 @@
 //! patterns in this workspace, each with a seeded-bug variant the
 //! checker must catch; DESIGN.md §6c maps each model to its production
 //! counterpart.
+//!
+//! [`prop`] is the workspace's property-test runner. It lives here
+//! because it is the same technique pointed at data instead of
+//! schedules: record the choices a run makes, replay edited choice
+//! streams, keep the smallest one that still fails.
 
 pub mod models;
+pub mod prop;
 pub mod sched;
 pub mod shim;
 

@@ -1,10 +1,10 @@
 //! Property tests for the XML substrate: parser round-trips, Dewey
 //! algebra laws, and tokenizer invariants.
 
-use proptest::prelude::*;
+use xcheck::prop::{check, Gen};
 use xmldom::{parse_document, tokenize, Dewey, DocumentBuilder};
 
-/// Strategy: a random tree shape encoded as nested (tag, text, children).
+/// A random tree shape encoded as nested (tag, text, children).
 #[derive(Debug, Clone)]
 struct TreeSpec {
     tag: String,
@@ -12,44 +12,36 @@ struct TreeSpec {
     children: Vec<TreeSpec>,
 }
 
-fn tag_strategy() -> impl Strategy<Value = String> {
-    "[a-z][a-z0-9]{0,6}"
+/// `[a-z][a-z0-9]{0,6}`
+fn tag(g: &mut Gen) -> String {
+    let mut tag = String::from(g.char_in('a'..='z'));
+    tag.extend(g.vec(0..=6, |g| {
+        if g.weighted(&[26, 10]) == 0 {
+            g.char_in('a'..='z')
+        } else {
+            g.char_in('0'..='9')
+        }
+    }));
+    tag
 }
 
-fn text_strategy() -> impl Strategy<Value = String> {
+fn text(g: &mut Gen) -> String {
     // Includes XML-hostile characters to exercise escaping.
-    proptest::collection::vec(
-        prop_oneof![
-            Just("word".to_string()),
-            Just("x<y".to_string()),
-            Just("a&b".to_string()),
-            Just("\"q\"".to_string()),
-            Just("ünïcode".to_string()),
-            Just("2003".to_string()),
-        ],
-        0..3,
-    )
-    .prop_map(|v| v.join(" "))
+    const WORDS: [&str; 6] = ["word", "x<y", "a&b", "\"q\"", "ünïcode", "2003"];
+    g.vec(0..3, |g| g.pick(&WORDS)).join(" ")
 }
 
-fn tree_strategy() -> impl Strategy<Value = TreeSpec> {
-    let leaf = (tag_strategy(), text_strategy()).prop_map(|(tag, text)| TreeSpec {
-        tag,
-        text,
-        children: Vec::new(),
-    });
-    leaf.prop_recursive(3, 24, 4, |inner| {
-        (
-            tag_strategy(),
-            text_strategy(),
-            proptest::collection::vec(inner, 0..4),
-        )
-            .prop_map(|(tag, text, children)| TreeSpec {
-                tag,
-                text,
-                children,
-            })
-    })
+/// At most `depth` levels below this node, at most three children each.
+fn tree(g: &mut Gen, depth: u32) -> TreeSpec {
+    TreeSpec {
+        tag: tag(g),
+        text: text(g),
+        children: if depth > 0 && g.bool() {
+            g.vec(0..4, |g| tree(g, depth - 1))
+        } else {
+            Vec::new()
+        },
+    }
 }
 
 fn build(spec: &TreeSpec, b: &mut DocumentBuilder) {
@@ -63,94 +55,94 @@ fn build(spec: &TreeSpec, b: &mut DocumentBuilder) {
     b.close_element();
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+fn dewey(g: &mut Gen) -> Dewey {
+    let mut comps = vec![0];
+    comps.extend(g.vec(0..5, |g| g.range(0u32..4)));
+    Dewey::new(comps).unwrap()
+}
 
-    #[test]
-    fn render_parse_roundtrip_preserves_structure(spec in tree_strategy()) {
+#[test]
+fn render_parse_roundtrip_preserves_structure() {
+    check(128, |g| {
+        let spec = tree(g, 3);
         let mut b = DocumentBuilder::new();
         build(&spec, &mut b);
         let doc = b.finish();
         let xml = doc.to_xml();
         let doc2 = parse_document(&xml).unwrap();
-        prop_assert_eq!(doc.len(), doc2.len());
+        assert_eq!(doc.len(), doc2.len());
         for ((_, a), (id2, b2)) in doc.nodes().zip(doc2.nodes()) {
-            prop_assert_eq!(&a.dewey, &b2.dewey);
-            prop_assert_eq!(
-                doc.symbols().resolve(a.tag),
-                doc2.tag_name(id2)
-            );
+            assert_eq!(a.dewey, b2.dewey);
+            assert_eq!(doc.symbols().resolve(a.tag), doc2.tag_name(id2));
             // text survives modulo whitespace normalization
-            prop_assert_eq!(
-                tokenize(&a.text),
-                tokenize(&b2.text)
-            );
+            assert_eq!(tokenize(&a.text), tokenize(&b2.text));
         }
-    }
+    });
+}
 
-    #[test]
-    fn dewey_lca_laws(
-        a in proptest::collection::vec(0u32..4, 0..5),
-        b in proptest::collection::vec(0u32..4, 0..5),
-    ) {
-        let mk = |mut v: Vec<u32>| { let mut c = vec![0]; c.append(&mut v); Dewey::new(c).unwrap() };
-        let x = mk(a);
-        let y = mk(b);
+#[test]
+fn dewey_lca_laws() {
+    check(128, |g| {
+        let (x, y) = (dewey(g), dewey(g));
         let l = x.lca(&y).unwrap();
         // commutative
-        prop_assert_eq!(&l, &y.lca(&x).unwrap());
+        assert_eq!(l, y.lca(&x).unwrap());
         // the LCA is an ancestor-or-self of both
-        prop_assert!(l.is_ancestor_or_self_of(&x));
-        prop_assert!(l.is_ancestor_or_self_of(&y));
+        assert!(l.is_ancestor_or_self_of(&x));
+        assert!(l.is_ancestor_or_self_of(&y));
         // idempotent
-        prop_assert_eq!(&x.lca(&x).unwrap(), &x);
+        assert_eq!(x.lca(&x).unwrap(), x);
         // deepest: the LCA's child toward x is not an ancestor of y
         if l != x && l != y {
             let next = Dewey::new(x.components()[..l.len() + 1].to_vec()).unwrap();
-            prop_assert!(!next.is_ancestor_or_self_of(&y));
+            assert!(!next.is_ancestor_or_self_of(&y));
         }
         // order-preserving byte encoding agrees with component order
-        prop_assert_eq!(
-            x.to_order_preserving_bytes().cmp(&y.to_order_preserving_bytes()),
+        assert_eq!(
+            x.to_order_preserving_bytes()
+                .cmp(&y.to_order_preserving_bytes()),
             x.cmp(&y)
         );
-    }
+    });
+}
 
-    #[test]
-    fn tokenizer_is_idempotent_and_lowercase(s in "\\PC{0,40}") {
+#[test]
+fn tokenizer_is_idempotent_and_lowercase() {
+    check(128, |g| {
+        let s = g.string(0..=40, Gen::printable_char);
         let once = tokenize(&s);
         let again = tokenize(&once.join(" "));
-        prop_assert_eq!(&once, &again);
+        assert_eq!(once, again);
         for t in &once {
-            prop_assert!(!t.is_empty());
-            prop_assert!(t.chars().all(|c| c.is_alphanumeric()));
-            prop_assert_eq!(t.to_lowercase(), t.clone());
+            assert!(!t.is_empty());
+            assert!(t.chars().all(|c| c.is_alphanumeric()));
+            assert_eq!(t.to_lowercase(), *t);
         }
-    }
+    });
+}
 
-    #[test]
-    fn parser_never_panics_on_arbitrary_input(s in "\\PC{0,120}") {
-        let _ = parse_document(&s);
-    }
+#[test]
+fn parser_never_panics_on_arbitrary_input() {
+    check(128, |g| {
+        let _ = parse_document(&g.string(0..=120, Gen::printable_char));
+    });
+}
 
-    #[test]
-    fn parser_never_panics_on_tag_soup(
-        parts in proptest::collection::vec(
-            prop_oneof![
-                Just("<a>".to_string()),
-                Just("</a>".to_string()),
-                Just("<b x='1'>".to_string()),
-                Just("text".to_string()),
-                Just("<!-- c -->".to_string()),
-                Just("<![CDATA[d]]>".to_string()),
-                Just("&amp;".to_string()),
-                Just("<?pi?>".to_string()),
-                Just("</".to_string()),
-                Just("<".to_string()),
-            ],
-            0..12
-        )
-    ) {
-        let _ = parse_document(&parts.concat());
-    }
+#[test]
+fn parser_never_panics_on_tag_soup() {
+    const PARTS: [&str; 10] = [
+        "<a>",
+        "</a>",
+        "<b x='1'>",
+        "text",
+        "<!-- c -->",
+        "<![CDATA[d]]>",
+        "&amp;",
+        "<?pi?>",
+        "</",
+        "<",
+    ];
+    check(128, |g| {
+        let _ = parse_document(&g.vec(0..12, |g| g.pick(&PARTS)).concat());
+    });
 }

@@ -21,17 +21,18 @@ use crate::engine::{EngineConfig, XRefineEngine};
 use invindex::maint::{MaintIndex, MaintOp, MaintReport};
 use kvstore::{Result, Vfs};
 use obs::lockrank;
+use obs::sync::Mutex;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// An updatable engine over a maintained store.
 pub struct LiveEngine {
     maint: MaintIndex,
     config: EngineConfig,
-    /// Generation-stamped published engine. A plain `std` mutex held
-    /// only for pointer reads and guarded swaps; poisoning is harmless
-    /// (the protected state is a complete, immutable snapshot pair) so
-    /// a poisoned lock is recovered, not propagated.
+    /// Generation-stamped published engine, held only for pointer reads
+    /// and guarded swaps: the protected state is a complete, immutable
+    /// snapshot pair at every step, which is what `obs::sync`'s
+    /// recover-on-poison policy requires.
     engine: Mutex<(u64, Arc<XRefineEngine>)>,
 }
 
@@ -64,14 +65,14 @@ impl LiveEngine {
     /// number of subsequent commits.
     pub fn engine(&self) -> Arc<XRefineEngine> {
         let _rank = lockrank::acquire(lockrank::rank::ENGINE_EPOCH, "engine.epoch");
-        let slot = self.engine.lock().unwrap_or_else(|e| e.into_inner());
+        let slot = self.engine.lock();
         Arc::clone(&slot.1)
     }
 
     /// Generation of the currently published engine.
     pub fn generation(&self) -> u64 {
         let _rank = lockrank::acquire(lockrank::rank::ENGINE_EPOCH, "engine.epoch");
-        self.engine.lock().unwrap_or_else(|e| e.into_inner()).0
+        self.engine.lock().0
     }
 
     /// Commits a maintenance transaction and republishes the engine.
@@ -103,7 +104,7 @@ impl LiveEngine {
         let gen = snap.generation();
         let fresh = Arc::new(XRefineEngine::from_reader(snap, self.config.clone()));
         let _rank = lockrank::acquire(lockrank::rank::ENGINE_EPOCH, "engine.epoch");
-        let mut slot = self.engine.lock().unwrap_or_else(|e| e.into_inner());
+        let mut slot = self.engine.lock();
         if gen > slot.0 {
             *slot = (gen, fresh);
         }
@@ -230,7 +231,7 @@ mod tests {
         fn sync_data(&self) -> Result<()> {
             if self.gate.armed.swap(false, Ordering::SeqCst) {
                 self.gate.parked.send(()).expect("test is waiting");
-                let release = self.gate.release.lock().expect("gate lock");
+                let release = self.gate.release.lock();
                 release.recv().expect("test opens the gate");
             }
             self.inner.sync_data()

@@ -2,9 +2,10 @@
 //! small instances (≤ 4 keywords × ≤ 4 rules) compared against the
 //! exponential `brute_force_rqs` enumeration.
 //!
-//! Plain seeded `#[test]` loops (not proptest) so the >= 500 cases per
-//! property actually execute. Rule costs are drawn from dyadic values, so
-//! both implementations sum them exactly and costs compare with `==`.
+//! Plain seeded `#[test]` loops with a stated case count (>= 500 per
+//! property); `dp_prop.rs` holds the shrinking properties. Rule costs
+//! are drawn from dyadic values, so both implementations sum them
+//! exactly and costs compare with `==`.
 
 use lexicon::{RefineOp, Rule, RuleSet, RuleSource};
 use rand::rngs::StdRng;

@@ -3,15 +3,15 @@
 //! availability.
 
 use lexicon::{RefineOp, Rule, RuleSet, RuleSource};
-use proptest::prelude::*;
 use std::collections::HashSet;
+use xcheck::prop::{check, Gen};
 use xrefine::{brute_force_rqs, get_top_optimal_rqs, Query};
 
 /// A compact universe so rules/availability collide frequently.
 const UNIVERSE: [&str; 8] = ["a", "b", "c", "d", "e", "f", "g", "h"];
 
-fn word() -> impl Strategy<Value = String> {
-    (0..UNIVERSE.len()).prop_map(|i| UNIVERSE[i].to_string())
+fn word(g: &mut Gen) -> String {
+    g.pick(&UNIVERSE).to_string()
 }
 
 #[derive(Debug, Clone)]
@@ -21,34 +21,33 @@ struct RuleSpec {
     ds: f64,
 }
 
-fn rule_strategy() -> impl Strategy<Value = RuleSpec> {
-    (
-        proptest::collection::vec(word(), 1..3),
-        proptest::collection::vec(word(), 1..3),
-        1u32..4,
-    )
-        .prop_map(|(lhs, rhs, ds)| RuleSpec {
-            lhs,
-            rhs,
-            ds: ds as f64 * 0.5,
-        })
+fn rule(g: &mut Gen) -> RuleSpec {
+    RuleSpec {
+        lhs: g.vec(1..3, word),
+        rhs: g.vec(1..3, word),
+        ds: g.range(1u32..4) as f64 * 0.5,
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+#[test]
+fn dp_optimum_equals_brute_force() {
+    check(256, |g| {
+        let query = g.vec(1..5, word);
+        let rule_specs = g.vec(0..6, rule);
+        let available = g.btree_set(0..6, word);
 
-    #[test]
-    fn dp_optimum_equals_brute_force(
-        query in proptest::collection::vec(word(), 1..5),
-        rule_specs in proptest::collection::vec(rule_strategy(), 0..6),
-        available in proptest::collection::btree_set(word(), 0..6),
-    ) {
         let q = Query::from_keywords(query);
         let mut rules = RuleSet::new();
         for spec in &rule_specs {
             let lhs: Vec<&str> = spec.lhs.iter().map(|s| s.as_str()).collect();
             let rhs: Vec<&str> = spec.rhs.iter().map(|s| s.as_str()).collect();
-            rules.add(Rule::new(&lhs, &rhs, RefineOp::Substitute, RuleSource::Manual, spec.ds));
+            rules.add(Rule::new(
+                &lhs,
+                &rhs,
+                RefineOp::Substitute,
+                RuleSource::Manual,
+                spec.ds,
+            ));
         }
         let avail_set: HashSet<String> = available.into_iter().collect();
         let avail = |w: &str| avail_set.contains(w);
@@ -59,43 +58,46 @@ proptest! {
         match (dp.candidates.first(), bf.first()) {
             (Some(d), Some(b)) => {
                 // Lemma 2(2): the DP's best has the minimum dissimilarity.
-                prop_assert_eq!(d.dissimilarity, b.dissimilarity,
-                    "dp={:?} bf={:?}", dp.candidates, bf);
+                assert_eq!(
+                    d.dissimilarity, b.dissimilarity,
+                    "dp={:?} bf={:?}",
+                    dp.candidates, bf
+                );
                 // Lemma 2(1): the optimal RQ only uses available keywords.
                 for w in &d.keywords {
-                    prop_assert!(avail(w), "{w} unavailable in {:?}", d);
+                    assert!(avail(w), "{w} unavailable in {d:?}");
                 }
             }
             (None, None) => {}
-            (d, b) => prop_assert!(false, "existence mismatch: dp={d:?} bf={b:?}"),
+            (d, b) => panic!("existence mismatch: dp={d:?} bf={b:?}"),
         }
 
         // every reported candidate carries its true minimal cost and is a
         // subset of T
         for c in &dp.candidates {
             for w in &c.keywords {
-                prop_assert!(avail(w));
+                assert!(avail(w));
             }
-            if let Some(reference) = bf.iter().find(|b| b.keywords == c.keywords) {
-                prop_assert_eq!(c.dissimilarity, reference.dissimilarity);
-            } else {
-                prop_assert!(false, "DP invented candidate {c:?}");
+            match bf.iter().find(|b| b.keywords == c.keywords) {
+                Some(reference) => assert_eq!(c.dissimilarity, reference.dissimilarity),
+                None => panic!("DP invented candidate {c:?}"),
             }
         }
 
         // prefix costs are monotone in the sense that C[0] = 0 and each
         // step adds at most the deletion cost
-        prop_assert_eq!(dp.prefix_costs[0], 0.0);
+        assert_eq!(dp.prefix_costs[0], 0.0);
         for w in dp.prefix_costs.windows(2) {
-            prop_assert!(w[1] <= w[0] + rules.deletion_cost() + 1e-9);
+            assert!(w[1] <= w[0] + rules.deletion_cost() + 1e-9);
         }
-    }
+    });
+}
 
-    #[test]
-    fn dp_is_insensitive_to_keyword_order_for_the_optimum(
-        mut query in proptest::collection::vec(word(), 1..5),
-        available in proptest::collection::btree_set(word(), 1..6),
-    ) {
+#[test]
+fn dp_is_insensitive_to_keyword_order_for_the_optimum() {
+    check(256, |g| {
+        let mut query = g.vec(1..5, word);
+        let available = g.btree_set(1..6, word);
         // With no rules (deletion/keep only), the optimal dissimilarity is
         // permutation-invariant (the paper notes getOptimalRQ is
         // insensitive to keyword order).
@@ -107,11 +109,11 @@ proptest! {
         let b = get_top_optimal_rqs(&Query::from_keywords(query), &avail, &rules, 1);
         match (a.candidates.first(), b.candidates.first()) {
             (Some(x), Some(y)) => {
-                prop_assert_eq!(x.dissimilarity, y.dissimilarity);
-                prop_assert_eq!(&x.keywords, &y.keywords);
+                assert_eq!(x.dissimilarity, y.dissimilarity);
+                assert_eq!(x.keywords, y.keywords);
             }
             (None, None) => {}
-            other => prop_assert!(false, "{other:?}"),
+            other => panic!("{other:?}"),
         }
-    }
+    });
 }

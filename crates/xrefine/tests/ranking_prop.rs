@@ -2,95 +2,98 @@
 //! for any candidate over any corpus.
 
 use invindex::Index;
-use proptest::prelude::*;
 use std::sync::Arc;
+use xcheck::prop::{check, Gen};
 use xrefine::{Query, Ranker, RankingConfig, RqCandidate};
 
 fn index() -> Arc<Index> {
     Arc::new(Index::build(Arc::new(xmldom::fixtures::figure1())))
 }
 
-fn words() -> impl Strategy<Value = Vec<String>> {
-    proptest::collection::btree_set(
-        prop_oneof![
-            Just("xml"),
-            Just("database"),
-            Just("john"),
-            Just("2003"),
-            Just("online"),
-            Just("fishing"),
-            Just("title"),
-            Just("ghost"),
-        ],
-        1..4,
-    )
-    .prop_map(|s| s.into_iter().map(|w| w.to_string()).collect())
+fn words(g: &mut Gen) -> Vec<String> {
+    const WORDS: [&str; 8] = [
+        "xml", "database", "john", "2003", "online", "fishing", "title", "ghost",
+    ];
+    g.btree_set(1..4, |g| g.pick(&WORDS))
+        .into_iter()
+        .map(str::to_string)
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+fn similarity_decays(kws: Vec<String>, ds: f64) {
+    let idx = index();
+    let q = Query::from_keywords(["database", "publication"]);
+    let ranker = Ranker::new(idx.as_ref(), &q, RankingConfig::default());
+    let near = RqCandidate::new(kws.clone(), ds);
+    let far = RqCandidate::new(kws, ds + 1.0);
+    // decay^(ds) >= decay^(ds+1) and the base is identical
+    assert!(ranker.similarity(&near) >= ranker.similarity(&far) - 1e-12);
+}
 
-    #[test]
-    fn similarity_decays_with_dissimilarity(kws in words(), ds in 0.0f64..6.0) {
-        let idx = index();
-        let q = Query::from_keywords(["database", "publication"]);
-        let ranker = Ranker::new(idx.as_ref(), &q, RankingConfig::default());
-        let near = RqCandidate::new(kws.clone(), ds);
-        let far = RqCandidate::new(kws, ds + 1.0);
-        // decay^(ds) >= decay^(ds+1) and the base is identical
-        prop_assert!(ranker.similarity(&near) >= ranker.similarity(&far) - 1e-12);
-    }
+#[test]
+fn similarity_decays_with_dissimilarity() {
+    check(128, |g| similarity_decays(words(g), g.f64_in(0.0..6.0)));
+}
 
-    #[test]
-    fn scores_are_finite_and_dependence_nonnegative(kws in words(), ds in 0.0f64..6.0) {
+/// The case the retired proptest regression file pinned: a keyword
+/// that is a tag name, at exactly zero dissimilarity.
+#[test]
+fn similarity_decays_for_a_tag_keyword_at_zero_dissimilarity() {
+    similarity_decays(vec!["title".to_string()], 0.0);
+}
+
+#[test]
+fn scores_are_finite_and_dependence_nonnegative() {
+    check(128, |g| {
+        let (kws, ds) = (words(g), g.f64_in(0.0..6.0));
         let idx = index();
         let q = Query::from_keywords(["xml", "john"]);
         let ranker = Ranker::new(idx.as_ref(), &q, RankingConfig::default());
         let cand = RqCandidate::new(kws, ds);
-        prop_assert!(ranker.similarity(&cand).is_finite());
+        assert!(ranker.similarity(&cand).is_finite());
         let dep = ranker.dependence(&cand);
-        prop_assert!(dep.is_finite() && dep >= 0.0);
-        prop_assert!(ranker.rank(&cand).is_finite());
-    }
+        assert!(dep.is_finite() && dep >= 0.0);
+        assert!(ranker.rank(&cand).is_finite());
+    });
+}
 
-    #[test]
-    fn rank_is_linear_in_alpha_beta(kws in words(), ds in 0.0f64..4.0) {
+#[test]
+fn rank_is_linear_in_alpha_beta() {
+    check(128, |g| {
+        let (kws, ds) = (words(g), g.f64_in(0.0..4.0));
         let idx = index();
         let q = Query::from_keywords(["xml", "2003"]);
         let cand = RqCandidate::new(kws, ds);
-        let base = Ranker::new(idx.as_ref(), &q, RankingConfig::with_weights(1.0, 1.0)).rank(&cand);
-        let double = Ranker::new(idx.as_ref(), &q, RankingConfig::with_weights(2.0, 2.0)).rank(&cand);
-        prop_assert!((double - 2.0 * base).abs() < 1e-9);
-        let sim = Ranker::new(idx.as_ref(), &q, RankingConfig::with_weights(1.0, 0.0)).rank(&cand);
-        let dep = Ranker::new(idx.as_ref(), &q, RankingConfig::with_weights(0.0, 1.0)).rank(&cand);
-        prop_assert!((base - (sim + dep)).abs() < 1e-9);
-    }
+        let rank = |alpha, beta| {
+            Ranker::new(idx.as_ref(), &q, RankingConfig::with_weights(alpha, beta)).rank(&cand)
+        };
+        let base = rank(1.0, 1.0);
+        assert!((rank(2.0, 2.0) - 2.0 * base).abs() < 1e-9);
+        assert!((base - (rank(1.0, 0.0) + rank(0.0, 1.0))).abs() < 1e-9);
+    });
+}
 
-    #[test]
-    fn rank_all_is_a_permutation_sorted_descending(
-        sets in proptest::collection::vec((words(), 0.0f64..4.0), 1..6)
-    ) {
+#[test]
+fn rank_all_is_a_permutation_sorted_descending() {
+    check(128, |g| {
+        let candidates = g.vec(1..6, |g| RqCandidate::new(words(g), g.f64_in(0.0..4.0)));
         let idx = index();
         let q = Query::from_keywords(["database", "publication"]);
         let ranker = Ranker::new(idx.as_ref(), &q, RankingConfig::default());
-        let candidates: Vec<RqCandidate> = sets
-            .into_iter()
-            .map(|(kws, ds)| RqCandidate::new(kws, ds))
-            .collect();
         let n = candidates.len();
         let ranked = ranker.rank_all(candidates.clone());
-        prop_assert_eq!(ranked.len(), n);
-        prop_assert!(ranked.windows(2).all(|w| w[0].1 >= w[1].1));
+        assert_eq!(ranked.len(), n);
+        assert!(ranked.windows(2).all(|w| w[0].1 >= w[1].1));
         // permutation: every input appears exactly once
         for c in &candidates {
-            prop_assert_eq!(
+            assert_eq!(
                 ranked.iter().filter(|(r, _)| r == c).count(),
                 candidates.iter().filter(|x| *x == c).count()
             );
         }
         // scores are reproducible
         for (c, score) in &ranked {
-            prop_assert!((ranker.rank(c) - score).abs() < 1e-12);
+            assert!((ranker.rank(c) - score).abs() < 1e-12);
         }
-    }
+    });
 }

@@ -31,6 +31,7 @@
 #   analysis       xlint over the live workspace + its golden fixtures,
 #                  then the xcheck model checker (exhaustive bounded DFS
 #                  over the distilled concurrency models + seeded bugs)
+#                  and the property runner's self-tests
 #   tsan           ThreadSanitizer over the thread-heavy suites
 #                  (requires a nightly toolchain with rust-src)
 #   miri           Miri over the interpreter-friendly concurrency and
@@ -38,50 +39,58 @@
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
+# Every package in Cargo.lock is a path package: there is no registry to
+# reach and no reason for the lock file to move, so cargo gets neither.
+xcargo() {
+    local subcommand="$1"
+    shift
+    cargo "$subcommand" --locked --offline "$@"
+}
+
 suite_release_smoke() {
-    cargo test --release -q --test concurrent_engine
-    cargo test --release -q -p invindex --test cache_prop
-    cargo test --release -q -p invindex --test lock_rank
+    xcargo test --release -q --test concurrent_engine
+    xcargo test --release -q -p invindex --test cache_prop
+    xcargo test --release -q -p invindex --test lock_rank
 }
 
 suite_torture() {
-    cargo test --release -q -p kvstore --test torture
-    cargo test --release -q -p kvstore --test fault_injection
-    cargo test --release -q --test storage_bitflips
+    xcargo test --release -q -p kvstore --test torture
+    xcargo test --release -q -p kvstore --test fault_injection
+    xcargo test --release -q --test storage_bitflips
 }
 
 suite_observability() {
-    cargo test -q -p obs
-    cargo test -q -p slca --test differential
-    cargo test -q -p xrefine --test dp_oracle
-    cargo test --release -q -p xrefine --test trace_concurrency
+    xcargo test -q -p obs
+    xcargo test -q -p slca --test differential
+    xcargo test -q -p xrefine --test dp_oracle
+    xcargo test --release -q -p xrefine --test trace_concurrency
     OBS_BENCH_FRACTION="${OBS_BENCH_FRACTION:-0.02}" \
     OBS_BENCH_REPS="${OBS_BENCH_REPS:-2}" \
-        cargo run --release -q -p bench --bin bench_obs
+        xcargo run --release -q -p bench --bin bench_obs
 }
 
 suite_ingest() {
-    cargo test --release -q -p invindex --test ingest_differential
-    cargo test -q -p xmldom --test scan_fuzz
+    xcargo test --release -q -p invindex --test ingest_differential
+    xcargo test -q -p xmldom --test scan_fuzz
 }
 
 suite_serve() {
-    cargo test -q -p xserve
-    cargo test --release -q -p xserve --test server_lifecycle
+    xcargo test -q -p xserve
+    xcargo test --release -q -p xserve --test server_lifecycle
 }
 
 suite_maintenance() {
-    cargo test --release -q -p invindex --test maint_differential
-    cargo test --release -q -p xrefine --test live_differential
-    cargo test --release -q -p xrefine --lib live::
+    xcargo test --release -q -p invindex --test maint_differential
+    xcargo test --release -q -p xrefine --test live_differential
+    xcargo test --release -q -p xrefine --lib live::
     MAINT_TORTURE_STRIDE="${MAINT_TORTURE_STRIDE:-1}" \
-        cargo test --release -q -p invindex --test maint_torture
-    cargo test --release -q -p xserve --test live_updates
+        xcargo test --release -q -p invindex --test maint_torture
+    xcargo test --release -q -p xserve --test live_updates
 }
 
 suite_compress() {
-    cargo test --release -q -p invindex --test compress_prop
-    cargo test --release -q -p xrefine --test compress_differential
+    xcargo test --release -q -p invindex --test compress_prop
+    xcargo test --release -q -p xrefine --test compress_differential
 }
 
 suite_bench_e2e() {
@@ -89,9 +98,9 @@ suite_bench_e2e() {
 }
 
 suite_analysis() {
-    cargo run -q -p xlint -- --workspace
-    cargo run -q -p xlint -- --fixtures
-    cargo test -q -p xcheck
+    xcargo run -q -p xlint -- --workspace
+    xcargo run -q -p xlint -- --fixtures
+    xcargo test -q -p xcheck
 }
 
 # The debug-only lock-rank checker and the tracer both lean on ordering

@@ -1,8 +1,8 @@
 //! Robustness fuzzing: the engine must never panic, whatever the query
 //! text, and its outputs must uphold their structural invariants.
 
-use proptest::prelude::*;
 use std::sync::Arc;
+use xcheck::prop::{check, Gen};
 use xrefine_repro::prelude::*;
 use xrefine_repro::xrefine::NarrowOptions;
 
@@ -17,53 +17,60 @@ fn engine(alg: Algorithm) -> XRefineEngine {
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn answer_never_panics_and_keeps_invariants(query in "\\PC{0,40}") {
-        for alg in [Algorithm::StackRefine, Algorithm::Partition, Algorithm::ShortListEager] {
+#[test]
+fn answer_never_panics_and_keeps_invariants() {
+    check(64, |g| {
+        let query = g.string(0..=40, Gen::printable_char);
+        for alg in [
+            Algorithm::StackRefine,
+            Algorithm::Partition,
+            Algorithm::ShortListEager,
+        ] {
             let e = engine(alg);
             let out = e.answer(&query).expect("resident backend is infallible");
             // invariants
             if out.original_ok {
-                prop_assert!(!out.refinements.is_empty());
-                prop_assert_eq!(out.refinements[0].candidate.dissimilarity, 0.0);
+                assert!(!out.refinements.is_empty());
+                assert_eq!(out.refinements[0].candidate.dissimilarity, 0.0);
             }
             for r in &out.refinements {
-                prop_assert!(r.candidate.dissimilarity >= 0.0);
-                prop_assert!(!r.candidate.keywords.is_empty());
+                assert!(r.candidate.dissimilarity >= 0.0);
+                assert!(!r.candidate.keywords.is_empty());
                 // every result renders (is a real node)
                 for d in &r.slcas {
-                    prop_assert!(e.render(d).is_some(), "dangling result {d}");
+                    assert!(e.render(d).is_some(), "dangling result {d}");
                 }
                 // results are document-ordered and distinct
-                prop_assert!(r.slcas.windows(2).all(|w| w[0] < w[1]));
+                assert!(r.slcas.windows(2).all(|w| w[0] < w[1]));
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn narrow_never_panics(query in "[a-z ]{0,30}") {
+#[test]
+fn narrow_never_panics() {
+    check(64, |g| {
+        // `[a-z ]{0,30}`
+        let query = g.string(0..=30, |g| match g.range(0u32..27) {
+            26 => ' ',
+            _ => g.char_in('a'..='z'),
+        });
         let e = engine(Algorithm::Partition);
         let _ = e.narrow(&query, &NarrowOptions::default());
-    }
+    });
+}
 
-    #[test]
-    fn keyword_heavy_queries_stay_bounded(
-        words in proptest::collection::vec(
-            prop_oneof![
-                Just("xml"), Just("database"), Just("john"), Just("2003"),
-                Just("on"), Just("line"), Just("data"), Just("base"),
-                Just("fishing"), Just("title"), Just("zzz"),
-            ],
-            0..10
-        )
-    ) {
+#[test]
+fn keyword_heavy_queries_stay_bounded() {
+    const WORDS: [&str; 11] = [
+        "xml", "database", "john", "2003", "on", "line", "data", "base", "fishing", "title", "zzz",
+    ];
+    check(64, |g| {
+        let words = g.vec(0..10, |g| g.pick(&WORDS));
         let e = engine(Algorithm::Partition);
         let out = e
             .answer_query(Query::from_keywords(words.iter().map(|s| s.to_string())))
             .expect("resident backend is infallible");
-        prop_assert!(out.refinements.len() <= 2 || out.original_ok);
-    }
+        assert!(out.refinements.len() <= 2 || out.original_ok);
+    });
 }
