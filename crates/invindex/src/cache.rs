@@ -187,7 +187,6 @@ impl Shard {
 /// `&self`; a lookup or insert locks exactly one shard.
 pub struct ShardedListCache {
     shards: Vec<Mutex<Shard>>,
-    budget: usize,
     /// The latest published store generation. Bumped by a committing
     /// writer *before* it invalidates the entries it changed; checked
     /// under the shard mutex on insert so the bump is visible to any
@@ -208,7 +207,6 @@ impl ShardedListCache {
             .collect();
         ShardedListCache {
             shards,
-            budget,
             current_gen: AtomicU64::new(0),
         }
     }
@@ -326,11 +324,6 @@ impl ShardedListCache {
                 one
             })
             .collect()
-    }
-
-    /// The global byte budget (the per-shard budgets sum to this).
-    pub fn budget(&self) -> usize {
-        self.budget
     }
 
     /// Number of shards.

@@ -12,11 +12,11 @@
 //! Concurrency: the reader is `Send + Sync` and designed to be shared
 //! across serving threads behind one `Arc`. A cache hit locks exactly one
 //! cache shard (see [`crate::cache`]) and never touches the store; a miss
-//! reads the reader's pinned [`StoreGen`] snapshot directly — the
+//! reads the reader's pinned [`kvstore::Snapshot`] directly — the
 //! snapshot is immutable, so misses take **no lock at all** and decoding
 //! happens outside every lock. Writers never block readers: a committing
-//! [`crate::maint::MaintIndex`] publishes a *new* `StoreGen` (epoch
-//! handoff) while existing readers keep serving the generation they
+//! [`crate::maint::MaintIndex`] publishes a reader over a *new* snapshot
+//! (epoch handoff) while existing readers keep serving the one they
 //! pinned at open.
 //!
 //! Cache policy lives in [`crate::cache`]: cost of an entry is its
@@ -33,152 +33,12 @@ use crate::cooccur::CoOccurrence;
 use crate::persist;
 use crate::reader::{IndexReader, ListHandle};
 use crate::stats::{KeywordId, KeywordTable, TypeStats};
-use kvstore::{KvError, KvStore, Result};
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use kvstore::{KvError, KvStore, Result, Snapshot};
 use std::sync::Arc;
 use xmldom::{Document, NodeTypeId};
 
 /// Default list-cache budget: 64 MiB of encoded list bytes.
 pub const DEFAULT_CACHE_BUDGET: usize = 64 << 20;
-
-/// An immutable, generation-tagged snapshot of a persisted index store:
-/// a shared base store plus a frozen overlay of not-yet-compacted
-/// updates, merged overlay-over-base on every read. This is what a
-/// reader pins at open — a committing writer builds a *new* `StoreGen`
-/// and never mutates a published one, so readers are never blocked.
-///
-/// The mutating half of [`KvStore`] is refused: a snapshot is read-only
-/// by construction.
-pub struct StoreGen {
-    gen: u64,
-    base: Arc<dyn KvStore>,
-    /// Frozen copy of the writer's WAL overlay at publish time; `None`
-    /// marks a deletion shadowing the base.
-    overlay: Arc<BTreeMap<Vec<u8>, Option<Vec<u8>>>>,
-    len: u64,
-}
-
-impl StoreGen {
-    /// Wraps a store that will never be written again (the static
-    /// serving path) as generation 0 with an empty overlay.
-    pub fn read_only(store: Box<dyn KvStore>) -> Self {
-        let len = store.len();
-        StoreGen {
-            gen: 0,
-            base: Arc::from(store),
-            overlay: Arc::new(BTreeMap::new()),
-            len,
-        }
-    }
-
-    /// A snapshot of `base` shadowed by `overlay`, published as
-    /// generation `gen`. Computes the merged live-entry count (an
-    /// overlay put over a missing base key adds one, a delete over a
-    /// present key removes one).
-    pub fn new(
-        gen: u64,
-        base: Arc<dyn KvStore>,
-        overlay: Arc<BTreeMap<Vec<u8>, Option<Vec<u8>>>>,
-    ) -> Result<Self> {
-        let mut len = base.len();
-        for (key, value) in overlay.iter() {
-            let in_base = base.contains(key)?;
-            match (in_base, value.is_some()) {
-                (false, true) => len += 1,
-                (true, false) => len = len.saturating_sub(1),
-                _ => {}
-            }
-        }
-        Ok(StoreGen {
-            gen,
-            base,
-            overlay,
-            len,
-        })
-    }
-
-    /// The generation this snapshot was published as.
-    pub fn gen(&self) -> u64 {
-        self.gen
-    }
-
-    /// The shared base store under the overlay.
-    pub fn base(&self) -> &Arc<dyn KvStore> {
-        &self.base
-    }
-
-    /// Number of frozen overlay entries (puts and deletes).
-    pub fn overlay_len(&self) -> usize {
-        self.overlay.len()
-    }
-}
-
-impl KvStore for StoreGen {
-    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        match self.overlay.get(key) {
-            Some(Some(v)) => Ok(Some(v.clone())),
-            Some(None) => Ok(None),
-            None => self.base.get(key),
-        }
-    }
-
-    fn put(&mut self, _key: &[u8], _value: &[u8]) -> Result<()> {
-        Err(KvError::corrupt(
-            "put on a read-only snapshot: mutate through MaintIndex, not a pinned StoreGen",
-        ))
-    }
-
-    fn delete(&mut self, _key: &[u8]) -> Result<bool> {
-        Err(KvError::corrupt(
-            "delete on a read-only snapshot: mutate through MaintIndex, not a pinned StoreGen",
-        ))
-    }
-
-    fn contains(&self, key: &[u8]) -> Result<bool> {
-        match self.overlay.get(key) {
-            Some(v) => Ok(v.is_some()),
-            None => self.base.contains(key),
-        }
-    }
-
-    fn scan_range(&self, start: &[u8], end: Option<&[u8]>) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
-        for (k, v) in self.base.scan_range(start, end)? {
-            merged.insert(k, Some(v));
-        }
-        let upper = match end {
-            Some(e) if e <= start => return Ok(Vec::new()),
-            Some(e) => Bound::Excluded(e.to_vec()),
-            None => Bound::Unbounded,
-        };
-        for (k, v) in self.overlay.range((Bound::Included(start.to_vec()), upper)) {
-            merged.insert(k.clone(), v.clone());
-        }
-        Ok(merged
-            .into_iter()
-            .filter_map(|(k, v)| v.map(|v| (k, v)))
-            .collect())
-    }
-
-    fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let all = self.scan_range(prefix, None)?;
-        Ok(all
-            .into_iter()
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .collect())
-    }
-
-    fn len(&self) -> u64 {
-        self.len
-    }
-
-    fn sync(&mut self) -> Result<()> {
-        Err(KvError::corrupt(
-            "sync on a read-only snapshot: mutate through MaintIndex, not a pinned StoreGen",
-        ))
-    }
-}
 
 /// An [`IndexReader`] over a persisted index: posting lists decode
 /// lazily from kvstore pages on first touch.
@@ -187,22 +47,30 @@ pub struct KvBackedIndex {
     vocab: KeywordTable,
     stats: TypeStats,
     cooccur: CoOccurrence,
-    store: Arc<StoreGen>,
+    /// The immutable store view this reader pinned at open.
+    store: Snapshot,
     cache: Arc<ShardedListCache>,
-    /// The generation this reader pinned at open; list-cache lookups
+    /// The generation this reader was published as; list-cache lookups
     /// and inserts carry it so epochs never cross-contaminate.
     gen: u64,
 }
 
 impl KvBackedIndex {
-    /// Opens a persisted store, rebuilding the document from its embedded
-    /// `D/doc` record, with the default cache budget.
+    /// Opens a persisted store that nothing writes to any more (the
+    /// static serving path): [`Self::open_snapshot`] over `store` alone.
     pub fn open(store: Box<dyn KvStore>) -> Result<Self> {
-        persist::read_version(store.as_ref())?;
-        let doc = Arc::new(persist::load_document(store.as_ref())?);
+        Self::open_snapshot(Snapshot::new(Arc::from(store)))
+    }
+
+    /// Opens a reader over `store` as generation 0, rebuilding the
+    /// document from its embedded `D/doc` record, with the default
+    /// cache budget.
+    pub fn open_snapshot(store: Snapshot) -> Result<Self> {
+        let doc = Arc::new(persist::load_document(&store)?);
         Self::open_snapshot_with_document(
             doc,
-            Arc::new(StoreGen::read_only(store)),
+            0,
+            store,
             Arc::new(ShardedListCache::new(
                 DEFAULT_CACHE_BUDGET,
                 DEFAULT_CACHE_SHARDS,
@@ -210,31 +78,30 @@ impl KvBackedIndex {
         )
     }
 
-    /// Opens a reader over an already-pinned [`StoreGen`] snapshot,
-    /// sharing `cache` with readers of other generations. This is the
-    /// epoch-handoff constructor [`crate::maint::MaintIndex`] uses to
-    /// publish each commit.
+    /// Opens a reader over an already-pinned [`Snapshot`] and the
+    /// document embedded in that store, published as generation `gen`
+    /// and sharing `cache` with readers of other generations. This is
+    /// the epoch-handoff constructor [`crate::maint::MaintIndex`] uses
+    /// to publish each commit.
     pub fn open_snapshot_with_document(
         doc: Arc<Document>,
-        snap: Arc<StoreGen>,
+        gen: u64,
+        store: Snapshot,
         cache: Arc<ShardedListCache>,
     ) -> Result<Self> {
-        let store: &dyn KvStore = &*snap;
-        persist::read_version(store)?;
-        let vocab = persist::load_vocab(store)?;
-        let stats = persist::load_stats(store)?;
+        let vocab = persist::load_vocab(&store)?;
+        let stats = persist::load_stats(&store)?;
         if stats.n_nodes_vec().len() != doc.node_types().len() {
             return Err(KvError::corrupt(
                 "document does not match persisted index (type count)",
             ));
         }
-        let gen = snap.gen();
         Ok(KvBackedIndex {
             doc,
             vocab,
             stats,
             cooccur: CoOccurrence::new(),
-            store: snap,
+            store,
             cache,
             gen,
         })
@@ -246,15 +113,6 @@ impl KvBackedIndex {
     /// single-reader, not epoch-sharing.
     pub fn with_cache_budget(mut self, bytes: usize) -> Self {
         self.cache = Arc::new(ShardedListCache::new(bytes, self.cache.shard_count()));
-        self.cache.set_current_gen(self.gen);
-        self
-    }
-
-    /// Sets the cache shard count, keeping the byte budget. One shard
-    /// reproduces the monolithic LRU (global eviction order); more shards
-    /// trade eviction precision for lower lock contention.
-    pub fn with_cache_shards(mut self, shards: usize) -> Self {
-        self.cache = Arc::new(ShardedListCache::new(self.cache.budget(), shards));
         self.cache.set_current_gen(self.gen);
         self
     }
@@ -359,6 +217,19 @@ mod tests {
         (doc, built, store)
     }
 
+    /// A reader whose cache is one shard of `budget` bytes: a global
+    /// LRU, so eviction order and the budget boundary are exact.
+    fn open_one_shard(store: MemKv, budget: usize) -> KvBackedIndex {
+        let doc = Arc::new(persist::load_document(&store).unwrap());
+        KvBackedIndex::open_snapshot_with_document(
+            doc,
+            0,
+            Snapshot::new(Arc::new(store)),
+            Arc::new(ShardedListCache::new(budget, 1)),
+        )
+        .unwrap()
+    }
+
     fn handle_of(idx: &KvBackedIndex, kw: &str) -> ListHandle {
         idx.list_handle(kw).unwrap()
     }
@@ -407,10 +278,7 @@ mod tests {
         // distinct lists must evict, and used bytes never exceed it.
         // One shard so the budget boundary is exercised globally.
         let budget = 2 * persist::encode_list_value(built.list("xml").unwrap()).len() + 8;
-        let idx = KvBackedIndex::open(Box::new(store))
-            .unwrap()
-            .with_cache_shards(1)
-            .with_cache_budget(budget);
+        let idx = open_one_shard(store, budget);
         for (_, text) in built.vocabulary().iter() {
             let _ = handle_of(&idx, text);
             assert!(
@@ -459,10 +327,7 @@ mod tests {
         // budget that fits ~3 small lists; one shard for a global LRU
         let cost = |kw: &str| persist::encode_list_value(built.list(kw).unwrap()).len();
         let budget = cost(&vocab[0]) + cost(&vocab[1]) + cost(&vocab[2]) + 2;
-        let idx = KvBackedIndex::open(Box::new(store))
-            .unwrap()
-            .with_cache_shards(1)
-            .with_cache_budget(budget);
+        let idx = open_one_shard(store, budget);
 
         let _ = handle_of(&idx, &vocab[0]);
         let _ = handle_of(&idx, &vocab[1]);

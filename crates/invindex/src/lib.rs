@@ -36,7 +36,7 @@ pub mod stream;
 pub use cache::{CacheStats, ShardedListCache, DEFAULT_CACHE_SHARDS};
 pub use cursor::{ListCursor, PostingsCursor, ScanStats};
 pub use index::{InMemoryIndex, Index};
-pub use kvindex::{KvBackedIndex, StoreGen};
+pub use kvindex::KvBackedIndex;
 pub use maint::{MaintIndex, MaintOp, MaintReport};
 pub use persist::{verify_store, IntegrityReport, SectionReport};
 pub use postings::{BlockMeta, CompressedList, Posting, PostingList, BLOCK_POSTINGS};

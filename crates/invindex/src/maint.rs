@@ -30,31 +30,34 @@
 //! commit:  writer lock → apply_batch (WAL) → gen+1
 //!            → cache.set_current_gen(gen+1)   (stale inserts now refused)
 //!            → cache.invalidate(changed ids)  (stale entries dropped)
-//!            → StoreGen{gen+1, base, frozen overlay} → new KvBackedIndex
+//!            → durable.snapshot() (O(1)) → new KvBackedIndex at gen+1
 //!            → epoch pointer swap
 //! ```
 //!
 //! Readers holding the previous epoch keep serving from their pinned
-//! [`StoreGen`] — they are never blocked and never see mixed state;
-//! their re-decodes of invalidated lists are admitted to the cache only
-//! if their generation is still current (see [`crate::cache`]).
+//! [`kvstore::Snapshot`] — they are never blocked and never see mixed
+//! state: the store copies its overlay on the first write after handing
+//! a snapshot out. Their re-decodes of invalidated lists are admitted to
+//! the cache only if their generation is still current (see
+//! [`crate::cache`]).
 //!
 //! # Compaction
 //!
 //! [`MaintIndex::compact`] folds the WAL overlay into the base store via
 //! [`kvstore::DurableKv::checkpoint`] (write `.db.new`, fsync, rename
-//! over `.db`, fsync dir, then reset the WAL), reopens a fresh read
-//! handle on the new base, and publishes it as a new generation with an
-//! empty overlay and **no cache invalidation** — the merged bytes are
-//! identical, so entries stamped by older generations keep hitting.
-//! Prior epochs still read the old inode through their pinned handle.
+//! over `.db`, fsync dir, then reset the WAL) and publishes the store's
+//! next snapshot — the new base, an empty overlay — as a new generation
+//! with **no cache invalidation**: the merged bytes are identical, so
+//! entries stamped by older generations keep hitting. That a checkpoint
+//! renames a file is `kvstore`'s business alone; prior epochs still read
+//! the old inode through the handle their snapshot pinned.
 
 use crate::cache::ShardedListCache;
-use crate::kvindex::{KvBackedIndex, StoreGen, DEFAULT_CACHE_BUDGET, DEFAULT_CACHE_SHARDS};
+use crate::kvindex::{KvBackedIndex, DEFAULT_CACHE_BUDGET, DEFAULT_CACHE_SHARDS};
 use crate::persist;
 use crate::postings::{read_varint, write_varint};
 use crate::stream::build_streaming;
-use kvstore::{BatchOp, DiskKv, DurableKv, KvError, KvStore, MemKv, Result, StdVfs, Vfs};
+use kvstore::{BatchOp, DurableKv, KvError, KvStore, MemKv, Result, StdVfs, Vfs};
 use obs::sync::Mutex;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -97,13 +100,7 @@ pub struct MaintReport {
 
 /// The single-writer state behind the writer mutex.
 struct Writer {
-    vfs: Arc<dyn Vfs>,
     durable: DurableKv,
-    /// Independent read handle on the base `.db` file, shared by every
-    /// snapshot published since the last compaction. Checkpoint renames
-    /// a new file over the path, so old handles keep reading the old
-    /// inode and this handle is reopened after each compaction.
-    base_handle: Arc<dyn KvStore>,
     /// Current corpus document (rebuilt on every commit).
     doc: Arc<Document>,
     /// Canonical record fragments — `doc`'s root children rendered back
@@ -136,8 +133,7 @@ impl MaintIndex {
     /// [`Self::open`] through an explicit [`Vfs`] (fault injection,
     /// crash-recovery testing).
     pub fn open_with_vfs(vfs: Arc<dyn Vfs>, base: &Path) -> Result<Self> {
-        let durable = DurableKv::open_with_vfs(Arc::clone(&vfs), base)?;
-        persist::read_version(&durable)?;
+        let durable = DurableKv::open_with_vfs(vfs, base)?;
         let doc = Arc::new(persist::load_document(&durable)?);
         let (records, root_tag, root_attrs, root_text) = derive_records(&doc);
         let seq = match durable.get(MAINT_KEY)? {
@@ -154,28 +150,20 @@ impl MaintIndex {
             }
             None => 0,
         };
-        let db_path = base.with_extension("db");
-        let base_handle: Arc<dyn KvStore> = Arc::new(DiskKv::open_with_vfs(&vfs, &db_path)?);
         let cache = Arc::new(ShardedListCache::new(
             DEFAULT_CACHE_BUDGET,
             DEFAULT_CACHE_SHARDS,
         ));
-        let snap = Arc::new(StoreGen::new(
-            0,
-            Arc::clone(&base_handle),
-            Arc::new(durable.overlay_snapshot()),
-        )?);
         let reader = Arc::new(KvBackedIndex::open_snapshot_with_document(
             Arc::clone(&doc),
-            snap,
+            0,
+            durable.snapshot(),
             Arc::clone(&cache),
         )?);
         obs::gauge!("maint_overlay_entries").set(durable.overlay_len() as i64);
         Ok(MaintIndex {
             writer: Mutex::new(Writer {
-                vfs,
                 durable,
-                base_handle,
                 doc,
                 records,
                 root_tag,
@@ -303,14 +291,10 @@ impl MaintIndex {
         for &id in changed_lists {
             self.cache.invalidate(id);
         }
-        let snap = Arc::new(StoreGen::new(
-            w.gen,
-            Arc::clone(&w.base_handle),
-            Arc::new(w.durable.overlay_snapshot()),
-        )?);
         let reader = Arc::new(KvBackedIndex::open_snapshot_with_document(
             Arc::clone(&w.doc),
-            snap,
+            w.gen,
+            w.durable.snapshot(),
             Arc::clone(&self.cache),
         )?);
         let _rank = obs::lockrank::acquire(obs::lockrank::rank::MAINT_EPOCH, "maint.epoch");
@@ -328,11 +312,6 @@ impl MaintIndex {
             return Ok(false);
         }
         w.durable.checkpoint()?;
-        // The checkpoint renamed a fresh tree over the `.db` path; prior
-        // snapshots keep reading the old inode through their pinned
-        // handle, new snapshots need a handle on the new file.
-        let db_path = w.durable.base_path().with_extension("db");
-        w.base_handle = Arc::new(DiskKv::open_with_vfs(&w.vfs, &db_path)?);
         self.publish(&mut w, &[])?;
         obs::counter!("maint_compactions_total").inc();
         obs::counter!("maint_epochs_total").inc();
@@ -496,7 +475,7 @@ pub fn decode_maint_meta(value: &[u8]) -> Result<(u64, u64)> {
 mod tests {
     use super::*;
     use crate::reader::IndexReader;
-    use kvstore::{FaultVfs, MemTreeKv};
+    use kvstore::{DiskKv, FaultVfs, MemTreeKv};
     use std::path::PathBuf;
 
     const CORPUS: &str = "<bib>\

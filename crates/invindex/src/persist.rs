@@ -138,8 +138,12 @@ pub(crate) fn read_version(store: &dyn KvStore) -> Result<u64> {
     Ok(version)
 }
 
-/// Decodes the embedded `D/doc` document.
+/// Checks the format version, then decodes the embedded `D/doc`
+/// document — the first read of every kv-backed open, so the version is
+/// checked once on the way in and a foreign store is refused before any
+/// of it is interpreted.
 pub(crate) fn load_document(store: &dyn KvStore) -> Result<Document> {
+    read_version(store)?;
     let blob = store
         .get(b"D/doc")?
         .ok_or_else(|| KvError::corrupt("store has no embedded document (D/doc)"))?;

@@ -9,6 +9,14 @@
 //! the log. On open, the checkpoint is loaded and the WAL is replayed
 //! over it.
 //!
+//! `DurableKv` is the *writer* of a store, and the only one that repairs
+//! it: this open removes a half-written `<base>.db.new` and truncates a
+//! torn log tail. What it reads — its own lookups included — is a
+//! [`Snapshot`]: it holds the one handle on the tree file, the overlay
+//! and the live-entry count as one, hands out clones through
+//! [`DurableKv::snapshot`], and swaps the tree handle itself at
+//! checkpoint. Readers that must not write use [`Snapshot::open`].
+//!
 //! ## Crash-safety of checkpointing
 //!
 //! The checkpoint never modifies `<base>.db` in place. The merged state
@@ -17,19 +25,16 @@
 //! any point leaves either the old tree (rename not yet durable) or the
 //! new tree (rename durable), and in both cases the still-intact WAL
 //! replays the overlay on top, which is idempotent. A partially written
-//! `<base>.db.new` left by a crash is deleted on the next open. In-place
+//! `<base>.db.new` left by a crash is deleted on the next writer open. In-place
 //! tree updates would not have this property: a power cut midway through
 //! flushing a multi-page update can strand the tree in a state no WAL
 //! replay can repair.
 
-use crate::btree::BTree;
 use crate::error::Result;
-use crate::pager::FilePager;
-use crate::store::KvStore;
+use crate::snapshot::{fold, live_delta, Snapshot};
+use crate::store::{DiskKv, KvStore};
 use crate::vfs::{StdVfs, Vfs};
 use crate::wal::{Wal, WalRecord};
-use std::collections::BTreeMap;
-use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -44,12 +49,14 @@ pub enum BatchOp {
 pub struct DurableKv {
     vfs: Arc<dyn Vfs>,
     base: PathBuf,
-    tree: BTree<FilePager>,
-    /// Overlay of mutations since the last checkpoint:
-    /// `Some(v)` = pending put, `None` = pending delete.
-    overlay: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
+    /// The store's readable state: the one handle on the checkpointed
+    /// tree, the overlay of mutations since, and the live-entry count.
+    /// Every read goes through it and [`Self::snapshot`] clones it, so
+    /// the overlay is copied on the first write after a snapshot was
+    /// handed out, and a checkpoint swaps in a new base handle instead
+    /// of touching the one earlier snapshots pinned.
+    view: Snapshot,
     wal: Wal,
-    live_count: u64,
     /// Sequence number of the last committed transaction group.
     /// Monotonic while the store is open; a reopen re-derives it from
     /// the replayed log (so it restarts at 0 after a checkpoint).
@@ -70,57 +77,23 @@ impl DurableKv {
         let wal_path = base.with_extension("wal");
         // A crash mid-checkpoint can leave a partially written new tree.
         vfs.remove(&base.with_extension("db.new"))?;
-        let tree = BTree::new(FilePager::open_with_vfs(&vfs, &db_path)?)?;
+        let tree = Arc::new(DiskKv::open_with_vfs(&vfs, &db_path)?);
         let mut wal = Wal::open_with_vfs(&vfs, &wal_path)?;
         wal.require_reset_audit();
-
-        let mut overlay: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
-        let mut txn_seq = 0u64;
-        // Transaction groups arrive whole or not at all: `Wal::replay`
-        // rolls back an unterminated tail group and reports a dangling
-        // mid-log group as corruption, so folding member ops directly
-        // into the overlay here is safe.
-        for record in wal.replay()? {
-            match record {
-                WalRecord::Put { key, value } => {
-                    overlay.insert(key, Some(value));
-                }
-                WalRecord::Delete { key } => {
-                    overlay.insert(key, None);
-                }
-                // A checkpoint record would mean the tree already holds
-                // everything before it; the checkpointing protocol resets
-                // the log instead, so this only appears mid-crash.
-                WalRecord::Checkpoint => overlay.clear(),
-                WalRecord::TxnBegin { .. } => {}
-                WalRecord::TxnCommit { seq } => txn_seq = txn_seq.max(seq),
-            }
-        }
-
-        let mut store = DurableKv {
+        let (overlay, txn_seq) = fold(wal.replay()?);
+        Ok(DurableKv {
             vfs,
             base: base.to_path_buf(),
-            tree,
-            overlay,
+            view: Snapshot::over(tree, overlay)?,
             wal,
-            live_count: 0,
             txn_seq,
-        };
-        store.live_count = store.recount()?;
-        Ok(store)
+        })
     }
 
-    fn recount(&self) -> Result<u64> {
-        let mut count = self.tree.len();
-        for (key, v) in &self.overlay {
-            let in_tree = self.tree.contains(key)?;
-            match (in_tree, v.is_some()) {
-                (false, true) => count += 1,
-                (true, false) => count -= 1,
-                _ => {}
-            }
-        }
-        Ok(count)
+    /// The store's current state as an immutable view, in O(1): later
+    /// writes and checkpoints never show through it.
+    pub fn snapshot(&self) -> Snapshot {
+        self.view.clone()
     }
 
     /// Writes the merged tree + overlay state to a fresh tree file,
@@ -128,46 +101,14 @@ impl DurableKv {
     /// recovery no longer needs the log. On error the store is
     /// unchanged: the old tree, overlay and WAL all remain in force.
     pub fn checkpoint(&mut self) -> Result<()> {
-        if self.overlay.is_empty() && self.wal.is_empty()? {
+        if self.view.overlay.is_empty() && self.wal.is_empty()? {
             return Ok(());
         }
         let tmp_path = self.base.with_extension("db.new");
         self.vfs.remove(&tmp_path)?;
-        let mut new_tree = BTree::new(FilePager::open_with_vfs(&self.vfs, &tmp_path)?)?;
-        {
-            // Stream the merge of the (sorted) tree scan and the
-            // (sorted) overlay without materializing either.
-            let tree = &self.tree;
-            let overlay = &self.overlay;
-            let mut ov = overlay.iter().peekable();
-            tree.for_each_in_range(b"", None, &mut |k, v| {
-                while let Some(&(ov_key, ov_val)) = ov.peek() {
-                    match ov_key.as_slice().cmp(k) {
-                        std::cmp::Ordering::Less => {
-                            if let Some(val) = ov_val {
-                                new_tree.put(ov_key, val)?;
-                            }
-                            ov.next();
-                        }
-                        std::cmp::Ordering::Equal => {
-                            // Overlay shadows the tree (including deletes).
-                            if let Some(val) = ov_val {
-                                new_tree.put(ov_key, val)?;
-                            }
-                            ov.next();
-                            return Ok(true);
-                        }
-                        std::cmp::Ordering::Greater => break,
-                    }
-                }
-                new_tree.put(k, &v)?;
-                Ok(true)
-            })?;
-            for (ov_key, ov_val) in ov {
-                if let Some(val) = ov_val {
-                    new_tree.put(ov_key, val)?;
-                }
-            }
+        let mut new_tree = DiskKv::open_with_vfs(&self.vfs, &tmp_path)?;
+        for (key, value) in self.view.scan_range(b"", None)? {
+            new_tree.put(&key, &value)?;
         }
         new_tree.sync()?;
 
@@ -177,9 +118,9 @@ impl DurableKv {
         // The swap is durable; adopt the new tree, then retire the log.
         // The note/audit pair enforces this ordering: resetting the WAL
         // before this point would fail hard (see `Wal::require_reset_audit`).
+        // Snapshots taken before keep the old handle, hence the old inode.
         self.wal.note_base_durable();
-        self.tree = new_tree;
-        self.overlay.clear();
+        self.view = Snapshot::new(Arc::new(new_tree));
         self.wal.reset_with_vfs(&self.vfs)
     }
 
@@ -208,20 +149,25 @@ impl DurableKv {
             match op {
                 BatchOp::Put(key, value) => {
                     let existed = self.contains(key)?;
-                    self.overlay.insert(key.clone(), Some(value.clone()));
-                    if !existed {
-                        self.live_count += 1;
-                    }
+                    self.lay(key, Some(value), existed);
                 }
                 BatchOp::Delete(key) => {
                     if self.contains(key)? {
-                        self.overlay.insert(key.clone(), None);
-                        self.live_count -= 1;
+                        self.lay(key, None, true);
                     }
                 }
             }
         }
         Ok(())
+    }
+
+    /// Lays one logged mutation over the view.
+    fn lay(&mut self, key: &[u8], value: Option<&[u8]>, existed: bool) {
+        Arc::make_mut(&mut self.view.overlay).insert(key.to_vec(), value.map(<[u8]>::to_vec));
+        self.view.len = self
+            .view
+            .len
+            .saturating_add_signed(live_delta(existed, value.is_some()));
     }
 
     /// Sequence number of the last committed transaction group (0 when
@@ -230,31 +176,15 @@ impl DurableKv {
         self.txn_seq
     }
 
-    /// A point-in-time clone of the uncheckpointed overlay (committed
-    /// puts/deletes the base tree does not hold yet). Snapshot readers
-    /// layer this over a read-only handle on the checkpointed tree.
-    pub fn overlay_snapshot(&self) -> BTreeMap<Vec<u8>, Option<Vec<u8>>> {
-        self.overlay.clone()
-    }
-
     /// Number of unsynced overlay entries (checkpoint trigger heuristics).
     pub fn overlay_len(&self) -> usize {
-        self.overlay.len()
-    }
-
-    /// The base path this store was opened at.
-    pub fn base_path(&self) -> &Path {
-        &self.base
+        self.view.overlay_len()
     }
 }
 
 impl KvStore for DurableKv {
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        match self.overlay.get(key) {
-            Some(Some(v)) => Ok(Some(v.clone())),
-            Some(None) => Ok(None),
-            None => self.tree.get(key),
-        }
+        self.view.get(key)
     }
 
     fn put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
@@ -263,61 +193,33 @@ impl KvStore for DurableKv {
             key: key.to_vec(),
             value: value.to_vec(),
         })?;
-        self.overlay.insert(key.to_vec(), Some(value.to_vec()));
-        if !existed {
-            self.live_count += 1;
-        }
+        self.lay(key, Some(value), existed);
         Ok(())
     }
 
     fn delete(&mut self, key: &[u8]) -> Result<bool> {
-        let existed = self.contains(key)?;
-        if !existed {
+        if !self.contains(key)? {
             return Ok(false);
         }
         self.wal.append(&WalRecord::Delete { key: key.to_vec() })?;
-        self.overlay.insert(key.to_vec(), None);
-        self.live_count -= 1;
+        self.lay(key, None, true);
         Ok(true)
     }
 
     fn contains(&self, key: &[u8]) -> Result<bool> {
-        match self.overlay.get(key) {
-            Some(v) => Ok(v.is_some()),
-            None => self.tree.contains(key),
-        }
+        self.view.contains(key)
     }
 
     fn scan_range(&self, start: &[u8], end: Option<&[u8]>) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        // Merge the tree's range with the overlay's range.
-        let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
-        for (k, v) in self.tree.scan_range(start, end)? {
-            merged.insert(k, Some(v));
-        }
-        let upper = match end {
-            Some(e) if e <= start => return Ok(Vec::new()),
-            Some(e) => Bound::Excluded(e.to_vec()),
-            None => Bound::Unbounded,
-        };
-        for (k, v) in self.overlay.range((Bound::Included(start.to_vec()), upper)) {
-            merged.insert(k.clone(), v.clone());
-        }
-        Ok(merged
-            .into_iter()
-            .filter_map(|(k, v)| v.map(|v| (k, v)))
-            .collect())
+        self.view.scan_range(start, end)
     }
 
     fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let all = self.scan_range(prefix, None)?;
-        Ok(all
-            .into_iter()
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .collect())
+        self.view.scan_prefix(prefix)
     }
 
     fn len(&self) -> u64 {
-        self.live_count
+        self.view.len()
     }
 
     fn sync(&mut self) -> Result<()> {
@@ -400,7 +302,7 @@ mod tests {
         assert_eq!(s.get(b"tail").unwrap().unwrap(), b"t");
         // The checkpoint fully rewrote the tree, so deleted keys are
         // genuinely gone from the base file, not just shadowed.
-        assert_eq!(s.tree.len(), 20);
+        assert_eq!(s.view.base.len(), 20);
     }
 
     #[test]
@@ -504,7 +406,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_survives_checkpoint_and_overlay_snapshot_matches() {
+    fn snapshots_are_isolated_from_later_batches_and_checkpoints() {
         let base = tmp("batch_ckpt");
         let mut s = DurableKv::open(&base).unwrap();
         s.apply_batch(&[
@@ -512,16 +414,18 @@ mod tests {
             BatchOp::Put(b"b".to_vec(), b"2".to_vec()),
         ])
         .unwrap();
-        let snap = s.overlay_snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(
-            snap.get(b"a".as_slice()).unwrap().as_deref(),
-            Some(b"1".as_slice())
-        );
+        let before = s.snapshot();
+        assert_eq!((before.overlay_len(), before.len()), (2, 2));
         s.checkpoint().unwrap();
-        assert!(s.overlay_snapshot().is_empty());
+        assert_eq!(s.snapshot().overlay_len(), 0);
         s.apply_batch(&[BatchOp::Delete(b"a".to_vec())]).unwrap();
-        assert_eq!(s.overlay_snapshot().get(b"a".as_slice()), Some(&None));
+        let after = s.snapshot();
+        assert_eq!((after.overlay_len(), after.len()), (1, 1));
+        assert_eq!(after.get(b"a").unwrap(), None);
+        // The earlier view still reads the pre-checkpoint tree and its
+        // own overlay.
+        assert_eq!(before.get(b"a").unwrap().unwrap(), b"1");
+        assert_eq!(before.scan_range(b"", None).unwrap().len(), 2);
         drop(s);
         let s = DurableKv::open(&base).unwrap();
         assert_eq!(s.get(b"a").unwrap(), None);

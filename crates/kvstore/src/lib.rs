@@ -10,9 +10,14 @@
 //! * [`pager`]: fixed-size page storage (in-memory or file-backed) with
 //!   per-page CRC32 trailers.
 //! * [`btree`]: the B+-tree itself.
-//! * [`store`]: the [`KvStore`] trait plus [`MemKv`] (BTreeMap model),
-//!   [`MemTreeKv`] (B+-tree over memory) and [`DiskKv`] (B+-tree over a
-//!   file).
+//! * [`store`]: the [`KvStore`] trait plus [`MemKv`] (BTreeMap model)
+//!   and [`TreeKv`], the B+-tree over memory ([`MemTreeKv`]) or a file
+//!   ([`DiskKv`]).
+//! * [`wal`] + [`durable`]: the write-ahead log and [`DurableKv`], the
+//!   crash-safe store built from a checkpointed tree and the log.
+//! * [`snapshot`]: [`Snapshot`], the one immutable overlay-over-base
+//!   view every reader — and `DurableKv` itself — reads through, and
+//!   the one read-only open.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
@@ -22,6 +27,7 @@ pub mod durable;
 pub mod error;
 mod fsutil;
 pub mod pager;
+pub mod snapshot;
 pub mod store;
 pub mod vfs;
 pub mod wal;
@@ -33,6 +39,7 @@ pub use pager::{
     FilePager, MemPager, PageId, PageVerifyReport, Pager, PAGE_SIZE, PAGE_TRAILER_MAGIC,
     PHYS_PAGE_SIZE,
 };
-pub use store::{DiskKv, KvStore, MemKv, MemTreeKv};
+pub use snapshot::Snapshot;
+pub use store::{DiskKv, KvStore, MemKv, MemTreeKv, TreeKv};
 pub use vfs::{Fault, FaultVfs, StdVfs, SurvivalMode, Vfs, VfsFile};
 pub use wal::{crc32, Wal, WalRecord};

@@ -220,37 +220,58 @@ impl FilePager {
             vfs.sync_parent_dir(path)?;
         }
         let mut len = file.len()?;
-        if len % PHYS_PAGE_SIZE as u64 != 0 {
-            if len < PHYS_PAGE_SIZE as u64 {
-                // A crash can tear the initial header write of a store
-                // that never held data; restart it from scratch.
-                file.set_len(0)?;
-                len = 0;
-            } else {
-                return Err(KvError::corrupt(format!(
-                    "file length {len} is not a multiple of the physical page size"
-                )));
-            }
+        if (1..PHYS_PAGE_SIZE as u64).contains(&len) {
+            // A crash can tear the initial header write of a store
+            // that never held data; restart it from scratch.
+            file.set_len(0)?;
+            len = 0;
+        }
+        let pager = Self::over(file, len)?;
+        if len == 0 {
+            // Write the header page eagerly so page 0 always exists.
+            pager.write_through(PageId(0), &[0u8; PAGE_SIZE])?;
+        }
+        Ok(pager)
+    }
+
+    /// Opens the existing file at `path` for reading only: an absent
+    /// file is a `NotFound` error naming it, and nothing is created,
+    /// truncated or written on the way in (the pager's own write
+    /// methods still work — a read-only caller just never calls them).
+    pub fn open_read_only(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<Self> {
+        if !vfs.exists(path) {
+            return Err(KvError::Io(std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                format!("no such store file: {}", path.display()),
+            )));
+        }
+        let file = vfs.open(path)?;
+        let len = file.len()?;
+        Self::over(file, len)
+    }
+
+    /// A pager over an open `file` of `len` bytes, header verified.
+    fn over(file: Box<dyn VfsFile>, len: u64) -> Result<Self> {
+        if !len.is_multiple_of(PHYS_PAGE_SIZE as u64) {
+            return Err(KvError::corrupt(format!(
+                "file length {len} is not a multiple of the physical page size"
+            )));
         }
         let page_count = len / PHYS_PAGE_SIZE as u64;
-        let pager = FilePager {
+        if page_count > 0 {
+            // Fail fast on a rotten or trailer-less header rather than
+            // at first read.
+            let mut page0 = vec![0u8; PHYS_PAGE_SIZE];
+            file.read_exact_at(0, &mut page0)?;
+            verify_phys_page(&page0, 0)?;
+        }
+        Ok(FilePager {
             file,
             cache: HashMap::new(),
             cache_limit: 4096,
             page_count: page_count.max(1),
             free: Vec::new(),
-        };
-        if page_count == 0 {
-            // Write the header page eagerly so page 0 always exists.
-            pager.write_through(PageId(0), &[0u8; PAGE_SIZE])?;
-        } else {
-            // Fail fast on a rotten or trailer-less header rather than
-            // at first read.
-            let mut page0 = vec![0u8; PHYS_PAGE_SIZE];
-            pager.file.read_exact_at(0, &mut page0)?;
-            verify_phys_page(&page0, 0)?;
-        }
-        Ok(pager)
+        })
     }
 
     /// Verifies the trailer checksum of every page in the file,

@@ -1,4 +1,5 @@
-//! The `KvStore` trait and its two implementations.
+//! The `KvStore` trait and its two basic implementations: the
+//! `BTreeMap` model and the B+-tree.
 //!
 //! The index layer programs against [`KvStore`] so the choice between the
 //! in-memory store (fast rebuilds, tests) and the persistent B+-tree
@@ -6,8 +7,8 @@
 
 use crate::btree::BTree;
 use crate::error::Result;
-use crate::pager::{FilePager, MemPager, PageVerifyReport};
-use crate::vfs::Vfs;
+use crate::pager::{FilePager, MemPager, PageVerifyReport, Pager};
+use crate::vfs::{StdVfs, Vfs};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::path::Path;
@@ -98,24 +99,38 @@ impl KvStore for MemKv {
     }
 }
 
-/// Persistent store: the page-based B+-tree over a file.
-pub struct DiskKv {
-    tree: BTree<FilePager>,
+/// The page-based B+-tree behind the [`KvStore`] interface, over any
+/// [`Pager`].
+pub struct TreeKv<P: Pager> {
+    tree: BTree<P>,
 }
 
-impl DiskKv {
+/// Persistent store: the B+-tree over a file.
+pub type DiskKv = TreeKv<FilePager>;
+
+/// In-memory B+-tree store: same code path as [`DiskKv`] minus the file.
+/// Used to test the tree against [`MemKv`] as a model.
+pub type MemTreeKv = TreeKv<MemPager>;
+
+impl TreeKv<FilePager> {
     /// Opens (creating if absent) a store at `path`.
     pub fn open(path: &Path) -> Result<Self> {
-        Ok(DiskKv {
-            tree: BTree::new(FilePager::open(path)?)?,
-        })
+        Self::open_with_vfs(&StdVfs::arc(), path)
     }
 
     /// Opens a store whose I/O goes through `vfs` — the fault-injection
     /// entry point used by the torture tests.
     pub fn open_with_vfs(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<Self> {
-        Ok(DiskKv {
+        Ok(TreeKv {
             tree: BTree::new(FilePager::open_with_vfs(vfs, path)?)?,
+        })
+    }
+
+    /// Opens the existing store at `path` without creating, truncating
+    /// or writing anything (see [`FilePager::open_read_only`]).
+    pub fn open_read_only(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<Self> {
+        Ok(TreeKv {
+            tree: BTree::new(FilePager::open_read_only(vfs, path)?)?,
         })
     }
 
@@ -125,56 +140,15 @@ impl DiskKv {
     }
 }
 
-impl KvStore for DiskKv {
-    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.tree.get(key)
-    }
-
-    fn put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.tree.put(key, value)?;
-        Ok(())
-    }
-
-    fn delete(&mut self, key: &[u8]) -> Result<bool> {
-        self.tree.delete(key)
-    }
-
-    fn contains(&self, key: &[u8]) -> Result<bool> {
-        self.tree.contains(key)
-    }
-
-    fn scan_range(&self, start: &[u8], end: Option<&[u8]>) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.tree.scan_range(start, end)
-    }
-
-    fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.tree.scan_prefix(prefix)
-    }
-
-    fn len(&self) -> u64 {
-        self.tree.len()
-    }
-
-    fn sync(&mut self) -> Result<()> {
-        self.tree.sync()
-    }
-}
-
-/// In-memory B+-tree store: same code path as [`DiskKv`] minus the file.
-/// Used to test the tree against [`MemKv`] as a model.
-pub struct MemTreeKv {
-    tree: BTree<MemPager>,
-}
-
-impl MemTreeKv {
+impl TreeKv<MemPager> {
     pub fn new() -> Result<Self> {
-        Ok(MemTreeKv {
+        Ok(TreeKv {
             tree: BTree::new(MemPager::new())?,
         })
     }
 }
 
-impl KvStore for MemTreeKv {
+impl<P: Pager> KvStore for TreeKv<P> {
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         self.tree.get(key)
     }

@@ -5,7 +5,12 @@
 //! could lose committed data — so [`crate::durable::DurableKv`] layers
 //! this WAL in front of it: every mutation is appended (length-prefixed,
 //! CRC32-guarded) and fsynced before being applied; on open the log is
-//! replayed and any torn tail is truncated away.
+//! replayed and any torn tail is truncated away. Replay is two halves:
+//! `scan`, the one frame parser (records + intact-prefix length, no
+//! side effect), and the truncation, which only the writer's
+//! [`Wal::replay`] performs — a read-only open ([`read_log`], behind
+//! [`crate::snapshot::Snapshot::open`]) sees the same committed prefix
+//! and leaves the file as found.
 //!
 //! A *torn tail* is strictly the final, incompletely written record: a
 //! crash can only tear the bytes that were in flight. A damaged record
@@ -223,93 +228,17 @@ impl Wal {
         Ok(())
     }
 
-    /// Reads every intact record from the start of the log. A torn or
-    /// corrupt *tail* ends replay silently (those records were never
-    /// acknowledged as committed) and is truncated away; a damaged
-    /// record *followed by* an intact one is mid-log corruption of
-    /// committed data and is reported as [`KvError::Corrupt`].
+    /// Reads every intact record from the start of the log (see
+    /// `scan`) and truncates a torn tail away so appends resume at
+    /// the intact prefix. The truncation is the writer's half of
+    /// recovery; a read-only open runs `scan` alone.
     pub fn replay(&mut self) -> Result<Vec<WalRecord>> {
-        let len = self.file.len()? as usize;
-        let mut buf = vec![0u8; len];
-        self.file.read_exact_at(0, &mut buf)?;
-        let mut records = Vec::new();
-        let mut pos = 0usize;
-        // Open transaction: (index into `records` of its TxnBegin, byte
-        // offset of that frame, its seq).
-        let mut txn: Option<(usize, usize, u64)> = None;
-        while pos < buf.len() {
-            if pos + 8 > buf.len() {
-                ensure_tail_only(&buf, pos)?;
-                break; // torn length header
-            }
-            let len = codec::u32_at(&buf, pos, "WAL frame length")? as usize;
-            let crc = codec::u32_at(&buf, pos + 4, "WAL frame checksum")?;
-            if pos + 8 + len > buf.len() {
-                ensure_tail_only(&buf, pos)?;
-                break; // torn body
-            }
-            let body = codec::slice_at(&buf, pos + 8, len, "WAL frame body")?;
-            if crc32(body) != crc {
-                ensure_tail_only(&buf, pos)?;
-                break; // torn final record
-            }
-            match decode_body(body) {
-                Some(r) => {
-                    match &r {
-                        WalRecord::TxnBegin { seq } => {
-                            if txn.is_some() {
-                                return Err(KvError::corrupt(format!(
-                                    "WAL transaction at byte {pos} begins inside an \
-                                     unterminated transaction"
-                                )));
-                            }
-                            txn = Some((records.len(), pos, *seq));
-                        }
-                        WalRecord::TxnCommit { seq } => match txn.take() {
-                            Some((_, _, begin_seq)) if begin_seq == *seq => {}
-                            Some((_, at, begin_seq)) => {
-                                return Err(KvError::corrupt(format!(
-                                    "WAL commit at byte {pos} (seq {seq}) does not match \
-                                     the open transaction at byte {at} (seq {begin_seq})"
-                                )));
-                            }
-                            None => {
-                                return Err(KvError::corrupt(format!(
-                                    "WAL commit at byte {pos} has no matching begin"
-                                )));
-                            }
-                        },
-                        WalRecord::Checkpoint if txn.is_some() => {
-                            return Err(KvError::corrupt(format!(
-                                "WAL checkpoint at byte {pos} inside an open transaction"
-                            )));
-                        }
-                        _ => {}
-                    }
-                    records.push(r);
-                }
-                None => {
-                    // A fully written, CRC-valid frame that does not
-                    // decode was never a torn write.
-                    return Err(KvError::corrupt(format!(
-                        "WAL record at byte {pos} has a valid checksum but undecodable body"
-                    )));
-                }
-            }
-            pos += 8 + len;
+        let buf = read_all(self.file.as_ref())?;
+        let (records, intact) = scan(&buf)?;
+        if intact < buf.len() {
+            self.file.set_len(intact as u64)?;
         }
-        // An unterminated transaction at the tail was torn mid-group
-        // (the group is written with one write + one fsync, so nothing
-        // in it was ever acknowledged): roll the whole group back.
-        if let Some((idx, at, _)) = txn {
-            records.truncate(idx);
-            pos = at;
-        }
-        // Truncate any torn tail so appends resume at the intact prefix.
-        if (pos as u64) < self.file.len()? {
-            self.file.set_len(pos as u64)?;
-        }
-        self.tail = pos as u64;
+        self.tail = intact as u64;
         Ok(records)
     }
 
@@ -350,6 +279,108 @@ impl Wal {
     pub fn is_empty(&mut self) -> Result<bool> {
         Ok(self.len()? == 0)
     }
+}
+
+/// A read-only look at the log at `path`: its intact records and how
+/// many trailing bytes are torn. An absent log is an empty one; nothing
+/// is created or truncated.
+pub fn read_log(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<(Vec<WalRecord>, u64)> {
+    if !vfs.exists(path) {
+        return Ok((Vec::new(), 0));
+    }
+    let buf = read_all(vfs.open(path)?.as_ref())?;
+    let (records, intact) = scan(&buf)?;
+    Ok((records, (buf.len() - intact) as u64))
+}
+
+fn read_all(file: &dyn VfsFile) -> Result<Vec<u8>> {
+    let mut buf = vec![0u8; file.len()? as usize];
+    file.read_exact_at(0, &mut buf)?;
+    Ok(buf)
+}
+
+/// The one frame parser: every intact record of a log image plus the
+/// byte length of its intact prefix. Mutates nothing. A torn or corrupt
+/// *tail* ends the scan silently (those records were never acknowledged
+/// as committed) and an unterminated transaction group at the tail is
+/// rolled back whole; a damaged record *followed by* an intact one is
+/// mid-log corruption of committed data and is reported as
+/// [`KvError::Corrupt`].
+fn scan(buf: &[u8]) -> Result<(Vec<WalRecord>, usize)> {
+    let mut records = Vec::new();
+    let mut pos = 0usize;
+    // Open transaction: (index into `records` of its TxnBegin, byte
+    // offset of that frame, its seq).
+    let mut txn: Option<(usize, usize, u64)> = None;
+    while pos < buf.len() {
+        if pos + 8 > buf.len() {
+            ensure_tail_only(buf, pos)?;
+            break; // torn length header
+        }
+        let len = codec::u32_at(buf, pos, "WAL frame length")? as usize;
+        let crc = codec::u32_at(buf, pos + 4, "WAL frame checksum")?;
+        if pos + 8 + len > buf.len() {
+            ensure_tail_only(buf, pos)?;
+            break; // torn body
+        }
+        let body = codec::slice_at(buf, pos + 8, len, "WAL frame body")?;
+        if crc32(body) != crc {
+            ensure_tail_only(buf, pos)?;
+            break; // torn final record
+        }
+        match decode_body(body) {
+            Some(r) => {
+                match &r {
+                    WalRecord::TxnBegin { seq } => {
+                        if txn.is_some() {
+                            return Err(KvError::corrupt(format!(
+                                "WAL transaction at byte {pos} begins inside an \
+                                 unterminated transaction"
+                            )));
+                        }
+                        txn = Some((records.len(), pos, *seq));
+                    }
+                    WalRecord::TxnCommit { seq } => match txn.take() {
+                        Some((_, _, begin_seq)) if begin_seq == *seq => {}
+                        Some((_, at, begin_seq)) => {
+                            return Err(KvError::corrupt(format!(
+                                "WAL commit at byte {pos} (seq {seq}) does not match \
+                                 the open transaction at byte {at} (seq {begin_seq})"
+                            )));
+                        }
+                        None => {
+                            return Err(KvError::corrupt(format!(
+                                "WAL commit at byte {pos} has no matching begin"
+                            )));
+                        }
+                    },
+                    WalRecord::Checkpoint if txn.is_some() => {
+                        return Err(KvError::corrupt(format!(
+                            "WAL checkpoint at byte {pos} inside an open transaction"
+                        )));
+                    }
+                    _ => {}
+                }
+                records.push(r);
+            }
+            None => {
+                // A fully written, CRC-valid frame that does not
+                // decode was never a torn write.
+                return Err(KvError::corrupt(format!(
+                    "WAL record at byte {pos} has a valid checksum but undecodable body"
+                )));
+            }
+        }
+        pos += 8 + len;
+    }
+    // An unterminated transaction at the tail was torn mid-group
+    // (the group is written with one write + one fsync, so nothing
+    // in it was ever acknowledged): roll the whole group back.
+    if let Some((idx, at, _)) = txn {
+        records.truncate(idx);
+        pos = at;
+    }
+    Ok((records, pos))
 }
 
 /// Reports mid-log corruption: the frame at `bad_at` is damaged, so no

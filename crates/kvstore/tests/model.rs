@@ -109,6 +109,15 @@ fn durable_op(g: &mut Gen) -> DurableOp {
     }
 }
 
+fn dump(store: &dyn KvStore) -> Vec<(Vec<u8>, Vec<u8>)> {
+    store.scan_range(&[], None).unwrap()
+}
+
+/// `DurableKv` against the `BTreeMap` model, with `DurableKv::snapshot`
+/// as a second subject: the view taken after every op equals the model,
+/// and a view taken a few ops earlier keeps equalling the model as it
+/// was then, whatever puts, deletes, checkpoints and reopens follow —
+/// the isolation `invindex::MaintIndex`'s pinned readers rely on.
 #[test]
 fn durable_store_matches_model_across_reopens() {
     use kvstore::DurableKv;
@@ -123,6 +132,8 @@ fn durable_store_matches_model_across_reopens() {
 
         let mut model = MemKv::new();
         let mut store = DurableKv::open(&base).unwrap();
+        // (snapshot, the model's dump when it was taken), a few ops old.
+        let mut pinned = std::collections::VecDeque::new();
         for op in ops {
             match op {
                 DurableOp::Put(k, v) => {
@@ -139,14 +150,25 @@ fn durable_store_matches_model_across_reopens() {
                 }
             }
             assert_eq!(model.len(), store.len());
+            let snap = store.snapshot();
+            assert_eq!(dump(&snap), dump(&model));
+            assert_eq!(snap.len(), model.len());
+            pinned.push_back((snap, dump(&model)));
+            if pinned.len() > 4 {
+                pinned.pop_front();
+            }
+            for (old, then) in &pinned {
+                assert_eq!(&dump(old), then, "a pinned snapshot moved");
+                assert_eq!(old.len(), then.len() as u64);
+            }
         }
         // final full-state comparison (after one more recovery)
         drop(store);
         let store = DurableKv::open(&base).unwrap();
-        assert_eq!(
-            model.scan_range(&[], None).unwrap(),
-            store.scan_range(&[], None).unwrap()
-        );
+        assert_eq!(dump(&model), dump(&store));
+        for (old, then) in &pinned {
+            assert_eq!(&dump(old), then, "a pinned snapshot moved");
+        }
         let _ = std::fs::remove_file(base.with_extension("db"));
         let _ = std::fs::remove_file(base.with_extension("wal"));
     });

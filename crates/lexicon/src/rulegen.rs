@@ -70,39 +70,11 @@ impl VocabIndex {
     }
 }
 
-/// Knobs of the rule generator.
-#[derive(Debug, Clone)]
-pub struct RuleGenConfig {
-    /// Maximum Damerau–Levenshtein distance for spelling rules.
-    pub max_edit_distance: usize,
-    /// Minimum keyword length for spelling correction (short words are
-    /// close to everything).
-    pub min_spelling_len: usize,
-    /// Cost of a one-term deletion (strictly above all rule scores).
-    pub deletion_cost: f64,
-    pub enable_merge: bool,
-    pub enable_split: bool,
-    pub enable_spelling: bool,
-    pub enable_synonyms: bool,
-    pub enable_acronyms: bool,
-    pub enable_stemming: bool,
-}
-
-impl Default for RuleGenConfig {
-    fn default() -> Self {
-        RuleGenConfig {
-            max_edit_distance: 2,
-            min_spelling_len: 4,
-            deletion_cost: 2.0,
-            enable_merge: true,
-            enable_split: true,
-            enable_spelling: true,
-            enable_synonyms: true,
-            enable_acronyms: true,
-            enable_stemming: true,
-        }
-    }
-}
+/// Maximum Damerau–Levenshtein distance for spelling rules.
+const MAX_EDIT_DISTANCE: usize = 2;
+/// Minimum keyword length for spelling correction (short words are
+/// close to everything).
+const MIN_SPELLING_LEN: usize = 4;
 
 /// Generates the pertinent rule set for `query` against `vocab`.
 pub fn generate_rules(
@@ -110,106 +82,115 @@ pub fn generate_rules(
     vocab: &VocabIndex,
     thesaurus: &Thesaurus,
     acronyms: &AcronymTable,
-    config: &RuleGenConfig,
 ) -> RuleSet {
-    let mut rs = RuleSet::new().with_deletion_cost(config.deletion_cost);
+    // Deleting a term costs `RuleSet`'s default: 2, strictly above
+    // every rule score below.
+    let mut rs = RuleSet::new();
 
-    if config.enable_merge {
-        // Adjacent pairs and triples that exist as single vocabulary words.
-        for w in query.windows(2) {
-            let merged = format!("{}{}", w[0], w[1]);
-            if vocab.contains(&merged) {
+    // Adjacent pairs and triples that exist as single vocabulary words.
+    for w in query.windows(2) {
+        let merged = format!("{}{}", w[0], w[1]);
+        if vocab.contains(&merged) {
+            rs.add(Rule::new(
+                &[&w[0], &w[1]],
+                &[&merged],
+                RefineOp::Merge,
+                RuleSource::Merging,
+                1.0,
+            ));
+        }
+    }
+    for w in query.windows(3) {
+        let merged = format!("{}{}{}", w[0], w[1], w[2]);
+        if vocab.contains(&merged) {
+            rs.add(Rule::new(
+                &[&w[0], &w[1], &w[2]],
+                &[&merged],
+                RefineOp::Merge,
+                RuleSource::Merging,
+                2.0,
+            ));
+        }
+    }
+
+    for k in query {
+        let chars: Vec<char> = k.chars().collect();
+        for cut in 1..chars.len() {
+            let a: String = chars[..cut].iter().collect();
+            let b: String = chars[cut..].iter().collect();
+            if vocab.contains(&a) && vocab.contains(&b) {
                 rs.add(Rule::new(
-                    &[&w[0], &w[1]],
-                    &[&merged],
-                    RefineOp::Merge,
-                    RuleSource::Merging,
+                    &[k.as_str()],
+                    &[&a, &b],
+                    RefineOp::Split,
+                    RuleSource::Splitting,
                     1.0,
                 ));
             }
         }
-        for w in query.windows(3) {
-            let merged = format!("{}{}{}", w[0], w[1], w[2]);
-            if vocab.contains(&merged) {
+    }
+
+    for k in query {
+        if vocab.contains(k) || k.chars().count() < MIN_SPELLING_LEN {
+            continue;
+        }
+        for w in vocab.words() {
+            if w.chars().count() < MIN_SPELLING_LEN {
+                continue;
+            }
+            if let Some(d) = within_distance(k, w, MAX_EDIT_DISTANCE) {
+                if d > 0 {
+                    rs.add(Rule::new(
+                        &[k.as_str()],
+                        &[w],
+                        RefineOp::Substitute,
+                        RuleSource::Spelling,
+                        d as f64,
+                    ));
+                }
+            }
+        }
+    }
+
+    for k in query {
+        for (syn, ds) in thesaurus.synonyms(k) {
+            if vocab.contains(syn) {
                 rs.add(Rule::new(
-                    &[&w[0], &w[1], &w[2]],
-                    &[&merged],
-                    RefineOp::Merge,
-                    RuleSource::Merging,
-                    2.0,
+                    &[k.as_str()],
+                    &[syn],
+                    RefineOp::Substitute,
+                    RuleSource::Synonym,
+                    *ds,
                 ));
             }
         }
     }
 
-    if config.enable_split {
-        for k in query {
-            let chars: Vec<char> = k.chars().collect();
-            for cut in 1..chars.len() {
-                let a: String = chars[..cut].iter().collect();
-                let b: String = chars[cut..].iter().collect();
-                if vocab.contains(&a) && vocab.contains(&b) {
-                    rs.add(Rule::new(
-                        &[k.as_str()],
-                        &[&a, &b],
-                        RefineOp::Split,
-                        RuleSource::Splitting,
-                        1.0,
-                    ));
-                }
+    for k in query {
+        // acronym -> expansion (all expansion words must exist)
+        for exp in acronyms.expansions(k) {
+            if exp.iter().all(|w| vocab.contains(w)) {
+                let rhs: Vec<&str> = exp.iter().map(|s| s.as_str()).collect();
+                rs.add(Rule::new(
+                    &[k.as_str()],
+                    &rhs,
+                    RefineOp::Substitute,
+                    RuleSource::Acronym,
+                    1.0,
+                ));
             }
         }
     }
-
-    if config.enable_spelling {
-        for k in query {
-            if vocab.contains(k) || k.chars().count() < config.min_spelling_len {
-                continue;
-            }
-            for w in vocab.words() {
-                if w.chars().count() < config.min_spelling_len {
-                    continue;
-                }
-                if let Some(d) = within_distance(k, w, config.max_edit_distance) {
-                    if d > 0 {
-                        rs.add(Rule::new(
-                            &[k.as_str()],
-                            &[w],
-                            RefineOp::Substitute,
-                            RuleSource::Spelling,
-                            d as f64,
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    if config.enable_synonyms {
-        for k in query {
-            for (syn, ds) in thesaurus.synonyms(k) {
-                if vocab.contains(syn) {
+    // expansion phrase in the query -> acronym
+    for start in 0..query.len() {
+        for end in (start + 2)..=query.len().min(start + 4) {
+            let phrase = query[start..end].to_vec();
+            if let Some(acr) = acronyms.acronym_of(&phrase) {
+                if vocab.contains(acr) {
+                    let lhs: Vec<&str> = phrase.iter().map(|s| s.as_str()).collect();
                     rs.add(Rule::new(
-                        &[k.as_str()],
-                        &[syn],
-                        RefineOp::Substitute,
-                        RuleSource::Synonym,
-                        *ds,
-                    ));
-                }
-            }
-        }
-    }
-
-    if config.enable_acronyms {
-        for k in query {
-            // acronym -> expansion (all expansion words must exist)
-            for exp in acronyms.expansions(k) {
-                if exp.iter().all(|w| vocab.contains(w)) {
-                    let rhs: Vec<&str> = exp.iter().map(|s| s.as_str()).collect();
-                    rs.add(Rule::new(
-                        &[k.as_str()],
-                        &rhs,
+                        &lhs,
+                        &[acr],
                         RefineOp::Substitute,
                         RuleSource::Acronym,
                         1.0,
@@ -217,40 +198,20 @@ pub fn generate_rules(
                 }
             }
         }
-        // expansion phrase in the query -> acronym
-        for start in 0..query.len() {
-            for end in (start + 2)..=query.len().min(start + 4) {
-                let phrase = query[start..end].to_vec();
-                if let Some(acr) = acronyms.acronym_of(&phrase) {
-                    if vocab.contains(acr) {
-                        let lhs: Vec<&str> = phrase.iter().map(|s| s.as_str()).collect();
-                        rs.add(Rule::new(
-                            &lhs,
-                            &[acr],
-                            RefineOp::Substitute,
-                            RuleSource::Acronym,
-                            1.0,
-                        ));
-                    }
-                }
-            }
-        }
     }
 
-    if config.enable_stemming {
-        for k in query {
-            if vocab.contains(k) {
-                continue;
-            }
-            for variant in vocab.stem_variants(k) {
-                rs.add(Rule::new(
-                    &[k.as_str()],
-                    &[variant],
-                    RefineOp::Substitute,
-                    RuleSource::Stemming,
-                    1.0,
-                ));
-            }
+    for k in query {
+        if vocab.contains(k) {
+            continue;
+        }
+        for variant in vocab.stem_variants(k) {
+            rs.add(Rule::new(
+                &[k.as_str()],
+                &[variant],
+                RefineOp::Substitute,
+                RuleSource::Stemming,
+                1.0,
+            ));
         }
     }
 
@@ -300,7 +261,6 @@ mod tests {
             &vocab(),
             &Thesaurus::bibliographic(),
             &AcronymTable::computer_science(),
-            &RuleGenConfig::default(),
         )
     }
 
@@ -375,27 +335,6 @@ mod tests {
         assert!(has_rule(&rs, &["match"], &["matching"]));
         let rs2 = gen(&["publication"]);
         assert!(has_rule(&rs2, &["publication"], &["publications"]));
-    }
-
-    #[test]
-    fn disabled_operations_generate_nothing() {
-        let config = RuleGenConfig {
-            enable_merge: false,
-            enable_split: false,
-            enable_spelling: false,
-            enable_synonyms: false,
-            enable_acronyms: false,
-            enable_stemming: false,
-            ..Default::default()
-        };
-        let rs = generate_rules(
-            &q(&["on", "line", "publication", "eficient"]),
-            &vocab(),
-            &Thesaurus::bibliographic(),
-            &AcronymTable::computer_science(),
-            &config,
-        );
-        assert!(rs.is_empty());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use lexicon::{
     damerau_levenshtein, generate_rules, levenshtein, porter_stem, within_distance, AcronymTable,
-    RuleGenConfig, Thesaurus, VocabIndex,
+    Thesaurus, VocabIndex,
 };
 use std::ops::RangeInclusive;
 use xcheck::prop::{check, Gen};
@@ -100,7 +100,6 @@ fn generated_rules_are_sound() {
             &vocab,
             &Thesaurus::bibliographic(),
             &AcronymTable::computer_science(),
-            &RuleGenConfig::default(),
         );
         for (_, r) in rules.iter() {
             // every RHS keyword must exist in the data

@@ -77,6 +77,7 @@ impl Config {
                 "crates/kvstore/src/wal.rs".into(),
                 "crates/kvstore/src/btree.rs".into(),
                 "crates/kvstore/src/durable.rs".into(),
+                "crates/kvstore/src/snapshot.rs".into(),
                 "crates/invindex/src/persist.rs".into(),
                 "crates/invindex/src/postings.rs".into(),
                 "crates/invindex/src/cursor.rs".into(),

@@ -318,13 +318,18 @@ fn update_store(store_path: &str, ops: &[UpdateOp], compact: bool) -> Result<(),
 }
 
 /// `xrefine-cli scrub --store <db>`: per-section integrity report.
-/// Returns `Ok(true)` when every page and every entry verified.
+/// Returns `Ok(true)` when every page and every entry verified. Scrub
+/// only reads: crash leftovers beside the store are reported, and left
+/// for the next writer open (`update`, `xrefine-serve --live`) to repair.
 fn scrub_store(store_path: &str) -> Result<bool, String> {
+    scrub_store_with_vfs(&kvstore::StdVfs::arc(), store_path)
+}
+
+fn scrub_store_with_vfs(vfs: &Arc<dyn kvstore::Vfs>, store_path: &str) -> Result<bool, String> {
+    use kvstore::KvStore as _;
     let path = std::path::Path::new(store_path);
-    if !path.exists() {
-        return Err(format!("no such store: {store_path}"));
-    }
-    let kv = kvstore::DiskKv::open(path).map_err(|e| format!("cannot open {store_path}: {e}"))?;
+    let kv = kvstore::DiskKv::open_read_only(vfs, path)
+        .map_err(|e| format!("cannot open {store_path}: {e}"))?;
 
     // Layer 1: page checksums (catches damage anywhere in the file).
     let pages = kv
@@ -347,73 +352,54 @@ fn scrub_store(store_path: &str) -> Result<bool, String> {
         Some(v) => println!("index format: v{v}"),
         None => println!("index format: unreadable or unsupported version record"),
     }
-    for section in &report.sections {
-        println!(
-            "section {:<10} {:>6} entries, {} damaged",
-            section.name,
-            section.entries,
-            section.damaged.len()
-        );
-        for (entry, detail) in &section.damaged {
-            println!("  {entry}: {detail}");
-        }
-    }
+    print_sections("section", &report);
 
-    // Layer 3: online-maintenance artifacts. A WAL next to the store
-    // means it is maintained: verify the *merged* (base + replayed
-    // overlay) view too, since that is what readers are served.
-    use kvstore::KvStore as _;
+    // Layer 3: online maintenance. The view readers are served is the
+    // base with the WAL's committed transactions laid over it; when
+    // there are any, verify that merged view too.
     let mut maint_clean = true;
-    let base = std::path::Path::new(store_path);
-    let tmp_path = base.with_extension("db.new");
-    if tmp_path.exists() {
+    let tmp_path = path.with_extension("db.new");
+    if vfs.exists(&tmp_path) {
         println!(
-            "maintenance: half-compacted checkpoint {} left by a crash;              recoverable (next open discards it and replays the WAL)",
+            "maintenance: half-compacted checkpoint {} left by a crash; \
+             harmless (the next writer open discards it)",
             tmp_path.display()
         );
     }
-    let wal_present = base
-        .with_extension("wal")
-        .metadata()
-        .map(|m| m.len() > 0)
-        .unwrap_or(false);
-    if wal_present || tmp_path.exists() {
-        match kvstore::DurableKv::open(base) {
-            Ok(durable) => {
+    let view = kvstore::wal::read_log(vfs, &path.with_extension("wal"))
+        .and_then(|(records, torn)| Ok((records.len(), torn, kvstore::Snapshot::open(vfs, path)?)));
+    match view {
+        Ok((records, torn, view)) => {
+            if torn > 0 {
                 println!(
-                    "maintenance: WAL replayed, txn seq {}, {} overlay entr(ies)",
-                    durable.txn_seq(),
-                    durable.overlay_len()
+                    "maintenance: {torn}-byte torn WAL tail left by a crash; \
+                     harmless (never acknowledged; the next writer open truncates it)"
                 );
-                let merged = invindex::verify_store(&durable);
-                for section in &merged.sections {
-                    println!(
-                        "merged  {:<10} {:>6} entries, {} damaged",
-                        section.name,
-                        section.entries,
-                        section.damaged.len()
-                    );
-                    for (entry, detail) in &section.damaged {
-                        println!("  {entry}: {detail}");
-                    }
-                }
-                if let Ok(Some(value)) = durable.get(invindex::maint::MAINT_KEY) {
-                    match invindex::maint::decode_maint_meta(&value) {
-                        Ok((seq, records)) => println!(
-                            "maintenance: seq {seq}, {records} record(s) under maintenance"
-                        ),
-                        Err(e) => {
-                            maint_clean = false;
-                            println!("maintenance: damaged M/maint record: {e}");
-                        }
-                    }
-                }
+            }
+            if view.overlay_len() > 0 {
+                println!(
+                    "maintenance: WAL replayed, {records} record(s), {} overlay entr(ies)",
+                    view.overlay_len()
+                );
+                let merged = invindex::verify_store(&view);
+                print_sections("merged ", &merged);
                 maint_clean &= merged.is_clean();
             }
-            Err(e) => {
-                maint_clean = false;
-                println!("maintenance: WAL replay failed: {e}");
+            if let Ok(Some(value)) = view.get(invindex::maint::MAINT_KEY) {
+                match invindex::maint::decode_maint_meta(&value) {
+                    Ok((seq, records)) => {
+                        println!("maintenance: seq {seq}, {records} record(s) under maintenance")
+                    }
+                    Err(e) => {
+                        maint_clean = false;
+                        println!("maintenance: damaged M/maint record: {e}");
+                    }
+                }
             }
+        }
+        Err(e) => {
+            maint_clean = false;
+            println!("maintenance: WAL replay failed: {e}");
         }
     }
 
@@ -431,6 +417,20 @@ fn scrub_store(store_path: &str) -> Result<bool, String> {
         );
     }
     Ok(clean)
+}
+
+fn print_sections(label: &str, report: &invindex::IntegrityReport) {
+    for section in &report.sections {
+        println!(
+            "{label} {:<10} {:>6} entries, {} damaged",
+            section.name,
+            section.entries,
+            section.damaged.len()
+        );
+        for (entry, detail) in &section.damaged {
+            println!("  {entry}: {detail}");
+        }
+    }
 }
 
 fn build_engine(opts: &Options) -> Result<XRefineEngine, String> {
@@ -720,6 +720,76 @@ mod tests {
         assert!(!scrub_store(spath).unwrap(), "damage must be reported");
 
         assert!(scrub_store("/no/such/store.db").is_err());
+    }
+
+    /// Read-only opens only read. A store with a committed but not yet
+    /// compacted transaction, a half-written checkpoint and a torn WAL
+    /// tail — what a crash mid-maintenance leaves — is served (`query
+    /// --store`, `xrefine-serve --store`) and scrubbed with the update
+    /// visible, without one mutating filesystem operation; the leftovers
+    /// wait for the next writer open, which recovers as it always did.
+    #[test]
+    fn read_only_open_leaves_every_file_as_found() {
+        use kvstore::FaultVfs;
+        let vfs = FaultVfs::new();
+        let dyn_vfs = vfs.as_dyn();
+        let db = std::path::PathBuf::from("/ro/store.db");
+        let (wal, tmp) = (db.with_extension("wal"), db.with_extension("db.new"));
+        let corpus = "<bib><paper><title>xml keyword search</title></paper></bib>";
+        let built = invindex::build_streaming(corpus, 1).unwrap();
+        let mut disk = kvstore::DiskKv::open_with_vfs(&dyn_vfs, &db).unwrap();
+        invindex::persist::persist(&built, &mut disk).unwrap();
+        disk.sync().unwrap();
+        drop(disk);
+        let maint = invindex::MaintIndex::open_with_vfs(vfs.as_dyn(), &db).unwrap();
+        maint
+            .commit(&[invindex::MaintOp::Add {
+                fragment: "<paper><title>epoch handoff</title></paper>".into(),
+            }])
+            .unwrap();
+        drop(maint);
+        let intact_wal = vfs.read_file(&wal).unwrap().len();
+        let garbage = dyn_vfs.open(&tmp).unwrap();
+        garbage.write_all_at(0, b"half a checkpoint").unwrap();
+        let log = dyn_vfs.open(&wal).unwrap();
+        log.write_all_at(intact_wal as u64, &[7, 7, 7]).unwrap();
+        drop((garbage, log));
+
+        let files = || [&db, &wal, &tmp].map(|p| vfs.read_file(p));
+        let (before, ops_before) = (files(), vfs.op_count());
+        let config = EngineConfig::default;
+        let engine = XRefineEngine::from_store_with_vfs(&dyn_vfs, &db, config()).unwrap();
+        assert!(
+            engine.answer("epoch handoff").unwrap().original_ok,
+            "the committed update must be visible"
+        );
+        let clean = scrub_store_with_vfs(&dyn_vfs, db.to_str().unwrap()).unwrap();
+        assert!(clean, "crash leftovers are not damage");
+        assert_eq!(vfs.op_count(), ops_before, "a read-only open mutated");
+        assert!(files() == before, "a read-only open changed a file");
+
+        // A missing store is an error naming the path, and stays missing.
+        let nope = std::path::Path::new("/ro/nope.db");
+        let Err(err) = XRefineEngine::from_store_with_vfs(&dyn_vfs, nope, config()) else {
+            panic!("a missing store opened");
+        };
+        assert!(
+            matches!(&err, kvstore::KvError::Io(e) if e.kind() == std::io::ErrorKind::NotFound),
+            "{err}"
+        );
+        assert!(err.to_string().contains("/ro/nope.db"), "{err}");
+        assert!(scrub_store_with_vfs(&dyn_vfs, "/ro/nope.db").is_err());
+        assert!(!dyn_vfs.exists(nope) && vfs.op_count() == ops_before);
+
+        // The next writer open repairs both leftovers and commits on.
+        let maint = invindex::MaintIndex::open_with_vfs(vfs.as_dyn(), &db).unwrap();
+        assert!(!dyn_vfs.exists(&tmp));
+        assert_eq!(vfs.read_file(&wal).unwrap().len(), intact_wal);
+        assert_eq!((maint.seq(), maint.record_count()), (1, 2));
+        maint
+            .commit(&[invindex::MaintOp::Remove { slot: 0 }])
+            .unwrap();
+        assert_eq!((maint.seq(), maint.record_count()), (2, 1));
     }
 
     /// The CLI surface of `index`: one ingest path, one format. The

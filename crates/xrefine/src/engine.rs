@@ -14,7 +14,7 @@ use crate::session::RefineSession;
 use crate::sle::{sle_refine, SleOptions};
 use crate::stack_refine::stack_refine;
 use invindex::{Index, IndexReader, KvBackedIndex, ListHandle};
-use lexicon::{generate_rules, AcronymTable, RuleGenConfig, RuleSet, Thesaurus, VocabIndex};
+use lexicon::{generate_rules, AcronymTable, RuleSet, Thesaurus, VocabIndex};
 use slca::SearchForConfig;
 use std::path::Path;
 use std::sync::Arc;
@@ -39,7 +39,6 @@ pub struct EngineConfig {
     /// K of Top-K refinement.
     pub k: usize,
     pub ranking: RankingConfig,
-    pub rulegen: RuleGenConfig,
     pub search_for: SearchForConfig,
 }
 
@@ -49,7 +48,6 @@ impl Default for EngineConfig {
             algorithm: Algorithm::Partition,
             k: 3,
             ranking: RankingConfig::default(),
-            rulegen: RuleGenConfig::default(),
             search_for: SearchForConfig::default(),
         }
     }
@@ -95,22 +93,23 @@ impl XRefineEngine {
     /// Opens a persisted index (written by `invindex::persist`) straight
     /// from its on-disk kv store: the document is replayed from the
     /// embedded blob and posting lists are decoded lazily, per query —
-    /// no XML re-parse, no full index load. A store with a non-empty
-    /// WAL sidecar (online maintenance committed but not yet compacted)
-    /// is opened through the durable merged view, so readers see every
-    /// committed update.
+    /// no XML re-parse, no full index load. The store is read through
+    /// [`kvstore::Snapshot::open`], the one read-only open: committed
+    /// but not yet compacted updates in the WAL beside it are visible,
+    /// nothing on disk is created, repaired or truncated, and a missing
+    /// `path` is a `NotFound` error naming it.
     pub fn from_store(path: &Path, config: EngineConfig) -> kvstore::Result<Self> {
-        let wal = path.with_extension("wal");
-        let has_overlay = std::fs::metadata(&wal)
-            .map(|m| m.len() > 0)
-            .unwrap_or(false)
-            || path.with_extension("db.new").exists();
-        let store: Box<dyn kvstore::KvStore> = if has_overlay {
-            Box::new(kvstore::DurableKv::open(path)?)
-        } else {
-            Box::new(kvstore::DiskKv::open(path)?)
-        };
-        let index = KvBackedIndex::open(store)?;
+        Self::from_store_with_vfs(&kvstore::StdVfs::arc(), path, config)
+    }
+
+    /// As [`XRefineEngine::from_store`], on an explicit VFS (tests,
+    /// fault injection).
+    pub fn from_store_with_vfs(
+        vfs: &Arc<dyn kvstore::Vfs>,
+        path: &Path,
+        config: EngineConfig,
+    ) -> kvstore::Result<Self> {
+        let index = KvBackedIndex::open_snapshot(kvstore::Snapshot::open(vfs, path)?)?;
         Ok(Self::from_reader(Arc::new(index), config))
     }
 
@@ -143,7 +142,6 @@ impl XRefineEngine {
             &self.vocab,
             &self.thesaurus,
             &self.acronyms,
-            &self.config.rulegen,
         )
     }
 

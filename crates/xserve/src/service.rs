@@ -57,6 +57,21 @@ pub trait QueryService: Send + Sync {
     }
 }
 
+/// One query through `engine`, rendered: `200` with the outcome, or
+/// `500` with the keyword-attributed failure.
+fn reply(engine: &XRefineEngine, query: &str) -> ServiceReply {
+    match engine.answer_detailed(query) {
+        Ok(outcome) => ServiceReply {
+            status: 200,
+            body: render_outcome(query, &outcome),
+        },
+        Err(failure) => ServiceReply {
+            status: 500,
+            body: render_failure(query, &failure),
+        },
+    }
+}
+
 /// Production service: answers queries through the shared engine.
 pub struct EngineService {
     engine: Arc<XRefineEngine>,
@@ -74,16 +89,7 @@ impl EngineService {
 
 impl QueryService for EngineService {
     fn answer(&self, query: &str) -> ServiceReply {
-        match self.engine.answer_detailed(query) {
-            Ok(outcome) => ServiceReply {
-                status: 200,
-                body: render_outcome(query, &outcome),
-            },
-            Err(failure) => ServiceReply {
-                status: 500,
-                body: render_failure(query, &failure),
-            },
-        }
+        reply(&self.engine, query)
     }
 }
 
@@ -107,16 +113,7 @@ impl LiveEngineService {
 
 impl QueryService for LiveEngineService {
     fn answer(&self, query: &str) -> ServiceReply {
-        match self.live.engine().answer_detailed(query) {
-            Ok(outcome) => ServiceReply {
-                status: 200,
-                body: render_outcome(query, &outcome),
-            },
-            Err(failure) => ServiceReply {
-                status: 500,
-                body: render_failure(query, &failure),
-            },
-        }
+        reply(&self.live.engine(), query)
     }
 
     fn update(&self, req: &UpdateRequest<'_>) -> ServiceReply {

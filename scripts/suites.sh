@@ -9,7 +9,9 @@
 #   release_smoke  multi-thread smoke tests rerun in release, where
 #                  aggressive reordering gives a data race a real chance
 #   torture        fault-injection + crash-recovery sweeps (release —
-#                  debug builds stride the sweeps for speed)
+#                  debug builds stride the sweeps for speed), and the
+#                  read-only opens leaving a crashed store's files
+#                  byte-identical
 #   observability  obs invariants, differential oracles, tracer
 #                  well-nestedness, metrics-overhead bench
 #   ingest         streaming-vs-DOM ingest differential oracle (byte-
@@ -56,6 +58,7 @@ suite_release_smoke() {
 suite_torture() {
     xcargo test --release -q -p kvstore --test torture
     xcargo test --release -q -p kvstore --test fault_injection
+    xcargo test --release -q -p xrefine-cli read_only_open
     xcargo test --release -q --test storage_bitflips
 }
 
