@@ -130,27 +130,68 @@ impl<'a> ListCursor<'a> {
         }
     }
 
-    /// Jumps past the end of the partition rooted at `partition_root`
-    /// (Algorithm 2 line 8). Returns the index range of the skipped
-    /// partition sub-list relative to the whole list. Skipped postings
-    /// are accounted with one atomic add, so skipping a large partition
-    /// is O(1) in counter traffic.
-    pub fn skip_partition(&mut self, partition_root: &Dewey) -> std::ops::Range<usize> {
-        let range = self.handle.partition_range(partition_root);
-        let consumed = range.end.saturating_sub(self.pos.max(range.start));
-        if consumed > 0 {
-            self.stats.record_advances(consumed as u64);
+    /// Jumps past the postings of the subtree whose root has the
+    /// components `root` — for Algorithm 2 (line 8) the two-component
+    /// partition id `0.i` — and returns the index range skipped,
+    /// relative to the whole list.
+    ///
+    /// The search is cursor-relative: everything before the cursor is
+    /// already known to be smaller, so the range is looked for from the
+    /// cursor on, by exponential-then-binary search, at a cost
+    /// logarithmic in the distance moved instead of in the list length.
+    /// A list with nothing in the subtree is answered by looking at the
+    /// posting under the cursor alone.
+    ///
+    /// * Cursor at or before the subtree (how Algorithm 2 always calls
+    ///   it): the range is exactly `handle().partition_range(root)`.
+    ///   Postings in front of the subtree are jumped over uncounted, as
+    ///   by a seek; the subtree's own postings are accounted as
+    ///   advances with one atomic add, so skipping a large partition is
+    ///   O(1) in counter traffic.
+    /// * Cursor already inside the subtree (after a `seek`/`next`):
+    ///   the range starts at the cursor — what is left of the subtree —
+    ///   and that remainder is what is counted.
+    /// * Cursor past the subtree: the empty range at the cursor; nothing
+    ///   moves, nothing is counted.
+    pub fn skip_partition(&mut self, root: &[u32]) -> std::ops::Range<usize> {
+        let rest = self.handle.postings().get(self.pos..).unwrap_or(&[]);
+        let before = leading_run(rest, |p| p.dewey.components() < root);
+        let rest = rest.get(before..).unwrap_or(&[]);
+        let inside = leading_run(rest, |p| p.dewey.components().starts_with(root));
+        let start = self.pos.saturating_add(before);
+        let end = start.saturating_add(inside);
+        if inside > 0 {
+            self.stats.record_advances(inside as u64);
         }
-        if range.end > self.pos {
-            self.pos = range.end;
-        }
-        range
+        self.pos = end;
+        start..end
     }
 
     /// Underlying handle access for sub-list slicing.
     pub fn handle(&self) -> &'a ListHandle {
         self.handle
     }
+}
+
+/// Length of the leading run of `postings` that satisfies `pred`, which
+/// must hold for a prefix of the slice and for nothing after it. Probes
+/// at doubling distances, then bisects the last gap: `O(log run)`
+/// evaluations, and a single look at the first posting when the run is
+/// empty.
+fn leading_run(postings: &[Posting], pred: impl Fn(&Posting) -> bool) -> usize {
+    // Invariant: every posting before `known` satisfies `pred`.
+    let mut known = 0usize;
+    let mut step = 1usize;
+    while let Some(p) = postings.get(known.saturating_add(step).saturating_sub(1)) {
+        if !pred(p) {
+            break;
+        }
+        known = known.saturating_add(step);
+        step = step.saturating_mul(2);
+    }
+    let end = known.saturating_add(step).min(postings.len());
+    let gap = postings.get(known..end).unwrap_or(&[]);
+    known.saturating_add(gap.partition_point(pred))
 }
 
 /// A forward cursor over a still-encoded v4 [`CompressedList`]: decodes
@@ -353,14 +394,88 @@ mod tests {
         let l = list();
         let stats = ScanStats::new();
         let mut c = ListCursor::new(&l, Arc::clone(&stats));
-        let range = c.skip_partition(&"0.0".parse().unwrap());
+        let range = c.skip_partition(&[0, 0]);
         assert_eq!(range, 0..2);
         assert_eq!(c.peek().unwrap().dewey.to_string(), "0.1.0");
         // skipped postings are accounted as advances (they were consumed)
         assert_eq!(stats.advances(), 2);
-        let range = c.skip_partition(&"0.1".parse().unwrap());
+        let range = c.skip_partition(&[0, 1]);
         assert_eq!(range, 2..4);
         assert_eq!(c.peek().unwrap().dewey.to_string(), "0.2");
+    }
+
+    #[test]
+    fn skip_partition_is_relative_to_the_cursor() {
+        let l = list();
+        // Before the subtree: its whole range, the postings in front
+        // jumped over without being counted.
+        let stats = ScanStats::new();
+        let mut c = ListCursor::new(&l, Arc::clone(&stats));
+        assert_eq!(c.skip_partition(&[0, 1]), 2..4);
+        assert_eq!(c.position(), 4);
+        assert_eq!(stats.advances(), 2);
+        // Past the subtree: the empty range at the cursor, nothing moves.
+        assert_eq!(c.skip_partition(&[0, 0]), 4..4);
+        assert_eq!(c.skip_partition(&[0, 1]), 4..4);
+        assert_eq!(c.position(), 4);
+        assert_eq!(stats.advances(), 2);
+        // Nothing in the subtree and the cursor in front of it: the
+        // empty range where the subtree would start.
+        let mut c = ListCursor::new(&l, ScanStats::new());
+        assert_eq!(c.skip_partition(&[0, 1, 1]), 3..3);
+        assert_eq!(c.position(), 3);
+
+        // Inside the subtree after a `next`: what is left of it.
+        let stats = ScanStats::new();
+        let mut c = ListCursor::new(&l, Arc::clone(&stats));
+        c.next();
+        assert_eq!(c.skip_partition(&[0, 0]), 1..2);
+        assert_eq!(stats.advances(), 2);
+        // ... and after a `seek`.
+        c.seek(&"0.1.1".parse().unwrap());
+        assert_eq!(c.skip_partition(&[0, 1]), 3..4);
+        assert_eq!(stats.advances(), 3);
+        // The root's "subtree" is the rest of the list.
+        let mut c = ListCursor::new(&l, ScanStats::new());
+        c.next();
+        assert_eq!(c.skip_partition(&[0]), 1..5);
+        assert!(c.is_exhausted());
+    }
+
+    #[test]
+    fn a_list_outside_the_partition_costs_a_look_at_its_head() {
+        // 100 000 postings, all in the last of 2 500 partitions.
+        let l = ListHandle::from_postings(
+            (0..100_000u32)
+                .map(|i| Posting::new(Dewey::new(vec![0, 2_499, i]).unwrap(), NodeTypeId(0)))
+                .collect(),
+        );
+        let looks = std::cell::Cell::new(0u32);
+        let looks = &looks;
+        let counted = |root: [u32; 2]| {
+            move |p: &Posting| {
+                looks.set(looks.get() + 1);
+                p.dewey.components().starts_with(&root)
+            }
+        };
+        // Any earlier partition: the head says no, and that is all that
+        // is asked (once by the gallop, once by the bisection of its
+        // one-posting gap) — not log2(100 000) = 17 probes.
+        assert_eq!(leading_run(&l, counted([0, 7])), 0);
+        assert_eq!(looks.get(), 2);
+        // The partition itself: logarithmic in the run.
+        looks.set(0);
+        assert_eq!(leading_run(&l, counted([0, 2_499])), 100_000);
+        assert!(looks.get() <= 2 * 17 + 2, "{} looks", looks.get());
+
+        // Through the cursor: 2 499 empty skips leave it where it was.
+        let stats = ScanStats::new();
+        let mut c = ListCursor::new(&l, Arc::clone(&stats));
+        for partition in 0..2_499 {
+            assert_eq!(c.skip_partition(&[0, partition]), 0..0);
+        }
+        assert_eq!(c.skip_partition(&[0, 2_499]), 0..100_000);
+        assert_eq!(stats.advances(), 100_000);
     }
 
     // ----- PostingsCursor over compressed lists -----------------------

@@ -55,3 +55,62 @@ fn bounds_partition_the_list() {
         }
     });
 }
+
+/// `ListCursor::skip_partition` against its binary-search definition,
+/// on the walk Algorithm 2 takes: the partition of the smallest head
+/// across all cursors, every cursor skipped past it, root-level postings
+/// consumed one by one with `next()`.
+#[test]
+fn skip_partition_matches_the_binary_search_definition() {
+    use invindex::{ListCursor, ListHandle, ScanStats};
+
+    check(256, |g| {
+        let handles: Vec<ListHandle> = g
+            .vec(1..5, |g| ListHandle::from_postings(posting_set(g)))
+            .into_iter()
+            .collect();
+        let stats: Vec<_> = handles.iter().map(|_| ScanStats::new()).collect();
+        let mut cursors: Vec<ListCursor<'_>> = handles
+            .iter()
+            .zip(&stats)
+            .map(|(h, s)| ListCursor::new(h, s.clone()))
+            .collect();
+
+        let mut visited = 0usize;
+        while let Some(v) = cursors
+            .iter()
+            .filter_map(|c| c.peek())
+            .map(|p| p.dewey.clone())
+            .min()
+        {
+            let Some(root) = v.partition() else {
+                for c in cursors.iter_mut() {
+                    if c.peek().is_some_and(|p| p.dewey == v) {
+                        c.next();
+                    }
+                }
+                continue;
+            };
+            for ((c, handle), stats) in cursors.iter_mut().zip(&handles).zip(&stats) {
+                let expected = handle.partition_range(&root);
+                let consumed = expected
+                    .end
+                    .saturating_sub(c.position().max(expected.start));
+                let before = stats.advances();
+                assert_eq!(
+                    c.skip_partition(root.components()),
+                    expected,
+                    "partition {root}"
+                );
+                assert_eq!(stats.advances() - before, consumed as u64);
+                assert_eq!(c.position(), expected.end);
+            }
+            visited += 1;
+        }
+        // One scan: every posting of every list was advanced over once.
+        for (handle, stats) in handles.iter().zip(&stats) {
+            assert_eq!(stats.advances(), handle.len() as u64);
+        }
+        assert!(visited <= 5);
+    });
+}

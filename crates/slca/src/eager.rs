@@ -65,7 +65,11 @@ pub fn slca_scan_eager<S: AsRef<[Posting]>>(lists: &[S]) -> Vec<Dewey> {
     // previous anchor. Anchors ascend, so positions only move forward.
     let mut pos = vec![0usize; lists.len()];
     let mut steps = 0u64;
-    let mut candidates = Vec::with_capacity(lists[shortest].len());
+    // Not sized by the anchor list: refinement hands this function whole
+    // lists, where runs of anchors share one candidate (all of a
+    // partition lacking another keyword meet it at the root), and a run
+    // is kept as its first element only.
+    let mut candidates: Vec<Dewey> = Vec::new();
     for anchor in lists[shortest] {
         let a = &anchor.dewey;
         // The per-list LCA is a prefix of the anchor, so only the minimum
@@ -106,10 +110,10 @@ pub fn slca_scan_eager<S: AsRef<[Posting]>>(lists: &[S]) -> Vec<Dewey> {
         if dead {
             continue;
         }
-        candidates.push(match min_prefix {
-            Some(n) => a.prefix(n).expect("same document"),
-            None => a.clone(),
-        });
+        let candidate = &a.components()[..min_prefix.unwrap_or(a.len())];
+        if candidates.last().map(Dewey::components) != Some(candidate) {
+            candidates.push(Dewey::new(candidate.to_vec()).expect("same document"));
+        }
     }
     obs::counter!("slca_eager_steps_total").add(steps);
     obs::trace::count("slca.steps", steps);

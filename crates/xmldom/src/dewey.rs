@@ -17,7 +17,14 @@ use std::str::FromStr;
 /// A Dewey label: the component path from the root to a node.
 ///
 /// The root element of a document carries the single-component label `0`.
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+///
+/// There is no empty label, and so no `Default`: [`Dewey::is_empty`] is
+/// constant and [`Dewey::depth`] subtracts one from the length.
+///
+/// ```compile_fail
+/// let _ = xmldom::Dewey::default();
+/// ```
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Dewey {
     components: Vec<u32>,
 }

@@ -92,13 +92,22 @@ impl Document {
         self.symbols.resolve(self.node(id).tag)
     }
 
-    /// Finds the node carrying a given Dewey label via binary search over
-    /// the (document-ordered) arena.
+    /// Finds the node carrying a given Dewey label.
+    ///
+    /// [`DocumentBuilder`] — the only way a `Document` is made — numbers
+    /// children densely, so a label's components are the child ordinals
+    /// on the path from the root: the lookup follows `children[ordinal]`
+    /// down, one step per component. The node reached is returned only if
+    /// its own label equals the target, so a label that names nothing
+    /// yields `None`, never a neighbouring node.
     pub fn node_by_dewey(&self, dewey: &Dewey) -> Option<NodeId> {
-        self.nodes
-            .binary_search_by(|n| n.dewey.cmp(dewey))
-            .ok()
-            .map(|i| NodeId(i as u32))
+        let mut id = self.root();
+        let mut node = self.nodes.first()?;
+        for &ordinal in dewey.components().get(1..)? {
+            id = *node.children.get(ordinal as usize)?;
+            node = self.nodes.get(id.0 as usize)?;
+        }
+        (node.dewey == *dewey).then_some(id)
     }
 
     /// The deepest element whose Dewey label is `dewey` or an ancestor of

@@ -146,3 +146,50 @@ fn parser_never_panics_on_tag_soup() {
         let _ = parse_document(&g.vec(0..12, |g| g.pick(&PARTS)).concat());
     });
 }
+
+/// Labels around `doc`'s shape that name no node.
+fn labels_naming_nothing(doc: &xmldom::Document, g: &mut Gen) -> Vec<Dewey> {
+    let (_, node) = doc
+        .nodes()
+        .nth(g.range(0..doc.len()))
+        .expect("index below len");
+    // The last node in document order is always a leaf.
+    let (_, leaf) = doc.nodes().last().expect("a document has a root");
+    let mut nothing = vec![
+        // one past the last child
+        node.dewey.child(node.children.len() as u32),
+        // one level below a leaf
+        leaf.dewey.child(0),
+        // the same path under a root that is not `0`
+        Dewey::new(
+            std::iter::once(1)
+                .chain(node.dewey.components()[1..].iter().copied())
+                .collect(),
+        )
+        .unwrap(),
+    ];
+    // a well-formed label drawn without looking at the document: its
+    // prefix may exist while the rest walks into a differently shaped
+    // subtree
+    let blind = dewey(g);
+    if doc.nodes().all(|(_, n)| n.dewey != blind) {
+        nothing.push(blind);
+    }
+    nothing
+}
+
+#[test]
+fn node_by_dewey_finds_exactly_the_labelled_nodes() {
+    check(128, |g| {
+        let spec = tree(g, 3);
+        let mut b = DocumentBuilder::new();
+        build(&spec, &mut b);
+        let doc = b.finish();
+        for (id, n) in doc.nodes() {
+            assert_eq!(doc.node_by_dewey(&n.dewey), Some(id), "{}", n.dewey);
+        }
+        for label in labels_naming_nothing(&doc, g) {
+            assert_eq!(doc.node_by_dewey(&label), None, "{label}");
+        }
+    });
+}

@@ -11,7 +11,8 @@
 //! * [`dp`]: the dynamic program `getOptimalRQ` of §V (Formula 11);
 //! * [`ranking`]: the ranking model of §IV (Formulas 1–10 with the
 //!   guideline ablations RS1–RS4 and the α/β weights);
-//! * [`rqlist`]: the Top-2K running candidate list;
+//! * [`rqlist`]: the Top-2K running candidate list, keyed by interned
+//!   candidate id;
 //! * [`mod@stack_refine`]: Algorithm 1;
 //! * [`partition`]: Algorithm 2 (partition-based Top-K);
 //! * [`sle`]: Algorithm 3 (short-list eager Top-K);
@@ -42,7 +43,7 @@ pub use partition::{partition_refine, PartitionOptions, SlcaMethod};
 pub use query::{Query, RqCandidate};
 pub use ranking::{Ranker, RankingConfig};
 pub use results::{DegradedKeyword, QueryFailure, RefineOutcome, Refinement};
-pub use rqlist::RqSortedList;
+pub use rqlist::{RqId, RqSortedList};
 pub use session::RefineSession;
 pub use sle::{sle_refine, SleOptions};
 pub use stack_refine::stack_refine;

@@ -70,11 +70,6 @@ impl RqCandidate {
         }
     }
 
-    /// Canonical identity string (used for dedup across partitions).
-    pub fn canonical(&self) -> String {
-        self.keywords.join("\u{1f}")
-    }
-
     /// True when this candidate *is* the original query (dissimilarity 0
     /// by construction of the DP).
     pub fn is_original(&self, q: &Query) -> bool {
@@ -111,7 +106,7 @@ mod tests {
         let a = RqCandidate::new(vec!["b".to_string(), "a".to_string(), "b".to_string()], 1.0);
         assert_eq!(a.keywords, ["a", "b"]);
         let b = RqCandidate::new(vec!["a".to_string(), "b".to_string()], 2.0);
-        assert_eq!(a.canonical(), b.canonical());
+        assert_eq!(a.keywords, b.keywords);
     }
 
     #[test]

@@ -1,17 +1,29 @@
 //! `RQSortedList` (§VI-B): the running approximate Top-2K candidate list,
-//! ordered by dissimilarity, with `O(log n)` insert/evict and `O(1)`
-//! membership via a side hash set.
+//! ordered by dissimilarity.
+//!
+//! Candidates are named by the id their session's `DpMemo` interned
+//! them under ([`RqId`]), so the list holds `(dissimilarity, id)` pairs
+//! and a membership bit per id: `hasRQ` is one indexed load, and neither
+//! it nor an insert builds a string or clones a keyword set. The list
+//! never looks inside a candidate; the one thing it needs from outside
+//! is an order among ids to break dissimilarity ties, which the caller
+//! passes to [`RqSortedList::insert`] (Algorithms 2/3: the candidates'
+//! keyword sets).
 
-use crate::query::RqCandidate;
-use std::collections::HashSet;
+use std::cmp::Ordering;
+
+/// Identity of a refined-query candidate within one query session: its
+/// index in the session's candidate arena.
+pub type RqId = usize;
 
 /// A bounded candidate list sorted by ascending dissimilarity.
 #[derive(Debug)]
 pub struct RqSortedList {
     capacity: usize,
-    /// Sorted ascending by (dissimilarity, keywords).
-    items: Vec<RqCandidate>,
-    members: HashSet<String>,
+    /// Sorted ascending by (dissimilarity, the caller's order on ids).
+    items: Vec<(f64, RqId)>,
+    /// `member[id]`; ids beyond its length are not members.
+    member: Vec<bool>,
 }
 
 impl RqSortedList {
@@ -21,7 +33,7 @@ impl RqSortedList {
         RqSortedList {
             capacity,
             items: Vec::with_capacity(capacity + 1),
-            members: HashSet::new(),
+            member: Vec::new(),
         }
     }
 
@@ -45,56 +57,56 @@ impl RqSortedList {
     /// so any candidate qualifies (Algorithm 2 line 12).
     pub fn admission_threshold(&self) -> f64 {
         if self.is_full() {
-            self.items
-                .last()
-                .map(|c| c.dissimilarity)
-                .unwrap_or(f64::INFINITY)
+            self.items.last().map_or(f64::INFINITY, |&(ds, _)| ds)
         } else {
             f64::INFINITY
         }
     }
 
-    /// `hasRQ`: membership by canonical keyword set.
-    pub fn contains(&self, rq: &RqCandidate) -> bool {
-        self.members.contains(&rq.canonical())
+    /// `hasRQ`: membership by candidate id.
+    pub fn contains(&self, id: RqId) -> bool {
+        self.member.get(id).copied().unwrap_or(false)
     }
 
     /// Dissimilarity of the `k`-th best candidate (1-based), if present —
     /// the short-list-eager stop condition reads this.
     pub fn kth_dissimilarity(&self, k: usize) -> Option<f64> {
-        self.items.get(k.checked_sub(1)?).map(|c| c.dissimilarity)
+        self.items.get(k.checked_sub(1)?).map(|&(ds, _)| ds)
     }
 
-    /// Attempts to insert; returns `true` if the candidate was admitted.
-    /// Duplicates (same keyword set) are rejected; when full, a candidate
-    /// strictly better than the worst evicts it.
-    pub fn insert(&mut self, rq: RqCandidate) -> bool {
-        if self.contains(&rq) {
+    /// Attempts to insert candidate `id` at `dissimilarity`; `false` when
+    /// it is already a member or no better than the worst of a full list.
+    /// When full, a candidate strictly better than the worst evicts it.
+    /// The threshold never rises, so an evicted candidate stays out unless
+    /// it is offered again at a lower dissimilarity. `tie_break` orders
+    /// two ids of equal dissimilarity.
+    pub fn insert(
+        &mut self,
+        id: RqId,
+        dissimilarity: f64,
+        tie_break: impl Fn(RqId, RqId) -> Ordering,
+    ) -> bool {
+        if self.contains(id) || dissimilarity >= self.admission_threshold() {
             return false;
         }
-        if self.is_full() && rq.dissimilarity >= self.admission_threshold() {
-            return false;
+        let pos = self.items.partition_point(|&(ds, other)| {
+            ds < dissimilarity || (ds == dissimilarity && tie_break(other, id) == Ordering::Less)
+        });
+        self.items.insert(pos, (dissimilarity, id));
+        if self.member.len() <= id {
+            self.member.resize(id + 1, false);
         }
-        let key = rq.canonical();
-        let pos = self
-            .items
-            .partition_point(|c| (c.dissimilarity, &c.keywords) < (rq.dissimilarity, &rq.keywords));
-        self.items.insert(pos, rq);
-        self.members.insert(key);
+        self.member[id] = true;
         if self.items.len() > self.capacity {
-            let evicted = self.items.pop().expect("over capacity");
-            self.members.remove(&evicted.canonical());
+            let (_, out) = self.items.pop().expect("over capacity");
+            self.member[out] = false;
         }
         true
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = &RqCandidate> {
-        self.items.iter()
-    }
-
-    /// Consumes the list, yielding candidates in ascending dissimilarity.
-    pub fn into_vec(self) -> Vec<RqCandidate> {
-        self.items
+    /// Members as `(dissimilarity, id)`, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = (f64, RqId)> + '_ {
+        self.items.iter().copied()
     }
 }
 
@@ -102,52 +114,66 @@ impl RqSortedList {
 mod tests {
     use super::*;
 
-    fn rq(words: &[&str], ds: f64) -> RqCandidate {
-        RqCandidate::new(words.iter().map(|s| s.to_string()).collect(), ds)
+    /// Ids tie-break by the keyword sets these tests give them.
+    fn insert(l: &mut RqSortedList, words: &[&[&str]], id: RqId, ds: f64) -> bool {
+        l.insert(id, ds, |a, b| words[a].cmp(words[b]))
     }
 
     #[test]
     fn insert_keeps_sorted_order() {
+        let words: [&[&str]; 4] = [&["c"], &["a"], &["b"], &["a", "z"]];
         let mut l = RqSortedList::new(4);
-        assert!(l.insert(rq(&["c"], 3.0)));
-        assert!(l.insert(rq(&["a"], 1.0)));
-        assert!(l.insert(rq(&["b"], 2.0)));
-        let ds: Vec<f64> = l.iter().map(|c| c.dissimilarity).collect();
+        assert!(insert(&mut l, &words, 0, 3.0));
+        assert!(insert(&mut l, &words, 1, 1.0));
+        assert!(insert(&mut l, &words, 2, 2.0));
+        let ds: Vec<f64> = l.iter().map(|(ds, _)| ds).collect();
         assert_eq!(ds, [1.0, 2.0, 3.0]);
         assert_eq!(l.kth_dissimilarity(2), Some(2.0));
         assert_eq!(l.kth_dissimilarity(9), None);
+        // equal dissimilarity: the caller's order decides
+        assert!(insert(&mut l, &words, 3, 2.0));
+        let ids: Vec<RqId> = l.iter().map(|(_, id)| id).collect();
+        assert_eq!(ids, [1, 3, 2, 0]);
     }
 
     #[test]
     fn duplicates_rejected() {
+        let words: [&[&str]; 1] = [&["x", "y"]];
         let mut l = RqSortedList::new(4);
-        assert!(l.insert(rq(&["x", "y"], 2.0)));
-        assert!(!l.insert(rq(&["y", "x"], 1.0))); // same set
+        assert!(insert(&mut l, &words, 0, 2.0));
+        // the same candidate again, even at a better dissimilarity
+        assert!(!insert(&mut l, &words, 0, 1.0));
         assert_eq!(l.len(), 1);
     }
 
     #[test]
     fn eviction_at_capacity() {
+        let words: [&[&str]; 4] = [&["a"], &["b"], &["c"], &["d"]];
         let mut l = RqSortedList::new(2);
-        l.insert(rq(&["a"], 1.0));
-        l.insert(rq(&["b"], 2.0));
+        insert(&mut l, &words, 0, 1.0);
+        insert(&mut l, &words, 1, 2.0);
         assert!(l.is_full());
         assert_eq!(l.admission_threshold(), 2.0);
         // worse candidate rejected
-        assert!(!l.insert(rq(&["c"], 3.0)));
+        assert!(!insert(&mut l, &words, 2, 3.0));
         // better evicts the worst
-        assert!(l.insert(rq(&["d"], 0.5)));
-        let kws: Vec<&str> = l.iter().map(|c| c.keywords[0].as_str()).collect();
-        assert_eq!(kws, ["d", "a"]);
-        // evicted member can be re-inserted later
-        assert!(!l.contains(&rq(&["b"], 2.0)));
+        assert!(insert(&mut l, &words, 3, 0.5));
+        let ids: Vec<RqId> = l.iter().map(|(_, id)| id).collect();
+        assert_eq!(ids, [3, 0]);
+        // the evicted candidate is no longer a member; the lowered
+        // threshold keeps it out at its old price, not at a better one
+        assert!(!l.contains(1));
+        assert!(!insert(&mut l, &words, 1, 2.0));
+        assert!(insert(&mut l, &words, 1, 0.7));
+        assert!(!l.contains(0));
     }
 
     #[test]
     fn threshold_is_infinite_until_full() {
+        let words: [&[&str]; 1] = [&["a"]];
         let mut l = RqSortedList::new(3);
         assert_eq!(l.admission_threshold(), f64::INFINITY);
-        l.insert(rq(&["a"], 5.0));
+        insert(&mut l, &words, 0, 5.0);
         assert_eq!(l.admission_threshold(), f64::INFINITY);
     }
 

@@ -11,6 +11,10 @@
 //! SLCAs of the surviving candidates with an existing SLCA method over
 //! the full lists.
 //!
+//! Candidates, the Top-2K list and the results use the scheme of
+//! Algorithm 2 (`partition.rs`): the session's `DpMemo` interns each
+//! distinct candidate once, and everything is keyed by that id.
+//!
 //! The "smart choice" of §VI-C is implemented: among remaining keywords,
 //! prefer those that appear on the RHS of the pertinent rules or in the
 //! original query (keywords needing no refinement), breaking ties by list
@@ -24,7 +28,7 @@ use crate::rqlist::RqSortedList;
 use crate::session::RefineSession;
 use crate::util::KeyMask;
 use invindex::ListHandle;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use xmldom::Dewey;
 
 /// Options of the short-list eager algorithm.
@@ -140,9 +144,9 @@ pub fn sle_refine(session: &RefineSession<'_>, options: &SleOptions) -> RefineOu
                     mask.set(j);
                 }
             }
-            let candidates = dp_memo.candidates(session, mask, 2 * k + 8);
-            for cand in candidates.iter().cloned() {
-                rq_list.insert(cand);
+            let candidates = dp_memo.candidates(session, &mask, 2 * k + 8);
+            for &(id, dissimilarity) in candidates.iter() {
+                dp_memo.admit(&mut rq_list, id, dissimilarity);
             }
         }
     }
@@ -152,34 +156,18 @@ pub fn sle_refine(session: &RefineSession<'_>, options: &SleOptions) -> RefineOu
     obs::trace::count("partitions.scanned", partitions_probed);
 
     // Step 2: SLCAs for the surviving candidates over the full lists.
-    let mut slcas_by_rq: HashMap<String, Vec<Dewey>> = HashMap::new();
-    let mut kept = RqSortedList::new(2 * k);
-    for cand in rq_list.into_vec() {
-        let slices: Vec<ListHandle> = cand
-            .keywords
-            .iter()
-            .map(|kw| {
-                session
-                    .pos(kw)
-                    .map(|i| {
-                        // step-2 rescan accounting
-                        session
-                            .scan_stats
-                            .record_advances(session.lists[i].len() as u64);
-                        session.lists[i].clone()
-                    })
-                    .unwrap_or_default()
-            })
-            .collect();
-        let meaningful = session.filter.filter((options.slca)(&slices));
-        if meaningful.is_empty() {
-            continue;
+    let mut lists: Vec<ListHandle> = Vec::new();
+    for (_, id) in rq_list.iter() {
+        // step-2 rescan accounting
+        for &i in dp_memo.ks(id) {
+            session
+                .scan_stats
+                .record_advances(session.lists[i].len() as u64);
         }
-        slcas_by_rq.insert(cand.canonical(), meaningful);
-        kept.insert(cand);
+        dp_memo.materialise(session, id, options.slca, &mut lists);
     }
 
-    finalize(session, kept, slcas_by_rq, k, &options.ranking)
+    finalize(session, rq_list, dp_memo, k, &options.ranking)
 }
 
 fn session_advance(session: &RefineSession<'_>) {

@@ -108,3 +108,40 @@ fn reopened_live_engine_still_matches_the_scratch_engine() {
         );
     }
 }
+
+/// `Document::node_by_dewey` resolves exactly the labels `doc` holds.
+fn assert_lookup_is_exact(doc: &xmldom::Document) {
+    let mut nothing: Vec<xmldom::Dewey> = vec!["1".parse().unwrap()];
+    for (id, n) in doc.nodes() {
+        assert_eq!(doc.node_by_dewey(&n.dewey), Some(id), "{}", n.dewey);
+        // one past the last child; for a leaf, one level below it
+        nothing.push(n.dewey.child(n.children.len() as u32));
+    }
+    for label in nothing {
+        assert_eq!(doc.node_by_dewey(&label), None, "{label}");
+    }
+}
+
+#[test]
+fn node_lookup_is_exact_on_stored_and_live_documents() {
+    let vfs = FaultVfs::new().as_dyn();
+    let base = PathBuf::from("/live-diff/store.db");
+    seed(&vfs, &base);
+
+    // A document decoded from a v4 store's `D/doc` record.
+    let stored = XRefineEngine::from_store_with_vfs(&vfs, &base, EngineConfig::default()).unwrap();
+    assert_eq!(stored.document().len(), 10);
+    assert_lookup_is_exact(stored.document());
+
+    // The live engine's document after a remove shifted later siblings:
+    // what was `0.2` is `0.1` now, and `0.2` names nothing.
+    let live = LiveEngine::open_with_vfs(Arc::clone(&vfs), &base, EngineConfig::default()).unwrap();
+    live.update(&[MaintOp::Remove { slot: 1 }]).unwrap();
+    let engine = live.engine();
+    let doc = engine.document();
+    assert_eq!(doc.len(), 7);
+    let shifted = doc.node_by_dewey(&"0.1.0".parse().unwrap()).unwrap();
+    assert_eq!(doc.node(shifted).text, "stack based slca computation");
+    assert_eq!(doc.node_by_dewey(&"0.2".parse().unwrap()), None);
+    assert_lookup_is_exact(doc);
+}
