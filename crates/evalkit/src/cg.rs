@@ -2,8 +2,7 @@
 //!
 //! Given a ranked result list turned into a gain vector `G` (graded
 //! relevance per rank), `CG[i] = G\[1\] + ... + G[i]`. The paper reports
-//! CG@1..4 averaged over queries; we also provide DCG and the ideal
-//! vector for completeness.
+//! CG@1..4 averaged over queries.
 
 /// Cumulated gain vector: `CG[i] = Σ_{j<=i} G[j]` (1-based in the paper;
 /// index 0 here is CG@1).
@@ -14,53 +13,6 @@ pub fn cumulated_gain(gains: &[f64]) -> Vec<f64> {
             *acc += g;
             Some(*acc)
         })
-        .collect()
-}
-
-/// Discounted cumulated gain with log2 discount starting at rank 2.
-pub fn discounted_cumulated_gain(gains: &[f64]) -> Vec<f64> {
-    let mut acc = 0.0;
-    gains
-        .iter()
-        .enumerate()
-        .map(|(i, &g)| {
-            let rank = i + 1;
-            acc += if rank < 2 {
-                g
-            } else {
-                g / (rank as f64).log2()
-            };
-            acc
-        })
-        .collect()
-}
-
-/// The ideal gain vector: the same gains sorted descending.
-pub fn ideal_gains(gains: &[f64]) -> Vec<f64> {
-    let mut v = gains.to_vec();
-    v.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-    v
-}
-
-/// Reciprocal rank: `1 / rank` of the first result with gain at least
-/// `threshold`, or 0 when none qualifies (the binary-judgement metric the
-/// paper contrasts CG against in §VIII-C).
-pub fn reciprocal_rank(gains: &[f64], threshold: f64) -> f64 {
-    gains
-        .iter()
-        .position(|&g| g >= threshold)
-        .map(|i| 1.0 / (i + 1) as f64)
-        .unwrap_or(0.0)
-}
-
-/// Normalized DCG: `DCG[i] / IDCG[i]`, with `nDCG[i] = 0` where the ideal
-/// is zero (no relevant results exist at all).
-pub fn ndcg(gains: &[f64]) -> Vec<f64> {
-    let dcg = discounted_cumulated_gain(gains);
-    let idcg = discounted_cumulated_gain(&ideal_gains(gains));
-    dcg.iter()
-        .zip(idcg.iter())
-        .map(|(&d, &i)| if i > 0.0 { d / i } else { 0.0 })
         .collect()
 }
 
@@ -96,39 +48,6 @@ mod tests {
     fn cg_accumulates() {
         assert_eq!(cumulated_gain(&[3.0, 2.0, 0.0, 1.0]), [3.0, 5.0, 5.0, 6.0]);
         assert!(cumulated_gain(&[]).is_empty());
-    }
-
-    #[test]
-    fn dcg_discounts_later_ranks() {
-        let d = discounted_cumulated_gain(&[3.0, 2.0, 2.0]);
-        assert_eq!(d[0], 3.0);
-        // rank 2 discount is log2(2)=1, rank 3 is log2(3)
-        assert!((d[1] - 5.0).abs() < 1e-9);
-        assert!((d[2] - (5.0 + 2.0 / 3f64.log2())).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ideal_sorts_descending() {
-        assert_eq!(ideal_gains(&[1.0, 3.0, 2.0]), [3.0, 2.0, 1.0]);
-    }
-
-    #[test]
-    fn reciprocal_rank_finds_first_relevant() {
-        assert_eq!(reciprocal_rank(&[0.0, 0.0, 3.0], 2.0), 1.0 / 3.0);
-        assert_eq!(reciprocal_rank(&[3.0], 2.0), 1.0);
-        assert_eq!(reciprocal_rank(&[1.0, 1.0], 2.0), 0.0);
-        assert_eq!(reciprocal_rank(&[], 1.0), 0.0);
-    }
-
-    #[test]
-    fn ndcg_is_one_for_ideal_ordering_and_bounded() {
-        let n = ndcg(&[3.0, 2.0, 1.0]);
-        assert!(n.iter().all(|&v| (v - 1.0).abs() < 1e-9));
-        let n = ndcg(&[1.0, 2.0, 3.0]);
-        assert!(n.iter().all(|&v| v > 0.0 && v <= 1.0));
-        assert!(n[0] < 1.0);
-        // all-zero gains: nDCG defined as 0
-        assert_eq!(ndcg(&[0.0, 0.0]), [0.0, 0.0]);
     }
 
     #[test]

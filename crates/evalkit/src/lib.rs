@@ -1,6 +1,6 @@
 //! `evalkit` — effectiveness evaluation (§VIII-C).
 //!
-//! * [`cg`]: Cumulated Gain / DCG vectors and cross-query averaging;
+//! * [`cg`]: Cumulated Gain vectors and cross-query averaging;
 //! * [`oracle`]: the deterministic graded-relevance oracle substituting
 //!   for the paper's six human judges (ground truth comes from the
 //!   workload generator);
@@ -11,8 +11,6 @@ pub mod cg;
 pub mod harness;
 pub mod oracle;
 
-pub use cg::{
-    average_cg, cumulated_gain, discounted_cumulated_gain, ideal_gains, ndcg, reciprocal_rank,
-};
+pub use cg::{average_cg, cumulated_gain};
 pub use harness::{evaluate_ranking, evaluate_with_engine, refinement_pool, CgRow};
 pub use oracle::{gain_vector, grade};

@@ -311,21 +311,6 @@ impl ShardedListCache {
         total
     }
 
-    /// Per-shard counter snapshots, in shard order. The aggregated
-    /// [`ShardedListCache::stats`] must equal the field-wise sum of these —
-    /// the merge invariant the obs test suite checks.
-    pub fn per_shard_stats(&self) -> Vec<CacheStats> {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let _rank = obs::lockrank::acquire(obs::lockrank::rank::CACHE_SHARD, "cache.shard");
-                let mut one = CacheStats::default();
-                shard.lock().add_to(&mut one); // xlint::lock(cache.shard)
-                one
-            })
-            .collect()
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()

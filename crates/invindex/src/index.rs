@@ -352,6 +352,6 @@ mod attribute_tests {
         // the attribute posting points at the owning element
         let list = idx.list("fantasy").unwrap();
         assert_eq!(list.len(), 1);
-        assert_eq!(list.first().unwrap().dewey.to_string(), "0.0");
+        assert_eq!(list.as_slice()[0].dewey.to_string(), "0.0");
     }
 }

@@ -126,6 +126,7 @@ impl KvBackedIndex {
     /// reads against the immutable snapshot (no locks, no writes); the
     /// maintenance torture and differential suites use it to compare
     /// whole store states.
+    // xlint::allow(unused-export): whole-store observer for the maintenance torture/differential oracles
     pub fn store_dump(&self) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         self.store.scan_range(b"", None)
     }

@@ -4,19 +4,22 @@
 //!   and front-coded behind a per-block skip table ([`CompressedList`]);
 //! * [`reader`]: the [`IndexReader`] trait and [`ListHandle`] — the
 //!   storage-agnostic read path every query layer consumes;
-//! * [`index`]: the one-pass index builder and resident
-//!   [`InMemoryIndex`] backend;
-//! * [`kvindex`]: the [`KvBackedIndex`] backend — lists materialized
-//!   lazily from a [`kvstore::KvStore`] through a sharded LRU
-//!   byte-budget cache ([`cache`]);
+//! * [`index`]: the one-pass index builder; the resident
+//!   [`InMemoryIndex`] it returns is the build product and the
+//!   differential oracle, never read back from a store;
+//! * [`kvindex`]: [`KvBackedIndex`], the one reader of a persisted
+//!   store — lists materialized lazily from a [`kvstore::KvStore`]
+//!   through a sharded LRU byte-budget cache ([`cache`]);
 //! * [`stats`]: the frequency tables (`N_T`, `G_T`, `tf(k,T)`, `f^T_k`);
 //! * [`cooccur`]: memoized co-occurrence frequencies `f^T_{ki,kj}`;
-//! * [`cursor`]: scan-instrumented list cursors (used to *prove* the
-//!   one-scan property of the refinement algorithms in tests);
+//! * [`cursor`]: [`ListCursor`], the one cursor over a list, counting
+//!   its advances (used to *prove* the one-scan property of the
+//!   refinement algorithms in tests);
 //! * [`stream`]: the streaming builder — zero-copy span scan, parallel
 //!   chunked tokenization, deterministic merge (byte-identical stores
 //!   with the DOM oracle [`Index::build`]);
-//! * [`persist`]: storage of the whole index in any [`kvstore::KvStore`];
+//! * [`persist`]: the store format — writing a whole index into any
+//!   [`kvstore::KvStore`], and the decoders [`kvindex`] and scrub share;
 //! * [`maint`]: online maintenance — WAL-backed document insert/delete
 //!   with epoch/snapshot reader handoff ([`MaintIndex`]).
 
@@ -34,7 +37,7 @@ pub mod stats;
 pub mod stream;
 
 pub use cache::{CacheStats, ShardedListCache, DEFAULT_CACHE_SHARDS};
-pub use cursor::{ListCursor, PostingsCursor, ScanStats};
+pub use cursor::{ListCursor, ScanStats};
 pub use index::{InMemoryIndex, Index};
 pub use kvindex::KvBackedIndex;
 pub use maint::{MaintIndex, MaintOp, MaintReport};

@@ -26,15 +26,15 @@
 //!
 //! Node-type and keyword ids are deterministic for a given document (both
 //! interners assign ids in parse order, and the document expansion
-//! replays exactly that order), so an index loaded against the same
-//! document is bit-identical to a rebuilt one.
+//! replays exactly that order), so the lists and statistics
+//! [`crate::KvBackedIndex`] — the one reader of this format — serves
+//! from a store equal those of a rebuilt index.
 
 use crate::index::Index;
 use crate::postings::{read_varint, write_varint, CompressedList, PostingList};
 use crate::stats::{KeywordId, KeywordTable, TypeStats};
 use kvstore::{crc32, KvError, KvStore, Result};
 use std::collections::HashMap;
-use std::sync::Arc;
 use xmldom::{Document, DocumentBuilder, NodeId, NodeTypeId};
 
 /// The on-disk format: compressed posting lists (blocked front-coded
@@ -88,35 +88,6 @@ pub fn persist(index: &Index, store: &mut dyn KvStore) -> Result<()> {
     store.put(b"S/T", &frame_value(&encode_packed_stats(&tf)))?;
     store.put(b"S/D", &frame_value(&encode_packed_stats(&df)))?;
     store.sync()
-}
-
-/// Loads an index from `store` against the (identical) source document.
-/// Any damage is an error (the resident path has no way to degrade per
-/// keyword).
-pub fn load(doc: Arc<Document>, store: &dyn KvStore) -> Result<Index> {
-    read_version(store)?;
-    let vocab = load_vocab(store)?;
-
-    let mut lists = vec![PostingList::new(); vocab.len()];
-    for (key, value) in store.scan_prefix(b"L/")? {
-        let id = u32::from_be_bytes(
-            key[2..]
-                .try_into()
-                .map_err(|_| KvError::corrupt("bad list key"))?,
-        ) as usize;
-        match lists.get_mut(id) {
-            Some(slot) => *slot = decode_list_value(&value)?,
-            None => return Err(KvError::corrupt("list for unknown keyword")),
-        }
-    }
-
-    let stats = load_stats(store)?;
-    if stats.n_nodes_vec().len() != doc.node_types().len() {
-        return Err(KvError::corrupt(
-            "document does not match persisted index (type count)",
-        ));
-    }
-    Ok(Index::from_parts(doc, vocab, lists, stats))
 }
 
 /// Reads the format version and refuses anything but [`FORMAT_VERSION`]:
@@ -818,31 +789,53 @@ fn decode_varint_vec(bytes: &[u8]) -> Result<Vec<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reader::IndexReader;
+    use crate::KvBackedIndex;
     use kvstore::MemKv;
+    use std::sync::Arc;
     use xmldom::fixtures::figure1;
 
+    /// What the one reader of the format makes of `store`.
+    fn open(store: MemKv) -> Result<KvBackedIndex> {
+        KvBackedIndex::open(Box::new(store))
+    }
+
+    /// A copy of `store` with `key` set to `value`.
+    fn with_value(store: &MemKv, key: &[u8], value: &[u8]) -> MemKv {
+        let mut copy = MemKv::new();
+        for (k, v) in store.scan_prefix(b"").unwrap() {
+            copy.put(&k, &v).unwrap();
+        }
+        copy.put(key, value).unwrap();
+        copy
+    }
+
     #[test]
-    fn persist_load_roundtrip_preserves_everything() {
+    fn persist_open_roundtrip_preserves_everything() {
         let doc = Arc::new(figure1());
         let built = Index::build(Arc::clone(&doc));
         let mut store = MemKv::new();
         persist(&built, &mut store).unwrap();
-        let loaded = load(Arc::clone(&doc), &store).unwrap();
+        let opened = open(store).unwrap();
 
-        assert_eq!(built.vocabulary().len(), loaded.vocabulary().len());
+        assert_eq!(opened.document().to_xml(), doc.to_xml());
+        assert_eq!(built.vocabulary().len(), opened.vocabulary().len());
         for (k, text) in built.vocabulary().iter() {
-            assert_eq!(loaded.vocabulary().get(text), Some(k));
-            assert_eq!(built.list_by_id(k), loaded.list_by_id(k));
+            assert_eq!(opened.vocabulary().get(text), Some(k));
+            assert_eq!(
+                opened.list_handle(text).unwrap().postings(),
+                built.list_by_id(k).as_slice()
+            );
         }
         for t in doc.node_types().iter() {
-            assert_eq!(built.stats().n_nodes(t), loaded.stats().n_nodes(t));
+            assert_eq!(built.stats().n_nodes(t), opened.stats().n_nodes(t));
             assert_eq!(
                 built.stats().distinct_keywords(t),
-                loaded.stats().distinct_keywords(t)
+                opened.stats().distinct_keywords(t)
             );
             for (k, _) in built.vocabulary().iter() {
-                assert_eq!(built.stats().tf(t, k), loaded.stats().tf(t, k));
-                assert_eq!(built.stats().df(t, k), loaded.stats().df(t, k));
+                assert_eq!(built.stats().tf(t, k), opened.stats().tf(t, k));
+                assert_eq!(built.stats().df(t, k), opened.stats().df(t, k));
             }
         }
     }
@@ -853,26 +846,25 @@ mod tests {
         let built = Index::build(Arc::clone(&doc));
         let mut store = MemKv::new();
         persist(&built, &mut store).unwrap();
+        // Lists decode lazily: the damage surfaces on the first touch.
+        let first_touch = |store: MemKv| {
+            open(store)
+                .and_then(|idx| idx.list_handle_by_id(KeywordId(0)))
+                .expect_err("damaged list was served")
+        };
 
         // Flip one payload byte behind the checksum.
         let key = list_key(0);
         let mut value = store.get(&key).unwrap().unwrap();
         *value.last_mut().unwrap() ^= 0xFF;
-        store.put(&key, &value).unwrap();
-        match load(Arc::clone(&doc), &store) {
-            Err(e) if e.is_corrupt() => assert!(e.to_string().contains("checksum"), "{e}"),
-            other => panic!("expected Corrupt, got {:?}", other.map(|_| "an index")),
-        }
+        let e = first_touch(with_value(&store, &key, &value));
+        assert!(e.is_corrupt() && e.to_string().contains("checksum"), "{e}");
 
         // Truncate a frame: length header no longer matches.
-        persist(&built, &mut store).unwrap();
         let mut value = store.get(&key).unwrap().unwrap();
         value.pop();
-        store.put(&key, &value).unwrap();
-        match load(doc, &store) {
-            Err(e) if e.is_corrupt() => assert!(e.to_string().contains("length"), "{e}"),
-            other => panic!("expected Corrupt, got {:?}", other.map(|_| "an index")),
-        }
+        let e = first_touch(with_value(&store, &key, &value));
+        assert!(e.is_corrupt() && e.to_string().contains("length"), "{e}");
     }
 
     #[test]
@@ -882,19 +874,14 @@ mod tests {
         let mut store = MemKv::new();
         persist(&built, &mut store).unwrap();
         // Flipping a byte in a *stat* or *vocabulary* value must be
-        // detected, not silently reinterpreted.
+        // detected, not silently reinterpreted: both load at open.
         for prefix in [b"V/".as_slice(), b"S/".as_slice()] {
             for (key, value) in store.scan_prefix(prefix).unwrap() {
                 for pos in 0..value.len() {
                     let mut damaged = value.clone();
                     damaged[pos] ^= 0xFF;
-                    let mut s2 = MemKv::new();
-                    for (k2, v2) in store.scan_prefix(b"").unwrap() {
-                        s2.put(&k2, if k2 == key { &damaged } else { &v2 }).unwrap();
-                    }
-                    let got = load(Arc::clone(&doc), &s2);
                     assert!(
-                        got.is_err(),
+                        open(with_value(&store, &key, &damaged)).is_err(),
                         "flip at {pos} of {:?} went undetected",
                         String::from_utf8_lossy(&key)
                     );
@@ -1037,17 +1024,8 @@ mod tests {
     }
 
     #[test]
-    fn load_rejects_missing_or_mismatched_state() {
-        let doc = Arc::new(figure1());
-        let store = MemKv::new();
-        assert!(load(Arc::clone(&doc), &store).is_err());
-
-        let built = Index::build(Arc::clone(&doc));
-        let mut store = MemKv::new();
-        persist(&built, &mut store).unwrap();
-        // Different document (different type count) must be rejected.
-        let other = Arc::new(xmldom::fixtures::tiny());
-        assert!(load(other, &store).is_err());
+    fn open_rejects_an_empty_store() {
+        assert!(open(MemKv::new()).is_err());
     }
 
     #[test]
@@ -1064,9 +1042,13 @@ mod tests {
             let mut store = DiskKv::open(&path).unwrap();
             persist(&built, &mut store).unwrap();
         }
-        let store = DiskKv::open(&path).unwrap();
-        let loaded = load(Arc::clone(&doc), &store).unwrap();
-        assert_eq!(loaded.total_postings(), built.total_postings());
+        let opened = KvBackedIndex::open(Box::new(DiskKv::open(&path).unwrap())).unwrap();
+        let postings: usize = built
+            .vocabulary()
+            .iter()
+            .map(|(_, text)| opened.list_handle(text).unwrap().len())
+            .sum();
+        assert_eq!(postings, built.total_postings());
         std::fs::remove_file(&path).unwrap();
     }
 }

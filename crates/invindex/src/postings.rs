@@ -8,9 +8,10 @@
 //! The wire encoding ([`PostingList::encode_compressed`] /
 //! [`CompressedList`]) groups postings into fixed-size blocks of
 //! [`BLOCK_POSTINGS`], each independently decodable, behind a skip table
-//! of `(byte length, count, min label, max label)` entries so a cursor can
-//! skip whole blocks without decoding them (see
-//! [`crate::cursor::PostingsCursor`]).
+//! of `(byte length, count, min label, max label)` entries. The table is
+//! validated on parse and re-checked block by block by scrub; readers
+//! decode whole lists ([`CompressedList::decode_all`]), nothing seeks
+//! through it today.
 
 use kvstore::{KvError, Result};
 use xmldom::{Dewey, NodeTypeId};
@@ -70,44 +71,12 @@ impl PostingList {
         self.postings.is_empty()
     }
 
-    pub fn get(&self, i: usize) -> Option<&Posting> {
-        self.postings.get(i)
-    }
-
-    pub fn first(&self) -> Option<&Posting> {
-        self.postings.first()
-    }
-
-    pub fn last(&self) -> Option<&Posting> {
-        self.postings.last()
-    }
-
     pub fn iter(&self) -> std::slice::Iter<'_, Posting> {
         self.postings.iter()
     }
 
     pub fn as_slice(&self) -> &[Posting] {
         &self.postings
-    }
-
-    /// Index of the first posting with `dewey >= target` (lower bound).
-    pub fn lower_bound(&self, target: &Dewey) -> usize {
-        self.postings.partition_point(|p| p.dewey < *target)
-    }
-
-    /// Index of the first posting with `dewey > target` (upper bound).
-    pub fn upper_bound(&self, target: &Dewey) -> usize {
-        self.postings.partition_point(|p| p.dewey <= *target)
-    }
-
-    /// The sub-list of postings lying inside the subtree rooted at
-    /// `partition_root` (postings whose Dewey has it as prefix), as an
-    /// index range.
-    pub fn partition_range(&self, partition_root: &Dewey) -> std::ops::Range<usize> {
-        let start = self.lower_bound(partition_root);
-        let tail = self.postings.get(start..).unwrap_or(&[]);
-        let end = tail.partition_point(|p| partition_root.is_ancestor_or_self_of(&p.dewey)) + start;
-        start..end
     }
 }
 
@@ -388,13 +357,6 @@ impl<'a> CompressedList<'a> {
         &self.blocks
     }
 
-    /// Index of the first block whose `max >= target` — the only block
-    /// that can contain the lower bound of `target`. Everything before
-    /// it can be skipped without decoding.
-    pub fn lower_bound_block(&self, target: &Dewey) -> usize {
-        self.blocks.partition_point(|b| b.max < *target)
-    }
-
     /// Decodes one block, validating the posting stream against the
     /// block's skip entry (count, strict document order by construction,
     /// max label).
@@ -584,19 +546,6 @@ mod tests {
         assert_eq!(read_varint(&[0x80], &mut pos), None); // truncated
     }
 
-    #[test]
-    fn bounds_and_partition_range() {
-        let list = sample();
-        assert_eq!(list.lower_bound(&"0.1".parse().unwrap()), 2);
-        assert_eq!(list.upper_bound(&"0.1".parse().unwrap()), 3);
-        assert_eq!(list.lower_bound(&"0".parse().unwrap()), 0);
-        assert_eq!(list.lower_bound(&"0.9".parse().unwrap()), 5);
-        // partition 0.1 covers postings 0.1 and 0.1.1.0
-        assert_eq!(list.partition_range(&"0.1".parse().unwrap()), 2..4);
-        assert_eq!(list.partition_range(&"0.0".parse().unwrap()), 0..2);
-        assert_eq!(list.partition_range(&"0.5".parse().unwrap()), 5..5);
-    }
-
     // the order check is a debug_assert, so the panic only exists in
     // debug builds — release runs would fail the should_panic
     #[cfg(debug_assertions)]
@@ -645,8 +594,8 @@ mod tests {
         let mut start = 0usize;
         for (i, meta) in parsed.blocks().iter().enumerate() {
             assert_eq!(meta.start, start);
-            assert_eq!(meta.min, list.get(start).unwrap().dewey);
-            assert_eq!(meta.max, list.get(start + meta.count - 1).unwrap().dewey);
+            assert_eq!(meta.min, list.as_slice()[start].dewey);
+            assert_eq!(meta.max, list.as_slice()[start + meta.count - 1].dewey);
             let decoded = parsed.decode_block(i).unwrap();
             assert_eq!(
                 decoded.as_slice(),
@@ -655,27 +604,6 @@ mod tests {
             start += meta.count;
         }
         assert_eq!(start, list.len());
-    }
-
-    #[test]
-    fn lower_bound_block_agrees_with_full_decode() {
-        let list = big_list();
-        let bytes = list.encode_compressed();
-        let parsed = CompressedList::parse(&bytes).unwrap();
-        for probe in ["0", "0.0.0.0", "0.2.5.3", "0.2.5.3.9", "0.4.9.4", "9"] {
-            let target: Dewey = probe.parse().unwrap();
-            let i = parsed.lower_bound_block(&target);
-            let pos = list.lower_bound(&target);
-            if pos == list.len() {
-                assert_eq!(i, parsed.blocks().len(), "probe {probe}");
-            } else {
-                let meta = &parsed.blocks()[i];
-                assert!(
-                    (meta.start..meta.start + meta.count).contains(&pos),
-                    "probe {probe}: lower bound {pos} not in block {i}"
-                );
-            }
-        }
     }
 
     #[test]

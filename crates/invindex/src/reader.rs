@@ -44,6 +44,7 @@ impl ListHandle {
     }
 
     /// A handle over an owned vector of postings (test/bridge helper).
+    // xlint::allow(unused-export): test constructor — cursor and SLCA tests build handles with no index behind them
     pub fn from_postings(postings: Vec<Posting>) -> Self {
         ListHandle::new(Arc::new(PostingList::from_sorted(postings)))
     }

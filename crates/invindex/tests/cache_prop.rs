@@ -209,40 +209,3 @@ fn concurrent_hammer_reconciles_with_the_op_log() {
     assert_eq!(s.lists_decoded, inserts, "inserts unaccounted");
     assert!(s.cached_bytes <= 2000, "budget exceeded under contention");
 }
-
-#[test]
-fn aggregated_stats_equal_the_sum_of_per_shard_snapshots() {
-    // The obs merge invariant: `stats()` must be exactly the field-wise
-    // sum of `per_shard_stats()`, including after a concurrent hammer.
-    let cache = ShardedListCache::new(2000, 8);
-    const THREADS: u64 = 8;
-    const OPS: u64 = 2000;
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let cache = &cache;
-            s.spawn(move || {
-                let mut rng = Rng(0xabcd + t);
-                for _ in 0..OPS {
-                    let id = rng.below(96) as u32;
-                    if rng.below(100) < 60 {
-                        let _ = cache.get(id);
-                    } else {
-                        cache.insert(id, list_of(id), rng.below(400) as usize + 1);
-                    }
-                }
-            });
-        }
-    });
-
-    let per_shard = cache.per_shard_stats();
-    assert_eq!(per_shard.len(), cache.shard_count());
-    let mut summed = invindex::CacheStats::default();
-    for s in &per_shard {
-        summed.hits += s.hits;
-        summed.misses += s.misses;
-        summed.lists_decoded += s.lists_decoded;
-        summed.evictions += s.evictions;
-        summed.cached_bytes += s.cached_bytes;
-    }
-    assert_eq!(summed, cache.stats(), "per-shard sum diverged from stats()");
-}

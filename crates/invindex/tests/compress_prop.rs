@@ -5,8 +5,6 @@
 //!   shapes (deep, wide, single-element, shared-prefix pathological,
 //!   header-escape depths) round-trip `encode_compressed` →
 //!   [`CompressedList::parse`] → `decode_all` exactly;
-//! * block-boundary seeks through [`PostingsCursor`] agree with the
-//!   uncompressed `lower_bound` model at every probe;
 //! * truncated and bit-flipped *framed* values (what a store actually
 //!   holds) surface [`kvstore::KvError::Corrupt`] — never a panic,
 //!   never wrong postings;
@@ -15,8 +13,7 @@
 
 use datagen::{random_dewey_corpus, DeweyCorpusConfig};
 use invindex::persist::{decode_list_value, encode_list_value};
-use invindex::{CompressedList, Posting, PostingList, PostingsCursor, ScanStats, BLOCK_POSTINGS};
-use std::sync::Arc;
+use invindex::{CompressedList, Posting, PostingList, BLOCK_POSTINGS};
 use xmldom::{Dewey, NodeTypeId};
 
 struct XorShift(u64);
@@ -178,79 +175,6 @@ fn adversarial_shapes_roundtrip() {
 }
 
 #[test]
-fn block_boundary_seeks_agree_with_the_uncompressed_model() {
-    let mut rng = XorShift(0x000C_0117_BEEF);
-    for seed in 0..40u64 {
-        let cfg = DeweyCorpusConfig {
-            lists: 1,
-            max_len: 700,
-            max_depth: 7,
-            fanout: 5,
-            allow_empty: false,
-        };
-        let labels = random_dewey_corpus(seed, &cfg).remove(0);
-        let list = list_from(labels);
-        let payload = list.encode_compressed();
-        let parsed = CompressedList::parse(&payload).unwrap();
-
-        // Probe every posting label, every block's min and max, and a
-        // spread of absent labels between and beyond them.
-        let mut probes: Vec<Dewey> = list.iter().map(|p| p.dewey.clone()).collect();
-        for meta in parsed.blocks() {
-            probes.push(meta.min.clone());
-            probes.push(meta.max.clone());
-        }
-        for _ in 0..50 {
-            let depth = 1 + rng.below(6) as usize;
-            let comps: Vec<u32> = (0..depth).map(|_| rng.below(9) as u32).collect();
-            if let Some(d) = Dewey::new(comps) {
-                probes.push(d);
-            }
-        }
-        for probe in &probes {
-            let stats = ScanStats::new();
-            let mut cursor = PostingsCursor::new(&parsed, Arc::clone(&stats));
-            cursor.seek(probe).unwrap();
-            let expected = list.lower_bound(probe);
-            assert_eq!(
-                cursor.position(),
-                expected,
-                "seed {seed}: seek {probe} position"
-            );
-            assert_eq!(
-                cursor.peek().unwrap().cloned(),
-                list.get(expected).cloned(),
-                "seed {seed}: seek {probe} posting"
-            );
-        }
-
-        // Interleaved monotone seek/next walk stays consistent with a
-        // model index into the uncompressed list.
-        probes.sort();
-        probes.dedup();
-        let stats = ScanStats::new();
-        let mut cursor = PostingsCursor::new(&parsed, Arc::clone(&stats));
-        let mut model = 0usize;
-        for probe in probes.iter().step_by(3) {
-            cursor.seek(probe).unwrap();
-            model = model.max(list.lower_bound(probe));
-            assert_eq!(cursor.position(), model, "seed {seed}: walk seek {probe}");
-            if rng.below(2) == 0 {
-                let got = cursor.next().unwrap();
-                assert_eq!(
-                    got.as_ref(),
-                    list.get(model),
-                    "seed {seed}: walk next after {probe}"
-                );
-                if got.is_some() {
-                    model += 1;
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn truncated_framed_values_surface_corrupt() {
     let labels = random_dewey_corpus(7, &DeweyCorpusConfig::default()).remove(0);
     let list = list_from(labels);
@@ -348,23 +272,4 @@ fn payload_mutations_never_panic_and_keep_structure() {
             }
         }
     }
-}
-
-#[test]
-fn seeks_skip_blocks_without_decoding_them() {
-    let labels: Vec<Dewey> = (0..40 * BLOCK_POSTINGS as u32)
-        .map(|i| Dewey::new(vec![0, i / 64, i % 64]).unwrap())
-        .collect();
-    let list = list_from(labels);
-    let payload = list.encode_compressed();
-    let parsed = CompressedList::parse(&payload).unwrap();
-    let stats = ScanStats::new();
-    let mut cursor = PostingsCursor::new(&parsed, Arc::clone(&stats));
-    // touch the first block, then jump to the 30th
-    cursor.next().unwrap();
-    let target = &parsed.blocks()[30].min;
-    cursor.seek(target).unwrap();
-    assert_eq!(cursor.peek().unwrap().unwrap().dewey, *target);
-    assert_eq!(cursor.blocks_decoded(), 2, "only the two touched blocks");
-    assert_eq!(cursor.blocks_skipped(), 29, "blocks 1..30 skipped encoded");
 }

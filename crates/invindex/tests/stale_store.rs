@@ -6,7 +6,6 @@
 use invindex::{build_streaming, persist, verify_store, KvBackedIndex, MaintIndex};
 use kvstore::{DiskKv, FaultVfs, KvStore, MemKv};
 use std::path::Path;
-use std::sync::Arc;
 
 const CORPUS: &str = "<bib>\
     <paper><title>xml keyword search</title><year>2003</year></paper>\
@@ -51,11 +50,6 @@ fn foreign_format_versions_are_refused_at_every_entry_point() {
             KvBackedIndex::open(Box::new(stamped())),
             found,
             "KvBackedIndex::open",
-        );
-        assert_refused(
-            persist::load(Arc::clone(built.document()), &stamped()),
-            found,
-            "persist::load",
         );
 
         let report = verify_store(&stamped());

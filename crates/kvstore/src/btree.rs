@@ -347,12 +347,6 @@ impl<P: Pager> BTree<P> {
         self.pager.sync()
     }
 
-    /// Consumes the tree, returning its pager (used by tests).
-    pub fn into_pager(mut self) -> Result<P> {
-        self.sync()?;
-        Ok(self.pager)
-    }
-
     /// Borrows the underlying pager (used for integrity checks).
     pub fn pager(&self) -> &P {
         &self.pager

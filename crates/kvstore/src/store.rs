@@ -110,6 +110,7 @@ pub type DiskKv = TreeKv<FilePager>;
 
 /// In-memory B+-tree store: same code path as [`DiskKv`] minus the file.
 /// Used to test the tree against [`MemKv`] as a model.
+// xlint::allow(unused-export): test fake — the tree with no file under it, for the model tests
 pub type MemTreeKv = TreeKv<MemPager>;
 
 impl TreeKv<FilePager> {

@@ -465,8 +465,8 @@ fn decode_at(buf: &[u8], pos: usize) -> Option<WalRecord> {
     decode_body(body)
 }
 
-/// Validates a record frame at `buf[pos..]`; exposed for fuzz-style tests.
-pub fn frame_is_intact(buf: &[u8], pos: usize) -> bool {
+/// Validates a record frame at `buf[pos..]`.
+fn frame_is_intact(buf: &[u8], pos: usize) -> bool {
     let Ok(len) = codec::u32_at(buf, pos, "frame length") else {
         return false;
     };

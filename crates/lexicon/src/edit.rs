@@ -7,6 +7,7 @@
 //! and bails out as soon as the bound is exceeded.
 
 /// Levenshtein distance over Unicode scalar values.
+// xlint::allow(unused-export): reference metric — the property tests bound `damerau_levenshtein` by it
 pub fn levenshtein(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();

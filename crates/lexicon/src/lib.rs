@@ -20,5 +20,5 @@ pub mod thesaurus;
 pub use edit::{damerau_levenshtein, levenshtein, within_distance};
 pub use rulegen::{generate_rules, VocabIndex};
 pub use rules::{RefineOp, Rule, RuleId, RuleSet, RuleSource};
-pub use stemmer::{porter_stem, same_stem};
+pub use stemmer::porter_stem;
 pub use thesaurus::{AcronymTable, Thesaurus};

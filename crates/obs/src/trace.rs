@@ -61,16 +61,6 @@ impl Span {
         self.children.iter().find_map(|c| c.find(name))
     }
 
-    /// Total of a named counter over this span and all descendants.
-    pub fn total_count(&self, key: &str) -> u64 {
-        self.counts.get(key).copied().unwrap_or(0)
-            + self
-                .children
-                .iter()
-                .map(|c| c.total_count(key))
-                .sum::<u64>()
-    }
-
     fn well_nested(&self) -> bool {
         let mut prev_end = self.start;
         for c in &self.children {
@@ -145,6 +135,7 @@ impl QueryTrace {
 
     /// Check the interval algebra of the tree: every child lies inside its
     /// parent and siblings are ordered and non-overlapping.
+    // xlint::allow(unused-export): invariant check the tracer's concurrency tests assert on every captured tree
     pub fn is_well_nested(&self) -> bool {
         self.root.well_nested()
     }
@@ -175,11 +166,6 @@ struct Collector {
 
 thread_local! {
     static ACTIVE: RefCell<Option<Collector>> = const { RefCell::new(None) };
-}
-
-/// Whether a trace capture is active on this thread.
-pub fn is_active() -> bool {
-    ACTIVE.with(|a| a.borrow().is_some())
 }
 
 /// Uninstalls the collector even if the traced closure panics, so a poisoned
@@ -328,6 +314,11 @@ pub fn event(name: &str, attrs: &[(&str, &dyn std::fmt::Display)]) {
 mod tests {
     use super::*;
 
+    /// Whether a trace capture is active on this thread.
+    fn is_active() -> bool {
+        ACTIVE.with(|a| a.borrow().is_some())
+    }
+
     #[test]
     fn untraced_calls_are_noops() {
         assert!(!is_active());
@@ -370,7 +361,6 @@ mod tests {
         assert_eq!(trace.find("session").unwrap().counts["cache.misses"], 1);
         assert_eq!(trace.find("session").unwrap().events[0].name, "list");
         assert_eq!(trace.find("algorithm").unwrap().counts["slca.steps"], 15);
-        assert_eq!(trace.root.total_count("slca.steps"), 15);
         assert!(trace.is_well_nested());
         let rendered = trace.render();
         assert!(rendered.contains("query"));

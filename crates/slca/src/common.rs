@@ -31,6 +31,7 @@ pub fn minimal_candidates(mut candidates: Vec<Dewey>) -> Vec<Dewey> {
 /// Reference SLCA: intersects the ancestor-or-self closures of every
 /// keyword's match list and keeps the minimal elements. Exponential in
 /// nothing, linear in `matches × depth` — used as the oracle in tests.
+// xlint::allow(unused-export): the SLCA oracle every algorithm is compared against
 pub fn slca_brute_force<S: AsRef<[Posting]>>(lists: &[S]) -> Vec<Dewey> {
     use std::collections::HashSet;
     let lists: Vec<&[Posting]> = lists.iter().map(AsRef::as_ref).collect();

@@ -16,7 +16,6 @@
 //! optimized stack algorithms of XRank are out of scope (SLCA is what the
 //! paper builds on).
 
-use crate::common::minimal_candidates;
 use invindex::Posting;
 use std::collections::HashSet;
 use xmldom::Dewey;
@@ -94,6 +93,7 @@ pub fn elca<S: AsRef<[Posting]>>(lists: &[S]) -> Vec<Dewey> {
 /// Definition-direct reference (used in tests): `v` is an ELCA iff each
 /// keyword has an occurrence under `v` not under any *all-covering*
 /// proper descendant of `v`.
+// xlint::allow(unused-export): reference implementation the equivalence tests compare `elca` against
 pub fn elca_brute_force<S: AsRef<[Posting]>>(lists: &[S]) -> Vec<Dewey> {
     let lists: Vec<&[Posting]> = lists.iter().map(AsRef::as_ref).collect();
     if lists.is_empty() || lists.iter().any(|l| l.is_empty()) {
@@ -140,16 +140,10 @@ pub fn elca_brute_force<S: AsRef<[Posting]>>(lists: &[S]) -> Vec<Dewey> {
         .collect()
 }
 
-/// SLCA derived from the ELCA set (the minimal ELCA nodes) — a useful
-/// cross-check: `minimal(ELCA) == SLCA`.
-pub fn slca_via_elca<S: AsRef<[Posting]>>(lists: &[S]) -> Vec<Dewey> {
-    minimal_candidates(elca(lists))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::slca_brute_force;
+    use crate::common::{minimal_candidates, slca_brute_force};
     use xmldom::NodeTypeId;
 
     fn ps(labels: &[&str]) -> Vec<Posting> {
@@ -173,7 +167,7 @@ mod tests {
         let got = elca(&[&a, &b]);
         assert_eq!(got, vec![d("0"), d("0.0")]);
         // SLCA keeps only the minimal one
-        assert_eq!(slca_via_elca(&[&a, &b]), vec![d("0.0")]);
+        assert_eq!(minimal_candidates(got), vec![d("0.0")]);
     }
 
     #[test]

@@ -33,11 +33,6 @@ impl<'a> MeaningfulFilter<'a> {
         }
     }
 
-    /// Builds the filter from an explicit candidate type list.
-    pub fn with_candidates(doc: &'a Document, candidates: Vec<NodeTypeId>) -> Self {
-        MeaningfulFilter { doc, candidates }
-    }
-
     /// The search-for candidate types this filter admits.
     pub fn candidates(&self) -> &[NodeTypeId] {
         &self.candidates
@@ -149,7 +144,10 @@ mod tests {
     fn explicit_candidates_filter() {
         let doc = figure1();
         let author_t = doc.node(doc.node(doc.root()).children[0]).node_type;
-        let filter = MeaningfulFilter::with_candidates(&doc, vec![author_t]);
+        let filter = MeaningfulFilter {
+            doc: &doc,
+            candidates: vec![author_t],
+        };
         assert!(filter.is_meaningful(&"0.0".parse().unwrap())); // author itself
         assert!(filter.is_meaningful(&"0.1.2".parse().unwrap())); // hobby below author
         assert!(!filter.is_meaningful(&"0".parse().unwrap())); // root above author

@@ -15,6 +15,7 @@ use invindex::Posting;
 use xmldom::Dewey;
 
 /// Multiway-SLCA.
+// xlint::allow(unused-export): advertised pluggable SLCA method backing the "orthogonal to any SLCA method" claim
 pub fn slca_multiway<S: AsRef<[Posting]>>(lists: &[S]) -> Vec<Dewey> {
     obs::counter!("slca_invocations_total").inc();
     let lists: Vec<&[Posting]> = lists.iter().map(AsRef::as_ref).collect();

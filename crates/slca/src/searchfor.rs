@@ -36,14 +36,6 @@ impl Default for SearchForConfig {
     }
 }
 
-/// `C_for(T, Q)` for one node type.
-pub fn confidence(index: &dyn IndexReader, t: NodeTypeId, query: &[KeywordId]) -> f64 {
-    let sum: u64 = query.iter().map(|&k| index.stats().df(t, k)).sum();
-    let depth = index.document().node_types().depth(t) as f64;
-    let r = SearchForConfig::default().reduction_factor;
-    confidence_with(sum, depth, r)
-}
-
 /// `C_for` from raw inputs (exposed for ranking-model ablations).
 pub fn confidence_with(df_sum: u64, depth: f64, reduction_factor: f64) -> f64 {
     (1.0 + df_sum as f64).ln() * reduction_factor.powf(depth)

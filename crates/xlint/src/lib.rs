@@ -15,7 +15,9 @@
 //! * `unsafe-audit` — every production `unsafe` carries an
 //!   `xlint::safety(...)` invariant, inventoried into SAFETY.md;
 //! * `checked-arithmetic-on-untrusted` — decode-path arithmetic on
-//!   disk/network-derived values uses `checked_*` forms.
+//!   disk/network-derived values uses `checked_*` forms;
+//! * `unused-export` — a `pub`/`pub(crate)` item under `crates/*/src`
+//!   that no production code in the workspace names.
 //!
 //! The analyzer is zero-dependency: a hand-rolled lexer
 //! ([`lexer`]) feeds token-pattern rules ([`rules`]) over a per-file

@@ -12,6 +12,7 @@ pub mod no_panic;
 pub mod no_wallclock;
 pub mod pragma;
 pub mod unsafe_audit;
+pub mod unused_export;
 
 use crate::config::Config;
 use crate::diag::Finding;
@@ -28,6 +29,7 @@ pub const RULE_NAMES: &[&str] = &[
     durability::RULE,
     unsafe_audit::RULE,
     checked_arith::RULE,
+    unused_export::RULE,
 ];
 
 /// Runs every per-file rule over one file. `findings` come back
@@ -49,6 +51,7 @@ pub fn run_all(file: &SourceFile, config: &Config) -> Vec<Finding> {
 /// degenerate single-file model, as the fixtures do).
 pub fn run_workspace(model: &WorkspaceModel, config: &Config, out: &mut Vec<Finding>) {
     durability::check(model, config, out);
+    unused_export::check(model, config, out);
 }
 
 /// Emits a finding unless a justified pragma suppresses it. Rules call

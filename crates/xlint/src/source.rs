@@ -42,9 +42,6 @@ pub struct SourceFile {
     pub path: String,
     pub kind: FileKind,
     pub tokens: Vec<Token>,
-    /// Raw source lines, for diagnostic rendering (1-based access via
-    /// [`SourceFile::line_text`]).
-    pub lines: Vec<String>,
     /// 1-based line -> inside a test region.
     test_lines: Vec<bool>,
     /// All suppression pragmas, in file order.
@@ -58,8 +55,7 @@ pub struct SourceFile {
 impl SourceFile {
     pub fn parse(path: &str, text: &str, kind: FileKind) -> SourceFile {
         let tokens = lex(text);
-        let lines: Vec<String> = text.lines().map(|l| l.to_string()).collect();
-        let n = lines.len();
+        let n = text.lines().count();
         let mut test_lines = vec![kind == FileKind::Test; n + 2];
         if kind == FileKind::Production {
             mark_test_regions(&tokens, &mut test_lines);
@@ -69,7 +65,6 @@ impl SourceFile {
             path: path.to_string(),
             kind,
             tokens,
-            lines,
             test_lines,
             allows,
             lock_names,
@@ -80,14 +75,6 @@ impl SourceFile {
     /// Is this 1-based line inside test code?
     pub fn is_test_line(&self, line: usize) -> bool {
         self.test_lines.get(line).copied().unwrap_or(false)
-    }
-
-    /// The source text of a 1-based line (empty if out of range).
-    pub fn line_text(&self, line: usize) -> &str {
-        line.checked_sub(1)
-            .and_then(|i| self.lines.get(i))
-            .map(String::as_str)
-            .unwrap_or("")
     }
 
     /// Is a finding of `rule` at `line` suppressed by a pragma? A pragma

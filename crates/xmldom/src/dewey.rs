@@ -98,24 +98,12 @@ impl Dewey {
         self == other || self.is_ancestor_of(other)
     }
 
-    /// Lowest common ancestor: the longest common prefix of the two labels.
-    ///
-    /// Any two labels in the same document share at least the root
-    /// component, so within a document this never returns `None`.
-    pub fn lca(&self, other: &Dewey) -> Option<Dewey> {
-        let n = self
-            .components
-            .iter()
-            .zip(other.components.iter())
-            .take_while(|(a, b)| a == b)
-            .count();
-        Dewey::new(self.components[..n].to_vec())
-    }
-
     /// The ancestor-or-self label consisting of the first `len` components
-    /// (`None` when `len` is 0 or exceeds the depth). Together with
-    /// [`Dewey::common_prefix_len`] this lets callers compute an LCA with a
-    /// single allocation after comparing prefix lengths allocation-free.
+    /// (`None` when `len` is 0 or exceeds the depth). The lowest common
+    /// ancestor of two labels is `a.prefix(a.common_prefix_len(b))`: any
+    /// two labels of one document share the root component, so that is
+    /// never `None` there, and callers compare prefix lengths
+    /// allocation-free before paying for the one label they keep.
     pub fn prefix(&self, len: usize) -> Option<Dewey> {
         if len == 0 || len > self.components.len() {
             None
@@ -143,29 +131,6 @@ impl Dewey {
         } else {
             Dewey::new(self.components[..2].to_vec())
         }
-    }
-
-    /// A compact byte encoding that preserves document order under plain
-    /// byte-wise comparison: each component is emitted as a big-endian
-    /// 4-byte group. Used as a B+-tree key component by the index layer.
-    pub fn to_order_preserving_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.components.len() * 4);
-        for &c in &self.components {
-            out.extend_from_slice(&c.to_be_bytes());
-        }
-        out
-    }
-
-    /// Inverse of [`Dewey::to_order_preserving_bytes`].
-    pub fn from_order_preserving_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.is_empty() || !bytes.len().is_multiple_of(4) {
-            return None;
-        }
-        let components = bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        Dewey::new(components)
     }
 }
 
@@ -283,10 +248,11 @@ mod tests {
 
     #[test]
     fn lca_is_longest_common_prefix() {
-        assert_eq!(d("0.0.1.0").lca(&d("0.0.2")).unwrap(), d("0.0"));
-        assert_eq!(d("0.0").lca(&d("0.0.2")).unwrap(), d("0.0"));
-        assert_eq!(d("0.1").lca(&d("0.2")).unwrap(), d("0"));
-        assert_eq!(d("0.3").lca(&d("0.3")).unwrap(), d("0.3"));
+        let lca = |a: &str, b: &str| d(a).prefix(d(a).common_prefix_len(&d(b))).unwrap();
+        assert_eq!(lca("0.0.1.0", "0.0.2"), d("0.0"));
+        assert_eq!(lca("0.0", "0.0.2"), d("0.0"));
+        assert_eq!(lca("0.1", "0.2"), d("0"));
+        assert_eq!(lca("0.3", "0.3"), d("0.3"));
     }
 
     #[test]
@@ -294,18 +260,5 @@ mod tests {
         assert_eq!(d("0.1.2.3").partition().unwrap(), d("0.1"));
         assert_eq!(d("0.0").partition().unwrap(), d("0.0"));
         assert_eq!(d("0").partition(), None);
-    }
-
-    #[test]
-    fn order_preserving_bytes_roundtrip_and_order() {
-        let a = d("0.1.2");
-        let b = d("0.10");
-        let ab = a.to_order_preserving_bytes();
-        let bb = b.to_order_preserving_bytes();
-        assert_eq!(Dewey::from_order_preserving_bytes(&ab).unwrap(), a);
-        assert_eq!(Dewey::from_order_preserving_bytes(&bb).unwrap(), b);
-        assert_eq!(ab.cmp(&bb), a.cmp(&b));
-        assert!(Dewey::from_order_preserving_bytes(&[1, 2, 3]).is_none());
-        assert!(Dewey::from_order_preserving_bytes(&[]).is_none());
     }
 }

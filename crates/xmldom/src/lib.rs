@@ -30,5 +30,5 @@ pub use scan::{
     check_document, decode_text, scan_with, AttrIter, DeweyTracker, ScanError, ScanErrorKind,
     ScanSink, ScanStats, Span, MAX_SCAN_DEPTH,
 };
-pub use tokenize::{for_each_token, normalize_keyword, tokenize, tokenize_query};
+pub use tokenize::{for_each_token, tokenize, tokenize_query};
 pub use tree::{Document, DocumentBuilder, Node, NodeId};

@@ -647,6 +647,7 @@ impl<'a> Iterator for AttrIter<'a> {
 /// [`crate::DocumentBuilder`] would assign, holding only the current
 /// root-to-node path and one child counter per open level.
 #[derive(Debug, Default)]
+// xlint::allow(unused-export): independent labeller — the ingest differential checks stream labels against it, no builder involved
 pub struct DeweyTracker {
     /// Components of the current open element's label.
     path: Vec<u32>,

@@ -46,14 +46,6 @@ pub fn for_each_token(text: &str, scratch: &mut String, mut f: impl FnMut(&str))
     }
 }
 
-/// Normalizes a single keyword the same way [`tokenize`] does, returning
-/// `None` if the input contains no alphanumeric characters. If the input
-/// would split into several tokens, only the first is returned; use
-/// [`tokenize`] when that matters.
-pub fn normalize_keyword(raw: &str) -> Option<String> {
-    tokenize(raw).into_iter().next()
-}
-
 /// Tokenizes a whole keyword query string into its keyword list, preserving
 /// order and duplicates (`{on, line, data, base}` has four keywords).
 pub fn tokenize_query(query: &str) -> Vec<String> {
@@ -86,13 +78,6 @@ mod tests {
     #[test]
     fn digits_are_keywords() {
         assert_eq!(tokenize("year: 2003"), ["year", "2003"]);
-    }
-
-    #[test]
-    fn normalize_keyword_takes_first_token() {
-        assert_eq!(normalize_keyword("  XML "), Some("xml".to_string()));
-        assert_eq!(normalize_keyword("twig join"), Some("twig".to_string()));
-        assert_eq!(normalize_keyword("!!"), None);
     }
 
     #[test]

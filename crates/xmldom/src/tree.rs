@@ -110,19 +110,6 @@ impl Document {
         (node.dewey == *dewey).then_some(id)
     }
 
-    /// The deepest element whose Dewey label is `dewey` or an ancestor of
-    /// it. Useful for resolving an arbitrary (possibly non-element) label
-    /// to its enclosing element.
-    pub fn enclosing_node(&self, dewey: &Dewey) -> Option<NodeId> {
-        let mut cur = dewey.clone();
-        loop {
-            if let Some(id) = self.node_by_dewey(&cur) {
-                return Some(id);
-            }
-            cur = cur.parent()?;
-        }
-    }
-
     /// Pre-order subtree traversal rooted at `id` (inclusive).
     pub fn descendants_or_self(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         let root_dewey = self.node(id).dewey.clone();
@@ -334,11 +321,6 @@ impl DocumentBuilder {
         id
     }
 
-    /// True once the root element has been closed.
-    pub fn is_complete(&self) -> bool {
-        !self.nodes.is_empty() && self.open.is_empty()
-    }
-
     /// Finishes the build. Panics if elements remain open or no root was
     /// ever produced; the parser maps these to proper errors beforehand.
     pub fn finish(self) -> Document {
@@ -410,16 +392,6 @@ mod tests {
             assert_eq!(doc.node_by_dewey(&n.dewey), Some(id));
         }
         assert_eq!(doc.node_by_dewey(&"0.9.9".parse().unwrap()), None);
-    }
-
-    #[test]
-    fn enclosing_node_walks_up() {
-        let doc = small_doc();
-        // 0.0.1.0.0.99 does not exist; nearest existing ancestor is 0.0.1.0.0
-        let id = doc
-            .enclosing_node(&"0.0.1.0.0.99".parse().unwrap())
-            .unwrap();
-        assert_eq!(doc.node(id).dewey.to_string(), "0.0.1.0.0");
     }
 
     #[test]

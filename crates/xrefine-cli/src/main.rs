@@ -8,18 +8,19 @@
 //! xrefine-cli query --store <store.db> [--algorithm ...] [--k N]
 //! ```
 //!
-//! The flag-only form parses and indexes the document in memory, then
-//! reads keyword queries from stdin (one per line). `index` persists the
+//! The flag-only form indexes the document in memory, then reads
+//! keyword queries from stdin (one per line). `index` persists the
 //! built index into a kvstore file; `query --store` serves the same REPL
 //! straight from that file — the document is replayed from the embedded
 //! blob and posting lists are decoded lazily, per query.
 //!
-//! `index` builds via the zero-copy scanner
-//! (`invindex::build_streaming`); `--threads N` parallelises its
-//! tokenize/DF phases, and the persisted store is byte-identical at any
-//! thread count: compressed postings (blocked front-coded Dewey lists
-//! with skip tables), the deduplicated DAG document and packed stat
-//! tables.
+//! Both `--data` and `index` build via the zero-copy scanner
+//! (`invindex::build_streaming`, the one ingest path: a malformed file
+//! is reported the same way by either); `index --threads N`
+//! parallelises its tokenize/DF phases, and the persisted store is
+//! byte-identical at any thread count: compressed postings (blocked
+//! front-coded Dewey lists with skip tables), the deduplicated DAG
+//! document and packed stat tables.
 //!
 //! Observability (see DESIGN.md "Observability"):
 //!
@@ -199,6 +200,7 @@ fn parse_args(mut args: Vec<String>) -> Result<Command, String> {
                 opts.k = args
                     .get(i + 1)
                     .and_then(|s| s.parse().ok())
+                    .filter(|&n| n > 0)
                     .ok_or("--k needs a positive integer")?;
                 i += 2;
             }
@@ -226,42 +228,34 @@ fn parse_args(mut args: Vec<String>) -> Result<Command, String> {
     Ok(Command::Repl(opts))
 }
 
-fn load_document(spec: &str) -> Result<Arc<xmldom::Document>, String> {
-    match spec {
-        "figure1" => Ok(Arc::new(xmldom::fixtures::figure1())),
-        "dblp" => Ok(Arc::new(datagen::generate_dblp(&datagen::DblpConfig {
-            authors: 500,
-            ..Default::default()
-        }))),
-        "baseball" => Ok(Arc::new(datagen::generate_baseball(
-            &datagen::BaseballConfig::default(),
-        ))),
-        path => {
-            let xml =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            Ok(Arc::new(
-                xmldom::parse_document(&xml).map_err(|e| format!("parse error: {e}"))?,
-            ))
-        }
-    }
-}
-
 /// The raw XML of a document spec — read from disk for a path,
 /// rendered for the built-in corpora.
 fn load_xml(spec: &str) -> Result<String, String> {
     match spec {
-        "figure1" | "dblp" | "baseball" => Ok(load_document(spec)?.to_xml()),
+        "figure1" => Ok(xmldom::fixtures::figure1().to_xml()),
+        "dblp" => Ok(datagen::generate_dblp(&datagen::DblpConfig {
+            authors: 500,
+            ..Default::default()
+        })
+        .to_xml()),
+        "baseball" => Ok(datagen::generate_baseball(&datagen::BaseballConfig::default()).to_xml()),
         path => std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}")),
     }
+}
+
+/// The one ingest path of this binary: a document spec through the
+/// streaming scanner to a resident index. `index` persists it, the
+/// flag-only REPL serves from it.
+fn build_index(data: &str, threads: usize) -> Result<invindex::Index, String> {
+    invindex::build_streaming(&load_xml(data)?, threads)
+        .map_err(|e| format!("scan error in '{data}': {e}"))
 }
 
 /// `xrefine-cli index <data> <db> [--threads N]`: build with the
 /// streaming scanner and persist. The store is byte-identical at any
 /// thread count.
 fn build_store(data: &str, store_path: &str, threads: usize) -> Result<(), String> {
-    let xml = load_xml(data)?;
-    let index = invindex::build_streaming(&xml, threads)
-        .map_err(|e| format!("scan error in '{data}': {e}"))?;
+    let index = build_index(data, threads)?;
     let mut store = kvstore::DiskKv::open(std::path::Path::new(store_path))
         .map_err(|e| format!("cannot open store {store_path}: {e}"))?;
     invindex::persist::persist(&index, &mut store)
@@ -453,15 +447,15 @@ fn build_engine(opts: &Options) -> Result<XRefineEngine, String> {
             Ok(engine)
         }
         None => {
-            let doc = load_document(&opts.data)?;
+            let index = build_index(&opts.data, 1)?;
             eprintln!(
                 "indexed {} elements from '{}' ({:?}, Top-{})",
-                doc.len(),
+                index.document().len(),
                 opts.data,
                 opts.algorithm,
                 opts.k
             );
-            Ok(XRefineEngine::from_document(doc, config))
+            Ok(XRefineEngine::from_index(index, config))
         }
     }
 }
@@ -841,6 +835,24 @@ mod tests {
                 Err(msg) => assert_eq!(msg, format!("unknown flag {flag}")),
                 Ok(_) => panic!("{flag} was accepted"),
             }
+        }
+    }
+
+    /// `--k` means what its error text says: 0 is refused, not printed
+    /// as `Top-0` over algorithms that run `k.max(1)`.
+    #[test]
+    fn k_must_be_positive() {
+        for bad in ["0", "-1", "three"] {
+            let argv = ["--k", bad].map(String::from);
+            match parse_args(argv.to_vec()) {
+                Err(msg) => assert_eq!(msg, "--k needs a positive integer"),
+                Ok(_) => panic!("--k {bad} was accepted"),
+            }
+        }
+        let argv = ["query", "--store", "x.db", "--k", "5"].map(String::from);
+        match parse_args(argv.to_vec()) {
+            Ok(Command::Repl(opts)) => assert_eq!(opts.k, 5),
+            _ => panic!("--k 5 was refused"),
         }
     }
 }

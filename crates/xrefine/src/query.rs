@@ -1,6 +1,5 @@
 //! Keyword queries and refined-query candidates.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use xmldom::tokenize_query;
 
@@ -37,12 +36,6 @@ impl Query {
     pub fn is_empty(&self) -> bool {
         self.keywords.is_empty()
     }
-
-    /// The keyword *set* view (queries are sets for result semantics,
-    /// sequences for refinement rules).
-    pub fn keyword_set(&self) -> BTreeSet<&str> {
-        self.keywords.iter().map(|s| s.as_str()).collect()
-    }
 }
 
 impl fmt::Display for Query {
@@ -68,13 +61,6 @@ impl RqCandidate {
             keywords,
             dissimilarity,
         }
-    }
-
-    /// True when this candidate *is* the original query (dissimilarity 0
-    /// by construction of the DP).
-    pub fn is_original(&self, q: &Query) -> bool {
-        let mine: BTreeSet<&str> = self.keywords.iter().map(|s| s.as_str()).collect();
-        mine == q.keyword_set()
     }
 }
 
@@ -107,14 +93,5 @@ mod tests {
         assert_eq!(a.keywords, ["a", "b"]);
         let b = RqCandidate::new(vec!["a".to_string(), "b".to_string()], 2.0);
         assert_eq!(a.keywords, b.keywords);
-    }
-
-    #[test]
-    fn is_original_compares_sets() {
-        let q = Query::from_keywords(["xml", "john"]);
-        let rq = RqCandidate::new(vec!["john".to_string(), "xml".to_string()], 0.0);
-        assert!(rq.is_original(&q));
-        let rq2 = RqCandidate::new(vec!["xml".to_string()], 2.0);
-        assert!(!rq2.is_original(&q));
     }
 }

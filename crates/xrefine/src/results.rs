@@ -110,9 +110,4 @@ impl RefineOutcome {
     pub fn needs_refinement(&self) -> bool {
         !self.original_ok
     }
-
-    /// True when some keyword's damaged storage narrowed this answer.
-    pub fn is_degraded(&self) -> bool {
-        !self.degraded.is_empty()
-    }
 }

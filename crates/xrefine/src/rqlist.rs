@@ -68,12 +68,6 @@ impl RqSortedList {
         self.member.get(id).copied().unwrap_or(false)
     }
 
-    /// Dissimilarity of the `k`-th best candidate (1-based), if present —
-    /// the short-list-eager stop condition reads this.
-    pub fn kth_dissimilarity(&self, k: usize) -> Option<f64> {
-        self.items.get(k.checked_sub(1)?).map(|&(ds, _)| ds)
-    }
-
     /// Attempts to insert candidate `id` at `dissimilarity`; `false` when
     /// it is already a member or no better than the worst of a full list.
     /// When full, a candidate strictly better than the worst evicts it.
@@ -128,8 +122,6 @@ mod tests {
         assert!(insert(&mut l, &words, 2, 2.0));
         let ds: Vec<f64> = l.iter().map(|(ds, _)| ds).collect();
         assert_eq!(ds, [1.0, 2.0, 3.0]);
-        assert_eq!(l.kth_dissimilarity(2), Some(2.0));
-        assert_eq!(l.kth_dissimilarity(9), None);
         // equal dissimilarity: the caller's order decides
         assert!(insert(&mut l, &words, 3, 2.0));
         let ids: Vec<RqId> = l.iter().map(|(_, id)| id).collect();

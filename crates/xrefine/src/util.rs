@@ -47,19 +47,6 @@ impl KeyMask {
         self.words.iter().all(|&w| w == 0)
     }
 
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Indices of the set bits, ascending.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64)
-                .filter(move |b| w & (1u64 << b) != 0)
-                .map(move |b| wi * 64 + b)
-        })
-    }
-
     pub fn clear(&mut self) {
         self.words.fill(0);
     }
@@ -70,7 +57,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn set_get_and_count() {
+    fn set_and_get() {
         let mut m = KeyMask::empty(130);
         assert!(m.is_empty());
         m.set(0);
@@ -79,8 +66,6 @@ mod tests {
         m.set(129);
         assert!(m.get(0) && m.get(63) && m.get(64) && m.get(129));
         assert!(!m.get(1) && !m.get(128));
-        assert_eq!(m.count_ones(), 4);
-        assert_eq!(m.iter_ones().collect::<Vec<_>>(), vec![0, 63, 64, 129]);
         assert!(!m.get(500)); // out of range reads as false
     }
 

@@ -1,11 +1,15 @@
 //! `xrefine-serve` — the long-running XRefine query server.
 //!
 //! ```text
-//! xrefine-serve [--store PATH [--live] | --xml PATH | --dblp FRACTION]
-//!               [--addr HOST:PORT] [--workers N] [--queue-cap N]
-//!               [--max-conns N] [--read-timeout-ms N]
-//!               [--request-timeout-ms N] [--drain-grace-ms N]
+//! usage: xrefine-serve [--store PATH [--live] | --xml PATH | --dblp FRACTION]
+//!                      [--addr HOST:PORT] [--workers N] [--queue-cap N]
+//!                      [--max-conns N] [--read-timeout-ms N]
+//!                      [--write-timeout-ms N] [--request-timeout-ms N]
+//!                      [--drain-grace-ms N] [--help]
 //! ```
+//!
+//! `--xml` indexes the file through `invindex::build_streaming`, the
+//! ingest path `xrefine-cli index` and the live writer take.
 //!
 //! Endpoints: `GET /query?q=<keywords>`, `GET /metrics` (Prometheus),
 //! `GET /healthz`, `POST /admin/drain`, and — with `--live` — `POST
@@ -23,6 +27,15 @@ use std::time::Duration;
 use datagen::{generate_dblp, DblpConfig};
 use xrefine::{EngineConfig, LiveEngine, XRefineEngine};
 use xserve::{signal, EngineService, LiveEngineService, QueryService, ServeConfig};
+
+/// Every flag [`parse_args`] matches; `--help` prints it and the module
+/// docs quote it.
+const USAGE: &str = "\
+usage: xrefine-serve [--store PATH [--live] | --xml PATH | --dblp FRACTION]
+                     [--addr HOST:PORT] [--workers N] [--queue-cap N]
+                     [--max-conns N] [--read-timeout-ms N]
+                     [--write-timeout-ms N] [--request-timeout-ms N]
+                     [--drain-grace-ms N] [--help]";
 
 struct Args {
     store: Option<String>,
@@ -114,10 +127,11 @@ fn build_engine(args: &Args) -> Result<XRefineEngine, String> {
             .map_err(|e| format!("cannot open store {path}: {e}"));
     }
     if let Some(path) = &args.xml {
-        eprintln!("parsing {path}");
+        eprintln!("indexing {path}");
         let xml = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        return XRefineEngine::from_xml(&xml, EngineConfig::default())
-            .map_err(|e| format!("cannot parse {path}: {e}"));
+        let index = invindex::build_streaming(&xml, 1)
+            .map_err(|e| format!("scan error in '{path}': {e}"))?;
+        return Ok(XRefineEngine::from_index(index, EngineConfig::default()));
     }
     eprintln!(
         "no corpus given; generating synthetic DBLP (fraction {})",
@@ -138,7 +152,7 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(msg) => {
             if msg == "help" {
-                eprintln!("usage: see module docs (xrefine-serve --store PATH [--live] | --xml PATH | --dblp FRACTION ...)");
+                eprintln!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             eprintln!("xrefine-serve: {msg}");
@@ -181,4 +195,39 @@ fn main() -> ExitCode {
     }
     println!("drained cleanly");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::USAGE;
+    use std::collections::BTreeSet;
+
+    /// `--help`, the module docs and the parser name the same flags: the
+    /// `"--flag" =>` arms of `parse_args`, read from this file, are
+    /// exactly the flags `USAGE` lists, and the module docs quote `USAGE`
+    /// line for line.
+    #[test]
+    fn usage_lists_exactly_the_flags_the_parser_matches() {
+        let source = include_str!("xrefine-serve.rs");
+        let flags_in = |text: &str| -> BTreeSet<String> {
+            text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|w| w.starts_with("--") && w.len() > 2)
+                .map(str::to_string)
+                .collect()
+        };
+        let matched: BTreeSet<String> = source
+            .lines()
+            .map(str::trim)
+            .filter(|l| l.starts_with("\"--") && l.contains("=>"))
+            .flat_map(|l| flags_in(l.split("=>").next().unwrap_or("")))
+            .collect();
+        assert!(matched.contains("--write-timeout-ms") && matched.len() >= 12);
+        assert_eq!(flags_in(USAGE), matched);
+        for line in USAGE.lines() {
+            assert!(
+                source.contains(&format!("//! {line}")),
+                "module docs do not quote: {line}"
+            );
+        }
+    }
 }

@@ -165,14 +165,6 @@ impl<T> BoundedQueue<T> {
         state.closed = true;
         self.cond.notify_all();
     }
-
-    pub fn is_closed(&self) -> bool {
-        let _rank = lockrank::acquire(rank::SERVE_QUEUE, "serve.queue");
-        self.state
-            .lock() // xlint::lock(serve.queue)
-            .unwrap_or_else(PoisonError::into_inner)
-            .closed
-    }
 }
 
 #[cfg(test)]
@@ -219,7 +211,6 @@ mod tests {
         assert_eq!(q.pop(), Some(20));
         // …and only then does pop report end-of-queue.
         assert_eq!(q.pop(), None);
-        assert!(q.is_closed());
     }
 
     #[test]

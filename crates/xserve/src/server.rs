@@ -134,6 +134,7 @@ impl ServerHandle {
         self.shared.draining.store(true, Ordering::SeqCst);
     }
 
+    // xlint::allow(unused-export): observer the lifecycle tests poll to see the drain begin
     pub fn is_draining(&self) -> bool {
         self.shared.draining()
     }

@@ -24,11 +24,6 @@ pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
 }
 
-/// Test/embedding hook: trip the flag as if a signal had arrived.
-pub fn request_shutdown() {
-    SHUTDOWN.store(true, Ordering::SeqCst);
-}
-
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod imp {
     use super::SHUTDOWN;
@@ -121,14 +116,6 @@ pub fn install_handlers() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn request_shutdown_trips_the_flag() {
-        // The flag is process-global and sticky; this test must not
-        // assume it starts clear if another test signalled first.
-        request_shutdown();
-        assert!(shutdown_requested());
-    }
 
     #[test]
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]

@@ -5,9 +5,9 @@
 //!
 //! * fails to open / answer with a structured `Corrupt` error, or
 //! * answers **identically** to the pristine store, or
-//! * answers differently but *says so* (`RefineOutcome::is_degraded`) —
-//!   the graceful-degradation path for damage confined to generated
-//!   keywords.
+//! * answers differently but *says so* (`RefineOutcome::degraded` is
+//!   non-empty) — the graceful-degradation path for damage confined to
+//!   generated keywords.
 //!
 //! A panic or a silently different Top-K list is a failure. This is the
 //! engine-level counterpart of the per-value framing tests in
@@ -118,7 +118,7 @@ fn every_single_byte_flip_is_loud_or_harmless() {
                     Ok(out) => {
                         if &signature(&out) != base {
                             assert!(
-                                out.is_degraded(),
+                                !out.degraded.is_empty(),
                                 "key {key:?} byte {off}, query {q:?}: answer changed silently"
                             );
                             degraded_answers += 1;
