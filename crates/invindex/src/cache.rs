@@ -1,52 +1,47 @@
-//! The sharded LRU posting-list cache behind [`crate::KvBackedIndex`].
+//! The LRU posting-list cache behind [`crate::KvBackedIndex`].
 //!
-//! The cache is the hot path of the concurrent query engine: every list
-//! touch probes it, and under N serving threads a single cache-wide lock
-//! would serialize them all. [`ShardedListCache`] therefore splits the
-//! byte budget across `S` independently locked shards, selected by
-//! keyword-id modulo — two threads only contend when they touch keywords
-//! in the same shard, and a hit never takes more than one shard mutex.
+//! Every list touch of every query probes it. [`ListCache`] is one LRU
+//! with one byte budget behind one mutex (`cache.lru`): a hit holds the
+//! lock for a map probe, an LRU promotion and a counter — 0.1–0.25 µs
+//! measured, and a request touches about seven lists, so a serving
+//! thread holds it for under 2 µs of a 1.9 ms warm request. Decoding a
+//! missed list happens outside the lock. One lock is enough at that hold
+//! time, and one budget means a hot list is cacheable whenever it fits
+//! the budget at all — a budget split over several locks would refuse
+//! every list longer than one share.
 //!
-//! Policy (per shard, identical to the former monolithic cache):
+//! Policy:
 //!
 //! * cost of an entry is its *stored* (encoded) size — the quantity the
 //!   budget protects is decode work and resident bytes, both proportional
 //!   to it;
 //! * eviction never invalidates handles already given out (entries are
 //!   `Arc`-shared);
-//! * a list larger than its shard's budget is returned uncached and
-//!   re-decoded on its next touch — degraded speed, never degraded
-//!   answers.
-//!
-//! Per-shard budgets sum exactly to the global budget (the remainder of
-//! the division lands on the first shards), so `ShardedListCache::new(b,
-//! s)` holds at most `b` encoded bytes no matter the shard count.
+//! * a list larger than the budget is returned uncached and re-decoded
+//!   on its next touch — degraded speed, never degraded answers.
 //!
 //! # Generations
 //!
 //! Since the index became updatable the cache is shared between reader
 //! snapshots of *different* store generations. Every entry is stamped
 //! with the generation that decoded it; a reader pinned at generation
-//! `g` only accepts entries stamped `<= g` ([`ShardedListCache::get_at`])
-//! and its decodes are only admitted while `g` is still the current
-//! generation ([`ShardedListCache::insert_at`] checks under the shard
-//! mutex, so a stale reader racing a publish cannot re-seed an entry the
-//! writer just invalidated). A committing writer bumps the current
-//! generation *first*, then invalidates the keyword ids it changed —
-//! unchanged entries keep serving every generation.
+//! `g` only accepts entries stamped `<= g` ([`ListCache::get_at`]) and
+//! its decodes are only admitted while `g` is still the current
+//! generation ([`ListCache::insert_at`] checks under the mutex, so a
+//! stale reader racing a publish cannot re-seed an entry the writer just
+//! invalidated). A committing writer bumps the current generation
+//! *first*, then invalidates the keyword ids it changed — unchanged
+//! entries keep serving every generation.
 
 use crate::postings::PostingList;
+use obs::lockrank::rank;
 use obs::sync::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Default shard count: enough to make contention between a handful of
-/// serving threads unlikely, small enough that per-shard budgets stay
-/// useful.
-pub const DEFAULT_CACHE_SHARDS: usize = 8;
-
-/// A snapshot of the list-cache counters, aggregated over all shards.
+/// A snapshot of the list-cache counters, taken under one hold of the
+/// cache mutex.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -69,33 +64,26 @@ struct CacheEntry {
     gen: u64,
 }
 
-/// One shard: an LRU over decoded posting lists, keyed by keyword id,
-/// bounded by the summed encoded size of the entries.
-struct Shard {
+/// An LRU over decoded posting lists, keyed by keyword id, bounded by
+/// the summed encoded size of the entries.
+struct Lru {
     budget: usize,
-    used: usize,
     tick: u64,
     map: HashMap<u32, CacheEntry>,
     /// tick -> keyword id; the smallest tick is the eviction victim.
     lru: BTreeMap<u64, u32>,
-    hits: u64,
-    misses: u64,
-    lists_decoded: u64,
-    evictions: u64,
+    /// The counters, and in `cached_bytes` the summed cost of `map`.
+    stats: CacheStats,
 }
 
-impl Shard {
+impl Lru {
     fn new(budget: usize) -> Self {
-        Shard {
+        Lru {
             budget,
-            used: 0,
             tick: 0,
             map: HashMap::new(),
             lru: BTreeMap::new(),
-            hits: 0,
-            misses: 0,
-            lists_decoded: 0,
-            evictions: 0,
+            stats: CacheStats::default(),
         }
     }
 
@@ -106,7 +94,7 @@ impl Shard {
     fn get(&mut self, id: u32, reader_gen: u64) -> Option<Arc<PostingList>> {
         match self.map.get_mut(&id) {
             Some(entry) if entry.gen <= reader_gen => {
-                self.hits += 1;
+                self.stats.hits += 1;
                 self.lru.remove(&entry.tick);
                 self.tick += 1;
                 entry.tick = self.tick;
@@ -114,7 +102,7 @@ impl Shard {
                 Some(Arc::clone(&entry.list))
             }
             _ => {
-                self.misses += 1;
+                self.stats.misses += 1;
                 None
             }
         }
@@ -124,20 +112,20 @@ impl Shard {
     /// (cost > budget) are not cached at all; otherwise LRU entries are
     /// evicted until the budget holds.
     fn insert(&mut self, id: u32, list: Arc<PostingList>, cost: usize, gen: u64) {
-        self.lists_decoded += 1;
+        self.stats.lists_decoded += 1;
         if cost > self.budget {
             return;
         }
         if let Some(old) = self.map.remove(&id) {
             self.lru.remove(&old.tick);
-            self.used -= old.cost;
+            self.stats.cached_bytes -= old.cost;
         }
-        while self.used + cost > self.budget {
+        while self.stats.cached_bytes + cost > self.budget {
             let (&tick, &victim) = self.lru.iter().next().expect("used > 0 implies entries");
             self.lru.remove(&tick);
             let evicted = self.map.remove(&victim).expect("lru and map agree");
-            self.used -= evicted.cost;
-            self.evictions += 1;
+            self.stats.cached_bytes -= evicted.cost;
+            self.stats.evictions += 1;
         }
         self.tick += 1;
         self.lru.insert(self.tick, id);
@@ -150,28 +138,21 @@ impl Shard {
                 gen,
             },
         );
-        self.used += cost;
+        self.stats.cached_bytes += cost;
     }
 
     /// Drops `id` if resident, returning its cost.
     fn invalidate(&mut self, id: u32) -> Option<usize> {
         let entry = self.map.remove(&id)?;
         self.lru.remove(&entry.tick);
-        self.used -= entry.cost;
+        self.stats.cached_bytes -= entry.cost;
         Some(entry.cost)
     }
 
-    fn add_to(&self, total: &mut CacheStats) {
-        total.hits += self.hits;
-        total.misses += self.misses;
-        total.lists_decoded += self.lists_decoded;
-        total.evictions += self.evictions;
-        total.cached_bytes += self.used;
-    }
-
-    /// Panics if the shard's bookkeeping disagrees with itself.
+    /// Panics if the bookkeeping disagrees with itself.
     fn check_invariants(&self) {
-        assert!(self.used <= self.budget, "used exceeds shard budget");
+        let used = self.stats.cached_bytes;
+        assert!(used <= self.budget, "used exceeds the budget");
         assert_eq!(self.map.len(), self.lru.len(), "map/lru size mismatch");
         let mut summed = 0usize;
         for (&tick, &id) in &self.lru {
@@ -179,44 +160,33 @@ impl Shard {
             assert_eq!(entry.tick, tick, "lru tick disagrees with entry tick");
             summed += entry.cost;
         }
-        assert_eq!(summed, self.used, "used differs from summed entry costs");
+        assert_eq!(summed, used, "used differs from summed entry costs");
     }
 }
 
-/// The sharded, independently locked list cache. All methods take
-/// `&self`; a lookup or insert locks exactly one shard.
-pub struct ShardedListCache {
-    shards: Vec<Mutex<Shard>>,
+/// The list cache: one [`Lru`] behind the `cache.lru` mutex. All methods
+/// take `&self`.
+pub struct ListCache {
+    lru: Mutex<Lru>,
     /// The latest published store generation. Bumped by a committing
     /// writer *before* it invalidates the entries it changed; checked
-    /// under the shard mutex on insert so the bump is visible to any
-    /// reader that locks a shard after the writer's invalidation pass.
+    /// under the mutex on insert so the bump is visible to any reader
+    /// that locks the cache after the writer's invalidation pass.
     current_gen: AtomicU64,
 }
 
-impl ShardedListCache {
-    /// A cache of `shards` shards whose per-shard budgets sum to
-    /// `budget` bytes. `shards` is clamped to at least 1; a budget of 0
+impl ListCache {
+    /// A cache holding at most `budget` encoded bytes; a budget of 0
     /// disables caching entirely.
-    pub fn new(budget: usize, shards: usize) -> Self {
-        let n = shards.max(1);
-        let base = budget / n;
-        let remainder = budget % n;
-        let shards = (0..n)
-            .map(|i| Mutex::new(Shard::new(base + usize::from(i < remainder))))
-            .collect();
-        ShardedListCache {
-            shards,
+    pub fn new(budget: usize) -> Self {
+        ListCache {
+            lru: Mutex::new(rank::CACHE_LRU, Lru::new(budget)),
             current_gen: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, id: u32) -> &Mutex<Shard> {
-        &self.shards[id as usize % self.shards.len()]
-    }
-
     /// Looks up `id` at the current generation, promoting it to
-    /// most-recently-used in its shard.
+    /// most-recently-used.
     pub fn get(&self, id: u32) -> Option<Arc<PostingList>> {
         self.get_at(id, self.current_gen())
     }
@@ -231,10 +201,7 @@ impl ShardedListCache {
     /// Entries stamped with a newer generation miss (without being
     /// evicted — the newer snapshot still wants them).
     pub fn get_at(&self, id: u32, reader_gen: u64) -> Option<Arc<PostingList>> {
-        let got = {
-            let _rank = obs::lockrank::acquire(obs::lockrank::rank::CACHE_SHARD, "cache.shard");
-            self.shard(id).lock().get(id, reader_gen) // xlint::lock(cache.shard)
-        };
+        let got = self.lru.lock().get(id, reader_gen); // xlint::lock(cache.lru)
         if got.is_some() {
             obs::counter!("invindex_cache_hits_total").inc();
         } else {
@@ -245,39 +212,34 @@ impl ShardedListCache {
 
     /// Inserts a list decoded by a reader pinned at `gen`. The insert is
     /// admitted only while `gen` is still the current generation; the
-    /// check runs under the shard mutex, so a stale reader that lost a
-    /// race with a publish cannot re-seed an entry the writer already
+    /// check runs under the mutex, so a stale reader that lost a race
+    /// with a publish cannot re-seed an entry the writer already
     /// invalidated. A rejected insert still counts as a decode.
     pub fn insert_at(&self, id: u32, list: Arc<PostingList>, cost: usize, gen: u64) {
         // Block scope: the metric updates below must happen outside the
-        // shard lock (registration takes the registry mutex).
-        let (used_delta, evicted) = {
-            let _rank = obs::lockrank::acquire(obs::lockrank::rank::CACHE_SHARD, "cache.shard");
-            let mut shard = self.shard(id).lock(); // xlint::lock(cache.shard)
-            if gen != self.current_gen.load(Ordering::SeqCst) {
-                shard.lists_decoded += 1;
-                (0, 0)
+        // cache lock (registration takes the registry mutex).
+        let (before, after) = {
+            let mut lru = self.lru.lock(); // xlint::lock(cache.lru)
+            let before = lru.stats;
+            if gen == self.current_gen.load(Ordering::SeqCst) {
+                lru.insert(id, list, cost, gen);
             } else {
-                let (used_before, evictions_before) = (shard.used, shard.evictions);
-                shard.insert(id, list, cost, gen);
-                let evicted = shard.evictions - evictions_before;
-                (shard.used as i64 - used_before as i64, evicted)
+                lru.stats.lists_decoded += 1;
             }
+            (before, lru.stats)
         };
         obs::counter!("invindex_cache_lists_decoded_total").inc();
-        if evicted > 0 {
-            obs::counter!("invindex_cache_evictions_total").add(evicted);
+        if after.evictions > before.evictions {
+            obs::counter!("invindex_cache_evictions_total").add(after.evictions - before.evictions);
         }
-        obs::gauge!("invindex_cache_resident_bytes").add(used_delta);
+        obs::gauge!("invindex_cache_resident_bytes")
+            .add(after.cached_bytes as i64 - before.cached_bytes as i64);
     }
 
     /// Drops the entry for `id` if resident. Returns whether an entry
     /// was dropped.
     pub fn invalidate(&self, id: u32) -> bool {
-        let freed = {
-            let _rank = obs::lockrank::acquire(obs::lockrank::rank::CACHE_SHARD, "cache.shard");
-            self.shard(id).lock().invalidate(id) // xlint::lock(cache.shard)
-        };
+        let freed = self.lru.lock().invalidate(id); // xlint::lock(cache.lru)
         match freed {
             Some(cost) => {
                 obs::counter!("invindex_cache_invalidations_total").inc();
@@ -299,30 +261,15 @@ impl ShardedListCache {
         self.current_gen.load(Ordering::SeqCst)
     }
 
-    /// Aggregated counters across all shards. The snapshot is *per
-    /// shard* consistent; concurrent traffic may move counters between
-    /// the shard reads.
+    /// The counters and the resident bytes, one consistent cut.
     pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for shard in &self.shards {
-            let _rank = obs::lockrank::acquire(obs::lockrank::rank::CACHE_SHARD, "cache.shard");
-            shard.lock().add_to(&mut total); // xlint::lock(cache.shard)
-        }
-        total
+        self.lru.lock().stats // xlint::lock(cache.lru)
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Asserts every shard's internal bookkeeping (`used` = Σ entry
-    /// costs ≤ budget, `lru` and `map` agree). For tests.
+    /// Asserts the internal bookkeeping (`used` = Σ entry costs ≤
+    /// budget, `lru` and `map` agree). For tests.
     pub fn check_invariants(&self) {
-        for shard in &self.shards {
-            let _rank = obs::lockrank::acquire(obs::lockrank::rank::CACHE_SHARD, "cache.shard");
-            shard.lock().check_invariants(); // xlint::lock(cache.shard)
-        }
+        self.lru.lock().check_invariants(); // xlint::lock(cache.lru)
     }
 }
 
@@ -343,57 +290,39 @@ mod tests {
     }
 
     #[test]
-    fn per_shard_budgets_sum_to_global() {
-        for (budget, shards) in [(0, 1), (1, 8), (64, 8), (1023, 8), (1 << 20, 7)] {
-            let cache = ShardedListCache::new(budget, shards);
-            let per_shard: usize = cache.shards.iter().map(|s| s.lock().budget).sum();
-            assert_eq!(per_shard, budget, "budget {budget} over {shards} shards");
-        }
-    }
-
-    #[test]
-    fn zero_shards_is_clamped_to_one() {
-        let cache = ShardedListCache::new(100, 0);
-        assert_eq!(cache.shard_count(), 1);
-        cache.insert(0, list_of(1), 10);
-        assert!(cache.get(0).is_some());
-    }
-
-    #[test]
-    fn keys_route_by_modulo_and_do_not_collide_across_shards() {
-        let cache = ShardedListCache::new(8 * 100, 8);
-        // ids 0..8 land in distinct shards; each shard holds its entry.
-        for id in 0..8u32 {
-            cache.insert(id, list_of(1), 50);
-        }
-        for id in 0..8u32 {
-            assert!(cache.get(id).is_some(), "id {id} missing");
-        }
-        let s = cache.stats();
-        assert_eq!(s.cached_bytes, 8 * 50);
-        assert_eq!(s.evictions, 0);
-        cache.check_invariants();
-    }
-
-    #[test]
-    fn eviction_is_per_shard() {
-        // Shard budget = 100: two 60-cost entries in the same shard evict,
-        // entries in other shards are untouched.
-        let cache = ShardedListCache::new(8 * 100, 8);
+    fn eviction_takes_the_least_recently_used_entry_of_the_whole_cache() {
+        let cache = ListCache::new(150);
         cache.insert(0, list_of(1), 60);
-        cache.insert(1, list_of(1), 60); // different shard: no eviction
-        cache.insert(8, list_of(1), 60); // shard of id 0: evicts id 0
+        cache.insert(1, list_of(1), 60);
+        assert!(cache.get(0).is_some()); // id 1 is now the oldest
+        cache.insert(8, list_of(1), 60);
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
-        assert!(cache.get(0).is_none());
-        assert!(cache.get(1).is_some());
+        assert_eq!(s.cached_bytes, 120);
+        assert!(cache.get(1).is_none());
+        assert!(cache.get(0).is_some());
         assert!(cache.get(8).is_some());
         cache.check_invariants();
     }
 
     #[test]
+    fn a_list_is_cached_exactly_when_it_fits_the_budget() {
+        let cache = ListCache::new(100);
+        cache.insert(0, list_of(1), 100);
+        assert!(cache.get(0).is_some(), "cost == budget is resident");
+        cache.insert(1, list_of(1), 101);
+        assert!(cache.get(1).is_none(), "cost > budget is never cached");
+        assert!(cache.get(0).is_some(), "and evicts nothing");
+        let s = cache.stats();
+        assert_eq!((s.lists_decoded, s.evictions, s.cached_bytes), (2, 0, 100));
+        let off = ListCache::new(0);
+        off.insert(0, list_of(1), 1);
+        assert!(off.get(0).is_none(), "budget 0 disables caching");
+    }
+
+    #[test]
     fn newer_generation_entry_misses_for_pinned_reader_without_eviction() {
-        let cache = ShardedListCache::new(1 << 20, 4);
+        let cache = ListCache::new(1 << 20);
         cache.set_current_gen(3);
         cache.insert(7, list_of(1), 10); // stamped gen 3
                                          // A reader pinned at gen 2 must not see it; the entry survives.
@@ -406,7 +335,7 @@ mod tests {
 
     #[test]
     fn stale_generation_insert_is_rejected_but_counts_the_decode() {
-        let cache = ShardedListCache::new(1 << 20, 4);
+        let cache = ListCache::new(1 << 20);
         cache.set_current_gen(5);
         cache.insert_at(7, list_of(1), 10, 4); // decoded under gen 4: stale
         assert!(cache.get_at(7, 5).is_none());
@@ -420,7 +349,7 @@ mod tests {
 
     #[test]
     fn invalidate_drops_one_entry_and_frees_its_bytes() {
-        let cache = ShardedListCache::new(1 << 20, 4);
+        let cache = ListCache::new(1 << 20);
         cache.insert(1, list_of(1), 30);
         cache.insert(2, list_of(1), 40);
         assert!(cache.invalidate(1));
@@ -432,8 +361,8 @@ mod tests {
     }
 
     #[test]
-    fn stats_aggregate_over_shards() {
-        let cache = ShardedListCache::new(1 << 20, 4);
+    fn stats_count_every_lookup_and_decode() {
+        let cache = ListCache::new(1 << 20);
         for id in 0..12u32 {
             assert!(cache.get(id).is_none());
             cache.insert(id, list_of(1), 10);

@@ -3,15 +3,15 @@
 //! [`KvBackedIndex`] opens a persisted index (see [`crate::persist`])
 //! and serves queries without rehydrating the posting lists: vocabulary
 //! and statistics load eagerly (they are small and every query touches
-//! them), lists materialize lazily on first touch and live in a sharded
-//! LRU cache with a configurable byte budget. Cold start is therefore
+//! them), lists materialize lazily on first touch and live in an LRU
+//! cache with a configurable byte budget. Cold start is therefore
 //! `O(vocabulary + stats)` instead of `O(index size)`, and steady-state
 //! memory is bounded by the budget plus whatever outstanding
 //! [`ListHandle`]s still pin.
 //!
 //! Concurrency: the reader is `Send + Sync` and designed to be shared
-//! across serving threads behind one `Arc`. A cache hit locks exactly one
-//! cache shard (see [`crate::cache`]) and never touches the store; a miss
+//! across serving threads behind one `Arc`. A cache hit takes the one
+//! cache mutex (see [`crate::cache`]) and never touches the store; a miss
 //! reads the reader's pinned [`kvstore::Snapshot`] directly — the
 //! snapshot is immutable, so misses take **no lock at all** and decoding
 //! happens outside every lock. Writers never block readers: a committing
@@ -21,14 +21,14 @@
 //!
 //! Cache policy lives in [`crate::cache`]: cost of an entry is its
 //! *stored* (encoded) size; eviction never invalidates handles already
-//! given out (entries are `Arc`-shared); a list larger than its shard's
+//! given out (entries are `Arc`-shared); a list larger than the
 //! budget is returned uncached and simply re-decoded on its next touch —
 //! degraded speed, never degraded answers. Entries are stamped with the
 //! generation that decoded them, so readers of different epochs can
 //! share one cache without ever serving a stale list.
 
-use crate::cache::ShardedListCache;
-pub use crate::cache::{CacheStats, DEFAULT_CACHE_SHARDS};
+pub use crate::cache::CacheStats;
+use crate::cache::ListCache;
 use crate::cooccur::CoOccurrence;
 use crate::persist;
 use crate::reader::{IndexReader, ListHandle};
@@ -49,7 +49,7 @@ pub struct KvBackedIndex {
     cooccur: CoOccurrence,
     /// The immutable store view this reader pinned at open.
     store: Snapshot,
-    cache: Arc<ShardedListCache>,
+    cache: Arc<ListCache>,
     /// The generation this reader was published as; list-cache lookups
     /// and inserts carry it so epochs never cross-contaminate.
     gen: u64,
@@ -71,10 +71,7 @@ impl KvBackedIndex {
             doc,
             0,
             store,
-            Arc::new(ShardedListCache::new(
-                DEFAULT_CACHE_BUDGET,
-                DEFAULT_CACHE_SHARDS,
-            )),
+            Arc::new(ListCache::new(DEFAULT_CACHE_BUDGET)),
         )
     }
 
@@ -87,7 +84,7 @@ impl KvBackedIndex {
         doc: Arc<Document>,
         gen: u64,
         store: Snapshot,
-        cache: Arc<ShardedListCache>,
+        cache: Arc<ListCache>,
     ) -> Result<Self> {
         let vocab = persist::load_vocab(&store)?;
         let stats = persist::load_stats(&store)?;
@@ -107,12 +104,11 @@ impl KvBackedIndex {
         })
     }
 
-    /// Sets the list-cache byte budget (encoded bytes), keeping the shard
-    /// count. A budget of 0 disables caching entirely — every touch
-    /// re-decodes. Allocates a private cache: builder-style callers are
+    /// Sets the list-cache byte budget (encoded bytes). A budget of 0
+    /// disables caching entirely — every touch re-decodes. Allocates a private cache: builder-style callers are
     /// single-reader, not epoch-sharing.
     pub fn with_cache_budget(mut self, bytes: usize) -> Self {
-        self.cache = Arc::new(ShardedListCache::new(bytes, self.cache.shard_count()));
+        self.cache = Arc::new(ListCache::new(bytes));
         self.cache.set_current_gen(self.gen);
         self
     }
@@ -131,7 +127,7 @@ impl KvBackedIndex {
         self.store.scan_range(b"", None)
     }
 
-    /// Current cache counters, aggregated over all shards.
+    /// Current cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
@@ -154,7 +150,7 @@ impl IndexReader for KvBackedIndex {
         if k.0 as usize >= self.vocab.len() {
             return Ok(ListHandle::empty());
         }
-        // Hit path: one shard lock, no store access. Lookups carry the
+        // Hit path: the cache lock, no store access. Lookups carry the
         // pinned generation so a newer epoch's entry never serves here.
         if let Some(list) = self.cache.get_at(k.0, self.gen) {
             obs::trace::event(
@@ -218,19 +214,6 @@ mod tests {
         (doc, built, store)
     }
 
-    /// A reader whose cache is one shard of `budget` bytes: a global
-    /// LRU, so eviction order and the budget boundary are exact.
-    fn open_one_shard(store: MemKv, budget: usize) -> KvBackedIndex {
-        let doc = Arc::new(persist::load_document(&store).unwrap());
-        KvBackedIndex::open_snapshot_with_document(
-            doc,
-            0,
-            Snapshot::new(Arc::new(store)),
-            Arc::new(ShardedListCache::new(budget, 1)),
-        )
-        .unwrap()
-    }
-
     fn handle_of(idx: &KvBackedIndex, kw: &str) -> ListHandle {
         idx.list_handle(kw).unwrap()
     }
@@ -276,31 +259,9 @@ mod tests {
     fn byte_budget_is_respected_under_eviction() {
         let (_, built, store) = persisted();
         // Budget sized to roughly two typical lists: inserting many
-        // distinct lists must evict, and used bytes never exceed it.
-        // One shard so the budget boundary is exercised globally.
+        // distinct lists must evict, used bytes never exceed it, and an
+        // evicted list answers correctly on reload (second round).
         let budget = 2 * persist::encode_list_value(built.list("xml").unwrap()).len() + 8;
-        let idx = open_one_shard(store, budget);
-        for (_, text) in built.vocabulary().iter() {
-            let _ = handle_of(&idx, text);
-            assert!(
-                idx.cache_stats().cached_bytes <= budget,
-                "cache exceeded budget"
-            );
-        }
-        let s = idx.cache_stats();
-        assert!(s.evictions > 0, "expected evictions under a small budget");
-        // evicted lists still answer correctly on reload
-        let h = handle_of(&idx, "xml");
-        assert_eq!(h.postings(), built.list("xml").unwrap().as_slice());
-    }
-
-    #[test]
-    fn sharded_budget_is_respected_under_eviction() {
-        // Same boundary property with the default shard count: the
-        // *global* budget still bounds the summed bytes, because the
-        // per-shard budgets sum to it.
-        let (_, built, store) = persisted();
-        let budget = 3 * persist::encode_list_value(built.list("xml").unwrap()).len();
         let idx = KvBackedIndex::open(Box::new(store))
             .unwrap()
             .with_cache_budget(budget);
@@ -312,9 +273,16 @@ mod tests {
                     built.list(text).unwrap().as_slice(),
                     "round {round}: wrong answer for {text}"
                 );
-                assert!(idx.cache_stats().cached_bytes <= budget);
+                assert!(
+                    idx.cache_stats().cached_bytes <= budget,
+                    "cache exceeded budget"
+                );
             }
         }
+        assert!(
+            idx.cache_stats().evictions > 0,
+            "expected evictions under a small budget"
+        );
     }
 
     #[test]
@@ -325,10 +293,12 @@ mod tests {
             .iter()
             .map(|(_, t)| t.to_string())
             .collect();
-        // budget that fits ~3 small lists; one shard for a global LRU
+        // budget that fits ~3 small lists
         let cost = |kw: &str| persist::encode_list_value(built.list(kw).unwrap()).len();
         let budget = cost(&vocab[0]) + cost(&vocab[1]) + cost(&vocab[2]) + 2;
-        let idx = open_one_shard(store, budget);
+        let idx = KvBackedIndex::open(Box::new(store))
+            .unwrap()
+            .with_cache_budget(budget);
 
         let _ = handle_of(&idx, &vocab[0]);
         let _ = handle_of(&idx, &vocab[1]);

@@ -9,7 +9,7 @@
 //!   differential oracle, never read back from a store;
 //! * [`kvindex`]: [`KvBackedIndex`], the one reader of a persisted
 //!   store — lists materialized lazily from a [`kvstore::KvStore`]
-//!   through a sharded LRU byte-budget cache ([`cache`]);
+//!   through an LRU byte-budget cache ([`cache`]);
 //! * [`stats`]: the frequency tables (`N_T`, `G_T`, `tf(k,T)`, `f^T_k`);
 //! * [`cooccur`]: memoized co-occurrence frequencies `f^T_{ki,kj}`;
 //! * [`cursor`]: [`ListCursor`], the one cursor over a list, counting
@@ -36,7 +36,7 @@ pub mod reader;
 pub mod stats;
 pub mod stream;
 
-pub use cache::{CacheStats, ShardedListCache, DEFAULT_CACHE_SHARDS};
+pub use cache::{CacheStats, ListCache};
 pub use cursor::{ListCursor, ScanStats};
 pub use index::{InMemoryIndex, Index};
 pub use kvindex::KvBackedIndex;

@@ -52,12 +52,13 @@
 //! renames a file is `kvstore`'s business alone; prior epochs still read
 //! the old inode through the handle their snapshot pinned.
 
-use crate::cache::ShardedListCache;
-use crate::kvindex::{KvBackedIndex, DEFAULT_CACHE_BUDGET, DEFAULT_CACHE_SHARDS};
+use crate::cache::ListCache;
+use crate::kvindex::{KvBackedIndex, DEFAULT_CACHE_BUDGET};
 use crate::persist;
 use crate::postings::{read_varint, write_varint};
 use crate::stream::build_streaming;
 use kvstore::{BatchOp, DurableKv, KvError, KvStore, MemKv, Result, StdVfs, Vfs};
+use obs::lockrank::rank;
 use obs::sync::Mutex;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -119,7 +120,7 @@ struct Writer {
 pub struct MaintIndex {
     writer: Mutex<Writer>,
     epoch: Mutex<Arc<KvBackedIndex>>,
-    cache: Arc<ShardedListCache>,
+    cache: Arc<ListCache>,
 }
 
 impl MaintIndex {
@@ -150,10 +151,7 @@ impl MaintIndex {
             }
             None => 0,
         };
-        let cache = Arc::new(ShardedListCache::new(
-            DEFAULT_CACHE_BUDGET,
-            DEFAULT_CACHE_SHARDS,
-        ));
+        let cache = Arc::new(ListCache::new(DEFAULT_CACHE_BUDGET));
         let reader = Arc::new(KvBackedIndex::open_snapshot_with_document(
             Arc::clone(&doc),
             0,
@@ -162,17 +160,20 @@ impl MaintIndex {
         )?);
         obs::gauge!("maint_overlay_entries").set(durable.overlay_len() as i64);
         Ok(MaintIndex {
-            writer: Mutex::new(Writer {
-                durable,
-                doc,
-                records,
-                root_tag,
-                root_attrs,
-                root_text,
-                seq,
-                gen: 0,
-            }),
-            epoch: Mutex::new(reader),
+            writer: Mutex::new(
+                rank::MAINT_WRITER,
+                Writer {
+                    durable,
+                    doc,
+                    records,
+                    root_tag,
+                    root_attrs,
+                    root_text,
+                    seq,
+                    gen: 0,
+                },
+            ),
+            epoch: Mutex::new(rank::MAINT_EPOCH, reader),
             cache,
         })
     }
@@ -181,7 +182,6 @@ impl MaintIndex {
     /// `Arc` clone; the returned reader stays valid (served from its
     /// pinned snapshot) across any number of later commits.
     pub fn snapshot(&self) -> Arc<KvBackedIndex> {
-        let _rank = obs::lockrank::acquire(obs::lockrank::rank::MAINT_EPOCH, "maint.epoch");
         Arc::clone(&self.epoch.lock()) // xlint::lock(maint.epoch)
     }
 
@@ -191,7 +191,6 @@ impl MaintIndex {
     pub fn commit(&self, ops: &[MaintOp]) -> Result<MaintReport> {
         let started = Instant::now();
         let report = {
-            let _rank = obs::lockrank::acquire(obs::lockrank::rank::MAINT_WRITER, "maint.writer");
             let mut w = self.writer.lock(); // xlint::lock(maint.writer)
             self.commit_locked(&mut w, ops)
         };
@@ -284,7 +283,7 @@ impl MaintIndex {
     /// Ordering matters: the generation bump is published to the cache
     /// *before* invalidation, so a stale reader that races the sweep
     /// cannot re-seed an entry we just dropped (its insert carries the
-    /// old generation and is refused under the shard mutex).
+    /// old generation and is refused under the cache mutex).
     fn publish(&self, w: &mut Writer, changed_lists: &[u32]) -> Result<()> {
         w.gen += 1;
         self.cache.set_current_gen(w.gen);
@@ -297,7 +296,6 @@ impl MaintIndex {
             w.durable.snapshot(),
             Arc::clone(&self.cache),
         )?);
-        let _rank = obs::lockrank::acquire(obs::lockrank::rank::MAINT_EPOCH, "maint.epoch");
         *self.epoch.lock() = reader; // xlint::lock(maint.epoch)
         Ok(())
     }
@@ -306,7 +304,6 @@ impl MaintIndex {
     /// compacted state as a new generation (no cache invalidation: the
     /// merged bytes are identical). Returns whether anything was folded.
     pub fn compact(&self) -> Result<bool> {
-        let _rank = obs::lockrank::acquire(obs::lockrank::rank::MAINT_WRITER, "maint.writer");
         let mut w = self.writer.lock(); // xlint::lock(maint.writer)
         if w.durable.overlay_len() == 0 {
             return Ok(false);
@@ -322,26 +319,22 @@ impl MaintIndex {
     /// Committed maintenance transactions so far (monotonic across
     /// compactions and restarts).
     pub fn seq(&self) -> u64 {
-        let _rank = obs::lockrank::acquire(obs::lockrank::rank::MAINT_WRITER, "maint.writer");
         self.writer.lock().seq // xlint::lock(maint.writer)
     }
 
     /// Records currently in the corpus.
     pub fn record_count(&self) -> usize {
-        let _rank = obs::lockrank::acquire(obs::lockrank::rank::MAINT_WRITER, "maint.writer");
         self.writer.lock().records.len() // xlint::lock(maint.writer)
     }
 
     /// Canonical record fragments, in slot order.
     pub fn records(&self) -> Vec<String> {
-        let _rank = obs::lockrank::acquire(obs::lockrank::rank::MAINT_WRITER, "maint.writer");
         self.writer.lock().records.clone() // xlint::lock(maint.writer)
     }
 
     /// The full corpus as one XML document (what a from-scratch build
     /// of the current state would ingest).
     pub fn full_xml(&self) -> String {
-        let _rank = obs::lockrank::acquire(obs::lockrank::rank::MAINT_WRITER, "maint.writer");
         let w = self.writer.lock(); // xlint::lock(maint.writer)
         compose_corpus(&w.root_tag, &w.root_attrs, &w.root_text, &w.records)
     }
@@ -349,12 +342,11 @@ impl MaintIndex {
     /// Entries (puts and deletes) accumulated in the WAL overlay since
     /// the last compaction.
     pub fn overlay_len(&self) -> usize {
-        let _rank = obs::lockrank::acquire(obs::lockrank::rank::MAINT_WRITER, "maint.writer");
         self.writer.lock().durable.overlay_len() // xlint::lock(maint.writer)
     }
 
     /// The shared list cache (one instance across all epochs).
-    pub fn cache(&self) -> &Arc<ShardedListCache> {
+    pub fn cache(&self) -> &Arc<ListCache> {
         &self.cache
     }
 }

@@ -1,14 +1,15 @@
-//! Randomized invariant checking for [`ShardedListCache`].
+//! Randomized invariant checking for [`ListCache`].
 //!
-//! A shadow model (an independent, naive reimplementation of the
-//! per-shard LRU policy) predicts every hit/miss and the exact resident
+//! A reference model (an independent, naive `VecDeque` in LRU order)
+//! predicts every hit/miss, every eviction victim and the exact resident
 //! set; after every operation the cache's own bookkeeping must agree
 //! with itself (`check_invariants`) and with an operation log
 //! (hits + misses = gets, decodes = inserts, bytes ≤ budget). A final
 //! multi-threaded hammer checks the same reconciliation under real
 //! contention, where only order-insensitive properties are predictable.
 
-use invindex::{Posting, PostingList, ShardedListCache};
+use invindex::{ListCache, Posting, PostingList};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use xmldom::{Dewey, NodeTypeId};
 
@@ -38,114 +39,149 @@ fn list_of(id: u32) -> Arc<PostingList> {
     Arc::new(PostingList::from_sorted(postings))
 }
 
-/// The naive model: per shard, `(id, cost)` pairs in LRU order (front =
-/// next victim). Mirrors the cache's budget split (remainder bytes land
-/// on the first shards).
+/// The reference model: `(id, cost)` pairs in LRU order (front = next
+/// victim) under one budget.
 struct Model {
-    shards: Vec<Vec<(u32, usize)>>,
-    budgets: Vec<usize>,
+    lru: VecDeque<(u32, usize)>,
+    budget: usize,
 }
 
 impl Model {
-    fn new(budget: usize, n: usize) -> Self {
-        let base = budget / n;
-        let rem = budget % n;
-        Model {
-            shards: vec![Vec::new(); n],
-            budgets: (0..n).map(|i| base + usize::from(i < rem)).collect(),
-        }
-    }
-
     fn get(&mut self, id: u32) -> bool {
-        let shard = &mut self.shards[id as usize % self.budgets.len()];
-        match shard.iter().position(|&(i, _)| i == id) {
+        match self.lru.iter().position(|&(i, _)| i == id) {
             Some(pos) => {
-                let entry = shard.remove(pos);
-                shard.push(entry);
+                let entry = self.lru.remove(pos).expect("position is in range");
+                self.lru.push_back(entry);
                 true
             }
             None => false,
         }
     }
 
-    /// Returns the number of evictions the insert causes.
-    fn insert(&mut self, id: u32, cost: usize) -> u64 {
-        let s = id as usize % self.budgets.len();
-        let budget = self.budgets[s];
-        let shard = &mut self.shards[s];
-        if cost > budget {
-            return 0;
+    /// Returns the ids the insert evicts, oldest first.
+    fn insert(&mut self, id: u32, cost: usize) -> Vec<u32> {
+        if cost > self.budget {
+            return Vec::new();
         }
-        if let Some(pos) = shard.iter().position(|&(i, _)| i == id) {
-            shard.remove(pos);
+        if let Some(pos) = self.lru.iter().position(|&(i, _)| i == id) {
+            self.lru.remove(pos);
         }
-        let mut evicted = 0;
-        let used = |sh: &Vec<(u32, usize)>| sh.iter().map(|&(_, c)| c).sum::<usize>();
-        while used(shard) + cost > budget {
-            shard.remove(0);
-            evicted += 1;
+        let mut victims = Vec::new();
+        while self.bytes() + cost > self.budget {
+            let (victim, _) = self.lru.pop_front().expect("bytes > 0 implies entries");
+            victims.push(victim);
         }
-        shard.push((id, cost));
-        evicted
+        self.lru.push_back((id, cost));
+        victims
     }
 
     fn bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .flat_map(|s| s.iter().map(|&(_, c)| c))
-            .sum()
+        self.lru.iter().map(|&(_, c)| c).sum()
     }
 }
 
+/// The cache under test plus the log of every lookup made of it, so the
+/// probes the test adds are reconciled with the counters like any other.
+struct Logged {
+    cache: ListCache,
+    hits: u64,
+    misses: u64,
+}
+
+impl Logged {
+    fn get(&mut self, id: u32) -> bool {
+        let hit = self.cache.get(id).is_some();
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
+    }
+}
+
+/// True of one LRU only: the resident set and every eviction victim are
+/// the model's *exactly*, and an insert that fits the budget is resident
+/// the moment it returns (a budget split over several LRUs refuses every
+/// cost above one share and evicts a share's oldest, not the oldest).
 #[test]
-fn randomized_workload_matches_the_naive_model() {
-    for (seed, budget, n_shards, universe) in [
-        (1u64, 400usize, 4usize, 24u64),
-        (2, 1000, 8, 64),
-        (3, 64, 1, 16),
-        (4, 0, 8, 16), // zero budget: nothing is ever resident
-        (5, 10_000, 3, 100),
+fn randomized_workload_matches_the_one_lru_model() {
+    for (seed, budget, universe) in [
+        (1u64, 400usize, 24u64),
+        (2, 1000, 64),
+        (3, 64, 16),
+        (4, 0, 16), // zero budget: nothing is ever resident
+        (5, 10_000, 100),
     ] {
-        let cache = ShardedListCache::new(budget, n_shards);
-        let mut model = Model::new(budget, n_shards);
+        let mut logged = Logged {
+            cache: ListCache::new(budget),
+            hits: 0,
+            misses: 0,
+        };
+        let mut model = Model {
+            lru: VecDeque::new(),
+            budget,
+        };
         let mut rng = Rng(seed);
-        let (mut gets, mut inserts, mut evictions) = (0u64, 0u64, 0u64);
-        let (mut hits, mut misses) = (0u64, 0u64);
+        let (mut inserts, mut evictions) = (0u64, 0u64);
 
         for step in 0..4000 {
             let id = rng.below(universe) as u32;
             if rng.below(100) < 55 {
-                gets += 1;
-                let got = cache.get(id);
-                let expected = model.get(id);
                 assert_eq!(
-                    got.is_some(),
-                    expected,
+                    logged.get(id),
+                    model.get(id),
                     "seed {seed} step {step}: get({id}) disagreed with the model"
                 );
-                if expected {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                }
             } else {
                 inserts += 1;
-                // costs span "fits easily" through "oversize for a shard"
-                let cost = (rng.below(budget.max(1) as u64 / 2 + 40)) as usize + 1;
-                cache.insert(id, list_of(id), cost);
-                evictions += model.insert(id, cost);
+                // costs span "fits easily" through "larger than the budget"
+                let cost = (rng.below(budget as u64 + 40)) as usize + 1;
+                logged.cache.insert(id, list_of(id), cost);
+                let victims = model.insert(id, cost);
+                evictions += victims.len() as u64;
+                // A miss leaves the LRU order alone, so probing the
+                // victims is free; an entry that fits is already the
+                // newest, so the hit that proves it resident moves nothing
+                // (an oversize insert leaves an older entry of the id be).
+                for victim in victims {
+                    assert!(
+                        !logged.get(victim),
+                        "seed {seed} step {step}: the model evicted {victim}, the cache kept it"
+                    );
+                }
+                let resident = logged.get(id);
+                assert_eq!(resident, model.get(id), "seed {seed} step {step}");
+                assert!(
+                    resident || cost > budget,
+                    "seed {seed} step {step}: insert({id}, {cost}) fits {budget} and is not resident"
+                );
             }
             if step % 64 == 0 {
-                cache.check_invariants();
+                logged.cache.check_invariants();
+                // The whole resident set. Hitting the residents oldest
+                // first re-promotes each in turn and so restores the
+                // order it started from.
+                for id in 0..universe as u32 {
+                    if !model.lru.iter().any(|&(i, _)| i == id) {
+                        assert!(!logged.get(id), "seed {seed} step {step}: {id} resident");
+                    }
+                }
+                for (id, _) in model.lru.clone() {
+                    assert!(logged.get(id), "seed {seed} step {step}: {id} missing");
+                }
             }
         }
-        cache.check_invariants();
+        logged.cache.check_invariants();
 
         // op-log reconciliation: every counter is fully explained by the
         // operations issued and the model's predictions
-        let s = cache.stats();
-        assert_eq!(s.hits + s.misses, gets, "seed {seed}: gets unaccounted");
-        assert_eq!((s.hits, s.misses), (hits, misses), "seed {seed}");
+        let s = logged.cache.stats();
+        assert_eq!(
+            (s.hits, s.misses),
+            (logged.hits, logged.misses),
+            "seed {seed}"
+        );
         assert_eq!(s.lists_decoded, inserts, "seed {seed}: inserts unaccounted");
         assert_eq!(s.evictions, evictions, "seed {seed}: evictions diverged");
         assert_eq!(s.cached_bytes, model.bytes(), "seed {seed}: resident bytes");
@@ -155,9 +191,9 @@ fn randomized_workload_matches_the_naive_model() {
 
 #[test]
 fn handles_stay_valid_after_their_entry_is_evicted() {
-    // one shard, budget of exactly one entry: the second insert evicts
-    // the first, whose Arc must keep the decoded list alive
-    let cache = ShardedListCache::new(100, 1);
+    // budget of exactly one entry: the second insert evicts the first,
+    // whose Arc must keep the decoded list alive
+    let cache = ListCache::new(100);
     cache.insert(1, list_of(1), 100);
     let held = cache.get(1).expect("resident");
     cache.insert(2, list_of(2), 100);
@@ -168,7 +204,7 @@ fn handles_stay_valid_after_their_entry_is_evicted() {
 
 #[test]
 fn concurrent_hammer_reconciles_with_the_op_log() {
-    let cache = ShardedListCache::new(2000, 8);
+    let cache = ListCache::new(2000);
     const THREADS: u64 = 8;
     const OPS: u64 = 3000;
     let mut per_thread: Vec<(u64, u64)> = Vec::new(); // (gets, inserts)

@@ -3,15 +3,16 @@
 //! The static half of the lock-order story is xlint's `lock-order` rule;
 //! this is the runtime half: `obs::lockrank` keeps a thread-local stack
 //! of held ranks and `debug_assert`s that acquisitions are strictly
-//! increasing. Eight threads hammer the real sharded cache (whose
-//! instrumented sites acquire `cache.shard` under the runtime checker)
-//! while nesting modelled `maint.writer` → `maint.epoch` acquisitions
-//! outside it — the order a committing `MaintIndex` writer uses. The
-//! inverted order must panic, in debug builds only.
+//! increasing. Eight threads hammer the real list cache (whose mutex
+//! carries `cache.lru` into the runtime checker) while nesting
+//! `maint.writer` → `maint.epoch` mutexes outside it — the order a
+//! committing `MaintIndex` writer uses. The inverted order must panic,
+//! in debug builds only.
 
-use invindex::{Posting, PostingList, ShardedListCache};
-use obs::lockrank;
-use std::sync::{Arc, Barrier, Mutex};
+use invindex::{ListCache, Posting, PostingList};
+use obs::lockrank::{self, rank};
+use obs::sync::Mutex;
+use std::sync::{Arc, Barrier};
 use std::thread;
 use xmldom::{Dewey, NodeTypeId};
 
@@ -24,16 +25,16 @@ fn list(n: u32) -> Arc<PostingList> {
     Arc::new(l)
 }
 
-/// Writer-before-epoch-before-shard (the production commit order) from
+/// Writer, then cache, then epoch (the production commit order) from
 /// eight threads at once: every acquisition is strictly increasing, so
 /// the checker stays quiet and nothing deadlocks.
 #[test]
-fn eight_threads_nest_writer_epoch_then_shard_cleanly() {
+fn eight_threads_nest_writer_cache_then_epoch_cleanly() {
     const THREADS: usize = 8;
     const ROUNDS: u32 = 200;
-    let writer = Arc::new(Mutex::new(0u64));
-    let epoch = Arc::new(Mutex::new(0u64));
-    let cache = Arc::new(ShardedListCache::new(1 << 16, 4));
+    let writer = Arc::new(Mutex::new(rank::MAINT_WRITER, 0u64));
+    let epoch = Arc::new(Mutex::new(rank::MAINT_EPOCH, 0u64));
+    let cache = Arc::new(ListCache::new(1 << 16));
     let barrier = Arc::new(Barrier::new(THREADS));
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
@@ -46,19 +47,15 @@ fn eight_threads_nest_writer_epoch_then_shard_cleanly() {
                 for round in 0..ROUNDS {
                     let id = (t as u32) * ROUNDS + round;
                     // The commit path's shape: hold the writer mutex,
-                    // invalidate/seed cache shards (CACHE_SHARD via the
-                    // cache's own instrumentation), then swap the epoch
-                    // pointer. Shard guards release before the epoch
-                    // acquisition, exactly like `MaintIndex::publish`.
-                    let _writer_rank =
-                        lockrank::acquire(lockrank::rank::MAINT_WRITER, "maint.writer");
-                    let _writer_guard = writer.lock().expect("writer lock");
+                    // invalidate/seed cache entries (`cache.lru`, taken
+                    // and released inside each call), then swap the
+                    // epoch pointer, exactly like `MaintIndex::publish`.
+                    let _writer_guard = writer.lock();
                     if cache.get(id).is_none() {
                         cache.insert(id, list(id), 64);
                     }
                     cache.invalidate(id.wrapping_add(1));
-                    let _epoch_rank = lockrank::acquire(lockrank::rank::MAINT_EPOCH, "maint.epoch");
-                    let _epoch_guard = epoch.lock().expect("epoch lock");
+                    let _epoch_guard = epoch.lock();
                 }
                 cache.check_invariants();
             })
@@ -73,21 +70,22 @@ fn eight_threads_nest_writer_epoch_then_shard_cleanly() {
     );
 }
 
-/// The inverted nesting — a shard held, then the epoch pointer — is
-/// exactly the shape that deadlocks against the clean order above. The
-/// runtime checker must refuse it before any scheduler interleaving
+/// The inverted nesting — the cache lock held, then the epoch pointer —
+/// is exactly the shape that deadlocks against the clean order above.
+/// The runtime checker must refuse it before any scheduler interleaving
 /// gets a say.
 #[cfg(debug_assertions)]
 #[test]
 #[should_panic(expected = "lock-rank violation")]
-fn shard_then_epoch_nesting_panics_in_debug() {
-    let cache = ShardedListCache::new(1 << 12, 4);
-    // Entering the shard via the instrumented `insert` is fine on its
-    // own; the violation is taking the epoch rank while a same-thread
-    // shard guard would still be live.
+fn cache_then_epoch_nesting_panics_in_debug() {
+    let cache = ListCache::new(1 << 12);
+    // Entering the cache via `insert` is fine on its own; the violation
+    // is taking the epoch mutex while a same-thread cache guard would
+    // still be live.
     cache.insert(1, list(1), 64);
-    let _shard_rank = lockrank::acquire(lockrank::rank::CACHE_SHARD, "cache.shard");
-    let _epoch_rank = lockrank::acquire(lockrank::rank::MAINT_EPOCH, "maint.epoch");
+    let epoch = Mutex::new(rank::MAINT_EPOCH, 0u64);
+    let _cache_rank = lockrank::acquire(rank::CACHE_LRU);
+    let _epoch_guard = epoch.lock();
 }
 
 /// Same inversion one level up: the epoch pointer must never be held
@@ -97,8 +95,10 @@ fn shard_then_epoch_nesting_panics_in_debug() {
 #[test]
 #[should_panic(expected = "lock-rank violation")]
 fn epoch_then_writer_nesting_panics_in_debug() {
-    let _epoch_rank = lockrank::acquire(lockrank::rank::MAINT_EPOCH, "maint.epoch");
-    let _writer_rank = lockrank::acquire(lockrank::rank::MAINT_WRITER, "maint.writer");
+    let epoch = Mutex::new(rank::MAINT_EPOCH, 0u64);
+    let writer = Mutex::new(rank::MAINT_WRITER, 0u64);
+    let _epoch_guard = epoch.lock();
+    let _writer_guard = writer.lock();
 }
 
 /// In release builds the checker compiles down to nothing: the guard is
@@ -108,7 +108,7 @@ fn epoch_then_writer_nesting_panics_in_debug() {
 #[test]
 fn release_checker_is_zero_cost_and_silent() {
     assert_eq!(std::mem::size_of::<lockrank::RankGuard>(), 0);
-    let _shard = lockrank::acquire(lockrank::rank::CACHE_SHARD, "cache.shard");
-    let _epoch = lockrank::acquire(lockrank::rank::MAINT_EPOCH, "maint.epoch");
+    let _cache = lockrank::acquire(rank::CACHE_LRU);
+    let _epoch = lockrank::acquire(rank::MAINT_EPOCH);
     assert!(lockrank::held_ranks().is_empty());
 }

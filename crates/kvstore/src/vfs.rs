@@ -31,6 +31,7 @@
 
 use crate::error::{KvError, Result};
 use crate::fsutil;
+use obs::lockrank::rank;
 use obs::sync::Mutex;
 use std::collections::HashMap;
 use std::fs::OpenOptions;
@@ -126,7 +127,7 @@ impl Vfs for StdVfs {
             .truncate(false)
             .open(path)?;
         Ok(Box::new(StdFile {
-            file: Mutex::new(file),
+            file: Mutex::new(rank::VFS_FILE, file),
         }))
     }
 
@@ -312,15 +313,23 @@ fn power_off() -> KvError {
 
 /// Deterministic in-memory filesystem with fault injection. Cloning
 /// shares the filesystem.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct FaultVfs {
     inner: Arc<Mutex<FsInner>>,
+}
+
+impl Default for FaultVfs {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl FaultVfs {
     /// A fresh, empty, fault-free filesystem.
     pub fn new() -> Self {
-        Self::default()
+        FaultVfs {
+            inner: Arc::new(Mutex::new(rank::VFS_STATE, FsInner::default())),
+        }
     }
 
     /// A shareable trait-object handle to this filesystem.

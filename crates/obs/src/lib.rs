@@ -12,8 +12,9 @@
 //!   call [`trace::span`]/[`trace::event`]/[`trace::count`] which are no-ops
 //!   unless a capture is active on the calling thread.
 //!
-//! Beside them, [`lockrank`] checks the lock hierarchy at run time and
-//! [`sync`] holds the one `Mutex` (and poison policy) the ranked locks use.
+//! Beside them, [`lockrank`] holds the table of lock classes and checks the
+//! hierarchy at run time, and [`sync`] holds the one `Mutex` the ranked
+//! locks use: it carries its class and recovers a poisoned lock.
 //!
 //! The crate is `std`-only by design: it sits below `kvstore` in the
 //! dependency order so every layer of the system can use it.

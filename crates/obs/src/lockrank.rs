@@ -2,15 +2,18 @@
 //! discipline (the static half is xlint's `lock-order` rule; the
 //! declared hierarchy lives in `crates/xlint/lockorder.toml`).
 //!
-//! Each instrumented acquisition site calls [`acquire`] with its lock's
-//! rank *before* blocking on the lock, and holds the returned
-//! [`RankGuard`] for the lifetime of the real guard. In debug builds a
-//! thread-local stack of held ranks is maintained and an out-of-order
-//! acquisition — taking a lock whose rank is not strictly greater than
-//! every rank already held by this thread — aborts the test with a
-//! `lock-rank violation` panic. The check catches *potential* deadlocks
-//! on any single-threaded execution of the nesting, which is what makes
-//! it cheap enough to leave on in every debug test run.
+//! Every named lock has one [`LockClass`] in the [`rank`] table, and a
+//! [`crate::sync::Mutex`] is built with its class: `lock()` calls
+//! [`acquire`] *before* blocking and its guard owns the [`RankGuard`],
+//! so no site can forget or misname a rank (`xserve::queue`, which needs
+//! the raw `std` guard for its `Condvar`, is the one outside caller of
+//! [`acquire`]). In debug builds a thread-local stack of held ranks is
+//! maintained and an out-of-order acquisition — taking a lock whose rank
+//! is not strictly greater than every rank already held by this thread —
+//! aborts the test with a `lock-rank violation` panic. The check catches
+//! *potential* deadlocks on any single-threaded execution of the
+//! nesting, which is what makes it cheap enough to leave on in every
+//! debug test run.
 //!
 //! In release builds `RankGuard` is a zero-sized type, [`acquire`]
 //! compiles to nothing, and no thread-local exists at all.
@@ -19,20 +22,40 @@
 use std::cell::RefCell;
 use std::marker::PhantomData;
 
-/// Ranks for the workspace lock hierarchy. Keep in sync with
-/// `crates/xlint/lockorder.toml` (the `lockorder_matches` test below
-/// pins the values).
+/// A named lock's place in the hierarchy.
+#[derive(Debug, Clone, Copy)]
+pub struct LockClass {
+    pub rank: u16,
+    pub name: &'static str,
+}
+
+/// Declares [`rank`]'s classes and, for the test that holds them against
+/// `lockorder.toml`, the list of all of them.
+macro_rules! lock_classes {
+    ($($ident:ident = $rank:literal, $name:literal;)*) => {
+        $(pub const $ident: LockClass = LockClass { rank: $rank, name: $name };)*
+        #[cfg(test)]
+        pub(super) const ALL: &[LockClass] = &[$($ident),*];
+    };
+}
+
+/// The workspace lock hierarchy, declared once in code. `lockorder.toml`
+/// repeats it for the static rule; `lockorder_toml_matches_the_class_table`
+/// fails when either side has an entry the other lacks.
 pub mod rank {
-    pub const COOCCUR_COUNTS: u16 = 2;
-    pub const COOCCUR_ANCESTORS: u16 = 4;
-    pub const SERVE_QUEUE: u16 = 8;
-    pub const MAINT_WRITER: u16 = 9;
-    pub const MAINT_EPOCH: u16 = 10;
-    pub const ENGINE_EPOCH: u16 = 11;
-    pub const CACHE_SHARD: u16 = 20;
-    pub const OBS_REGISTRY_COUNTERS: u16 = 50;
-    pub const OBS_REGISTRY_GAUGES: u16 = 51;
-    pub const OBS_REGISTRY_HISTOGRAMS: u16 = 52;
+    use super::LockClass;
+    lock_classes! {
+        OBS_TEST_SERIAL = 1, "obs.test_serial";
+        COOCCUR_MEMO = 2, "cooccur.memo";
+        SERVE_QUEUE = 8, "serve.queue";
+        MAINT_WRITER = 9, "maint.writer";
+        MAINT_EPOCH = 10, "maint.epoch";
+        ENGINE_EPOCH = 11, "engine.epoch";
+        CACHE_LRU = 20, "cache.lru";
+        VFS_FILE = 30, "vfs.file";
+        VFS_STATE = 31, "vfs.state";
+        OBS_REGISTRY = 50, "obs.registry";
+    }
 }
 
 #[cfg(debug_assertions)]
@@ -50,18 +73,19 @@ pub struct RankGuard {
     _not_send: PhantomData<*const ()>,
 }
 
-/// Records that the current thread is about to acquire the lock named
-/// `name` with rank `rank`. Call immediately before the real
-/// acquisition; keep the guard alive exactly as long as the lock guard.
+/// Records that the current thread is about to acquire a lock of
+/// `class`. Call immediately before the real acquisition; keep the
+/// guard alive exactly as long as the lock guard.
 ///
 /// # Panics
 ///
-/// In debug builds, if `rank` is not strictly greater than every rank
-/// this thread already holds.
+/// In debug builds, if the class's rank is not strictly greater than
+/// every rank this thread already holds.
 #[inline]
-pub fn acquire(rank: u16, name: &'static str) -> RankGuard {
+pub fn acquire(class: LockClass) -> RankGuard {
     #[cfg(debug_assertions)]
     HELD.with(|held| {
+        let LockClass { rank, name } = class;
         let mut held = held.borrow_mut();
         if let Some(&(top_rank, top_name)) = held.last() {
             assert!(
@@ -73,10 +97,10 @@ pub fn acquire(rank: u16, name: &'static str) -> RankGuard {
         held.push((rank, name));
     });
     #[cfg(not(debug_assertions))]
-    let _ = (rank, name);
+    let _ = class;
     RankGuard {
         #[cfg(debug_assertions)]
-        rank,
+        rank: class.rank,
         _not_send: PhantomData,
     }
 }
@@ -118,10 +142,10 @@ mod tests {
     #[test]
     #[cfg(debug_assertions)]
     fn increasing_ranks_nest_cleanly() {
-        let a = acquire(rank::MAINT_WRITER, "maint.writer");
-        let b = acquire(rank::MAINT_EPOCH, "maint.epoch");
-        let c = acquire(rank::CACHE_SHARD, "cache.shard");
-        let d = acquire(rank::OBS_REGISTRY_COUNTERS, "obs.registry.counters");
+        let a = acquire(rank::MAINT_WRITER);
+        let b = acquire(rank::MAINT_EPOCH);
+        let c = acquire(rank::CACHE_LRU);
+        let d = acquire(rank::OBS_REGISTRY);
         assert_eq!(held_ranks(), vec![9, 10, 20, 50]);
         drop(d);
         drop(c);
@@ -134,20 +158,20 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "lock-rank violation")]
     fn inverted_acquisition_panics_in_debug() {
-        let _shard = acquire(rank::CACHE_SHARD, "cache.shard");
-        let _epoch = acquire(rank::MAINT_EPOCH, "maint.epoch");
+        let _cache = acquire(rank::CACHE_LRU);
+        let _epoch = acquire(rank::MAINT_EPOCH);
     }
 
     #[test]
     #[cfg(debug_assertions)]
     fn out_of_order_release_is_tolerated() {
-        let a = acquire(rank::MAINT_EPOCH, "maint.epoch");
-        let b = acquire(rank::CACHE_SHARD, "cache.shard");
+        let a = acquire(rank::MAINT_EPOCH);
+        let b = acquire(rank::CACHE_LRU);
         drop(a); // explicit early drop of the outer guard
         assert_eq!(held_ranks(), vec![20]);
         drop(b);
         // After the stack drains, low ranks are acquirable again.
-        let c = acquire(rank::COOCCUR_COUNTS, "cooccur.counts");
+        let c = acquire(rank::COOCCUR_MEMO);
         drop(c);
     }
 
@@ -156,15 +180,14 @@ mod tests {
     fn release_guard_is_zero_sized_and_never_panics() {
         assert_eq!(std::mem::size_of::<RankGuard>(), 0);
         // Inverted order must be free and silent in release.
-        let _shard = acquire(rank::CACHE_SHARD, "cache.shard");
-        let _epoch = acquire(rank::MAINT_EPOCH, "maint.epoch");
+        let _cache = acquire(rank::CACHE_LRU);
+        let _epoch = acquire(rank::MAINT_EPOCH);
     }
 
     #[test]
-    fn lockorder_toml_matches_rank_constants() {
-        // Compiled-in ranks must agree with the analyzer's declared
-        // hierarchy. The TOML lives two crates over; parse it the same
-        // trivial way xlint does.
+    fn lockorder_toml_matches_the_class_table() {
+        // The TOML lives two crates over; read its `"name" = rank`
+        // lines the same trivial way xlint does.
         let toml = match std::fs::read_to_string(concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../xlint/lockorder.toml"
@@ -172,23 +195,24 @@ mod tests {
             Ok(t) => t,
             Err(_) => return, // packaged standalone; nothing to check against
         };
-        for (name, rank) in [
-            ("cooccur.counts", rank::COOCCUR_COUNTS),
-            ("cooccur.ancestors", rank::COOCCUR_ANCESTORS),
-            ("serve.queue", rank::SERVE_QUEUE),
-            ("maint.writer", rank::MAINT_WRITER),
-            ("maint.epoch", rank::MAINT_EPOCH),
-            ("engine.epoch", rank::ENGINE_EPOCH),
-            ("cache.shard", rank::CACHE_SHARD),
-            ("obs.registry.counters", rank::OBS_REGISTRY_COUNTERS),
-            ("obs.registry.gauges", rank::OBS_REGISTRY_GAUGES),
-            ("obs.registry.histograms", rank::OBS_REGISTRY_HISTOGRAMS),
-        ] {
-            let needle = format!("\"{name}\" = {rank}");
-            assert!(
-                toml.contains(&needle),
-                "lockorder.toml out of sync: expected `{needle}`"
-            );
-        }
+        let mut declared: Vec<(String, u16)> = toml
+            .lines()
+            .filter(|l| l.starts_with('"'))
+            .map(|l| {
+                let (name, rank) = l.split_once('=').expect("`\"name\" = rank`");
+                let rank = rank.trim().parse().expect("integer rank");
+                (name.trim().trim_matches('"').to_string(), rank)
+            })
+            .collect();
+        let mut classes: Vec<(String, u16)> = rank::ALL
+            .iter()
+            .map(|c| (c.name.to_string(), c.rank))
+            .collect();
+        declared.sort();
+        classes.sort();
+        assert_eq!(
+            declared, classes,
+            "lockorder.toml (left) and obs::lockrank::rank (right) disagree"
+        );
     }
 }

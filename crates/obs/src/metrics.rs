@@ -7,10 +7,11 @@
 //! cost of an increment is a single relaxed atomic RMW plus one predictable
 //! branch on the global kill switch.
 
-use crate::lockrank;
+use crate::lockrank::rank;
+use crate::sync::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Process-global kill switch. Metrics default to enabled; benches flip this
 /// off to measure instrumentation overhead (see `bench/src/bin/bench_obs.rs`).
@@ -240,102 +241,76 @@ impl HistogramSnapshot {
 
 /// Named-metric registry. One process-global instance exists (see
 /// [`global`]); independent instances can be created for tests.
-#[derive(Default)]
 pub struct Registry {
-    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
+    maps: Mutex<Maps>,
+}
+
+/// All three name tables behind the one `obs.registry` lock: a call site
+/// registers once per process (the macros cache the handle) and a
+/// scrape snapshots them together.
+#[derive(Default)]
+struct Maps {
+    counters: BTreeMap<String, Arc<Counter>>,
+    gauges: BTreeMap<String, Arc<Gauge>>,
+    histograms: BTreeMap<String, Arc<Histogram>>,
+}
+
+impl Default for Registry {
+    fn default() -> Self {
+        Registry::new()
+    }
+}
+
+fn get_or_create<T: Default>(map: &mut BTreeMap<String, Arc<T>>, name: &str) -> Arc<T> {
+    if let Some(handle) = map.get(name) {
+        return Arc::clone(handle);
+    }
+    let handle = Arc::new(T::default());
+    map.insert(name.to_string(), Arc::clone(&handle));
+    handle
 }
 
 impl Registry {
     pub fn new() -> Self {
-        Registry::default()
+        Registry {
+            maps: Mutex::new(rank::OBS_REGISTRY, Maps::default()),
+        }
     }
 
     /// Get-or-create the counter with this name.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let _rank = lockrank::acquire(
-            lockrank::rank::OBS_REGISTRY_COUNTERS,
-            "obs.registry.counters",
-        );
-        let mut map = self.counters.lock().unwrap(); // xlint::lock(obs.registry.counters)
-        if let Some(c) = map.get(name) {
-            return Arc::clone(c);
-        }
-        let c = Arc::new(Counter::default());
-        map.insert(name.to_string(), Arc::clone(&c));
-        c
+        get_or_create(&mut self.maps.lock().counters, name) // xlint::lock(obs.registry)
     }
 
     /// Get-or-create the gauge with this name.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let _rank = lockrank::acquire(lockrank::rank::OBS_REGISTRY_GAUGES, "obs.registry.gauges");
-        let mut map = self.gauges.lock().unwrap(); // xlint::lock(obs.registry.gauges)
-        if let Some(g) = map.get(name) {
-            return Arc::clone(g);
-        }
-        let g = Arc::new(Gauge::default());
-        map.insert(name.to_string(), Arc::clone(&g));
-        g
+        get_or_create(&mut self.maps.lock().gauges, name) // xlint::lock(obs.registry)
     }
 
     /// Get-or-create the histogram with this name.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let _rank = lockrank::acquire(
-            lockrank::rank::OBS_REGISTRY_HISTOGRAMS,
-            "obs.registry.histograms",
-        );
-        let mut map = self.histograms.lock().unwrap(); // xlint::lock(obs.registry.histograms)
-        if let Some(h) = map.get(name) {
-            return Arc::clone(h);
-        }
-        let h = Arc::new(Histogram::default());
-        map.insert(name.to_string(), Arc::clone(&h));
-        h
+        get_or_create(&mut self.maps.lock().histograms, name) // xlint::lock(obs.registry)
     }
 
+    /// Every metric registered so far, read under one hold of the lock.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let counters = {
-            let _rank = lockrank::acquire(
-                lockrank::rank::OBS_REGISTRY_COUNTERS,
-                "obs.registry.counters",
-            );
-            self.counters
-                // xlint::lock(obs.registry.counters)
-                .lock()
-                .unwrap()
+        let maps = self.maps.lock(); // xlint::lock(obs.registry)
+        MetricsSnapshot {
+            counters: maps
+                .counters
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
-                .collect()
-        };
-        let gauges = {
-            let _rank =
-                lockrank::acquire(lockrank::rank::OBS_REGISTRY_GAUGES, "obs.registry.gauges");
-            self.gauges
-                // xlint::lock(obs.registry.gauges)
-                .lock()
-                .unwrap()
+                .collect(),
+            gauges: maps
+                .gauges
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
-                .collect()
-        };
-        let histograms = {
-            let _rank = lockrank::acquire(
-                lockrank::rank::OBS_REGISTRY_HISTOGRAMS,
-                "obs.registry.histograms",
-            );
-            self.histograms
-                // xlint::lock(obs.registry.histograms)
-                .lock()
-                .unwrap()
+                .collect(),
+            histograms: maps
+                .histograms
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect()
-        };
-        MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
+                .collect(),
         }
     }
 }
@@ -500,16 +475,16 @@ pub fn json_string(s: &str) -> String {
 /// The kill switch is process-global, so unit tests that record metrics or
 /// toggle it must not interleave with each other.
 #[cfg(test)]
-pub(crate) fn test_serial_guard() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+pub(crate) fn test_serial_guard() -> crate::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(rank::OBS_TEST_SERIAL, ());
+    LOCK.lock() // xlint::lock(obs.test_serial)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
+    fn serial() -> crate::sync::MutexGuard<'static, ()> {
         test_serial_guard()
     }
 
@@ -539,6 +514,45 @@ mod tests {
         b.add(2);
         assert_eq!(a.get(), 3);
         assert_eq!(r.snapshot().counters["x"], 3);
+    }
+
+    /// A scrape racing registration: every handle this thread registered
+    /// before it took the snapshot is in the snapshot, whatever the other
+    /// thread is adding to the three tables meanwhile.
+    #[test]
+    fn snapshot_during_registration_holds_everything_registered_before_it() {
+        let _g = serial();
+        let r = Registry::new();
+        let stop = AtomicBool::new(false);
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut i = 0u64;
+                while !stop.load(Ordering::SeqCst) {
+                    r.counter(&format!("bg_c{i}")).inc();
+                    r.gauge(&format!("bg_g{i}")).set(1);
+                    r.histogram(&format!("bg_h{i}")).observe(1);
+                    if i == 0 {
+                        started_tx.send(()).expect("the test is waiting");
+                    }
+                    i += 1;
+                }
+            });
+            started_rx.recv().expect("the registrar runs");
+            for round in 0..50u64 {
+                r.counter(&format!("mine_c{round}")).add(round + 1);
+                r.gauge(&format!("mine_g{round}")).set(round as i64);
+                r.histogram(&format!("mine_h{round}")).observe(round);
+                let snap = r.snapshot();
+                for seen in 0..=round {
+                    assert_eq!(snap.counters[&format!("mine_c{seen}")], seen + 1);
+                    assert_eq!(snap.gauges[&format!("mine_g{seen}")], seen as i64);
+                    assert_eq!(snap.histograms[&format!("mine_h{seen}")].count, 1);
+                }
+                assert!(snap.counters.contains_key("bg_c0"));
+            }
+            stop.store(true, Ordering::SeqCst);
+        });
     }
 
     #[test]

@@ -1,42 +1,81 @@
-//! The workspace's one mutex and its one poison policy.
+//! The workspace's one mutex: the lock carries its rank, and there is
+//! one poison policy.
 //!
-//! [`Mutex`] is `std::sync::Mutex` with `lock()` returning the guard
-//! directly: a lock poisoned by a panicking holder is recovered, not
-//! propagated. That is sound for every lock declared in
+//! [`Mutex`] is `std::sync::Mutex` built with its [`LockClass`]. `lock()`
+//! registers the rank with [`crate::lockrank`] before it blocks and
+//! returns a guard owning both the data guard and the rank guard, so in
+//! debug builds every acquisition is checked against the hierarchy with
+//! nothing said at the call site (the `// xlint::lock(name)` annotation
+//! there is for the static rule, which reads source, not types).
+//!
+//! A lock poisoned by a panicking holder is recovered, not propagated.
+//! That is sound for every lock declared in
 //! `crates/xlint/lockorder.toml` because each critical section leaves
-//! its data valid at every step (a cache shard, a memo table, an epoch
-//! pointer swapped with a single store, a file handle), and it keeps one
-//! crashed request from turning every later request into a panic.
+//! its data valid at every step (an LRU, a memo table, a metric-name
+//! map, an epoch pointer swapped with a single store, a file handle),
+//! and it keeps one crashed request from turning every later request
+//! into a panic.
 //!
 //! Code that needs the raw guard — `xserve::queue` parks on a `Condvar`
-//! — stays on `std::sync::Mutex`.
+//! — stays on `std::sync::Mutex` and calls `lockrank::acquire` itself.
 
-use std::sync::MutexGuard;
+use crate::lockrank::{self, LockClass, RankGuard};
+use std::ops::{Deref, DerefMut};
 
-#[derive(Debug, Default)]
-pub struct Mutex<T>(std::sync::Mutex<T>);
+#[derive(Debug)]
+pub struct Mutex<T> {
+    class: LockClass,
+    inner: std::sync::Mutex<T>,
+}
+
+/// The data guard and the rank it holds; the rank half is zero-sized in
+/// release builds.
+pub struct MutexGuard<'a, T> {
+    data: std::sync::MutexGuard<'a, T>,
+    _rank: RankGuard,
+}
 
 impl<T> Mutex<T> {
-    pub const fn new(value: T) -> Self {
-        Mutex(std::sync::Mutex::new(value))
+    pub const fn new(class: LockClass, value: T) -> Self {
+        Mutex {
+            class,
+            inner: std::sync::Mutex::new(value),
+        }
     }
 
-    /// Blocks until the lock is held. Never fails: see the module
-    /// comment for why poison is recovered.
+    /// Blocks until the lock is held. Never fails (see the module
+    /// comment for why poison is recovered); in debug builds panics if
+    /// this thread already holds a lock whose rank is not below this one.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        // xlint::allow(lock-order): the forwarding call of every named lock; the name and rank are annotated at each caller's site
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
+        let _rank = lockrank::acquire(self.class);
+        // xlint::allow(lock-order): the forwarding call of every named lock; the name is annotated at each caller's site
+        let data = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        MutexGuard { data, _rank }
+    }
+}
+
+impl<T> Deref for MutexGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.data
+    }
+}
+
+impl<T> DerefMut for MutexGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.data
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::Mutex;
+    use crate::lockrank::{self, rank};
     use std::sync::Arc;
 
     #[test]
     fn a_lock_poisoned_by_a_panicking_holder_is_recovered() {
-        let m = Arc::new(Mutex::new(1u32));
+        let m = Arc::new(Mutex::new(rank::CACHE_LRU, 1u32));
         let holder = Arc::clone(&m);
         let died = std::thread::spawn(move || {
             let mut g = holder.lock();
@@ -45,9 +84,34 @@ mod tests {
         })
         .join();
         assert!(died.is_err());
-        assert!(m.0.is_poisoned());
+        assert!(m.inner.is_poisoned());
         assert_eq!(*m.lock(), 2);
         *m.lock() = 3;
         assert_eq!(*m.lock(), 3);
+    }
+
+    #[test]
+    fn the_guard_holds_its_rank_exactly_as_long_as_the_lock() {
+        let outer = Mutex::new(rank::MAINT_EPOCH, ());
+        let inner = Mutex::new(rank::CACHE_LRU, ());
+        let a = outer.lock();
+        let b = inner.lock();
+        if cfg!(debug_assertions) {
+            assert_eq!(lockrank::held_ranks(), vec![10, 20]);
+        }
+        drop(b);
+        drop(a);
+        assert!(lockrank::held_ranks().is_empty());
+    }
+
+    /// No `acquire` at the site: the inversion is caught by `lock()`.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lock-rank violation: acquiring `maint.epoch`")]
+    fn inverted_nesting_of_two_mutexes_panics_in_debug() {
+        let cache = Mutex::new(rank::CACHE_LRU, ());
+        let epoch = Mutex::new(rank::MAINT_EPOCH, ());
+        let _cache = cache.lock();
+        let _epoch = epoch.lock();
     }
 }

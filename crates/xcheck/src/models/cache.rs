@@ -1,10 +1,10 @@
-//! Generation-stamped cache insert vs invalidate (production: the
-//! `ShardedListCache` in `xrefine`).
+//! Generation-stamped cache insert vs invalidate (production:
+//! `invindex::ListCache`).
 //!
 //! A cache fill computed under generation `g` may only be inserted if
 //! the cache is still at generation `g` — the check happens under the
-//! shard lock, so a concurrent invalidation (bump generation, then clear
-//! the shard) can never leave a stale entry behind. The seeded bug drops
+//! cache lock, so a concurrent invalidation (bump generation, then clear
+//! the slot) can never leave a stale entry behind. The seeded bug drops
 //! the generation-stamp check at insert: an entry computed before the
 //! bump slips in after the clear and survives as a stale hit.
 

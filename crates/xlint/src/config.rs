@@ -73,6 +73,7 @@ impl Config {
                 "crates/invindex/src/".into(),
                 "crates/obs/src/".into(),
                 "crates/xserve/src/".into(),
+                "crates/xrefine/src/live.rs".into(),
             ],
             no_panic_paths: vec![
                 "crates/kvstore/src/codec.rs".into(),

@@ -16,11 +16,18 @@
 //! Cross-function nesting is invisible to a lexical analysis; the
 //! runtime rank checker in `obs::lockrank` covers that half (see
 //! DESIGN.md §Static analysis).
+//!
+//! One finding is about the workspace, not a file
+//! ([`check_declared`]): a lock `lockorder.toml` declares that no
+//! annotation in the locking crates names — a rank that outlived its
+//! lock.
 
 use crate::config::Config;
 use crate::diag::Finding;
 use crate::lexer::TokenKind;
+use crate::model::WorkspaceModel;
 use crate::source::SourceFile;
+use std::collections::BTreeSet;
 
 pub const RULE: &str = "lock-order";
 
@@ -179,6 +186,37 @@ pub fn check(file: &SourceFile, config: &Config, out: &mut Vec<Finding>) {
     }
 }
 
+/// Reports every declared lock that no annotation under the lock paths
+/// names. Annotations in test-support regions count here (a lock only
+/// test support takes, like `obs.test_serial`, is still in use). A
+/// model with no lock annotation at all uses no hierarchy and is left
+/// alone.
+pub fn check_declared(model: &WorkspaceModel, config: &Config, out: &mut Vec<Finding>) {
+    let annotated: BTreeSet<&str> = model
+        .files
+        .iter()
+        .filter(|f| Config::in_scope(&f.path, &config.lock_paths))
+        .flat_map(SourceFile::annotated_locks)
+        .collect();
+    if annotated.is_empty() {
+        return;
+    }
+    for (name, rank) in &config.lock_ranks {
+        if !annotated.contains(name.as_str()) {
+            out.push(Finding {
+                rule: RULE,
+                path: "crates/xlint/lockorder.toml".into(),
+                line: 1,
+                col: 1,
+                message: format!(
+                    "lock `{name}` (rank {rank}) is declared but no lock site annotates it"
+                ),
+                help: "delete the declaration and its class in obs::lockrank::rank, or annotate the site that takes it".into(),
+            });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,6 +346,41 @@ mod tests {
              }\n",
         );
         assert_eq!(fs.len(), 1, "{fs:?}");
+    }
+
+    fn undeclared(files: &[(&str, &str)]) -> Vec<String> {
+        let files: Vec<SourceFile> = files
+            .iter()
+            .map(|(path, src)| SourceFile::parse(path, src, FileKind::Production))
+            .collect();
+        let mut out = Vec::new();
+        check_declared(&WorkspaceModel::build(&files), &config(), &mut out);
+        out.into_iter().map(|f| f.message).collect()
+    }
+
+    #[test]
+    fn a_declared_lock_nobody_annotates_is_flagged_once_for_the_workspace() {
+        let store = "fn f() { let s = self.store.read(); } // xlint::lock(kvindex.store)\n";
+        let shard_in_tests = "#[cfg(test)]\nmod tests {\n\
+             fn t() { let g = m.lock(); } // xlint::lock(cache.shard)\n}\n";
+        // One lock annotated, the other not: one finding, naming it.
+        let fs = undeclared(&[("crates/invindex/src/kvindex.rs", store)]);
+        assert_eq!(fs.len(), 1, "{fs:?}");
+        assert!(fs[0].contains("`cache.shard` (rank 20) is declared but no"));
+        // An annotation in another in-scope file, even in a test region,
+        // settles it; one outside the lock paths does not.
+        let fs = undeclared(&[
+            ("crates/invindex/src/kvindex.rs", store),
+            ("crates/invindex/src/cache.rs", shard_in_tests),
+        ]);
+        assert!(fs.is_empty(), "{fs:?}");
+        let fs = undeclared(&[
+            ("crates/invindex/src/kvindex.rs", store),
+            ("crates/slca/src/scan.rs", shard_in_tests),
+        ]);
+        assert_eq!(fs.len(), 1, "{fs:?}");
+        // No annotation anywhere: no hierarchy in use, nothing to say.
+        assert!(undeclared(&[("crates/invindex/src/kvindex.rs", "fn f() {}\n")]).is_empty());
     }
 
     #[test]

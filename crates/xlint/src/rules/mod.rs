@@ -51,6 +51,7 @@ pub fn run_all(file: &SourceFile, config: &Config) -> Vec<Finding> {
 /// degenerate single-file model, as the fixtures do).
 pub fn run_workspace(model: &WorkspaceModel, config: &Config, out: &mut Vec<Finding>) {
     durability::check(model, config, out);
+    lock_order::check_declared(model, config, out);
     unused_export::check(model, config, out);
 }
 

@@ -95,6 +95,12 @@ impl SourceFile {
             .map(String::as_str)
     }
 
+    /// Every lock name an annotation in this file gives, test regions
+    /// included.
+    pub fn annotated_locks(&self) -> impl Iterator<Item = &str> {
+        self.lock_names.values().map(String::as_str)
+    }
+
     /// The declared safety invariant for an `unsafe` block at `line`,
     /// from an annotation on the same line or the line above.
     pub fn safety_at(&self, line: usize) -> Option<&str> {

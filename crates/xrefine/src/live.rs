@@ -20,7 +20,7 @@
 use crate::engine::{EngineConfig, XRefineEngine};
 use invindex::maint::{MaintIndex, MaintOp, MaintReport};
 use kvstore::{Result, Vfs};
-use obs::lockrank;
+use obs::lockrank::rank;
 use obs::sync::Mutex;
 use std::path::Path;
 use std::sync::Arc;
@@ -56,7 +56,7 @@ impl LiveEngine {
         Ok(LiveEngine {
             maint,
             config,
-            engine: Mutex::new((gen, engine)),
+            engine: Mutex::new(rank::ENGINE_EPOCH, (gen, engine)),
         })
     }
 
@@ -64,15 +64,12 @@ impl LiveEngine {
     /// and keeps answering from its pinned generation — across any
     /// number of subsequent commits.
     pub fn engine(&self) -> Arc<XRefineEngine> {
-        let _rank = lockrank::acquire(lockrank::rank::ENGINE_EPOCH, "engine.epoch");
-        let slot = self.engine.lock();
-        Arc::clone(&slot.1)
+        Arc::clone(&self.engine.lock().1) // xlint::lock(engine.epoch)
     }
 
     /// Generation of the currently published engine.
     pub fn generation(&self) -> u64 {
-        let _rank = lockrank::acquire(lockrank::rank::ENGINE_EPOCH, "engine.epoch");
-        self.engine.lock().0
+        self.engine.lock().0 // xlint::lock(engine.epoch)
     }
 
     /// Commits a maintenance transaction and republishes the engine.
@@ -103,8 +100,7 @@ impl LiveEngine {
         let snap = self.maint.snapshot();
         let gen = snap.generation();
         let fresh = Arc::new(XRefineEngine::from_reader(snap, self.config.clone()));
-        let _rank = lockrank::acquire(lockrank::rank::ENGINE_EPOCH, "engine.epoch");
-        let mut slot = self.engine.lock();
+        let mut slot = self.engine.lock(); // xlint::lock(engine.epoch)
         if gen > slot.0 {
             *slot = (gen, fresh);
         }
@@ -179,7 +175,7 @@ mod tests {
     struct WalSyncGate {
         armed: AtomicBool,
         parked: mpsc::SyncSender<()>,
-        release: Mutex<mpsc::Receiver<()>>,
+        release: std::sync::Mutex<mpsc::Receiver<()>>,
     }
 
     struct GateVfs {
@@ -231,7 +227,7 @@ mod tests {
         fn sync_data(&self) -> Result<()> {
             if self.gate.armed.swap(false, Ordering::SeqCst) {
                 self.gate.parked.send(()).expect("test is waiting");
-                let release = self.gate.release.lock();
+                let release = self.gate.release.lock().expect("gate lock");
                 release.recv().expect("test opens the gate");
             }
             self.inner.sync_data()
@@ -250,7 +246,7 @@ mod tests {
         let gate = Arc::new(WalSyncGate {
             armed: AtomicBool::new(false),
             parked: parked_tx,
-            release: Mutex::new(release_rx),
+            release: std::sync::Mutex::new(release_rx),
         });
         let vfs = Arc::new(GateVfs {
             inner,

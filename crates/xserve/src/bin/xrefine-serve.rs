@@ -8,8 +8,9 @@
 //!                      [--drain-grace-ms N] [--help]
 //! ```
 //!
-//! `--xml` indexes the file through `invindex::build_streaming`, the
-//! ingest path `xrefine-cli index` and the live writer take.
+//! `--xml` and `--dblp` (the default: a generated corpus, rendered to
+//! XML text first) index through `invindex::build_streaming`, the ingest
+//! path `xrefine-cli index` and the live writer take.
 //!
 //! Endpoints: `GET /query?q=<keywords>`, `GET /metrics` (Prometheus),
 //! `GET /healthz`, `POST /admin/drain`, and — with `--live` — `POST
@@ -24,7 +25,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use datagen::{generate_dblp, DblpConfig};
+use datagen::{write_dblp_xml, DblpConfig};
 use xrefine::{EngineConfig, LiveEngine, XRefineEngine};
 use xserve::{signal, EngineService, LiveEngineService, QueryService, ServeConfig};
 
@@ -129,22 +130,32 @@ fn build_engine(args: &Args) -> Result<XRefineEngine, String> {
     if let Some(path) = &args.xml {
         eprintln!("indexing {path}");
         let xml = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let index = invindex::build_streaming(&xml, 1)
-            .map_err(|e| format!("scan error in '{path}': {e}"))?;
-        return Ok(XRefineEngine::from_index(index, EngineConfig::default()));
+        return engine_from_xml(&xml, &format!("'{path}'"));
     }
     eprintln!(
         "no corpus given; generating synthetic DBLP (fraction {})",
         args.dblp_fraction
     );
-    let doc = Arc::new(generate_dblp(
-        &DblpConfig {
-            authors: 2000,
-            ..Default::default()
-        }
-        .scaled(args.dblp_fraction),
-    ));
-    Ok(XRefineEngine::from_document(doc, EngineConfig::default()))
+    let config = DblpConfig {
+        authors: 2000,
+        ..Default::default()
+    }
+    .scaled(args.dblp_fraction);
+    engine_from_xml(&dblp_xml(&config)?, "the generated corpus")
+}
+
+/// The synthetic corpus as the XML text a `--xml` file would hold.
+fn dblp_xml(config: &DblpConfig) -> Result<String, String> {
+    let bytes = write_dblp_xml(config, Vec::new()).map_err(|e| format!("rendering: {e}"))?;
+    String::from_utf8(bytes).map_err(|e| format!("rendering: {e}"))
+}
+
+/// Indexes `xml` through `invindex::build_streaming`, the one ingest
+/// path, and wraps the index in an engine.
+fn engine_from_xml(xml: &str, source: &str) -> Result<XRefineEngine, String> {
+    let index =
+        invindex::build_streaming(xml, 1).map_err(|e| format!("scan error in {source}: {e}"))?;
+    Ok(XRefineEngine::from_index(index, EngineConfig::default()))
 }
 
 fn main() -> ExitCode {
@@ -199,13 +210,49 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::USAGE;
+    use super::*;
     use std::collections::BTreeSet;
 
     /// `--help`, the module docs and the parser name the same flags: the
     /// `"--flag" =>` arms of `parse_args`, read from this file, are
     /// exactly the flags `USAGE` lists, and the module docs quote `USAGE`
     /// line for line.
+    /// The default corpus goes through the streaming builder; the DOM
+    /// builder over the same generator config is the independent
+    /// reference it must agree with on a query that needs refinement.
+    #[test]
+    fn the_generated_corpus_is_served_as_the_dom_builder_would() {
+        let config = DblpConfig {
+            authors: 40,
+            ..Default::default()
+        };
+        let served = engine_from_xml(&dblp_xml(&config).unwrap(), "test").unwrap();
+        let reference = XRefineEngine::from_document(
+            Arc::new(datagen::generate_dblp(&config)),
+            EngineConfig::default(),
+        );
+        let query = "xml keywrd search";
+        let (got, want) = (
+            served.answer(query).unwrap(),
+            reference.answer(query).unwrap(),
+        );
+        assert!(want.needs_refinement() && !want.refinements.is_empty());
+        let rows = |o: &xrefine::RefineOutcome| -> Vec<_> {
+            o.refinements
+                .iter()
+                .map(|r| {
+                    (
+                        r.candidate.keywords.clone(),
+                        r.candidate.dissimilarity,
+                        r.slcas.clone(),
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(got.original_ok, want.original_ok);
+        assert_eq!(rows(&got), rows(&want));
+    }
+
     #[test]
     fn usage_lists_exactly_the_flags_the_parser_matches() {
         let source = include_str!("xrefine-serve.rs");

@@ -99,7 +99,7 @@ impl<T> BoundedQueue<T> {
 
     /// Non-blocking push; refuses rather than waits.
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let _rank = lockrank::acquire(rank::SERVE_QUEUE, "serve.queue");
+        let _rank = lockrank::acquire(rank::SERVE_QUEUE);
         let mut state = self
             .state
             .lock() // xlint::lock(serve.queue)
@@ -134,7 +134,7 @@ impl<T> BoundedQueue<T> {
     /// every admitted item has been popped.
     pub fn pop(&self) -> Option<T> {
         self.poll_while_idle();
-        let _rank = lockrank::acquire(rank::SERVE_QUEUE, "serve.queue");
+        let _rank = lockrank::acquire(rank::SERVE_QUEUE);
         let mut state = self
             .state
             .lock() // xlint::lock(serve.queue)
@@ -157,7 +157,7 @@ impl<T> BoundedQueue<T> {
     /// Stops admission and wakes every blocked popper. Items already
     /// queued remain poppable — close-then-drain, never close-and-drop.
     pub fn close(&self) {
-        let _rank = lockrank::acquire(rank::SERVE_QUEUE, "serve.queue");
+        let _rank = lockrank::acquire(rank::SERVE_QUEUE);
         let mut state = self
             .state
             .lock() // xlint::lock(serve.queue)

@@ -15,7 +15,9 @@
 //! ```
 //!
 //! Drain ordering is the correctness argument for "zero dropped
-//! in-flight requests": (1) stop accepting and close the listener;
+//! in-flight requests": (1) stop accepting — after one sweep of the
+//! accept backlog, so a peer that connected a moment before drain is
+//! answered, not reset — and close the listener;
 //! (2) wait for connection threads — idle ones exit on the drain flag,
 //! busy ones finish their request/response exchange (workers are still
 //! running, so every queued job gets answered); (3) close the queue,
@@ -23,8 +25,8 @@
 //! the queue is therefore always executed or already answered `504` by
 //! its own connection — never silently dropped.
 
-use std::io::{self, ErrorKind};
-use std::net::{SocketAddr, TcpListener};
+use std::io;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -210,46 +212,49 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
         if shared.drain_requested() {
             shared.draining.store(true, Ordering::SeqCst);
         }
-        if shared.draining() {
-            break; // listener drops here: no more connections
-        }
+        // Read before the accept: a peer whose handshake finished before
+        // drain began sits in the backlog, its request perhaps already
+        // written, and dropping the listener over it is a kernel RST. So
+        // drain accepts until the backlog reads empty, and `conn::handle`
+        // gives each such peer its answer or its `503`.
+        let draining = shared.draining();
         match listener.accept() {
-            Ok((mut stream, _peer)) => {
-                obs::counter!("serve_connections_accepted_total").inc();
-                let active = shared.active_conns.fetch_add(1, Ordering::SeqCst) + 1;
-                if active > shared.config.max_connections {
-                    // Over the cap: shed on the acceptor thread (one
-                    // small write) rather than spawn.
-                    obs::counter!("serve_connections_shed_total").inc();
-                    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-                    let resp = Response::error(503, "connection limit reached")
-                        .with_retry_after(1)
-                        .with_close();
-                    let _ = http::write_response(&mut stream, &resp, true);
-                    shared.conn_closed();
-                    continue;
-                }
-                shared.refresh_gauges();
-                let sh = Arc::clone(shared);
-                let spawned = thread::Builder::new()
-                    .name("xserve-conn".to_string())
-                    .spawn(move || {
-                        conn::handle(stream, &sh);
-                        sh.conn_closed();
-                    });
-                if spawned.is_err() {
-                    shared.conn_closed();
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => {
-                // Transient accept errors (EMFILE, ECONNABORTED):
-                // back off briefly instead of spinning.
-                thread::sleep(Duration::from_millis(1));
-            }
+            Ok((stream, _peer)) => admit(stream, shared),
+            Err(_) if draining => break, // listener drops here: no more connections
+            // Nothing waiting (WouldBlock) or a transient accept error
+            // (EMFILE, ECONNABORTED): back off briefly, do not spin.
+            Err(_) => thread::sleep(Duration::from_millis(1)),
         }
+    }
+}
+
+/// Hands one accepted connection to its own thread, or sheds it over
+/// the connection cap.
+fn admit(mut stream: TcpStream, shared: &Arc<Shared>) {
+    obs::counter!("serve_connections_accepted_total").inc();
+    let active = shared.active_conns.fetch_add(1, Ordering::SeqCst) + 1;
+    if active > shared.config.max_connections {
+        // Over the cap: shed on the acceptor thread (one small write)
+        // rather than spawn.
+        obs::counter!("serve_connections_shed_total").inc();
+        let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
+        let resp = Response::error(503, "connection limit reached")
+            .with_retry_after(1)
+            .with_close();
+        let _ = http::write_response(&mut stream, &resp, true);
+        shared.conn_closed();
+        return;
+    }
+    shared.refresh_gauges();
+    let sh = Arc::clone(shared);
+    let spawned = thread::Builder::new()
+        .name("xserve-conn".to_string())
+        .spawn(move || {
+            conn::handle(stream, &sh);
+            sh.conn_closed();
+        });
+    if spawned.is_err() {
+        shared.conn_closed();
     }
 }
 
@@ -275,7 +280,6 @@ mod tests {
     use super::*;
     use crate::service::ServiceReply;
     use std::io::{Read as _, Write as _};
-    use std::net::TcpStream;
 
     struct Echo;
     impl QueryService for Echo {
@@ -316,6 +320,34 @@ mod tests {
             .unwrap_or(0);
         let body = raw.split("\r\n\r\n").nth(1).unwrap_or("").to_string();
         (status, body)
+    }
+
+    /// Three peers finish their handshake and write a request before
+    /// drain begins, and nobody has accepted them yet: the acceptor must
+    /// hand each to a connection thread before it drops the listener.
+    #[test]
+    fn drain_sweeps_the_accept_backlog_before_the_listener_drops() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shared = Arc::new(Shared::new(test_config(), Arc::new(Echo)));
+        let mut clients: Vec<TcpStream> = (0..3)
+            .map(|_| {
+                let mut s = TcpStream::connect(addr).unwrap();
+                write!(s, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+                s
+            })
+            .collect();
+        shared.draining.store(true, Ordering::SeqCst);
+        accept_loop(listener, &shared); // returns with the listener dropped
+        for (i, s) in clients.iter_mut().enumerate() {
+            let mut raw = String::new();
+            s.read_to_string(&mut raw)
+                .unwrap_or_else(|e| panic!("client {i} was cut off: {e}"));
+            assert!(raw.starts_with("HTTP/1.1 200"), "client {i}: {raw:?}");
+            assert!(raw.contains("Connection: close\r\n"), "client {i}: {raw:?}");
+            assert!(raw.ends_with("\"draining\":true}"), "client {i}: {raw:?}");
+        }
     }
 
     #[test]

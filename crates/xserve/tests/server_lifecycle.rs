@@ -5,6 +5,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -163,10 +164,22 @@ fn concurrent_clients_match_direct_engine_answers() {
 /// saturation and in-flight windows deterministic without a huge corpus.
 struct SlowService {
     delay: Duration,
+    /// Calls to `answer` that have begun (a worker is inside).
+    entered: AtomicUsize,
+}
+
+impl SlowService {
+    fn new(delay: Duration) -> Arc<SlowService> {
+        Arc::new(SlowService {
+            delay,
+            entered: AtomicUsize::new(0),
+        })
+    }
 }
 
 impl QueryService for SlowService {
     fn answer(&self, query: &str) -> ServiceReply {
+        self.entered.fetch_add(1, Ordering::SeqCst);
         thread::sleep(self.delay);
         ServiceReply {
             status: 200,
@@ -182,13 +195,8 @@ fn saturated_queue_sheds_with_503_and_retry_after() {
         queue_capacity: 1,
         ..test_config()
     };
-    let handle = xserve::start(
-        config,
-        Arc::new(SlowService {
-            delay: Duration::from_millis(300),
-        }),
-    )
-    .expect("start");
+    let handle =
+        xserve::start(config, SlowService::new(Duration::from_millis(300))).expect("start");
     let addr = handle.addr();
 
     let results: Vec<(u16, String)> = thread::scope(|s| {
@@ -286,17 +294,13 @@ fn short_requests_are_not_queued_behind_a_long_one() {
 
 #[test]
 fn drain_completes_in_flight_requests() {
-    let handle = xserve::start(
-        test_config(),
-        Arc::new(SlowService {
-            delay: Duration::from_millis(400),
-        }),
-    )
-    .expect("start");
+    let service = SlowService::new(Duration::from_millis(400));
+    let handle = xserve::start(test_config(), Arc::clone(&service) as _).expect("start");
     let addr = handle.addr();
 
-    // Six clients on two workers: when the drain lands two requests are
-    // executing and four are still queued.
+    // Six clients on two workers: the drain lands once all six are
+    // admitted — two executing (the service counts them in) and four
+    // still queued — so none can still be waiting to be accepted.
     let clients: Vec<_> = (0..6)
         .map(|i| {
             thread::spawn(move || {
@@ -307,7 +311,7 @@ fn drain_completes_in_flight_requests() {
         })
         .collect();
     let deadline = Instant::now() + Duration::from_secs(5);
-    while handle.shared().queue().len() < 4 {
+    while handle.shared().queue().len() < 4 || service.entered.load(Ordering::SeqCst) < 2 {
         assert!(Instant::now() < deadline, "six requests never queued up");
         thread::sleep(Duration::from_millis(1));
     }
@@ -337,13 +341,7 @@ fn drain_completes_in_flight_requests() {
 
 #[test]
 fn admin_drain_endpoint_triggers_drain() {
-    let handle = xserve::start(
-        test_config(),
-        Arc::new(SlowService {
-            delay: Duration::ZERO,
-        }),
-    )
-    .expect("start");
+    let handle = xserve::start(test_config(), SlowService::new(Duration::ZERO)).expect("start");
     let addr = handle.addr();
     let mut s = TcpStream::connect(addr).expect("connect");
     write!(
