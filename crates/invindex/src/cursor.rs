@@ -58,6 +58,13 @@ impl ScanStats {
     }
 }
 
+/// [`ListCursor::head_partition`] of a posting on the document root
+/// itself: it sorts before every partition.
+pub const HEAD_AT_ROOT: u64 = 0;
+
+/// [`ListCursor::head_partition`] at end of list: after every partition.
+pub const HEAD_AT_END: u64 = u64::MAX;
+
 /// A forward cursor over one posting list (any [`IndexReader`] backend
 /// hands lists out as [`ListHandle`]s).
 ///
@@ -93,6 +100,24 @@ impl<'a> ListCursor<'a> {
         Some(p)
     }
 
+    /// Where the posting under the cursor stands among the partitions
+    /// (the subtrees of the document root's children), as one integer
+    /// ordered the way the postings are: [`HEAD_AT_ROOT`] for a posting
+    /// on the root itself (a one-component label), `ordinal + 1` for one
+    /// inside partition `0.ordinal`, [`HEAD_AT_END`] at end of list.
+    /// Algorithm 2 keeps this per cursor and takes the minimum of the
+    /// integers instead of comparing labels.
+    pub fn head_partition(&self) -> u64 {
+        let Some(head) = self.peek() else {
+            return HEAD_AT_END;
+        };
+        match head.dewey.components().get(1) {
+            None => HEAD_AT_ROOT,
+            // At most 2^32: below `HEAD_AT_END`.
+            Some(&ordinal) => u64::from(ordinal).saturating_add(1),
+        }
+    }
+
     /// Jumps past the postings of the subtree whose root has the
     /// components `root` — for Algorithm 2 (line 8) the two-component
     /// partition id `0.i` — and returns the index range skipped,
@@ -103,7 +128,9 @@ impl<'a> ListCursor<'a> {
     /// cursor on, by exponential-then-binary search, at a cost
     /// logarithmic in the distance moved instead of in the list length.
     /// A list with nothing in the subtree is answered by looking at the
-    /// posting under the cursor alone.
+    /// posting under the cursor alone, and so is where the range starts
+    /// when that posting is already inside the subtree (Algorithm 2 asks
+    /// only the cursors whose head is).
     ///
     /// * Cursor at or before the subtree (how Algorithm 2 always calls
     ///   it): the range is exactly the handle's `partition_range(root)`.
@@ -118,9 +145,13 @@ impl<'a> ListCursor<'a> {
     ///   moves, nothing is counted.
     pub fn skip_partition(&mut self, root: &[u32]) -> std::ops::Range<usize> {
         let rest = self.handle.postings().get(self.pos..).unwrap_or(&[]);
-        let before = leading_run(rest, |p| p.dewey.components() < root);
+        let in_subtree = |p: &Posting| p.dewey.components().starts_with(root);
+        let before = match rest.first() {
+            Some(head) if in_subtree(head) => 0,
+            _ => leading_run(rest, |p| p.dewey.components() < root),
+        };
         let rest = rest.get(before..).unwrap_or(&[]);
-        let inside = leading_run(rest, |p| p.dewey.components().starts_with(root));
+        let inside = leading_run(rest, in_subtree);
         let start = self.pos.saturating_add(before);
         let end = start.saturating_add(inside);
         if inside > 0 {
@@ -182,6 +213,34 @@ mod tests {
         assert_eq!(stats.random_accesses(), 0);
         assert_eq!(c.next(), None);
         assert_eq!(stats.advances(), 5); // no phantom advances at EOF
+    }
+
+    #[test]
+    fn head_partition_orders_root_partitions_and_end() {
+        let l = ListHandle::from_postings(
+            ["0", "0.0.3", "0.7", "0.4294967295.1"]
+                .iter()
+                .map(|s| Posting::new(s.parse().unwrap(), NodeTypeId(0)))
+                .collect(),
+        );
+        let mut c = ListCursor::new(&l, ScanStats::new());
+        let mut seen = Vec::new();
+        loop {
+            seen.push(c.head_partition());
+            if c.next().is_none() {
+                break;
+            }
+        }
+        assert_eq!(
+            seen,
+            [HEAD_AT_ROOT, 1, 8, u64::from(u32::MAX) + 1, HEAD_AT_END]
+        );
+        assert!(seen.windows(2).all(|w| w[0] < w[1]));
+        let empty = ListHandle::empty();
+        assert_eq!(
+            ListCursor::new(&empty, ScanStats::new()).head_partition(),
+            HEAD_AT_END
+        );
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod stats;
 pub mod stream;
 
 pub use cache::{CacheStats, ListCache};
-pub use cursor::{ListCursor, ScanStats};
+pub use cursor::{ListCursor, ScanStats, HEAD_AT_END, HEAD_AT_ROOT};
 pub use index::{InMemoryIndex, Index};
 pub use kvindex::KvBackedIndex;
 pub use maint::{MaintIndex, MaintOp, MaintReport};

@@ -3,6 +3,10 @@
 //! An SLCA result is *meaningful* when it is a self-or-descendant of some
 //! inferred search-for node type; a query *needs refinement* when it has
 //! no meaningful SLCA at all.
+//!
+//! The verdict depends on a result's node type alone, and a document has
+//! few node types: the filter decides every type once, when it is built,
+//! so judging a result is one node lookup and one indexed load.
 
 use crate::searchfor::{infer_search_for, SearchForConfig};
 use invindex::{IndexReader, KeywordId};
@@ -12,6 +16,9 @@ use xmldom::{Dewey, Document, NodeTypeId};
 pub struct MeaningfulFilter<'a> {
     doc: &'a Document,
     candidates: Vec<NodeTypeId>,
+    /// Definition 3.3 per node type, indexed by `NodeTypeId`: is the type
+    /// a candidate or a descendant type of one?
+    verdict: Vec<bool>,
 }
 
 impl<'a> MeaningfulFilter<'a> {
@@ -27,9 +34,25 @@ impl<'a> MeaningfulFilter<'a> {
             .into_iter()
             .map(|(t, _)| t)
             .collect();
+        Self::with_candidates(index.document().as_ref(), candidates)
+    }
+
+    /// The filter admitting exactly `candidates` and their descendant
+    /// types.
+    fn with_candidates(doc: &'a Document, candidates: Vec<NodeTypeId>) -> Self {
+        let types = doc.node_types();
+        let verdict = types
+            .iter()
+            .map(|t| {
+                candidates
+                    .iter()
+                    .any(|&c| t == c || types.is_descendant_type(t, c))
+            })
+            .collect();
         MeaningfulFilter {
-            doc: index.document().as_ref(),
+            doc,
             candidates,
+            verdict,
         }
     }
 
@@ -45,11 +68,8 @@ impl<'a> MeaningfulFilter<'a> {
         let Some(id) = self.doc.node_by_dewey(dewey) else {
             return false;
         };
-        let t = self.doc.node(id).node_type;
-        let types = self.doc.node_types();
-        self.candidates
-            .iter()
-            .any(|&c| t == c || types.is_descendant_type(t, c))
+        let NodeTypeId(t) = self.doc.node(id).node_type;
+        self.verdict.get(t as usize).copied().unwrap_or(false)
     }
 
     /// Keeps only the meaningful results.
@@ -144,10 +164,7 @@ mod tests {
     fn explicit_candidates_filter() {
         let doc = figure1();
         let author_t = doc.node(doc.node(doc.root()).children[0]).node_type;
-        let filter = MeaningfulFilter {
-            doc: &doc,
-            candidates: vec![author_t],
-        };
+        let filter = MeaningfulFilter::with_candidates(&doc, vec![author_t]);
         assert!(filter.is_meaningful(&"0.0".parse().unwrap())); // author itself
         assert!(filter.is_meaningful(&"0.1.2".parse().unwrap())); // hobby below author
         assert!(!filter.is_meaningful(&"0".parse().unwrap())); // root above author

@@ -11,56 +11,62 @@
 //! final pass applies the full ranking model (Formula 10) to pick the
 //! Top-K.
 //!
-//! **Admit once, materialise once.** Every distinct candidate the DP
-//! proposes is interned once per session ([`DpMemo`]); the list, the
-//! admission records and the results are keyed by that id. From the
+//! **Admit once, rank, materialise what is returned.** Every distinct
+//! candidate the DP proposes is interned once per session ([`DpMemo`]);
+//! the list and the admission records are keyed by that id. From the
 //! moment a candidate is admitted it costs one membership test per
 //! partition: its per-keyword list offsets at admission are recorded,
-//! and after the scan each candidate still in the list gets **one**
-//! SLCA call over `[offset, end)` of its lists. Any non-root node that
-//! contains all of a candidate's keywords lies in exactly one
-//! partition, and SLCA minimality is decided inside that node's
-//! subtree, so the one call returns exactly the union of the
-//! per-partition results from the admission partition on (DESIGN.md §4,
-//! "Deferred result materialisation"). No results are ever computed for
-//! a candidate that is evicted and stays out. One that is evicted and
-//! later admitted again — the threshold never rises, but the DP's beam
-//! can price one keyword set lower under another mask — keeps the
-//! offsets of its *first* admission, so its one call covers both
-//! membership windows.
+//! and after the scan `finalize` ranks the list's members — the ranking
+//! model reads keywords and dissimilarities, never results — and only
+//! the K it returns get **one** SLCA call each over `[offset, end)` of
+//! their lists. Any non-root node that contains all of a candidate's
+//! keywords lies in exactly one partition, and SLCA minimality is
+//! decided inside that node's subtree, so the one call returns exactly
+//! the union of the per-partition results from the admission partition
+//! on (DESIGN.md §4, "Deferred result materialisation"); it is never
+//! empty, because the meaningful SLCA the candidate was admitted on lies
+//! at or after its offsets. No results are ever computed for a list
+//! member that is not returned, nor for a candidate that is evicted and
+//! stays out. One that is evicted and later admitted again — the
+//! threshold never rises, but the DP's beam can price one keyword set
+//! lower under another mask — keeps the offsets of its *first*
+//! admission, so its one call covers both membership windows.
 //!
-//! The scan allocates per admission trial, not per partition: the
-//! availability mask, the per-list partition ranges and the SLCA
-//! argument vector are buffers reused across partitions, and the
-//! smallest head is borrowed, its partition compared as components.
+//! **The walk touches only the lists in the partition**
+//! (`PartitionWalk`). Each cursor's head partition is kept as an integer
+//! beside it; the next partition is the minimum of those integers, and
+//! only the cursors standing in it are asked to skip it and have their
+//! integer refreshed. A partition holds a handful of postings and most
+//! `KS` lists have none in it: those contribute a clear mask bit and
+//! nothing else. The scan allocates per admission trial, not per
+//! partition: the mask, the per-list ranges and the SLCA argument vector
+//! are buffers reused across partitions.
 //!
 //! Root-level matches (postings on the document root itself) belong to no
 //! partition and are skipped — the root is never a meaningful result.
 
-use crate::dp::get_top_optimal_rqs;
+use crate::dp::DpScratch;
 use crate::query::RqCandidate;
 use crate::ranking::{Ranker, RankingConfig};
 use crate::results::{RefineOutcome, Refinement};
 use crate::rqlist::{RqId, RqSortedList};
 use crate::session::RefineSession;
 use crate::util::KeyMask;
-use invindex::{ListCursor, ListHandle};
+use invindex::{ListCursor, ListHandle, ScanStats, HEAD_AT_END, HEAD_AT_ROOT};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::rc::Rc;
+use std::sync::Arc;
 use xmldom::Dewey;
 
 /// One distinct refined-query candidate of a session.
 struct Interned {
-    /// Canonical (sorted, deduplicated) keyword set.
-    keywords: Vec<String>,
-    /// `KS` index of each keyword, in `keywords` order.
+    /// `KS` index of each keyword, in keyword (string) order: `KS` holds
+    /// each keyword once, so the index vector names the set.
     ks: Vec<usize>,
     /// Where each keyword's list stood when Algorithm 2 first admitted
     /// the candidate (in `ks` order). Kept across an eviction.
     admitted_at: Option<Vec<usize>>,
-    /// Meaningful SLCA results, once materialised.
-    slcas: Vec<Dewey>,
 }
 
 /// Per-session state of the dynamic program, shared by Algorithms 2
@@ -75,14 +81,19 @@ struct Interned {
 /// in the DP's order.
 ///
 /// *Interned per session*: each distinct keyword set the DP ever
-/// proposes gets one [`RqId`] and one arena entry holding everything
-/// about the candidate — its keywords, their `KS` indices, where
-/// Algorithm 2 admitted it and (later) its results — so nothing
-/// downstream compares, hashes or clones keyword strings.
+/// proposes gets one [`RqId`] and one arena entry holding its `KS`
+/// indices and where Algorithm 2 admitted it, so nothing downstream
+/// compares, hashes or clones keyword strings. A miss runs the session's
+/// [`DpPlan`](crate::dp::DpPlan) on the mask itself, in working memory
+/// kept here for the session; the strings of a candidate are first
+/// written when `finalize` ranks it.
 pub(crate) struct DpMemo {
     memo: HashMap<KeyMask, Rc<[(RqId, f64)]>>,
     ids: HashMap<Vec<usize>, RqId>,
     arena: Vec<Interned>,
+    scratch: DpScratch,
+    /// Reused lookup key for `ids`.
+    key: Vec<usize>,
 }
 
 impl DpMemo {
@@ -91,6 +102,8 @@ impl DpMemo {
             memo: HashMap::new(),
             ids: HashMap::new(),
             arena: Vec::new(),
+            scratch: DpScratch::default(),
+            key: Vec::new(),
         }
     }
 
@@ -105,48 +118,57 @@ impl DpMemo {
             obs::counter!("xrefine_dp_memo_hits_total").inc();
             return Rc::clone(c);
         }
-        let availability = |w: &str| session.pos(w).map(|i| mask.get(i)).unwrap_or(false);
-        let dp = get_top_optimal_rqs(&session.query, &availability, &session.rules, m);
-        let rc: Rc<[(RqId, f64)]> = dp
-            .candidates
-            .into_iter()
-            .map(|cand| (self.intern(session, cand.keywords), cand.dissimilarity))
+        let DpMemo {
+            ids,
+            arena,
+            scratch,
+            key,
+            ..
+        } = self;
+        let rc: Rc<[(RqId, f64)]> = session
+            .plan
+            .run(mask, m, scratch)
+            .candidates()
+            .take(m)
+            .map(|(dissimilarity, ks)| {
+                key.clear();
+                key.extend(ks);
+                let id = match ids.get(key.as_slice()) {
+                    Some(&id) => id,
+                    None => {
+                        let id = arena.len();
+                        ids.insert(key.clone(), id);
+                        arena.push(Interned {
+                            ks: key.clone(),
+                            admitted_at: None,
+                        });
+                        id
+                    }
+                };
+                (id, dissimilarity)
+            })
             .collect();
         self.memo.insert(mask.clone(), Rc::clone(&rc));
         rc
     }
 
-    fn intern(&mut self, session: &RefineSession<'_>, keywords: Vec<String>) -> RqId {
-        // `KS` holds each keyword once, so the index vector names the set.
-        let ks: Vec<usize> = keywords
-            .iter()
-            .map(|w| session.pos(w).expect("the DP draws keywords from KS"))
-            .collect();
-        if let Some(&id) = self.ids.get(&ks) {
-            return id;
-        }
-        let id = self.arena.len();
-        self.ids.insert(ks.clone(), id);
-        self.arena.push(Interned {
-            keywords,
-            ks,
-            admitted_at: None,
-            slcas: Vec::new(),
-        });
-        id
-    }
-
-    /// `KS` indices of a candidate's keywords.
+    /// `KS` indices of a candidate's keywords, in keyword order.
     pub(crate) fn ks(&self, id: RqId) -> &[usize] {
         &self.arena[id].ks
     }
 
-    /// Inserts into the Top-2K list, ties broken by keyword set; `false`
-    /// when the list does not take the candidate.
-    pub(crate) fn admit(&self, list: &mut RqSortedList, id: RqId, dissimilarity: f64) -> bool {
-        list.insert(id, dissimilarity, |a, b| {
-            self.arena[a].keywords.cmp(&self.arena[b].keywords)
-        })
+    /// Inserts into the Top-2K list, ties broken by keyword set (compared
+    /// through the session's string ranks of `KS`); `false` when the list
+    /// does not take the candidate.
+    pub(crate) fn admit(
+        &self,
+        session: &RefineSession<'_>,
+        list: &mut RqSortedList,
+        id: RqId,
+        dissimilarity: f64,
+    ) -> bool {
+        let ranks = |id: RqId| self.arena[id].ks.iter().map(|&i| session.plan.rank(i));
+        list.insert(id, dissimilarity, |a, b| ranks(a).cmp(ranks(b)))
     }
 
     /// Records where a candidate's lists stood (`ranges`, one per `KS`
@@ -160,26 +182,26 @@ impl DpMemo {
         }
     }
 
-    /// Materialises a candidate's results: one `slca` call over its
-    /// keywords' lists — each from where it stood at the candidate's
-    /// first admission, or whole when none was recorded (Algorithm 3) —
-    /// reduced to the meaningful, non-root results. `slices` is the
-    /// caller's reusable argument buffer.
+    /// A candidate's results: one `slca` call over its keywords' lists —
+    /// each from where it stood at the candidate's first admission, or
+    /// whole when none was recorded (Algorithm 3) — reduced to the
+    /// meaningful, non-root results. `slices` is the caller's reusable
+    /// argument buffer.
     pub(crate) fn materialise(
-        &mut self,
+        &self,
         session: &RefineSession<'_>,
         id: RqId,
         slca: SlcaMethod,
         slices: &mut Vec<ListHandle>,
-    ) {
-        let c = &mut self.arena[id];
+    ) -> Vec<Dewey> {
+        let c = &self.arena[id];
         slices.clear();
         slices.extend(c.ks.iter().enumerate().map(|(n, &i)| {
             let list = &session.lists[i];
             let from = c.admitted_at.as_ref().map_or(0, |at| at[n]);
             list.slice(from..list.len())
         }));
-        c.slcas = meaningful_slcas(session, slca, slices);
+        meaningful_slcas(session, slca, slices)
     }
 }
 
@@ -223,21 +245,92 @@ impl Default for PartitionOptions {
     }
 }
 
+/// The partition walk of Algorithm 2 (lines 5-9): one cursor per `KS`
+/// list, consumed partition by partition in document order.
+///
+/// Each cursor's [`ListCursor::head_partition`] is kept beside it, so
+/// finding the next partition is a minimum over integers, and only the
+/// cursors standing in that partition are moved — the others are not
+/// looked at, let alone asked to skip.
+struct PartitionWalk<'a> {
+    cursors: Vec<ListCursor<'a>>,
+    /// `head_partition()` of each cursor, refreshed whenever it moves.
+    heads: Vec<u64>,
+    /// `T` of the current partition: the lists with a posting inside it.
+    mask: KeyMask,
+    /// Each list's range inside the current partition. Written for the
+    /// lists in `mask` only: the entry of an absent list is left over
+    /// from an earlier partition and must not be read. Nothing does —
+    /// the DP proposes only available keywords, so the admission trial
+    /// and `record_admission` index the lists of `mask`.
+    ranges: Vec<Range<usize>>,
+}
+
+impl<'a> PartitionWalk<'a> {
+    fn new(lists: &'a [ListHandle], stats: &Arc<ScanStats>) -> Self {
+        let cursors: Vec<ListCursor<'a>> = lists
+            .iter()
+            .map(|l| ListCursor::new(l, Arc::clone(stats)))
+            .collect();
+        PartitionWalk {
+            heads: cursors.iter().map(|c| c.head_partition()).collect(),
+            mask: KeyMask::empty(lists.len()),
+            ranges: vec![0..0; lists.len()],
+            cursors,
+        }
+    }
+
+    /// Moves past the next partition holding a posting and returns its
+    /// id (`0.i`), with `mask` and `ranges` describing it; `None` when
+    /// every list is exhausted.
+    fn next_partition(&mut self) -> Option<&'a [u32]> {
+        loop {
+            // v_s: the smallest head across all cursors (line 5).
+            let (first, head) = (self.heads.iter().copied().enumerate())
+                .min_by_key(|&(_, head)| head)
+                .filter(|&(_, head)| head != HEAD_AT_END)?;
+            if head == HEAD_AT_ROOT {
+                // A match on the document root itself belongs to no
+                // partition: step over it.
+                for (cursor, h) in self.cursors.iter_mut().zip(&mut self.heads).skip(first) {
+                    if *h == head {
+                        cursor.next();
+                        *h = cursor.head_partition();
+                    }
+                }
+                continue;
+            }
+            // One document, one root: the first two components of any
+            // head standing in the partition are its id.
+            let pid = self.cursors[first]
+                .peek()
+                .and_then(|p| p.dewey.components().get(..2))
+                .expect("a head inside a partition has two components");
+            // The ranges of the lists standing in the partition, their
+            // cursors advanced past it (lines 6-8), and T (line 9).
+            self.mask.clear();
+            for (i, (cursor, h)) in (self.cursors.iter_mut().zip(&mut self.heads))
+                .enumerate()
+                .skip(first)
+            {
+                if *h == head {
+                    self.ranges[i] = cursor.skip_partition(pid);
+                    *h = cursor.head_partition();
+                    self.mask.set(i);
+                }
+            }
+            return Some(pid);
+        }
+    }
+}
+
 /// Runs Algorithm 2.
 pub fn partition_refine(session: &RefineSession<'_>, options: &PartitionOptions) -> RefineOutcome {
     let k = options.k.max(1);
     let mut rq_list = RqSortedList::new(2 * k);
     let mut dp_memo = DpMemo::new();
-
-    let mut cursors: Vec<ListCursor<'_>> = session
-        .lists
-        .iter()
-        .map(|l| ListCursor::new(l, session.scan_stats.clone()))
-        .collect();
-
-    // Reused across partitions.
-    let mut mask = KeyMask::empty(session.width());
-    let mut ranges: Vec<Range<usize>> = vec![0..0; cursors.len()];
+    let mut walk = PartitionWalk::new(&session.lists, &session.scan_stats);
+    // Reused across admission trials.
     let mut slices: Vec<ListHandle> = Vec::new();
 
     // Hot-loop counters are accumulated locally and flushed with one
@@ -245,45 +338,18 @@ pub fn partition_refine(session: &RefineSession<'_>, options: &PartitionOptions)
     let mut partitions_scanned = 0u64;
     let mut rqs_pruned = 0u64;
 
-    // v_s: the smallest head across all cursors (line 5).
-    while let Some(v) = cursors
-        .iter()
-        .filter_map(|c| c.peek())
-        .map(|p| &p.dewey)
-        .min()
-    {
-        let Some(pid) = v.components().get(..2) else {
-            // A match on the document root itself: advance past it.
-            for c in cursors.iter_mut() {
-                if c.peek().is_some_and(|p| p.dewey == *v) {
-                    c.next();
-                }
-            }
-            continue;
-        };
-
-        // Each list's range inside the partition, the cursors advanced
-        // past it (lines 6-8), and T: the keywords with a non-empty
-        // range (line 9).
-        mask.clear();
-        for (i, c) in cursors.iter_mut().enumerate() {
-            let range = c.skip_partition(pid);
-            if !range.is_empty() {
-                mask.set(i);
-            }
-            ranges[i] = range;
-        }
+    while walk.next_partition().is_some() {
         partitions_scanned += 1;
 
         // Candidates within this partition (line 10), memoized on T. We
         // request more than 2K because candidates can fail the
         // meaningful-SLCA check below; the surviving ones fill the Top-2K
         // list (the paper's list is "approximate" for the same reason).
-        let candidates = dp_memo.candidates(session, &mask, 2 * k + 8);
+        let candidates = dp_memo.candidates(session, &walk.mask, 2 * k + 8);
         for &(id, dissimilarity) in candidates.iter() {
             if rq_list.contains(id) {
-                // Admitted earlier: its results come from the one call
-                // after the scan.
+                // Admitted earlier: its results, if it is returned, come
+                // from one call after the scan.
                 continue;
             }
             if dissimilarity >= rq_list.admission_threshold() {
@@ -298,13 +364,13 @@ pub fn partition_refine(session: &RefineSession<'_>, options: &PartitionOptions)
                 dp_memo
                     .ks(id)
                     .iter()
-                    .map(|&i| session.lists[i].slice(ranges[i].clone())),
+                    .map(|&i| session.lists[i].slice(walk.ranges[i].clone())),
             );
             if meaningful_slcas(session, options.slca, &slices).is_empty() {
                 continue;
             }
-            if dp_memo.admit(&mut rq_list, id, dissimilarity) {
-                dp_memo.record_admission(id, &ranges);
+            if dp_memo.admit(session, &mut rq_list, id, dissimilarity) {
+                dp_memo.record_admission(id, &walk.ranges);
             }
         }
     }
@@ -314,73 +380,75 @@ pub fn partition_refine(session: &RefineSession<'_>, options: &PartitionOptions)
     obs::trace::count("partitions.scanned", partitions_scanned);
     obs::trace::count("rqs.pruned", rqs_pruned);
 
-    // One SLCA call per candidate still in the list, over its lists from
-    // where they stood at its first admission.
-    for (_, id) in rq_list.iter() {
-        dp_memo.materialise(session, id, options.slca, &mut slices);
-    }
-
-    finalize(session, rq_list, dp_memo, k, &options.ranking)
+    // One SLCA call per candidate returned, over its lists from where
+    // they stood at its first admission.
+    finalize(session, rq_list, &dp_memo, k, &options.ranking, |id| {
+        let slcas = dp_memo.materialise(session, id, options.slca, &mut slices);
+        debug_assert!(
+            !slcas.is_empty(),
+            "a member was admitted on a meaningful SLCA at or after its offsets"
+        );
+        slcas
+    })
 }
 
-/// Shared final ranking pass (also used by short-list eager): ranks the
-/// list's candidates that have results and keeps the Top-K.
+/// The final ranking pass Algorithms 2 and 3 share (Algorithm 2 line
+/// 19): ranks every member of the list — the ranking model reads
+/// keywords and dissimilarities, never results — then walks the members
+/// in rank order, has the caller `materialise` each one's results and
+/// keeps the first K whose result set is not empty. So results exist
+/// only for what is returned.
 pub(crate) fn finalize(
     session: &RefineSession<'_>,
     rq_list: RqSortedList,
-    dp_memo: DpMemo,
+    dp_memo: &DpMemo,
     k: usize,
     ranking: &RankingConfig,
+    mut materialise: impl FnMut(RqId) -> Vec<Dewey>,
 ) -> RefineOutcome {
-    let mut arena = dp_memo.arena;
-    let members: Vec<(f64, RqId)> = rq_list
-        .iter()
-        .filter(|&(_, id)| !arena[id].slcas.is_empty())
-        .collect();
+    let members: Vec<(f64, RqId)> = rq_list.iter().collect();
     let candidates: Vec<RqCandidate> = members
         .iter()
         .map(|&(dissimilarity, id)| RqCandidate {
-            keywords: arena[id].keywords.clone(),
+            keywords: (dp_memo.ks(id).iter())
+                .map(|&i| session.ks[i].clone())
+                .collect(),
             dissimilarity,
         })
         .collect();
-    // The "elaborate ranking" of Algorithm 2 line 19.
     let ranker = Ranker::new(session.index, &session.query, ranking.clone());
-    let mut refinements: Vec<Refinement> = ranker
-        .rank_all(candidates)
-        .into_iter()
-        .map(|(candidate, rank_score)| {
-            // One id per keyword set, so the keywords name the member.
-            let id = members
-                .iter()
-                .map(|&(_, id)| id)
-                .find(|&id| arena[id].keywords == candidate.keywords)
-                .expect("ranked candidates are list members");
-            let mut slcas = std::mem::take(&mut arena[id].slcas);
-            slcas.sort();
-            slcas.dedup();
-            Refinement {
-                candidate,
-                rank_score,
-                slcas,
-            }
-        })
-        .collect();
+    let mut ranked = ranker.rank_all(candidates);
+    // The zero-dissimilarity candidate is the original query: when it has
+    // results it wins outright (no refinement was needed), regardless of
+    // rank. So it is asked first (the sort is stable).
+    ranked.sort_by_key(|(candidate, _)| candidate.dissimilarity != 0.0);
 
-    // The zero-dissimilarity candidate is the original query: when present
-    // it wins outright (no refinement was needed), regardless of rank.
-    let original = refinements
-        .iter()
-        .position(|r| r.candidate.dissimilarity == 0.0);
-    match original {
-        Some(ipos) => {
-            refinements.swap(0, ipos);
-            refinements.truncate(1);
+    let mut refinements: Vec<Refinement> = Vec::with_capacity(k);
+    let mut original_ok = false;
+    for (candidate, rank_score) in ranked {
+        // One id per keyword set, so the keywords name the member.
+        let id = (members.iter())
+            .map(|&(_, id)| id)
+            .find(|&id| (dp_memo.ks(id).iter().map(|&i| &session.ks[i])).eq(&candidate.keywords))
+            .expect("ranked candidates are list members");
+        let mut slcas = materialise(id);
+        if slcas.is_empty() {
+            continue;
         }
-        None => refinements.truncate(k),
+        slcas.sort();
+        slcas.dedup();
+        original_ok = candidate.dissimilarity == 0.0;
+        refinements.push(Refinement {
+            candidate,
+            rank_score,
+            slcas,
+        });
+        if original_ok || refinements.len() == k {
+            break;
+        }
     }
     RefineOutcome {
-        original_ok: original.is_some(),
+        original_ok,
         refinements,
         advances: session.scan_stats.advances(),
         random_accesses: session.scan_stats.random_accesses(),
@@ -495,19 +563,19 @@ mod tests {
         let starts: Vec<Range<usize>> = vec![0..0; session.width()];
         let ends: Vec<Range<usize>> = session.lists.iter().map(|l| l.len()..l.len()).collect();
         let mut list = RqSortedList::new(2);
-        assert!(memo.admit(&mut list, 0, 5.0));
+        assert!(memo.admit(&session, &mut list, 0, 5.0));
         memo.record_admission(0, &starts);
-        assert!(memo.admit(&mut list, 1, 4.0));
-        assert!(memo.admit(&mut list, 2, 3.0));
+        assert!(memo.admit(&session, &mut list, 1, 4.0));
+        assert!(memo.admit(&session, &mut list, 2, 3.0));
         assert!(!list.contains(0), "evicted");
         // offered again, cheaper than everything in the list
-        assert!(memo.admit(&mut list, 0, 1.0));
+        assert!(memo.admit(&session, &mut list, 0, 1.0));
         memo.record_admission(0, &ends);
         assert_eq!(memo.arena[0].admitted_at, Some(vec![0; memo.ks(0).len()]));
 
         // so its one call still covers the first membership window
         let mut slices = Vec::new();
-        memo.materialise(&session, 0, slca::slca_scan_eager, &mut slices);
+        let found = memo.materialise(&session, 0, slca::slca_scan_eager, &mut slices);
         let whole: Vec<ListHandle> = memo
             .ks(0)
             .iter()
@@ -515,7 +583,104 @@ mod tests {
             .collect();
         let expected = meaningful_slcas(&session, slca::slca_scan_eager, &whole);
         assert!(!expected.is_empty());
-        assert_eq!(memo.arena[0].slcas, expected);
+        assert_eq!(found, expected);
+    }
+
+    /// What Algorithm 2's walk is defined as: the smallest head label
+    /// names the partition, and *every* cursor is asked to skip it.
+    fn walk_by_definition(
+        lists: &[ListHandle],
+        stats: &Arc<ScanStats>,
+    ) -> Vec<(Vec<u32>, KeyMask, Vec<Range<usize>>)> {
+        let mut cursors: Vec<ListCursor<'_>> = lists
+            .iter()
+            .map(|l| ListCursor::new(l, Arc::clone(stats)))
+            .collect();
+        let mut partitions = Vec::new();
+        while let Some(v) = cursors
+            .iter()
+            .filter_map(|c| c.peek())
+            .map(|p| &p.dewey)
+            .min()
+        {
+            let Some(pid) = v.components().get(..2) else {
+                for c in cursors.iter_mut() {
+                    if c.peek().is_some_and(|p| p.dewey == *v) {
+                        c.next();
+                    }
+                }
+                continue;
+            };
+            let mut mask = KeyMask::empty(lists.len());
+            let mut ranges = Vec::new();
+            for (i, c) in cursors.iter_mut().enumerate() {
+                let range = c.skip_partition(pid);
+                if !range.is_empty() {
+                    mask.set(i);
+                }
+                ranges.push(range);
+            }
+            partitions.push((pid.to_vec(), mask, ranges));
+        }
+        partitions
+    }
+
+    #[test]
+    fn the_walk_moves_only_the_lists_in_the_partition_and_sees_what_skipping_all_sees() {
+        use invindex::Posting;
+        use xcheck::prop::check;
+        use xmldom::NodeTypeId;
+
+        check(400, |g| {
+            // 1-6 lists over at most 12 partitions: empty lists, lists
+            // with a posting on the root itself, lists ending early and
+            // partitions only some (or one) of the lists reach.
+            let lists: Vec<ListHandle> = g
+                .vec(1..=6, |g| {
+                    let mut labels: Vec<Vec<u32>> = g.vec(0..=10, |g| {
+                        let mut label = vec![0, g.range(0u32..12)];
+                        label.extend(g.vec(0..=2, |g| g.range(0u32..3)));
+                        label
+                    });
+                    if g.weighted(&[3, 1]) == 1 {
+                        labels.push(vec![0]);
+                    }
+                    labels.sort();
+                    labels.dedup();
+                    let postings = labels
+                        .into_iter()
+                        .map(|l| Posting::new(Dewey::new(l).unwrap(), NodeTypeId(0)))
+                        .collect();
+                    ListHandle::from_postings(postings)
+                })
+                .into_iter()
+                .collect();
+
+            let expected_stats = ScanStats::new();
+            let expected = walk_by_definition(&lists, &expected_stats);
+
+            let stats = ScanStats::new();
+            let mut walk = PartitionWalk::new(&lists, &stats);
+            let mut seen = 0;
+            while let Some(pid) = walk.next_partition() {
+                let (want_pid, want_mask, want_ranges) = expected
+                    .get(seen)
+                    .unwrap_or_else(|| panic!("partition {pid:?} the definition does not have"));
+                assert_eq!(pid, &want_pid[..]);
+                assert_eq!(&walk.mask, want_mask, "T of {pid:?}");
+                for i in (0..lists.len()).filter(|&i| want_mask.get(i)) {
+                    assert_eq!(walk.ranges[i], want_ranges[i], "list {i} in {pid:?}");
+                }
+                seen += 1;
+            }
+            assert_eq!(seen, expected.len(), "partitions walked");
+            assert_eq!(stats.advances(), expected_stats.advances());
+            assert_eq!(
+                stats.advances(),
+                lists.iter().map(|l| l.len() as u64).sum::<u64>()
+            );
+            assert_eq!(stats.random_accesses(), 0);
+        });
     }
 
     #[test]

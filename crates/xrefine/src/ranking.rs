@@ -81,7 +81,8 @@ impl RankingConfig {
 pub struct Ranker<'a> {
     index: &'a dyn IndexReader,
     config: RankingConfig,
-    query_set: BTreeSet<String>,
+    /// The query's keywords, sorted and deduplicated.
+    query_set: Vec<String>,
     /// Search-for candidates with their `C_for` confidence (Formula 1).
     search_for: Vec<(NodeTypeId, f64)>,
 }
@@ -101,10 +102,13 @@ impl<'a> Ranker<'a> {
                 first.1 = 1.0;
             }
         }
+        let mut query_set = query.keywords().to_vec();
+        query_set.sort();
+        query_set.dedup();
         Ranker {
             index,
             config,
-            query_set: query.keywords().iter().cloned().collect(),
+            query_set,
             search_for,
         }
     }
@@ -161,7 +165,11 @@ impl<'a> Ranker<'a> {
             }
         }
         for k in &rq_set {
-            if !self.query_set.contains(*k) {
+            if self
+                .query_set
+                .binary_search_by(|q| q.as_str().cmp(k))
+                .is_err()
+            {
                 out.push(k);
             }
         }

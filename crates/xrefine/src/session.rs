@@ -1,8 +1,11 @@
 //! Per-query session state shared by the three refinement algorithms:
 //! the key set `KS` (original keywords plus every rule-generated one), the
-//! corresponding inverted lists, the meaningful-SLCA filter and the scan
-//! instrumentation.
+//! corresponding inverted lists, the meaningful-SLCA filter, the scan
+//! instrumentation, and the query and its rules resolved against `KS`
+//! for the dynamic program (`DpPlan`) — so that what is derived from
+//! strings is derived once per query, not once per `getOptimalRQ` call.
 
+use crate::dp::DpPlan;
 use crate::query::Query;
 use crate::results::{DegradedKeyword, QueryFailure};
 use invindex::{IndexReader, ListHandle, ScanStats};
@@ -29,6 +32,9 @@ pub struct RefineSession<'a> {
     /// does not occur in the document).
     pub lists: Vec<ListHandle>,
     pub filter: MeaningfulFilter<'a>,
+    /// The query and its rules resolved against `KS` for the dynamic
+    /// program: what every `getOptimalRQ` call of the session shares.
+    pub(crate) plan: DpPlan,
     pub scan_stats: Arc<ScanStats>,
     /// Keywords this session dropped or de-weighted because their
     /// on-disk state is damaged. The degradation policy at acquisition
@@ -55,21 +61,15 @@ impl<'a> RefineSession<'a> {
         rules: RuleSet,
         search_for: &SearchForConfig,
     ) -> Result<Self, QueryFailure> {
-        let mut ks: Vec<String> = Vec::new();
-        let mut ks_pos: HashMap<String, usize> = HashMap::new();
-        let push = |w: &str, ks: &mut Vec<String>, pos: &mut HashMap<String, usize>| {
-            if !pos.contains_key(w) {
-                pos.insert(w.to_string(), ks.len());
-                ks.push(w.to_string());
-            }
-        };
-        for k in query.keywords() {
-            push(k, &mut ks, &mut ks_pos);
-        }
-        let original = ks.len();
-        for k in rules.rhs_keywords() {
-            push(&k, &mut ks, &mut ks_pos);
-        }
+        // `KS`: the query's keywords in query order, then the
+        // rule-generated ones in string order.
+        let (ks, ks_pos) = key_set(query.keywords().iter().chain(&rules.rhs_keywords()));
+        let original = query
+            .keywords()
+            .iter()
+            .map(|k| ks_pos[k] + 1)
+            .max()
+            .unwrap_or(0);
 
         let mut degraded: Vec<DegradedKeyword> = Vec::new();
         let mut lists: Vec<ListHandle> = Vec::with_capacity(ks.len());
@@ -119,6 +119,7 @@ impl<'a> RefineSession<'a> {
                 .collect();
         }
         let filter = MeaningfulFilter::infer(index, &query_ids, search_for);
+        let plan = DpPlan::new(&query, &rules, &ks, &ks_pos);
         obs::trace::attr("ks_width", ks.len());
 
         Ok(RefineSession {
@@ -129,6 +130,7 @@ impl<'a> RefineSession<'a> {
             ks_pos,
             lists,
             filter,
+            plan,
             scan_stats: ScanStats::new(),
             degraded,
         })
@@ -149,6 +151,21 @@ impl<'a> RefineSession<'a> {
     pub fn total_list_len(&self) -> usize {
         self.lists.iter().map(|l| l.len()).sum()
     }
+}
+
+/// A key set and its keyword -> index map: `words` in order, each once.
+pub(crate) fn key_set<'a>(
+    words: impl Iterator<Item = &'a String>,
+) -> (Vec<String>, HashMap<String, usize>) {
+    let mut ks: Vec<String> = Vec::new();
+    let mut pos: HashMap<String, usize> = HashMap::new();
+    for w in words {
+        if !pos.contains_key(w) {
+            pos.insert(w.clone(), ks.len());
+            ks.push(w.clone());
+        }
+    }
+    (ks, pos)
 }
 
 #[cfg(test)]

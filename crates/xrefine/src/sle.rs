@@ -7,20 +7,27 @@
 //! proposes candidates. After a keyword's iteration, every refined query
 //! containing it is known, so its list is removed; the loop stops early
 //! once even the optimistic dissimilarity of the remaining keyword set
-//! (`C_potential`) cannot beat the current list. Step 2 computes the
-//! SLCAs of the surviving candidates with an existing SLCA method over
-//! the full lists.
+//! (`C_potential`, the session's DP plan run on the mask of the
+//! remaining keywords) cannot beat the current list. Step 2 computes the
+//! SLCAs of the candidates that are returned with an existing SLCA
+//! method over the full lists.
 //!
 //! Candidates, the Top-2K list and the results use the scheme of
 //! Algorithm 2 (`partition.rs`): the session's `DpMemo` interns each
-//! distinct candidate once, and everything is keyed by that id.
+//! distinct candidate once, everything is keyed by that id, and the
+//! shared `finalize` ranks the list's members before any has results.
+//! Step 2 is its materialise step: a member is rescanned when the walk
+//! in rank order reaches it, and — unlike in Algorithm 2, where
+//! admission already proved a meaningful result — one whose lists share
+//! none is skipped and the next one asked, until K are found. The
+//! `advances` of an outcome count the rescans made.
 //!
 //! The "smart choice" of §VI-C is implemented: among remaining keywords,
 //! prefer those that appear on the RHS of the pertinent rules or in the
 //! original query (keywords needing no refinement), breaking ties by list
 //! length.
 
-use crate::dp::get_optimal_rq;
+use crate::dp::DpScratch;
 use crate::partition::{finalize, DpMemo, SlcaMethod};
 use crate::ranking::RankingConfig;
 use crate::results::RefineOutcome;
@@ -88,6 +95,7 @@ pub fn sle_refine(session: &RefineSession<'_>, options: &SleOptions) -> RefineOu
     };
 
     let mut processed_partitions: HashSet<Dewey> = HashSet::new();
+    let mut potential_scratch = DpScratch::default();
     // Flushed as one atomic add per query (hot-loop discipline).
     let mut partitions_probed = 0u64;
     let mut early_stops = 0u64;
@@ -96,12 +104,10 @@ pub fn sle_refine(session: &RefineSession<'_>, options: &SleOptions) -> RefineOu
         // Stop condition (line 4): even the best refined query over the
         // remaining keywords cannot enter the list.
         if rq_list.is_full() {
-            let remaining_set: HashSet<&str> =
-                remaining.iter().map(|&i| session.ks[i].as_str()).collect();
-            let availability = |w: &str| remaining_set.contains(w);
-            let c_potential = get_optimal_rq(&session.query, &availability, &session.rules)
-                .map(|c| c.dissimilarity)
-                .unwrap_or(f64::INFINITY);
+            let mut mask = KeyMask::empty(session.width());
+            remaining.iter().for_each(|&i| mask.set(i));
+            let c_potential = (session.plan.optimum(&mask, &mut potential_scratch))
+                .map_or(f64::INFINITY, |(dissimilarity, _)| dissimilarity);
             if c_potential > rq_list.admission_threshold() {
                 early_stops += 1;
                 break;
@@ -146,7 +152,7 @@ pub fn sle_refine(session: &RefineSession<'_>, options: &SleOptions) -> RefineOu
             }
             let candidates = dp_memo.candidates(session, &mask, 2 * k + 8);
             for &(id, dissimilarity) in candidates.iter() {
-                dp_memo.admit(&mut rq_list, id, dissimilarity);
+                dp_memo.admit(session, &mut rq_list, id, dissimilarity);
             }
         }
     }
@@ -155,19 +161,35 @@ pub fn sle_refine(session: &RefineSession<'_>, options: &SleOptions) -> RefineOu
     obs::counter!("xrefine_sle_early_stops_total").add(early_stops);
     obs::trace::count("partitions.scanned", partitions_probed);
 
-    // Step 2: SLCAs for the surviving candidates over the full lists.
-    let mut lists: Vec<ListHandle> = Vec::new();
-    for (_, id) in rq_list.iter() {
-        // step-2 rescan accounting
-        for &i in dp_memo.ks(id) {
-            session
-                .scan_stats
-                .record_advances(session.lists[i].len() as u64);
-        }
-        dp_memo.materialise(session, id, options.slca, &mut lists);
-    }
+    step_two(session, rq_list, &dp_memo, options)
+}
 
-    finalize(session, rq_list, dp_memo, k, &options.ranking)
+/// Step 2: SLCAs over the full lists, for the candidates returned. A
+/// candidate of Algorithm 3 was never tried against the document, so one
+/// whose lists turn out to share no meaningful result is skipped and the
+/// next in rank order asked; only the rescans made are counted.
+fn step_two(
+    session: &RefineSession<'_>,
+    rq_list: RqSortedList,
+    dp_memo: &DpMemo,
+    options: &SleOptions,
+) -> RefineOutcome {
+    let mut lists: Vec<ListHandle> = Vec::new();
+    finalize(
+        session,
+        rq_list,
+        dp_memo,
+        options.k.max(1),
+        &options.ranking,
+        |id| {
+            for &i in dp_memo.ks(id) {
+                session
+                    .scan_stats
+                    .record_advances(session.lists[i].len() as u64);
+            }
+            dp_memo.materialise(session, id, options.slca, &mut lists)
+        },
+    )
 }
 
 fn session_advance(session: &RefineSession<'_>) {
@@ -182,7 +204,7 @@ fn session_random(session: &RefineSession<'_>) {
 mod tests {
     use super::*;
     use crate::partition::{partition_refine, PartitionOptions};
-    use crate::query::Query;
+    use crate::query::{Query, RqCandidate};
     use invindex::Index;
     use lexicon::RuleSet;
     use std::sync::Arc;
@@ -261,6 +283,83 @@ mod tests {
             assert_eq!(r.candidate.keywords.len(), 2);
             assert!(!r.slcas.is_empty());
         }
+    }
+
+    #[test]
+    fn a_member_without_a_meaningful_result_is_skipped_and_only_the_rescans_made_count() {
+        use crate::ranking::Ranker;
+        use crate::util::KeyMask;
+
+        // {xml, john, 2003}: only the document root covers all three, so
+        // the full set has no meaningful result; its subsets do. The list
+        // is built by hand: the full set cheapest (so it ranks first),
+        // then the three pairs, then a single keyword that K = 2 never
+        // reaches.
+        let idx = Index::build(Arc::new(figure1()));
+        let query = Query::from_keywords(["xml", "john", "2003"]);
+        let session = RefineSession::new(&idx, query.clone(), RuleSet::new()).unwrap();
+        let mut memo = DpMemo::new();
+        let mut mask = KeyMask::empty(session.width());
+        (0..session.width()).for_each(|i| mask.set(i));
+        let all = memo.candidates(&session, &mask, 10);
+        let by_width = |n: usize| -> Vec<usize> {
+            (all.iter().map(|&(id, _)| id))
+                .filter(|&id| memo.ks(id).len() == n)
+                .collect()
+        };
+        let (full, pairs, single) = (by_width(3)[0], by_width(2), by_width(1)[0]);
+        assert_eq!(pairs.len(), 3);
+        let mut list = RqSortedList::new(5);
+        assert!(memo.admit(&session, &mut list, full, 1.0));
+        for &pair in &pairs {
+            assert!(memo.admit(&session, &mut list, pair, 2.0));
+        }
+        assert!(memo.admit(&session, &mut list, single, 4.0));
+
+        // What the ranking model makes of the five, by itself.
+        let keywords = |id: usize| -> Vec<String> {
+            (memo.ks(id).iter().map(|&i| session.ks[i].clone())).collect()
+        };
+        let ranker = Ranker::new(&idx, &query, RankingConfig::default());
+        let ranked = ranker.rank_all(
+            (list.iter())
+                .map(|(dissimilarity, id)| RqCandidate {
+                    keywords: keywords(id),
+                    dissimilarity,
+                })
+                .collect(),
+        );
+        assert_eq!(
+            ranked[0].0.keywords,
+            keywords(full),
+            "the full set ranks first"
+        );
+        assert_eq!(ranked[1].0.keywords.len(), 2);
+        assert_eq!(ranked[2].0.keywords.len(), 2);
+
+        let options = SleOptions {
+            k: 2,
+            ..Default::default()
+        };
+        let out = step_two(&session, list, &memo, &options);
+        // The best-ranked member is skipped, the next two are returned …
+        assert!(!out.original_ok);
+        let returned: Vec<&Vec<String>> = out
+            .refinements
+            .iter()
+            .map(|r| &r.candidate.keywords)
+            .collect();
+        assert_eq!(returned, [&ranked[1].0.keywords, &ranked[2].0.keywords]);
+        assert!(out.refinements.iter().all(|r| !r.slcas.is_empty()));
+        // … and the rescans counted are the three made: the full set's
+        // lists once, the two pairs', and nothing for the two members
+        // never asked.
+        let len = |w: &String| session.lists[session.pos(w).unwrap()].len() as u64;
+        let rescans: u64 = (ranked[..3].iter())
+            .flat_map(|(c, _)| c.keywords.iter().map(len))
+            .sum();
+        assert_eq!(out.advances, rescans);
+        assert_eq!(out.random_accesses, 0);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! `RQ_min`'s keywords (the paper approximates this with selective
 //! witness resets; the mask check implements the same intent exactly).
 
-use crate::dp::get_optimal_rq;
+use crate::dp::DpScratch;
 use crate::query::RqCandidate;
 use crate::results::{RefineOutcome, Refinement};
 use crate::session::RefineSession;
@@ -43,12 +43,13 @@ pub fn stack_refine(session: &RefineSession<'_>) -> RefineOutcome {
     let mut best_mask = KeyMask::empty(width);
     let mut results: Vec<Dewey> = Vec::new();
 
+    let mut dp_scratch = DpScratch::default();
     // Reusable closure state for pops.
-    let process_pop = |stack: &mut Vec<Entry>,
-                       target: usize,
-                       best: &mut Option<RqCandidate>,
-                       best_mask: &mut KeyMask,
-                       results: &mut Vec<Dewey>| {
+    let mut process_pop = |stack: &mut Vec<Entry>,
+                           target: usize,
+                           best: &mut Option<RqCandidate>,
+                           best_mask: &mut KeyMask,
+                           results: &mut Vec<Dewey>| {
         while stack.len() > target {
             let entry = stack.pop().expect("len > target");
             let mut comps: Vec<u32> = stack.iter().map(|e| e.component).collect();
@@ -56,23 +57,29 @@ pub fn stack_refine(session: &RefineSession<'_>) -> RefineOutcome {
             let dewey = Dewey::new(comps).expect("non-empty");
 
             if session.filter.is_meaningful(&dewey) {
-                let availability = |w: &str| {
-                    session
-                        .pos(w)
-                        .map(|i| entry.witness.get(i))
-                        .unwrap_or(false)
-                };
-                if let Some(cand) = get_optimal_rq(&session.query, &availability, &session.rules) {
+                // T = the witness set: the session's plan runs on the
+                // mask itself.
+                if let Some((dissimilarity, ks)) =
+                    session.plan.optimum(&entry.witness, &mut dp_scratch)
+                {
                     let improved = best
                         .as_ref()
-                        .map(|b| cand.dissimilarity < b.dissimilarity)
+                        .map(|b| dissimilarity < b.dissimilarity)
                         .unwrap_or(true);
                     if improved {
                         // Strictly better: no already-popped node contained
                         // a refined query this cheap, so `dewey` is an
-                        // SLCA of `cand` (see module docs).
-                        *best_mask = mask_of(session, &cand, width);
-                        *best = Some(cand);
+                        // SLCA of the candidate (see module docs).
+                        let mut keywords = Vec::new();
+                        *best_mask = KeyMask::empty(width);
+                        for i in ks {
+                            best_mask.set(i);
+                            keywords.push(session.ks[i].clone());
+                        }
+                        *best = Some(RqCandidate {
+                            keywords,
+                            dissimilarity,
+                        });
                         results.clear();
                         results.push(dewey.clone());
                     } else if best.is_some()
@@ -148,17 +155,6 @@ pub fn stack_refine(session: &RefineSession<'_>) -> RefineOutcome {
         random_accesses: session.scan_stats.random_accesses(),
         degraded: session.degraded.clone(),
     }
-}
-
-/// Builds the KS-mask of a candidate's keywords.
-fn mask_of(session: &RefineSession<'_>, cand: &RqCandidate, width: usize) -> KeyMask {
-    let mut m = KeyMask::empty(width);
-    for k in &cand.keywords {
-        if let Some(i) = session.pos(k) {
-            m.set(i);
-        }
-    }
-    m
 }
 
 #[cfg(test)]

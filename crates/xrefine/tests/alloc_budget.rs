@@ -14,11 +14,23 @@
 //! projections the first time the ranker asks for a keyword pair: the
 //! measured run is the second over its index.
 //!
-//! The test owns this binary: the counting allocator is process-wide.
+//! The second gate is on the dynamic program. A `DpMemo` miss runs the
+//! recurrence on interned keys in working memory the session keeps, so
+//! what it allocates is the memo entry and the arena rows of candidates
+//! not seen before — not, as before, a `BTreeSet<String>` and an
+//! operation history per state (hundreds of allocations a call). The
+//! miss path cannot be bracketed from outside the crate, so the gate is
+//! on an over-count: *every* allocation of the run (cursors, trials, the
+//! list, ranking, results) charged to the DP calls it made, on a query
+//! wide enough to make many.
+//!
+//! The tests own this binary: the counting allocator is process-wide,
+//! and they take `SERIAL` because the `obs` counters they difference
+//! are too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use datagen::{generate_dblp, DblpConfig};
 use invindex::Index;
@@ -71,17 +83,26 @@ fn uncounted_slca(lists: &[invindex::ListHandle]) -> Vec<xmldom::Dewey> {
     found
 }
 
-fn partitions_scanned() -> u64 {
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn counter(name: &str) -> u64 {
     obs::global()
         .snapshot()
         .counters
-        .get("xrefine_partitions_scanned_total")
+        .get(name)
         .copied()
         .unwrap_or(0)
 }
 
-/// `(allocations inside partition_refine, partitions scanned, results)`.
-fn measure(authors: usize, keywords: &[&str]) -> (u64, u64, usize) {
+/// What one measured `partition_refine` did.
+struct Measured {
+    allocations: u64,
+    partitions: u64,
+    dp_calls: u64,
+    results: usize,
+}
+
+fn measure(authors: usize, keywords: &[&str]) -> Measured {
     let doc = Arc::new(generate_dblp(&DblpConfig {
         authors,
         ..Default::default()
@@ -99,37 +120,65 @@ fn measure(authors: usize, keywords: &[&str]) -> (u64, u64, usize) {
     };
     partition_refine(&warm_up, &options);
 
-    let partitions_before = partitions_scanned();
+    let partitions_before = counter("xrefine_partitions_scanned_total");
+    let dp_calls_before = counter("xrefine_dp_calls_total");
     ALLOCATIONS.set(0);
     COUNTING.set(true);
     let out = partition_refine(&session, &options);
     COUNTING.set(false);
     let allocations = ALLOCATIONS.get();
-    let partitions = partitions_scanned() - partitions_before;
 
     assert!(!out.original_ok, "{keywords:?} must need refinement");
     assert!(!out.refinements.is_empty());
-    let results = out.refinements.iter().map(|r| r.slcas.len()).sum();
-    (allocations, partitions, results)
+    Measured {
+        allocations,
+        partitions: counter("xrefine_partitions_scanned_total") - partitions_before,
+        dp_calls: counter("xrefine_dp_calls_total") - dp_calls_before,
+        results: out.refinements.iter().map(|r| r.slcas.len()).sum(),
+    }
 }
 
 #[test]
 fn allocations_do_not_grow_with_partitions_scanned() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let keywords = ["databse", "xml", "keyword"];
-    let (allocs_200, partitions_200, results_200) = measure(200, &keywords);
-    let (allocs_800, partitions_800, results_800) = measure(800, &keywords);
-    println!(
-        "200 authors: {allocs_200} allocations, {partitions_200} partitions, {results_200} results\n\
-         800 authors: {allocs_800} allocations, {partitions_800} partitions, {results_800} results"
-    );
+    let small = measure(200, &keywords);
+    let large = measure(800, &keywords);
+    for (authors, m) in [(200, &small), (800, &large)] {
+        println!(
+            "{authors} authors: {} allocations, {} partitions, {} results",
+            m.allocations, m.partitions, m.results
+        );
+    }
     assert!(
-        partitions_800 >= partitions_200 + 200,
+        large.partitions >= small.partitions + 200,
         "the larger corpus must add partitions to scan"
     );
-    let per_partition =
-        (allocs_800 as f64 - allocs_200 as f64) / (partitions_800 - partitions_200) as f64;
+    let per_partition = (large.allocations as f64 - small.allocations as f64)
+        / (large.partitions - small.partitions) as f64;
     assert!(
         per_partition < 1.0,
         "{per_partition:.2} extra allocations per extra partition scanned"
+    );
+}
+
+#[test]
+fn a_dp_call_costs_tens_of_allocations_not_hundreds() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let keywords = ["databse", "xml", "key", "word", "serch", "retrieval"];
+    let m = measure(400, &keywords);
+    let per_call = m.allocations as f64 / m.dp_calls as f64;
+    println!(
+        "{keywords:?}: {} allocations in the whole run, {} DP calls, {per_call:.1} per call",
+        m.allocations, m.dp_calls
+    );
+    assert!(
+        m.dp_calls >= 20,
+        "the query must exercise the DP: {}",
+        m.dp_calls
+    );
+    assert!(
+        per_call <= 40.0,
+        "{per_call:.1} allocations per DP call, everything the run allocates included"
     );
 }

@@ -7,7 +7,10 @@
 //! even while a peer is idle; a request that stays half-received past
 //! its read budget is answered `408` and the connection closed.
 //!
-//! `/query` goes through admission control: the parsed request is
+//! `/query` goes through admission control: a `q` that is missing,
+//! blank, without a single keyword or wider than
+//! [`http::MAX_QUERY_KEYWORDS`] is refused `400` right here, the
+//! engine never hears of it; otherwise the parsed request is
 //! pushed onto the shared worker queue with a rendezvous reply channel
 //! and the connection thread blocks (bounded by `request_timeout`) for
 //! the worker's answer. A full queue is a `503` + `Retry-After` — the
@@ -216,6 +219,10 @@ fn query(shared: &Arc<Shared>, req: &Request) -> Response {
         obs::counter!("serve_http_errors_total").inc();
         return Response::error(400, "missing or empty query parameter `q`");
     };
+    if let Some(refusal) = refuse_width(q) {
+        obs::counter!("serve_http_errors_total").inc();
+        return refusal;
+    }
 
     let admitted = Instant::now();
     let deadline = admitted
@@ -251,5 +258,72 @@ fn query(shared: &Arc<Shared>, req: &Request) -> Response {
             obs::counter!("serve_request_timeouts_total").inc();
             Response::error(504, "request did not complete within request_timeout")
         }
+    }
+}
+
+/// The `400` for a `q` the engine should not be asked: one that
+/// tokenises to no keyword at all (`q=!!!`), or to more than
+/// [`http::MAX_QUERY_KEYWORDS`]. The body names the count.
+fn refuse_width(q: &str) -> Option<Response> {
+    // Counted with the tokenizer `Query::parse` uses, without building
+    // the keywords: the query this refuses may have thousands.
+    let mut keywords = 0usize;
+    xmldom::for_each_token(q, &mut String::new(), |_| {
+        keywords = keywords.saturating_add(1)
+    });
+    let error = match keywords {
+        0 => "query parameter `q` contains no keyword",
+        n if n > http::MAX_QUERY_KEYWORDS => "query parameter `q` has too many keywords",
+        _ => return None,
+    };
+    Some(Response::json(
+        400,
+        format!(
+            "{{\"error\":{},\"keywords\":{keywords},\"max_keywords\":{}}}",
+            obs::metrics::json_string(error),
+            http::MAX_QUERY_KEYWORDS
+        ),
+    ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn words(n: usize) -> String {
+        (0..n)
+            .map(|i| format!("w{i}"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    }
+
+    #[test]
+    fn a_query_without_a_keyword_is_refused() {
+        for q in ["!!!", "?", "- - -", "\u{3000}…"] {
+            let r = refuse_width(q).unwrap_or_else(|| panic!("{q:?} was let through"));
+            assert_eq!(r.status, 400);
+            let body = String::from_utf8(r.body).unwrap();
+            assert!(body.contains("\"keywords\":0"), "{body}");
+            assert!(body.contains("no keyword"), "{body}");
+        }
+    }
+
+    #[test]
+    fn the_widest_admitted_query_has_max_query_keywords() {
+        assert!(refuse_width("xml").is_none());
+        assert!(refuse_width(&words(http::MAX_QUERY_KEYWORDS)).is_none());
+        // punctuation between keywords adds none
+        assert!(refuse_width(&words(http::MAX_QUERY_KEYWORDS).replace(' ', " -- ")).is_none());
+    }
+
+    #[test]
+    fn one_keyword_more_is_refused_with_the_count() {
+        let r = refuse_width(&words(http::MAX_QUERY_KEYWORDS + 1)).expect("refused");
+        assert_eq!(r.status, 400);
+        let body = String::from_utf8(r.body).unwrap();
+        assert_eq!(
+            body,
+            "{\"error\":\"query parameter `q` has too many keywords\",\"keywords\":33,\"max_keywords\":32}"
+        );
     }
 }

@@ -432,11 +432,16 @@ fn corrupt_keyword_fails_its_query_but_not_the_connection() {
     assert_eq!(handle.join(), 0);
 }
 
-// ------------------------------------------------------- SIGTERM, for real
+// ------------------------------------------------- query width, refused early
 
-#[test]
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn spawned_binary_drains_on_sigterm() {
+/// The `xrefine-serve` binary on a small generated corpus, spawned as
+/// its own process: the child, its stdout (the drain report follows the
+/// address line) and the address it listens on.
+fn spawn_server() -> (
+    std::process::Child,
+    BufReader<std::process::ChildStdout>,
+    SocketAddr,
+) {
     use std::process::{Command, Stdio};
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_xrefine-serve"))
@@ -445,7 +450,6 @@ fn spawned_binary_drains_on_sigterm() {
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn xrefine-serve");
-
     let mut stdout = BufReader::new(child.stdout.take().expect("stdout"));
     let mut line = String::new();
     let addr: SocketAddr = loop {
@@ -456,6 +460,75 @@ fn spawned_binary_drains_on_sigterm() {
             break rest.parse().expect("addr");
         }
     };
+    (child, stdout, addr)
+}
+
+/// The value of the plain `name value` line of a `/metrics` page.
+fn metric(page: &str, name: &str) -> u64 {
+    page.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no `{name}` in /metrics"))
+}
+
+/// Against the spawned binary, so the counters read are this server's
+/// alone (the tests of this file share one process-wide registry).
+#[test]
+fn an_over_wide_query_is_refused_before_it_is_queued() {
+    let (mut child, mut stdout, addr) = spawn_server();
+    let words = |n: usize| {
+        (0..n)
+            .map(|i| format!("w{i}"))
+            .collect::<Vec<_>>()
+            .join("+")
+    };
+    let counts = || {
+        let (status, _, page) = get(addr, "/metrics");
+        assert_eq!(status, 200);
+        (
+            metric(&page, "xrefine_queries_total"),
+            metric(&page, "serve_queue_wait_nanos_count"),
+        )
+    };
+
+    // One served query, so both series exist.
+    let (status, _, body) = get(addr, "/query?q=xml");
+    assert_eq!(status, 200, "{body}");
+    let before = counts();
+    assert_eq!(before, (1, 1));
+
+    // 33 keywords and no keyword at all: a structured 400 each, and
+    // neither a worker nor the engine has seen them.
+    let (status, _, body) = get(addr, &format!("/query?q={}", words(33)));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("\"keywords\":33"), "{body}");
+    assert!(body.contains("\"max_keywords\":32"), "{body}");
+    let (status, _, body) = get(addr, "/query?q=!!!");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("\"keywords\":0"), "{body}");
+    assert_eq!(counts(), before, "a refused query reached the queue");
+
+    // 32 keywords is a query like any other.
+    let (status, _, body) = get(addr, &format!("/query?q={}", words(32)));
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(counts(), (2, 2));
+
+    let mut s = TcpStream::connect(addr).expect("connect");
+    write!(
+        s,
+        "POST /admin/drain HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+    )
+    .expect("send");
+    let mut rest = String::new();
+    stdout.read_to_string(&mut rest).expect("drain output");
+    assert!(child.wait().expect("wait").success(), "{rest}");
+}
+
+// ------------------------------------------------------- SIGTERM, for real
+
+#[test]
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn spawned_binary_drains_on_sigterm() {
+    let (mut child, mut stdout, addr) = spawn_server();
 
     // The server answers over TCP…
     let (status, _, body) = get(addr, "/healthz");

@@ -12,9 +12,11 @@
 #                  debug builds stride the sweeps for speed), and the
 #                  read-only opens leaving a crashed store's files
 #                  byte-identical
-#   observability  obs invariants, differential oracles (SLCA, DP, the
-#                  refinement result sets), Algorithm 2's allocation
-#                  budget, tracer well-nestedness, metrics-overhead bench
+#   observability  obs invariants, differential oracles (SLCA, DP against
+#                  brute force and against the string-keyed recurrence it
+#                  replaced, the refinement result sets), Algorithm 2's
+#                  allocation and SLCA-invocation budgets, tracer
+#                  well-nestedness, metrics-overhead bench
 #   ingest         streaming-vs-DOM ingest differential oracle (byte-
 #                  identical stores) + scanner fuzz sweep
 #   serve          server lifecycle tests (work-conserving queue,
@@ -67,7 +69,9 @@ suite_observability() {
     xcargo test -q -p obs
     xcargo test -q -p slca --test differential
     xcargo test -q -p xrefine --test dp_oracle
+    xcargo test --release -q -p xrefine --test dp_reference
     xcargo test --release -q --test refinement_results_reference
+    xcargo test --release -q -p xrefine --test slca_invocations_budget
     xcargo test --release -q -p xrefine --test alloc_budget
     xcargo test --release -q -p xrefine --test trace_concurrency
     OBS_BENCH_FRACTION="${OBS_BENCH_FRACTION:-0.02}" \

@@ -169,10 +169,11 @@ fn an_evicted_candidate_is_never_materialised() {
     let out = partition_refine(&session, &PartitionOptions::default());
     let calls = slca_invocations() - before;
 
-    // Four admission trials, one materialisation per survivor, and none
-    // for {ant} and {bee}: neither where they were members (0.2, 0.3)
-    // nor after they were evicted (0.4, 0.5).
-    assert_eq!(calls, 4 + 2);
+    // Four admission trials and one materialisation — K = 1 returns one
+    // of the two survivors, and results exist only for what is returned —
+    // and none for {ant} and {bee}: neither where they were members
+    // (0.2, 0.3) nor after they were evicted (0.4, 0.5).
+    assert_eq!(calls, 4 + 1);
     assert!(!out.original_ok);
     let best = out.best().unwrap();
     assert_eq!(best.candidate.dissimilarity, 2.0);
