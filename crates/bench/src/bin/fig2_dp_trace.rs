@@ -3,7 +3,7 @@
 
 use bench::Table;
 use lexicon::{RefineOp, Rule, RuleSet, RuleSource};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use xrefine::{get_top_optimal_rqs, Query};
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
         RuleSource::Acronym,
         1.0,
     ));
-    let t: HashSet<&str> = [
+    let t: BTreeSet<&str> = [
         "machine",
         "inproceedings",
         "learning",

@@ -8,6 +8,16 @@
 //! sequential advances into shared [`ScanStats`]. Integration tests
 //! assert `advances <= list length` for the one-scan algorithms.
 //!
+//! A cursor moves over the list's partition runs
+//! ([`PostingList::runs`](crate::PostingList::runs)) as well as over its
+//! postings: it knows the run it stands in, that run's partition and
+//! where the run ends. So [`ListCursor::head_partition`] is a field load
+//! and [`ListCursor::skip_run`] — Algorithm 2 consuming one partition of
+//! one list — is an assignment; neither reads a label. `next` steps into
+//! the following run when it crosses a boundary, and a cursor over a
+//! [`ListHandle::slice`] view that starts mid-run finds its run by one
+//! binary search at construction.
+//!
 //! Algorithm 3 (short-list eager) holds no cursor: it walks the short
 //! list as a slice, probes the others by binary search
 //! ([`ListHandle::partition_range`]) and rescans the survivors' lists,
@@ -16,6 +26,7 @@
 
 use crate::postings::Posting;
 use crate::reader::ListHandle;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -71,17 +82,38 @@ pub const HEAD_AT_END: u64 = u64::MAX;
 /// [`IndexReader`]: crate::reader::IndexReader
 pub struct ListCursor<'a> {
     handle: &'a ListHandle,
+    /// View-relative index of the posting under the cursor.
     pos: usize,
+    /// The list's partition run holding that posting …
+    run: usize,
+    /// … its partition ([`HEAD_AT_END`] at end of view) …
+    head: u64,
+    /// … and where it ends, view-relative and clamped to the view.
+    run_end: usize,
     stats: Arc<ScanStats>,
 }
 
 impl<'a> ListCursor<'a> {
     pub fn new(handle: &'a ListHandle, stats: Arc<ScanStats>) -> Self {
-        ListCursor {
+        let mut cursor = ListCursor {
             handle,
             pos: 0,
+            run: handle.first_run(),
+            head: HEAD_AT_END,
+            run_end: 0,
             stats,
-        }
+        };
+        cursor.enter_run();
+        cursor
+    }
+
+    /// Loads `head` and `run_end` of run `self.run`, which holds the
+    /// posting under the cursor unless the view is exhausted.
+    fn enter_run(&mut self) {
+        (self.head, self.run_end) = match self.handle.run(self.run) {
+            Some(run) if self.pos < self.handle.len() => run,
+            _ => (HEAD_AT_END, self.handle.len()),
+        };
     }
 
     /// The posting under the cursor, or `None` at end of list.
@@ -91,11 +123,15 @@ impl<'a> ListCursor<'a> {
 
     /// Advances one posting, returning the posting that was under the
     /// cursor. (Deliberately cursor-style rather than `Iterator`: the
-    /// callers interleave `peek`/`skip_partition`.)
+    /// callers interleave `peek`/`skip_run`.)
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<&'a Posting> {
         let p = self.handle.postings().get(self.pos)?;
-        self.pos += 1;
+        self.pos = self.pos.saturating_add(1);
+        if self.pos == self.run_end {
+            self.run = self.run.saturating_add(1);
+            self.enter_run();
+        }
         self.stats.record_advance();
         Some(p)
     }
@@ -106,81 +142,31 @@ impl<'a> ListCursor<'a> {
     /// on the root itself (a one-component label), `ordinal + 1` for one
     /// inside partition `0.ordinal`, [`HEAD_AT_END`] at end of list.
     /// Algorithm 2 keeps this per cursor and takes the minimum of the
-    /// integers instead of comparing labels.
+    /// integers instead of comparing labels. A load: the cursor carries
+    /// its run's value.
     pub fn head_partition(&self) -> u64 {
-        let Some(head) = self.peek() else {
-            return HEAD_AT_END;
-        };
-        match head.dewey.components().get(1) {
-            None => HEAD_AT_ROOT,
-            // At most 2^32: below `HEAD_AT_END`.
-            Some(&ordinal) => u64::from(ordinal).saturating_add(1),
-        }
+        self.head
     }
 
-    /// Jumps past the postings of the subtree whose root has the
-    /// components `root` — for Algorithm 2 (line 8) the two-component
-    /// partition id `0.i` — and returns the index range skipped,
-    /// relative to the whole list.
-    ///
-    /// The search is cursor-relative: everything before the cursor is
-    /// already known to be smaller, so the range is looked for from the
-    /// cursor on, by exponential-then-binary search, at a cost
-    /// logarithmic in the distance moved instead of in the list length.
-    /// A list with nothing in the subtree is answered by looking at the
-    /// posting under the cursor alone, and so is where the range starts
-    /// when that posting is already inside the subtree (Algorithm 2 asks
-    /// only the cursors whose head is).
-    ///
-    /// * Cursor at or before the subtree (how Algorithm 2 always calls
-    ///   it): the range is exactly the handle's `partition_range(root)`.
-    ///   Postings in front of the subtree are jumped over uncounted;
-    ///   the subtree's own postings are accounted as advances with one
-    ///   atomic add, so skipping a large partition is O(1) in counter
-    ///   traffic.
-    /// * Cursor already inside the subtree (after a `next`): the range
-    ///   starts at the cursor — what is left of the subtree — and that
-    ///   remainder is what is counted.
-    /// * Cursor past the subtree: the empty range at the cursor; nothing
-    ///   moves, nothing is counted.
-    pub fn skip_partition(&mut self, root: &[u32]) -> std::ops::Range<usize> {
-        let rest = self.handle.postings().get(self.pos..).unwrap_or(&[]);
-        let in_subtree = |p: &Posting| p.dewey.components().starts_with(root);
-        let before = match rest.first() {
-            Some(head) if in_subtree(head) => 0,
-            _ => leading_run(rest, |p| p.dewey.components() < root),
-        };
-        let rest = rest.get(before..).unwrap_or(&[]);
-        let inside = leading_run(rest, in_subtree);
-        let start = self.pos.saturating_add(before);
-        let end = start.saturating_add(inside);
-        if inside > 0 {
-            self.stats.record_advances(inside as u64);
+    /// Moves the cursor past the rest of the partition run it stands in
+    /// — the postings from the cursor to the end of
+    /// [`head_partition`](Self::head_partition)'s subtree, or of the
+    /// view if that comes first — and returns that range,
+    /// view-relative. The postings skipped are accounted as advances
+    /// with one atomic add, so consuming a large partition is O(1) in
+    /// counter traffic. For a cursor standing at the start of its run
+    /// the range is the handle's `partition_range` of the partition; at
+    /// end of list it is empty and nothing is counted.
+    pub fn skip_run(&mut self) -> Range<usize> {
+        let skipped = self.pos..self.run_end;
+        if !skipped.is_empty() {
+            self.stats.record_advances(skipped.len() as u64);
+            self.pos = self.run_end;
+            self.run = self.run.saturating_add(1);
+            self.enter_run();
         }
-        self.pos = end;
-        start..end
+        skipped
     }
-}
-
-/// Length of the leading run of `postings` that satisfies `pred`, which
-/// must hold for a prefix of the slice and for nothing after it. Probes
-/// at doubling distances, then bisects the last gap: `O(log run)`
-/// evaluations, and a single look at the first posting when the run is
-/// empty.
-fn leading_run(postings: &[Posting], pred: impl Fn(&Posting) -> bool) -> usize {
-    // Invariant: every posting before `known` satisfies `pred`.
-    let mut known = 0usize;
-    let mut step = 1usize;
-    while let Some(p) = postings.get(known.saturating_add(step).saturating_sub(1)) {
-        if !pred(p) {
-            break;
-        }
-        known = known.saturating_add(step);
-        step = step.saturating_mul(2);
-    }
-    let end = known.saturating_add(step).min(postings.len());
-    let gap = postings.get(known..end).unwrap_or(&[]);
-    known.saturating_add(gap.partition_point(pred))
 }
 
 #[cfg(test)]
@@ -189,13 +175,17 @@ mod tests {
     use crate::postings::Posting;
     use xmldom::NodeTypeId;
 
-    fn list() -> ListHandle {
+    fn handle(labels: &[&str]) -> ListHandle {
         ListHandle::from_postings(
-            ["0.0.0", "0.0.1", "0.1.0", "0.1.2", "0.2"]
+            labels
                 .iter()
                 .map(|s| Posting::new(s.parse().unwrap(), NodeTypeId(0)))
                 .collect(),
         )
+    }
+
+    fn list() -> ListHandle {
+        handle(&["0.0.0", "0.0.1", "0.1.0", "0.1.2", "0.2"])
     }
 
     #[test]
@@ -217,12 +207,7 @@ mod tests {
 
     #[test]
     fn head_partition_orders_root_partitions_and_end() {
-        let l = ListHandle::from_postings(
-            ["0", "0.0.3", "0.7", "0.4294967295.1"]
-                .iter()
-                .map(|s| Posting::new(s.parse().unwrap(), NodeTypeId(0)))
-                .collect(),
-        );
+        let l = handle(&["0", "0.0.3", "0.7", "0.4294967295.1"]);
         let mut c = ListCursor::new(&l, ScanStats::new());
         let mut seen = Vec::new();
         loop {
@@ -244,92 +229,55 @@ mod tests {
     }
 
     #[test]
-    fn skip_partition_jumps_whole_subtree() {
+    fn skip_run_consumes_the_head_partition() {
         let l = list();
         let stats = ScanStats::new();
         let mut c = ListCursor::new(&l, Arc::clone(&stats));
-        let range = c.skip_partition(&[0, 0]);
-        assert_eq!(range, 0..2);
+        assert_eq!(c.skip_run(), 0..2);
         assert_eq!(c.peek().unwrap().dewey.to_string(), "0.1.0");
+        assert_eq!(c.head_partition(), 2);
         // skipped postings are accounted as advances (they were consumed)
         assert_eq!(stats.advances(), 2);
-        let range = c.skip_partition(&[0, 1]);
-        assert_eq!(range, 2..4);
-        assert_eq!(c.peek().unwrap().dewey.to_string(), "0.2");
+        assert_eq!(c.skip_run(), 2..4);
+        assert_eq!(c.skip_run(), 4..5);
+        assert_eq!(c.head_partition(), HEAD_AT_END);
+        // At end of list: the empty range, nothing counted.
+        assert_eq!(c.skip_run(), 5..5);
+        assert_eq!(stats.advances(), 5);
     }
 
     #[test]
-    fn skip_partition_is_relative_to_the_cursor() {
+    fn skip_run_is_relative_to_the_cursor_and_the_view() {
         let l = list();
-        // Before the subtree: its whole range, the postings in front
-        // jumped over without being counted.
-        let stats = ScanStats::new();
-        let mut c = ListCursor::new(&l, Arc::clone(&stats));
-        assert_eq!(c.skip_partition(&[0, 1]), 2..4);
-        assert_eq!(c.peek(), l.postings().get(4));
-        assert_eq!(stats.advances(), 2);
-        // Past the subtree: the empty range at the cursor, nothing moves.
-        assert_eq!(c.skip_partition(&[0, 0]), 4..4);
-        assert_eq!(c.skip_partition(&[0, 1]), 4..4);
-        assert_eq!(c.peek(), l.postings().get(4));
-        assert_eq!(stats.advances(), 2);
-        // Nothing in the subtree and the cursor in front of it: the
-        // empty range where the subtree would start.
-        let mut c = ListCursor::new(&l, ScanStats::new());
-        assert_eq!(c.skip_partition(&[0, 1, 1]), 3..3);
-        assert_eq!(c.peek(), l.postings().get(3));
-
-        // Inside the subtree after a `next`: what is left of it.
+        // Inside the run after a `next`: what is left of it.
         let stats = ScanStats::new();
         let mut c = ListCursor::new(&l, Arc::clone(&stats));
         c.next();
-        assert_eq!(c.skip_partition(&[0, 0]), 1..2);
+        assert_eq!(c.head_partition(), 1);
+        assert_eq!(c.skip_run(), 1..2);
         assert_eq!(stats.advances(), 2);
-        // The root's "subtree" is the rest of the list.
-        let mut c = ListCursor::new(&l, ScanStats::new());
+        // `next` steps into the following run at a boundary.
         c.next();
-        assert_eq!(c.skip_partition(&[0]), 1..5);
-        assert_eq!(c.peek(), None);
-    }
+        assert_eq!(c.head_partition(), 2);
+        assert_eq!(c.skip_run(), 3..4);
 
-    #[test]
-    fn a_list_outside_the_partition_costs_a_look_at_its_head() {
-        // 100 000 postings, all in the last of 2 500 partitions.
-        let l = ListHandle::from_postings(
-            (0..100_000u32)
-                .map(|i| {
-                    Posting::new(
-                        xmldom::Dewey::new(vec![0, 2_499, i]).unwrap(),
-                        NodeTypeId(0),
-                    )
-                })
-                .collect(),
+        // A view that starts and ends mid-run: the cursor finds its run,
+        // and a skip stops at the view's end.
+        let view = l.slice(1..3);
+        let stats = ScanStats::new();
+        let mut c = ListCursor::new(&view, Arc::clone(&stats));
+        assert_eq!(c.head_partition(), 1);
+        assert_eq!(c.skip_run(), 0..1);
+        assert_eq!(c.head_partition(), 2);
+        assert_eq!(c.skip_run(), 1..2);
+        assert_eq!(c.head_partition(), HEAD_AT_END);
+        assert_eq!(c.skip_run(), 2..2);
+        assert_eq!(stats.advances(), 2);
+        // An empty view in the middle of a list is at its end.
+        let empty = l.slice(2..2);
+        assert_eq!(
+            ListCursor::new(&empty, ScanStats::new()).head_partition(),
+            HEAD_AT_END
         );
-        let looks = std::cell::Cell::new(0u32);
-        let looks = &looks;
-        let counted = |root: [u32; 2]| {
-            move |p: &Posting| {
-                looks.set(looks.get() + 1);
-                p.dewey.components().starts_with(&root)
-            }
-        };
-        // Any earlier partition: the head says no, and that is all that
-        // is asked (once by the gallop, once by the bisection of its
-        // one-posting gap) — not log2(100 000) = 17 probes.
-        assert_eq!(leading_run(&l, counted([0, 7])), 0);
-        assert_eq!(looks.get(), 2);
-        // The partition itself: logarithmic in the run.
-        looks.set(0);
-        assert_eq!(leading_run(&l, counted([0, 2_499])), 100_000);
-        assert!(looks.get() <= 2 * 17 + 2, "{} looks", looks.get());
-
-        // Through the cursor: 2 499 empty skips leave it where it was.
-        let stats = ScanStats::new();
-        let mut c = ListCursor::new(&l, Arc::clone(&stats));
-        for partition in 0..2_499 {
-            assert_eq!(c.skip_partition(&[0, partition]), 0..0);
-        }
-        assert_eq!(c.skip_partition(&[0, 2_499]), 0..100_000);
-        assert_eq!(stats.advances(), 100_000);
     }
 }

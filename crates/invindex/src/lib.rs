@@ -18,6 +18,8 @@
 //! * [`stream`]: the streaming builder — zero-copy span scan, parallel
 //!   chunked tokenization, deterministic merge (byte-identical stores
 //!   with the DOM oracle [`Index::build`]);
+//! * [`fxhash`]: the one fast non-keyed hasher, for private maps here
+//!   and in the refinement DP's memo;
 //! * [`persist`]: the store format — writing a whole index into any
 //!   [`kvstore::KvStore`], and the decoders [`kvindex`] and scrub share;
 //! * [`maint`]: online maintenance — WAL-backed document insert/delete
@@ -27,6 +29,7 @@ pub mod cache;
 pub mod cooccur;
 pub mod cursor;
 mod dfpass;
+pub mod fxhash;
 pub mod index;
 pub mod kvindex;
 pub mod maint;

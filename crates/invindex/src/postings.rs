@@ -5,6 +5,19 @@
 //! stored compressed in the key-value store, mirroring how the paper keeps
 //! its keyword inverted lists in Berkeley DB (§VII).
 //!
+//! Beside its postings, an in-memory list carries its **partition runs**
+//! ([`PostingList::runs`]): one [`PartitionRun`] per maximal run of
+//! postings that stand in the same partition (Definition 6.1, the
+//! subtree of one child of the document root), holding the partition as
+//! one integer and the index where the run starts. It is the structure
+//! Algorithm 2's walk moves over — a [`ListCursor`] steps run to run and
+//! never compares a label. The table is derived from the labels by every
+//! constructor ([`PostingList::from_sorted`], which decoding goes
+//! through, and [`PostingList::push`], which the builders use) and is
+//! never persisted: the stored format does not know it exists.
+//!
+//! [`ListCursor`]: crate::cursor::ListCursor
+//!
 //! The wire encoding ([`PostingList::encode_compressed`] /
 //! [`CompressedList`]) groups postings into fixed-size blocks of
 //! [`BLOCK_POSTINGS`], each independently decodable, behind a skip table
@@ -13,6 +26,7 @@
 //! decode whole lists ([`CompressedList::decode_all`]), nothing seeks
 //! through it today.
 
+use crate::cursor::HEAD_AT_ROOT;
 use kvstore::{KvError, Result};
 use xmldom::{Dewey, NodeTypeId};
 
@@ -30,10 +44,35 @@ impl Posting {
     }
 }
 
+/// The partition a label stands in, as one integer ordered the way the
+/// labels are: [`HEAD_AT_ROOT`] for the document root itself (a
+/// one-component label), `ordinal + 1` inside partition `0.ordinal`.
+pub(crate) fn partition_key(dewey: &Dewey) -> u64 {
+    match dewey.components().get(1) {
+        None => HEAD_AT_ROOT,
+        // At most 2^32, so below `HEAD_AT_END`.
+        Some(&ordinal) => u64::from(ordinal).saturating_add(1),
+    }
+}
+
+/// One maximal run of a list's postings that share a partition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PartitionRun {
+    /// The run's [`partition_key`]: what
+    /// [`ListCursor::head_partition`](crate::ListCursor::head_partition)
+    /// reports while the cursor stands in it.
+    pub head: u64,
+    /// Index of the run's first posting in the list.
+    pub start: usize,
+}
+
 /// A document-ordered list of postings for one keyword.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PostingList {
     postings: Vec<Posting>,
+    /// The partition runs of `postings`, in list order: one entry per
+    /// run, not per posting, derived from the labels on construction.
+    runs: Vec<PartitionRun>,
 }
 
 impl PostingList {
@@ -47,7 +86,13 @@ impl PostingList {
             postings.windows(2).all(|w| w[0].dewey < w[1].dewey),
             "postings must be strictly document-ordered"
         );
-        PostingList { postings }
+        let mut runs = Vec::new();
+        for (i, p) in postings.iter().enumerate() {
+            extend_runs(&mut runs, i, &p.dewey);
+        }
+        // Decoded lists are cached whole and never grow: no slack.
+        runs.shrink_to_fit();
+        PostingList { postings, runs }
     }
 
     /// Appends a posting that must follow the current tail in document
@@ -60,7 +105,15 @@ impl PostingList {
                 .unwrap_or(true),
             "push out of document order"
         );
+        extend_runs(&mut self.runs, self.postings.len(), &posting.dewey);
         self.postings.push(posting);
+    }
+
+    /// The partition runs, in list order: run `r` covers the postings
+    /// from `runs()[r].start` up to the next run's start (the list's end
+    /// for the last one).
+    pub fn runs(&self) -> &[PartitionRun] {
+        &self.runs
     }
 
     pub fn len(&self) -> usize {
@@ -77,6 +130,15 @@ impl PostingList {
 
     pub fn as_slice(&self) -> &[Posting] {
         &self.postings
+    }
+}
+
+/// Accounts the posting at index `i`, labelled `dewey`, in the run table:
+/// it opens a run unless it stands where the last run does.
+fn extend_runs(runs: &mut Vec<PartitionRun>, i: usize, dewey: &Dewey) {
+    let head = partition_key(dewey);
+    if runs.last().map(|r| r.head) != Some(head) {
+        runs.push(PartitionRun { head, start: i });
     }
 }
 
@@ -379,7 +441,10 @@ impl<'a> CompressedList<'a> {
             .ok_or_else(|| corrupt("bad first node type".into()))?;
         let mut out = Vec::with_capacity(meta.count);
         out.push(Posting::new(meta.min.clone(), NodeTypeId(t0)));
-        let mut prev_comps: Vec<u32> = meta.min.components().to_vec();
+        // The one working buffer: the predecessor's label, rewritten in
+        // place into each posting's, so a posting allocates only the
+        // copy its `Dewey` keeps.
+        let mut comps: Vec<u32> = meta.min.components().to_vec();
         let mut prev_type = t0;
         for _ in 1..meta.count {
             let header = *bytes
@@ -415,16 +480,15 @@ impl<'a> CompressedList<'a> {
             if rest > bytes.len() {
                 return Err(corrupt("component count exceeds block size".into()));
             }
-            let shared = prev_comps
+            let shared = comps
                 .len()
                 .checked_sub(trim)
                 .ok_or_else(|| corrupt("trim deeper than predecessor".into()))?;
-            let mut comps = Vec::with_capacity(shared.saturating_add(rest));
-            comps.extend_from_slice(prev_comps.get(..shared).unwrap_or(&[]));
+            let base = comps.get(shared).copied().unwrap_or(0);
+            comps.truncate(shared);
             let d0 = read_varint(bytes, &mut pos)
                 .ok_or_else(|| corrupt("truncated component".into()))?;
             let c0 = if trim > 0 {
-                let base = prev_comps.get(shared).copied().unwrap_or(0);
                 let v = u64::from(base)
                     .checked_add(1)
                     .and_then(|b| b.checked_add(d0))
@@ -447,7 +511,6 @@ impl<'a> CompressedList<'a> {
             let dewey =
                 Dewey::new(comps.clone()).ok_or_else(|| corrupt("empty posting label".into()))?;
             out.push(Posting::new(dewey, NodeTypeId(node_type)));
-            prev_comps = comps;
             prev_type = node_type;
         }
         if pos != bytes.len() {

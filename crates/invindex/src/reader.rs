@@ -94,6 +94,24 @@ impl ListHandle {
         let end = start + ps[start..].partition_point(|p| root.is_ancestor_or_self_of(&p.dewey));
         start..end
     }
+
+    /// Index, in the list's [`PostingList::runs`], of the partition run
+    /// holding the view's first posting (a view may start in the middle
+    /// of a run): a binary search over the runs.
+    pub(crate) fn first_run(&self) -> usize {
+        let runs = self.list.runs();
+        runs.partition_point(|r| r.start <= self.start)
+            .saturating_sub(1)
+    }
+
+    /// The `head` of run `run` of the list and where the run ends,
+    /// view-relative and clamped to the view; `None` past the last run.
+    pub(crate) fn run(&self, run: usize) -> Option<(u64, usize)> {
+        let mut rest = self.list.runs().get(run..)?.iter();
+        let head = rest.next()?.head;
+        let next = rest.next().map_or(self.list.len(), |r| r.start);
+        Some((head, next.min(self.end).saturating_sub(self.start)))
+    }
 }
 
 impl Default for ListHandle {

@@ -44,78 +44,14 @@
 //! (`invindex_ingest_{scan,tokenize,merge,df}_nanos`).
 
 use crate::dfpass;
+use crate::fxhash::FxMap;
 use crate::index::Index;
 use crate::postings::{Posting, PostingList};
 use crate::stats::{KeywordId, KeywordTable, TypeStats};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use xmldom::scan::{scan_with, AttrIter, ScanSink, Span};
 use xmldom::{decode_text, for_each_token, DocumentBuilder, ScanError};
-
-/// Multiply-xor hashing (the FxHash construction) for the chunk-local
-/// token maps: they see ~one lookup per token occurrence, are private to
-/// a worker, and never face adversarial keys, so the default hasher's
-/// DoS resistance buys nothing here.
-#[derive(Clone, Copy, Default)]
-struct FxBuildHasher;
-
-struct FxHasher {
-    hash: u64,
-}
-
-impl std::hash::BuildHasher for FxBuildHasher {
-    type Hasher = FxHasher;
-
-    fn build_hasher(&self) -> FxHasher {
-        FxHasher { hash: 0 }
-    }
-}
-
-impl FxHasher {
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl std::hash::Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            if let Ok(word) = <[u8; 8]>::try_from(chunk) {
-                self.add(u64::from_le_bytes(word));
-            }
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut word = [0u8; 8];
-            word[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u8(&mut self, n: u8) {
-        self.add(n as u64);
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.add(n as u64);
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-type FxMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 /// One element as collected by the scan phase.
 #[derive(Debug, Clone, Copy)]

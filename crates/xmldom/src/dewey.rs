@@ -68,11 +68,13 @@ impl Dewey {
     }
 
     /// Raw component access.
+    #[inline]
     pub fn components(&self) -> &[u32] {
         &self.components
     }
 
     /// Number of components; the root has length 1.
+    #[inline]
     pub fn len(&self) -> usize {
         self.components.len()
     }
@@ -88,12 +90,14 @@ impl Dewey {
     }
 
     /// True if `self` is an ancestor of `other` (proper prefix).
+    #[inline]
     pub fn is_ancestor_of(&self, other: &Dewey) -> bool {
         self.components.len() < other.components.len()
             && other.components[..self.components.len()] == self.components[..]
     }
 
     /// True if `self` is `other` or an ancestor of `other`.
+    #[inline]
     pub fn is_ancestor_or_self_of(&self, other: &Dewey) -> bool {
         self == other || self.is_ancestor_of(other)
     }
@@ -104,6 +108,7 @@ impl Dewey {
     /// two labels of one document share the root component, so that is
     /// never `None` there, and callers compare prefix lengths
     /// allocation-free before paying for the one label they keep.
+    #[inline]
     pub fn prefix(&self, len: usize) -> Option<Dewey> {
         if len == 0 || len > self.components.len() {
             None
@@ -113,6 +118,7 @@ impl Dewey {
     }
 
     /// Length of the longest common prefix with `other`.
+    #[inline]
     pub fn common_prefix_len(&self, other: &Dewey) -> usize {
         self.components
             .iter()
@@ -135,6 +141,7 @@ impl Dewey {
 }
 
 impl PartialOrd for Dewey {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -143,6 +150,7 @@ impl PartialOrd for Dewey {
 impl Ord for Dewey {
     /// Lexicographic component order == document (pre-)order, with the
     /// convention that an ancestor precedes its descendants.
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         self.components.cmp(&other.components)
     }

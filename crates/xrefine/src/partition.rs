@@ -32,15 +32,19 @@
 //! lower under another mask — keeps the offsets of its *first*
 //! admission, so its one call covers both membership windows.
 //!
-//! **The walk touches only the lists in the partition**
-//! (`PartitionWalk`). Each cursor's head partition is kept as an integer
-//! beside it; the next partition is the minimum of those integers, and
-//! only the cursors standing in it are asked to skip it and have their
-//! integer refreshed. A partition holds a handful of postings and most
-//! `KS` lists have none in it: those contribute a clear mask bit and
-//! nothing else. The scan allocates per admission trial, not per
-//! partition: the mask, the per-list ranges and the SLCA argument vector
-//! are buffers reused across partitions.
+//! **The walk runs on integers and touches only the lists in the
+//! partition** (`PartitionWalk`). Every decoded list carries its
+//! partition runs, and each cursor stands in one of them: its head
+//! partition is an integer kept beside it, the next partition is the
+//! minimum of those integers, and only the cursors standing in it skip
+//! their run — an assignment, no label is read — and have their integer
+//! refreshed. A partition holds a handful of postings and most `KS`
+//! lists have none in it: those contribute a clear mask bit and nothing
+//! else. So a partition costs one pass over the `KS` integers plus O(1)
+//! per list present, and the memo lookup of its mask hashes the mask's
+//! words with the Fx hasher. The scan allocates per admission trial,
+//! not per partition: the mask, the per-list ranges and the SLCA
+//! argument vector are buffers reused across partitions.
 //!
 //! Root-level matches (postings on the document root itself) belong to no
 //! partition and are skipped — the root is never a meaningful result.
@@ -52,6 +56,7 @@ use crate::results::{RefineOutcome, Refinement};
 use crate::rqlist::{RqId, RqSortedList};
 use crate::session::RefineSession;
 use crate::util::KeyMask;
+use invindex::fxhash::FxMap;
 use invindex::{ListCursor, ListHandle, ScanStats, HEAD_AT_END, HEAD_AT_ROOT};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -87,8 +92,18 @@ struct Interned {
 /// [`DpPlan`](crate::dp::DpPlan) on the mask itself, in working memory
 /// kept here for the session; the strings of a candidate are first
 /// written when `finalize` ranks it.
+///
+/// A lookup happens once per partition and almost always hits, so the
+/// memo is keyed through the Fx hasher (a mask is one word per 64 `KS`
+/// keywords) and its hits are counted here and published once per query
+/// by [`DpMemo::flush_hits`]. Fx has no defence against crafted
+/// collisions; the memo does not need one, because it lives for one query
+/// and holds at most one entry per partition, so collisions could slow
+/// only the query that made them.
 pub(crate) struct DpMemo {
-    memo: HashMap<KeyMask, Rc<[(RqId, f64)]>>,
+    memo: FxMap<KeyMask, Rc<[(RqId, f64)]>>,
+    /// Memo hits not yet published.
+    hits: u64,
     ids: HashMap<Vec<usize>, RqId>,
     arena: Vec<Interned>,
     scratch: DpScratch,
@@ -99,7 +114,8 @@ pub(crate) struct DpMemo {
 impl DpMemo {
     pub(crate) fn new() -> Self {
         DpMemo {
-            memo: HashMap::new(),
+            memo: FxMap::default(),
+            hits: 0,
             ids: HashMap::new(),
             arena: Vec::new(),
             scratch: DpScratch::default(),
@@ -115,7 +131,7 @@ impl DpMemo {
         m: usize,
     ) -> Rc<[(RqId, f64)]> {
         if let Some(c) = self.memo.get(mask) {
-            obs::counter!("xrefine_dp_memo_hits_total").inc();
+            self.hits += 1;
             return Rc::clone(c);
         }
         let DpMemo {
@@ -150,6 +166,13 @@ impl DpMemo {
             .collect();
         self.memo.insert(mask.clone(), Rc::clone(&rc));
         rc
+    }
+
+    /// Publishes the memo hits counted since the last flush: one atomic
+    /// add per query, not one per partition.
+    pub(crate) fn flush_hits(&mut self) {
+        obs::counter!("xrefine_dp_memo_hits_total").add(self.hits);
+        self.hits = 0;
     }
 
     /// `KS` indices of a candidate's keywords, in keyword order.
@@ -250,8 +273,9 @@ impl Default for PartitionOptions {
 ///
 /// Each cursor's [`ListCursor::head_partition`] is kept beside it, so
 /// finding the next partition is a minimum over integers, and only the
-/// cursors standing in that partition are moved — the others are not
-/// looked at, let alone asked to skip.
+/// cursors standing in that partition are moved, by
+/// [`ListCursor::skip_run`] — the others are not looked at. No label is
+/// read.
 struct PartitionWalk<'a> {
     cursors: Vec<ListCursor<'a>>,
     /// `head_partition()` of each cursor, refreshed whenever it moves.
@@ -281,9 +305,10 @@ impl<'a> PartitionWalk<'a> {
     }
 
     /// Moves past the next partition holding a posting and returns its
-    /// id (`0.i`), with `mask` and `ranges` describing it; `None` when
-    /// every list is exhausted.
-    fn next_partition(&mut self) -> Option<&'a [u32]> {
+    /// integer (`i + 1` for the partition `0.i`, as
+    /// [`ListCursor::head_partition`] reports it), with `mask` and
+    /// `ranges` describing it; `None` when every list is exhausted.
+    fn next_partition(&mut self) -> Option<u64> {
         loop {
             // v_s: the smallest head across all cursors (line 5).
             let (first, head) = (self.heads.iter().copied().enumerate())
@@ -300,12 +325,6 @@ impl<'a> PartitionWalk<'a> {
                 }
                 continue;
             }
-            // One document, one root: the first two components of any
-            // head standing in the partition are its id.
-            let pid = self.cursors[first]
-                .peek()
-                .and_then(|p| p.dewey.components().get(..2))
-                .expect("a head inside a partition has two components");
             // The ranges of the lists standing in the partition, their
             // cursors advanced past it (lines 6-8), and T (line 9).
             self.mask.clear();
@@ -314,12 +333,12 @@ impl<'a> PartitionWalk<'a> {
                 .skip(first)
             {
                 if *h == head {
-                    self.ranges[i] = cursor.skip_partition(pid);
+                    self.ranges[i] = cursor.skip_run();
                     *h = cursor.head_partition();
                     self.mask.set(i);
                 }
             }
-            return Some(pid);
+            return Some(head);
         }
     }
 }
@@ -377,6 +396,7 @@ pub fn partition_refine(session: &RefineSession<'_>, options: &PartitionOptions)
 
     obs::counter!("xrefine_partitions_scanned_total").add(partitions_scanned);
     obs::counter!("xrefine_rqs_pruned_total").add(rqs_pruned);
+    dp_memo.flush_hits();
     obs::trace::count("partitions.scanned", partitions_scanned);
     obs::trace::count("rqs.pruned", rqs_pruned);
 
@@ -586,41 +606,43 @@ mod tests {
         assert_eq!(found, expected);
     }
 
-    /// What Algorithm 2's walk is defined as: the smallest head label
-    /// names the partition, and *every* cursor is asked to skip it.
+    /// What Algorithm 2's walk is defined as, on labels alone: the
+    /// smallest head label names the partition `0.i` (reported as
+    /// `i + 1`), and *every* list's postings in it are found by binary
+    /// search ([`ListHandle::partition_range`]) — no cursor and no run
+    /// table involved. Each posting is accounted as one advance.
     fn walk_by_definition(
         lists: &[ListHandle],
         stats: &Arc<ScanStats>,
-    ) -> Vec<(Vec<u32>, KeyMask, Vec<Range<usize>>)> {
-        let mut cursors: Vec<ListCursor<'_>> = lists
-            .iter()
-            .map(|l| ListCursor::new(l, Arc::clone(stats)))
-            .collect();
+    ) -> Vec<(u64, KeyMask, Vec<Range<usize>>)> {
+        let mut at = vec![0usize; lists.len()];
         let mut partitions = Vec::new();
-        while let Some(v) = cursors
-            .iter()
-            .filter_map(|c| c.peek())
-            .map(|p| &p.dewey)
+        while let Some(v) = (lists.iter().zip(&at))
+            .filter_map(|(l, &a)| l.get(a))
+            .map(|p| p.dewey.clone())
             .min()
         {
-            let Some(pid) = v.components().get(..2) else {
-                for c in cursors.iter_mut() {
-                    if c.peek().is_some_and(|p| p.dewey == *v) {
-                        c.next();
+            let Some(root) = v.partition() else {
+                for (l, a) in lists.iter().zip(&mut at) {
+                    if l.get(*a).is_some_and(|p| p.dewey == v) {
+                        *a += 1;
+                        stats.record_advance();
                     }
                 }
                 continue;
             };
             let mut mask = KeyMask::empty(lists.len());
             let mut ranges = Vec::new();
-            for (i, c) in cursors.iter_mut().enumerate() {
-                let range = c.skip_partition(pid);
+            for (i, (l, a)) in lists.iter().zip(&mut at).enumerate() {
+                let range = l.partition_range(&root);
                 if !range.is_empty() {
                     mask.set(i);
+                    stats.record_advances(range.len() as u64);
+                    *a = range.end;
                 }
                 ranges.push(range);
             }
-            partitions.push((pid.to_vec(), mask, ranges));
+            partitions.push((u64::from(root.components()[1]) + 1, mask, ranges));
         }
         partitions
     }
@@ -666,7 +688,7 @@ mod tests {
                 let (want_pid, want_mask, want_ranges) = expected
                     .get(seen)
                     .unwrap_or_else(|| panic!("partition {pid:?} the definition does not have"));
-                assert_eq!(pid, &want_pid[..]);
+                assert_eq!(pid, *want_pid);
                 assert_eq!(&walk.mask, want_mask, "T of {pid:?}");
                 for i in (0..lists.len()).filter(|&i| want_mask.get(i)) {
                     assert_eq!(walk.ranges[i], want_ranges[i], "list {i} in {pid:?}");

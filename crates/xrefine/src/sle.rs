@@ -159,6 +159,7 @@ pub fn sle_refine(session: &RefineSession<'_>, options: &SleOptions) -> RefineOu
 
     obs::counter!("xrefine_partitions_scanned_total").add(partitions_probed);
     obs::counter!("xrefine_sle_early_stops_total").add(early_stops);
+    dp_memo.flush_hits();
     obs::trace::count("partitions.scanned", partitions_probed);
 
     step_two(session, rq_list, &dp_memo, options)

@@ -28,8 +28,11 @@
 #                  (release), readers not blocked by a commit in flight,
 #                  live updates over HTTP
 #   compress       the store format (compressed postings): property/fuzz
-#                  round-trips + corruption sweeps, and the stored-vs-
-#                  resident behavioural differential
+#                  round-trips + corruption sweeps, the partition-run
+#                  table every decoded list carries (same however the
+#                  list is built), block decode's one-allocation-per-
+#                  posting budget, and the stored-vs-resident
+#                  behavioural differential
 #   bench_e2e      the BENCHMARK.json harness's own tests, built against
 #                  the workspace crates: an API deletion in a measured
 #                  crate that breaks the benchmark fails here, pre-merge
@@ -100,6 +103,8 @@ suite_maintenance() {
 
 suite_compress() {
     xcargo test --release -q -p invindex --test compress_prop
+    xcargo test --release -q -p invindex --test postings_prop
+    xcargo test --release -q -p invindex --test decode_alloc
     xcargo test --release -q -p xrefine --test compress_differential
 }
 
