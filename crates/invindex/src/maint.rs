@@ -467,7 +467,7 @@ pub fn decode_maint_meta(value: &[u8]) -> Result<(u64, u64)> {
 mod tests {
     use super::*;
     use crate::reader::IndexReader;
-    use kvstore::{DiskKv, FaultVfs, MemTreeKv};
+    use kvstore::{DiskKv, FaultVfs};
     use std::path::PathBuf;
 
     const CORPUS: &str = "<bib>\
@@ -536,7 +536,8 @@ mod tests {
         // reference for what the store must contain.
         let final_doc = parse_document(&maint.full_xml()).unwrap();
         let rebuilt = crate::index::Index::build(Arc::new(final_doc));
-        let mut scratch = MemTreeKv::new().unwrap();
+        let scratch_path = Path::new("/maint/scratch.db");
+        let mut scratch = DiskKv::open_with_vfs(&vfs.as_dyn(), scratch_path).unwrap();
         persist::persist(&rebuilt, &mut scratch).unwrap();
 
         let reopened = DurableKv::open_with_vfs(vfs.as_dyn(), &base).unwrap();

@@ -1,4 +1,5 @@
-//! A page-based B+-tree with variable-length keys and values.
+//! A page-based B+-tree with variable-length keys and values, written
+//! once and then only read.
 //!
 //! This is the workspace's stand-in for Berkeley DB (§VII of the paper):
 //! ordered keyed storage with `O(log n)` point lookups, range scans via
@@ -15,18 +16,22 @@
 //!   otherwise the payload is the `vinfo`-byte inline value;
 //! * **overflow**: `\[3\][next:u64][len:u16][data]`.
 //!
-//! Deletion removes entries from leaves without rebalancing (lazy
-//! deletion); pages emptied of live data are only reclaimed through
-//! overflow-chain freeing. This matches the build-once/read-mostly index
-//! workload of the paper.
+//! A tree is never updated in place. [`build`] writes a whole file from
+//! entries in ascending key order, each page once: packed, chained
+//! leaves (each filled until the next entry would not fit) with the
+//! overflow chains of their big values, then the branch levels bottom
+//! up, then the header, then one fsync. The file is therefore a pure
+//! function of its entries. Puts and deletes wait in an overlay over the
+//! finished tree (`store::DiskKv`, and through it `durable::DurableKv`)
+//! until the next sync or checkpoint builds the file that replaces it —
+//! the paper's build-once/read-many index, with the WAL and compaction
+//! carrying the update cost.
 
 use crate::codec;
 use crate::error::{KvError, Result};
-use crate::pager::{PageId, Pager, PAGE_SIZE};
-
-/// Callback type for streaming range scans: receives `(key, value)` and
-/// returns `Ok(false)` to stop early.
-pub type ScanVisitor<'a> = &'a mut dyn FnMut(&[u8], Vec<u8>) -> Result<bool>;
+use crate::pager::{FilePager, PageId, PAGE_SIZE};
+use crate::snapshot::read_only;
+use crate::store::KvStore;
 
 /// Maximum key length in bytes; guarantees a branch page holds several keys.
 pub const MAX_KEY_LEN: usize = 768;
@@ -34,6 +39,9 @@ pub const MAX_KEY_LEN: usize = 768;
 const MAX_INLINE_ENTRY: usize = 1024;
 /// Usable payload bytes in an overflow page.
 const OVERFLOW_CAPACITY: usize = PAGE_SIZE - 1 - 8 - 2;
+/// Bytes of a leaf or branch page before its first entry: type, count
+/// and one page id (the next leaf, or the first child).
+const NODE_HEADER: usize = 1 + 2 + 8;
 
 const MAGIC: u32 = 0x5852_4B56; // "XRKV"
 const VERSION: u16 = 1;
@@ -42,9 +50,11 @@ const TYPE_BRANCH: u8 = 1;
 const TYPE_LEAF: u8 = 2;
 const TYPE_OVERFLOW: u8 = 3;
 
-/// A B+-tree over any [`Pager`].
-pub struct BTree<P: Pager> {
-    pager: P,
+/// A finished tree file, open for reading.
+pub struct BTree {
+    pager: FilePager,
+    /// `NULL` for a blank file — created but never built — which reads
+    /// as an empty tree.
     root: PageId,
     count: u64,
 }
@@ -60,6 +70,9 @@ enum TreeNode {
         next: PageId,
     },
 }
+
+/// A leaf's entries, values not yet loaded, and its next link.
+type Leaf = (Vec<(Vec<u8>, ValueRef)>, PageId);
 
 #[derive(Debug, Clone)]
 enum ValueRef {
@@ -114,387 +127,303 @@ impl<'a> PageReader<'a> {
     }
 }
 
-enum InsertOutcome {
-    Done {
-        replaced: bool,
-    },
-    Split {
-        sep: Vec<u8>,
-        right: PageId,
-        replaced: bool,
-    },
+/// Refuses an entry no tree can hold: a key past [`MAX_KEY_LEN`], or a
+/// value whose length does not fit the 31 length bits of a leaf entry.
+pub(crate) fn check_entry(key: &[u8], value: &[u8]) -> Result<()> {
+    if key.len() > MAX_KEY_LEN {
+        return Err(KvError::KeyTooLarge(key.len()));
+    }
+    if value.len() > u32::MAX as usize / 2 {
+        return Err(KvError::ValueTooLarge(value.len()));
+    }
+    Ok(())
 }
 
-impl<P: Pager> BTree<P> {
-    /// Opens a tree over `pager`, initializing a fresh store if the header
-    /// page is blank.
-    pub fn new(mut pager: P) -> Result<Self> {
+/// Writes the tree holding `entries` — keys strictly ascending — into
+/// the fresh, empty file behind `pager`, each page once: packed, chained
+/// leaves with an overflow chain for every value past
+/// `MAX_INLINE_ENTRY`, then the branch levels, then the header, then one
+/// fsync. Entries are consumed as they come; what is held is one leaf
+/// and the first key of every page of the level being built. This is
+/// the one function that writes tree pages.
+pub(crate) fn build(
+    pager: FilePager,
+    entries: impl Iterator<Item = Result<(Vec<u8>, Vec<u8>)>>,
+) -> Result<BTree> {
+    let mut w = Builder { pager, next: 1 };
+    // (first key, page) of every node of the level being built.
+    let mut level: Vec<(Vec<u8>, PageId)> = Vec::new();
+    let mut leaf = Node::new(w.allocate(), Vec::new(), PageId::NULL);
+    let mut count = 0u64;
+    let mut prev: Option<Vec<u8>> = None;
+    for entry in entries {
+        let (key, value) = entry?;
+        check_entry(&key, &value)?;
+        if prev.as_deref().is_some_and(|p| p >= key.as_slice()) {
+            return Err(KvError::corrupt(
+                "tree build input is not in strictly ascending key order",
+            ));
+        }
+        let inline = key.len() + value.len() + 6 <= MAX_INLINE_ENTRY;
+        let size = 2 + 4 + key.len() + if inline { value.len() } else { 12 };
+        if leaf.count == 0 {
+            leaf.first.clone_from(&key);
+        } else if !leaf.fits(size) {
+            let next = Node::new(w.allocate(), key.clone(), PageId::NULL);
+            let mut full = std::mem::replace(&mut leaf, next);
+            full.link = leaf.id;
+            level.push(w.write_node(TYPE_LEAF, full)?);
+        }
+        leaf.body
+            .extend_from_slice(&(key.len() as u16).to_le_bytes());
+        if inline {
+            leaf.body
+                .extend_from_slice(&(value.len() as u32).to_le_bytes());
+            leaf.body.extend_from_slice(&key);
+            leaf.body.extend_from_slice(&value);
+        } else {
+            let head = w.write_overflow(&value)?;
+            leaf.body.extend_from_slice(&0x8000_0000u32.to_le_bytes());
+            leaf.body.extend_from_slice(&key);
+            leaf.body.extend_from_slice(&head.0.to_le_bytes());
+            leaf.body
+                .extend_from_slice(&(value.len() as u32).to_le_bytes());
+        }
+        leaf.count += 1;
+        count += 1;
+        prev = Some(key);
+    }
+    level.push(w.write_node(TYPE_LEAF, leaf)?);
+
+    // Branch levels: each branch takes children until the next
+    // separator (the child's first key) would not fit.
+    while level.len() > 1 {
+        let mut parents = Vec::new();
+        let mut branch: Option<Node> = None;
+        for (first, child) in level {
+            match branch.as_mut() {
+                Some(open) if open.fits(2 + first.len() + 8) => {
+                    open.body
+                        .extend_from_slice(&(first.len() as u16).to_le_bytes());
+                    open.body.extend_from_slice(&first);
+                    open.body.extend_from_slice(&child.0.to_le_bytes());
+                    open.count += 1;
+                }
+                _ => {
+                    let next = Node::new(w.allocate(), first, child);
+                    if let Some(full) = branch.replace(next) {
+                        parents.push(w.write_node(TYPE_BRANCH, full)?);
+                    }
+                }
+            }
+        }
+        if let Some(last) = branch {
+            parents.push(w.write_node(TYPE_BRANCH, last)?);
+        }
+        level = parents;
+    }
+    let root = level.first().map_or(PageId::NULL, |(_, id)| *id);
+
+    let mut header = Vec::with_capacity(22);
+    header.extend_from_slice(&MAGIC.to_le_bytes());
+    header.extend_from_slice(&VERSION.to_le_bytes());
+    header.extend_from_slice(&root.0.to_le_bytes());
+    header.extend_from_slice(&count.to_le_bytes());
+    w.pager.write(PageId(0), &header)?;
+    w.pager.sync()?;
+    Ok(BTree {
+        pager: w.pager,
+        root,
+        count,
+    })
+}
+
+/// A leaf or branch being filled by [`build`].
+struct Node {
+    id: PageId,
+    /// Its first key: the separator its parent files it under.
+    first: Vec<u8>,
+    /// The page id after the count: the next leaf, or the first child.
+    link: PageId,
+    /// Entries (or `[klen][key][child]` separators), encoded.
+    body: Vec<u8>,
+    count: usize,
+}
+
+impl Node {
+    fn new(id: PageId, first: Vec<u8>, link: PageId) -> Self {
+        Node {
+            id,
+            first,
+            link,
+            body: Vec::with_capacity(PAGE_SIZE),
+            count: 0,
+        }
+    }
+
+    fn fits(&self, more: usize) -> bool {
+        NODE_HEADER + self.body.len() + more <= PAGE_SIZE
+    }
+}
+
+/// Page-id allocation and page writes for [`build`]: ids are handed out
+/// in order and every page is written exactly once.
+struct Builder {
+    pager: FilePager,
+    next: u64,
+}
+
+impl Builder {
+    fn allocate(&mut self) -> PageId {
+        let id = PageId(self.next);
+        self.next += 1;
+        id
+    }
+
+    /// Writes `node` and returns the `(first key, page)` its parent
+    /// files it under.
+    fn write_node(&mut self, ty: u8, node: Node) -> Result<(Vec<u8>, PageId)> {
+        let mut page = Vec::with_capacity(PAGE_SIZE);
+        page.push(ty);
+        page.extend_from_slice(&(node.count as u16).to_le_bytes());
+        page.extend_from_slice(&node.link.0.to_le_bytes());
+        page.extend_from_slice(&node.body);
+        // xlint::allow(no-panic-paths): deliberate hard abort — an overflowing node would silently truncate on disk, which is far worse than aborting the writer
+        assert!(page.len() <= PAGE_SIZE, "node overflows page");
+        self.pager.write(node.id, &page)?;
+        Ok((node.first, node.id))
+    }
+
+    /// Writes `value` as an overflow chain and returns its head. The
+    /// chain's pages take consecutive ids, so each page's `next` link is
+    /// known when it is written.
+    fn write_overflow(&mut self, value: &[u8]) -> Result<PageId> {
+        let head = PageId(self.next);
+        let mut chunks = value.chunks(OVERFLOW_CAPACITY).peekable();
+        while let Some(chunk) = chunks.next() {
+            let id = self.allocate();
+            let next = if chunks.peek().is_some() {
+                PageId(self.next)
+            } else {
+                PageId::NULL
+            };
+            let mut page = Vec::with_capacity(11 + chunk.len());
+            page.push(TYPE_OVERFLOW);
+            page.extend_from_slice(&next.0.to_le_bytes());
+            page.extend_from_slice(&(chunk.len() as u16).to_le_bytes());
+            page.extend_from_slice(chunk);
+            self.pager.write(id, &page)?;
+        }
+        Ok(head)
+    }
+}
+
+impl BTree {
+    /// Opens the tree stored behind `pager`. A file with no pages, or
+    /// whose header page was never written, is a blank: an empty tree.
+    pub fn open(pager: FilePager) -> Result<Self> {
+        let blank = |pager| BTree {
+            pager,
+            root: PageId::NULL,
+            count: 0,
+        };
+        if pager.page_count() == 0 {
+            return Ok(blank(pager));
+        }
         let header = pager.read(PageId(0))?;
         let magic = codec::u32_at(&header, 0, "tree header magic")?;
         if magic == 0 {
-            // Fresh store: allocate an empty root leaf.
-            let root = pager.allocate()?;
-            let mut tree = BTree {
-                pager,
-                root,
-                count: 0,
-            };
-            tree.write_node(
-                root,
-                &TreeNode::Leaf {
-                    entries: Vec::new(),
-                    next: PageId::NULL,
-                },
-            )?;
-            tree.write_header()?;
-            Ok(tree)
-        } else {
-            if magic != MAGIC {
-                return Err(KvError::corrupt_page(0, format!("bad magic {magic:#x}")));
-            }
-            let version = codec::u16_at(&header, 4, "tree header version")?;
-            if version != VERSION {
-                return Err(KvError::corrupt_page(
-                    0,
-                    format!("unsupported version {version}"),
-                ));
-            }
-            let root = PageId(codec::u64_at(&header, 6, "tree root id")?);
-            let count = codec::u64_at(&header, 14, "tree entry count")?;
-            if root.is_null() {
-                return Err(KvError::corrupt_page(0, "null root"));
-            }
-            Ok(BTree { pager, root, count })
+            return Ok(blank(pager));
         }
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> u64 {
-        self.count
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Point lookup.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let mut page = self.root;
-        loop {
-            match self.read_node(page)? {
-                TreeNode::Branch { keys, children } => {
-                    page = children[child_index(&keys, key)];
-                }
-                TreeNode::Leaf { entries, .. } => {
-                    return match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                        Ok(i) => Ok(Some(self.load_value(&entries[i].1)?)),
-                        Err(_) => Ok(None),
-                    };
-                }
-            }
+        if magic != MAGIC {
+            return Err(KvError::corrupt_page(0, format!("bad magic {magic:#x}")));
         }
+        let version = codec::u16_at(&header, 4, "tree header version")?;
+        if version != VERSION {
+            return Err(KvError::corrupt_page(
+                0,
+                format!("unsupported version {version}"),
+            ));
+        }
+        let root = PageId(codec::u64_at(&header, 6, "tree root id")?);
+        let count = codec::u64_at(&header, 14, "tree entry count")?;
+        if root.is_null() {
+            return Err(KvError::corrupt_page(0, "null root"));
+        }
+        Ok(BTree { pager, root, count })
     }
 
-    /// True if the key exists (no value materialization).
-    pub fn contains(&self, key: &[u8]) -> Result<bool> {
-        let mut page = self.root;
-        loop {
-            match self.read_node(page)? {
-                TreeNode::Branch { keys, children } => {
-                    page = children[child_index(&keys, key)];
-                }
-                TreeNode::Leaf { entries, .. } => {
-                    return Ok(entries
-                        .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-                        .is_ok());
-                }
-            }
-        }
-    }
-
-    /// Inserts or replaces. Returns `true` if an existing value was replaced.
-    pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<bool> {
-        if key.len() > MAX_KEY_LEN {
-            return Err(KvError::KeyTooLarge(key.len()));
-        }
-        if value.len() > u32::MAX as usize / 2 {
-            return Err(KvError::ValueTooLarge(value.len()));
-        }
-        let outcome = self.insert_rec(self.root, key, value)?;
-        let replaced = match outcome {
-            InsertOutcome::Done { replaced } => replaced,
-            InsertOutcome::Split {
-                sep,
-                right,
-                replaced,
-            } => {
-                // Grow a new root.
-                let new_root = self.pager.allocate()?;
-                let node = TreeNode::Branch {
-                    keys: vec![sep],
-                    children: vec![self.root, right],
-                };
-                self.write_node(new_root, &node)?;
-                self.root = new_root;
-                replaced
-            }
-        };
-        if !replaced {
-            self.count += 1;
-        }
-        // The header (root id, count) is flushed by `sync()`; durability
-        // is only promised there.
-        Ok(replaced)
-    }
-
-    /// Removes a key. Returns `true` if it was present.
-    pub fn delete(&mut self, key: &[u8]) -> Result<bool> {
-        let mut page = self.root;
-        loop {
-            match self.read_node(page)? {
-                TreeNode::Branch { keys, children } => {
-                    page = children[child_index(&keys, key)];
-                }
-                TreeNode::Leaf { mut entries, next } => {
-                    match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                        Ok(i) => {
-                            let (_, vref) = entries.remove(i);
-                            if let ValueRef::Overflow { head, .. } = vref {
-                                self.free_overflow(head)?;
-                            }
-                            self.write_node(page, &TreeNode::Leaf { entries, next })?;
-                            self.count -= 1;
-                            return Ok(true);
-                        }
-                        Err(_) => return Ok(false),
-                    }
-                }
-            }
-        }
-    }
-
-    /// All entries with `key >= start` (inclusive) and, if given,
-    /// `key < end` (exclusive), in key order.
-    pub fn scan_range(
-        &self,
-        start: &[u8],
-        end_exclusive: Option<&[u8]>,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let mut out = Vec::new();
-        self.for_each_in_range(start, end_exclusive, &mut |k, v| {
-            out.push((k.to_vec(), v));
-            Ok(true)
-        })?;
-        Ok(out)
-    }
-
-    /// All entries whose key starts with `prefix`.
-    pub fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let mut out = Vec::new();
-        self.for_each_in_range(prefix, None, &mut |k, v| {
-            if !k.starts_with(prefix) {
-                return Ok(false);
-            }
-            out.push((k.to_vec(), v));
-            Ok(true)
-        })?;
-        Ok(out)
-    }
-
-    /// Streams entries in `[start, end)` to `f`; `f` returns `false` to stop.
-    pub fn for_each_in_range(
-        &self,
-        start: &[u8],
-        end_exclusive: Option<&[u8]>,
-        f: ScanVisitor<'_>,
-    ) -> Result<()> {
-        // Descend to the leaf that may contain `start`.
-        let mut page = self.root;
-        while let TreeNode::Branch { keys, children } = self.read_node(page)? {
-            page = children[child_index(&keys, start)];
-        }
-        loop {
-            let (entries, next) = match self.read_node(page)? {
-                TreeNode::Leaf { entries, next } => (entries, next),
-                TreeNode::Branch { .. } => {
-                    return Err(KvError::corrupt_page(page.0, "branch in leaf chain"))
-                }
-            };
-            for (k, vref) in &entries {
-                if k.as_slice() < start {
-                    continue;
-                }
-                if let Some(end) = end_exclusive {
-                    if k.as_slice() >= end {
-                        return Ok(());
-                    }
-                }
-                let v = self.load_value(vref)?;
-                if !f(k, v)? {
-                    return Ok(());
-                }
-            }
-            if next.is_null() {
-                return Ok(());
-            }
-            page = next;
-        }
-    }
-
-    /// Flushes the header and all dirty pages.
-    pub fn sync(&mut self) -> Result<()> {
-        self.write_header()?;
-        self.pager.sync()
+    /// True for a file no tree was ever built into.
+    pub(crate) fn is_blank(&self) -> bool {
+        self.root.is_null()
     }
 
     /// Borrows the underlying pager (used for integrity checks).
-    pub fn pager(&self) -> &P {
+    pub fn pager(&self) -> &FilePager {
         &self.pager
+    }
+
+    /// Every entry in key order, one leaf read at a time.
+    pub(crate) fn iter(&self) -> Result<impl Iterator<Item = Result<(Vec<u8>, Vec<u8>)>> + '_> {
+        Ok(self
+            .entries_from(b"")?
+            .map(|entry| entry.and_then(|(key, vref)| Ok((key, self.load_value(vref)?)))))
     }
 
     // ----- internals -------------------------------------------------
 
-    fn insert_rec(&mut self, page: PageId, key: &[u8], value: &[u8]) -> Result<InsertOutcome> {
-        match self.read_node(page)? {
-            TreeNode::Branch {
-                mut keys,
-                mut children,
-            } => {
-                let idx = child_index(&keys, key);
-                match self.insert_rec(children[idx], key, value)? {
-                    InsertOutcome::Done { replaced } => Ok(InsertOutcome::Done { replaced }),
-                    InsertOutcome::Split {
-                        sep,
-                        right,
-                        replaced,
-                    } => {
-                        keys.insert(idx, sep);
-                        children.insert(idx + 1, right);
-                        if branch_size(&keys) <= PAGE_SIZE {
-                            self.write_node(page, &TreeNode::Branch { keys, children })?;
-                            return Ok(InsertOutcome::Done { replaced });
-                        }
-                        // Split the branch: the key at the byte midpoint
-                        // moves up (count midpoints can leave a half
-                        // overflowing when key sizes are skewed).
-                        obs::counter!("kvstore_btree_splits_total").inc();
-                        obs::trace::count("btree.splits", 1);
-                        let sizes: Vec<usize> = keys.iter().map(|k| 2 + k.len() + 8).collect();
-                        // mid ∈ [1, len-2]: both halves keep ≥ 1 key
-                        // (the separator itself moves up, not sideways)
-                        let mid = byte_midpoint(&sizes).min(keys.len().saturating_sub(2).max(1));
-                        let sep_up = keys[mid].clone();
-                        let right_keys = keys[mid + 1..].to_vec();
-                        let right_children = children[mid + 1..].to_vec();
-                        let left_keys = keys[..mid].to_vec();
-                        let left_children = children[..=mid].to_vec();
-                        let right_page = self.pager.allocate()?;
-                        self.write_node(
-                            right_page,
-                            &TreeNode::Branch {
-                                keys: right_keys,
-                                children: right_children,
-                            },
-                        )?;
-                        self.write_node(
-                            page,
-                            &TreeNode::Branch {
-                                keys: left_keys,
-                                children: left_children,
-                            },
-                        )?;
-                        Ok(InsertOutcome::Split {
-                            sep: sep_up,
-                            right: right_page,
-                            replaced,
-                        })
-                    }
+    /// The leaf that may hold `key`; `None` for a blank tree.
+    fn leaf_for(&self, key: &[u8]) -> Result<Option<Leaf>> {
+        if self.root.is_null() {
+            return Ok(None);
+        }
+        let mut page = self.root;
+        loop {
+            match self.read_node(page)? {
+                TreeNode::Branch { keys, children } => {
+                    page = children[child_index(&keys, key)];
                 }
-            }
-            TreeNode::Leaf { mut entries, next } => {
-                let vref = self.store_value(key.len(), value)?;
-                let replaced = match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => {
-                        if let ValueRef::Overflow { head, .. } = &entries[i].1 {
-                            self.free_overflow(*head)?;
-                        }
-                        entries[i].1 = vref;
-                        true
-                    }
-                    Err(i) => {
-                        entries.insert(i, (key.to_vec(), vref));
-                        false
-                    }
-                };
-                if leaf_size(&entries) <= PAGE_SIZE {
-                    self.write_node(page, &TreeNode::Leaf { entries, next })?;
-                    return Ok(InsertOutcome::Done { replaced });
-                }
-                // Split the leaf at the *byte* midpoint: entries differ in
-                // size by up to ~MAX_INLINE_ENTRY, so the count midpoint
-                // can leave one half still overflowing the page.
-                obs::counter!("kvstore_btree_splits_total").inc();
-                obs::trace::count("btree.splits", 1);
-                let sizes: Vec<usize> =
-                    entries.iter().map(|(k, v)| leaf_entry_size(k, v)).collect();
-                let mid = byte_midpoint(&sizes);
-                let right_entries = entries[mid..].to_vec();
-                let left_entries = entries[..mid].to_vec();
-                let sep = right_entries[0].0.clone();
-                let right_page = self.pager.allocate()?;
-                self.write_node(
-                    right_page,
-                    &TreeNode::Leaf {
-                        entries: right_entries,
-                        next,
-                    },
-                )?;
-                self.write_node(
-                    page,
-                    &TreeNode::Leaf {
-                        entries: left_entries,
-                        next: right_page,
-                    },
-                )?;
-                Ok(InsertOutcome::Split {
-                    sep,
-                    right: right_page,
-                    replaced,
-                })
+                TreeNode::Leaf { entries, next } => return Ok(Some((entries, next))),
             }
         }
     }
 
-    fn store_value(&mut self, key_len: usize, value: &[u8]) -> Result<ValueRef> {
-        if key_len + value.len() + 6 <= MAX_INLINE_ENTRY {
-            return Ok(ValueRef::Inline(value.to_vec()));
-        }
-        // Spill to an overflow chain, last chunk first so `next` links are
-        // known when each page is written.
-        let mut next = PageId::NULL;
-        let chunks: Vec<&[u8]> = value.chunks(OVERFLOW_CAPACITY).collect();
-        for chunk in chunks.iter().rev() {
-            let page = self.pager.allocate()?;
-            let mut buf = vec![0u8; PAGE_SIZE];
-            buf[0] = TYPE_OVERFLOW;
-            buf[1..9].copy_from_slice(&next.0.to_le_bytes());
-            buf[9..11].copy_from_slice(&(chunk.len() as u16).to_le_bytes());
-            buf[11..11 + chunk.len()].copy_from_slice(chunk);
-            self.pager.write(page, &buf)?;
-            next = page;
-        }
-        Ok(ValueRef::Overflow {
-            head: next,
-            len: value.len() as u32,
+    /// The entries with `key >= start`, values not yet loaded.
+    fn entries_from(&self, start: &[u8]) -> Result<Entries<'_>> {
+        let (mut entries, next) = self.leaf_for(start)?.unwrap_or((Vec::new(), PageId::NULL));
+        let before = entries.partition_point(|(k, _)| k.as_slice() < start);
+        entries.drain(..before);
+        Ok(Entries {
+            tree: self,
+            leaf: entries.into_iter(),
+            next,
         })
     }
 
-    fn load_value(&self, vref: &ValueRef) -> Result<Vec<u8>> {
+    /// The entries from `start` on for as long as `keep` accepts their
+    /// keys; a value is loaded only once its key is accepted.
+    fn collect_while(
+        &self,
+        start: &[u8],
+        keep: impl Fn(&[u8]) -> bool,
+    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        let mut out = Vec::new();
+        for entry in self.entries_from(start)? {
+            let (key, vref) = entry?;
+            if !keep(&key) {
+                break;
+            }
+            out.push((key, self.load_value(vref)?));
+        }
+        Ok(out)
+    }
+
+    fn load_value(&self, vref: ValueRef) -> Result<Vec<u8>> {
         match vref {
-            ValueRef::Inline(v) => Ok(v.clone()),
+            ValueRef::Inline(v) => Ok(v),
             ValueRef::Overflow { head, len } => {
-                let mut out = Vec::with_capacity(*len as usize);
-                let mut page = *head;
+                let mut out = Vec::with_capacity(len as usize);
+                let mut page = head;
                 while !page.is_null() {
                     let buf = self.pager.read(page)?;
                     if buf.first() != Some(&TYPE_OVERFLOW) {
@@ -509,7 +438,7 @@ impl<P: Pager> BTree<P> {
                         ));
                     }
                     out.extend_from_slice(&buf[11..11 + n]);
-                    if out.len() > *len as usize {
+                    if out.len() > len as usize {
                         return Err(KvError::corrupt_page(
                             page.0,
                             "overflow chain exceeds recorded length",
@@ -517,7 +446,7 @@ impl<P: Pager> BTree<P> {
                     }
                     page = next;
                 }
-                if out.len() != *len as usize {
+                if out.len() != len as usize {
                     return Err(KvError::corrupt(format!(
                         "overflow chain length {} != recorded {}",
                         out.len(),
@@ -527,26 +456,6 @@ impl<P: Pager> BTree<P> {
                 Ok(out)
             }
         }
-    }
-
-    fn free_overflow(&mut self, head: PageId) -> Result<()> {
-        let mut page = head;
-        while !page.is_null() {
-            let buf = self.pager.read(page)?;
-            let next = PageId(codec::u64_at(&buf, 1, "overflow next link")?);
-            self.pager.free(page)?;
-            page = next;
-        }
-        Ok(())
-    }
-
-    fn write_header(&mut self) -> Result<()> {
-        let mut buf = vec![0u8; PAGE_SIZE];
-        buf[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-        buf[4..6].copy_from_slice(&VERSION.to_le_bytes());
-        buf[6..14].copy_from_slice(&self.root.0.to_le_bytes());
-        buf[14..22].copy_from_slice(&self.count.to_le_bytes());
-        self.pager.write(PageId(0), &buf)
     }
 
     fn read_node(&self, page: PageId) -> Result<TreeNode> {
@@ -594,63 +503,86 @@ impl<P: Pager> BTree<P> {
             )),
         }
     }
+}
 
-    fn write_node(&mut self, page: PageId, node: &TreeNode) -> Result<()> {
-        // xlint::allow(no-panic-paths): deliberate hard abort — an overflowing node would silently truncate on disk, which is far worse than aborting the writer
-        assert!(node_size(node) <= PAGE_SIZE, "node overflows page");
-        let mut buf = vec![0u8; PAGE_SIZE];
-        let mut pos = 0usize;
-        match node {
-            TreeNode::Branch { keys, children } => {
-                buf[pos] = TYPE_BRANCH;
-                pos += 1;
-                buf[pos..pos + 2].copy_from_slice(&(keys.len() as u16).to_le_bytes());
-                pos += 2;
-                buf[pos..pos + 8].copy_from_slice(&children[0].0.to_le_bytes());
-                pos += 8;
-                for (k, &c) in keys.iter().zip(children.iter().skip(1)) {
-                    buf[pos..pos + 2].copy_from_slice(&(k.len() as u16).to_le_bytes());
-                    pos += 2;
-                    buf[pos..pos + k.len()].copy_from_slice(k);
-                    pos += k.len();
-                    buf[pos..pos + 8].copy_from_slice(&c.0.to_le_bytes());
-                    pos += 8;
-                }
+/// The entries of a leaf chain from a starting key on, read one leaf at
+/// a time, values not yet loaded.
+struct Entries<'a> {
+    tree: &'a BTree,
+    leaf: std::vec::IntoIter<(Vec<u8>, ValueRef)>,
+    next: PageId,
+}
+
+impl Iterator for Entries<'_> {
+    type Item = Result<(Vec<u8>, ValueRef)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(entry) = self.leaf.next() {
+                return Some(Ok(entry));
             }
-            TreeNode::Leaf { entries, next } => {
-                buf[pos] = TYPE_LEAF;
-                pos += 1;
-                buf[pos..pos + 2].copy_from_slice(&(entries.len() as u16).to_le_bytes());
-                pos += 2;
-                buf[pos..pos + 8].copy_from_slice(&next.0.to_le_bytes());
-                pos += 8;
-                for (k, vref) in entries {
-                    buf[pos..pos + 2].copy_from_slice(&(k.len() as u16).to_le_bytes());
-                    pos += 2;
-                    match vref {
-                        ValueRef::Inline(v) => {
-                            buf[pos..pos + 4].copy_from_slice(&(v.len() as u32).to_le_bytes());
-                            pos += 4;
-                            buf[pos..pos + k.len()].copy_from_slice(k);
-                            pos += k.len();
-                            buf[pos..pos + v.len()].copy_from_slice(v);
-                            pos += v.len();
-                        }
-                        ValueRef::Overflow { head, len } => {
-                            buf[pos..pos + 4].copy_from_slice(&(0x8000_0000u32).to_le_bytes());
-                            pos += 4;
-                            buf[pos..pos + k.len()].copy_from_slice(k);
-                            pos += k.len();
-                            buf[pos..pos + 8].copy_from_slice(&head.0.to_le_bytes());
-                            pos += 8;
-                            buf[pos..pos + 4].copy_from_slice(&len.to_le_bytes());
-                            pos += 4;
-                        }
-                    }
+            if self.next.is_null() {
+                return None;
+            }
+            let page = std::mem::replace(&mut self.next, PageId::NULL);
+            match self.tree.read_node(page) {
+                Ok(TreeNode::Leaf { entries, next }) => {
+                    self.leaf = entries.into_iter();
+                    self.next = next;
                 }
+                Ok(TreeNode::Branch { .. }) => {
+                    return Some(Err(KvError::corrupt_page(page.0, "branch in leaf chain")))
+                }
+                Err(e) => return Some(Err(e)),
             }
         }
-        self.pager.write(page, &buf)
+    }
+}
+
+/// The read half of [`KvStore`]: a tree file is only ever replaced
+/// whole, so the mutating half is refused.
+impl KvStore for BTree {
+    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        let Some((mut entries, _)) = self.leaf_for(key)? else {
+            return Ok(None);
+        };
+        match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
+            Ok(i) => Ok(Some(self.load_value(entries.swap_remove(i).1)?)),
+            Err(_) => Ok(None),
+        }
+    }
+
+    fn put(&mut self, _key: &[u8], _value: &[u8]) -> Result<()> {
+        Err(read_only("put"))
+    }
+
+    fn delete(&mut self, _key: &[u8]) -> Result<bool> {
+        Err(read_only("delete"))
+    }
+
+    fn contains(&self, key: &[u8]) -> Result<bool> {
+        Ok(match self.leaf_for(key)? {
+            Some((entries, _)) => entries
+                .binary_search_by(|(k, _)| k.as_slice().cmp(key))
+                .is_ok(),
+            None => false,
+        })
+    }
+
+    fn scan_range(&self, start: &[u8], end: Option<&[u8]>) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        self.collect_while(start, |key| end.is_none_or(|end| key < end))
+    }
+
+    fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        self.collect_while(prefix, |key| key.starts_with(prefix))
+    }
+
+    fn len(&self) -> u64 {
+        self.count
+    }
+
+    fn sync(&mut self) -> Result<()> {
+        Err(read_only("sync"))
     }
 }
 
@@ -663,264 +595,133 @@ fn child_index(keys: &[Vec<u8>], key: &[u8]) -> usize {
     }
 }
 
-/// Serialized size of one leaf entry.
-fn leaf_entry_size(key: &[u8], v: &ValueRef) -> usize {
-    2 + 4
-        + key.len()
-        + match v {
-            ValueRef::Inline(v) => v.len(),
-            ValueRef::Overflow { .. } => 12,
-        }
-}
-
-/// Index splitting `sizes` into two halves of near-equal summed bytes
-/// (the left half is the first to reach half the total). Always in
-/// `[1, len - 1]` for `len >= 2`, so neither half is empty; because no
-/// single entry approaches `PAGE_SIZE / 2`, both halves of an
-/// overflowing node are guaranteed to fit a page again.
-fn byte_midpoint(sizes: &[usize]) -> usize {
-    let total: usize = sizes.iter().sum();
-    let mut acc = 0usize;
-    for (i, s) in sizes.iter().enumerate() {
-        acc += s;
-        if 2 * acc >= total {
-            return (i + 1).clamp(1, sizes.len().saturating_sub(1).max(1));
-        }
-    }
-    (sizes.len() / 2).max(1)
-}
-
-/// Serialized size of a node in bytes.
-fn branch_size(keys: &[Vec<u8>]) -> usize {
-    1 + 2 + 8 + keys.iter().map(|k| 2 + k.len() + 8).sum::<usize>()
-}
-
-fn leaf_size(entries: &[(Vec<u8>, ValueRef)]) -> usize {
-    1 + 2
-        + 8
-        + entries
-            .iter()
-            .map(|(k, v)| leaf_entry_size(k, v))
-            .sum::<usize>()
-}
-
-fn node_size(node: &TreeNode) -> usize {
-    match node {
-        TreeNode::Branch { keys, .. } => branch_size(keys),
-        TreeNode::Leaf { entries, .. } => leaf_size(entries),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pager::MemPager;
+    use crate::vfs::FaultVfs;
+    use std::path::Path;
 
-    fn mem_tree() -> BTree<MemPager> {
-        BTree::new(MemPager::new()).unwrap()
+    /// Builds `entries` into a fresh file and returns the tree plus the
+    /// number of pages it wrote.
+    fn built(entries: &[(Vec<u8>, Vec<u8>)]) -> (BTree, u64) {
+        let vfs = FaultVfs::new().as_dyn();
+        let pager = FilePager::create(&vfs, Path::new("tree.db")).unwrap();
+        let tree = build(pager, entries.iter().cloned().map(Ok)).unwrap();
+        let pages = tree.pager().page_count();
+        (tree, pages)
+    }
+
+    fn kv(k: impl Into<Vec<u8>>, v: impl Into<Vec<u8>>) -> (Vec<u8>, Vec<u8>) {
+        (k.into(), v.into())
     }
 
     #[test]
-    fn empty_tree_behaviour() {
-        let t = mem_tree();
-        assert_eq!(t.len(), 0);
-        assert!(t.is_empty());
+    fn empty_tree_is_a_header_and_one_empty_leaf() {
+        let (t, pages) = built(&[]);
+        assert_eq!((t.len(), pages), (0, 2));
+        assert!(!t.is_blank());
         assert_eq!(t.get(b"x").unwrap(), None);
         assert!(!t.contains(b"x").unwrap());
         assert!(t.scan_prefix(b"").unwrap().is_empty());
     }
 
     #[test]
-    fn put_get_replace_delete() {
-        let mut t = mem_tree();
-        assert!(!t.put(b"alpha", b"1").unwrap());
-        assert!(!t.put(b"beta", b"2").unwrap());
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.get(b"alpha").unwrap().unwrap(), b"1");
-        assert!(t.put(b"alpha", b"one").unwrap()); // replace
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.get(b"alpha").unwrap().unwrap(), b"one");
-        assert!(t.delete(b"alpha").unwrap());
-        assert!(!t.delete(b"alpha").unwrap());
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.get(b"alpha").unwrap(), None);
-    }
-
-    #[test]
-    fn many_keys_force_splits() {
-        let mut t = mem_tree();
+    fn many_keys_build_branch_levels_and_read_back() {
         let n = 5000u32;
-        for i in 0..n {
-            let k = format!("key{i:08}");
-            let v = format!("value-{i}");
-            t.put(k.as_bytes(), v.as_bytes()).unwrap();
-        }
+        let entries: Vec<_> = (0..n)
+            .map(|i| kv(format!("key{i:08}"), format!("value-{i}")))
+            .collect();
+        let (t, pages) = built(&entries);
         assert_eq!(t.len(), n as u64);
+        // Packed leaves: header, root branch and full leaves but the last.
+        let bytes: usize = entries.iter().map(|(k, v)| 6 + k.len() + v.len()).sum();
+        assert_eq!(pages, 3 + (bytes / (PAGE_SIZE - NODE_HEADER)) as u64);
+        assert!(matches!(t.read_node(t.root), Ok(TreeNode::Branch { .. })));
         for i in (0..n).step_by(97) {
-            let k = format!("key{i:08}");
-            assert_eq!(
-                t.get(k.as_bytes()).unwrap().unwrap(),
-                format!("value-{i}").as_bytes()
-            );
+            let (k, v) = &entries[i as usize];
+            assert_eq!(t.get(k).unwrap().as_ref(), Some(v));
         }
-        // full ordered scan
-        let all = t.scan_range(b"", None).unwrap();
-        assert_eq!(all.len(), n as usize);
-        assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn reverse_and_random_insert_order() {
-        let mut t = mem_tree();
-        let mut keys: Vec<u32> = (0..2000).collect();
-        // deterministic shuffle
-        let mut state = 0x9E3779B9u64;
-        for i in (1..keys.len()).rev() {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let j = (state >> 33) as usize % (i + 1);
-            keys.swap(i, j);
-        }
-        for &k in &keys {
-            t.put(&k.to_be_bytes(), &k.to_le_bytes()).unwrap();
-        }
-        let all = t.scan_range(b"", None).unwrap();
-        assert_eq!(all.len(), 2000);
-        assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
-        for &k in keys.iter().take(50) {
-            assert_eq!(t.get(&k.to_be_bytes()).unwrap().unwrap(), k.to_le_bytes());
-        }
+        assert_eq!(t.scan_range(b"", None).unwrap(), entries);
+        assert_eq!(
+            t.iter().unwrap().collect::<Result<Vec<_>>>().unwrap(),
+            entries
+        );
     }
 
     #[test]
     fn large_values_use_overflow_chains() {
-        let mut t = mem_tree();
         let big = vec![0xCDu8; 3 * PAGE_SIZE + 123];
-        t.put(b"big", &big).unwrap();
-        t.put(b"small", b"s").unwrap();
+        let entries = [kv("big", big.clone()), kv("small", "s")];
+        let (t, pages) = built(&entries);
+        // header + one leaf + a four-page chain
+        assert_eq!(pages, 6);
         assert_eq!(t.get(b"big").unwrap().unwrap(), big);
-        // replace big value with small: chain is freed and value readable
-        t.put(b"big", b"tiny").unwrap();
-        assert_eq!(t.get(b"big").unwrap().unwrap(), b"tiny");
-        // replace small with big again
-        let big2 = vec![0x11u8; 2 * PAGE_SIZE];
-        t.put(b"big", &big2).unwrap();
-        assert_eq!(t.get(b"big").unwrap().unwrap(), big2);
-        assert!(t.delete(b"big").unwrap());
-        assert_eq!(t.get(b"big").unwrap(), None);
         assert_eq!(t.get(b"small").unwrap().unwrap(), b"s");
     }
 
     #[test]
-    fn skewed_entry_sizes_split_without_overflowing_a_page() {
-        // Regression: a count-midpoint leaf split can leave one half over
-        // PAGE_SIZE when near-MAX_INLINE_ENTRY entries cluster at one end
-        // of a leaf whose other end holds many tiny entries (the midpoint
-        // lands among the tiny ones and the big half keeps too many
-        // bytes). This is exactly the shape `invindex::persist` produces:
-        // big `L/*` list values sort before a crowd of tiny `V/*` keys.
-        // The split is byte-balanced now; this workload panicked before.
-        let mut t = mem_tree();
-        for i in 0..100u32 {
-            t.put(format!("z/{i:03}").as_bytes(), b"t").unwrap();
-        }
+    fn skewed_entry_sizes_pack_without_overflowing_a_page() {
+        // Near-`MAX_INLINE_ENTRY` entries next to a crowd of tiny ones:
+        // the shape `invindex::persist` produces (big `L/*` list values
+        // sort before many tiny `V/*` keys). Splitting once overflowed a
+        // page on it; a packed leaf must stop at the byte boundary.
         let near_max = vec![0xABu8; MAX_INLINE_ENTRY - 16];
-        for i in 0..8u32 {
-            t.put(format!("a/{i:03}").as_bytes(), &near_max).unwrap();
-        }
-        for i in 0..100u32 {
-            assert_eq!(
-                t.get(format!("z/{i:03}").as_bytes()).unwrap().unwrap(),
-                b"t",
-                "tiny {i}"
-            );
-        }
-        for i in 0..8u32 {
-            assert_eq!(
-                t.get(format!("a/{i:03}").as_bytes()).unwrap().unwrap(),
-                near_max,
-                "big {i}"
-            );
+        let mut entries: Vec<_> = (0..8u32)
+            .map(|i| kv(format!("a/{i:03}"), near_max.clone()))
+            .collect();
+        entries.extend((0..100u32).map(|i| kv(format!("z/{i:03}"), "t")));
+        let (t, _) = built(&entries);
+        for (k, v) in &entries {
+            assert_eq!(t.get(k).unwrap().as_ref(), Some(v));
         }
     }
 
     #[test]
-    fn scan_range_bounds() {
-        let mut t = mem_tree();
-        for k in ["a", "b", "c", "d", "e"] {
-            t.put(k.as_bytes(), k.as_bytes()).unwrap();
-        }
-        let got = t.scan_range(b"b", Some(b"d")).unwrap();
-        let keys: Vec<&[u8]> = got.iter().map(|(k, _)| k.as_slice()).collect();
-        assert_eq!(keys, [b"b".as_slice(), b"c".as_slice()]);
+    fn scans_stop_at_their_bounds() {
+        let entries: Vec<_> = ["a", "ap", "app", "apple", "apply", "b", "banana", "c", "d"]
+            .iter()
+            .map(|k| kv(*k, *k))
+            .collect();
+        let (t, _) = built(&entries);
+        let keys = |got: Vec<(Vec<u8>, Vec<u8>)>| -> Vec<String> {
+            got.into_iter()
+                .map(|(k, _)| String::from_utf8(k).unwrap())
+                .collect()
+        };
+        assert_eq!(
+            keys(t.scan_range(b"b", Some(b"d")).unwrap()),
+            ["b", "banana", "c"]
+        );
         assert!(t.scan_range(b"x", None).unwrap().is_empty());
         assert!(t.scan_range(b"b", Some(b"b")).unwrap().is_empty());
+        assert_eq!(
+            keys(t.scan_prefix(b"app").unwrap()),
+            ["app", "apple", "apply"]
+        );
     }
 
     #[test]
-    fn scan_prefix_selects_only_prefixed() {
-        let mut t = mem_tree();
-        for k in ["app", "apple", "apply", "banana", "ap"] {
-            t.put(k.as_bytes(), b"v").unwrap();
-        }
-        let got = t.scan_prefix(b"app").unwrap();
-        let keys: Vec<String> = got
-            .iter()
-            .map(|(k, _)| String::from_utf8(k.clone()).unwrap())
-            .collect();
-        assert_eq!(keys, ["app", "apple", "apply"]);
-    }
-
-    #[test]
-    fn oversized_key_is_rejected() {
-        let mut t = mem_tree();
+    fn builder_refuses_unordered_and_oversized_input() {
+        let vfs = FaultVfs::new().as_dyn();
+        let build_of = |entries: Vec<(Vec<u8>, Vec<u8>)>| {
+            let pager = FilePager::create(&vfs, Path::new("bad.db")).unwrap();
+            build(pager, entries.into_iter().map(Ok)).map(|_| ())
+        };
+        assert!(build_of(vec![kv("b", ""), kv("a", "")]).is_err());
+        assert!(build_of(vec![kv("a", ""), kv("a", "")]).is_err());
         let huge = vec![b'k'; MAX_KEY_LEN + 1];
-        assert!(matches!(t.put(&huge, b"v"), Err(KvError::KeyTooLarge(_))));
+        assert!(matches!(
+            build_of(vec![kv(huge, "v")]),
+            Err(KvError::KeyTooLarge(_))
+        ));
     }
 
     #[test]
-    fn persistence_roundtrip_via_file_pager() {
-        use crate::pager::FilePager;
-        let dir = std::env::temp_dir().join(format!("kvstore_bt_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tree.db");
-        let _ = std::fs::remove_file(&path);
-        {
-            let pager = FilePager::open(&path).unwrap();
-            let mut t = BTree::new(pager).unwrap();
-            for i in 0..500u32 {
-                t.put(format!("k{i:05}").as_bytes(), &i.to_le_bytes())
-                    .unwrap();
-            }
-            t.sync().unwrap();
-        }
-        {
-            let pager = FilePager::open(&path).unwrap();
-            let t = BTree::new(pager).unwrap();
-            assert_eq!(t.len(), 500);
-            assert_eq!(
-                t.get(b"k00042").unwrap().unwrap(),
-                42u32.to_le_bytes().to_vec()
-            );
-            let all = t.scan_range(b"", None).unwrap();
-            assert_eq!(all.len(), 500);
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn for_each_early_stop() {
-        let mut t = mem_tree();
-        for i in 0..100u32 {
-            t.put(format!("{i:03}").as_bytes(), b"v").unwrap();
-        }
-        let mut seen = 0;
-        t.for_each_in_range(b"", None, &mut |_, _| {
-            seen += 1;
-            Ok(seen < 10)
-        })
-        .unwrap();
-        assert_eq!(seen, 10);
+    fn the_mutating_half_is_refused() {
+        let (mut t, _) = built(&[kv("a", "1")]);
+        assert!(t.put(b"k", b"v").is_err());
+        assert!(t.delete(b"a").is_err());
+        assert!(t.sync().is_err());
+        assert_eq!(t.get(b"a").unwrap().unwrap(), b"1");
     }
 }

@@ -11,31 +11,31 @@
 //!
 //! `DurableKv` is the *writer* of a store, and the only one that repairs
 //! it: this open removes a half-written `<base>.db.new` and truncates a
-//! torn log tail. What it reads — its own lookups included — is a
-//! [`Snapshot`]: it holds the one handle on the tree file, the overlay
-//! and the live-entry count as one, hands out clones through
-//! [`DurableKv::snapshot`], and swaps the tree handle itself at
-//! checkpoint. Readers that must not write use [`Snapshot::open`].
+//! torn log tail. It is a [`DiskKv`] — the tree file with the overlay
+//! laid over it — plus the WAL that makes that overlay durable: its
+//! reads, its own lookups included, go through the `DiskKv`'s
+//! [`Snapshot`], which it hands out clones of through
+//! [`DurableKv::snapshot`]; a checkpoint is `DiskKv::sync` followed by
+//! the log reset. Readers that must not write use [`Snapshot::open`].
 //!
 //! ## Crash-safety of checkpointing
 //!
-//! The checkpoint never modifies `<base>.db` in place. The merged state
-//! is written to `<base>.db.new`, fsynced, renamed over `<base>.db`, and
-//! the directory is fsynced — only then is the WAL truncated. A crash at
-//! any point leaves either the old tree (rename not yet durable) or the
-//! new tree (rename durable), and in both cases the still-intact WAL
-//! replays the overlay on top, which is idempotent. A partially written
-//! `<base>.db.new` left by a crash is deleted on the next writer open. In-place
-//! tree updates would not have this property: a power cut midway through
-//! flushing a multi-page update can strand the tree in a state no WAL
-//! replay can repair.
+//! No tree file is ever modified in place. The merged state is written
+//! to `<base>.db.new` by the tree builder, fsynced, renamed over
+//! `<base>.db`, and the directory is fsynced — only then is the WAL
+//! truncated. A crash at any point leaves either the old tree (rename
+//! not yet durable) or the new tree (rename durable), and in both cases
+//! the still-intact WAL replays the overlay on top, which is idempotent.
+//! A partially written `<base>.db.new` left by a crash is deleted on the
+//! next writer open.
 
+use crate::btree;
 use crate::error::Result;
-use crate::snapshot::{fold, live_delta, Snapshot};
+use crate::snapshot::{fold, Snapshot};
 use crate::store::{DiskKv, KvStore};
 use crate::vfs::{StdVfs, Vfs};
 use crate::wal::{Wal, WalRecord};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// One mutation inside an atomic [`DurableKv::apply_batch`] group.
@@ -48,14 +48,13 @@ pub enum BatchOp {
 /// A crash-safe key-value store.
 pub struct DurableKv {
     vfs: Arc<dyn Vfs>,
-    base: PathBuf,
-    /// The store's readable state: the one handle on the checkpointed
-    /// tree, the overlay of mutations since, and the live-entry count.
-    /// Every read goes through it and [`Self::snapshot`] clones it, so
-    /// the overlay is copied on the first write after a snapshot was
-    /// handed out, and a checkpoint swaps in a new base handle instead
-    /// of touching the one earlier snapshots pinned.
-    view: Snapshot,
+    /// The checkpointed tree with the WAL's mutations laid over it as the
+    /// store's overlay: every read goes through its view, which
+    /// [`Self::snapshot`] clones, so the overlay is copied on the first
+    /// write after a snapshot was handed out, and a checkpoint swaps in
+    /// a new tree handle instead of touching the one earlier snapshots
+    /// pinned.
+    disk: DiskKv,
     wal: Wal,
     /// Sequence number of the last committed transaction group.
     /// Monotonic while the store is open; a reopen re-derives it from
@@ -77,14 +76,14 @@ impl DurableKv {
         let wal_path = base.with_extension("wal");
         // A crash mid-checkpoint can leave a partially written new tree.
         vfs.remove(&base.with_extension("db.new"))?;
-        let tree = Arc::new(DiskKv::open_with_vfs(&vfs, &db_path)?);
+        let mut disk = DiskKv::open_with_vfs(&vfs, &db_path)?;
         let mut wal = Wal::open_with_vfs(&vfs, &wal_path)?;
         wal.require_reset_audit();
         let (overlay, txn_seq) = fold(wal.replay()?);
+        disk.view = Snapshot::over(Arc::clone(&disk.view.base), overlay)?;
         Ok(DurableKv {
             vfs,
-            base: base.to_path_buf(),
-            view: Snapshot::over(tree, overlay)?,
+            disk,
             wal,
             txn_seq,
         })
@@ -93,34 +92,24 @@ impl DurableKv {
     /// The store's current state as an immutable view, in O(1): later
     /// writes and checkpoints never show through it.
     pub fn snapshot(&self) -> Snapshot {
-        self.view.clone()
+        self.disk.view.clone()
     }
 
-    /// Writes the merged tree + overlay state to a fresh tree file,
-    /// atomically swaps it in, and resets the WAL. After this returns,
-    /// recovery no longer needs the log. On error the store is
-    /// unchanged: the old tree, overlay and WAL all remain in force.
+    /// Writes the merged tree + overlay state to a fresh tree file
+    /// (`DiskKv::sync`: `<base>.db.new`, fsync, rename, directory sync),
+    /// then resets the WAL. After this returns, recovery no longer needs
+    /// the log. On error the store is unchanged: the old tree, overlay
+    /// and WAL all remain in force.
     pub fn checkpoint(&mut self) -> Result<()> {
-        if self.view.overlay.is_empty() && self.wal.is_empty()? {
+        if self.disk.view.overlay.is_empty() && self.wal.is_empty()? {
             return Ok(());
         }
-        let tmp_path = self.base.with_extension("db.new");
-        self.vfs.remove(&tmp_path)?;
-        let mut new_tree = DiskKv::open_with_vfs(&self.vfs, &tmp_path)?;
-        for (key, value) in self.view.scan_range(b"", None)? {
-            new_tree.put(&key, &value)?;
-        }
-        new_tree.sync()?;
-
-        let db_path = self.base.with_extension("db");
-        self.vfs.rename(&tmp_path, &db_path)?;
-        self.vfs.sync_parent_dir(&db_path)?;
-        // The swap is durable; adopt the new tree, then retire the log.
-        // The note/audit pair enforces this ordering: resetting the WAL
-        // before this point would fail hard (see `Wal::require_reset_audit`).
-        // Snapshots taken before keep the old handle, hence the old inode.
+        self.disk.sync()?;
+        // The swap is durable; retire the log. The note/audit pair
+        // enforces this ordering: resetting the WAL before this point
+        // would fail hard (see `Wal::require_reset_audit`). Snapshots
+        // taken before keep the old handle, hence the old inode.
         self.wal.note_base_durable();
-        self.view = Snapshot::new(Arc::new(new_tree));
         self.wal.reset_with_vfs(&self.vfs)
     }
 
@@ -132,42 +121,30 @@ impl DurableKv {
         if ops.is_empty() {
             return Ok(());
         }
-        let records: Vec<WalRecord> = ops
+        let records = ops
             .iter()
             .map(|op| match op {
-                BatchOp::Put(key, value) => WalRecord::Put {
-                    key: key.clone(),
-                    value: value.clone(),
-                },
-                BatchOp::Delete(key) => WalRecord::Delete { key: key.clone() },
+                BatchOp::Put(key, value) => {
+                    btree::check_entry(key, value).map(|()| WalRecord::Put {
+                        key: key.clone(),
+                        value: value.clone(),
+                    })
+                }
+                BatchOp::Delete(key) => Ok(WalRecord::Delete { key: key.clone() }),
             })
-            .collect();
+            .collect::<Result<Vec<_>>>()?;
         let seq = self.txn_seq + 1;
         self.wal.append_txn(seq, &records)?;
         self.txn_seq = seq;
         for op in ops {
             match op {
-                BatchOp::Put(key, value) => {
-                    let existed = self.contains(key)?;
-                    self.lay(key, Some(value), existed);
-                }
+                BatchOp::Put(key, value) => self.disk.put(key, value)?,
                 BatchOp::Delete(key) => {
-                    if self.contains(key)? {
-                        self.lay(key, None, true);
-                    }
+                    self.disk.delete(key)?;
                 }
             }
         }
         Ok(())
-    }
-
-    /// Lays one logged mutation over the view.
-    fn lay(&mut self, key: &[u8], value: Option<&[u8]>, existed: bool) {
-        Arc::make_mut(&mut self.view.overlay).insert(key.to_vec(), value.map(<[u8]>::to_vec));
-        self.view.len = self
-            .view
-            .len
-            .saturating_add_signed(live_delta(existed, value.is_some()));
     }
 
     /// Sequence number of the last committed transaction group (0 when
@@ -178,22 +155,23 @@ impl DurableKv {
 
     /// Number of unsynced overlay entries (checkpoint trigger heuristics).
     pub fn overlay_len(&self) -> usize {
-        self.view.overlay_len()
+        self.disk.view.overlay_len()
     }
 }
 
 impl KvStore for DurableKv {
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.view.get(key)
+        self.disk.get(key)
     }
 
     fn put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
+        btree::check_entry(key, value)?;
         let existed = self.contains(key)?;
         self.wal.append(&WalRecord::Put {
             key: key.to_vec(),
             value: value.to_vec(),
         })?;
-        self.lay(key, Some(value), existed);
+        self.disk.view.lay(key, Some(value), existed);
         Ok(())
     }
 
@@ -202,24 +180,24 @@ impl KvStore for DurableKv {
             return Ok(false);
         }
         self.wal.append(&WalRecord::Delete { key: key.to_vec() })?;
-        self.lay(key, None, true);
+        self.disk.view.lay(key, None, true);
         Ok(true)
     }
 
     fn contains(&self, key: &[u8]) -> Result<bool> {
-        self.view.contains(key)
+        self.disk.contains(key)
     }
 
     fn scan_range(&self, start: &[u8], end: Option<&[u8]>) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.view.scan_range(start, end)
+        self.disk.scan_range(start, end)
     }
 
     fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.view.scan_prefix(prefix)
+        self.disk.scan_prefix(prefix)
     }
 
     fn len(&self) -> u64 {
-        self.view.len()
+        self.disk.len()
     }
 
     fn sync(&mut self) -> Result<()> {
@@ -230,6 +208,7 @@ impl KvStore for DurableKv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("durable_{}", std::process::id()));
@@ -302,7 +281,7 @@ mod tests {
         assert_eq!(s.get(b"tail").unwrap().unwrap(), b"t");
         // The checkpoint fully rewrote the tree, so deleted keys are
         // genuinely gone from the base file, not just shadowed.
-        assert_eq!(s.view.base.len(), 20);
+        assert_eq!(s.snapshot().base.len(), 20);
     }
 
     #[test]

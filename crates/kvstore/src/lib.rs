@@ -7,17 +7,19 @@
 //!
 //! * [`vfs`]: the virtual filesystem every file touch goes through —
 //!   [`StdVfs`] in production, [`FaultVfs`] under fault injection.
-//! * [`pager`]: fixed-size page storage (in-memory or file-backed) with
-//!   per-page CRC32 trailers.
-//! * [`btree`]: the B+-tree itself.
+//! * [`pager`]: the fixed-size pages of one file, with per-page CRC32
+//!   trailers.
+//! * [`btree`]: the B+-tree — written once by one bottom-up builder,
+//!   then only read.
 //! * [`store`]: the [`KvStore`] trait plus [`MemKv`] (BTreeMap model)
-//!   and [`TreeKv`], the B+-tree over memory ([`MemTreeKv`]) or a file
-//!   ([`DiskKv`]).
+//!   and [`DiskKv`], one tree file with the mutations since its last
+//!   sync laid over it; a sync writes the merged entries into a new
+//!   file and renames it into place.
 //! * [`wal`] + [`durable`]: the write-ahead log and [`DurableKv`], the
 //!   crash-safe store built from a checkpointed tree and the log.
 //! * [`snapshot`]: [`Snapshot`], the one immutable overlay-over-base
-//!   view every reader — and `DurableKv` itself — reads through, and
-//!   the one read-only open.
+//!   view every reader — `DiskKv` and `DurableKv` themselves included —
+//!   reads through, and the one read-only open.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
@@ -36,10 +38,9 @@ pub use btree::{BTree, MAX_KEY_LEN};
 pub use durable::{BatchOp, DurableKv};
 pub use error::{KvError, Result};
 pub use pager::{
-    FilePager, MemPager, PageId, PageVerifyReport, Pager, PAGE_SIZE, PAGE_TRAILER_MAGIC,
-    PHYS_PAGE_SIZE,
+    FilePager, PageId, PageVerifyReport, PAGE_SIZE, PAGE_TRAILER_MAGIC, PHYS_PAGE_SIZE,
 };
 pub use snapshot::Snapshot;
-pub use store::{DiskKv, KvStore, MemKv, MemTreeKv, TreeKv};
+pub use store::{DiskKv, KvStore, MemKv};
 pub use vfs::{Fault, FaultVfs, StdVfs, SurvivalMode, Vfs, VfsFile};
 pub use wal::{crc32, Wal, WalRecord};

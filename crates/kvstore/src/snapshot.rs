@@ -1,19 +1,21 @@
 //! `Snapshot`: the one immutable merged view of a store.
 //!
-//! A store's readable state is a *base* (the checkpointed B+-tree, or
-//! any other [`KvStore`]) plus an *overlay* of committed mutations the
-//! base does not hold yet (`Some(v)` = put, `None` = delete). This
-//! module is the only place the two are laid over each other: point
-//! reads, scans and the live-entry count all go through the functions
-//! below, whether the caller is a pinned reader, the writer's own
-//! [`DurableKv`](crate::durable::DurableKv) or a read-only open.
+//! A store's readable state is a *base* (the last B+-tree file written,
+//! or any other [`KvStore`]) plus an *overlay* of mutations the base
+//! does not hold yet (`Some(v)` = put, `None` = delete). This module is
+//! the only place the two are laid over each other: point reads, scans,
+//! the live-entry count and the stream a sync feeds the tree builder
+//! ([`merge`]) all go through the functions below, whether the caller is
+//! a pinned reader, a [`DiskKv`](crate::store::DiskKv) between syncs,
+//! the writer's own [`DurableKv`](crate::durable::DurableKv) or a
+//! read-only open.
 //!
 //! A `Snapshot` never changes after it is made. Both halves sit behind
 //! `Arc`s, so cloning one is two reference-count bumps; the writer
 //! copies its overlay on the first write after handing a snapshot out
-//! and swaps in a new base handle at checkpoint, and neither is visible
-//! to snapshots taken earlier. The mutating half of [`KvStore`] is
-//! refused.
+//! and swaps in a new base handle when it writes a new tree file, and
+//! neither is visible to snapshots taken earlier. The mutating half of
+//! [`KvStore`] is refused.
 //!
 //! [`Snapshot::open`] is the one read-only open: base tree plus the WAL
 //! beside it, replayed through [`wal::read_log`] — the frame scan
@@ -21,8 +23,10 @@
 //! nothing; a half-written checkpoint or a torn log tail left by a crash
 //! stays exactly as found, for the next *writer* open to repair.
 
+use crate::btree::BTree;
 use crate::error::{KvError, Result};
-use crate::store::{DiskKv, KvStore};
+use crate::pager::FilePager;
+use crate::store::KvStore;
 use crate::vfs::Vfs;
 use crate::wal::{self, WalRecord};
 use std::collections::BTreeMap;
@@ -73,7 +77,7 @@ impl Snapshot {
     /// laid over it — without writing: an absent base file is a
     /// `NotFound` error naming it, and crash leftovers are left alone.
     pub fn open(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<Self> {
-        let base = Arc::new(DiskKv::open_read_only(vfs, path)?);
+        let base = Arc::new(BTree::open(FilePager::open_read_only(vfs, path)?)?);
         let (records, _torn) = wal::read_log(vfs, &path.with_extension("wal"))?;
         Self::over(base, fold(records).0)
     }
@@ -81,6 +85,16 @@ impl Snapshot {
     /// Number of overlay entries (puts and deletes) over the base.
     pub fn overlay_len(&self) -> usize {
         self.overlay.len()
+    }
+
+    /// Lays one mutation over the view: `Some(v)` puts, `None` deletes,
+    /// and `existed` says whether the key was live before. The overlay is
+    /// copied first if a snapshot taken earlier still shares it.
+    pub(crate) fn lay(&mut self, key: &[u8], value: Option<&[u8]>, existed: bool) {
+        Arc::make_mut(&mut self.overlay).insert(key.to_vec(), value.map(<[u8]>::to_vec));
+        self.len = self
+            .len
+            .saturating_add_signed(live_delta(existed, value.is_some()));
     }
 }
 
@@ -106,10 +120,6 @@ pub(crate) fn fold(records: Vec<WalRecord>) -> (Overlay, u64) {
             WalRecord::Delete { key } => {
                 overlay.insert(key, None);
             }
-            // A checkpoint record would mean the tree already holds
-            // everything before it; the checkpointing protocol resets
-            // the log instead, so this only appears mid-crash.
-            WalRecord::Checkpoint => overlay.clear(),
             WalRecord::TxnBegin { .. } => {}
             WalRecord::TxnCommit { seq } => txn_seq = txn_seq.max(seq),
         }
@@ -117,37 +127,40 @@ pub(crate) fn fold(records: Vec<WalRecord>) -> (Overlay, u64) {
     (overlay, txn_seq)
 }
 
-/// Lays key-ordered overlay entries over a key-ordered base scan: an
+/// Lays key-ordered overlay entries over key-ordered base entries: an
 /// overlay entry shadows the base entry of the same key, and a delete
-/// drops it.
-fn merge<'a>(
-    base: Vec<(Vec<u8>, Vec<u8>)>,
+/// drops it. It streams — one entry of each side is held at a time — so
+/// a sync can feed a whole store through it into the tree builder; a
+/// base error is passed on where it occurs.
+pub(crate) fn merge<'a>(
+    base: impl Iterator<Item = Result<(Vec<u8>, Vec<u8>)>>,
     overlay: impl Iterator<Item = (&'a Vec<u8>, &'a Option<Vec<u8>>)>,
-) -> Vec<(Vec<u8>, Vec<u8>)> {
+) -> impl Iterator<Item = Result<(Vec<u8>, Vec<u8>)>> {
+    let mut base = base.peekable();
     let mut overlay = overlay.peekable();
-    if overlay.peek().is_none() {
-        return base;
-    }
-    let mut out = Vec::with_capacity(base.len());
-    for (key, value) in base {
-        let mut shadowed = false;
-        while let Some((ov_key, ov_value)) = overlay.next_if(|(k, _)| **k <= key) {
-            shadowed |= *ov_key == key;
-            if let Some(v) = ov_value {
-                out.push((ov_key.clone(), v.clone()));
-            }
+    std::iter::from_fn(move || loop {
+        let overlay_first = match (base.peek(), overlay.peek()) {
+            (_, None) | (Some(Err(_)), _) => false,
+            (None, Some(_)) => true,
+            (Some(Ok((base_key, _))), Some((ov_key, _))) => *ov_key <= base_key,
+        };
+        if !overlay_first {
+            return base.next();
         }
-        if !shadowed {
-            out.push((key, value));
+        let (key, value) = overlay.next()?;
+        if matches!(base.peek(), Some(Ok((base_key, _))) if base_key == key) {
+            base.next();
         }
-    }
-    out.extend(overlay.filter_map(|(k, v)| v.clone().map(|v| (k.clone(), v))));
-    out
+        if let Some(value) = value {
+            return Some(Ok((key.clone(), value.clone())));
+        }
+    })
 }
 
-fn read_only(op: &str) -> KvError {
+/// The refusal a read-only view gives the mutating half of [`KvStore`].
+pub(crate) fn read_only(op: &str) -> KvError {
     KvError::corrupt(format!(
-        "{op} on a read-only snapshot: mutate through the store's writer"
+        "{op} on a read-only view: mutate through the store's writer"
     ))
 }
 
@@ -180,20 +193,22 @@ impl KvStore for Snapshot {
             Some(e) => Bound::Excluded(e),
             None => Bound::Unbounded,
         };
-        Ok(merge(
-            self.base.scan_range(start, end)?,
+        merge(
+            self.base.scan_range(start, end)?.into_iter().map(Ok),
             self.overlay
                 .range::<[u8], _>((Bound::Included(start), upper)),
-        ))
+        )
+        .collect()
     }
 
     fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        Ok(merge(
-            self.base.scan_prefix(prefix)?,
+        merge(
+            self.base.scan_prefix(prefix)?.into_iter().map(Ok),
             self.overlay
                 .range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
                 .take_while(|(k, _)| k.starts_with(prefix)),
-        ))
+        )
+        .collect()
     }
 
     fn len(&self) -> u64 {

@@ -25,10 +25,13 @@
 //! [len: u32][crc32: u32][kind: u8][payload: len-5 bytes]
 //! kind 1 = Put       payload = [klen: u32][key][value]
 //! kind 2 = Delete    payload = [klen: u32][key]
-//! kind 3 = Checkpoint (no payload)
 //! kind 4 = TxnBegin  payload = [seq: u64]
 //! kind 5 = TxnCommit payload = [seq: u64]
 //! ```
+//!
+//! Kind 3 is retired: a checkpoint resets the log instead of marking
+//! it, so a checksum-valid kind-3 frame is corruption like any other
+//! undecodable body.
 //!
 //! Records between a `TxnBegin` and its matching `TxnCommit` form one
 //! atomic transaction: [`Wal::append_txn`] writes the whole group with a
@@ -54,9 +57,6 @@ pub enum WalRecord {
     Delete {
         key: Vec<u8>,
     },
-    /// Marks that all preceding records are reflected in a checkpointed
-    /// base state; replay may start after the *last* checkpoint.
-    Checkpoint,
     /// Opens an atomic group; `seq` must match the closing
     /// [`WalRecord::TxnCommit`].
     TxnBegin {
@@ -354,11 +354,6 @@ fn scan(buf: &[u8]) -> Result<(Vec<WalRecord>, usize)> {
                             )));
                         }
                     },
-                    WalRecord::Checkpoint if txn.is_some() => {
-                        return Err(KvError::corrupt(format!(
-                            "WAL checkpoint at byte {pos} inside an open transaction"
-                        )));
-                    }
                     _ => {}
                 }
                 records.push(r);
@@ -416,7 +411,6 @@ fn encode_body(record: &WalRecord) -> Vec<u8> {
             out.extend_from_slice(&(key.len() as u32).to_le_bytes());
             out.extend_from_slice(key);
         }
-        WalRecord::Checkpoint => out.push(3),
         WalRecord::TxnBegin { seq } => {
             out.push(4);
             out.extend_from_slice(&seq.to_le_bytes());
@@ -445,7 +439,6 @@ fn decode_body(body: &[u8]) -> Option<WalRecord> {
             let key = body.get(5..5 + klen)?.to_vec();
             Some(WalRecord::Delete { key })
         }
-        3 => (body.len() == 1).then_some(WalRecord::Checkpoint),
         4 => {
             let seq = u64::from_le_bytes(body.get(1..9)?.try_into().ok()?);
             (body.len() == 9).then_some(WalRecord::TxnBegin { seq })
@@ -513,7 +506,6 @@ mod tests {
                 value: b"1".to_vec(),
             },
             WalRecord::Delete { key: b"a".to_vec() },
-            WalRecord::Checkpoint,
             WalRecord::Put {
                 key: b"b".to_vec(),
                 value: vec![0xFF; 1000],
@@ -654,7 +646,8 @@ mod tests {
     fn reset_empties_the_log() {
         let path = tmp("reset.wal");
         let mut wal = Wal::open(&path).unwrap();
-        wal.append(&WalRecord::Checkpoint).unwrap();
+        wal.append(&WalRecord::Delete { key: b"k".to_vec() })
+            .unwrap();
         assert!(!wal.is_empty().unwrap());
         wal.reset().unwrap();
         assert!(wal.is_empty().unwrap());
@@ -707,10 +700,14 @@ mod tests {
         {
             let mut wal = Wal::open(&path).unwrap();
             assert!(wal.replay().unwrap().is_empty());
-            wal.append(&WalRecord::Checkpoint).unwrap();
+            wal.append(&WalRecord::Delete { key: b"k".to_vec() })
+                .unwrap();
         }
         let mut wal = Wal::open(&path).unwrap();
-        assert_eq!(wal.replay().unwrap(), vec![WalRecord::Checkpoint]);
+        assert_eq!(
+            wal.replay().unwrap(),
+            vec![WalRecord::Delete { key: b"k".to_vec() }]
+        );
     }
 
     #[test]
@@ -799,10 +796,36 @@ mod tests {
     }
 
     #[test]
+    fn undecodable_bodies_are_corruption_including_the_retired_checkpoint_kind() {
+        // Kind 3 once meant "checkpoint"; nothing writes it any more, so
+        // a checksum-valid kind-3 frame is as undecodable as a kind-9
+        // one — and, being intact, never a torn tail.
+        for body in [vec![3u8], vec![9u8], vec![4u8, 1, 2]] {
+            let path = tmp("undecodable.wal");
+            let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&crc32(&body).to_le_bytes());
+            frame.extend_from_slice(&body);
+            std::fs::write(&path, &frame).unwrap();
+            let mut wal = Wal::open(&path).unwrap();
+            match wal.replay() {
+                Err(KvError::Corrupt { context, .. }) => assert!(
+                    context.contains("valid checksum but undecodable body"),
+                    "kind {}: {context}",
+                    body[0]
+                ),
+                other => panic!("kind {}: expected corruption, got {other:?}", body[0]),
+            }
+            let vfs = StdVfs::arc();
+            assert!(read_log(&vfs, &path).is_err(), "kind {}", body[0]);
+        }
+    }
+
+    #[test]
     fn reset_audit_orders_base_sync_before_truncate() {
         let path = tmp("audit.wal");
         let mut wal = Wal::open(&path).unwrap();
-        wal.append(&WalRecord::Checkpoint).unwrap();
+        wal.append(&WalRecord::Delete { key: b"k".to_vec() })
+            .unwrap();
         wal.require_reset_audit();
         // Truncating before the base is durable must fail loudly…
         assert!(matches!(wal.reset(), Err(KvError::Corrupt { .. })));
@@ -812,7 +835,8 @@ mod tests {
         wal.reset().unwrap();
         assert!(wal.is_empty().unwrap());
         // The note is consumed: the next reset needs a fresh note.
-        wal.append(&WalRecord::Checkpoint).unwrap();
+        wal.append(&WalRecord::Delete { key: b"k".to_vec() })
+            .unwrap();
         assert!(matches!(wal.reset(), Err(KvError::Corrupt { .. })));
     }
 

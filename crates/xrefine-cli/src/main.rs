@@ -253,10 +253,23 @@ fn build_index(data: &str, threads: usize) -> Result<invindex::Index, String> {
 
 /// `xrefine-cli index <data> <db> [--threads N]`: build with the
 /// streaming scanner and persist. The store is byte-identical at any
-/// thread count.
+/// thread count, and it replaces whatever store was at `<db>`: the old
+/// tree file goes, and so do the WAL and half-written checkpoint an
+/// `update` may have left beside it, which would otherwise be merged
+/// into or replayed over the new index.
 fn build_store(data: &str, store_path: &str, threads: usize) -> Result<(), String> {
     let index = build_index(data, threads)?;
-    let mut store = kvstore::DiskKv::open(std::path::Path::new(store_path))
+    let path = std::path::Path::new(store_path);
+    let vfs = kvstore::StdVfs::arc();
+    for old in [
+        path.with_extension("wal"),
+        path.with_extension("db.new"),
+        path.to_path_buf(),
+    ] {
+        vfs.remove(&old)
+            .map_err(|e| format!("cannot replace store {store_path}: {}: {e}", old.display()))?;
+    }
+    let mut store = kvstore::DiskKv::open_with_vfs(&vfs, path)
         .map_err(|e| format!("cannot open store {store_path}: {e}"))?;
     invindex::persist::persist(&index, &mut store)
         .map_err(|e| format!("cannot persist index: {e}"))?;

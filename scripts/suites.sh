@@ -9,8 +9,10 @@
 #   release_smoke  multi-thread smoke tests rerun in release, where
 #                  aggressive reordering gives a data race a real chance
 #   torture        fault-injection + crash-recovery sweeps (release —
-#                  debug builds stride the sweeps for speed), and the
-#                  read-only opens leaving a crashed store's files
+#                  debug builds stride the sweeps for speed), the
+#                  tree-file store against its BTreeMap model (syncs,
+#                  reopens, byte-identical files for equal entries), and
+#                  the read-only opens leaving a crashed store's files
 #                  byte-identical
 #   observability  obs invariants, differential oracles (SLCA, DP against
 #                  brute force and against the string-keyed recurrence it
@@ -64,6 +66,7 @@ suite_release_smoke() {
 suite_torture() {
     xcargo test --release -q -p kvstore --test torture
     xcargo test --release -q -p kvstore --test fault_injection
+    xcargo test --release -q -p kvstore --test model
     xcargo test --release -q -p xrefine-cli read_only_open
     xcargo test --release -q --test storage_bitflips
 }
