@@ -9,7 +9,7 @@
 
 use bench::{dblp, f3, Table};
 use datagen::{generate_workload, PerturbKind, WorkloadConfig};
-use invindex::Index;
+use invindex::{Index, IndexReader, ListHandle};
 use slca::{needs_refinement, slca_scan_eager, MeaningfulFilter, SearchForConfig};
 use std::sync::Arc;
 use xrefine::Query;
@@ -47,10 +47,10 @@ fn main() {
     let (mut n_extra, mut n_none) = (0, 0);
     for wq in &pool {
         let q = Query::from_keywords(wq.keywords.iter().cloned());
-        let lists: Vec<&[invindex::Posting]> = q
+        let lists: Vec<ListHandle> = q
             .keywords()
             .iter()
-            .map(|k| index.list(k).map(|l| l.as_slice()).unwrap_or(&[]))
+            .map(|k| index.list_handle(k).expect("resident"))
             .collect();
         let slcas = slca_scan_eager(&lists);
         let flagged = slcas.is_empty();
@@ -87,10 +87,10 @@ fn main() {
                 .filter_map(|k| index.vocabulary().get(k))
                 .collect();
             let filter = MeaningfulFilter::infer(&index, &ids, &config);
-            let lists: Vec<&[invindex::Posting]> = q
+            let lists: Vec<ListHandle> = q
                 .keywords()
                 .iter()
-                .map(|k| index.list(k).map(|l| l.as_slice()).unwrap_or(&[]))
+                .map(|k| index.list_handle(k).expect("resident"))
                 .collect();
             let slcas = slca_scan_eager(&lists);
             let flagged = needs_refinement(&filter, &slcas);

@@ -46,6 +46,6 @@ pub use kvindex::KvBackedIndex;
 pub use maint::{MaintIndex, MaintOp, MaintReport};
 pub use persist::{verify_store, IntegrityReport, SectionReport};
 pub use postings::{BlockMeta, CompressedList, Posting, PostingList, BLOCK_POSTINGS};
-pub use reader::{IndexReader, ListHandle};
+pub use reader::{gallop, IndexReader, ListHandle, PartitionRuns};
 pub use stats::{KeywordId, KeywordTable, TypeStats};
 pub use stream::build_streaming;

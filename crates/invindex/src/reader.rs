@@ -13,7 +13,7 @@
 //! keeps the decoded list alive), so scans never observe a list
 //! disappearing under them.
 
-use crate::postings::{Posting, PostingList};
+use crate::postings::{PartitionRun, Posting, PostingList};
 use crate::stats::{KeywordId, KeywordTable, TypeStats};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -112,6 +112,84 @@ impl ListHandle {
         let next = rest.next().map_or(self.list.len(), |r| r.start);
         Some((head, next.min(self.end).saturating_sub(self.start)))
     }
+
+    /// A cursor over the partition runs visible through this handle,
+    /// standing in the first: joining lists on these integers finds the
+    /// partitions they share without reading a label.
+    pub fn partition_runs(&self) -> PartitionRuns<'_> {
+        let runs = self.list.runs();
+        // The runs overlapping the view: from the one holding its first
+        // posting through the one holding its last.
+        let first = self.first_run();
+        let last = runs.partition_point(|r| r.start < self.end);
+        let visible = if self.is_empty() {
+            &[]
+        } else {
+            runs.get(first..last).unwrap_or_default()
+        };
+        PartitionRuns {
+            runs: visible,
+            start: self.start,
+            end: self.end,
+        }
+    }
+}
+
+/// A forward cursor over a [`ListHandle`]'s partition runs
+/// ([`ListHandle::partition_runs`]).
+pub struct PartitionRuns<'a> {
+    /// The visible runs from the current one on; a run's `start` indexes
+    /// the whole list.
+    runs: &'a [PartitionRun],
+    /// The view, in whole-list indices.
+    start: usize,
+    end: usize,
+}
+
+impl PartitionRuns<'_> {
+    /// The run the cursor stands in: its partition (as
+    /// [`ListCursor::head_partition`] reports it) and its view-relative
+    /// range, clamped to the view; `None` past the last run.
+    ///
+    /// [`ListCursor::head_partition`]: crate::ListCursor::head_partition
+    pub fn current(&self) -> Option<(u64, Range<usize>)> {
+        let mut rest = self.runs.iter();
+        let run = rest.next()?;
+        let end = rest.next().map_or(self.end, |next| next.start);
+        let from = run.start.max(self.start) - self.start;
+        Some((run.head, from..end - self.start))
+    }
+
+    /// Moves to the first run whose partition is `head` or later, by
+    /// [`gallop`], and returns the number of run heads compared.
+    pub fn seek(&mut self, head: u64) -> u64 {
+        let (to, probes) = gallop(self.runs, |r| r.head < head);
+        self.runs = self.runs.get(to..).unwrap_or_default();
+        probes
+    }
+}
+
+/// The partition point of `items` under `before` (true for a prefix of
+/// `items`, false after it), found from the front by galloping: probes at
+/// 1, 2, 4, … then a binary search of the last gap, so a point `d` items
+/// in costs `O(log d)` probes, not `O(log n)`. Returns the point and the
+/// number of probes.
+pub fn gallop<T>(items: &[T], before: impl Fn(&T) -> bool) -> (usize, u64) {
+    if !items.first().is_some_and(&before) {
+        return (0, 1);
+    }
+    // `items[passed]` is before the point; `items[bound]`, if any, is not.
+    let (mut passed, mut bound, mut probes) = (0, 1, 1);
+    while items.get(bound).is_some_and(&before) {
+        passed = bound;
+        bound = bound.saturating_mul(2);
+        probes += 1;
+    }
+    let window = items
+        .get(passed + 1..bound.min(items.len()))
+        .unwrap_or_default();
+    probes += u64::from(usize::BITS - window.len().leading_zeros());
+    (passed + 1 + window.partition_point(before), probes)
 }
 
 impl Default for ListHandle {
@@ -251,6 +329,23 @@ mod tests {
         assert_eq!(h.partition_range(&root), 2..4);
         let sub = h.slice(2..5);
         assert_eq!(sub.partition_range(&root), 0..2);
+    }
+
+    #[test]
+    fn gallop_finds_the_partition_point_in_logarithmic_probes() {
+        for n in 0..70usize {
+            let items: Vec<usize> = (0..n).collect();
+            for point in 0..=n {
+                let (found, probes) = gallop(&items, |&i| i < point);
+                assert_eq!(found, point, "n={n}");
+                // Twice the bits of the distance, plus the first probe.
+                let bits = u64::from(usize::BITS - point.leading_zeros());
+                assert!(
+                    probes <= 2 * bits + 1,
+                    "n={n} point={point}: {probes} probes"
+                );
+            }
+        }
     }
 
     #[test]

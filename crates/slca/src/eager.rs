@@ -9,9 +9,22 @@
 //! Eager locates closest matches by binary probes (`O(|S1| k log |Smax|)`);
 //! Scan Eager advances one forward cursor per list instead, which wins when
 //! list lengths are comparable.
+//!
+//! Scan Eager also joins the lists on their partition runs
+//! ([`ListHandle::partition_runs`]). A match sharing more than the root
+//! with an anchor stands in the anchor's partition (Definition 6.1), so
+//! anchors in a partition some list lacks meet that list at the root:
+//! the run cursors leapfrog — each gallops over its run table to the
+//! largest partition any cursor stands in, until all stand in one — and
+//! such partitions are passed without reading a label. The eager step
+//! runs only inside the partitions every list holds, on cursors clamped
+//! to the runs there, and keeps the minimal candidates as it goes
+//! (anchors ascend, so the last one kept decides). Its work is bounded by
+//! those partitions' postings plus a logarithmic seek per list and
+//! partition tried, not by the lists' lengths.
 
 use crate::common::{closest_match, minimal_candidates};
-use invindex::Posting;
+use invindex::{ListHandle, PartitionRuns, Posting, HEAD_AT_ROOT};
 use xmldom::Dewey;
 
 /// Indexed-Lookup-Eager SLCA. Accepts anything list-shaped — `&[Posting]`,
@@ -47,78 +60,130 @@ pub fn slca_indexed_lookup_eager<S: AsRef<[Posting]>>(lists: &[S]) -> Vec<Dewey>
     minimal_candidates(candidates)
 }
 
-/// Scan-Eager SLCA: identical candidates, but closest matches come from
-/// forward cursors rather than binary probes.
-pub fn slca_scan_eager<S: AsRef<[Posting]>>(lists: &[S]) -> Vec<Dewey> {
+/// Scan-Eager SLCA, joined on the lists' partition runs (see the module
+/// docs): identical results, but closest matches come from forward
+/// cursors rather than binary probes, and only inside partitions every
+/// list holds. When no list is empty and no partition is held by all,
+/// the root is the one SLCA.
+pub fn slca_scan_eager(lists: &[ListHandle]) -> Vec<Dewey> {
     obs::counter!("slca_invocations_total").inc();
-    let lists: Vec<&[Posting]> = lists.iter().map(AsRef::as_ref).collect();
-    if lists.is_empty() || lists.iter().any(|l| l.is_empty()) {
+    let Some((shortest, anchors)) = (lists.iter().enumerate()).min_by_key(|(_, l)| l.len()) else {
         return Vec::new();
-    }
-    let shortest = lists
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, l)| l.len())
-        .map(|(i, _)| i)
-        .expect("non-empty list set");
+    };
+    // The shortest list is empty exactly when some list is.
+    let Some(root) = anchors.first().and_then(|p| p.dewey.prefix(1)) else {
+        return Vec::new();
+    };
 
-    // One forward position per list: index of the first element > the
-    // previous anchor. Anchors ascend, so positions only move forward.
-    let mut pos = vec![0usize; lists.len()];
+    let mut anchor_runs = anchors.partition_runs();
+    let mut others: Vec<RunJoin<'_>> = (lists.iter().enumerate())
+        .filter(|&(i, _)| i != shortest)
+        .map(|(_, list)| RunJoin {
+            list,
+            runs: list.partition_runs(),
+            run: &[],
+            pos: 0,
+        })
+        .collect();
     let mut steps = 0u64;
-    // Not sized by the anchor list: refinement hands this function whole
-    // lists, where runs of anchors share one candidate (all of a
-    // partition lacking another keyword meet it at the root), and a run
-    // is kept as its first element only.
-    let mut candidates: Vec<Dewey> = Vec::new();
-    for anchor in lists[shortest] {
-        let a = &anchor.dewey;
-        // The per-list LCA is a prefix of the anchor, so only the minimum
-        // common-prefix length is tracked; the candidate label is built once
-        // per anchor instead of once per list.
-        let mut min_prefix: Option<usize> = None;
-        let mut dead = false;
-        for (i, list) in lists.iter().enumerate() {
-            if i == shortest {
-                continue;
+    let mut found: Vec<Dewey> = Vec::new();
+    // The partition every cursor is asked to reach; the root's postings
+    // stand in none.
+    let mut head = HEAD_AT_ROOT + 1;
+    'join: loop {
+        steps += anchor_runs.seek(head);
+        let Some((at, range)) = anchor_runs.current() else {
+            break;
+        };
+        head = at;
+        for other in &mut others {
+            steps += other.runs.seek(head);
+            match other.runs.current() {
+                Some((at, run)) if at == head => {
+                    other.run = other.list.get(run).unwrap_or_default();
+                    other.pos = 0;
+                }
+                // The list lacks `head`: every cursor must reach `at`.
+                Some((at, _)) => {
+                    head = at;
+                    continue 'join;
+                }
+                None => break 'join,
             }
-            steps += 1;
-            // advance cursor while the next element is still <= anchor
-            while pos[i] < list.len() && list[pos[i]].dewey <= *a {
-                pos[i] += 1;
+        }
+        for anchor in anchors.get(range).unwrap_or_default() {
+            let a = &anchor.dewey;
+            // Every per-list LCA is a prefix of the anchor, so only the
+            // minimum common-prefix length is tracked; the candidate label
+            // is built once per anchor instead of once per list.
+            let mut min_prefix = a.len();
+            for other in &mut others {
                 steps += 1;
+                min_prefix = min_prefix.min(other.closest_prefix(a, &mut steps));
             }
-            let pred = pos[i].checked_sub(1).map(|j| &list[j].dewey);
-            let succ = list.get(pos[i]).map(|p| &p.dewey);
-            let best = match (pred, succ) {
-                (Some(p), Some(s)) => {
-                    if a.common_prefix_len(p) >= a.common_prefix_len(s) {
-                        p
-                    } else {
-                        s
-                    }
-                }
-                (Some(p), None) => p,
-                (None, Some(s)) => s,
-                (None, None) => {
-                    dead = true;
-                    break;
-                }
-            };
-            let n = a.common_prefix_len(best);
-            min_prefix = Some(min_prefix.map_or(n, |cur| cur.min(n)));
+            keep_minimal(
+                &mut found,
+                a.components().get(..min_prefix).unwrap_or_default(),
+            );
         }
-        if dead {
-            continue;
-        }
-        let candidate = &a.components()[..min_prefix.unwrap_or(a.len())];
-        if candidates.last().map(Dewey::components) != Some(candidate) {
-            candidates.push(Dewey::new(candidate.to_vec()).expect("same document"));
-        }
+        head += 1;
     }
     obs::counter!("slca_eager_steps_total").add(steps);
     obs::trace::count("slca.steps", steps);
-    minimal_candidates(candidates)
+    if found.is_empty() {
+        return vec![root];
+    }
+    found
+}
+
+/// Adds an anchor's candidate to `found`, the SLCAs of the anchors before
+/// it: ascending, no two nested. Every kept label is a prefix of an
+/// anchor at or before this one, so one that neither contains nor lies
+/// inside the candidate precedes it; those inside it are the tail of
+/// `found`, and one containing it can only be the last. So the last
+/// label alone decides: inside the candidate (or equal), the candidate
+/// is not minimal; containing it, the candidate replaces it.
+fn keep_minimal(found: &mut Vec<Dewey>, candidate: &[u32]) {
+    if let Some(last) = found.last().map(Dewey::components) {
+        if last.starts_with(candidate) {
+            return;
+        }
+        if candidate.starts_with(last) {
+            found.pop();
+        }
+    }
+    found.push(Dewey::new(candidate.to_vec()).expect("a partition's label"));
+}
+
+/// Where a list stands in [`slca_scan_eager`]'s run join.
+struct RunJoin<'a> {
+    list: &'a ListHandle,
+    runs: PartitionRuns<'a>,
+    /// The list's postings in the partition every list stands in …
+    run: &'a [Posting],
+    /// … and the cursor in them: the first posting after the last anchor.
+    pos: usize,
+}
+
+impl RunJoin<'_> {
+    /// The length of the longest common prefix of `anchor` with a posting
+    /// of the current run — its predecessor (`<= anchor`) or successor,
+    /// whichever shares more. Anchors ascend, so the cursor only moves
+    /// forward; one step per posting passed.
+    fn closest_prefix(&mut self, anchor: &Dewey, steps: &mut u64) -> usize {
+        while self.run.get(self.pos).is_some_and(|p| p.dewey <= *anchor) {
+            self.pos += 1;
+            *steps += 1;
+        }
+        let pred = self.pos.checked_sub(1).and_then(|j| self.run.get(j));
+        let succ = self.run.get(self.pos);
+        [pred, succ]
+            .into_iter()
+            .flatten()
+            .map(|p| anchor.common_prefix_len(&p.dewey))
+            .max()
+            .unwrap_or(0)
+    }
 }
 
 /// Shared anchor-candidate computation for probe-based variants.
@@ -164,6 +229,12 @@ mod tests {
         s.parse().unwrap()
     }
 
+    fn handles(lists: &[&[Posting]]) -> Vec<ListHandle> {
+        (lists.iter())
+            .map(|l| ListHandle::from_postings(l.to_vec()))
+            .collect()
+    }
+
     #[test]
     fn both_agree_with_brute_force_on_fixture() {
         let a = ps(&["0.0.2.0.0", "0.1.1.0.0"]); // xml
@@ -179,7 +250,7 @@ mod tests {
         for lists in cases {
             let expected = slca_brute_force(&lists);
             assert_eq!(slca_indexed_lookup_eager(&lists), expected);
-            assert_eq!(slca_scan_eager(&lists), expected);
+            assert_eq!(slca_scan_eager(&handles(&lists)), expected);
         }
     }
 
@@ -188,7 +259,7 @@ mod tests {
         let a = ps(&["0.0", "0.0.1", "0.3"]);
         let expected = vec![d("0.0.1"), d("0.3")];
         assert_eq!(slca_indexed_lookup_eager(&[&a]), expected);
-        assert_eq!(slca_scan_eager(&[&a]), expected);
+        assert_eq!(slca_scan_eager(&handles(&[&a])), expected);
     }
 
     #[test]
@@ -197,7 +268,7 @@ mod tests {
         let b = ps(&["0.1.0"]);
         let expected = vec![d("0")];
         assert_eq!(slca_indexed_lookup_eager(&[&a, &b]), expected);
-        assert_eq!(slca_scan_eager(&[&a, &b]), expected);
+        assert_eq!(slca_scan_eager(&handles(&[&a, &b])), expected);
     }
 
     #[test]
@@ -205,9 +276,10 @@ mod tests {
         let a = ps(&["0.0"]);
         let pair: [&[Posting]; 2] = [&a, &[]];
         assert!(slca_indexed_lookup_eager(&pair).is_empty());
-        assert!(slca_scan_eager(&pair).is_empty());
+        assert!(slca_scan_eager(&handles(&pair)).is_empty());
         let none: [&[Posting]; 0] = [];
         assert!(slca_indexed_lookup_eager(&none).is_empty());
+        assert!(slca_scan_eager(&[]).is_empty());
     }
 
     #[test]
@@ -216,6 +288,6 @@ mod tests {
         let b = ps(&["0.0.1"]);
         let expected = vec![d("0.0.1")];
         assert_eq!(slca_indexed_lookup_eager(&[&a, &b]), expected);
-        assert_eq!(slca_scan_eager(&[&a, &b]), expected);
+        assert_eq!(slca_scan_eager(&handles(&[&a, &b])), expected);
     }
 }

@@ -4,21 +4,31 @@
 //! inferred search-for node type; a query *needs refinement* when it has
 //! no meaningful SLCA at all.
 //!
-//! The verdict depends on a result's node type alone, and a document has
-//! few node types: the filter decides every type once, when it is built,
-//! so judging a result is one node lookup and one indexed load.
+//! A node type is its tag path from the root, and a node's depth is its
+//! label's length, so Definition 3.3 is a length test: a node of type
+//! `t` is meaningful iff its label is at least as long as the shortest
+//! search-for candidate path that is a prefix of `t`'s path. The filter
+//! computes that threshold for every node type once, when it is built.
+//! The test holds for a node's descendants too — they extend its type
+//! path — so a result is typed by *any* posting inside it:
+//! [`MeaningfulFilter::retain_meaningful`] judges the SLCAs of a set of
+//! lists by the postings of one of those lists, a galloping forward merge
+//! over sorted labels with no document access. [`MeaningfulFilter::is_meaningful`]
+//! judges a bare label and pays a node lookup for its type.
 
 use crate::searchfor::{infer_search_for, SearchForConfig};
-use invindex::{IndexReader, KeywordId};
+use invindex::{gallop, IndexReader, KeywordId, Posting};
 use xmldom::{Dewey, Document, NodeTypeId};
 
 /// A meaningfulness filter bound to one query's search-for candidates.
 pub struct MeaningfulFilter<'a> {
     doc: &'a Document,
     candidates: Vec<NodeTypeId>,
-    /// Definition 3.3 per node type, indexed by `NodeTypeId`: is the type
-    /// a candidate or a descendant type of one?
-    verdict: Vec<bool>,
+    /// Definition 3.3 per node type, indexed by `NodeTypeId`: the length
+    /// of the shortest candidate path that is a prefix of the type's path
+    /// (`usize::MAX` when none is). A node of the type, or a node above
+    /// one, is meaningful iff its label is at least that long.
+    min_len: Vec<usize>,
 }
 
 impl<'a> MeaningfulFilter<'a> {
@@ -41,18 +51,21 @@ impl<'a> MeaningfulFilter<'a> {
     /// types.
     fn with_candidates(doc: &'a Document, candidates: Vec<NodeTypeId>) -> Self {
         let types = doc.node_types();
-        let verdict = types
+        let min_len = types
             .iter()
             .map(|t| {
-                candidates
-                    .iter()
-                    .any(|&c| t == c || types.is_descendant_type(t, c))
+                let path = types.path(t);
+                (candidates.iter().map(|&c| types.path(c)))
+                    .filter(|c| path.starts_with(c))
+                    .map(<[_]>::len)
+                    .min()
+                    .unwrap_or(usize::MAX)
             })
             .collect();
         MeaningfulFilter {
             doc,
             candidates,
-            verdict,
+            min_len,
         }
     }
 
@@ -61,15 +74,19 @@ impl<'a> MeaningfulFilter<'a> {
         &self.candidates
     }
 
+    /// Is a node of length `len` at or above a node of type `t`
+    /// meaningful?
+    fn admits(&self, len: usize, NodeTypeId(t): NodeTypeId) -> bool {
+        self.min_len.get(t as usize).is_some_and(|&min| len >= min)
+    }
+
     /// Definition 3.3: `dewey` is meaningful iff the node it denotes is of
     /// a candidate type or a descendant type thereof. Labels not denoting
     /// any element (possible only with foreign labels) are not meaningful.
     pub fn is_meaningful(&self, dewey: &Dewey) -> bool {
-        let Some(id) = self.doc.node_by_dewey(dewey) else {
-            return false;
-        };
-        let NodeTypeId(t) = self.doc.node(id).node_type;
-        self.verdict.get(t as usize).copied().unwrap_or(false)
+        self.doc
+            .node_by_dewey(dewey)
+            .is_some_and(|id| self.admits(dewey.len(), self.doc.node(id).node_type))
     }
 
     /// Keeps only the meaningful results.
@@ -78,6 +95,24 @@ impl<'a> MeaningfulFilter<'a> {
             .into_iter()
             .filter(|d| self.is_meaningful(d))
             .collect()
+    }
+
+    /// Keeps only the meaningful `slcas`, given a list whose every result
+    /// holds a posting: the SLCAs of a set of lists, ascending, and one of
+    /// those lists. Each result is typed by the first posting of `list` at
+    /// or after it, which lies inside it; the cursor into `list` only
+    /// moves forward. No node is looked up.
+    pub fn retain_meaningful(&self, slcas: &mut Vec<Dewey>, list: &[Posting]) {
+        debug_assert!(slcas.windows(2).all(|w| w[0] < w[1]), "sorted SLCAs");
+        let mut rest = list;
+        slcas.retain(|r| {
+            let (skip, _) = gallop(rest, |p| p.dewey < *r);
+            rest = rest.get(skip..).unwrap_or_default();
+            rest.first().is_some_and(|p| {
+                debug_assert!(r.is_ancestor_or_self_of(&p.dewey), "{r} holds no posting");
+                self.admits(r.len(), p.node_type)
+            })
+        });
     }
 }
 
@@ -106,9 +141,9 @@ mod tests {
     }
 
     fn slcas_of(idx: &Index, words: &[&str]) -> Vec<Dewey> {
-        let lists: Vec<&[invindex::Posting]> = words
+        let lists: Vec<invindex::ListHandle> = words
             .iter()
-            .map(|w| idx.list(w).map(|l| l.as_slice()).unwrap_or(&[]))
+            .map(|w| idx.list_handle(w).expect("resident"))
             .collect();
         slca_scan_eager(&lists)
     }

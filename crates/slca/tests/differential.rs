@@ -12,7 +12,7 @@
 //! (>= 500 per property) is one this suite states in its assertions.
 
 use datagen::{random_dewey_corpus, DeweyCorpusConfig};
-use invindex::Posting;
+use invindex::{ListHandle, Posting};
 use slca::{
     closest_match, slca_brute_force, slca_indexed_lookup_eager, slca_multiway, slca_scan_eager,
     slca_stack,
@@ -50,6 +50,9 @@ fn all_four_algorithms_agree_with_brute_force_on_random_corpora() {
         let lists = to_postings(&random_dewey_corpus(seed, &cfg));
         let expected = slca_brute_force(&lists);
         let ctx = format!("seed={seed} cfg={cfg:?} lists={lists:?}");
+        let handles: Vec<ListHandle> = (lists.iter().cloned())
+            .map(ListHandle::from_postings)
+            .collect();
         assert_eq!(slca_stack(&lists), expected, "stack disagrees: {ctx}");
         assert_eq!(
             slca_indexed_lookup_eager(&lists),
@@ -57,7 +60,7 @@ fn all_four_algorithms_agree_with_brute_force_on_random_corpora() {
             "indexed-lookup eager disagrees: {ctx}"
         );
         assert_eq!(
-            slca_scan_eager(&lists),
+            slca_scan_eager(&handles),
             expected,
             "scan eager disagrees: {ctx}"
         );

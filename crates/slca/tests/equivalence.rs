@@ -1,7 +1,7 @@
 //! Property test: the four SLCA algorithms are extensionally equal to the
 //! brute-force reference on arbitrary document-ordered posting lists.
 
-use invindex::Posting;
+use invindex::{ListHandle, Posting};
 use slca::{
     slca_brute_force, slca_indexed_lookup_eager, slca_multiway, slca_scan_eager, slca_stack,
 };
@@ -30,7 +30,10 @@ fn all_algorithms_agree_with_brute_force() {
         let refs: Vec<&[Posting]> = lists.iter().map(|l| l.as_slice()).collect();
         let expected = slca_brute_force(&refs);
         assert_eq!(slca_stack(&refs), expected, "stack");
-        assert_eq!(slca_scan_eager(&refs), expected, "scan-eager");
+        let handles: Vec<ListHandle> = (lists.iter().cloned())
+            .map(ListHandle::from_postings)
+            .collect();
+        assert_eq!(slca_scan_eager(&handles), expected, "scan-eager");
         assert_eq!(slca_indexed_lookup_eager(&refs), expected, "ile");
         assert_eq!(slca_multiway(&refs), expected, "multiway");
     });

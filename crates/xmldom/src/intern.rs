@@ -109,14 +109,6 @@ impl NodeTypeTable {
         self.paths[id.0 as usize].0.len() - 1
     }
 
-    /// True if `descendant` is a proper descendant type of `ancestor`
-    /// (i.e. `ancestor`'s path is a proper prefix of `descendant`'s).
-    pub fn is_descendant_type(&self, descendant: NodeTypeId, ancestor: NodeTypeId) -> bool {
-        let a = self.path(ancestor);
-        let d = self.path(descendant);
-        d.len() > a.len() && d[..a.len()] == *a
-    }
-
     /// Iterate all interned node types.
     pub fn iter(&self) -> impl Iterator<Item = NodeTypeId> + '_ {
         (0..self.paths.len() as u32).map(NodeTypeId)
@@ -175,10 +167,6 @@ mod tests {
         assert_eq!(types.depth(t_root), 0);
         assert_eq!(types.depth(t_name), 2);
         assert_eq!(types.tag(t_author), author);
-        assert!(types.is_descendant_type(t_name, t_author));
-        assert!(types.is_descendant_type(t_name, t_root));
-        assert!(!types.is_descendant_type(t_author, t_name));
-        assert!(!types.is_descendant_type(t_author, t_author));
         assert_eq!(types.display(t_name, &syms), "bib/author/name");
         assert_eq!(types.len(), 3);
     }

@@ -229,14 +229,20 @@ impl DpMemo {
 }
 
 /// `slca` over `lists`, reduced to the meaningful results below the
-/// document root.
+/// document root. Each result is typed by a posting of the shortest list
+/// inside it, so no document node is looked up.
 fn meaningful_slcas(
     session: &RefineSession<'_>,
     slca: SlcaMethod,
     lists: &[ListHandle],
 ) -> Vec<Dewey> {
-    let mut found = session.filter.filter(slca(lists));
+    let mut found = slca(lists);
     found.retain(|d| d.len() > 1);
+    let shortest = lists
+        .iter()
+        .min_by_key(|l| l.len())
+        .map(ListHandle::postings);
+    (session.filter).retain_meaningful(&mut found, shortest.unwrap_or_default());
     found
 }
 
@@ -451,12 +457,14 @@ pub(crate) fn finalize(
             .map(|&(_, id)| id)
             .find(|&id| (dp_memo.ks(id).iter().map(|&i| &session.ks[i])).eq(&candidate.keywords))
             .expect("ranked candidates are list members");
-        let mut slcas = materialise(id);
+        let slcas = materialise(id);
         if slcas.is_empty() {
             continue;
         }
-        slcas.sort();
-        slcas.dedup();
+        debug_assert!(
+            slcas.windows(2).all(|w| w[0] < w[1]),
+            "materialised results are the SLCA method's sorted, deduplicated output"
+        );
         original_ok = candidate.dissimilarity == 0.0;
         refinements.push(Refinement {
             candidate,

@@ -14,7 +14,9 @@
 #                  reopens, byte-identical files for equal entries), and
 #                  the read-only opens leaving a crashed store's files
 #                  byte-identical
-#   observability  obs invariants, differential oracles (SLCA, DP against
+#   observability  obs invariants, differential oracles (SLCA — Scan
+#                  Eager's partition-run join on cut views, its step
+#                  bound, the typed meaningful verdict — DP against
 #                  brute force and against the string-keyed recurrence it
 #                  replaced, the refinement result sets), Algorithm 2's
 #                  allocation and SLCA-invocation budgets, tracer
@@ -74,6 +76,9 @@ suite_torture() {
 suite_observability() {
     xcargo test -q -p obs
     xcargo test -q -p slca --test differential
+    xcargo test --release -q -p slca --test run_join
+    xcargo test --release -q -p slca --test eager_steps
+    xcargo test --release -q -p slca --test meaningful_prop
     xcargo test -q -p xrefine --test dp_oracle
     xcargo test --release -q -p xrefine --test dp_reference
     xcargo test --release -q --test refinement_results_reference

@@ -7,7 +7,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 use xrefine_repro::datagen::{generate_dblp, DblpConfig};
-use xrefine_repro::invindex::{Index, Posting};
+use xrefine_repro::invindex::{Index, IndexReader, ListHandle};
 use xrefine_repro::prelude::*;
 use xrefine_repro::slca::{slca_scan_eager, MeaningfulFilter, SearchForConfig};
 use xrefine_repro::xrefine::{brute_force_rqs, partition_refine, PartitionOptions, RefineSession};
@@ -42,10 +42,8 @@ fn reference_topk(
 
     let mut kept: Vec<(Vec<String>, f64)> = Vec::new();
     for cand in all {
-        let lists: Vec<&[Posting]> = cand
-            .keywords
-            .iter()
-            .map(|w| index.list(w).map(|l| l.as_slice()).unwrap_or(&[]))
+        let lists: Vec<ListHandle> = (cand.keywords.iter())
+            .map(|w| index.list_handle(w).expect("resident"))
             .collect();
         let slcas = filter.filter(slca_scan_eager(&lists));
         if !slcas.is_empty() {
