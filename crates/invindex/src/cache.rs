@@ -4,7 +4,8 @@
 //! with one byte budget behind one mutex (`cache.lru`): a hit holds the
 //! lock for a map probe, an LRU promotion and a counter — 0.1–0.25 µs
 //! measured, and a request touches about seven lists, so a serving
-//! thread holds it for under 2 µs of a 1.9 ms warm request. Decoding a
+//! thread holds it for under 2 µs of a warm request that takes ≈ 0.37 ms
+//! (`bench_e2e` `serve_warm` median, 2 vCPU guest). Decoding a
 //! missed list happens outside the lock. One lock is enough at that hold
 //! time, and one budget means a hot list is cacheable whenever it fits
 //! the budget at all — a budget split over several locks would refuse

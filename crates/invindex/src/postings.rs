@@ -334,6 +334,8 @@ impl<'a> CompressedList<'a> {
         let mut offset = 0usize;
         let mut start = 0usize;
         let mut prev_max: Option<Dewey> = None;
+        // The one working buffer the skip table's labels are read into.
+        let mut comps: Vec<u32> = Vec::new();
         for i in 0..b {
             let len = read_varint(payload, &mut pos)
                 .ok_or_else(|| corrupt(format!("block {i}: missing byte length")))?
@@ -356,9 +358,9 @@ impl<'a> CompressedList<'a> {
                     "block {i}: {len} bytes cannot hold {count} postings"
                 )));
             }
-            let min = read_dewey_abs(payload, &mut pos)
+            let min = read_dewey_abs(payload, &mut pos, &mut comps)
                 .ok_or_else(|| corrupt(format!("block {i}: bad min label")))?;
-            let max = read_dewey_front_coded(payload, &mut pos, &min)
+            let max = read_dewey_front_coded(payload, &mut pos, &mut comps)
                 .ok_or_else(|| corrupt(format!("block {i}: bad max label")))?;
             if max < min {
                 return Err(corrupt(format!("block {i}: max label below min")));
@@ -442,8 +444,9 @@ impl<'a> CompressedList<'a> {
         let mut out = Vec::with_capacity(meta.count);
         out.push(Posting::new(meta.min.clone(), NodeTypeId(t0)));
         // The one working buffer: the predecessor's label, rewritten in
-        // place into each posting's, so a posting allocates only the
-        // copy its `Dewey` keeps.
+        // place into each posting's, which `Dewey::from_slice` copies —
+        // inline, so a posting allocates nothing unless its label is
+        // longer than seven components.
         let mut comps: Vec<u32> = meta.min.components().to_vec();
         let mut prev_type = t0;
         for _ in 1..meta.count {
@@ -509,7 +512,7 @@ impl<'a> CompressedList<'a> {
                 read_u32_varint(bytes, &mut pos).ok_or_else(|| corrupt("bad node type".into()))?
             };
             let dewey =
-                Dewey::new(comps.clone()).ok_or_else(|| corrupt("empty posting label".into()))?;
+                Dewey::from_slice(&comps).ok_or_else(|| corrupt("empty posting label".into()))?;
             out.push(Posting::new(dewey, NodeTypeId(node_type)));
             prev_type = node_type;
         }
@@ -545,33 +548,36 @@ impl<'a> CompressedList<'a> {
     }
 }
 
-/// Reads an absolutely-coded Dewey label: `varint(len)` then `len`
-/// components. `None` on truncation, overflow or an empty label.
-fn read_dewey_abs(bytes: &[u8], pos: &mut usize) -> Option<Dewey> {
+/// Reads an absolutely-coded Dewey label, `varint(len)` then `len`
+/// components, through the working buffer `comps`, which holds the
+/// label's components afterwards. `None` on truncation, overflow or an
+/// empty label.
+fn read_dewey_abs(bytes: &[u8], pos: &mut usize, comps: &mut Vec<u32>) -> Option<Dewey> {
     let len = read_varint(bytes, pos)? as usize;
     if len > bytes.len() {
         return None;
     }
-    let mut comps = Vec::with_capacity(len);
+    comps.clear();
     for _ in 0..len {
         comps.push(read_u32_varint(bytes, pos)?);
     }
-    Dewey::new(comps)
+    Dewey::from_slice(comps)
 }
 
-/// Reads a Dewey label front-coded against `base`: `varint(shared)`,
-/// `varint(rest)`, then `rest` absolute components.
-fn read_dewey_front_coded(bytes: &[u8], pos: &mut usize, base: &Dewey) -> Option<Dewey> {
+/// Reads a Dewey label front-coded against the one `comps` holds —
+/// `varint(shared)`, `varint(rest)`, then `rest` absolute components —
+/// leaving its components there.
+fn read_dewey_front_coded(bytes: &[u8], pos: &mut usize, comps: &mut Vec<u32>) -> Option<Dewey> {
     let shared = read_varint(bytes, pos)? as usize;
     let rest = read_varint(bytes, pos)? as usize;
-    if rest > bytes.len() {
+    if rest > bytes.len() || shared > comps.len() {
         return None;
     }
-    let mut comps = base.components().get(..shared)?.to_vec();
+    comps.truncate(shared);
     for _ in 0..rest {
         comps.push(read_u32_varint(bytes, pos)?);
     }
-    Dewey::new(comps)
+    Dewey::from_slice(comps)
 }
 
 fn read_u32_varint(bytes: &[u8], pos: &mut usize) -> Option<u32> {

@@ -289,9 +289,9 @@ pub fn typed_ancestors_in(doc: &Document, postings: &[Posting], t: NodeTypeId) -
         if p_path[..t_len] != *t_path {
             continue;
         }
-        let anc = Dewey::new(p.dewey.components()[..t_len].to_vec()).expect("non-empty prefix");
-        if out.last() != Some(&anc) {
-            out.push(anc);
+        let anc = &p.dewey.components()[..t_len];
+        if out.last().map(Dewey::components) != Some(anc) {
+            out.extend(Dewey::from_slice(anc));
         }
     }
     out

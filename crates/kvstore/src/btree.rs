@@ -80,6 +80,22 @@ enum ValueRef {
     Overflow { head: PageId, len: u32 },
 }
 
+/// A leaf entry's value as it stands in the page: the inline bytes, or
+/// the overflow chain that holds them.
+enum Value<'a> {
+    Inline(&'a [u8]),
+    Overflow { head: PageId, len: u32 },
+}
+
+impl From<Value<'_>> for ValueRef {
+    fn from(value: Value<'_>) -> Self {
+        match value {
+            Value::Inline(bytes) => ValueRef::Inline(bytes.to_vec()),
+            Value::Overflow { head, len } => ValueRef::Overflow { head, len },
+        }
+    }
+}
+
 /// Bounds-checked cursor over a page buffer: on-disk lengths are
 /// untrusted, so out-of-range reads become [`KvError::Corrupt`].
 struct PageReader<'a> {
@@ -124,6 +140,28 @@ impl<'a> PageReader<'a> {
             .map_err(|_| KvError::corrupt_page(self.page.0, format!("truncated {what}")))?;
         self.pos += 8;
         Ok(v)
+    }
+
+    /// One `[klen][key][child]` separator of a branch.
+    fn branch_entry(&mut self) -> Result<(&'a [u8], PageId)> {
+        let klen = self.u16("branch key length")? as usize;
+        let key = self.take(klen)?;
+        Ok((key, PageId(self.u64("branch child id")?)))
+    }
+
+    /// One `[klen][vinfo][key][payload]` entry of a leaf.
+    fn leaf_entry(&mut self) -> Result<(&'a [u8], Value<'a>)> {
+        let klen = self.u16("leaf key length")? as usize;
+        let vinfo = self.u32("leaf value info")?;
+        let key = self.take(klen)?;
+        let value = if vinfo & 0x8000_0000 != 0 {
+            let head = PageId(self.u64("overflow head id")?);
+            let len = self.u32("overflow value length")?;
+            Value::Overflow { head, len }
+        } else {
+            Value::Inline(self.take(vinfo as usize)?)
+        };
+        Ok((key, value))
     }
 }
 
@@ -458,6 +496,63 @@ impl BTree {
         }
     }
 
+    /// The point lookup behind `get` and `contains`: searches the pages
+    /// from the root to the leaf in place, comparing separators and keys
+    /// as slices of the page buffer, and hands `on_hit` the matching
+    /// entry's value still borrowed from its leaf. Every visited node is
+    /// parsed to its end, so a damaged record anywhere in it — after the
+    /// match included — is `Corrupt`, as it is for a scan.
+    fn lookup<T>(
+        &self,
+        key: &[u8],
+        on_hit: impl FnOnce(Value<'_>) -> Result<T>,
+    ) -> Result<Option<T>> {
+        if self.root.is_null() {
+            return Ok(None);
+        }
+        let mut page = self.root;
+        loop {
+            let buf = self.pager.read(page)?;
+            let mut r = PageReader::new(&buf, page);
+            match r.take(1)?[0] {
+                TYPE_BRANCH => {
+                    let nkeys = r.u16("branch key count")?;
+                    // Separators ascend: the child is the one filed under
+                    // the last separator `<= key` (the first child when
+                    // there is none); the rest are parsed, not compared.
+                    let mut child = PageId(r.u64("branch child id")?);
+                    let mut past = false;
+                    for _ in 0..nkeys {
+                        let (separator, id) = r.branch_entry()?;
+                        past = past || separator > key;
+                        if !past {
+                            child = id;
+                        }
+                    }
+                    page = child;
+                }
+                TYPE_LEAF => {
+                    let nkeys = r.u16("leaf entry count")?;
+                    r.u64("leaf next link")?;
+                    let mut hit = None;
+                    for _ in 0..nkeys {
+                        let (k, value) = r.leaf_entry()?;
+                        if hit.is_none() && k == key {
+                            hit = Some(value);
+                        }
+                    }
+                    return hit.map(on_hit).transpose();
+                }
+                other => {
+                    return Err(KvError::corrupt_page(
+                        page.0,
+                        format!("unknown page type {other}"),
+                    ))
+                }
+            }
+        }
+    }
+
     fn read_node(&self, page: PageId) -> Result<TreeNode> {
         let buf = self.pager.read(page)?;
         // Every length below comes from disk, so it is untrusted: a bad
@@ -466,34 +561,23 @@ impl BTree {
         let ty = r.take(1)?[0];
         match ty {
             TYPE_BRANCH => {
-                let nkeys = r.u16("branch key count")? as usize;
-                let child0 = PageId(r.u64("branch child id")?);
+                let nkeys = r.u16("branch key count")?;
                 let mut keys = Vec::new();
-                let mut children = Vec::new();
-                children.push(child0);
+                let mut children = vec![PageId(r.u64("branch child id")?)];
                 for _ in 0..nkeys {
-                    let klen = r.u16("branch key length")? as usize;
-                    keys.push(r.take(klen)?.to_vec());
-                    children.push(PageId(r.u64("branch child id")?));
+                    let (key, child) = r.branch_entry()?;
+                    keys.push(key.to_vec());
+                    children.push(child);
                 }
                 Ok(TreeNode::Branch { keys, children })
             }
             TYPE_LEAF => {
-                let nkeys = r.u16("leaf entry count")? as usize;
+                let nkeys = r.u16("leaf entry count")?;
                 let next = PageId(r.u64("leaf next link")?);
                 let mut entries = Vec::new();
                 for _ in 0..nkeys {
-                    let klen = r.u16("leaf key length")? as usize;
-                    let vinfo = r.u32("leaf value info")?;
-                    let key = r.take(klen)?.to_vec();
-                    let vref = if vinfo & 0x8000_0000 != 0 {
-                        let head = PageId(r.u64("overflow head id")?);
-                        let len = r.u32("overflow value length")?;
-                        ValueRef::Overflow { head, len }
-                    } else {
-                        ValueRef::Inline(r.take(vinfo as usize)?.to_vec())
-                    };
-                    entries.push((key, vref));
+                    let (key, value) = r.leaf_entry()?;
+                    entries.push((key.to_vec(), value.into()));
                 }
                 Ok(TreeNode::Leaf { entries, next })
             }
@@ -543,13 +627,7 @@ impl Iterator for Entries<'_> {
 /// whole, so the mutating half is refused.
 impl KvStore for BTree {
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let Some((mut entries, _)) = self.leaf_for(key)? else {
-            return Ok(None);
-        };
-        match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-            Ok(i) => Ok(Some(self.load_value(entries.swap_remove(i).1)?)),
-            Err(_) => Ok(None),
-        }
+        self.lookup(key, |value| self.load_value(value.into()))
     }
 
     fn put(&mut self, _key: &[u8], _value: &[u8]) -> Result<()> {
@@ -561,12 +639,7 @@ impl KvStore for BTree {
     }
 
     fn contains(&self, key: &[u8]) -> Result<bool> {
-        Ok(match self.leaf_for(key)? {
-            Some((entries, _)) => entries
-                .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-                .is_ok(),
-            None => false,
-        })
+        Ok(self.lookup(key, |_| Ok(()))?.is_some())
     }
 
     fn scan_range(&self, start: &[u8], end: Option<&[u8]>) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
@@ -673,6 +746,35 @@ mod tests {
         let (t, _) = built(&entries);
         for (k, v) in &entries {
             assert_eq!(t.get(k).unwrap().as_ref(), Some(v));
+        }
+    }
+
+    #[test]
+    fn a_point_lookup_reads_a_damaged_record_after_its_match_as_corrupt() {
+        // A checksum-valid leaf whose second entry claims more key bytes
+        // than the page holds: the lookup of the first must still fail.
+        let vfs = FaultVfs::new().as_dyn();
+        let mut pager = FilePager::create(&vfs, Path::new("damaged.db")).unwrap();
+        let mut leaf = vec![TYPE_LEAF];
+        leaf.extend_from_slice(&2u16.to_le_bytes());
+        leaf.extend_from_slice(&0u64.to_le_bytes());
+        leaf.extend_from_slice(&1u16.to_le_bytes());
+        leaf.extend_from_slice(&1u32.to_le_bytes());
+        leaf.extend_from_slice(b"a1");
+        leaf.extend_from_slice(&u16::MAX.to_le_bytes());
+        leaf.extend_from_slice(&1u32.to_le_bytes());
+        pager.write(PageId(1), &leaf).unwrap();
+        let mut header = MAGIC.to_le_bytes().to_vec();
+        header.extend_from_slice(&VERSION.to_le_bytes());
+        header.extend_from_slice(&1u64.to_le_bytes());
+        header.extend_from_slice(&2u64.to_le_bytes());
+        pager.write(PageId(0), &header).unwrap();
+        let t = BTree::open(pager).unwrap();
+        for found in [t.get(b"a").map(|_| ()), t.contains(b"a").map(|_| ())] {
+            assert!(
+                matches!(found, Err(KvError::Corrupt { page: Some(1), .. })),
+                "{found:?}"
+            );
         }
     }
 

@@ -162,7 +162,8 @@ impl FilePager {
         self.page_count
     }
 
-    /// Reads and checksum-verifies one page's payload.
+    /// Reads and checksum-verifies one page's payload: the buffer the
+    /// page was read into, cut to the payload (a blank page's is zeros).
     pub fn read(&self, id: PageId) -> Result<Vec<u8>> {
         obs::counter!("kvstore_pager_page_reads_total").inc();
         obs::counter!("kvstore_pager_disk_page_reads_total").inc();
@@ -173,14 +174,12 @@ impl FilePager {
         let mut phys = vec![0u8; PHYS_PAGE_SIZE];
         self.file
             .read_exact_at(id.0 * PHYS_PAGE_SIZE as u64, &mut phys)?;
-        let verified = verify_phys_page(&phys, id.0);
-        if verified.is_err() {
+        if let Err(e) = verify_phys_page(&phys, id.0) {
             obs::counter!("kvstore_pager_corrupt_pages_total").inc();
+            return Err(e);
         }
-        match verified? {
-            Some(payload) => Ok(payload.to_vec()),
-            None => Ok(vec![0; PAGE_SIZE]),
-        }
+        phys.truncate(PAGE_SIZE);
+        Ok(phys)
     }
 
     /// Writes page `id` once: `payload` (at most [`PAGE_SIZE`] bytes —

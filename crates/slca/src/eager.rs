@@ -152,7 +152,7 @@ fn keep_minimal(found: &mut Vec<Dewey>, candidate: &[u32]) {
             found.pop();
         }
     }
-    found.push(Dewey::new(candidate.to_vec()).expect("a partition's label"));
+    found.extend(Dewey::from_slice(candidate));
 }
 
 /// Where a list stands in [`slca_scan_eager`]'s run join.

@@ -109,10 +109,7 @@ pub fn elca_brute_force<S: AsRef<[Posting]>>(lists: &[S]) -> Vec<Dewey> {
     let mut universe: Vec<Dewey> = Vec::new();
     for l in &lists {
         for p in l.iter() {
-            let comps = p.dewey.components();
-            for m in 1..=comps.len() {
-                universe.push(Dewey::new(comps[..m].to_vec()).unwrap());
-            }
+            universe.extend((1..=p.dewey.len()).filter_map(|m| p.dewey.prefix(m)));
         }
     }
     universe.sort();
@@ -129,11 +126,9 @@ pub fn elca_brute_force<S: AsRef<[Posting]>>(lists: &[S]) -> Vec<Dewey> {
                     }
                     // excluded if some all-covering proper descendant of v
                     // contains this occurrence
-                    let comps = p.dewey.components();
-                    !(v.len() + 1..=comps.len()).any(|m| {
-                        let anc = Dewey::new(comps[..m].to_vec()).unwrap();
-                        anc != *v && covers(&anc)
-                    })
+                    !(v.len() + 1..=p.dewey.len())
+                        .filter_map(|m| p.dewey.prefix(m))
+                        .any(|anc| anc != *v && covers(&anc))
                 })
             })
         })

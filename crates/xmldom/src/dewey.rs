@@ -12,7 +12,11 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
+
+/// Components a label holds without a heap allocation.
+const INLINE: usize = 7;
 
 /// A Dewey label: the component path from the root to a node.
 ///
@@ -21,62 +25,107 @@ use std::str::FromStr;
 /// There is no empty label, and so no `Default`: [`Dewey::is_empty`] is
 /// constant and [`Dewey::depth`] subtracts one from the length.
 ///
+/// A label of up to seven components is stored inline, in the value
+/// itself; a longer one spills to a boxed slice. Seven is what fits: the
+/// boxed slice (pointer and length) makes the value 8-aligned, seven
+/// components take 28 bytes, and the variant tag and a one-byte length
+/// round that up to exactly 32, so a [`Dewey`] is 32 bytes and a posting
+/// (label plus node type) 40 — an eighth component would cost 8 more
+/// bytes in every label. The bibliographic corpora this system indexes
+/// label their postings with one to five components, so a decoded
+/// posting, and the clone, prefix, parent, child and partition of a label
+/// of that shape, allocate nothing. The representation is a function of
+/// the content — every label of at most seven components is inline — and
+/// equality, order and hashing are those of [`Dewey::components`].
+///
 /// ```compile_fail
 /// let _ = xmldom::Dewey::default();
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Dewey {
-    components: Vec<u32>,
+#[derive(Clone)]
+pub struct Dewey(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `len` (`1..=INLINE`) components at the front of `comps`; the rest
+    /// are zero.
+    Inline { len: u8, comps: [u32; INLINE] },
+    /// More than [`INLINE`] components.
+    Heap(Box<[u32]>),
 }
+
+const _: () = assert!(std::mem::size_of::<Dewey>() == 32);
 
 impl Dewey {
     /// The label of the document root element (`0`).
     pub fn root() -> Self {
-        Dewey {
-            components: vec![0],
-        }
+        Dewey(Repr::Inline {
+            len: 1,
+            comps: [0; INLINE],
+        })
     }
 
     /// Builds a label from raw components. Returns `None` for an empty
     /// component list, which does not denote any node.
     pub fn new(components: Vec<u32>) -> Option<Self> {
-        if components.is_empty() {
-            None
+        if components.len() > INLINE {
+            Some(Dewey(Repr::Heap(components.into_boxed_slice())))
         } else {
-            Some(Dewey { components })
+            Dewey::from_slice(&components)
         }
+    }
+
+    /// Builds a label from borrowed components, allocating only when
+    /// there are more than seven. Returns `None` for an empty slice.
+    pub fn from_slice(components: &[u32]) -> Option<Self> {
+        let len = components.len();
+        if len == 0 {
+            return None;
+        }
+        if len > INLINE {
+            return Some(Dewey(Repr::Heap(components.into())));
+        }
+        let mut comps = [0; INLINE];
+        comps[..len].copy_from_slice(components);
+        Some(Dewey(Repr::Inline {
+            len: len as u8,
+            comps,
+        }))
     }
 
     /// The label of this node's `ordinal`-th child.
     #[must_use]
     pub fn child(&self, ordinal: u32) -> Self {
-        let mut components = Vec::with_capacity(self.components.len() + 1);
-        components.extend_from_slice(&self.components);
-        components.push(ordinal);
-        Dewey { components }
+        match &self.0 {
+            Repr::Inline { len, comps } if usize::from(*len) < INLINE => {
+                let mut comps = *comps;
+                comps[usize::from(*len)] = ordinal;
+                Dewey(Repr::Inline {
+                    len: len + 1,
+                    comps,
+                })
+            }
+            _ => Dewey(Repr::Heap([self.components(), &[ordinal]].concat().into())),
+        }
     }
 
     /// The label of this node's parent, or `None` for the root.
     pub fn parent(&self) -> Option<Self> {
-        if self.components.len() <= 1 {
-            None
-        } else {
-            Some(Dewey {
-                components: self.components[..self.components.len() - 1].to_vec(),
-            })
-        }
+        self.prefix(self.len() - 1)
     }
 
     /// Raw component access.
     #[inline]
     pub fn components(&self) -> &[u32] {
-        &self.components
+        match &self.0 {
+            Repr::Inline { len, comps } => &comps[..usize::from(*len)],
+            Repr::Heap(comps) => comps,
+        }
     }
 
     /// Number of components; the root has length 1.
     #[inline]
     pub fn len(&self) -> usize {
-        self.components.len()
+        self.components().len()
     }
 
     /// A Dewey label always has at least one component.
@@ -86,20 +135,20 @@ impl Dewey {
 
     /// Depth of the node, defined as `len() - 1` so the root is at depth 0.
     pub fn depth(&self) -> usize {
-        self.components.len() - 1
+        self.len() - 1
     }
 
     /// True if `self` is an ancestor of `other` (proper prefix).
     #[inline]
     pub fn is_ancestor_of(&self, other: &Dewey) -> bool {
-        self.components.len() < other.components.len()
-            && other.components[..self.components.len()] == self.components[..]
+        let (a, b) = (self.components(), other.components());
+        a.len() < b.len() && b.starts_with(a)
     }
 
     /// True if `self` is `other` or an ancestor of `other`.
     #[inline]
     pub fn is_ancestor_or_self_of(&self, other: &Dewey) -> bool {
-        self == other || self.is_ancestor_of(other)
+        other.components().starts_with(self.components())
     }
 
     /// The ancestor-or-self label consisting of the first `len` components
@@ -107,22 +156,18 @@ impl Dewey {
     /// ancestor of two labels is `a.prefix(a.common_prefix_len(b))`: any
     /// two labels of one document share the root component, so that is
     /// never `None` there, and callers compare prefix lengths
-    /// allocation-free before paying for the one label they keep.
+    /// allocation-free before building the one label they keep.
     #[inline]
     pub fn prefix(&self, len: usize) -> Option<Dewey> {
-        if len == 0 || len > self.components.len() {
-            None
-        } else {
-            Dewey::new(self.components[..len].to_vec())
-        }
+        self.components().get(..len).and_then(Dewey::from_slice)
     }
 
     /// Length of the longest common prefix with `other`.
     #[inline]
     pub fn common_prefix_len(&self, other: &Dewey) -> usize {
-        self.components
+        self.components()
             .iter()
-            .zip(other.components.iter())
+            .zip(other.components())
             .take_while(|(a, b)| a == b)
             .count()
     }
@@ -132,11 +177,22 @@ impl Dewey {
     /// `i`-th child of the document root. The root itself belongs to no
     /// partition.
     pub fn partition(&self) -> Option<Dewey> {
-        if self.components.len() < 2 {
-            None
-        } else {
-            Dewey::new(self.components[..2].to_vec())
-        }
+        self.prefix(2)
+    }
+}
+
+impl PartialEq for Dewey {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.components() == other.components()
+    }
+}
+
+impl Eq for Dewey {}
+
+impl Hash for Dewey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.components().hash(state);
     }
 }
 
@@ -152,13 +208,13 @@ impl Ord for Dewey {
     /// convention that an ancestor precedes its descendants.
     #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        self.components.cmp(&other.components)
+        self.components().cmp(other.components())
     }
 }
 
 impl fmt::Display for Dewey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, c) in self.components.iter().enumerate() {
+        for (i, c) in self.components().iter().enumerate() {
             if i > 0 {
                 f.write_str(".")?;
             }

@@ -11,9 +11,11 @@
 #   torture        fault-injection + crash-recovery sweeps (release —
 #                  debug builds stride the sweeps for speed), the
 #                  tree-file store against its BTreeMap model (syncs,
-#                  reopens, byte-identical files for equal entries), and
-#                  the read-only opens leaving a crashed store's files
-#                  byte-identical
+#                  reopens, byte-identical files for equal entries), the
+#                  slice-by-16 crc32 against the byte-at-a-time loop at
+#                  every length and offset, a point get's allocation
+#                  bound (pages read + 1), and the read-only opens
+#                  leaving a crashed store's files byte-identical
 #   observability  obs invariants, differential oracles (SLCA — Scan
 #                  Eager's partition-run join on cut views, its step
 #                  bound, the typed meaningful verdict — DP against
@@ -34,9 +36,11 @@
 #   compress       the store format (compressed postings): property/fuzz
 #                  round-trips + corruption sweeps, the partition-run
 #                  table every decoded list carries (same however the
-#                  list is built), block decode's one-allocation-per-
-#                  posting budget, and the stored-vs-resident
-#                  behavioural differential
+#                  list is built), `Dewey` against its component-vector
+#                  model across the inline/heap boundary, block decode's
+#                  per-block allocation budget (no allocation per
+#                  posting), and the stored-vs-resident behavioural
+#                  differential
 #   bench_e2e      the BENCHMARK.json harness's own tests, built against
 #                  the workspace crates: an API deletion in a measured
 #                  crate that breaks the benchmark fails here, pre-merge
@@ -69,6 +73,8 @@ suite_torture() {
     xcargo test --release -q -p kvstore --test torture
     xcargo test --release -q -p kvstore --test fault_injection
     xcargo test --release -q -p kvstore --test model
+    xcargo test --release -q -p kvstore --test crc32
+    xcargo test --release -q -p kvstore --test point_get
     xcargo test --release -q -p xrefine-cli read_only_open
     xcargo test --release -q --test storage_bitflips
 }
@@ -112,6 +118,7 @@ suite_maintenance() {
 suite_compress() {
     xcargo test --release -q -p invindex --test compress_prop
     xcargo test --release -q -p invindex --test postings_prop
+    xcargo test --release -q -p xmldom --test dewey_model
     xcargo test --release -q -p invindex --test decode_alloc
     xcargo test --release -q -p xrefine --test compress_differential
 }
