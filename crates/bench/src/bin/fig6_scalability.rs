@@ -5,11 +5,10 @@
 //! SLE shows a visible jump somewhere in the 60%→80% step because its
 //! cost depends on how early the final Top-K RQs are discovered.
 //!
-//! Corpora are rendered by the streaming XML writer and ingested with
-//! the streaming structural-index pipeline (`invindex::build_streaming`)
-//! rather than DOM-first parsing — the two produce identical indexes,
-//! and the streaming path's memory profile is what makes the >100%
-//! sizes practical in one run.
+//! Each corpus is generated, rendered to XML (`Document::to_xml`) and
+//! ingested with the streaming structural-index pipeline
+//! (`invindex::build_streaming`) — the one ingest path, which produces
+//! the same index as DOM-first parsing.
 //!
 //! Since store format v4 the figure is measured over the *persisted
 //! compressed store* served through [`KvBackedIndex`] (blocked
@@ -20,7 +19,7 @@
 //! unlabelled.
 
 use bench::{dblp_config, f3, time_ms, Table};
-use datagen::{generate_workload, write_dblp_xml, PerturbKind, WorkloadConfig};
+use datagen::{generate_dblp, generate_workload, PerturbKind, WorkloadConfig};
 use invindex::reader::IndexReader;
 use invindex::{build_streaming, persist, KvBackedIndex};
 use kvstore::MemKv;
@@ -31,8 +30,7 @@ fn main() {
     let mut t = Table::new(&["data size", "elements", "Partition (ms)", "SLE (ms)"]);
     for pct in [20u32, 40, 60, 80, 100, 150, 200] {
         let cfg = dblp_config().scaled(pct as f64 / 100.0);
-        let xml = String::from_utf8(write_dblp_xml(&cfg, Vec::new()).expect("render corpus"))
-            .expect("utf8 corpus");
+        let xml = generate_dblp(&cfg).to_xml();
         let index = build_streaming(&xml, 4).expect("streaming ingest");
         let doc = index.document().clone();
         let elements = doc.len();

@@ -7,13 +7,11 @@
 //! separate leaf elements. Scale is a single knob (`authors`) so the
 //! Figure 6 data-size sweep is a loop over fractions of it.
 
-use crate::emit::{BuilderSink, XmlSink, XmlStreamWriter};
 use crate::vocab;
 use crate::zipf::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io;
-use xmldom::Document;
+use xmldom::{Document, DocumentBuilder};
 
 /// Generator parameters.
 #[derive(Debug, Clone)]
@@ -55,22 +53,21 @@ impl DblpConfig {
     }
 }
 
-/// Emits the bibliography into any [`XmlSink`]. The event stream (and
-/// the RNG consumption driving it) is identical whichever sink backs
-/// it, so in-memory and streamed-to-disk corpora agree byte for byte.
-pub fn emit_dblp<S: XmlSink>(config: &DblpConfig, b: &mut S) -> io::Result<()> {
+/// Generates the document; `generate_dblp(c).to_xml()` is its XML.
+pub fn generate_dblp(config: &DblpConfig) -> Document {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let zipf = Zipf::new(vocab::TITLE_TERMS.len(), config.zipf_s);
-    b.open_element("bib")?;
+    let mut b = DocumentBuilder::new();
+    b.open_element("bib");
 
     for a in 0..config.authors {
-        b.open_element("author")?;
+        b.open_element("author");
         let first = vocab::FIRST_NAMES[rng.random_range(0..vocab::FIRST_NAMES.len())];
         let last = vocab::LAST_NAMES[rng.random_range(0..vocab::LAST_NAMES.len())];
-        b.leaf("name", &format!("{first} {last}"))?;
+        b.leaf("name", &format!("{first} {last}"));
         if rng.random_bool(0.4) {
             let interest = vocab::INTERESTS[rng.random_range(0..vocab::INTERESTS.len())];
-            b.leaf("interest", interest)?;
+            b.leaf("interest", interest);
         }
         // Heterogeneous container tag, as in Figure 1 / Example 1.
         let container = if a % 7 == 3 {
@@ -78,7 +75,7 @@ pub fn emit_dblp<S: XmlSink>(config: &DblpConfig, b: &mut S) -> io::Result<()> {
         } else {
             "publications"
         };
-        b.open_element(container)?;
+        b.open_element(container);
         let n_pubs = rng.random_range(config.pubs_min..=config.pubs_max);
         for _ in 0..n_pubs {
             let is_article = rng.random_bool(0.3);
@@ -86,7 +83,7 @@ pub fn emit_dblp<S: XmlSink>(config: &DblpConfig, b: &mut S) -> io::Result<()> {
                 "article"
             } else {
                 "inproceedings"
-            })?;
+            });
             let len = rng.random_range(config.title_min..=config.title_max);
             let mut title = String::new();
             for w in 0..len {
@@ -95,14 +92,14 @@ pub fn emit_dblp<S: XmlSink>(config: &DblpConfig, b: &mut S) -> io::Result<()> {
                 }
                 title.push_str(vocab::TITLE_TERMS[zipf.sample(&mut rng)]);
             }
-            b.leaf("title", &title)?;
-            b.leaf("year", &format!("{}", rng.random_range(1995..=2008)))?;
+            b.leaf("title", &title);
+            b.leaf("year", &format!("{}", rng.random_range(1995..=2008)));
             if is_article {
                 let j = vocab::JOURNALS[rng.random_range(0..vocab::JOURNALS.len())];
-                b.leaf("journal", j)?;
+                b.leaf("journal", j);
             } else {
                 let v = vocab::VENUES[rng.random_range(0..vocab::VENUES.len())];
-                b.leaf("booktitle", v)?;
+                b.leaf("booktitle", v);
             }
             if rng.random_bool(0.2) {
                 b.leaf(
@@ -112,38 +109,22 @@ pub fn emit_dblp<S: XmlSink>(config: &DblpConfig, b: &mut S) -> io::Result<()> {
                         rng.random_range(1..400),
                         rng.random_range(400..800)
                     ),
-                )?;
+                );
             }
-            b.close_element()?;
+            b.close_element();
         }
-        b.close_element()?; // container
+        b.close_element(); // container
         if rng.random_bool(0.15) {
             b.leaf(
                 "hobby",
                 ["fishing", "chess", "hiking", "painting"][rng.random_range(0..4)],
-            )?;
+            );
         }
-        b.close_element()?; // author
+        b.close_element(); // author
     }
 
-    b.close_element()
-}
-
-/// Generates the document in memory (the classic API).
-pub fn generate_dblp(config: &DblpConfig) -> Document {
-    let mut sink = BuilderSink::new();
-    emit_dblp(config, &mut sink).expect("builder sink never fails");
-    sink.finish()
-}
-
-/// Streams the corpus as rendered XML to a writer without materialising
-/// the document — byte-identical to `generate_dblp(config).to_xml()`,
-/// at memory cost of the open-element stack. Wrap `w` in a
-/// `BufWriter` for file output.
-pub fn write_dblp_xml<W: io::Write>(config: &DblpConfig, w: W) -> io::Result<W> {
-    let mut sink = XmlStreamWriter::new(w);
-    emit_dblp(config, &mut sink)?;
-    sink.finish()
+    b.close_element();
+    b.finish()
 }
 
 #[cfg(test)]
@@ -212,19 +193,6 @@ mod tests {
         let head = counts.get("data").copied().unwrap_or(0);
         let mid = counts.get("neighbor").copied().unwrap_or(0);
         assert!(head > mid.max(1) * 3, "head={head} mid={mid}");
-    }
-
-    #[test]
-    fn streamed_xml_is_byte_identical_to_dom_render() {
-        let c = DblpConfig {
-            authors: 40,
-            ..Default::default()
-        };
-        let streamed = write_dblp_xml(&c, Vec::new()).expect("stream");
-        assert_eq!(
-            String::from_utf8(streamed).unwrap(),
-            generate_dblp(&c).to_xml()
-        );
     }
 
     #[test]

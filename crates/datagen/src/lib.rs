@@ -4,26 +4,25 @@
 //! * [`zipf`]: seeded Zipf sampler (keyword-frequency skew);
 //! * [`vocab`]: bibliographic/baseball term pools;
 //! * [`dblp`]: scale-parameterised DBLP-like generator;
-//! * [`emit`]: the [`XmlSink`] event interface plus the streaming
-//!   [`XmlStreamWriter`] — generators emit DBLP-scale corpora straight
-//!   to disk, byte-identical to `Document::to_xml`;
 //! * [`baseball`]: the shallower Baseball generator;
 //! * [`workload`]: valid queries perturbed by the inverse of each
 //!   refinement operation, with ground truth by construction;
 //! * [`deweygen`]: seeded random Dewey-label corpora for the SLCA
 //!   differential-oracle tests.
+//!
+//! Both corpus generators build an [`xmldom::Document`] through its
+//! `DocumentBuilder`; a corpus's XML is `Document::to_xml`, the one
+//! renderer.
 
 pub mod baseball;
 pub mod dblp;
 pub mod deweygen;
-pub mod emit;
 pub mod vocab;
 pub mod workload;
 pub mod zipf;
 
 pub use baseball::{generate_baseball, BaseballConfig};
-pub use dblp::{emit_dblp, generate_dblp, write_dblp_xml, DblpConfig};
+pub use dblp::{generate_dblp, DblpConfig};
 pub use deweygen::{random_dewey_corpus, DeweyCorpusConfig};
-pub use emit::{BuilderSink, XmlSink, XmlStreamWriter};
 pub use workload::{generate_workload, PerturbKind, WorkloadConfig, WorkloadQuery};
 pub use zipf::Zipf;

@@ -23,7 +23,7 @@
 //! * [`persist`]: the store format — writing a whole index into any
 //!   [`kvstore::KvStore`], and the decoders [`kvindex`] and scrub share;
 //! * [`maint`]: online maintenance — WAL-backed document insert/delete
-//!   with epoch/snapshot reader handoff ([`MaintIndex`]).
+//!   with snapshot reader handoff ([`MaintIndex`]).
 
 pub mod cache;
 pub mod cooccur;

@@ -1,45 +1,49 @@
 //! Online index maintenance: WAL-backed document insert/delete with
-//! epoch/snapshot reader handoff.
+//! snapshot reader handoff.
 //!
-//! [`MaintIndex`] owns a [`kvstore::DurableKv`] and keeps a published
-//! [`KvBackedIndex`] *epoch* that readers pin via [`MaintIndex::snapshot`].
-//! The corpus model is a root element containing *records* (its direct
-//! children, kept as canonical XML fragments); a maintenance transaction
-//! ([`MaintIndex::commit`] over a slice of [`MaintOp`]s) appends and/or
-//! removes records, commits the resulting store delta as **one atomic
-//! WAL transaction group**, and publishes a fresh generation.
+//! [`MaintIndex`] owns a [`kvstore::DurableKv`] and, beside it, the
+//! [`KvBackedIndex`] over the last published state, which
+//! [`MaintIndex::snapshot`] hands out. The corpus model is that reader's
+//! document: a root element whose direct children are the *records*; a
+//! maintenance transaction ([`MaintIndex::commit`] over a slice of
+//! [`MaintOp`]s) appends and/or removes records, commits the resulting
+//! store delta as **one atomic WAL transaction group**, and publishes a
+//! fresh generation.
 //!
 //! # Commit protocol (rebuild-diff)
 //!
-//! A commit reconstructs the post-transaction corpus, rebuilds the full
-//! index in memory with [`build_streaming`] — the same builder
-//! `xrefine-cli index` runs, single-threaded because the build happens
-//! under the writer lock — persists it to a scratch store, and diffs
-//! that against the live store; only the differing keys ship as the WAL
-//! batch. This is deliberately the *strongest* maintenance discipline:
-//! after every commit the durable store is byte-identical to a
-//! from-scratch rebuild of the same corpus (the differential oracle in
+//! A commit renders the current records from the document, applies the
+//! ops to them, rebuilds the full index of the recomposed corpus in
+//! memory with [`build_streaming`] — the same builder `xrefine-cli
+//! index` runs, single-threaded because the build happens under the
+//! writer lock — persists it to a scratch store, and diffs that against
+//! the live store; only the differing keys ship as the WAL batch. This
+//! is deliberately the *strongest* maintenance discipline: after every
+//! commit the durable store is byte-identical to a from-scratch rebuild
+//! of the same corpus (the differential oracle in
 //! `tests/maint_differential.rs` holds by construction), and crash
 //! recovery is exactly [`kvstore::DurableKv`]'s committed-prefix replay.
 //! The cost is a rebuild per transaction — acceptable for the paper's
 //! corpus scale, and an explicit trade the DESIGN.md section records.
 //!
-//! # Epoch lifecycle
+//! # Publishing a generation
 //!
 //! ```text
-//! commit:  writer lock → apply_batch (WAL) → gen+1
+//! commit:  writer lock → apply_batch (WAL)
+//!            → durable.snapshot() (O(1)) → new KvBackedIndex at gen+1
 //!            → cache.set_current_gen(gen+1)   (stale inserts now refused)
 //!            → cache.invalidate(changed ids)  (stale entries dropped)
-//!            → durable.snapshot() (O(1)) → new KvBackedIndex at gen+1
-//!            → epoch pointer swap
+//!            → writer state holds the new reader
 //! ```
 //!
-//! Readers holding the previous epoch keep serving from their pinned
-//! [`kvstore::Snapshot`] — they are never blocked and never see mixed
-//! state: the store copies its overlay on the first write after handing
-//! a snapshot out. Their re-decodes of invalidated lists are admitted to
-//! the cache only if their generation is still current (see
-//! [`crate::cache`]).
+//! The epoch pointer readers pin is `LiveEngine`'s (xrefine): it takes
+//! [`MaintIndex::snapshot`] after the writer lock is released and
+//! republishes its engine over it. Readers holding an earlier reader
+//! keep serving from its pinned [`kvstore::Snapshot`] — they are never
+//! blocked and never see mixed state: the store copies its overlay on
+//! the first write after handing a snapshot out. Their re-decodes of
+//! invalidated lists are admitted to the cache only if their generation
+//! is still current (see [`crate::cache`]).
 //!
 //! # Compaction
 //!
@@ -49,13 +53,14 @@
 //! next snapshot — the new base, an empty overlay — as a new generation
 //! with **no cache invalidation**: the merged bytes are identical, so
 //! entries stamped by older generations keep hitting. That a checkpoint
-//! renames a file is `kvstore`'s business alone; prior epochs still read
-//! the old inode through the handle their snapshot pinned.
+//! renames a file is `kvstore`'s business alone; earlier readers still
+//! read the old inode through the handle their snapshot pinned.
 
 use crate::cache::ListCache;
 use crate::kvindex::{KvBackedIndex, DEFAULT_CACHE_BUDGET};
 use crate::persist;
 use crate::postings::{read_varint, write_varint};
+use crate::reader::IndexReader;
 use crate::stream::build_streaming;
 use kvstore::{BatchOp, DurableKv, KvError, KvStore, MemKv, Result, StdVfs, Vfs};
 use obs::lockrank::rank;
@@ -64,7 +69,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
-use xmldom::{parse_document, Document, NodeId};
+use xmldom::{parse_document, Document};
 
 /// The store key holding maintenance metadata (committed transaction
 /// sequence number and record count), framed like every other persisted
@@ -102,24 +107,18 @@ pub struct MaintReport {
 /// The single-writer state behind the writer mutex.
 struct Writer {
     durable: DurableKv,
-    /// Current corpus document (rebuilt on every commit).
-    doc: Arc<Document>,
-    /// Canonical record fragments — `doc`'s root children rendered back
-    /// to XML. Invariant: reopening the store re-derives exactly this.
-    records: Vec<String>,
-    root_tag: String,
-    root_attrs: Vec<(String, String)>,
-    root_text: String,
+    /// The reader over the last published state: its document is the
+    /// corpus and its generation the current one.
+    reader: Arc<KvBackedIndex>,
     seq: u64,
-    gen: u64,
 }
 
-/// A live, updatable index: a durable store plus the epoch pointer
-/// readers pin snapshots from. All methods take `&self`; commits are
-/// serialized by the writer mutex, reads are never blocked.
+/// A live, updatable index: a durable store plus the reader over its
+/// last published state. All methods take `&self`; commits are
+/// serialized by the writer mutex, and a reader handed out keeps
+/// answering from its own snapshot whatever commits after it.
 pub struct MaintIndex {
     writer: Mutex<Writer>,
-    epoch: Mutex<Arc<KvBackedIndex>>,
     cache: Arc<ListCache>,
 }
 
@@ -136,15 +135,14 @@ impl MaintIndex {
     pub fn open_with_vfs(vfs: Arc<dyn Vfs>, base: &Path) -> Result<Self> {
         let durable = DurableKv::open_with_vfs(vfs, base)?;
         let doc = Arc::new(persist::load_document(&durable)?);
-        let (records, root_tag, root_attrs, root_text) = derive_records(&doc);
+        let records = record_count(&doc);
         let seq = match durable.get(MAINT_KEY)? {
             Some(value) => {
                 let (seq, count) = decode_maint_meta(&value)?;
-                if count != records.len() as u64 {
+                if count != records as u64 {
                     return Err(KvError::corrupt(format!(
                         "maintenance metadata claims {count} records but the \
-                         embedded document has {}",
-                        records.len()
+                         embedded document has {records}"
                     )));
                 }
                 seq
@@ -153,7 +151,7 @@ impl MaintIndex {
         };
         let cache = Arc::new(ListCache::new(DEFAULT_CACHE_BUDGET));
         let reader = Arc::new(KvBackedIndex::open_snapshot_with_document(
-            Arc::clone(&doc),
+            doc,
             0,
             durable.snapshot(),
             Arc::clone(&cache),
@@ -164,29 +162,25 @@ impl MaintIndex {
                 rank::MAINT_WRITER,
                 Writer {
                     durable,
-                    doc,
-                    records,
-                    root_tag,
-                    root_attrs,
-                    root_text,
+                    reader,
                     seq,
-                    gen: 0,
                 },
             ),
-            epoch: Mutex::new(rank::MAINT_EPOCH, reader),
             cache,
         })
     }
 
-    /// The epoch readers currently pin. Cheap: one mutex, one
-    /// `Arc` clone; the returned reader stays valid (served from its
-    /// pinned snapshot) across any number of later commits.
+    /// The reader over the last published state. One mutex, one `Arc`
+    /// clone; the returned reader stays valid (served from its pinned
+    /// snapshot) across any number of later commits. Blocks while a
+    /// commit is in flight — the query path never calls it: readers pin
+    /// `LiveEngine`'s engine, which takes this after each commit.
     pub fn snapshot(&self) -> Arc<KvBackedIndex> {
-        Arc::clone(&self.epoch.lock()) // xlint::lock(maint.epoch)
+        Arc::clone(&self.writer.lock().reader) // xlint::lock(maint.writer)
     }
 
     /// Commits `ops` as one atomic WAL transaction and publishes the
-    /// new generation. On any error the store and the published epoch
+    /// new generation. On any error the store and the published reader
     /// are unchanged (a failed WAL append is rolled back by recovery).
     pub fn commit(&self, ops: &[MaintOp]) -> Result<MaintReport> {
         let started = Instant::now();
@@ -215,8 +209,9 @@ impl MaintIndex {
     }
 
     fn commit_locked(&self, w: &mut Writer, ops: &[MaintOp]) -> Result<MaintReport> {
-        // 1. Apply the ops to a working copy of the record list.
-        let mut records = w.records.clone();
+        // 1. Apply the ops to the current records, rendered from the
+        //    document.
+        let mut records = render_records(w.reader.document());
         let (mut added, mut removed) = (0usize, 0usize);
         for op in ops {
             match op {
@@ -242,61 +237,54 @@ impl MaintIndex {
         }
 
         // 2. Rebuild the post-transaction index in memory.
-        let xml = compose_corpus(&w.root_tag, &w.root_attrs, &w.root_text, &records);
+        let xml = compose_corpus(w.reader.document(), &records);
         let built = build_streaming(&xml, 1)
             .map_err(|e| KvError::corrupt(format!("reconstructed corpus does not parse: {e}")))?;
         let doc = Arc::clone(built.document());
         let mut target = MemKv::new();
         persist::persist(&built, &mut target)?;
         let seq = w.seq + 1;
-        // Re-derive the canonical records from the parsed corpus so the
-        // in-memory list always matches what a reopen would derive.
-        let (canonical, root_tag, root_attrs, root_text) = derive_records(&doc);
-        target.put(MAINT_KEY, &encode_maint_meta(seq, canonical.len() as u64))?;
+        let count = record_count(&doc);
+        target.put(MAINT_KEY, &encode_maint_meta(seq, count as u64))?;
 
         // 3. Diff against the live store; ship only the delta.
         let batch = diff_stores(&w.durable, &target)?;
         let changed_lists = changed_list_ids(&batch);
         w.durable.apply_batch(&batch)?;
 
-        // 4. Commit the in-memory state and publish the new epoch.
-        w.records = canonical;
-        w.root_tag = root_tag;
-        w.root_attrs = root_attrs;
-        w.root_text = root_text;
-        w.doc = doc;
+        // 4. Publish the new generation.
+        self.publish(w, doc, &changed_lists)?;
         w.seq = seq;
-        self.publish(w, &changed_lists)?;
         obs::gauge!("maint_overlay_entries").set(w.durable.overlay_len() as i64);
         Ok(MaintReport {
             seq,
-            generation: w.gen,
-            records: w.records.len(),
+            generation: w.reader.generation(),
+            records: count,
             batch_ops: batch.len(),
             added,
             removed,
         })
     }
 
-    /// Bumps the generation, invalidates the changed posting lists, and
-    /// swaps the epoch pointer to a reader over the new snapshot.
-    /// Ordering matters: the generation bump is published to the cache
-    /// *before* invalidation, so a stale reader that races the sweep
-    /// cannot re-seed an entry we just dropped (its insert carries the
-    /// old generation and is refused under the cache mutex).
-    fn publish(&self, w: &mut Writer, changed_lists: &[u32]) -> Result<()> {
-        w.gen += 1;
-        self.cache.set_current_gen(w.gen);
-        for &id in changed_lists {
-            self.cache.invalidate(id);
-        }
+    /// Opens a reader over the store's next snapshot as generation
+    /// `gen + 1`, retargets the cache, and makes the reader the writer's
+    /// current one. Ordering matters: the generation bump is published
+    /// to the cache *before* invalidation, so a stale reader that races
+    /// the sweep cannot re-seed an entry we just dropped (its insert
+    /// carries the old generation and is refused under the cache mutex).
+    fn publish(&self, w: &mut Writer, doc: Arc<Document>, changed_lists: &[u32]) -> Result<()> {
+        let gen = w.reader.generation() + 1;
         let reader = Arc::new(KvBackedIndex::open_snapshot_with_document(
-            Arc::clone(&w.doc),
-            w.gen,
+            doc,
+            gen,
             w.durable.snapshot(),
             Arc::clone(&self.cache),
         )?);
-        *self.epoch.lock() = reader; // xlint::lock(maint.epoch)
+        self.cache.set_current_gen(gen);
+        for &id in changed_lists {
+            self.cache.invalidate(id);
+        }
+        w.reader = reader;
         Ok(())
     }
 
@@ -309,7 +297,8 @@ impl MaintIndex {
             return Ok(false);
         }
         w.durable.checkpoint()?;
-        self.publish(&mut w, &[])?;
+        let doc = Arc::clone(w.reader.document());
+        self.publish(&mut w, doc, &[])?;
         obs::counter!("maint_compactions_total").inc();
         obs::counter!("maint_epochs_total").inc();
         obs::gauge!("maint_overlay_entries").set(0);
@@ -324,19 +313,19 @@ impl MaintIndex {
 
     /// Records currently in the corpus.
     pub fn record_count(&self) -> usize {
-        self.writer.lock().records.len() // xlint::lock(maint.writer)
+        record_count(&self.document())
     }
 
     /// Canonical record fragments, in slot order.
     pub fn records(&self) -> Vec<String> {
-        self.writer.lock().records.clone() // xlint::lock(maint.writer)
+        render_records(&self.document())
     }
 
     /// The full corpus as one XML document (what a from-scratch build
     /// of the current state would ingest).
     pub fn full_xml(&self) -> String {
-        let w = self.writer.lock(); // xlint::lock(maint.writer)
-        compose_corpus(&w.root_tag, &w.root_attrs, &w.root_text, &w.records)
+        let doc = self.document();
+        compose_corpus(&doc, &render_records(&doc))
     }
 
     /// Entries (puts and deletes) accumulated in the WAL overlay since
@@ -345,42 +334,40 @@ impl MaintIndex {
         self.writer.lock().durable.overlay_len() // xlint::lock(maint.writer)
     }
 
-    /// The shared list cache (one instance across all epochs).
+    /// The shared list cache (one instance across all generations).
     pub fn cache(&self) -> &Arc<ListCache> {
         &self.cache
     }
+
+    /// The current corpus document.
+    fn document(&self) -> Arc<Document> {
+        Arc::clone(self.writer.lock().reader.document()) // xlint::lock(maint.writer)
+    }
 }
 
-/// Renders `doc`'s root children back to canonical XML fragments,
-/// returning them with the root element's tag, attributes and direct
-/// text (everything needed to recompose the corpus).
-fn derive_records(doc: &Document) -> (Vec<String>, String, Vec<(String, String)>, String) {
-    let root = doc.root();
-    let node = doc.node(root);
-    let records: Vec<String> = node
-        .children
+/// Records in `doc`: its root's children.
+fn record_count(doc: &Document) -> usize {
+    doc.node(doc.root()).children.len()
+}
+
+/// Renders `doc`'s root children back to canonical XML fragments.
+fn render_records(doc: &Document) -> Vec<String> {
+    let root = doc.node(doc.root());
+    root.children
         .iter()
-        .map(|&c: &NodeId| doc.subtree_to_xml(c))
-        .collect();
-    (
-        records,
-        doc.tag_name(root).to_string(),
-        node.attributes.clone(),
-        node.text.clone(),
-    )
+        .map(|&c| doc.subtree_to_xml(c))
+        .collect()
 }
 
-/// Recomposes the corpus document from its root envelope and records.
-fn compose_corpus(
-    root_tag: &str,
-    root_attrs: &[(String, String)],
-    root_text: &str,
-    records: &[String],
-) -> String {
+/// Recomposes a corpus from `doc`'s root envelope (tag, attributes,
+/// direct text) and `records`.
+fn compose_corpus(doc: &Document, records: &[String]) -> String {
+    let root_tag = doc.tag_name(doc.root());
+    let root = doc.node(doc.root());
     let mut xml = String::with_capacity(64 + records.iter().map(String::len).sum::<usize>());
     xml.push('<');
     xml.push_str(root_tag);
-    for (k, v) in root_attrs {
+    for (k, v) in &root.attributes {
         xml.push(' ');
         xml.push_str(k);
         xml.push_str("=\"");
@@ -388,9 +375,9 @@ fn compose_corpus(
         xml.push('"');
     }
     xml.push('>');
-    if !root_text.is_empty() {
+    if !root.text.is_empty() {
         xml.push('\n');
-        xmldom::tree::escape_into(root_text, &mut xml);
+        xmldom::tree::escape_into(&root.text, &mut xml);
     }
     xml.push('\n');
     for r in records {
@@ -423,21 +410,12 @@ fn diff_stores(live: &dyn KvStore, target: &dyn KvStore) -> Result<Vec<BatchOp>>
 /// Keyword ids of the posting lists a batch touches (the entries the
 /// cache must drop at publish).
 fn changed_list_ids(batch: &[BatchOp]) -> Vec<u32> {
-    let mut ids = Vec::new();
-    for op in batch {
-        let key = match op {
-            BatchOp::Put(k, _) => k,
-            BatchOp::Delete(k) => k,
-        };
-        if key.starts_with(b"L/") {
-            if let Some(raw) = key.get(2..6) {
-                if let Ok(be) = <[u8; 4]>::try_from(raw) {
-                    ids.push(u32::from_be_bytes(be));
-                }
-            }
-        }
-    }
-    ids
+    batch
+        .iter()
+        .filter_map(|op| match op {
+            BatchOp::Put(key, _) | BatchOp::Delete(key) => persist::list_id(key),
+        })
+        .collect()
 }
 
 /// `M/maint` value: persist-framed `varint(seq) ‖ varint(record_count)`.
@@ -466,7 +444,6 @@ pub fn decode_maint_meta(value: &[u8]) -> Result<(u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reader::IndexReader;
     use kvstore::{DiskKv, FaultVfs};
     use std::path::PathBuf;
 

@@ -163,12 +163,21 @@ pub(crate) fn load_stats(store: &dyn KvStore) -> Result<TypeStats> {
     Ok(TypeStats::set_from_parts(n_nodes, distinct, tf, df))
 }
 
+/// Prefix of every posting-list key.
+const LIST_PREFIX: &[u8] = b"L/";
+
 /// The `L/` key of a keyword id.
 pub(crate) fn list_key(id: u32) -> Vec<u8> {
     let mut key = Vec::with_capacity(6);
-    key.extend_from_slice(b"L/");
+    key.extend_from_slice(LIST_PREFIX);
     key.extend_from_slice(&id.to_be_bytes());
     key
+}
+
+/// The keyword id an `L/` key names; `None` for any other key.
+pub(crate) fn list_id(key: &[u8]) -> Option<u32> {
+    let id = key.strip_prefix(LIST_PREFIX)?.try_into().ok()?;
+    Some(u32::from_be_bytes(id))
 }
 
 /// Frames `payload` as `varint(len) ‖ crc32 ‖ payload`.
@@ -607,16 +616,16 @@ pub fn verify_store(store: &dyn KvStore) -> IntegrityReport {
         entries: 0,
         damaged: Vec::new(),
     };
-    match store.scan_prefix(b"L/") {
+    match store.scan_prefix(LIST_PREFIX) {
         Ok(entries) => {
             for (key, value) in entries {
                 list_section.entries += 1;
-                let entry = match key[2..].try_into().map(u32::from_be_bytes) {
-                    Ok(id) => match names.get(&id) {
+                let entry = match list_id(&key) {
+                    Some(id) => match names.get(&id) {
                         Some(text) => format!("L/{id} ({text:?})"),
                         None => format!("L/{id}"),
                     },
-                    Err(_) => format!("L/{:?}", &key[2..]),
+                    None => format!("L/{:?}", key.strip_prefix(LIST_PREFIX).unwrap_or(&key)),
                 };
                 match unframe_value(&value, "posting list")
                     .and_then(|payload| CompressedList::parse(payload).map(|c| c.check_blocks()))
@@ -837,6 +846,25 @@ mod tests {
                 assert_eq!(built.stats().tf(t, k), opened.stats().tf(t, k));
                 assert_eq!(built.stats().df(t, k), opened.stats().df(t, k));
             }
+        }
+    }
+
+    #[test]
+    fn list_id_inverts_list_key_and_rejects_other_keys() {
+        for id in [0, 1, 0x0102_0304, u32::MAX] {
+            assert_eq!(list_id(&list_key(id)), Some(id));
+        }
+        let mut long = list_key(7);
+        long.push(0);
+        for key in [
+            &b"V/\0\0\0\x07"[..],
+            b"L\0\0\0\0\x07",
+            b"L/\0\0\x07",
+            &long,
+            b"",
+            b"L/",
+        ] {
+            assert_eq!(list_id(key), None, "{key:?}");
         }
     }
 

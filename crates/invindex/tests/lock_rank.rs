@@ -4,10 +4,10 @@
 //! this is the runtime half: `obs::lockrank` keeps a thread-local stack
 //! of held ranks and `debug_assert`s that acquisitions are strictly
 //! increasing. Eight threads hammer the real list cache (whose mutex
-//! carries `cache.lru` into the runtime checker) while nesting
-//! `maint.writer` → `maint.epoch` mutexes outside it — the order a
-//! committing `MaintIndex` writer uses. The inverted order must panic,
-//! in debug builds only.
+//! carries `cache.lru` into the runtime checker) under a `maint.writer`
+//! mutex, then swap an `engine.epoch` pointer with the writer released —
+//! the order a committing `LiveEngine` update uses. The inverted orders
+//! must panic, in debug builds only.
 
 use invindex::{ListCache, Posting, PostingList};
 use obs::lockrank::{self, rank};
@@ -25,15 +25,16 @@ fn list(n: u32) -> Arc<PostingList> {
     Arc::new(l)
 }
 
-/// Writer, then cache, then epoch (the production commit order) from
-/// eight threads at once: every acquisition is strictly increasing, so
-/// the checker stays quiet and nothing deadlocks.
+/// Writer, then cache beneath it, then the epoch with the writer
+/// released (the production update order) from eight threads at once:
+/// every acquisition is strictly increasing, so the checker stays quiet
+/// and nothing deadlocks.
 #[test]
 fn eight_threads_nest_writer_cache_then_epoch_cleanly() {
     const THREADS: usize = 8;
     const ROUNDS: u32 = 200;
     let writer = Arc::new(Mutex::new(rank::MAINT_WRITER, 0u64));
-    let epoch = Arc::new(Mutex::new(rank::MAINT_EPOCH, 0u64));
+    let epoch = Arc::new(Mutex::new(rank::ENGINE_EPOCH, 0u64));
     let cache = Arc::new(ListCache::new(1 << 16));
     let barrier = Arc::new(Barrier::new(THREADS));
     let handles: Vec<_> = (0..THREADS)
@@ -46,16 +47,20 @@ fn eight_threads_nest_writer_cache_then_epoch_cleanly() {
                 barrier.wait();
                 for round in 0..ROUNDS {
                     let id = (t as u32) * ROUNDS + round;
-                    // The commit path's shape: hold the writer mutex,
-                    // invalidate/seed cache entries (`cache.lru`, taken
-                    // and released inside each call), then swap the
-                    // epoch pointer, exactly like `MaintIndex::publish`.
-                    let _writer_guard = writer.lock();
-                    if cache.get(id).is_none() {
-                        cache.insert(id, list(id), 64);
+                    // The update path's shape: `MaintIndex::commit`
+                    // holds the writer mutex while it invalidates/seeds
+                    // cache entries (`cache.lru`, taken and released
+                    // inside each call); `LiveEngine::republish` then
+                    // swaps the engine pointer with the writer released.
+                    {
+                        let mut writer_guard = writer.lock();
+                        if cache.get(id).is_none() {
+                            cache.insert(id, list(id), 64);
+                        }
+                        cache.invalidate(id.wrapping_add(1));
+                        *writer_guard += 1;
                     }
-                    cache.invalidate(id.wrapping_add(1));
-                    let _epoch_guard = epoch.lock();
+                    *epoch.lock() += 1;
                 }
                 cache.check_invariants();
             })
@@ -64,6 +69,8 @@ fn eight_threads_nest_writer_cache_then_epoch_cleanly() {
     for h in handles {
         h.join().expect("worker thread");
     }
+    let total = u64::from(ROUNDS) * THREADS as u64;
+    assert_eq!((*writer.lock(), *epoch.lock()), (total, total));
     assert!(
         lockrank::held_ranks().is_empty(),
         "main thread should hold no ranks"
@@ -83,19 +90,19 @@ fn cache_then_epoch_nesting_panics_in_debug() {
     // is taking the epoch mutex while a same-thread cache guard would
     // still be live.
     cache.insert(1, list(1), 64);
-    let epoch = Mutex::new(rank::MAINT_EPOCH, 0u64);
+    let epoch = Mutex::new(rank::ENGINE_EPOCH, 0u64);
     let _cache_rank = lockrank::acquire(rank::CACHE_LRU);
     let _epoch_guard = epoch.lock();
 }
 
 /// Same inversion one level up: the epoch pointer must never be held
-/// when the writer mutex is requested (a reader pinning a snapshot
+/// when the writer mutex is requested (a reader pinning an engine
 /// cannot block a committer into a cycle).
 #[cfg(debug_assertions)]
 #[test]
 #[should_panic(expected = "lock-rank violation")]
 fn epoch_then_writer_nesting_panics_in_debug() {
-    let epoch = Mutex::new(rank::MAINT_EPOCH, 0u64);
+    let epoch = Mutex::new(rank::ENGINE_EPOCH, 0u64);
     let writer = Mutex::new(rank::MAINT_WRITER, 0u64);
     let _epoch_guard = epoch.lock();
     let _writer_guard = writer.lock();
@@ -109,6 +116,6 @@ fn epoch_then_writer_nesting_panics_in_debug() {
 fn release_checker_is_zero_cost_and_silent() {
     assert_eq!(std::mem::size_of::<lockrank::RankGuard>(), 0);
     let _cache = lockrank::acquire(rank::CACHE_LRU);
-    let _epoch = lockrank::acquire(rank::MAINT_EPOCH);
+    let _epoch = lockrank::acquire(rank::ENGINE_EPOCH);
     assert!(lockrank::held_ranks().is_empty());
 }

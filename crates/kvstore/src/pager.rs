@@ -52,8 +52,8 @@ impl PageId {
 pub struct PageVerifyReport {
     /// Total pages in the file.
     pub total_pages: u64,
-    /// All-zero pages (never written).
-    pub zero_pages: u64,
+    /// Blank (all-zero, never written) pages.
+    pub blank_pages: u64,
     /// Pages whose trailer magic and CRC both verified.
     pub valid_pages: u64,
     /// Pages that failed verification, with the reason.
@@ -74,7 +74,7 @@ pub struct FilePager {
 }
 
 /// Splits a physical page into payload or reports why it is damaged.
-/// All-zero pages are valid empties (`Ok(None)`).
+/// All-zero pages are valid blanks (`Ok(None)`).
 fn verify_phys_page(phys: &[u8], id: u64) -> Result<Option<&[u8]>> {
     debug_assert_eq!(phys.len(), PHYS_PAGE_SIZE);
     if phys.iter().all(|&b| b == 0) {
@@ -166,7 +166,6 @@ impl FilePager {
     /// page was read into, cut to the payload (a blank page's is zeros).
     pub fn read(&self, id: PageId) -> Result<Vec<u8>> {
         obs::counter!("kvstore_pager_page_reads_total").inc();
-        obs::counter!("kvstore_pager_disk_page_reads_total").inc();
         obs::trace::count("pages.read", 1);
         if id.0 >= self.page_count {
             return Err(KvError::corrupt_page(id.0, "read of unallocated page"));
@@ -214,7 +213,7 @@ impl FilePager {
         let total = self.file.len()? / PHYS_PAGE_SIZE as u64;
         let mut report = PageVerifyReport {
             total_pages: total,
-            zero_pages: 0,
+            blank_pages: 0,
             valid_pages: 0,
             bad_pages: Vec::new(),
         };
@@ -223,7 +222,7 @@ impl FilePager {
             self.file
                 .read_exact_at(id * PHYS_PAGE_SIZE as u64, &mut phys)?;
             match verify_phys_page(&phys, id) {
-                Ok(None) => report.zero_pages += 1,
+                Ok(None) => report.blank_pages += 1,
                 Ok(Some(_)) => report.valid_pages += 1,
                 Err(e) => report.bad_pages.push((id, e.to_string())),
             }

@@ -1,6 +1,6 @@
 //! Runtime lock-rank checking, the dynamic half of the lock-order
-//! discipline (the static half is xlint's `lock-order` rule; the
-//! declared hierarchy lives in `crates/xlint/lockorder.toml`).
+//! discipline (the static half is xlint's `lock-order` rule, which reads
+//! its hierarchy from the [`rank`] table below).
 //!
 //! Every named lock has one [`LockClass`] in the [`rank`] table, and a
 //! [`crate::sync::Mutex`] is built with its class: `lock()` calls
@@ -29,19 +29,17 @@ pub struct LockClass {
     pub name: &'static str,
 }
 
-/// Declares [`rank`]'s classes and, for the test that holds them against
-/// `lockorder.toml`, the list of all of them.
+/// Declares [`rank`]'s classes, one `IDENT = rank, "name";` line each.
 macro_rules! lock_classes {
     ($($ident:ident = $rank:literal, $name:literal;)*) => {
         $(pub const $ident: LockClass = LockClass { rank: $rank, name: $name };)*
-        #[cfg(test)]
-        pub(super) const ALL: &[LockClass] = &[$($ident),*];
     };
 }
 
-/// The workspace lock hierarchy, declared once in code. `lockorder.toml`
-/// repeats it for the static rule; `lockorder_toml_matches_the_class_table`
-/// fails when either side has an entry the other lacks.
+/// The workspace lock hierarchy, declared once. xlint reads the
+/// `lock_classes!` block below as text — one `IDENT = rank, "name";`
+/// line per class, names unique, ranks unique — for its static rule,
+/// and reports a class no lock site annotates at the class's line.
 pub mod rank {
     use super::LockClass;
     lock_classes! {
@@ -49,7 +47,6 @@ pub mod rank {
         COOCCUR_MEMO = 2, "cooccur.memo";
         SERVE_QUEUE = 8, "serve.queue";
         MAINT_WRITER = 9, "maint.writer";
-        MAINT_EPOCH = 10, "maint.epoch";
         ENGINE_EPOCH = 11, "engine.epoch";
         CACHE_LRU = 20, "cache.lru";
         VFS_FILE = 30, "vfs.file";
@@ -91,7 +88,7 @@ pub fn acquire(class: LockClass) -> RankGuard {
             assert!(
                 rank > top_rank,
                 "lock-rank violation: acquiring `{name}` (rank {rank}) while holding \
-                 `{top_name}` (rank {top_rank}); see crates/xlint/lockorder.toml"
+                 `{top_name}` (rank {top_rank}); see obs::lockrank::rank"
             );
         }
         held.push((rank, name));
@@ -143,10 +140,10 @@ mod tests {
     #[cfg(debug_assertions)]
     fn increasing_ranks_nest_cleanly() {
         let a = acquire(rank::MAINT_WRITER);
-        let b = acquire(rank::MAINT_EPOCH);
+        let b = acquire(rank::ENGINE_EPOCH);
         let c = acquire(rank::CACHE_LRU);
         let d = acquire(rank::OBS_REGISTRY);
-        assert_eq!(held_ranks(), vec![9, 10, 20, 50]);
+        assert_eq!(held_ranks(), vec![9, 11, 20, 50]);
         drop(d);
         drop(c);
         drop(b);
@@ -159,13 +156,13 @@ mod tests {
     #[should_panic(expected = "lock-rank violation")]
     fn inverted_acquisition_panics_in_debug() {
         let _cache = acquire(rank::CACHE_LRU);
-        let _epoch = acquire(rank::MAINT_EPOCH);
+        let _epoch = acquire(rank::ENGINE_EPOCH);
     }
 
     #[test]
     #[cfg(debug_assertions)]
     fn out_of_order_release_is_tolerated() {
-        let a = acquire(rank::MAINT_EPOCH);
+        let a = acquire(rank::ENGINE_EPOCH);
         let b = acquire(rank::CACHE_LRU);
         drop(a); // explicit early drop of the outer guard
         assert_eq!(held_ranks(), vec![20]);
@@ -181,38 +178,6 @@ mod tests {
         assert_eq!(std::mem::size_of::<RankGuard>(), 0);
         // Inverted order must be free and silent in release.
         let _cache = acquire(rank::CACHE_LRU);
-        let _epoch = acquire(rank::MAINT_EPOCH);
-    }
-
-    #[test]
-    fn lockorder_toml_matches_the_class_table() {
-        // The TOML lives two crates over; read its `"name" = rank`
-        // lines the same trivial way xlint does.
-        let toml = match std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../xlint/lockorder.toml"
-        )) {
-            Ok(t) => t,
-            Err(_) => return, // packaged standalone; nothing to check against
-        };
-        let mut declared: Vec<(String, u16)> = toml
-            .lines()
-            .filter(|l| l.starts_with('"'))
-            .map(|l| {
-                let (name, rank) = l.split_once('=').expect("`\"name\" = rank`");
-                let rank = rank.trim().parse().expect("integer rank");
-                (name.trim().trim_matches('"').to_string(), rank)
-            })
-            .collect();
-        let mut classes: Vec<(String, u16)> = rank::ALL
-            .iter()
-            .map(|c| (c.name.to_string(), c.rank))
-            .collect();
-        declared.sort();
-        classes.sort();
-        assert_eq!(
-            declared, classes,
-            "lockorder.toml (left) and obs::lockrank::rank (right) disagree"
-        );
+        let _epoch = acquire(rank::ENGINE_EPOCH);
     }
 }

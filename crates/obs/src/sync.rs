@@ -10,7 +10,7 @@
 //!
 //! A lock poisoned by a panicking holder is recovered, not propagated.
 //! That is sound for every lock declared in
-//! `crates/xlint/lockorder.toml` because each critical section leaves
+//! [`crate::lockrank::rank`] because each critical section leaves
 //! its data valid at every step (an LRU, a memo table, a metric-name
 //! map, an epoch pointer swapped with a single store, a file handle),
 //! and it keeps one crashed request from turning every later request
@@ -92,12 +92,12 @@ mod tests {
 
     #[test]
     fn the_guard_holds_its_rank_exactly_as_long_as_the_lock() {
-        let outer = Mutex::new(rank::MAINT_EPOCH, ());
+        let outer = Mutex::new(rank::ENGINE_EPOCH, ());
         let inner = Mutex::new(rank::CACHE_LRU, ());
         let a = outer.lock();
         let b = inner.lock();
         if cfg!(debug_assertions) {
-            assert_eq!(lockrank::held_ranks(), vec![10, 20]);
+            assert_eq!(lockrank::held_ranks(), vec![11, 20]);
         }
         drop(b);
         drop(a);
@@ -107,10 +107,10 @@ mod tests {
     /// No `acquire` at the site: the inversion is caught by `lock()`.
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "lock-rank violation: acquiring `maint.epoch`")]
+    #[should_panic(expected = "lock-rank violation: acquiring `engine.epoch`")]
     fn inverted_nesting_of_two_mutexes_panics_in_debug() {
         let cache = Mutex::new(rank::CACHE_LRU, ());
-        let epoch = Mutex::new(rank::MAINT_EPOCH, ());
+        let epoch = Mutex::new(rank::ENGINE_EPOCH, ());
         let _cache = cache.lock();
         let _epoch = epoch.lock();
     }

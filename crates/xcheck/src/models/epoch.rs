@@ -1,9 +1,9 @@
-//! Epoch publish vs reader pin (production: `invindex::maint` snapshot
-//! handoff).
+//! Epoch publish vs reader pin (production: `LiveEngine`'s engine
+//! republish, the one epoch pointer).
 //!
-//! The maintenance writer prepares a new snapshot and only then swaps
-//! the epoch pointer; a reader that pins the published epoch must see a
-//! fully built snapshot. The model collapses "the snapshot" to one cell:
+//! The updater builds a new engine over the store's new reader and only
+//! then swaps the epoch pointer; a reader that pins the published epoch
+//! must see a fully built snapshot. The model collapses "the snapshot" to one cell:
 //! the writer fills `snapshot`, then publishes `epoch = 1`. The seeded
 //! bug flips the publish order — epoch first, snapshot second — which is
 //! exactly the handoff the production code orders the other way around.

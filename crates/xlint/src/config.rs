@@ -3,20 +3,33 @@
 //!
 //! Path scopes are workspace policy and live here as code — they change
 //! when the architecture changes, which is a reviewed event. The lock
-//! hierarchy lives in `crates/xlint/lockorder.toml` (one rank per named
-//! lock) because it must be diffable next to the lock-site annotations
-//! it governs, and the metric catalogue is *extracted from DESIGN.md*
-//! so the docs are the single source of truth the code is checked
-//! against.
+//! hierarchy is read from the one place it is declared, the
+//! `lock_classes!` block of `obs::lockrank::rank` ([`LOCK_CLASSES_PATH`]),
+//! and the metric catalogue is *extracted from DESIGN.md* so the docs
+//! are the single source of truth the code is checked against. Both are
+//! read as text: xlint stays zero-dependency.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
+
+/// The file declaring the lock hierarchy: `obs::lockrank::rank`'s
+/// `lock_classes!` block, one `IDENT = rank, "name";` line per lock.
+pub const LOCK_CLASSES_PATH: &str = "crates/obs/src/lockrank.rs";
+
+/// One declared lock: its rank, and the line of its class in
+/// [`LOCK_CLASSES_PATH`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LockDecl {
+    pub rank: u32,
+    pub line: usize,
+}
 
 /// Everything the rules consult.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Lock name -> rank. Locks must be acquired in strictly increasing
-    /// rank order.
-    pub lock_ranks: BTreeMap<String, u32>,
+    /// Lock name -> declaration. Locks must be acquired in strictly
+    /// increasing rank order.
+    pub locks: BTreeMap<String, LockDecl>,
     /// Path prefixes where every bare `.lock()`/`.read()`/`.write()`
     /// call must carry an `xlint::lock(...)` annotation.
     pub lock_paths: Vec<String>,
@@ -63,11 +76,11 @@ pub struct Config {
 
 impl Config {
     /// The workspace policy, with an empty hierarchy and catalogue (fill
-    /// those from `lockorder.toml` / `DESIGN.md`, or set them directly
-    /// in tests).
+    /// those from the lock class table / `DESIGN.md`, or set them
+    /// directly in tests).
     pub fn workspace_defaults() -> Config {
         Config {
-            lock_ranks: BTreeMap::new(),
+            locks: BTreeMap::new(),
             lock_paths: vec![
                 "crates/kvstore/src/".into(),
                 "crates/invindex/src/".into(),
@@ -172,49 +185,82 @@ impl Config {
     }
 }
 
-/// Parses the `lockorder.toml` subset: comments, a `[locks]` section
-/// header, and `"name" = rank` entries (names are quoted because they
-/// contain dots).
-pub fn parse_lockorder(text: &str) -> Result<BTreeMap<String, u32>, String> {
-    let mut ranks = BTreeMap::new();
-    let mut in_locks = false;
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
+/// Parses the lock hierarchy out of the class table's source: the lines
+/// between `lock_classes! {` and its closing `}`, each
+/// `IDENT = rank, "name";` (blank lines and `//` comments skipped). Line
+/// numbers are the file's, so a finding can point at the class.
+pub fn parse_lock_classes(text: &str) -> Result<BTreeMap<String, LockDecl>, String> {
+    let mut lines = (1..).zip(text.lines().map(str::trim));
+    if !lines.any(|(_, l)| l == "lock_classes! {") {
+        return Err(format!("{LOCK_CLASSES_PATH} has no lock_classes! block"));
+    }
+    let mut locks = BTreeMap::new();
+    for (line, text) in lines {
+        if text == "}" {
+            if locks.is_empty() {
+                return Err(format!("{LOCK_CLASSES_PATH} declares no locks"));
+            }
+            return Ok(locks);
+        }
+        if text.is_empty() || text.starts_with("//") {
             continue;
         }
-        if line.starts_with('[') {
-            in_locks = line == "[locks]";
-            continue;
-        }
-        if !in_locks {
-            continue;
-        }
-        let (key, value) = line
-            .split_once('=')
-            .ok_or_else(|| format!("lockorder.toml:{}: expected `\"name\" = rank`", i + 1))?;
-        let key = key.trim().trim_matches('"').to_string();
-        let value = value.trim();
-        let rank: u32 = value
+        let at = format!("{LOCK_CLASSES_PATH}:{line}");
+        let malformed = || format!("{at}: expected `IDENT = rank, \"name\";`");
+        let (ident, rest) = text
+            .strip_suffix(';')
+            .and_then(|t| t.split_once('='))
+            .ok_or_else(malformed)?;
+        let (rank, name) = rest.split_once(',').ok_or_else(malformed)?;
+        let (ident, rank) = (ident.trim(), rank.trim());
+        let name = name
+            .trim()
+            .strip_prefix('"')
+            .and_then(|n| n.strip_suffix('"'))
+            .filter(|n| !n.is_empty() && !ident.is_empty())
+            .ok_or_else(malformed)?;
+        let rank: u32 = rank
             .parse()
-            .map_err(|_| format!("lockorder.toml:{}: rank `{value}` is not an integer", i + 1))?;
-        if ranks.values().any(|&r| r == rank) {
-            return Err(format!(
-                "lockorder.toml:{}: rank {rank} assigned to more than one lock",
-                i + 1
-            ));
+            .map_err(|_| format!("{at}: rank `{rank}` is not an integer"))?;
+        if locks.values().any(|d: &LockDecl| d.rank == rank) {
+            return Err(format!("{at}: rank {rank} assigned to more than one lock"));
         }
-        if ranks.insert(key.clone(), rank).is_some() {
-            return Err(format!(
-                "lockorder.toml:{}: lock `{key}` declared twice",
-                i + 1
-            ));
+        if locks
+            .insert(name.to_string(), LockDecl { rank, line })
+            .is_some()
+        {
+            return Err(format!("{at}: lock `{name}` declared twice"));
         }
     }
-    if ranks.is_empty() {
-        return Err("lockorder.toml declares no locks".into());
+    Err(format!(
+        "{LOCK_CLASSES_PATH}: lock_classes! block is never closed"
+    ))
+}
+
+/// The byte range of `text` (the contents of `file`) between its
+/// `<!-- xlint:<name>:begin -->` and `<!-- xlint:<name>:end -->` markers.
+pub fn fence(text: &str, file: &str, name: &str) -> Result<Range<usize>, String> {
+    let find = |edge: &str| {
+        let marker = format!("<!-- xlint:{name}:{edge} -->");
+        let at = text.find(&marker);
+        at.map(|at| (at, at + marker.len()))
+            .ok_or_else(|| format!("{file} is missing the `{marker}` marker"))
+    };
+    let ((_, start), (end, _)) = (find("begin")?, find("end")?);
+    if end < start {
+        return Err(format!("{file} {name} markers are out of order"));
     }
-    Ok(ranks)
+    Ok(start..end)
+}
+
+/// The backtick-quoted spans of `text` made only of characters `keep`
+/// accepts.
+fn quoted(text: &str, keep: impl Fn(char) -> bool) -> Vec<&str> {
+    text.split('`')
+        .skip(1)
+        .step_by(2)
+        .filter(|q| !q.is_empty() && q.chars().all(&keep))
+        .collect()
 }
 
 /// Extracts the metric/span catalogue from DESIGN.md: every
@@ -223,31 +269,13 @@ pub fn parse_lockorder(text: &str) -> Result<BTreeMap<String, u32>, String> {
 /// (`snake_case`), a count key (`dotted.name`) or a span name
 /// (`kebab-case` / bare word).
 pub fn parse_catalogue(design_md: &str) -> Result<BTreeSet<String>, String> {
-    let begin = design_md
-        .find("<!-- xlint:catalogue:begin -->")
-        .ok_or("DESIGN.md is missing the `<!-- xlint:catalogue:begin -->` marker")?;
-    let end = design_md
-        .find("<!-- xlint:catalogue:end -->")
-        .ok_or("DESIGN.md is missing the `<!-- xlint:catalogue:end -->` marker")?;
-    if end < begin {
-        return Err("DESIGN.md catalogue markers are out of order".into());
-    }
-    let section = &design_md[begin..end];
-    let mut names = BTreeSet::new();
-    let mut rest = section;
-    while let Some(open) = rest.find('`') {
-        let after = &rest[open + 1..];
-        let Some(close) = after.find('`') else { break };
-        let candidate = &after[..close];
-        if !candidate.is_empty()
-            && candidate
-                .chars()
-                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || "._-".contains(c))
-        {
-            names.insert(candidate.to_string());
-        }
-        rest = &after[close + 1..];
-    }
+    let section = &design_md[fence(design_md, "DESIGN.md", "catalogue")?];
+    let names: BTreeSet<String> = quoted(section, |c| {
+        c.is_ascii_lowercase() || c.is_ascii_digit() || "._-".contains(c)
+    })
+    .into_iter()
+    .map(str::to_string)
+    .collect();
     if names.is_empty() {
         return Err("DESIGN.md catalogue section quotes no names".into());
     }
@@ -260,40 +288,20 @@ pub fn parse_catalogue(design_md: &str) -> Result<BTreeSet<String>, String> {
 /// backtick-quoted names as a `(trigger, required successor)` pair.
 /// Header and divider rows quote nothing, so they drop out naturally.
 pub fn parse_protocol(design_md: &str) -> Result<Vec<(String, String)>, String> {
-    let begin = design_md
-        .find("<!-- xlint:protocol:begin -->")
-        .ok_or("DESIGN.md is missing the `<!-- xlint:protocol:begin -->` marker")?;
-    let end = design_md
-        .find("<!-- xlint:protocol:end -->")
-        .ok_or("DESIGN.md is missing the `<!-- xlint:protocol:end -->` marker")?;
-    if end < begin {
-        return Err("DESIGN.md protocol markers are out of order".into());
-    }
-    let mut pairs = Vec::new();
-    for line in design_md[begin..end].lines() {
-        let line = line.trim();
-        if !line.starts_with('|') {
-            continue;
-        }
-        let mut names = Vec::new();
-        let mut rest = line;
-        while let Some(open) = rest.find('`') {
-            let after = &rest[open + 1..];
-            let Some(close) = after.find('`') else { break };
-            let candidate = &after[..close];
-            if !candidate.is_empty()
-                && candidate
-                    .chars()
-                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
+    let pairs: Vec<(String, String)> = design_md[fence(design_md, "DESIGN.md", "protocol")?]
+        .lines()
+        .map(str::trim)
+        .filter(|line| line.starts_with('|'))
+        .filter_map(|line| {
+            match quoted(line, |c| {
+                c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'
+            })[..]
             {
-                names.push(candidate.to_string());
+                [trigger, successor, ..] => Some((trigger.to_string(), successor.to_string())),
+                _ => None,
             }
-            rest = &after[close + 1..];
-        }
-        if names.len() >= 2 {
-            pairs.push((names[0].clone(), names[1].clone()));
-        }
-    }
+        })
+        .collect();
     if pairs.is_empty() {
         return Err("DESIGN.md protocol section declares no trigger/successor pairs".into());
     }
@@ -305,17 +313,44 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lockorder_parses_quoted_names_and_rejects_duplicates() {
-        let ranks =
-            parse_lockorder("# hierarchy\n[locks]\n\"kvindex.store\" = 10\n\"cache.shard\" = 20\n")
-                .unwrap();
-        assert_eq!(ranks["kvindex.store"], 10);
-        assert_eq!(ranks["cache.shard"], 20);
+    fn lock_classes_parse_with_their_lines_and_reject_duplicates() {
+        let table = "macro_rules! lock_classes {\n}\n\
+                     pub mod rank {\n\
+                     \x20   lock_classes! {\n\
+                     \x20       KVINDEX_STORE = 10, \"kvindex.store\";\n\
+                     \x20       // a comment\n\
+                     \n\
+                     \x20       CACHE_SHARD = 20, \"cache.shard\";\n\
+                     \x20   }\n\
+                     }\n";
+        let locks = parse_lock_classes(table).unwrap();
+        assert_eq!(locks.len(), 2);
+        assert_eq!(locks["kvindex.store"], LockDecl { rank: 10, line: 5 });
+        assert_eq!(locks["cache.shard"], LockDecl { rank: 20, line: 8 });
 
-        assert!(parse_lockorder("[locks]\n\"a\" = 1\n\"a\" = 2\n").is_err());
-        assert!(parse_lockorder("[locks]\n\"a\" = 1\n\"b\" = 1\n").is_err());
-        assert!(parse_lockorder("[locks]\n\"a\" = x\n").is_err());
-        assert!(parse_lockorder("").is_err());
+        let block = |body: &str| format!("lock_classes! {{\n{body}}}\n");
+        let err = |body: &str| parse_lock_classes(&block(body)).unwrap_err();
+        // Duplicate name, duplicate rank.
+        assert!(err("A = 1, \"a\";\nB = 2, \"a\";\n").contains(":3: lock `a` declared twice"));
+        assert!(err("A = 1, \"a\";\nB = 1, \"b\";\n").contains(":3: rank 1 assigned"));
+        // Malformed lines.
+        for bad in [
+            "A = x, \"a\";\n",
+            "A = 1 \"a\";\n",
+            "A = 1, \"a\"\n",
+            "A = 1, a;\n",
+            "A = 1, \"\";\n",
+            " = 1, \"a\";\n",
+        ] {
+            assert!(
+                err(bad).starts_with(&format!("{LOCK_CLASSES_PATH}:2: ")),
+                "{bad:?}"
+            );
+        }
+        // No block, an empty one, an unclosed one.
+        assert!(parse_lock_classes("").is_err());
+        assert!(parse_lock_classes(&block("")).is_err());
+        assert!(parse_lock_classes("lock_classes! {\nA = 1, \"a\";\n").is_err());
     }
 
     #[test]

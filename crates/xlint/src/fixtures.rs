@@ -5,7 +5,7 @@
 //! `<line>:<rule>` per line (empty file = must be clean). The runner
 //! compares the multisets and reports both missed and spurious findings.
 
-use crate::config::Config;
+use crate::config::{self, Config};
 use crate::source::FileKind;
 use std::collections::BTreeMap;
 use std::fs;
@@ -49,13 +49,13 @@ impl FixtureOutcome {
 }
 
 /// A deterministic config for fixtures — frozen here rather than loaded
-/// from the live `lockorder.toml`/`DESIGN.md` so the golden files don't
-/// churn when workspace policy evolves.
+/// from the live lock class table / `DESIGN.md` so the golden files
+/// don't churn when workspace policy evolves.
 pub fn fixture_config() -> Config {
     let mut c = Config::workspace_defaults();
-    for (name, rank) in [("kvindex.store", 10), ("cache.shard", 20)] {
-        c.lock_ranks.insert(name.to_string(), rank);
-    }
+    // A class table like the live one; `kvindex.store` is on its line 2.
+    let classes = "lock_classes! {\nKVINDEX_STORE = 10, \"kvindex.store\";\nCACHE_SHARD = 20, \"cache.shard\";\n}";
+    c.locks = config::parse_lock_classes(classes).expect("the fixture class table parses");
     for name in [
         "kvstore_pager_syncs_total",
         "invindex_cache_resident_bytes",

@@ -5,8 +5,8 @@
 //!
 //! * `no-panic-paths` — storage/decode paths return `KvError::Corrupt`,
 //!   they never panic;
-//! * `lock-order` — annotated lock sites respect the declared hierarchy
-//!   in `crates/xlint/lockorder.toml`;
+//! * `lock-order` — annotated lock sites respect the hierarchy declared
+//!   in `obs::lockrank::rank` (read as text from `crates/obs/src/lockrank.rs`);
 //! * `metric-catalogue` — metric and span names match DESIGN.md;
 //! * `no-wallclock-in-hot-paths` — no clock reads in query evaluation;
 //! * `error-context` — corruption errors always say what went wrong;

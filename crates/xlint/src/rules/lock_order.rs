@@ -1,6 +1,6 @@
 //! `lock-order`: every bare `.lock()` / `.read()` / `.write()` call in
 //! the locking crates must carry an `// xlint::lock(<name>)` annotation
-//! naming a lock from the declared hierarchy (`lockorder.toml`), and
+//! naming a lock from the declared hierarchy (`obs::lockrank::rank`), and
 //! lexically nested acquisitions must take locks in strictly increasing
 //! rank order.
 //!
@@ -18,11 +18,11 @@
 //! DESIGN.md §Static analysis).
 //!
 //! One finding is about the workspace, not a file
-//! ([`check_declared`]): a lock `lockorder.toml` declares that no
+//! ([`check_declared`]): a lock the class table declares that no
 //! annotation in the locking crates names — a rank that outlived its
-//! lock.
+//! lock. It is reported at the class's own line.
 
-use crate::config::Config;
+use crate::config::{Config, LockDecl, LOCK_CLASSES_PATH};
 use crate::diag::Finding;
 use crate::lexer::TokenKind;
 use crate::model::WorkspaceModel;
@@ -139,10 +139,10 @@ pub fn check(file: &SourceFile, config: &Config, out: &mut Vec<Finding>) {
                             "`.{}()` acquisition has no `xlint::lock(..)` annotation",
                             site.text
                         ),
-                        "annotate the site with the lock's name from lockorder.toml".into(),
+                        "annotate the site with the lock's name from obs::lockrank::rank".into(),
                     );
                 }
-                Some(name) => match config.lock_ranks.get(name) {
+                Some(name) => match config.locks.get(name) {
                     None => {
                         super::emit(
                             out,
@@ -150,11 +150,11 @@ pub fn check(file: &SourceFile, config: &Config, out: &mut Vec<Finding>) {
                             RULE,
                             site.line,
                             site.col,
-                            format!("lock `{name}` is not declared in lockorder.toml"),
-                            "add it to the [locks] hierarchy with a rank".into(),
+                            format!("lock `{name}` is not declared in obs::lockrank::rank"),
+                            "add a class for it to the `lock_classes!` table".into(),
                         );
                     }
-                    Some(&rank) => {
+                    Some(&LockDecl { rank, .. }) => {
                         if let Some(held) = active.iter().max_by_key(|a| a.rank) {
                             if rank <= held.rank {
                                 super::emit(
@@ -201,17 +201,18 @@ pub fn check_declared(model: &WorkspaceModel, config: &Config, out: &mut Vec<Fin
     if annotated.is_empty() {
         return;
     }
-    for (name, rank) in &config.lock_ranks {
+    for (name, decl) in &config.locks {
         if !annotated.contains(name.as_str()) {
             out.push(Finding {
                 rule: RULE,
-                path: "crates/xlint/lockorder.toml".into(),
-                line: 1,
+                path: LOCK_CLASSES_PATH.into(),
+                line: decl.line,
                 col: 1,
                 message: format!(
-                    "lock `{name}` (rank {rank}) is declared but no lock site annotates it"
+                    "lock `{name}` (rank {}) is declared but no lock site annotates it",
+                    decl.rank
                 ),
-                help: "delete the declaration and its class in obs::lockrank::rank, or annotate the site that takes it".into(),
+                help: "delete its class, or annotate the site that takes it".into(),
             });
         }
     }
@@ -220,17 +221,8 @@ pub fn check_declared(model: &WorkspaceModel, config: &Config, out: &mut Vec<Fin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::fixture_config as config;
     use crate::source::FileKind;
-    use std::collections::BTreeMap;
-
-    fn config() -> Config {
-        let mut c = Config::workspace_defaults();
-        let mut ranks = BTreeMap::new();
-        ranks.insert("kvindex.store".to_string(), 10);
-        ranks.insert("cache.shard".to_string(), 20);
-        c.lock_ranks = ranks;
-        c
-    }
 
     fn findings(src: &str) -> Vec<(usize, String)> {
         let file = SourceFile::parse("crates/invindex/src/cache.rs", src, FileKind::Production);

@@ -11,7 +11,7 @@
 //!   itself a finding (rule `pragma`).
 //! * **lock annotations** — `// xlint::lock(<name>)` names the lock a
 //!   `.lock()`/`.read()`/`.write()` acquisition site takes, tying it to
-//!   the declared hierarchy in `lockorder.toml`.
+//!   the hierarchy declared in `obs::lockrank::rank`.
 //! * **safety annotations** — `// xlint::safety(<invariant>)` states the
 //!   invariant an `unsafe` block relies on; the `unsafe-audit` rule
 //!   requires one per block and inventories them into SAFETY.md.

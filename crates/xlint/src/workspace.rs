@@ -1,5 +1,5 @@
 //! Workspace discovery: find the `.rs` files to lint, classify them as
-//! production or test code, and load the config (lock hierarchy +
+//! production or test code, and load the config (lock class table +
 //! DESIGN.md catalogue) from the tree being linted.
 
 use crate::config::{self, Config};
@@ -9,10 +9,6 @@ use crate::rules::unsafe_audit;
 use crate::source::{FileKind, SourceFile};
 use std::fs;
 use std::path::{Path, PathBuf};
-
-/// Markers fencing the generated inventory section in SAFETY.md.
-const SAFETY_BEGIN: &str = "<!-- xlint:safety:begin -->";
-const SAFETY_END: &str = "<!-- xlint:safety:end -->";
 
 /// Directory names never descended into.
 const SKIP_DIRS: &[&str] = &["target", ".git", ".github", "node_modules"];
@@ -70,15 +66,15 @@ fn walk(root: &Path, dir: &Path, files: &mut Vec<(PathBuf, FileKind)>) -> std::i
 }
 
 /// Loads the full workspace config: path-scope policy from
-/// [`Config::workspace_defaults`], the lock hierarchy from
-/// `crates/xlint/lockorder.toml`, and the metric catalogue from
+/// [`Config::workspace_defaults`], the lock hierarchy from the class
+/// table at [`config::LOCK_CLASSES_PATH`], and the metric catalogue from
 /// `DESIGN.md`.
 pub fn load_config(root: &Path) -> Result<Config, String> {
     let mut cfg = Config::workspace_defaults();
-    let lockorder_path = root.join("crates/xlint/lockorder.toml");
-    let lockorder = fs::read_to_string(&lockorder_path)
-        .map_err(|e| format!("cannot read {}: {e}", lockorder_path.display()))?;
-    cfg.lock_ranks = config::parse_lockorder(&lockorder)?;
+    let classes_path = root.join(config::LOCK_CLASSES_PATH);
+    let classes = fs::read_to_string(&classes_path)
+        .map_err(|e| format!("cannot read {}: {e}", classes_path.display()))?;
+    cfg.locks = config::parse_lock_classes(&classes)?;
     let design_path = root.join("DESIGN.md");
     let design = fs::read_to_string(&design_path)
         .map_err(|e| format!("cannot read {}: {e}", design_path.display()))?;
@@ -137,14 +133,11 @@ fn safety_md_finding(root: &Path, parsed: &[SourceFile]) -> Option<Finding> {
         Ok(t) => t,
         Err(_) => return stale("SAFETY.md is missing".into()),
     };
-    let (Some(begin), Some(end)) = (text.find(SAFETY_BEGIN), text.find(SAFETY_END)) else {
-        return stale("SAFETY.md is missing its xlint:safety markers".into());
+    let inventory = match config::fence(&text, "SAFETY.md", "safety") {
+        Ok(range) => &text[range],
+        Err(e) => return stale(e),
     };
-    if end < begin {
-        return stale("SAFETY.md safety markers are out of order".into());
-    }
-    let current = text[begin + SAFETY_BEGIN.len()..end].trim();
-    if current != want.trim() {
+    if inventory.trim() != want.trim() {
         return stale("SAFETY.md inventory is out of date with the live `unsafe` sites".into());
     }
     None
@@ -157,26 +150,20 @@ pub fn write_safety(root: &Path) -> Result<(), String> {
     let body = unsafe_audit::render_inventory(&unsafe_audit::inventory(&parsed));
     let path = root.join("SAFETY.md");
     let existing = fs::read_to_string(&path).unwrap_or_else(|_| {
-        format!(
-            "# Unsafe inventory\n\n\
-             Every production `unsafe` in this workspace carries a\n\
-             `// xlint::safety(<invariant>)` annotation (rule `unsafe-audit`), and the\n\
-             table below is generated from those annotations. Regenerate with\n\
-             `cargo run -p xlint -- --write-safety`; `--workspace` fails when it drifts.\n\n\
-             {SAFETY_BEGIN}\n{SAFETY_END}\n"
-        )
+        "# Unsafe inventory\n\n\
+         Every production `unsafe` in this workspace carries a\n\
+         `// xlint::safety(<invariant>)` annotation (rule `unsafe-audit`), and the\n\
+         table below is generated from those annotations. Regenerate with\n\
+         `cargo run -p xlint -- --write-safety`; `--workspace` fails when it drifts.\n\n\
+         <!-- xlint:safety:begin -->\n<!-- xlint:safety:end -->\n"
+            .to_string()
     });
-    let (Some(begin), Some(end)) = (existing.find(SAFETY_BEGIN), existing.find(SAFETY_END)) else {
-        return Err("SAFETY.md exists but lacks the xlint:safety markers".into());
-    };
-    if end < begin {
-        return Err("SAFETY.md safety markers are out of order".into());
-    }
+    let range = config::fence(&existing, "SAFETY.md", "safety")?;
     let updated = format!(
         "{}\n{}\n{}",
-        &existing[..begin + SAFETY_BEGIN.len()],
+        &existing[..range.start],
         body.trim_end(),
-        &existing[end..]
+        &existing[range.end..]
     );
     fs::write(&path, updated).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }

@@ -7,7 +7,7 @@ fn live_workspace_has_no_findings() {
     let root = xlint::workspace::default_root();
     // When the crate is vendored or built outside the workspace the
     // config files won't exist; that's not a lint failure.
-    if !root.join("crates/xlint/lockorder.toml").exists() {
+    if !root.join(xlint::config::LOCK_CLASSES_PATH).exists() {
         eprintln!("skipping: {} is not the workspace root", root.display());
         return;
     }

@@ -343,10 +343,10 @@ fn scrub_store_with_vfs(vfs: &Arc<dyn kvstore::Vfs>, store_path: &str) -> Result
         .verify_pages()
         .map_err(|e| format!("cannot scan pages of {store_path}: {e}"))?;
     println!(
-        "pages: {} total: {} valid, {} free, {} damaged",
+        "pages: {} total: {} valid, {} blank, {} damaged",
         pages.total_pages,
         pages.valid_pages,
-        pages.zero_pages,
+        pages.blank_pages,
         pages.bad_pages.len()
     );
     for (id, reason) in &pages.bad_pages {

@@ -2,20 +2,20 @@
 //! online-maintained store.
 //!
 //! [`LiveEngine`] pairs a [`MaintIndex`] — the WAL-backed updating store
-//! with epoch/snapshot reader handoff — with a republished query engine.
-//! Readers call [`LiveEngine::engine`] and get an `Arc` to an engine
-//! pinned to one index generation; they are never blocked by a
-//! committing writer. After each committed transaction the writer
-//! rebuilds the engine façade from the fresh snapshot (the vocabulary
-//! trigram index is the only derived state) and swaps the shared
-//! pointer.
+//! — with a republished query engine, and owns the one epoch pointer
+//! readers pin. Readers call [`LiveEngine::engine`] and get an `Arc` to
+//! an engine pinned to one index generation; they are never blocked by a
+//! committing writer. After each committed transaction the writer takes
+//! the store's new reader ([`MaintIndex::snapshot`]), rebuilds the engine
+//! façade over it (the vocabulary trigram index is the only derived
+//! state) and swaps the shared pointer.
 //!
-//! Lock order: `MaintIndex` internals take `maint.writer` (9) and
-//! `maint.epoch` (10) and release both before this module touches
-//! `engine.epoch` (11), so the hierarchy stays strictly increasing. The
-//! generation guard on the swap makes concurrent `update` calls safe:
-//! a commit that loses the race to republish cannot roll the engine
-//! back to an older snapshot.
+//! Lock order: `MaintIndex` takes `maint.writer` (9) for a commit and
+//! again, momentarily, for `snapshot`, and releases it before this
+//! module touches `engine.epoch` (11), so the hierarchy stays strictly
+//! increasing. The generation guard on the swap makes concurrent
+//! `update` calls safe: a commit that loses the race to republish cannot
+//! roll the engine back to an older snapshot.
 
 use crate::engine::{EngineConfig, XRefineEngine};
 use invindex::maint::{MaintIndex, MaintOp, MaintReport};
@@ -96,6 +96,7 @@ impl LiveEngine {
 
     /// Rebuilds the engine façade from the latest snapshot and swaps it
     /// in, unless a racing caller already published something newer.
+    /// Runs after `maint.writer` is released: see the lock order.
     fn republish(&self) {
         let snap = self.maint.snapshot();
         let gen = snap.generation();
@@ -114,7 +115,7 @@ mod tests {
     use kvstore::{DiskKv, FaultVfs, KvStore, VfsFile};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::mpsc;
+    use std::sync::{mpsc, Barrier};
     use std::time::Duration;
 
     const CORPUS: &str = "<bib>\
@@ -152,6 +153,71 @@ mod tests {
         assert!(pinned.answer("epoch").unwrap().needs_refinement());
         // …while a fresh handle sees the new record directly.
         assert!(live.engine().answer("epoch").unwrap().original_ok);
+    }
+
+    /// Updaters and compactors racing on one engine: the published
+    /// generation never goes backwards — not as an observer sees it, not
+    /// behind an update that returned — and the engine left published is
+    /// the newest generation and answers the final corpus.
+    #[test]
+    fn racing_updaters_leave_the_newest_generation_published() {
+        const WORDS: [[&str; 5]; 4] = [
+            ["amber", "basalt", "cobalt", "dolomite", "epidote"],
+            ["feldspar", "garnet", "hematite", "ilmenite", "jasper"],
+            ["kyanite", "lazurite", "malachite", "nephrite", "olivine"],
+            ["pyrite", "quartz", "rutile", "sphalerite", "topaz"],
+        ];
+        let (vfs, base) = fresh();
+        let live = LiveEngine::open_with_vfs(vfs, &base, EngineConfig::default()).unwrap();
+        let barrier = Barrier::new(WORDS.len() + 1);
+        std::thread::scope(|s| {
+            let writers: Vec<_> = WORDS
+                .iter()
+                .map(|words| {
+                    let (live, barrier) = (&live, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        for word in words {
+                            let fragment = format!("<paper><title>{word}</title></paper>");
+                            let report = live.update(&[MaintOp::Add { fragment }]).unwrap();
+                            assert!(live.generation() >= report.generation, "rolled back");
+                            live.compact().unwrap();
+                        }
+                    })
+                })
+                .collect();
+            barrier.wait();
+            let mut seen = live.generation();
+            while !writers.iter().all(|w| w.is_finished()) {
+                let now = live.generation();
+                assert!(now >= seen, "published generation went {seen} -> {now}");
+                seen = now;
+            }
+        });
+
+        assert_eq!(live.generation(), live.maint().snapshot().generation());
+        assert_eq!(
+            live.maint().record_count(),
+            2 + WORDS.len() * WORDS[0].len()
+        );
+        let engine = live.engine();
+        let rebuilt = XRefineEngine::from_xml(&live.maint().full_xml(), EngineConfig::default())
+            .expect("the final corpus parses");
+        for word in WORDS
+            .iter()
+            .flatten()
+            .chain(&["xml keyword", "query refinement"])
+        {
+            assert!(
+                engine.answer(word).unwrap().original_ok,
+                "{word} is not served"
+            );
+            assert_eq!(
+                format!("{:?}", engine.answer_detailed(word)),
+                format!("{:?}", rebuilt.answer_detailed(word)),
+                "{word}"
+            );
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use datagen::{write_dblp_xml, DblpConfig};
+use datagen::{generate_dblp, DblpConfig};
 use xrefine::{EngineConfig, LiveEngine, XRefineEngine};
 use xserve::{signal, EngineService, LiveEngineService, QueryService, ServeConfig};
 
@@ -141,13 +141,8 @@ fn build_engine(args: &Args) -> Result<XRefineEngine, String> {
         ..Default::default()
     }
     .scaled(args.dblp_fraction);
-    engine_from_xml(&dblp_xml(&config)?, "the generated corpus")
-}
-
-/// The synthetic corpus as the XML text a `--xml` file would hold.
-fn dblp_xml(config: &DblpConfig) -> Result<String, String> {
-    let bytes = write_dblp_xml(config, Vec::new()).map_err(|e| format!("rendering: {e}"))?;
-    String::from_utf8(bytes).map_err(|e| format!("rendering: {e}"))
+    // The XML text a `--xml` file of this corpus would hold.
+    engine_from_xml(&generate_dblp(&config).to_xml(), "the generated corpus")
 }
 
 /// Indexes `xml` through `invindex::build_streaming`, the one ingest
@@ -213,10 +208,6 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
-    /// `--help`, the module docs and the parser name the same flags: the
-    /// `"--flag" =>` arms of `parse_args`, read from this file, are
-    /// exactly the flags `USAGE` lists, and the module docs quote `USAGE`
-    /// line for line.
     /// The default corpus goes through the streaming builder; the DOM
     /// builder over the same generator config is the independent
     /// reference it must agree with on a query that needs refinement.
@@ -226,11 +217,9 @@ mod tests {
             authors: 40,
             ..Default::default()
         };
-        let served = engine_from_xml(&dblp_xml(&config).unwrap(), "test").unwrap();
-        let reference = XRefineEngine::from_document(
-            Arc::new(datagen::generate_dblp(&config)),
-            EngineConfig::default(),
-        );
+        let served = engine_from_xml(&generate_dblp(&config).to_xml(), "test").unwrap();
+        let reference =
+            XRefineEngine::from_document(Arc::new(generate_dblp(&config)), EngineConfig::default());
         let query = "xml keywrd search";
         let (got, want) = (
             served.answer(query).unwrap(),
@@ -253,6 +242,10 @@ mod tests {
         assert_eq!(rows(&got), rows(&want));
     }
 
+    /// `--help`, the module docs and the parser name the same flags: the
+    /// `"--flag" =>` arms of `parse_args`, read from this file, are
+    /// exactly the flags `USAGE` lists, and the module docs quote `USAGE`
+    /// line for line.
     #[test]
     fn usage_lists_exactly_the_flags_the_parser_matches() {
         let source = include_str!("xrefine-serve.rs");

@@ -32,7 +32,8 @@
 #                  (incremental == from-scratch, by both builders), full
 #                  stride-1 power-cut sweep of the updating store
 #                  (release), readers not blocked by a commit in flight,
-#                  live updates over HTTP
+#                  racing updaters never rolling the published engine
+#                  back (release), live updates over HTTP
 #   compress       the store format (compressed postings): property/fuzz
 #                  round-trips + corruption sweeps, the partition-run
 #                  table every decoded list carries (same however the
