@@ -20,31 +20,64 @@ use std::collections::{HashMap, HashSet};
 #[derive(Debug, Default)]
 pub struct VocabIndex {
     words: Vec<String>,
+    /// `shapes[i]` describes `words[i]`: what the spelling scan reads
+    /// to reject a word before running the edit-distance DP on it.
+    shapes: Vec<Shape>,
     set: HashSet<String>,
     by_stem: HashMap<String, Vec<u32>>,
 }
 
+/// A word's length and letter set, for the spelling scan's prefilter.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    /// Length in `char`s.
+    len: u32,
+    /// Bit `c mod 64` for every `char` `c` of the word.
+    letters: u64,
+}
+
+impl Shape {
+    fn of(word: &str) -> Self {
+        word.chars()
+            .fold(Shape { len: 0, letters: 0 }, |s, c| Shape {
+                len: s.len + 1,
+                letters: s.letters | 1 << (u32::from(c) & 63),
+            })
+    }
+
+    /// Whether two words this far apart in length and letters can be
+    /// within `max` edits. An edit changes the length by at most one, and
+    /// takes at most one letter out of the letter set and puts at most one
+    /// in (a substitution does both, a transposition neither), so at most
+    /// `max` letters of either word are missing from the other. Folding
+    /// letters onto 64 bits can only shrink those differences. So `false`
+    /// proves the distance exceeds `max`, and `true` proves nothing.
+    fn may_be_within(self, other: Shape, max: usize) -> bool {
+        self.len.abs_diff(other.len) as usize <= max
+            && (self.letters & !other.letters).count_ones() as usize <= max
+            && (other.letters & !self.letters).count_ones() as usize <= max
+    }
+}
+
 impl VocabIndex {
-    pub fn new<I: IntoIterator<Item = String>>(words: I) -> Self {
+    pub fn new(words: impl IntoIterator<Item = impl AsRef<str>>) -> Self {
         let mut v = VocabIndex::default();
         for w in words {
-            if v.set.contains(&w) {
+            let w = w.as_ref();
+            if v.set.contains(w) {
                 continue;
             }
             let id = v.words.len() as u32;
-            v.by_stem.entry(porter_stem(&w)).or_default().push(id);
-            v.set.insert(w.clone());
-            v.words.push(w);
+            v.by_stem.entry(porter_stem(w)).or_default().push(id);
+            v.set.insert(w.to_owned());
+            v.words.push(w.to_owned());
         }
+        v.shapes = v.words.iter().map(|w| Shape::of(w)).collect();
         v
     }
 
     pub fn contains(&self, word: &str) -> bool {
         self.set.contains(word)
-    }
-
-    pub fn words(&self) -> impl Iterator<Item = &str> {
-        self.words.iter().map(|s| s.as_str())
     }
 
     /// Vocabulary words sharing a Porter stem with `word` (excluding the
@@ -88,40 +121,31 @@ pub fn generate_rules(
     let mut rs = RuleSet::new();
 
     // Adjacent pairs and triples that exist as single vocabulary words.
-    for w in query.windows(2) {
-        let merged = format!("{}{}", w[0], w[1]);
-        if vocab.contains(&merged) {
-            rs.add(Rule::new(
-                &[&w[0], &w[1]],
-                &[&merged],
-                RefineOp::Merge,
-                RuleSource::Merging,
-                1.0,
-            ));
-        }
-    }
-    for w in query.windows(3) {
-        let merged = format!("{}{}{}", w[0], w[1], w[2]);
-        if vocab.contains(&merged) {
-            rs.add(Rule::new(
-                &[&w[0], &w[1], &w[2]],
-                &[&merged],
-                RefineOp::Merge,
-                RuleSource::Merging,
-                2.0,
-            ));
+    let mut merged = String::new();
+    for (n, ds) in [(2, 1.0), (3, 2.0)] {
+        for w in query.windows(n) {
+            merged.clear();
+            w.iter().for_each(|k| merged.push_str(k));
+            if vocab.contains(&merged) {
+                let lhs: Vec<&str> = w.iter().map(String::as_str).collect();
+                rs.add(Rule::new(
+                    &lhs,
+                    &[&merged],
+                    RefineOp::Merge,
+                    RuleSource::Merging,
+                    ds,
+                ));
+            }
         }
     }
 
     for k in query {
-        let chars: Vec<char> = k.chars().collect();
-        for cut in 1..chars.len() {
-            let a: String = chars[..cut].iter().collect();
-            let b: String = chars[cut..].iter().collect();
-            if vocab.contains(&a) && vocab.contains(&b) {
+        for (cut, _) in k.char_indices().skip(1) {
+            let (a, b) = k.split_at(cut);
+            if vocab.contains(a) && vocab.contains(b) {
                 rs.add(Rule::new(
                     &[k.as_str()],
-                    &[&a, &b],
+                    &[a, b],
                     RefineOp::Split,
                     RuleSource::Splitting,
                     1.0,
@@ -131,11 +155,14 @@ pub fn generate_rules(
     }
 
     for k in query {
-        if vocab.contains(k) || k.chars().count() < MIN_SPELLING_LEN {
+        let shape = Shape::of(k);
+        if vocab.contains(k) || (shape.len as usize) < MIN_SPELLING_LEN {
             continue;
         }
-        for w in vocab.words() {
-            if w.chars().count() < MIN_SPELLING_LEN {
+        for (w, &w_shape) in vocab.words.iter().zip(&vocab.shapes) {
+            if (w_shape.len as usize) < MIN_SPELLING_LEN
+                || !shape.may_be_within(w_shape, MAX_EDIT_DISTANCE)
+            {
                 continue;
             }
             if let Some(d) = within_distance(k, w, MAX_EDIT_DISTANCE) {
@@ -184,8 +211,8 @@ pub fn generate_rules(
     // expansion phrase in the query -> acronym
     for start in 0..query.len() {
         for end in (start + 2)..=query.len().min(start + 4) {
-            let phrase = query[start..end].to_vec();
-            if let Some(acr) = acronyms.acronym_of(&phrase) {
+            let phrase = &query[start..end];
+            if let Some(acr) = acronyms.acronym_of(phrase) {
                 if vocab.contains(acr) {
                     let lhs: Vec<&str> = phrase.iter().map(|s| s.as_str()).collect();
                     rs.add(Rule::new(
@@ -223,32 +250,28 @@ mod tests {
     use super::*;
 
     fn vocab() -> VocabIndex {
-        VocabIndex::new(
-            [
-                "online",
-                "database",
-                "data",
-                "base",
-                "inproceedings",
-                "proceedings",
-                "article",
-                "xml",
-                "keyword",
-                "search",
-                "efficient",
-                "skyline",
-                "computation",
-                "matching",
-                "world",
-                "wide",
-                "web",
-                "machine",
-                "learning",
-                "publications",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        )
+        VocabIndex::new([
+            "online",
+            "database",
+            "data",
+            "base",
+            "inproceedings",
+            "proceedings",
+            "article",
+            "xml",
+            "keyword",
+            "search",
+            "efficient",
+            "skyline",
+            "computation",
+            "matching",
+            "world",
+            "wide",
+            "web",
+            "machine",
+            "learning",
+            "publications",
+        ])
     }
 
     fn q(words: &[&str]) -> Vec<String> {
@@ -354,5 +377,27 @@ mod tests {
                 assert!(v.contains(w), "rule RHS {w} not in vocabulary");
             }
         }
+    }
+
+    #[test]
+    fn shape_prefilter_never_rejects_a_word_within_the_bound() {
+        use crate::edit::damerau_levenshtein;
+        use xcheck::prop::check;
+        check(512, |g| {
+            // A small alphabet with two-byte letters, so that words share
+            // letters and non-ASCII ones fold onto the same bits.
+            let letters = ['a', 'b', 'c', 'ü', 'é', 'q', 'A', '\u{1f600}'];
+            let a = g.string(0..=12, |g| g.pick(&letters));
+            let b = g.string(0..=12, |g| g.pick(&letters));
+            let d = damerau_levenshtein(&a, &b);
+            for max in 0..=4 {
+                if d <= max {
+                    assert!(
+                        Shape::of(&a).may_be_within(Shape::of(&b), max),
+                        "{a:?} / {b:?} are {d} apart but rejected at max {max}"
+                    );
+                }
+            }
+        });
     }
 }

@@ -45,17 +45,60 @@ fn damerau_is_symmetric_and_bounded_by_levenshtein() {
     });
 }
 
+/// A word over `[a-z]`, or over a small alphabet of one-, two-, three-
+/// and four-byte characters, up to 80 characters long: the first takes
+/// the byte path of `within_distance`, the second the `char` path, and
+/// mixed pairs the `char` path too.
+fn any_word(g: &mut Gen) -> String {
+    const MIXED: [char; 8] = ['a', 'b', 'u', 'ü', 'é', 'ß', '中', '\u{1f600}'];
+    let len = if g.bool() { 0..=10 } else { 0..=80 };
+    if g.bool() {
+        lowercase(g, len)
+    } else {
+        g.string(len, |g| g.pick(&MIXED))
+    }
+}
+
+/// `a` with up to three random edits, adjacent transpositions included,
+/// so that pairs land near every bound.
+fn near(g: &mut Gen, a: &str) -> String {
+    let mut chars: Vec<char> = a.chars().collect();
+    for _ in 0..g.range(0usize..4) {
+        let c = g.pick(&['a', 'e', 'ü', 'z']);
+        match g.range(0u8..4) {
+            0 => chars.insert(g.range(0..chars.len() + 1), c),
+            1 if !chars.is_empty() => {
+                chars.remove(g.range(0..chars.len()));
+            }
+            2 if !chars.is_empty() => {
+                let at = g.range(0..chars.len());
+                chars[at] = c;
+            }
+            3 if chars.len() >= 2 => {
+                let at = g.range(0..chars.len() - 1);
+                chars.swap(at, at + 1);
+            }
+            _ => {}
+        }
+    }
+    chars.into_iter().collect()
+}
+
 #[test]
 fn within_distance_is_consistent() {
-    check(256, |g| {
-        let (a, b, max) = (word(g), word(g), g.range(0usize..4));
+    check(512, |g| {
+        let a = any_word(g);
+        let b = if g.bool() { any_word(g) } else { near(g, &a) };
+        let max = g.range(0usize..5);
+        let exact = damerau_levenshtein(&a, &b);
         match within_distance(&a, &b, max) {
             Some(d) => {
                 assert!(d <= max);
-                assert_eq!(d, damerau_levenshtein(&a, &b));
+                assert_eq!(d, exact, "{a:?} / {b:?}");
             }
-            None => assert!(damerau_levenshtein(&a, &b) > max),
+            None => assert!(exact > max, "{a:?} / {b:?} are {exact} apart, max {max}"),
         }
+        assert_eq!(within_distance(&b, &a, max), within_distance(&a, &b, max));
     });
 }
 
@@ -94,7 +137,7 @@ fn generated_rules_are_sound() {
     check(256, |g| {
         let query = g.vec(1..4, |g| lowercase(g, 2..=8));
         let vocab_words = g.btree_set(1..12, |g| lowercase(g, 2..=8));
-        let vocab = VocabIndex::new(vocab_words.iter().cloned());
+        let vocab = VocabIndex::new(&vocab_words);
         let rules = generate_rules(
             &query,
             &vocab,

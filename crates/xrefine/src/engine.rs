@@ -80,7 +80,7 @@ impl XRefineEngine {
 
     /// Wraps any index backend behind the [`IndexReader`] trait.
     pub fn from_reader(reader: Arc<dyn IndexReader>, config: EngineConfig) -> Self {
-        let vocab = VocabIndex::new(reader.vocabulary().iter().map(|(_, w)| w.to_string()));
+        let vocab = VocabIndex::new(reader.vocabulary().iter().map(|(_, w)| w));
         XRefineEngine {
             reader,
             vocab,
@@ -187,7 +187,7 @@ impl XRefineEngine {
         let t0 = Instant::now();
         let rules = {
             let _span = obs::trace::span("rules");
-            obs::trace::attr("query", query.keywords().join(" "));
+            obs::trace::attr("query", SpaceJoined(query.keywords()));
             self.rules_for(&query)
         };
         obs::histogram!("xrefine_phase_rules_nanos").observe_duration(t0.elapsed());
@@ -301,6 +301,22 @@ impl XRefineEngine {
     }
 }
 
+/// Keywords shown separated by spaces, formatted only when displayed: a
+/// trace attribute costs nothing unless a capture is active.
+struct SpaceJoined<'a>(&'a [String]);
+
+impl std::fmt::Display for SpaceJoined<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, k) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(" ")?;
+            }
+            f.write_str(k)?;
+        }
+        Ok(())
+    }
+}
+
 // The serving model is one engine behind an `Arc`, queried from many
 // threads concurrently. If this assertion stops compiling, some engine
 // component (reader backend, lexicon table, config) grew
@@ -326,6 +342,14 @@ mod tests {
                 ..Default::default()
             },
         )
+    }
+
+    #[test]
+    fn space_joined_displays_like_join() {
+        for words in [&[][..], &["xml"], &["on", "line", "data", "base"]] {
+            let owned: Vec<String> = words.iter().map(|s| s.to_string()).collect();
+            assert_eq!(SpaceJoined(&owned).to_string(), owned.join(" "));
+        }
     }
 
     #[test]

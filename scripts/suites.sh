@@ -20,8 +20,11 @@
 #                  Eager's partition-run join on cut views, its step
 #                  bound, the typed meaningful verdict — DP against
 #                  brute force and against the string-keyed recurrence it
-#                  replaced, the refinement result sets), Algorithm 2's
-#                  allocation and SLCA-invocation budgets, tracer
+#                  replaced, the refinement result sets, rule generation
+#                  against the generator it replaced), Algorithm 2's
+#                  allocation and SLCA-invocation budgets, rule
+#                  generation's allocation gate (the same count at
+#                  1 000 and 16 000 vocabulary words), tracer
 #                  well-nestedness, metrics-overhead bench
 #   ingest         streaming-vs-DOM ingest differential oracle (byte-
 #                  identical stores) + scanner fuzz sweep
@@ -89,6 +92,8 @@ suite_observability() {
     xcargo test -q -p xrefine --test dp_oracle
     xcargo test --release -q -p xrefine --test dp_reference
     xcargo test --release -q --test refinement_results_reference
+    xcargo test --release -q -p lexicon --test rulegen_reference
+    xcargo test --release -q -p lexicon --test rulegen_alloc
     xcargo test --release -q -p xrefine --test slca_invocations_budget
     xcargo test --release -q -p xrefine --test alloc_budget
     xcargo test --release -q -p xrefine --test trace_concurrency
