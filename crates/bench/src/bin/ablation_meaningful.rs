@@ -9,14 +9,14 @@
 
 use bench::{dblp, f3, Table};
 use datagen::{generate_workload, PerturbKind, WorkloadConfig};
-use invindex::{Index, IndexReader, ListHandle};
+use invindex::{Index, IndexReader, KvBackedIndex, ListHandle};
 use slca::{needs_refinement, slca_scan_eager, MeaningfulFilter, SearchForConfig};
 use std::sync::Arc;
 use xrefine::Query;
 
 fn main() {
     let doc = dblp(0.25);
-    let index = Index::build(Arc::clone(&doc));
+    let index = KvBackedIndex::from_built(Index::build(Arc::clone(&doc)));
     let workload = generate_workload(
         &doc,
         &WorkloadConfig {
@@ -50,7 +50,7 @@ fn main() {
         let lists: Vec<ListHandle> = q
             .keywords()
             .iter()
-            .map(|k| index.list_handle(k).expect("resident"))
+            .map(|k| index.list_handle(k).expect("an in-memory store reads"))
             .collect();
         let slcas = slca_scan_eager(&lists);
         let flagged = slcas.is_empty();
@@ -86,11 +86,11 @@ fn main() {
                 .iter()
                 .filter_map(|k| index.vocabulary().get(k))
                 .collect();
-            let filter = MeaningfulFilter::infer(&index, &ids, &config);
+            let filter = MeaningfulFilter::infer(index.document(), index.stats(), &ids, &config);
             let lists: Vec<ListHandle> = q
                 .keywords()
                 .iter()
-                .map(|k| index.list_handle(k).expect("resident"))
+                .map(|k| index.list_handle(k).expect("an in-memory store reads"))
                 .collect();
             let slcas = slca_scan_eager(&lists);
             let flagged = needs_refinement(&filter, &slcas);

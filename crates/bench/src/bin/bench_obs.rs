@@ -11,8 +11,6 @@
 
 use bench::dblp;
 use datagen::{generate_workload, WorkloadConfig};
-use invindex::{persist, Index, KvBackedIndex};
-use kvstore::MemKv;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,17 +28,6 @@ fn env_usize(key: &str, default: usize) -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-fn kv_engine(doc: &Arc<xmldom::Document>) -> Arc<XRefineEngine> {
-    let built = Index::build(Arc::clone(doc));
-    let mut store = MemKv::new();
-    persist::persist(&built, &mut store).unwrap();
-    let reader = KvBackedIndex::open(Box::new(store)).unwrap();
-    Arc::new(XRefineEngine::from_reader(
-        Arc::new(reader),
-        EngineConfig::default(),
-    ))
 }
 
 /// Answers the whole workload once, striped over `threads` workers;
@@ -86,7 +73,10 @@ fn main() {
         workload.len()
     );
 
-    let engine = kv_engine(&doc);
+    let engine = Arc::new(XRefineEngine::from_document(
+        Arc::clone(&doc),
+        EngineConfig::default(),
+    ));
     // Warm the cache so both configurations see the same steady-state
     // store: the quantity under test is instrumentation overhead, not
     // first-touch decoding.

@@ -10,20 +10,17 @@
 //! (`invindex::build_streaming`) — the one ingest path, which produces
 //! the same index as DOM-first parsing.
 //!
-//! Since store format v4 the figure is measured over the *persisted
-//! compressed store* served through [`KvBackedIndex`] (blocked
-//! front-coded lists decoded on demand, default cache budget), not an
-//! in-memory index: the timings include list decode and cache effects,
-//! which is what a deployed engine pays. A method note in the output
+//! Since store format v4 the figure is measured over the compressed
+//! store format served through `KvBackedIndex`, the one reader every
+//! engine answers through (blocked front-coded lists decoded on demand,
+//! default cache budget): the timings include list decode and cache
+//! effects, which is what a deployed engine pays. A method note in the output
 //! records this so the figure is not compared against pre-v4 runs
 //! unlabelled.
 
 use bench::{dblp_config, f3, time_ms, Table};
 use datagen::{generate_dblp, generate_workload, PerturbKind, WorkloadConfig};
-use invindex::reader::IndexReader;
-use invindex::{build_streaming, persist, KvBackedIndex};
-use kvstore::MemKv;
-use std::sync::Arc;
+use invindex::{build_streaming, persist};
 use xrefine::{Algorithm, EngineConfig, Query, XRefineEngine};
 
 fn main() {
@@ -46,12 +43,9 @@ fn main() {
         .take(40)
         .collect();
 
-        // Serve from the persisted compressed (v4) store, as deployed.
-        let mut store = MemKv::new();
-        persist::persist(&index, &mut store).expect("persist compressed store");
-        let reader = Arc::new(KvBackedIndex::open(Box::new(store)).expect("open compressed store"));
-        let mut e = XRefineEngine::from_reader(
-            Arc::clone(&reader) as Arc<dyn IndexReader>,
+        // Served from the compressed (v4) store format, as deployed.
+        let mut e = XRefineEngine::from_index(
+            index,
             EngineConfig {
                 algorithm: Algorithm::Partition,
                 k: 3,

@@ -37,16 +37,16 @@ fn main() {
             2,
         );
         let index = Index::build(Arc::clone(&doc));
-        let list_bytes: usize = index
-            .vocabulary()
-            .iter()
-            .map(|(k, _)| index.list_by_id(k).encode_compressed().len())
-            .sum();
+        let (mut postings, mut list_bytes) = (0, 0);
+        for list in index.vocabulary().iter().filter_map(|(_, w)| index.list(w)) {
+            postings += list.len();
+            list_bytes += list.encode_compressed().len();
+        }
         t.row(vec![
             format!("{:.0}%", scale * 100.0),
             format!("{}", doc.len()),
             format!("{}", index.vocabulary().len()),
-            format!("{}", index.total_postings()),
+            format!("{postings}"),
             format!("{list_bytes}"),
             format!("{}", index.stats().df_entries()),
             f3(seq_ms),

@@ -5,10 +5,10 @@
 //! the inverted lists — the set of `T`-typed nodes containing a keyword is
 //! the distinct-`T`-ancestor projection of its posting list, and the
 //! co-occurrence count is the size of the intersection of two such sorted
-//! sets — and memoize both the projections and the final counts. This
-//! keeps identical query-time semantics while avoiding the quadratic
-//! build; `DESIGN.md` records the substitution and the ablation bench
-//! measures the trade-off.
+//! sets — and memoize both the projections and the final counts, per
+//! [`crate::KvBackedIndex`]. This keeps identical query-time semantics
+//! while avoiding the quadratic build; `DESIGN.md` records the
+//! substitution and the ablation bench measures the trade-off.
 
 use crate::reader::{typed_ancestors_in, IndexReader};
 use crate::stats::KeywordId;
@@ -47,9 +47,10 @@ impl CoOccurrence {
     }
 
     /// `f^T_{ki,kj}`: number of `T`-typed nodes whose subtree contains
-    /// both keywords. Symmetric in `ki`/`kj`. Storage errors in the
-    /// reader degrade to an empty ancestor set (count 0) — the value
-    /// only weights ranking.
+    /// both keywords. Symmetric in `ki`/`kj`. A storage error in the
+    /// reader degrades the count to 0 — the value only weights ranking —
+    /// and nothing derived from the failed read is memoised, so the next
+    /// call reads the list again.
     pub fn co_occur(
         &self,
         reader: &dyn IndexReader,
@@ -62,12 +63,16 @@ impl CoOccurrence {
         if let Some(&n) = self.memo.lock().counts.get(&(t, a, b)) {
             return n;
         }
-        let la = self.typed_ancestors(reader, a, t);
-        let n = if a == b {
-            la.len() as u64
-        } else {
-            let lb = self.typed_ancestors(reader, b, t);
-            sorted_intersection_size(&la, &lb)
+        let count = || -> kvstore::Result<u64> {
+            let la = self.typed_ancestors(reader, a, t)?;
+            if a == b {
+                return Ok(la.len() as u64);
+            }
+            let lb = self.typed_ancestors(reader, b, t)?;
+            Ok(sorted_intersection_size(&la, &lb))
+        };
+        let Ok(n) = count() else {
+            return 0;
         };
         self.memo.lock().counts.insert((t, a, b), n); // xlint::lock(cooccur.memo)
         n
@@ -78,16 +83,16 @@ impl CoOccurrence {
         reader: &dyn IndexReader,
         k: KeywordId,
         t: NodeTypeId,
-    ) -> Arc<Vec<Dewey>> {
+    ) -> kvstore::Result<Arc<Vec<Dewey>>> {
         // xlint::lock(cooccur.memo)
         if let Some(v) = self.memo.lock().ancestors.get(&(k, t)) {
-            return Arc::clone(v);
+            return Ok(Arc::clone(v));
         }
-        let postings = reader.list_handle_by_id(k).unwrap_or_default();
+        let postings = reader.list_handle_by_id(k)?;
         let v = Arc::new(typed_ancestors_in(reader.document(), &postings, t));
         // xlint::lock(cooccur.memo)
         let mut memo = self.memo.lock();
-        Arc::clone(memo.ancestors.entry((k, t)).or_insert(v))
+        Ok(Arc::clone(memo.ancestors.entry((k, t)).or_insert(v)))
     }
 }
 

@@ -76,8 +76,8 @@ pub const HEAD_AT_ROOT: u64 = 0;
 /// [`ListCursor::head_partition`] at end of list: after every partition.
 pub const HEAD_AT_END: u64 = u64::MAX;
 
-/// A forward cursor over one posting list (any [`IndexReader`] backend
-/// hands lists out as [`ListHandle`]s).
+/// A forward cursor over one posting list (the [`IndexReader`] hands
+/// lists out as [`ListHandle`]s).
 ///
 /// [`IndexReader`]: crate::reader::IndexReader
 pub struct ListCursor<'a> {

@@ -6,29 +6,29 @@
 //! labels (each new ancestor of a posting appears exactly once across the
 //! list, so distinct-ancestor counting is linear in `Σ|L_k| · depth`).
 
-use crate::cooccur::CoOccurrence;
 use crate::postings::{Posting, PostingList};
-use crate::reader::{typed_ancestors_in, IndexReader, ListHandle};
 use crate::stats::{KeywordId, KeywordTable, TypeStats};
 use std::collections::HashMap;
 use std::sync::Arc;
-use xmldom::{tokenize, Dewey, Document, NodeTypeId};
+use xmldom::{tokenize, Document};
 
 /// The complete in-memory index over one document: keyword inverted lists
 /// plus the frequency tables the ranking model consumes.
 ///
-/// Lists are individually `Arc`-shared so [`ListHandle`]s hand out the
-/// resident allocation without copying.
+/// This is the build product, never a query-time reader: every engine
+/// answers through [`crate::KvBackedIndex`], which takes it over with
+/// [`crate::KvBackedIndex::from_built`] or reads it back from a store
+/// [`crate::persist::persist`] wrote. Its lists are the differential
+/// oracle the stored path is checked against.
 pub struct InMemoryIndex {
     doc: Arc<Document>,
     vocab: KeywordTable,
-    lists: Vec<Arc<PostingList>>,
+    lists: Vec<PostingList>,
     stats: TypeStats,
-    cooccur: CoOccurrence,
 }
 
-/// Historical name of [`InMemoryIndex`] (pre-`IndexReader`); kept so the
-/// ubiquitous `Index::build` call sites stay valid.
+/// Short name of [`InMemoryIndex`], the one the `Index::build` call sites
+/// use.
 pub type Index = InMemoryIndex;
 
 impl InMemoryIndex {
@@ -122,38 +122,9 @@ impl InMemoryIndex {
 
     /// The inverted list of a keyword string, if the keyword occurs at all.
     pub fn list(&self, keyword: &str) -> Option<&PostingList> {
-        self.vocab.get(keyword).map(|k| self.list_by_id(k))
-    }
-
-    pub fn list_by_id(&self, k: KeywordId) -> &PostingList {
-        static EMPTY: std::sync::OnceLock<PostingList> = std::sync::OnceLock::new();
-        self.lists
-            .get(k.0 as usize)
-            .map(|l| l.as_ref())
-            .unwrap_or_else(|| EMPTY.get_or_init(PostingList::new))
-    }
-
-    /// True if the keyword occurs anywhere in the document (tag or text).
-    pub fn contains_keyword(&self, keyword: &str) -> bool {
-        self.list(keyword).map(|l| !l.is_empty()).unwrap_or(false)
-    }
-
-    /// `f^T_{ki,kj}` (Formula 7's numerator input), memoized.
-    pub fn co_occur(&self, t: NodeTypeId, ki: KeywordId, kj: KeywordId) -> u64 {
-        self.cooccur.co_occur(self, t, ki, kj)
-    }
-
-    /// The distinct `T`-typed ancestors-or-self of the postings of `k`:
-    /// exactly the `T`-typed nodes whose subtree contains `k`, in document
-    /// order. (Public for the co-occurrence provider and for tests; the
-    /// count of this list equals `f^T_k`.)
-    pub fn typed_ancestors(&self, k: KeywordId, t: NodeTypeId) -> Vec<Dewey> {
-        typed_ancestors_in(&self.doc, self.list_by_id(k).as_slice(), t)
-    }
-
-    /// Total number of postings across all lists.
-    pub fn total_postings(&self) -> usize {
-        self.lists.iter().map(|l| l.len()).sum()
+        self.vocab
+            .get(keyword)
+            .and_then(|k| self.lists.get(k.0 as usize))
     }
 
     pub(crate) fn from_parts(
@@ -165,51 +136,29 @@ impl InMemoryIndex {
         InMemoryIndex {
             doc,
             vocab,
-            lists: lists.into_iter().map(Arc::new).collect(),
+            lists,
             stats,
-            cooccur: CoOccurrence::new(),
         }
     }
 
-    pub(crate) fn lists(&self) -> &[Arc<PostingList>] {
+    /// The lists, indexed by keyword id.
+    pub(crate) fn lists(&self) -> &[PostingList] {
         &self.lists
     }
-}
 
-impl IndexReader for InMemoryIndex {
-    fn document(&self) -> &Arc<Document> {
-        &self.doc
-    }
-
-    fn vocabulary(&self) -> &KeywordTable {
-        &self.vocab
-    }
-
-    fn stats(&self) -> &TypeStats {
-        &self.stats
-    }
-
-    fn list_handle_by_id(&self, k: KeywordId) -> kvstore::Result<ListHandle> {
-        Ok(self
-            .lists
-            .get(k.0 as usize)
-            .map(|l| ListHandle::new(Arc::clone(l)))
-            .unwrap_or_default())
-    }
-
-    fn co_occur(&self, t: NodeTypeId, ki: KeywordId, kj: KeywordId) -> u64 {
-        InMemoryIndex::co_occur(self, t, ki, kj)
-    }
-
-    fn contains_keyword(&self, keyword: &str) -> bool {
-        InMemoryIndex::contains_keyword(self, keyword)
+    /// Everything the index holds, for a reader that takes it over.
+    pub(crate) fn into_parts(self) -> (Arc<Document>, KeywordTable, Vec<PostingList>, TypeStats) {
+        (self.doc, self.vocab, self.lists, self.stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reader::{typed_ancestors_in, IndexReader};
+    use crate::KvBackedIndex;
     use xmldom::fixtures::figure1;
+    use xmldom::NodeTypeId;
 
     fn fig1_index() -> Index {
         Index::build(Arc::new(figure1()))
@@ -232,8 +181,8 @@ mod tests {
         // "XML keyword search" (0.1.1.0.0)
         assert_eq!(labels, ["0.0.2.0.0", "0.1.1.0.0"]);
         assert!(idx.list("publication").is_none());
-        assert!(idx.contains_keyword("database"));
-        assert!(idx.contains_keyword("hobby")); // tag names are keywords too
+        assert!(idx.list("database").is_some());
+        assert!(idx.list("hobby").is_some()); // tag names are keywords too
     }
 
     #[test]
@@ -291,9 +240,8 @@ mod tests {
     fn typed_ancestors_lists_containing_nodes() {
         let idx = fig1_index();
         let author = type_by_display(&idx, "bib/author");
-        let k_xml = idx.vocabulary().get("xml").unwrap();
-        let ancs: Vec<String> = idx
-            .typed_ancestors(k_xml, author)
+        let xml = idx.list("xml").unwrap();
+        let ancs: Vec<String> = typed_ancestors_in(idx.document(), xml.as_slice(), author)
             .iter()
             .map(|d| d.to_string())
             .collect();
@@ -302,17 +250,19 @@ mod tests {
 
     #[test]
     fn co_occurrence_counts_joint_containment() {
-        let idx = fig1_index();
-        let author = type_by_display(&idx, "bib/author");
+        let built = fig1_index();
+        let author = type_by_display(&built, "bib/author");
+        let idx = KvBackedIndex::from_built(built);
         let v = idx.vocabulary();
         let xml = v.get("xml").unwrap();
         let john = v.get("john").unwrap();
         let database = v.get("database").unwrap();
         // xml & john co-occur under author 0.1 only.
         assert_eq!(idx.co_occur(author, xml, john), 1);
-        assert_eq!(idx.co_occur(author, john, xml), 1); // symmetric
-                                                        // xml & database co-occur under author 0.0 only (author 0.1 has no
-                                                        // "database" token).
+        // symmetric
+        assert_eq!(idx.co_occur(author, john, xml), 1);
+        // xml & database co-occur under author 0.0 only (author 0.1 has
+        // no "database" token).
         assert_eq!(idx.co_occur(author, xml, database), 1);
         // john & database never share an author subtree... author 0.1 has
         // "data base" as separate tokens, not "database".
@@ -327,9 +277,9 @@ mod tests {
         b.close_element();
         b.close_element();
         let idx = Index::build(Arc::new(b.finish()));
-        assert!(idx.contains_keyword("root"));
-        assert!(idx.contains_keyword("child"));
-        assert_eq!(idx.total_postings(), 2);
+        assert!(idx.list("root").is_some());
+        assert!(idx.list("child").is_some());
+        assert_eq!(idx.lists().iter().map(PostingList::len).sum::<usize>(), 2);
     }
 }
 
@@ -347,7 +297,7 @@ mod attribute_tests {
         for kw in [
             "isbn", "12345", "genre", "fantasy", "dragons", "tale", "book",
         ] {
-            assert!(idx.contains_keyword(kw), "{kw} missing");
+            assert!(idx.list(kw).is_some(), "{kw} missing");
         }
         // the attribute posting points at the owning element
         let list = idx.list("fantasy").unwrap();

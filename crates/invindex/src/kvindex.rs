@@ -1,10 +1,14 @@
-//! The kvstore-backed [`IndexReader`] backend.
+//! The one [`IndexReader`]: every engine answers through [`KvBackedIndex`].
 //!
 //! [`KvBackedIndex`] opens a persisted index (see [`crate::persist`])
-//! and serves queries without rehydrating the posting lists: vocabulary
-//! and statistics load eagerly (they are small and every query touches
-//! them), lists materialize lazily on first touch and live in an LRU
-//! cache with a configurable byte budget. Cold start is therefore
+//! and serves queries without rehydrating the posting lists. An index
+//! built in memory is served the same way: [`KvBackedIndex::from_built`]
+//! encodes its lists into a [`kvstore::MemKv`] with the store format's
+//! encoder, so every list a query reads is CRC-checked, block-decoded and
+//! cached exactly as under a store on disk. Vocabulary and statistics
+//! load eagerly (they are small and every query touches them), lists
+//! materialize lazily on first touch and live in an LRU cache with a
+//! configurable byte budget. Cold start is therefore
 //! `O(vocabulary + stats)` instead of `O(index size)`, and steady-state
 //! memory is bounded by the budget plus whatever outstanding
 //! [`ListHandle`]s still pin.
@@ -27,13 +31,13 @@
 //! generation that decoded them, so readers of different epochs can
 //! share one cache without ever serving a stale list.
 
-pub use crate::cache::CacheStats;
-use crate::cache::ListCache;
+use crate::cache::{CacheStats, ListCache};
 use crate::cooccur::CoOccurrence;
+use crate::index::Index;
 use crate::persist;
 use crate::reader::{IndexReader, ListHandle};
 use crate::stats::{KeywordId, KeywordTable, TypeStats};
-use kvstore::{KvError, KvStore, Result, Snapshot};
+use kvstore::{KvError, KvStore, MemKv, Result, Snapshot};
 use std::sync::Arc;
 use xmldom::{Document, NodeTypeId};
 
@@ -56,6 +60,24 @@ pub struct KvBackedIndex {
 }
 
 impl KvBackedIndex {
+    /// Serves a freshly built index: its posting lists are encoded into a
+    /// [`MemKv`] by the encoder [`persist::persist`] uses, and its
+    /// document, vocabulary and statistics move across as they are. The
+    /// reader is generation 0 with the default cache budget.
+    pub fn from_built(index: Index) -> Self {
+        let (doc, vocab, lists, stats) = index.into_parts();
+        let store: MemKv = persist::list_entries(&lists).collect();
+        KvBackedIndex {
+            doc,
+            vocab,
+            stats,
+            cooccur: CoOccurrence::new(),
+            store: Snapshot::new(Arc::new(store)),
+            cache: Arc::new(ListCache::new(DEFAULT_CACHE_BUDGET)),
+            gen: 0,
+        }
+    }
+
     /// Opens a persisted store that nothing writes to any more (the
     /// static serving path): [`Self::open_snapshot`] over `store` alone.
     pub fn open(store: Box<dyn KvStore>) -> Result<Self> {
@@ -105,8 +127,9 @@ impl KvBackedIndex {
     }
 
     /// Sets the list-cache byte budget (encoded bytes). A budget of 0
-    /// disables caching entirely — every touch re-decodes. Allocates a private cache: builder-style callers are
-    /// single-reader, not epoch-sharing.
+    /// disables caching entirely — every touch re-decodes. Allocates a
+    /// private cache: builder-style callers are single-reader, not
+    /// epoch-sharing.
     pub fn with_cache_budget(mut self, bytes: usize) -> Self {
         self.cache = Arc::new(ListCache::new(bytes));
         self.cache.set_current_gen(self.gen);
@@ -125,11 +148,6 @@ impl KvBackedIndex {
     // xlint::allow(unused-export): whole-store observer for the maintenance torture/differential oracles
     pub fn store_dump(&self) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         self.store.scan_range(b"", None)
-    }
-
-    /// Current cache counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
     }
 }
 
@@ -201,9 +219,8 @@ impl IndexReader for KvBackedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::Index;
     use crate::persist::persist;
-    use kvstore::MemKv;
+    use crate::reader::typed_ancestors_in;
     use xmldom::fixtures::figure1;
 
     fn persisted() -> (Arc<Document>, Index, MemKv) {
@@ -246,12 +263,12 @@ mod tests {
     fn lists_load_lazily_and_hit_the_cache_on_retouch() {
         let (_, _, store) = persisted();
         let idx = KvBackedIndex::open(Box::new(store)).unwrap();
-        assert_eq!(idx.cache_stats().lists_decoded, 0, "open decodes nothing");
+        assert_eq!(idx.cache.stats().lists_decoded, 0, "open decodes nothing");
         let _ = handle_of(&idx, "xml");
-        let s = idx.cache_stats();
+        let s = idx.cache.stats();
         assert_eq!((s.misses, s.lists_decoded, s.hits), (1, 1, 0));
         let _ = handle_of(&idx, "xml");
-        let s = idx.cache_stats();
+        let s = idx.cache.stats();
         assert_eq!((s.misses, s.lists_decoded, s.hits), (1, 1, 1));
     }
 
@@ -274,13 +291,13 @@ mod tests {
                     "round {round}: wrong answer for {text}"
                 );
                 assert!(
-                    idx.cache_stats().cached_bytes <= budget,
+                    idx.cache.stats().cached_bytes <= budget,
                     "cache exceeded budget"
                 );
             }
         }
         assert!(
-            idx.cache_stats().evictions > 0,
+            idx.cache.stats().evictions > 0,
             "expected evictions under a small budget"
         );
     }
@@ -305,17 +322,17 @@ mod tests {
         // re-touch vocab[0]: it becomes MRU, so filling the cache evicts
         // vocab[1] first, and vocab[0] stays resident.
         let _ = handle_of(&idx, &vocab[0]);
-        let hits_before = idx.cache_stats().hits;
+        let hits_before = idx.cache.stats().hits;
         for w in vocab.iter().skip(2) {
             let _ = handle_of(&idx, w);
-            if idx.cache_stats().evictions > 0 {
+            if idx.cache.stats().evictions > 0 {
                 break;
             }
         }
-        assert!(idx.cache_stats().evictions > 0);
+        assert!(idx.cache.stats().evictions > 0);
         let _ = handle_of(&idx, &vocab[0]);
         assert!(
-            idx.cache_stats().hits > hits_before,
+            idx.cache.stats().hits > hits_before,
             "re-touched entry should have survived eviction"
         );
     }
@@ -336,7 +353,7 @@ mod tests {
                 );
             }
         }
-        let s = idx.cache_stats();
+        let s = idx.cache.stats();
         assert_eq!(s.cached_bytes, 0, "nothing fits a zero budget");
         assert_eq!(s.hits, 0);
         assert_eq!(
@@ -375,19 +392,119 @@ mod tests {
         }
     }
 
+    /// `f^T_{ki,kj}` computed from the build's lists alone: the sorted
+    /// intersection of the two keywords' distinct `t`-typed ancestors.
+    fn oracle_co_occur(built: &Index, t: NodeTypeId, ki: &str, kj: &str) -> u64 {
+        let ancestors =
+            |kw: &str| typed_ancestors_in(built.document(), built.list(kw).unwrap().as_slice(), t);
+        let (a, b) = (ancestors(ki), ancestors(kj));
+        a.iter().filter(|d| b.binary_search(d).is_ok()).count() as u64
+    }
+
     #[test]
-    fn co_occurrence_matches_in_memory_backend() {
+    fn co_occurrence_matches_the_oracle_intersection() {
         let (_, built, store) = persisted();
         let idx = KvBackedIndex::open(Box::new(store)).unwrap();
         let v = built.vocabulary();
-        let xml = v.get("xml").unwrap();
-        let john = v.get("john").unwrap();
+        let words = ["xml", "john", "database", "2003", "hobby"];
         for t in built.document().node_types().iter() {
+            for ki in words {
+                for kj in words {
+                    assert_eq!(
+                        idx.co_occur(t, v.get(ki).unwrap(), v.get(kj).unwrap()),
+                        oracle_co_occur(&built, t, ki, kj),
+                        "f^{t:?}({ki}, {kj})"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A store whose first read of one key fails with an I/O error;
+    /// every other read, and every later one, reaches `inner`.
+    struct FailsOnce {
+        inner: MemKv,
+        key: Vec<u8>,
+        failed: std::sync::atomic::AtomicBool,
+    }
+
+    impl KvStore for FailsOnce {
+        fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+            use std::sync::atomic::Ordering;
+            if key == self.key && !self.failed.swap(true, Ordering::SeqCst) {
+                return Err(KvError::Io(std::io::Error::other("transient read failure")));
+            }
+            self.inner.get(key)
+        }
+        fn put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
+            self.inner.put(key, value)
+        }
+        fn delete(&mut self, key: &[u8]) -> Result<bool> {
+            self.inner.delete(key)
+        }
+        fn contains(&self, key: &[u8]) -> Result<bool> {
+            self.inner.contains(key)
+        }
+        fn scan_range(&self, start: &[u8], end: Option<&[u8]>) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+            self.inner.scan_range(start, end)
+        }
+        fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+            self.inner.scan_prefix(prefix)
+        }
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+        fn sync(&mut self) -> Result<()> {
+            self.inner.sync()
+        }
+    }
+
+    #[test]
+    fn a_failed_list_read_is_not_memoised_as_zero_co_occurrence() {
+        let (doc, built, store) = persisted();
+        let v = built.vocabulary();
+        let (xml, john) = (v.get("xml").unwrap(), v.get("john").unwrap());
+        let author = doc
+            .node_types()
+            .iter()
+            .find(|&t| doc.node_types().display(t, doc.symbols()) == "bib/author")
+            .unwrap();
+        let truth = oracle_co_occur(&built, author, "xml", "john");
+        assert_eq!(truth, 1);
+        let idx = KvBackedIndex::open(Box::new(FailsOnce {
+            inner: store,
+            key: persist::list_key(john.0),
+            failed: Default::default(),
+        }))
+        .unwrap();
+        assert_eq!(
+            idx.co_occur(author, xml, john),
+            0,
+            "the failed read degrades"
+        );
+        assert_eq!(idx.co_occur(author, xml, john), truth, "and is retried");
+    }
+
+    #[test]
+    fn from_built_serves_every_list_through_the_cache() {
+        let (_, built, _) = persisted();
+        let oracle = Index::build(Arc::clone(built.document()));
+        let idx = KvBackedIndex::from_built(built);
+        assert_eq!(
+            idx.cache.stats().lists_decoded,
+            0,
+            "taking over decodes nothing"
+        );
+        for (_, text) in oracle.vocabulary().iter() {
             assert_eq!(
-                IndexReader::co_occur(&built, t, xml, john),
-                IndexReader::co_occur(&idx, t, xml, john)
+                idx.list_handle(text).unwrap().postings(),
+                oracle.list(text).unwrap().as_slice(),
+                "list mismatch for {text}"
             );
         }
+        let s = idx.cache.stats();
+        assert_eq!(s.lists_decoded, oracle.vocabulary().len() as u64);
+        assert_eq!(idx.vocabulary().len(), oracle.vocabulary().len());
     }
 
     #[test]
@@ -418,7 +535,7 @@ mod tests {
                 });
             }
         });
-        let s = idx.cache_stats();
+        let s = idx.cache.stats();
         assert_eq!(s.hits + s.misses, 8 * 4 * vocab.len() as u64);
     }
 }

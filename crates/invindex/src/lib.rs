@@ -3,13 +3,14 @@
 //! * [`postings`]: document-ordered posting lists, serialized blocked
 //!   and front-coded behind a per-block skip table ([`CompressedList`]);
 //! * [`reader`]: the [`IndexReader`] trait and [`ListHandle`] — the
-//!   storage-agnostic read path every query layer consumes;
-//! * [`index`]: the one-pass index builder; the resident
-//!   [`InMemoryIndex`] it returns is the build product and the
-//!   differential oracle, never read back from a store;
-//! * [`kvindex`]: [`KvBackedIndex`], the one reader of a persisted
-//!   store — lists materialized lazily from a [`kvstore::KvStore`]
-//!   through an LRU byte-budget cache ([`cache`]);
+//!   read path every query layer consumes;
+//! * [`index`]: the one-pass DOM index builder; the [`InMemoryIndex`]
+//!   it (and [`stream`]) returns is the build product and the
+//!   differential oracle, never queried directly;
+//! * [`kvindex`]: [`KvBackedIndex`], the one reader every engine
+//!   answers through — lists materialized lazily from the store format
+//!   in a [`kvstore::KvStore`], persisted or encoded in memory from a
+//!   fresh build, through an LRU byte-budget cache ([`cache`]);
 //! * [`stats`]: the frequency tables (`N_T`, `G_T`, `tf(k,T)`, `f^T_k`);
 //! * [`cooccur`]: memoized co-occurrence frequencies `f^T_{ki,kj}`;
 //! * [`cursor`]: [`ListCursor`], the one cursor over a list, counting

@@ -1,13 +1,15 @@
-//! The pluggable index read path.
+//! The index read path.
 //!
-//! [`IndexReader`] is the storage-agnostic contract the query layers
-//! (SLCA, refinement, ranking) consume: vocabulary lookup, frequency
-//! statistics, co-occurrence counts and posting-list acquisition. Two
-//! backends implement it — [`crate::InMemoryIndex`] (everything resident)
-//! and [`crate::KvBackedIndex`] (lists materialized lazily from a kvstore
-//! through an LRU byte-budget cache).
+//! [`IndexReader`] is the contract the query layers (refinement, ranking,
+//! narrowing) consume: vocabulary lookup, frequency statistics,
+//! co-occurrence counts and posting-list acquisition. It has one
+//! implementor, [`crate::KvBackedIndex`]: lists materialized lazily from
+//! the store format through an LRU byte-budget cache, whether the store
+//! was persisted or encoded in memory from a fresh build.
+//! [`crate::InMemoryIndex`] is the build product and the tests' oracle;
+//! it reads nothing back.
 //!
-//! [`ListHandle`] is the currency between the backends and the
+//! [`ListHandle`] is the currency between the reader and the
 //! algorithms: a cheap, clonable, `Arc`-shared view over a decoded
 //! posting list. Handles stay valid after cache eviction (the `Arc`
 //! keeps the decoded list alive), so scans never observe a list
@@ -212,12 +214,11 @@ impl AsRef<[Posting]> for ListHandle {
     }
 }
 
-/// Storage-agnostic read access to an inverted index.
+/// Read access to an inverted index.
 ///
-/// List acquisition is fallible (a disk-backed reader can hit I/O errors
-/// or corrupt pages); in-memory backends never fail. Statistics access
-/// is infallible because every backend loads the (small) statistic
-/// tables up front.
+/// List acquisition is fallible (the store can hit I/O errors or corrupt
+/// pages). Statistics access is infallible because the reader loads the
+/// (small) statistic tables up front.
 pub trait IndexReader: Send + Sync {
     /// The indexed document.
     fn document(&self) -> &Arc<Document>;
@@ -255,17 +256,14 @@ pub trait IndexReader: Send + Sync {
         self.keyword_id(keyword).is_some()
     }
 
-    /// List-cache counters, for backends that cache lazily materialized
-    /// lists (`None` for fully resident backends). Serving drivers use
-    /// this to report cache effectiveness without downcasting.
-    fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        None
-    }
+    /// List-cache counters. Serving drivers use this to report cache
+    /// effectiveness without downcasting.
+    fn cache_stats(&self) -> Option<crate::cache::CacheStats>;
 }
 
 // The whole query path is built on shared readers: one engine, many
 // serving threads. Keep the trait object itself `Send + Sync` — if this
-// stops compiling, a backend grew thread-unsafe state.
+// stops compiling, the reader grew thread-unsafe state.
 const _: () = {
     fn _assert_send_sync<T: Send + Sync + ?Sized>() {}
     fn _check() {
@@ -274,8 +272,8 @@ const _: () = {
 };
 
 /// Distinct `t`-typed ancestors-or-self of the postings, in document
-/// order — the denominator sets of the co-occurrence statistics. Shared
-/// by both backends.
+/// order — the sets whose intersections the co-occurrence statistics
+/// count.
 pub fn typed_ancestors_in(doc: &Document, postings: &[Posting], t: NodeTypeId) -> Vec<Dewey> {
     let types = doc.node_types();
     let t_path = types.path(t);

@@ -461,11 +461,7 @@ mod tests {
                 Some(k),
                 "{text} interned differently with {threads} threads"
             );
-            assert_eq!(
-                seq.list_by_id(k),
-                stream.list_by_id(k),
-                "lists differ for {text}"
-            );
+            assert_eq!(seq.list(text), stream.list(text), "lists differ for {text}");
             for t in doc.node_types().iter() {
                 assert_eq!(seq.stats().tf(t, k), stream.stats().tf(t, k), "tf {text}");
                 assert_eq!(seq.stats().df(t, k), stream.stats().df(t, k), "df {text}");

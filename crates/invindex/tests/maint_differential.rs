@@ -10,11 +10,12 @@
 //! which shares no code with the commit path, and `build_streaming` at
 //! 1 and at 3 ingest threads. On top of that the pinned snapshot must
 //! *answer* like an in-memory index built from the final document
-//! (lists, stats, co-occurrence), and a reopen of the store must restore
+//! (lists, stats, and co-occurrence counted here from the oracle's
+//! lists), and a reopen of the store must restore
 //! the exact same state.
 
 use invindex::maint::{MaintIndex, MaintOp, MAINT_KEY};
-use invindex::reader::IndexReader;
+use invindex::reader::{typed_ancestors_in, IndexReader};
 use invindex::{build_streaming, persist, Index};
 use kvstore::{DiskKv, DurableKv, FaultVfs, KvStore, MemKv, Vfs};
 use std::collections::BTreeMap;
@@ -203,14 +204,30 @@ fn snapshot_answers_like_an_in_memory_index_of_the_final_corpus() {
     for t in doc.node_types().iter() {
         assert_eq!(snap.stats().n_nodes(t), oracle.stats().n_nodes(t));
     }
-    // Co-occurrence (computed lazily over lists) agrees too.
+    // Co-occurrence agrees with f^T_{ki,kj} counted from the oracle's
+    // lists: the sorted intersection of the two keywords' distinct
+    // T-typed ancestors.
     let v = oracle.vocabulary();
-    if let (Some(a), Some(b)) = (v.get("xml"), v.get("keyword")) {
-        for t in doc.node_types().iter() {
-            assert_eq!(
-                IndexReader::co_occur(&oracle, t, a, b),
-                IndexReader::co_occur(&*snap, t, a, b)
-            );
+    let words = ["xml", "keyword", "query", "2003", "paper"];
+    for t in doc.node_types().iter() {
+        let ancestors = |kw: &str| {
+            oracle
+                .list(kw)
+                .map(|l| typed_ancestors_in(&doc, l.as_slice(), t))
+                .unwrap_or_default()
+        };
+        for ki in words {
+            for kj in words {
+                let (Some(a), Some(b)) = (v.get(ki), v.get(kj)) else {
+                    continue;
+                };
+                let bj = ancestors(kj);
+                let expected = ancestors(ki)
+                    .iter()
+                    .filter(|d| bj.binary_search(d).is_ok())
+                    .count() as u64;
+                assert_eq!(snap.co_occur(t, a, b), expected, "f^{t:?}({ki}, {kj})");
+            }
         }
     }
 }

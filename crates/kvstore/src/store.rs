@@ -56,6 +56,16 @@ impl MemKv {
     }
 }
 
+/// A store holding exactly `entries` (a later duplicate key wins), built
+/// without a fallible `put` per entry.
+impl FromIterator<(Vec<u8>, Vec<u8>)> for MemKv {
+    fn from_iter<I: IntoIterator<Item = (Vec<u8>, Vec<u8>)>>(entries: I) -> Self {
+        MemKv {
+            map: entries.into_iter().collect(),
+        }
+    }
+}
+
 impl KvStore for MemKv {
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         Ok(self.map.get(key).cloned())

@@ -28,7 +28,7 @@ use invindex::{ListHandle, PartitionRuns, Posting, HEAD_AT_ROOT};
 use xmldom::Dewey;
 
 /// Indexed-Lookup-Eager SLCA. Accepts anything list-shaped — `&[Posting]`,
-/// `Vec<Posting>`, or an [`invindex::ListHandle`] from any backend.
+/// `Vec<Posting>`, or an [`invindex::ListHandle`].
 // xlint::allow(unused-export): advertised pluggable SLCA method (the paper's `stack-slca` baseline), held to the oracle by the differential tests
 pub fn slca_indexed_lookup_eager<S: AsRef<[Posting]>>(lists: &[S]) -> Vec<Dewey> {
     obs::counter!("slca_invocations_total").inc();

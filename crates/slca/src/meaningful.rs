@@ -17,7 +17,7 @@
 //! judges a bare label and pays a node lookup for its type.
 
 use crate::searchfor::{infer_search_for, SearchForConfig};
-use invindex::{gallop, IndexReader, KeywordId, Posting};
+use invindex::{gallop, KeywordId, Posting, TypeStats};
 use xmldom::{Dewey, Document, NodeTypeId};
 
 /// A meaningfulness filter bound to one query's search-for candidates.
@@ -32,19 +32,20 @@ pub struct MeaningfulFilter<'a> {
 }
 
 impl<'a> MeaningfulFilter<'a> {
-    /// Builds the filter by inferring search-for candidates for `query`.
-    /// Works against any [`IndexReader`] backend — only the document and
-    /// the statistics tables are touched, never the posting lists.
+    /// Builds the filter by inferring search-for candidates for `query`
+    /// from the document's types and the statistics tables alone; no
+    /// posting list is touched.
     pub fn infer(
-        index: &'a dyn IndexReader,
+        doc: &'a Document,
+        stats: &TypeStats,
         query: &[KeywordId],
         config: &SearchForConfig,
     ) -> Self {
-        let candidates = infer_search_for(index, query, config)
+        let candidates = infer_search_for(doc, stats, query, config)
             .into_iter()
             .map(|(t, _)| t)
             .collect();
-        Self::with_candidates(index.document().as_ref(), candidates)
+        Self::with_candidates(doc, candidates)
     }
 
     /// The filter admitting exactly `candidates` and their descendant
@@ -143,7 +144,10 @@ mod tests {
     fn slcas_of(idx: &Index, words: &[&str]) -> Vec<Dewey> {
         let lists: Vec<invindex::ListHandle> = words
             .iter()
-            .map(|w| idx.list_handle(w).expect("resident"))
+            .map(|w| {
+                let list = idx.list(w).map(|l| l.as_slice().to_vec());
+                invindex::ListHandle::from_postings(list.unwrap_or_default())
+            })
             .collect();
         slca_scan_eager(&lists)
     }
@@ -154,7 +158,8 @@ mod tests {
         // hobby:0.1.2 is a descendant of the author search-for node.
         let idx = index();
         let q = kws(&idx, &["john", "fishing"]);
-        let filter = MeaningfulFilter::infer(&idx, &q, &SearchForConfig::default());
+        let filter =
+            MeaningfulFilter::infer(idx.document(), idx.stats(), &q, &SearchForConfig::default());
         let slcas = slcas_of(&idx, &["john", "fishing"]);
         assert!(!slcas.is_empty());
         let kept = filter.filter(slcas);
@@ -167,7 +172,8 @@ mod tests {
         // Motivating Q4: {xml, john, 2003} is covered only by the root.
         let idx = index();
         let q = kws(&idx, &["xml", "john", "2003"]);
-        let filter = MeaningfulFilter::infer(&idx, &q, &SearchForConfig::default());
+        let filter =
+            MeaningfulFilter::infer(idx.document(), idx.stats(), &q, &SearchForConfig::default());
         let slcas = slcas_of(&idx, &["xml", "john", "2003"]);
         assert_eq!(slcas.len(), 1);
         assert_eq!(slcas[0].to_string(), "0");
@@ -181,7 +187,8 @@ mod tests {
         let idx = index();
         let q = kws(&idx, &["database", "publication"]);
         assert_eq!(q.len(), 1); // "publication" absent from vocabulary
-        let filter = MeaningfulFilter::infer(&idx, &q, &SearchForConfig::default());
+        let filter =
+            MeaningfulFilter::infer(idx.document(), idx.stats(), &q, &SearchForConfig::default());
         let slcas = slcas_of(&idx, &["database", "publication"]);
         assert!(slcas.is_empty());
         assert!(needs_refinement(&filter, &slcas));
@@ -191,7 +198,8 @@ mod tests {
     fn foreign_label_is_not_meaningful() {
         let idx = index();
         let q = kws(&idx, &["xml"]);
-        let filter = MeaningfulFilter::infer(&idx, &q, &SearchForConfig::default());
+        let filter =
+            MeaningfulFilter::infer(idx.document(), idx.stats(), &q, &SearchForConfig::default());
         assert!(!filter.is_meaningful(&"0.9.9.9".parse().unwrap()));
     }
 

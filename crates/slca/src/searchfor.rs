@@ -12,8 +12,8 @@
 //! the root "a typical meaningless SLCA", and admitting it would make
 //! every root-only result meaningful.
 
-use invindex::{IndexReader, KeywordId};
-use xmldom::NodeTypeId;
+use invindex::{KeywordId, TypeStats};
+use xmldom::{Document, NodeTypeId};
 
 /// Tunables of Formula 1 and the candidate-list cut.
 #[derive(Debug, Clone)]
@@ -44,19 +44,20 @@ pub fn confidence_with(df_sum: u64, depth: f64, reduction_factor: f64) -> f64 {
 /// Infers the ranked candidate list `L` of search-for node types for a
 /// keyword set. Keywords absent from the document simply contribute zero
 /// (the paper sums `f^T_k` precisely so missing keywords are tolerated).
+/// Only the document's type table and the `f^T_k` statistics are read.
 pub fn infer_search_for(
-    index: &dyn IndexReader,
+    doc: &Document,
+    stats: &TypeStats,
     query: &[KeywordId],
     config: &SearchForConfig,
 ) -> Vec<(NodeTypeId, f64)> {
-    let doc = index.document();
     let root_type = doc.node(doc.root()).node_type;
     let mut scored: Vec<(NodeTypeId, f64)> = doc
         .node_types()
         .iter()
         .filter(|&t| t != root_type)
         .filter_map(|t| {
-            let sum: u64 = query.iter().map(|&k| index.stats().df(t, k)).sum();
+            let sum: u64 = query.iter().map(|&k| stats.df(t, k)).sum();
             if sum == 0 {
                 return None;
             }
@@ -107,7 +108,7 @@ mod tests {
     fn root_type_is_never_a_candidate() {
         let idx = index();
         let q = vec![kw(&idx, "xml"), kw(&idx, "john"), kw(&idx, "2003")];
-        let l = infer_search_for(&idx, &q, &SearchForConfig::default());
+        let l = infer_search_for(idx.document(), idx.stats(), &q, &SearchForConfig::default());
         assert!(!l.is_empty());
         for (t, _) in &l {
             assert_ne!(display(&idx, *t), "bib");
@@ -119,7 +120,7 @@ mod tests {
         // {fishing, name}: hobby and name live directly under author.
         let idx = index();
         let q = vec![kw(&idx, "fishing"), kw(&idx, "john")];
-        let l = infer_search_for(&idx, &q, &SearchForConfig::default());
+        let l = infer_search_for(idx.document(), idx.stats(), &q, &SearchForConfig::default());
         assert_eq!(display(&idx, l[0].0), "bib/author");
     }
 
@@ -127,13 +128,18 @@ mod tests {
     fn unknown_keywords_contribute_zero_but_do_not_break_inference() {
         let idx = index();
         let q = vec![kw(&idx, "xml")];
-        let l1 = infer_search_for(&idx, &q, &SearchForConfig::default());
+        let l1 = infer_search_for(idx.document(), idx.stats(), &q, &SearchForConfig::default());
         assert!(!l1.is_empty());
         // same query plus a keyword that is absent from the document
         // (KeywordId beyond vocabulary) must give identical scores
         let ghost = KeywordId(u32::MAX);
         let q2 = vec![kw(&idx, "xml"), ghost];
-        let l2 = infer_search_for(&idx, &q2, &SearchForConfig::default());
+        let l2 = infer_search_for(
+            idx.document(),
+            idx.stats(),
+            &q2,
+            &SearchForConfig::default(),
+        );
         assert_eq!(l1.len(), l2.len());
         for (a, b) in l1.iter().zip(l2.iter()) {
             assert_eq!(a.0, b.0);
@@ -150,14 +156,14 @@ mod tests {
             max_candidates: 1,
             ..Default::default()
         };
-        let l = infer_search_for(&idx, &q, &tight);
+        let l = infer_search_for(idx.document(), idx.stats(), &q, &tight);
         assert_eq!(l.len(), 1);
         let loose = SearchForConfig {
             comparable_ratio: 0.0,
             max_candidates: 100,
             ..Default::default()
         };
-        let l2 = infer_search_for(&idx, &q, &loose);
+        let l2 = infer_search_for(idx.document(), idx.stats(), &q, &loose);
         assert!(l2.len() > 1);
         // sorted descending
         assert!(l2.windows(2).all(|w| w[0].1 >= w[1].1));

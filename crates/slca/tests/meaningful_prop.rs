@@ -3,7 +3,7 @@
 //! first principles, and typing a result by a posting inside it must
 //! agree with looking the result's own node up.
 
-use invindex::{Index, IndexReader, ListHandle, Posting};
+use invindex::{Index, ListHandle, Posting};
 use slca::{infer_search_for, slca_scan_eager, MeaningfulFilter, SearchForConfig};
 use std::sync::Arc;
 use xcheck::prop::{check, Gen};
@@ -54,8 +54,8 @@ fn filter_agrees_with_first_principles() {
         let index = Index::build(Arc::clone(&doc));
         let ids: Vec<_> = q.iter().filter_map(|w| index.vocabulary().get(w)).collect();
         let config = SearchForConfig::default();
-        let filter = MeaningfulFilter::infer(&index, &ids, &config);
-        let candidates = infer_search_for(&index, &ids, &config);
+        let filter = MeaningfulFilter::infer(&doc, index.stats(), &ids, &config);
+        let candidates = infer_search_for(&doc, index.stats(), &ids, &config);
 
         // candidate list from Formula 1 and the filter must agree
         let cand_types: Vec<_> = candidates.iter().map(|(t, _)| *t).collect();
@@ -87,7 +87,10 @@ fn filter_agrees_with_first_principles() {
         // whatever SLCAs exist, filtering is a subset and order-preserving,
         // and typing them by any one of the lists keeps the same ones
         let lists: Vec<ListHandle> = (q.iter())
-            .map(|w| index.list_handle(w).expect("resident"))
+            .map(|w| {
+                let list = index.list(w).map(|l| l.as_slice().to_vec());
+                ListHandle::from_postings(list.unwrap_or_default())
+            })
             .collect();
         let slcas = slca_scan_eager(&lists);
         let kept = filter.filter(slcas.clone());

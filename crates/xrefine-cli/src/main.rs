@@ -8,11 +8,12 @@
 //! xrefine-cli query --store <store.db> [--algorithm ...] [--k N]
 //! ```
 //!
-//! The flag-only form indexes the document in memory, then reads
-//! keyword queries from stdin (one per line). `index` persists the
-//! built index into a kvstore file; `query --store` serves the same REPL
-//! straight from that file — the document is replayed from the embedded
-//! blob and posting lists are decoded lazily, per query.
+//! The flag-only form indexes the document, encodes it into an
+//! in-memory store, then reads keyword queries from stdin (one per
+//! line). `index` persists the built index into a kvstore file; `query
+//! --store` serves the same REPL straight from that file — the document
+//! is replayed from the embedded blob. Either way posting lists are read
+//! through the same store format and decoded lazily, per query.
 //!
 //! Both `--data` and `index` build via the zero-copy scanner
 //! (`invindex::build_streaming`, the one ingest path: a malformed file
@@ -244,8 +245,9 @@ fn load_xml(spec: &str) -> Result<String, String> {
 }
 
 /// The one ingest path of this binary: a document spec through the
-/// streaming scanner to a resident index. `index` persists it, the
-/// flag-only REPL serves from it.
+/// streaming scanner to a built index. `index` persists it; the
+/// flag-only REPL hands it to `XRefineEngine::from_index`, which serves
+/// it through the store format.
 fn build_index(data: &str, threads: usize) -> Result<invindex::Index, String> {
     invindex::build_streaming(&load_xml(data)?, threads)
         .map_err(|e| format!("scan error in '{data}': {e}"))

@@ -1,10 +1,11 @@
 //! `XRefineEngine` — the search-engine facade (the paper's "XRefine"
-//! prototype): parse/index a document once — or open a persisted index —
-//! then answer keyword queries with automatic refinement.
+//! prototype): index a document once — or open a persisted index — then
+//! answer keyword queries with automatic refinement.
 //!
-//! The engine is storage-agnostic: it holds an `Arc<dyn IndexReader>`,
-//! so the same query path serves a resident [`Index`] and a lazily
-//! decoded [`KvBackedIndex`](invindex::KvBackedIndex) alike.
+//! Every engine answers through a [`KvBackedIndex`]: one built in memory
+//! is taken over by [`KvBackedIndex::from_built`], so its lists are read
+//! from the store format, checked, decoded and cached exactly as from a
+//! store on disk. The engine holds the reader as an `Arc<dyn IndexReader>`.
 
 use crate::partition::{partition_refine, PartitionOptions, SlcaMethod};
 use crate::query::Query;
@@ -19,7 +20,7 @@ use slca::SearchForConfig;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
-use xmldom::{parse_document, Dewey, Document, ParseError};
+use xmldom::{Dewey, Document, ScanError};
 
 /// Which refinement algorithm answers queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,9 +64,10 @@ pub struct XRefineEngine {
 }
 
 impl XRefineEngine {
-    /// Parses and indexes an XML document.
-    pub fn from_xml(xml: &str, config: EngineConfig) -> Result<Self, ParseError> {
-        Ok(Self::from_document(Arc::new(parse_document(xml)?), config))
+    /// Indexes an XML document through the streaming builder, the ingest
+    /// path `xrefine-cli index` writes stores with.
+    pub fn from_xml(xml: &str, config: EngineConfig) -> Result<Self, ScanError> {
+        Ok(Self::from_index(invindex::build_streaming(xml, 1)?, config))
     }
 
     /// Indexes an already-built document.
@@ -73,12 +75,14 @@ impl XRefineEngine {
         Self::from_index(Index::build(doc), config)
     }
 
-    /// Wraps an existing resident index.
+    /// Serves a freshly built index through the store format
+    /// ([`KvBackedIndex::from_built`]).
     pub fn from_index(index: Index, config: EngineConfig) -> Self {
-        Self::from_reader(Arc::new(index), config)
+        Self::from_reader(Arc::new(KvBackedIndex::from_built(index)), config)
     }
 
-    /// Wraps any index backend behind the [`IndexReader`] trait.
+    /// Wraps an opened reader (a persisted store, or one with a custom
+    /// cache budget).
     pub fn from_reader(reader: Arc<dyn IndexReader>, config: EngineConfig) -> Self {
         let vocab = VocabIndex::new(reader.vocabulary().iter().map(|(_, w)| w));
         XRefineEngine {
@@ -145,8 +149,7 @@ impl XRefineEngine {
         )
     }
 
-    /// Answers a free-text query. Storage errors from a kv-backed index
-    /// surface as `Err`; the resident backend is infallible.
+    /// Answers a free-text query. Storage errors surface as `Err`.
     pub fn answer(&self, query_text: &str) -> kvstore::Result<RefineOutcome> {
         self.answer_query(Query::parse(query_text))
     }
@@ -319,8 +322,7 @@ impl std::fmt::Display for SpaceJoined<'_> {
 
 // The serving model is one engine behind an `Arc`, queried from many
 // threads concurrently. If this assertion stops compiling, some engine
-// component (reader backend, lexicon table, config) grew
-// thread-unsafe state.
+// component (reader, lexicon table, config) grew thread-unsafe state.
 const _: () = {
     fn _assert_send_sync<T: Send + Sync>() {}
     fn _check() {
@@ -431,29 +433,29 @@ mod tests {
     }
 
     #[test]
-    fn kv_backed_engine_answers_from_a_persisted_store() {
-        // Persist the resident index, reopen it through the kv-backed
-        // reader, and check the engine produces the same outcome.
-        let resident = engine(Algorithm::Partition);
-        let built = Index::build(Arc::new(figure1()));
-        let mut store = kvstore::MemKv::default();
-        invindex::persist::persist(&built, &mut store).unwrap();
-        let kv = KvBackedIndex::open(Box::new(store)).unwrap();
-        let e = XRefineEngine::from_reader(
-            Arc::new(kv),
-            EngineConfig {
-                algorithm: Algorithm::Partition,
-                k: 2,
-                ..Default::default()
-            },
-        );
-        let a = resident.answer("database publication").unwrap();
-        let b = e.answer("database publication").unwrap();
-        assert_eq!(a.original_ok, b.original_ok);
-        assert_eq!(a.refinements.len(), b.refinements.len());
-        for (x, y) in a.refinements.iter().zip(b.refinements.iter()) {
-            assert_eq!(x.candidate.keywords, y.candidate.keywords);
-            assert_eq!(x.slcas, y.slcas);
+    fn every_constructor_answers_through_the_list_cache() {
+        let xml = figure1().to_xml();
+        let engines = [
+            (
+                "from_xml",
+                XRefineEngine::from_xml(&xml, EngineConfig::default()).unwrap(),
+            ),
+            ("from_document", engine(Algorithm::Partition)),
+            (
+                "from_index",
+                XRefineEngine::from_index(
+                    Index::build(Arc::new(figure1())),
+                    EngineConfig::default(),
+                ),
+            ),
+        ];
+        for (name, e) in engines {
+            e.answer("database publication").unwrap();
+            let stats = e.index().cache_stats();
+            assert!(
+                stats.is_some_and(|s| s.lists_decoded >= 1),
+                "{name}: {stats:?}"
+            );
         }
     }
 }

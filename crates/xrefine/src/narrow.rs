@@ -69,7 +69,8 @@ pub fn narrow_refine(
     if ids.len() != query.keywords().len() || ids.is_empty() {
         return Ok(None); // broken queries are the main system's job
     }
-    let filter = MeaningfulFilter::infer(index, &ids, &options.search_for);
+    let filter =
+        MeaningfulFilter::infer(index.document(), index.stats(), &ids, &options.search_for);
 
     let lists: Vec<ListHandle> = query
         .keywords()
@@ -182,10 +183,10 @@ pub fn narrow_refine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use invindex::Index;
+    use invindex::{Index, KvBackedIndex};
     use std::sync::Arc;
 
-    fn wide_index() -> Index {
+    fn wide_index() -> KvBackedIndex {
         // 30 reports, all containing "report" and "status"; half also
         // mention "urgent", a few mention "network".
         let mut b = xmldom::DocumentBuilder::new();
@@ -202,7 +203,7 @@ mod tests {
             b.close_element();
         }
         b.close_element();
-        Index::build(Arc::new(b.finish()))
+        KvBackedIndex::from_built(Index::build(Arc::new(b.finish())))
     }
 
     #[test]

@@ -247,8 +247,8 @@ fn meaningful_slcas(
 }
 
 /// A pluggable SLCA computation over per-keyword posting slices. The
-/// slices are [`ListHandle`] views, so they work identically for resident
-/// and kv-backed lists; any generic `fn<S: AsRef<[Posting]>>(&[S])`
+/// slices are [`ListHandle`] views over decoded lists, shared with the
+/// list cache; any generic `fn<S: AsRef<[Posting]>>(&[S])`
 /// algorithm from the `slca` crate coerces to this type.
 ///
 /// [`Posting`]: invindex::Posting
@@ -488,13 +488,13 @@ pub(crate) fn finalize(
 mod tests {
     use super::*;
     use crate::query::Query;
-    use invindex::Index;
+    use invindex::{Index, KvBackedIndex};
     use lexicon::RuleSet;
     use std::sync::Arc;
     use xmldom::fixtures::figure1;
 
     fn run(q: &[&str], k: usize) -> RefineOutcome {
-        let idx = Index::build(Arc::new(figure1()));
+        let idx = KvBackedIndex::from_built(Index::build(Arc::new(figure1())));
         let query = Query::from_keywords(q.iter().map(|s| s.to_string()));
         let session = RefineSession::new(&idx, query, RuleSet::table2()).unwrap();
         let options = PartitionOptions {
@@ -532,7 +532,7 @@ mod tests {
 
     #[test]
     fn one_scan_guarantee_theorem2() {
-        let idx = Index::build(Arc::new(figure1()));
+        let idx = KvBackedIndex::from_built(Index::build(Arc::new(figure1())));
         let query = Query::from_keywords(["on", "line", "data", "base"]);
         let session = RefineSession::new(&idx, query, RuleSet::table2()).unwrap();
         let budget = session.total_list_len() as u64;
@@ -556,7 +556,7 @@ mod tests {
             vec!["database", "publication"],
             vec!["john", "fishing"],
         ] {
-            let idx = Index::build(Arc::new(figure1()));
+            let idx = KvBackedIndex::from_built(Index::build(Arc::new(figure1())));
             let query = Query::from_keywords(q.iter().map(|s| s.to_string()));
             let s1 = RefineSession::new(&idx, query.clone(), RuleSet::table2()).unwrap();
             let s2 = RefineSession::new(&idx, query, RuleSet::table2()).unwrap();
@@ -580,7 +580,7 @@ mod tests {
         // The DP's beam can offer an evicted candidate again at a lower
         // price under another mask. Driven by hand here: id 0 is the
         // (meaningful) query itself, 1 and 2 its one-keyword subsets.
-        let idx = Index::build(Arc::new(figure1()));
+        let idx = KvBackedIndex::from_built(Index::build(Arc::new(figure1())));
         let query = Query::from_keywords(["john", "fishing"]);
         let session = RefineSession::new(&idx, query, RuleSet::new()).unwrap();
         let mut memo = DpMemo::new();

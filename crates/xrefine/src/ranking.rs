@@ -94,7 +94,8 @@ impl<'a> Ranker<'a> {
             .iter()
             .filter_map(|k| index.vocabulary().get(k))
             .collect();
-        let mut search_for = infer_search_for(index, &ids, &config.search_for);
+        let mut search_for =
+            infer_search_for(index.document(), index.stats(), &ids, &config.search_for);
         if !config.use_guideline3 {
             // RS3: single search-for node, unit weight.
             search_for.truncate(1);
@@ -282,12 +283,12 @@ impl<'a> Ranker<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use invindex::Index;
+    use invindex::{Index, KvBackedIndex};
     use std::sync::Arc;
     use xmldom::fixtures::figure1;
 
-    fn index() -> Index {
-        Index::build(Arc::new(figure1()))
+    fn index() -> KvBackedIndex {
+        KvBackedIndex::from_built(Index::build(Arc::new(figure1())))
     }
 
     fn rq(words: &[&str], ds: f64) -> RqCandidate {

@@ -17,8 +17,8 @@ use std::sync::Arc;
 /// Everything a refinement algorithm needs for one query.
 ///
 /// Construction acquires one [`ListHandle`] per `KS` keyword through the
-/// [`IndexReader`], so a lazy backend (e.g. `KvBackedIndex`) decodes
-/// exactly the lists this query can touch — nothing else.
+/// [`IndexReader`], so the reader decodes exactly the lists this query
+/// can touch — nothing else.
 pub struct RefineSession<'a> {
     pub index: &'a dyn IndexReader,
     pub query: Query,
@@ -118,7 +118,8 @@ impl<'a> RefineSession<'a> {
                 .filter_map(|k| index.vocabulary().get(k))
                 .collect();
         }
-        let filter = MeaningfulFilter::infer(index, &query_ids, search_for);
+        let filter =
+            MeaningfulFilter::infer(index.document(), index.stats(), &query_ids, search_for);
         let plan = DpPlan::new(&query, &rules, &ks, &ks_pos);
         obs::trace::attr("ks_width", ks.len());
 
@@ -171,13 +172,13 @@ pub(crate) fn key_set<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use invindex::Index;
+    use invindex::{Index, KvBackedIndex};
     use std::sync::Arc as StdArc;
     use xmldom::fixtures::figure1;
 
     #[test]
     fn ks_is_query_then_generated_deduped() {
-        let idx = Index::build(StdArc::new(figure1()));
+        let idx = KvBackedIndex::from_built(Index::build(StdArc::new(figure1())));
         let q = Query::from_keywords(["on", "line", "data", "base", "on"]);
         let rules = RuleSet::table2();
         let s = RefineSession::new(&idx, q, rules).unwrap();

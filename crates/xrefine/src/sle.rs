@@ -206,14 +206,14 @@ mod tests {
     use super::*;
     use crate::partition::{partition_refine, PartitionOptions};
     use crate::query::{Query, RqCandidate};
-    use invindex::Index;
+    use invindex::{Index, KvBackedIndex};
     use lexicon::RuleSet;
     use std::sync::Arc;
     use xmldom::fixtures::figure1;
 
     #[allow(dead_code)]
     fn run(q: &[&str], k: usize) -> RefineOutcome {
-        let idx = Index::build(Arc::new(figure1()));
+        let idx = KvBackedIndex::from_built(Index::build(Arc::new(figure1())));
         let query = Query::from_keywords(q.iter().map(|s| s.to_string()));
         let session = RefineSession::new(&idx, query, RuleSet::table2()).unwrap();
         sle_refine(
@@ -233,7 +233,7 @@ mod tests {
             vec!["john", "fishing"],
             vec!["database", "publication"],
         ] {
-            let idx = Index::build(Arc::new(figure1()));
+            let idx = KvBackedIndex::from_built(Index::build(Arc::new(figure1())));
             let query = Query::from_keywords(q.iter().map(|s| s.to_string()));
             let s1 = RefineSession::new(&idx, query.clone(), RuleSet::table2()).unwrap();
             let s2 = RefineSession::new(&idx, query, RuleSet::table2()).unwrap();
@@ -266,7 +266,7 @@ mod tests {
     #[test]
     fn example6_term_deletion_refinements() {
         // Example 6: Q4 = {xml, john, 2003}, deletion-only refinement.
-        let idx = Index::build(Arc::new(figure1()));
+        let idx = KvBackedIndex::from_built(Index::build(Arc::new(figure1())));
         let query = Query::from_keywords(["xml", "john", "2003"]);
         let session = RefineSession::new(&idx, query, RuleSet::new()).unwrap();
         let out = sle_refine(
@@ -296,7 +296,7 @@ mod tests {
         // is built by hand: the full set cheapest (so it ranks first),
         // then the three pairs, then a single keyword that K = 2 never
         // reaches.
-        let idx = Index::build(Arc::new(figure1()));
+        let idx = KvBackedIndex::from_built(Index::build(Arc::new(figure1())));
         let query = Query::from_keywords(["xml", "john", "2003"]);
         let session = RefineSession::new(&idx, query.clone(), RuleSet::new()).unwrap();
         let mut memo = DpMemo::new();
@@ -365,7 +365,7 @@ mod tests {
 
     #[test]
     fn uses_random_accesses_unlike_full_scans() {
-        let idx = Index::build(Arc::new(figure1()));
+        let idx = KvBackedIndex::from_built(Index::build(Arc::new(figure1())));
         let query = Query::from_keywords(["xml", "john", "2003"]);
         let session = RefineSession::new(&idx, query, RuleSet::new()).unwrap();
         let out = sle_refine(&session, &SleOptions::default());

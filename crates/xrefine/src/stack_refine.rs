@@ -161,13 +161,13 @@ pub fn stack_refine(session: &RefineSession<'_>) -> RefineOutcome {
 mod tests {
     use super::*;
     use crate::query::Query;
-    use invindex::Index;
+    use invindex::{Index, KvBackedIndex};
     use lexicon::RuleSet;
     use std::sync::Arc;
     use xmldom::fixtures::figure1;
 
-    fn session(q: &[&str]) -> (Arc<Index>, Query, RuleSet) {
-        let idx = Arc::new(Index::build(Arc::new(figure1())));
+    fn session(q: &[&str]) -> (Arc<KvBackedIndex>, Query, RuleSet) {
+        let idx = Arc::new(KvBackedIndex::from_built(Index::build(Arc::new(figure1()))));
         (
             idx,
             Query::from_keywords(q.iter().map(|s| s.to_string())),

@@ -10,7 +10,7 @@
 //! Two things that do follow the corpus are kept out of the count,
 //! because they are not the scan's. The pluggable SLCA method returns
 //! owned labels, one allocation per candidate it considers: counting is
-//! suspended inside it. The resident index memoises co-occurrence
+//! suspended inside it. The reader memoises co-occurrence
 //! projections the first time the ranker asks for a keyword pair: the
 //! measured run is the second over its index.
 //!
@@ -33,7 +33,6 @@ use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 
 use datagen::{generate_dblp, DblpConfig};
-use invindex::Index;
 use xrefine::{
     partition_refine, EngineConfig, PartitionOptions, Query, RefineSession, XRefineEngine,
 };
@@ -107,12 +106,11 @@ fn measure(authors: usize, keywords: &[&str]) -> Measured {
         authors,
         ..Default::default()
     }));
-    let index = Index::build(Arc::clone(&doc));
     let engine = XRefineEngine::from_document(doc, EngineConfig::default());
     let query = Query::from_keywords(keywords.iter().copied());
     let rules = engine.rules_for(&query);
-    let warm_up = RefineSession::new(&index, query.clone(), rules.clone()).unwrap();
-    let session = RefineSession::new(&index, query, rules).unwrap();
+    let warm_up = RefineSession::new(engine.index(), query.clone(), rules.clone()).unwrap();
+    let session = RefineSession::new(engine.index(), query, rules).unwrap();
     let options = PartitionOptions {
         k: 3,
         slca: uncounted_slca,

@@ -1,23 +1,27 @@
-//! Compression test battery, part 2: the stored-vs-resident differential.
+//! Compression test battery, part 2: the stored index against its build.
 //!
 //! Over the same 200+ seeded corpus set as the ingest differential
 //! (DBLP-shaped, baseball-shaped, structural edge cases), the index from
-//! one `build_streaming` call is queried twice — resident, as built
-//! (format-free: no encoder or decoder has touched it), and through a
-//! [`KvBackedIndex`] over its persisted store (compressed lists, DAG
-//! document, packed stat tables) — and the two must be *behaviourally
-//! indistinguishable*: identical refinements, SLCA result sets, scores
-//! and scan counters (`advances`/`random_accesses` — the cursor advance
-//! sequence collapsed to its invariant), with the whole comparison
-//! repeated for builds at 1 and 3 ingest threads. The store must also
-//! be byte-deterministic across thread counts, which is what keeps the
+//! one `build_streaming` call is persisted and served by a
+//! [`KvBackedIndex`] over that store (compressed lists, DAG document,
+//! packed stat tables). The build is the oracle — no encoder or decoder
+//! has touched it: every `ListHandle` a query's session acquires must
+//! equal the build's list, postings and partition runs, and Algorithm 2
+//! rerun over the session holding the build's lists must give the
+//! engine's outcome (refinements, SLCA result sets, scores and scan
+//! counters all live in its Debug rendering). The whole comparison is
+//! repeated for builds at 1 and 3 ingest threads, and the store must be
+//! byte-deterministic across thread counts, which is what keeps the
 //! maintenance rebuild-diff oracles meaningful.
 
 use datagen::{generate_baseball, generate_dblp, BaseballConfig, DblpConfig};
-use invindex::{build_streaming, persist, KvBackedIndex};
+use invindex::{build_streaming, persist, Index, KvBackedIndex, ListHandle};
 use kvstore::{KvStore, MemKv};
+use std::ops::Range;
 use std::sync::Arc;
-use xrefine::{EngineConfig, XRefineEngine};
+use xrefine::{
+    partition_refine, EngineConfig, PartitionOptions, Query, RefineSession, XRefineEngine,
+};
 
 /// Queries chosen to hit the generator vocabularies (Zipf head terms,
 /// names) plus a guaranteed miss.
@@ -27,6 +31,17 @@ const QUERIES: &[&str] = &[
     "efficient data",
     "absentword",
 ];
+
+/// The partition runs visible through `h`: each run's head and range.
+fn runs(h: &ListHandle) -> Vec<(u64, Range<usize>)> {
+    let mut cursor = h.partition_runs();
+    let mut out = Vec::new();
+    while let Some((head, range)) = cursor.current() {
+        out.push((head, range));
+        cursor.seek(head + 1);
+    }
+    out
+}
 
 /// The full oracle for one document.
 fn check(xml: &str, label: &str) {
@@ -45,23 +60,44 @@ fn check(xml: &str, label: &str) {
             Some(first) => assert_eq!(first, &dump, "{label}: store differs at {threads} threads"),
         }
 
-        // The stored index answers every query exactly as the resident
-        // one it was written from — refinements, SLCA sets, scores and
-        // scan counters all live in the outcome's Debug rendering.
         let stored = KvBackedIndex::open(Box::new(store))
             .unwrap_or_else(|e| panic!("{label}: open ({threads}t): {e}"));
-        let stored = XRefineEngine::from_reader(Arc::new(stored), EngineConfig::default());
-        let resident = XRefineEngine::from_index(built, EngineConfig::default());
+        let engine = XRefineEngine::from_reader(Arc::new(stored), EngineConfig::default());
         for q in QUERIES {
-            let want = resident.answer_detailed(q);
-            let got = stored.answer_detailed(q);
+            let what = format!("{label} ({threads}t) {q:?}");
+            let served = engine.answer_detailed(q);
+            let query = Query::parse(q);
+            let rules = engine.rules_for(&query);
+            let mut session = RefineSession::new(engine.index(), query, rules)
+                .unwrap_or_else(|e| panic!("{what}: session: {e}"));
+            for (keyword, handle) in session.ks.iter().zip(session.lists.iter_mut()) {
+                let want = built_handle(&built, keyword);
+                assert_eq!(handle.postings(), want.postings(), "{what}: {keyword:?}");
+                assert_eq!(runs(handle), runs(&want), "{what}: runs of {keyword:?}");
+                *handle = want;
+            }
+            let oracle = partition_refine(
+                &session,
+                &PartitionOptions {
+                    k: EngineConfig::default().k,
+                    ..Default::default()
+                },
+            );
             assert_eq!(
-                format!("{want:?}"),
-                format!("{got:?}"),
-                "{label} ({threads}t): outcome diverged for query {q:?}"
+                format!("{served:?}"),
+                format!("{:?}", Ok::<_, xrefine::QueryFailure>(oracle)),
+                "{what}: outcome diverged"
             );
         }
     }
+}
+
+/// The build's list for `keyword` as a handle: never encoded or decoded.
+fn built_handle(built: &Index, keyword: &str) -> ListHandle {
+    built
+        .list(keyword)
+        .map(|l| ListHandle::new(Arc::new(l.clone())))
+        .unwrap_or_default()
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! orthogonal to the SLCA computation method — plugging in any of the
 //! four implementations yields identical refinements and results.
 
-use invindex::Index;
+use invindex::{Index, KvBackedIndex};
 use lexicon::RuleSet;
 use std::sync::Arc;
 use xrefine::{partition_refine, sle_refine, PartitionOptions, Query, RefineSession, SleOptions};
@@ -41,7 +41,7 @@ fn render(out: &xrefine::RefineOutcome) -> Vec<(Vec<String>, f64, Vec<String>)> 
 
 #[test]
 fn partition_is_orthogonal_to_the_slca_method() {
-    let idx = Index::build(Arc::new(xmldom::fixtures::figure1()));
+    let idx = KvBackedIndex::from_built(Index::build(Arc::new(xmldom::fixtures::figure1())));
     for q in queries() {
         let mut reference: Option<Vec<_>> = None;
         for (name, method) in methods() {
@@ -72,7 +72,7 @@ fn partition_is_orthogonal_to_the_slca_method() {
 
 #[test]
 fn sle_is_orthogonal_to_the_slca_method() {
-    let idx = Index::build(Arc::new(xmldom::fixtures::figure1()));
+    let idx = KvBackedIndex::from_built(Index::build(Arc::new(xmldom::fixtures::figure1())));
     for q in queries() {
         let mut reference: Option<Vec<_>> = None;
         for (name, method) in methods() {

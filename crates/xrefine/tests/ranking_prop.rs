@@ -1,13 +1,15 @@
 //! Property tests for the ranking model (§IV): structural laws that hold
 //! for any candidate over any corpus.
 
-use invindex::Index;
+use invindex::{Index, KvBackedIndex};
 use std::sync::Arc;
 use xcheck::prop::{check, Gen};
 use xrefine::{Query, Ranker, RankingConfig, RqCandidate};
 
-fn index() -> Arc<Index> {
-    Arc::new(Index::build(Arc::new(xmldom::fixtures::figure1())))
+fn index() -> Arc<KvBackedIndex> {
+    Arc::new(KvBackedIndex::from_built(Index::build(Arc::new(
+        xmldom::fixtures::figure1(),
+    ))))
 }
 
 fn words(g: &mut Gen) -> Vec<String> {

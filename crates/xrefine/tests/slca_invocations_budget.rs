@@ -4,7 +4,7 @@
 //!
 //! One test, its own binary: the counter is process-wide.
 
-use invindex::Index;
+use invindex::{Index, KvBackedIndex};
 use lexicon::RuleSet;
 use std::sync::Arc;
 use xmldom::parse_document;
@@ -36,7 +36,7 @@ fn a_query_costs_its_trials_plus_at_most_k_materialisations() {
         .map(|words| format!("<author><title>{words}</title></author>"))
         .collect();
     let doc = Arc::new(parse_document(&format!("<bib>{authors}</bib>")).unwrap());
-    let index = Index::build(doc);
+    let index = KvBackedIndex::from_built(Index::build(doc));
     let query = Query::from_keywords(["ant", "bee", "cow"]);
     let session = RefineSession::new(&index, query, RuleSet::new()).unwrap();
     let options = PartitionOptions {

@@ -3,19 +3,13 @@
 //! must be well-nested, carry the query's own phases, and show no
 //! cross-thread contamination (the tracer is thread-local by design).
 
-use invindex::{persist, Index, KvBackedIndex};
-use kvstore::MemKv;
 use std::sync::Arc;
 use xmldom::fixtures::figure1;
 use xrefine::{EngineConfig, XRefineEngine};
 
 fn kv_engine() -> Arc<XRefineEngine> {
-    let built = Index::build(Arc::new(figure1()));
-    let mut store = MemKv::new();
-    persist::persist(&built, &mut store).unwrap();
-    let reader = KvBackedIndex::open(Box::new(store)).unwrap();
-    Arc::new(XRefineEngine::from_reader(
-        Arc::new(reader),
+    Arc::new(XRefineEngine::from_document(
+        Arc::new(figure1()),
         EngineConfig::default(),
     ))
 }

@@ -9,8 +9,9 @@
 //! ```
 //!
 //! `--xml` and `--dblp` (the default: a generated corpus, rendered to
-//! XML text first) index through `invindex::build_streaming`, the ingest
-//! path `xrefine-cli index` and the live writer take.
+//! XML text first) index through `XRefineEngine::from_xml`: the
+//! streaming builder `xrefine-cli index` and the live writer take, then
+//! the store format, read back through `KvBackedIndex` as `--store` is.
 //!
 //! Endpoints: `GET /query?q=<keywords>`, `GET /metrics` (Prometheus),
 //! `GET /healthz`, `POST /admin/drain`, and — with `--live` — `POST
@@ -130,7 +131,8 @@ fn build_engine(args: &Args) -> Result<XRefineEngine, String> {
     if let Some(path) = &args.xml {
         eprintln!("indexing {path}");
         let xml = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        return engine_from_xml(&xml, &format!("'{path}'"));
+        return XRefineEngine::from_xml(&xml, EngineConfig::default())
+            .map_err(|e| format!("scan error in '{path}': {e}"));
     }
     eprintln!(
         "no corpus given; generating synthetic DBLP (fraction {})",
@@ -142,15 +144,8 @@ fn build_engine(args: &Args) -> Result<XRefineEngine, String> {
     }
     .scaled(args.dblp_fraction);
     // The XML text a `--xml` file of this corpus would hold.
-    engine_from_xml(&generate_dblp(&config).to_xml(), "the generated corpus")
-}
-
-/// Indexes `xml` through `invindex::build_streaming`, the one ingest
-/// path, and wraps the index in an engine.
-fn engine_from_xml(xml: &str, source: &str) -> Result<XRefineEngine, String> {
-    let index =
-        invindex::build_streaming(xml, 1).map_err(|e| format!("scan error in {source}: {e}"))?;
-    Ok(XRefineEngine::from_index(index, EngineConfig::default()))
+    XRefineEngine::from_xml(&generate_dblp(&config).to_xml(), EngineConfig::default())
+        .map_err(|e| format!("scan error in the generated corpus: {e}"))
 }
 
 fn main() -> ExitCode {
@@ -217,7 +212,9 @@ mod tests {
             authors: 40,
             ..Default::default()
         };
-        let served = engine_from_xml(&generate_dblp(&config).to_xml(), "test").unwrap();
+        let served =
+            XRefineEngine::from_xml(&generate_dblp(&config).to_xml(), EngineConfig::default())
+                .unwrap();
         let reference =
             XRefineEngine::from_document(Arc::new(generate_dblp(&config)), EngineConfig::default());
         let query = "xml keywrd search";

@@ -5,7 +5,8 @@
 //! more than its own connection. Reads happen in short slices
 //! (`min(read_timeout, 100ms)`) so the thread observes drain promptly
 //! even while a peer is idle; a request that stays half-received past
-//! its read budget is answered `408` and the connection closed.
+//! its read budget is answered `408` and the connection closed, however
+//! steadily its bytes trickle in.
 //!
 //! `/query` goes through admission control: a `q` that is missing,
 //! blank, without a single keyword or wider than
@@ -101,10 +102,25 @@ pub fn handle(mut stream: TcpStream, shared: &Arc<Shared>) {
             continue;
         }
 
-        // Not a full frame yet: an idle (nothing buffered) connection
-        // closes as soon as drain begins — after one final read slice
-        // (see `drain_grace_read`); a partial request keeps its read
-        // budget so drain never truncates bytes already in flight.
+        // Not a full frame yet. The read budgets are enforced before every
+        // read, not only after a slice that came back empty: a peer that
+        // trickles a byte per slice is answered `408` on time too.
+        if let Some(t0) = first_byte {
+            if t0.elapsed() >= cfg.read_timeout {
+                obs::counter!("serve_http_errors_total").inc();
+                let resp = Response::error(408, "request not fully received within read_timeout")
+                    .with_close();
+                let _ = http::write_response(&mut stream, &resp, true);
+                return;
+            }
+        } else if idle_since.elapsed() >= cfg.read_timeout {
+            return; // keep-alive idle expiry; close silently
+        }
+
+        // An idle (nothing buffered) connection closes as soon as drain
+        // begins — after one final read slice (see `drain_grace_read`); a
+        // partial request keeps its read budget so drain never truncates
+        // bytes already in flight.
         if shared.draining() && buf.is_empty() {
             if !drain_grace_read {
                 return;
@@ -130,26 +146,13 @@ pub fn handle(mut stream: TcpStream, shared: &Arc<Shared>) {
                     first_byte = Some(Instant::now());
                 }
             }
+            // A read slice expired with no bytes; the budgets are checked
+            // on the next turn.
             Err(e)
                 if matches!(
                     e.kind(),
                     ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) =>
-            {
-                // A read slice expired with no bytes. Enforce budgets.
-                if let Some(t0) = first_byte {
-                    if t0.elapsed() >= cfg.read_timeout {
-                        obs::counter!("serve_http_errors_total").inc();
-                        let resp =
-                            Response::error(408, "request not fully received within read_timeout")
-                                .with_close();
-                        let _ = http::write_response(&mut stream, &resp, true);
-                        return;
-                    }
-                } else if idle_since.elapsed() >= cfg.read_timeout {
-                    return; // keep-alive idle expiry; close silently
-                }
-            }
+                ) => {}
             Err(_) => return,
         }
     }

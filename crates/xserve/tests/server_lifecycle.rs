@@ -1,16 +1,18 @@
 //! End-to-end lifecycle tests for the serving layer: differential
-//! correctness under concurrency, load shedding, graceful drain, the
-//! ISSUE-3 corruption-degradation semantics over HTTP, and a real
-//! SIGTERM delivered to the spawned `xrefine-serve` binary.
+//! correctness under concurrency, load shedding, graceful drain, a
+//! slow client cut off by its read budget, the corruption-degradation
+//! semantics over HTTP, and a real SIGTERM delivered to the spawned
+//! `xrefine-serve` binary.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use invindex::{Index, IndexReader, KeywordId, ListHandle};
+use invindex::{persist, Index, KvBackedIndex};
+use kvstore::{KvStore, MemKv};
 use xmldom::fixtures::figure1;
 use xrefine::{EngineConfig, XRefineEngine};
 use xserve::service::render_outcome;
@@ -363,58 +365,96 @@ fn admin_drain_endpoint_triggers_drain() {
     assert_eq!(handle.join(), 0);
 }
 
-// --------------------------------------- corruption degradation (ISSUE-3)
+// ------------------------------------------------------------ slow client
 
-/// Wraps the resident figure-1 index but serves one keyword's posting
-/// list as a corrupt-page error — the serving-path equivalent of a
-/// store with one damaged frame.
-struct SabotagedReader {
-    inner: Index,
-    bad: KeywordId,
+/// A peer that trickles its head one byte per 50 ms — well inside every
+/// 100 ms read slice — is still answered `408` once its 500 ms read
+/// budget is spent, and meanwhile other clients are served.
+#[test]
+fn a_trickling_client_is_cut_off_by_its_read_budget() {
+    let handle = xserve::start(test_config(), SlowService::new(Duration::ZERO)).expect("start");
+    let addr = handle.addr();
+
+    let mut slow = TcpStream::connect(addr).expect("connect");
+    slow.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut trickle = slow.try_clone().expect("clone");
+    let answered = Arc::new(AtomicBool::new(false));
+    let started = Instant::now();
+    let writer = {
+        let answered = Arc::clone(&answered);
+        thread::spawn(move || {
+            // A head that never ends: one header line, growing forever.
+            let head = b"GET /query?q=x HTTP/1.1\r\nHost: t\r\nX-Slow: ";
+            let bytes = head.iter().chain(std::iter::repeat(&b'a'));
+            for &byte in bytes {
+                let late = started.elapsed() > Duration::from_secs(3);
+                if late || answered.load(Ordering::SeqCst) || trickle.write_all(&[byte]).is_err() {
+                    return;
+                }
+                thread::sleep(Duration::from_millis(50));
+            }
+        })
+    };
+
+    // Meanwhile a well-behaved client is answered at once.
+    let (status, _, body) = get(addr, "/query?q=fast");
+    assert_eq!(status, 200, "{body}");
+
+    let mut raw = Vec::new();
+    let mut tmp = [0u8; 1024];
+    while !raw.windows(4).any(|w| w == b"\r\n\r\n") {
+        match slow.read(&mut tmp) {
+            Ok(n) if n > 0 => raw.extend_from_slice(&tmp[..n]),
+            _ => break,
+        }
+    }
+    let elapsed = started.elapsed();
+    answered.store(true, Ordering::SeqCst);
+    writer.join().expect("writer");
+    let raw = String::from_utf8_lossy(&raw);
+    assert!(raw.starts_with("HTTP/1.1 408"), "{raw:?} after {elapsed:?}");
+    assert!(
+        elapsed < Duration::from_millis(1200),
+        "408 took {elapsed:?} against a 500 ms read budget"
+    );
+    drop(slow);
+    assert_eq!(
+        handle.join(),
+        0,
+        "the slow connection's thread was left behind"
+    );
 }
 
-impl IndexReader for SabotagedReader {
-    fn document(&self) -> &Arc<xmldom::Document> {
-        self.inner.document()
-    }
+// ------------------------------------------------------ corruption degradation
 
-    fn vocabulary(&self) -> &invindex::KeywordTable {
-        self.inner.vocabulary()
-    }
-
-    fn stats(&self) -> &invindex::TypeStats {
-        self.inner.stats()
-    }
-
-    fn list_handle_by_id(&self, k: KeywordId) -> kvstore::Result<ListHandle> {
-        if k == self.bad {
-            return Err(kvstore::KvError::corrupt_page(
-                7,
-                "injected: posting frame checksum mismatch",
-            ));
-        }
-        self.inner.list_handle_by_id(k)
-    }
-
-    fn co_occur(&self, t: xmldom::NodeTypeId, ki: KeywordId, kj: KeywordId) -> u64 {
-        self.inner.co_occur(t, ki, kj)
-    }
+/// Figure 1 served from the store format, with one byte of the `L/`
+/// value of `data` flipped: the damage a query meets on a real store.
+fn figure1_engine_with_damaged_data_list() -> Arc<XRefineEngine> {
+    let index = Index::build(Arc::new(figure1()));
+    let id = index
+        .vocabulary()
+        .get("data")
+        .expect("'data' is in figure 1");
+    let mut store = MemKv::new();
+    persist::persist(&index, &mut store).expect("persist");
+    let key = [&b"L/"[..], &id.0.to_be_bytes()].concat();
+    let mut value = store.get(&key).expect("get").expect("data's list");
+    *value.last_mut().expect("non-empty value") ^= 0xFF;
+    store.put(&key, &value).expect("put");
+    let reader = KvBackedIndex::open(Box::new(store)).expect("open");
+    Arc::new(XRefineEngine::from_reader(
+        Arc::new(reader),
+        EngineConfig::default(),
+    ))
 }
 
 #[test]
 fn corrupt_keyword_fails_its_query_but_not_the_connection() {
-    let index = Index::build(Arc::new(figure1()));
-    let bad = index
-        .vocabulary()
-        .get("data")
-        .expect("'data' is in figure 1");
-    let reader: Arc<dyn IndexReader> = Arc::new(SabotagedReader { inner: index, bad });
-    let engine = Arc::new(XRefineEngine::from_reader(reader, EngineConfig::default()));
+    let engine = figure1_engine_with_damaged_data_list();
     let handle = xserve::start(test_config(), Arc::new(EngineService::new(engine))).expect("start");
 
     let mut client = KeepAlive::connect(handle.addr());
-    // A query touching the damaged original keyword fails — ISSUE-3
-    // semantics: damage to an original query keyword changes what the
+    // A query touching the damaged original keyword fails. Damage to an original query keyword changes what the
     // query means, so *this query* gets a structured 500 …
     let (status, body) = client.get("/query?q=data+base");
     assert_eq!(status, 500, "{body}");

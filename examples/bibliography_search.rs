@@ -37,7 +37,13 @@ fn main() {
         .filter_map(|k| index.vocabulary().get(k))
         .collect();
     println!("\nsearch-for candidates for {q}:");
-    for (t, conf) in infer_search_for(index, &ids, &SearchForConfig::default()) {
+    let candidates = infer_search_for(
+        index.document(),
+        index.stats(),
+        &ids,
+        &SearchForConfig::default(),
+    );
+    for (t, conf) in candidates {
         println!(
             "  {}  (confidence {:.3})",
             doc.node_types().display(t, doc.symbols()),

@@ -7,7 +7,9 @@
 #
 # Suites:
 #   release_smoke  multi-thread smoke tests rerun in release, where
-#                  aggressive reordering gives a data race a real chance
+#                  aggressive reordering gives a data race a real chance,
+#                  and the co-occurrence memo's retry after a failed list
+#                  read
 #   torture        fault-injection + crash-recovery sweeps (release —
 #                  debug builds stride the sweeps for speed), the
 #                  tree-file store against its BTreeMap model (syncs,
@@ -29,8 +31,9 @@
 #   ingest         streaming-vs-DOM ingest differential oracle (byte-
 #                  identical stores) + scanner fuzz sweep
 #   serve          server lifecycle tests (work-conserving queue,
-#                  shedding, drain under load, SIGTERM, corruption-over-
-#                  HTTP)
+#                  shedding, drain under load, a trickling client cut
+#                  off by its read budget, SIGTERM, a corrupt stored
+#                  list over HTTP)
 #   maintenance    online-maintenance guarantees: differential oracle
 #                  (incremental == from-scratch, by both builders), full
 #                  stride-1 power-cut sweep of the updating store
@@ -43,8 +46,9 @@
 #                  list is built), `Dewey` against its component-vector
 #                  model across the inline/heap boundary, block decode's
 #                  per-block allocation budget (no allocation per
-#                  posting), and the stored-vs-resident behavioural
-#                  differential
+#                  posting), and the stored-vs-build differential (every
+#                  list a query reads equals the build's, and so does
+#                  the answer over the build's lists)
 #   bench_e2e      the BENCHMARK.json harness's own tests, built against
 #                  the workspace crates: an API deletion in a measured
 #                  crate that breaks the benchmark fails here, pre-merge
@@ -71,6 +75,7 @@ suite_release_smoke() {
     xcargo test --release -q --test concurrent_engine
     xcargo test --release -q -p invindex --test cache_prop
     xcargo test --release -q -p invindex --test lock_rank
+    xcargo test --release -q -p invindex --lib a_failed_list_read_is_not_memoised
 }
 
 suite_torture() {

@@ -114,7 +114,7 @@ fn persisted_index_supports_the_same_queries() {
     for (k, text) in built.vocabulary().iter() {
         assert_eq!(
             opened.list_handle(text).unwrap().postings(),
-            built.list_by_id(k).as_slice(),
+            built.list(text).unwrap().as_slice(),
             "{text}"
         );
         for t in doc.node_types().iter() {

@@ -27,7 +27,7 @@ fn answer_never_panics_and_keeps_invariants() {
             Algorithm::ShortListEager,
         ] {
             let e = engine(alg);
-            let out = e.answer(&query).expect("resident backend is infallible");
+            let out = e.answer(&query).expect("a healthy store answers");
             // invariants
             if out.original_ok {
                 assert!(!out.refinements.is_empty());
@@ -70,7 +70,7 @@ fn keyword_heavy_queries_stay_bounded() {
         let e = engine(Algorithm::Partition);
         let out = e
             .answer_query(Query::from_keywords(words.iter().map(|s| s.to_string())))
-            .expect("resident backend is infallible");
+            .expect("a healthy store answers");
         assert!(out.refinements.len() <= 2 || out.original_ok);
     });
 }

@@ -7,22 +7,16 @@ use std::sync::Arc;
 use xrefine_repro::datagen::{
     generate_dblp, generate_workload, DblpConfig, PerturbKind, WorkloadConfig,
 };
-use xrefine_repro::invindex::Index;
 use xrefine_repro::prelude::*;
 use xrefine_repro::xrefine::{
     partition_refine, sle_refine, stack_refine, PartitionOptions, RefineSession, SleOptions,
 };
 
-fn setup() -> (
-    Arc<xrefine_repro::xmldom::Document>,
-    Index,
-    Vec<Vec<String>>,
-) {
+fn setup() -> (Arc<xrefine_repro::xmldom::Document>, Vec<Vec<String>>) {
     let doc = Arc::new(generate_dblp(&DblpConfig {
         authors: 60,
         ..Default::default()
     }));
-    let index = Index::build(Arc::clone(&doc));
     let queries: Vec<Vec<String>> = generate_workload(
         &doc,
         &WorkloadConfig {
@@ -33,21 +27,21 @@ fn setup() -> (
     .into_iter()
     .map(|q| q.keywords)
     .collect();
-    (doc, index, queries)
+    (doc, queries)
 }
 
-fn session<'a>(engine: &XRefineEngine, index: &'a Index, keywords: &[String]) -> RefineSession<'a> {
+fn session<'a>(engine: &'a XRefineEngine, keywords: &[String]) -> RefineSession<'a> {
     let q = Query::from_keywords(keywords.iter().cloned());
     let rules = engine.rules_for(&q);
-    RefineSession::new(index, q, rules).expect("resident backend is infallible")
+    RefineSession::new(engine.index(), q, rules).expect("a healthy store answers")
 }
 
 #[test]
 fn theorem1_stack_refine_is_one_scan() {
-    let (doc, index, queries) = setup();
+    let (doc, queries) = setup();
     let engine = XRefineEngine::from_document(doc, EngineConfig::default());
     for keywords in &queries {
-        let s = session(&engine, &index, keywords);
+        let s = session(&engine, keywords);
         let budget = s.total_list_len() as u64;
         let out = stack_refine(&s);
         assert!(
@@ -61,10 +55,10 @@ fn theorem1_stack_refine_is_one_scan() {
 
 #[test]
 fn theorem2_partition_is_one_scan() {
-    let (doc, index, queries) = setup();
+    let (doc, queries) = setup();
     let engine = XRefineEngine::from_document(doc, EngineConfig::default());
     for keywords in &queries {
-        let s = session(&engine, &index, keywords);
+        let s = session(&engine, keywords);
         let budget = s.total_list_len() as u64;
         let out = partition_refine(
             &s,
@@ -87,11 +81,11 @@ fn sle_probes_instead_of_merging() {
     // SLE's distinguishing access pattern: it walks chosen anchor lists
     // sequentially and reaches the other lists by *random-access probes*
     // (stack-refine and partition perform zero random accesses).
-    let (doc, index, queries) = setup();
+    let (doc, queries) = setup();
     let engine = XRefineEngine::from_document(doc, EngineConfig::default());
     let mut probed = 0u64;
     for keywords in &queries {
-        let s = session(&engine, &index, keywords);
+        let s = session(&engine, keywords);
         let out = sle_refine(
             &s,
             &SleOptions {
@@ -116,21 +110,21 @@ fn sle_probes_instead_of_merging() {
 
 #[test]
 fn all_three_algorithms_agree_on_optimal_dissimilarity() {
-    let (doc, index, queries) = setup();
+    let (doc, queries) = setup();
     let engine = XRefineEngine::from_document(doc, EngineConfig::default());
     let mut agreements = 0usize;
     let mut total = 0usize;
     for keywords in queries.iter().take(12) {
-        let a = stack_refine(&session(&engine, &index, keywords));
+        let a = stack_refine(&session(&engine, keywords));
         let b = partition_refine(
-            &session(&engine, &index, keywords),
+            &session(&engine, keywords),
             &PartitionOptions {
                 k: 2,
                 ..Default::default()
             },
         );
         let c = sle_refine(
-            &session(&engine, &index, keywords),
+            &session(&engine, keywords),
             &SleOptions {
                 k: 2,
                 ..Default::default()

@@ -37,10 +37,17 @@ fn reference_slcas(index: &Index, session: &RefineSession<'_>, keywords: &[Strin
     expected
 }
 
-/// Runs both algorithms and returns a description of every refinement
-/// whose results differ from the reference.
-fn mismatches(index: &Index, query: &Query, rules: &RuleSet, k: usize) -> Vec<String> {
-    let session = |q: &Query| RefineSession::new(index, q.clone(), rules.clone()).unwrap();
+/// Runs both algorithms through `engine` and returns a description of
+/// every refinement whose results differ from the reference over the
+/// build `index`.
+fn mismatches(
+    engine: &XRefineEngine,
+    index: &Index,
+    query: &Query,
+    rules: &RuleSet,
+    k: usize,
+) -> Vec<String> {
+    let session = |q: &Query| RefineSession::new(engine.index(), q.clone(), rules.clone()).unwrap();
     let partition = {
         let s = session(query);
         partition_refine(
@@ -111,7 +118,7 @@ fn every_refinement_carries_its_complete_result_set() {
             let query = Query::from_keywords(q.keywords.iter().cloned());
             let rules = engine.rules_for(&query);
             for k in [1, 3] {
-                let found = mismatches(&index, &query, &rules, k);
+                let found = mismatches(&engine, &index, &query, &rules, k);
                 refined += 1;
                 wrong.extend(
                     found
@@ -162,8 +169,9 @@ fn an_evicted_candidate_is_never_materialised() {
     let xml = bib("", &["ant", "bee", "ant bee", "ant cow", "bee", "ant"]);
     let doc = Arc::new(parse_document(&xml).unwrap());
     let index = Index::build(Arc::clone(&doc));
+    let engine = XRefineEngine::from_document(doc, EngineConfig::default());
     let query = Query::from_keywords(["ant", "bee", "cow"]);
-    let session = RefineSession::new(&index, query, RuleSet::new()).unwrap();
+    let session = RefineSession::new(engine.index(), query, RuleSet::new()).unwrap();
 
     let before = slca_invocations();
     let out = partition_refine(&session, &PartitionOptions::default());
@@ -196,12 +204,13 @@ fn a_keyword_on_the_document_root_adds_no_result() {
         index.list("ant").unwrap().as_slice()[0].dewey,
         Dewey::root()
     );
+    let engine = XRefineEngine::from_document(doc, EngineConfig::default());
     let query = Query::from_keywords(["ant", "bee"]);
     for k in [1, 3] {
-        let wrong = mismatches(&index, &query, &RuleSet::new(), k);
+        let wrong = mismatches(&engine, &index, &query, &RuleSet::new(), k);
         assert!(wrong.is_empty(), "{wrong:?}");
     }
-    let session = RefineSession::new(&index, query, RuleSet::new()).unwrap();
+    let session = RefineSession::new(engine.index(), query, RuleSet::new()).unwrap();
     let out = partition_refine(&session, &PartitionOptions::default());
     assert!(out.original_ok);
     let slcas: Vec<String> = out

@@ -7,7 +7,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 use xrefine_repro::datagen::{generate_dblp, DblpConfig};
-use xrefine_repro::invindex::{Index, IndexReader, ListHandle};
+use xrefine_repro::invindex::{Index, ListHandle};
 use xrefine_repro::prelude::*;
 use xrefine_repro::slca::{slca_scan_eager, MeaningfulFilter, SearchForConfig};
 use xrefine_repro::xrefine::{brute_force_rqs, partition_refine, PartitionOptions, RefineSession};
@@ -21,7 +21,7 @@ fn reference_topk(
     k: usize,
 ) -> Vec<(Vec<String>, f64)> {
     // availability = the whole document vocabulary
-    let avail = |w: &str| index.contains_keyword(w);
+    let avail = |w: &str| index.list(w).is_some();
     let all = brute_force_rqs(query, &avail, rules);
 
     let ids: Vec<_> = query
@@ -38,12 +38,20 @@ fn reference_topk(
     } else {
         ids
     };
-    let filter = MeaningfulFilter::infer(index, &ids, &SearchForConfig::default());
+    let filter = MeaningfulFilter::infer(
+        index.document(),
+        index.stats(),
+        &ids,
+        &SearchForConfig::default(),
+    );
 
     let mut kept: Vec<(Vec<String>, f64)> = Vec::new();
     for cand in all {
         let lists: Vec<ListHandle> = (cand.keywords.iter())
-            .map(|w| index.list_handle(w).expect("resident"))
+            .map(|w| {
+                let list = index.list(w).map(|l| l.as_slice().to_vec());
+                ListHandle::from_postings(list.unwrap_or_default())
+            })
             .collect();
         let slcas = filter.filter(slca_scan_eager(&lists));
         if !slcas.is_empty() {
@@ -84,7 +92,7 @@ fn partition_topk_matches_exhaustive_reference() {
         let k = 2;
 
         let reference = reference_topk(&index, &query, &rules, k);
-        let session = RefineSession::new(&index, query, rules).unwrap();
+        let session = RefineSession::new(engine.index(), query, rules).unwrap();
         let out = partition_refine(
             &session,
             &PartitionOptions {
