@@ -9,7 +9,7 @@
 
 use bench::{dblp, f3, Table};
 use datagen::{generate_workload, PerturbKind, WorkloadConfig};
-use invindex::{Index, IndexReader, KvBackedIndex, ListHandle};
+use invindex::{Index, KvBackedIndex, ListHandle};
 use slca::{needs_refinement, slca_scan_eager, MeaningfulFilter, SearchForConfig};
 use std::sync::Arc;
 use xrefine::Query;

@@ -165,7 +165,7 @@ impl Lru {
     }
 }
 
-/// The list cache: one [`Lru`] behind the `cache.lru` mutex. All methods
+/// The list cache: one `Lru` behind the `cache.lru` mutex. All methods
 /// take `&self`.
 pub struct ListCache {
     lru: Mutex<Lru>,

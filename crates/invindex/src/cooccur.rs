@@ -10,7 +10,8 @@
 //! while avoiding the quadratic build; `DESIGN.md` records the
 //! substitution and the ablation bench measures the trade-off.
 
-use crate::reader::{typed_ancestors_in, IndexReader};
+use crate::kvindex::KvBackedIndex;
+use crate::reader::typed_ancestors_in;
 use crate::stats::KeywordId;
 use obs::lockrank::rank;
 use obs::sync::Mutex;
@@ -53,7 +54,7 @@ impl CoOccurrence {
     /// call reads the list again.
     pub fn co_occur(
         &self,
-        reader: &dyn IndexReader,
+        reader: &KvBackedIndex,
         t: NodeTypeId,
         ki: KeywordId,
         kj: KeywordId,
@@ -80,7 +81,7 @@ impl CoOccurrence {
 
     fn typed_ancestors(
         &self,
-        reader: &dyn IndexReader,
+        reader: &KvBackedIndex,
         k: KeywordId,
         t: NodeTypeId,
     ) -> kvstore::Result<Arc<Vec<Dewey>>> {

@@ -20,18 +20,14 @@ use xmldom::{tokenize, Document};
 /// [`crate::KvBackedIndex::from_built`] or reads it back from a store
 /// [`crate::persist::persist`] wrote. Its lists are the differential
 /// oracle the stored path is checked against.
-pub struct InMemoryIndex {
+pub struct Index {
     doc: Arc<Document>,
     vocab: KeywordTable,
     lists: Vec<PostingList>,
     stats: TypeStats,
 }
 
-/// Short name of [`InMemoryIndex`], the one the `Index::build` call sites
-/// use.
-pub type Index = InMemoryIndex;
-
-impl InMemoryIndex {
+impl Index {
     /// Builds the index over `doc`.
     pub fn build(doc: Arc<Document>) -> Self {
         let num_types = doc.node_types().len();
@@ -105,7 +101,7 @@ impl InMemoryIndex {
             }
         }
 
-        InMemoryIndex::from_parts(doc, vocab, lists, stats)
+        Index::from_parts(doc, vocab, lists, stats)
     }
 
     pub fn document(&self) -> &Arc<Document> {
@@ -133,7 +129,7 @@ impl InMemoryIndex {
         lists: Vec<PostingList>,
         stats: TypeStats,
     ) -> Self {
-        InMemoryIndex {
+        Index {
             doc,
             vocab,
             lists,
@@ -155,7 +151,7 @@ impl InMemoryIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reader::{typed_ancestors_in, IndexReader};
+    use crate::reader::typed_ancestors_in;
     use crate::KvBackedIndex;
     use xmldom::fixtures::figure1;
     use xmldom::NodeTypeId;

@@ -1,4 +1,4 @@
-//! The one [`IndexReader`]: every engine answers through [`KvBackedIndex`].
+//! The one index reader: every engine answers through [`KvBackedIndex`].
 //!
 //! [`KvBackedIndex`] opens a persisted index (see [`crate::persist`])
 //! and serves queries without rehydrating the posting lists. An index
@@ -35,7 +35,7 @@ use crate::cache::{CacheStats, ListCache};
 use crate::cooccur::CoOccurrence;
 use crate::index::Index;
 use crate::persist;
-use crate::reader::{IndexReader, ListHandle};
+use crate::reader::ListHandle;
 use crate::stats::{KeywordId, KeywordTable, TypeStats};
 use kvstore::{KvError, KvStore, MemKv, Result, Snapshot};
 use std::sync::Arc;
@@ -44,8 +44,11 @@ use xmldom::{Document, NodeTypeId};
 /// Default list-cache budget: 64 MiB of encoded list bytes.
 pub const DEFAULT_CACHE_BUDGET: usize = 64 << 20;
 
-/// An [`IndexReader`] over a persisted index: posting lists decode
-/// lazily from kvstore pages on first touch.
+/// The index reader the query layers consume: vocabulary lookup,
+/// frequency statistics, co-occurrence counts and posting-list
+/// acquisition over a stored index, whose posting lists decode lazily
+/// from kvstore pages on first touch. List acquisition is fallible;
+/// statistics access is not, because they load up front.
 pub struct KvBackedIndex {
     doc: Arc<Document>,
     vocab: KeywordTable,
@@ -149,22 +152,39 @@ impl KvBackedIndex {
     pub fn store_dump(&self) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         self.store.scan_range(b"", None)
     }
-}
 
-impl IndexReader for KvBackedIndex {
-    fn document(&self) -> &Arc<Document> {
+    /// The indexed document.
+    pub fn document(&self) -> &Arc<Document> {
         &self.doc
     }
 
-    fn vocabulary(&self) -> &KeywordTable {
+    /// The keyword vocabulary.
+    pub fn vocabulary(&self) -> &KeywordTable {
         &self.vocab
     }
 
-    fn stats(&self) -> &TypeStats {
+    /// Per-node-type frequency statistics.
+    pub fn stats(&self) -> &TypeStats {
         &self.stats
     }
 
-    fn list_handle_by_id(&self, k: KeywordId) -> Result<ListHandle> {
+    /// True when the keyword occurs in the document.
+    pub fn contains_keyword(&self, keyword: &str) -> bool {
+        self.vocab.get(keyword).is_some()
+    }
+
+    /// Acquires the posting list for a keyword; unknown keywords yield
+    /// the empty handle.
+    pub fn list_handle(&self, keyword: &str) -> Result<ListHandle> {
+        match self.vocab.get(keyword) {
+            Some(k) => self.list_handle_by_id(k),
+            None => Ok(ListHandle::empty()),
+        }
+    }
+
+    /// Acquires the posting list for a keyword id. Fallible: the store
+    /// can hit I/O errors or corrupt pages.
+    pub fn list_handle_by_id(&self, k: KeywordId) -> Result<ListHandle> {
         if k.0 as usize >= self.vocab.len() {
             return Ok(ListHandle::empty());
         }
@@ -207,11 +227,17 @@ impl IndexReader for KvBackedIndex {
         Ok(ListHandle::new(list))
     }
 
-    fn co_occur(&self, t: NodeTypeId, ki: KeywordId, kj: KeywordId) -> u64 {
+    /// Joint containment count `|{t-typed nodes containing ki and kj}|`
+    /// (Formula 8's numerator). Storage errors degrade to `0` — the
+    /// count only weights ranking, never correctness.
+    pub fn co_occur(&self, t: NodeTypeId, ki: KeywordId, kj: KeywordId) -> u64 {
         self.cooccur.co_occur(self, t, ki, kj)
     }
 
-    fn cache_stats(&self) -> Option<CacheStats> {
+    /// List-cache counters, for serving drivers to report cache
+    /// effectiveness. Always `Some`: the `Option` stays only because
+    /// `bench_e2e` reads it with `.map_or(..)`.
+    pub fn cache_stats(&self) -> Option<CacheStats> {
         Some(self.cache.stats())
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! * [`postings`]: document-ordered posting lists, serialized blocked
 //!   and front-coded behind a per-block skip table ([`CompressedList`]);
-//! * [`reader`]: the [`IndexReader`] trait and [`ListHandle`] — the
-//!   read path every query layer consumes;
-//! * [`index`]: the one-pass DOM index builder; the [`InMemoryIndex`]
-//!   it (and [`stream`]) returns is the build product and the
-//!   differential oracle, never queried directly;
+//! * [`reader`]: [`ListHandle`], the shared view over a decoded posting
+//!   list that every query layer consumes;
+//! * [`index`]: the one-pass DOM index builder; the [`Index`] it (and
+//!   [`stream`]) returns is the build product and the differential
+//!   oracle, never queried directly;
 //! * [`kvindex`]: [`KvBackedIndex`], the one reader every engine
 //!   answers through — lists materialized lazily from the store format
 //!   in a [`kvstore::KvStore`], persisted or encoded in memory from a
@@ -42,11 +42,11 @@ pub mod stream;
 
 pub use cache::{CacheStats, ListCache};
 pub use cursor::{ListCursor, ScanStats, HEAD_AT_END, HEAD_AT_ROOT};
-pub use index::{InMemoryIndex, Index};
+pub use index::Index;
 pub use kvindex::KvBackedIndex;
 pub use maint::{MaintIndex, MaintOp, MaintReport};
 pub use persist::{verify_store, IntegrityReport, SectionReport};
 pub use postings::{BlockMeta, CompressedList, Posting, PostingList, BLOCK_POSTINGS};
-pub use reader::{gallop, IndexReader, ListHandle, PartitionRuns};
+pub use reader::{gallop, ListHandle, PartitionRuns};
 pub use stats::{KeywordId, KeywordTable, TypeStats};
 pub use stream::build_streaming;

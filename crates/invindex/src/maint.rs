@@ -60,7 +60,6 @@ use crate::cache::ListCache;
 use crate::kvindex::{KvBackedIndex, DEFAULT_CACHE_BUDGET};
 use crate::persist;
 use crate::postings::{read_varint, write_varint};
-use crate::reader::IndexReader;
 use crate::stream::build_streaming;
 use kvstore::{BatchOp, DurableKv, KvError, KvStore, MemKv, Result, StdVfs, Vfs};
 use obs::lockrank::rank;

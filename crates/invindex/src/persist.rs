@@ -21,7 +21,7 @@
 //! byte in any stored value is detected at decode time, not interpreted.
 //! Corruption of any entry yields [`KvError::Corrupt`], never a panic.
 //! How a value is framed and encoded is known to this module and
-//! [`crate::postings`] alone; [`read_version`] is the one place a store
+//! [`crate::postings`] alone; `read_version` is the one place a store
 //! written by another build is recognised, and it refuses it.
 //!
 //! Node-type and keyword ids are deterministic for a given document (both
@@ -807,7 +807,6 @@ fn decode_varint_vec(bytes: &[u8]) -> Result<Vec<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reader::IndexReader;
     use crate::KvBackedIndex;
     use kvstore::MemKv;
     use std::sync::Arc;

@@ -58,7 +58,7 @@ pub(crate) fn partition_key(dewey: &Dewey) -> u64 {
 /// One maximal run of a list's postings that share a partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionRun {
-    /// The run's [`partition_key`]: what
+    /// The run's `partition_key`: what
     /// [`ListCursor::head_partition`](crate::ListCursor::head_partition)
     /// reports while the cursor stands in it.
     pub head: u64,

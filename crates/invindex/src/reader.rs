@@ -1,22 +1,12 @@
-//! The index read path.
+//! The index read path's currency.
 //!
-//! [`IndexReader`] is the contract the query layers (refinement, ranking,
-//! narrowing) consume: vocabulary lookup, frequency statistics,
-//! co-occurrence counts and posting-list acquisition. It has one
-//! implementor, [`crate::KvBackedIndex`]: lists materialized lazily from
-//! the store format through an LRU byte-budget cache, whether the store
-//! was persisted or encoded in memory from a fresh build.
-//! [`crate::InMemoryIndex`] is the build product and the tests' oracle;
-//! it reads nothing back.
-//!
-//! [`ListHandle`] is the currency between the reader and the
-//! algorithms: a cheap, clonable, `Arc`-shared view over a decoded
-//! posting list. Handles stay valid after cache eviction (the `Arc`
-//! keeps the decoded list alive), so scans never observe a list
-//! disappearing under them.
+//! [`ListHandle`] is what [`crate::KvBackedIndex`], the one reader the
+//! query layers (refinement, ranking, narrowing) consume, hands out: a
+//! cheap, clonable, `Arc`-shared view over a decoded posting list.
+//! Handles stay valid after cache eviction (the `Arc` keeps the decoded
+//! list alive), so scans never observe a list disappearing under them.
 
 use crate::postings::{PartitionRun, Posting, PostingList};
-use crate::stats::{KeywordId, KeywordTable, TypeStats};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use xmldom::{Dewey, Document, NodeTypeId};
@@ -213,63 +203,6 @@ impl AsRef<[Posting]> for ListHandle {
         self.postings()
     }
 }
-
-/// Read access to an inverted index.
-///
-/// List acquisition is fallible (the store can hit I/O errors or corrupt
-/// pages). Statistics access is infallible because the reader loads the
-/// (small) statistic tables up front.
-pub trait IndexReader: Send + Sync {
-    /// The indexed document.
-    fn document(&self) -> &Arc<Document>;
-
-    /// The keyword vocabulary.
-    fn vocabulary(&self) -> &KeywordTable;
-
-    /// Per-node-type frequency statistics.
-    fn stats(&self) -> &TypeStats;
-
-    /// Acquires the posting list for a keyword id.
-    fn list_handle_by_id(&self, k: KeywordId) -> kvstore::Result<ListHandle>;
-
-    /// Joint containment count `|{t-typed nodes containing ki and kj}|`
-    /// (Formula 8's numerator). Storage errors degrade to `0` — the
-    /// count only weights ranking, never correctness.
-    fn co_occur(&self, t: NodeTypeId, ki: KeywordId, kj: KeywordId) -> u64;
-
-    /// Resolves a keyword to its id, if indexed.
-    fn keyword_id(&self, keyword: &str) -> Option<KeywordId> {
-        self.vocabulary().get(keyword)
-    }
-
-    /// Acquires the posting list for a keyword; unknown keywords yield
-    /// the empty handle.
-    fn list_handle(&self, keyword: &str) -> kvstore::Result<ListHandle> {
-        match self.keyword_id(keyword) {
-            Some(k) => self.list_handle_by_id(k),
-            None => Ok(ListHandle::empty()),
-        }
-    }
-
-    /// True when the keyword occurs in the document.
-    fn contains_keyword(&self, keyword: &str) -> bool {
-        self.keyword_id(keyword).is_some()
-    }
-
-    /// List-cache counters. Serving drivers use this to report cache
-    /// effectiveness without downcasting.
-    fn cache_stats(&self) -> Option<crate::cache::CacheStats>;
-}
-
-// The whole query path is built on shared readers: one engine, many
-// serving threads. Keep the trait object itself `Send + Sync` — if this
-// stops compiling, the reader grew thread-unsafe state.
-const _: () = {
-    fn _assert_send_sync<T: Send + Sync + ?Sized>() {}
-    fn _check() {
-        _assert_send_sync::<dyn IndexReader>();
-    }
-};
 
 /// Distinct `t`-typed ancestors-or-self of the postings, in document
 /// order — the sets whose intersections the co-occurrence statistics

@@ -31,7 +31,7 @@
 //!    keyword ids, posting lists and therefore persisted store bytes
 //!    are identical to the DOM path regardless of thread count.
 //! 4. **Frequency tables** (parallel): `tf(k, T)` and `f^T_k` in one
-//!    fused ancestor walk per posting via the shared [`crate::dfpass`],
+//!    fused ancestor walk per posting via the shared `dfpass` module,
 //!    consuming the per-posting occurrence counts recorded by the merge.
 //!
 //! Peak memory is the input buffer plus the span arrays (dropped before

@@ -15,7 +15,7 @@
 //! the exact same state.
 
 use invindex::maint::{MaintIndex, MaintOp, MAINT_KEY};
-use invindex::reader::{typed_ancestors_in, IndexReader};
+use invindex::reader::typed_ancestors_in;
 use invindex::{build_streaming, persist, Index};
 use kvstore::{DiskKv, DurableKv, FaultVfs, KvStore, MemKv, Vfs};
 use std::collections::BTreeMap;

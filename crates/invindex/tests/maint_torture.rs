@@ -30,7 +30,7 @@
 //! this guarantee visible).
 
 use invindex::maint::{MaintIndex, MaintOp};
-use invindex::{build_streaming, persist, IndexReader};
+use invindex::{build_streaming, persist};
 use kvstore::{DiskKv, Fault, FaultVfs, KvStore, SurvivalMode, Vfs};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};

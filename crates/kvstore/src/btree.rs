@@ -16,7 +16,7 @@
 //!   otherwise the payload is the `vinfo`-byte inline value;
 //! * **overflow**: `\[3\][next:u64][len:u16][data]`.
 //!
-//! A tree is never updated in place. [`build`] writes a whole file from
+//! A tree is never updated in place. `build` writes a whole file from
 //! entries in ascending key order, each page once: packed, chained
 //! leaves (each filled until the next entry would not fit) with the
 //! overflow chains of their big values, then the branch levels bottom

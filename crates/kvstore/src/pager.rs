@@ -2,7 +2,7 @@
 //! addressed by [`PageId`].
 //!
 //! A tree file is written once, front to back, by the B+-tree builder
-//! (`btree::build`) through [`FilePager::write`], and only read after
+//! (`btree::build`) through `FilePager::write`, and only read after
 //! that: there is no page cache, no free list and no in-place update —
 //! a store changes by writing a whole new file and renaming it over the
 //! old one (see `store::DiskKv::sync`).

@@ -5,7 +5,7 @@
 //! does not hold yet (`Some(v)` = put, `None` = delete). This module is
 //! the only place the two are laid over each other: point reads, scans,
 //! the live-entry count and the stream a sync feeds the tree builder
-//! ([`merge`]) all go through the functions below, whether the caller is
+//! (`merge`) all go through the functions below, whether the caller is
 //! a pinned reader, a [`DiskKv`](crate::store::DiskKv) between syncs,
 //! the writer's own [`DurableKv`](crate::durable::DurableKv) or a
 //! read-only open.

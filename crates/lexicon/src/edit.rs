@@ -72,7 +72,7 @@ const MAX_BANDED: usize = 8;
 
 /// `Some(distance)` if `damerau_levenshtein(a, b) <= max`, else `None`.
 ///
-/// Runs the banded DP of [`banded_distance`] for any bound up to 8: over
+/// Runs the banded DP of `banded_distance` for any bound up to 8: over
 /// bytes when both words are ASCII — without allocating, whatever their
 /// length — and over collected `char`s otherwise.
 pub fn within_distance(a: &str, b: &str, max: usize) -> Option<usize> {

@@ -5,7 +5,7 @@
 //! Every engine answers through a [`KvBackedIndex`]: one built in memory
 //! is taken over by [`KvBackedIndex::from_built`], so its lists are read
 //! from the store format, checked, decoded and cached exactly as from a
-//! store on disk. The engine holds the reader as an `Arc<dyn IndexReader>`.
+//! store on disk. The engine holds the reader as an `Arc<KvBackedIndex>`.
 
 use crate::partition::{partition_refine, PartitionOptions, SlcaMethod};
 use crate::query::Query;
@@ -14,7 +14,7 @@ use crate::results::{QueryFailure, RefineOutcome};
 use crate::session::RefineSession;
 use crate::sle::{sle_refine, SleOptions};
 use crate::stack_refine::stack_refine;
-use invindex::{Index, IndexReader, KvBackedIndex, ListHandle};
+use invindex::{Index, KvBackedIndex, ListHandle};
 use lexicon::{generate_rules, AcronymTable, RuleSet, Thesaurus, VocabIndex};
 use slca::SearchForConfig;
 use std::path::Path;
@@ -56,7 +56,7 @@ impl Default for EngineConfig {
 
 /// The XRefine prototype engine.
 pub struct XRefineEngine {
-    reader: Arc<dyn IndexReader>,
+    reader: Arc<KvBackedIndex>,
     vocab: VocabIndex,
     thesaurus: Thesaurus,
     acronyms: AcronymTable,
@@ -83,7 +83,7 @@ impl XRefineEngine {
 
     /// Wraps an opened reader (a persisted store, or one with a custom
     /// cache budget).
-    pub fn from_reader(reader: Arc<dyn IndexReader>, config: EngineConfig) -> Self {
+    pub fn from_reader(reader: Arc<KvBackedIndex>, config: EngineConfig) -> Self {
         let vocab = VocabIndex::new(reader.vocabulary().iter().map(|(_, w)| w));
         XRefineEngine {
             reader,
@@ -123,8 +123,8 @@ impl XRefineEngine {
         self
     }
 
-    pub fn index(&self) -> &dyn IndexReader {
-        self.reader.as_ref()
+    pub fn index(&self) -> &KvBackedIndex {
+        &self.reader
     }
 
     pub fn document(&self) -> &Arc<Document> {

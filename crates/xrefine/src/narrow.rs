@@ -12,7 +12,7 @@
 
 use crate::query::{Query, RqCandidate};
 use crate::results::Refinement;
-use invindex::{IndexReader, ListHandle};
+use invindex::{KvBackedIndex, ListHandle};
 use slca::{slca_scan_eager, MeaningfulFilter, SearchForConfig};
 use std::collections::HashMap;
 use xmldom::tokenize;
@@ -54,10 +54,10 @@ pub struct Narrowing {
 /// Attempts to narrow `query`. Returns `Ok(None)` when the query does
 /// not have "too many" meaningful results (nothing to do),
 /// `Ok(Some(vec![]))` when it does but no single added keyword brings it
-/// under the threshold. Storage errors from a kv-backed reader surface
-/// as `Err`.
+/// under the threshold. Storage errors from the reader surface as
+/// `Err`.
 pub fn narrow_refine(
-    index: &dyn IndexReader,
+    index: &KvBackedIndex,
     query: &Query,
     options: &NarrowOptions,
 ) -> kvstore::Result<Option<Vec<Narrowing>>> {

@@ -12,7 +12,7 @@
 //! Top-K.
 //!
 //! **Admit once, rank, materialise what is returned.** Every distinct
-//! candidate the DP proposes is interned once per session ([`DpMemo`]);
+//! candidate the DP proposes is interned once per session (`DpMemo`);
 //! the list and the admission records are keyed by that id. From the
 //! moment a candidate is admitted it costs one membership test per
 //! partition: its per-keyword list offsets at admission are recorded,

@@ -7,7 +7,7 @@
 //! RS1–RS4 of Table IX; α/β are the tunables of Table X.
 
 use crate::query::{Query, RqCandidate};
-use invindex::{IndexReader, KeywordId};
+use invindex::{KeywordId, KvBackedIndex};
 use slca::{infer_search_for, SearchForConfig};
 use std::collections::BTreeSet;
 use xmldom::NodeTypeId;
@@ -79,7 +79,7 @@ impl RankingConfig {
 /// and co-occurrence queries go through the reader — no posting lists are
 /// materialized by ranking itself.
 pub struct Ranker<'a> {
-    index: &'a dyn IndexReader,
+    index: &'a KvBackedIndex,
     config: RankingConfig,
     /// The query's keywords, sorted and deduplicated.
     query_set: Vec<String>,
@@ -88,7 +88,7 @@ pub struct Ranker<'a> {
 }
 
 impl<'a> Ranker<'a> {
-    pub fn new(index: &'a dyn IndexReader, query: &Query, config: RankingConfig) -> Self {
+    pub fn new(index: &'a KvBackedIndex, query: &Query, config: RankingConfig) -> Self {
         let ids: Vec<KeywordId> = query
             .keywords()
             .iter()

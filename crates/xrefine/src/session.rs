@@ -8,7 +8,7 @@
 use crate::dp::DpPlan;
 use crate::query::Query;
 use crate::results::{DegradedKeyword, QueryFailure};
-use invindex::{IndexReader, ListHandle, ScanStats};
+use invindex::{KvBackedIndex, ListHandle, ScanStats};
 use lexicon::RuleSet;
 use slca::{MeaningfulFilter, SearchForConfig};
 use std::collections::HashMap;
@@ -17,10 +17,10 @@ use std::sync::Arc;
 /// Everything a refinement algorithm needs for one query.
 ///
 /// Construction acquires one [`ListHandle`] per `KS` keyword through the
-/// [`IndexReader`], so the reader decodes exactly the lists this query
+/// [`KvBackedIndex`], so the reader decodes exactly the lists this query
 /// can touch — nothing else.
 pub struct RefineSession<'a> {
-    pub index: &'a dyn IndexReader,
+    pub index: &'a KvBackedIndex,
     pub query: Query,
     pub rules: RuleSet,
     /// `KS`: query keywords first (deduplicated), then rule-generated
@@ -48,7 +48,7 @@ pub struct RefineSession<'a> {
 
 impl<'a> RefineSession<'a> {
     pub fn new(
-        index: &'a dyn IndexReader,
+        index: &'a KvBackedIndex,
         query: Query,
         rules: RuleSet,
     ) -> Result<Self, QueryFailure> {
@@ -56,7 +56,7 @@ impl<'a> RefineSession<'a> {
     }
 
     pub fn with_search_for(
-        index: &'a dyn IndexReader,
+        index: &'a KvBackedIndex,
         query: Query,
         rules: RuleSet,
         search_for: &SearchForConfig,

@@ -47,7 +47,7 @@ struct Args {
     config: ServeConfig,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         store: None,
         live: false,
@@ -55,41 +55,35 @@ fn parse_args() -> Result<Args, String> {
         dblp_fraction: 0.05,
         config: ServeConfig::default(),
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
-        let mut val = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match flag.as_str() {
-            "--store" => args.store = Some(val("--store")?),
+        let mut val = || it.next().ok_or_else(|| format!("{flag} requires a value"));
+        let name = flag.as_str();
+        match name {
+            "--store" => args.store = Some(val()?),
             "--live" => args.live = true,
-            "--xml" => args.xml = Some(val("--xml")?),
+            "--xml" => args.xml = Some(val()?),
             "--dblp" => {
-                args.dblp_fraction = val("--dblp")?
+                args.dblp_fraction = val()?
                     .parse()
                     .map_err(|_| "--dblp takes a fraction, e.g. 0.05".to_string())?
             }
-            "--addr" => args.config.addr = val("--addr")?,
-            "--workers" => args.config.workers = parse_num(&val("--workers")?, "--workers")?,
-            "--queue-cap" => {
-                args.config.queue_capacity = parse_num(&val("--queue-cap")?, "--queue-cap")?
-            }
+            "--addr" => args.config.addr = val()?,
+            "--workers" => args.config.workers = parse_num(&val()?, name)?,
+            "--queue-cap" => args.config.queue_capacity = parse_num(&val()?, name)?,
             "--max-conns" => {
-                args.config.max_connections = parse_num(&val("--max-conns")?, "--max-conns")?
+                args.config.max_connections = positive(parse_num(&val()?, name)?, name)?
             }
             "--read-timeout-ms" => {
-                args.config.read_timeout =
-                    parse_ms(&val("--read-timeout-ms")?, "--read-timeout-ms")?
+                args.config.read_timeout = positive(parse_ms(&val()?, name)?, name)?
             }
             "--write-timeout-ms" => {
-                args.config.write_timeout =
-                    parse_ms(&val("--write-timeout-ms")?, "--write-timeout-ms")?
+                args.config.write_timeout = positive(parse_ms(&val()?, name)?, name)?
             }
             "--request-timeout-ms" => {
-                args.config.request_timeout =
-                    parse_ms(&val("--request-timeout-ms")?, "--request-timeout-ms")?
+                args.config.request_timeout = positive(parse_ms(&val()?, name)?, name)?
             }
-            "--drain-grace-ms" => {
-                args.config.drain_grace = parse_ms(&val("--drain-grace-ms")?, "--drain-grace-ms")?
-            }
+            "--drain-grace-ms" => args.config.drain_grace = parse_ms(&val()?, name)?,
             "--help" | "-h" => return Err("help".to_string()),
             other => return Err(format!("unknown flag: {other}")),
         }
@@ -109,6 +103,16 @@ fn parse_ms(v: &str, name: &str) -> Result<Duration, String> {
         v.parse()
             .map_err(|_| format!("{name} takes milliseconds"))?,
     ))
+}
+
+/// Refuses a zero budget: a zero socket timeout is an error to `std`, a
+/// zero idle or request budget expires at once, and a zero connection
+/// cap sheds every peer, so the server would serve nothing.
+fn positive<T: Default + PartialEq>(v: T, name: &str) -> Result<T, String> {
+    if v == T::default() {
+        return Err(format!("{name} must be positive, not 0"));
+    }
+    Ok(v)
 }
 
 fn build_service(args: &Args) -> Result<Arc<dyn QueryService>, String> {
@@ -149,7 +153,7 @@ fn build_engine(args: &Args) -> Result<XRefineEngine, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(msg) => {
             if msg == "help" {
@@ -266,5 +270,26 @@ mod tests {
                 "module docs do not quote: {line}"
             );
         }
+    }
+
+    /// A zero connection cap or socket, idle or request budget would
+    /// leave a server that answers nothing; the parser refuses each by
+    /// name. A zero drain grace only means "no grace" and stays valid.
+    #[test]
+    fn zero_budgets_are_refused_by_name() {
+        let parse = |flags: &[&str]| parse_args(flags.iter().map(|f| f.to_string()));
+        for flag in [
+            "--max-conns",
+            "--read-timeout-ms",
+            "--write-timeout-ms",
+            "--request-timeout-ms",
+        ] {
+            match parse(&[flag, "0"]) {
+                Err(msg) => assert!(msg.contains(flag), "{flag}: {msg}"),
+                Ok(_) => panic!("{flag} 0 was accepted"),
+            }
+            assert!(parse(&[flag, "1"]).is_ok(), "{flag} 1 was refused");
+        }
+        assert!(parse(&["--drain-grace-ms", "0"]).is_ok());
     }
 }

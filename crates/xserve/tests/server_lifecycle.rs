@@ -1,8 +1,8 @@
 //! End-to-end lifecycle tests for the serving layer: differential
 //! correctness under concurrency, load shedding, graceful drain, a
-//! slow client cut off by its read budget, the corruption-degradation
-//! semantics over HTTP, and a real SIGTERM delivered to the spawned
-//! `xrefine-serve` binary.
+//! slow client cut off by its read budget, idle peers at the connection
+//! cap, the corruption-degradation semantics over HTTP, and a real
+//! SIGTERM delivered to the spawned `xrefine-serve` binary.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -423,6 +423,67 @@ fn a_trickling_client_is_cut_off_by_its_read_budget() {
         0,
         "the slow connection's thread was left behind"
     );
+}
+
+/// Four idle peers hold every slot of a four-connection cap. A fifth is
+/// shed `503` on the acceptor thread; the four are closed silently on
+/// their 500 ms idle budget, which gives their slots back, and the next
+/// peer is served.
+#[test]
+fn idle_peers_at_the_connection_cap_are_shed_then_released() {
+    let config = ServeConfig {
+        max_connections: 4,
+        read_timeout: Duration::from_millis(500),
+        ..test_config()
+    };
+    let handle = xserve::start(config, SlowService::new(Duration::ZERO)).expect("start");
+    let addr = handle.addr();
+    let active = || handle.shared().active_connections();
+    let settle = |want: usize| {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while active() != want && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(2));
+        }
+        active()
+    };
+    // A peer that connects and sends nothing: the server closes it
+    // without unread bytes, so the close is a FIN, never a reset.
+    let silent_peer = || {
+        let s = TcpStream::connect(addr).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        s
+    };
+    // Everything the server wrote before it closed the connection.
+    let read_all = |mut s: TcpStream| {
+        let mut raw = Vec::new();
+        s.read_to_end(&mut raw).expect("read until closed");
+        String::from_utf8_lossy(&raw).into_owned()
+    };
+
+    let started = Instant::now();
+    let idle: Vec<TcpStream> = (0..4).map(|_| silent_peer()).collect();
+    assert_eq!(settle(4), 4, "the idle peers were not all admitted");
+
+    let shed = read_all(silent_peer());
+    assert!(shed.starts_with("HTTP/1.1 503"), "{shed:?}");
+    assert!(shed.contains("connection limit reached"), "{shed:?}");
+    assert!(shed.contains("\r\nRetry-After: 1\r\n"), "{shed:?}");
+    assert!(shed.contains("\r\nConnection: close\r\n"), "{shed:?}");
+
+    for peer in idle {
+        let got = read_all(peer);
+        assert!(got.is_empty(), "an idle peer was sent {got:?}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(1200),
+        "idle peers closed after {elapsed:?} against a 500 ms budget"
+    );
+    assert_eq!(settle(0), 0, "closed connections kept their slots");
+
+    let (status, _, body) = get(addr, "/query?q=after");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(handle.join(), 0, "stragglers after the idle peers closed");
 }
 
 // ------------------------------------------------------ corruption degradation

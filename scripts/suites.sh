@@ -32,8 +32,9 @@
 #                  identical stores) + scanner fuzz sweep
 #   serve          server lifecycle tests (work-conserving queue,
 #                  shedding, drain under load, a trickling client cut
-#                  off by its read budget, SIGTERM, a corrupt stored
-#                  list over HTTP)
+#                  off by its read budget, idle peers at the connection
+#                  cap shed then released, SIGTERM, a corrupt stored
+#                  list over HTTP) and the server binary's flag parser
 #   maintenance    online-maintenance guarantees: differential oracle
 #                  (incremental == from-scratch, by both builders), full
 #                  stride-1 power-cut sweep of the updating store
@@ -53,9 +54,11 @@
 #                  the workspace crates: an API deletion in a measured
 #                  crate that breaks the benchmark fails here, pre-merge
 #   analysis       xlint over the live workspace + its golden fixtures,
-#                  then the xcheck model checker (exhaustive bounded DFS
-#                  over the distilled concurrency models + seeded bugs)
-#                  and the property runner's self-tests
+#                  rustdoc with warnings denied (a dangling or private
+#                  intra-doc link fails), then the xcheck model checker
+#                  (exhaustive bounded DFS over the distilled concurrency
+#                  models + seeded bugs) and the property runner's
+#                  self-tests
 #   tsan           ThreadSanitizer over the thread-heavy suites
 #                  (requires a nightly toolchain with rust-src)
 #   miri           Miri over the interpreter-friendly concurrency and
@@ -141,6 +144,7 @@ suite_bench_e2e() {
 suite_analysis() {
     xcargo run -q -p xlint -- --workspace
     xcargo run -q -p xlint -- --fixtures
+    RUSTDOCFLAGS="-D warnings" xcargo doc --no-deps --workspace -q
     xcargo test -q -p xcheck
 }
 

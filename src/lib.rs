@@ -42,7 +42,7 @@ pub use xrefine;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use invindex::{Index, IndexReader};
+    pub use invindex::Index;
     pub use lexicon::{RuleSet, Thesaurus};
     pub use xmldom::{parse_document, Dewey, Document};
     pub use xrefine::{
