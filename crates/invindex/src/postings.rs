@@ -11,10 +11,12 @@
 //! subtree of one child of the document root), holding the partition as
 //! one integer and the index where the run starts. It is the structure
 //! Algorithm 2's walk moves over — a [`ListCursor`] steps run to run and
-//! never compares a label. The table is derived from the labels by every
-//! constructor ([`PostingList::from_sorted`], which decoding goes
-//! through, and [`PostingList::push`], which the builders use) and is
-//! never persisted: the stored format does not know it exists.
+//! never compares a label. The table is derived from the labels wherever
+//! a list is made — by [`PostingList::from_sorted`] and
+//! [`PostingList::push`], which the builders use, and by
+//! [`CompressedList::decode_all`], which extends it posting by posting
+//! as it decodes — and is never persisted: the stored format does not
+//! know it exists.
 //!
 //! [`ListCursor`]: crate::cursor::ListCursor
 //!
@@ -155,18 +157,32 @@ pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Reads a LEB128 varint, advancing `pos`. `None` on truncation/overflow.
+/// Reads a LEB128 varint, advancing `pos`. `None` on truncation or on
+/// overflow: a value wider than 64 bits, which includes a tenth byte
+/// above 1.
+#[inline]
 pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut result = 0u64;
-    let mut shift = 0u32;
+    // One byte is the common case: a component delta, a node type, a
+    // short length.
+    let first = *bytes.get(*pos)?;
+    *pos += 1;
+    if first & 0x80 == 0 {
+        return Some(u64::from(first));
+    }
+    let mut result = u64::from(first & 0x7F);
+    let mut shift = 7u32;
     loop {
         let byte = *bytes.get(*pos)?;
         *pos += 1;
         if shift >= 64 {
             return None;
         }
+        let bits = u64::from(byte & 0x7F);
+        if bits > u64::MAX >> shift {
+            return None;
+        }
         // xlint::allow(checked-arithmetic-on-untrusted): the guard above caps shift at 63, and shl only overflows when the shift amount reaches the bit width
-        result |= u64::from(byte & 0x7F) << shift;
+        result |= bits << shift;
         if byte & 0x80 == 0 {
             return Some(result);
         }
@@ -425,114 +441,29 @@ impl<'a> CompressedList<'a> {
     /// block's skip entry (count, strict document order by construction,
     /// max label).
     pub fn decode_block(&self, i: usize) -> Result<Vec<Posting>> {
-        let corrupt = |what: String| KvError::corrupt(format!("compressed list block {i}: {what}"));
-        let meta = self
-            .blocks
-            .get(i)
-            .ok_or_else(|| corrupt("no such block".into()))?;
-        let end = meta
-            .offset
-            .checked_add(meta.len)
-            .ok_or_else(|| corrupt("byte extent overflow".into()))?;
-        let bytes = self
-            .data
-            .get(meta.offset..end)
-            .ok_or_else(|| corrupt("byte extent outside payload".into()))?;
-        let mut pos = 0usize;
-        let t0 = read_u32_varint(bytes, &mut pos)
-            .ok_or_else(|| corrupt("bad first node type".into()))?;
-        let mut out = Vec::with_capacity(meta.count);
-        out.push(Posting::new(meta.min.clone(), NodeTypeId(t0)));
-        // The one working buffer: the predecessor's label, rewritten in
-        // place into each posting's, which `Dewey::from_slice` copies —
-        // inline, so a posting allocates nothing unless its label is
-        // longer than seven components.
-        let mut comps: Vec<u32> = meta.min.components().to_vec();
-        let mut prev_type = t0;
-        for _ in 1..meta.count {
-            let header = *bytes
-                .get(pos)
-                .ok_or_else(|| corrupt("truncated posting header".into()))?;
-            pos += 1;
-            if header & HDR_RESERVED != 0 {
-                return Err(corrupt("reserved header bit set".into()));
-            }
-            let mut trim = usize::from(header & 7);
-            if trim == usize::from(HDR_FIELD_ESCAPE) {
-                trim = read_varint(bytes, &mut pos)
-                    .ok_or_else(|| corrupt("truncated trim escape".into()))?
-                    as usize;
-                if trim < usize::from(HDR_FIELD_ESCAPE) {
-                    return Err(corrupt("non-canonical trim escape".into()));
-                }
-            }
-            let mut rest = usize::from((header >> 3) & 7);
-            if rest == usize::from(HDR_FIELD_ESCAPE) {
-                rest = read_varint(bytes, &mut pos)
-                    .ok_or_else(|| corrupt("truncated rest escape".into()))?
-                    as usize;
-                if rest < usize::from(HDR_FIELD_ESCAPE) {
-                    return Err(corrupt("non-canonical rest escape".into()));
-                }
-            }
-            if rest == 0 {
-                return Err(corrupt(
-                    "posting repeats or precedes its predecessor".into(),
-                ));
-            }
-            if rest > bytes.len() {
-                return Err(corrupt("component count exceeds block size".into()));
-            }
-            let shared = comps
-                .len()
-                .checked_sub(trim)
-                .ok_or_else(|| corrupt("trim deeper than predecessor".into()))?;
-            let base = comps.get(shared).copied().unwrap_or(0);
-            comps.truncate(shared);
-            let d0 = read_varint(bytes, &mut pos)
-                .ok_or_else(|| corrupt("truncated component".into()))?;
-            let c0 = if trim > 0 {
-                let v = u64::from(base)
-                    .checked_add(1)
-                    .and_then(|b| b.checked_add(d0))
-                    .ok_or_else(|| corrupt("component overflow".into()))?;
-                u32::try_from(v).map_err(|_| corrupt("component overflow".into()))?
-            } else {
-                u32::try_from(d0).map_err(|_| corrupt("component overflow".into()))?
-            };
-            comps.push(c0);
-            for _ in 1..rest {
-                let c = read_u32_varint(bytes, &mut pos)
-                    .ok_or_else(|| corrupt("bad component".into()))?;
-                comps.push(c);
-            }
-            let node_type = if header & HDR_SAME_TYPE != 0 {
-                prev_type
-            } else {
-                read_u32_varint(bytes, &mut pos).ok_or_else(|| corrupt("bad node type".into()))?
-            };
-            let dewey =
-                Dewey::from_slice(&comps).ok_or_else(|| corrupt("empty posting label".into()))?;
-            out.push(Posting::new(dewey, NodeTypeId(node_type)));
-            prev_type = node_type;
-        }
-        if pos != bytes.len() {
-            return Err(corrupt("trailing bytes".into()));
-        }
-        match out.last() {
-            Some(last) if last.dewey == meta.max => Ok(out),
-            _ => Err(corrupt("last posting does not match skip-table max".into())),
-        }
+        let mut out = Vec::with_capacity(self.blocks.get(i).map_or(0, |m| m.count));
+        let mut label = Vec::with_capacity(Dewey::INLINE);
+        self.decode_block_into(i, &mut out, None, &mut label)
+            .map_err(|what| block_corrupt(i, what))?;
+        Ok(out)
     }
 
     /// Decodes every block into a full [`PostingList`] (the serving
-    /// path: cached handles hold fully materialized lists).
+    /// path: cached handles hold fully materialized lists). The postings
+    /// go into one vector sized from the header's count, which `parse`
+    /// has bounded by the payload size, and the run table is extended as
+    /// they are decoded.
     pub fn decode_all(&self) -> Result<PostingList> {
-        let mut postings = Vec::with_capacity(self.n.min(self.data.len() + self.blocks.len()));
+        let mut postings = Vec::with_capacity(self.n);
+        let mut runs = Vec::with_capacity(self.run_bound());
+        let mut label = Vec::with_capacity(Dewey::INLINE);
         for i in 0..self.blocks.len() {
-            postings.extend(self.decode_block(i)?);
+            self.decode_block_into(i, &mut postings, Some(&mut runs), &mut label)
+                .map_err(|what| block_corrupt(i, what))?;
         }
-        Ok(PostingList::from_sorted(postings))
+        // Decoded lists are cached whole and never grow: no slack.
+        runs.shrink_to_fit();
+        Ok(PostingList { postings, runs })
     }
 
     /// Decodes every block independently, reporting per-block damage
@@ -546,6 +477,146 @@ impl<'a> CompressedList<'a> {
         }
         damaged
     }
+
+    /// The capacity `decode_all` gives the run table, read off the skip
+    /// table: labels ascend, so a block opens at most as many runs as it
+    /// holds postings, or partition keys from its min's to its max's.
+    /// That bounds the runs of labels under one root, as a document's
+    /// are; on any other list the table just grows past it.
+    fn run_bound(&self) -> usize {
+        self.blocks
+            .iter()
+            .map(|m| {
+                let keys = partition_key(&m.max)
+                    .saturating_sub(partition_key(&m.min))
+                    .saturating_add(1);
+                usize::try_from(keys).map_or(m.count, |k| k.min(m.count))
+            })
+            .sum()
+    }
+
+    /// The one block decoder: appends block `i`'s postings to `out` and,
+    /// when given `runs`, accounts them in that run table (`out` then
+    /// holds the list's earlier blocks, and `runs` their runs). `label`
+    /// is working space: the current posting's label, rewritten in place
+    /// from its predecessor's and kept at least [`Dewey::INLINE`] wide,
+    /// so a label that short is built with one fixed-size copy and
+    /// allocates nothing. Damage is reported as a static description,
+    /// which the caller formats once.
+    fn decode_block_into(
+        &self,
+        i: usize,
+        out: &mut Vec<Posting>,
+        mut runs: Option<&mut Vec<PartitionRun>>,
+        label: &mut Vec<u32>,
+    ) -> std::result::Result<(), &'static str> {
+        let meta = self.blocks.get(i).ok_or("no such block")?;
+        let end = meta
+            .offset
+            .checked_add(meta.len)
+            .ok_or("byte extent overflow")?;
+        let bytes = self
+            .data
+            .get(meta.offset..end)
+            .ok_or("byte extent outside payload")?;
+        let mut pos = 0usize;
+        let t0 = read_u32_varint(bytes, &mut pos).ok_or("bad first node type")?;
+        if let Some(runs) = runs.as_deref_mut() {
+            extend_runs(runs, out.len(), &meta.min);
+        }
+        out.push(Posting::new(meta.min.clone(), NodeTypeId(t0)));
+        let min = meta.min.components();
+        label.clear();
+        label.extend_from_slice(min);
+        label.resize(min.len().max(Dewey::INLINE), 0);
+        let mut len = min.len();
+        let mut prev_type = t0;
+        for _ in 1..meta.count {
+            let header = *bytes.get(pos).ok_or("truncated posting header")?;
+            pos += 1;
+            if header & HDR_RESERVED != 0 {
+                return Err("reserved header bit set");
+            }
+            let mut trim = usize::from(header & 7);
+            if trim == usize::from(HDR_FIELD_ESCAPE) {
+                trim = read_varint(bytes, &mut pos).ok_or("truncated trim escape")? as usize;
+                if trim < usize::from(HDR_FIELD_ESCAPE) {
+                    return Err("non-canonical trim escape");
+                }
+            }
+            let mut rest = usize::from((header >> 3) & 7);
+            if rest == usize::from(HDR_FIELD_ESCAPE) {
+                rest = read_varint(bytes, &mut pos).ok_or("truncated rest escape")? as usize;
+                if rest < usize::from(HDR_FIELD_ESCAPE) {
+                    return Err("non-canonical rest escape");
+                }
+            }
+            if rest == 0 {
+                return Err("posting repeats or precedes its predecessor");
+            }
+            if rest > bytes.len() {
+                return Err("component count exceeds block size");
+            }
+            let shared = len
+                .checked_sub(trim)
+                .ok_or("trim deeper than predecessor")?;
+            let d0 = read_varint(bytes, &mut pos).ok_or("truncated component")?;
+            let c0 = if trim > 0 {
+                // The predecessor's component where the two diverge.
+                let base = label.get(shared).copied().unwrap_or(0);
+                let v = u64::from(base)
+                    .checked_add(1)
+                    .and_then(|b| b.checked_add(d0))
+                    .ok_or("component overflow")?;
+                u32::try_from(v).map_err(|_| "component overflow")?
+            } else {
+                u32::try_from(d0).map_err(|_| "component overflow")?
+            };
+            len = shared;
+            put_component(label, &mut len, c0);
+            for _ in 1..rest {
+                let c = read_u32_varint(bytes, &mut pos).ok_or("bad component")?;
+                put_component(label, &mut len, c);
+            }
+            let node_type = if header & HDR_SAME_TYPE != 0 {
+                prev_type
+            } else {
+                read_u32_varint(bytes, &mut pos).ok_or("bad node type")?
+            };
+            let dewey = match label.first_chunk() {
+                Some(padded) if len <= Dewey::INLINE => Dewey::from_padded(len, padded),
+                _ => label.get(..len).and_then(Dewey::from_slice),
+            }
+            .ok_or("empty posting label")?;
+            if let Some(runs) = runs.as_deref_mut() {
+                extend_runs(runs, out.len(), &dewey);
+            }
+            out.push(Posting::new(dewey, NodeTypeId(node_type)));
+            prev_type = node_type;
+        }
+        if pos != bytes.len() {
+            return Err("trailing bytes");
+        }
+        match out.last() {
+            Some(last) if last.dewey == meta.max => Ok(()),
+            _ => Err("last posting does not match skip-table max"),
+        }
+    }
+}
+
+/// The error block `i`'s decoder reports as `what`.
+fn block_corrupt(i: usize, what: &str) -> KvError {
+    KvError::corrupt(format!("compressed list block {i}: {what}"))
+}
+
+/// Writes `c` as the working label's component at `*len` and counts it.
+#[inline]
+fn put_component(label: &mut Vec<u32>, len: &mut usize, c: u32) {
+    match label.get_mut(*len) {
+        Some(slot) => *slot = c,
+        None => label.push(c),
+    }
+    *len += 1;
 }
 
 /// Reads an absolutely-coded Dewey label, `varint(len)` then `len`
@@ -613,6 +684,22 @@ mod tests {
         }
         let mut pos = 0;
         assert_eq!(read_varint(&[0x80], &mut pos), None); // truncated
+    }
+
+    #[test]
+    fn varint_wider_than_64_bits_is_refused() {
+        let read = |bytes: &[u8]| read_varint(bytes, &mut 0);
+        // Nine bytes carry 63 bits, so a tenth may only add bit 63:
+        // `[0xFF×9, 0x01]` is how `write_varint` spells `u64::MAX`.
+        let ten = |last: u8, fill: u8| [[fill; 9].as_slice(), &[last]].concat();
+        assert_eq!(read(&ten(0x01, 0xFF)), Some(u64::MAX));
+        assert_eq!(read(&ten(0x01, 0x80)), Some(1 << 63));
+        for last in [0x02, 0x7F] {
+            assert_eq!(read(&ten(last, 0xFF)), None, "tenth byte {last:#x}");
+            assert_eq!(read(&ten(last, 0x80)), None, "tenth byte {last:#x}");
+        }
+        // An eleventh byte is refused whatever it holds.
+        assert_eq!(read(&[[0x80; 10].as_slice(), &[0x00]].concat()), None);
     }
 
     // the order check is a debug_assert, so the panic only exists in

@@ -2,7 +2,9 @@
 //! cross the boundary between the inline representation (up to seven)
 //! and the boxed one, and every operation must answer what the model's
 //! slice operations answer, whichever side of it either label is on —
-//! hashing included, bit for bit.
+//! hashing included, bit for bit. `Dewey::from_padded`, the decoder's
+//! fixed-width constructor, must build the label `from_slice` builds
+//! whatever its padding holds.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -107,5 +109,40 @@ fn only_an_empty_component_list_is_refused() {
         let d = Dewey::from_slice(&m).unwrap();
         assert_eq!(Dewey::new(m.clone()).as_ref(), Some(&d));
         agrees(&d, &m);
+    }
+}
+
+#[test]
+fn a_padded_label_is_the_label_of_its_prefix() {
+    check(2_000, |g| {
+        // The padding is junk, or the components of a longer label.
+        let mut padded = [0u32; Dewey::INLINE];
+        for c in &mut padded {
+            *c = if g.bool() { g.range(0u32..3) } else { g.any() };
+        }
+        let len = g.range(1..Dewey::INLINE + 1);
+        let m = &padded[..len];
+        let d = Dewey::from_padded(len, &padded).unwrap();
+        assert_eq!(Dewey::from_slice(m).as_ref(), Some(&d));
+        agrees(&d, m);
+
+        let mb = model(g);
+        let b = Dewey::from_slice(&mb).unwrap();
+        assert_eq!(d.cmp(&b), m.cmp(&mb[..]), "{m:?} vs {mb:?}");
+        assert_eq!(d == b, m == &mb[..]);
+        assert_eq!(hash_of(&d) == hash_of(&b), m == &mb[..]);
+    });
+}
+
+#[test]
+fn a_padded_label_needs_a_length_within_the_inline_width() {
+    let padded = [5u32; Dewey::INLINE];
+    assert_eq!(Dewey::from_padded(0, &padded), None);
+    for len in Dewey::INLINE + 1..Dewey::INLINE + 4 {
+        assert_eq!(Dewey::from_padded(len, &padded), None, "length {len}");
+    }
+    for len in 1..=Dewey::INLINE {
+        let d = Dewey::from_padded(len, &padded).unwrap();
+        assert_eq!(d.components(), &padded[..len]);
     }
 }

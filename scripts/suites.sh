@@ -45,11 +45,17 @@
 #                  round-trips + corruption sweeps, the partition-run
 #                  table every decoded list carries (same however the
 #                  list is built), `Dewey` against its component-vector
-#                  model across the inline/heap boundary, block decode's
-#                  per-block allocation budget (no allocation per
-#                  posting), and the stored-vs-build differential (every
-#                  list a query reads equals the build's, and so does
-#                  the answer over the build's lists)
+#                  model across the inline/heap boundary (and its
+#                  fixed-width constructor against `from_slice`), the
+#                  block decoder against the decoder it replaced (equal
+#                  postings and runs, identical error strings on every
+#                  truncation and bit flip) with its ns per posting
+#                  against that reference over corpus_m's lists (printed,
+#                  not asserted), decode's allocation budget (a constant
+#                  per block and per whole list, none per posting), and
+#                  the stored-vs-build differential (every list a
+#                  query reads equals the build's, and so does the
+#                  answer over the build's lists)
 #   bench_e2e      the BENCHMARK.json harness's own tests, built against
 #                  the workspace crates: an API deletion in a measured
 #                  crate that breaks the benchmark fails here, pre-merge
@@ -134,6 +140,7 @@ suite_compress() {
     xcargo test --release -q -p invindex --test postings_prop
     xcargo test --release -q -p xmldom --test dewey_model
     xcargo test --release -q -p invindex --test decode_alloc
+    xcargo test --release -q -p invindex --test decode_reference -- --nocapture
     xcargo test --release -q -p xrefine --test compress_differential
 }
 
