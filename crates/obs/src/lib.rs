@@ -13,11 +13,14 @@
 //!   unless a capture is active on the calling thread.
 //!
 //! Beside them, [`lockrank`] holds the table of lock classes and checks the
-//! hierarchy at run time, and [`sync`] holds the one `Mutex` the ranked
-//! locks use: it carries its class and recovers a poisoned lock.
+//! hierarchy at run time, and [`sync`] holds the one `Mutex` (and its
+//! `Condvar`) the ranked locks use: it carries its class and recovers a
+//! poisoned lock.
 //!
 //! The crate is `std`-only by design: it sits below `kvstore` in the
-//! dependency order so every layer of the system can use it.
+//! dependency order so every layer of the system can use it. The one
+//! exception is the model checker's build (`--cfg xcheck`), where
+//! [`sync`] sits on `xcheck`'s instrumented lock.
 
 pub mod lockrank;
 pub mod metrics;

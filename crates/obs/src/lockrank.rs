@@ -5,9 +5,11 @@
 //! Every named lock has one [`LockClass`] in the [`rank`] table, and a
 //! [`crate::sync::Mutex`] is built with its class: `lock()` calls
 //! [`acquire`] *before* blocking and its guard owns the [`RankGuard`],
-//! so no site can forget or misname a rank (`xserve::queue`, which needs
-//! the raw `std` guard for its `Condvar`, is the one outside caller of
-//! [`acquire`]). In debug builds a thread-local stack of held ranks is
+//! so no site can forget or misname a rank: production code calls
+//! [`acquire`] only through `sync`, which is every lock's one way in
+//! (xlint's `lock-order` rule refuses a raw `std` lock elsewhere, and
+//! a `Condvar` wait keeps the rank held). In debug builds a thread-local
+//! stack of held ranks is
 //! maintained and an out-of-order acquisition — taking a lock whose rank
 //! is not strictly greater than every rank already held by this thread —
 //! aborts the test with a `lock-rank violation` panic. The check catches

@@ -1,5 +1,5 @@
-//! The workspace's one mutex: the lock carries its rank, and there is
-//! one poison policy.
+//! The workspace's one synchronisation seam: a mutex that carries its
+//! rank, a condition variable that waits on it, and one poison policy.
 //!
 //! [`Mutex`] is `std::sync::Mutex` built with its [`LockClass`]. `lock()`
 //! registers the rank with [`crate::lockrank`] before it blocks and
@@ -7,31 +7,43 @@
 //! debug builds every acquisition is checked against the hierarchy with
 //! nothing said at the call site (the `// xlint::lock(name)` annotation
 //! there is for the static rule, which reads source, not types).
+//! [`Condvar::wait`] takes and returns that guard; the rank stays held
+//! while the thread waits, as the lock is logically held by it.
 //!
 //! A lock poisoned by a panicking holder is recovered, not propagated.
 //! That is sound for every lock declared in
 //! [`crate::lockrank::rank`] because each critical section leaves
 //! its data valid at every step (an LRU, a memo table, a metric-name
-//! map, an epoch pointer swapped with a single store, a file handle),
-//! and it keeps one crashed request from turning every later request
-//! into a panic.
+//! map, an epoch pointer swapped with a single store, a queue and its
+//! closed flag, a file handle), and it keeps one crashed request from
+//! turning every later request into a panic.
 //!
-//! Code that needs the raw guard — `xserve::queue` parks on a `Condvar`
-//! — stays on `std::sync::Mutex` and calls `lockrank::acquire` itself.
+//! Built with `RUSTFLAGS="--cfg xcheck"`, the two types sit on the
+//! model checker's `XMutex` and `XCondvar` instead of `std`'s, so
+//! `xcheck::explore` interleaves the real code that uses them
+//! (DESIGN.md §6c). Every other build is plain `std`. No code outside
+//! this file names `std::sync::{Mutex, RwLock, Condvar}` (xlint's
+//! `lock-order` rule): a raw lock would be invisible to both checkers.
 
 use crate::lockrank::{self, LockClass, RankGuard};
 use std::ops::{Deref, DerefMut};
+use std::sync::PoisonError;
+
+#[cfg(not(xcheck))]
+use std::sync::{Condvar as RawCondvar, Mutex as RawMutex, MutexGuard as RawGuard};
+#[cfg(xcheck)]
+use xcheck::{XCondvar as RawCondvar, XGuard as RawGuard, XMutex as RawMutex};
 
 #[derive(Debug)]
 pub struct Mutex<T> {
     class: LockClass,
-    inner: std::sync::Mutex<T>,
+    inner: RawMutex<T>,
 }
 
 /// The data guard and the rank it holds; the rank half is zero-sized in
 /// release builds.
 pub struct MutexGuard<'a, T> {
-    data: std::sync::MutexGuard<'a, T>,
+    data: RawGuard<'a, T>,
     _rank: RankGuard,
 }
 
@@ -39,7 +51,7 @@ impl<T> Mutex<T> {
     pub const fn new(class: LockClass, value: T) -> Self {
         Mutex {
             class,
-            inner: std::sync::Mutex::new(value),
+            inner: RawMutex::new(value),
         }
     }
 
@@ -49,7 +61,7 @@ impl<T> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         let _rank = lockrank::acquire(self.class);
         // xlint::allow(lock-order): the forwarding call of every named lock; the name is annotated at each caller's site
-        let data = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let data = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         MutexGuard { data, _rank }
     }
 }
@@ -64,6 +76,40 @@ impl<T> Deref for MutexGuard<'_, T> {
 impl<T> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.data
+    }
+}
+
+/// A condition variable over a [`Mutex`]'s guard.
+#[derive(Debug, Default)]
+pub struct Condvar {
+    inner: RawCondvar,
+}
+
+impl Condvar {
+    pub const fn new() -> Self {
+        Condvar {
+            inner: RawCondvar::new(),
+        }
+    }
+
+    /// Releases the guard's lock until notified, then takes it again.
+    /// Like `std`'s, the wait may wake spuriously: re-check the
+    /// condition in a loop.
+    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        let MutexGuard { data, _rank } = guard;
+        let data = self
+            .inner
+            .wait(data)
+            .unwrap_or_else(PoisonError::into_inner);
+        MutexGuard { data, _rank }
+    }
+
+    pub fn notify_one(&self) {
+        self.inner.notify_one();
+    }
+
+    pub fn notify_all(&self) {
+        self.inner.notify_all();
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! The runtime lock-rank checker (`obs::lockrank`) catches ordering
 //! violations that happen to occur in a given run; xcheck *explores*
-//! runs. Model code executes on real OS threads, but a cooperative
+//! runs. Checked code executes on real OS threads, but a cooperative
 //! token-passing scheduler ([`sched`]) admits exactly one runnable
 //! thread at a time and treats every operation on the instrumented
 //! shims ([`shim`]) as a yield point. The scheduler then backtracks
@@ -10,25 +10,25 @@
 //! space is exhausted — so within the bounds, a clean result is a
 //! proof, not a sample.
 //!
-//! The shims degrade to plain `Mutex`/SeqCst atomics when no checker
-//! context is installed, so model code also runs (and is typecheckable)
-//! under plain `cargo test`. Exploration models sequential consistency:
-//! it finds interleaving bugs, not weak-memory bugs.
-//!
-//! [`models`] holds distilled copies of three real synchronization
-//! patterns in this workspace, each with a seeded-bug variant the
-//! checker must catch; DESIGN.md §6c maps each model to its production
-//! counterpart.
+//! The checks run on the code that ships. Built with
+//! `RUSTFLAGS="--cfg xcheck"`, `obs::sync::{Mutex, Condvar}` — the
+//! workspace's one synchronisation seam — are [`XMutex`] and
+//! [`XCondvar`], and three `cfg(xcheck)` tests explore the real
+//! `ListCache`, `BoundedQueue` and live-engine swap; the seeded bugs
+//! they must catch are patches over the real files, kept in
+//! `crates/xcheck/seeded/` (DESIGN.md §6c, `scripts/suites.sh
+//! analysis`). Without a checker context the shims are plain `std`
+//! types. Exploration models sequential consistency: it finds
+//! interleaving bugs, not weak-memory bugs.
 //!
 //! [`prop`] is the workspace's property-test runner. It lives here
 //! because it is the same technique pointed at data instead of
 //! schedules: record the choices a run makes, replay edited choice
 //! streams, keep the smallest one that still fails.
 
-pub mod models;
 pub mod prop;
 pub mod sched;
 pub mod shim;
 
 pub use sched::{explore, Config, Kind, Outcome, Violation};
-pub use shim::{XAtomicBool, XAtomicU64, XGuard, XMutex};
+pub use shim::{XCondvar, XGuard, XMutex};

@@ -3,19 +3,22 @@
 //! Model threads run on real OS threads, but exactly one is runnable at
 //! a time: every shim operation ([`crate::shim`]) is a yield point that
 //! hands the token back to the controller, which decides who runs next.
-//! The controller records each decision where more than one thread was
-//! runnable, and after the schedule completes it backtracks depth-first
-//! to the deepest decision with an untried alternative, replaying the
-//! prefix and diverging there — until the bounded space is exhausted or
-//! a violation is found.
+//! The controller records each step — the runnable set and its pick —
+//! and after the schedule completes it backtracks depth-first to the
+//! deepest step with an untried alternative, replaying the prefix and
+//! diverging there — until the bounded space is exhausted or a
+//! violation is found. A replay whose runnable set differs from the
+//! recording is itself a violation ([`Kind::Nondeterministic`]): the
+//! model depends on something the schedule does not fix, and the tree
+//! the controller is walking is no longer the model's.
 
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Exploration bounds. Both are safety nets: the shipped models exhaust
-/// their interleaving space well inside the defaults.
+/// Exploration bounds. Both are safety nets: the real-code checks of
+/// DESIGN.md §6c exhaust their interleaving spaces well inside the
+/// defaults.
 #[derive(Clone, Copy, Debug)]
 pub struct Config {
     /// Maximum scheduling decisions in a single schedule before the run
@@ -45,6 +48,10 @@ pub enum Kind {
     Invariant,
     /// A single schedule exceeded `max_steps` decisions.
     StepBound,
+    /// Replaying a recorded prefix found a different runnable set: the
+    /// model's behaviour depends on state outside the schedule (a
+    /// once-per-process registration, a clock).
+    Nondeterministic,
 }
 
 /// A counterexample: the kind of failure, its message, and the exact
@@ -78,6 +85,7 @@ impl Outcome {
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Status {
     Runnable,
+    /// Parked on the lock or condition variable at this address.
     Blocked(usize),
     Finished,
 }
@@ -117,13 +125,6 @@ pub(crate) fn with_ctx<R>(f: impl FnOnce(&Ctx) -> R) -> Option<R> {
     CTX.with(|c| c.borrow().as_ref().map(f))
 }
 
-static NEXT_LOCK_ID: AtomicUsize = AtomicUsize::new(0);
-
-/// Allocates a process-unique id for one `XMutex` instance.
-pub(crate) fn fresh_lock_id() -> usize {
-    NEXT_LOCK_ID.fetch_add(1, Ordering::Relaxed)
-}
-
 impl Ctx {
     /// One scheduling point: release the token and wait to be rescheduled.
     pub(crate) fn yield_now(&self) {
@@ -154,8 +155,9 @@ impl Ctx {
         }
     }
 
-    /// Parks this thread until lock `id` is released, then returns with
-    /// the token (the caller retries acquisition).
+    /// Parks this thread until lock `id` is released or condition
+    /// variable `id` notified, then returns with the token (a lock's
+    /// caller retries acquisition).
     pub(crate) fn block_on(&self, id: usize) {
         let mut g = self.sched.inner.lock().expect("scheduler state");
         g.status[self.id] = Status::Blocked(id);
@@ -175,11 +177,23 @@ impl Ctx {
 
     /// Releases lock `id` and makes every thread parked on it runnable.
     pub(crate) fn release(&self, id: usize) {
+        self.sched
+            .inner
+            .lock()
+            .expect("scheduler state")
+            .lock_owner
+            .remove(&id);
+        self.wake(id, true);
+    }
+
+    /// Makes the lowest-numbered thread parked on `id` runnable, or
+    /// every one if `all`.
+    pub(crate) fn wake(&self, id: usize, all: bool) {
         let mut g = self.sched.inner.lock().expect("scheduler state");
-        g.lock_owner.remove(&id);
-        for s in g.status.iter_mut() {
-            if *s == Status::Blocked(id) {
-                *s = Status::Runnable;
+        for s in g.status.iter_mut().filter(|s| **s == Status::Blocked(id)) {
+            *s = Status::Runnable;
+            if !all {
+                break;
             }
         }
     }
@@ -282,10 +296,10 @@ impl Scheduler {
     }
 }
 
-/// One recorded branch point: how many options were runnable and which
-/// (by position, not thread id) was taken.
+/// One recorded step: the runnable threads, in id order, and which of
+/// them (by position) ran.
 struct Choice {
-    options: usize,
+    options: Vec<usize>,
     pick: usize,
 }
 
@@ -294,19 +308,23 @@ struct Choice {
 /// which all threads finish cleanly, `invariant` judges the final state.
 ///
 /// Thread bodies must reach their next shim operation in a bounded
-/// number of plain instructions (no spinning on raw shared state) —
-/// interleaving only happens at shim yield points.
+/// number of plain instructions — interleaving only happens at shim
+/// yield points, so a spin on raw shared state never sees another
+/// thread move (one that ends on its own clock just ends). `setup`
+/// must leave nothing that yields only on a process's first schedule,
+/// such as a metric handle still to register: a replay that differs
+/// from its recording is reported as [`Kind::Nondeterministic`].
 pub fn explore<S: Sync>(
     cfg: &Config,
     setup: impl Fn() -> S,
     threads: &[fn(&S)],
     invariant: impl Fn(&S) -> Result<(), String>,
 ) -> Outcome {
-    let mut script: Vec<usize> = Vec::new();
+    let mut script: Vec<Choice> = Vec::new();
     let mut schedules = 0usize;
     loop {
         schedules += 1;
-        let (trace, violation) = run_one(cfg, &setup, threads, &invariant, &script);
+        let (mut trace, violation) = run_one(cfg, &setup, threads, &invariant, &script);
         if let Some(v) = violation {
             return Outcome {
                 schedules,
@@ -314,8 +332,8 @@ pub fn explore<S: Sync>(
                 violation: Some(v),
             };
         }
-        // Backtrack to the deepest branch point with an untried option.
-        let divergence = trace.iter().rposition(|c| c.pick + 1 < c.options);
+        // Backtrack to the deepest step with an untried option.
+        let divergence = trace.iter().rposition(|c| c.pick + 1 < c.options.len());
         match divergence {
             None => {
                 return Outcome {
@@ -325,8 +343,9 @@ pub fn explore<S: Sync>(
                 };
             }
             Some(i) => {
-                script = trace[..i].iter().map(|c| c.pick).collect();
-                script.push(trace[i].pick + 1);
+                trace.truncate(i + 1);
+                trace[i].pick += 1;
+                script = trace;
             }
         }
         if schedules >= cfg.max_schedules {
@@ -344,7 +363,7 @@ fn run_one<S: Sync>(
     setup: &impl Fn() -> S,
     threads: &[fn(&S)],
     invariant: &impl Fn(&S) -> Result<(), String>,
-    script: &[usize],
+    script: &[Choice],
 ) -> (Vec<Choice>, Option<Violation>) {
     let n = threads.len();
     let sched = Arc::new(Scheduler::new(n));
@@ -387,12 +406,27 @@ fn run_one<S: Sync>(
             });
         }
 
-        let mut branch = 0usize;
         loop {
+            // Empty once every thread has finished, so a replay that
+            // ends early differs from its recording too.
+            let runnable = sched.runnable();
+            let step = schedule.len();
+            let recorded = script.get(step);
+            if let Some(recorded) = recorded.filter(|r| r.options != runnable) {
+                violation = Some(Violation {
+                    kind: Kind::Nondeterministic,
+                    detail: format!(
+                        "step {step}: replay found runnable threads {runnable:?}, \
+                         the recorded schedule had {:?}",
+                        recorded.options
+                    ),
+                    schedule: schedule.clone(),
+                });
+                break;
+            }
             if sched.all_finished() {
                 break;
             }
-            let runnable = sched.runnable();
             if runnable.is_empty() {
                 violation = Some(Violation {
                     kind: Kind::Deadlock,
@@ -401,21 +435,12 @@ fn run_one<S: Sync>(
                 });
                 break;
             }
-            let chosen = if runnable.len() == 1 {
-                runnable[0]
-            } else {
-                let pick = if branch < script.len() {
-                    script[branch]
-                } else {
-                    0
-                };
-                branch += 1;
-                trace.push(Choice {
-                    options: runnable.len(),
-                    pick,
-                });
-                runnable[pick]
-            };
+            let pick = recorded.map_or(0, |r| r.pick);
+            let chosen = runnable[pick];
+            trace.push(Choice {
+                options: runnable,
+                pick,
+            });
             schedule.push(chosen);
             if schedule.len() > cfg.max_steps {
                 violation = Some(Violation {
@@ -454,7 +479,8 @@ fn run_one<S: Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shim::{XAtomicU64, XMutex};
+    use crate::shim::XMutex;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     struct Two {
         a: XMutex<u64>,
@@ -462,28 +488,27 @@ mod tests {
     }
 
     fn ab(s: &Two) {
-        let ga = s.a.lock();
-        let mut gb = s.b.lock();
+        let ga = s.a.lock().unwrap();
+        let mut gb = s.b.lock().unwrap();
         *gb += *ga;
     }
 
     fn ba(s: &Two) {
-        let gb = s.b.lock();
-        let mut ga = s.a.lock();
+        let gb = s.b.lock().unwrap();
+        let mut ga = s.a.lock().unwrap();
         *ga += *gb;
+    }
+
+    fn two() -> Two {
+        Two {
+            a: XMutex::new(1),
+            b: XMutex::new(1),
+        }
     }
 
     #[test]
     fn finds_classic_lock_order_deadlock() {
-        let out = explore(
-            &Config::default(),
-            || Two {
-                a: XMutex::new(1),
-                b: XMutex::new(1),
-            },
-            &[ab, ba],
-            |_| Ok(()),
-        );
+        let out = explore(&Config::default(), two, &[ab, ba], |_| Ok(()));
         let v = out.violation.expect("AB/BA must deadlock somewhere");
         assert_eq!(v.kind, Kind::Deadlock);
         assert!(!v.schedule.is_empty());
@@ -491,49 +516,70 @@ mod tests {
 
     #[test]
     fn consistent_order_is_exhaustively_clean() {
-        let out = explore(
-            &Config::default(),
-            || Two {
-                a: XMutex::new(1),
-                b: XMutex::new(1),
-            },
-            &[ab, ab],
-            |s| {
-                let b = *s.b.lock();
-                if b == 3 {
-                    Ok(())
-                } else {
-                    Err(format!("b = {b}, want 3"))
-                }
-            },
-        );
+        let out = explore(&Config::default(), two, &[ab, ab], |s| {
+            let b = *s.b.lock().unwrap();
+            if b == 3 {
+                Ok(())
+            } else {
+                Err(format!("b = {b}, want 3"))
+            }
+        });
         assert!(out.passed(), "violation: {:?}", out.violation);
         assert!(out.schedules > 1, "lock handoff must branch");
     }
 
-    fn bump(c: &XAtomicU64) {
-        c.fetch_add(1);
+    /// Takes an extra lock on the process's first schedule only, as a
+    /// metric handle registering on first use would.
+    fn extra_lock_on_first_run(s: &Two) {
+        static FIRST: AtomicBool = AtomicBool::new(true);
+        if FIRST.swap(false, Ordering::Relaxed) {
+            drop(s.a.lock().unwrap());
+        }
+        *s.b.lock().unwrap() += 1;
     }
 
-    fn racy_bump(c: &XAtomicU64) {
-        let v = c.load();
-        c.store(v + 1);
+    fn add_to_b(s: &Two) {
+        *s.b.lock().unwrap() += 1;
     }
 
-    fn spin_to_hundred(c: &XAtomicU64) {
-        while c.load() < 100 {
-            c.fetch_add(1);
+    #[test]
+    fn a_replay_that_diverges_from_its_recording_is_a_violation() {
+        let out = explore(
+            &Config::default(),
+            two,
+            &[extra_lock_on_first_run, add_to_b],
+            |_| Ok(()),
+        );
+        let v = out.violation.expect("the lost lock must be noticed");
+        assert_eq!(v.kind, Kind::Nondeterministic);
+        assert!(v.detail.starts_with("step "), "{}", v.detail);
+        assert!(!out.exhausted);
+    }
+
+    fn bump(c: &XMutex<u64>) {
+        *c.lock().unwrap() += 1;
+    }
+
+    /// Reads under one hold of the lock and writes under another.
+    fn racy_bump(c: &XMutex<u64>) {
+        let v = *c.lock().unwrap();
+        *c.lock().unwrap() = v + 1;
+    }
+
+    fn spin_to_hundred(c: &XMutex<u64>) {
+        while *c.lock().unwrap() < 100 {
+            bump(c);
         }
     }
 
     #[test]
-    fn counter_increments_are_not_lost_with_fetch_add() {
+    fn counter_increments_are_not_lost_under_one_hold() {
         let out = explore(
             &Config::default(),
-            || XAtomicU64::new(0),
+            || XMutex::new(0),
             &[bump, bump, bump],
             |c| {
-                let v = c.load();
+                let v = *c.lock().unwrap();
                 if v == 3 {
                     Ok(())
                 } else {
@@ -546,13 +592,13 @@ mod tests {
     }
 
     #[test]
-    fn load_then_store_counter_loses_updates() {
+    fn read_then_write_under_two_holds_loses_updates() {
         let out = explore(
             &Config::default(),
-            || XAtomicU64::new(0),
+            || XMutex::new(0),
             &[racy_bump, racy_bump],
             |c| {
-                let v = c.load();
+                let v = *c.lock().unwrap();
                 if v == 2 {
                     Ok(())
                 } else {
@@ -571,7 +617,7 @@ mod tests {
                 max_steps: 8,
                 max_schedules: 10,
             },
-            || XAtomicU64::new(0),
+            || XMutex::new(0),
             &[spin_to_hundred],
             |_| Ok(()),
         );

@@ -1,57 +1,77 @@
-//! Instrumented synchronization shims.
+//! Instrumented synchronization shims, with `std`'s signatures.
 //!
 //! Under exploration (a checker context installed by [`crate::sched`]),
-//! every operation is a scheduling yield point, lock contention parks
-//! the thread in the scheduler, and atomics interleave at instruction
-//! granularity. Outside exploration — in `setup()`, in invariants, or
-//! under plain `cargo test` — they degrade to ordinary `Mutex` and
-//! SeqCst atomics, so the same model code runs in both worlds.
+//! every lock acquisition is a scheduling yield point, and lock
+//! contention and condition waits park the thread in the scheduler.
+//! Outside exploration — in `setup()`, in invariants, or in any run
+//! without a checker — they are ordinary `Mutex` and `Condvar`.
+//! [`XMutex`] and [`XCondvar`] return `LockResult`s as `std` does, so
+//! `obs::sync` can build on either type with the same code.
+//!
+//! A lock or condition variable is known to the scheduler by its
+//! address: two live objects never share one, and the scheduler's
+//! tables live for one schedule, in which the object does not move
+//! while it is borrowed.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Condvar, LockResult, Mutex, MutexGuard, PoisonError};
 
-use crate::sched::{fresh_lock_id, with_ctx};
+use crate::sched::with_ctx;
 
 /// A mutex whose acquisition is a scheduling point and whose contention
 /// is visible to the deadlock detector.
+#[derive(Debug)]
 pub struct XMutex<T> {
-    id: usize,
     inner: Mutex<T>,
 }
 
 impl<T> XMutex<T> {
-    pub fn new(value: T) -> Self {
+    pub const fn new(value: T) -> Self {
         XMutex {
-            id: fresh_lock_id(),
             inner: Mutex::new(value),
         }
     }
 
-    pub fn lock(&self) -> XGuard<'_, T> {
+    fn id(&self) -> usize {
+        self as *const Self as usize
+    }
+
+    pub fn lock(&self) -> LockResult<XGuard<'_, T>> {
         let instrumented = with_ctx(|ctx| loop {
             ctx.yield_now();
-            if ctx.try_acquire(self.id) {
+            if ctx.try_acquire(self.id()) {
                 break;
             }
-            ctx.block_on(self.id);
+            ctx.block_on(self.id());
         })
         .is_some();
         // Under exploration the scheduler has granted exclusive
         // ownership, so the std lock below is uncontended; threads are
         // unwound on abort only while parked in the scheduler, never
         // while holding it.
-        let guard = self.inner.lock().expect("xmutex poisoned");
-        XGuard {
-            lock_id: self.id,
+        let (guard, poisoned) = match self.inner.lock() {
+            Ok(guard) => (guard, false),
+            Err(e) => (e.into_inner(), true),
+        };
+        let guard = XGuard {
+            mutex: self,
             instrumented,
             guard: Some(guard),
+        };
+        if poisoned {
+            Err(PoisonError::new(guard))
+        } else {
+            Ok(guard)
         }
+    }
+
+    pub fn is_poisoned(&self) -> bool {
+        self.inner.is_poisoned()
     }
 }
 
 /// RAII guard for [`XMutex`]; releasing it wakes parked threads.
 pub struct XGuard<'a, T> {
-    lock_id: usize,
+    mutex: &'a XMutex<T>,
     instrumented: bool,
     guard: Option<MutexGuard<'a, T>>,
 }
@@ -71,81 +91,99 @@ impl<T> std::ops::DerefMut for XGuard<'_, T> {
 
 impl<T> Drop for XGuard<'_, T> {
     fn drop(&mut self) {
-        self.guard.take();
-        if self.instrumented {
-            with_ctx(|ctx| ctx.release(self.lock_id));
+        if self.guard.take().is_some() && self.instrumented {
+            with_ctx(|ctx| ctx.release(self.mutex.id()));
         }
     }
 }
 
-/// A `u64` atomic whose every access is a scheduling point.
-pub struct XAtomicU64 {
-    inner: AtomicU64,
+/// A condition variable whose waiters park in the scheduler. A notify
+/// is not a scheduling point (it runs under the lock the waiter needs);
+/// `notify_one` wakes the lowest-numbered waiting thread, and waits
+/// never wake spuriously.
+#[derive(Debug, Default)]
+pub struct XCondvar {
+    inner: Condvar,
 }
 
-impl XAtomicU64 {
-    pub fn new(v: u64) -> Self {
-        XAtomicU64 {
-            inner: AtomicU64::new(v),
+impl XCondvar {
+    pub const fn new() -> Self {
+        XCondvar {
+            inner: Condvar::new(),
         }
     }
 
-    pub fn load(&self) -> u64 {
-        with_ctx(|ctx| ctx.yield_now());
-        self.inner.load(Ordering::SeqCst)
+    fn id(&self) -> usize {
+        self as *const Self as usize
     }
 
-    pub fn store(&self, v: u64) {
-        with_ctx(|ctx| ctx.yield_now());
-        self.inner.store(v, Ordering::SeqCst);
+    /// Releases `guard`'s lock, waits for a notify, and takes the lock
+    /// again.
+    pub fn wait<'a, T>(&self, mut guard: XGuard<'a, T>) -> LockResult<XGuard<'a, T>> {
+        if !guard.instrumented {
+            let data = guard.guard.take().expect("guard taken");
+            let (data, poisoned) = match self.inner.wait(data) {
+                Ok(data) => (data, false),
+                Err(e) => (e.into_inner(), true),
+            };
+            guard.guard = Some(data);
+            return if poisoned {
+                Err(PoisonError::new(guard))
+            } else {
+                Ok(guard)
+            };
+        }
+        // Holding the token, nobody runs between the release and the
+        // park, so the pair is atomic as the std wait's is.
+        let mutex = guard.mutex;
+        drop(guard);
+        with_ctx(|ctx| ctx.block_on(self.id()));
+        mutex.lock()
     }
 
-    pub fn fetch_add(&self, v: u64) -> u64 {
-        with_ctx(|ctx| ctx.yield_now());
-        self.inner.fetch_add(v, Ordering::SeqCst)
-    }
-}
-
-/// A boolean atomic whose every access is a scheduling point.
-pub struct XAtomicBool {
-    inner: AtomicBool,
-}
-
-impl XAtomicBool {
-    pub fn new(v: bool) -> Self {
-        XAtomicBool {
-            inner: AtomicBool::new(v),
+    pub fn notify_one(&self) {
+        if with_ctx(|ctx| ctx.wake(self.id(), false)).is_none() {
+            self.inner.notify_one();
         }
     }
 
-    pub fn load(&self) -> bool {
-        with_ctx(|ctx| ctx.yield_now());
-        self.inner.load(Ordering::SeqCst)
-    }
-
-    pub fn store(&self, v: bool) {
-        with_ctx(|ctx| ctx.yield_now());
-        self.inner.store(v, Ordering::SeqCst);
+    pub fn notify_all(&self) {
+        if with_ctx(|ctx| ctx.wake(self.id(), true)).is_none() {
+            self.inner.notify_all();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn shims_work_without_a_checker_context() {
-        let m = XMutex::new(7u64);
+        static M: XMutex<u64> = XMutex::new(7);
         {
-            let mut g = m.lock();
+            let mut g = M.lock().unwrap();
             *g += 1;
         }
-        assert_eq!(*m.lock(), 8);
-        let a = XAtomicU64::new(1);
-        assert_eq!(a.fetch_add(2), 1);
-        assert_eq!(a.load(), 3);
-        let b = XAtomicBool::new(false);
-        b.store(true);
-        assert!(b.load());
+        assert_eq!(*M.lock().unwrap(), 8);
+    }
+
+    #[test]
+    fn condvar_wakes_a_waiter_without_a_checker_context() {
+        let pair = Arc::new((XMutex::new(false), XCondvar::new()));
+        let waiter = {
+            let pair = Arc::clone(&pair);
+            std::thread::spawn(move || {
+                let (m, cv) = &*pair;
+                let mut ready = m.lock().unwrap();
+                while !*ready {
+                    ready = cv.wait(ready).unwrap();
+                }
+            })
+        };
+        *pair.0.lock().unwrap() = true;
+        pair.1.notify_all();
+        waiter.join().unwrap();
     }
 }

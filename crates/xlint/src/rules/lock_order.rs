@@ -17,6 +17,12 @@
 //! runtime rank checker in `obs::lockrank` covers that half (see
 //! DESIGN.md §Static analysis).
 //!
+//! A lock that does not go through `obs::sync` is invisible to both
+//! the rank checker and the model checker, so outside `obs/src/sync.rs`
+//! production code in the locking crates may not name
+//! `std::sync::{Mutex, RwLock, Condvar}`, as a path or in a
+//! `use std::sync::{..}` group.
+//!
 //! One finding is about the workspace, not a file
 //! ([`check_declared`]): a lock the class table declares that no
 //! annotation in the locking crates names — a rank that outlived its
@@ -24,7 +30,7 @@
 
 use crate::config::{Config, LockDecl, LOCK_CLASSES_PATH};
 use crate::diag::Finding;
-use crate::lexer::TokenKind;
+use crate::lexer::{Token, TokenKind};
 use crate::model::WorkspaceModel;
 use crate::source::SourceFile;
 use std::collections::BTreeSet;
@@ -32,6 +38,11 @@ use std::collections::BTreeSet;
 pub const RULE: &str = "lock-order";
 
 const ACQUIRE_METHODS: &[&str] = &["lock", "read", "write"];
+
+/// The one file that may name `std`'s locks: the seam the others use.
+const SEAM: &str = "crates/obs/src/sync.rs";
+
+const RAW_LOCKS: &[&str] = &["Mutex", "RwLock", "Condvar"];
 
 #[derive(Debug)]
 struct Active {
@@ -51,6 +62,9 @@ pub fn check(file: &SourceFile, config: &Config, out: &mut Vec<Finding>) {
         return;
     }
     let toks = file.code_tokens();
+    if file.path != SEAM {
+        check_raw_std(file, &toks, out);
+    }
     let mut depth = 0usize;
     let mut active: Vec<Active> = Vec::new();
     // `let` binding of the statement currently being scanned.
@@ -183,6 +197,58 @@ pub fn check(file: &SourceFile, config: &Config, out: &mut Vec<Finding>) {
             }
         }
         i += 1;
+    }
+}
+
+/// Reports each `std::sync::{Mutex, RwLock, Condvar}` a production line
+/// names, directly (`std::sync::Mutex<T>`) or as a top-level item of a
+/// `use std::sync::{..}` group.
+fn check_raw_std(file: &SourceFile, toks: &[&Token], out: &mut Vec<Finding>) {
+    let path_sep = |j: usize| {
+        toks.get(j).is_some_and(|t| t.is_punct(':'))
+            && toks.get(j + 1).is_some_and(|t| t.is_punct(':'))
+    };
+    let is_raw_lock =
+        |t: &Token| t.kind == TokenKind::Ident && RAW_LOCKS.contains(&t.text.as_str());
+    for i in 0..toks.len() {
+        if !(toks[i].is_ident("std")
+            && path_sep(i + 1)
+            && toks.get(i + 3).is_some_and(|t| t.is_ident("sync"))
+            && path_sep(i + 4))
+        {
+            continue;
+        }
+        let mut named = Vec::new();
+        match toks.get(i + 6) {
+            Some(t) if t.is_punct('{') => {
+                let mut depth = 0usize;
+                for &t in &toks[i + 6..] {
+                    match t.kind {
+                        TokenKind::Punct('{') => depth += 1,
+                        TokenKind::Punct('}') if depth == 1 => break,
+                        TokenKind::Punct('}') => depth -= 1,
+                        _ if depth == 1 && is_raw_lock(t) => named.push(t),
+                        _ => {}
+                    }
+                }
+            }
+            Some(&t) if is_raw_lock(t) => named.push(t),
+            _ => {}
+        }
+        for t in named.into_iter().filter(|t| !file.is_test_line(t.line)) {
+            super::emit(
+                out,
+                file,
+                RULE,
+                t.line,
+                t.col,
+                format!(
+                    "raw `std::sync::{}` outside `obs::sync`: neither the lock-rank checker nor xcheck can see it",
+                    t.text
+                ),
+                "use `obs::sync::Mutex` / `Condvar`, built with its class from obs::lockrank::rank".into(),
+            );
+        }
     }
 }
 
@@ -373,6 +439,20 @@ mod tests {
         assert_eq!(fs.len(), 1, "{fs:?}");
         // No annotation anywhere: no hierarchy in use, nothing to say.
         assert!(undeclared(&[("crates/invindex/src/kvindex.rs", "fn f() {}\n")]).is_empty());
+    }
+
+    #[test]
+    fn raw_std_locks_are_flagged_outside_the_seam_and_tests() {
+        let src = "use std::sync::{atomic::{AtomicBool, Ordering}, Arc, Condvar, Mutex};\n\
+             struct S { m: std::sync::RwLock<u8>, a: std::sync::atomic::AtomicU64 }\n\
+             #[cfg(test)]\n\
+             mod tests { use std::sync::Mutex; }\n";
+        let lines: Vec<usize> = findings(src).into_iter().map(|(line, _)| line).collect();
+        assert_eq!(lines, [1, 1, 2]);
+        let seam = SourceFile::parse(SEAM, src, FileKind::Production);
+        let mut out = Vec::new();
+        check(&seam, &config(), &mut out);
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]

@@ -94,16 +94,24 @@ impl LiveEngine {
         &self.maint
     }
 
-    /// Rebuilds the engine façade from the latest snapshot and swaps it
-    /// in, unless a racing caller already published something newer.
-    /// Runs after `maint.writer` is released: see the lock order.
+    /// Rebuilds the engine façade from the latest snapshot and installs
+    /// it. Runs after `maint.writer` is released: see the lock order.
     fn republish(&self) {
         let snap = self.maint.snapshot();
         let gen = snap.generation();
-        let fresh = Arc::new(XRefineEngine::from_reader(snap, self.config.clone()));
+        self.install(
+            gen,
+            Arc::new(XRefineEngine::from_reader(snap, self.config.clone())),
+        );
+    }
+
+    /// Publishes `engine` as generation `gen`, unless a racing caller
+    /// already published something newer: the published generation
+    /// never goes down. The swap the model checker drives.
+    fn install(&self, gen: u64, engine: Arc<XRefineEngine>) {
         let mut slot = self.engine.lock(); // xlint::lock(engine.epoch)
         if gen > slot.0 {
-            *slot = (gen, fresh);
+            *slot = (gen, engine);
         }
     }
 }
@@ -349,5 +357,77 @@ mod tests {
             assert_eq!(writer.join().unwrap().unwrap().added, 1);
         });
         assert!(live.engine().answer("epoch").unwrap().original_ok);
+    }
+
+    /// Model check of the guarded swap, run on the code that ships:
+    /// `RUSTFLAGS="--cfg xcheck" cargo test -p xrefine --lib xcheck_install`.
+    /// Two `install`s of prebuilt engines, at generations g+1 and g+2,
+    /// race a reader of `generation()`. The published generation must
+    /// never go down — as the reader sees it, and at the end, where g+2
+    /// is published whatever the order.
+    #[cfg(xcheck)]
+    mod xcheck_install {
+        use super::*;
+
+        struct State {
+            live: LiveEngine,
+            /// Engines built from the two commits after the published
+            /// generation, not yet installed.
+            next: [(u64, Arc<XRefineEngine>); 2],
+        }
+
+        fn setup() -> State {
+            let (vfs, base) = fresh();
+            let live = LiveEngine::open_with_vfs(vfs, &base, EngineConfig::default()).unwrap();
+            let next = ["keyword", "refinement"].map(|word| {
+                let fragment = format!("<paper><title>{word}</title></paper>");
+                live.maint().commit(&[MaintOp::Add { fragment }]).unwrap();
+                let snap = live.maint().snapshot();
+                let gen = snap.generation();
+                let engine = XRefineEngine::from_reader(snap, EngineConfig::default());
+                (gen, Arc::new(engine))
+            });
+            assert_eq!(next[1].0, live.generation() + 2);
+            State { live, next }
+        }
+
+        fn install_first(s: &State) {
+            s.live.install(s.next[0].0, Arc::clone(&s.next[0].1));
+        }
+
+        fn install_second(s: &State) {
+            s.live.install(s.next[1].0, Arc::clone(&s.next[1].1));
+        }
+
+        fn reader(s: &State) {
+            let (first, second) = (s.live.generation(), s.live.generation());
+            assert!(
+                second >= first,
+                "published generation went down: {first} -> {second}"
+            );
+        }
+
+        #[test]
+        fn installs_racing_a_reader_never_publish_an_older_generation() {
+            let explore = || {
+                xcheck::explore(
+                    &xcheck::Config::default(),
+                    setup,
+                    &[install_first, install_second, reader],
+                    |s| match (s.live.generation(), s.next[1].0) {
+                        (published, newest) if published == newest => Ok(()),
+                        (published, newest) => Err(format!(
+                            "published generation went down: {published} is published \
+                             after generation {newest} was installed"
+                        )),
+                    },
+                )
+            };
+            let out = explore();
+            assert!(out.passed(), "violation: {:?}", out.violation);
+            assert!(out.schedules > 1, "the swap must branch: {}", out.schedules);
+            let again = explore().schedules;
+            assert_eq!(again, out.schedules, "exploration is deterministic");
+        }
     }
 }

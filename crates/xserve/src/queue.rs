@@ -1,7 +1,8 @@
 //! The bounded request queue, with load-shedding semantics.
 //!
-//! [`BoundedQueue`] is a hand-rolled MPMC queue (`Mutex<VecDeque>` +
-//! `Condvar` — the workspace owns its substrates) whose `try_push`
+//! [`BoundedQueue`] is a hand-rolled MPMC queue (a `VecDeque` behind
+//! `obs::sync`'s `Mutex` and `Condvar` — the workspace owns its
+//! substrates) whose `try_push`
 //! *never blocks and never grows past capacity*: admission control is a
 //! property of the queue, not a convention of its callers. The server
 //! runs exactly one, shared by every worker, so the queue is
@@ -23,16 +24,22 @@
 //! before), so polling changes who takes an item first, never whether
 //! it is taken; an idle server polls once and then sleeps.
 //!
-//! Poisoning is deliberately ignored (`unwrap_or_else(into_inner)`): a
+//! The lock and condition variable are `obs::sync`'s, so the lock is
+//! rank-checked (`serve.queue`) and a poisoned lock is recovered: a
 //! panicking worker must not wedge the accept path, and queue state —
-//! lengths and a closed flag — is valid after any partial mutation.
+//! items and a closed flag — is valid after any partial mutation. Under
+//! `cfg(xcheck)` the model checker explores this code as it ships
+//! (DESIGN.md §6c): a producer, a worker popping until `None` and
+//! `close`, every admitted item popped exactly once. `depth` and
+//! `polling` stay plain atomics there: the idle poll spins on a clock,
+//! and it only decides who pops first, never whether an item is popped.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use obs::lockrank::{self, rank};
+use obs::lockrank::rank;
+use obs::sync::{Condvar, Mutex};
 
 /// Why a push was refused. The item is handed back so the caller can
 /// answer the client (shedding must not drop the response channel).
@@ -72,10 +79,13 @@ pub struct BoundedQueue<T> {
 impl<T> BoundedQueue<T> {
     pub fn new(capacity: usize) -> BoundedQueue<T> {
         BoundedQueue {
-            state: Mutex::new(State {
-                items: VecDeque::with_capacity(capacity.min(1024)),
-                closed: false,
-            }),
+            state: Mutex::new(
+                rank::SERVE_QUEUE,
+                State {
+                    items: VecDeque::with_capacity(capacity.min(1024)),
+                    closed: false,
+                },
+            ),
             cond: Condvar::new(),
             capacity: capacity.max(1),
             depth: AtomicUsize::new(0),
@@ -99,11 +109,7 @@ impl<T> BoundedQueue<T> {
 
     /// Non-blocking push; refuses rather than waits.
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let _rank = lockrank::acquire(rank::SERVE_QUEUE);
-        let mut state = self
-            .state
-            .lock() // xlint::lock(serve.queue)
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut state = self.state.lock(); // xlint::lock(serve.queue)
         if state.closed {
             return Err(PushError::Closed(item));
         }
@@ -134,11 +140,7 @@ impl<T> BoundedQueue<T> {
     /// every admitted item has been popped.
     pub fn pop(&self) -> Option<T> {
         self.poll_while_idle();
-        let _rank = lockrank::acquire(rank::SERVE_QUEUE);
-        let mut state = self
-            .state
-            .lock() // xlint::lock(serve.queue)
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut state = self.state.lock(); // xlint::lock(serve.queue)
         loop {
             if let Some(item) = state.items.pop_front() {
                 self.depth.store(state.items.len(), Ordering::Relaxed);
@@ -147,21 +149,14 @@ impl<T> BoundedQueue<T> {
             if state.closed {
                 return None;
             }
-            state = self
-                .cond
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
+            state = self.cond.wait(state);
         }
     }
 
     /// Stops admission and wakes every blocked popper. Items already
     /// queued remain poppable — close-then-drain, never close-and-drop.
     pub fn close(&self) {
-        let _rank = lockrank::acquire(rank::SERVE_QUEUE);
-        let mut state = self
-            .state
-            .lock() // xlint::lock(serve.queue)
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut state = self.state.lock(); // xlint::lock(serve.queue)
         state.closed = true;
         self.cond.notify_all();
     }

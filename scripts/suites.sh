@@ -61,10 +61,13 @@
 #                  crate that breaks the benchmark fails here, pre-merge
 #   analysis       xlint over the live workspace + its golden fixtures,
 #                  rustdoc with warnings denied (a dangling or private
-#                  intra-doc link fails), then the xcheck model checker
-#                  (exhaustive bounded DFS over the distilled concurrency
-#                  models + seeded bugs) and the property runner's
-#                  self-tests
+#                  intra-doc link fails), the xcheck scheduler's and
+#                  property runner's self-tests, then the model checks
+#                  of the real ListCache, BoundedQueue and live-engine
+#                  swap (built with --cfg xcheck into target/xcheck),
+#                  and each seeded patch in crates/xcheck/seeded/
+#                  applied to a copy of the tree, where its check must
+#                  fail with its violation text
 #   tsan           ThreadSanitizer over the thread-heavy suites
 #                  (requires a nightly toolchain with rust-src)
 #   miri           Miri over the interpreter-friendly concurrency and
@@ -148,11 +151,67 @@ suite_bench_e2e() {
     cargo test --release --offline -q --manifest-path bench_e2e/Cargo.toml
 }
 
+# The model checks of the code that ships (DESIGN.md §6c). They exist
+# only under `--cfg xcheck`, which makes obs::sync the checker's; their
+# own target dir keeps that build from evicting the normal one.
+XCHECKS=(
+    "-p invindex --test xcheck_list_cache"
+    "-p xserve --test xcheck_queue"
+    "-p xrefine --lib xcheck_install"
+)
+
+XCHECK_TARGET="$PWD/target/xcheck"
+
+xcheck_test() {
+    # shellcheck disable=SC2086  # $1 is a word list on purpose
+    RUSTFLAGS="--cfg xcheck" xcargo test -q --target-dir "$XCHECK_TARGET" $1
+}
+
+# Each patch in crates/xcheck/seeded/ puts back a race the real code
+# excludes; its header names the one check that must catch it
+# (`check: `) and the violation text that check must report
+# (`expect: `). Patches apply, one at a time, to a copy of the tree.
+seeded_bugs_are_caught() {
+    local tree="target/xcheck/seeded-tree" patch check expect out
+    rm -rf "$tree"
+    mkdir -p "$tree"
+    git ls-files -z --cached --others --exclude-standard |
+        tar --null --ignore-failed-read -T - -cf - | tar -xmf - -C "$tree"
+    for patch in crates/xcheck/seeded/*.patch; do
+        check=$(sed -n 's/^check: //p' "$patch")
+        expect=$(sed -n 's/^expect: //p' "$patch")
+        if [[ -z "$check" || -z "$expect" ]]; then
+            echo "seeded: $patch has no check:/expect: header" >&2
+            return 1
+        fi
+        if ! patch -d "$tree" -p1 --fuzz=0 --quiet <"$patch"; then
+            echo "seeded: $patch no longer applies" >&2
+            return 1
+        fi
+        if out=$(cd "$tree" && xcheck_test "$check" 2>&1); then
+            echo "seeded: \`$check\` passes with $patch applied" >&2
+            return 1
+        fi
+        if ! grep -qF -- "$expect" <<<"$out"; then
+            echo "$out" >&2
+            echo "seeded: \`$check\` failed without \"$expect\" ($patch)" >&2
+            return 1
+        fi
+        patch -d "$tree" -p1 -R --quiet <"$patch"
+        echo "seeded: $patch caught: $expect"
+    done
+}
+
 suite_analysis() {
     xcargo run -q -p xlint -- --workspace
     xcargo run -q -p xlint -- --fixtures
     RUSTDOCFLAGS="-D warnings" xcargo doc --no-deps --workspace -q
     xcargo test -q -p xcheck
+    local check
+    for check in "${XCHECKS[@]}"; do
+        xcheck_test "$check"
+    done
+    seeded_bugs_are_caught
 }
 
 # The debug-only lock-rank checker and the tracer both lean on ordering
