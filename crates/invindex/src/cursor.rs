@@ -24,6 +24,18 @@
 //! and accounts for each itself — [`ScanStats::record_advance`],
 //! [`ScanStats::record_random_access`], [`ScanStats::record_advances`].
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use crate::postings::Posting;
 use crate::reader::ListHandle;
 use std::ops::Range;
@@ -122,7 +134,10 @@ impl<'a> ListCursor<'a> {
     /// Advances one posting, returning the posting that was under the
     /// cursor. (Deliberately cursor-style rather than `Iterator`: the
     /// callers interleave `peek`/`skip_run`.)
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "the item borrows the list for 'a, and callers interleave `peek`/`skip_run`"
+    )]
     pub fn next(&mut self) -> Option<&'a Posting> {
         let p = self.handle.postings().get(self.pos)?;
         self.pos = self.pos.saturating_add(1);

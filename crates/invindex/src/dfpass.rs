@@ -107,7 +107,10 @@ type FreqMaps = (FreqMap, FreqMap);
 /// shared with the previous posting's label is a newly seen `T`-typed
 /// container. `tf` adds the posting's occurrence count at every
 /// ancestor-or-self level.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the per-level tables of one pass; a struct would only rename them"
+)]
 fn stats_range(
     lists: &[PostingList],
     counts: &[Vec<u64>],

@@ -31,6 +31,18 @@
 //! generation that decoded them, so readers of different epochs can
 //! share one cache without ever serving a stale list.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use crate::cache::{CacheStats, ListCache};
 use crate::cooccur::CoOccurrence;
 use crate::index::Index;

@@ -30,6 +30,18 @@
 //! [`crate::KvBackedIndex`] — the one reader of this format — serves
 //! from a store equal those of a rebuilt index.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use crate::index::Index;
 use crate::postings::{read_varint, write_varint, CompressedList, PostingList};
 use crate::stats::{KeywordId, KeywordTable, TypeStats};

@@ -28,6 +28,18 @@
 //! decode whole lists ([`CompressedList::decode_all`]), nothing seeks
 //! through it today.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use crate::cursor::HEAD_AT_ROOT;
 use kvstore::{KvError, Result};
 use xmldom::{Dewey, NodeTypeId};

@@ -27,6 +27,18 @@
 //! the paper's build-once/read-many index, with the WAL and compaction
 //! carrying the update cost.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use crate::codec;
 use crate::error::{KvError, Result};
 use crate::pager::{FilePager, PageId, PAGE_SIZE};

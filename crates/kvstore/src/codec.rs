@@ -5,6 +5,18 @@
 //! surface as [`KvError::Corrupt`] instead of panicking on
 //! `try_into().unwrap()`.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use crate::error::{KvError, Result};
 
 fn bytes_at<'a>(buf: &'a [u8], pos: usize, need: usize, what: &str) -> Result<&'a [u8]> {

@@ -29,6 +29,18 @@
 //! A partially written `<base>.db.new` left by a crash is deleted on the
 //! next writer open.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use crate::btree;
 use crate::error::Result;
 use crate::snapshot::{fold, Snapshot};

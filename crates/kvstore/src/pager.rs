@@ -20,6 +20,18 @@
 //! of early builds) is rejected at open as [`KvError::Corrupt`]` { page:
 //! 0, .. }`.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use crate::codec;
 use crate::error::{KvError, Result};
 use crate::vfs::{Vfs, VfsFile};

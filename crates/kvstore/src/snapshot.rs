@@ -23,6 +23,18 @@
 //! nothing; a half-written checkpoint or a torn log tail left by a crash
 //! stays exactly as found, for the next *writer* open to repair.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use crate::btree::BTree;
 use crate::error::{KvError, Result};
 use crate::pager::FilePager;

@@ -41,6 +41,18 @@
 //! the group's `TxnBegin`; an unterminated group *followed by* intact
 //! records cannot be a crash artifact and is reported as corruption.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use crate::codec;
 use crate::error::{KvError, Result};
 use crate::vfs::{StdVfs, Vfs, VfsFile};
@@ -137,6 +149,12 @@ pub struct Wal {
     /// Byte offset where the next frame is appended. Maintained
     /// explicitly because the [`VfsFile`] interface is positional.
     tail: u64,
+    /// Set when a write or fsync failed: bytes past `tail` may hold
+    /// intact frames of a group that was never acknowledged, and a
+    /// shorter group written over them would leave those frames behind
+    /// it, where replay reports mid-log corruption. The next append
+    /// truncates to `tail` before it writes.
+    needs_trim: bool,
     /// When set, [`Self::reset_with_vfs`] refuses to run unless
     /// [`Self::note_base_durable`] was called since the last reset —
     /// the durability-ordering audit for checkpointing stores.
@@ -170,6 +188,7 @@ impl Wal {
             path: path.to_path_buf(),
             file,
             tail,
+            needs_trim: false,
             audit_reset: false,
             base_durable_noted: false,
         })
@@ -203,13 +222,7 @@ impl Wal {
         frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(&body).to_le_bytes());
         frame.extend_from_slice(&body);
-        if let Err(e) = self.file.write_all_at(self.tail, &frame) {
-            // Best-effort rollback of a short write so the tail stays
-            // parseable; the frame was never acknowledged.
-            let _ = self.file.set_len(self.tail);
-            return Err(e);
-        }
-        self.file.sync_data()?;
+        self.write_synced(&frame)?;
         obs::counter!("kvstore_wal_appends_total").inc();
         obs::counter!("kvstore_wal_appended_bytes_total").add(frame.len() as u64);
         obs::counter!("kvstore_wal_syncs_total").inc();
@@ -240,19 +253,29 @@ impl Wal {
             push(op, &mut frames);
         }
         push(&WalRecord::TxnCommit { seq }, &mut frames);
-        if let Err(e) = self.file.write_all_at(self.tail, &frames) {
-            // Best-effort rollback of a short write; the group was never
-            // acknowledged (and even unrolled, replay drops it).
-            let _ = self.file.set_len(self.tail);
-            return Err(e);
-        }
-        self.file.sync_data()?;
+        self.write_synced(&frames)?;
         obs::counter!("kvstore_wal_appends_total").add(ops.len() as u64 + 2);
         obs::counter!("kvstore_wal_appended_bytes_total").add(frames.len() as u64);
         obs::counter!("kvstore_wal_syncs_total").inc();
         obs::counter!("kvstore_wal_txns_total").inc();
         obs::trace::count("wal.syncs", 1);
         self.tail += frames.len() as u64;
+        Ok(())
+    }
+
+    /// Writes `frames` at the tail and fsyncs them, first truncating
+    /// away whatever a failed write or fsync left past the tail. A
+    /// failure leaves the tail where it was and arms that truncation.
+    fn write_synced(&mut self, frames: &[u8]) -> Result<()> {
+        if self.needs_trim {
+            self.file.set_len(self.tail)?;
+            self.needs_trim = false;
+        }
+        let written = self.file.write_all_at(self.tail, frames);
+        if let Err(e) = written.and_then(|()| self.file.sync_data()) {
+            self.needs_trim = true;
+            return Err(e);
+        }
         Ok(())
     }
 

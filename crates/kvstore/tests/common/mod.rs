@@ -1,7 +1,10 @@
 //! Shared workload machinery for the fault-injection and crash-recovery
 //! torture tests: a deterministic `DurableKv` workload, its reference
 //! model, and helpers to replay it against a store.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each test binary that includes this module uses a different part of it"
+)]
 
 use kvstore::{DurableKv, KvStore};
 use std::collections::BTreeMap;

@@ -7,7 +7,9 @@
 //! acknowledged write may be lost and no unacknowledged write may
 //! half-apply.
 //!
-//! Also covers at-rest bit rot: a flipped byte in a checksummed page
+//! Also covers a failed WAL fsync followed by a *different*, shorter
+//! group (the sweeps retry the same op, which rewrites the same bytes),
+//! and at-rest bit rot: a flipped byte in a checksummed page
 //! surfaces as `KvError::Corrupt` with page attribution, never as a
 //! wrong answer.
 //!
@@ -17,7 +19,7 @@
 mod common;
 
 use common::{apply_op, contents, models, workload};
-use kvstore::{DiskKv, DurableKv, Fault, FaultVfs, KvStore, SurvivalMode, PHYS_PAGE_SIZE};
+use kvstore::{BatchOp, DiskKv, DurableKv, Fault, FaultVfs, KvStore, SurvivalMode, PHYS_PAGE_SIZE};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -216,4 +218,54 @@ fn at_rest_bit_rot_surfaces_as_corrupt_never_a_wrong_answer() {
         corrupt_reads > 0,
         "no read ever hit the damage — the sweep proved nothing"
     );
+}
+
+fn put(key: &str) -> BatchOp {
+    BatchOp::Put(key.as_bytes().to_vec(), b"v".to_vec())
+}
+
+/// Commits `[a]`, fails the fsync of a six-put group, then commits the
+/// shorter `[d]` at the same log offset. With `fault_on_trim`, the first
+/// `[d]` also fails — on the truncation that drops the failed group —
+/// and is retried once. The store must reopen holding exactly the
+/// acknowledged groups.
+fn shorter_group_after_a_failed_sync(fault_on_trim: bool) {
+    let vfs = FaultVfs::new();
+    let dyn_vfs = vfs.as_dyn();
+    let base = Path::new("store");
+    let mut store = DurableKv::open_with_vfs(dyn_vfs.clone(), base).unwrap();
+    store.apply_batch(&[put("a")]).unwrap();
+
+    // A group is one write and then one fsync: fail the fsync.
+    vfs.set_fault(vfs.op_count() + 1, Fault::Error);
+    let six: Vec<BatchOp> = (0..6).map(|i| put(&format!("b{i:02}"))).collect();
+    assert!(store.apply_batch(&six).is_err());
+    assert!(
+        vfs.fault_fired(),
+        "the six-put group failed without its fault"
+    );
+
+    if fault_on_trim {
+        vfs.set_fault(vfs.op_count(), Fault::Error);
+        assert!(store.apply_batch(&[put("d")]).is_err());
+        assert!(vfs.fault_fired(), "the trim was not the next operation");
+    }
+    store.apply_batch(&[put("d")]).unwrap();
+    drop(store);
+
+    let reopened = DurableKv::open_with_vfs(dyn_vfs, base)
+        .unwrap_or_else(|e| panic!("the store no longer opens: {e}"));
+    let want =
+        [("a", "v"), ("d", "v")].map(|(k, v)| (k.as_bytes().to_vec(), v.as_bytes().to_vec()));
+    assert_eq!(contents(&reopened), want.into_iter().collect());
+}
+
+#[test]
+fn a_shorter_group_after_a_failed_wal_sync_reopens() {
+    shorter_group_after_a_failed_sync(false);
+}
+
+#[test]
+fn a_failed_trim_after_a_failed_wal_sync_is_retried() {
+    shorter_group_after_a_failed_sync(true);
 }

@@ -33,13 +33,9 @@ pub struct Config {
     /// Path prefixes where every bare `.lock()`/`.read()`/`.write()`
     /// call must carry an `xlint::lock(...)` annotation.
     pub lock_paths: Vec<String>,
-    /// Paths where panicking constructs are forbidden outside tests.
-    pub no_panic_paths: Vec<String>,
-    /// Subset of `no_panic_paths` where data-dependent `[]` indexing is
-    /// also forbidden (buffers there come from disk).
+    /// Decode-path files where data-dependent `[]` indexing is
+    /// forbidden outside tests (buffers there come from disk).
     pub index_paths: Vec<String>,
-    /// Paths where `Instant::now`/`SystemTime::now` are forbidden.
-    pub wallclock_paths: Vec<String>,
     /// Paths where `KvError::Corrupt` must carry non-empty context.
     pub error_context_paths: Vec<String>,
     /// Metric and span names the documentation declares.
@@ -88,22 +84,6 @@ impl Config {
                 "crates/xserve/src/".into(),
                 "crates/xrefine/src/live.rs".into(),
             ],
-            no_panic_paths: vec![
-                "crates/kvstore/src/codec.rs".into(),
-                "crates/kvstore/src/pager.rs".into(),
-                "crates/kvstore/src/wal.rs".into(),
-                "crates/kvstore/src/btree.rs".into(),
-                "crates/kvstore/src/durable.rs".into(),
-                "crates/kvstore/src/snapshot.rs".into(),
-                "crates/invindex/src/persist.rs".into(),
-                "crates/invindex/src/postings.rs".into(),
-                "crates/invindex/src/cursor.rs".into(),
-                "crates/invindex/src/kvindex.rs".into(),
-                "crates/xmldom/src/scan.rs".into(),
-                "crates/xserve/src/http.rs".into(),
-                "crates/xserve/src/conn.rs".into(),
-                "crates/xserve/src/queue.rs".into(),
-            ],
             index_paths: vec![
                 "crates/kvstore/src/codec.rs".into(),
                 "crates/kvstore/src/pager.rs".into(),
@@ -113,7 +93,6 @@ impl Config {
                 "crates/invindex/src/cursor.rs".into(),
                 "crates/xserve/src/http.rs".into(),
             ],
-            wallclock_paths: vec!["crates/slca/src/".into(), "crates/xrefine/src/".into()],
             error_context_paths: vec!["crates/kvstore/src/".into(), "crates/invindex/src/".into()],
             catalogue: BTreeSet::new(),
             metric_crates: vec![

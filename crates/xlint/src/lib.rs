@@ -1,19 +1,19 @@
 //! xlint — a from-scratch static analyzer for this workspace.
 //!
-//! Rustc and clippy enforce language-level invariants; xlint enforces
-//! *architecture-level* ones that only this codebase knows about:
+//! Rustc and clippy enforce language-level invariants — including the
+//! panic family on storage/decode paths, a `// SAFETY:` comment on every
+//! `unsafe` block and no clock reads in query evaluation; xlint enforces
+//! the *architecture-level* ones clippy has no lint for:
 //!
-//! * `no-panic-paths` — storage/decode paths return `KvError::Corrupt`,
-//!   they never panic;
+//! * `no-panic-paths` — no hard `assert!` where a file denies clippy's
+//!   panic lints, and no data-dependent `[]` indexing on decode paths;
 //! * `lock-order` — annotated lock sites respect the hierarchy declared
 //!   in `obs::lockrank::rank` (read as text from `crates/obs/src/lockrank.rs`);
 //! * `metric-catalogue` — metric and span names match DESIGN.md;
-//! * `no-wallclock-in-hot-paths` — no clock reads in query evaluation;
 //! * `error-context` — corruption errors always say what went wrong;
 //! * `durability-protocol` — renames in persistence paths are followed
 //!   by a parent-directory sync, per the DESIGN.md protocol table;
-//! * `unsafe-audit` — every production `unsafe` carries an
-//!   `xlint::safety(...)` invariant, inventoried into SAFETY.md;
+//! * `unsafe-audit` — a `// SAFETY:` comment states an invariant;
 //! * `checked-arithmetic-on-untrusted` — decode-path arithmetic on
 //!   disk/network-derived values uses `checked_*` forms;
 //! * `unused-export` — a `pub`/`pub(crate)` item under `crates/*/src`

@@ -1,7 +1,6 @@
 //! CLI: `xlint --workspace [--root PATH]` lints the tree and prints
-//! rustc-style diagnostics; `xlint --fixtures` self-tests the rules;
-//! `xlint --write-safety` regenerates the SAFETY.md inventory. `--json`
-//! switches diagnostics to one-line JSON for CI annotation.
+//! rustc-style diagnostics; `xlint --fixtures` self-tests the rules.
+//! `--json` switches diagnostics to one-line JSON for CI annotation.
 //!
 //! Exit codes: 0 clean; 1 findings, or a fixture whose rule went
 //! entirely dead (matched nothing it expected); 3 fixture failures
@@ -19,16 +18,13 @@ fn main() -> ExitCode {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--workspace" | "--fixtures" | "--list-rules" | "--write-safety" => {
+            "--workspace" | "--fixtures" | "--list-rules" => {
                 if mode.is_some() {
-                    return usage(
-                        "pass exactly one of --workspace, --fixtures, --list-rules, --write-safety",
-                    );
+                    return usage("pass exactly one of --workspace, --fixtures, --list-rules");
                 }
                 mode = Some(match args[i].as_str() {
                     "--workspace" => "workspace",
                     "--fixtures" => "fixtures",
-                    "--write-safety" => "write-safety",
                     _ => "list-rules",
                 });
             }
@@ -49,16 +45,6 @@ fn main() -> ExitCode {
     match mode {
         Some("workspace") => run_workspace(&root, json),
         Some("fixtures") => run_fixtures(&root, json),
-        Some("write-safety") => match xlint::workspace::write_safety(&root) {
-            Ok(()) => {
-                println!("xlint: SAFETY.md inventory regenerated");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("xlint: {e}");
-                ExitCode::from(2)
-            }
-        },
         Some("list-rules") => {
             for rule in xlint::rules::RULE_NAMES {
                 println!("{rule}");
@@ -66,7 +52,7 @@ fn main() -> ExitCode {
             println!("pragma");
             ExitCode::SUCCESS
         }
-        _ => usage("pass one of --workspace, --fixtures, --list-rules, --write-safety"),
+        _ => usage("pass one of --workspace, --fixtures, --list-rules"),
     }
 }
 
@@ -164,7 +150,7 @@ fn usage(err: &str) -> ExitCode {
     }
     eprintln!(
         "usage: xlint --workspace [--root PATH] [--json] \
-         | --fixtures [--root PATH] [--json] | --list-rules | --write-safety [--root PATH]"
+         | --fixtures [--root PATH] [--json] | --list-rules"
     );
     if err.is_empty() {
         ExitCode::SUCCESS

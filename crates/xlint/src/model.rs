@@ -385,7 +385,10 @@ mod tests {
     use super::*;
     use crate::source::FileKind;
 
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "a test helper's flat view of the model: (fn, callees) and (caller, callee) pairs"
+    )]
     fn model_of(src: &str) -> (Vec<(String, Vec<String>)>, Vec<(String, String)>) {
         let file = SourceFile::parse("a.rs", src, FileKind::Production);
         let files = [file];

@@ -201,7 +201,6 @@ fn rhs_tainted(
 
 /// Emits a finding for every raw `+` / `*` / `<<` (and compound form)
 /// whose operand neighbourhood mentions tainted data.
-#[allow(clippy::too_many_arguments)]
 fn flag_ops(
     file: &SourceFile,
     toks: &[&Token],

@@ -9,7 +9,6 @@ pub mod error_context;
 pub mod lock_order;
 pub mod metric_catalogue;
 pub mod no_panic;
-pub mod no_wallclock;
 pub mod pragma;
 pub mod unsafe_audit;
 pub mod unused_export;
@@ -24,7 +23,6 @@ pub const RULE_NAMES: &[&str] = &[
     no_panic::RULE,
     lock_order::RULE,
     metric_catalogue::RULE,
-    no_wallclock::RULE,
     error_context::RULE,
     durability::RULE,
     unsafe_audit::RULE,
@@ -40,7 +38,6 @@ pub fn run_all(file: &SourceFile, config: &Config) -> Vec<Finding> {
     no_panic::check(file, config, &mut out);
     lock_order::check(file, config, &mut out);
     metric_catalogue::check(file, config, &mut out);
-    no_wallclock::check(file, config, &mut out);
     error_context::check(file, config, &mut out);
     unsafe_audit::check(file, config, &mut out);
     checked_arith::check(file, config, &mut out);

@@ -1,14 +1,18 @@
-//! `no-panic-paths`: panicking constructs are forbidden in storage and
-//! decode paths. A corrupt page, a truncated WAL, or a bit-flipped
-//! postings frame must surface as `KvError::Corrupt`, never as a panic
-//! that takes the whole engine down mid-recovery.
+//! `no-panic-paths`: storage and decode paths do not panic. A corrupt
+//! page, a truncated WAL, or a bit-flipped postings frame must surface
+//! as `KvError::Corrupt`, never as a panic that takes the whole engine
+//! down mid-recovery.
 //!
-//! Detected constructs:
+//! Clippy owns most of this: each file on those paths opens with
+//! `#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used,
+//! clippy::panic, clippy::unreachable, clippy::todo,
+//! clippy::unimplemented))]`. Clippy has no lint for the two checks
+//! left here:
 //!
-//! * `.unwrap()` / `.unwrap_err()` / `.expect(..)` / `.expect_err(..)`
-//! * `panic!` / `unreachable!` / `todo!` / `unimplemented!`
 //! * hard `assert!` / `assert_eq!` / `assert_ne!` (the `debug_assert*`
-//!   family is exempt: it compiles out of release builds)
+//!   family is exempt: it compiles out of release builds), in every
+//!   file whose inner attributes deny `clippy::panic` — the scope is
+//!   that line, written once in the file it covers;
 //! * data-dependent `[]` indexing, but only in decode-path files
 //!   (`index_paths`): an index that came off disk must be bounds-checked
 //!   with `.get()`. Structurally constant indices (integer literals,
@@ -16,73 +20,44 @@
 
 use crate::config::Config;
 use crate::diag::Finding;
-use crate::lexer::TokenKind;
+use crate::lexer::{Token, TokenKind};
 use crate::source::SourceFile;
 
 pub const RULE: &str = "no-panic-paths";
 
-const PANIC_METHODS: &[&str] = &["unwrap", "unwrap_err", "expect", "expect_err"];
 /// Keywords after which a `[` opens an array literal, not an index.
 const KEYWORDS: &[&str] = &[
     "in", "return", "break", "else", "match", "if", "while", "loop", "move", "ref", "mut", "as",
 ];
 
-const PANIC_MACROS: &[&str] = &[
-    "panic",
-    "unreachable",
-    "todo",
-    "unimplemented",
-    "assert",
-    "assert_eq",
-    "assert_ne",
-];
+const ASSERT_MACROS: &[&str] = &["assert", "assert_eq", "assert_ne"];
 
 pub fn check(file: &SourceFile, config: &Config, out: &mut Vec<Finding>) {
-    let scoped = Config::in_scope(&file.path, &config.no_panic_paths);
+    let toks = file.code_tokens();
+    let scoped = denies_clippy_panic(&toks);
     let indexed = Config::in_scope(&file.path, &config.index_paths);
     if !scoped && !indexed {
         return;
     }
-    let toks = file.code_tokens();
     for i in 0..toks.len() {
         let t = toks[i];
         if file.is_test_line(t.line) {
             continue;
         }
-        if scoped {
-            // `.unwrap()` and friends
-            if t.is_punct('.') && i + 2 < toks.len() && toks[i + 2].is_punct('(') {
-                let m = &toks[i + 1];
-                if let TokenKind::Ident = m.kind {
-                    if PANIC_METHODS.contains(&m.text.as_str()) {
-                        super::emit(
-                            out,
-                            file,
-                            RULE,
-                            m.line,
-                            m.col,
-                            format!("`.{}()` can panic on a storage/decode path", m.text),
-                            "return `KvError::Corrupt` with context instead".into(),
-                        );
-                    }
-                }
-            }
-            // `panic!(..)` and friends
-            if matches!(t.kind, TokenKind::Ident)
-                && PANIC_MACROS.contains(&t.text.as_str())
-                && i + 1 < toks.len()
-                && toks[i + 1].is_punct('!')
-            {
-                super::emit(
-                    out,
-                    file,
-                    RULE,
-                    t.line,
-                    t.col,
-                    format!("`{}!` can panic on a storage/decode path", t.text),
-                    "return `KvError::Corrupt` (or use `debug_assert!` for invariants)".into(),
-                );
-            }
+        if scoped
+            && matches!(t.kind, TokenKind::Ident)
+            && ASSERT_MACROS.contains(&t.text.as_str())
+            && toks.get(i + 1).is_some_and(|n| n.is_punct('!'))
+        {
+            super::emit(
+                out,
+                file,
+                RULE,
+                t.line,
+                t.col,
+                format!("`{}!` can panic on a storage/decode path", t.text),
+                "return `KvError::Corrupt` (or use `debug_assert!` for invariants)".into(),
+            );
         }
         if indexed && t.is_punct('[') && i > 0 {
             let prev = toks[i - 1];
@@ -109,11 +84,40 @@ pub fn check(file: &SourceFile, config: &Config, out: &mut Vec<Finding>) {
     }
 }
 
+/// Does an inner attribute (`#![..]`) of the file deny `clippy::panic`?
+fn denies_clippy_panic(toks: &[&Token]) -> bool {
+    let mut i = 0;
+    while i + 2 < toks.len() {
+        if toks[i].is_punct('#') && toks[i + 1].is_punct('!') && toks[i + 2].is_punct('[') {
+            let body = &toks[i + 3..];
+            let end = body
+                .iter()
+                .position(|t| t.is_punct(']'))
+                .unwrap_or(body.len());
+            let attr = &body[..end];
+            let denies = attr.iter().any(|t| t.is_ident("deny"));
+            let panic = attr.windows(4).any(|w| {
+                w[0].is_ident("clippy")
+                    && w[1].is_punct(':')
+                    && w[2].is_punct(':')
+                    && w[3].is_ident("panic")
+            });
+            if denies && panic {
+                return true;
+            }
+            i += 3 + end;
+        } else {
+            i += 1;
+        }
+    }
+    false
+}
+
 /// Is every token between `toks[open]` (a `[`) and its matching `]`
 /// structurally constant? Allowed: integer/float literals, `UPPER_CASE`
 /// identifiers (consts), and the punctuation of ranges and constant
 /// arithmetic (`.` `+` `-` `=` `*` `/`).
-fn index_is_constant(toks: &[&crate::lexer::Token], open: usize) -> bool {
+fn index_is_constant(toks: &[&Token], open: usize) -> bool {
     let mut depth = 0usize;
     for t in &toks[open..] {
         if t.is_punct('[') {
@@ -151,6 +155,8 @@ mod tests {
     use super::*;
     use crate::source::FileKind;
 
+    const DENY: &str = "#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]\n";
+
     fn findings(src: &str) -> Vec<(usize, String)> {
         let file = SourceFile::parse("crates/kvstore/src/wal.rs", src, FileKind::Production);
         let config = Config::workspace_defaults();
@@ -160,41 +166,31 @@ mod tests {
     }
 
     #[test]
-    fn flags_unwrap_expect_and_macros() {
-        let fs = findings(
-            "fn f() {\n\
-             let a = x.unwrap();\n\
-             let b = y.expect(\"msg\");\n\
-             panic!(\"boom\");\n\
-             unreachable!();\n\
-             assert!(a > b);\n\
-             }\n",
-        );
-        assert_eq!(fs.len(), 5, "{fs:?}");
-    }
-
-    #[test]
-    fn debug_assert_and_strings_are_exempt() {
-        let fs = findings(
-            "fn f() {\n\
-             debug_assert!(a > b);\n\
-             debug_assert_eq!(a, b);\n\
-             let s = \"x.unwrap() panic!\";\n\
-             // x.unwrap() in a comment\n\
-             }\n",
-        );
-        assert!(fs.is_empty(), "{fs:?}");
+    fn hard_asserts_are_flagged_where_the_file_denies_clippy_panic() {
+        let body = "fn f() {\n\
+                    assert!(a > b);\n\
+                    assert_eq!(a, b);\n\
+                    debug_assert!(a > b);\n\
+                    let s = \"assert!(x)\";\n\
+                    }\n";
+        let fs = findings(&format!("{DENY}{body}"));
+        assert_eq!(fs.iter().map(|(l, _)| *l).collect::<Vec<_>>(), vec![3, 4]);
+        // Without the attribute the file is out of the assert scope;
+        // a `warn` or a lint list without `clippy::panic` is not it.
+        assert!(findings(body).is_empty());
+        let warn = "#![cfg_attr(not(test), warn(clippy::panic))]\n";
+        assert!(findings(&format!("{warn}{body}")).is_empty());
     }
 
     #[test]
     fn test_code_is_exempt() {
-        let fs = findings(
-            "fn f() {}\n\
+        let fs = findings(&format!(
+            "{DENY}fn f() {{}}\n\
              #[cfg(test)]\n\
-             mod tests {\n\
-             fn t() { x.unwrap(); buf[i]; }\n\
-             }\n",
-        );
+             mod tests {{\n\
+             fn t() {{ assert!(x); buf[i]; }}\n\
+             }}\n"
+        ));
         assert!(fs.is_empty(), "{fs:?}");
     }
 
@@ -231,10 +227,10 @@ mod tests {
     }
 
     #[test]
-    fn out_of_scope_files_are_ignored() {
+    fn indexing_outside_index_paths_is_ignored() {
         let file = SourceFile::parse(
             "crates/slca/src/lib.rs",
-            "fn f() { x.unwrap(); }\n",
+            "fn f() { buf[i]; }\n",
             FileKind::Production,
         );
         let mut out = Vec::new();

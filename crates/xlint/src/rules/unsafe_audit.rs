@@ -1,9 +1,10 @@
-//! `unsafe-audit`: every production `unsafe` (block, fn, impl) must
-//! carry a `// xlint::safety(<invariant>)` annotation naming the
-//! invariant it relies on, on the same line or the line above. The
-//! annotations double as the source of the generated SAFETY.md
-//! inventory (see [`inventory`] and [`render_inventory`]); the
-//! workspace runner flags SAFETY.md when it drifts out of date.
+//! `unsafe-audit`: a `// SAFETY:` comment must state an invariant.
+//! Clippy's `undocumented_unsafe_blocks` (denied workspace-wide)
+//! requires the comment above every `unsafe` block but accepts it
+//! empty; this rule rejects the empty one. The comment's text is the
+//! rest of its line plus the line comments directly below it, so an
+//! invariant may start on the next line. Test code is checked too:
+//! clippy requires the comment there as well.
 
 use crate::config::Config;
 use crate::diag::Finding;
@@ -13,79 +14,30 @@ use crate::source::SourceFile;
 pub const RULE: &str = "unsafe-audit";
 
 pub fn check(file: &SourceFile, _config: &Config, out: &mut Vec<Finding>) {
-    for t in file.code_tokens() {
-        if t.kind != TokenKind::Ident || t.text != "unsafe" || file.is_test_line(t.line) {
+    let comments: Vec<_> = file
+        .tokens
+        .iter()
+        .filter(|t| t.kind == TokenKind::LineComment)
+        .collect();
+    for (i, t) in comments.iter().enumerate() {
+        let Some(rest) = t.text.trim().strip_prefix("SAFETY:") else {
             continue;
-        }
-        match file.safety_at(t.line) {
-            Some(inv) if !inv.trim().is_empty() => {}
-            Some(_) => super::emit(
+        };
+        let continued = comments
+            .get(i + 1)
+            .is_some_and(|next| next.line == t.line + 1 && !next.text.trim().is_empty());
+        if rest.trim().is_empty() && !continued {
+            super::emit(
                 out,
                 file,
                 RULE,
                 t.line,
                 t.col,
-                "`unsafe` has an empty `xlint::safety(...)` annotation".into(),
-                "state the invariant the block relies on".into(),
-            ),
-            None => super::emit(
-                out,
-                file,
-                RULE,
-                t.line,
-                t.col,
-                "`unsafe` without a `// xlint::safety(...)` invariant".into(),
-                "annotate with `// xlint::safety(<invariant this relies on>)`".into(),
-            ),
+                "`// SAFETY:` comment states no invariant".into(),
+                "say what the `unsafe` block relies on, after `SAFETY:`".into(),
+            );
         }
     }
-}
-
-/// One audited `unsafe` site, for the SAFETY.md inventory.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnsafeSite {
-    pub path: String,
-    pub line: usize,
-    pub invariant: String,
-}
-
-/// Collects every annotated production `unsafe` site across the parsed
-/// files, in (path, line) order. Unannotated sites are findings, not
-/// inventory entries.
-pub fn inventory(files: &[SourceFile]) -> Vec<UnsafeSite> {
-    let mut sites = Vec::new();
-    for file in files {
-        for t in file.code_tokens() {
-            if t.kind != TokenKind::Ident || t.text != "unsafe" || file.is_test_line(t.line) {
-                continue;
-            }
-            if let Some(inv) = file.safety_at(t.line) {
-                if !inv.trim().is_empty() {
-                    sites.push(UnsafeSite {
-                        path: file.path.clone(),
-                        line: t.line,
-                        invariant: inv.trim().to_string(),
-                    });
-                }
-            }
-        }
-    }
-    sites.sort_by(|a, b| (a.path.as_str(), a.line).cmp(&(b.path.as_str(), b.line)));
-    sites
-}
-
-/// Renders the inventory as the generated SAFETY.md section body (the
-/// text between the `xlint:safety` markers).
-pub fn render_inventory(sites: &[UnsafeSite]) -> String {
-    let mut out = String::new();
-    out.push_str("| location | invariant relied upon |\n|---|---|\n");
-    if sites.is_empty() {
-        out.push_str("| *(none)* | the workspace currently contains no production `unsafe` |\n");
-    }
-    for s in sites {
-        out.push_str(&format!("| `{}:{}` | {} |\n", s.path, s.line, s.invariant));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -93,68 +45,33 @@ mod tests {
     use super::*;
     use crate::source::FileKind;
 
-    fn parse(src: &str) -> SourceFile {
-        SourceFile::parse("crates/xserve/src/signal.rs", src, FileKind::Production)
-    }
-
-    #[test]
-    fn annotated_unsafe_is_clean_and_inventoried() {
-        let f = parse(
-            "fn install() {\n\
-                 // xlint::safety(act outlives the syscall; layout is the kernel ABI)\n\
-                 unsafe { asm() }\n\
-             }\n",
-        );
+    fn lines(src: &str, kind: FileKind) -> Vec<usize> {
+        let f = SourceFile::parse("crates/xserve/src/signal.rs", src, kind);
         let mut out = Vec::new();
         check(&f, &Config::workspace_defaults(), &mut out);
-        assert!(out.is_empty(), "{out:?}");
-        let inv = inventory(std::slice::from_ref(&f));
-        assert_eq!(inv.len(), 1);
-        assert_eq!(inv[0].line, 3);
-        assert!(inv[0].invariant.contains("kernel ABI"));
+        out.into_iter().map(|f| f.line).collect()
     }
 
     #[test]
-    fn bare_and_empty_annotations_are_findings() {
-        let f = parse(
-            "fn a() { unsafe { x() } }\n\
-             fn b() {\n\
-                 // xlint::safety()\n\
-                 unsafe { y() }\n\
-             }\n",
-        );
-        let mut out = Vec::new();
-        check(&f, &Config::workspace_defaults(), &mut out);
-        assert_eq!(out.len(), 2, "{out:?}");
-        assert_eq!(out[0].line, 1);
-        assert_eq!(out[1].line, 4);
+    fn only_an_empty_safety_comment_is_a_finding() {
+        let src = "fn a() {\n\
+                       // SAFETY: act outlives the syscall\n\
+                       unsafe { x() }\n\
+                       // SAFETY:\n\
+                       // the layout is the kernel ABI\n\
+                       unsafe { y() }\n\
+                       // SAFETY:\n\
+                       unsafe { z() }\n\
+                       let s = \"// SAFETY:\";\n\
+                   }\n";
+        assert_eq!(lines(src, FileKind::Production), vec![7]);
     }
 
     #[test]
-    fn test_regions_and_comment_mentions_are_exempt() {
-        let f = parse(
-            "// unsafe discussed in prose\n\
-             fn a() { let s = \"unsafe\"; }\n\
-             #[cfg(test)]\n\
-             mod tests {\n\
-                 fn t() { unsafe { z() } }\n\
-             }\n",
-        );
-        let mut out = Vec::new();
-        check(&f, &Config::workspace_defaults(), &mut out);
-        assert!(out.is_empty(), "{out:?}");
-        assert!(inventory(std::slice::from_ref(&f)).is_empty());
-    }
-
-    #[test]
-    fn inventory_renders_as_a_table() {
-        let sites = vec![UnsafeSite {
-            path: "crates/xserve/src/signal.rs".into(),
-            line: 86,
-            invariant: "act outlives the syscall".into(),
-        }];
-        let md = render_inventory(&sites);
-        assert!(md.contains("| `crates/xserve/src/signal.rs:86` | act outlives the syscall |"));
-        assert!(render_inventory(&[]).contains("*(none)*"));
+    fn test_code_is_checked_too() {
+        let src =
+            "#[cfg(test)]\nmod tests {\n    // SAFETY:   \n    fn t() { unsafe { z() } }\n}\n";
+        assert_eq!(lines(src, FileKind::Production), vec![3]);
+        assert_eq!(lines(src, FileKind::Test), vec![3]);
     }
 }

@@ -12,9 +12,6 @@
 //! * **lock annotations** — `// xlint::lock(<name>)` names the lock a
 //!   `.lock()`/`.read()`/`.write()` acquisition site takes, tying it to
 //!   the hierarchy declared in `obs::lockrank::rank`.
-//! * **safety annotations** — `// xlint::safety(<invariant>)` states the
-//!   invariant an `unsafe` block relies on; the `unsafe-audit` rule
-//!   requires one per block and inventories them into SAFETY.md.
 
 use crate::lexer::{lex, Token, TokenKind};
 use std::collections::HashMap;
@@ -48,8 +45,6 @@ pub struct SourceFile {
     pub allows: Vec<Allow>,
     /// line -> lock name, from `xlint::lock(...)` annotations.
     lock_names: HashMap<usize, String>,
-    /// line -> safety invariant, from `xlint::safety(...)` annotations.
-    safety_notes: HashMap<usize, String>,
 }
 
 impl SourceFile {
@@ -60,7 +55,7 @@ impl SourceFile {
         if kind == FileKind::Production {
             mark_test_regions(&tokens, &mut test_lines);
         }
-        let (allows, lock_names, safety_notes) = collect_annotations(&tokens);
+        let (allows, lock_names) = collect_annotations(&tokens);
         SourceFile {
             path: path.to_string(),
             kind,
@@ -68,7 +63,6 @@ impl SourceFile {
             test_lines,
             allows,
             lock_names,
-            safety_notes,
         }
     }
 
@@ -99,15 +93,6 @@ impl SourceFile {
     /// included.
     pub fn annotated_locks(&self) -> impl Iterator<Item = &str> {
         self.lock_names.values().map(String::as_str)
-    }
-
-    /// The declared safety invariant for an `unsafe` block at `line`,
-    /// from an annotation on the same line or the line above.
-    pub fn safety_at(&self, line: usize) -> Option<&str> {
-        self.safety_notes
-            .get(&line)
-            .or_else(|| line.checked_sub(1).and_then(|l| self.safety_notes.get(&l)))
-            .map(String::as_str)
     }
 
     /// Non-comment tokens (what the rules pattern-match on).
@@ -199,15 +184,11 @@ fn mark_test_regions(tokens: &[Token], test_lines: &mut [bool]) {
     }
 }
 
-/// Extracts `xlint::allow(...)`, `xlint::lock(...)` and
-/// `xlint::safety(...)` annotations from comment tokens.
-#[allow(clippy::type_complexity)]
-fn collect_annotations(
-    tokens: &[Token],
-) -> (Vec<Allow>, HashMap<usize, String>, HashMap<usize, String>) {
+/// Extracts `xlint::allow(...)` and `xlint::lock(...)` annotations
+/// from comment tokens.
+fn collect_annotations(tokens: &[Token]) -> (Vec<Allow>, HashMap<usize, String>) {
     let mut allows = Vec::new();
     let mut locks = HashMap::new();
-    let mut safeties = HashMap::new();
     for t in tokens {
         if !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment) {
             continue;
@@ -232,15 +213,9 @@ fn collect_annotations(
             if let Some(close) = rest.find(')') {
                 locks.insert(t.line, rest[..close].trim().to_string());
             }
-        } else if let Some(rest) = body.strip_prefix("xlint::safety(") {
-            // The invariant may itself contain parentheses: close at the
-            // *last* `)` on the comment.
-            if let Some(close) = rest.rfind(')') {
-                safeties.insert(t.line, rest[..close].trim().to_string());
-            }
         }
     }
-    (allows, locks, safeties)
+    (allows, locks)
 }
 
 #[cfg(test)]
@@ -297,23 +272,6 @@ mod tests {
         assert_eq!(bare.rule, "lock-order");
         assert!(bare.justification.is_empty());
         assert!(!f.is_suppressed("lock-order", 4));
-    }
-
-    #[test]
-    fn safety_annotations_parse_with_nested_parens() {
-        let src = "// xlint::safety(act outlives the syscall (kernel ABI layout))\n\
-                   unsafe { raw() }\n\
-                   unsafe { other() } // xlint::safety(same line form)\n";
-        let f = SourceFile::parse("a.rs", src, FileKind::Production);
-        assert_eq!(
-            f.safety_at(2),
-            Some("act outlives the syscall (kernel ABI layout)")
-        );
-        assert_eq!(f.safety_at(3), Some("same line form"));
-        assert_eq!(
-            f.safety_at(1),
-            Some("act outlives the syscall (kernel ABI layout)")
-        );
     }
 
     #[test]

@@ -5,7 +5,6 @@
 use crate::config::{self, Config};
 use crate::diag::Finding;
 use crate::model::WorkspaceModel;
-use crate::rules::unsafe_audit;
 use crate::source::{FileKind, SourceFile};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -97,8 +96,8 @@ fn parse_workspace(root: &Path) -> Result<Vec<SourceFile>, String> {
 }
 
 /// Lints every source file in the workspace: per-file rules first, then
-/// the graph rules over the whole-workspace model, then the SAFETY.md
-/// inventory staleness check. Findings come back sorted.
+/// the graph rules over the whole-workspace model. Findings come back
+/// sorted.
 pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     let config = load_config(root)?;
     let parsed = parse_workspace(root)?;
@@ -108,62 +107,6 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     }
     let model = WorkspaceModel::build(&parsed);
     crate::rules::run_workspace(&model, &config, &mut findings);
-    if let Some(f) = safety_md_finding(root, &parsed) {
-        findings.push(f);
-    }
     crate::diag::sort_findings(&mut findings);
     Ok(findings)
-}
-
-/// Checks that SAFETY.md's generated section matches the live `unsafe`
-/// inventory; `None` when current.
-fn safety_md_finding(root: &Path, parsed: &[SourceFile]) -> Option<Finding> {
-    let want = unsafe_audit::render_inventory(&unsafe_audit::inventory(parsed));
-    let stale = |msg: String| {
-        Some(Finding {
-            rule: unsafe_audit::RULE,
-            path: "SAFETY.md".into(),
-            line: 1,
-            col: 1,
-            message: msg,
-            help: "run `cargo run -p xlint -- --write-safety` to regenerate".into(),
-        })
-    };
-    let text = match fs::read_to_string(root.join("SAFETY.md")) {
-        Ok(t) => t,
-        Err(_) => return stale("SAFETY.md is missing".into()),
-    };
-    let inventory = match config::fence(&text, "SAFETY.md", "safety") {
-        Ok(range) => &text[range],
-        Err(e) => return stale(e),
-    };
-    if inventory.trim() != want.trim() {
-        return stale("SAFETY.md inventory is out of date with the live `unsafe` sites".into());
-    }
-    None
-}
-
-/// Regenerates the SAFETY.md inventory section in place (creating the
-/// file with a preamble if absent).
-pub fn write_safety(root: &Path) -> Result<(), String> {
-    let parsed = parse_workspace(root)?;
-    let body = unsafe_audit::render_inventory(&unsafe_audit::inventory(&parsed));
-    let path = root.join("SAFETY.md");
-    let existing = fs::read_to_string(&path).unwrap_or_else(|_| {
-        "# Unsafe inventory\n\n\
-         Every production `unsafe` in this workspace carries a\n\
-         `// xlint::safety(<invariant>)` annotation (rule `unsafe-audit`), and the\n\
-         table below is generated from those annotations. Regenerate with\n\
-         `cargo run -p xlint -- --write-safety`; `--workspace` fails when it drifts.\n\n\
-         <!-- xlint:safety:begin -->\n<!-- xlint:safety:end -->\n"
-            .to_string()
-    });
-    let range = config::fence(&existing, "SAFETY.md", "safety")?;
-    let updated = format!(
-        "{}\n{}\n{}",
-        &existing[..range.start],
-        body.trim_end(),
-        &existing[range.end..]
-    );
-    fs::write(&path, updated).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }

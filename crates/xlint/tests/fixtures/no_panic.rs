@@ -1,26 +1,19 @@
 // xlint-fixture: path=crates/kvstore/src/wal.rs
-// Seeded violations: every panicking construct no-panic-paths must catch,
-// plus the constructs it must leave alone (debug_assert, const indexing,
-// macros like vec![], and anything inside a test region).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+// Seeded violations: what no-panic-paths catches where clippy cannot —
+// a hard assert in a file that denies clippy::panic, data-dependent
+// indexing on a decode path — plus what it must leave alone
+// (debug_assert, const indexing, macros like vec![], test regions).
 
 fn decode(buf: &[u8], idx: usize) -> u32 {
-    let a = parse(buf).unwrap();
-    let b = parse(buf).expect("short buffer");
-    let c = parse(buf).unwrap_err();
-    if buf.is_empty() {
-        panic!("empty buffer");
-    }
     assert!(idx > 0);
     assert_eq!(idx % 2, 1);
+    assert_ne!(idx, 7);
     let d = buf[idx];
     let e = buf[0];
     let f = &buf[..HDR_LEN];
     let g = vec![0u8; idx];
-    match idx {
-        0 => todo!(),
-        1 => unimplemented!(),
-        _ => unreachable!(),
-    }
+    d
 }
 
 fn safe(buf: &[u8]) -> Option<u8> {

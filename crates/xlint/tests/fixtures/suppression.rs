@@ -14,9 +14,9 @@ fn bare_pragma(buf: &[u8], i: usize) -> u8 {
     buf[i]
 }
 
-fn unknown_rule(buf: &[u8]) {
+fn unknown_rule(buf: &[u8], i: usize) -> u8 {
     // xlint::allow(no-such-rule): misspelled rule names must not silently suppress
-    buf.first().unwrap();
+    buf[i]
 }
 
 fn wrong_rule(buf: &[u8], i: usize) -> u8 {

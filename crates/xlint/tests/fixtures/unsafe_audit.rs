@@ -1,33 +1,33 @@
 // xlint-fixture: path=crates/xserve/src/signal.rs
-// Every production `unsafe` needs an `xlint::safety(...)` invariant on
-// the same line or the line above; the annotations feed SAFETY.md.
+// Clippy requires a `// SAFETY:` comment above every `unsafe` block but
+// accepts an empty one; unsafe-audit flags the empty one, test code
+// included.
 
-fn annotated_above() {
-    // xlint::safety(act outlives the syscall; layout matches the x86_64 kernel ABI)
+fn stated_on_the_line() {
+    // SAFETY: act outlives the syscall; layout matches the x86_64 kernel ABI
     unsafe { raw_syscall() }
 }
 
-fn annotated_same_line() {
-    unsafe { raw_syscall() } // xlint::safety(argument registers hold valid pointers)
-}
-
-fn unannotated() {
+fn stated_on_the_next_line() {
+    // SAFETY:
+    // argument registers hold valid pointers for the call
     unsafe { raw_syscall() }
 }
 
 fn empty_invariant() {
-    // xlint::safety()
+    // SAFETY:
     unsafe { raw_syscall() }
 }
 
 fn mentions_in_prose_only() {
-    // this fn discusses unsafe code in a comment and a string
-    let _doc = "unsafe { .. } requires an invariant";
+    // this fn discusses SAFETY: comments in prose and a string
+    let _doc = "// SAFETY:";
 }
 
 #[cfg(test)]
 mod tests {
     fn t() {
+        // SAFETY:
         unsafe { raw_syscall() }
     }
 }

@@ -31,7 +31,19 @@
 //! makes cache-speed without any SIMD intrinsics or dependencies.
 //!
 //! Errors are structured ([`ScanError`] with a byte offset), never
-//! panics; the module is under the `no-panic-paths` lint scope.
+//! panics; the attribute below denies clippy's panic lints here.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use std::borrow::Cow;
 use std::fmt;

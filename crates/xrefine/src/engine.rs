@@ -183,10 +183,16 @@ impl XRefineEngine {
     }
 
     fn answer_phases(&self, query: Query) -> Result<RefineOutcome, QueryFailure> {
-        // xlint::allow(no-wallclock-in-hot-paths): once per query — whole-query latency histogram, not per-node work
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "once per query: the whole-query latency histogram, not per-node work"
+        )]
         let started = Instant::now();
 
-        // xlint::allow(no-wallclock-in-hot-paths): once per query, brackets the rules phase
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "once per query: brackets the rules phase"
+        )]
         let t0 = Instant::now();
         let rules = {
             let _span = obs::trace::span("rules");
@@ -195,7 +201,10 @@ impl XRefineEngine {
         };
         obs::histogram!("xrefine_phase_rules_nanos").observe_duration(t0.elapsed());
 
-        // xlint::allow(no-wallclock-in-hot-paths): once per query, brackets the session phase
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "once per query: brackets the session phase"
+        )]
         let t1 = Instant::now();
         let session = {
             let _span = obs::trace::span("session");
@@ -209,7 +218,10 @@ impl XRefineEngine {
         };
         obs::histogram!("xrefine_phase_session_nanos").observe_duration(t1.elapsed());
 
-        // xlint::allow(no-wallclock-in-hot-paths): once per query, brackets the algorithm phase
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "once per query: brackets the algorithm phase"
+        )]
         let t2 = Instant::now();
         let outcome = {
             let _span = obs::trace::span(match self.config.algorithm {

@@ -211,20 +211,6 @@ mod tests {
     use std::sync::Arc;
     use xmldom::fixtures::figure1;
 
-    #[allow(dead_code)]
-    fn run(q: &[&str], k: usize) -> RefineOutcome {
-        let idx = KvBackedIndex::from_built(Index::build(Arc::new(figure1())));
-        let query = Query::from_keywords(q.iter().map(|s| s.to_string()));
-        let session = RefineSession::new(&idx, query, RuleSet::table2()).unwrap();
-        sle_refine(
-            &session,
-            &SleOptions {
-                k,
-                ..Default::default()
-            },
-        )
-    }
-
     #[test]
     fn finds_same_optimum_as_partition() {
         for q in [

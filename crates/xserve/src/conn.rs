@@ -1,6 +1,6 @@
 //! Per-connection thread: reads requests, routes them, writes replies.
 //!
-//! This file is in xlint's `no-panic-paths` scope — bytes here come
+//! The attribute below denies clippy's panic lints here — bytes come
 //! from the network, and a malformed or malicious peer must never cost
 //! more than its own connection. Reads happen in short slices
 //! (`min(read_timeout, 100ms)`) so the thread observes drain promptly
@@ -18,6 +18,18 @@
 //! shed path never blocks. `/metrics`, `/healthz` and `/admin/drain`
 //! are answered inline on this thread, so observability keeps working
 //! when the query queue is saturated.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use std::io::{ErrorKind, Read as _};
 use std::net::TcpStream;

@@ -2,10 +2,23 @@
 //!
 //! Only what the serving path needs — request line, the `Connection` and
 //! `Content-Length` headers, query-string decoding — parsed defensively:
-//! this file is in xlint's `no-panic-paths` *and* `index_paths` scopes,
-//! so bytes off the wire are never indexed unchecked and malformed input
-//! surfaces as a structured [`ParseError`], never a panic. A garbage
-//! request must cost the server one `400`, not a connection thread.
+//! the attribute below denies clippy's panic lints here, and xlint's
+//! `index_paths` scope covers this file, so bytes off the wire are never
+//! indexed unchecked and malformed input surfaces as a structured
+//! [`ParseError`], never a panic. A garbage request must cost the server
+//! one `400`, not a connection thread.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use std::io::{self, Write};
 

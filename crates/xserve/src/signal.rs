@@ -78,7 +78,6 @@ mod imp {
             // SAFETY: `act` lives across the syscall; the layout above
             // is the x86_64 kernel ABI; rcx/r11 are clobbered by
             // `syscall` and declared so.
-            // xlint::safety(act outlives the syscall; KernelSigaction matches the x86_64 kernel ABI layout; rcx/r11 clobbers are declared)
             unsafe {
                 std::arch::asm!(
                     "syscall",
@@ -126,6 +125,8 @@ mod tests {
         // which would kill the process) runs and sets the flag.
         let pid = std::process::id() as u64;
         let ret: i64;
+        // SAFETY: kill(2) takes two integer arguments and reads no
+        // memory; rcx/r11 are clobbered by `syscall` and declared so.
         unsafe {
             std::arch::asm!(
                 "syscall",

@@ -639,6 +639,8 @@ fn spawned_binary_drains_on_sigterm() {
     // Delivered via the raw kill syscall — no dependence on a `kill`
     // binary being present in the environment.
     let ret: i64;
+    // SAFETY: kill(2) takes two integer arguments and reads no memory;
+    // rcx/r11 are clobbered by `syscall` and declared so.
     unsafe {
         std::arch::asm!(
             "syscall",

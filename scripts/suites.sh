@@ -59,15 +59,18 @@
 #   bench_e2e      the BENCHMARK.json harness's own tests, built against
 #                  the workspace crates: an API deletion in a measured
 #                  crate that breaks the benchmark fails here, pre-merge
-#   analysis       xlint over the live workspace + its golden fixtures,
-#                  rustdoc with warnings denied (a dangling or private
-#                  intra-doc link fails), the xcheck scheduler's and
-#                  property runner's self-tests, then the model checks
-#                  of the real ListCache, BoundedQueue and live-engine
-#                  swap (built with --cfg xcheck into target/xcheck),
-#                  and each seeded patch in crates/xcheck/seeded/
-#                  applied to a copy of the tree, where its check must
-#                  fail with its violation text
+#   analysis       clippy with warnings denied in the --cfg xcheck build
+#                  (scripts/check.sh and CI's check job run the plain
+#                  one), xlint over the live workspace + its golden
+#                  fixtures, rustdoc with warnings denied (a
+#                  dangling or private intra-doc link fails), the xcheck
+#                  scheduler's and property runner's self-tests, then the
+#                  model checks of the real ListCache, BoundedQueue and
+#                  live-engine swap (built with --cfg xcheck into
+#                  target/xcheck), and each seeded patch in
+#                  crates/*/seeded/ applied to a copy of the tree, where
+#                  its check — a model check or a clippy run — must fail
+#                  with its violation text
 #   tsan           ThreadSanitizer over the thread-heavy suites
 #                  (requires a nightly toolchain with rust-src)
 #   miri           Miri over the interpreter-friendly concurrency and
@@ -162,22 +165,27 @@ XCHECKS=(
 
 XCHECK_TARGET="$PWD/target/xcheck"
 
-xcheck_test() {
-    # shellcheck disable=SC2086  # $1 is a word list on purpose
-    RUSTFLAGS="--cfg xcheck" xcargo test -q --target-dir "$XCHECK_TARGET" $1
+# `cargo <subcommand> <args>` in the --cfg xcheck build.
+xcheck_cargo() {
+    local subcommand="$1"
+    shift
+    RUSTFLAGS="--cfg xcheck" xcargo "$subcommand" -q --target-dir "$XCHECK_TARGET" "$@"
 }
 
-# Each patch in crates/xcheck/seeded/ puts back a race the real code
-# excludes; its header names the one check that must catch it
-# (`check: `) and the violation text that check must report
-# (`expect: `). Patches apply, one at a time, to a copy of the tree.
+# Each patch in crates/*/seeded/ puts back a bug the real code excludes:
+# a race in crates/xcheck/seeded/, a lint violation in
+# crates/xlint/seeded/. Its header names the one check that must catch
+# it (`check: `, a cargo subcommand and its arguments, run in the
+# --cfg xcheck build: `test …` for a model check, `clippy …` for a lint)
+# and, one `expect: ` line each, the violation texts that check must
+# report. Patches apply, one at a time, to a copy of the tree.
 seeded_bugs_are_caught() {
-    local tree="target/xcheck/seeded-tree" patch check expect out
+    local tree="target/xcheck/seeded-tree" patch check expect line out
     rm -rf "$tree"
     mkdir -p "$tree"
     git ls-files -z --cached --others --exclude-standard |
         tar --null --ignore-failed-read -T - -cf - | tar -xmf - -C "$tree"
-    for patch in crates/xcheck/seeded/*.patch; do
+    for patch in crates/*/seeded/*.patch; do
         check=$(sed -n 's/^check: //p' "$patch")
         expect=$(sed -n 's/^expect: //p' "$patch")
         if [[ -z "$check" || -z "$expect" ]]; then
@@ -188,28 +196,33 @@ seeded_bugs_are_caught() {
             echo "seeded: $patch no longer applies" >&2
             return 1
         fi
-        if out=$(cd "$tree" && xcheck_test "$check" 2>&1); then
+        # shellcheck disable=SC2086  # $check is a word list on purpose
+        if out=$(cd "$tree" && xcheck_cargo $check 2>&1); then
             echo "seeded: \`$check\` passes with $patch applied" >&2
             return 1
         fi
-        if ! grep -qF -- "$expect" <<<"$out"; then
-            echo "$out" >&2
-            echo "seeded: \`$check\` failed without \"$expect\" ($patch)" >&2
-            return 1
-        fi
+        while IFS= read -r line; do
+            if ! grep -qF -- "$line" <<<"$out"; then
+                echo "$out" >&2
+                echo "seeded: \`$check\` failed without \"$line\" ($patch)" >&2
+                return 1
+            fi
+        done <<<"$expect"
         patch -d "$tree" -p1 -R --quiet <"$patch"
-        echo "seeded: $patch caught: $expect"
+        echo "seeded: $patch caught: ${expect//$'\n'/; }"
     done
 }
 
 suite_analysis() {
+    xcheck_cargo clippy --workspace --all-targets -- -D warnings
     xcargo run -q -p xlint -- --workspace
     xcargo run -q -p xlint -- --fixtures
     RUSTDOCFLAGS="-D warnings" xcargo doc --no-deps --workspace -q
     xcargo test -q -p xcheck
     local check
     for check in "${XCHECKS[@]}"; do
-        xcheck_test "$check"
+        # shellcheck disable=SC2086  # $check is a word list on purpose
+        xcheck_cargo test $check
     done
     seeded_bugs_are_caught
 }
