@@ -133,9 +133,10 @@ impl MaintIndex {
     /// crash-recovery testing).
     pub fn open_with_vfs(vfs: Arc<dyn Vfs>, base: &Path) -> Result<Self> {
         let durable = DurableKv::open_with_vfs(vfs, base)?;
-        let doc = Arc::new(persist::load_document(&durable)?);
+        let view = durable.snapshot();
+        let doc = Arc::new(persist::load_document(&view)?);
         let records = record_count(&doc);
-        let seq = match durable.get(MAINT_KEY)? {
+        let seq = match view.get(MAINT_KEY)? {
             Some(value) => {
                 let (seq, count) = decode_maint_meta(&value)?;
                 if count != records as u64 {
@@ -152,7 +153,7 @@ impl MaintIndex {
         let reader = Arc::new(KvBackedIndex::open_snapshot_with_document(
             doc,
             0,
-            durable.snapshot(),
+            view,
             Arc::clone(&cache),
         )?);
         obs::gauge!("maint_overlay_entries").set(durable.overlay_len() as i64);
@@ -247,7 +248,7 @@ impl MaintIndex {
         target.put(MAINT_KEY, &encode_maint_meta(seq, count as u64))?;
 
         // 3. Diff against the live store; ship only the delta.
-        let batch = diff_stores(&w.durable, &target)?;
+        let batch = diff_stores(&w.durable.snapshot(), &target)?;
         let changed_lists = changed_list_ids(&batch);
         w.durable.apply_batch(&batch)?;
 
@@ -443,7 +444,7 @@ pub fn decode_maint_meta(value: &[u8]) -> Result<(u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kvstore::{DiskKv, FaultVfs};
+    use kvstore::{DiskKv, Fault, FaultVfs};
     use std::path::PathBuf;
 
     const CORPUS: &str = "<bib>\
@@ -518,6 +519,7 @@ mod tests {
 
         let reopened = DurableKv::open_with_vfs(vfs.as_dyn(), &base).unwrap();
         let mut live: BTreeMap<Vec<u8>, Vec<u8>> = reopened
+            .snapshot()
             .scan_range(b"", None)
             .unwrap()
             .into_iter()
@@ -577,6 +579,37 @@ mod tests {
         assert!(maint.commit(&[MaintOp::Remove { slot: 7 }]).is_err());
         assert_eq!(maint.seq(), 0);
         assert!(Arc::ptr_eq(&before, &maint.snapshot()));
+    }
+
+    #[test]
+    fn a_commit_on_a_full_disk_fails_and_publishes_nothing() {
+        let (vfs, base) = fresh();
+        let maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
+        maint
+            .commit(&[add("<paper><title>committed</title></paper>")])
+            .unwrap();
+        let before = maint.snapshot();
+        vfs.set_fault(vfs.op_count(), Fault::NoSpace);
+        let refused = add("<paper><title>refused</title></paper>");
+        let err = maint.commit(std::slice::from_ref(&refused)).unwrap_err();
+        assert!(
+            matches!(&err, KvError::Io(e) if e.kind() == std::io::ErrorKind::StorageFull),
+            "{err}"
+        );
+        // A compaction needs space too.
+        assert!(maint.compact().is_err());
+        assert!(Arc::ptr_eq(&before, &maint.snapshot()));
+        assert_eq!((maint.seq(), maint.snapshot().generation()), (1, 1));
+
+        vfs.clear_fault();
+        drop(maint);
+        let maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
+        assert_eq!((maint.seq(), maint.record_count()), (1, 3));
+        let snap = maint.snapshot();
+        assert!(!snap.list_handle("committed").unwrap().is_empty());
+        assert!(snap.list_handle("refused").unwrap().is_empty());
+        // With space back, the refused commit goes through.
+        assert_eq!(maint.commit(&[refused]).unwrap().records, 4);
     }
 
     #[test]

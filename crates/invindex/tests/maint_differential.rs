@@ -84,8 +84,12 @@ fn seed_store(vfs: &Arc<dyn Vfs>, base: &Path) {
 /// Dump of the maintained durable store without its maintenance key.
 fn maintained_dump(vfs: &Arc<dyn Vfs>, base: &Path) -> BTreeMap<Vec<u8>, Vec<u8>> {
     let durable = DurableKv::open_with_vfs(Arc::clone(vfs), base).unwrap();
-    let mut dump: BTreeMap<Vec<u8>, Vec<u8>> =
-        durable.scan_range(b"", None).unwrap().into_iter().collect();
+    let mut dump: BTreeMap<Vec<u8>, Vec<u8>> = durable
+        .snapshot()
+        .scan_range(b"", None)
+        .unwrap()
+        .into_iter()
+        .collect();
     assert!(
         dump.remove(MAINT_KEY).is_some(),
         "maintained store lost its M/maint entry"

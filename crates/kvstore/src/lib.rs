@@ -15,8 +15,10 @@
 //!   and [`DiskKv`], one tree file with the mutations since its last
 //!   sync laid over it; a sync writes the merged entries into a new
 //!   file and renames it into place.
-//! * [`wal`] + [`durable`]: the write-ahead log and [`DurableKv`], the
-//!   crash-safe store built from a checkpointed tree and the log.
+//! * [`wal`] + [`durable`]: the write-ahead log of atomic transaction
+//!   groups and [`DurableKv`], the crash-safe store built from a
+//!   checkpointed tree and the log, whose only writes are an atomic
+//!   batch and a checkpoint.
 //! * [`snapshot`]: [`Snapshot`], the one immutable overlay-over-base
 //!   view every reader — `DiskKv` and `DurableKv` themselves included —
 //!   reads through, and the one read-only open.
@@ -43,4 +45,4 @@ pub use pager::{
 pub use snapshot::Snapshot;
 pub use store::{DiskKv, KvStore, MemKv};
 pub use vfs::{Fault, FaultVfs, StdVfs, SurvivalMode, Vfs, VfsFile};
-pub use wal::{crc32, Wal, WalRecord};
+pub use wal::crc32;

@@ -7,8 +7,8 @@
 //! the live-entry count and the stream a sync feeds the tree builder
 //! (`merge`) all go through the functions below, whether the caller is
 //! a pinned reader, a [`DiskKv`](crate::store::DiskKv) between syncs,
-//! the writer's own [`DurableKv`](crate::durable::DurableKv) or a
-//! read-only open.
+//! the writer's own [`DurableKv`](crate::durable::DurableKv) — whose
+//! only read surface is a snapshot — or a read-only open.
 //!
 //! A `Snapshot` never changes after it is made. Both halves sit behind
 //! `Arc`s, so cloning one is two reference-count bumps; the writer
@@ -17,11 +17,12 @@
 //! neither is visible to snapshots taken earlier. The mutating half of
 //! [`KvStore`] is refused.
 //!
-//! [`Snapshot::open`] is the one read-only open: base tree plus the WAL
-//! beside it, replayed through [`wal::read_log`] — the frame scan
-//! without the tail truncation. It creates, removes and truncates
-//! nothing; a half-written checkpoint or a torn log tail left by a crash
-//! stays exactly as found, for the next *writer* open to repair.
+//! [`Snapshot::open`] is the one read-only open: base tree plus the
+//! committed transaction groups of the WAL beside it, replayed through
+//! [`wal::read_log`] — the frame scan without the tail truncation. It
+//! creates, removes and truncates nothing; a half-written checkpoint or
+//! a torn log tail left by a crash stays exactly as found, for the next
+//! *writer* open to repair.
 
 #![cfg_attr(
     not(test),
@@ -36,11 +37,12 @@
 )]
 
 use crate::btree::BTree;
+use crate::durable::BatchOp;
 use crate::error::{KvError, Result};
 use crate::pager::FilePager;
 use crate::store::KvStore;
 use crate::vfs::Vfs;
-use crate::wal::{self, WalRecord};
+use crate::wal::{self, Txn};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::path::Path;
@@ -90,8 +92,8 @@ impl Snapshot {
     /// `NotFound` error naming it, and crash leftovers are left alone.
     pub fn open(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<Self> {
         let base = Arc::new(BTree::open(FilePager::open_read_only(vfs, path)?)?);
-        let (records, _torn) = wal::read_log(vfs, &path.with_extension("wal"))?;
-        Self::over(base, fold(records).0)
+        let (txns, _torn) = wal::read_log(vfs, &path.with_extension("wal"))?;
+        Self::over(base, fold(txns).0)
     }
 
     /// Number of overlay entries (puts and deletes) over the base.
@@ -116,27 +118,23 @@ pub(crate) fn live_delta(existed: bool, put: bool) -> i64 {
     i64::from(put) - i64::from(existed)
 }
 
-/// Folds replayed WAL records into the overlay they describe and the
-/// sequence number of the last committed transaction group. Groups
-/// arrive whole or not at all (`wal::scan` rolls back an unterminated
-/// tail group and reports a dangling mid-log one as corruption), so
-/// member ops fold directly.
-pub(crate) fn fold(records: Vec<WalRecord>) -> (Overlay, u64) {
+/// Folds replayed transaction groups into the overlay they describe
+/// and the sequence number of the last one. Groups arrive whole or not
+/// at all (`wal::scan` rolls back an unterminated tail group and reports
+/// a dangling mid-log one as corruption), so their ops fold directly.
+pub(crate) fn fold(txns: Vec<Txn>) -> (Overlay, u64) {
     let mut overlay = Overlay::new();
-    let mut txn_seq = 0u64;
-    for record in records {
-        match record {
-            WalRecord::Put { key, value } => {
-                overlay.insert(key, Some(value));
-            }
-            WalRecord::Delete { key } => {
-                overlay.insert(key, None);
-            }
-            WalRecord::TxnBegin { .. } => {}
-            WalRecord::TxnCommit { seq } => txn_seq = txn_seq.max(seq),
+    let mut seq = 0u64;
+    for txn in txns {
+        seq = seq.max(txn.seq);
+        for op in txn.ops {
+            match op {
+                BatchOp::Put(key, value) => overlay.insert(key, Some(value)),
+                BatchOp::Delete(key) => overlay.insert(key, None),
+            };
         }
     }
-    (overlay, txn_seq)
+    (overlay, seq)
 }
 
 /// Lays key-ordered overlay entries over key-ordered base entries: an

@@ -4,9 +4,9 @@
 //! forwards to the real filesystem, while [`FaultVfs`] is a
 //! deterministic in-memory filesystem that can fail the Nth mutating
 //! operation, persist only a prefix of a write (short write), tear a
-//! `sync` in half, or cut power entirely — snapshotting the bytes that
-//! would survive on disk so recovery can be exercised from *every* I/O
-//! boundary.
+//! `sync` in half, fill the disk from the Nth operation on, or cut power
+//! entirely — snapshotting the bytes that would survive on disk so
+//! recovery can be exercised from *every* I/O boundary.
 //!
 //! ## Durability model of `FaultVfs`
 //!
@@ -174,6 +174,11 @@ pub enum Fault {
     ShortWrite,
     /// A sync flushes only half of the pending operations, then fails.
     TornSync,
+    /// The disk is full from this operation on, until
+    /// [`FaultVfs::clear_fault`]: every write or `set_len` that would
+    /// make a file longer fails with [`std::io::ErrorKind::StorageFull`]
+    /// and changes nothing; everything else still works.
+    NoSpace,
     /// Power is cut at this operation; every later operation fails
     /// until [`FaultVfs::power_cycle`].
     PowerCut(SurvivalMode),
@@ -249,18 +254,19 @@ struct FsInner {
 
 impl FsInner {
     /// Counts one mutating operation and reports the fault to inject,
-    /// if this is the chosen operation.
-    fn begin_op(&mut self) -> Result<Option<Fault>> {
+    /// if this is the chosen operation. `grows` says whether the
+    /// operation would make a file longer, the one kind a full disk
+    /// refuses.
+    fn begin_op(&mut self, grows: bool) -> Result<Option<Fault>> {
         if self.dead {
             return Err(power_off());
         }
         let hit = match self.fault {
-            Some((at, f)) if !self.fired && self.ops == at => {
-                self.fired = true;
-                Some(f)
-            }
+            Some((at, Fault::NoSpace)) => (grows && self.ops >= at).then_some(Fault::NoSpace),
+            Some((at, f)) if !self.fired && self.ops == at => Some(f),
             _ => None,
         };
+        self.fired |= hit.is_some();
         self.ops += 1;
         Ok(hit)
     }
@@ -303,6 +309,13 @@ impl FsInner {
 
 fn injected(what: &str) -> KvError {
     KvError::Io(std::io::Error::other(format!("injected fault: {what}")))
+}
+
+fn no_space() -> KvError {
+    KvError::Io(std::io::Error::new(
+        std::io::ErrorKind::StorageFull,
+        "injected fault: no space left on device",
+    ))
 }
 
 fn power_off() -> KvError {
@@ -432,7 +445,8 @@ impl VfsFile for FaultFile {
             offset,
             data: data.to_vec(),
         };
-        match inner.begin_op()? {
+        let grows = offset + data.len() as u64 > inner.nodes[self.node].data.len() as u64;
+        match inner.begin_op(grows)? {
             None => {
                 let node = &mut inner.nodes[self.node];
                 apply_op(&mut node.data, &op);
@@ -462,6 +476,7 @@ impl VfsFile for FaultFile {
                 );
                 Err(power_off())
             }
+            Some(Fault::NoSpace) => Err(no_space()),
             Some(Fault::Error) | Some(Fault::TornSync) => Err(injected("write failed")),
         }
     }
@@ -469,7 +484,8 @@ impl VfsFile for FaultFile {
     fn set_len(&self, len: u64) -> Result<()> {
         let mut inner = self.inner.lock(); // xlint::lock(vfs.state)
         let op = PendingOp::SetLen(len);
-        match inner.begin_op()? {
+        let grows = len > inner.nodes[self.node].data.len() as u64;
+        match inner.begin_op(grows)? {
             None => {
                 let node = &mut inner.nodes[self.node];
                 apply_op(&mut node.data, &op);
@@ -489,6 +505,7 @@ impl VfsFile for FaultFile {
                 );
                 Err(power_off())
             }
+            Some(Fault::NoSpace) => Err(no_space()),
             Some(_) => Err(injected("set_len failed")),
         }
     }
@@ -503,7 +520,7 @@ impl VfsFile for FaultFile {
 
     fn sync_data(&self) -> Result<()> {
         let mut inner = self.inner.lock(); // xlint::lock(vfs.state)
-        match inner.begin_op()? {
+        match inner.begin_op(false)? {
             None => {
                 inner.nodes[self.node].sync();
                 Ok(())
@@ -548,7 +565,7 @@ impl Vfs for FaultVfs {
             }));
         }
         // Creation mutates the (volatile) namespace.
-        match inner.begin_op()? {
+        match inner.begin_op(false)? {
             None => {
                 let node = inner.nodes.len();
                 inner.nodes.push(Node::default());
@@ -581,7 +598,7 @@ impl Vfs for FaultVfs {
 
     fn remove(&self, path: &Path) -> Result<()> {
         let mut inner = self.inner.lock(); // xlint::lock(vfs.state)
-        match inner.begin_op()? {
+        match inner.begin_op(false)? {
             None => {
                 inner.live.remove(path);
                 Ok(())
@@ -603,7 +620,7 @@ impl Vfs for FaultVfs {
 
     fn rename(&self, from: &Path, to: &Path) -> Result<()> {
         let mut inner = self.inner.lock(); // xlint::lock(vfs.state)
-        match inner.begin_op()? {
+        match inner.begin_op(false)? {
             None => {
                 let node = inner.live.remove(from).ok_or_else(|| {
                     KvError::Io(std::io::Error::new(
@@ -644,7 +661,7 @@ impl Vfs for FaultVfs {
                 .collect();
             fs.durable_ns.extend(adds);
         };
-        match inner.begin_op()? {
+        match inner.begin_op(false)? {
             None => {
                 promote(&mut inner);
                 Ok(())
@@ -696,6 +713,31 @@ mod tests {
         assert!(f.write_all_at(3, b"two").is_err()); // op 2: injected
         f.write_all_at(3, b"two").unwrap(); // op 3: fault is one-shot
         assert_eq!(vfs.read_file(&p("a")).unwrap(), b"onetwo");
+    }
+
+    #[test]
+    fn a_full_disk_refuses_only_growth_until_cleared() {
+        let vfs = FaultVfs::new();
+        let f = vfs.open(&p("a")).unwrap();
+        f.write_all_at(0, b"abcdef").unwrap();
+        vfs.set_fault(vfs.op_count() + 1, Fault::NoSpace);
+        f.write_all_at(6, b"g").unwrap(); // before the chosen op
+        assert!(!vfs.fault_fired());
+        for _ in 0..2 {
+            let err = f.write_all_at(5, b"xyz").unwrap_err();
+            assert!(matches!(err, KvError::Io(e) if e.kind() == std::io::ErrorKind::StorageFull));
+            assert!(f.set_len(8).is_err());
+        }
+        assert!(vfs.fault_fired());
+        // Overwrites, shrinks, syncs and the namespace still work.
+        f.write_all_at(0, b"AB").unwrap();
+        f.set_len(4).unwrap();
+        f.sync_data().unwrap();
+        vfs.sync_parent_dir(&p("a")).unwrap();
+        assert_eq!(vfs.read_file(&p("a")).unwrap(), b"ABcd");
+        vfs.clear_fault();
+        f.write_all_at(4, b"ef").unwrap();
+        assert_eq!(vfs.read_file(&p("a")).unwrap(), b"ABcdef");
     }
 
     #[test]

@@ -1,28 +1,38 @@
-//! Write-ahead log with CRC-checked records and torn-tail recovery.
+//! Write-ahead log of atomic transaction groups, with CRC-checked
+//! frames and torn-tail recovery.
 //!
 //! The index build of §VII runs against a durable store (Berkeley DB in
-//! the paper). Our B+-tree alone is not crash-safe — a torn page write
-//! could lose committed data — so [`crate::durable::DurableKv`] layers
-//! this WAL in front of it: every mutation is appended (length-prefixed,
-//! CRC32-guarded) and fsynced before being applied; on open the log is
-//! replayed and any torn tail is truncated away. Replay is two halves:
-//! `scan`, the one frame parser (records + intact-prefix length, no
-//! side effect), and the truncation, which only the writer's
-//! [`Wal::replay`] performs — a read-only open ([`read_log`], behind
-//! [`crate::snapshot::Snapshot::open`]) sees the same committed prefix
-//! and leaves the file as found.
+//! the paper, whose writers commit transactions). Our B+-tree file is
+//! only ever rewritten whole, at a checkpoint, so
+//! [`crate::durable::DurableKv`] lays this log in front of it. The log
+//! holds transaction groups and nothing else: `Wal::append_txn` writes
+//! `TxnBegin(seq)`, one frame per [`BatchOp`] and `TxnCommit(seq)` with
+//! a single positional write and a single fsync, so a crash keeps the
+//! whole group or tears it — no interleaving leaves a proper subset of
+//! its ops behind.
 //!
-//! A *torn tail* is strictly the final, incompletely written record: a
-//! crash can only tear the bytes that were in flight. A damaged record
-//! with intact records *after* it cannot be a crash artifact — it means
-//! committed data was corrupted in place — so replay reports it as
-//! [`KvError::Corrupt`] instead of silently dropping the committed
-//! records behind it.
+//! Replay is two halves: `scan`, the one frame parser (committed groups
+//! and the intact prefix's length, no side effect), and the truncation,
+//! which only the writer's `Wal::replay` performs — a read-only open
+//! ([`read_log`], behind [`crate::snapshot::Snapshot::open`]) sees the
+//! same committed groups and leaves the file as found.
 //!
-//! Record wire format (little-endian):
+//! A *torn tail* is strictly the final, incompletely written bytes: a
+//! crash can only tear what was in flight. Replay drops an unterminated
+//! group at the tail (it was never acknowledged) and truncates the file
+//! back to its `TxnBegin`. Damage with an intact frame *after* it cannot
+//! be a crash artifact — committed data was corrupted in place — so
+//! replay reports it as [`KvError::Corrupt`] instead of silently
+//! dropping the committed groups behind it. So is every fully written,
+//! checksum-valid frame that cannot stand where it stands: an unknown
+//! kind, a group opened inside another, a commit without its begin, and
+//! a Put or Delete outside a group.
+//!
+//! Frame wire format (little-endian):
 //!
 //! ```text
-//! [len: u32][crc32: u32][kind: u8][payload: len-5 bytes]
+//! [len: u32][crc32(body): u32][body: len bytes]
+//! body = [kind: u8][payload]
 //! kind 1 = Put       payload = [klen: u32][key][value]
 //! kind 2 = Delete    payload = [klen: u32][key]
 //! kind 4 = TxnBegin  payload = [seq: u64]
@@ -30,16 +40,7 @@
 //! ```
 //!
 //! Kind 3 is retired: a checkpoint resets the log instead of marking
-//! it, so a checksum-valid kind-3 frame is corruption like any other
-//! undecodable body.
-//!
-//! Records between a `TxnBegin` and its matching `TxnCommit` form one
-//! atomic transaction: [`Wal::append_txn`] writes the whole group with a
-//! single positional write and a single fsync, so a crash either keeps
-//! the entire group or tears it. Replay drops an unterminated group at
-//! the tail (it was never acknowledged) and truncates the file back to
-//! the group's `TxnBegin`; an unterminated group *followed by* intact
-//! records cannot be a crash artifact and is reported as corruption.
+//! it, so a kind-3 frame is undecodable like any unknown kind.
 
 #![cfg_attr(
     not(test),
@@ -54,31 +55,29 @@
 )]
 
 use crate::codec;
+use crate::durable::BatchOp;
 use crate::error::{KvError, Result};
-use crate::vfs::{StdVfs, Vfs, VfsFile};
+use crate::vfs::{Vfs, VfsFile};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// A logical WAL record.
+const PUT: u8 = 1;
+const DELETE: u8 = 2;
+const TXN_BEGIN: u8 = 4;
+const TXN_COMMIT: u8 = 5;
+
+/// One committed transaction group, as replay reads it back.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalRecord {
-    Put {
-        key: Vec<u8>,
-        value: Vec<u8>,
-    },
-    Delete {
-        key: Vec<u8>,
-    },
-    /// Opens an atomic group; `seq` must match the closing
-    /// [`WalRecord::TxnCommit`].
-    TxnBegin {
-        seq: u64,
-    },
-    /// Closes the atomic group opened by the [`WalRecord::TxnBegin`]
-    /// with the same `seq`.
-    TxnCommit {
-        seq: u64,
-    },
+pub struct Txn {
+    pub seq: u64,
+    pub ops: Vec<BatchOp>,
+}
+
+/// One decoded frame.
+enum WalRecord {
+    Op(BatchOp),
+    TxnBegin(u64),
+    TxnCommit(u64),
 }
 
 /// CRC-32 (IEEE 802.3, reflected) — implemented locally; the workspace
@@ -89,7 +88,12 @@ pub enum WalRecord {
 /// table and the sixteen remainders XORed together, with a byte-at-a-time
 /// tail.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
+    !crc32_update(0xFFFF_FFFF, data)
+}
+
+/// Runs the CRC register `crc` over `data`: `crc32` of a concatenation
+/// is the complement of this folded over its parts.
+fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
     let (blocks, tail) = data.as_chunks::<16>();
     for block in blocks {
         // The running remainder folds into the block's first four bytes;
@@ -106,7 +110,7 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in tail {
         crc = (crc >> 8) ^ crc_lookup(0, crc as u8 ^ b);
     }
-    !crc
+    crc
 }
 
 /// Entry `byte` of slice-by-16 table `table` (`< 16`).
@@ -142,11 +146,12 @@ const CRC_TABLES: [[u32; 256]; 16] = {
     tables
 };
 
-/// An append-only write-ahead log over one file.
-pub struct Wal {
+/// The append-only log over one file. [`crate::durable::DurableKv`] is
+/// its only owner.
+pub(crate) struct Wal {
     path: PathBuf,
     file: Box<dyn VfsFile>,
-    /// Byte offset where the next frame is appended. Maintained
+    /// Byte offset where the next group is appended. Maintained
     /// explicitly because the [`VfsFile`] interface is positional.
     tail: u64,
     /// Set when a write or fsync failed: bytes past `tail` may hold
@@ -155,28 +160,21 @@ pub struct Wal {
     /// it, where replay reports mid-log corruption. The next append
     /// truncates to `tail` before it writes.
     needs_trim: bool,
-    /// When set, [`Self::reset_with_vfs`] refuses to run unless
-    /// [`Self::note_base_durable`] was called since the last reset —
-    /// the durability-ordering audit for checkpointing stores.
-    audit_reset: bool,
-    /// Set by the owner once the checkpointed base state is durable;
-    /// consumed (cleared) by the next reset.
+    /// Set by [`Self::note_base_durable`] once the checkpointed base
+    /// state is durable, and consumed by the next
+    /// [`Self::reset_with_vfs`], which refuses to run without it: an
+    /// ordering regression — truncating the log while recovery still
+    /// depends on it — fails hard instead of losing data silently.
     base_durable_noted: bool,
 }
 
 impl Wal {
-    /// Opens (creating if absent) the log at `path` on the real
-    /// filesystem.
-    pub fn open(path: &Path) -> Result<Self> {
-        Self::open_with_vfs(&StdVfs::arc(), path)
-    }
-
     /// Opens (creating if absent) the log at `path` through `vfs`. When
     /// the file is freshly created, the parent directory is fsynced as
     /// well — without that, a crash right after creation can lose the
-    /// file (and with it every record subsequently acknowledged) even
+    /// file (and with it every group subsequently acknowledged) even
     /// though each append fsyncs the file itself.
-    pub fn open_with_vfs(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<Self> {
+    pub(crate) fn open_with_vfs(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<Self> {
         let existed = vfs.exists(path);
         let file = vfs.open(path)?;
         if !existed {
@@ -189,75 +187,38 @@ impl Wal {
             file,
             tail,
             needs_trim: false,
-            audit_reset: false,
             base_durable_noted: false,
         })
     }
 
-    /// Arms the durability-ordering audit: every subsequent
-    /// [`Self::reset_with_vfs`] fails unless [`Self::note_base_durable`]
-    /// was called first. Owners that truncate the log only after
-    /// checkpointing (i.e. `DurableKv`) arm this at open so an ordering
-    /// regression — truncating the log while recovery still depends on
-    /// it — surfaces as a hard error instead of silent data loss.
-    pub fn require_reset_audit(&mut self) {
-        self.audit_reset = true;
-    }
-
     /// Records that the checkpointed base state the log protects has
-    /// been made durable (fsynced and, where relevant, its rename
-    /// fsynced too), so the log may now be truncated.
-    pub fn note_base_durable(&mut self) {
+    /// been made durable (fsynced, and its rename fsynced too), so the
+    /// log may now be truncated.
+    pub(crate) fn note_base_durable(&mut self) {
         self.base_durable_noted = true;
-    }
-
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Appends a record and flushes it to stable storage.
-    pub fn append(&mut self, record: &WalRecord) -> Result<()> {
-        let body = encode_body(record);
-        let mut frame = Vec::with_capacity(body.len() + 8);
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&body).to_le_bytes());
-        frame.extend_from_slice(&body);
-        self.write_synced(&frame)?;
-        obs::counter!("kvstore_wal_appends_total").inc();
-        obs::counter!("kvstore_wal_appended_bytes_total").add(frame.len() as u64);
-        obs::counter!("kvstore_wal_syncs_total").inc();
-        obs::trace::count("wal.syncs", 1);
-        self.tail += frame.len() as u64;
-        Ok(())
     }
 
     /// Appends `ops` as one atomic group — `TxnBegin(seq)`, the ops,
     /// `TxnCommit(seq)` — with a single positional write and a single
     /// fsync. A crash mid-write leaves at worst an unterminated group,
-    /// which replay rolls back wholesale; there is no interleaving in
-    /// which a proper subset of `ops` survives.
-    pub fn append_txn(&mut self, seq: u64, ops: &[WalRecord]) -> Result<()> {
+    /// which replay rolls back whole.
+    pub(crate) fn append_txn(&mut self, seq: u64, ops: &[BatchOp]) -> Result<()> {
+        let seq = seq.to_le_bytes();
         let mut frames = Vec::new();
-        let push = |record: &WalRecord, frames: &mut Vec<u8>| {
-            let body = encode_body(record);
-            frames.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            frames.extend_from_slice(&crc32(&body).to_le_bytes());
-            frames.extend_from_slice(&body);
-        };
-        push(&WalRecord::TxnBegin { seq }, &mut frames);
+        push_frame(&mut frames, TXN_BEGIN, &[&seq]);
         for op in ops {
-            debug_assert!(
-                matches!(op, WalRecord::Put { .. } | WalRecord::Delete { .. }),
-                "only Put/Delete may appear inside a transaction"
-            );
-            push(op, &mut frames);
+            let (key, value) = op.entry();
+            let klen = (key.len() as u32).to_le_bytes();
+            match value {
+                Some(value) => push_frame(&mut frames, PUT, &[&klen, key, value]),
+                None => push_frame(&mut frames, DELETE, &[&klen, key]),
+            }
         }
-        push(&WalRecord::TxnCommit { seq }, &mut frames);
+        push_frame(&mut frames, TXN_COMMIT, &[&seq]);
         self.write_synced(&frames)?;
         obs::counter!("kvstore_wal_appends_total").add(ops.len() as u64 + 2);
         obs::counter!("kvstore_wal_appended_bytes_total").add(frames.len() as u64);
         obs::counter!("kvstore_wal_syncs_total").inc();
-        obs::counter!("kvstore_wal_txns_total").inc();
         obs::trace::count("wal.syncs", 1);
         self.tail += frames.len() as u64;
         Ok(())
@@ -279,36 +240,30 @@ impl Wal {
         Ok(())
     }
 
-    /// Reads every intact record from the start of the log (see
-    /// `scan`) and truncates a torn tail away so appends resume at
-    /// the intact prefix. The truncation is the writer's half of
-    /// recovery; a read-only open runs `scan` alone.
-    pub fn replay(&mut self) -> Result<Vec<WalRecord>> {
+    /// Reads every committed group from the start of the log (see
+    /// `scan`) and truncates a torn tail away so appends resume at the
+    /// intact prefix. The truncation is the writer's half of recovery;
+    /// a read-only open runs `scan` alone.
+    pub(crate) fn replay(&mut self) -> Result<Vec<Txn>> {
         let buf = read_all(self.file.as_ref())?;
-        let (records, intact) = scan(&buf)?;
+        let (txns, intact) = scan(&buf)?;
         if intact < buf.len() {
             self.file.set_len(intact as u64)?;
         }
         self.tail = intact as u64;
-        Ok(records)
+        Ok(txns)
     }
 
-    /// Truncates the log to empty (after the state has been checkpointed
-    /// elsewhere). Both the file and its directory are fsynced so the
-    /// truncation — the moment recovery stops depending on the log — is
-    /// itself durable.
-    pub fn reset(&mut self) -> Result<()> {
-        self.reset_with_vfs(&StdVfs::arc())
-    }
-
-    /// [`Self::reset`] through an explicit `vfs` (must be the one the
-    /// log was opened with).
-    pub fn reset_with_vfs(&mut self, vfs: &Arc<dyn Vfs>) -> Result<()> {
-        if self.audit_reset && !self.base_durable_noted {
+    /// Truncates the log to empty once [`Self::note_base_durable`] has
+    /// recorded that the state is checkpointed elsewhere. Both the file
+    /// and its directory are fsynced so the truncation — the moment
+    /// recovery stops depending on the log — is itself durable. `vfs`
+    /// must be the one the log was opened with.
+    pub(crate) fn reset_with_vfs(&mut self, vfs: &Arc<dyn Vfs>) -> Result<()> {
+        if !self.base_durable_noted {
             return Err(KvError::corrupt(
                 "WAL reset ordered before the checkpointed base was durable: truncating \
-                 here could drop committed records"
-                    .to_string(),
+                 here could drop committed records",
             ));
         }
         self.base_durable_noted = false;
@@ -322,26 +277,38 @@ impl Wal {
         Ok(())
     }
 
-    /// Current log size in bytes.
-    pub fn len(&mut self) -> Result<u64> {
-        self.file.len()
-    }
-
-    pub fn is_empty(&mut self) -> Result<bool> {
-        Ok(self.len()? == 0)
+    pub(crate) fn is_empty(&self) -> Result<bool> {
+        Ok(self.file.len()? == 0)
     }
 }
 
-/// A read-only look at the log at `path`: its intact records and how
+/// Appends one frame to `frames`: the body is `kind` followed by
+/// `parts`, which are copied once, straight into place.
+fn push_frame(frames: &mut Vec<u8>, kind: u8, parts: &[&[u8]]) {
+    let len = parts.iter().fold(1, |n, part| n + part.len());
+    let crc = !parts
+        .iter()
+        .fold(crc32_update(0xFFFF_FFFF, &[kind]), |crc, part| {
+            crc32_update(crc, part)
+        });
+    frames.extend_from_slice(&(len as u32).to_le_bytes());
+    frames.extend_from_slice(&crc.to_le_bytes());
+    frames.push(kind);
+    for part in parts {
+        frames.extend_from_slice(part);
+    }
+}
+
+/// A read-only look at the log at `path`: its committed groups and how
 /// many trailing bytes are torn. An absent log is an empty one; nothing
 /// is created or truncated.
-pub fn read_log(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<(Vec<WalRecord>, u64)> {
+pub fn read_log(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<(Vec<Txn>, u64)> {
     if !vfs.exists(path) {
         return Ok((Vec::new(), 0));
     }
     let buf = read_all(vfs.open(path)?.as_ref())?;
-    let (records, intact) = scan(&buf)?;
-    Ok((records, (buf.len() - intact) as u64))
+    let (txns, intact) = scan(&buf)?;
+    Ok((txns, (buf.len() - intact) as u64))
 }
 
 fn read_all(file: &dyn VfsFile) -> Result<Vec<u8>> {
@@ -350,19 +317,18 @@ fn read_all(file: &dyn VfsFile) -> Result<Vec<u8>> {
     Ok(buf)
 }
 
-/// The one frame parser: every intact record of a log image plus the
+/// The one frame parser: every committed group of a log image plus the
 /// byte length of its intact prefix. Mutates nothing. A torn or corrupt
-/// *tail* ends the scan silently (those records were never acknowledged
-/// as committed) and an unterminated transaction group at the tail is
-/// rolled back whole; a damaged record *followed by* an intact one is
-/// mid-log corruption of committed data and is reported as
-/// [`KvError::Corrupt`].
-fn scan(buf: &[u8]) -> Result<(Vec<WalRecord>, usize)> {
-    let mut records = Vec::new();
+/// *tail* ends the scan silently (none of it was ever acknowledged as
+/// committed) and an unterminated group at the tail is rolled back
+/// whole; a damaged frame *followed by* an intact one is mid-log
+/// corruption of committed data and is reported as [`KvError::Corrupt`],
+/// as is an intact frame that cannot stand where it stands.
+fn scan(buf: &[u8]) -> Result<(Vec<Txn>, usize)> {
+    let mut txns = Vec::new();
     let mut pos = 0usize;
-    // Open transaction: (index into `records` of its TxnBegin, byte
-    // offset of that frame, its seq).
-    let mut txn: Option<(usize, usize, u64)> = None;
+    // The open group: the byte offset of its TxnBegin, and the group.
+    let mut open: Option<(usize, Txn)> = None;
     while pos < buf.len() {
         if pos + 8 > buf.len() {
             ensure_tail_only(buf, pos)?;
@@ -377,60 +343,64 @@ fn scan(buf: &[u8]) -> Result<(Vec<WalRecord>, usize)> {
         let body = codec::slice_at(buf, pos + 8, len, "WAL frame body")?;
         if crc32(body) != crc {
             ensure_tail_only(buf, pos)?;
-            break; // torn final record
+            break; // torn final frame
         }
-        match decode_body(body) {
-            Some(r) => {
-                match &r {
-                    WalRecord::TxnBegin { seq } => {
-                        if txn.is_some() {
-                            return Err(KvError::corrupt(format!(
-                                "WAL transaction at byte {pos} begins inside an \
-                                 unterminated transaction"
-                            )));
-                        }
-                        txn = Some((records.len(), pos, *seq));
-                    }
-                    WalRecord::TxnCommit { seq } => match txn.take() {
-                        Some((_, _, begin_seq)) if begin_seq == *seq => {}
-                        Some((_, at, begin_seq)) => {
-                            return Err(KvError::corrupt(format!(
-                                "WAL commit at byte {pos} (seq {seq}) does not match \
-                                 the open transaction at byte {at} (seq {begin_seq})"
-                            )));
-                        }
-                        None => {
-                            return Err(KvError::corrupt(format!(
-                                "WAL commit at byte {pos} has no matching begin"
-                            )));
-                        }
-                    },
-                    _ => {}
+        // A fully written, CRC-valid frame that does not decode was
+        // never a torn write.
+        let record = decode_body(body).ok_or_else(|| {
+            KvError::corrupt(format!(
+                "WAL record at byte {pos} has a valid checksum but undecodable body"
+            ))
+        })?;
+        match record {
+            WalRecord::TxnBegin(seq) => {
+                if open.is_some() {
+                    return Err(KvError::corrupt(format!(
+                        "WAL transaction at byte {pos} begins inside an unterminated transaction"
+                    )));
                 }
-                records.push(r);
+                open = Some((
+                    pos,
+                    Txn {
+                        seq,
+                        ops: Vec::new(),
+                    },
+                ));
             }
-            None => {
-                // A fully written, CRC-valid frame that does not
-                // decode was never a torn write.
-                return Err(KvError::corrupt(format!(
-                    "WAL record at byte {pos} has a valid checksum but undecodable body"
-                )));
-            }
+            WalRecord::Op(op) => match &mut open {
+                Some((_, txn)) => txn.ops.push(op),
+                None => {
+                    return Err(KvError::corrupt(format!(
+                        "WAL record at byte {pos} is a put or delete outside a transaction"
+                    )));
+                }
+            },
+            WalRecord::TxnCommit(seq) => match open.take() {
+                Some((_, txn)) if txn.seq == seq => txns.push(txn),
+                Some((at, txn)) => {
+                    return Err(KvError::corrupt(format!(
+                        "WAL commit at byte {pos} (seq {seq}) does not match the open \
+                         transaction at byte {at} (seq {})",
+                        txn.seq
+                    )));
+                }
+                None => {
+                    return Err(KvError::corrupt(format!(
+                        "WAL commit at byte {pos} has no matching begin"
+                    )));
+                }
+            },
         }
         pos += 8 + len;
     }
-    // An unterminated transaction at the tail was torn mid-group
-    // (the group is written with one write + one fsync, so nothing
-    // in it was ever acknowledged): roll the whole group back.
-    if let Some((idx, at, _)) = txn {
-        records.truncate(idx);
-        pos = at;
-    }
-    Ok((records, pos))
+    // An unterminated group at the tail was torn mid-write (a group is
+    // one write and one fsync, so nothing in it was ever acknowledged):
+    // roll the whole group back.
+    Ok((txns, open.map_or(pos, |(at, _)| at)))
 }
 
 /// Reports mid-log corruption: the frame at `bad_at` is damaged, so no
-/// *committed* (intact, decodable) record may follow it. A torn tail —
+/// *committed* (intact, decodable) frame may follow it. A torn tail —
 /// the only damage a crash can cause — is always last.
 fn ensure_tail_only(buf: &[u8], bad_at: usize) -> Result<()> {
     // The damaged frame's length field is untrusted, so scan every byte
@@ -448,55 +418,29 @@ fn ensure_tail_only(buf: &[u8], bad_at: usize) -> Result<()> {
     Ok(())
 }
 
-fn encode_body(record: &WalRecord) -> Vec<u8> {
-    let mut out = Vec::new();
-    match record {
-        WalRecord::Put { key, value } => {
-            out.push(1);
-            out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-            out.extend_from_slice(key);
-            out.extend_from_slice(value);
-        }
-        WalRecord::Delete { key } => {
-            out.push(2);
-            out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-            out.extend_from_slice(key);
-        }
-        WalRecord::TxnBegin { seq } => {
-            out.push(4);
-            out.extend_from_slice(&seq.to_le_bytes());
-        }
-        WalRecord::TxnCommit { seq } => {
-            out.push(5);
-            out.extend_from_slice(&seq.to_le_bytes());
-        }
-    }
-    out
-}
-
 fn decode_body(body: &[u8]) -> Option<WalRecord> {
-    match body.first()? {
-        1 => {
+    match *body.first()? {
+        PUT => {
             let klen = u32::from_le_bytes(body.get(1..5)?.try_into().ok()?) as usize;
             let key = body.get(5..5 + klen)?.to_vec();
             let value = body.get(5 + klen..)?.to_vec();
-            Some(WalRecord::Put { key, value })
+            Some(WalRecord::Op(BatchOp::Put(key, value)))
         }
-        2 => {
+        DELETE => {
             let klen = u32::from_le_bytes(body.get(1..5)?.try_into().ok()?) as usize;
             if body.len() != 5 + klen {
                 return None;
             }
             let key = body.get(5..5 + klen)?.to_vec();
-            Some(WalRecord::Delete { key })
+            Some(WalRecord::Op(BatchOp::Delete(key)))
         }
-        4 => {
+        TXN_BEGIN => {
             let seq = u64::from_le_bytes(body.get(1..9)?.try_into().ok()?);
-            (body.len() == 9).then_some(WalRecord::TxnBegin { seq })
+            (body.len() == 9).then_some(WalRecord::TxnBegin(seq))
         }
-        5 => {
+        TXN_COMMIT => {
             let seq = u64::from_le_bytes(body.get(1..9)?.try_into().ok()?);
-            (body.len() == 9).then_some(WalRecord::TxnCommit { seq })
+            (body.len() == 9).then_some(WalRecord::TxnCommit(seq))
         }
         _ => None,
     }
@@ -530,15 +474,76 @@ fn frame_is_intact(buf: &[u8], pos: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::fs::OpenOptions;
-    use std::io::Write;
+    use crate::snapshot::fold;
+    use crate::vfs::{Fault, FaultVfs, SurvivalMode};
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("kvwal_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join(name);
-        let _ = std::fs::remove_file(&p);
-        p
+    const LOG: &str = "store.wal";
+
+    fn fs() -> (FaultVfs, Arc<dyn Vfs>) {
+        let vfs = FaultVfs::new();
+        let dyn_vfs = vfs.as_dyn();
+        (vfs, dyn_vfs)
+    }
+
+    fn open(vfs: &Arc<dyn Vfs>) -> Wal {
+        Wal::open_with_vfs(vfs, Path::new(LOG)).unwrap()
+    }
+
+    fn bytes(vfs: &FaultVfs) -> Vec<u8> {
+        vfs.read_file(Path::new(LOG)).unwrap()
+    }
+
+    /// Replaces the log's bytes with `image`.
+    fn write_image(vfs: &Arc<dyn Vfs>, image: &[u8]) {
+        let file = vfs.open(Path::new(LOG)).unwrap();
+        file.set_len(0).unwrap();
+        file.write_all_at(0, image).unwrap();
+    }
+
+    fn put(key: &[u8], value: &[u8]) -> BatchOp {
+        BatchOp::Put(key.to_vec(), value.to_vec())
+    }
+
+    fn txn(seq: u64, ops: Vec<BatchOp>) -> Txn {
+        Txn { seq, ops }
+    }
+
+    /// One frame built by hand, independently of `push_frame`.
+    fn frame(body: &[u8]) -> Vec<u8> {
+        let mut out = (body.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&crc32(body).to_le_bytes());
+        out.extend_from_slice(body);
+        out
+    }
+
+    fn seq_frame(kind: u8, seq: u64) -> Vec<u8> {
+        frame(&[&[kind][..], &seq.to_le_bytes()].concat())
+    }
+
+    fn op_frame(kind: u8, key: &[u8], value: &[u8]) -> Vec<u8> {
+        frame(&[&[kind][..], &(key.len() as u32).to_le_bytes(), key, value].concat())
+    }
+
+    fn replay_image(image: &[u8]) -> Result<Vec<Txn>> {
+        let (_, vfs) = fs();
+        write_image(&vfs, image);
+        let replayed = open(&vfs).replay();
+        let read = read_log(&vfs, Path::new(LOG)).map(|(txns, _)| txns);
+        assert_eq!(
+            replayed.as_ref().map_err(|e| e.to_string()),
+            read.as_ref().map_err(|e| e.to_string()),
+            "the writer's replay and the read-only scan disagree"
+        );
+        replayed
+    }
+
+    fn expect_corrupt(image: &[u8], what: &str) {
+        match replay_image(image) {
+            Err(KvError::Corrupt { context, .. }) => {
+                assert!(context.contains(what), "context: {context}")
+            }
+            other => panic!("expected corruption ({what}), got {other:?}"),
+        }
     }
 
     #[test]
@@ -546,304 +551,200 @@ mod tests {
         assert_eq!(crc32(b""), 0x0000_0000);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"hello"), 0x3610_A686);
+        // The register folds over parts: any split gives the whole's CRC.
+        let data: Vec<u8> = (0..100u8).collect();
+        for cut in 0..=data.len() {
+            let (a, b) = data.split_at(cut);
+            assert_eq!(!crc32_update(crc32_update(0xFFFF_FFFF, a), b), crc32(&data));
+        }
     }
 
+    /// The bytes the writer appends for two groups, built frame by frame
+    /// in the layout every log since transaction groups has used:
+    /// `TxnBegin` (4), Put (1) / Delete (2), `TxnCommit` (5).
     #[test]
-    fn append_replay_roundtrip() {
-        let path = tmp("roundtrip.wal");
-        let records = vec![
-            WalRecord::Put {
-                key: b"a".to_vec(),
-                value: b"1".to_vec(),
-            },
-            WalRecord::Delete { key: b"a".to_vec() },
-            WalRecord::Put {
-                key: b"b".to_vec(),
-                value: vec![0xFF; 1000],
-            },
+    fn the_log_format_is_pinned_frame_by_frame() {
+        let big = [0xFF; 300];
+        let image = [
+            seq_frame(4, 1),
+            op_frame(1, b"a", b"1"),
+            op_frame(2, b"b", b""),
+            op_frame(1, b"c", &big),
+            seq_frame(5, 1),
+            seq_frame(4, 2),
+            op_frame(2, b"a", b""),
+            seq_frame(5, 2),
+        ]
+        .concat();
+        assert_eq!(image[..9], [9, 0, 0, 0, 0x3C, 0x45, 0x4F, 0x77, 4]);
+
+        let groups = vec![
+            txn(
+                1,
+                vec![
+                    put(b"a", b"1"),
+                    BatchOp::Delete(b"b".to_vec()),
+                    put(b"c", &big),
+                ],
+            ),
+            txn(2, vec![BatchOp::Delete(b"a".to_vec())]),
         ];
-        {
-            let mut wal = Wal::open(&path).unwrap();
-            for r in &records {
-                wal.append(r).unwrap();
-            }
+        let (vfs, dyn_vfs) = fs();
+        let mut wal = open(&dyn_vfs);
+        for group in &groups {
+            wal.append_txn(group.seq, &group.ops).unwrap();
         }
-        let mut wal = Wal::open(&path).unwrap();
-        assert_eq!(wal.replay().unwrap(), records);
-        // replay is idempotent
-        assert_eq!(wal.replay().unwrap(), records);
+        assert_eq!(bytes(&vfs), image, "the writer's bytes moved");
+
+        let replayed = replay_image(&image).unwrap();
+        assert_eq!(replayed, groups);
+        let (overlay, seq) = fold(replayed);
+        assert_eq!(seq, 2);
+        let want = [
+            (b"a".to_vec(), None),
+            (b"b".to_vec(), None),
+            (b"c".to_vec(), Some(big.to_vec())),
+        ];
+        assert_eq!(overlay, want.into_iter().collect());
     }
 
     #[test]
-    fn torn_tail_is_truncated() {
-        let path = tmp("torn.wal");
-        {
-            let mut wal = Wal::open(&path).unwrap();
-            wal.append(&WalRecord::Put {
-                key: b"k1".to_vec(),
-                value: b"v1".to_vec(),
-            })
-            .unwrap();
-            wal.append(&WalRecord::Put {
-                key: b"k2".to_vec(),
-                value: b"v2".to_vec(),
-            })
-            .unwrap();
+    fn a_put_or_delete_outside_a_group_is_corruption() {
+        let group = [seq_frame(4, 1), op_frame(1, b"k", b"v"), seq_frame(5, 1)].concat();
+        for bare in [op_frame(1, b"k", b"v"), op_frame(2, b"k", b"")] {
+            let outside = "put or delete outside a transaction";
+            expect_corrupt(&bare, outside);
+            expect_corrupt(&[group.as_slice(), &bare].concat(), outside);
+            expect_corrupt(&[bare.as_slice(), &group].concat(), outside);
         }
-        // simulate a crash mid-write: chop bytes off the tail
-        let full = std::fs::read(&path).unwrap();
-        for cut in 1..full.len() {
-            std::fs::write(&path, &full[..full.len() - cut]).unwrap();
-            let mut wal = Wal::open(&path).unwrap();
-            let records = wal.replay().unwrap();
-            assert!(records.len() <= 2);
-            // the intact prefix is always a prefix of the full history
-            for (i, r) in records.iter().enumerate() {
-                let expected_key = if i == 0 { b"k1" } else { b"k2" };
-                match r {
-                    WalRecord::Put { key, .. } => assert_eq!(key, expected_key),
-                    other => panic!("unexpected {other:?}"),
-                }
+    }
+
+    #[test]
+    fn groups_round_trip_and_replay_is_idempotent() {
+        let groups = vec![
+            txn(1, vec![put(b"a", b"1"), BatchOp::Delete(b"a".to_vec())]),
+            txn(2, vec![put(b"b", &[0xFF; 1000])]),
+        ];
+        let (_, vfs) = fs();
+        {
+            let mut wal = open(&vfs);
+            assert!(wal.replay().unwrap().is_empty());
+            for group in &groups {
+                wal.append_txn(group.seq, &group.ops).unwrap();
             }
+        }
+        let mut wal = open(&vfs);
+        assert_eq!(wal.replay().unwrap(), groups);
+        assert_eq!(wal.replay().unwrap(), groups);
+    }
+
+    #[test]
+    fn a_torn_tail_rolls_back_to_the_last_whole_group_and_appends_resume_there() {
+        let first = txn(1, vec![put(b"x", b"1"), BatchOp::Delete(b"y".to_vec())]);
+        let second = txn(2, vec![put(b"z", &[0xAB; 64]), put(b"w", b"2")]);
+        let (vfs, dyn_vfs) = fs();
+        let mut wal = open(&dyn_vfs);
+        wal.append_txn(first.seq, &first.ops).unwrap();
+        let first_len = bytes(&vfs).len();
+        wal.append_txn(second.seq, &second.ops).unwrap();
+        drop(wal);
+        let full = bytes(&vfs);
+        for cut in 1..full.len() {
+            write_image(&dyn_vfs, &full[..cut]);
+            let mut wal = open(&dyn_vfs);
+            let replayed = wal.replay().unwrap();
+            let kept = if cut < first_len { 0 } else { 1 };
+            assert_eq!(replayed, [first.clone()][..kept], "cut at {cut}");
+            let intact = if kept == 0 { 0 } else { first_len };
+            assert_eq!(bytes(&vfs).len(), intact, "cut at {cut}: torn bytes left");
+            // The next group lands on the intact prefix.
+            wal.append_txn(9, &second.ops).unwrap();
+            let mut want = replayed;
+            want.push(txn(9, second.ops.clone()));
+            assert_eq!(open(&dyn_vfs).replay().unwrap(), want, "cut at {cut}");
         }
     }
 
     #[test]
     fn mid_log_bit_flip_is_corruption_not_a_torn_tail() {
-        // A damaged record with intact records after it means committed
-        // data was corrupted in place; silently truncating there would
-        // drop the committed suffix. Regression for the old behavior of
-        // `replay`, which treated any bad frame as a torn tail.
-        let path = tmp("midlog.wal");
+        // Damage with intact frames after it means committed data was
+        // corrupted in place; truncating there would drop the committed
+        // groups behind it. Only the final frame — the last group's
+        // commit — can be a torn tail, and tearing it rolls that whole
+        // group back.
+        let (vfs, dyn_vfs) = fs();
         {
-            let mut wal = Wal::open(&path).unwrap();
+            let mut wal = open(&dyn_vfs);
             for i in 0..5u8 {
-                wal.append(&WalRecord::Put {
-                    key: vec![i],
-                    value: vec![i; 16],
-                })
-                .unwrap();
+                wal.append_txn(u64::from(i) + 1, &[put(&[i], &[i; 16])])
+                    .unwrap();
             }
         }
-        let full = std::fs::read(&path).unwrap();
-        let frame = full.len() / 5;
-        // Flip a byte inside the third record's body.
-        let mut bytes = full.clone();
-        bytes[2 * frame + 10] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        let mut wal = Wal::open(&path).unwrap();
-        match wal.replay() {
-            Err(KvError::Corrupt { context, .. }) => {
-                assert!(context.contains("mid-log"), "context: {context}");
-            }
-            other => panic!("expected mid-log corruption, got {other:?}"),
-        }
-
-        // Flip a byte in every *other* position of the log and check the
-        // verdict is always corruption (records follow) except within
-        // the final frame, where truncation to the intact prefix is the
-        // correct recovery.
-        let last_frame_start = 4 * frame;
+        let full = bytes(&vfs);
+        let last_frame_start = full.len() - 17;
         for flip in 0..full.len() {
-            let mut bytes = full.clone();
-            bytes[flip] ^= 0xFF;
-            std::fs::write(&path, &bytes).unwrap();
-            let mut wal = Wal::open(&path).unwrap();
-            match wal.replay() {
-                Ok(records) => {
+            let mut image = full.clone();
+            image[flip] ^= 0xFF;
+            match replay_image(&image) {
+                Ok(groups) => {
                     assert!(
                         flip >= last_frame_start,
-                        "flip at {flip} silently truncated committed records"
+                        "flip at {flip} silently truncated committed groups"
                     );
-                    assert_eq!(records.len(), 4);
+                    assert_eq!(groups.len(), 4);
                 }
-                Err(KvError::Corrupt { .. }) => {
-                    assert!(
-                        flip < last_frame_start,
-                        "flip at {flip} inside the tail frame"
-                    );
-                }
+                Err(KvError::Corrupt { .. }) => assert!(
+                    flip < last_frame_start,
+                    "flip at {flip} inside the tail frame"
+                ),
                 Err(other) => panic!("unexpected error {other}"),
             }
         }
     }
 
     #[test]
-    fn corrupt_final_record_is_truncated_as_torn_tail() {
-        let path = tmp("tailflip.wal");
-        {
-            let mut wal = Wal::open(&path).unwrap();
-            for i in 0..3u8 {
-                wal.append(&WalRecord::Put {
-                    key: vec![i],
-                    value: vec![i; 16],
-                })
-                .unwrap();
-            }
-        }
-        let mut bytes = std::fs::read(&path).unwrap();
-        let frame = bytes.len() / 3;
-        let n = bytes.len();
-        bytes[2 * frame + frame / 2] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        let mut wal = Wal::open(&path).unwrap();
-        let records = wal.replay().unwrap();
-        assert_eq!(records.len(), 2);
-        // The damaged tail was truncated away.
-        assert!(wal.len().unwrap() < n as u64);
-    }
-
-    #[test]
-    fn reset_empties_the_log() {
-        let path = tmp("reset.wal");
-        let mut wal = Wal::open(&path).unwrap();
-        wal.append(&WalRecord::Delete { key: b"k".to_vec() })
-            .unwrap();
-        assert!(!wal.is_empty().unwrap());
-        wal.reset().unwrap();
+    fn reset_needs_the_base_durable_note_and_empties_the_log() {
+        let (_, vfs) = fs();
+        let mut wal = open(&vfs);
+        wal.append_txn(1, &[put(b"k", b"v")]).unwrap();
+        // Truncating before the base is durable fails loudly…
+        assert!(matches!(
+            wal.reset_with_vfs(&vfs),
+            Err(KvError::Corrupt { .. })
+        ));
+        assert!(!wal.is_empty().unwrap(), "a refused reset truncated");
+        // …and succeeds once the durability note is recorded.
+        wal.note_base_durable();
+        wal.reset_with_vfs(&vfs).unwrap();
         assert!(wal.is_empty().unwrap());
         assert!(wal.replay().unwrap().is_empty());
+        // The note is consumed: the next reset needs a fresh one.
+        wal.append_txn(1, &[put(b"k", b"v")]).unwrap();
+        assert!(wal.reset_with_vfs(&vfs).is_err());
     }
 
     #[test]
-    fn fresh_create_then_torn_tail_then_recreate_reopens_cleanly() {
-        // Exercises the creation/truncation durability path end to end:
-        // every transition a crash could interrupt (fresh create, torn
-        // append, checkpoint reset, re-create) must leave a log the next
-        // open can replay.
-        let path = tmp("fresh_create.wal");
+    fn a_created_log_survives_a_power_cut() {
+        let (vfs, dyn_vfs) = fs();
+        open(&dyn_vfs);
+        vfs.set_fault(vfs.op_count(), Fault::PowerCut(SurvivalMode::LoseUnsynced));
+        assert!(dyn_vfs.remove(Path::new("other")).is_err());
+        vfs.power_cycle();
+        assert!(dyn_vfs.exists(Path::new(LOG)), "creation was not durable");
+    }
 
-        // 1. Fresh create (directory fsync path), no records yet.
-        {
-            let mut wal = Wal::open(&path).unwrap();
-            assert!(wal.replay().unwrap().is_empty());
-        }
-        assert!(path.exists(), "create must leave a durable file");
-
-        // 2. Append, then tear the tail mid-record.
-        {
-            let mut wal = Wal::open(&path).unwrap();
-            wal.append(&WalRecord::Put {
-                key: b"survives".to_vec(),
-                value: b"1".to_vec(),
-            })
-            .unwrap();
-            wal.append(&WalRecord::Put {
-                key: b"torn".to_vec(),
-                value: vec![0xAB; 64],
-            })
-            .unwrap();
-        }
-        let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() - 5]).unwrap();
-        {
-            let mut wal = Wal::open(&path).unwrap();
-            let records = wal.replay().unwrap();
-            assert_eq!(records.len(), 1);
-            assert!(matches!(&records[0], WalRecord::Put { key, .. } if key == b"survives"));
-            // 3. Checkpoint-style reset (truncation durability path).
-            wal.reset().unwrap();
-        }
-
-        // 4. Delete and re-create at the same path (the checkpoint-rename
-        //    shape): the fresh log must open and serve appends again.
-        std::fs::remove_file(&path).unwrap();
-        {
-            let mut wal = Wal::open(&path).unwrap();
-            assert!(wal.replay().unwrap().is_empty());
-            wal.append(&WalRecord::Delete { key: b"k".to_vec() })
-                .unwrap();
-        }
-        let mut wal = Wal::open(&path).unwrap();
-        assert_eq!(
-            wal.replay().unwrap(),
-            vec![WalRecord::Delete { key: b"k".to_vec() }]
+    #[test]
+    fn misplaced_group_bounds_are_corruption() {
+        let op = op_frame(1, b"in", b"txn");
+        expect_corrupt(
+            &[seq_frame(4, 1), op.clone(), seq_frame(4, 2)].concat(),
+            "begins inside an unterminated transaction",
         );
-    }
-
-    #[test]
-    fn txn_roundtrip_and_tail_rollback() {
-        let path = tmp("txn.wal");
-        let ops = vec![
-            WalRecord::Put {
-                key: b"x".to_vec(),
-                value: b"1".to_vec(),
-            },
-            WalRecord::Delete { key: b"y".to_vec() },
-        ];
-        {
-            let mut wal = Wal::open(&path).unwrap();
-            wal.append(&WalRecord::Put {
-                key: b"pre".to_vec(),
-                value: b"0".to_vec(),
-            })
-            .unwrap();
-            wal.append_txn(7, &ops).unwrap();
-        }
-        {
-            let mut wal = Wal::open(&path).unwrap();
-            let records = wal.replay().unwrap();
-            assert_eq!(records.len(), 5); // pre + begin + 2 ops + commit
-            assert_eq!(records[1], WalRecord::TxnBegin { seq: 7 });
-            assert_eq!(records[4], WalRecord::TxnCommit { seq: 7 });
-        }
-        // Tear the commit off: the whole group must roll back, and the
-        // file must truncate to before the TxnBegin so later appends do
-        // not strand a dangling group mid-log.
-        let full = std::fs::read(&path).unwrap();
-        for cut in 1..40 {
-            std::fs::write(&path, &full[..full.len() - cut]).unwrap();
-            let mut wal = Wal::open(&path).unwrap();
-            let records = wal.replay().unwrap();
-            if records.len() > 1 {
-                // the cut spared the commit frame: all-or-nothing
-                assert_eq!(records.len(), 5);
-            } else {
-                assert_eq!(records.len(), 1);
-                // appending after the rollback keeps the log clean
-                wal.append_txn(8, &ops).unwrap();
-                drop(wal);
-                let mut wal = Wal::open(&path).unwrap();
-                let records = wal.replay().unwrap();
-                assert_eq!(records.len(), 5);
-                assert_eq!(records[1], WalRecord::TxnBegin { seq: 8 });
-            }
-        }
-    }
-
-    #[test]
-    fn dangling_txn_mid_log_is_corruption() {
-        let path = tmp("txn_midlog.wal");
-        {
-            let mut wal = Wal::open(&path).unwrap();
-            // Forge an unterminated group followed by an intact record
-            // (a writer never produces this; only in-place damage can).
-            wal.append(&WalRecord::TxnBegin { seq: 1 }).unwrap();
-            wal.append(&WalRecord::Put {
-                key: b"in".to_vec(),
-                value: b"txn".to_vec(),
-            })
-            .unwrap();
-            wal.append(&WalRecord::TxnBegin { seq: 2 }).unwrap();
-        }
-        let mut wal = Wal::open(&path).unwrap();
-        match wal.replay() {
-            Err(KvError::Corrupt { context, .. }) => {
-                assert!(context.contains("unterminated"), "context: {context}");
-            }
-            other => panic!("expected corruption, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn commit_without_begin_is_corruption() {
-        let path = tmp("txn_orphan_commit.wal");
-        {
-            let mut wal = Wal::open(&path).unwrap();
-            wal.append(&WalRecord::TxnCommit { seq: 3 }).unwrap();
-        }
-        let mut wal = Wal::open(&path).unwrap();
-        assert!(matches!(wal.replay(), Err(KvError::Corrupt { .. })));
+        expect_corrupt(&seq_frame(5, 3), "has no matching begin");
+        expect_corrupt(
+            &[seq_frame(4, 1), op, seq_frame(5, 2)].concat(),
+            "does not match the open transaction",
+        );
     }
 
     #[test]
@@ -852,70 +753,7 @@ mod tests {
         // a checksum-valid kind-3 frame is as undecodable as a kind-9
         // one — and, being intact, never a torn tail.
         for body in [vec![3u8], vec![9u8], vec![4u8, 1, 2]] {
-            let path = tmp("undecodable.wal");
-            let mut frame = (body.len() as u32).to_le_bytes().to_vec();
-            frame.extend_from_slice(&crc32(&body).to_le_bytes());
-            frame.extend_from_slice(&body);
-            std::fs::write(&path, &frame).unwrap();
-            let mut wal = Wal::open(&path).unwrap();
-            match wal.replay() {
-                Err(KvError::Corrupt { context, .. }) => assert!(
-                    context.contains("valid checksum but undecodable body"),
-                    "kind {}: {context}",
-                    body[0]
-                ),
-                other => panic!("kind {}: expected corruption, got {other:?}", body[0]),
-            }
-            let vfs = StdVfs::arc();
-            assert!(read_log(&vfs, &path).is_err(), "kind {}", body[0]);
+            expect_corrupt(&frame(&body), "valid checksum but undecodable body");
         }
-    }
-
-    #[test]
-    fn reset_audit_orders_base_sync_before_truncate() {
-        let path = tmp("audit.wal");
-        let mut wal = Wal::open(&path).unwrap();
-        wal.append(&WalRecord::Delete { key: b"k".to_vec() })
-            .unwrap();
-        wal.require_reset_audit();
-        // Truncating before the base is durable must fail loudly…
-        assert!(matches!(wal.reset(), Err(KvError::Corrupt { .. })));
-        assert!(!wal.is_empty().unwrap(), "audit failure must not truncate");
-        // …and succeed once the durability note is recorded.
-        wal.note_base_durable();
-        wal.reset().unwrap();
-        assert!(wal.is_empty().unwrap());
-        // The note is consumed: the next reset needs a fresh note.
-        wal.append(&WalRecord::Delete { key: b"k".to_vec() })
-            .unwrap();
-        assert!(matches!(wal.reset(), Err(KvError::Corrupt { .. })));
-    }
-
-    #[test]
-    fn appending_after_torn_replay_continues_cleanly() {
-        let path = tmp("continue.wal");
-        {
-            let mut wal = Wal::open(&path).unwrap();
-            wal.append(&WalRecord::Put {
-                key: b"a".to_vec(),
-                value: b"1".to_vec(),
-            })
-            .unwrap();
-        }
-        // torn garbage at the end
-        {
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(&[1, 2, 3]).unwrap();
-        }
-        let mut wal = Wal::open(&path).unwrap();
-        assert_eq!(wal.replay().unwrap().len(), 1);
-        wal.append(&WalRecord::Put {
-            key: b"b".to_vec(),
-            value: b"2".to_vec(),
-        })
-        .unwrap();
-        drop(wal);
-        let mut wal = Wal::open(&path).unwrap();
-        assert_eq!(wal.replay().unwrap().len(), 2);
     }
 }

@@ -1,25 +1,30 @@
 //! Fault-injection sweeps over the `DurableKv` I/O path: transient
 //! errors, short writes and torn syncs injected at every mutating
-//! filesystem operation of a recorded 500-op workload. All injected
-//! faults are one-shot, so the contract under test is *retry once and
-//! carry on*: the failed logical operation is re-issued, the workload
-//! completes, and the final state must equal the reference model — no
-//! acknowledged write may be lost and no unacknowledged write may
-//! half-apply.
+//! filesystem operation of a recorded 500-op workload of atomic batches
+//! and checkpoints. These faults are one-shot, so the contract under
+//! test is *retry once and carry on*: the failed logical operation is
+//! re-issued, the workload completes, and the final state must equal
+//! the reference model — no acknowledged batch may be lost and no
+//! unacknowledged one may half-apply. A full disk (`Fault::NoSpace`)
+//! lasts until it is cleared: the failing batch or checkpoint must leave
+//! the committed prefix readable, and succeed once space is back.
 //!
 //! Also covers a failed WAL fsync followed by a *different*, shorter
 //! group (the sweeps retry the same op, which rewrites the same bytes),
-//! and at-rest bit rot: a flipped byte in a checksummed page
-//! surfaces as `KvError::Corrupt` with page attribution, never as a
-//! wrong answer.
+//! a batch whose base lookup fails (nothing of it may reach the log),
+//! and at-rest bit rot: a flipped byte in a checksummed page surfaces
+//! as `KvError::Corrupt` with page attribution, never as a wrong
+//! answer.
 //!
 //! Debug builds stride the sweeps; the CI torture job runs them in
 //! release with every boundary covered.
 
 mod common;
 
-use common::{apply_op, contents, models, workload};
-use kvstore::{BatchOp, DiskKv, DurableKv, Fault, FaultVfs, KvStore, SurvivalMode, PHYS_PAGE_SIZE};
+use common::{apply_op, contents, models, workload, Op};
+use kvstore::{
+    BatchOp, DiskKv, DurableKv, Fault, FaultVfs, KvError, KvStore, SurvivalMode, PHYS_PAGE_SIZE,
+};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -115,45 +120,171 @@ fn torn_sync_at_every_io_boundary_needs_only_one_retry() {
 }
 
 #[test]
-fn acknowledged_put_survives_an_immediate_power_cut() {
+fn an_acknowledged_batch_survives_an_immediate_power_cut() {
     let vfs = FaultVfs::new();
     let dyn_vfs = vfs.as_dyn();
     let base = Path::new("store");
     {
         let mut store = DurableKv::open_with_vfs(dyn_vfs.clone(), base).unwrap();
-        store.put(b"acked", b"yes").unwrap();
+        store.apply_batch(&[put("acked"), put("also")]).unwrap();
         // The very next mutating operation is the cut: nothing after the
-        // acknowledged put reaches the disk.
+        // acknowledged batch reaches the disk.
         vfs.set_fault(vfs.op_count(), Fault::PowerCut(SurvivalMode::LoseUnsynced));
-        assert!(store.put(b"in-flight", b"lost").is_err());
+        assert!(store.apply_batch(&[put("in-flight")]).is_err());
     }
     vfs.power_cycle();
     let store = DurableKv::open_with_vfs(dyn_vfs, base).unwrap();
-    assert_eq!(store.get(b"acked").unwrap().unwrap(), b"yes");
-    assert_eq!(store.get(b"in-flight").unwrap(), None);
+    assert_eq!(contents(&store), model(&["acked", "also"]));
 }
 
 #[test]
-fn short_written_put_is_rolled_back_not_half_applied() {
+fn a_short_written_batch_is_rolled_back_not_half_applied() {
     let vfs = FaultVfs::new();
     let dyn_vfs = vfs.as_dyn();
     let base = Path::new("store");
     let mut store = DurableKv::open_with_vfs(dyn_vfs.clone(), base).unwrap();
-    store.put(b"before", b"ok").unwrap();
+    store.apply_batch(&[put("before")]).unwrap();
 
+    // Half of the group reaches the file: its first ops, not its commit.
     vfs.set_fault(vfs.op_count(), Fault::ShortWrite);
-    assert!(store.put(b"torn", &[0xAB; 256]).is_err());
+    let torn: Vec<BatchOp> = (0..4)
+        .map(|i| BatchOp::Put(format!("torn{i}").into_bytes(), vec![0xAB; 256]))
+        .collect();
+    assert!(store.apply_batch(&torn).is_err());
 
-    // The store stays serviceable and the torn key was never applied.
-    assert_eq!(store.get(b"torn").unwrap(), None);
-    assert_eq!(store.get(b"before").unwrap().unwrap(), b"ok");
-    store.put(b"after", b"ok").unwrap();
+    // The store stays serviceable and no op of the torn batch applied.
+    assert_eq!(contents(&store), model(&["before"]));
+    store.apply_batch(&[put("after")]).unwrap();
     drop(store);
 
     let store = DurableKv::open_with_vfs(dyn_vfs, base).unwrap();
-    assert_eq!(store.get(b"torn").unwrap(), None);
-    assert_eq!(store.get(b"before").unwrap().unwrap(), b"ok");
-    assert_eq!(store.get(b"after").unwrap().unwrap(), b"ok");
+    assert_eq!(contents(&store), model(&["after", "before"]));
+}
+
+fn is_full(e: &KvError) -> bool {
+    matches!(e, KvError::Io(io) if io.kind() == std::io::ErrorKind::StorageFull)
+}
+
+/// The disk fills up at every I/O boundary in turn (one run each) and
+/// stays full until cleared. The first batch or checkpoint that needs
+/// space fails, with nothing of it visible; the reads see exactly the
+/// committed prefix; once space is back the same op succeeds, and the
+/// workload ends in, and reopens to, the reference state.
+#[test]
+fn a_full_disk_at_every_io_boundary_fails_one_op_and_loses_nothing() {
+    let mut ops = workload(500);
+    ops.push(Op::Checkpoint);
+    let snapshots = models(&ops);
+    let full = snapshots.last().unwrap();
+
+    let stride: u64 = if cfg!(debug_assertions) { 7 } else { 1 };
+    let base = Path::new("store");
+    let mut cut: u64 = 0;
+    let mut boundaries = 0u64;
+    loop {
+        let vfs = FaultVfs::new();
+        vfs.set_fault(cut, Fault::NoSpace);
+        let dyn_vfs = vfs.as_dyn();
+        let mut store = DurableKv::open_with_vfs(dyn_vfs.clone(), base)
+            .unwrap_or_else(|e| panic!("full disk from op {cut}: open failed: {e}"));
+        let mut failed = false;
+        for (i, op) in ops.iter().enumerate() {
+            if let Err(e) = apply_op(&mut store, op) {
+                assert!(
+                    is_full(&e),
+                    "full disk from op {cut}: op {i} failed with {e}"
+                );
+                assert!(!failed, "full disk from op {cut}: a second op failed");
+                failed = true;
+                assert_eq!(
+                    contents(&store),
+                    snapshots[i],
+                    "full disk from op {cut}: op {i} left a trace"
+                );
+                vfs.clear_fault();
+                apply_op(&mut store, op).unwrap_or_else(|e| {
+                    panic!("full disk from op {cut}: op {i} failed again with space back: {e}")
+                });
+            }
+        }
+        assert_eq!(vfs.fault_fired(), failed);
+        assert_eq!(
+            &contents(&store),
+            full,
+            "full disk from op {cut}: final state diverged"
+        );
+        drop(store);
+        let reopened = DurableKv::open_with_vfs(dyn_vfs, base).unwrap();
+        assert_eq!(
+            &contents(&reopened),
+            full,
+            "full disk from op {cut}: reopen diverged"
+        );
+        if !failed {
+            break;
+        }
+        boundaries += 1;
+        cut += stride;
+    }
+    assert!(
+        boundaries >= 100,
+        "sweep covered only {boundaries} boundaries — workload too small?"
+    );
+}
+
+/// A batch whose live-count lookup in the base tree hits a damaged page
+/// must fail before its group is logged: the batch leaves no trace in
+/// the view or the log, and the store still opens.
+#[test]
+fn a_batch_whose_base_lookup_fails_leaves_no_trace() {
+    let base = Path::new("store");
+    let (db, wal) = (Path::new("store.db"), Path::new("store.wal"));
+    let key = |i: u32| format!("key{i:04}").into_bytes();
+    let probe = FaultVfs::new();
+    let stored = |vfs: &FaultVfs| {
+        let mut store = DurableKv::open_with_vfs(vfs.as_dyn(), base).unwrap();
+        let batch: Vec<BatchOp> = (0..1000u32)
+            .map(|i| BatchOp::Put(key(i), i.to_le_bytes().repeat(4)))
+            .collect();
+        store.apply_batch(&batch).unwrap();
+        store.checkpoint().unwrap();
+    };
+    stored(&probe);
+    let pages = probe.read_file(db).unwrap().len() / PHYS_PAGE_SIZE;
+
+    // Find a leaf page whose damage neither the open nor a lookup of
+    // `a-new` notices, but a lookup of some stored key does.
+    let damaged = (1..pages).find_map(|page| {
+        let vfs = FaultVfs::new();
+        stored(&vfs);
+        vfs.corrupt_byte(db, page * PHYS_PAGE_SIZE + 100).unwrap();
+        let store = DurableKv::open_with_vfs(vfs.as_dyn(), base).ok()?;
+        let view = store.snapshot();
+        view.contains(b"a-new").ok()?;
+        let victim = (0..1000u32).map(key).find(|k| view.contains(k).is_err())?;
+        Some((vfs, victim))
+    });
+    let (vfs, victim) = damaged.expect("no leaf page whose damage a lookup reports");
+
+    let mut store = DurableKv::open_with_vfs(vfs.as_dyn(), base).unwrap();
+    let log_before = vfs.read_file(wal).unwrap();
+    let err = store
+        .apply_batch(&[put("a-new"), BatchOp::Put(victim, b"v".to_vec())])
+        .unwrap_err();
+    assert!(err.is_corrupt(), "{err}");
+    assert_eq!(store.snapshot().get(b"a-new").unwrap(), None);
+    assert_eq!(
+        vfs.read_file(wal).unwrap(),
+        log_before,
+        "the failed batch reached the log"
+    );
+    // The store stays serviceable, and reopens.
+    store.apply_batch(&[put("after")]).unwrap();
+    drop(store);
+    let store = DurableKv::open_with_vfs(vfs.as_dyn(), base)
+        .unwrap_or_else(|e| panic!("the store no longer opens: {e}"));
+    assert_eq!(store.snapshot().get(b"a-new").unwrap(), None);
+    assert_eq!(store.snapshot().get(b"after").unwrap().unwrap(), b"v");
 }
 
 #[test]
@@ -224,6 +355,13 @@ fn put(key: &str) -> BatchOp {
     BatchOp::Put(key.as_bytes().to_vec(), b"v".to_vec())
 }
 
+/// The contents `put` of each of `keys` leaves.
+fn model(keys: &[&str]) -> common::Model {
+    keys.iter()
+        .map(|k| (k.as_bytes().to_vec(), b"v".to_vec()))
+        .collect()
+}
+
 /// Commits `[a]`, fails the fsync of a six-put group, then commits the
 /// shorter `[d]` at the same log offset. With `fault_on_trim`, the first
 /// `[d]` also fails — on the truncation that drops the failed group —
@@ -255,9 +393,7 @@ fn shorter_group_after_a_failed_sync(fault_on_trim: bool) {
 
     let reopened = DurableKv::open_with_vfs(dyn_vfs, base)
         .unwrap_or_else(|e| panic!("the store no longer opens: {e}"));
-    let want =
-        [("a", "v"), ("d", "v")].map(|(k, v)| (k.as_bytes().to_vec(), v.as_bytes().to_vec()));
-    assert_eq!(contents(&reopened), want.into_iter().collect());
+    assert_eq!(contents(&reopened), model(&["a", "d"]));
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! sync writes must depend on the entries alone, never on the order of
 //! the operations that produced them.
 
-use kvstore::{DiskKv, FaultVfs, KvStore, MemKv, Vfs};
+use kvstore::{BatchOp, DiskKv, DurableKv, FaultVfs, KvStore, MemKv, Vfs};
 use std::path::Path;
 use std::sync::Arc;
 use xcheck::prop::{check, Gen};
@@ -206,17 +206,22 @@ fn the_same_entries_write_the_same_file_whatever_the_op_order() {
 
 #[derive(Debug, Clone)]
 enum DurableOp {
-    Put(Vec<u8>, Vec<u8>),
-    Delete(Vec<u8>),
+    Batch(Vec<BatchOp>),
     Checkpoint,
     Reopen,
 }
 
+fn batch_op(g: &mut Gen) -> BatchOp {
+    match g.weighted(&[2, 1]) {
+        0 => BatchOp::Put(key(g), g.vec(0..32, Gen::any::<u8>)),
+        _ => BatchOp::Delete(key(g)),
+    }
+}
+
 fn durable_op(g: &mut Gen) -> DurableOp {
-    match g.weighted(&[4, 2, 1, 1]) {
-        0 => DurableOp::Put(key(g), g.vec(0..32, Gen::any::<u8>)),
-        1 => DurableOp::Delete(key(g)),
-        2 => DurableOp::Checkpoint,
+    match g.weighted(&[6, 1, 1]) {
+        0 => DurableOp::Batch(g.vec(1..5, batch_op)),
+        1 => DurableOp::Checkpoint,
         _ => DurableOp::Reopen,
     }
 }
@@ -224,40 +229,39 @@ fn durable_op(g: &mut Gen) -> DurableOp {
 /// `DurableKv` against the `BTreeMap` model, with `DurableKv::snapshot`
 /// as a second subject: the view taken after every op equals the model,
 /// and a view taken a few ops earlier keeps equalling the model as it
-/// was then, whatever puts, deletes, checkpoints and reopens follow —
-/// the isolation `invindex::MaintIndex`'s pinned readers rely on.
+/// was then, whatever batches, checkpoints and reopens follow — the
+/// isolation `invindex::MaintIndex`'s pinned readers rely on.
 #[test]
 fn durable_store_matches_model_across_reopens() {
-    use kvstore::DurableKv;
     check(24, |g| {
         let ops = g.vec(1..60, durable_op);
-        let case_id: u64 = g.any();
-        let dir = std::env::temp_dir().join(format!("durable_prop_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join(format!("case_{case_id}"));
-        let _ = std::fs::remove_file(base.with_extension("db"));
-        let _ = std::fs::remove_file(base.with_extension("wal"));
+        let vfs = FaultVfs::new().as_dyn();
+        let base = Path::new("durable");
+        let open = || DurableKv::open_with_vfs(Arc::clone(&vfs), base).unwrap();
 
         let mut model = MemKv::new();
-        let mut store = DurableKv::open(&base).unwrap();
+        let mut store = open();
         // (snapshot, the model's dump when it was taken), a few ops old.
         let mut pinned = std::collections::VecDeque::new();
         for op in ops {
             match op {
-                DurableOp::Put(k, v) => {
-                    model.put(&k, &v).unwrap();
-                    store.put(&k, &v).unwrap();
-                }
-                DurableOp::Delete(k) => {
-                    assert_eq!(model.delete(&k).unwrap(), store.delete(&k).unwrap());
+                DurableOp::Batch(batch) => {
+                    for op in &batch {
+                        match op {
+                            BatchOp::Put(k, v) => model.put(k, v).unwrap(),
+                            BatchOp::Delete(k) => {
+                                model.delete(k).unwrap();
+                            }
+                        }
+                    }
+                    store.apply_batch(&batch).unwrap();
                 }
                 DurableOp::Checkpoint => store.checkpoint().unwrap(),
                 DurableOp::Reopen => {
                     drop(store);
-                    store = DurableKv::open(&base).unwrap();
+                    store = open();
                 }
             }
-            assert_eq!(model.len(), store.len());
             let snap = store.snapshot();
             assert_eq!(dump(&snap), dump(&model));
             assert_eq!(snap.len(), model.len());
@@ -272,12 +276,10 @@ fn durable_store_matches_model_across_reopens() {
         }
         // final full-state comparison (after one more recovery)
         drop(store);
-        let store = DurableKv::open(&base).unwrap();
-        assert_eq!(dump(&model), dump(&store));
+        let store = open();
+        assert_eq!(dump(&model), dump(&store.snapshot()));
         for (old, then) in &pinned {
             assert_eq!(&dump(old), then, "a pinned snapshot moved");
         }
-        let _ = std::fs::remove_file(base.with_extension("db"));
-        let _ = std::fs::remove_file(base.with_extension("wal"));
     });
 }

@@ -109,6 +109,15 @@ const MAX_EDIT_DISTANCE: usize = 2;
 /// close to everything).
 const MIN_SPELLING_LEN: usize = 4;
 
+/// Most rules kept per keyword (rules whose LHS ends with it, as the DP
+/// looks them up): the cheapest, by [`RuleSet::cap_fan_out`]'s order.
+/// It bounds the work per query position of the DP and of its
+/// brute-force oracle on a large vocabulary. Every committed workload
+/// stays below it — the most any reaches is 9 (`fig6_scalability` and
+/// the `serve_*` benchmark corpus, the query keyword `ning`) — so the cap
+/// changes none of their answers.
+const MAX_RULES_PER_KEYWORD: usize = 16;
+
 /// Generates the pertinent rule set for `query` against `vocab`.
 pub fn generate_rules(
     query: &[String],
@@ -242,6 +251,7 @@ pub fn generate_rules(
         }
     }
 
+    rs.cap_fan_out(MAX_RULES_PER_KEYWORD);
     rs
 }
 
@@ -285,6 +295,37 @@ mod tests {
             &Thesaurus::bibliographic(),
             &AcronymTable::computer_science(),
         )
+    }
+
+    #[test]
+    fn a_keyword_keeps_only_its_cheapest_rules_whatever_the_vocabulary_order() {
+        // 21 words one edit from `abcde` (its last letter replaced) and
+        // 21 words two edits away: more spelling rules than the cap.
+        let near: Vec<String> = ('f'..='z').map(|c| format!("abcd{c}")).collect();
+        let far: Vec<String> = ('f'..='z').map(|c| format!("abc{c}{c}")).collect();
+        let words: Vec<&str> = far.iter().chain(&near).map(String::as_str).collect();
+        let kept = |words: Vec<&str>| {
+            let rs = generate_rules(
+                &q(&["abcde"]),
+                &VocabIndex::new(words),
+                &Thesaurus::default(),
+                &AcronymTable::default(),
+            );
+            let mut rhs: Vec<(String, f64)> = rs
+                .rules_ending_with("abcde")
+                .map(|(_, r)| (r.rhs.join(" "), r.dissimilarity))
+                .collect();
+            rhs.sort_by(|a, b| a.0.cmp(&b.0));
+            rhs
+        };
+        let forward = kept(words.clone());
+        assert_eq!(forward.len(), MAX_RULES_PER_KEYWORD);
+        let want: Vec<(String, f64)> = near[..MAX_RULES_PER_KEYWORD]
+            .iter()
+            .map(|w| (w.clone(), 1.0))
+            .collect();
+        assert_eq!(forward, want);
+        assert_eq!(kept(words.into_iter().rev().collect()), want);
     }
 
     fn has_rule(rs: &RuleSet, lhs: &[&str], rhs: &[&str]) -> bool {

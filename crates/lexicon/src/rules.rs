@@ -153,6 +153,36 @@ impl RuleSet {
         id
     }
 
+    /// Keeps, for every keyword, the `cap` cheapest of the rules whose
+    /// LHS ends with it — lowest dissimilarity first, ties broken by
+    /// LHS and then RHS, so the choice never depends on the order the
+    /// rules were added in — and drops the rest. The surviving rules keep
+    /// their relative order; their ids are reassigned.
+    pub(crate) fn cap_fan_out(&mut self, cap: usize) {
+        let mut dropped = Vec::new();
+        for ids in self.by_lhs_last.values().filter(|ids| ids.len() > cap) {
+            let mut ranked = ids.clone();
+            ranked.sort_by(|&a, &b| {
+                let (a, b) = (self.get(a), self.get(b));
+                a.dissimilarity
+                    .total_cmp(&b.dissimilarity)
+                    .then_with(|| a.lhs.cmp(&b.lhs))
+                    .then_with(|| a.rhs.cmp(&b.rhs))
+            });
+            dropped.extend_from_slice(&ranked[cap..]);
+        }
+        if dropped.is_empty() {
+            return;
+        }
+        let rules = std::mem::take(&mut self.rules);
+        self.by_lhs_last.clear();
+        for (i, rule) in rules.into_iter().enumerate() {
+            if !dropped.contains(&RuleId(i as u32)) {
+                self.add(rule);
+            }
+        }
+    }
+
     pub fn get(&self, id: RuleId) -> &Rule {
         &self.rules[id.0 as usize]
     }

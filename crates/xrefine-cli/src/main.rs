@@ -376,9 +376,9 @@ fn scrub_store_with_vfs(vfs: &Arc<dyn kvstore::Vfs>, store_path: &str) -> Result
         );
     }
     let view = kvstore::wal::read_log(vfs, &path.with_extension("wal"))
-        .and_then(|(records, torn)| Ok((records.len(), torn, kvstore::Snapshot::open(vfs, path)?)));
+        .and_then(|(txns, torn)| Ok((txns.len(), torn, kvstore::Snapshot::open(vfs, path)?)));
     match view {
-        Ok((records, torn, view)) => {
+        Ok((txns, torn, view)) => {
             if torn > 0 {
                 println!(
                     "maintenance: {torn}-byte torn WAL tail left by a crash; \
@@ -387,7 +387,7 @@ fn scrub_store_with_vfs(vfs: &Arc<dyn kvstore::Vfs>, store_path: &str) -> Result
             }
             if view.overlay_len() > 0 {
                 println!(
-                    "maintenance: WAL replayed, {records} record(s), {} overlay entr(ies)",
+                    "maintenance: WAL replayed, {txns} transaction(s), {} overlay entr(ies)",
                     view.overlay_len()
                 );
                 let merged = invindex::verify_store(&view);

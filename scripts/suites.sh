@@ -10,8 +10,9 @@
 #                  aggressive reordering gives a data race a real chance,
 #                  and the co-occurrence memo's retry after a failed list
 #                  read
-#   torture        fault-injection + crash-recovery sweeps (release —
-#                  debug builds stride the sweeps for speed), the
+#   torture        fault-injection + crash-recovery sweeps over atomic
+#                  batches and checkpoints, a full disk included
+#                  (release — debug builds stride the sweeps), the
 #                  tree-file store against its BTreeMap model (syncs,
 #                  reopens, byte-identical files for equal entries), the
 #                  slice-by-16 crc32 against the byte-at-a-time loop at
@@ -69,8 +70,8 @@
 #                  live-engine swap (built with --cfg xcheck into
 #                  target/xcheck), and each seeded patch in
 #                  crates/*/seeded/ applied to a copy of the tree, where
-#                  its check — a model check or a clippy run — must fail
-#                  with its violation text
+#                  its check — a model check, a clippy run or the crash
+#                  torture — must fail with its violation text
 #   tsan           ThreadSanitizer over the thread-heavy suites
 #                  (requires a nightly toolchain with rust-src)
 #   miri           Miri over the interpreter-friendly concurrency and
@@ -174,9 +175,10 @@ xcheck_cargo() {
 
 # Each patch in crates/*/seeded/ puts back a bug the real code excludes:
 # a race in crates/xcheck/seeded/, a lint violation in
-# crates/xlint/seeded/. Its header names the one check that must catch
-# it (`check: `, a cargo subcommand and its arguments, run in the
-# --cfg xcheck build: `test …` for a model check, `clippy …` for a lint)
+# crates/xlint/seeded/, a split batch in crates/kvstore/seeded/. Its
+# header names the one check that must catch it (`check: `, a cargo
+# subcommand and its arguments, run in the --cfg xcheck build: `test …`
+# for a model check or the crash torture, `clippy …` for a lint)
 # and, one `expect: ` line each, the violation texts that check must
 # report. Patches apply, one at a time, to a copy of the tree.
 seeded_bugs_are_caught() {
