@@ -47,7 +47,7 @@ pub mod rank {
     lock_classes! {
         OBS_TEST_SERIAL = 1, "obs.test_serial";
         COOCCUR_MEMO = 2, "cooccur.memo";
-        SERVE_QUEUE = 8, "serve.queue";
+        SERVE_ADMISSION = 8, "serve.admission";
         MAINT_WRITER = 9, "maint.writer";
         ENGINE_EPOCH = 11, "engine.epoch";
         CACHE_LRU = 20, "cache.lru";

@@ -28,6 +28,7 @@
 use crate::lockrank::{self, LockClass, RankGuard};
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
+use std::time::Duration;
 
 #[cfg(not(xcheck))]
 use std::sync::{Condvar as RawCondvar, Mutex as RawMutex, MutexGuard as RawGuard};
@@ -104,6 +105,23 @@ impl Condvar {
         MutexGuard { data, _rank }
     }
 
+    /// [`wait`](Self::wait) for at most `timeout`. It returns on a
+    /// notify, a spurious wake-up or the timeout alike, so the caller
+    /// re-checks both its condition and its clock. Under `cfg(xcheck)`
+    /// the clock never fires: the model checker explores notifications.
+    pub fn wait_timeout<'a, T>(
+        &self,
+        guard: MutexGuard<'a, T>,
+        timeout: Duration,
+    ) -> MutexGuard<'a, T> {
+        let MutexGuard { data, _rank } = guard;
+        let (data, _) = self
+            .inner
+            .wait_timeout(data, timeout)
+            .unwrap_or_else(PoisonError::into_inner);
+        MutexGuard { data, _rank }
+    }
+
     pub fn notify_one(&self) {
         self.inner.notify_one();
     }
@@ -115,9 +133,10 @@ impl Condvar {
 
 #[cfg(test)]
 mod tests {
-    use super::Mutex;
+    use super::{Condvar, Mutex};
     use crate::lockrank::{self, rank};
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn a_lock_poisoned_by_a_panicking_holder_is_recovered() {
@@ -148,6 +167,30 @@ mod tests {
         drop(b);
         drop(a);
         assert!(lockrank::held_ranks().is_empty());
+    }
+
+    #[test]
+    fn wait_timeout_returns_at_its_timeout_or_on_a_notify() {
+        let pair = Arc::new((Mutex::new(rank::CACHE_LRU, false), Condvar::new()));
+        let (m, cv) = &*pair;
+        let t0 = Instant::now();
+        let g = cv.wait_timeout(m.lock(), Duration::from_millis(20));
+        assert!(!*g && t0.elapsed() >= Duration::from_millis(20));
+        drop(g);
+        let notifier = {
+            let pair = Arc::clone(&pair);
+            std::thread::spawn(move || {
+                *pair.0.lock() = true;
+                pair.1.notify_one();
+            })
+        };
+        let mut g = m.lock();
+        while !*g {
+            g = cv.wait_timeout(g, Duration::from_secs(60));
+        }
+        drop(g);
+        notifier.join().unwrap();
+        assert!(t0.elapsed() < Duration::from_secs(60));
     }
 
     /// No `acquire` at the site: the inversion is caught by `lock()`.

@@ -14,8 +14,8 @@
 //! `RUSTFLAGS="--cfg xcheck"`, `obs::sync::{Mutex, Condvar}` — the
 //! workspace's one synchronisation seam — are [`XMutex`] and
 //! [`XCondvar`], and three `cfg(xcheck)` tests explore the real
-//! `ListCache`, `BoundedQueue` and live-engine swap; the seeded bugs
-//! they must catch are patches over the real files, kept in
+//! `ListCache`, `xserve`'s admission `Gate` and live-engine swap; the
+//! seeded bugs they must catch are patches over the real files, kept in
 //! `crates/xcheck/seeded/` (DESIGN.md §6c, `scripts/suites.sh
 //! analysis`). Without a checker context the shims are plain `std`
 //! types. Exploration models sequential consistency: it finds

@@ -14,6 +14,7 @@
 //! while it is borrowed.
 
 use std::sync::{Condvar, LockResult, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 use crate::sched::with_ctx;
 
@@ -141,6 +142,37 @@ impl XCondvar {
         mutex.lock()
     }
 
+    /// [`wait`](Self::wait) for at most `timeout`; the flag is `std`'s
+    /// `timed_out()`. Under exploration the clock never fires: the wait
+    /// ends only on a notify, so the checker explores notifications and
+    /// a waiter left without one shows as a deadlock.
+    pub fn wait_timeout<'a, T>(
+        &self,
+        mut guard: XGuard<'a, T>,
+        timeout: Duration,
+    ) -> LockResult<(XGuard<'a, T>, bool)> {
+        if guard.instrumented {
+            return match self.wait(guard) {
+                Ok(guard) => Ok((guard, false)),
+                Err(e) => Err(PoisonError::new((e.into_inner(), false))),
+            };
+        }
+        let data = guard.guard.take().expect("guard taken");
+        let (data, timed_out, poisoned) = match self.inner.wait_timeout(data, timeout) {
+            Ok((data, r)) => (data, r.timed_out(), false),
+            Err(e) => {
+                let (data, r) = e.into_inner();
+                (data, r.timed_out(), true)
+            }
+        };
+        guard.guard = Some(data);
+        if poisoned {
+            Err(PoisonError::new((guard, timed_out)))
+        } else {
+            Ok((guard, timed_out))
+        }
+    }
+
     pub fn notify_one(&self) {
         if with_ctx(|ctx| ctx.wake(self.id(), false)).is_none() {
             self.inner.notify_one();
@@ -185,5 +217,63 @@ mod tests {
         *pair.0.lock().unwrap() = true;
         pair.1.notify_all();
         waiter.join().unwrap();
+    }
+
+    #[test]
+    fn wait_timeout_times_out_without_a_checker_context() {
+        let (m, cv) = (XMutex::new(()), XCondvar::new());
+        let (_g, timed_out) = cv
+            .wait_timeout(m.lock().unwrap(), Duration::from_millis(5))
+            .unwrap();
+        assert!(timed_out);
+    }
+
+    struct Flag {
+        set: XMutex<bool>,
+        cv: XCondvar,
+    }
+
+    fn flag() -> Flag {
+        Flag {
+            set: XMutex::new(false),
+            cv: XCondvar::new(),
+        }
+    }
+
+    /// Waits with a zero timeout: outside a model this would spin.
+    fn wait_for_flag(f: &Flag) {
+        let mut set = f.set.lock().unwrap();
+        while !*set {
+            set = f.cv.wait_timeout(set, Duration::ZERO).unwrap().0;
+        }
+    }
+
+    fn raise_flag(f: &Flag) {
+        *f.set.lock().unwrap() = true;
+        f.cv.notify_one();
+    }
+
+    #[test]
+    fn in_a_model_the_clock_never_fires() {
+        let alone = crate::explore(
+            &crate::Config::default(),
+            flag,
+            &[wait_for_flag],
+            |_| Ok(()),
+        );
+        let v = alone.violation.expect("nobody notifies the waiter");
+        assert_eq!(v.kind, crate::Kind::Deadlock);
+
+        let out = crate::explore(
+            &crate::Config::default(),
+            flag,
+            &[wait_for_flag, raise_flag],
+            |f| match *f.set.lock().unwrap() {
+                true => Ok(()),
+                false => Err("flag not raised".to_string()),
+            },
+        );
+        assert!(out.passed(), "violation: {:?}", out.violation);
+        assert!(out.schedules > 1);
     }
 }

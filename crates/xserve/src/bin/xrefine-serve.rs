@@ -69,7 +69,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                     .map_err(|_| "--dblp takes a fraction, e.g. 0.05".to_string())?
             }
             "--addr" => args.config.addr = val()?,
-            "--workers" => args.config.workers = parse_num(&val()?, name)?,
+            "--workers" => args.config.workers = positive(parse_num(&val()?, name)?, name)?,
             "--queue-cap" => args.config.queue_capacity = parse_num(&val()?, name)?,
             "--max-conns" => {
                 args.config.max_connections = positive(parse_num(&val()?, name)?, name)?
@@ -106,8 +106,9 @@ fn parse_ms(v: &str, name: &str) -> Result<Duration, String> {
 }
 
 /// Refuses a zero budget: a zero socket timeout is an error to `std`, a
-/// zero idle or request budget expires at once, and a zero connection
-/// cap sheds every peer, so the server would serve nothing.
+/// zero idle or request budget expires at once, a zero connection cap
+/// sheds every peer and zero workers run no query, so the server would
+/// serve nothing. A zero `--queue-cap` is valid: no query waits.
 fn positive<T: Default + PartialEq>(v: T, name: &str) -> Result<T, String> {
     if v == T::default() {
         return Err(format!("{name} must be positive, not 0"));
@@ -272,13 +273,15 @@ mod tests {
         }
     }
 
-    /// A zero connection cap or socket, idle or request budget would
-    /// leave a server that answers nothing; the parser refuses each by
-    /// name. A zero drain grace only means "no grace" and stays valid.
+    /// A zero worker count, connection cap or socket, idle or request
+    /// budget would leave a server that answers nothing; the parser
+    /// refuses each by name. A zero drain grace only means "no grace",
+    /// and a zero queue capacity "nobody waits": both stay valid.
     #[test]
     fn zero_budgets_are_refused_by_name() {
         let parse = |flags: &[&str]| parse_args(flags.iter().map(|f| f.to_string()));
         for flag in [
+            "--workers",
             "--max-conns",
             "--read-timeout-ms",
             "--write-timeout-ms",
@@ -291,5 +294,7 @@ mod tests {
             assert!(parse(&[flag, "1"]).is_ok(), "{flag} 1 was refused");
         }
         assert!(parse(&["--drain-grace-ms", "0"]).is_ok());
+        let queue_cap = parse(&["--queue-cap", "0"]).expect("--queue-cap 0 is valid");
+        assert_eq!(queue_cap.config.queue_capacity, 0);
     }
 }

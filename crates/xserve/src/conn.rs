@@ -11,13 +11,13 @@
 //! `/query` goes through admission control: a `q` that is missing,
 //! blank, without a single keyword or wider than
 //! [`http::MAX_QUERY_KEYWORDS`] is refused `400` right here, the
-//! engine never hears of it; otherwise the parsed request is
-//! pushed onto the shared worker queue with a rendezvous reply channel
-//! and the connection thread blocks (bounded by `request_timeout`) for
-//! the worker's answer. A full queue is a `503` + `Retry-After` — the
-//! shed path never blocks. `/metrics`, `/healthz` and `/admin/drain`
-//! are answered inline on this thread, so observability keeps working
-//! when the query queue is saturated.
+//! engine never hears of it; otherwise this thread enters the server's
+//! [`Gate`](crate::admit::Gate) and, holding a slot, runs the query
+//! itself. Every slot busy and the waiting room full is a `503` +
+//! `Retry-After` — the shed path never blocks; no slot within
+//! `request_timeout` is a `504`. `/metrics`, `/healthz` and the
+//! `/admin/*` endpoints need no slot, so observability and operators
+//! keep working when every slot is busy.
 
 #![cfg_attr(
     not(test),
@@ -33,26 +33,12 @@
 
 use std::io::{ErrorKind, Read as _};
 use std::net::TcpStream;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::admit::Refused;
 use crate::http::{self, Parse, Request, Response};
-use crate::queue::PushError;
 use crate::server::Shared;
-use crate::service::ServiceReply;
-
-/// One admitted `/query` request, queued for a worker. The reply
-/// channel is a rendezvous with capacity 1: the worker's `try_send`
-/// never blocks, and a reply landing after the connection gave up
-/// (`504` already written) is dropped on the floor harmlessly.
-pub struct Job {
-    pub query: String,
-    /// When admission succeeded (queue-wait and latency base).
-    pub admitted: Instant,
-    /// Workers skip (and conn threads stop waiting for) jobs past this.
-    pub deadline: Instant,
-    pub reply: mpsc::SyncSender<ServiceReply>,
-}
 
 /// Serves one connection to completion. Never panics; any socket error
 /// simply ends the connection.
@@ -170,10 +156,10 @@ pub fn handle(mut stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-/// Maps a parsed request to its response. Everything except `/query`
-/// is answered inline — including `/admin/update`: maintenance commits
-/// are serialized by the store's writer lock anyway, and keeping them
-/// off the query queue means a saturated queue can't starve operators.
+/// Maps a parsed request to its response. Only `/query` needs a slot of
+/// the admission gate — not `/admin/update`: maintenance commits are
+/// serialized by the store's writer lock anyway, and keeping them out
+/// of the gate means busy query slots can't starve operators.
 fn route(shared: &Arc<Shared>, req: &Request, body: &[u8]) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/query") => query(shared, req),
@@ -227,7 +213,7 @@ fn update(shared: &Arc<Shared>, req: &Request, body: &[u8]) -> Response {
     Response::json(reply.status, reply.body)
 }
 
-/// The `/query` path: admission control, queueing, bounded wait.
+/// The `/query` path: admission control, then the query on this thread.
 fn query(shared: &Arc<Shared>, req: &Request) -> Response {
     obs::counter!("serve_requests_total").inc();
     let Some(q) = req.param("q").map(str::trim).filter(|q| !q.is_empty()) else {
@@ -240,40 +226,22 @@ fn query(shared: &Arc<Shared>, req: &Request) -> Response {
     }
 
     let admitted = Instant::now();
-    let deadline = admitted
-        .checked_add(shared.config().request_timeout)
-        .unwrap_or(admitted);
-    let (tx, rx) = mpsc::sync_channel(1);
-    let job = Job {
-        query: q.to_string(),
-        admitted,
-        deadline,
-        reply: tx,
-    };
-    match shared.queue().try_push(job) {
-        Ok(()) => shared.refresh_gauges(),
-        Err(PushError::Full(_)) => {
+    let slot = match shared.gate().enter(shared.config().request_timeout) {
+        Ok(slot) => slot,
+        Err(Refused::Full) => {
             obs::counter!("serve_requests_shed_total").inc();
-            return Response::error(503, "request queue is full").with_retry_after(1);
+            return Response::error(503, "every query slot is busy").with_retry_after(1);
         }
-        Err(PushError::Closed(_)) => {
-            return Response::error(503, "server is draining")
-                .with_retry_after(5)
-                .with_close();
-        }
-    }
-
-    match rx.recv_timeout(shared.config().request_timeout) {
-        Ok(reply) => {
-            obs::histogram!("serve_request_nanos").observe_duration(admitted.elapsed());
-            Response::json(reply.status, reply.body)
-        }
-        Err(_) => {
-            // Timed out in queue/execution, or the worker vanished.
+        Err(Refused::TimedOut) => {
             obs::counter!("serve_request_timeouts_total").inc();
-            Response::error(504, "request did not complete within request_timeout")
+            return Response::error(504, "no query slot within request_timeout");
         }
-    }
+    };
+    obs::histogram!("serve_queue_wait_nanos").observe_duration(admitted.elapsed());
+    let reply = shared.service().answer(q);
+    drop(slot);
+    obs::histogram!("serve_request_nanos").observe_duration(admitted.elapsed());
+    Response::json(reply.status, reply.body)
 }
 
 /// The `400` for a `q` the engine should not be asked: one that

@@ -28,7 +28,7 @@ pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Request bodies beyond this are rejected with `413 Content Too Large`.
 pub const MAX_BODY_BYTES: usize = 64 * 1024;
 /// A `/query` whose `q` tokenises to more keywords than this is refused
-/// with `400` before it is queued. Every keyword costs a worker rule
+/// with `400` before it is admitted. Every keyword costs a rule
 /// generation against the whole vocabulary, a key-set entry, a list
 /// cursor and a layer of the dynamic program, and a head of
 /// [`MAX_HEAD_BYTES`] has room for some 4 000 of them; real queries

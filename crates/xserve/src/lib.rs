@@ -6,27 +6,29 @@
 //! other substrate in this workspace) with the admission-control
 //! behaviours a server needs before it can face open-loop load:
 //!
-//! * **accept/worker model** — one acceptor thread hands each
+//! * **one thread per connection** — one acceptor thread hands each
 //!   connection to a dedicated connection thread (bounded by
-//!   [`ServeConfig::max_connections`]); parsed requests are pushed onto
-//!   one bounded queue ([`queue::BoundedQueue`]) drained by
-//!   [`ServeConfig::workers`] query workers sharing one engine, so a
-//!   queued request goes to whichever worker frees up first;
-//! * **load shedding** — a request that finds the queue full is
-//!   answered `503 Service Unavailable` with a `Retry-After` header
-//!   instead of queueing unboundedly; connections beyond the cap are
-//!   shed the same way;
+//!   [`ServeConfig::max_connections`]), which parses each request and
+//!   answers it itself: a `/query` runs on the thread that read it, once
+//!   it holds a slot of the admission gate ([`admit::Gate`]), which lets
+//!   [`ServeConfig::workers`] queries execute at once and
+//!   [`ServeConfig::queue_capacity`] more wait for a slot;
+//! * **load shedding** — a query that finds every slot busy and the
+//!   waiting room full is answered `503 Service Unavailable` with a
+//!   `Retry-After` header instead of waiting unboundedly, and one that
+//!   waits out [`ServeConfig::request_timeout`] is answered `504`;
+//!   connections beyond the cap are shed with a `503` too;
 //! * **per-connection read/write timeouts** — a slow or idle peer cannot
 //!   pin a connection thread (reads poll in short slices so drain is
 //!   observed promptly; a half-received request past its budget gets
 //!   `408`);
 //! * **graceful drain** — on SIGTERM/SIGINT ([`signal`]), on
 //!   `POST /admin/drain`, or via [`server::ServerHandle::begin_drain`]:
-//!   stop accepting, let every queued ("in-flight") request finish and
-//!   flush, then exit;
+//!   stop accepting, let every connection finish the request it holds
+//!   (executing or waiting for a slot) and flush it, then exit;
 //! * **observability** — `GET /metrics` renders the process-global `obs`
 //!   registry in Prometheus text (answered inline on the connection
-//!   thread, so it works even when the query queue is saturated), and
+//!   thread without a slot, so it works even when every slot is busy), and
 //!   the server feeds the `serve_*` counters/gauges/histograms
 //!   catalogued in DESIGN.md §4e.
 //!
@@ -37,9 +39,9 @@
 //! (`BENCHMARK.json`); shedding and drain under load are pinned by
 //! `tests/server_lifecycle.rs`.
 
+pub mod admit;
 pub mod conn;
 pub mod http;
-pub mod queue;
 pub mod server;
 pub mod service;
 pub mod signal;
@@ -50,16 +52,18 @@ pub use service::{EngineService, LiveEngineService, QueryService, ServiceReply, 
 use std::time::Duration;
 
 /// Server tunables. The defaults suit an interactive deployment; the
-/// lifecycle tests shrink queues and timeouts to provoke shedding
+/// lifecycle tests shrink slots and timeouts to provoke shedding
 /// quickly.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7878`; port 0 binds an ephemeral
     /// port (the bound address is reported by [`ServerHandle::addr`]).
     pub addr: String,
-    /// Query worker threads.
+    /// Queries executing at once: the admission gate's slots. Must be
+    /// positive ([`start`] refuses 0).
     pub workers: usize,
-    /// Queued-request capacity of the one queue the workers share.
+    /// Queries waiting for a slot; 0 means none wait, and a query that
+    /// finds every slot busy is shed.
     pub queue_capacity: usize,
     /// Connections beyond this are answered `503` and closed.
     pub max_connections: usize,
@@ -68,8 +72,9 @@ pub struct ServeConfig {
     pub read_timeout: Duration,
     /// Socket write timeout for responses.
     pub write_timeout: Duration,
-    /// Admission-to-response budget: a request still queued when this
-    /// expires is answered `504` and never executed.
+    /// How long a query may wait for a slot: one still waiting when
+    /// this expires is answered `504` and never executed. A query that
+    /// got its slot in time runs to its answer.
     pub request_timeout: Duration,
     /// How long drain waits for connection threads after the listener
     /// closes before giving up on stragglers.

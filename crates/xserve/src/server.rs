@@ -1,29 +1,32 @@
-//! The server chassis: acceptor thread, worker pool, drain sequencing.
+//! The server chassis: acceptor thread, connection threads, drain
+//! sequencing.
 //!
 //! Thread model:
 //!
 //! ```text
 //! acceptor ── accept ──> conn thread (≤ max_connections, detached)
-//!                            │  try_push Job (never blocks)
+//!                            │  parse, route
 //!                            ▼
-//!                   BoundedQueue — one, shared by all workers
-//!                            │  pop
+//!                  admission gate — `workers` slots, `queue_capacity`
+//!                            │     waiters, the rest shed
 //!                            ▼
-//!                    worker 0..N  ── QueryService::answer ──┐
-//!                            ▲                              │
-//!                            └── reply channel (cap 1) <────┘
+//!                  QueryService::answer, on the same conn thread
 //! ```
 //!
-//! Drain ordering is the correctness argument for "zero dropped
-//! in-flight requests": (1) stop accepting — after one sweep of the
-//! accept backlog, so a peer that connected a moment before drain is
-//! answered, not reset — and close the listener;
-//! (2) wait for connection threads — idle ones exit on the drain flag,
-//! busy ones finish their request/response exchange (workers are still
-//! running, so every queued job gets answered); (3) close the queue,
-//! which lets workers drain what remains and exit. A job admitted to
-//! the queue is therefore always executed or already answered `504` by
-//! its own connection — never silently dropped.
+//! A `/query` never crosses a thread: the connection thread that read it
+//! waits for a slot of the [`Gate`], answers it and writes the reply.
+//! Drain is therefore two steps: (1) stop accepting — after one sweep
+//! of the accept backlog, so a peer that connected a moment before
+//! drain is answered, not reset — and close the listener; (2) wait for
+//! the connection threads — idle ones exit on the drain flag, busy ones
+//! finish their request/response exchange, whether their query is
+//! executing or still waiting for a slot. A query admitted to the gate
+//! is therefore always answered, or answered `504` at its
+//! `request_timeout`, by its own connection — never silently dropped.
+//! A thread that panics in a query gives back its slot and its
+//! connection count as it unwinds ([`Permit`](crate::admit::Permit)'s
+//! and `OpenConnection`'s `Drop`), so the server keeps its size and
+//! drain does not wait for it.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -32,21 +35,19 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crate::conn::{self, Job};
+use crate::admit::Gate;
+use crate::conn;
 use crate::http::{self, Response};
-use crate::queue::BoundedQueue;
 use crate::service::QueryService;
 use crate::ServeConfig;
 
-/// State shared by the acceptor, every connection thread and every
-/// worker. Lock-free: coordination is atomics plus the queue's own
-/// (ranked) locks.
+/// State shared by the acceptor and every connection thread.
+/// Coordination is atomics plus the gate's own (ranked) lock.
 pub struct Shared {
     config: ServeConfig,
-    queue: BoundedQueue<Job>,
+    gate: Gate,
     service: Arc<dyn QueryService>,
-    /// Set once drain begins; acceptor exits, idle connections close,
-    /// admission answers `503`.
+    /// Set once drain begins; acceptor exits, idle connections close.
     draining: AtomicBool,
     /// Set by `POST /admin/drain`; the acceptor promotes it to
     /// `draining` so a remote operator can initiate shutdown.
@@ -57,7 +58,7 @@ pub struct Shared {
 impl Shared {
     fn new(config: ServeConfig, service: Arc<dyn QueryService>) -> Shared {
         Shared {
-            queue: BoundedQueue::new(config.queue_capacity),
+            gate: Gate::new(config.workers, config.queue_capacity),
             config,
             service,
             draining: AtomicBool::new(false),
@@ -74,8 +75,8 @@ impl Shared {
         &self.service
     }
 
-    pub fn queue(&self) -> &BoundedQueue<Job> {
-        &self.queue
+    pub fn gate(&self) -> &Gate {
+        &self.gate
     }
 
     pub fn draining(&self) -> bool {
@@ -96,16 +97,35 @@ impl Shared {
         self.active_conns.load(Ordering::SeqCst)
     }
 
-    /// Re-publishes the depth gauges (cheap; called on push/pop and on
-    /// `/metrics` render so scrapes always see a fresh value).
+    /// Re-publishes the two gauges: on `/metrics` render, so scrapes
+    /// always see a fresh value, and as connections open and close.
     pub fn refresh_gauges(&self) {
-        obs::gauge!("serve_queued_requests").set(self.queue.len() as i64);
+        obs::gauge!("serve_queued_requests").set(self.gate.waiting() as i64);
         obs::gauge!("serve_open_connections").set(self.active_conns.load(Ordering::SeqCst) as i64);
     }
+}
 
-    fn conn_closed(&self) {
-        self.active_conns.fetch_sub(1, Ordering::SeqCst);
-        self.refresh_gauges();
+/// One counted connection, from accept to close; dropping it gives the
+/// count back, on a normal return and while a panic unwinds alike.
+struct OpenConnection {
+    shared: Arc<Shared>,
+    /// Open connections, this one included, when it was counted.
+    open: usize,
+}
+
+impl OpenConnection {
+    fn count(shared: &Arc<Shared>) -> OpenConnection {
+        OpenConnection {
+            shared: Arc::clone(shared),
+            open: shared.active_conns.fetch_add(1, Ordering::SeqCst) + 1,
+        }
+    }
+}
+
+impl Drop for OpenConnection {
+    fn drop(&mut self) {
+        self.shared.active_conns.fetch_sub(1, Ordering::SeqCst);
+        self.shared.refresh_gauges();
     }
 }
 
@@ -115,8 +135,7 @@ impl Shared {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    acceptor: JoinHandle<()>,
 }
 
 impl ServerHandle {
@@ -129,9 +148,9 @@ impl ServerHandle {
         &self.shared
     }
 
-    /// Starts the drain sequence: stop accepting, shed new admissions.
-    /// Idempotent; returns immediately — use [`join`](Self::join) to
-    /// wait for completion.
+    /// Starts the drain sequence: stop accepting, close idle
+    /// connections. Idempotent; returns immediately — use
+    /// [`join`](Self::join) to wait for completion.
     pub fn begin_drain(&self) {
         self.shared.draining.store(true, Ordering::SeqCst);
     }
@@ -147,50 +166,38 @@ impl ServerHandle {
         self.shared.drain_requested()
     }
 
-    /// Drains and waits for the server to finish: acceptor joined,
+    /// Drains and waits for the server to finish: acceptor joined, then
     /// connection threads given `drain_grace` to complete their
-    /// exchanges, queue closed, workers joined. Returns the number of
-    /// straggler connections still open when the grace period expired
-    /// (0 on a clean drain).
-    pub fn join(mut self) -> usize {
+    /// exchanges. Returns the number of straggler connections still
+    /// open when the grace period expired (0 on a clean drain).
+    pub fn join(self) -> usize {
         self.begin_drain();
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        // Connection threads finish their in-flight request/response
-        // exchanges while the workers are still alive to answer them.
+        let _ = self.acceptor.join();
         let deadline = Instant::now() + self.shared.config.drain_grace;
         while self.shared.active_connections() > 0 && Instant::now() < deadline {
             thread::sleep(Duration::from_millis(2));
-        }
-        // Close-then-drain: whatever is still queued is executed before
-        // the workers exit (BoundedQueue::pop's contract).
-        self.shared.queue.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
         }
         self.shared.refresh_gauges();
         self.shared.active_connections()
     }
 }
 
-/// Binds `config.addr` and starts the acceptor and worker threads.
+/// Binds `config.addr` and starts the acceptor thread. Refuses a config
+/// without a query slot (`workers` 0): such a server would answer no
+/// query.
 pub fn start(config: ServeConfig, service: Arc<dyn QueryService>) -> io::Result<ServerHandle> {
+    if config.workers == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "workers must be positive, not 0",
+        ));
+    }
     let listener = TcpListener::bind(&config.addr)?;
     // Nonblocking accept + 1ms poll keeps drain latency bounded without
     // a self-pipe or signalfd (no external crates to provide either).
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let shared = Arc::new(Shared::new(config, service));
-
-    let workers = (0..shared.config.workers.max(1))
-        .map(|i| {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name(format!("xserve-worker-{i}"))
-                .spawn(move || worker_loop(&shared))
-        })
-        .collect::<io::Result<Vec<_>>>()?;
 
     let acceptor = {
         let shared = Arc::clone(&shared);
@@ -202,8 +209,7 @@ pub fn start(config: ServeConfig, service: Arc<dyn QueryService>) -> io::Result<
     Ok(ServerHandle {
         addr,
         shared,
-        acceptor: Some(acceptor),
-        workers,
+        acceptor,
     })
 }
 
@@ -232,8 +238,8 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
 /// the connection cap.
 fn admit(mut stream: TcpStream, shared: &Arc<Shared>) {
     obs::counter!("serve_connections_accepted_total").inc();
-    let active = shared.active_conns.fetch_add(1, Ordering::SeqCst) + 1;
-    if active > shared.config.max_connections {
+    let open = OpenConnection::count(shared);
+    if open.open > shared.config.max_connections {
         // Over the cap: shed on the acceptor thread (one small write)
         // rather than spawn.
         obs::counter!("serve_connections_shed_total").inc();
@@ -242,37 +248,13 @@ fn admit(mut stream: TcpStream, shared: &Arc<Shared>) {
             .with_retry_after(1)
             .with_close();
         let _ = http::write_response(&mut stream, &resp, true);
-        shared.conn_closed();
         return;
     }
     shared.refresh_gauges();
-    let sh = Arc::clone(shared);
-    let spawned = thread::Builder::new()
+    // A failed spawn drops the closure, and `open` with it.
+    let _ = thread::Builder::new()
         .name("xserve-conn".to_string())
-        .spawn(move || {
-            conn::handle(stream, &sh);
-            sh.conn_closed();
-        });
-    if spawned.is_err() {
-        shared.conn_closed();
-    }
-}
-
-/// Worker: pops the shared queue until it closes and is empty.
-fn worker_loop(shared: &Arc<Shared>) {
-    while let Some(job) = shared.queue.pop() {
-        shared.refresh_gauges();
-        obs::histogram!("serve_queue_wait_nanos").observe_duration(job.admitted.elapsed());
-        if Instant::now() >= job.deadline {
-            // The connection already answered 504 (it counted the
-            // timeout); executing now would be wasted work.
-            continue;
-        }
-        let reply = shared.service.answer(&job.query);
-        // try_send: capacity-1 channel is empty (first reply) or the
-        // connection gave up — either way this never blocks a worker.
-        let _ = job.reply.try_send(reply);
-    }
+        .spawn(move || conn::handle(stream, &open.shared));
 }
 
 #[cfg(test)]
@@ -365,6 +347,19 @@ mod tests {
         let (st, _) = get(addr, "/query");
         assert_eq!(st, 400);
         assert_eq!(h.join(), 0);
+    }
+
+    #[test]
+    fn a_config_without_a_query_slot_is_refused() {
+        let config = ServeConfig {
+            workers: 0,
+            ..test_config()
+        };
+        let err = start(config, Arc::new(Echo))
+            .err()
+            .expect("workers 0 refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("workers"), "{err}");
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The query service behind the HTTP surface.
 //!
 //! [`QueryService`] is the one-method seam between the server chassis
-//! (queues, sockets, drain) and the engine: the lifecycle tests plug in
+//! (sockets, admission, drain) and the engine: the lifecycle tests plug in
 //! slow or failing stand-ins to provoke shedding and timeouts without
 //! needing a pathological corpus. [`EngineService`] is the production
 //! implementation over [`XRefineEngine`], applying the degradation
 //! policy from ISSUE-3 at the protocol level: a per-query storage
-//! failure is *that request's* `500` — the connection, the worker and
-//! the engine all keep serving.
+//! failure is *that request's* `500` — the connection and the engine
+//! keep serving.
 
 use std::sync::Arc;
 
@@ -40,8 +40,9 @@ pub struct UpdateRequest<'a> {
     pub body: &'a str,
 }
 
-/// What a worker does with a popped request. Implementations must be
-/// `Send + Sync`: one instance is shared by every worker thread.
+/// What a connection thread does with an admitted query. Implementations
+/// must be `Send + Sync`: one instance is shared by every connection
+/// thread.
 pub trait QueryService: Send + Sync {
     fn answer(&self, query: &str) -> ServiceReply;
 

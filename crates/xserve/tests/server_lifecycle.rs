@@ -292,6 +292,123 @@ fn short_requests_are_not_queued_behind_a_long_one() {
     assert_eq!(handle.join(), 0);
 }
 
+// ---------------------------------------------------------- request_timeout
+
+/// `request_timeout` bounds the wait for a slot. With the only slot held
+/// by a slow query, a second query is answered `504` at its deadline,
+/// counted, and never reaches the service.
+#[test]
+fn a_query_without_a_slot_by_its_deadline_is_answered_504() {
+    let config = ServeConfig {
+        workers: 1,
+        request_timeout: Duration::from_millis(200),
+        ..test_config()
+    };
+    let hold = Duration::from_millis(900);
+    let service = SlowService::new(hold);
+    let handle = xserve::start(config, Arc::clone(&service) as _).expect("start");
+    let addr = handle.addr();
+    let timeouts = || {
+        obs::metrics::global()
+            .counter("serve_request_timeouts_total")
+            .get()
+    };
+
+    let slow = thread::spawn(move || get(addr, "/query?q=slow").0);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while service.entered.load(Ordering::SeqCst) == 0 {
+        assert!(Instant::now() < deadline, "the slow query never started");
+        thread::sleep(Duration::from_millis(1));
+    }
+    let before = timeouts();
+    let sent = Instant::now();
+    let (status, _, body) = get(addr, "/query?q=late");
+    let waited = sent.elapsed();
+    assert_eq!(status, 504, "{body}");
+    assert!(
+        waited >= Duration::from_millis(200) && waited < hold,
+        "504 after {waited:?}: due at the 200 ms deadline, not when the slot frees"
+    );
+    assert!(timeouts() > before, "the timeout was not counted");
+
+    assert_eq!(slow.join().expect("slow client"), 200);
+    assert_eq!(handle.join(), 0);
+    assert_eq!(
+        service.entered.load(Ordering::SeqCst),
+        1,
+        "the timed-out query reached the service"
+    );
+}
+
+/// A query that got its slot before its deadline runs to its answer,
+/// however long it takes: `request_timeout` bounds waiting, not work.
+#[test]
+fn a_query_with_a_slot_is_answered_past_its_deadline() {
+    let config = ServeConfig {
+        workers: 1,
+        request_timeout: Duration::from_millis(100),
+        ..test_config()
+    };
+    let service = SlowService::new(Duration::from_millis(400));
+    let handle = xserve::start(config, service).expect("start");
+    let sent = Instant::now();
+    let (status, _, body) = get(handle.addr(), "/query?q=long");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(body, "{\"slow\":\"long\"}");
+    assert!(sent.elapsed() >= Duration::from_millis(400));
+    assert_eq!(handle.join(), 0);
+}
+
+// ------------------------------------------------------------------ panics
+
+/// Panics on `boom`, answers anything else at once.
+struct Boom;
+
+impl QueryService for Boom {
+    fn answer(&self, query: &str) -> ServiceReply {
+        assert_ne!(query, "boom", "the service panics on this query");
+        ServiceReply {
+            status: 200,
+            body: format!("{{\"q\":{}}}", obs::metrics::json_string(query)),
+        }
+    }
+}
+
+/// A query that panics costs its own connection, nothing more: the
+/// slot and the connection count come back as the thread unwinds, so
+/// with one slot the next query is still answered and drain is clean.
+#[test]
+fn a_panicking_query_does_not_shrink_the_server() {
+    let config = ServeConfig {
+        workers: 1,
+        request_timeout: Duration::from_secs(2),
+        ..test_config()
+    };
+    let handle = xserve::start(config, Arc::new(Boom)).expect("start");
+    let addr = handle.addr();
+
+    let mut s = TcpStream::connect(addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    write!(
+        s,
+        "GET /query?q=boom HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+    )
+    .expect("send");
+    let _ = s.read_to_end(&mut Vec::new()); // closed or reset: no answer to check
+
+    let (status, _, body) = get(addr, "/query?q=fine");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(body, "{\"q\":\"fine\"}");
+
+    // `serve_open_connections` is this count, published.
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while handle.shared().active_connections() > 0 && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(handle.shared().active_connections(), 0);
+    assert_eq!(handle.join(), 0, "the panicked connection was left behind");
+}
+
 // ---------------------------------------------------------------- draining
 
 #[test]
@@ -313,7 +430,7 @@ fn drain_completes_in_flight_requests() {
         })
         .collect();
     let deadline = Instant::now() + Duration::from_secs(5);
-    while handle.shared().queue().len() < 4 || service.entered.load(Ordering::SeqCst) < 2 {
+    while handle.shared().gate().waiting() < 4 || service.entered.load(Ordering::SeqCst) < 2 {
         assert!(Instant::now() < deadline, "six requests never queued up");
         thread::sleep(Duration::from_millis(1));
     }

@@ -31,11 +31,12 @@
 #                  well-nestedness, metrics-overhead bench
 #   ingest         streaming-vs-DOM ingest differential oracle (byte-
 #                  identical stores) + scanner fuzz sweep
-#   serve          server lifecycle tests (work-conserving queue,
-#                  shedding, drain under load, a trickling client cut
-#                  off by its read budget, idle peers at the connection
-#                  cap shed then released, SIGTERM, a corrupt stored
-#                  list over HTTP) and the server binary's flag parser
+#   serve          server lifecycle tests (work-conserving admission
+#                  gate, shedding, request_timeout, a panicking query,
+#                  drain under load, a trickling client cut off by its
+#                  read budget, idle peers at the connection cap shed
+#                  then released, SIGTERM, a corrupt stored list over
+#                  HTTP) and the server binary's flag parser
 #   maintenance    online-maintenance guarantees: differential oracle
 #                  (incremental == from-scratch, by both builders), full
 #                  stride-1 power-cut sweep of the updating store
@@ -66,7 +67,7 @@
 #                  fixtures, rustdoc with warnings denied (a
 #                  dangling or private intra-doc link fails), the xcheck
 #                  scheduler's and property runner's self-tests, then the
-#                  model checks of the real ListCache, BoundedQueue and
+#                  model checks of the real ListCache, admission Gate and
 #                  live-engine swap (built with --cfg xcheck into
 #                  target/xcheck), and each seeded patch in
 #                  crates/*/seeded/ applied to a copy of the tree, where
@@ -160,7 +161,7 @@ suite_bench_e2e() {
 # own target dir keeps that build from evicting the normal one.
 XCHECKS=(
     "-p invindex --test xcheck_list_cache"
-    "-p xserve --test xcheck_queue"
+    "-p xserve --test xcheck_admission"
     "-p xrefine --lib xcheck_install"
 )
 
