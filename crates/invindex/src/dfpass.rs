@@ -18,19 +18,22 @@ use xmldom::{Document, NodeTypeId};
 /// For each node type `t` (by id), the interned types of all prefixes of
 /// `t`'s path: entry `m - 1` is the type of the length-`m` prefix, the
 /// last entry is `t` itself.
+/// Each row extends its parent type's, interned (and so built) first: one
+/// lookup per type, so `d` levels of nesting cost `O(d²)`, not `O(d³)`.
 fn prefix_type_table(doc: &Document) -> Vec<Vec<NodeTypeId>> {
     let types = doc.node_types();
-    let mut table = Vec::with_capacity(types.len());
+    let mut table: Vec<Vec<NodeTypeId>> = Vec::with_capacity(types.len());
     for t in types.iter() {
-        let path = types.path(t);
-        let mut prefixes = Vec::with_capacity(path.len());
-        for m in 1..=path.len() {
-            prefixes.push(
-                types
-                    .get(&path[..m])
-                    .expect("every prefix of an interned path is interned"),
-            );
-        }
+        let mut prefixes = match types.path(t).split_last() {
+            Some((_, parent)) if !parent.is_empty() => {
+                let parent = types
+                    .get(parent)
+                    .expect("every prefix of an interned path is interned");
+                table[parent.0 as usize].clone()
+            }
+            _ => Vec::new(),
+        };
+        prefixes.push(t);
         table.push(prefixes);
     }
     table

@@ -12,15 +12,17 @@
 //!
 //! # Commit protocol (rebuild-diff)
 //!
-//! A commit renders the current records from the document, applies the
-//! ops to them, rebuilds the full index of the recomposed corpus in
-//! memory with [`build_streaming`] — the same builder `xrefine-cli
-//! index` runs, single-threaded because the build happens under the
-//! writer lock — persists it to a scratch store, and diffs that against
-//! the live store; only the differing keys ship as the WAL batch. This
-//! is deliberately the *strongest* maintenance discipline: after every
-//! commit the durable store is byte-identical to a from-scratch rebuild
-//! of the same corpus (the differential oracle in
+//! A commit renders the current records from the document and applies
+//! the ops to them. An added fragment is checked by the scanner that
+//! [`build_streaming`] runs and appended as it came: it is never parsed
+//! into a DOM or re-rendered. The commit then rebuilds the full index of
+//! the recomposed corpus in memory with [`build_streaming`] — the same
+//! builder `xrefine-cli index` runs, single-threaded because the build
+//! happens under the writer lock — persists it to a scratch store, and
+//! diffs that against the live store; only the differing keys ship as
+//! the WAL batch. This is deliberately the *strongest* maintenance
+//! discipline: after every commit the durable store is byte-identical to
+//! a from-scratch rebuild of the same corpus (the differential oracle in
 //! `tests/maint_differential.rs` holds by construction), and crash
 //! recovery is exactly [`kvstore::DurableKv`]'s committed-prefix replay.
 //! The cost is a rebuild per transaction — acceptable for the paper's
@@ -68,7 +70,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
-use xmldom::{parse_document, Document};
+use xmldom::{check_document, Document, MAX_SCAN_DEPTH};
 
 /// The store key holding maintenance metadata (committed transaction
 /// sequence number and record count), framed like every other persisted
@@ -78,7 +80,7 @@ pub const MAINT_KEY: &[u8] = b"M/maint";
 /// One staged corpus mutation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MaintOp {
-    /// Append a record (an XML fragment that parses as one element) to
+    /// Append a record (an XML fragment that scans as one element) to
     /// the corpus.
     Add { fragment: String },
     /// Remove the record at this root-child ordinal (0-based, evaluated
@@ -216,15 +218,13 @@ impl MaintIndex {
         for op in ops {
             match op {
                 MaintOp::Add { fragment } => {
-                    let frag_doc = parse_document(fragment).map_err(|e| {
-                        KvError::corrupt(format!("maintenance fragment does not parse: {e}"))
-                    })?;
-                    records.push(frag_doc.to_xml());
+                    check_fragment(fragment)?;
+                    records.push(fragment.clone());
                     added += 1;
                 }
                 MaintOp::Remove { slot } => {
                     if *slot >= records.len() {
-                        return Err(KvError::corrupt(format!(
+                        return Err(KvError::Refused(format!(
                             "maintenance remove slot {slot} out of range \
                              ({} records at that point in the transaction)",
                             records.len()
@@ -359,21 +359,29 @@ fn render_records(doc: &Document) -> Vec<String> {
         .collect()
 }
 
+/// Refuses a fragment that does not scan, or one already `MAX_SCAN_DEPTH`
+/// deep: under the corpus root it sits a level deeper than scans allow.
+fn check_fragment(fragment: &str) -> Result<()> {
+    match check_document(fragment) {
+        Ok(scan) if scan.max_depth < MAX_SCAN_DEPTH => Ok(()),
+        Ok(scan) => Err(KvError::Refused(format!(
+            "maintenance fragment nests {} elements deep; a record may nest {}",
+            scan.max_depth,
+            MAX_SCAN_DEPTH - 1
+        ))),
+        Err(e) => Err(KvError::Refused(format!(
+            "maintenance fragment does not parse: {e}"
+        ))),
+    }
+}
+
 /// Recomposes a corpus from `doc`'s root envelope (tag, attributes,
 /// direct text) and `records`.
 fn compose_corpus(doc: &Document, records: &[String]) -> String {
     let root_tag = doc.tag_name(doc.root());
     let root = doc.node(doc.root());
     let mut xml = String::with_capacity(64 + records.iter().map(String::len).sum::<usize>());
-    xml.push('<');
-    xml.push_str(root_tag);
-    for (k, v) in &root.attributes {
-        xml.push(' ');
-        xml.push_str(k);
-        xml.push_str("=\"");
-        xmldom::tree::escape_into(v, &mut xml);
-        xml.push('"');
-    }
+    doc.start_tag_into(doc.root(), &mut xml);
     xml.push('>');
     if !root.text.is_empty() {
         xml.push('\n');
@@ -446,6 +454,7 @@ mod tests {
     use super::*;
     use kvstore::{DiskKv, Fault, FaultVfs};
     use std::path::PathBuf;
+    use xmldom::parse_document;
 
     const CORPUS: &str = "<bib>\
         <paper><title>xml keyword search</title><year>2003</year></paper>\
@@ -575,10 +584,132 @@ mod tests {
         let (vfs, base) = fresh();
         let maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
         let before = maint.snapshot();
-        assert!(maint.commit(&[add("<unclosed>")]).is_err());
-        assert!(maint.commit(&[MaintOp::Remove { slot: 7 }]).is_err());
+        for ops in [
+            add("<unclosed>"),
+            add("<paper/><paper/>"),
+            MaintOp::Remove { slot: 7 },
+        ] {
+            let err = maint.commit(&[ops]).unwrap_err();
+            assert!(matches!(err, KvError::Refused(_)), "{err}");
+            assert!(!err.to_string().contains("corrupt"), "{err}");
+        }
         assert_eq!(maint.seq(), 0);
         assert!(Arc::ptr_eq(&before, &maint.snapshot()));
+    }
+
+    /// Every key and value of the store at `base`, `M/maint` included.
+    fn dump(vfs: &FaultVfs, base: &Path) -> BTreeMap<Vec<u8>, Vec<u8>> {
+        let durable = DurableKv::open_with_vfs(vfs.as_dyn(), base).unwrap();
+        let view = durable.snapshot();
+        view.scan_range(b"", None).unwrap().into_iter().collect()
+    }
+
+    /// Fragments written the ways a DOM round trip would rewrite: markup
+    /// the builder drops, references it decodes, quotes, mixed content
+    /// and whitespace it normalises.
+    const RAW_FRAGMENTS: [&str; 4] = [
+        "<?xml version='1.0'?>\n<!DOCTYPE paper [<!ELEMENT paper ANY>]>\n\
+         <!-- a comment --><paper key='p&amp;1'><title>xml &amp; keyword \
+         &#83;earch</title><?pi data?><year>2010</year></paper>",
+        "<paper><title><![CDATA[ a <raw> & query ]]></title>mixed <i>content</i> \
+         and more text<note a=\"x\" b='y \"z\"'/></paper>",
+        "  <paper>\n  <title>  spaced   text  </title>\n</paper>\n ",
+        "<paper><title>caf&#xE9; &lt;b&gt;</title><year>&#50;&#48;&#49;&#49;</year></paper>",
+    ];
+
+    fn raw_fragment_ops(fragment: impl Fn(&str) -> String) -> [Vec<MaintOp>; 3] {
+        let add = |i: usize| MaintOp::Add {
+            fragment: fragment(RAW_FRAGMENTS[i]),
+        };
+        [
+            vec![add(0), add(1)],
+            vec![MaintOp::Remove { slot: 0 }, add(2)],
+            vec![add(3)],
+        ]
+    }
+
+    #[test]
+    fn raw_fragments_leave_the_store_a_dom_round_trip_would() {
+        let (vfs, base) = fresh();
+        let maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
+        for ops in raw_fragment_ops(str::to_string) {
+            maint.commit(&ops).unwrap();
+        }
+
+        // The same ops with each fragment parsed and re-rendered first.
+        let (dom_vfs, dom_base) = fresh();
+        let dom_maint = MaintIndex::open_with_vfs(dom_vfs.as_dyn(), &dom_base).unwrap();
+        for ops in raw_fragment_ops(|f| parse_document(f).unwrap().to_xml()) {
+            dom_maint.commit(&ops).unwrap();
+        }
+        let live = dump(&vfs, &base);
+        assert_eq!(
+            live,
+            dump(&dom_vfs, &dom_base),
+            "raw and re-rendered diverge"
+        );
+
+        // And a build from scratch of the corpus the commits left.
+        let built = build_streaming(&maint.full_xml(), 1).unwrap();
+        let mut scratch = MemKv::new();
+        persist::persist(&built, &mut scratch).unwrap();
+        scratch
+            .put(
+                MAINT_KEY,
+                &encode_maint_meta(3, maint.record_count() as u64),
+            )
+            .unwrap();
+        let fresh: BTreeMap<Vec<u8>, Vec<u8>> =
+            scratch.scan_range(b"", None).unwrap().into_iter().collect();
+        assert_eq!(live, fresh, "maintained store diverged from rebuild");
+        let keys = maint.snapshot();
+        for word in ["search", "raw", "mixed", "spaced", "café", "2011"] {
+            assert!(!keys.list_handle(word).unwrap().is_empty(), "{word}");
+        }
+    }
+
+    fn nested(depth: usize) -> String {
+        format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth))
+    }
+
+    #[test]
+    fn a_fragment_too_deep_for_the_corpus_root_is_refused() {
+        let (vfs, base) = fresh();
+        let maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
+        // Exactly the scanner's limit on its own, one level over it under
+        // the root; and one far past it.
+        let at_limit = nested(MAX_SCAN_DEPTH);
+        assert!(check_document(&at_limit).is_ok());
+        for fragment in [at_limit, nested(9_300)] {
+            let err = maint.commit(&[MaintOp::Add { fragment }]).unwrap_err();
+            assert!(matches!(err, KvError::Refused(_)), "{err}");
+        }
+        assert_eq!(maint.seq(), 0);
+    }
+
+    #[test]
+    fn a_deep_fragment_commits_and_renders_in_linear_space() {
+        let (vfs, base) = fresh();
+        let maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
+        let deep = nested(8_000);
+        assert_eq!(deep.len(), 56_000);
+        maint.commit(&[MaintOp::Add { fragment: deep }]).unwrap();
+        // The next commit renders the deep record back out.
+        maint
+            .commit(&[add("<paper><title>after the deep one</title></paper>")])
+            .unwrap();
+        assert_eq!(maint.record_count(), 4);
+        let maint = Arc::new(maint);
+        let render = Arc::clone(&maint);
+        // A thread with the default stack, like a server connection's.
+        let xml = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || render.full_xml())
+            .unwrap()
+            .join()
+            .expect("rendering a deep record must not overflow the stack");
+        assert!(xml.len() < 2 << 20, "{} bytes", xml.len());
+        assert_eq!(xml, maint.full_xml());
     }
 
     #[test]

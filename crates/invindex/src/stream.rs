@@ -195,10 +195,10 @@ impl<'a> MergeState<'a> {
 /// Builds the index directly from XML text via the streaming scanner,
 /// using up to `threads` tokenizer workers (`<= 1` runs inline).
 ///
-/// Produces an index identical to `Index::build(parse_document(xml))` —
-/// including keyword ids and persisted bytes — for every document the
-/// scanner accepts; malformed input returns the scanner's structured
-/// error instead of a DOM parse error.
+/// Produces an index identical to the DOM oracle's (`Index::build` over
+/// the parsed document) — including keyword ids and persisted bytes —
+/// for every document the scanner accepts; malformed input returns the
+/// scanner's structured error.
 pub fn build_streaming(xml: &str, threads: usize) -> Result<Index, ScanError> {
     // ---- phase 1: scan -----------------------------------------------
     let t_scan = Instant::now();

@@ -12,57 +12,12 @@
 //! The test owns this binary: the counting allocator is process-wide, so
 //! it counts only the thread that asks for it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use invindex::{CompressedList, Posting, PostingList, BLOCK_POSTINGS};
+use xcheck::alloc::{allocations, Counting};
 use xmldom::{Dewey, NodeTypeId};
-
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// `System`, counting the allocations of a thread that asked for it.
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the bookkeeping touches only
-// const-initialised, destructor-free thread-locals and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.get() {
-            ALLOCATIONS.set(ALLOCATIONS.get() + 1);
-        }
-        // SAFETY: the caller's `layout` is passed through as received.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.get() {
-            ALLOCATIONS.set(ALLOCATIONS.get() + 1);
-        }
-        // SAFETY: as for `alloc` and `dealloc`; `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
-
-/// Allocations `f` makes on this thread.
-fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    ALLOCATIONS.set(0);
-    COUNTING.set(true);
-    let out = f();
-    COUNTING.set(false);
-    (out, ALLOCATIONS.get())
-}
 
 /// Allocations a standalone block decode may make, whatever its posting
 /// count: its output vector and the working label. It builds no run

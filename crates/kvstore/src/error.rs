@@ -25,6 +25,10 @@ pub enum KvError {
     KeyTooLarge(usize),
     /// Value exceeds the maximum representable length.
     ValueTooLarge(usize),
+    /// The caller's input was refused before anything was written (a
+    /// maintenance fragment that does not scan, a slot out of range):
+    /// the store is as it was.
+    Refused(String),
 }
 
 impl KvError {
@@ -66,6 +70,7 @@ impl fmt::Display for KvError {
             } => write!(f, "corrupt store: {context}"),
             KvError::KeyTooLarge(n) => write!(f, "key of {n} bytes exceeds maximum"),
             KvError::ValueTooLarge(n) => write!(f, "value of {n} bytes exceeds maximum"),
+            KvError::Refused(why) => f.write_str(why),
         }
     }
 }

@@ -9,45 +9,10 @@
 //! it counts only the thread that asks for it, and the page-read counter
 //! is process-global, so there is one test.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::path::Path;
 
 use kvstore::{BTree, DiskKv, FaultVfs, FilePager, KvStore};
-
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// `System`, counting the allocations of a thread that asked for it.
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the bookkeeping touches only
-// const-initialised, destructor-free thread-locals and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.get() {
-            ALLOCATIONS.set(ALLOCATIONS.get() + 1);
-        }
-        // SAFETY: the caller's `layout` is passed through as received.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.get() {
-            ALLOCATIONS.set(ALLOCATIONS.get() + 1);
-        }
-        // SAFETY: as for `alloc` and `dealloc`; `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use xcheck::alloc::{allocations, Counting};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
@@ -56,11 +21,8 @@ static ALLOCATOR: Counting = Counting;
 fn cost<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     let reads = obs::global().counter("kvstore_pager_page_reads_total");
     let before = reads.get();
-    ALLOCATIONS.set(0);
-    COUNTING.set(true);
-    let out = f();
-    COUNTING.set(false);
-    (out, ALLOCATIONS.get(), reads.get() - before)
+    let (out, allocated) = allocations(f);
+    (out, allocated, reads.get() - before)
 }
 
 /// The tree file holding `entries`, open for reading.

@@ -15,8 +15,6 @@
 //! The tests own this binary: the counting allocator is process-wide,
 //! and they take `SERIAL` so that the timed one runs alone.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -24,40 +22,7 @@ use lexicon::{
     damerau_levenshtein, generate_rules, porter_stem, AcronymTable, Rule, RuleSet, Thesaurus,
     VocabIndex,
 };
-
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// `System`, counting the allocations of a thread that asked for it.
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the bookkeeping touches only
-// const-initialised, destructor-free thread-locals and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.get() {
-            ALLOCATIONS.set(ALLOCATIONS.get() + 1);
-        }
-        // SAFETY: the caller's `layout` is passed through as received.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.get() {
-            ALLOCATIONS.set(ALLOCATIONS.get() + 1);
-        }
-        // SAFETY: as for `alloc` and `dealloc`; `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use xcheck::alloc::{allocations, Counting};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
@@ -153,11 +118,7 @@ fn measure(size: usize, reps: u32) -> Measured {
     let run = || generate_rules(&query, &vocab, &thesaurus, &acronyms);
     let rules: RuleSet = run();
 
-    ALLOCATIONS.set(0);
-    COUNTING.set(true);
-    let counted = run();
-    COUNTING.set(false);
-    let allocations = ALLOCATIONS.get();
+    let (counted, allocations) = allocations(run);
     drop(counted);
 
     let started = Instant::now();

@@ -25,7 +25,10 @@
 //! because it is the same technique pointed at data instead of
 //! schedules: record the choices a run makes, replay edited choice
 //! streams, keep the smallest one that still fails.
+//!
+//! [`alloc`] is the counting allocator of the allocation-budget tests.
 
+pub mod alloc;
 pub mod prop;
 pub mod sched;
 pub mod shim;

@@ -1,4 +1,5 @@
-//! A from-scratch, dependency-free XML parser.
+//! A from-scratch, dependency-free XML parser: the scanner's
+//! differential oracle.
 //!
 //! Supports the subset of XML 1.0 the workload needs: element trees with
 //! attributes, character data, the five predefined entities plus numeric
@@ -7,52 +8,15 @@
 //! treated lexically (prefixes stay part of the tag name), which matches how
 //! the paper's engine sees tags.
 //!
-//! The parser is a single-pass scanner emitting SAX-style events into an
-//! [`XmlHandler`]; [`parse_document`] plugs in the [`DocumentBuilder`] to
-//! materialize a DOM, while streaming consumers (statistics collectors,
-//! filters) implement the trait directly and never build a tree. Errors
-//! carry byte offsets and line/column positions.
+//! No shipped code path parses with it: ingest and the live writer read
+//! XML with [`crate::scan`]. [`parse_document`] stays as the simplest
+//! statement of what the scanner must accept and build — the scan fuzz
+//! sweep, the parser properties and the ingest differential compare the
+//! two. It writes straight into a [`DocumentBuilder`]; errors carry the
+//! byte offset they were detected at, like the scanner's.
 
 use crate::tree::{Document, DocumentBuilder};
 use std::fmt;
-
-/// Receiver of parse events. Methods are called in well-formed order: the
-/// parser guarantees elements nest properly, attributes arrive between an
-/// element's `start_element` and its first content, and `end_element`
-/// calls balance `start_element` calls exactly.
-pub trait XmlHandler {
-    fn start_element(&mut self, name: &str);
-    fn attribute(&mut self, name: &str, value: &str);
-    /// Character data (entity-decoded, whitespace-trimmed, non-empty).
-    fn text(&mut self, text: &str);
-    fn end_element(&mut self);
-}
-
-impl XmlHandler for DocumentBuilder {
-    fn start_element(&mut self, name: &str) {
-        self.open_element(name);
-    }
-
-    fn attribute(&mut self, name: &str, value: &str) {
-        DocumentBuilder::attribute(self, name, value);
-    }
-
-    fn text(&mut self, text: &str) {
-        DocumentBuilder::text(self, text);
-    }
-
-    fn end_element(&mut self) {
-        self.close_element();
-    }
-}
-
-/// Position of a parse error in the input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Position {
-    pub offset: usize,
-    pub line: usize,
-    pub column: usize,
-}
 
 /// Why parsing failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,19 +45,19 @@ pub enum ParseErrorKind {
     BareLt,
 }
 
-/// A parse error with its position.
+/// A parse error with the byte offset it was detected at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     pub kind: ParseErrorKind,
-    pub position: Position,
+    pub offset: usize,
 }
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "XML parse error at line {}, column {}: {:?}",
-            self.position.line, self.position.column, self.kind
+            "XML parse error at byte {}: {:?}",
+            self.offset, self.kind
         )
     }
 }
@@ -101,65 +65,35 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Parses a complete XML document into a DOM.
+// xlint::allow(unused-export): the scanner's differential oracle — scan_fuzz, parser_prop and the ingest and maintenance differentials compare against it
 pub fn parse_document(input: &str) -> Result<Document, ParseError> {
-    let mut builder = DocumentBuilder::new();
-    parse_with(input, &mut builder)?;
-    Ok(builder.finish())
-}
-
-/// Streams a complete XML document into `handler` without building a
-/// DOM. Well-formedness (balanced tags, single root, no content outside
-/// it) is still enforced.
-pub fn parse_with<H: XmlHandler>(input: &str, handler: &mut H) -> Result<(), ParseError> {
-    let mut p = Parser::new(input, handler);
+    let mut p = Parser {
+        input: input.as_bytes(),
+        pos: 0,
+        builder: DocumentBuilder::new(),
+        open_tags: Vec::new(),
+        seen_root: false,
+    };
     p.run()?;
     if !p.seen_root {
         return Err(p.error(ParseErrorKind::EmptyDocument));
     }
-    Ok(())
+    Ok(p.builder.finish())
 }
 
-struct Parser<'a, H: XmlHandler> {
+struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
-    handler: &'a mut H,
+    builder: DocumentBuilder,
     open_tags: Vec<String>,
     seen_root: bool,
 }
 
-impl<'a, H: XmlHandler> Parser<'a, H> {
-    fn new(input: &'a str, handler: &'a mut H) -> Self {
-        Parser {
-            input: input.as_bytes(),
-            pos: 0,
-            handler,
-            open_tags: Vec::new(),
-            seen_root: false,
-        }
-    }
-
-    fn position(&self) -> Position {
-        let mut line = 1;
-        let mut col = 1;
-        for &b in &self.input[..self.pos.min(self.input.len())] {
-            if b == b'\n' {
-                line += 1;
-                col = 1;
-            } else {
-                col += 1;
-            }
-        }
-        Position {
-            offset: self.pos,
-            line,
-            column: col,
-        }
-    }
-
+impl Parser<'_> {
     fn error(&self, kind: ParseErrorKind) -> ParseError {
         ParseError {
             kind,
-            position: self.position(),
+            offset: self.pos,
         }
     }
 
@@ -237,7 +171,7 @@ impl<'a, H: XmlHandler> Parser<'a, H> {
                     .expect("input was valid UTF-8");
                 let trimmed = text.trim();
                 if !trimmed.is_empty() {
-                    self.handler.text(trimmed);
+                    self.builder.text(trimmed);
                 }
                 self.bump(end + 3);
                 Ok(())
@@ -308,7 +242,7 @@ impl<'a, H: XmlHandler> Parser<'a, H> {
         }
         self.bump(1); // '<'
         let tag = self.name()?;
-        self.handler.start_element(&tag);
+        self.builder.open_element(&tag);
         self.seen_root = true;
         self.open_tags.push(tag);
 
@@ -326,7 +260,7 @@ impl<'a, H: XmlHandler> Parser<'a, H> {
                         return Err(self.error(ParseErrorKind::InvalidMarkup));
                     }
                     self.bump(2);
-                    self.handler.end_element();
+                    self.builder.close_element();
                     self.open_tags.pop();
                     return Ok(());
                 }
@@ -363,7 +297,7 @@ impl<'a, H: XmlHandler> Parser<'a, H> {
                         .expect("input was valid UTF-8");
                     let value = self.decode_entities(raw)?;
                     self.bump(1); // closing quote
-                    self.handler.attribute(&attr, &value);
+                    self.builder.attribute(&attr, &value);
                     seen_attrs.push(attr);
                 }
             }
@@ -380,7 +314,7 @@ impl<'a, H: XmlHandler> Parser<'a, H> {
         self.bump(1);
         match self.open_tags.pop() {
             Some(open) if open == tag => {
-                self.handler.end_element();
+                self.builder.close_element();
                 Ok(())
             }
             Some(open) => Err(self.error(ParseErrorKind::MismatchedClose {
@@ -406,7 +340,7 @@ impl<'a, H: XmlHandler> Parser<'a, H> {
         let decoded = self.decode_entities(raw)?;
         let trimmed = decoded.trim();
         if !trimmed.is_empty() {
-            self.handler.text(trimmed);
+            self.builder.text(trimmed);
         }
         Ok(())
     }
@@ -534,7 +468,7 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_close_is_reported_with_position() {
+    fn mismatched_close_is_reported_with_its_offset() {
         let err = parse_document("<a><b></a>").unwrap_err();
         match err.kind {
             ParseErrorKind::MismatchedClose { expected, found } => {
@@ -543,7 +477,7 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
-        assert_eq!(err.position.line, 1);
+        assert_eq!(err.offset, "<a><b></a>".len());
     }
 
     #[test]
@@ -609,8 +543,8 @@ mod tests {
     }
 
     #[test]
-    fn error_positions_track_lines() {
+    fn error_offsets_count_bytes_across_lines() {
         let err = parse_document("<a>\n\n  <b></c>\n</a>").unwrap_err();
-        assert_eq!(err.position.line, 3);
+        assert_eq!(err.offset, "<a>\n\n  <b></c>".len());
     }
 }

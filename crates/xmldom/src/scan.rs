@@ -4,10 +4,13 @@
 //! events* — byte ranges into the input — instead of materialising a DOM
 //! or allocating per-event `String`s. It is the ingest half of the
 //! structural-index pipeline: `invindex::stream` consumes the spans to
-//! tokenize and label chunks in parallel, and `scan_with` is also usable
-//! directly for validation passes (`check_document`).
+//! tokenize and label chunks in parallel, and the live writer checks
+//! each maintenance fragment with [`check_document`]. [`scan_with`] into
+//! a [`ScanSink`] is the one streaming interface; nothing else in
+//! shipped code reads XML.
 //!
-//! Contract with the reference parser ([`crate::parser`]):
+//! Contract with the reference parser ([`crate::parser`]), which stays
+//! only as this scanner's oracle in tests:
 //!
 //! * **Acceptance parity.** `check_document(x).is_ok() ==
 //!   parse_document(x).is_ok()` for every input below
@@ -16,7 +19,7 @@
 //!   grammar, same entity grammar, same well-formedness rules). The
 //!   fuzz sweep in `tests/scan_fuzz.rs` exercises this.
 //! * **Event parity.** For accepted input, start/text/end events arrive
-//!   in exactly the order the parser would call its `XmlHandler`, with
+//!   in exactly the order the parser feeds its `DocumentBuilder`, with
 //!   text spans still entity-encoded (decoding is the consumer's job,
 //!   via [`decode_text`], so it can run in parallel workers).
 //! * **Bounded memory.** The scanner holds only the open-element span
@@ -139,6 +142,8 @@ pub struct ScanStats {
     pub bytes: u64,
     /// Events delivered to the sink.
     pub events: u64,
+    /// Deepest element nesting reached (the root counts as 1).
+    pub max_depth: usize,
 }
 
 struct NullSink;
@@ -150,7 +155,7 @@ impl ScanSink for NullSink {
 }
 
 /// Scans a complete XML document into `sink`, enforcing the same
-/// well-formedness rules as [`crate::parse_with`]. Metrics
+/// well-formedness rules as [`crate::parse_document`]. Metrics
 /// (`xmldom_scan_bytes_total`, `xmldom_events_total`) are accumulated
 /// locally and flushed once per scan.
 pub fn scan_with<S: ScanSink>(input: &str, sink: &mut S) -> Result<ScanStats, ScanError> {
@@ -162,12 +167,12 @@ pub fn scan_with<S: ScanSink>(input: &str, sink: &mut S) -> Result<ScanStats, Sc
         open: Vec::new(),
         attr_scratch: Vec::new(),
         seen_root: false,
-        events: 0,
+        stats: ScanStats::default(),
     };
     let result = scanner.run();
     let stats = ScanStats {
         bytes: scanner.pos.min(input.len()) as u64,
-        events: scanner.events,
+        ..scanner.stats
     };
     obs::counter!("xmldom_scan_bytes_total").add(stats.bytes);
     obs::counter!("xmldom_events_total").add(stats.events);
@@ -198,7 +203,8 @@ struct Scanner<'a, S: ScanSink> {
     /// Attribute-name spans of the tag being scanned (duplicate check).
     attr_scratch: Vec<Span>,
     seen_root: bool,
-    events: u64,
+    /// Events and depth so far; the byte count is taken at the end.
+    stats: ScanStats,
 }
 
 impl<'a, S: ScanSink> Scanner<'a, S> {
@@ -286,7 +292,7 @@ impl<'a, S: ScanSink> Scanner<'a, S> {
                 let span = self.trimmed(self.pos, self.pos + end);
                 if !span.is_empty() {
                     self.sink.text(span, true);
-                    self.events += 1;
+                    self.stats.events += 1;
                 }
                 self.pos += end + 3;
                 Ok(())
@@ -358,6 +364,7 @@ impl<'a, S: ScanSink> Scanner<'a, S> {
             return Err(self.err(ScanErrorKind::DepthLimitExceeded));
         }
         self.open.push(name);
+        self.stats.max_depth = self.stats.max_depth.max(self.open.len());
 
         let attrs_start = self.pos;
         self.attr_scratch.clear();
@@ -372,7 +379,7 @@ impl<'a, S: ScanSink> Scanner<'a, S> {
                     };
                     self.pos += 1;
                     self.sink.start_tag(name, attrs);
-                    self.events += 1;
+                    self.stats.events += 1;
                     return Ok(());
                 }
                 Some(b'/') => {
@@ -386,7 +393,7 @@ impl<'a, S: ScanSink> Scanner<'a, S> {
                     self.pos += 2;
                     self.sink.start_tag(name, attrs);
                     self.sink.end_tag();
-                    self.events += 2;
+                    self.stats.events += 2;
                     self.open.pop();
                     return Ok(());
                 }
@@ -447,7 +454,7 @@ impl<'a, S: ScanSink> Scanner<'a, S> {
         match self.open.pop() {
             Some(open) if self.range(open.start, open.end) == self.range(name.start, name.end) => {
                 self.sink.end_tag();
-                self.events += 1;
+                self.stats.events += 1;
                 Ok(())
             }
             Some(_) => Err(self.err(ScanErrorKind::MismatchedClose)),
@@ -469,7 +476,7 @@ impl<'a, S: ScanSink> Scanner<'a, S> {
         let span = self.trimmed(start, end);
         if !span.is_empty() {
             self.sink.text(span, false);
-            self.events += 1;
+            self.stats.events += 1;
         }
         Ok(())
     }
@@ -673,6 +680,7 @@ impl DeweyTracker {
     }
 
     /// Enters an element; returns the components of its Dewey label.
+    // xlint::allow(unused-export): the oracle labeller's interface (see the struct)
     pub fn start_element(&mut self) -> &[u32] {
         let ordinal = self.counts.last().copied().unwrap_or(0);
         self.path.push(ordinal);
@@ -681,23 +689,13 @@ impl DeweyTracker {
     }
 
     /// Leaves the current element.
+    // xlint::allow(unused-export): the oracle labeller's interface (see the struct)
     pub fn end_element(&mut self) {
         self.path.pop();
         self.counts.pop();
         if let Some(c) = self.counts.last_mut() {
             *c += 1;
         }
-    }
-
-    /// Components of the current open element's label (empty between
-    /// the root's close and the next document).
-    pub fn current(&self) -> &[u32] {
-        &self.path
-    }
-
-    /// Current open depth (the root counts as 1).
-    pub fn depth(&self) -> usize {
-        self.path.len()
     }
 }
 
@@ -821,6 +819,71 @@ mod tests {
         };
         scan_with(input, &mut rec).expect("scan");
         rec.events.log
+    }
+
+    /// Corpus statistics in one pass, without a DOM: attributes counted
+    /// through `AttrIter`, depth followed by the balanced start/end events.
+    #[derive(Default)]
+    struct Stats<'a> {
+        input: &'a str,
+        elements: usize,
+        attributes: usize,
+        text_chunks: usize,
+        depth: usize,
+        max_depth: usize,
+        trace: Vec<String>,
+    }
+
+    impl ScanSink for Stats<'_> {
+        fn start_tag(&mut self, name: Span, attrs: Span) {
+            self.elements += 1;
+            self.attributes += AttrIter::new(self.input, attrs).count();
+            self.depth += 1;
+            self.max_depth = self.max_depth.max(self.depth);
+            self.trace.push(format!("+{}", name.slice(self.input)));
+        }
+        fn end_tag(&mut self) {
+            self.depth -= 1;
+            self.trace.push("-".into());
+        }
+        fn text(&mut self, _span: Span, _cdata: bool) {
+            self.text_chunks += 1;
+        }
+    }
+
+    fn stats(input: &str) -> (Stats<'_>, ScanStats) {
+        let mut sink = Stats {
+            input,
+            ..Stats::default()
+        };
+        let scanned = scan_with(input, &mut sink).expect("scan");
+        (sink, scanned)
+    }
+
+    #[test]
+    fn a_sink_collects_statistics_in_one_pass() {
+        let xml = r#"<bib><author id="1"><name>Ann</name><year>2003</year></author><author id="2"/></bib>"#;
+        let (s, scanned) = stats(xml);
+        assert_eq!(s.elements, 5);
+        assert_eq!(s.attributes, 2);
+        assert_eq!(s.text_chunks, 2);
+        assert_eq!((s.max_depth, scanned.max_depth), (3, 3));
+        assert_eq!(s.depth, 0, "events balanced");
+        assert_eq!(
+            s.trace,
+            ["+bib", "+author", "+name", "-", "+year", "-", "-", "+author", "-", "-"]
+        );
+    }
+
+    #[test]
+    fn element_count_and_depth_match_the_dom() {
+        let xml = crate::fixtures::figure1().to_xml();
+        let (s, scanned) = stats(&xml);
+        let dom = parse_document(&xml).expect("parse");
+        assert_eq!(s.elements, dom.len());
+        assert_eq!(s.depth, 0, "events balanced");
+        let deepest = dom.nodes().map(|(_, n)| n.dewey.components().len()).max();
+        assert_eq!(Some(scanned.max_depth), deepest);
     }
 
     #[test]

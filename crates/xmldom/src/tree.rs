@@ -121,10 +121,46 @@ impl Document {
             .map(move |(off, _)| NodeId((start + off) as u32))
     }
 
-    /// Renders the subtree rooted at `id` back to XML text.
+    /// Renders the subtree rooted at `id` back to XML text, one element a
+    /// line. The walk keeps its path on the heap: any depth renders
+    /// without recursion, in bytes linear in the subtree's size.
     pub fn subtree_to_xml(&self, id: NodeId) -> String {
         let mut out = String::new();
-        self.write_node(id, &mut out, 0);
+        // The elements written open, innermost last. Arena order is
+        // pre-order, so a node's parent is on the stack when it comes up.
+        let mut open: Vec<NodeId> = Vec::new();
+        let close = |open: &mut Vec<NodeId>, out: &mut String| {
+            if let Some(o) = open.pop() {
+                indent(open.len(), out);
+                self.end_tag_into(o, out);
+            }
+        };
+        for id in self.descendants_or_self(id) {
+            let n = self.node(id);
+            while open.last().is_some_and(|&o| Some(o) != n.parent) {
+                close(&mut open, &mut out);
+            }
+            indent(open.len(), &mut out);
+            self.start_tag_into(id, &mut out);
+            if n.children.is_empty() && n.text.is_empty() {
+                out.push_str("/>\n");
+            } else if n.children.is_empty() {
+                out.push('>');
+                escape_into(&n.text, &mut out);
+                self.end_tag_into(id, &mut out);
+            } else {
+                out.push_str(">\n");
+                if !n.text.is_empty() {
+                    indent(open.len() + 1, &mut out);
+                    escape_into(&n.text, &mut out);
+                    out.push('\n');
+                }
+                open.push(id);
+            }
+        }
+        while !open.is_empty() {
+            close(&mut open, &mut out);
+        }
         out
     }
 
@@ -133,50 +169,35 @@ impl Document {
         self.subtree_to_xml(self.root())
     }
 
-    fn write_node(&self, id: NodeId, out: &mut String, indent: usize) {
-        let n = self.node(id);
-        let tag = self.symbols.resolve(n.tag);
-        for _ in 0..indent {
-            out.push_str("  ");
-        }
+    /// Writes `id`'s start tag up to, not including, its closing `>` or
+    /// `/>`: the tag name and its attributes, values escaped.
+    pub fn start_tag_into(&self, id: NodeId, out: &mut String) {
         out.push('<');
-        out.push_str(tag);
-        for (k, v) in &n.attributes {
+        out.push_str(self.tag_name(id));
+        for (k, v) in &self.node(id).attributes {
             out.push(' ');
             out.push_str(k);
             out.push_str("=\"");
             escape_into(v, out);
             out.push('"');
         }
-        if n.children.is_empty() && n.text.is_empty() {
-            out.push_str("/>\n");
-            return;
-        }
-        out.push('>');
-        if n.children.is_empty() {
-            escape_into(&n.text, out);
-            out.push_str("</");
-            out.push_str(tag);
-            out.push_str(">\n");
-            return;
-        }
-        out.push('\n');
-        if !n.text.is_empty() {
-            for _ in 0..=indent {
-                out.push_str("  ");
-            }
-            escape_into(&n.text, out);
-            out.push('\n');
-        }
-        for &c in &n.children {
-            self.write_node(c, out, indent + 1);
-        }
-        for _ in 0..indent {
-            out.push_str("  ");
-        }
+    }
+
+    fn end_tag_into(&self, id: NodeId, out: &mut String) {
         out.push_str("</");
-        out.push_str(tag);
+        out.push_str(self.tag_name(id));
         out.push_str(">\n");
+    }
+}
+
+/// Levels [`Document::subtree_to_xml`] indents, two spaces each; deeper
+/// elements line up with the last. The generated corpora nest at most six
+/// levels, so they render exactly as with unbounded indentation.
+const MAX_INDENT_LEVELS: usize = 16;
+
+fn indent(level: usize, out: &mut String) {
+    for _ in 0..level.min(MAX_INDENT_LEVELS) {
+        out.push_str("  ");
     }
 }
 

@@ -302,9 +302,10 @@ fn update_store(store_path: &str, ops: &[UpdateOp], compact: bool) -> Result<(),
                 UpdateOp::Remove(slot) => Ok(MaintOp::Remove { slot: *slot }),
             })
             .collect::<Result<_, _>>()?;
-        let report = maint
-            .commit(&ops)
-            .map_err(|e| format!("update rejected: {e}"))?;
+        let report = maint.commit(&ops).map_err(|e| match e {
+            kvstore::KvError::Refused(_) => format!("update rejected: {e}"),
+            _ => format!("update failed: {e}"),
+        })?;
         println!(
             "committed txn {}: {} record(s) ({} added, {} removed, {} store op(s))",
             report.seq, report.records, report.added, report.removed, report.batch_ops

@@ -28,58 +28,20 @@
 //! and they take `SERIAL` because the `obs` counters they difference
 //! are too.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 
 use datagen::{generate_dblp, DblpConfig};
+use xcheck::alloc::{allocations, uncounted, Counting};
 use xrefine::{
     partition_refine, EngineConfig, PartitionOptions, Query, RefineSession, XRefineEngine,
 };
-
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// `System`, counting the allocations of a thread that asked for it.
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the bookkeeping touches only
-// const-initialised, destructor-free thread-locals and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.get() {
-            ALLOCATIONS.set(ALLOCATIONS.get() + 1);
-        }
-        // SAFETY: the caller's `layout` is passed through as received.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.get() {
-            ALLOCATIONS.set(ALLOCATIONS.get() + 1);
-        }
-        // SAFETY: as for `alloc` and `dealloc`; `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
 /// Scan-eager SLCA, its own allocations uncounted.
 fn uncounted_slca(lists: &[invindex::ListHandle]) -> Vec<xmldom::Dewey> {
-    let was = COUNTING.replace(false);
-    let found = slca::slca_scan_eager(lists);
-    COUNTING.set(was);
-    found
+    uncounted(|| slca::slca_scan_eager(lists))
 }
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -120,11 +82,7 @@ fn measure(authors: usize, keywords: &[&str]) -> Measured {
 
     let partitions_before = counter("xrefine_partitions_scanned_total");
     let dp_calls_before = counter("xrefine_dp_calls_total");
-    ALLOCATIONS.set(0);
-    COUNTING.set(true);
-    let out = partition_refine(&session, &options);
-    COUNTING.set(false);
-    let allocations = ALLOCATIONS.get();
+    let (out, allocations) = allocations(|| partition_refine(&session, &options));
 
     assert!(!out.original_ok, "{keywords:?} must need refinement");
     assert!(!out.refinements.is_empty());

@@ -17,8 +17,8 @@
 //! `GET /healthz`, `POST /admin/drain`, and — with `--live` — `POST
 //! /admin/update?op=add|remove|compact[&slot=N]` (the XML fragment for
 //! `add` travels as the request body; reads keep serving from their
-//! pinned snapshot while a commit is in flight). Shutdown: SIGTERM/SIGINT (raw
-//! rt_sigaction handler; see `xserve::signal`) or `POST /admin/drain`
+//! pinned snapshot while a commit is in flight). Shutdown: SIGTERM/SIGINT (a
+//! handler installed with libc's `signal`; see `xserve::signal`) or `POST /admin/drain`
 //! — both trigger the graceful drain: stop accepting, finish every
 //! in-flight request, exit 0.
 

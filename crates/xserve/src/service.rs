@@ -165,10 +165,10 @@ impl QueryService for LiveEngineService {
                 status: 200,
                 body: render_report(&report),
             },
-            // A rejected transaction (unparseable fragment, slot out of
-            // range) never touched the WAL: the client's input was bad.
-            // Anything else is the store failing underneath us.
-            Err(e) if e.is_corrupt() => bad(&e.to_string()),
+            // A refused transaction never touched the WAL: the client's
+            // input was bad. Anything else, a page failing its checksum
+            // included, is the store failing underneath us.
+            Err(e @ kvstore::KvError::Refused(_)) => bad(&e.to_string()),
             Err(e) => ServiceReply {
                 status: 500,
                 body: format!("{{\"error\":{}}}", json_string(&e.to_string())),
@@ -309,11 +309,17 @@ mod tests {
         assert!(reply.body.contains("--live"), "{}", reply.body);
     }
 
+    const TINY_DB: &str = "/svc/store.db";
+
     fn tiny_live() -> LiveEngineService {
+        tiny_live_on(&kvstore::FaultVfs::new())
+    }
+
+    fn tiny_live_on(vfs: &kvstore::FaultVfs) -> LiveEngineService {
         use invindex::{build_streaming, persist};
-        use kvstore::{DiskKv, FaultVfs, KvStore};
-        let vfs = FaultVfs::new().as_dyn();
-        let base = std::path::PathBuf::from("/svc/store.db");
+        use kvstore::{DiskKv, KvStore};
+        let vfs = vfs.as_dyn();
+        let base = std::path::PathBuf::from(TINY_DB);
         let built = build_streaming(
             "<bib><paper><title>xml keyword search</title></paper></bib>",
             1,
@@ -406,7 +412,37 @@ mod tests {
             let reply = svc.update(&req);
             assert_eq!(reply.status, 400, "{:?}: {}", req.op, reply.body);
             assert!(reply.body.contains(expect), "{:?}: {}", req.op, reply.body);
+            assert!(
+                !reply.body.contains("corrupt"),
+                "{:?}: {}",
+                req.op,
+                reply.body
+            );
         }
         assert_eq!(svc.live().maint().seq(), 0, "rejects must not commit");
+    }
+
+    #[test]
+    fn a_page_failing_its_checksum_during_a_commit_is_a_500() {
+        let vfs = kvstore::FaultVfs::new();
+        let svc = tiny_live_on(&vfs);
+        // Damage a leaf of the base file after the open: the commit's
+        // scan of the live store reads it and finds the checksum wrong.
+        let db = std::path::Path::new(TINY_DB);
+        let bytes = vfs.read_file(db).unwrap();
+        let page_size = kvstore::PHYS_PAGE_SIZE;
+        let leaf = (1..bytes.len() / page_size)
+            .find(|&page| bytes[page * page_size] == 2) // the B+-tree's leaf type byte
+            .expect("the tiny store has a leaf page");
+        vfs.corrupt_byte(db, leaf * page_size + 100).unwrap();
+
+        let reply = svc.update(&UpdateRequest {
+            op: "add",
+            slot: None,
+            body: "<paper><title>never committed</title></paper>",
+        });
+        assert_eq!(reply.status, 500, "{}", reply.body);
+        assert!(reply.body.contains("corrupt store"), "{}", reply.body);
+        assert_eq!(svc.live().maint().seq(), 0);
     }
 }

@@ -151,6 +151,31 @@ fn updates_apply_over_http_while_queries_keep_serving() {
 }
 
 #[test]
+fn fragments_too_deep_for_the_corpus_are_refused_400() {
+    let service = Arc::new(live_service());
+    let handle = xserve::start(test_config(), Arc::clone(&service) as _).unwrap();
+    let addr = handle.addr();
+    let nested = |depth: usize| format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth));
+
+    // Past the scanner's depth limit, though inside the body limit.
+    let too_deep = nested(9_300);
+    assert_eq!(too_deep.len(), 65_100);
+    // Within the limit on its own, one level past it under the root.
+    let at_limit = nested(xmldom::MAX_SCAN_DEPTH);
+    for fragment in [too_deep, at_limit] {
+        let (status, body) = post(addr, "/admin/update?op=add", &fragment);
+        assert_eq!(status, 400, "{body}");
+        assert!(!body.contains("corrupt"), "{body}");
+    }
+    assert_eq!(service.live().maint().seq(), 0, "a refusal commits nothing");
+    let (status, body) = get(addr, "/query?q=xml%20keyword");
+    assert_eq!(status, 200, "{body}");
+
+    handle.begin_drain();
+    assert_eq!(handle.join(), 0);
+}
+
+#[test]
 fn read_only_server_answers_update_with_501() {
     let engine = XRefineEngine::from_xml(SEED_CORPUS, EngineConfig::default()).unwrap();
     let service = Arc::new(EngineService::new(Arc::new(engine)));

@@ -744,7 +744,7 @@ fn an_over_wide_query_is_refused_before_it_is_queued() {
 // ------------------------------------------------------- SIGTERM, for real
 
 #[test]
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+#[cfg(unix)]
 fn spawned_binary_drains_on_sigterm() {
     let (mut child, mut stdout, addr) = spawn_server();
 
@@ -753,23 +753,9 @@ fn spawned_binary_drains_on_sigterm() {
     assert_eq!(status, 200, "{body}");
 
     // …then receives a real SIGTERM and must exit 0 after draining.
-    // Delivered via the raw kill syscall — no dependence on a `kill`
+    // Delivered through libc's kill(2) — no dependence on a `kill`
     // binary being present in the environment.
-    let ret: i64;
-    // SAFETY: kill(2) takes two integer arguments and reads no memory;
-    // rcx/r11 are clobbered by `syscall` and declared so.
-    unsafe {
-        std::arch::asm!(
-            "syscall",
-            inlateout("rax") 62i64 => ret, // SYS_kill
-            in("rdi") child.id() as u64,
-            in("rsi") 15u64, // SIGTERM
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack),
-        );
-    }
-    assert_eq!(ret, 0, "kill syscall failed");
+    assert!(xserve::signal::terminate(child.id()), "kill failed");
 
     let mut rest = String::new();
     stdout.read_to_string(&mut rest).expect("drain output");

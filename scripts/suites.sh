@@ -38,8 +38,12 @@
 #                  then released, SIGTERM, a corrupt stored list over
 #                  HTTP) and the server binary's flag parser
 #   maintenance    online-maintenance guarantees: differential oracle
-#                  (incremental == from-scratch, by both builders), full
-#                  stride-1 power-cut sweep of the updating store
+#                  (incremental == from-scratch, by both builders), raw
+#                  fragments leaving the store a parse-and-render round
+#                  trip would, an 8 000-deep fragment committed and
+#                  rendered in linear space on a 2 MiB stack (debug:
+#                  a_deep_fragment_commits_and_renders_in_linear_space),
+#                  full stride-1 power-cut sweep of the updating store
 #                  (release), readers not blocked by a commit in flight,
 #                  racing updaters never rolling the published engine
 #                  back (release), live updates over HTTP
@@ -137,6 +141,7 @@ suite_serve() {
 suite_maintenance() {
     xcargo test --release -q -p invindex --test maint_differential
     xcargo test --release -q -p xrefine --test live_differential
+    xcargo test -q -p invindex --lib maint::
     xcargo test --release -q -p xrefine --lib live::
     MAINT_TORTURE_STRIDE="${MAINT_TORTURE_STRIDE:-1}" \
         xcargo test --release -q -p invindex --test maint_torture
@@ -250,7 +255,9 @@ suite_tsan() {
 # violations, leaks) that native runs miss; it covers the crates whose
 # tests stay inside the interpreter's ability — obs (the lock-rank and
 # registry internals) and xcheck (the scheduler/shim machinery). xserve
-# is out: signal.rs uses inline asm and raw syscalls Miri cannot model.
+# is out: its tests open TCP sockets and spawn the server binary, and
+# signal.rs installs real handlers through libc's `signal`, none of which
+# Miri runs.
 suite_miri() {
     local tc="${MIRI_TOOLCHAIN:-nightly}"
     cargo "+${tc}" miri test -q -p obs
