@@ -30,15 +30,15 @@
 //! its decodes are only admitted while `g` is still the current
 //! generation ([`ListCache::insert_at`] checks under the mutex, so a
 //! stale reader racing a publish cannot re-seed an entry the writer just
-//! invalidated). A committing writer bumps the current generation
-//! *first*, then invalidates the keyword ids it changed — unchanged
-//! entries keep serving every generation.
+//! invalidated). A committing writer publishes through
+//! [`ListCache::publish`], which bumps the current generation *first*,
+//! then invalidates the keyword ids it changed — unchanged entries keep
+//! serving every generation.
 
 use crate::postings::PostingList;
 use obs::lockrank::rank;
 use obs::sync::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A snapshot of the list-cache counters, taken under one hold of the
@@ -75,6 +75,10 @@ struct Lru {
     lru: BTreeMap<u64, u32>,
     /// The counters, and in `cached_bytes` the summed cost of `map`.
     stats: CacheStats,
+    /// The latest published store generation: set by
+    /// [`ListCache::publish`], and read under the same mutex by the
+    /// admission check in [`ListCache::insert_at`].
+    current_gen: u64,
 }
 
 impl Lru {
@@ -85,6 +89,7 @@ impl Lru {
             map: HashMap::new(),
             lru: BTreeMap::new(),
             stats: CacheStats::default(),
+            current_gen: 0,
         }
     }
 
@@ -169,11 +174,6 @@ impl Lru {
 /// take `&self`.
 pub struct ListCache {
     lru: Mutex<Lru>,
-    /// The latest published store generation. Bumped by a committing
-    /// writer *before* it invalidates the entries it changed; checked
-    /// under the mutex on insert so the bump is visible to any reader
-    /// that locks the cache after the writer's invalidation pass.
-    current_gen: AtomicU64,
 }
 
 impl ListCache {
@@ -182,7 +182,6 @@ impl ListCache {
     pub fn new(budget: usize) -> Self {
         ListCache {
             lru: Mutex::new(rank::CACHE_LRU, Lru::new(budget)),
-            current_gen: AtomicU64::new(0),
         }
     }
 
@@ -222,7 +221,7 @@ impl ListCache {
         let (before, after) = {
             let mut lru = self.lru.lock(); // xlint::lock(cache.lru)
             let before = lru.stats;
-            if gen == self.current_gen.load(Ordering::SeqCst) {
+            if gen == lru.current_gen {
                 lru.insert(id, list, cost, gen);
             } else {
                 lru.stats.lists_decoded += 1;
@@ -251,15 +250,21 @@ impl ListCache {
         }
     }
 
-    /// Publishes `gen` as the current generation. Called by the writer
-    /// *before* it invalidates the ids the new generation changed.
-    pub fn set_current_gen(&self, gen: u64) {
-        self.current_gen.store(gen, Ordering::SeqCst);
+    /// Makes `gen` current, then drops the entries of the lists it
+    /// `changed`. The order is the guard: once `gen` is current, a
+    /// reader of an older generation that decoded a changed list is
+    /// refused by `insert_at`, so it cannot re-seed an entry after its
+    /// invalidation.
+    pub fn publish(&self, gen: u64, changed: &[u32]) {
+        self.lru.lock().current_gen = gen; // xlint::lock(cache.lru)
+        for &id in changed {
+            self.invalidate(id);
+        }
     }
 
     /// The latest published store generation.
     pub fn current_gen(&self) -> u64 {
-        self.current_gen.load(Ordering::SeqCst)
+        self.lru.lock().current_gen // xlint::lock(cache.lru)
     }
 
     /// The counters and the resident bytes, one consistent cut.
@@ -324,7 +329,7 @@ mod tests {
     #[test]
     fn newer_generation_entry_misses_for_pinned_reader_without_eviction() {
         let cache = ListCache::new(1 << 20);
-        cache.set_current_gen(3);
+        cache.publish(3, &[]);
         cache.insert(7, list_of(1), 10); // stamped gen 3
                                          // A reader pinned at gen 2 must not see it; the entry survives.
         assert!(cache.get_at(7, 2).is_none());
@@ -337,7 +342,7 @@ mod tests {
     #[test]
     fn stale_generation_insert_is_rejected_but_counts_the_decode() {
         let cache = ListCache::new(1 << 20);
-        cache.set_current_gen(5);
+        cache.publish(5, &[]);
         cache.insert_at(7, list_of(1), 10, 4); // decoded under gen 4: stale
         assert!(cache.get_at(7, 5).is_none());
         let s = cache.stats();

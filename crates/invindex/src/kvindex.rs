@@ -19,9 +19,10 @@
 //! reads the reader's pinned [`kvstore::Snapshot`] directly — the
 //! snapshot is immutable, so misses take **no lock at all** and decoding
 //! happens outside every lock. Writers never block readers: a committing
-//! [`crate::maint::MaintIndex`] publishes a reader over a *new* snapshot
-//! (epoch handoff) while existing readers keep serving the one they
-//! pinned at open.
+//! [`crate::maint::MaintIndex`] lays the document, vocabulary and
+//! statistics of its own build over the store's *new* snapshot (epoch
+//! handoff), decoding nothing, while existing readers keep serving the
+//! one they pinned at open.
 //!
 //! Cache policy lives in [`crate::cache`]: cost of an entry is its
 //! *stored* (encoded) size; eviction never invalidates handles already
@@ -82,15 +83,14 @@ impl KvBackedIndex {
     pub fn from_built(index: Index) -> Self {
         let (doc, vocab, lists, stats) = index.into_parts();
         let store: MemKv = persist::list_entries(&lists).collect();
-        KvBackedIndex {
+        Self::from_parts(
             doc,
             vocab,
             stats,
-            cooccur: CoOccurrence::new(),
-            store: Snapshot::new(Arc::new(store)),
-            cache: Arc::new(ListCache::new(DEFAULT_CACHE_BUDGET)),
-            gen: 0,
-        }
+            0,
+            Snapshot::new(Arc::new(store)),
+            Arc::new(ListCache::new(DEFAULT_CACHE_BUDGET)),
+        )
     }
 
     /// Opens a persisted store that nothing writes to any more (the
@@ -104,25 +104,6 @@ impl KvBackedIndex {
     /// cache budget.
     pub fn open_snapshot(store: Snapshot) -> Result<Self> {
         let doc = Arc::new(persist::load_document(&store)?);
-        Self::open_snapshot_with_document(
-            doc,
-            0,
-            store,
-            Arc::new(ListCache::new(DEFAULT_CACHE_BUDGET)),
-        )
-    }
-
-    /// Opens a reader over an already-pinned [`Snapshot`] and the
-    /// document embedded in that store, published as generation `gen`
-    /// and sharing `cache` with readers of other generations. This is
-    /// the epoch-handoff constructor [`crate::maint::MaintIndex`] uses
-    /// to publish each commit.
-    pub fn open_snapshot_with_document(
-        doc: Arc<Document>,
-        gen: u64,
-        store: Snapshot,
-        cache: Arc<ListCache>,
-    ) -> Result<Self> {
         let vocab = persist::load_vocab(&store)?;
         let stats = persist::load_stats(&store)?;
         if stats.n_nodes_vec().len() != doc.node_types().len() {
@@ -130,7 +111,24 @@ impl KvBackedIndex {
                 "document does not match persisted index (type count)",
             ));
         }
-        Ok(KvBackedIndex {
+        let cache = Arc::new(ListCache::new(DEFAULT_CACHE_BUDGET));
+        Ok(Self::from_parts(doc, vocab, stats, 0, store, cache))
+    }
+
+    /// A reader over `store`, whose document, vocabulary and statistics
+    /// the caller already holds, published as generation `gen` and
+    /// sharing `cache` with readers of other generations. Decodes
+    /// nothing, so it cannot fail: [`crate::maint::MaintIndex`] builds
+    /// each generation's reader with it after the commit is durable.
+    pub(crate) fn from_parts(
+        doc: Arc<Document>,
+        vocab: KeywordTable,
+        stats: TypeStats,
+        gen: u64,
+        store: Snapshot,
+        cache: Arc<ListCache>,
+    ) -> Self {
+        KvBackedIndex {
             doc,
             vocab,
             stats,
@@ -138,7 +136,7 @@ impl KvBackedIndex {
             store,
             cache,
             gen,
-        })
+        }
     }
 
     /// Sets the list-cache byte budget (encoded bytes). A budget of 0
@@ -147,7 +145,7 @@ impl KvBackedIndex {
     /// epoch-sharing.
     pub fn with_cache_budget(mut self, bytes: usize) -> Self {
         self.cache = Arc::new(ListCache::new(bytes));
-        self.cache.set_current_gen(self.gen);
+        self.cache.publish(self.gen, &[]);
         self
     }
 
@@ -244,6 +242,11 @@ impl KvBackedIndex {
     /// count only weights ranking, never correctness.
     pub fn co_occur(&self, t: NodeTypeId, ki: KeywordId, kj: KeywordId) -> u64 {
         self.cooccur.co_occur(self, t, ki, kj)
+    }
+
+    /// The list cache, shared by every reader a `MaintIndex` publishes.
+    pub(crate) fn cache(&self) -> &Arc<ListCache> {
+        &self.cache
     }
 
     /// List-cache counters, for serving drivers to report cache

@@ -2,13 +2,14 @@
 //! snapshot reader handoff.
 //!
 //! [`MaintIndex`] owns a [`kvstore::DurableKv`] and, beside it, the
-//! [`KvBackedIndex`] over the last published state, which
+//! [`KvBackedIndex`] over the last committed state, which
 //! [`MaintIndex::snapshot`] hands out. The corpus model is that reader's
 //! document: a root element whose direct children are the *records*; a
 //! maintenance transaction ([`MaintIndex::commit`] over a slice of
 //! [`MaintOp`]s) appends and/or removes records, commits the resulting
-//! store delta as **one atomic WAL transaction group**, and publishes a
-//! fresh generation.
+//! store delta as **one atomic WAL transaction group**, and makes a
+//! fresh generation current. `MaintIndex` is a plain value: `commit`
+//! and `compact` take `&mut self`, and it holds no lock of its own.
 //!
 //! # Commit protocol (rebuild-diff)
 //!
@@ -28,44 +29,52 @@
 //! The cost is a rebuild per transaction — acceptable for the paper's
 //! corpus scale, and an explicit trade the DESIGN.md section records.
 //!
-//! # Publishing a generation
+//! # Making a generation current
 //!
 //! ```text
-//! commit:  writer lock → apply_batch (WAL)
-//!            → durable.snapshot() (O(1)) → new KvBackedIndex at gen+1
-//!            → cache.set_current_gen(gen+1)   (stale inserts now refused)
-//!            → cache.invalidate(changed ids)  (stale entries dropped)
-//!            → writer state holds the new reader
+//! commit:  build → persist to scratch → diff → apply_batch (WAL)
+//!            ── nothing below can fail ──
+//!            → cache.publish(gen+1, changed ids)
+//!                 (stale inserts refused, then stale entries dropped)
+//!            → new KvBackedIndex at gen+1: the build's document,
+//!              vocabulary and statistics over durable.snapshot() (O(1))
+//!            → seq advances
 //! ```
 //!
-//! The epoch pointer readers pin is `LiveEngine`'s (xrefine): it takes
-//! [`MaintIndex::snapshot`] after the writer lock is released and
-//! republishes its engine over it. Readers holding an earlier reader
-//! keep serving from its pinned [`kvstore::Snapshot`] — they are never
-//! blocked and never see mixed state: the store copies its overlay on
-//! the first write after handing a snapshot out. Their re-decodes of
-//! invalidated lists are admitted to the cache only if their generation
-//! is still current (see [`crate::cache`]).
+//! The new reader is assembled from the commit's own build rather than
+//! decoded back from the store, so once the WAL append returns, the
+//! writer's state moves with it: a durable batch is never reported as a
+//! failure, and the next commit diffs against what the store holds.
+//!
+//! The epoch pointer readers pin is `LiveEngine`'s (xrefine): it holds
+//! this index behind its writer lock and, still holding it, builds an
+//! engine over [`MaintIndex::snapshot`] and swaps its pointer. Readers
+//! holding an earlier reader keep serving from its pinned
+//! [`kvstore::Snapshot`] — they are never blocked and never see mixed
+//! state: the store copies its overlay on the first write after handing
+//! a snapshot out. Their re-decodes of invalidated lists are admitted to
+//! the cache only if their generation is still current (see
+//! [`crate::cache`]).
 //!
 //! # Compaction
 //!
 //! [`MaintIndex::compact`] folds the WAL overlay into the base store via
 //! [`kvstore::DurableKv::checkpoint`] (write `.db.new`, fsync, rename
-//! over `.db`, fsync dir, then reset the WAL) and publishes the store's
-//! next snapshot — the new base, an empty overlay — as a new generation
+//! over `.db`, fsync dir, then reset the WAL) and makes the store's
+//! next snapshot — the new base, an empty overlay — a new generation,
+//! reusing the current reader's document, vocabulary and statistics,
 //! with **no cache invalidation**: the merged bytes are identical, so
 //! entries stamped by older generations keep hitting. That a checkpoint
 //! renames a file is `kvstore`'s business alone; earlier readers still
 //! read the old inode through the handle their snapshot pinned.
 
 use crate::cache::ListCache;
-use crate::kvindex::{KvBackedIndex, DEFAULT_CACHE_BUDGET};
+use crate::kvindex::KvBackedIndex;
 use crate::persist;
 use crate::postings::{read_varint, write_varint};
+use crate::stats::{KeywordTable, TypeStats};
 use crate::stream::build_streaming;
 use kvstore::{BatchOp, DurableKv, KvError, KvStore, MemKv, Result, StdVfs, Vfs};
-use obs::lockrank::rank;
-use obs::sync::Mutex;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -105,22 +114,18 @@ pub struct MaintReport {
     pub removed: usize,
 }
 
-/// The single-writer state behind the writer mutex.
-struct Writer {
+/// A live, updatable index: a durable store plus the reader over its
+/// last committed state. A plain value with one owner: `commit` and
+/// `compact` take `&mut self`, so the type system serializes writers
+/// (`LiveEngine` holds it behind its one `maint.writer` lock), and a
+/// reader handed out keeps answering from its own snapshot whatever
+/// commits after it.
+pub struct MaintIndex {
     durable: DurableKv,
-    /// The reader over the last published state: its document is the
+    /// The reader over the last committed state: its document is the
     /// corpus and its generation the current one.
     reader: Arc<KvBackedIndex>,
     seq: u64,
-}
-
-/// A live, updatable index: a durable store plus the reader over its
-/// last published state. All methods take `&self`; commits are
-/// serialized by the writer mutex, and a reader handed out keeps
-/// answering from its own snapshot whatever commits after it.
-pub struct MaintIndex {
-    writer: Mutex<Writer>,
-    cache: Arc<ListCache>,
 }
 
 impl MaintIndex {
@@ -135,10 +140,9 @@ impl MaintIndex {
     /// crash-recovery testing).
     pub fn open_with_vfs(vfs: Arc<dyn Vfs>, base: &Path) -> Result<Self> {
         let durable = DurableKv::open_with_vfs(vfs, base)?;
-        let view = durable.snapshot();
-        let doc = Arc::new(persist::load_document(&view)?);
-        let records = record_count(&doc);
-        let seq = match view.get(MAINT_KEY)? {
+        let reader = Arc::new(KvBackedIndex::open_snapshot(durable.snapshot())?);
+        let records = record_count(reader.document());
+        let seq = match durable.snapshot().get(MAINT_KEY)? {
             Some(value) => {
                 let (seq, count) = decode_maint_meta(&value)?;
                 if count != records as u64 {
@@ -151,45 +155,28 @@ impl MaintIndex {
             }
             None => 0,
         };
-        let cache = Arc::new(ListCache::new(DEFAULT_CACHE_BUDGET));
-        let reader = Arc::new(KvBackedIndex::open_snapshot_with_document(
-            doc,
-            0,
-            view,
-            Arc::clone(&cache),
-        )?);
         obs::gauge!("maint_overlay_entries").set(durable.overlay_len() as i64);
         Ok(MaintIndex {
-            writer: Mutex::new(
-                rank::MAINT_WRITER,
-                Writer {
-                    durable,
-                    reader,
-                    seq,
-                },
-            ),
-            cache,
+            durable,
+            reader,
+            seq,
         })
     }
 
-    /// The reader over the last published state. One mutex, one `Arc`
-    /// clone; the returned reader stays valid (served from its pinned
-    /// snapshot) across any number of later commits. Blocks while a
-    /// commit is in flight — the query path never calls it: readers pin
-    /// `LiveEngine`'s engine, which takes this after each commit.
+    /// The reader over the last committed state: one `Arc` clone. The
+    /// returned reader stays valid (served from its pinned snapshot)
+    /// across any number of later commits.
     pub fn snapshot(&self) -> Arc<KvBackedIndex> {
-        Arc::clone(&self.writer.lock().reader) // xlint::lock(maint.writer)
+        Arc::clone(&self.reader)
     }
 
-    /// Commits `ops` as one atomic WAL transaction and publishes the
-    /// new generation. On any error the store and the published reader
-    /// are unchanged (a failed WAL append is rolled back by recovery).
-    pub fn commit(&self, ops: &[MaintOp]) -> Result<MaintReport> {
+    /// Commits `ops` as one atomic WAL transaction and makes the new
+    /// generation current. On an error the store and the current reader
+    /// are unchanged: every step that can fail runs before the WAL
+    /// append, and nothing after it can fail.
+    pub fn commit(&mut self, ops: &[MaintOp]) -> Result<MaintReport> {
         let started = Instant::now();
-        let report = {
-            let mut w = self.writer.lock(); // xlint::lock(maint.writer)
-            self.commit_locked(&mut w, ops)
-        };
+        let report = self.commit_ops(ops);
         match &report {
             Ok(r) => {
                 obs::counter!("maint_txns_total").inc();
@@ -210,10 +197,11 @@ impl MaintIndex {
         report
     }
 
-    fn commit_locked(&self, w: &mut Writer, ops: &[MaintOp]) -> Result<MaintReport> {
+    fn commit_ops(&mut self, ops: &[MaintOp]) -> Result<MaintReport> {
         // 1. Apply the ops to the current records, rendered from the
         //    document.
-        let mut records = render_records(w.reader.document());
+        let doc = self.reader.document();
+        let mut records = render_records(doc);
         let (mut added, mut removed) = (0usize, 0usize);
         for op in ops {
             match op {
@@ -237,28 +225,30 @@ impl MaintIndex {
         }
 
         // 2. Rebuild the post-transaction index in memory.
-        let xml = compose_corpus(w.reader.document(), &records);
+        let xml = compose_corpus(doc, &records);
         let built = build_streaming(&xml, 1)
             .map_err(|e| KvError::corrupt(format!("reconstructed corpus does not parse: {e}")))?;
-        let doc = Arc::clone(built.document());
         let mut target = MemKv::new();
         persist::persist(&built, &mut target)?;
-        let seq = w.seq + 1;
-        let count = record_count(&doc);
+        let seq = self.seq + 1;
+        let count = record_count(built.document());
         target.put(MAINT_KEY, &encode_maint_meta(seq, count as u64))?;
 
-        // 3. Diff against the live store; ship only the delta.
-        let batch = diff_stores(&w.durable.snapshot(), &target)?;
+        // 3. Diff against the live store; ship only the delta. The
+        //    append is the last step that can fail.
+        let batch = diff_stores(&self.durable.snapshot(), &target)?;
         let changed_lists = changed_list_ids(&batch);
-        w.durable.apply_batch(&batch)?;
+        self.durable.apply_batch(&batch)?;
 
-        // 4. Publish the new generation.
-        self.publish(w, doc, &changed_lists)?;
-        w.seq = seq;
-        obs::gauge!("maint_overlay_entries").set(w.durable.overlay_len() as i64);
+        // 4. The batch is durable: make its generation current from the
+        //    build itself, which is what the store now holds.
+        let (doc, vocab, _, stats) = built.into_parts();
+        self.advance(doc, vocab, stats, &changed_lists);
+        self.seq = seq;
+        obs::gauge!("maint_overlay_entries").set(self.durable.overlay_len() as i64);
         Ok(MaintReport {
             seq,
-            generation: w.reader.generation(),
+            generation: self.reader.generation(),
             records: count,
             batch_ops: batch.len(),
             added,
@@ -266,39 +256,38 @@ impl MaintIndex {
         })
     }
 
-    /// Opens a reader over the store's next snapshot as generation
-    /// `gen + 1`, retargets the cache, and makes the reader the writer's
-    /// current one. Ordering matters: the generation bump is published
-    /// to the cache *before* invalidation, so a stale reader that races
-    /// the sweep cannot re-seed an entry we just dropped (its insert
-    /// carries the old generation and is refused under the cache mutex).
-    fn publish(&self, w: &mut Writer, doc: Arc<Document>, changed_lists: &[u32]) -> Result<()> {
-        let gen = w.reader.generation() + 1;
-        let reader = Arc::new(KvBackedIndex::open_snapshot_with_document(
-            doc,
-            gen,
-            w.durable.snapshot(),
-            Arc::clone(&self.cache),
-        )?);
-        self.cache.set_current_gen(gen);
-        for &id in changed_lists {
-            self.cache.invalidate(id);
-        }
-        w.reader = reader;
-        Ok(())
+    /// Makes `doc`, `vocab` and `stats` over the store's current
+    /// snapshot the reader of the next generation, and publishes that
+    /// generation to the cache with the `changed` lists dropped
+    /// ([`ListCache::publish`]).
+    fn advance(
+        &mut self,
+        doc: Arc<Document>,
+        vocab: KeywordTable,
+        stats: TypeStats,
+        changed: &[u32],
+    ) {
+        let gen = self.reader.generation() + 1;
+        let cache = Arc::clone(self.reader.cache());
+        cache.publish(gen, changed);
+        let store = self.durable.snapshot();
+        self.reader = Arc::new(KvBackedIndex::from_parts(
+            doc, vocab, stats, gen, store, cache,
+        ));
     }
 
-    /// Folds the WAL overlay into the base store and publishes the
-    /// compacted state as a new generation (no cache invalidation: the
-    /// merged bytes are identical). Returns whether anything was folded.
-    pub fn compact(&self) -> Result<bool> {
-        let mut w = self.writer.lock(); // xlint::lock(maint.writer)
-        if w.durable.overlay_len() == 0 {
+    /// Folds the WAL overlay into the base store and makes the compacted
+    /// state a new generation over the same document, vocabulary and
+    /// statistics (no cache invalidation: the merged bytes are
+    /// identical). Returns whether anything was folded.
+    pub fn compact(&mut self) -> Result<bool> {
+        if self.durable.overlay_len() == 0 {
             return Ok(false);
         }
-        w.durable.checkpoint()?;
-        let doc = Arc::clone(w.reader.document());
-        self.publish(&mut w, doc, &[])?;
+        self.durable.checkpoint()?;
+        let r = &self.reader;
+        let doc = Arc::clone(r.document());
+        self.advance(doc, r.vocabulary().clone(), r.stats().clone(), &[]);
         obs::counter!("maint_compactions_total").inc();
         obs::counter!("maint_epochs_total").inc();
         obs::gauge!("maint_overlay_entries").set(0);
@@ -308,40 +297,35 @@ impl MaintIndex {
     /// Committed maintenance transactions so far (monotonic across
     /// compactions and restarts).
     pub fn seq(&self) -> u64 {
-        self.writer.lock().seq // xlint::lock(maint.writer)
+        self.seq
     }
 
     /// Records currently in the corpus.
     pub fn record_count(&self) -> usize {
-        record_count(&self.document())
+        record_count(self.reader.document())
     }
 
     /// Canonical record fragments, in slot order.
     pub fn records(&self) -> Vec<String> {
-        render_records(&self.document())
+        render_records(self.reader.document())
     }
 
     /// The full corpus as one XML document (what a from-scratch build
     /// of the current state would ingest).
     pub fn full_xml(&self) -> String {
-        let doc = self.document();
-        compose_corpus(&doc, &render_records(&doc))
+        let doc = self.reader.document();
+        compose_corpus(doc, &render_records(doc))
     }
 
     /// Entries (puts and deletes) accumulated in the WAL overlay since
     /// the last compaction.
     pub fn overlay_len(&self) -> usize {
-        self.writer.lock().durable.overlay_len() // xlint::lock(maint.writer)
+        self.durable.overlay_len()
     }
 
     /// The shared list cache (one instance across all generations).
     pub fn cache(&self) -> &Arc<ListCache> {
-        &self.cache
-    }
-
-    /// The current corpus document.
-    fn document(&self) -> Arc<Document> {
-        Arc::clone(self.writer.lock().reader.document()) // xlint::lock(maint.writer)
+        self.reader.cache()
     }
 }
 
@@ -452,8 +436,9 @@ pub fn decode_maint_meta(value: &[u8]) -> Result<(u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kvstore::{DiskKv, Fault, FaultVfs};
+    use kvstore::{DiskKv, Fault, FaultVfs, VfsFile};
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use xmldom::parse_document;
 
     const CORPUS: &str = "<bib>\
@@ -487,7 +472,7 @@ mod tests {
     #[test]
     fn add_and_remove_round_trip_through_commits() {
         let (vfs, base) = fresh();
-        let maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
+        let mut maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
         assert_eq!(maint.record_count(), 2);
         assert_eq!(maint.seq(), 0);
 
@@ -510,7 +495,7 @@ mod tests {
     #[test]
     fn committed_store_is_byte_identical_to_a_fresh_build() {
         let (vfs, base) = fresh();
-        let maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
+        let mut maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
         maint
             .commit(&[
                 add("<paper><title>stack algorithms</title><year>2004</year></paper>"),
@@ -542,7 +527,7 @@ mod tests {
     #[test]
     fn old_snapshot_keeps_answering_across_commits_and_compaction() {
         let (vfs, base) = fresh();
-        let maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
+        let mut maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
         let old = maint.snapshot();
         let old_refinement = old.list_handle("refinement").unwrap().len();
         assert!(old_refinement > 0);
@@ -562,12 +547,12 @@ mod tests {
     fn reopen_after_commits_restores_seq_and_records() {
         let (vfs, base) = fresh();
         {
-            let maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
+            let mut maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
             maint
                 .commit(&[add("<paper><title>third</title></paper>")])
                 .unwrap();
         }
-        let maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
+        let mut maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
         assert_eq!(maint.seq(), 1);
         assert_eq!(maint.record_count(), 3);
         // seq survives a compaction + reopen too.
@@ -582,7 +567,7 @@ mod tests {
     #[test]
     fn failed_ops_leave_store_and_epoch_untouched() {
         let (vfs, base) = fresh();
-        let maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
+        let mut maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
         let before = maint.snapshot();
         for ops in [
             add("<unclosed>"),
@@ -631,14 +616,14 @@ mod tests {
     #[test]
     fn raw_fragments_leave_the_store_a_dom_round_trip_would() {
         let (vfs, base) = fresh();
-        let maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
+        let mut maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
         for ops in raw_fragment_ops(str::to_string) {
             maint.commit(&ops).unwrap();
         }
 
         // The same ops with each fragment parsed and re-rendered first.
         let (dom_vfs, dom_base) = fresh();
-        let dom_maint = MaintIndex::open_with_vfs(dom_vfs.as_dyn(), &dom_base).unwrap();
+        let mut dom_maint = MaintIndex::open_with_vfs(dom_vfs.as_dyn(), &dom_base).unwrap();
         for ops in raw_fragment_ops(|f| parse_document(f).unwrap().to_xml()) {
             dom_maint.commit(&ops).unwrap();
         }
@@ -675,7 +660,7 @@ mod tests {
     #[test]
     fn a_fragment_too_deep_for_the_corpus_root_is_refused() {
         let (vfs, base) = fresh();
-        let maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
+        let mut maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
         // Exactly the scanner's limit on its own, one level over it under
         // the root; and one far past it.
         let at_limit = nested(MAX_SCAN_DEPTH);
@@ -690,7 +675,7 @@ mod tests {
     #[test]
     fn a_deep_fragment_commits_and_renders_in_linear_space() {
         let (vfs, base) = fresh();
-        let maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
+        let mut maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
         let deep = nested(8_000);
         assert_eq!(deep.len(), 56_000);
         maint.commit(&[MaintOp::Add { fragment: deep }]).unwrap();
@@ -715,7 +700,7 @@ mod tests {
     #[test]
     fn a_commit_on_a_full_disk_fails_and_publishes_nothing() {
         let (vfs, base) = fresh();
-        let maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
+        let mut maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
         maint
             .commit(&[add("<paper><title>committed</title></paper>")])
             .unwrap();
@@ -734,13 +719,115 @@ mod tests {
 
         vfs.clear_fault();
         drop(maint);
-        let maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
+        let mut maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
         assert_eq!((maint.seq(), maint.record_count()), (1, 3));
         let snap = maint.snapshot();
         assert!(!snap.list_handle("committed").unwrap().is_empty());
         assert!(snap.list_handle("refused").unwrap().is_empty());
         // With space back, the refused commit goes through.
         assert_eq!(maint.commit(&[refused]).unwrap().records, 4);
+    }
+
+    /// Read faults for [`ReadFaultVfs`]: the first `.wal` fsync after
+    /// `armed` is set sets `failing`, and every `.db` read fails while
+    /// it stays set.
+    #[derive(Default)]
+    struct ReadFaults {
+        armed: AtomicBool,
+        failing: AtomicBool,
+    }
+
+    struct ReadFaultVfs {
+        inner: Arc<dyn Vfs>,
+        faults: Arc<ReadFaults>,
+    }
+
+    struct ReadFaultFile {
+        inner: Box<dyn VfsFile>,
+        extension: Option<String>,
+        faults: Arc<ReadFaults>,
+    }
+
+    impl Vfs for ReadFaultVfs {
+        fn open(&self, path: &Path) -> Result<Box<dyn VfsFile>> {
+            Ok(Box::new(ReadFaultFile {
+                inner: self.inner.open(path)?,
+                extension: path.extension().map(|e| e.to_string_lossy().into_owned()),
+                faults: Arc::clone(&self.faults),
+            }))
+        }
+        fn exists(&self, path: &Path) -> bool {
+            self.inner.exists(path)
+        }
+        fn remove(&self, path: &Path) -> Result<()> {
+            self.inner.remove(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn sync_parent_dir(&self, path: &Path) -> Result<()> {
+            self.inner.sync_parent_dir(path)
+        }
+    }
+
+    impl VfsFile for ReadFaultFile {
+        fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+            if self.extension.as_deref() == Some("db") && self.faults.failing.load(Ordering::SeqCst)
+            {
+                return Err(KvError::Io(std::io::Error::other("injected read error")));
+            }
+            self.inner.read_exact_at(offset, buf)
+        }
+        fn write_all_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+            self.inner.write_all_at(offset, data)
+        }
+        fn set_len(&self, len: u64) -> Result<()> {
+            self.inner.set_len(len)
+        }
+        fn len(&self) -> Result<u64> {
+            self.inner.len()
+        }
+        fn sync_data(&self) -> Result<()> {
+            self.inner.sync_data()?;
+            if self.extension.as_deref() == Some("wal")
+                && self.faults.armed.swap(false, Ordering::SeqCst)
+            {
+                self.faults.failing.store(true, Ordering::SeqCst);
+            }
+            Ok(())
+        }
+    }
+
+    /// Once the WAL append is durable the commit has happened, whatever
+    /// fails next: it reports success, `seq` advances with the batch,
+    /// and the next commit diffs against what the store holds, so both
+    /// records survive a reopen.
+    #[test]
+    fn nothing_after_the_wal_append_can_fail_a_commit() {
+        let (vfs, base) = fresh();
+        let faults = Arc::new(ReadFaults::default());
+        let faulty = Arc::new(ReadFaultVfs {
+            inner: vfs.as_dyn(),
+            faults: Arc::clone(&faults),
+        });
+        let mut maint = MaintIndex::open_with_vfs(faulty, &base).unwrap();
+        faults.armed.store(true, Ordering::SeqCst);
+        let first = maint.commit(&[add("<paper><title>first durable</title></paper>")]);
+        let fired = faults.failing.swap(false, Ordering::SeqCst);
+        assert!(fired, "the commit's WAL fsync turned the read faults on");
+        assert_eq!(first.unwrap().seq, 1);
+        let second = maint
+            .commit(&[add("<paper><title>second durable</title></paper>")])
+            .unwrap();
+        assert_eq!(second.seq, 2);
+
+        drop(maint);
+        let maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
+        assert_eq!((maint.seq(), maint.record_count()), (2, 4));
+        let snap = maint.snapshot();
+        for word in ["first", "second"] {
+            assert!(!snap.list_handle(word).unwrap().is_empty(), "{word}");
+        }
     }
 
     #[test]

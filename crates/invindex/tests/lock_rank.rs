@@ -5,7 +5,7 @@
 //! of held ranks and `debug_assert`s that acquisitions are strictly
 //! increasing. Eight threads hammer the real list cache (whose mutex
 //! carries `cache.lru` into the runtime checker) under a `maint.writer`
-//! mutex, then swap an `engine.epoch` pointer with the writer released —
+//! mutex, then swap an `engine.epoch` pointer nested inside the writer —
 //! the order a committing `LiveEngine` update uses. The inverted orders
 //! must panic, in debug builds only.
 
@@ -25,8 +25,8 @@ fn list(n: u32) -> Arc<PostingList> {
     Arc::new(l)
 }
 
-/// Writer, then cache beneath it, then the epoch with the writer
-/// released (the production update order) from eight threads at once:
+/// Writer, then cache beneath it, then the epoch still beneath the
+/// writer (the production update order) from eight threads at once:
 /// every acquisition is strictly increasing, so the checker stays quiet
 /// and nothing deadlocks.
 #[test]
@@ -47,19 +47,17 @@ fn eight_threads_nest_writer_cache_then_epoch_cleanly() {
                 barrier.wait();
                 for round in 0..ROUNDS {
                     let id = (t as u32) * ROUNDS + round;
-                    // The update path's shape: `MaintIndex::commit`
-                    // holds the writer mutex while it invalidates/seeds
-                    // cache entries (`cache.lru`, taken and released
-                    // inside each call); `LiveEngine::republish` then
-                    // swaps the engine pointer with the writer released.
-                    {
-                        let mut writer_guard = writer.lock();
-                        if cache.get(id).is_none() {
-                            cache.insert(id, list(id), 64);
-                        }
-                        cache.invalidate(id.wrapping_add(1));
-                        *writer_guard += 1;
+                    // The update path's shape: `LiveEngine::update`
+                    // holds the writer mutex while `MaintIndex::commit`
+                    // invalidates/seeds cache entries (`cache.lru`, taken
+                    // and released inside each call), then swaps the
+                    // engine pointer before it releases the writer.
+                    let mut writer_guard = writer.lock();
+                    if cache.get(id).is_none() {
+                        cache.insert(id, list(id), 64);
                     }
+                    cache.invalidate(id.wrapping_add(1));
+                    *writer_guard += 1;
                     *epoch.lock() += 1;
                 }
                 cache.check_invariants();

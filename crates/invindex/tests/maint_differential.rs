@@ -99,7 +99,7 @@ fn maintained_dump(vfs: &Arc<dyn Vfs>, base: &Path) -> BTreeMap<Vec<u8>, Vec<u8>
 
 /// Runs `txns` maintenance transactions (interleaving adds and removes,
 /// compacting every few commits) and returns the final corpus XML.
-fn run_workload(maint: &MaintIndex, rng: &mut XorShift, txns: usize) -> String {
+fn run_workload(maint: &mut MaintIndex, rng: &mut XorShift, txns: usize) -> String {
     let mut live = maint.record_count();
     for t in 0..txns {
         let mut ops = Vec::new();
@@ -135,9 +135,9 @@ fn maintained_store_is_byte_identical_to_scratch_rebuild_at_1_and_3_threads() {
         let base = PathBuf::from("/diff/store.db");
         seed_store(&dynvfs, &base);
 
-        let maint = MaintIndex::open_with_vfs(Arc::clone(&dynvfs), &base).unwrap();
+        let mut maint = MaintIndex::open_with_vfs(Arc::clone(&dynvfs), &base).unwrap();
         let mut rng = XorShift(0xD1FF_0000 + seed + 1);
-        let final_xml = run_workload(&maint, &mut rng, 14);
+        let final_xml = run_workload(&mut maint, &mut rng, 14);
         drop(maint);
 
         let live = maintained_dump(&dynvfs, &base);
@@ -180,9 +180,9 @@ fn snapshot_answers_like_an_in_memory_index_of_the_final_corpus() {
     let base = PathBuf::from("/diff/store.db");
     seed_store(&dynvfs, &base);
 
-    let maint = MaintIndex::open_with_vfs(Arc::clone(&dynvfs), &base).unwrap();
+    let mut maint = MaintIndex::open_with_vfs(Arc::clone(&dynvfs), &base).unwrap();
     let mut rng = XorShift(0xD1FF_CAFE);
-    let final_xml = run_workload(&maint, &mut rng, 10);
+    let final_xml = run_workload(&mut maint, &mut rng, 10);
 
     let doc = Arc::new(parse_document(&final_xml).unwrap());
     let oracle = Index::build(Arc::clone(&doc));
@@ -244,9 +244,9 @@ fn reopen_restores_the_maintained_state_exactly() {
     seed_store(&dynvfs, &base);
 
     let (final_xml, seq, records) = {
-        let maint = MaintIndex::open_with_vfs(Arc::clone(&dynvfs), &base).unwrap();
+        let mut maint = MaintIndex::open_with_vfs(Arc::clone(&dynvfs), &base).unwrap();
         let mut rng = XorShift(0x5EED_5EED);
-        let xml = run_workload(&maint, &mut rng, 8);
+        let xml = run_workload(&mut maint, &mut rng, 8);
         (xml, maint.seq(), maint.records())
     };
 

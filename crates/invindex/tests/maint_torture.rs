@@ -133,7 +133,10 @@ fn dump(maint: &MaintIndex) -> BTreeMap<Vec<u8>, Vec<u8>> {
 
 /// Runs the plan to completion (no faults expected). Returns the dump
 /// after every commit, keyed by maintenance sequence.
-fn reference_run(maint: &MaintIndex, plan: &[PlanOp]) -> BTreeMap<u64, BTreeMap<Vec<u8>, Vec<u8>>> {
+fn reference_run(
+    maint: &mut MaintIndex,
+    plan: &[PlanOp],
+) -> BTreeMap<u64, BTreeMap<Vec<u8>, Vec<u8>>> {
     let mut dumps = BTreeMap::new();
     dumps.insert(maint.seq(), dump(maint));
     for op in plan {
@@ -159,7 +162,7 @@ fn reference_run(maint: &MaintIndex, plan: &[PlanOp]) -> BTreeMap<u64, BTreeMap<
 
 /// Runs the plan until the filesystem dies. Returns acknowledged
 /// commits; panics on any error while the filesystem is still up.
-fn run_until_dead(vfs: &FaultVfs, maint: &MaintIndex, plan: &[PlanOp]) -> u64 {
+fn run_until_dead(vfs: &FaultVfs, maint: &mut MaintIndex, plan: &[PlanOp]) -> u64 {
     let mut acked = maint.seq();
     for op in plan {
         let failed = match op {
@@ -187,7 +190,7 @@ fn run_until_dead(vfs: &FaultVfs, maint: &MaintIndex, plan: &[PlanOp]) -> u64 {
 /// Re-issues the plan from after the `recovered`-th commit and asserts
 /// the final state matches the fault-free final dump.
 fn finish_plan(
-    maint: &MaintIndex,
+    maint: &mut MaintIndex,
     plan: &[PlanOp],
     recovered: u64,
     final_dump: &BTreeMap<Vec<u8>, Vec<u8>>,
@@ -241,8 +244,8 @@ fn power_cut_at_every_io_boundary_recovers_to_a_committed_prefix() {
     let dynvfs = vfs.as_dyn();
     seed_store(&dynvfs, &base);
     let setup_ops = vfs.op_count();
-    let maint = MaintIndex::open_with_vfs(Arc::clone(&dynvfs), &base).unwrap();
-    let dumps = reference_run(&maint, &plan);
+    let mut maint = MaintIndex::open_with_vfs(Arc::clone(&dynvfs), &base).unwrap();
+    let dumps = reference_run(&mut maint, &plan);
     let total_ops = vfs.op_count();
     drop(maint);
     let last_seq = *dumps.keys().next_back().unwrap();
@@ -265,7 +268,7 @@ fn power_cut_at_every_io_boundary_recovers_to_a_committed_prefix() {
             vfs.set_fault(cut, Fault::PowerCut(mode));
 
             let acked = match MaintIndex::open_with_vfs(Arc::clone(&dynvfs), &base) {
-                Ok(maint) => run_until_dead(&vfs, &maint, &plan),
+                Ok(mut maint) => run_until_dead(&vfs, &mut maint, &plan),
                 Err(_) => {
                     assert!(vfs.is_dead(), "open failed while the filesystem was up");
                     0
@@ -275,7 +278,7 @@ fn power_cut_at_every_io_boundary_recovers_to_a_committed_prefix() {
             vfs.power_cycle();
 
             // Committed-prefix consistency.
-            let maint = MaintIndex::open_with_vfs(Arc::clone(&dynvfs), &base)
+            let mut maint = MaintIndex::open_with_vfs(Arc::clone(&dynvfs), &base)
                 .unwrap_or_else(|e| panic!("cut {cut} ({mode:?}): recovery failed: {e}"));
             let recovered = maint.seq();
             assert!(
@@ -289,7 +292,7 @@ fn power_cut_at_every_io_boundary_recovers_to_a_committed_prefix() {
             );
 
             // Recovery continues to completion.
-            finish_plan(&maint, &plan, recovered, final_dump);
+            finish_plan(&mut maint, &plan, recovered, final_dump);
 
             boundaries_cut += 1;
             cut += stride();

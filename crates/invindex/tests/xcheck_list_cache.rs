@@ -4,12 +4,14 @@
 //! xcheck_list_cache`.
 //!
 //! A reader that decoded a list at the generation it loaded inserts it
-//! with `insert_at`, racing a committing writer that bumps the
-//! generation and invalidates the list. However the two interleave,
-//! once the invalidation has run `get` must not serve the list decoded
-//! at the old generation. The race shows at lock granularity: the
-//! generation is a plain atomic, and the reader yields at `insert_at`'s
-//! lock with the old generation in hand.
+//! with `insert_at`, racing a committing writer whose
+//! `ListCache::publish` bumps the generation and invalidates the list.
+//! However the two interleave, once the invalidation has run `get` must
+//! not serve the list decoded at the old generation. This checks both
+//! the admission guard in `insert_at` and the order of the two steps in
+//! `publish`. The race shows at lock granularity: the generation lives
+//! under the cache mutex, so the reader's read of it, its insert, the
+//! writer's bump and its invalidation are four yield points.
 
 use invindex::postings::PostingList;
 use invindex::ListCache;
@@ -51,11 +53,10 @@ fn reader(s: &State) {
     s.cache.insert_at(ID, list, 10, gen);
 }
 
-/// A committing writer: publish generation 1, then drop the list it
-/// changed.
+/// A committing writer: publish generation 1, which changed the list,
+/// through the method `MaintIndex` calls.
 fn writer(s: &State) {
-    s.cache.set_current_gen(1);
-    s.cache.invalidate(ID);
+    s.cache.publish(1, &[ID]);
 }
 
 #[test]

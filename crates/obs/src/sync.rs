@@ -15,7 +15,8 @@
 //! [`crate::lockrank::rank`] because each critical section leaves
 //! its data valid at every step (an LRU, a memo table, a metric-name
 //! map, an epoch pointer swapped with a single store, a queue and its
-//! closed flag, a file handle), and it keeps one crashed request from
+//! closed flag, a file handle, a maintained index that a commit changes
+//! only after its WAL append), and it keeps one crashed request from
 //! turning every later request into a panic.
 //!
 //! Built with `RUSTFLAGS="--cfg xcheck"`, the two types sit on the

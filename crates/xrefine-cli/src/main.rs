@@ -290,7 +290,7 @@ fn build_store(data: &str, store_path: &str, threads: usize) -> Result<(), Strin
 /// transaction through the WAL, with an optional compaction after.
 fn update_store(store_path: &str, ops: &[UpdateOp], compact: bool) -> Result<(), String> {
     use invindex::MaintOp;
-    let maint = invindex::MaintIndex::open(std::path::Path::new(store_path))
+    let mut maint = invindex::MaintIndex::open(std::path::Path::new(store_path))
         .map_err(|e| format!("cannot open maintained store {store_path}: {e}"))?;
     if !ops.is_empty() {
         let ops: Vec<MaintOp> = ops
@@ -751,7 +751,7 @@ mod tests {
         invindex::persist::persist(&built, &mut disk).unwrap();
         disk.sync().unwrap();
         drop(disk);
-        let maint = invindex::MaintIndex::open_with_vfs(vfs.as_dyn(), &db).unwrap();
+        let mut maint = invindex::MaintIndex::open_with_vfs(vfs.as_dyn(), &db).unwrap();
         maint
             .commit(&[invindex::MaintOp::Add {
                 fragment: "<paper><title>epoch handoff</title></paper>".into(),
@@ -792,7 +792,7 @@ mod tests {
         assert!(!dyn_vfs.exists(nope) && vfs.op_count() == ops_before);
 
         // The next writer open repairs both leftovers and commits on.
-        let maint = invindex::MaintIndex::open_with_vfs(vfs.as_dyn(), &db).unwrap();
+        let mut maint = invindex::MaintIndex::open_with_vfs(vfs.as_dyn(), &db).unwrap();
         assert!(!dyn_vfs.exists(&tmp));
         assert_eq!(vfs.read_file(&wal).unwrap().len(), intact_wal);
         assert_eq!((maint.seq(), maint.record_count()), (1, 2));

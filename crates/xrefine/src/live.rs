@@ -1,118 +1,113 @@
 //! Live (updatable) engine: an [`XRefineEngine`] kept current over an
 //! online-maintained store.
 //!
-//! [`LiveEngine`] pairs a [`MaintIndex`] — the WAL-backed updating store
-//! — with a republished query engine, and owns the one epoch pointer
-//! readers pin. Readers call [`LiveEngine::engine`] and get an `Arc` to
-//! an engine pinned to one index generation; they are never blocked by a
-//! committing writer. After each committed transaction the writer takes
-//! the store's new reader ([`MaintIndex::snapshot`]), rebuilds the engine
-//! façade over it (the vocabulary trigram index is the only derived
-//! state) and swaps the shared pointer.
+//! [`LiveEngine`] owns a [`MaintIndex`] — the WAL-backed updating store
+//! — behind its one writer lock, and the one epoch pointer readers pin.
+//! Readers call [`LiveEngine::engine`] and get an `Arc` to an engine
+//! pinned to one index generation; they take only the epoch lock, so a
+//! committing writer never blocks them. A commit runs under the writer
+//! lock and, still holding it, rebuilds the engine façade over the
+//! index's new reader (the vocabulary trigram index is the only derived
+//! state) and swaps the pointer.
 //!
-//! Lock order: `MaintIndex` takes `maint.writer` (9) for a commit and
-//! again, momentarily, for `snapshot`, and releases it before this
-//! module touches `engine.epoch` (11), so the hierarchy stays strictly
-//! increasing. The generation guard on the swap makes concurrent
-//! `update` calls safe: a commit that loses the race to republish cannot
-//! roll the engine back to an older snapshot.
+//! Lock order: `maint.writer` (9), then `engine.epoch` (11) nested
+//! inside it for the swap — strictly increasing. The lock that orders
+//! commits also orders the swaps, so engines are published in commit
+//! order and the published generation never goes down.
 
 use crate::engine::{EngineConfig, XRefineEngine};
 use invindex::maint::{MaintIndex, MaintOp, MaintReport};
 use kvstore::{Result, Vfs};
 use obs::lockrank::rank;
-use obs::sync::Mutex;
+use obs::sync::{Mutex, MutexGuard};
 use std::path::Path;
 use std::sync::Arc;
 
 /// An updatable engine over a maintained store.
 pub struct LiveEngine {
-    maint: MaintIndex,
+    /// The single writer: commits and compactions run under this lock.
+    maint: Mutex<MaintIndex>,
     config: EngineConfig,
-    /// Generation-stamped published engine, held only for pointer reads
-    /// and guarded swaps: the protected state is a complete, immutable
-    /// snapshot pair at every step, which is what `obs::sync`'s
-    /// recover-on-poison policy requires.
-    engine: Mutex<(u64, Arc<XRefineEngine>)>,
+    /// The published engine, held only for a pointer read or a swap:
+    /// the protected state is a complete, immutable engine at every
+    /// step, which is what `obs::sync`'s recover-on-poison policy
+    /// requires.
+    engine: Mutex<Arc<XRefineEngine>>,
 }
 
 impl LiveEngine {
     /// Opens (or recovers) the maintained store at `base` and builds the
     /// initial engine from its current snapshot.
     pub fn open(base: &Path, config: EngineConfig) -> Result<Self> {
-        Self::from_maint(MaintIndex::open(base)?, config)
+        Ok(Self::from_maint(MaintIndex::open(base)?, config))
     }
 
     /// As [`LiveEngine::open`], on an explicit VFS (tests, fault
     /// injection).
     pub fn open_with_vfs(vfs: Arc<dyn Vfs>, base: &Path, config: EngineConfig) -> Result<Self> {
-        Self::from_maint(MaintIndex::open_with_vfs(vfs, base)?, config)
+        Ok(Self::from_maint(
+            MaintIndex::open_with_vfs(vfs, base)?,
+            config,
+        ))
     }
 
-    fn from_maint(maint: MaintIndex, config: EngineConfig) -> Result<Self> {
-        let snap = maint.snapshot();
-        let gen = snap.generation();
-        let engine = Arc::new(XRefineEngine::from_reader(snap, config.clone()));
-        Ok(LiveEngine {
-            maint,
+    fn from_maint(maint: MaintIndex, config: EngineConfig) -> Self {
+        let engine = Arc::new(XRefineEngine::from_reader(maint.snapshot(), config.clone()));
+        LiveEngine {
+            maint: Mutex::new(rank::MAINT_WRITER, maint),
             config,
-            engine: Mutex::new(rank::ENGINE_EPOCH, (gen, engine)),
-        })
+            engine: Mutex::new(rank::ENGINE_EPOCH, engine),
+        }
     }
 
     /// The currently published engine. The returned `Arc` stays valid —
     /// and keeps answering from its pinned generation — across any
     /// number of subsequent commits.
     pub fn engine(&self) -> Arc<XRefineEngine> {
-        Arc::clone(&self.engine.lock().1) // xlint::lock(engine.epoch)
+        Arc::clone(&self.engine.lock()) // xlint::lock(engine.epoch)
     }
 
     /// Generation of the currently published engine.
     pub fn generation(&self) -> u64 {
-        self.engine.lock().0 // xlint::lock(engine.epoch)
+        self.engine().index().generation()
     }
 
     /// Commits a maintenance transaction and republishes the engine.
     pub fn update(&self, ops: &[MaintOp]) -> Result<MaintReport> {
-        let report = self.maint.commit(ops)?;
-        self.republish();
+        let mut maint = self.maint.lock(); // xlint::lock(maint.writer)
+        let report = maint.commit(ops)?;
+        self.republish(&maint);
         Ok(report)
     }
 
     /// Folds the WAL overlay into the base store; republishes only if a
     /// compaction actually ran.
     pub fn compact(&self) -> Result<bool> {
-        let ran = self.maint.compact()?;
+        let mut maint = self.maint.lock(); // xlint::lock(maint.writer)
+        let ran = maint.compact()?;
         if ran {
-            self.republish();
+            self.republish(&maint);
         }
         Ok(ran)
     }
 
-    /// The underlying maintained index (sequence, records, metrics).
-    pub fn maint(&self) -> &MaintIndex {
-        &self.maint
+    /// The underlying maintained index (sequence, records, metrics),
+    /// under the writer lock: hold the guard briefly, since it holds off
+    /// every commit, and commit through [`Self::update`], which also
+    /// republishes the engine.
+    pub fn maint(&self) -> MutexGuard<'_, MaintIndex> {
+        self.maint.lock() // xlint::lock(maint.writer)
     }
 
-    /// Rebuilds the engine façade from the latest snapshot and installs
-    /// it. Runs after `maint.writer` is released: see the lock order.
-    fn republish(&self) {
-        let snap = self.maint.snapshot();
-        let gen = snap.generation();
-        self.install(
-            gen,
-            Arc::new(XRefineEngine::from_reader(snap, self.config.clone())),
-        );
-    }
-
-    /// Publishes `engine` as generation `gen`, unless a racing caller
-    /// already published something newer: the published generation
-    /// never goes down. The swap the model checker drives.
-    fn install(&self, gen: u64, engine: Arc<XRefineEngine>) {
-        let mut slot = self.engine.lock(); // xlint::lock(engine.epoch)
-        if gen > slot.0 {
-            *slot = (gen, engine);
-        }
+    /// Builds the engine façade over `maint`'s current reader and swaps
+    /// it in. The caller holds the writer lock, so swaps happen in
+    /// commit order.
+    fn republish(&self, maint: &MaintIndex) {
+        let engine = Arc::new(XRefineEngine::from_reader(
+            maint.snapshot(),
+            self.config.clone(),
+        ));
+        *self.engine.lock() = engine; // xlint::lock(engine.epoch)
     }
 }
 
@@ -357,77 +352,5 @@ mod tests {
             assert_eq!(writer.join().unwrap().unwrap().added, 1);
         });
         assert!(live.engine().answer("epoch").unwrap().original_ok);
-    }
-
-    /// Model check of the guarded swap, run on the code that ships:
-    /// `RUSTFLAGS="--cfg xcheck" cargo test -p xrefine --lib xcheck_install`.
-    /// Two `install`s of prebuilt engines, at generations g+1 and g+2,
-    /// race a reader of `generation()`. The published generation must
-    /// never go down — as the reader sees it, and at the end, where g+2
-    /// is published whatever the order.
-    #[cfg(xcheck)]
-    mod xcheck_install {
-        use super::*;
-
-        struct State {
-            live: LiveEngine,
-            /// Engines built from the two commits after the published
-            /// generation, not yet installed.
-            next: [(u64, Arc<XRefineEngine>); 2],
-        }
-
-        fn setup() -> State {
-            let (vfs, base) = fresh();
-            let live = LiveEngine::open_with_vfs(vfs, &base, EngineConfig::default()).unwrap();
-            let next = ["keyword", "refinement"].map(|word| {
-                let fragment = format!("<paper><title>{word}</title></paper>");
-                live.maint().commit(&[MaintOp::Add { fragment }]).unwrap();
-                let snap = live.maint().snapshot();
-                let gen = snap.generation();
-                let engine = XRefineEngine::from_reader(snap, EngineConfig::default());
-                (gen, Arc::new(engine))
-            });
-            assert_eq!(next[1].0, live.generation() + 2);
-            State { live, next }
-        }
-
-        fn install_first(s: &State) {
-            s.live.install(s.next[0].0, Arc::clone(&s.next[0].1));
-        }
-
-        fn install_second(s: &State) {
-            s.live.install(s.next[1].0, Arc::clone(&s.next[1].1));
-        }
-
-        fn reader(s: &State) {
-            let (first, second) = (s.live.generation(), s.live.generation());
-            assert!(
-                second >= first,
-                "published generation went down: {first} -> {second}"
-            );
-        }
-
-        #[test]
-        fn installs_racing_a_reader_never_publish_an_older_generation() {
-            let explore = || {
-                xcheck::explore(
-                    &xcheck::Config::default(),
-                    setup,
-                    &[install_first, install_second, reader],
-                    |s| match (s.live.generation(), s.next[1].0) {
-                        (published, newest) if published == newest => Ok(()),
-                        (published, newest) => Err(format!(
-                            "published generation went down: {published} is published \
-                             after generation {newest} was installed"
-                        )),
-                    },
-                )
-            };
-            let out = explore();
-            assert!(out.passed(), "violation: {:?}", out.violation);
-            assert!(out.schedules > 1, "the swap must branch: {}", out.schedules);
-            let again = explore().schedules;
-            assert_eq!(again, out.schedules, "exploration is deterministic");
-        }
     }
 }

@@ -93,7 +93,8 @@ fn reopened_live_engine_still_matches_the_scratch_engine() {
         }])
         .unwrap();
         live.update(&[MaintOp::Remove { slot: 0 }]).unwrap();
-        live.maint().full_xml()
+        let xml = live.maint().full_xml();
+        xml
     };
 
     let live = LiveEngine::open_with_vfs(Arc::clone(&vfs), &base, EngineConfig::default()).unwrap();

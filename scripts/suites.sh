@@ -71,8 +71,9 @@
 #                  fixtures, rustdoc with warnings denied (a
 #                  dangling or private intra-doc link fails), the xcheck
 #                  scheduler's and property runner's self-tests, then the
-#                  model checks of the real ListCache, admission Gate and
-#                  live-engine swap (built with --cfg xcheck into
+#                  model checks of the real ListCache (its admission
+#                  guard and its publish order) and admission Gate
+#                  (built with --cfg xcheck into
 #                  target/xcheck), and each seeded patch in
 #                  crates/*/seeded/ applied to a copy of the tree, where
 #                  its check — a model check, a clippy run or the crash
@@ -167,7 +168,6 @@ suite_bench_e2e() {
 XCHECKS=(
     "-p invindex --test xcheck_list_cache"
     "-p xserve --test xcheck_admission"
-    "-p xrefine --lib xcheck_install"
 )
 
 XCHECK_TARGET="$PWD/target/xcheck"
