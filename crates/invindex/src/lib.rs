@@ -13,9 +13,10 @@
 //!   fresh build, through an LRU byte-budget cache ([`cache`]);
 //! * [`stats`]: the frequency tables (`N_T`, `G_T`, `tf(k,T)`, `f^T_k`);
 //! * [`cooccur`]: memoized co-occurrence frequencies `f^T_{ki,kj}`;
-//! * [`cursor`]: [`ListCursor`], the one cursor over a list, counting
-//!   its advances (used to *prove* the one-scan property of the
-//!   refinement algorithms in tests);
+//! * [`cursor`]: [`ScanStats`], the advance and random-access counters
+//!   (used to *prove* the one-scan property of the refinement algorithms
+//!   in tests), and [`ListCursor`], Algorithm 1's posting-by-posting
+//!   cursor;
 //! * [`stream`]: the streaming builder — zero-copy span scan, parallel
 //!   chunked tokenization, deterministic merge (byte-identical stores
 //!   with the DOM oracle [`Index::build`]);
@@ -41,12 +42,12 @@ pub mod stats;
 pub mod stream;
 
 pub use cache::{CacheStats, ListCache};
-pub use cursor::{ListCursor, ScanStats, HEAD_AT_END, HEAD_AT_ROOT};
+pub use cursor::{ListCursor, ScanStats};
 pub use index::Index;
 pub use kvindex::KvBackedIndex;
 pub use maint::{MaintIndex, MaintOp, MaintReport};
 pub use persist::{verify_store, IntegrityReport, SectionReport};
-pub use postings::{BlockMeta, CompressedList, Posting, PostingList, BLOCK_POSTINGS};
+pub use postings::{BlockMeta, CompressedList, Posting, PostingList, BLOCK_POSTINGS, HEAD_AT_ROOT};
 pub use reader::{gallop, ListHandle, PartitionRuns};
 pub use stats::{KeywordId, KeywordTable, TypeStats};
 pub use stream::build_streaming;

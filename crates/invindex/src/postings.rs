@@ -10,15 +10,15 @@
 //! postings that stand in the same partition (Definition 6.1, the
 //! subtree of one child of the document root), holding the partition as
 //! one integer and the index where the run starts. It is the structure
-//! Algorithm 2's walk moves over — a [`ListCursor`] steps run to run and
-//! never compares a label. The table is derived from the labels wherever
-//! a list is made — by [`PostingList::from_sorted`] and
-//! [`PostingList::push`], which the builders use, and by
-//! [`CompressedList::decode_all`], which extends it posting by posting
-//! as it decodes — and is never persisted: the stored format does not
-//! know it exists.
+//! Algorithm 2's walk and Scan Eager's run join move over — a
+//! [`PartitionRuns`] cursor seeks from run to run and never compares a
+//! label. The table is derived from the labels wherever a list is made —
+//! by [`PostingList::from_sorted`] and [`PostingList::push`], which the
+//! builders use, and by [`CompressedList::decode_all`], which extends it
+//! posting by posting as it decodes — and is never persisted: the stored
+//! format does not know it exists.
 //!
-//! [`ListCursor`]: crate::cursor::ListCursor
+//! [`PartitionRuns`]: crate::PartitionRuns
 //!
 //! The wire encoding ([`PostingList::encode_compressed`] /
 //! [`CompressedList`]) groups postings into fixed-size blocks of
@@ -40,7 +40,6 @@
     )
 )]
 
-use crate::cursor::HEAD_AT_ROOT;
 use kvstore::{KvError, Result};
 use xmldom::{Dewey, NodeTypeId};
 
@@ -58,13 +57,17 @@ impl Posting {
     }
 }
 
+/// [`PartitionRun::head`] of a posting on the document root itself: it
+/// sorts before every partition.
+pub const HEAD_AT_ROOT: u64 = 0;
+
 /// The partition a label stands in, as one integer ordered the way the
 /// labels are: [`HEAD_AT_ROOT`] for the document root itself (a
 /// one-component label), `ordinal + 1` inside partition `0.ordinal`.
 pub(crate) fn partition_key(dewey: &Dewey) -> u64 {
     match dewey.components().get(1) {
         None => HEAD_AT_ROOT,
-        // At most 2^32, so below `HEAD_AT_END`.
+        // At most 2^32, so below `u64::MAX`.
         Some(&ordinal) => u64::from(ordinal).saturating_add(1),
     }
 }
@@ -72,9 +75,10 @@ pub(crate) fn partition_key(dewey: &Dewey) -> u64 {
 /// One maximal run of a list's postings that share a partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionRun {
-    /// The run's `partition_key`: what
-    /// [`ListCursor::head_partition`](crate::ListCursor::head_partition)
-    /// reports while the cursor stands in it.
+    /// The run's partition as one integer ordered the way the labels
+    /// are: [`HEAD_AT_ROOT`] for the document root itself, `ordinal + 1`
+    /// inside partition `0.ordinal` — what [`crate::PartitionRuns`]
+    /// reports while it stands in the run.
     pub head: u64,
     /// Index of the run's first posting in the list.
     pub start: usize,

@@ -90,19 +90,10 @@ impl ListHandle {
     /// Index, in the list's [`PostingList::runs`], of the partition run
     /// holding the view's first posting (a view may start in the middle
     /// of a run): a binary search over the runs.
-    pub(crate) fn first_run(&self) -> usize {
+    fn first_run(&self) -> usize {
         let runs = self.list.runs();
         runs.partition_point(|r| r.start <= self.start)
             .saturating_sub(1)
-    }
-
-    /// The `head` of run `run` of the list and where the run ends,
-    /// view-relative and clamped to the view; `None` past the last run.
-    pub(crate) fn run(&self, run: usize) -> Option<(u64, usize)> {
-        let mut rest = self.list.runs().get(run..)?.iter();
-        let head = rest.next()?.head;
-        let next = rest.next().map_or(self.list.len(), |r| r.start);
-        Some((head, next.min(self.end).saturating_sub(self.start)))
     }
 
     /// A cursor over the partition runs visible through this handle,
@@ -128,7 +119,9 @@ impl ListHandle {
 }
 
 /// A forward cursor over a [`ListHandle`]'s partition runs
-/// ([`ListHandle::partition_runs`]).
+/// ([`ListHandle::partition_runs`]). A copy is a second cursor over the
+/// same runs, standing where this one stands.
+#[derive(Clone)]
 pub struct PartitionRuns<'a> {
     /// The visible runs from the current one on; a run's `start` indexes
     /// the whole list.
@@ -139,17 +132,20 @@ pub struct PartitionRuns<'a> {
 }
 
 impl PartitionRuns<'_> {
-    /// The run the cursor stands in: its partition (as
-    /// [`ListCursor::head_partition`] reports it) and its view-relative
-    /// range, clamped to the view; `None` past the last run.
-    ///
-    /// [`ListCursor::head_partition`]: crate::ListCursor::head_partition
+    /// The run the cursor stands in: its partition (its
+    /// [`PartitionRun::head`]) and its view-relative range, clamped to the
+    /// view; `None` past the last run.
     pub fn current(&self) -> Option<(u64, Range<usize>)> {
         let mut rest = self.runs.iter();
         let run = rest.next()?;
         let end = rest.next().map_or(self.end, |next| next.start);
         let from = run.start.max(self.start) - self.start;
         Some((run.head, from..end - self.start))
+    }
+
+    /// The number of runs from the current one on.
+    pub fn remaining(&self) -> usize {
+        self.runs.len()
     }
 
     /// Moves to the first run whose partition is `head` or later, by
@@ -277,6 +273,58 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every run of the view, in order, by `current` and `seek`.
+    fn runs_of(h: &ListHandle) -> Vec<(u64, Range<usize>)> {
+        let mut runs = h.partition_runs();
+        let mut seen = Vec::new();
+        while let Some((head, range)) = runs.current() {
+            seen.push((head, range));
+            runs.seek(head + 1);
+        }
+        seen
+    }
+
+    #[test]
+    fn partition_runs_order_the_root_the_partitions_and_the_last_ordinal() {
+        let h = ListHandle::from_postings(ps(&["0", "0.0.3", "0.7", "0.7.1", "0.4294967295.1"]));
+        assert_eq!(
+            runs_of(&h),
+            [
+                (crate::postings::HEAD_AT_ROOT, 0..1),
+                (1, 1..2),
+                (8, 2..4),
+                (u64::from(u32::MAX) + 1, 4..5)
+            ]
+        );
+        assert_eq!(ListHandle::empty().partition_runs().current(), None);
+    }
+
+    #[test]
+    fn partition_runs_seek_forward_only_and_stay_inside_the_view() {
+        let h = ListHandle::from_postings(ps(&["0.0.0", "0.0.1", "0.1.0", "0.1.2", "0.2"]));
+        let mut runs = h.partition_runs();
+        runs.seek(2);
+        assert_eq!(runs.current(), Some((2, 2..4)));
+        // Seeking to where it stands, or behind it, does not move it.
+        runs.seek(2);
+        runs.seek(1);
+        assert_eq!(runs.current(), Some((2, 2..4)));
+        // A copy moves on its own.
+        let mut ahead = runs.clone();
+        ahead.seek(3);
+        assert_eq!(ahead.current(), Some((3, 4..5)));
+        assert_eq!(runs.current(), Some((2, 2..4)));
+        ahead.seek(4);
+        assert_eq!(ahead.current(), None);
+
+        // A view that starts and ends mid-run: its runs are clamped to it,
+        // view-relative.
+        assert_eq!(runs_of(&h.slice(1..3)), [(1, 0..1), (2, 1..2)]);
+        assert_eq!(runs_of(&h.slice(2..5).slice(1..3)), [(2, 0..1), (3, 1..2)]);
+        // An empty view in the middle of a list has no runs.
+        assert_eq!(h.slice(2..2).partition_runs().current(), None);
     }
 
     #[test]

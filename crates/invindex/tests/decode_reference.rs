@@ -62,7 +62,7 @@ mod reference {
     pub(crate) fn partition_key(dewey: &Dewey) -> u64 {
         match dewey.components().get(1) {
             None => HEAD_AT_ROOT,
-            // At most 2^32, so below `HEAD_AT_END`.
+            // At most 2^32, so below `u64::MAX`.
             Some(&ordinal) => u64::from(ordinal).saturating_add(1),
         }
     }

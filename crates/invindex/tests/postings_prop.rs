@@ -49,63 +49,59 @@ fn bounds_partition_the_list() {
     });
 }
 
-/// A cursor's partition skip (`ListCursor::skip_run`) against its
-/// binary-search definition (`ListHandle::partition_range`, which reads
-/// labels, not the run table), on the walk Algorithm 2 takes: the
-/// partition of the smallest head across all cursors, every cursor
+/// A run cursor's partition skip (`PartitionRuns::current`, then
+/// `seek` past it) against its binary-search definition
+/// (`ListHandle::partition_range`, which reads labels, not the run
+/// table), on the walk Algorithm 2 takes when it visits every partition:
+/// the partition of the smallest head across all cursors, every cursor
 /// standing in it skipped past it — the others hold nothing of it —
-/// root-level postings consumed one by one with `next()`.
+/// root-level runs sought past.
 #[test]
 fn skip_partition_matches_the_binary_search_definition() {
-    use invindex::{ListCursor, ScanStats};
-
     check(256, |g| {
         let handles: Vec<ListHandle> = g
             .vec(1..5, |g| ListHandle::from_postings(posting_set(g)))
             .into_iter()
             .collect();
-        let stats: Vec<_> = handles.iter().map(|_| ScanStats::new()).collect();
-        let mut cursors: Vec<ListCursor<'_>> = handles
-            .iter()
-            .zip(&stats)
-            .map(|(h, s)| ListCursor::new(h, s.clone()))
-            .collect();
+        let mut cursors: Vec<_> = handles.iter().map(|h| h.partition_runs()).collect();
+        for c in &mut cursors {
+            c.seek(invindex::HEAD_AT_ROOT + 1);
+        }
 
         let mut visited = 0usize;
-        while let Some(v) = cursors
+        let mut consumed = vec![0usize; handles.len()];
+        while let Some(head) = cursors
             .iter()
-            .filter_map(|c| c.peek())
-            .map(|p| p.dewey.clone())
+            .filter_map(|c| c.current())
+            .map(|r| r.0)
             .min()
         {
-            let Some(root) = v.partition() else {
-                for c in cursors.iter_mut() {
-                    if c.peek().is_some_and(|p| p.dewey == v) {
-                        c.next();
-                    }
-                }
-                continue;
-            };
-            let head = u64::from(root.components()[1]) + 1;
-            for ((c, handle), stats) in cursors.iter_mut().zip(&handles).zip(&stats) {
+            let root = Dewey::new(vec![0, u32::try_from(head - 1).unwrap()]).unwrap();
+            for ((c, handle), consumed) in cursors.iter_mut().zip(&handles).zip(&mut consumed) {
                 // The walk leaves every cursor at or before the
                 // partition, so the whole range is what gets consumed.
                 let expected = handle.partition_range(&root);
-                let before = stats.advances();
-                if c.head_partition() == head {
-                    assert_eq!(c.skip_run(), expected, "partition {root}");
-                } else {
-                    assert!(expected.is_empty(), "partition {root} missed");
-                    assert!(c.head_partition() > head);
+                match c.current() {
+                    Some((h, range)) if h == head => {
+                        assert_eq!(range, expected, "partition {root}");
+                        c.seek(head + 1);
+                    }
+                    other => {
+                        assert!(expected.is_empty(), "partition {root} missed");
+                        assert!(other.is_none_or(|(h, _)| h > head));
+                    }
                 }
-                assert_eq!(stats.advances() - before, expected.len() as u64);
-                assert_eq!(c.peek(), handle.postings().get(expected.end));
+                *consumed += expected.len();
+                let next = c.current().map_or(handle.len(), |(_, r)| r.start);
+                assert_eq!(next, expected.end, "cursor after partition {root}");
             }
             visited += 1;
         }
-        // One scan: every posting of every list was advanced over once.
-        for (handle, stats) in handles.iter().zip(&stats) {
-            assert_eq!(stats.advances(), handle.len() as u64);
+        // Every posting below the root lies in exactly one partition
+        // visited.
+        for (handle, consumed) in handles.iter().zip(&consumed) {
+            let below_root = handle.iter().filter(|p| p.dewey.len() > 1).count();
+            assert_eq!(*consumed, below_root);
         }
         assert!(visited <= 5);
     });
@@ -155,11 +151,12 @@ fn runs_by_label(postings: &[Posting]) -> Vec<(u64, usize)> {
 
 /// Every way a list comes into being — `from_sorted`, `push` one by one,
 /// and `encode_compressed` → `decode_all` — carries the by-label run
-/// table, and a cursor over any view of it (starting and ending mid-run
-/// included) reports exactly the runs of the view's own postings.
+/// table, and a run cursor over any view of it (starting and ending
+/// mid-run included) reports exactly the runs of the view's own
+/// postings.
 #[test]
 fn partition_runs_match_the_by_label_definition_however_the_list_is_built() {
-    use invindex::{CompressedList, ListCursor, PostingList, ScanStats, HEAD_AT_END};
+    use invindex::{CompressedList, PostingList};
     use std::sync::Arc;
 
     check(256, |g| {
@@ -183,15 +180,13 @@ fn partition_runs_match_the_by_label_definition_however_the_list_is_built() {
         let to = g.range(from..n + 1);
         let view = invindex::ListHandle::new(Arc::new(sorted)).slice(from..to);
         let in_view = runs_by_label(view.postings());
-        let stats = ScanStats::new();
-        let mut c = ListCursor::new(&view, Arc::clone(&stats));
+        let mut c = view.partition_runs();
         for (r, &(head, start)) in in_view.iter().enumerate() {
             let end = in_view.get(r + 1).map_or(view.len(), |next| next.1);
-            assert_eq!(c.head_partition(), head, "run {r} of view {from}..{to}");
-            assert_eq!(c.skip_run(), start..end, "run {r} of view {from}..{to}");
+            let want = Some((head, start..end));
+            assert_eq!(c.current(), want, "run {r} of view {from}..{to}");
+            c.seek(head + 1);
         }
-        assert_eq!(c.head_partition(), HEAD_AT_END);
-        assert_eq!(c.skip_run(), view.len()..view.len());
-        assert_eq!(stats.advances(), view.len() as u64);
+        assert_eq!(c.current(), None);
     });
 }

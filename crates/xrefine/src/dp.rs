@@ -43,6 +43,14 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::Range;
 
+/// A keyword set as bits over `KS`, bit `i` for `KS[i]`: how
+/// [`DpPlan::admissible`] enumerates sets, for key sets of at most
+/// [`KEY_BITS`] keywords.
+pub(crate) type KeyBits = u128;
+
+/// The widest key set [`KeyBits`] holds.
+pub(crate) const KEY_BITS: usize = KeyBits::BITS as usize;
+
 /// One step of a refinement sequence (Definition 3.6). A candidate's step
 /// list replays the exact derivation `Q -> RQ` the dynamic program chose.
 #[derive(Debug, Clone, PartialEq)]
@@ -336,6 +344,84 @@ impl DpPlan {
             plan: self,
             scratch,
         }
+    }
+
+    /// Every keyword set derivable over `available` whose dissimilarity
+    /// is below `bound`, as its exact dissimilarity — the cheapest of its
+    /// derivations, where [`run`](Self::run)'s beam may have kept a dearer
+    /// one or none — and its [`KeyBits`]; ascending by dissimilarity. `None`
+    /// when the prefixes hold more than `budget` sets in all, or `KS` has
+    /// more than [`KEY_BITS`] keywords.
+    ///
+    /// The recurrence is `run`'s without the beam: each prefix keeps every
+    /// distinct set below `bound`, at its cheapest cost. Both cuts are
+    /// exact because costs never fall along a derivation — rule and
+    /// deletion costs are non-negative and float addition is monotone —
+    /// so a prefix at or above `bound` cannot end below it, and of two
+    /// prefixes with one set the cheaper never ends dearer. A derivation
+    /// is priced by the same additions in the same order as in `run`, so
+    /// `run` never prices a set below what this returns for it.
+    pub(crate) fn admissible(
+        &self,
+        available: &KeyMask,
+        bound: f64,
+        budget: usize,
+    ) -> Option<Vec<(f64, KeyBits)>> {
+        if self.rank.len() > KEY_BITS {
+            return None;
+        }
+        let bit = |i: usize| -> KeyBits { 1 << i };
+        let rhs_bits = |rule: &PlanRule| {
+            let rhs = &self.rhs_pool[rule.rhs.clone()];
+            (rhs.iter().all(|&j| available.get(j))).then(|| rhs.iter().fold(0, |b, &j| b | bit(j)))
+        };
+        let n = self.positions.len();
+        let mut layers: Vec<Vec<(KeyBits, f64)>> = Vec::with_capacity(n + 1);
+        layers.push(vec![(0, 0.0)]);
+        let mut held = 0;
+        for i in 1..=n {
+            let rules = &self.rules[self.rule_start[i - 1]..self.rule_start[i]];
+            let mut next: Vec<(KeyBits, f64)> = Vec::with_capacity(
+                2 * layers[i - 1].len()
+                    + (rules.iter())
+                        .map(|r| layers[i - r.lhs_len].len())
+                        .sum::<usize>(),
+            );
+            let mut offer = |set: KeyBits, cost: f64| {
+                if cost < bound {
+                    next.push((set, cost));
+                }
+            };
+            let ki = self.positions[i - 1];
+            for &(set, cost) in &layers[i - 1] {
+                if available.get(ki) {
+                    offer(set | bit(ki), cost + 0.0);
+                }
+                offer(set, cost + self.deletion_cost);
+            }
+            for rule in rules {
+                let Some(rhs) = rhs_bits(rule) else {
+                    continue;
+                };
+                for &(set, cost) in &layers[i - rule.lhs_len] {
+                    offer(set | rhs, cost + rule.cost);
+                }
+            }
+            // Each set at its cheapest cost.
+            next.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+            next.dedup_by_key(|&mut (set, _)| set);
+            held += next.len();
+            if held > budget {
+                return None;
+            }
+            layers.push(next);
+        }
+        let mut found: Vec<(f64, KeyBits)> = (layers.pop().unwrap_or_default().into_iter())
+            .filter(|&(set, _)| set != 0)
+            .map(|(set, cost)| (cost, set))
+            .collect();
+        found.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        Some(found)
     }
 }
 
@@ -801,6 +887,115 @@ mod tests {
         let res = get_top_optimal_rqs(&q, &a, &rs, 4);
         assert!(res.candidates.is_empty());
         assert_eq!(res.prefix_costs, vec![0.0]);
+    }
+}
+
+#[cfg(test)]
+mod bound_tests {
+    use super::*;
+    use lexicon::{RefineOp, Rule, RuleSource};
+    use xcheck::prop::{check, Gen};
+
+    /// A compact universe, so that rules and masks collide often.
+    const UNIVERSE: [&str; 7] = ["a", "b", "c", "d", "e", "f", "g"];
+
+    /// A query, a rule set with zero-cost and tying dyadic costs, the
+    /// plan over its key set, and a random mask `T` over that key set.
+    fn instance(g: &mut Gen) -> (Query, RuleSet, DpPlan, Vec<String>, KeyMask) {
+        let word = |g: &mut Gen| g.pick(&UNIVERSE).to_string();
+        let query = Query::from_keywords(g.vec(1..6, word));
+        let mut rules = RuleSet::new().with_deletion_cost(g.range(1u32..5) as f64 * 0.5);
+        for _ in 0..g.range(0usize..7) {
+            let lhs = g.vec(1..3, word);
+            let rhs = g.vec(1..3, word);
+            let lhs: Vec<&str> = lhs.iter().map(String::as_str).collect();
+            let rhs: Vec<&str> = rhs.iter().map(String::as_str).collect();
+            let cost = g.range(0u32..5) as f64 * 0.5;
+            rules.add(Rule::new(
+                &lhs,
+                &rhs,
+                RefineOp::Substitute,
+                RuleSource::Manual,
+                cost,
+            ));
+        }
+        let words = query.keywords().iter();
+        let rhs = rules.iter().flat_map(|(_, r)| &r.rhs);
+        let (ks, pos) = key_set(words.chain(rhs));
+        let plan = DpPlan::new(&query, &rules, &ks, &pos);
+        let mut mask = KeyMask::empty(ks.len());
+        for i in 0..ks.len() {
+            if g.weighted(&[1, 3]) == 1 {
+                mask.set(i);
+            }
+        }
+        (query, rules, plan, ks, mask)
+    }
+
+    fn brute_force(
+        query: &Query,
+        rules: &RuleSet,
+        ks: &[String],
+        mask: &KeyMask,
+    ) -> Vec<RqCandidate> {
+        let available = |w: &str| ks.iter().position(|k| k == w).is_some_and(|i| mask.get(i));
+        brute_force_rqs(query, &available, rules)
+    }
+
+    #[test]
+    fn the_beam_never_prices_a_set_below_its_exact_cost() {
+        check(600, |g| {
+            let (query, rules, plan, ks, mask) = instance(g);
+            let exact = brute_force(&query, &rules, &ks, &mask);
+            let m = g.range(1usize..6);
+            let mut scratch = DpScratch::default();
+            for (price, set) in plan.run(&mask, m, &mut scratch).candidates() {
+                let mut keywords: Vec<String> = set.map(|i| ks[i].clone()).collect();
+                keywords.sort();
+                let cost = (exact.iter().find(|c| c.keywords == keywords))
+                    .unwrap_or_else(|| panic!("{keywords:?} is not derivable"))
+                    .dissimilarity;
+                assert!(price >= cost, "{keywords:?} priced {price} < {cost}");
+            }
+        });
+    }
+
+    #[test]
+    fn the_bounded_enumeration_is_the_brute_force_below_the_bound() {
+        check(600, |g| {
+            let (query, rules, plan, ks, mask) = instance(g);
+            let exact = brute_force(&query, &rules, &ks, &mask);
+            let bound = match g.weighted(&[1, 1, 2]) {
+                0 => f64::INFINITY,
+                // Exactly a derivable set's cost: the cut is strict.
+                1 if !exact.is_empty() => g.pick(&exact).dissimilarity,
+                _ => g.range(0u32..12) as f64 * 0.5,
+            };
+            let budget = match g.weighted(&[1, 1]) {
+                0 => usize::MAX,
+                _ => g.range(1usize..12),
+            };
+            let Some(found) = plan.admissible(&mask, bound, budget) else {
+                assert!(budget < usize::MAX, "no budget to exceed");
+                return;
+            };
+            let mut found: Vec<(Vec<String>, f64)> = (found.into_iter())
+                .map(|(cost, set)| {
+                    let mut keywords: Vec<String> = (0..ks.len())
+                        .filter(|&i| set & (1 << i) != 0)
+                        .map(|i| ks[i].clone())
+                        .collect();
+                    keywords.sort();
+                    (keywords, cost)
+                })
+                .collect();
+            found.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+            let want: Vec<(Vec<String>, f64)> = (exact.into_iter())
+                .filter(|c| c.dissimilarity < bound)
+                .map(|c| (c.keywords, c.dissimilarity))
+                .collect();
+            assert_eq!(found, want, "below {bound}");
+        });
     }
 }
 

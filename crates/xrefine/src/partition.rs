@@ -32,24 +32,55 @@
 //! lower under another mask — keeps the offsets of its *first*
 //! admission, so its one call covers both membership windows.
 //!
-//! **The walk runs on integers and touches only the lists in the
-//! partition** (`PartitionWalk`). Every decoded list carries its
-//! partition runs, and each cursor stands in one of them: its head
-//! partition is an integer kept beside it, the next partition is the
-//! minimum of those integers, and only the cursors standing in it skip
-//! their run — an assignment, no label is read — and have their integer
-//! refreshed. A partition holds a handful of postings and most `KS`
-//! lists have none in it: those contribute a clear mask bit and nothing
-//! else. So a partition costs one pass over the `KS` integers plus O(1)
-//! per list present, and the memo lookup of its mask hashes the mask's
-//! words with the Fx hasher. The scan allocates per admission trial,
-//! not per partition: the mask, the per-list ranges and the SLCA
-//! argument vector are buffers reused across partitions.
+//! **The walk visits only the partitions where a trial can happen.** A
+//! partition changes the list, the admissions and the answer only
+//! through an admission trial, and a trial needs a candidate that is no
+//! list member and is priced below the list's admission threshold θ
+//! (`+∞` while the list is not full). A derivation that yields exactly
+//! the keyword set `S` uses only keywords of `S`, so its cost does not
+//! depend on the partition's mask `T` as long as `S ⊆ T`; the DP's beam
+//! may price `S` above its exact cost `dSim*(S)`, never below. So with
+//! `A` the non-member sets whose `dSim*` is below θ, a partition can
+//! reach a trial only if its mask contains some `S` in `A` — and every
+//! other partition is passed without being read. `A` is enumerated by
+//! the DP without its beam, cut at θ (`DpPlan::admissible`), and
+//! refiltered whenever the list changes, and only then: the threshold
+//! never rises, so one enumeration that fits serves the rest of the
+//! query, and an eviction can bring a set back into `A`. Before the
+//! first admission `A` is every derivable set, so a query whose list
+//! never fills stops once its few candidates are members. An
+//! enumeration fits when its prefixes hold no more sets in all than
+//! `ADMISSIBLE_BUDGET`, than the partitions the lists span, or than half
+//! their partition runs — past those it costs more than the walk it
+//! would save — and `KS` has at most 128 keywords. When it does not fit,
+//! `A` is unknown and the walk visits every partition until the next
+//! list change; when `A` is empty, or no partition left holds any of its
+//! sets, the walk stops.
+//!
+//! **The walk runs on integers** (`PartitionWalk`). Every decoded list
+//! carries its partition runs, and the walk holds one run cursor
+//! ([`PartitionRuns`]) per `KS` list. The next partition holding some
+//! `S` in `A` is found by leapfrogging `S`'s lists, shortest first, by
+//! galloping `seek`s over their runs — integer compares, no label read,
+//! forward only — and each set keeps the partition it found until the
+//! walk gets there. At a partition it visits, the walk moves every `KS`
+//! list's cursor to it, so the mask and the per-list ranges are exactly
+//! those of a walk over every partition, and the memo lookup, the DP,
+//! the trials and `record_admission` run unchanged. With `A` unknown,
+//! the next partition is the minimum of the cursors' partitions. A
+//! partition visited is accounted as the advances over its postings,
+//! one counter add; the postings of a partition sought past are never
+//! read and not counted, so `advances` stays within Theorem 2's one scan
+//! and `random_accesses` stays 0. The memo lookup of a mask hashes the
+//! mask's words with the Fx hasher. The scan allocates per admission
+//! trial and per change of the list, not per partition: the mask, the
+//! per-list ranges and the SLCA argument vector are buffers reused
+//! across partitions.
 //!
 //! Root-level matches (postings on the document root itself) belong to no
 //! partition and are skipped — the root is never a meaningful result.
 
-use crate::dp::DpScratch;
+use crate::dp::{DpScratch, KeyBits};
 use crate::query::RqCandidate;
 use crate::ranking::{Ranker, RankingConfig};
 use crate::results::{RefineOutcome, Refinement};
@@ -57,11 +88,11 @@ use crate::rqlist::{RqId, RqSortedList};
 use crate::session::RefineSession;
 use crate::util::KeyMask;
 use invindex::fxhash::FxMap;
-use invindex::{ListCursor, ListHandle, ScanStats, HEAD_AT_END, HEAD_AT_ROOT};
-use std::collections::HashMap;
+use invindex::{ListHandle, PartitionRuns, ScanStats, HEAD_AT_ROOT};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::ops::Range;
 use std::rc::Rc;
-use std::sync::Arc;
 use xmldom::Dewey;
 
 /// One distinct refined-query candidate of a session.
@@ -274,18 +305,27 @@ impl Default for PartitionOptions {
     }
 }
 
-/// The partition walk of Algorithm 2 (lines 5-9): one cursor per `KS`
-/// list, consumed partition by partition in document order.
-///
-/// Each cursor's [`ListCursor::head_partition`] is kept beside it, so
-/// finding the next partition is a minimum over integers, and only the
-/// cursors standing in that partition are moved, by
-/// [`ListCursor::skip_run`] — the others are not looked at. No label is
-/// read.
+/// A cursor's partition once it has no run left: after every partition.
+const AT_END: u64 = u64::MAX;
+
+/// The most keyword sets the prefixes of an enumeration of the sets
+/// that can reach a trial may hold in all. Past it the sets are not
+/// enumerated and the walk visits every partition until the list changes
+/// again.
+const ADMISSIBLE_BUDGET: usize = 1024;
+
+/// The partition walk of Algorithm 2 (lines 5-9): one run cursor per `KS`
+/// list, moved forward in document order to the partitions the caller
+/// visits — the next one any list holds, or the next one holding every
+/// list of a keyword set.
 struct PartitionWalk<'a> {
-    cursors: Vec<ListCursor<'a>>,
-    /// `head_partition()` of each cursor, refreshed whenever it moves.
+    runs: Vec<PartitionRuns<'a>>,
+    /// The partition each cursor stands in, [`AT_END`] past its last
+    /// run: the first one at or after `from` that its list holds.
     heads: Vec<u64>,
+    /// The first partition the walk has not passed.
+    from: u64,
+    stats: &'a ScanStats,
     /// `T` of the current partition: the lists with a posting inside it.
     mask: KeyMask,
     /// Each list's range inside the current partition. Written for the
@@ -294,83 +334,369 @@ struct PartitionWalk<'a> {
     /// the DP proposes only available keywords, so the admission trial
     /// and `record_admission` index the lists of `mask`.
     ranges: Vec<Range<usize>>,
+    /// Copies of cursors leapfrogging in [`first_holding`](Self::first_holding).
+    seekers: Vec<PartitionRuns<'a>>,
 }
 
 impl<'a> PartitionWalk<'a> {
-    fn new(lists: &'a [ListHandle], stats: &Arc<ScanStats>) -> Self {
-        let cursors: Vec<ListCursor<'a>> = lists
-            .iter()
-            .map(|l| ListCursor::new(l, Arc::clone(stats)))
+    fn new(lists: &'a [ListHandle], stats: &'a ScanStats) -> Self {
+        let from = HEAD_AT_ROOT + 1;
+        // A match on the document root itself belongs to no partition.
+        let runs: Vec<PartitionRuns<'a>> = (lists.iter())
+            .map(|l| {
+                let mut runs = l.partition_runs();
+                runs.seek(from);
+                runs
+            })
             .collect();
         PartitionWalk {
-            heads: cursors.iter().map(|c| c.head_partition()).collect(),
+            heads: runs.iter().map(head).collect(),
+            runs,
+            from,
+            stats,
             mask: KeyMask::empty(lists.len()),
             ranges: vec![0..0; lists.len()],
-            cursors,
+            seekers: Vec::new(),
         }
     }
 
-    /// Moves past the next partition holding a posting and returns its
-    /// integer (`i + 1` for the partition `0.i`, as
-    /// [`ListCursor::head_partition`] reports it), with `mask` and
-    /// `ranges` describing it; `None` when every list is exhausted.
-    fn next_partition(&mut self) -> Option<u64> {
-        loop {
-            // v_s: the smallest head across all cursors (line 5).
-            let (first, head) = (self.heads.iter().copied().enumerate())
-                .min_by_key(|&(_, head)| head)
-                .filter(|&(_, head)| head != HEAD_AT_END)?;
-            if head == HEAD_AT_ROOT {
-                // A match on the document root itself belongs to no
-                // partition: step over it.
-                for (cursor, h) in self.cursors.iter_mut().zip(&mut self.heads).skip(first) {
-                    if *h == head {
-                        cursor.next();
-                        *h = cursor.head_partition();
-                    }
-                }
-                continue;
+    /// v_s (line 5): the first partition at or after `from` that any list
+    /// holds.
+    fn first_any(&self) -> u64 {
+        self.heads.iter().copied().min().unwrap_or(AT_END)
+    }
+
+    /// A lower bound on [`first_holding`](Self::first_holding)`(ks)`: the
+    /// latest partition one of the lists first holds. A load per list.
+    fn lower_bound(&self, ks: impl IntoIterator<Item = usize>) -> u64 {
+        (ks.into_iter())
+            .map(|i| self.heads[i])
+            .max()
+            .unwrap_or(AT_END)
+    }
+
+    /// The first partition at or after `from` that holds every list of
+    /// `ks` ([`AT_END`] for none): the lower bound when every list first
+    /// holds it, else where copies of the cursors, leapfrogging from it
+    /// in the order of `ks`, agree.
+    fn first_holding(&mut self, ks: &[usize]) -> u64 {
+        let bound = self.lower_bound(ks.iter().copied());
+        if bound == AT_END || ks.iter().all(|&i| self.heads[i] == bound) {
+            return bound;
+        }
+        self.seekers.clear();
+        self.seekers
+            .extend(ks.iter().map(|&i| self.runs[i].clone()));
+        leapfrog(&mut self.seekers, bound)
+    }
+
+    /// Visits the partition `at` (at or after `from`; `i + 1` for the
+    /// partition `0.i`, as its runs' `head` has it): every cursor moved
+    /// to it, the ranges of the lists standing in it and their cursors
+    /// moved past it (lines 6-8), and `mask` set to T (line 9).
+    fn visit(&mut self, at: u64) {
+        self.mask.clear();
+        let mut advances = 0;
+        for (i, (runs, h)) in self.runs.iter_mut().zip(&mut self.heads).enumerate() {
+            if *h < at {
+                runs.seek(at);
+                *h = head(runs);
             }
-            // The ranges of the lists standing in the partition, their
-            // cursors advanced past it (lines 6-8), and T (line 9).
-            self.mask.clear();
-            for (i, (cursor, h)) in (self.cursors.iter_mut().zip(&mut self.heads))
-                .enumerate()
-                .skip(first)
-            {
-                if *h == head {
-                    self.ranges[i] = cursor.skip_run();
-                    *h = cursor.head_partition();
+            if *h == at {
+                if let Some((_, range)) = runs.current() {
+                    advances += range.len() as u64;
+                    self.ranges[i] = range;
                     self.mask.set(i);
                 }
+                runs.seek(at + 1);
+                *h = head(runs);
             }
-            return Some(head);
         }
+        self.stats.record_advances(advances);
+        self.from = at + 1;
     }
 }
 
-/// Runs Algorithm 2.
-pub fn partition_refine(session: &RefineSession<'_>, options: &PartitionOptions) -> RefineOutcome {
-    let k = options.k.max(1);
-    let mut rq_list = RqSortedList::new(2 * k);
-    let mut dp_memo = DpMemo::new();
-    let mut walk = PartitionWalk::new(&session.lists, &session.scan_stats);
-    // Reused across admission trials.
-    let mut slices: Vec<ListHandle> = Vec::new();
+/// The partition a run cursor stands in.
+fn head(runs: &PartitionRuns<'_>) -> u64 {
+    runs.current().map_or(AT_END, |(head, _)| head)
+}
 
-    // Hot-loop counters are accumulated locally and flushed with one
-    // atomic add per query (see DESIGN.md "Observability").
-    let mut partitions_scanned = 0u64;
-    let mut rqs_pruned = 0u64;
+/// Moves every cursor to the first partition at or after `from` that all
+/// of them hold, and returns it ([`AT_END`] when there is none): each
+/// cursor in turn seeks to the latest partition any has reached, until
+/// all stand in one.
+fn leapfrog(runs: &mut [PartitionRuns<'_>], from: u64) -> u64 {
+    if runs.is_empty() {
+        return AT_END;
+    }
+    let (mut at, mut agreed) = (from, 0);
+    for i in (0..runs.len()).cycle() {
+        runs[i].seek(at);
+        match head(&runs[i]) {
+            AT_END => return AT_END,
+            h if h > at => (at, agreed) = (h, 1),
+            _ => agreed += 1,
+        }
+        if agreed == runs.len() {
+            break;
+        }
+    }
+    at
+}
 
-    while walk.next_partition().is_some() {
-        partitions_scanned += 1;
+/// The `KS` indices of the keywords in `set`, ascending.
+fn keywords_in(mut set: KeyBits) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let i = set.trailing_zeros();
+        set &= set.wrapping_sub(1);
+        (i < KeyBits::BITS).then_some(i as usize)
+    })
+}
 
-        // Candidates within this partition (line 10), memoized on T. We
-        // request more than 2K because candidates can fail the
-        // meaningful-SLCA check below; the surviving ones fill the Top-2K
-        // list (the paper's list is "approximate" for the same reason).
-        let candidates = dp_memo.candidates(session, &walk.mask, 2 * k + 8);
+/// One keyword set that can reach a trial while the threshold is above
+/// its dissimilarity.
+struct AdmissibleSet {
+    /// Its exact dissimilarity.
+    cost: f64,
+    /// Its keywords, as bits over `KS`.
+    keywords: KeyBits,
+    /// Its `KS` indices, shortest list first; filled when it is first
+    /// sought.
+    lists: Vec<usize>,
+    /// The first partition holding it at or after the walk's `from` as it
+    /// stood when this was found; still that while it is not behind
+    /// `from`.
+    next: u64,
+}
+
+/// A set in [`Admissible::queue`]: its `next` when `exact`, else a lower
+/// bound on it, and its index.
+type Queued = Reverse<(u64, bool, usize)>;
+
+/// The keyword sets a partition must hold for a trial to happen there
+/// (module docs): the non-members of the list whose exact dissimilarity
+/// is below its admission threshold.
+struct Admissible {
+    /// The keywords some partition holds: no other can be in a mask.
+    available: KeyMask,
+    /// The length of each `KS` list.
+    lengths: Vec<usize>,
+    /// The most sets a prefix may hold in an enumeration.
+    budget: usize,
+    /// The sets of the one enumeration that fit the budget, fewest
+    /// keywords first, below the threshold it was made at — a superset of
+    /// the sets below any later threshold, as the threshold never rises.
+    /// Empty until an enumeration fits.
+    sets: Vec<AdmissibleSet>,
+    /// Whether `sets` holds an enumeration.
+    known: bool,
+    /// The threshold of the last enumeration that did not fit.
+    overflowed_at: Option<f64>,
+    /// The sets a trial can be on — those of `sets` below the threshold
+    /// that are not list members — by index in `sets`, but for any that
+    /// holds another of them: a partition holding it holds the other.
+    active: Vec<usize>,
+    /// The list's members when `active` was last brought up to date.
+    members: Option<Vec<KeyBits>>,
+    /// The `active` sets by the partition they are next held in, or a
+    /// lower bound on it; built again after every change of `active`.
+    queue: BinaryHeap<Queued>,
+    /// Whether `active` changed since `queue` was built.
+    stale: bool,
+}
+
+impl Admissible {
+    /// `budget` caps the sets an enumeration may hold; so do the number
+    /// of partitions between the first and the last any list holds, and
+    /// half the number of the lists' partition runs. Those bound what the
+    /// walk over every partition costs, and an enumeration past them costs
+    /// more than it can save (measured: the query
+    /// `2008 online cidr 601 bench mark` at 300 authors enumerates 213 sets
+    /// where its lists hold 246 runs, and ran 4 % slower than walking
+    /// every partition until the cap held it back).
+    fn new(lists: &[ListHandle], budget: usize) -> Self {
+        let mut available = KeyMask::empty(lists.len());
+        let (mut first, mut last, mut runs_held) = (AT_END, HEAD_AT_ROOT, 0);
+        for (i, list) in lists.iter().enumerate() {
+            let mut runs = list.partition_runs();
+            runs.seek(HEAD_AT_ROOT + 1);
+            if let Some((head, _)) = runs.current() {
+                available.set(i);
+                runs_held += runs.remaining();
+                first = first.min(head);
+                // The last posting stands in the list's last partition.
+                let label = list.postings().last().map(|p| p.dewey.components());
+                let ordinal = label.and_then(|l| l.get(1)).copied().unwrap_or(0);
+                last = last.max(u64::from(ordinal) + 1);
+            }
+        }
+        let spanned = usize::try_from(last.saturating_sub(first).saturating_add(1));
+        Admissible {
+            available,
+            lengths: lists.iter().map(ListHandle::len).collect(),
+            budget: budget.min(spanned.unwrap_or(usize::MAX)).min(runs_held / 2),
+            sets: Vec::new(),
+            known: false,
+            overflowed_at: None,
+            active: Vec::new(),
+            members: None,
+            queue: BinaryHeap::new(),
+            stale: true,
+        }
+    }
+
+    /// Refilters the sets for the list as it stands, enumerating them if
+    /// no enumeration has fit yet and the threshold has fallen since the
+    /// last that did not. Whether they are known.
+    fn update(&mut self, session: &RefineSession<'_>, list: &RqSortedList, memo: &DpMemo) -> bool {
+        let theta = list.admission_threshold();
+        if !self.known && self.overflowed_at.is_none_or(|at| theta < at) {
+            match session.plan.admissible(&self.available, theta, self.budget) {
+                Some(mut found) => {
+                    found.sort_by_key(|&(_, keywords)| keywords.count_ones());
+                    self.sets = (found.into_iter())
+                        .map(|(cost, keywords)| AdmissibleSet {
+                            cost,
+                            keywords,
+                            lists: Vec::new(),
+                            next: HEAD_AT_ROOT,
+                        })
+                        .collect();
+                    self.known = true;
+                }
+                None => self.overflowed_at = Some(theta),
+            }
+        }
+        if !self.known {
+            return false;
+        }
+        let members: Vec<KeyBits> = (list.iter())
+            .map(|(_, id)| memo.ks(id).iter().fold(0, |b, &i| b | (1 << i)))
+            .collect();
+        // The minimal sets stay what they were unless an active set became
+        // a member or fell to the threshold, or a member left the list. A
+        // new member that is not active is no minimal set, and a set it
+        // holds still is.
+        let Admissible {
+            sets,
+            active,
+            members: was,
+            ..
+        } = self;
+        let moved = was.as_ref().is_none_or(|was| {
+            was.iter().any(|m| !members.contains(m))
+                || (active.iter())
+                    .any(|&n| sets[n].cost >= theta || members.contains(&sets[n].keywords))
+        });
+        if moved {
+            active.clear();
+            for (n, set) in sets.iter().enumerate() {
+                let held = |&m: &usize| sets[m].keywords & !set.keywords == 0;
+                if set.cost < theta && !members.contains(&set.keywords) && !active.iter().any(held)
+                {
+                    active.push(n);
+                }
+            }
+            self.stale = true;
+        }
+        self.members = Some(members);
+        true
+    }
+
+    /// The first partition at or after the walk's `from` that holds one
+    /// of the sets ([`AT_END`] for none). A set's partition is sought
+    /// only when its lower bound comes first in the queue, and again only
+    /// once the walk has passed it.
+    fn next(&mut self, walk: &mut PartitionWalk<'_>) -> u64 {
+        let Admissible {
+            lengths,
+            sets,
+            active,
+            queue,
+            ..
+        } = self;
+        if self.stale {
+            queue.clear();
+            for &n in active.iter() {
+                let set = &sets[n];
+                queue.push(Reverse(match set.next >= walk.from {
+                    true => (set.next, true, n),
+                    false => (walk.lower_bound(keywords_in(set.keywords)), false, n),
+                }));
+            }
+            self.stale = false;
+        }
+        while let Some(&Reverse((at, exact, n))) = queue.peek() {
+            if exact && at >= walk.from {
+                return at;
+            }
+            queue.pop();
+            let set = &mut sets[n];
+            queue.push(Reverse(match exact {
+                // The walk has visited it.
+                true => (walk.lower_bound(keywords_in(set.keywords)), false, n),
+                false => {
+                    if set.lists.is_empty() {
+                        set.lists.extend(keywords_in(set.keywords));
+                        set.lists.sort_by_key(|&i| lengths[i]);
+                    }
+                    set.next = walk.first_holding(&set.lists);
+                    (set.next, true, n)
+                }
+            }));
+        }
+        AT_END
+    }
+}
+
+/// The state Algorithm 2 carries from partition to partition.
+struct Scan {
+    /// K of Top-K.
+    k: usize,
+    rq_list: RqSortedList,
+    dp_memo: DpMemo,
+    /// Reused across admission trials.
+    slices: Vec<ListHandle>,
+    rqs_pruned: u64,
+}
+
+impl Scan {
+    fn new(k: usize) -> Self {
+        Scan {
+            k,
+            rq_list: RqSortedList::new(2 * k),
+            dp_memo: DpMemo::new(),
+            slices: Vec::new(),
+            rqs_pruned: 0,
+        }
+    }
+
+    /// Lines 10-17 on the partition `mask` and `ranges` describe: its
+    /// candidates, and a trial for each that is no member and beats the
+    /// threshold. `admitted` hears of each admission. Whether the list
+    /// changed.
+    fn partition(
+        &mut self,
+        session: &RefineSession<'_>,
+        slca: SlcaMethod,
+        mask: &KeyMask,
+        ranges: &[Range<usize>],
+        mut admitted: impl FnMut(&DpMemo, RqId, f64),
+    ) -> bool {
+        let Scan {
+            k,
+            rq_list,
+            dp_memo,
+            slices,
+            rqs_pruned,
+        } = self;
+        let mut changed = false;
+        // Memoized on T (line 10). More than 2K are asked for, because
+        // candidates can fail the meaningful-SLCA check below; the
+        // surviving ones fill the Top-2K list (the paper's list is
+        // "approximate" for the same reason).
+        let candidates = dp_memo.candidates(session, mask, 2 * *k + 8);
         for &(id, dissimilarity) in candidates.iter() {
             if rq_list.contains(id) {
                 // Admitted earlier: its results, if it is returned, come
@@ -380,42 +706,111 @@ pub fn partition_refine(session: &RefineSession<'_>, options: &PartitionOptions)
             if dissimilarity >= rq_list.admission_threshold() {
                 // Worse than the current Top-2K: skip even the SLCA
                 // computation (the paper's key optimization).
-                rqs_pruned += 1;
+                *rqs_pruned += 1;
                 continue;
             }
             // Admission requires a meaningful SLCA inside this partition.
             slices.clear();
             slices.extend(
-                dp_memo
-                    .ks(id)
-                    .iter()
-                    .map(|&i| session.lists[i].slice(walk.ranges[i].clone())),
+                (dp_memo.ks(id).iter()).map(|&i| session.lists[i].slice(ranges[i].clone())),
             );
-            if meaningful_slcas(session, options.slca, &slices).is_empty() {
+            if meaningful_slcas(session, slca, slices).is_empty() {
                 continue;
             }
-            if dp_memo.admit(session, &mut rq_list, id, dissimilarity) {
-                dp_memo.record_admission(id, &walk.ranges);
+            if dp_memo.admit(session, rq_list, id, dissimilarity) {
+                dp_memo.record_admission(id, ranges);
+                admitted(dp_memo, id, dissimilarity);
+                changed = true;
             }
+        }
+        changed
+    }
+
+    /// Line 19: the counters published, the list ranked, and one SLCA call
+    /// per candidate returned, over its lists from where they stood at its
+    /// first admission.
+    fn finish(mut self, session: &RefineSession<'_>, options: &PartitionOptions) -> RefineOutcome {
+        obs::counter!("xrefine_rqs_pruned_total").add(self.rqs_pruned);
+        obs::trace::count("rqs.pruned", self.rqs_pruned);
+        self.dp_memo.flush_hits();
+        let Scan {
+            k,
+            rq_list,
+            dp_memo,
+            mut slices,
+            ..
+        } = self;
+        finalize(session, rq_list, &dp_memo, k, &options.ranking, |id| {
+            let slcas = dp_memo.materialise(session, id, options.slca, &mut slices);
+            debug_assert!(
+                !slcas.is_empty(),
+                "a member was admitted on a meaningful SLCA at or after its offsets"
+            );
+            slcas
+        })
+    }
+}
+
+/// Runs Algorithm 2.
+pub fn partition_refine(session: &RefineSession<'_>, options: &PartitionOptions) -> RefineOutcome {
+    refine(session, options, ADMISSIBLE_BUDGET, |_, _, _, _| {}).0
+}
+
+/// [`partition_refine`], and whether its walk ever visited every
+/// partition for a while because the keyword sets that could reach a
+/// trial were too many to enumerate.
+// xlint::allow(unused-export): the walk's count gate reports how often it falls back (`tests/walk_counts.rs`)
+pub fn partition_refine_reporting_fallback(
+    session: &RefineSession<'_>,
+    options: &PartitionOptions,
+) -> (RefineOutcome, bool) {
+    refine(session, options, ADMISSIBLE_BUDGET, |_, _, _, _| {})
+}
+
+/// Algorithm 2, with `budget` sets a prefix for the admissible sets'
+/// enumeration, telling `admitted` of each admission: the partition, the
+/// memo that interned the candidate, its id and its dissimilarity. Also
+/// whether the walk ever fell back to visiting every partition.
+fn refine(
+    session: &RefineSession<'_>,
+    options: &PartitionOptions,
+    budget: usize,
+    mut admitted: impl FnMut(u64, &DpMemo, RqId, f64),
+) -> (RefineOutcome, bool) {
+    let mut scan = Scan::new(options.k.max(1));
+    let mut walk = PartitionWalk::new(&session.lists, &session.scan_stats);
+    let mut admissible = Admissible::new(&session.lists, budget);
+    let mut known = admissible.update(session, &scan.rq_list, &scan.dp_memo);
+
+    // Hot-loop counters are accumulated locally and flushed with one
+    // atomic add per query (see DESIGN.md "Observability").
+    let mut partitions_scanned = 0u64;
+    loop {
+        let at = match known {
+            true => admissible.next(&mut walk),
+            false => walk.first_any(),
+        };
+        if at == AT_END {
+            break;
+        }
+        walk.visit(at);
+        partitions_scanned += 1;
+        let changed = scan.partition(
+            session,
+            options.slca,
+            &walk.mask,
+            &walk.ranges,
+            |memo, id, dissimilarity| admitted(at, memo, id, dissimilarity),
+        );
+        if changed {
+            known = admissible.update(session, &scan.rq_list, &scan.dp_memo);
         }
     }
 
     obs::counter!("xrefine_partitions_scanned_total").add(partitions_scanned);
-    obs::counter!("xrefine_rqs_pruned_total").add(rqs_pruned);
-    dp_memo.flush_hits();
     obs::trace::count("partitions.scanned", partitions_scanned);
-    obs::trace::count("rqs.pruned", rqs_pruned);
-
-    // One SLCA call per candidate returned, over its lists from where
-    // they stood at its first admission.
-    finalize(session, rq_list, &dp_memo, k, &options.ranking, |id| {
-        let slcas = dp_memo.materialise(session, id, options.slca, &mut slices);
-        debug_assert!(
-            !slcas.is_empty(),
-            "a member was admitted on a meaningful SLCA at or after its offsets"
-        );
-        slcas
-    })
+    let fell_back = admissible.overflowed_at.is_some();
+    (scan.finish(session, options), fell_back)
 }
 
 /// The final ranking pass Algorithms 2 and 3 share (Algorithm 2 line
@@ -614,15 +1009,116 @@ mod tests {
         assert_eq!(found, expected);
     }
 
-    /// What Algorithm 2's walk is defined as, on labels alone: the
-    /// smallest head label names the partition `0.i` (reported as
-    /// `i + 1`), and *every* list's postings in it are found by binary
-    /// search ([`ListHandle::partition_range`]) — no cursor and no run
-    /// table involved. Each posting is accounted as one advance.
-    fn walk_by_definition(
-        lists: &[ListHandle],
-        stats: &Arc<ScanStats>,
-    ) -> Vec<(u64, KeyMask, Vec<Range<usize>>)> {
+    #[test]
+    fn a_set_evicted_above_its_exact_cost_is_admissible_again() {
+        // The beam can admit a set above its exact cost; once evicted it
+        // can be offered again, cheaper, so it must be sought again.
+        // Driven by hand: id 0 is the query itself (exact cost 0), 1 and
+        // 2 its one-keyword subsets (exact cost 2, the deletion cost).
+        let idx = KvBackedIndex::from_built(Index::build(Arc::new(figure1())));
+        let query = Query::from_keywords(["john", "fishing"]);
+        let session = RefineSession::new(&idx, query, RuleSet::new()).unwrap();
+        let mut memo = DpMemo::new();
+        let mut mask = KeyMask::empty(session.width());
+        (0..session.width()).for_each(|i| mask.set(i));
+        assert_eq!(memo.candidates(&session, &mask, 10).len(), 3);
+        let admissible_now = |adm: &Admissible| -> Vec<Vec<usize>> {
+            let mut sets: Vec<Vec<usize>> = (adm.active.iter())
+                .map(|&n| keywords_in(adm.sets[n].keywords).collect())
+                .collect();
+            sets.sort();
+            sets
+        };
+        let ks = |id: RqId| {
+            let mut ks = memo.ks(id).to_vec();
+            ks.sort_unstable();
+            ks
+        };
+
+        let mut list = RqSortedList::new(2);
+        let mut adm = Admissible::new(&session.lists, ADMISSIBLE_BUDGET);
+        // Figure 1 spans too few partitions for the walk to enumerate;
+        // the sets are what is tested here.
+        adm.budget = ADMISSIBLE_BUDGET;
+        assert!(adm.update(&session, &list, &memo));
+        // The query holds each one-keyword subset: a partition holding it
+        // holds them, so only they are sought.
+        let singles = {
+            let mut singles = vec![ks(1), ks(2)];
+            singles.sort();
+            singles
+        };
+        assert_eq!(admissible_now(&adm), singles);
+        assert!(memo.admit(&session, &mut list, 0, 5.0));
+        assert!(adm.update(&session, &list, &memo));
+        assert_eq!(admissible_now(&adm), singles, "the query is a member");
+        assert!(memo.admit(&session, &mut list, 1, 4.0));
+        assert!(memo.admit(&session, &mut list, 2, 3.0));
+        assert!(!list.contains(0), "evicted");
+        assert!(adm.update(&session, &list, &memo));
+        // θ is 4 now: the query itself (exact cost 0) is back; the two
+        // members are not.
+        assert_eq!(admissible_now(&adm), vec![ks(0)]);
+    }
+
+    #[test]
+    fn a_set_evicted_with_no_admissible_subset_is_sought_again() {
+        // Only the eviction changes which sets are sought here: the set
+        // admitted holds one already sought, the set sought stays below
+        // the threshold and no member, and the evicted set has no subset
+        // below the threshold. Driven by hand, prices above the exact
+        // costs as the beam can give them.
+        let idx = KvBackedIndex::from_built(Index::build(Arc::new(figure1())));
+        let query = Query::from_keywords(["john", "fishing", "xml"]);
+        let session = RefineSession::new(&idx, query, RuleSet::new()).unwrap();
+        let mut memo = DpMemo::new();
+        let mut mask = KeyMask::empty(session.width());
+        (0..session.width()).for_each(|i| mask.set(i));
+        assert_eq!(memo.candidates(&session, &mask, 10).len(), 7);
+        let id = |words: &[&str]| {
+            let mut ks: Vec<usize> = words.iter().map(|w| session.pos(w).unwrap()).collect();
+            ks.sort_by_key(|&i| &session.ks[i]);
+            (0..7).find(|&id| memo.ks(id) == ks).unwrap()
+        };
+        let bits = |id: RqId| memo.ks(id).iter().fold(0, |b: KeyBits, &i| b | (1 << i));
+        let sought = |adm: &Admissible| -> Vec<KeyBits> {
+            let mut sets: Vec<KeyBits> = adm.active.iter().map(|&n| adm.sets[n].keywords).collect();
+            sets.sort_unstable();
+            sets
+        };
+        let (all, john_fishing, fishing_xml, john_xml) = (
+            id(&["john", "fishing", "xml"]),
+            id(&["john", "fishing"]),
+            id(&["fishing", "xml"]),
+            id(&["john", "xml"]),
+        );
+
+        let mut list = RqSortedList::new(2);
+        let mut adm = Admissible::new(&session.lists, ADMISSIBLE_BUDGET);
+        adm.budget = ADMISSIBLE_BUDGET;
+        assert!(adm.update(&session, &list, &memo));
+        for (id, price) in [(fishing_xml, 3.0), (john_fishing, 2.5)] {
+            assert!(memo.admit(&session, &mut list, id, price));
+            assert!(adm.update(&session, &list, &memo));
+        }
+        // θ = 3: the sets below it are the query and {john, xml}.
+        assert_eq!(sought(&adm), vec![bits(john_xml)]);
+        assert!(memo.admit(&session, &mut list, all, 1.0));
+        assert!(!list.contains(fishing_xml), "evicted");
+        assert!(adm.update(&session, &list, &memo));
+        // θ = 2.5: {fishing, xml} (exact cost 2) is back, and its subsets
+        // cost 4.
+        let mut want = vec![bits(john_xml), bits(fishing_xml)];
+        want.sort_unstable();
+        assert_eq!(sought(&adm), want);
+    }
+
+    /// What Algorithm 2's walk over every partition is defined as, on
+    /// labels alone: the smallest head label below the root names the
+    /// partition `0.i` (reported as `i + 1`), and *every* list's postings
+    /// in it are found by binary search ([`ListHandle::partition_range`])
+    /// — no cursor and no run table involved.
+    fn walk_by_definition(lists: &[ListHandle]) -> Vec<(u64, KeyMask, Vec<Range<usize>>)> {
         let mut at = vec![0usize; lists.len()];
         let mut partitions = Vec::new();
         while let Some(v) = (lists.iter().zip(&at))
@@ -634,7 +1130,6 @@ mod tests {
                 for (l, a) in lists.iter().zip(&mut at) {
                     if l.get(*a).is_some_and(|p| p.dewey == v) {
                         *a += 1;
-                        stats.record_advance();
                     }
                 }
                 continue;
@@ -645,7 +1140,6 @@ mod tests {
                 let range = l.partition_range(&root);
                 if !range.is_empty() {
                     mask.set(i);
-                    stats.record_advances(range.len() as u64);
                     *a = range.end;
                 }
                 ranges.push(range);
@@ -655,8 +1149,21 @@ mod tests {
         partitions
     }
 
+    /// A family of 0-3 keyword sets over `width` lists, or — one time in
+    /// four — none, which lifts the restriction.
+    fn target_sets(g: &mut xcheck::prop::Gen, width: usize) -> Option<Vec<Vec<usize>>> {
+        (g.weighted(&[1, 3]) == 1).then(|| {
+            g.vec(0..=3, |g| {
+                let mut set = g.vec(1..=3, |g| g.range(0..width));
+                set.sort_unstable();
+                set.dedup();
+                set
+            })
+        })
+    }
+
     #[test]
-    fn the_walk_moves_only_the_lists_in_the_partition_and_sees_what_skipping_all_sees() {
+    fn the_walk_visits_the_partitions_holding_a_target_with_the_masks_the_definition_has() {
         use invindex::Posting;
         use xcheck::prop::check;
         use xmldom::NodeTypeId;
@@ -685,32 +1192,228 @@ mod tests {
                 })
                 .into_iter()
                 .collect();
+            let every = walk_by_definition(&lists);
 
-            let expected_stats = ScanStats::new();
-            let expected = walk_by_definition(&lists, &expected_stats);
-
+            // The targets change at random points of the walk, as the
+            // admissible sets change with the list: from each point on,
+            // the walk must visit exactly the partitions whose mask holds
+            // a target, and see there what the definition sees.
             let stats = ScanStats::new();
             let mut walk = PartitionWalk::new(&lists, &stats);
-            let mut seen = 0;
-            while let Some(pid) = walk.next_partition() {
-                let (want_pid, want_mask, want_ranges) = expected
-                    .get(seen)
-                    .unwrap_or_else(|| panic!("partition {pid:?} the definition does not have"));
-                assert_eq!(pid, *want_pid);
-                assert_eq!(&walk.mask, want_mask, "T of {pid:?}");
+            let mut sets = target_sets(g, lists.len());
+            let mut rest = every.iter();
+            let mut advances = 0;
+            loop {
+                let holds = |mask: &KeyMask| {
+                    (sets.as_ref()).is_none_or(|f| f.iter().any(|s| s.iter().all(|&i| mask.get(i))))
+                };
+                let want = rest.by_ref().find(|(_, mask, _)| holds(mask));
+                let at = match &sets {
+                    None => walk.first_any(),
+                    Some(f) => f
+                        .iter()
+                        .map(|s| walk.first_holding(s))
+                        .min()
+                        .unwrap_or(AT_END),
+                };
+                let Some((want_pid, want_mask, want_ranges)) = want else {
+                    assert_eq!(at, AT_END, "targets {sets:?}");
+                    break;
+                };
+                assert_eq!(at, *want_pid, "targets {sets:?}");
+                walk.visit(at);
+                assert_eq!(&walk.mask, want_mask, "T of {at}");
                 for i in (0..lists.len()).filter(|&i| want_mask.get(i)) {
-                    assert_eq!(walk.ranges[i], want_ranges[i], "list {i} in {pid:?}");
+                    assert_eq!(walk.ranges[i], want_ranges[i], "list {i} in {at}");
+                    advances += want_ranges[i].len() as u64;
                 }
-                seen += 1;
+                if g.bool() {
+                    sets = target_sets(g, lists.len());
+                }
             }
-            assert_eq!(seen, expected.len(), "partitions walked");
-            assert_eq!(stats.advances(), expected_stats.advances());
-            assert_eq!(
-                stats.advances(),
-                lists.iter().map(|l| l.len() as u64).sum::<u64>()
-            );
+            // Only the postings of the partitions visited are advanced
+            // over; never more than one scan.
+            assert_eq!(stats.advances(), advances);
+            assert!(advances <= lists.iter().map(|l| l.len() as u64).sum::<u64>());
             assert_eq!(stats.random_accesses(), 0);
         });
+    }
+
+    /// Algorithm 2 as it was before the walk skipped partitions: the same
+    /// trials on every partition the lists reach, found by
+    /// [`walk_by_definition`].
+    fn refine_every_partition(
+        session: &RefineSession<'_>,
+        options: &PartitionOptions,
+        mut admitted: impl FnMut(u64, &DpMemo, RqId, f64),
+    ) -> RefineOutcome {
+        let mut scan = Scan::new(options.k.max(1));
+        for (at, mask, ranges) in walk_by_definition(&session.lists) {
+            scan.partition(session, options.slca, &mask, &ranges, |memo, id, ds| {
+                admitted(at, memo, id, ds)
+            });
+        }
+        scan.finish(session, options)
+    }
+
+    /// An admission as the log compares it: the partition, the keyword
+    /// set (ids are interned in the order the DP proposes candidates, so
+    /// a walk that runs the DP on fewer masks numbers them differently)
+    /// and the dissimilarity's bits.
+    type Admission = (u64, Vec<usize>, u64);
+
+    fn logged(
+        run: impl FnOnce(&mut dyn FnMut(u64, &DpMemo, RqId, f64)) -> RefineOutcome,
+    ) -> (RefineOutcome, Vec<Admission>) {
+        let mut log = Vec::new();
+        let out = run(&mut |at, memo: &DpMemo, id, ds: f64| {
+            log.push((at, memo.ks(id).to_vec(), ds.to_bits()))
+        });
+        (out, log)
+    }
+
+    #[test]
+    fn skipping_partitions_changes_no_admission_and_no_answer() {
+        use datagen::{generate_dblp, DblpConfig};
+        use lexicon::{RefineOp, Rule, RuleSource};
+        use xcheck::prop::check;
+
+        let docs: Vec<KvBackedIndex> = [(8, 1), (30, 2), (80, 3), (150, 4)]
+            .into_iter()
+            .map(|(authors, seed)| {
+                let doc = generate_dblp(&DblpConfig {
+                    authors,
+                    seed,
+                    ..Default::default()
+                });
+                KvBackedIndex::from_built(Index::build(Arc::new(doc)))
+            })
+            .collect();
+        // Each corpus's 40 most frequent words: they share partitions, so
+        // the list fills early and later partitions still admit — the
+        // trials a wrongly skipped partition would lose.
+        let frequent: Vec<Vec<String>> = (docs.iter())
+            .map(|idx| {
+                let mut words: Vec<(usize, String)> = (idx.vocabulary().iter())
+                    .map(|(_, w)| (idx.list_handle(w).unwrap().len(), w.to_string()))
+                    .collect();
+                words.sort_by(|a, b| b.cmp(a));
+                words.into_iter().take(40).map(|(_, w)| w).collect()
+            })
+            .collect();
+
+        check(200, |g| {
+            let d = g.range(0..docs.len());
+            let idx = &docs[d];
+            // A small universe, so that queries, rules and partitions
+            // share keywords: frequent document words and one absent one.
+            let mut universe: Vec<String> = g.vec(3..8, |g| g.pick(&frequent[d]));
+            universe.push("qqz".to_string());
+            // One case in four is wide enough for the DP's beam to
+            // misprice a set: it can then be admitted above its exact
+            // cost, evicted, and come back.
+            let wide = g.weighted(&[3, 1]) == 1;
+            let (words, rule_count) = if wide {
+                (6..10, 10usize..17)
+            } else {
+                (1..6, 0..9)
+            };
+            let query = Query::from_keywords(g.vec(words, |g| g.pick(&universe)));
+            let mut rules = RuleSet::new().with_deletion_cost(g.range(1u32..5) as f64 * 0.5);
+            for _ in 0..g.range(rule_count) {
+                let lhs = g.vec(1..3, |g| g.pick(&universe));
+                let rhs = g.vec(1..3, |g| g.pick(&universe));
+                let lhs: Vec<&str> = lhs.iter().map(String::as_str).collect();
+                let rhs: Vec<&str> = rhs.iter().map(String::as_str).collect();
+                let cost = g.range(0u32..6) as f64 * 0.5;
+                rules.add(Rule::new(
+                    &lhs,
+                    &rhs,
+                    RefineOp::Substitute,
+                    RuleSource::Manual,
+                    cost,
+                ));
+            }
+            let options = PartitionOptions {
+                k: 1 + g.weighted(&[3, 1, 1]),
+                ..Default::default()
+            };
+            // Small budgets make the enumeration overflow: the walk falls
+            // back to every partition, and enumerates again once the
+            // threshold falls.
+            let budget = [2, 6, ADMISSIBLE_BUDGET][g.weighted(&[1, 1, 2])];
+            let session = || RefineSession::new(idx, query.clone(), rules.clone()).unwrap();
+
+            let (s1, s2) = (session(), session());
+            let (want, want_log) =
+                logged(|log| refine_every_partition(&s1, &options, |a, m, i, d| log(a, m, i, d)));
+            let (got, got_log) =
+                logged(|log| refine(&s2, &options, budget, |a, m, i, d| log(a, m, i, d)).0);
+
+            assert_eq!(got_log, want_log, "admissions of {query:?}");
+            assert_eq!(got.original_ok, want.original_ok);
+            assert_eq!(got.random_accesses, want.random_accesses);
+            assert_eq!(got.degraded.len(), want.degraded.len());
+            assert_eq!(got.refinements.len(), want.refinements.len());
+            for (a, b) in got.refinements.iter().zip(&want.refinements) {
+                assert_eq!(a.candidate.keywords, b.candidate.keywords);
+                assert_eq!(
+                    a.candidate.dissimilarity.to_bits(),
+                    b.candidate.dissimilarity.to_bits()
+                );
+                assert_eq!(a.rank_score.to_bits(), b.rank_score.to_bits());
+                assert_eq!(a.slcas, b.slcas);
+            }
+            assert!(got.advances <= s2.total_list_len() as u64);
+        });
+    }
+
+    /// The counting allocator, for the DP's allocation gate: it counts
+    /// only on a thread inside `xcheck::alloc::allocations`, so the other
+    /// tests of this binary are not counted.
+    #[global_allocator]
+    static ALLOCATOR: xcheck::alloc::Counting = xcheck::alloc::Counting;
+
+    /// A `DpMemo` miss runs the recurrence on interned keys in working
+    /// memory the session keeps, so what it allocates is the memo entry
+    /// and the arena rows of candidates not seen before — not, as before
+    /// the DP was interned, a `BTreeSet<String>` and an operation history
+    /// per state (hundreds of allocations a call). Bracketed here: every
+    /// miss over the masks of every partition, on a query wide enough to
+    /// make many.
+    #[test]
+    fn a_dp_call_costs_tens_of_allocations_not_hundreds() {
+        use crate::engine::{EngineConfig, XRefineEngine};
+        use datagen::{generate_dblp, DblpConfig};
+        use xcheck::alloc::allocations;
+
+        let doc = Arc::new(generate_dblp(&DblpConfig {
+            authors: 400,
+            ..Default::default()
+        }));
+        let engine = XRefineEngine::from_document(doc, EngineConfig::default());
+        let keywords = ["databse", "xml", "key", "word", "serch", "retrieval"];
+        let query = Query::from_keywords(keywords);
+        let rules = engine.rules_for(&query);
+        let session = RefineSession::new(engine.index(), query, rules).unwrap();
+        let m = 2 * 3 + 8;
+
+        let mut memo = DpMemo::new();
+        let (mut calls, mut allocated) = (0u64, 0u64);
+        for (_, mask, _) in walk_by_definition(&session.lists) {
+            if memo.memo.contains_key(&mask) {
+                continue;
+            }
+            let (_, n) = allocations(|| memo.candidates(&session, &mask, m));
+            calls += 1;
+            allocated += n;
+        }
+        let per_call = allocated as f64 / calls as f64;
+        println!(
+            "{keywords:?}: {allocated} allocations in {calls} DP calls, {per_call:.1} per call"
+        );
+        assert!(calls >= 20, "the query must exercise the DP: {calls}");
+        assert!(per_call <= 40.0, "{per_call:.1} allocations per DP call");
     }
 
     #[test]

@@ -25,7 +25,9 @@
 #                  brute force and against the string-keyed recurrence it
 #                  replaced, the refinement result sets, rule generation
 #                  against the generator it replaced), Algorithm 2's
-#                  allocation and SLCA-invocation budgets, rule
+#                  allocation and SLCA-invocation budgets, its walk's
+#                  partition and advance counts over corpus_m's query
+#                  pool (10x below a walk over every partition), rule
 #                  generation's allocation gate (the same count at
 #                  1 000 and 16 000 vocabulary words), tracer
 #                  well-nestedness, metrics-overhead bench
@@ -123,6 +125,7 @@ suite_observability() {
     xcargo test --release -q -p lexicon --test rulegen_alloc
     xcargo test --release -q -p xrefine --test slca_invocations_budget
     xcargo test --release -q -p xrefine --test alloc_budget
+    xcargo test --release -q -p xrefine --test walk_counts -- --nocapture
     xcargo test --release -q -p xrefine --test trace_concurrency
     OBS_BENCH_FRACTION="${OBS_BENCH_FRACTION:-0.02}" \
     OBS_BENCH_REPS="${OBS_BENCH_REPS:-2}" \
