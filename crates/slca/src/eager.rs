@@ -22,9 +22,19 @@
 //! (anchors ascend, so the last one kept decides). Its work is bounded by
 //! those partitions' postings plus a logarithmic seek per list and
 //! partition tried, not by the lists' lengths.
+//!
+//! Inside a shared partition each posting costs one label comparison: a
+//! walk to the first difference with the anchor gives the order (pass or
+//! stop) and the common-prefix length together, so neither the successor
+//! that stops a cursor nor the predecessor it passed is walked again. A
+//! predecessor kept from an earlier anchor is repriced from one walk per
+//! anchor against the anchor before it. One list needs no join: its SLCAs
+//! are its postings below the root that the next posting does not lie
+//! inside, found in one forward pass.
 
 use crate::common::{closest_match, minimal_candidates};
 use invindex::{ListHandle, PartitionRuns, Posting, HEAD_AT_ROOT};
+use std::cmp::Ordering;
 use xmldom::Dewey;
 
 /// Indexed-Lookup-Eager SLCA. Accepts anything list-shaped — `&[Posting]`,
@@ -74,7 +84,43 @@ pub fn slca_scan_eager(lists: &[ListHandle]) -> Vec<Dewey> {
     let Some(root) = anchors.first().and_then(|p| p.dewey.prefix(1)) else {
         return Vec::new();
     };
+    let (found, steps) = match lists {
+        [one] => deepest_postings(one),
+        _ => run_join(lists, shortest, anchors),
+    };
+    obs::counter!("slca_eager_steps_total").add(steps);
+    obs::trace::count("slca.steps", steps);
+    if found.is_empty() {
+        return vec![root];
+    }
+    found
+}
 
+/// The SLCAs of one list and the steps taken: its postings below the
+/// root that the next posting does not lie inside — a posting with a
+/// descendant in the list has that descendant right after it, in
+/// document order. One step per posting below the root.
+fn deepest_postings(list: &[Posting]) -> (Vec<Dewey>, u64) {
+    // The root sorts before every other label.
+    let on_root = list.iter().take_while(|p| p.dewey.len() == 1).count();
+    let below = list.get(on_root..).unwrap_or_default();
+    let mut found = Vec::with_capacity(below.len());
+    for (i, p) in below.iter().enumerate() {
+        let label = p.dewey.components();
+        if !below
+            .get(i + 1)
+            .is_some_and(|next| next.dewey.components().starts_with(label))
+        {
+            found.push(p.dewey.clone());
+        }
+    }
+    (found, below.len() as u64)
+}
+
+/// Scan Eager over two or more lists, anchored on `anchors`, the list at
+/// `shortest`: the run join of the module docs. Returns the SLCAs (none
+/// when no partition holds every list) and the steps taken.
+fn run_join(lists: &[ListHandle], shortest: usize, anchors: &ListHandle) -> (Vec<Dewey>, u64) {
     let mut anchor_runs = anchors.partition_runs();
     let mut others: Vec<RunJoin<'_>> = (lists.iter().enumerate())
         .filter(|&(i, _)| i != shortest)
@@ -83,6 +129,7 @@ pub fn slca_scan_eager(lists: &[ListHandle]) -> Vec<Dewey> {
             runs: list.partition_runs(),
             run: &[],
             pos: 0,
+            pred_prefix: 0,
         })
         .collect();
     let mut steps = 0u64;
@@ -102,6 +149,7 @@ pub fn slca_scan_eager(lists: &[ListHandle]) -> Vec<Dewey> {
                 Some((at, run)) if at == head => {
                     other.run = other.list.get(run).unwrap_or_default();
                     other.pos = 0;
+                    other.pred_prefix = 0;
                 }
                 // The list lacks `head`: every cursor must reach `at`.
                 Some((at, _)) => {
@@ -111,29 +159,39 @@ pub fn slca_scan_eager(lists: &[ListHandle]) -> Vec<Dewey> {
                 None => break 'join,
             }
         }
+        // The previous anchor of the run; none before its first.
+        let mut prev: &[u32] = &[];
         for anchor in anchors.get(range).unwrap_or_default() {
-            let a = &anchor.dewey;
+            let a = anchor.dewey.components();
+            let (_, step) = first_difference(prev, a);
+            prev = a;
             // Every per-list LCA is a prefix of the anchor, so only the
             // minimum common-prefix length is tracked; the candidate label
             // is built once per anchor instead of once per list.
             let mut min_prefix = a.len();
             for other in &mut others {
                 steps += 1;
-                min_prefix = min_prefix.min(other.closest_prefix(a, &mut steps));
+                min_prefix = min_prefix.min(other.closest_prefix(a, step, &mut steps));
             }
-            keep_minimal(
-                &mut found,
-                a.components().get(..min_prefix).unwrap_or_default(),
-            );
+            keep_minimal(&mut found, a.get(..min_prefix).unwrap_or_default());
         }
         head += 1;
     }
-    obs::counter!("slca_eager_steps_total").add(steps);
-    obs::trace::count("slca.steps", steps);
-    if found.is_empty() {
-        return vec![root];
-    }
-    found
+    (found, steps)
+}
+
+/// Compares two labels by one walk to their first difference: the order
+/// of `a` against `b` and the length of their common prefix. `Dewey`'s
+/// `Ord` walks the labels for the order alone, and
+/// `Dewey::common_prefix_len` again for the length.
+#[inline]
+fn first_difference(a: &[u32], b: &[u32]) -> (Ordering, usize) {
+    let n = a.iter().zip(b).take_while(|(x, y)| x == y).count();
+    let order = match (a.get(n), b.get(n)) {
+        (Some(x), Some(y)) => x.cmp(y),
+        _ => a.len().cmp(&b.len()),
+    };
+    (order, n)
 }
 
 /// Adds an anchor's candidate to `found`, the SLCAs of the anchors before
@@ -142,13 +200,15 @@ pub fn slca_scan_eager(lists: &[ListHandle]) -> Vec<Dewey> {
 /// inside the candidate precedes it; those inside it are the tail of
 /// `found`, and one containing it can only be the last. So the last
 /// label alone decides: inside the candidate (or equal), the candidate
-/// is not minimal; containing it, the candidate replaces it.
+/// is not minimal; containing it, the candidate replaces it. One walk to
+/// their first difference tells which.
 fn keep_minimal(found: &mut Vec<Dewey>, candidate: &[u32]) {
     if let Some(last) = found.last().map(Dewey::components) {
-        if last.starts_with(candidate) {
+        let (_, shared) = first_difference(last, candidate);
+        if shared == candidate.len() {
             return;
         }
-        if candidate.starts_with(last) {
+        if shared == last.len() {
             found.pop();
         }
     }
@@ -161,28 +221,37 @@ struct RunJoin<'a> {
     runs: PartitionRuns<'a>,
     /// The list's postings in the partition every list stands in …
     run: &'a [Posting],
-    /// … and the cursor in them: the first posting after the last anchor.
+    /// … the cursor in them: the first posting after the last anchor …
     pos: usize,
+    /// … and the common-prefix length of the posting before the cursor,
+    /// the predecessor, with the last anchor (0 when there is none).
+    pred_prefix: usize,
 }
 
 impl RunJoin<'_> {
     /// The length of the longest common prefix of `anchor` with a posting
     /// of the current run — its predecessor (`<= anchor`) or successor,
-    /// whichever shares more. Anchors ascend, so the cursor only moves
-    /// forward; one step per posting passed.
-    fn closest_prefix(&mut self, anchor: &Dewey, steps: &mut u64) -> usize {
-        while self.run.get(self.pos).is_some_and(|p| p.dewey <= *anchor) {
+    /// whichever shares more. `step` is the common-prefix length of the
+    /// anchor with the run's previous anchor. Anchors ascend, so the
+    /// cursor only moves forward: one step and one walk per posting
+    /// passed, and one walk for the successor that stops it. The walk
+    /// that passes a posting prices it, so the predecessor is not walked
+    /// again.
+    fn closest_prefix(&mut self, anchor: &[u32], step: usize, steps: &mut u64) -> usize {
+        // The predecessor is at or before the previous anchor, which is at
+        // or before this one, and for labels `x <= y <= z` in document
+        // order, `lcp(x, z) = min(lcp(x, y), lcp(y, z))`.
+        self.pred_prefix = self.pred_prefix.min(step);
+        while let Some(p) = self.run.get(self.pos) {
+            let (order, shared) = first_difference(p.dewey.components(), anchor);
+            if order == Ordering::Greater {
+                return self.pred_prefix.max(shared);
+            }
+            self.pred_prefix = shared;
             self.pos += 1;
             *steps += 1;
         }
-        let pred = self.pos.checked_sub(1).and_then(|j| self.run.get(j));
-        let succ = self.run.get(self.pos);
-        [pred, succ]
-            .into_iter()
-            .flatten()
-            .map(|p| anchor.common_prefix_len(&p.dewey))
-            .max()
-            .unwrap_or(0)
+        self.pred_prefix
     }
 }
 

@@ -10,6 +10,9 @@
 //! corpora rather than `xcheck::prop` properties: the corpora are the
 //! ones the rest of the workspace is built on, and the case count
 //! (>= 500 per property) is one this suite states in its assertions.
+//! Scan Eager's two paths — the one-list pass and the run join's fused
+//! order-and-prefix probe — also get a shrinking `xcheck::prop` property
+//! over lists shaped to reach their edges.
 
 use datagen::{random_dewey_corpus, DeweyCorpusConfig};
 use invindex::{ListHandle, Posting};
@@ -17,6 +20,7 @@ use slca::{
     closest_match, slca_brute_force, slca_indexed_lookup_eager, slca_multiway, slca_scan_eager,
     slca_stack,
 };
+use xcheck::prop::{check, Gen};
 use xmldom::{Dewey, NodeTypeId};
 
 fn to_postings(corpus: &[Vec<Dewey>]) -> Vec<Vec<Posting>> {
@@ -136,4 +140,83 @@ fn allocation_free_closest_match_is_unchanged() {
         }
     }
     assert!(cases >= 500, "only {cases} micro cases executed");
+}
+
+/// A label below the root, one to eleven components long: past seven it
+/// spills to the heap. Components come from `0..2`, so labels nest and
+/// share prefixes often.
+fn label(g: &mut Gen) -> Vec<u32> {
+    let mut label = vec![0];
+    label.extend(g.vec(1..=10, |g| g.range(0u32..2)));
+    label
+}
+
+/// One list: a few labels, each now and then with its ancestors (a
+/// nested chain) or a sibling, and now and then the root itself.
+fn one_list(g: &mut Gen) -> Vec<Vec<u32>> {
+    let mut labels = Vec::new();
+    for l in g.vec(0..=8, label) {
+        match g.weighted(&[2, 1, 1]) {
+            1 => labels.extend((1..l.len()).map(|n| l[..n].to_vec())),
+            2 => {
+                let mut sibling = l.clone();
+                *sibling.last_mut().expect("non-empty") += 1;
+                labels.push(sibling);
+            }
+            _ => {}
+        }
+        labels.push(l);
+    }
+    if g.weighted(&[3, 1]) == 1 {
+        labels.push(vec![0]);
+    }
+    labels
+}
+
+/// `like` moved to an ancestor, a descendant or a sibling of it (the
+/// root has none), or kept equal.
+fn near(g: &mut Gen, like: &[u32]) -> Vec<u32> {
+    let mut l = like.to_vec();
+    match g.weighted(&[1, 1, 1, 1]) {
+        1 => l.truncate(g.range(1..l.len() + 1)),
+        2 => l.extend(g.vec(1..=4, |g| g.range(0u32..2))),
+        3 if l.len() > 1 => *l.last_mut().expect("non-empty") += 1,
+        _ => {}
+    }
+    l
+}
+
+fn postings(mut labels: Vec<Vec<u32>>) -> Vec<Posting> {
+    labels.sort();
+    labels.dedup();
+    (labels.into_iter())
+        .map(|l| Posting::new(Dewey::new(l).expect("non-empty"), NodeTypeId(0)))
+        .collect()
+}
+
+#[test]
+fn scan_eager_equals_brute_force_on_nested_deep_and_empty_lists() {
+    check(2048, |g| {
+        let first = one_list(g);
+        // The other lists sit on, above, below and beside the first
+        // one's labels, or anywhere; now and then one is empty.
+        let mut labels = vec![first.clone()];
+        labels.extend(g.vec(0..=3, |g| {
+            if g.weighted(&[9, 1]) == 1 {
+                return Vec::new();
+            }
+            g.vec(1..=8, |g| match first.is_empty() || g.bool() {
+                true => label(g),
+                false => {
+                    let like = g.pick(&first);
+                    near(g, &like)
+                }
+            })
+        }));
+        let lists: Vec<Vec<Posting>> = labels.into_iter().map(postings).collect();
+        let handles: Vec<ListHandle> = (lists.iter().cloned())
+            .map(ListHandle::from_postings)
+            .collect();
+        assert_eq!(slca_scan_eager(&handles), slca_brute_force(&lists));
+    });
 }

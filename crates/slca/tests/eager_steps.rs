@@ -1,13 +1,20 @@
 //! Scan Eager's work is bounded by the partitions every list holds: on
 //! lists that share one partition, the process-wide
 //! `slca_eager_steps_total` moves by at most that partition's postings
-//! plus the lists' partition runs — not by the lists' lengths.
+//! plus the lists' partition runs — not by the lists' lengths. On one
+//! list it moves by exactly the postings below the root: one step each.
 //!
-//! One test, its own binary: the counter is process-wide.
+//! Its own binary, and its tests take turns on `COUNTER`: the counter is
+//! process-wide.
+
+use std::sync::Mutex;
 
 use invindex::{ListHandle, Posting};
 use slca::{slca_brute_force, slca_scan_eager};
 use xmldom::{Dewey, NodeTypeId};
+
+/// Held while a test reads the counter around its call.
+static COUNTER: Mutex<()> = Mutex::new(());
 
 fn eager_steps() -> u64 {
     obs::global()
@@ -48,6 +55,7 @@ fn steps_are_bounded_by_the_shared_partition_and_the_runs() {
         .sum();
     let postings: Vec<&[Posting]> = lists.iter().map(ListHandle::postings).collect();
 
+    let _turn = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     let before = eager_steps();
     let found = slca_scan_eager(&lists);
     let steps = eager_steps() - before;
@@ -58,4 +66,26 @@ fn steps_are_bounded_by_the_shared_partition_and_the_runs() {
     // Well below a scan of the lists, which passes every posting.
     let total: u64 = lists.iter().map(|l| l.len() as u64).sum();
     assert!(steps < total, "{steps} >= {total}");
+}
+
+#[test]
+fn one_list_takes_one_step_per_posting_below_the_root() {
+    // The root, then nested chains and siblings over five partitions.
+    let mut postings = vec![Posting::new(Dewey::root(), NodeTypeId(0))];
+    postings.extend(list(0..5, 4).iter().flat_map(|p| {
+        let below = p.dewey.child(1);
+        [p.clone(), Posting::new(below, NodeTypeId(0))]
+    }));
+    let below_root = postings.len() as u64 - 1;
+    let one = [ListHandle::from_postings(postings)];
+    let expected = slca_brute_force(&[one[0].postings()]);
+
+    let _turn = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+    let before = eager_steps();
+    let found = slca_scan_eager(&one);
+    let steps = eager_steps() - before;
+
+    assert_eq!(found, expected);
+    assert_eq!(found.len(), 20, "{found:?}");
+    assert_eq!(steps, below_root);
 }

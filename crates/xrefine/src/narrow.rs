@@ -148,7 +148,11 @@ pub fn narrow_refine(
             (t, dep * 0.5 + balance)
         })
         .collect();
-    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    // Best score first; ties by keyword, so the order does not depend on
+    // the map's iteration order.
+    scored.sort_by(|a, b| {
+        (b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal)).then_with(|| a.0.cmp(&b.0))
+    });
 
     let mut out = Vec::new();
     for (keyword, score) in scored {
@@ -233,6 +237,45 @@ mod tests {
         }
         // "network" (3 of 30) is the natural narrowing under max 5
         assert!(suggestions.iter().any(|s| s.added == "network"));
+    }
+
+    #[test]
+    fn tied_keywords_come_out_in_keyword_order_every_run() {
+        // 12 reports; the first three also hold one note whose four words
+        // share every node, so they score exactly alike.
+        let mut b = xmldom::DocumentBuilder::new();
+        b.open_element("log");
+        for i in 0..12 {
+            b.open_element("report");
+            b.leaf("title", &format!("status report {i}"));
+            if i < 3 {
+                b.leaf("note", "delta gamma beta alpha");
+            }
+            b.close_element();
+        }
+        b.close_element();
+        let idx = KvBackedIndex::from_built(Index::build(Arc::new(b.finish())));
+        let q = Query::from_keywords(["status", "report"]);
+        let options = NarrowOptions {
+            k: 3,
+            max_results: 5,
+            ..Default::default()
+        };
+        let run = || -> Vec<(String, f64)> {
+            let suggestions = narrow_refine(&idx, &q, &options).unwrap();
+            (suggestions.expect("query is over-broad").into_iter())
+                .map(|s| (s.added, s.refinement.rank_score))
+                .collect()
+        };
+        let first = run();
+        assert_eq!(first.len(), 3, "{first:?}");
+        let added: Vec<&str> = first.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(added, ["alpha", "beta", "delta"], "{first:?}");
+        assert!(first.iter().all(|(_, score)| *score == first[0].1));
+        // Each run's map has its own hash keys, so its own iteration order.
+        for _ in 0..8 {
+            assert_eq!(run(), first);
+        }
     }
 
     #[test]

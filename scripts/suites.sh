@@ -30,7 +30,9 @@
 #                  pool (10x below a walk over every partition), rule
 #                  generation's allocation gate (the same count at
 #                  1 000 and 16 000 vocabulary words), tracer
-#                  well-nestedness, metrics-overhead bench
+#                  well-nestedness, metrics-overhead bench (written to
+#                  the target dir's BENCH_obs.suite.json, never over
+#                  results/BENCH_obs.json)
 #   ingest         streaming-vs-DOM ingest differential oracle (byte-
 #                  identical stores) + scanner fuzz sweep
 #   serve          server lifecycle tests (work-conserving admission
@@ -129,7 +131,8 @@ suite_observability() {
     xcargo test --release -q -p xrefine --test trace_concurrency
     OBS_BENCH_FRACTION="${OBS_BENCH_FRACTION:-0.02}" \
     OBS_BENCH_REPS="${OBS_BENCH_REPS:-2}" \
-        xcargo run --release -q -p bench --bin bench_obs
+        xcargo run --release -q -p bench --bin bench_obs \
+        "${CARGO_TARGET_DIR:-target}/BENCH_obs.suite.json"
 }
 
 suite_ingest() {
