@@ -28,7 +28,9 @@
         clippy::panic,
         clippy::unreachable,
         clippy::todo,
-        clippy::unimplemented
+        clippy::unimplemented,
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing
     )
 )]
 

@@ -38,7 +38,9 @@
         clippy::panic,
         clippy::unreachable,
         clippy::todo,
-        clippy::unimplemented
+        clippy::unimplemented,
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing
     )
 )]
 
@@ -63,9 +65,7 @@ pub fn persist(index: &Index, store: &mut dyn KvStore) -> Result<()> {
     store.put(b"D/doc", &frame_value(&encode_document(index.document())))?;
 
     for (k, text) in index.vocabulary().iter() {
-        let mut key = Vec::with_capacity(2 + text.len());
-        key.extend_from_slice(b"V/");
-        key.extend_from_slice(text.as_bytes());
+        let key = [b"V/".as_slice(), text.as_bytes()].concat();
         store.put(&key, &frame_value(&k.0.to_le_bytes()))?;
     }
 
@@ -149,7 +149,7 @@ pub(crate) fn load_vocab(store: &dyn KvStore) -> Result<KeywordTable> {
     let mut vocab = KeywordTable::new();
     let mut texts: Vec<(u32, String)> = Vec::new();
     for (key, value) in store.scan_prefix(b"V/")? {
-        let text = String::from_utf8(key[2..].to_vec())
+        let text = String::from_utf8(key.get(2..).unwrap_or_default().to_vec())
             .map_err(|_| KvError::corrupt("non-UTF-8 keyword"))?;
         let raw = unframe_value(&value, &format!("keyword id for {text:?}"))?;
         let id = u32::from_le_bytes(
@@ -203,7 +203,7 @@ pub(crate) fn list_id(key: &[u8]) -> Option<u32> {
 
 /// Frames `payload` as `varint(len) ‖ crc32 ‖ payload`.
 pub(crate) fn frame_value(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 9);
+    let mut out = Vec::with_capacity(payload.len().saturating_add(9));
     write_varint(&mut out, payload.len() as u64);
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
@@ -282,6 +282,11 @@ struct DagTuple {
 }
 
 /// Serializes the document as a hash-consed subtree DAG.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "encode side: the post-order walk gives every child its tuple id before its parent \
+              exits, and visits the root last, so both `node_tuple` lookups hit"
+)]
 pub(crate) fn encode_document(doc: &Document) -> Vec<u8> {
     let mut strings: Vec<String> = Vec::new();
     let mut string_ids: HashMap<String, u32> = HashMap::new();
@@ -325,7 +330,6 @@ pub(crate) fn encode_document(doc: &Document) -> Vec<u8> {
                 let children = node
                     .children
                     .iter()
-                    // xlint::allow(no-panic-paths): encode side — post-order guarantees every child was assigned a tuple id before its parent exits
                     .map(|c| node_tuple[c])
                     .collect::<Vec<_>>();
                 let tuple = DagTuple {
@@ -375,7 +379,6 @@ pub(crate) fn encode_document(doc: &Document) -> Vec<u8> {
             write_varint(&mut out, u64::from(c));
         }
     }
-    // xlint::allow(no-panic-paths): encode side — the traversal above visited the root last, so its tuple id is present
     write_varint(&mut out, u64::from(node_tuple[&doc.root()]));
     write_varint(&mut out, doc.len() as u64);
     obs::counter!("compress_encoded_bytes_total").add(out.len() as u64);
@@ -474,7 +477,7 @@ pub(crate) fn decode_document(bytes: &[u8]) -> Result<Document> {
         if *emitted >= total_nodes {
             return Err(corrupt("dag expands past its declared node count"));
         }
-        *emitted += 1;
+        *emitted = emitted.saturating_add(1);
         let t = tuples
             .get(tid as usize)
             .ok_or_else(|| corrupt("tuple id out of range"))?;
@@ -496,7 +499,7 @@ pub(crate) fn decode_document(bytes: &[u8]) -> Result<Document> {
             .ok_or_else(|| corrupt("tuple id out of range"))?;
         match t.children.get(cursor) {
             Some(&child) => {
-                stack.push((tid, cursor + 1));
+                stack.push((tid, cursor.saturating_add(1)));
                 enter(&mut builder, &tuples, child, &mut emitted)?;
                 stack.push((child, 0));
             }
@@ -600,8 +603,8 @@ pub fn verify_store(store: &dyn KvStore) -> IntegrityReport {
     match store.scan_prefix(b"V/") {
         Ok(entries) => {
             for (key, value) in entries {
-                vocab_section.entries += 1;
-                let text = String::from_utf8_lossy(&key[2..]).into_owned();
+                vocab_section.entries = vocab_section.entries.saturating_add(1);
+                let text = String::from_utf8_lossy(key.get(2..).unwrap_or_default()).into_owned();
                 let entry = format!("V/{text}");
                 match unframe_value(&value, &entry).and_then(|raw| {
                     raw.try_into()
@@ -640,7 +643,7 @@ pub fn verify_store(store: &dyn KvStore) -> IntegrityReport {
     match store.scan_prefix(LIST_PREFIX) {
         Ok(entries) => {
             for (key, value) in entries {
-                list_section.entries += 1;
+                list_section.entries = list_section.entries.saturating_add(1);
                 let entry = match list_id(&key) {
                     Some(id) => match names.get(&id) {
                         Some(text) => format!("L/{id} ({text:?})"),
@@ -682,7 +685,7 @@ pub fn verify_store(store: &dyn KvStore) -> IntegrityReport {
         ("S/T", "tf (packed)", table),
         ("S/D", "df (packed)", table),
     ] {
-        stat_section.entries += 1;
+        stat_section.entries = stat_section.entries.saturating_add(1);
         match store.get(key.as_bytes()) {
             Ok(Some(value)) => {
                 if let Err(e) = unframe_value(&value, name).and_then(check) {
@@ -724,6 +727,11 @@ fn read_string(bytes: &[u8], pos: &mut usize) -> Option<String> {
 ///             per row: varint k_delta (first row: k; later: k - prev_k - 1)
 ///                      varint value
 /// ```
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "encode side: `rows` is sorted by (type, keyword) without repeats, so a later group's \
+              type and a later row's keyword exceed their predecessor's"
+)]
 fn encode_packed_stats(rows: &[(NodeTypeId, KeywordId, u64)]) -> Vec<u8> {
     let mut groups: Vec<(u32, Vec<(u32, u64)>)> = Vec::new();
     for &(t, k, v) in rows {

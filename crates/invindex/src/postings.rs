@@ -36,7 +36,9 @@
         clippy::panic,
         clippy::unreachable,
         clippy::todo,
-        clippy::unimplemented
+        clippy::unimplemented,
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing
     )
 )]
 
@@ -101,7 +103,7 @@ impl PostingList {
     /// Builds from a vector that must already be in document order.
     pub fn from_sorted(postings: Vec<Posting>) -> Self {
         debug_assert!(
-            postings.windows(2).all(|w| w[0].dewey < w[1].dewey),
+            postings.is_sorted_by(|a, b| a.dewey < b.dewey),
             "postings must be strictly document-ordered"
         );
         let mut runs = Vec::new();
@@ -180,30 +182,36 @@ pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
 pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     // One byte is the common case: a component delta, a node type, a
     // short length.
-    let first = *bytes.get(*pos)?;
-    *pos += 1;
+    let first = read_byte(bytes, pos)?;
     if first & 0x80 == 0 {
         return Some(u64::from(first));
     }
     let mut result = u64::from(first & 0x7F);
-    let mut shift = 7u32;
-    loop {
-        let byte = *bytes.get(*pos)?;
-        *pos += 1;
-        if shift >= 64 {
-            return None;
-        }
+    // Shifts 7, 14, .., 63: a continuation past the tenth byte is None.
+    for shift in (7..64).step_by(7) {
+        let byte = read_byte(bytes, pos)?;
         let bits = u64::from(byte & 0x7F);
         if bits > u64::MAX >> shift {
             return None;
         }
-        // xlint::allow(checked-arithmetic-on-untrusted): the guard above caps shift at 63, and shl only overflows when the shift amount reaches the bit width
         result |= bits << shift;
         if byte & 0x80 == 0 {
             return Some(result);
         }
-        shift += 7;
     }
+    None
+}
+
+/// Reads the byte at `pos`, advancing `pos` past it.
+#[inline(always)]
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "`*pos` indexes the byte `get` just returned, so `*pos + 1 <= bytes.len()`"
+)]
+fn read_byte(bytes: &[u8], pos: &mut usize) -> Option<u8> {
+    let byte = *bytes.get(*pos)?;
+    *pos += 1;
+    Some(byte)
 }
 
 // ----- compressed list encoding ---------------------------------------
@@ -257,6 +265,11 @@ impl PostingList {
     /// (the first one delta-coded against the predecessor when the two
     /// labels diverge — document order guarantees the delta is
     /// non-negative), and its node type only when it changes.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "encode side: `start` is `data.len()` before the block was appended, and the \
+                  capacity adds two `Vec` lengths and 4"
+    )]
     pub fn encode_compressed(&self) -> Vec<u8> {
         let mut skips = Vec::new();
         let mut data = Vec::new();
@@ -283,9 +296,10 @@ impl PostingList {
                 .zip(max.iter())
                 .take_while(|(a, b)| a == b)
                 .count();
+            let max_rest = max.get(shared..).unwrap_or(&[]);
             write_varint(&mut skips, shared as u64);
-            write_varint(&mut skips, (max.len() - shared) as u64);
-            for &c in max.get(shared..).unwrap_or(&[]) {
+            write_varint(&mut skips, max_rest.len() as u64);
+            for &c in max_rest {
                 write_varint(&mut skips, u64::from(c));
             }
         }
@@ -303,6 +317,11 @@ impl PostingList {
 
 /// Encodes `curr` relative to `prev` (strictly smaller in document
 /// order, guaranteed by the list invariant).
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "encode side: `shared` counts a common prefix, so it is at most either label's \
+              length, and document order makes `c0` exceed `base` where the labels diverge"
+)]
 fn encode_delta_posting(out: &mut Vec<u8>, prev: &Posting, curr: &Posting) {
     let pc = prev.dewey.components();
     let cc = curr.dewey.components();
@@ -378,7 +397,7 @@ impl<'a> CompressedList<'a> {
             if count == 0 || count > BLOCK_POSTINGS {
                 return Err(corrupt(format!("block {i}: bad posting count {count}")));
             }
-            if i + 1 < b && count != BLOCK_POSTINGS {
+            if i.saturating_add(1) < b && count != BLOCK_POSTINGS {
                 return Err(corrupt(format!(
                     "block {i}: interior block holds {count} postings, expected {BLOCK_POSTINGS}"
                 )));
@@ -548,8 +567,7 @@ impl<'a> CompressedList<'a> {
         let mut len = min.len();
         let mut prev_type = t0;
         for _ in 1..meta.count {
-            let header = *bytes.get(pos).ok_or("truncated posting header")?;
-            pos += 1;
+            let header = read_byte(bytes, &mut pos).ok_or("truncated posting header")?;
             if header & HDR_RESERVED != 0 {
                 return Err("reserved header bit set");
             }
@@ -627,6 +645,11 @@ fn block_corrupt(i: usize, what: &str) -> KvError {
 
 /// Writes `c` as the working label's component at `*len` and counts it.
 #[inline]
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "`*len` is at most `label.len()`, a `Vec` length, before the slot is written, so \
+              `*len + 1 <= label.len()` after"
+)]
 fn put_component(label: &mut Vec<u32>, len: &mut usize, c: u32) {
     match label.get_mut(*len) {
         Some(slot) => *slot = c,

@@ -13,43 +13,42 @@
         clippy::panic,
         clippy::unreachable,
         clippy::todo,
-        clippy::unimplemented
+        clippy::unimplemented,
+        clippy::indexing_slicing
     )
 )]
 
 use crate::error::{KvError, Result};
 
-fn bytes_at<'a>(buf: &'a [u8], pos: usize, need: usize, what: &str) -> Result<&'a [u8]> {
-    pos.checked_add(need)
-        .and_then(|end| buf.get(pos..end))
-        .ok_or_else(|| truncated(buf, pos, need, what))
+fn array_at<const N: usize>(buf: &[u8], pos: usize, what: &str) -> Result<[u8; N]> {
+    buf.get(pos..)
+        .and_then(<[u8]>::first_chunk)
+        .copied()
+        .ok_or_else(|| truncated(buf, pos, N, what))
 }
 
 /// Reads a little-endian `u16` at `pos`, or reports `what` as truncated.
 pub fn u16_at(buf: &[u8], pos: usize, what: &str) -> Result<u16> {
-    let s = bytes_at(buf, pos, 2, what)?;
-    Ok(u16::from_le_bytes([s[0], s[1]]))
+    array_at(buf, pos, what).map(u16::from_le_bytes)
 }
 
 /// Reads a little-endian `u32` at `pos`, or reports `what` as truncated.
 pub fn u32_at(buf: &[u8], pos: usize, what: &str) -> Result<u32> {
-    let s = bytes_at(buf, pos, 4, what)?;
-    Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
+    array_at(buf, pos, what).map(u32::from_le_bytes)
 }
 
 /// Reads a little-endian `u64` at `pos`, or reports `what` as truncated.
 pub fn u64_at(buf: &[u8], pos: usize, what: &str) -> Result<u64> {
-    let s = bytes_at(buf, pos, 8, what)?;
-    Ok(u64::from_le_bytes([
-        s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7],
-    ]))
+    array_at(buf, pos, what).map(u64::from_le_bytes)
 }
 
 /// Borrows the `len`-byte slice at `pos`, or reports `what` as
 /// truncated. The checked form of `&buf[pos..pos + len]` for
 /// disk-derived lengths.
 pub fn slice_at<'a>(buf: &'a [u8], pos: usize, len: usize, what: &str) -> Result<&'a [u8]> {
-    bytes_at(buf, pos, len, what)
+    pos.checked_add(len)
+        .and_then(|end| buf.get(pos..end))
+        .ok_or_else(|| truncated(buf, pos, len, what))
 }
 
 fn truncated(buf: &[u8], pos: usize, need: usize, what: &str) -> KvError {

@@ -28,7 +28,8 @@
         clippy::panic,
         clippy::unreachable,
         clippy::todo,
-        clippy::unimplemented
+        clippy::unimplemented,
+        clippy::indexing_slicing
     )
 )]
 
@@ -92,7 +93,7 @@ fn verify_phys_page(phys: &[u8], id: u64) -> Result<Option<&[u8]>> {
     if phys.iter().all(|&b| b == 0) {
         return Ok(None);
     }
-    let payload = &phys[..PAGE_SIZE];
+    let payload = codec::slice_at(phys, 0, PAGE_SIZE, "page payload")?;
     let stored_crc = codec::u32_at(phys, PAGE_SIZE, "page trailer crc")?;
     let magic = codec::u32_at(phys, PAGE_SIZE + 4, "page trailer magic")?;
     if magic != PAGE_TRAILER_MAGIC {

@@ -212,8 +212,7 @@ impl KvStore for DiskKv {
         let tmp = PathBuf::from(tmp);
         let pager = FilePager::create(&self.vfs, &tmp)?;
         let tree = btree::build(pager, merge(self.tree.iter()?, self.view.overlay.iter()))?;
-        self.vfs.rename(&tmp, &self.path)?;
-        self.vfs.sync_parent_dir(&self.path)?;
+        self.vfs.replace(&tmp, &self.path)?;
         self.tree = Arc::new(tree);
         self.view = Snapshot::new(self.tree.clone());
         Ok(())

@@ -66,10 +66,12 @@ pub trait Vfs: Send + Sync {
     fn exists(&self, path: &Path) -> bool;
     /// Removes `path`; succeeds if it does not exist.
     fn remove(&self, path: &Path) -> Result<()>;
-    /// Atomically renames `from` over `to`.
-    fn rename(&self, from: &Path, to: &Path) -> Result<()>;
-    /// Fsyncs the directory containing `path`, making creations,
-    /// renames and removals under it durable.
+    /// Atomically renames `from` over `to`, then fsyncs their directory:
+    /// the new name is durable once this returns. It is the only rename
+    /// the trait offers, so a rename cannot be written without its sync.
+    fn replace(&self, from: &Path, to: &Path) -> Result<()>;
+    /// Fsyncs the directory containing `path`, making creations and
+    /// removals under it durable.
     fn sync_parent_dir(&self, path: &Path) -> Result<()>;
 }
 
@@ -143,9 +145,9 @@ impl Vfs for StdVfs {
         }
     }
 
-    fn rename(&self, from: &Path, to: &Path) -> Result<()> {
+    fn replace(&self, from: &Path, to: &Path) -> Result<()> {
         std::fs::rename(from, to)?;
-        Ok(())
+        fsutil::sync_parent_dir(to)
     }
 
     fn sync_parent_dir(&self, path: &Path) -> Result<()> {
@@ -407,6 +409,38 @@ impl FaultVfs {
         let inner = self.inner.lock(); // xlint::lock(vfs.state)
         inner.live.get(path).map(|&n| inner.nodes[n].data.clone())
     }
+
+    /// The first half of [`Vfs::replace`]: moves `from`'s directory
+    /// entry to `to` in the live namespace only.
+    fn rename_entry(&self, from: &Path, to: &Path) -> Result<()> {
+        let mut inner = self.inner.lock(); // xlint::lock(vfs.state)
+        match inner.begin_op(false)? {
+            None => {
+                let node = inner.live.remove(from).ok_or_else(|| {
+                    KvError::Io(std::io::Error::new(
+                        std::io::ErrorKind::NotFound,
+                        format!("rename: no such file {from:?}"),
+                    ))
+                })?;
+                inner.live.insert(to.to_path_buf(), node);
+                Ok(())
+            }
+            Some(Fault::PowerCut(mode)) => {
+                let (from, to) = (from.to_path_buf(), to.to_path_buf());
+                inner.power_cut(
+                    mode,
+                    |fs| {
+                        if let Some(node) = fs.live.remove(&from) {
+                            fs.live.insert(to, node);
+                        }
+                    },
+                    |_| {},
+                );
+                Err(power_off())
+            }
+            Some(_) => Err(injected("rename failed")),
+        }
+    }
 }
 
 struct FaultFile {
@@ -618,34 +652,11 @@ impl Vfs for FaultVfs {
         }
     }
 
-    fn rename(&self, from: &Path, to: &Path) -> Result<()> {
-        let mut inner = self.inner.lock(); // xlint::lock(vfs.state)
-        match inner.begin_op(false)? {
-            None => {
-                let node = inner.live.remove(from).ok_or_else(|| {
-                    KvError::Io(std::io::Error::new(
-                        std::io::ErrorKind::NotFound,
-                        format!("rename: no such file {from:?}"),
-                    ))
-                })?;
-                inner.live.insert(to.to_path_buf(), node);
-                Ok(())
-            }
-            Some(Fault::PowerCut(mode)) => {
-                let (from, to) = (from.to_path_buf(), to.to_path_buf());
-                inner.power_cut(
-                    mode,
-                    |fs| {
-                        if let Some(node) = fs.live.remove(&from) {
-                            fs.live.insert(to, node);
-                        }
-                    },
-                    |_| {},
-                );
-                Err(power_off())
-            }
-            Some(_) => Err(injected("rename failed")),
-        }
+    /// Two injected operations, the rename and then the directory sync,
+    /// so a power cut can land between them.
+    fn replace(&self, from: &Path, to: &Path) -> Result<()> {
+        self.rename_entry(from, to)?;
+        self.sync_parent_dir(to)
     }
 
     fn sync_parent_dir(&self, path: &Path) -> Result<()> {
@@ -805,23 +816,12 @@ mod tests {
     }
 
     #[test]
-    fn rename_becomes_durable_only_after_dir_sync() {
+    fn replace_is_durable_when_it_returns() {
         let vfs = FaultVfs::new();
         let f = vfs.open(&p("db.new")).unwrap();
         f.write_all_at(0, b"new tree").unwrap();
         f.sync_data().unwrap();
-        vfs.sync_parent_dir(&p("db.new")).unwrap();
-        vfs.rename(&p("db.new"), &p("db")).unwrap();
-        // Cut before the directory sync: the rename is rolled back.
-        vfs.set_fault(vfs.op_count(), Fault::PowerCut(SurvivalMode::LoseUnsynced));
-        assert!(vfs.sync_parent_dir(&p("db")).is_err());
-        vfs.power_cycle();
-        assert!(vfs.exists(&p("db.new")));
-        assert!(!vfs.exists(&p("db")));
-
-        // Redo the rename, sync the directory, cut after: it sticks.
-        vfs.rename(&p("db.new"), &p("db")).unwrap();
-        vfs.sync_parent_dir(&p("db")).unwrap();
+        vfs.replace(&p("db.new"), &p("db")).unwrap();
         vfs.set_fault(vfs.op_count(), Fault::PowerCut(SurvivalMode::LoseUnsynced));
         let g = vfs.open(&p("db")).unwrap();
         assert!(g.set_len(0).is_err());
@@ -829,6 +829,40 @@ mod tests {
         assert!(vfs.exists(&p("db")));
         assert!(!vfs.exists(&p("db.new")));
         assert_eq!(vfs.read_file(&p("db")).unwrap(), b"new tree");
+    }
+
+    /// A durable `db`, and a `db.new` whose bytes are synced but whose
+    /// directory entry is not, replaced over `db` with power cut under
+    /// `mode` between the rename and the directory sync.
+    fn replace_cut_between_halves(mode: SurvivalMode) -> FaultVfs {
+        let vfs = FaultVfs::new();
+        let old = vfs.open(&p("db")).unwrap();
+        old.write_all_at(0, b"old tree").unwrap();
+        old.sync_data().unwrap();
+        vfs.sync_parent_dir(&p("db")).unwrap();
+        let new = vfs.open(&p("db.new")).unwrap();
+        new.write_all_at(0, b"new tree").unwrap();
+        new.sync_data().unwrap();
+        // Op `op_count()` is the rename; the one after it the sync.
+        vfs.set_fault(vfs.op_count() + 1, Fault::PowerCut(mode));
+        assert!(vfs.replace(&p("db.new"), &p("db")).is_err());
+        assert!(vfs.fault_fired());
+        vfs.power_cycle();
+        vfs
+    }
+
+    #[test]
+    fn a_cut_between_rename_and_dir_sync_loses_only_unsynced_state() {
+        // The rename never reached the directory: `db` is the old file,
+        // and the new one's unsynced entry is gone with it.
+        let vfs = replace_cut_between_halves(SurvivalMode::LoseUnsynced);
+        assert_eq!(vfs.read_file(&p("db")).unwrap(), b"old tree");
+        assert!(!vfs.exists(&p("db.new")));
+
+        // Everything in flight made it: the rename survives.
+        let vfs = replace_cut_between_halves(SurvivalMode::KeepUnsynced);
+        assert_eq!(vfs.read_file(&p("db")).unwrap(), b"new tree");
+        assert!(!vfs.exists(&p("db.new")));
     }
 
     #[test]

@@ -50,7 +50,8 @@
         clippy::panic,
         clippy::unreachable,
         clippy::todo,
-        clippy::unimplemented
+        clippy::unimplemented,
+        clippy::indexing_slicing
     )
 )]
 
@@ -115,14 +116,21 @@ fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
 
 /// Entry `byte` of slice-by-16 table `table` (`< 16`).
 #[inline(always)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every caller passes a table below 16, and a u8 index is below the 256 entries"
+)]
 fn crc_lookup(table: usize, byte: u8) -> u32 {
-    // xlint::allow(no-panic-paths): every caller passes a table below 16, and a u8 index is below the 256 entries
     CRC_TABLES[table][usize::from(byte)]
 }
 
 /// Slice-by-16 tables for the reflected 0xEDB88320 polynomial: entry `i`
 /// of table `k` is the remainder of byte `i` followed by `k` zero bytes,
 /// so table 0 is the classic per-byte table.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "const-evaluated initializer; t < 16 and i < 256 are the loop bounds"
+)]
 const CRC_TABLES: [[u32; 256]; 16] = {
     const POLY: u32 = 0xEDB8_8320;
     let mut tables = [[0u32; 256]; 16];
@@ -137,7 +145,6 @@ const CRC_TABLES: [[u32; 256]; 16] = {
                 c = (c >> 1) ^ (POLY & (c & 1).wrapping_neg());
                 k += 1;
             }
-            // xlint::allow(no-panic-paths): const-evaluated initializer; t < 16 and i < 256 are the loop bounds
             tables[t][i] = c;
             t += 1;
         }

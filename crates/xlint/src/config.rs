@@ -33,9 +33,6 @@ pub struct Config {
     /// Path prefixes where every bare `.lock()`/`.read()`/`.write()`
     /// call must carry an `xlint::lock(...)` annotation.
     pub lock_paths: Vec<String>,
-    /// Decode-path files where data-dependent `[]` indexing is
-    /// forbidden outside tests (buffers there come from disk).
-    pub index_paths: Vec<String>,
     /// Paths where `KvError::Corrupt` must carry non-empty context.
     pub error_context_paths: Vec<String>,
     /// Metric and span names the documentation declares.
@@ -44,27 +41,6 @@ pub struct Config {
     pub metric_crates: Vec<String>,
     /// Valid `_<unit>` suffixes for metric names.
     pub metric_units: Vec<String>,
-    /// Durability protocol: `(trigger, successor)` call pairs from the
-    /// DESIGN.md protocol table. A call to `trigger` must be followed by
-    /// a call to `successor` in the same function or in every caller.
-    pub protocol: Vec<(String, String)>,
-    /// Paths where the durability protocol applies.
-    pub durability_paths: Vec<String>,
-    /// Files exempt from it: the Vfs layer *implements* the primitives
-    /// the protocol is stated in terms of.
-    pub durability_exempt: Vec<String>,
-    /// Decode-path files whose inputs are raw disk/network bytes; the
-    /// checked-arithmetic rule applies here.
-    pub untrusted_paths: Vec<String>,
-    /// Function names whose return values are untrusted (varint and
-    /// label readers over raw bytes).
-    pub untrusted_sources: Vec<String>,
-    /// Parameter names treated as raw untrusted bytes inside decode
-    /// entry points (see `untrusted_fn_markers`).
-    pub untrusted_params: Vec<String>,
-    /// Substrings that mark a function as a decode entry point: its
-    /// `untrusted_params` start out tainted.
-    pub untrusted_fn_markers: Vec<String>,
     /// Test-support modules under `crates/*/src`: their exports exist
     /// for tests to call, so `unused-export` does not report them.
     pub unused_export_exempt: Vec<String>,
@@ -83,15 +59,6 @@ impl Config {
                 "crates/obs/src/".into(),
                 "crates/xserve/src/".into(),
                 "crates/xrefine/src/live.rs".into(),
-            ],
-            index_paths: vec![
-                "crates/kvstore/src/codec.rs".into(),
-                "crates/kvstore/src/pager.rs".into(),
-                "crates/kvstore/src/wal.rs".into(),
-                "crates/invindex/src/persist.rs".into(),
-                "crates/invindex/src/postings.rs".into(),
-                "crates/invindex/src/cursor.rs".into(),
-                "crates/xserve/src/http.rs".into(),
             ],
             error_context_paths: vec!["crates/kvstore/src/".into(), "crates/invindex/src/".into()],
             catalogue: BTreeSet::new(),
@@ -115,40 +82,6 @@ impl Config {
                 "requests".into(),
                 "connections".into(),
                 "entries".into(),
-            ],
-            protocol: Vec::new(),
-            durability_paths: vec!["crates/kvstore/src/".into(), "crates/invindex/src/".into()],
-            durability_exempt: vec![
-                "crates/kvstore/src/vfs.rs".into(),
-                "crates/kvstore/src/fsutil.rs".into(),
-            ],
-            untrusted_paths: vec![
-                "crates/invindex/src/postings.rs".into(),
-                "crates/invindex/src/persist.rs".into(),
-                "crates/invindex/src/cursor.rs".into(),
-                "crates/xserve/src/http.rs".into(),
-            ],
-            untrusted_sources: vec![
-                "read_varint".into(),
-                "read_u32_varint".into(),
-                "read_dewey_abs".into(),
-                "read_dewey_front_coded".into(),
-                "from_le_bytes".into(),
-                "from_be_bytes".into(),
-            ],
-            untrusted_params: vec![
-                "bytes".into(),
-                "payload".into(),
-                "buf".into(),
-                "data".into(),
-                "raw".into(),
-            ],
-            untrusted_fn_markers: vec![
-                "decode".into(),
-                "parse".into(),
-                "read".into(),
-                "unframe".into(),
-                "scan".into(),
             ],
             unused_export_exempt: vec![
                 "crates/kvstore/src/vfs.rs".into(),
@@ -218,7 +151,7 @@ pub fn parse_lock_classes(text: &str) -> Result<BTreeMap<String, LockDecl>, Stri
 
 /// The byte range of `text` (the contents of `file`) between its
 /// `<!-- xlint:<name>:begin -->` and `<!-- xlint:<name>:end -->` markers.
-pub fn fence(text: &str, file: &str, name: &str) -> Result<Range<usize>, String> {
+fn fence(text: &str, file: &str, name: &str) -> Result<Range<usize>, String> {
     let find = |edge: &str| {
         let marker = format!("<!-- xlint:{name}:{edge} -->");
         let at = text.find(&marker);
@@ -232,16 +165,6 @@ pub fn fence(text: &str, file: &str, name: &str) -> Result<Range<usize>, String>
     Ok(start..end)
 }
 
-/// The backtick-quoted spans of `text` made only of characters `keep`
-/// accepts.
-fn quoted(text: &str, keep: impl Fn(char) -> bool) -> Vec<&str> {
-    text.split('`')
-        .skip(1)
-        .step_by(2)
-        .filter(|q| !q.is_empty() && q.chars().all(&keep))
-        .collect()
-}
-
 /// Extracts the metric/span catalogue from DESIGN.md: every
 /// backtick-quoted name between the `<!-- xlint:catalogue:begin -->` and
 /// `<!-- xlint:catalogue:end -->` markers that looks like a metric
@@ -249,42 +172,15 @@ fn quoted(text: &str, keep: impl Fn(char) -> bool) -> Vec<&str> {
 /// (`kebab-case` / bare word).
 pub fn parse_catalogue(design_md: &str) -> Result<BTreeSet<String>, String> {
     let section = &design_md[fence(design_md, "DESIGN.md", "catalogue")?];
-    let names: BTreeSet<String> = quoted(section, |c| {
-        c.is_ascii_lowercase() || c.is_ascii_digit() || "._-".contains(c)
-    })
-    .into_iter()
-    .map(str::to_string)
-    .collect();
+    let name_char = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || "._-".contains(c);
+    let names: BTreeSet<String> = (section.split('`').skip(1).step_by(2))
+        .filter(|q| !q.is_empty() && q.chars().all(name_char))
+        .map(str::to_string)
+        .collect();
     if names.is_empty() {
         return Err("DESIGN.md catalogue section quotes no names".into());
     }
     Ok(names)
-}
-
-/// Extracts the durability-protocol table from DESIGN.md: every table
-/// row between the `<!-- xlint:protocol:begin -->` and
-/// `<!-- xlint:protocol:end -->` markers contributes its first two
-/// backtick-quoted names as a `(trigger, required successor)` pair.
-/// Header and divider rows quote nothing, so they drop out naturally.
-pub fn parse_protocol(design_md: &str) -> Result<Vec<(String, String)>, String> {
-    let pairs: Vec<(String, String)> = design_md[fence(design_md, "DESIGN.md", "protocol")?]
-        .lines()
-        .map(str::trim)
-        .filter(|line| line.starts_with('|'))
-        .filter_map(|line| {
-            match quoted(line, |c| {
-                c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'
-            })[..]
-            {
-                [trigger, successor, ..] => Some((trigger.to_string(), successor.to_string())),
-                _ => None,
-            }
-        })
-        .collect();
-    if pairs.is_empty() {
-        return Err("DESIGN.md protocol section declares no trigger/successor pairs".into());
-    }
-    Ok(pairs)
 }
 
 #[cfg(test)]
@@ -356,31 +252,5 @@ outro `also_not_collected`\n";
     #[test]
     fn catalogue_requires_markers() {
         assert!(parse_catalogue("no markers at all").is_err());
-    }
-
-    #[test]
-    fn protocol_extraction_skips_headers_and_prose() {
-        let md = "\
-prose mentioning `rename` outside the table\n\
-<!-- xlint:protocol:begin -->\n\
-| trigger | required successor | why |\n\
-|---|---|---|\n\
-| `rename` | `sync_parent_dir` | the dirent is volatile until synced |\n\
-prose row-free line quoting `only_one_name`\n\
-<!-- xlint:protocol:end -->\n";
-        let pairs = parse_protocol(md).unwrap();
-        assert_eq!(
-            pairs,
-            vec![("rename".to_string(), "sync_parent_dir".to_string())]
-        );
-    }
-
-    #[test]
-    fn protocol_requires_markers_and_rows() {
-        assert!(parse_protocol("no markers").is_err());
-        assert!(parse_protocol(
-            "<!-- xlint:protocol:begin -->\nno rows\n<!-- xlint:protocol:end -->\n"
-        )
-        .is_err());
     }
 }

@@ -65,7 +65,6 @@ pub fn fixture_config() -> Config {
     ] {
         c.catalogue.insert(name.to_string());
     }
-    c.protocol = vec![("rename".into(), "sync_parent_dir".into())];
     c
 }
 

@@ -3,8 +3,6 @@
 //! exemptions and path scoping are applied here so the individual rules
 //! stay declarative.
 
-pub mod checked_arith;
-pub mod durability;
 pub mod error_context;
 pub mod lock_order;
 pub mod metric_catalogue;
@@ -24,9 +22,7 @@ pub const RULE_NAMES: &[&str] = &[
     lock_order::RULE,
     metric_catalogue::RULE,
     error_context::RULE,
-    durability::RULE,
     unsafe_audit::RULE,
-    checked_arith::RULE,
     unused_export::RULE,
 ];
 
@@ -35,19 +31,17 @@ pub const RULE_NAMES: &[&str] = &[
 pub fn run_all(file: &SourceFile, config: &Config) -> Vec<Finding> {
     let mut out = Vec::new();
     pragma::check(file, &mut out);
-    no_panic::check(file, config, &mut out);
+    no_panic::check(file, &mut out);
     lock_order::check(file, config, &mut out);
     metric_catalogue::check(file, config, &mut out);
     error_context::check(file, config, &mut out);
     unsafe_audit::check(file, config, &mut out);
-    checked_arith::check(file, config, &mut out);
     out
 }
 
-/// Runs the graph-aware rules over the whole-workspace model (or a
+/// Runs the cross-file rules over the whole-workspace model (or a
 /// degenerate single-file model, as the fixtures do).
 pub fn run_workspace(model: &WorkspaceModel, config: &Config, out: &mut Vec<Finding>) {
-    durability::check(model, config, out);
     lock_order::check_declared(model, config, out);
     unused_export::check(model, config, out);
 }

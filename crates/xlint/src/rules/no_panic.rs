@@ -6,48 +6,32 @@
 //! Clippy owns most of this: each file on those paths opens with
 //! `#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used,
 //! clippy::panic, clippy::unreachable, clippy::todo,
-//! clippy::unimplemented))]`. Clippy has no lint for the two checks
-//! left here:
-//!
-//! * hard `assert!` / `assert_eq!` / `assert_ne!` (the `debug_assert*`
-//!   family is exempt: it compiles out of release builds), in every
-//!   file whose inner attributes deny `clippy::panic` — the scope is
-//!   that line, written once in the file it covers;
-//! * data-dependent `[]` indexing, but only in decode-path files
-//!   (`index_paths`): an index that came off disk must be bounds-checked
-//!   with `.get()`. Structurally constant indices (integer literals,
-//!   `UPPER_CASE` consts, and range punctuation) are allowed.
+//! clippy::unimplemented))]`, and decode-path files add
+//! `clippy::indexing_slicing` (and `clippy::arithmetic_side_effects`).
+//! Clippy has no lint for the check left here: hard `assert!` /
+//! `assert_eq!` / `assert_ne!` (the `debug_assert*` family is exempt:
+//! it compiles out of release builds), in every file whose inner
+//! attributes deny `clippy::panic` — the scope is that line, written
+//! once in the file it covers.
 
-use crate::config::Config;
 use crate::diag::Finding;
 use crate::lexer::{Token, TokenKind};
 use crate::source::SourceFile;
 
 pub const RULE: &str = "no-panic-paths";
 
-/// Keywords after which a `[` opens an array literal, not an index.
-const KEYWORDS: &[&str] = &[
-    "in", "return", "break", "else", "match", "if", "while", "loop", "move", "ref", "mut", "as",
-];
-
 const ASSERT_MACROS: &[&str] = &["assert", "assert_eq", "assert_ne"];
 
-pub fn check(file: &SourceFile, config: &Config, out: &mut Vec<Finding>) {
+pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
     let toks = file.code_tokens();
-    let scoped = denies_clippy_panic(&toks);
-    let indexed = Config::in_scope(&file.path, &config.index_paths);
-    if !scoped && !indexed {
+    if !denies_clippy_panic(&toks) {
         return;
     }
-    for i in 0..toks.len() {
-        let t = toks[i];
-        if file.is_test_line(t.line) {
-            continue;
-        }
-        if scoped
-            && matches!(t.kind, TokenKind::Ident)
+    for (t, next) in toks.iter().zip(toks.iter().skip(1)) {
+        if matches!(t.kind, TokenKind::Ident)
             && ASSERT_MACROS.contains(&t.text.as_str())
-            && toks.get(i + 1).is_some_and(|n| n.is_punct('!'))
+            && next.is_punct('!')
+            && !file.is_test_line(t.line)
         {
             super::emit(
                 out,
@@ -58,28 +42,6 @@ pub fn check(file: &SourceFile, config: &Config, out: &mut Vec<Finding>) {
                 format!("`{}!` can panic on a storage/decode path", t.text),
                 "return `KvError::Corrupt` (or use `debug_assert!` for invariants)".into(),
             );
-        }
-        if indexed && t.is_punct('[') && i > 0 {
-            let prev = toks[i - 1];
-            // A keyword before `[` means an array literal (`in [..]`,
-            // `return [..]`), not an index expression.
-            let is_index_expr = (matches!(prev.kind, TokenKind::Ident)
-                && !KEYWORDS.contains(&prev.text.as_str()))
-                || prev.is_punct(')')
-                || prev.is_punct(']');
-            // `vec![..]`-style macro bodies have `!` before `[`; `#[..]`
-            // attributes have `#`. Neither matches above.
-            if is_index_expr && !index_is_constant(&toks, i) {
-                super::emit(
-                    out,
-                    file,
-                    RULE,
-                    t.line,
-                    t.col,
-                    "data-dependent `[]` indexing on a decode path".into(),
-                    "use `.get(..)` and map a miss to `KvError::Corrupt`".into(),
-                );
-            }
         }
     }
 }
@@ -113,43 +75,6 @@ fn denies_clippy_panic(toks: &[&Token]) -> bool {
     false
 }
 
-/// Is every token between `toks[open]` (a `[`) and its matching `]`
-/// structurally constant? Allowed: integer/float literals, `UPPER_CASE`
-/// identifiers (consts), and the punctuation of ranges and constant
-/// arithmetic (`.` `+` `-` `=` `*` `/`).
-fn index_is_constant(toks: &[&Token], open: usize) -> bool {
-    let mut depth = 0usize;
-    for t in &toks[open..] {
-        if t.is_punct('[') {
-            depth += 1;
-            continue;
-        }
-        if t.is_punct(']') {
-            depth -= 1;
-            if depth == 0 {
-                return true;
-            }
-            continue;
-        }
-        let ok = match &t.kind {
-            TokenKind::Number => true,
-            TokenKind::Ident => is_const_ident(&t.text),
-            TokenKind::Punct(c) => matches!(c, '.' | '+' | '-' | '=' | '*' | '/'),
-            _ => false,
-        };
-        if !ok {
-            return false;
-        }
-    }
-    true // unterminated bracket: the lexer ran off the file; don't flag
-}
-
-fn is_const_ident(s: &str) -> bool {
-    s.chars()
-        .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
-        && s.chars().any(|c| c.is_ascii_uppercase())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,9 +84,8 @@ mod tests {
 
     fn findings(src: &str) -> Vec<(usize, String)> {
         let file = SourceFile::parse("crates/kvstore/src/wal.rs", src, FileKind::Production);
-        let config = Config::workspace_defaults();
         let mut out = Vec::new();
-        check(&file, &config, &mut out);
+        check(&file, &mut out);
         out.into_iter().map(|f| (f.line, f.message)).collect()
     }
 
@@ -188,53 +112,21 @@ mod tests {
             "{DENY}fn f() {{}}\n\
              #[cfg(test)]\n\
              mod tests {{\n\
-             fn t() {{ assert!(x); buf[i]; }}\n\
+             fn t() {{ assert!(x); }}\n\
              }}\n"
         ));
         assert!(fs.is_empty(), "{fs:?}");
     }
 
     #[test]
-    fn indexing_flags_variables_but_not_constants() {
-        let fs = findings(
-            "fn f() {\n\
-             let a = buf[pos];\n\
-             let b = buf[..PAGE_SIZE];\n\
-             let c = buf[0];\n\
-             let d = buf[HDR + 4..HDR + 8];\n\
-             let e = buf[pos..pos + len];\n\
-             let f = vec![0u8; n];\n\
-             for name in [a, b] { g(name); }\n\
-             }\n",
-        );
-        assert_eq!(
-            fs.iter().map(|(l, _)| *l).collect::<Vec<_>>(),
-            vec![2, 6],
-            "{fs:?}"
-        );
-    }
-
-    #[test]
     fn suppression_pragma_with_justification_works() {
-        let fs = findings(
-            "fn f() {\n\
-             // xlint::allow(no-panic-paths): index proven in-bounds by the loop guard\n\
-             let a = buf[pos];\n\
-             let b = buf[pos2];\n\
-             }\n",
-        );
-        assert_eq!(fs.iter().map(|(l, _)| *l).collect::<Vec<_>>(), vec![4]);
-    }
-
-    #[test]
-    fn indexing_outside_index_paths_is_ignored() {
-        let file = SourceFile::parse(
-            "crates/slca/src/lib.rs",
-            "fn f() { buf[i]; }\n",
-            FileKind::Production,
-        );
-        let mut out = Vec::new();
-        check(&file, &Config::workspace_defaults(), &mut out);
-        assert!(out.is_empty());
+        let fs = findings(&format!(
+            "{DENY}fn f() {{\n\
+             // xlint::allow(no-panic-paths): an overflowing node must abort the writer\n\
+             assert!(fits);\n\
+             assert!(fits2);\n\
+             }}\n"
+        ));
+        assert_eq!(fs.iter().map(|(l, _)| *l).collect::<Vec<_>>(), vec![5]);
     }
 }

@@ -4,8 +4,8 @@
 //! workspace, so an export stays only while production code — another
 //! crate, a binary, `src/`, `examples/`, `bench_e2e/src` — names it.
 //!
-//! Like the call graph it is name-level: an item is *reached* when its
-//! bare name occurs as an identifier on a non-test line outside
+//! It is name-level: an item is *reached* when its bare name occurs as
+//! an identifier on a non-test line outside
 //!
 //! * the item itself (for a type: its declaration and every `impl`
 //!   block whose header names it),

@@ -78,7 +78,6 @@ pub fn load_config(root: &Path) -> Result<Config, String> {
     let design = fs::read_to_string(&design_path)
         .map_err(|e| format!("cannot read {}: {e}", design_path.display()))?;
     cfg.catalogue = config::parse_catalogue(&design)?;
-    cfg.protocol = config::parse_protocol(&design)?;
     Ok(cfg)
 }
 
@@ -96,7 +95,7 @@ fn parse_workspace(root: &Path) -> Result<Vec<SourceFile>, String> {
 }
 
 /// Lints every source file in the workspace: per-file rules first, then
-/// the graph rules over the whole-workspace model. Findings come back
+/// the cross-file rules over the whole-workspace model. Findings come back
 /// sorted.
 pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     let config = load_config(root)?;

@@ -272,8 +272,8 @@ mod tests {
         fn remove(&self, path: &Path) -> Result<()> {
             self.inner.remove(path)
         }
-        fn rename(&self, from: &Path, to: &Path) -> Result<()> {
-            self.inner.rename(from, to)
+        fn replace(&self, from: &Path, to: &Path) -> Result<()> {
+            self.inner.replace(from, to)
         }
         fn sync_parent_dir(&self, path: &Path) -> Result<()> {
             self.inner.sync_parent_dir(path)

@@ -2,10 +2,10 @@
 //!
 //! Only what the serving path needs — request line, the `Connection` and
 //! `Content-Length` headers, query-string decoding — parsed defensively:
-//! the attribute below denies clippy's panic lints here, and xlint's
-//! `index_paths` scope covers this file, so bytes off the wire are never
-//! indexed unchecked and malformed input surfaces as a structured
-//! [`ParseError`], never a panic. A garbage request must cost the server
+//! the attribute below denies clippy's panic lints here, with unchecked
+//! indexing and overflowing arithmetic among them, so bytes off the wire
+//! are never indexed unchecked and malformed input surfaces as a
+//! structured [`ParseError`], never a panic. A garbage request must cost the server
 //! one `400`, not a connection thread.
 
 #![cfg_attr(
@@ -16,7 +16,9 @@
         clippy::panic,
         clippy::unreachable,
         clippy::todo,
-        clippy::unimplemented
+        clippy::unimplemented,
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing
     )
 )]
 
@@ -216,12 +218,9 @@ pub fn percent_decode(s: &str) -> String {
 }
 
 fn hex_val(b: u8) -> Option<u8> {
-    match b {
-        b'0'..=b'9' => Some(b - b'0'),
-        b'a'..=b'f' => Some(b - b'a' + 10),
-        b'A'..=b'F' => Some(b - b'A' + 10),
-        _ => None,
-    }
+    char::from(b)
+        .to_digit(16)
+        .and_then(|d| u8::try_from(d).ok())
 }
 
 /// A response ready to serialize. Bodies are formed before writing so
@@ -323,10 +322,7 @@ pub fn write_response(
     };
     let _ = write!(head, "Connection: {conn}\r\n\r\n");
 
-    let mut frame = Vec::with_capacity(head.len() + resp.body.len());
-    frame.extend_from_slice(head.as_bytes());
-    frame.extend_from_slice(&resp.body);
-    out.write_all(&frame)?;
+    out.write_all(&[head.as_bytes(), &resp.body].concat())?;
     out.flush()
 }
 
