@@ -31,6 +31,14 @@
 //! anchor against the anchor before it. One list needs no join: its SLCAs
 //! are its postings below the root that the next posting does not lie
 //! inside, found in one forward pass.
+//!
+//! [`slca_scan_eager_page`] is Scan Eager stopped at a page: it judges
+//! each SLCA below the root once it is final and stops at the first one
+//! past the page. Anchors ascend, so the last label kept is final once an
+//! anchor outside its subtree has been seen: a later candidate is a
+//! prefix of a later anchor, so it can no longer lie inside that label.
+//! Each result is judged with the anchor it came from, a posting inside
+//! it. Its work is the prefix of the full scan up to that anchor.
 
 use crate::common::{closest_match, minimal_candidates};
 use invindex::{ListHandle, PartitionRuns, Posting, HEAD_AT_ROOT};
@@ -84,9 +92,16 @@ pub fn slca_scan_eager(lists: &[ListHandle]) -> Vec<Dewey> {
     let Some(root) = anchors.first().and_then(|p| p.dewey.prefix(1)) else {
         return Vec::new();
     };
-    let (found, steps) = match lists {
-        [one] => deepest_postings(one),
-        _ => run_join(lists, shortest, anchors),
+    let mut found = Vec::new();
+    let steps = match lists {
+        [one] => {
+            found.reserve(one.len());
+            deepest_postings(one, |p| {
+                found.push(p.dewey.clone());
+                false
+            })
+        }
+        _ => run_join(lists, shortest, anchors, &mut found),
     };
     obs::counter!("slca_eager_steps_total").add(steps);
     obs::trace::count("slca.steps", steps);
@@ -96,31 +111,161 @@ pub fn slca_scan_eager(lists: &[ListHandle]) -> Vec<Dewey> {
     found
 }
 
-/// The SLCAs of one list and the steps taken: its postings below the
-/// root that the next posting does not lie inside — a posting with a
-/// descendant in the list has that descendant right after it, in
-/// document order. One step per posting below the root.
-fn deepest_postings(list: &[Posting]) -> (Vec<Dewey>, u64) {
+/// Scan Eager stopped at a page (see the module docs): the first `n`
+/// SLCAs below the root that `keep` accepts, in document order, and
+/// whether one more exists. `keep` sees each SLCA once it is final, with
+/// a posting inside it. The root, the one SLCA when no partition holds
+/// every list, is never on the page.
+pub fn slca_scan_eager_page(
+    lists: &[ListHandle],
+    n: usize,
+    keep: impl FnMut(&[u32], &Posting) -> bool,
+) -> (Vec<Dewey>, bool) {
+    obs::counter!("slca_invocations_total").inc();
+    let Some((shortest, anchors)) = (lists.iter().enumerate()).min_by_key(|(_, l)| l.len()) else {
+        return (Vec::new(), false);
+    };
+    let mut page = Page {
+        n,
+        keep,
+        found: Vec::with_capacity(n.min(anchors.len())),
+        last: None,
+        more: false,
+    };
+    let steps = match lists {
+        [one] => deepest_postings(one, |p| page.judge(p.dewey.components(), p)),
+        _ => run_join(lists, shortest, anchors, &mut page),
+    };
+    if let Some(last) = page.last.filter(|last| !last.judged && !page.more) {
+        page.judge(last.label, last.inside);
+    }
+    obs::counter!("slca_eager_steps_total").add(steps);
+    obs::trace::count("slca.steps", steps);
+    (page.found, page.more)
+}
+
+/// The SLCAs of one list, each handed to `emit` (which returns `true` to
+/// stop), and the steps taken: its postings below the root that the next
+/// posting does not lie inside — a posting with a descendant in the list
+/// has that descendant right after it, in document order. One step per
+/// posting below the root passed.
+fn deepest_postings<'a>(list: &'a [Posting], mut emit: impl FnMut(&'a Posting) -> bool) -> u64 {
     // The root sorts before every other label.
     let on_root = list.iter().take_while(|p| p.dewey.len() == 1).count();
     let below = list.get(on_root..).unwrap_or_default();
-    let mut found = Vec::with_capacity(below.len());
     for (i, p) in below.iter().enumerate() {
         let label = p.dewey.components();
         if !below
             .get(i + 1)
             .is_some_and(|next| next.dewey.components().starts_with(label))
+            && emit(p)
         {
-            found.push(p.dewey.clone());
+            return i as u64 + 1;
         }
     }
-    (found, below.len() as u64)
+    below.len() as u64
+}
+
+/// What the run join does with each anchor's candidate, a prefix of the
+/// anchor.
+trait Candidates<'a> {
+    /// Takes `label`, the candidate of `anchor`; `true` ends the join.
+    fn take(&mut self, label: &'a [u32], anchor: &'a Posting) -> bool;
+}
+
+/// The full scan keeps every minimal candidate.
+impl<'a> Candidates<'a> for Vec<Dewey> {
+    #[inline]
+    fn take(&mut self, label: &'a [u32], _: &'a Posting) -> bool {
+        keep_minimal(self, label);
+        false
+    }
+}
+
+/// What [`slca_scan_eager_page`] keeps: the page, and the last minimal
+/// candidate, judged once it is final.
+struct Page<'a, F> {
+    n: usize,
+    keep: F,
+    found: Vec<Dewey>,
+    last: Option<Last<'a>>,
+    /// An SLCA past the page was accepted: the scan is over.
+    more: bool,
+}
+
+/// The last minimal candidate of a page's scan.
+#[derive(Clone, Copy)]
+struct Last<'a> {
+    label: &'a [u32],
+    /// The anchor it came from, a posting inside it.
+    inside: &'a Posting,
+    /// Final, and handed to `keep`.
+    judged: bool,
+}
+
+impl<F: FnMut(&[u32], &Posting) -> bool> Page<'_, F> {
+    /// Judges a final SLCA; `true` once it is one past the page.
+    fn judge(&mut self, label: &[u32], inside: &Posting) -> bool {
+        if !(self.keep)(label, inside) {
+            return false;
+        }
+        if self.found.len() == self.n {
+            self.more = true;
+            return true;
+        }
+        self.found.extend(Dewey::from_slice(label));
+        false
+    }
+}
+
+/// [`keep_minimal`]'s decision, with the last label judged once it is
+/// final.
+impl<'a, F: FnMut(&[u32], &Posting) -> bool> Candidates<'a> for Page<'a, F> {
+    fn take(&mut self, label: &'a [u32], anchor: &'a Posting) -> bool {
+        let next = Last {
+            label,
+            inside: anchor,
+            judged: false,
+        };
+        let Some(last) = self.last else {
+            self.last = Some(next);
+            return false;
+        };
+        let (_, shared) = first_difference(last.label, label);
+        if shared == label.len() {
+            // The candidate holds the last label, so it is not minimal.
+            // The anchor may lie outside that label all the same.
+            if last.judged || anchor.dewey.components().starts_with(last.label) {
+                return false;
+            }
+            self.last = Some(Last {
+                judged: true,
+                ..last
+            });
+            return self.judge(last.label, last.inside);
+        }
+        self.last = Some(next);
+        if shared == last.label.len() {
+            // The last label holds the candidate, which replaces it; it was
+            // not final, since the anchor lies inside it.
+            debug_assert!(!last.judged);
+            return false;
+        }
+        // The candidate follows the last label, outside it.
+        !last.judged && self.judge(last.label, last.inside)
+    }
 }
 
 /// Scan Eager over two or more lists, anchored on `anchors`, the list at
-/// `shortest`: the run join of the module docs. Returns the SLCAs (none
-/// when no partition holds every list) and the steps taken.
-fn run_join(lists: &[ListHandle], shortest: usize, anchors: &ListHandle) -> (Vec<Dewey>, u64) {
+/// `shortest`: the run join of the module docs. Hands each anchor's
+/// candidate to `found` (none when no partition holds every list) until
+/// it asks to stop, and returns the steps taken.
+fn run_join<'a>(
+    lists: &'a [ListHandle],
+    shortest: usize,
+    anchors: &'a ListHandle,
+    found: &mut impl Candidates<'a>,
+) -> u64 {
     let mut anchor_runs = anchors.partition_runs();
     let mut others: Vec<RunJoin<'_>> = (lists.iter().enumerate())
         .filter(|&(i, _)| i != shortest)
@@ -133,7 +278,6 @@ fn run_join(lists: &[ListHandle], shortest: usize, anchors: &ListHandle) -> (Vec
         })
         .collect();
     let mut steps = 0u64;
-    let mut found: Vec<Dewey> = Vec::new();
     // The partition every cursor is asked to reach; the root's postings
     // stand in none.
     let mut head = HEAD_AT_ROOT + 1;
@@ -173,11 +317,13 @@ fn run_join(lists: &[ListHandle], shortest: usize, anchors: &ListHandle) -> (Vec
                 steps += 1;
                 min_prefix = min_prefix.min(other.closest_prefix(a, step, &mut steps));
             }
-            keep_minimal(&mut found, a.get(..min_prefix).unwrap_or_default());
+            if found.take(a.get(..min_prefix).unwrap_or_default(), anchor) {
+                break 'join;
+            }
         }
         head += 1;
     }
-    (found, steps)
+    steps
 }
 
 /// Compares two labels by one walk to their first difference: the order

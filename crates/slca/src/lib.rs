@@ -15,16 +15,14 @@
 
 pub mod common;
 pub mod eager;
-pub mod elca;
 pub mod meaningful;
 pub mod multiway;
 pub mod searchfor;
 pub mod stack;
 
 pub use common::{closest_match, minimal_candidates, slca_brute_force};
-pub use eager::{slca_indexed_lookup_eager, slca_scan_eager};
-pub use elca::{elca, elca_brute_force};
-pub use meaningful::{needs_refinement, MeaningfulFilter};
+pub use eager::{slca_indexed_lookup_eager, slca_scan_eager, slca_scan_eager_page};
+pub use meaningful::{needs_refinement, MeaningfulFilter, MeaningfulTypes};
 pub use multiway::slca_multiway;
 pub use searchfor::{confidence_with, infer_search_for, SearchForConfig};
 pub use stack::slca_stack;

@@ -11,24 +11,35 @@
 //! computes that threshold for every node type once, when it is built.
 //! The test holds for a node's descendants too — they extend its type
 //! path — so a result is typed by *any* posting inside it:
-//! [`MeaningfulFilter::retain_meaningful`] judges the SLCAs of a set of
+//! [`MeaningfulTypes::admits`] judges a result by one posting inside it,
+//! and [`MeaningfulTypes::retain_meaningful`] judges the SLCAs of a set of
 //! lists by the postings of one of those lists, a galloping forward merge
-//! over sorted labels with no document access. [`MeaningfulFilter::is_meaningful`]
-//! judges a bare label and pays a node lookup for its type.
+//! over sorted labels with no document access. [`MeaningfulTypes`] owns
+//! its table and borrows no document, so a deferred result set can keep
+//! it. [`MeaningfulFilter::is_meaningful`] judges a bare label and pays a
+//! node lookup for its type.
 
 use crate::searchfor::{infer_search_for, SearchForConfig};
 use invindex::{gallop, KeywordId, Posting, TypeStats};
+use std::sync::Arc;
 use xmldom::{Dewey, Document, NodeTypeId};
 
 /// A meaningfulness filter bound to one query's search-for candidates.
 pub struct MeaningfulFilter<'a> {
     doc: &'a Document,
     candidates: Vec<NodeTypeId>,
-    /// Definition 3.3 per node type, indexed by `NodeTypeId`: the length
-    /// of the shortest candidate path that is a prefix of the type's path
-    /// (`usize::MAX` when none is). A node of the type, or a node above
-    /// one, is meaningful iff its label is at least that long.
-    min_len: Vec<usize>,
+    types: MeaningfulTypes,
+}
+
+/// Definition 3.3 per node type, judged through a posting inside a
+/// result: no document access. Cloning it shares the table.
+#[derive(Debug, Clone)]
+pub struct MeaningfulTypes {
+    /// Indexed by `NodeTypeId`: the length of the shortest candidate path
+    /// that is a prefix of the type's path (`usize::MAX` when none is). A
+    /// node of the type, or a node above one, is meaningful iff its label
+    /// is at least that long.
+    min_len: Arc<[usize]>,
 }
 
 impl<'a> MeaningfulFilter<'a> {
@@ -66,7 +77,7 @@ impl<'a> MeaningfulFilter<'a> {
         MeaningfulFilter {
             doc,
             candidates,
-            min_len,
+            types: MeaningfulTypes { min_len },
         }
     }
 
@@ -75,19 +86,19 @@ impl<'a> MeaningfulFilter<'a> {
         &self.candidates
     }
 
-    /// Is a node of length `len` at or above a node of type `t`
-    /// meaningful?
-    fn admits(&self, len: usize, NodeTypeId(t): NodeTypeId) -> bool {
-        self.min_len.get(t as usize).is_some_and(|&min| len >= min)
+    /// The filter's judgement of results through postings inside them.
+    pub fn types(&self) -> &MeaningfulTypes {
+        &self.types
     }
 
     /// Definition 3.3: `dewey` is meaningful iff the node it denotes is of
     /// a candidate type or a descendant type thereof. Labels not denoting
     /// any element (possible only with foreign labels) are not meaningful.
     pub fn is_meaningful(&self, dewey: &Dewey) -> bool {
-        self.doc
-            .node_by_dewey(dewey)
-            .is_some_and(|id| self.admits(dewey.len(), self.doc.node(id).node_type))
+        self.doc.node_by_dewey(dewey).is_some_and(|id| {
+            self.types
+                .admits_type(dewey.len(), self.doc.node(id).node_type)
+        })
     }
 
     /// Keeps only the meaningful results.
@@ -96,6 +107,21 @@ impl<'a> MeaningfulFilter<'a> {
             .into_iter()
             .filter(|d| self.is_meaningful(d))
             .collect()
+    }
+}
+
+impl MeaningfulTypes {
+    /// Is a node of length `len` at or above a node of type `t`
+    /// meaningful?
+    fn admits_type(&self, len: usize, NodeTypeId(t): NodeTypeId) -> bool {
+        self.min_len.get(t as usize).is_some_and(|&min| len >= min)
+    }
+
+    /// Is the result `label` meaningful, given `inside`, a posting that
+    /// lies inside it? No node is looked up.
+    pub fn admits(&self, label: &[u32], inside: &Posting) -> bool {
+        debug_assert!(inside.dewey.components().starts_with(label));
+        self.admits_type(label.len(), inside.node_type)
     }
 
     /// Keeps only the meaningful `slcas`, given a list whose every result
@@ -111,7 +137,7 @@ impl<'a> MeaningfulFilter<'a> {
             rest = rest.get(skip..).unwrap_or_default();
             rest.first().is_some_and(|p| {
                 debug_assert!(r.is_ancestor_or_self_of(&p.dewey), "{r} holds no posting");
-                self.admits(r.len(), p.node_type)
+                self.admits_type(r.len(), p.node_type)
             })
         });
     }

@@ -12,13 +12,14 @@
 //! (>= 500 per property) is one this suite states in its assertions.
 //! Scan Eager's two paths — the one-list pass and the run join's fused
 //! order-and-prefix probe — also get a shrinking `xcheck::prop` property
-//! over lists shaped to reach their edges.
+//! over lists shaped to reach their edges, and so does the bounded scan
+//! `slca_scan_eager_page` against a prefix of the full one.
 
 use datagen::{random_dewey_corpus, DeweyCorpusConfig};
 use invindex::{ListHandle, Posting};
 use slca::{
     closest_match, slca_brute_force, slca_indexed_lookup_eager, slca_multiway, slca_scan_eager,
-    slca_stack,
+    slca_scan_eager_page, slca_stack,
 };
 use xcheck::prop::{check, Gen};
 use xmldom::{Dewey, NodeTypeId};
@@ -194,29 +195,67 @@ fn postings(mut labels: Vec<Vec<u32>>) -> Vec<Posting> {
         .collect()
 }
 
+/// One list from `one_list`, and up to three more that sit on, above,
+/// below and beside its labels, or anywhere; now and then one is empty.
+fn lists(g: &mut Gen) -> Vec<Vec<Posting>> {
+    let first = one_list(g);
+    let mut labels = vec![first.clone()];
+    labels.extend(g.vec(0..=3, |g| {
+        if g.weighted(&[9, 1]) == 1 {
+            return Vec::new();
+        }
+        g.vec(1..=8, |g| match first.is_empty() || g.bool() {
+            true => label(g),
+            false => {
+                let like = g.pick(&first);
+                near(g, &like)
+            }
+        })
+    }));
+    labels.into_iter().map(postings).collect()
+}
+
 #[test]
 fn scan_eager_equals_brute_force_on_nested_deep_and_empty_lists() {
     check(2048, |g| {
-        let first = one_list(g);
-        // The other lists sit on, above, below and beside the first
-        // one's labels, or anywhere; now and then one is empty.
-        let mut labels = vec![first.clone()];
-        labels.extend(g.vec(0..=3, |g| {
-            if g.weighted(&[9, 1]) == 1 {
-                return Vec::new();
-            }
-            g.vec(1..=8, |g| match first.is_empty() || g.bool() {
-                true => label(g),
-                false => {
-                    let like = g.pick(&first);
-                    near(g, &like)
-                }
-            })
-        }));
-        let lists: Vec<Vec<Posting>> = labels.into_iter().map(postings).collect();
+        let lists = lists(g);
         let handles: Vec<ListHandle> = (lists.iter().cloned())
             .map(ListHandle::from_postings)
             .collect();
         assert_eq!(slca_scan_eager(&handles), slca_brute_force(&lists));
+    });
+}
+
+/// The bounded scan's page is the first `n` accepted SLCAs below the root
+/// of the full scan, and `more` says exactly whether there is another.
+/// Acceptance depends on the label alone — everything, a minimum depth,
+/// or the parity of its component sum — so that a label judged before it
+/// is final (before a deeper candidate could still replace it) shows as a
+/// wrong page; the posting handed with it must lie inside it.
+#[test]
+fn scan_eager_page_is_a_prefix_of_the_full_scan() {
+    check(2048, |g| {
+        let lists = lists(g);
+        let handles: Vec<ListHandle> = (lists.iter().cloned())
+            .map(ListHandle::from_postings)
+            .collect();
+        let rule = g.weighted(&[1, 1, 1]);
+        let depth = g.range(2..6);
+        let accept = move |label: &[u32]| match rule {
+            1 => label.len() >= depth,
+            2 => label.iter().sum::<u32>() % 2 == 0,
+            _ => true,
+        };
+        let full: Vec<Dewey> = (slca_scan_eager(&handles).into_iter())
+            .filter(|d| d.len() > 1 && accept(d.components()))
+            .collect();
+        for n in [1, 2, 20] {
+            let (page, more) = slca_scan_eager_page(&handles, n, |label, inside| {
+                assert!(inside.dewey.components().starts_with(label));
+                accept(label)
+            });
+            assert_eq!(page, full[..n.min(full.len())], "n = {n}");
+            assert_eq!(more, full.len() > n, "n = {n}");
+        }
     });
 }

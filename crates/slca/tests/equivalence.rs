@@ -83,21 +83,3 @@ fn lemma1_subset_queries_keep_results() {
         }
     });
 }
-
-#[test]
-fn elca_agrees_with_reference_and_contains_slca() {
-    use slca::{elca, elca_brute_force, minimal_candidates};
-    check(256, |g| {
-        let lists = g.vec(1..4, list);
-        let refs: Vec<&[Posting]> = lists.iter().map(|l| l.as_slice()).collect();
-        let fast = elca(&refs);
-        let slow = elca_brute_force(&refs);
-        assert_eq!(fast, slow);
-        // ELCA ⊇ SLCA, and minimal(ELCA) == SLCA
-        let slca = slca_brute_force(&refs);
-        for s in &slca {
-            assert!(fast.contains(s), "SLCA {s} missing from ELCA");
-        }
-        assert_eq!(minimal_candidates(fast), slca);
-    });
-}

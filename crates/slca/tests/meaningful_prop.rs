@@ -79,7 +79,9 @@ fn filter_agrees_with_first_principles() {
             for n in inside.filter(|n| node.dewey.is_ancestor_or_self_of(&n.dewey)) {
                 let mut typed = vec![node.dewey.clone()];
                 let posting = Posting::new(n.dewey.clone(), n.node_type);
-                filter.retain_meaningful(&mut typed, &[posting]);
+                let admitted = filter.types().admits(node.dewey.components(), &posting);
+                assert_eq!(admitted, verdict, "{} by {}", node.dewey, n.dewey);
+                filter.types().retain_meaningful(&mut typed, &[posting]);
                 assert_eq!(!typed.is_empty(), verdict, "{} by {}", node.dewey, n.dewey);
             }
         }
@@ -99,7 +101,7 @@ fn filter_agrees_with_first_principles() {
         assert!(kept.windows(2).all(|w| w[0] < w[1]));
         for list in &lists {
             let mut typed = slcas.clone();
-            filter.retain_meaningful(&mut typed, list);
+            filter.types().retain_meaningful(&mut typed, list);
             assert_eq!(typed, kept);
         }
     });

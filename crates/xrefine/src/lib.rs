@@ -42,7 +42,9 @@ pub use narrow::{narrow_refine, NarrowOptions, Narrowing};
 pub use partition::{partition_refine, PartitionOptions, SlcaMethod};
 pub use query::{Query, RqCandidate};
 pub use ranking::{Ranker, RankingConfig};
-pub use results::{DegradedKeyword, QueryFailure, RefineOutcome, Refinement};
+pub use results::{
+    DegradedKeyword, QueryFailure, RefineOutcome, Refinement, ResultSet, RESULT_PAGE,
+};
 pub use rqlist::{RqId, RqSortedList};
 pub use session::RefineSession;
 pub use sle::{sle_refine, SleOptions};

@@ -176,7 +176,7 @@ pub fn narrow_refine(
             refinement: Refinement {
                 candidate: RqCandidate::new(keywords, 1.0),
                 rank_score: score,
-                slcas: narrowed,
+                slcas: narrowed.into(),
             },
             original_results: slcas.len(),
         });

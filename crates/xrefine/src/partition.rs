@@ -25,7 +25,11 @@
 //! the union of the per-partition results from the admission partition
 //! on (DESIGN.md §4, "Deferred result materialisation"); it is never
 //! empty, because the meaningful SLCA the candidate was admitted on lies
-//! at or after its offsets. No results are ever computed for a list
+//! at or after its offsets. That call is Scan Eager stopped at the page:
+//! it yields the first [`RESULT_PAGE`] meaningful results and whether
+//! there are more, and the rest are computed, by the session's SLCA
+//! method over the same lists, only when something reads the whole set
+//! ([`ResultSet`]). No results are ever computed for a list
 //! member that is not returned, nor for a candidate that is evicted and
 //! stays out. One that is evicted and later admitted again — the
 //! threshold never rises, but the DP's beam can price one keyword set
@@ -83,12 +87,13 @@
 use crate::dp::{DpScratch, KeyBits};
 use crate::query::RqCandidate;
 use crate::ranking::{Ranker, RankingConfig};
-use crate::results::{RefineOutcome, Refinement};
+use crate::results::{RefineOutcome, Refinement, ResultSet, RESULT_PAGE};
 use crate::rqlist::{RqId, RqSortedList};
 use crate::session::RefineSession;
 use crate::util::KeyMask;
 use invindex::fxhash::FxMap;
 use invindex::{ListHandle, PartitionRuns, ScanStats, HEAD_AT_ROOT};
+use slca::MeaningfulTypes;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::ops::Range;
@@ -124,10 +129,12 @@ struct Interned {
 /// kept here for the session; the strings of a candidate are first
 /// written when `finalize` ranks it.
 ///
-/// A lookup happens once per partition and almost always hits, so the
-/// memo is keyed through the Fx hasher (a mask is one word per 64 `KS`
-/// keywords) and its hits are counted here and published once per query
-/// by [`DpMemo::flush_hits`]. Fx has no defence against crafted
+/// A lookup happens once per partition visited. Since the walk visits
+/// only the partitions where a trial can happen, few lookups hit: 5.2 %
+/// on the benchmark's warm serving stream (`xrefine.dp_memo_hit_ratio`
+/// 0.052). The memo is keyed through the Fx hasher (a mask is one word
+/// per 64 `KS` keywords) and its hits are counted here and published once
+/// per query by [`DpMemo::flush_hits`]. Fx has no defence against crafted
 /// collisions; the memo does not need one, because it lives for one query
 /// and holds at most one entry per partition, so collisions could slow
 /// only the query that made them.
@@ -236,18 +243,19 @@ impl DpMemo {
         }
     }
 
-    /// A candidate's results: one `slca` call over its keywords' lists —
-    /// each from where it stood at the candidate's first admission, or
-    /// whole when none was recorded (Algorithm 3) — reduced to the
-    /// meaningful, non-root results. `slices` is the caller's reusable
-    /// argument buffer.
+    /// A candidate's meaningful, non-root results over its keywords'
+    /// lists — each from where it stood at the candidate's first
+    /// admission, or whole when none was recorded (Algorithm 3). The page
+    /// is one call of Scan Eager stopped past it; when there are more,
+    /// the whole set is one `slca` call over the same lists, made when it
+    /// is first read. `slices` is the caller's reusable argument buffer.
     pub(crate) fn materialise(
         &self,
         session: &RefineSession<'_>,
         id: RqId,
         slca: SlcaMethod,
         slices: &mut Vec<ListHandle>,
-    ) -> Vec<Dewey> {
+    ) -> ResultSet {
         let c = &self.arena[id];
         slices.clear();
         slices.extend(c.ks.iter().enumerate().map(|(n, &i)| {
@@ -255,25 +263,29 @@ impl DpMemo {
             let from = c.admitted_at.as_ref().map_or(0, |at| at[n]);
             list.slice(from..list.len())
         }));
-        meaningful_slcas(session, slca, slices)
+        let types = session.filter.types();
+        let (page, more) = slca::slca_scan_eager_page(slices, RESULT_PAGE, |label, inside| {
+            types.admits(label, inside)
+        });
+        if !more {
+            return ResultSet::from(page);
+        }
+        let (lists, types) = (slices.clone(), types.clone());
+        ResultSet::deferred(page, move || meaningful_slcas(&types, slca, &lists))
     }
 }
 
 /// `slca` over `lists`, reduced to the meaningful results below the
 /// document root. Each result is typed by a posting of the shortest list
 /// inside it, so no document node is looked up.
-fn meaningful_slcas(
-    session: &RefineSession<'_>,
-    slca: SlcaMethod,
-    lists: &[ListHandle],
-) -> Vec<Dewey> {
+fn meaningful_slcas(types: &MeaningfulTypes, slca: SlcaMethod, lists: &[ListHandle]) -> Vec<Dewey> {
     let mut found = slca(lists);
     found.retain(|d| d.len() > 1);
     let shortest = lists
         .iter()
         .min_by_key(|l| l.len())
         .map(ListHandle::postings);
-    (session.filter).retain_meaningful(&mut found, shortest.unwrap_or_default());
+    types.retain_meaningful(&mut found, shortest.unwrap_or_default());
     found
 }
 
@@ -714,7 +726,7 @@ impl Scan {
             slices.extend(
                 (dp_memo.ks(id).iter()).map(|&i| session.lists[i].slice(ranges[i].clone())),
             );
-            if meaningful_slcas(session, slca, slices).is_empty() {
+            if meaningful_slcas(session.filter.types(), slca, slices).is_empty() {
                 continue;
             }
             if dp_memo.admit(session, rq_list, id, dissimilarity) {
@@ -726,9 +738,9 @@ impl Scan {
         changed
     }
 
-    /// Line 19: the counters published, the list ranked, and one SLCA call
-    /// per candidate returned, over its lists from where they stood at its
-    /// first admission.
+    /// Line 19: the counters published, the list ranked, and one call of
+    /// Scan Eager stopped past the page per candidate returned, over its
+    /// lists from where they stood at its first admission.
     fn finish(mut self, session: &RefineSession<'_>, options: &PartitionOptions) -> RefineOutcome {
         obs::counter!("xrefine_rqs_pruned_total").add(self.rqs_pruned);
         obs::trace::count("rqs.pruned", self.rqs_pruned);
@@ -818,14 +830,14 @@ fn refine(
 /// keywords and dissimilarities, never results — then walks the members
 /// in rank order, has the caller `materialise` each one's results and
 /// keeps the first K whose result set is not empty. So results exist
-/// only for what is returned.
+/// only for what is returned, and past its page only once read.
 pub(crate) fn finalize(
     session: &RefineSession<'_>,
     rq_list: RqSortedList,
     dp_memo: &DpMemo,
     k: usize,
     ranking: &RankingConfig,
-    mut materialise: impl FnMut(RqId) -> Vec<Dewey>,
+    mut materialise: impl FnMut(RqId) -> ResultSet,
 ) -> RefineOutcome {
     let members: Vec<(f64, RqId)> = rq_list.iter().collect();
     let candidates: Vec<RqCandidate> = members
@@ -857,8 +869,8 @@ pub(crate) fn finalize(
             continue;
         }
         debug_assert!(
-            slcas.windows(2).all(|w| w[0] < w[1]),
-            "materialised results are the SLCA method's sorted, deduplicated output"
+            slcas.page().windows(2).all(|w| w[0] < w[1]),
+            "materialised results are sorted and deduplicated"
         );
         original_ok = candidate.dissimilarity == 0.0;
         refinements.push(Refinement {
@@ -1004,7 +1016,7 @@ mod tests {
             .iter()
             .map(|&i| session.lists[i].clone())
             .collect();
-        let expected = meaningful_slcas(&session, slca::slca_scan_eager, &whole);
+        let expected = meaningful_slcas(session.filter.types(), slca::slca_scan_eager, &whole);
         assert!(!expected.is_empty());
         assert_eq!(found, expected);
     }

@@ -3,7 +3,13 @@
 
 use crate::query::RqCandidate;
 use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 use xmldom::Dewey;
+
+/// How many of a refinement's results are computed with the answer: the
+/// page the `/query` body lists. The rest are computed when read.
+pub const RESULT_PAGE: usize = 20;
 
 /// A rule-generated keyword the engine dropped because its on-disk
 /// posting list is damaged: the answer was still produced, from the
@@ -76,7 +82,122 @@ pub struct Refinement {
     /// the algorithm ranks by dissimilarity only (stack-refine).
     pub rank_score: f64,
     /// Meaningful SLCA results, in document order.
-    pub slcas: Vec<Dewey>,
+    pub slcas: ResultSet,
+}
+
+/// A refinement's meaningful results, in document order. The first
+/// [`RESULT_PAGE`] come with the answer ([`ResultSet::page`]), with
+/// whether there are more ([`ResultSet::more`]). The whole set is what
+/// the set derefs to: computed the first time it is read, then kept.
+#[derive(Clone)]
+pub struct ResultSet {
+    page: Vec<Dewey>,
+    rest: Rest,
+}
+
+/// A function computing a whole result set.
+type Compute = Arc<dyn Fn() -> Vec<Dewey> + Send + Sync>;
+
+#[derive(Clone)]
+enum Rest {
+    /// The page is the whole set.
+    None,
+    /// The whole set, known from the start.
+    Known(Vec<Dewey>),
+    /// The whole set, computed on first read.
+    Deferred(OnceLock<Vec<Dewey>>, Compute),
+}
+
+impl ResultSet {
+    /// A set of more than [`RESULT_PAGE`] results, known by its first
+    /// [`RESULT_PAGE`] and by `compute`, which yields them all.
+    pub(crate) fn deferred(
+        page: Vec<Dewey>,
+        compute: impl Fn() -> Vec<Dewey> + Send + Sync + 'static,
+    ) -> Self {
+        debug_assert_eq!(page.len(), RESULT_PAGE);
+        ResultSet {
+            page,
+            rest: Rest::Deferred(OnceLock::new(), Arc::new(compute)),
+        }
+    }
+
+    /// The first [`RESULT_PAGE`] results (all of them when there are no
+    /// more).
+    pub fn page(&self) -> &[Dewey] {
+        &self.page
+    }
+
+    /// Are there results past the page?
+    pub fn more(&self) -> bool {
+        !matches!(self.rest, Rest::None)
+    }
+
+    /// Is the set empty? Read from the page: computes nothing.
+    pub fn is_empty(&self) -> bool {
+        self.page.is_empty()
+    }
+}
+
+impl From<Vec<Dewey>> for ResultSet {
+    fn from(all: Vec<Dewey>) -> Self {
+        match all.get(..RESULT_PAGE) {
+            Some(page) if all.len() > RESULT_PAGE => ResultSet {
+                page: page.to_vec(),
+                rest: Rest::Known(all),
+            },
+            _ => ResultSet {
+                page: all,
+                rest: Rest::None,
+            },
+        }
+    }
+}
+
+impl Deref for ResultSet {
+    type Target = [Dewey];
+
+    fn deref(&self) -> &[Dewey] {
+        match &self.rest {
+            Rest::None => &self.page,
+            Rest::Known(all) => all,
+            Rest::Deferred(all, compute) => all.get_or_init(|| {
+                let all = compute();
+                debug_assert!(
+                    all.len() > self.page.len() && all.starts_with(&self.page),
+                    "the page is a proper prefix of the whole set"
+                );
+                all
+            }),
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a ResultSet {
+    type Item = &'a Dewey;
+    type IntoIter = std::slice::Iter<'a, Dewey>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for ResultSet {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl PartialEq<Vec<Dewey>> for ResultSet {
+    fn eq(&self, other: &Vec<Dewey>) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for ResultSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// The outcome of processing one query.

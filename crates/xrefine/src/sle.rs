@@ -9,8 +9,9 @@
 //! once even the optimistic dissimilarity of the remaining keyword set
 //! (`C_potential`, the session's DP plan run on the mask of the
 //! remaining keywords) cannot beat the current list. Step 2 computes the
-//! SLCAs of the candidates that are returned with an existing SLCA
-//! method over the full lists.
+//! SLCAs of the candidates that are returned over the full lists: their
+//! first page with Scan Eager stopped past it, the rest with an existing
+//! SLCA method when read.
 //!
 //! Candidates, the Top-2K list and the results use the scheme of
 //! Algorithm 2 (`partition.rs`): the session's `DpMemo` interns each

@@ -140,7 +140,7 @@ pub fn stack_refine(session: &RefineSession<'_>) -> RefineOutcome {
         Some(cand) => vec![Refinement {
             candidate: cand,
             rank_score: 0.0,
-            slcas: results,
+            slcas: results.into(),
         }],
         None => Vec::new(),
     };

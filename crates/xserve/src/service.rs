@@ -16,10 +16,6 @@ use xrefine::{LiveEngine, QueryFailure, RefineOutcome, XRefineEngine};
 
 use invindex::maint::{MaintOp, MaintReport};
 
-/// SLCA Dewey labels beyond this many are elided from the JSON (the
-/// count is always exact).
-const MAX_SLCAS_LISTED: usize = 20;
-
 /// A status code plus a JSON body, ready for the HTTP layer to frame.
 #[derive(Debug, Clone)]
 pub struct ServiceReply {
@@ -192,7 +188,10 @@ pub fn render_report(report: &MaintReport) -> String {
 }
 
 /// Renders a successful outcome as JSON. Hand-rolled like every other
-/// emitter in the workspace; strings go through `json_string`.
+/// emitter in the workspace; strings go through `json_string`. Each
+/// refinement lists the page of its results (`xrefine::RESULT_PAGE`),
+/// and `more` says whether it has results past it: the rest are never
+/// computed for a response.
 pub fn render_outcome(query: &str, outcome: &RefineOutcome) -> String {
     let mut out = String::with_capacity(256);
     out.push_str("{\"query\":");
@@ -215,10 +214,10 @@ pub fn render_outcome(query: &str, outcome: &RefineOutcome) -> String {
         out.push_str(&format!("{:.6}", r.candidate.dissimilarity));
         out.push_str(",\"rank_score\":");
         out.push_str(&format!("{:.6}", r.rank_score));
-        out.push_str(",\"slca_count\":");
-        out.push_str(&r.slcas.len().to_string());
+        out.push_str(",\"more\":");
+        out.push_str(if r.slcas.more() { "true" } else { "false" });
         out.push_str(",\"slcas\":[");
-        for (j, d) in r.slcas.iter().take(MAX_SLCAS_LISTED).enumerate() {
+        for (j, d) in r.slcas.page().iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }

@@ -123,6 +123,8 @@ suite_observability() {
     xcargo test -q -p xrefine --test dp_oracle
     xcargo test --release -q -p xrefine --test dp_reference
     xcargo test --release -q --test refinement_results_reference
+    xcargo test --release -q -p slca --test differential scan_eager_page
+    xcargo test --release -q -p xserve --test result_page
     xcargo test --release -q -p lexicon --test rulegen_reference
     xcargo test --release -q -p lexicon --test rulegen_alloc
     xcargo test --release -q -p xrefine --test slca_invocations_budget
