@@ -86,14 +86,17 @@ fn main() {
                 .iter()
                 .filter_map(|k| index.vocabulary().get(k))
                 .collect();
-            let filter = MeaningfulFilter::infer(index.document(), index.stats(), &ids, &config);
+            let types = index.document().node_types();
+            let filter = MeaningfulFilter::infer(types, index.stats(), &ids, &config);
             let lists: Vec<ListHandle> = q
                 .keywords()
                 .iter()
                 .map(|k| index.list_handle(k).expect("an in-memory store reads"))
                 .collect();
             let slcas = slca_scan_eager(&lists);
-            let flagged = needs_refinement(&filter, &slcas);
+            // Each SLCA is judged by a posting of the first list inside it.
+            let first = lists.first().map(ListHandle::postings).unwrap_or_default();
+            let flagged = needs_refinement(&filter, slcas, first);
             match wq.kind {
                 PerturbKind::ExtraTerm => flagged_extra += usize::from(flagged),
                 _ => flagged_none += usize::from(flagged),

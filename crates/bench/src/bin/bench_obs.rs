@@ -1,29 +1,34 @@
 //! Observability overhead bench: the concurrent-queries workload run
 //! with the metrics/trace layer enabled vs. disabled (the `obs` kill
-//! switch), interleaved to cancel drift, one worker per available core.
+//! switch), one worker per available core. The inputs are the end-to-end
+//! benchmark's serve inputs: its small corpus (300 DBLP authors) and its
+//! 280-query pool. A rep alternates passes over the pool in the two
+//! configurations until each has run at least [`MIN_REP`], so one rep's
+//! timing is neither a few milliseconds of scheduler noise nor a second
+//! of host drift that only one configuration saw.
 //! Emits `results/BENCH_obs.json` with both throughputs, the relative
 //! overhead — the median of the per-rep overheads, so one slow rep
-//! cannot decide it — and the metrics snapshot accumulated by the
-//! instrumented run. The acceptance gate is overhead < 5% (DESIGN.md
-//! "Observability").
+//! cannot decide it, with their quartiles beside it to show the spread —
+//! and the metrics snapshot accumulated by the instrumented run. The
+//! acceptance gate is overhead < 5% (DESIGN.md "Observability").
 //!
-//! Knobs (environment): `OBS_BENCH_FRACTION` scales the DBLP corpus
-//! (default 0.05), `OBS_BENCH_REPS` the interleaved repetitions
+//! Knob (environment): `OBS_BENCH_REPS`, the interleaved repetitions
 //! (default 4).
 
-use bench::dblp;
-use datagen::{generate_workload, WorkloadConfig};
+use datagen::{generate_dblp, generate_workload, DblpConfig, WorkloadConfig};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xrefine::{EngineConfig, Query, XRefineEngine};
 
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// The end-to-end benchmark's small serve corpus: authors and seed.
+const CORPUS_AUTHORS: usize = 300;
+const CORPUS_SEED: u64 = 0xD8B1;
+/// Its query pool: 40 queries of each of the 7 kinds, and their seed.
+const POOL_PER_KIND: usize = 40;
+const POOL_SEED: u64 = 0x9E37_79B9;
+/// The shortest a rep of one configuration runs.
+const MIN_REP: Duration = Duration::from_secs(1);
 
 fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key)
@@ -50,29 +55,53 @@ fn run_once(engine: &Arc<XRefineEngine>, workload: &[Vec<String>], threads: usiz
     start.elapsed()
 }
 
-/// The median of `xs` (the mean of the middle two for an even count).
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    match xs.len() {
-        0 => f64::NAN,
-        n if n % 2 == 1 => xs[n / 2],
-        n => (xs[n / 2 - 1] + xs[n / 2]) / 2.0,
+/// One rep: passes over the workload with the layer enabled and disabled
+/// in turn, until each configuration has run at least [`MIN_REP`].
+/// Alternating pass by pass lets both see the same host: on a shared
+/// machine throughput drifts by tens of percent over seconds. Returns the
+/// queries answered per second enabled and disabled.
+fn rep(engine: &Arc<XRefineEngine>, workload: &[Vec<String>], threads: usize) -> (f64, f64) {
+    let (mut on, mut off, mut passes) = (Duration::ZERO, Duration::ZERO, 0);
+    while on.min(off) < MIN_REP {
+        obs::set_enabled(true);
+        on += run_once(engine, workload, threads);
+        obs::set_enabled(false);
+        off += run_once(engine, workload, threads);
+        passes += 1;
     }
+    obs::set_enabled(true);
+    let answered = (workload.len() * passes) as f64;
+    (answered / on.as_secs_f64(), answered / off.as_secs_f64())
+}
+
+/// The `q`-quantile of sorted `xs`, interpolated between neighbours
+/// (`q = 0.5` is the median).
+fn quantile(xs: &[f64], q: f64) -> f64 {
+    let Some(last) = xs.len().checked_sub(1) else {
+        return f64::NAN;
+    };
+    let at = q * last as f64;
+    let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+    xs[lo] + (xs[hi] - xs[lo]) * (at - lo as f64)
 }
 
 fn main() {
-    let fraction = env_f64("OBS_BENCH_FRACTION", 0.05);
     let reps = env_usize("OBS_BENCH_REPS", 4);
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "results/BENCH_obs.json".to_string());
 
-    let doc = dblp(fraction);
+    let doc = Arc::new(generate_dblp(&DblpConfig {
+        authors: CORPUS_AUTHORS,
+        seed: CORPUS_SEED,
+        ..Default::default()
+    }));
     let workload: Vec<Vec<String>> = generate_workload(
         &doc,
         &WorkloadConfig {
-            per_kind: 3,
+            per_kind: POOL_PER_KIND,
+            seed: POOL_SEED,
             ..Default::default()
         },
     )
@@ -95,34 +124,37 @@ fn main() {
     run_once(&engine, &workload, 1);
 
     let before = obs::global().snapshot();
-    let mut on = Duration::ZERO;
-    let mut off = Duration::ZERO;
+    let (mut on, mut off) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
     let mut overheads = Vec::with_capacity(reps);
-    // Interleave the configurations so thermal / scheduler drift hits
-    // both equally.
     for _ in 0..reps {
-        obs::set_enabled(true);
-        let rep_on = run_once(&engine, &workload, threads);
-        obs::set_enabled(false);
-        let rep_off = run_once(&engine, &workload, threads);
-        on += rep_on;
-        off += rep_off;
+        let (qps_on, qps_off) = rep(&engine, &workload, threads);
+        on.push(qps_on);
+        off.push(qps_off);
         // The throughput lost to instrumentation in this rep.
-        overheads.push((1.0 - rep_off.as_secs_f64() / rep_on.as_secs_f64()) * 100.0);
+        overheads.push((1.0 - qps_on / qps_off) * 100.0);
     }
-    obs::set_enabled(true);
     let metrics = obs::global().snapshot().delta_since(&before);
 
-    let answered = (workload.len() * reps) as f64;
-    let qps_on = answered / on.as_secs_f64();
-    let qps_off = answered / off.as_secs_f64();
-    let overhead = median(&mut overheads);
-    println!("enabled: {qps_on:.1} q/s  disabled: {qps_off:.1} q/s  overhead: {overhead:.2}%");
+    for xs in [&mut on, &mut off, &mut overheads] {
+        xs.sort_by(f64::total_cmp);
+    }
+    let (qps_on, qps_off) = (quantile(&on, 0.5), quantile(&off, 0.5));
+    let (p25, overhead, p75) = (
+        quantile(&overheads, 0.25),
+        quantile(&overheads, 0.5),
+        quantile(&overheads, 0.75),
+    );
+    println!(
+        "enabled: {qps_on:.1} q/s  disabled: {qps_off:.1} q/s  \
+         overhead: {overhead:.2}% (p25 {p25:.2}%, p75 {p75:.2}%)"
+    );
 
     let json = format!(
         "{{\n  \"workload_queries\": {},\n  \"threads\": {},\n  \"reps\": {},\n  \
-         \"corpus_nodes\": {},\n  \"qps_enabled\": {:.2},\n  \"qps_disabled\": {:.2},\n  \
-         \"overhead_percent\": {:.3},\n  \"metrics\": {}\n}}\n",
+         \"corpus_nodes\": {},\n  \"qps_enabled\": {:.2},\n  \
+         \"qps_disabled\": {:.2},\n  \"overhead_percent\": {:.3},\n  \
+         \"overhead_p25_percent\": {:.3},\n  \"overhead_p75_percent\": {:.3},\n  \
+         \"metrics\": {}\n}}\n",
         workload.len(),
         threads,
         reps,
@@ -130,6 +162,8 @@ fn main() {
         qps_on,
         qps_off,
         overhead,
+        p25,
+        p75,
         metrics.render_json()
     );
     if let Some(dir) = std::path::Path::new(&out_path).parent() {

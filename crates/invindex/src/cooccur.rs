@@ -90,7 +90,8 @@ impl CoOccurrence {
             return Ok(Arc::clone(v));
         }
         let postings = reader.list_handle_by_id(k)?;
-        let v = Arc::new(typed_ancestors_in(reader.document(), &postings, t));
+        let types = reader.document().node_types();
+        let v = Arc::new(typed_ancestors_in(types, &postings, t));
         // xlint::lock(cooccur.memo)
         let mut memo = self.memo.lock();
         Ok(Arc::clone(memo.ancestors.entry((k, t)).or_insert(v)))

@@ -30,10 +30,10 @@ pub struct Index {
 impl Index {
     /// Builds the index over `doc`.
     pub fn build(doc: Arc<Document>) -> Self {
-        let num_types = doc.node_types().len();
+        let types = doc.node_types();
         let mut vocab = KeywordTable::new();
         let mut lists: Vec<PostingList> = Vec::new();
-        let mut stats = TypeStats::new(num_types);
+        let mut stats = TypeStats::new(types.len());
 
         // Pass 1: postings, N_T and tf(k,T).
         let mut counts: HashMap<KeywordId, u64> = HashMap::new();
@@ -60,7 +60,6 @@ impl Index {
                 continue;
             }
 
-            let type_path = doc.node_types().path(node.node_type).to_vec();
             for (&k, &c) in counts.iter() {
                 // Posting for the node itself.
                 while lists.len() <= k.0 as usize {
@@ -68,11 +67,7 @@ impl Index {
                 }
                 lists[k.0 as usize].push(Posting::new(node.dewey.clone(), node.node_type));
                 // tf accumulates at every ancestor-or-self type.
-                for m in 1..=type_path.len() {
-                    let t = doc
-                        .node_types()
-                        .get(&type_path[..m])
-                        .expect("every prefix of an interned path is interned");
+                for t in types.ancestors_or_self(node.node_type) {
                     stats.add_tf(t, k, c);
                 }
             }
@@ -89,12 +84,10 @@ impl Index {
                 let shared = prev
                     .map(|q| q.dewey.common_prefix_len(&p.dewey))
                     .unwrap_or(0);
-                let path = doc.node_types().path(p.node_type);
-                for m in (shared + 1)..=p.dewey.len() {
-                    let t = doc
-                        .node_types()
-                        .get(&path[..m])
-                        .expect("every prefix of an interned path is interned");
+                // The ancestor-or-self types below the shared levels,
+                // deepest first: one per level.
+                let unshared = types.ancestors_or_self(p.node_type);
+                for t in unshared.take(p.dewey.len() - shared) {
                     stats.add_df(t, k, 1);
                 }
                 prev = Some(p);
@@ -237,10 +230,11 @@ mod tests {
         let idx = fig1_index();
         let author = type_by_display(&idx, "bib/author");
         let xml = idx.list("xml").unwrap();
-        let ancs: Vec<String> = typed_ancestors_in(idx.document(), xml.as_slice(), author)
-            .iter()
-            .map(|d| d.to_string())
-            .collect();
+        let ancs: Vec<String> =
+            typed_ancestors_in(idx.document().node_types(), xml.as_slice(), author)
+                .iter()
+                .map(|d| d.to_string())
+                .collect();
         assert_eq!(ancs, ["0.0", "0.1"]);
     }
 

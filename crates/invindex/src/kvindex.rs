@@ -436,8 +436,13 @@ mod tests {
     /// `f^T_{ki,kj}` computed from the build's lists alone: the sorted
     /// intersection of the two keywords' distinct `t`-typed ancestors.
     fn oracle_co_occur(built: &Index, t: NodeTypeId, ki: &str, kj: &str) -> u64 {
-        let ancestors =
-            |kw: &str| typed_ancestors_in(built.document(), built.list(kw).unwrap().as_slice(), t);
+        let ancestors = |kw: &str| {
+            typed_ancestors_in(
+                built.document().node_types(),
+                built.list(kw).unwrap().as_slice(),
+                t,
+            )
+        };
         let (a, b) = (ancestors(ki), ancestors(kj));
         a.iter().filter(|d| b.binary_search(d).is_ok()).count() as u64
     }

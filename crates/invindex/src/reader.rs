@@ -9,7 +9,7 @@
 use crate::postings::{PartitionRun, Posting, PostingList};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
-use xmldom::{Dewey, Document, NodeTypeId};
+use xmldom::{Dewey, NodeTypeId, NodeTypeTable};
 
 /// A shared, immutable view over (a contiguous range of) a decoded
 /// posting list.
@@ -203,17 +203,18 @@ impl AsRef<[Posting]> for ListHandle {
 /// Distinct `t`-typed ancestors-or-self of the postings, in document
 /// order — the sets whose intersections the co-occurrence statistics
 /// count.
-pub fn typed_ancestors_in(doc: &Document, postings: &[Posting], t: NodeTypeId) -> Vec<Dewey> {
-    let types = doc.node_types();
-    let t_path = types.path(t);
-    let t_len = t_path.len();
+pub fn typed_ancestors_in(
+    types: &NodeTypeTable,
+    postings: &[Posting],
+    t: NodeTypeId,
+) -> Vec<Dewey> {
+    let t_len = types.depth(t) + 1;
     let mut out: Vec<Dewey> = Vec::new();
     for p in postings {
-        if p.dewey.len() < t_len {
+        let Some(up) = p.dewey.len().checked_sub(t_len) else {
             continue;
-        }
-        let p_path = types.path(p.node_type);
-        if p_path[..t_len] != *t_path {
+        };
+        if types.ancestors_or_self(p.node_type).nth(up) != Some(t) {
             continue;
         }
         let anc = &p.dewey.components()[..t_len];

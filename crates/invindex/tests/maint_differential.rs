@@ -217,7 +217,7 @@ fn snapshot_answers_like_an_in_memory_index_of_the_final_corpus() {
         let ancestors = |kw: &str| {
             oracle
                 .list(kw)
-                .map(|l| typed_ancestors_in(&doc, l.as_slice(), t))
+                .map(|l| typed_ancestors_in(doc.node_types(), l.as_slice(), t))
                 .unwrap_or_default()
         };
         for ki in words {

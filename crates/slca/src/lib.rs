@@ -22,7 +22,7 @@ pub mod stack;
 
 pub use common::{closest_match, minimal_candidates, slca_brute_force};
 pub use eager::{slca_indexed_lookup_eager, slca_scan_eager, slca_scan_eager_page};
-pub use meaningful::{needs_refinement, MeaningfulFilter, MeaningfulTypes};
+pub use meaningful::{needs_refinement, MeaningfulFilter};
 pub use multiway::slca_multiway;
 pub use searchfor::{confidence_with, infer_search_for, SearchForConfig};
 pub use stack::slca_stack;

@@ -7,77 +7,74 @@
 //! A node type is its tag path from the root, and a node's depth is its
 //! label's length, so Definition 3.3 is a length test: a node of type
 //! `t` is meaningful iff its label is at least as long as the shortest
-//! search-for candidate path that is a prefix of `t`'s path. The filter
-//! computes that threshold for every node type once, when it is built.
-//! The test holds for a node's descendants too — they extend its type
-//! path — so a result is typed by *any* posting inside it:
-//! [`MeaningfulTypes::admits`] judges a result by one posting inside it,
-//! and [`MeaningfulTypes::retain_meaningful`] judges the SLCAs of a set of
-//! lists by the postings of one of those lists, a galloping forward merge
-//! over sorted labels with no document access. [`MeaningfulTypes`] owns
-//! its table and borrows no document, so a deferred result set can keep
-//! it. [`MeaningfulFilter::is_meaningful`] judges a bare label and pays a
-//! node lookup for its type.
+//! search-for candidate that is an ancestor-or-self type of `t`. The
+//! filter computes that threshold for every node type once, when it is
+//! built, in one pass over the types in id order (a parent type comes
+//! before its children). The test holds for a node's descendants too —
+//! their types extend its type — so a result is typed by *any* posting
+//! inside it: [`MeaningfulFilter::admits`] judges a result by one posting
+//! inside it, and [`MeaningfulFilter::retain_meaningful`] judges the SLCAs
+//! of a set of lists by the postings of one of those lists, a galloping
+//! forward merge over sorted labels. Neither reads the document, so the
+//! filter owns its tables and a deferred result set can keep a clone.
+//!
+//! [`MeaningfulFilter::is_meaningful`] judges a bare label by looking its
+//! node up in the document: the reference judge the oracle tests compare
+//! the posting verdicts against. No query path calls it.
 
 use crate::searchfor::{infer_search_for, SearchForConfig};
 use invindex::{gallop, KeywordId, Posting, TypeStats};
 use std::sync::Arc;
-use xmldom::{Dewey, Document, NodeTypeId};
+use xmldom::{Dewey, Document, NodeTypeId, NodeTypeTable};
 
 /// A meaningfulness filter bound to one query's search-for candidates.
-pub struct MeaningfulFilter<'a> {
-    doc: &'a Document,
-    candidates: Vec<NodeTypeId>,
-    types: MeaningfulTypes,
-}
-
-/// Definition 3.3 per node type, judged through a posting inside a
-/// result: no document access. Cloning it shares the table.
+/// Cloning it shares its tables.
 #[derive(Debug, Clone)]
-pub struct MeaningfulTypes {
-    /// Indexed by `NodeTypeId`: the length of the shortest candidate path
-    /// that is a prefix of the type's path (`usize::MAX` when none is). A
-    /// node of the type, or a node above one, is meaningful iff its label
-    /// is at least that long.
+pub struct MeaningfulFilter {
+    candidates: Arc<[NodeTypeId]>,
+    /// Indexed by `NodeTypeId`: the label length of the shortest
+    /// candidate that is an ancestor-or-self type of the type
+    /// (`usize::MAX` when none is). A node of the type, or a node above
+    /// one, is meaningful iff its label is at least that long.
     min_len: Arc<[usize]>,
 }
 
-impl<'a> MeaningfulFilter<'a> {
+impl MeaningfulFilter {
     /// Builds the filter by inferring search-for candidates for `query`
-    /// from the document's types and the statistics tables alone; no
-    /// posting list is touched.
+    /// from the type table and the statistics tables alone; no posting
+    /// list is touched.
     pub fn infer(
-        doc: &'a Document,
+        types: &NodeTypeTable,
         stats: &TypeStats,
         query: &[KeywordId],
         config: &SearchForConfig,
     ) -> Self {
-        let candidates = infer_search_for(doc, stats, query, config)
+        let candidates = infer_search_for(types, stats, query, config)
             .into_iter()
             .map(|(t, _)| t)
             .collect();
-        Self::with_candidates(doc, candidates)
+        Self::with_candidates(types, candidates)
     }
 
     /// The filter admitting exactly `candidates` and their descendant
     /// types.
-    fn with_candidates(doc: &'a Document, candidates: Vec<NodeTypeId>) -> Self {
-        let types = doc.node_types();
-        let min_len = types
-            .iter()
-            .map(|t| {
-                let path = types.path(t);
-                (candidates.iter().map(|&c| types.path(c)))
-                    .filter(|c| path.starts_with(c))
-                    .map(<[_]>::len)
-                    .min()
-                    .unwrap_or(usize::MAX)
-            })
-            .collect();
+    fn with_candidates(types: &NodeTypeTable, candidates: Vec<NodeTypeId>) -> Self {
+        let mut min_len: Vec<usize> = Vec::with_capacity(types.len());
+        for t in types.iter() {
+            // A parent's threshold is the shorter one when it has any.
+            let inherited = types
+                .parent(t)
+                .map_or(usize::MAX, |p| min_len[p.0 as usize]);
+            let own = if candidates.contains(&t) {
+                types.depth(t) + 1
+            } else {
+                usize::MAX
+            };
+            min_len.push(inherited.min(own));
+        }
         MeaningfulFilter {
-            doc,
-            candidates,
-            types: MeaningfulTypes { min_len },
+            candidates: candidates.into(),
+            min_len: min_len.into(),
         }
     }
 
@@ -86,31 +83,6 @@ impl<'a> MeaningfulFilter<'a> {
         &self.candidates
     }
 
-    /// The filter's judgement of results through postings inside them.
-    pub fn types(&self) -> &MeaningfulTypes {
-        &self.types
-    }
-
-    /// Definition 3.3: `dewey` is meaningful iff the node it denotes is of
-    /// a candidate type or a descendant type thereof. Labels not denoting
-    /// any element (possible only with foreign labels) are not meaningful.
-    pub fn is_meaningful(&self, dewey: &Dewey) -> bool {
-        self.doc.node_by_dewey(dewey).is_some_and(|id| {
-            self.types
-                .admits_type(dewey.len(), self.doc.node(id).node_type)
-        })
-    }
-
-    /// Keeps only the meaningful results.
-    pub fn filter(&self, slcas: Vec<Dewey>) -> Vec<Dewey> {
-        slcas
-            .into_iter()
-            .filter(|d| self.is_meaningful(d))
-            .collect()
-    }
-}
-
-impl MeaningfulTypes {
     /// Is a node of length `len` at or above a node of type `t`
     /// meaningful?
     fn admits_type(&self, len: usize, NodeTypeId(t): NodeTypeId) -> bool {
@@ -141,11 +113,37 @@ impl MeaningfulTypes {
             })
         });
     }
+
+    /// The reference judge of Definition 3.3: `dewey` is meaningful iff
+    /// the node it denotes in `doc` is of a candidate type or a
+    /// descendant type thereof. Labels not denoting any element are not
+    /// meaningful.
+    // xlint::allow(unused-export): the lookup oracle the meaningfulness property and reference tests judge the posting verdicts by
+    pub fn is_meaningful(&self, doc: &Document, dewey: &Dewey) -> bool {
+        doc.node_by_dewey(dewey)
+            .is_some_and(|id| self.admits_type(dewey.len(), doc.node(id).node_type))
+    }
+
+    /// Keeps only the results the reference judge finds meaningful.
+    // xlint::allow(unused-export): the lookup oracle the reference refiners filter their results by
+    pub fn filter(&self, doc: &Document, slcas: Vec<Dewey>) -> Vec<Dewey> {
+        slcas
+            .into_iter()
+            .filter(|d| self.is_meaningful(doc, d))
+            .collect()
+    }
 }
 
-/// Definition 3.4: does the query (given its SLCA set) need refinement?
-pub fn needs_refinement(filter: &MeaningfulFilter<'_>, slcas: &[Dewey]) -> bool {
-    !slcas.iter().any(|d| filter.is_meaningful(d))
+/// Definition 3.4: does the query need refinement? `slcas` are the SLCAs
+/// of a set of lists, ascending, and `list` is one of those lists; each
+/// result is judged by a posting of `list` inside it.
+pub fn needs_refinement(
+    filter: &MeaningfulFilter,
+    mut slcas: Vec<Dewey>,
+    list: &[Posting],
+) -> bool {
+    filter.retain_meaningful(&mut slcas, list);
+    slcas.is_empty()
 }
 
 #[cfg(test)]
@@ -167,15 +165,19 @@ mod tests {
             .collect()
     }
 
-    fn slcas_of(idx: &Index, words: &[&str]) -> Vec<Dewey> {
-        let lists: Vec<invindex::ListHandle> = words
+    fn lists_of(idx: &Index, words: &[&str]) -> Vec<invindex::ListHandle> {
+        words
             .iter()
             .map(|w| {
                 let list = idx.list(w).map(|l| l.as_slice().to_vec());
                 invindex::ListHandle::from_postings(list.unwrap_or_default())
             })
-            .collect();
-        slca_scan_eager(&lists)
+            .collect()
+    }
+
+    fn filter_for(idx: &Index, q: &[KeywordId]) -> MeaningfulFilter {
+        let types = idx.document().node_types();
+        MeaningfulFilter::infer(types, idx.stats(), q, &SearchForConfig::default())
     }
 
     #[test]
@@ -184,13 +186,13 @@ mod tests {
         // hobby:0.1.2 is a descendant of the author search-for node.
         let idx = index();
         let q = kws(&idx, &["john", "fishing"]);
-        let filter =
-            MeaningfulFilter::infer(idx.document(), idx.stats(), &q, &SearchForConfig::default());
-        let slcas = slcas_of(&idx, &["john", "fishing"]);
+        let filter = filter_for(&idx, &q);
+        let lists = lists_of(&idx, &["john", "fishing"]);
+        let slcas = slca_scan_eager(&lists);
         assert!(!slcas.is_empty());
-        let kept = filter.filter(slcas);
+        let kept = filter.filter(idx.document(), slcas.clone());
         assert!(!kept.is_empty());
-        assert!(!needs_refinement(&filter, &kept));
+        assert!(!needs_refinement(&filter, slcas, &lists[0]));
     }
 
     #[test]
@@ -198,13 +200,13 @@ mod tests {
         // Motivating Q4: {xml, john, 2003} is covered only by the root.
         let idx = index();
         let q = kws(&idx, &["xml", "john", "2003"]);
-        let filter =
-            MeaningfulFilter::infer(idx.document(), idx.stats(), &q, &SearchForConfig::default());
-        let slcas = slcas_of(&idx, &["xml", "john", "2003"]);
+        let filter = filter_for(&idx, &q);
+        let lists = lists_of(&idx, &["xml", "john", "2003"]);
+        let slcas = slca_scan_eager(&lists);
         assert_eq!(slcas.len(), 1);
         assert_eq!(slcas[0].to_string(), "0");
-        assert!(!filter.is_meaningful(&slcas[0]));
-        assert!(needs_refinement(&filter, &slcas));
+        assert!(!filter.is_meaningful(idx.document(), &slcas[0]));
+        assert!(needs_refinement(&filter, slcas, &lists[1]));
     }
 
     #[test]
@@ -213,29 +215,29 @@ mod tests {
         let idx = index();
         let q = kws(&idx, &["database", "publication"]);
         assert_eq!(q.len(), 1); // "publication" absent from vocabulary
-        let filter =
-            MeaningfulFilter::infer(idx.document(), idx.stats(), &q, &SearchForConfig::default());
-        let slcas = slcas_of(&idx, &["database", "publication"]);
+        let filter = filter_for(&idx, &q);
+        let lists = lists_of(&idx, &["database", "publication"]);
+        let slcas = slca_scan_eager(&lists);
         assert!(slcas.is_empty());
-        assert!(needs_refinement(&filter, &slcas));
+        assert!(needs_refinement(&filter, slcas, &lists[0]));
     }
 
     #[test]
     fn foreign_label_is_not_meaningful() {
         let idx = index();
         let q = kws(&idx, &["xml"]);
-        let filter =
-            MeaningfulFilter::infer(idx.document(), idx.stats(), &q, &SearchForConfig::default());
-        assert!(!filter.is_meaningful(&"0.9.9.9".parse().unwrap()));
+        let filter = filter_for(&idx, &q);
+        assert!(!filter.is_meaningful(idx.document(), &"0.9.9.9".parse().unwrap()));
     }
 
     #[test]
     fn explicit_candidates_filter() {
         let doc = figure1();
         let author_t = doc.node(doc.node(doc.root()).children[0]).node_type;
-        let filter = MeaningfulFilter::with_candidates(&doc, vec![author_t]);
-        assert!(filter.is_meaningful(&"0.0".parse().unwrap())); // author itself
-        assert!(filter.is_meaningful(&"0.1.2".parse().unwrap())); // hobby below author
-        assert!(!filter.is_meaningful(&"0".parse().unwrap())); // root above author
+        let filter = MeaningfulFilter::with_candidates(doc.node_types(), vec![author_t]);
+        let judge = |label: &str| filter.is_meaningful(&doc, &label.parse().unwrap());
+        assert!(judge("0.0")); // author itself
+        assert!(judge("0.1.2")); // hobby below author
+        assert!(!judge("0")); // root above author
     }
 }

@@ -13,7 +13,7 @@
 //! every root-only result meaningful.
 
 use invindex::{KeywordId, TypeStats};
-use xmldom::{Document, NodeTypeId};
+use xmldom::{NodeTypeId, NodeTypeTable};
 
 /// Tunables of Formula 1 and the candidate-list cut.
 #[derive(Debug, Clone)]
@@ -44,24 +44,23 @@ pub fn confidence_with(df_sum: u64, depth: f64, reduction_factor: f64) -> f64 {
 /// Infers the ranked candidate list `L` of search-for node types for a
 /// keyword set. Keywords absent from the document simply contribute zero
 /// (the paper sums `f^T_k` precisely so missing keywords are tolerated).
-/// Only the document's type table and the `f^T_k` statistics are read.
+/// Only the type table and the `f^T_k` statistics are read; the root
+/// type is the one type without a parent.
 pub fn infer_search_for(
-    doc: &Document,
+    types: &NodeTypeTable,
     stats: &TypeStats,
     query: &[KeywordId],
     config: &SearchForConfig,
 ) -> Vec<(NodeTypeId, f64)> {
-    let root_type = doc.node(doc.root()).node_type;
-    let mut scored: Vec<(NodeTypeId, f64)> = doc
-        .node_types()
+    let mut scored: Vec<(NodeTypeId, f64)> = types
         .iter()
-        .filter(|&t| t != root_type)
+        .filter(|&t| types.parent(t).is_some())
         .filter_map(|t| {
             let sum: u64 = query.iter().map(|&k| stats.df(t, k)).sum();
             if sum == 0 {
                 return None;
             }
-            let depth = doc.node_types().depth(t) as f64;
+            let depth = types.depth(t) as f64;
             Some((t, confidence_with(sum, depth, config.reduction_factor)))
         })
         .collect();
@@ -108,7 +107,12 @@ mod tests {
     fn root_type_is_never_a_candidate() {
         let idx = index();
         let q = vec![kw(&idx, "xml"), kw(&idx, "john"), kw(&idx, "2003")];
-        let l = infer_search_for(idx.document(), idx.stats(), &q, &SearchForConfig::default());
+        let l = infer_search_for(
+            idx.document().node_types(),
+            idx.stats(),
+            &q,
+            &SearchForConfig::default(),
+        );
         assert!(!l.is_empty());
         for (t, _) in &l {
             assert_ne!(display(&idx, *t), "bib");
@@ -120,7 +124,12 @@ mod tests {
         // {fishing, name}: hobby and name live directly under author.
         let idx = index();
         let q = vec![kw(&idx, "fishing"), kw(&idx, "john")];
-        let l = infer_search_for(idx.document(), idx.stats(), &q, &SearchForConfig::default());
+        let l = infer_search_for(
+            idx.document().node_types(),
+            idx.stats(),
+            &q,
+            &SearchForConfig::default(),
+        );
         assert_eq!(display(&idx, l[0].0), "bib/author");
     }
 
@@ -128,14 +137,19 @@ mod tests {
     fn unknown_keywords_contribute_zero_but_do_not_break_inference() {
         let idx = index();
         let q = vec![kw(&idx, "xml")];
-        let l1 = infer_search_for(idx.document(), idx.stats(), &q, &SearchForConfig::default());
+        let l1 = infer_search_for(
+            idx.document().node_types(),
+            idx.stats(),
+            &q,
+            &SearchForConfig::default(),
+        );
         assert!(!l1.is_empty());
         // same query plus a keyword that is absent from the document
         // (KeywordId beyond vocabulary) must give identical scores
         let ghost = KeywordId(u32::MAX);
         let q2 = vec![kw(&idx, "xml"), ghost];
         let l2 = infer_search_for(
-            idx.document(),
+            idx.document().node_types(),
             idx.stats(),
             &q2,
             &SearchForConfig::default(),
@@ -156,14 +170,14 @@ mod tests {
             max_candidates: 1,
             ..Default::default()
         };
-        let l = infer_search_for(idx.document(), idx.stats(), &q, &tight);
+        let l = infer_search_for(idx.document().node_types(), idx.stats(), &q, &tight);
         assert_eq!(l.len(), 1);
         let loose = SearchForConfig {
             comparable_ratio: 0.0,
             max_candidates: 100,
             ..Default::default()
         };
-        let l2 = infer_search_for(idx.document(), idx.stats(), &q, &loose);
+        let l2 = infer_search_for(idx.document().node_types(), idx.stats(), &q, &loose);
         assert!(l2.len() > 1);
         // sorted descending
         assert!(l2.windows(2).all(|w| w[0].1 >= w[1].1));

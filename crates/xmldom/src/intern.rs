@@ -1,10 +1,10 @@
-//! String interning for tag names and node types (prefix paths).
+//! String interning for tag names and node types.
 //!
 //! Both the document tree and every statistics table key off tag names and
 //! node types, so we intern them once per document: a [`SymbolTable`] maps
-//! tag strings to dense [`Symbol`] ids, and a [`NodeTypeTable`] maps prefix
-//! paths (sequences of symbols, Definition 3.1 of the paper) to dense
-//! [`NodeTypeId`]s.
+//! tag strings to dense [`Symbol`] ids, and a [`NodeTypeTable`] maps node
+//! types (root-to-node tag paths, Definition 3.1 of the paper) to dense
+//! [`NodeTypeId`]s, storing each path once, as a child of its parent path.
 
 use std::collections::HashMap;
 
@@ -12,7 +12,7 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(pub u32);
 
-/// Dense id of an interned node type (root-to-node prefix path).
+/// Dense id of an interned node type (root-to-node tag path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeTypeId(pub u32);
 
@@ -58,16 +58,22 @@ impl SymbolTable {
     }
 }
 
-/// A node type: the tag-name path from the document root down to a node
-/// (Definition 3.1). Two nodes share a type iff they share this path.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct NodeTypePath(pub Vec<Symbol>);
+/// One interned node type: its parent type, its tag and its depth.
+#[derive(Debug, Clone, Copy)]
+struct NodeType {
+    parent: Option<NodeTypeId>,
+    tag: Symbol,
+    depth: u32,
+}
 
-/// Interner and metadata store for node types.
+/// Interner for node types, and the one place that answers type-ancestry
+/// questions. A type is stored as (parent type, tag), so it costs the same
+/// whatever its depth. A path is first seen exactly when its (parent type,
+/// tag) pair is, so ids come in first-open order, parents before children.
 #[derive(Debug, Default, Clone)]
 pub struct NodeTypeTable {
-    by_path: HashMap<NodeTypePath, NodeTypeId>,
-    paths: Vec<NodeTypePath>,
+    by_key: HashMap<(Option<NodeTypeId>, Symbol), NodeTypeId>,
+    types: Vec<NodeType>,
 }
 
 impl NodeTypeTable {
@@ -75,60 +81,59 @@ impl NodeTypeTable {
         Self::default()
     }
 
-    /// Interns a prefix path.
-    pub fn intern(&mut self, path: &[Symbol]) -> NodeTypeId {
-        let key = NodeTypePath(path.to_vec());
-        if let Some(&id) = self.by_path.get(&key) {
-            return id;
+    /// Interns the type of a `tag` element under a node of type `parent`
+    /// (`None` for the root element).
+    pub fn intern(&mut self, parent: Option<NodeTypeId>, tag: Symbol) -> NodeTypeId {
+        let next = NodeTypeId(self.types.len() as u32);
+        let id = *self.by_key.entry((parent, tag)).or_insert(next);
+        if id == next {
+            let depth = parent.map_or(0, |p| self.types[p.0 as usize].depth + 1);
+            self.types.push(NodeType { parent, tag, depth });
         }
-        let id = NodeTypeId(self.paths.len() as u32);
-        self.paths.push(key.clone());
-        self.by_path.insert(key, id);
         id
     }
 
-    pub fn get(&self, path: &[Symbol]) -> Option<NodeTypeId> {
-        self.by_path.get(&NodeTypePath(path.to_vec())).copied()
-    }
-
-    /// The full prefix path of a node type.
-    pub fn path(&self, id: NodeTypeId) -> &[Symbol] {
-        &self.paths[id.0 as usize].0
+    /// The type of a node's parent; `None` for the root type.
+    pub fn parent(&self, id: NodeTypeId) -> Option<NodeTypeId> {
+        self.types[id.0 as usize].parent
     }
 
     /// The tag name (last path component) of a node type.
     pub fn tag(&self, id: NodeTypeId) -> Symbol {
-        *self.paths[id.0 as usize]
-            .0
-            .last()
-            .expect("node type paths are never empty")
+        self.types[id.0 as usize].tag
     }
 
     /// Depth of nodes of this type; the root type has depth 0.
     pub fn depth(&self, id: NodeTypeId) -> usize {
-        self.paths[id.0 as usize].0.len() - 1
+        self.types[id.0 as usize].depth as usize
     }
 
-    /// Iterate all interned node types.
+    /// `id` and then each ancestor type up to the root type: one per
+    /// level, deepest first.
+    pub fn ancestors_or_self(&self, id: NodeTypeId) -> impl Iterator<Item = NodeTypeId> + '_ {
+        std::iter::successors(Some(id), |&t| self.parent(t))
+    }
+
+    /// Iterate all interned node types, parents before their children.
     pub fn iter(&self) -> impl Iterator<Item = NodeTypeId> + '_ {
-        (0..self.paths.len() as u32).map(NodeTypeId)
+        (0..self.types.len() as u32).map(NodeTypeId)
     }
 
     pub fn len(&self) -> usize {
-        self.paths.len()
+        self.types.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.paths.is_empty()
+        self.types.is_empty()
     }
 
-    /// Renders a node type as `a/b/c` for diagnostics.
+    /// Renders a node type as its tag path `a/b/c`, for diagnostics.
     pub fn display(&self, id: NodeTypeId, symbols: &SymbolTable) -> String {
-        self.path(id)
-            .iter()
-            .map(|&s| symbols.resolve(s))
-            .collect::<Vec<_>>()
-            .join("/")
+        let mut tags: Vec<&str> = (self.ancestors_or_self(id))
+            .map(|t| symbols.resolve(self.tag(t)))
+            .collect();
+        tags.reverse();
+        tags.join("/")
     }
 }
 
@@ -159,14 +164,18 @@ mod tests {
         let name = syms.intern("name");
 
         let mut types = NodeTypeTable::new();
-        let t_root = types.intern(&[bib]);
-        let t_author = types.intern(&[bib, author]);
-        let t_name = types.intern(&[bib, author, name]);
-        assert_eq!(types.intern(&[bib, author]), t_author);
+        let t_root = types.intern(None, bib);
+        let t_author = types.intern(Some(t_root), author);
+        let t_name = types.intern(Some(t_author), name);
+        assert_eq!(types.intern(Some(t_root), author), t_author);
 
         assert_eq!(types.depth(t_root), 0);
         assert_eq!(types.depth(t_name), 2);
+        assert_eq!(types.parent(t_name), Some(t_author));
+        assert_eq!(types.parent(t_root), None);
         assert_eq!(types.tag(t_author), author);
+        let up: Vec<_> = types.ancestors_or_self(t_name).collect();
+        assert_eq!(up, [t_name, t_author, t_root]);
         assert_eq!(types.display(t_name, &syms), "bib/author/name");
         assert_eq!(types.len(), 3);
     }
@@ -178,8 +187,10 @@ mod tests {
         let b = syms.intern("b");
         let title = syms.intern("title");
         let mut types = NodeTypeTable::new();
-        let t1 = types.intern(&[a, title]);
-        let t2 = types.intern(&[b, title]);
+        let t_a = types.intern(None, a);
+        let t_b = types.intern(Some(t_a), b);
+        let t1 = types.intern(Some(t_a), title);
+        let t2 = types.intern(Some(t_b), title);
         assert_ne!(t1, t2);
         assert_eq!(types.tag(t1), types.tag(t2));
     }

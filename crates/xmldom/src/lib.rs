@@ -5,7 +5,7 @@
 //! * [`dewey::Dewey`] labels whose lexicographic order is document order
 //!   and whose longest common prefix is the LCA;
 //! * an arena [`tree::Document`] with interned tag names and node types
-//!   (prefix paths, Definition 3.1);
+//!   (tag paths, Definition 3.1, each interned as parent type + tag);
 //! * the canonical keyword [`fn@tokenize`]r shared by index build and query
 //!   parsing;
 //! * a streaming zero-copy [`scan`]ner emitting span events over a

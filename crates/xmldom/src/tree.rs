@@ -2,7 +2,7 @@
 //!
 //! Documents are stored as an arena of element nodes in document order.
 //! Each node records its tag symbol, Dewey label, node type (interned
-//! prefix path, Definition 3.1), parent/children links, attributes and the
+//! tag path, Definition 3.1), parent/children links, attributes and the
 //! text content placed directly under it.
 
 use crate::dewey::Dewey;
@@ -19,7 +19,7 @@ pub struct Node {
     pub tag: Symbol,
     /// Dewey label; unique within the document.
     pub dewey: Dewey,
-    /// Interned prefix path (node type).
+    /// Interned node type (root-to-node tag path).
     pub node_type: NodeTypeId,
     /// Parent node, `None` for the root element.
     pub parent: Option<NodeId>,
@@ -222,8 +222,6 @@ pub struct DocumentBuilder {
     node_types: NodeTypeTable,
     /// Stack of open elements (arena ids).
     open: Vec<NodeId>,
-    /// Prefix path of the currently open element chain.
-    path: Vec<Symbol>,
 }
 
 impl Default for DocumentBuilder {
@@ -239,7 +237,6 @@ impl DocumentBuilder {
             symbols: SymbolTable::new(),
             node_types: NodeTypeTable::new(),
             open: Vec::new(),
-            path: Vec::new(),
         }
     }
 
@@ -247,19 +244,19 @@ impl DocumentBuilder {
     /// nothing is open yet; only one root is allowed).
     pub fn open_element(&mut self, tag: &str) -> NodeId {
         let sym = self.symbols.intern(tag);
-        self.path.push(sym);
-        let node_type = self.node_types.intern(&self.path);
-        let (dewey, parent) = match self.open.last() {
+        let (dewey, parent, parent_type) = match self.open.last() {
             None => {
                 assert!(self.nodes.is_empty(), "document already has a root element");
-                (Dewey::root(), None)
+                (Dewey::root(), None, None)
             }
             Some(&p) => {
                 let parent_node = &self.nodes[p.0 as usize];
                 let ordinal = parent_node.children.len() as u32;
-                (parent_node.dewey.child(ordinal), Some(p))
+                let dewey = parent_node.dewey.child(ordinal);
+                (dewey, Some(p), Some(parent_node.node_type))
             }
         };
+        let node_type = self.node_types.intern(parent_type, sym);
         let id = NodeId(self.nodes.len() as u32);
         if let Some(p) = parent {
             self.nodes[p.0 as usize].children.push(id);
@@ -324,7 +321,6 @@ impl DocumentBuilder {
     /// Closes the currently open element.
     pub fn close_element(&mut self) {
         self.open.pop().expect("close without open element");
-        self.path.pop();
     }
 
     /// Read access to an already-built node. Streaming index builders

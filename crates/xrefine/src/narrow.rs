@@ -10,6 +10,7 @@
 //! to suggestions that actually shrink the result set below the caller's
 //! threshold.
 
+use crate::partition::meaningful_slcas;
 use crate::query::{Query, RqCandidate};
 use crate::results::Refinement;
 use invindex::{KvBackedIndex, ListHandle};
@@ -69,15 +70,16 @@ pub fn narrow_refine(
     if ids.len() != query.keywords().len() || ids.is_empty() {
         return Ok(None); // broken queries are the main system's job
     }
+    let doc = index.document();
     let filter =
-        MeaningfulFilter::infer(index.document(), index.stats(), &ids, &options.search_for);
+        MeaningfulFilter::infer(doc.node_types(), index.stats(), &ids, &options.search_for);
 
     let lists: Vec<ListHandle> = query
         .keywords()
         .iter()
         .map(|k| index.list_handle(k))
         .collect::<kvstore::Result<_>>()?;
-    let slcas = filter.filter(slca_scan_eager(&lists));
+    let slcas = meaningful_slcas(&filter, slca_scan_eager, &lists);
     if slcas.len() <= options.max_results {
         return Ok(None);
     }
@@ -86,7 +88,6 @@ pub fn narrow_refine(
     // SLCA is lifted to its enclosing *search-for entity* (the highest
     // ancestor-or-self of a candidate search-for type): users constrain
     // entities, not minimal text nodes.
-    let doc = index.document();
     let mut containing: HashMap<String, usize> = HashMap::new();
     let sampled = slcas.len().min(options.sample_subtrees);
     for dewey in slcas.iter().take(sampled) {
@@ -165,7 +166,7 @@ pub fn narrow_refine(
         }
         let mut narrowed_lists = lists.clone();
         narrowed_lists.push(extra);
-        let narrowed = filter.filter(slca_scan_eager(&narrowed_lists));
+        let narrowed = meaningful_slcas(&filter, slca_scan_eager, &narrowed_lists);
         if narrowed.is_empty() || narrowed.len() > options.max_results {
             continue;
         }

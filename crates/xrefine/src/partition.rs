@@ -93,7 +93,7 @@ use crate::session::RefineSession;
 use crate::util::KeyMask;
 use invindex::fxhash::FxMap;
 use invindex::{ListHandle, PartitionRuns, ScanStats, HEAD_AT_ROOT};
-use slca::MeaningfulTypes;
+use slca::MeaningfulFilter;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::ops::Range;
@@ -263,29 +263,33 @@ impl DpMemo {
             let from = c.admitted_at.as_ref().map_or(0, |at| at[n]);
             list.slice(from..list.len())
         }));
-        let types = session.filter.types();
+        let filter = &session.filter;
         let (page, more) = slca::slca_scan_eager_page(slices, RESULT_PAGE, |label, inside| {
-            types.admits(label, inside)
+            filter.admits(label, inside)
         });
         if !more {
             return ResultSet::from(page);
         }
-        let (lists, types) = (slices.clone(), types.clone());
-        ResultSet::deferred(page, move || meaningful_slcas(&types, slca, &lists))
+        let (lists, filter) = (slices.clone(), filter.clone());
+        ResultSet::deferred(page, move || meaningful_slcas(&filter, slca, &lists))
     }
 }
 
 /// `slca` over `lists`, reduced to the meaningful results below the
 /// document root. Each result is typed by a posting of the shortest list
 /// inside it, so no document node is looked up.
-fn meaningful_slcas(types: &MeaningfulTypes, slca: SlcaMethod, lists: &[ListHandle]) -> Vec<Dewey> {
+pub(crate) fn meaningful_slcas(
+    filter: &MeaningfulFilter,
+    slca: SlcaMethod,
+    lists: &[ListHandle],
+) -> Vec<Dewey> {
     let mut found = slca(lists);
     found.retain(|d| d.len() > 1);
     let shortest = lists
         .iter()
         .min_by_key(|l| l.len())
         .map(ListHandle::postings);
-    types.retain_meaningful(&mut found, shortest.unwrap_or_default());
+    filter.retain_meaningful(&mut found, shortest.unwrap_or_default());
     found
 }
 
@@ -726,7 +730,7 @@ impl Scan {
             slices.extend(
                 (dp_memo.ks(id).iter()).map(|&i| session.lists[i].slice(ranges[i].clone())),
             );
-            if meaningful_slcas(session.filter.types(), slca, slices).is_empty() {
+            if meaningful_slcas(&session.filter, slca, slices).is_empty() {
                 continue;
             }
             if dp_memo.admit(session, rq_list, id, dissimilarity) {
@@ -1016,7 +1020,7 @@ mod tests {
             .iter()
             .map(|&i| session.lists[i].clone())
             .collect();
-        let expected = meaningful_slcas(session.filter.types(), slca::slca_scan_eager, &whole);
+        let expected = meaningful_slcas(&session.filter, slca::slca_scan_eager, &whole);
         assert!(!expected.is_empty());
         assert_eq!(found, expected);
     }

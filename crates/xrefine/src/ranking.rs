@@ -94,8 +94,8 @@ impl<'a> Ranker<'a> {
             .iter()
             .filter_map(|k| index.vocabulary().get(k))
             .collect();
-        let mut search_for =
-            infer_search_for(index.document(), index.stats(), &ids, &config.search_for);
+        let types = index.document().node_types();
+        let mut search_for = infer_search_for(types, index.stats(), &ids, &config.search_for);
         if !config.use_guideline3 {
             // RS3: single search-for node, unit weight.
             search_for.truncate(1);

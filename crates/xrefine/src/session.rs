@@ -31,7 +31,7 @@ pub struct RefineSession<'a> {
     /// One inverted list per `KS` keyword (empty list when the keyword
     /// does not occur in the document).
     pub lists: Vec<ListHandle>,
-    pub filter: MeaningfulFilter<'a>,
+    pub filter: MeaningfulFilter,
     /// The query and its rules resolved against `KS` for the dynamic
     /// program: what every `getOptimalRQ` call of the session shares.
     pub(crate) plan: DpPlan,
@@ -118,8 +118,8 @@ impl<'a> RefineSession<'a> {
                 .filter_map(|k| index.vocabulary().get(k))
                 .collect();
         }
-        let filter =
-            MeaningfulFilter::infer(index.document(), index.stats(), &query_ids, search_for);
+        let types = index.document().node_types();
+        let filter = MeaningfulFilter::infer(types, index.stats(), &query_ids, search_for);
         let plan = DpPlan::new(&query, &rules, &ks, &ks_pos);
         obs::trace::attr("ks_width", ks.len());
 

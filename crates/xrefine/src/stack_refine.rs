@@ -6,7 +6,9 @@
 //! node `n` whose witness mask records exactly the keywords contained in
 //! `subtree(n)`. At each *meaningful* popped node the dynamic program of
 //! §V is invoked with `T =` that witness set, maintaining the running
-//! optimal refined query `RQ_min`.
+//! optimal refined query `RQ_min`. A popped node is judged by the posting
+//! that opened its stack entry, which lies inside it; no document node is
+//! looked up, and a label is built only for a result.
 //!
 //! SLCA exactness: each entry also keeps the witness masks of its
 //! completed child subtrees, so a popped node is recorded as an SLCA of
@@ -19,13 +21,16 @@ use crate::query::RqCandidate;
 use crate::results::{RefineOutcome, Refinement};
 use crate::session::RefineSession;
 use crate::util::KeyMask;
-use invindex::ListCursor;
+use invindex::{ListCursor, Posting};
 use xmldom::Dewey;
 
-struct Entry {
+struct Entry<'p> {
     component: u32,
     witness: KeyMask,
     child_masks: Vec<KeyMask>,
+    /// The posting whose arrival pushed this entry. It lies inside the
+    /// entry's node, so its label starts with the node's.
+    opened_by: &'p Posting,
 }
 
 /// Runs Algorithm 1, returning the optimal refined query (possibly the
@@ -38,25 +43,24 @@ pub fn stack_refine(session: &RefineSession<'_>) -> RefineOutcome {
         .map(|l| ListCursor::new(l, session.scan_stats.clone()))
         .collect();
 
-    let mut stack: Vec<Entry> = Vec::new();
+    let mut stack: Vec<Entry<'_>> = Vec::new();
     let mut best: Option<RqCandidate> = None;
     let mut best_mask = KeyMask::empty(width);
     let mut results: Vec<Dewey> = Vec::new();
 
     let mut dp_scratch = DpScratch::default();
     // Reusable closure state for pops.
-    let mut process_pop = |stack: &mut Vec<Entry>,
+    let mut process_pop = |stack: &mut Vec<Entry<'_>>,
                            target: usize,
                            best: &mut Option<RqCandidate>,
                            best_mask: &mut KeyMask,
                            results: &mut Vec<Dewey>| {
         while stack.len() > target {
             let entry = stack.pop().expect("len > target");
-            let mut comps: Vec<u32> = stack.iter().map(|e| e.component).collect();
-            comps.push(entry.component);
-            let dewey = Dewey::new(comps).expect("non-empty");
+            let label = &entry.opened_by.dewey.components()[..=stack.len()];
+            let dewey = || Dewey::from_slice(label).expect("non-empty");
 
-            if session.filter.is_meaningful(&dewey) {
+            if session.filter.admits(label, entry.opened_by) {
                 // T = the witness set: the session's plan runs on the
                 // mask itself.
                 if let Some((dissimilarity, ks)) =
@@ -81,14 +85,14 @@ pub fn stack_refine(session: &RefineSession<'_>) -> RefineOutcome {
                             dissimilarity,
                         });
                         results.clear();
-                        results.push(dewey.clone());
+                        results.push(dewey());
                     } else if best.is_some()
                         && best_mask.is_subset_of(&entry.witness)
                         && !entry.child_masks.iter().any(|c| best_mask.is_subset_of(c))
                     {
                         // This node also contains RQ_min fully and no single
                         // child did: another SLCA of RQ_min.
-                        results.push(dewey.clone());
+                        results.push(dewey());
                     }
                 }
             }
@@ -126,6 +130,7 @@ pub fn stack_refine(session: &RefineSession<'_>) -> RefineOutcome {
                 component: c,
                 witness: KeyMask::empty(width),
                 child_masks: Vec::new(),
+                opened_by: posting,
             });
         }
         if let Some(top) = stack.last_mut() {

@@ -131,7 +131,6 @@ suite_observability() {
     xcargo test --release -q -p xrefine --test alloc_budget
     xcargo test --release -q -p xrefine --test walk_counts -- --nocapture
     xcargo test --release -q -p xrefine --test trace_concurrency
-    OBS_BENCH_FRACTION="${OBS_BENCH_FRACTION:-0.02}" \
     OBS_BENCH_REPS="${OBS_BENCH_REPS:-2}" \
         xcargo run --release -q -p bench --bin bench_obs \
         "${CARGO_TARGET_DIR:-target}/BENCH_obs.suite.json"

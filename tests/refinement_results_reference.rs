@@ -30,7 +30,9 @@ fn reference_slcas(index: &Index, session: &RefineSession<'_>, keywords: &[Strin
         .iter()
         .map(|w| index.list(w).map(|l| l.as_slice()).unwrap_or(&[]))
         .collect();
-    let mut expected = session.filter.filter(slca_brute_force(&lists));
+    let mut expected = session
+        .filter
+        .filter(index.document(), slca_brute_force(&lists));
     expected.retain(|d| d.len() > 1);
     expected.sort();
     expected.dedup();

@@ -39,7 +39,7 @@ fn reference_topk(
         ids
     };
     let filter = MeaningfulFilter::infer(
-        index.document(),
+        index.document().node_types(),
         index.stats(),
         &ids,
         &SearchForConfig::default(),
@@ -53,7 +53,7 @@ fn reference_topk(
                 ListHandle::from_postings(list.unwrap_or_default())
             })
             .collect();
-        let slcas = filter.filter(slca_scan_eager(&lists));
+        let slcas = filter.filter(index.document(), slca_scan_eager(&lists));
         if !slcas.is_empty() {
             kept.push((cand.keywords.clone(), cand.dissimilarity));
         }
