@@ -11,15 +11,22 @@
 //! the budget at all — a budget split over several locks would refuse
 //! every list longer than one share.
 //!
+//! An entry is a [`StoredList`]: the list's stored bytes and skip table,
+//! and the blocks cursors have decoded so far, which stay with it.
+//!
 //! Policy:
 //!
-//! * cost of an entry is its *stored* (encoded) size — the quantity the
-//!   budget protects is decode work and resident bytes, both proportional
-//!   to it;
+//! * cost of an entry is its *stored* (encoded) size, however many of its
+//!   blocks it has decoded — the quantity the budget protects is store
+//!   reads and decode work, both proportional to it. `cached_bytes` and
+//!   the `invindex_cache_resident_bytes` gauge count these stored bytes;
+//!   the decoded blocks the entries hold come on top;
 //! * eviction never invalidates handles already given out (entries are
 //!   `Arc`-shared);
-//! * a list larger than the budget is returned uncached and re-decoded
-//!   on its next touch — degraded speed, never degraded answers.
+//! * a list larger than the budget is returned uncached and re-read on
+//!   its next touch — degraded speed, never degraded answers.
+//!
+//! [`StoredList`]: crate::StoredList
 //!
 //! # Generations
 //!
@@ -35,7 +42,6 @@
 //! then invalidates the keyword ids it changed — unchanged entries keep
 //! serving every generation.
 
-use crate::postings::PostingList;
 use obs::lockrank::rank;
 use obs::sync::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -49,7 +55,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to touch the store.
     pub misses: u64,
-    /// Lists decoded from stored pages (misses that found the key).
+    /// Lists read from stored pages (misses that found the key); their
+    /// blocks decode later, as cursors reach them.
     pub lists_decoded: u64,
     /// Entries evicted to respect the byte budget.
     pub evictions: u64,
@@ -57,20 +64,20 @@ pub struct CacheStats {
     pub cached_bytes: usize,
 }
 
-struct CacheEntry {
-    list: Arc<PostingList>,
+struct CacheEntry<T> {
+    list: Arc<T>,
     cost: usize,
     tick: u64,
     /// Store generation whose bytes this list was decoded from.
     gen: u64,
 }
 
-/// An LRU over decoded posting lists, keyed by keyword id, bounded by
-/// the summed encoded size of the entries.
-struct Lru {
+/// An LRU over posting lists, keyed by keyword id, bounded by the
+/// summed encoded size of the entries.
+struct Lru<T> {
     budget: usize,
     tick: u64,
-    map: HashMap<u32, CacheEntry>,
+    map: HashMap<u32, CacheEntry<T>>,
     /// tick -> keyword id; the smallest tick is the eviction victim.
     lru: BTreeMap<u64, u32>,
     /// The counters, and in `cached_bytes` the summed cost of `map`.
@@ -81,7 +88,7 @@ struct Lru {
     current_gen: u64,
 }
 
-impl Lru {
+impl<T> Lru<T> {
     fn new(budget: usize) -> Self {
         Lru {
             budget,
@@ -97,7 +104,7 @@ impl Lru {
     /// entry stamped with a generation newer than `reader_gen` is a
     /// miss for this reader — but the entry stays resident, because the
     /// newer snapshot that decoded it is still serving.
-    fn get(&mut self, id: u32, reader_gen: u64) -> Option<Arc<PostingList>> {
+    fn get(&mut self, id: u32, reader_gen: u64) -> Option<Arc<T>> {
         match self.map.get_mut(&id) {
             Some(entry) if entry.gen <= reader_gen => {
                 self.stats.hits += 1;
@@ -114,10 +121,10 @@ impl Lru {
         }
     }
 
-    /// Inserts a freshly decoded list stamped with `gen`. Oversize lists
+    /// Inserts a freshly read list stamped with `gen`. Oversize lists
     /// (cost > budget) are not cached at all; otherwise LRU entries are
     /// evicted until the budget holds.
-    fn insert(&mut self, id: u32, list: Arc<PostingList>, cost: usize, gen: u64) {
+    fn insert(&mut self, id: u32, list: Arc<T>, cost: usize, gen: u64) {
         self.stats.lists_decoded += 1;
         if cost > self.budget {
             return;
@@ -170,13 +177,14 @@ impl Lru {
     }
 }
 
-/// The list cache: one `Lru` behind the `cache.lru` mutex. All methods
+/// The list cache: one `Lru` behind the `cache.lru` mutex, over entries
+/// of type `T` ([`crate::reader::StoredList`] in a reader). All methods
 /// take `&self`.
-pub struct ListCache {
-    lru: Mutex<Lru>,
+pub struct ListCache<T> {
+    lru: Mutex<Lru<T>>,
 }
 
-impl ListCache {
+impl<T> ListCache<T> {
     /// A cache holding at most `budget` encoded bytes; a budget of 0
     /// disables caching entirely.
     pub fn new(budget: usize) -> Self {
@@ -187,20 +195,20 @@ impl ListCache {
 
     /// Looks up `id` at the current generation, promoting it to
     /// most-recently-used.
-    pub fn get(&self, id: u32) -> Option<Arc<PostingList>> {
+    pub fn get(&self, id: u32) -> Option<Arc<T>> {
         self.get_at(id, self.current_gen())
     }
 
-    /// Inserts a freshly decoded list of stored size `cost`, stamped
+    /// Inserts a freshly read list of stored size `cost`, stamped
     /// with the current generation.
-    pub fn insert(&self, id: u32, list: Arc<PostingList>, cost: usize) {
+    pub fn insert(&self, id: u32, list: Arc<T>, cost: usize) {
         self.insert_at(id, list, cost, self.current_gen());
     }
 
     /// Looks up `id` on behalf of a reader pinned at `reader_gen`.
     /// Entries stamped with a newer generation miss (without being
     /// evicted — the newer snapshot still wants them).
-    pub fn get_at(&self, id: u32, reader_gen: u64) -> Option<Arc<PostingList>> {
+    pub fn get_at(&self, id: u32, reader_gen: u64) -> Option<Arc<T>> {
         let got = self.lru.lock().get(id, reader_gen); // xlint::lock(cache.lru)
         if got.is_some() {
             obs::counter!("invindex_cache_hits_total").inc();
@@ -215,7 +223,7 @@ impl ListCache {
     /// check runs under the mutex, so a stale reader that lost a race
     /// with a publish cannot re-seed an entry the writer already
     /// invalidated. A rejected insert still counts as a decode.
-    pub fn insert_at(&self, id: u32, list: Arc<PostingList>, cost: usize, gen: u64) {
+    pub fn insert_at(&self, id: u32, list: Arc<T>, cost: usize, gen: u64) {
         // Block scope: the metric updates below must happen outside the
         // cache lock (registration takes the registry mutex).
         let (before, after) = {
@@ -282,6 +290,7 @@ impl ListCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::postings::PostingList;
 
     fn list_of(len: usize) -> Arc<PostingList> {
         let postings = (0..len)

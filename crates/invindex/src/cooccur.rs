@@ -11,7 +11,7 @@
 //! substitution and the ablation bench measures the trade-off.
 
 use crate::kvindex::KvBackedIndex;
-use crate::reader::typed_ancestors_in;
+use crate::reader::extend_typed_ancestors;
 use crate::stats::KeywordId;
 use obs::lockrank::rank;
 use obs::sync::Mutex;
@@ -89,9 +89,16 @@ impl CoOccurrence {
         if let Some(v) = self.memo.lock().ancestors.get(&(k, t)) {
             return Ok(Arc::clone(v));
         }
-        let postings = reader.list_handle_by_id(k)?;
+        let list = reader.list_handle_by_id(k)?;
         let types = reader.document().node_types();
-        let v = Arc::new(typed_ancestors_in(types, &postings, t));
+        // Block by block: the projection keeps no block resident that
+        // no cursor decoded, and builds no contiguous copy.
+        let mut v = Vec::new();
+        list.for_each_block(|postings| extend_typed_ancestors(&mut v, types, postings, t));
+        if let Some(damage) = list.damage() {
+            return Err(damage);
+        }
+        let v = Arc::new(v);
         // xlint::lock(cooccur.memo)
         let mut memo = self.memo.lock();
         Ok(Arc::clone(memo.ancestors.entry((k, t)).or_insert(v)))

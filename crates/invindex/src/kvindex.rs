@@ -8,10 +8,13 @@
 //! cached exactly as under a store on disk. Vocabulary and statistics
 //! load eagerly (they are small and every query touches them), lists
 //! materialize lazily on first touch and live in an LRU cache with a
-//! configurable byte budget. Cold start is therefore
-//! `O(vocabulary + stats)` instead of `O(index size)`, and steady-state
-//! memory is bounded by the budget plus whatever outstanding
-//! [`ListHandle`]s still pin.
+//! configurable byte budget. A list is read as a [`StoredList`]: its
+//! frame CRC is checked and its skip table parsed, and each block decodes
+//! the first time a cursor touches it and stays with the list. Cold start
+//! is therefore `O(vocabulary + stats)` instead of `O(index size)`, and a
+//! query decodes only the blocks it reads. Resident memory is the
+//! budget's stored bytes, plus the blocks the cached lists have decoded,
+//! plus whatever outstanding [`ListHandle`]s still pin.
 //!
 //! Concurrency: the reader is `Send + Sync` and designed to be shared
 //! across serving threads behind one `Arc`. A cache hit takes the one
@@ -24,13 +27,14 @@
 //! handoff), decoding nothing, while existing readers keep serving the
 //! one they pinned at open.
 //!
-//! Cache policy lives in [`crate::cache`]: cost of an entry is its
-//! *stored* (encoded) size; eviction never invalidates handles already
-//! given out (entries are `Arc`-shared); a list larger than the
-//! budget is returned uncached and simply re-decoded on its next touch —
-//! degraded speed, never degraded answers. Entries are stamped with the
-//! generation that decoded them, so readers of different epochs can
-//! share one cache without ever serving a stale list.
+//! Cache policy lives in [`crate::cache`]: an entry is a [`StoredList`],
+//! and its cost is its *stored* (encoded) size, whatever it has decoded;
+//! eviction never invalidates handles already given out (entries are
+//! `Arc`-shared); a list larger than the budget is returned uncached and
+//! simply re-read on its next touch — degraded speed, never degraded
+//! answers. Entries are stamped with the generation that read them, so
+//! readers of different epochs can share one cache without ever serving
+//! a stale list.
 
 #![cfg_attr(
     not(test),
@@ -48,7 +52,7 @@ use crate::cache::{CacheStats, ListCache};
 use crate::cooccur::CoOccurrence;
 use crate::index::Index;
 use crate::persist;
-use crate::reader::ListHandle;
+use crate::reader::{ListHandle, StoredList};
 use crate::stats::{KeywordId, KeywordTable, TypeStats};
 use kvstore::{KvError, KvStore, MemKv, Result, Snapshot};
 use std::sync::Arc;
@@ -59,8 +63,9 @@ pub const DEFAULT_CACHE_BUDGET: usize = 64 << 20;
 
 /// The index reader the query layers consume: vocabulary lookup,
 /// frequency statistics, co-occurrence counts and posting-list
-/// acquisition over a stored index, whose posting lists decode lazily
-/// from kvstore pages on first touch. List acquisition is fallible;
+/// acquisition over a stored index, whose posting lists are read from
+/// kvstore pages on first touch and decode block by block as cursors
+/// reach them. List acquisition is fallible;
 /// statistics access is not, because they load up front.
 pub struct KvBackedIndex {
     doc: Arc<Document>,
@@ -69,7 +74,7 @@ pub struct KvBackedIndex {
     cooccur: CoOccurrence,
     /// The immutable store view this reader pinned at open.
     store: Snapshot,
-    cache: Arc<ListCache>,
+    cache: Arc<ListCache<StoredList>>,
     /// The generation this reader was published as; list-cache lookups
     /// and inserts carry it so epochs never cross-contaminate.
     gen: u64,
@@ -126,7 +131,7 @@ impl KvBackedIndex {
         stats: TypeStats,
         gen: u64,
         store: Snapshot,
-        cache: Arc<ListCache>,
+        cache: Arc<ListCache<StoredList>>,
     ) -> Self {
         KvBackedIndex {
             doc,
@@ -210,7 +215,7 @@ impl KvBackedIndex {
                 ],
             );
             obs::trace::count("cache.hits", 1);
-            return Ok(ListHandle::new(list));
+            return Ok(ListHandle::stored(list));
         }
         obs::trace::count("cache.misses", 1);
         // Miss path: the pinned snapshot is immutable, so the read takes
@@ -222,19 +227,19 @@ impl KvBackedIndex {
                 k.0
             )));
         };
-        let list = Arc::new(persist::decode_list_value(&value)?);
+        let list = Arc::new(StoredList::read(value)?);
+        let cost = list.stored_bytes();
         obs::trace::event(
             "list_load",
             &[
                 ("keyword_id", &k.0),
                 ("len", &list.len()),
-                ("stored_bytes", &value.len()),
+                ("stored_bytes", &cost),
                 ("cache", &"miss"),
             ],
         );
-        self.cache
-            .insert_at(k.0, Arc::clone(&list), value.len(), self.gen);
-        Ok(ListHandle::new(list))
+        self.cache.insert_at(k.0, Arc::clone(&list), cost, self.gen);
+        Ok(ListHandle::stored(list))
     }
 
     /// Joint containment count `|{t-typed nodes containing ki and kj}|`
@@ -245,7 +250,7 @@ impl KvBackedIndex {
     }
 
     /// The list cache, shared by every reader a `MaintIndex` publishes.
-    pub(crate) fn cache(&self) -> &Arc<ListCache> {
+    pub(crate) fn cache(&self) -> &Arc<ListCache<StoredList>> {
         &self.cache
     }
 

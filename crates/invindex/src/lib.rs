@@ -2,15 +2,16 @@
 //!
 //! * [`postings`]: document-ordered posting lists, serialized blocked
 //!   and front-coded behind a per-block skip table ([`CompressedList`]);
-//! * [`reader`]: [`ListHandle`], the shared view over a decoded posting
-//!   list that every query layer consumes;
+//! * [`reader`]: [`StoredList`], a stored posting list decoded block by
+//!   block on first touch, and [`ListHandle`], the shared view over one
+//!   that every query layer consumes;
 //! * [`index`]: the one-pass DOM index builder; the [`Index`] it (and
 //!   [`stream`]) returns is the build product and the differential
 //!   oracle, never queried directly;
 //! * [`kvindex`]: [`KvBackedIndex`], the one reader every engine
-//!   answers through — lists materialized lazily from the store format
-//!   in a [`kvstore::KvStore`], persisted or encoded in memory from a
-//!   fresh build, through an LRU byte-budget cache ([`cache`]);
+//!   answers through — lists read lazily from the store format in a
+//!   [`kvstore::KvStore`], persisted or encoded in memory from a fresh
+//!   build, through an LRU byte-budget cache ([`cache`]);
 //! * [`stats`]: the frequency tables (`N_T`, `G_T`, `tf(k,T)`, `f^T_k`);
 //! * [`cooccur`]: memoized co-occurrence frequencies `f^T_{ki,kj}`;
 //! * [`cursor`]: [`ScanStats`], the advance and random-access counters
@@ -48,6 +49,6 @@ pub use kvindex::KvBackedIndex;
 pub use maint::{MaintIndex, MaintOp, MaintReport};
 pub use persist::{verify_store, IntegrityReport, SectionReport};
 pub use postings::{BlockMeta, CompressedList, Posting, PostingList, BLOCK_POSTINGS, HEAD_AT_ROOT};
-pub use reader::{gallop, ListHandle, PartitionRuns};
+pub use reader::{gallop, ListHandle, PartitionRuns, StoredList};
 pub use stats::{KeywordId, KeywordTable, TypeStats};
 pub use stream::build_streaming;

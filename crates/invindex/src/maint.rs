@@ -72,6 +72,7 @@ use crate::cache::ListCache;
 use crate::kvindex::KvBackedIndex;
 use crate::persist;
 use crate::postings::{read_varint, write_varint};
+use crate::reader::StoredList;
 use crate::stats::{KeywordTable, TypeStats};
 use crate::stream::build_streaming;
 use kvstore::{BatchOp, DurableKv, KvError, KvStore, MemKv, Result, StdVfs, Vfs};
@@ -324,7 +325,7 @@ impl MaintIndex {
     }
 
     /// The shared list cache (one instance across all generations).
-    pub fn cache(&self) -> &Arc<ListCache> {
+    pub fn cache(&self) -> &Arc<ListCache<StoredList>> {
         self.reader.cache()
     }
 }

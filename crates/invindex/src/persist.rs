@@ -246,9 +246,11 @@ pub fn encode_list_value(list: &PostingList) -> Vec<u8> {
     frame_value(&compressed)
 }
 
-/// Decodes one stored list value, validating the frame. Public so the
-/// compression test battery can assert corrupt frames surface
-/// [`KvError::Corrupt`].
+/// Decodes one stored list value whole, validating the frame. Public so
+/// the compression test battery can assert corrupt frames surface
+/// [`KvError::Corrupt`]; the reader reads values block by block
+/// ([`crate::StoredList::read`]).
+// xlint::allow(unused-export): the compression battery's whole-value decoder, the oracle the block-lazy reader is held to
 pub fn decode_list_value(value: &[u8]) -> Result<PostingList> {
     CompressedList::parse(unframe_value(value, "posting list")?)?.decode_all()
 }

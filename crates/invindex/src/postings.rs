@@ -12,11 +12,11 @@
 //! one integer and the index where the run starts. It is the structure
 //! Algorithm 2's walk and Scan Eager's run join move over — a
 //! [`PartitionRuns`] cursor seeks from run to run and never compares a
-//! label. The table is derived from the labels wherever a list is made —
-//! by [`PostingList::from_sorted`] and [`PostingList::push`], which the
-//! builders use, and by [`CompressedList::decode_all`], which extends it
-//! posting by posting as it decodes — and is never persisted: the stored
-//! format does not know it exists.
+//! label. The table is derived from the labels wherever postings are
+//! decoded or built — by [`PostingList::from_sorted`] and
+//! [`PostingList::push`], which the builders use, and by the block
+//! decoder, which extends it posting by posting as it decodes — and is
+//! never persisted: the stored format does not know it exists.
 //!
 //! [`PartitionRuns`]: crate::PartitionRuns
 //!
@@ -24,9 +24,13 @@
 //! [`CompressedList`]) groups postings into fixed-size blocks of
 //! [`BLOCK_POSTINGS`], each independently decodable, behind a skip table
 //! of `(byte length, count, min label, max label)` entries. The table is
-//! validated on parse and re-checked block by block by scrub; readers
-//! decode whole lists ([`CompressedList::decode_all`]), nothing seeks
-//! through it today.
+//! validated on parse and re-checked block by block by scrub. The reader
+//! seeks through it: a [`StoredList`] keeps a list encoded and decodes a
+//! block the first time a cursor lands in it, finding that block from
+//! the table's partition keys ([`crate::reader`]); only the whole-list
+//! view decodes every block ([`CompressedList::decode_all`]).
+//!
+//! [`StoredList`]: crate::StoredList
 
 #![cfg_attr(
     not(test),
@@ -155,7 +159,7 @@ impl PostingList {
 
 /// Accounts the posting at index `i`, labelled `dewey`, in the run table:
 /// it opens a run unless it stands where the last run does.
-fn extend_runs(runs: &mut Vec<PartitionRun>, i: usize, dewey: &Dewey) {
+pub(crate) fn extend_runs(runs: &mut Vec<PartitionRun>, i: usize, dewey: &Dewey) {
     let head = partition_key(dewey);
     if runs.last().map(|r| r.head) != Some(head) {
         runs.push(PartitionRun { head, start: i });
@@ -483,8 +487,15 @@ impl<'a> CompressedList<'a> {
         Ok(out)
     }
 
-    /// Decodes every block into a full [`PostingList`] (the serving
-    /// path: cached handles hold fully materialized lists). The postings
+    /// The parsed header: the posting count, the skip table and the block
+    /// data, for a reader that decodes the blocks later
+    /// ([`decode_block_into`]).
+    pub(crate) fn into_parts(self) -> (usize, Vec<BlockMeta>, &'a [u8]) {
+        (self.n, self.blocks, self.data)
+    }
+
+    /// Decodes every block into a full [`PostingList`] (scrub, the
+    /// build-side tests, and a handle's contiguous whole-list view). The postings
     /// go into one vector sized from the header's count, which `parse`
     /// has bounded by the payload size, and the run table is extended as
     /// they are decoded.
@@ -530,116 +541,127 @@ impl<'a> CompressedList<'a> {
             .sum()
     }
 
-    /// The one block decoder: appends block `i`'s postings to `out` and,
-    /// when given `runs`, accounts them in that run table (`out` then
-    /// holds the list's earlier blocks, and `runs` their runs). `label`
-    /// is working space: the current posting's label, rewritten in place
-    /// from its predecessor's and kept at least [`Dewey::INLINE`] wide,
-    /// so a label that short is built with one fixed-size copy and
-    /// allocates nothing. Damage is reported as a static description,
-    /// which the caller formats once.
+    /// [`decode_block_into`] on block `i`.
     fn decode_block_into(
         &self,
         i: usize,
         out: &mut Vec<Posting>,
-        mut runs: Option<&mut Vec<PartitionRun>>,
+        runs: Option<&mut Vec<PartitionRun>>,
         label: &mut Vec<u32>,
     ) -> std::result::Result<(), &'static str> {
         let meta = self.blocks.get(i).ok_or("no such block")?;
-        let end = meta
-            .offset
-            .checked_add(meta.len)
-            .ok_or("byte extent overflow")?;
-        let bytes = self
-            .data
-            .get(meta.offset..end)
-            .ok_or("byte extent outside payload")?;
-        let mut pos = 0usize;
-        let t0 = read_u32_varint(bytes, &mut pos).ok_or("bad first node type")?;
+        decode_block_into(meta, self.data, out, runs, label)
+    }
+}
+
+/// The one block decoder: appends the postings of the block `meta`
+/// describes, read from `data` (the list's block region), to `out` and,
+/// when given `runs`, accounts them in that run table (`out` then holds
+/// the list's earlier blocks, and `runs` their runs). `label` is working
+/// space: the current posting's label, rewritten in place from its
+/// predecessor's and kept at least [`Dewey::INLINE`] wide, so a label
+/// that short is built with one fixed-size copy and allocates nothing.
+/// Damage is reported as a static description, which the caller formats
+/// once.
+pub(crate) fn decode_block_into(
+    meta: &BlockMeta,
+    data: &[u8],
+    out: &mut Vec<Posting>,
+    mut runs: Option<&mut Vec<PartitionRun>>,
+    label: &mut Vec<u32>,
+) -> std::result::Result<(), &'static str> {
+    let end = meta
+        .offset
+        .checked_add(meta.len)
+        .ok_or("byte extent overflow")?;
+    let bytes = data
+        .get(meta.offset..end)
+        .ok_or("byte extent outside payload")?;
+    let mut pos = 0usize;
+    let t0 = read_u32_varint(bytes, &mut pos).ok_or("bad first node type")?;
+    if let Some(runs) = runs.as_deref_mut() {
+        extend_runs(runs, out.len(), &meta.min);
+    }
+    out.push(Posting::new(meta.min.clone(), NodeTypeId(t0)));
+    let min = meta.min.components();
+    label.clear();
+    label.extend_from_slice(min);
+    label.resize(min.len().max(Dewey::INLINE), 0);
+    let mut len = min.len();
+    let mut prev_type = t0;
+    for _ in 1..meta.count {
+        let header = read_byte(bytes, &mut pos).ok_or("truncated posting header")?;
+        if header & HDR_RESERVED != 0 {
+            return Err("reserved header bit set");
+        }
+        let mut trim = usize::from(header & 7);
+        if trim == usize::from(HDR_FIELD_ESCAPE) {
+            trim = read_varint(bytes, &mut pos).ok_or("truncated trim escape")? as usize;
+            if trim < usize::from(HDR_FIELD_ESCAPE) {
+                return Err("non-canonical trim escape");
+            }
+        }
+        let mut rest = usize::from((header >> 3) & 7);
+        if rest == usize::from(HDR_FIELD_ESCAPE) {
+            rest = read_varint(bytes, &mut pos).ok_or("truncated rest escape")? as usize;
+            if rest < usize::from(HDR_FIELD_ESCAPE) {
+                return Err("non-canonical rest escape");
+            }
+        }
+        if rest == 0 {
+            return Err("posting repeats or precedes its predecessor");
+        }
+        if rest > bytes.len() {
+            return Err("component count exceeds block size");
+        }
+        let shared = len
+            .checked_sub(trim)
+            .ok_or("trim deeper than predecessor")?;
+        let d0 = read_varint(bytes, &mut pos).ok_or("truncated component")?;
+        let c0 = if trim > 0 {
+            // The predecessor's component where the two diverge.
+            let base = label.get(shared).copied().unwrap_or(0);
+            let v = u64::from(base)
+                .checked_add(1)
+                .and_then(|b| b.checked_add(d0))
+                .ok_or("component overflow")?;
+            u32::try_from(v).map_err(|_| "component overflow")?
+        } else {
+            u32::try_from(d0).map_err(|_| "component overflow")?
+        };
+        len = shared;
+        put_component(label, &mut len, c0);
+        for _ in 1..rest {
+            let c = read_u32_varint(bytes, &mut pos).ok_or("bad component")?;
+            put_component(label, &mut len, c);
+        }
+        let node_type = if header & HDR_SAME_TYPE != 0 {
+            prev_type
+        } else {
+            read_u32_varint(bytes, &mut pos).ok_or("bad node type")?
+        };
+        let dewey = match label.first_chunk() {
+            Some(padded) if len <= Dewey::INLINE => Dewey::from_padded(len, padded),
+            _ => label.get(..len).and_then(Dewey::from_slice),
+        }
+        .ok_or("empty posting label")?;
         if let Some(runs) = runs.as_deref_mut() {
-            extend_runs(runs, out.len(), &meta.min);
+            extend_runs(runs, out.len(), &dewey);
         }
-        out.push(Posting::new(meta.min.clone(), NodeTypeId(t0)));
-        let min = meta.min.components();
-        label.clear();
-        label.extend_from_slice(min);
-        label.resize(min.len().max(Dewey::INLINE), 0);
-        let mut len = min.len();
-        let mut prev_type = t0;
-        for _ in 1..meta.count {
-            let header = read_byte(bytes, &mut pos).ok_or("truncated posting header")?;
-            if header & HDR_RESERVED != 0 {
-                return Err("reserved header bit set");
-            }
-            let mut trim = usize::from(header & 7);
-            if trim == usize::from(HDR_FIELD_ESCAPE) {
-                trim = read_varint(bytes, &mut pos).ok_or("truncated trim escape")? as usize;
-                if trim < usize::from(HDR_FIELD_ESCAPE) {
-                    return Err("non-canonical trim escape");
-                }
-            }
-            let mut rest = usize::from((header >> 3) & 7);
-            if rest == usize::from(HDR_FIELD_ESCAPE) {
-                rest = read_varint(bytes, &mut pos).ok_or("truncated rest escape")? as usize;
-                if rest < usize::from(HDR_FIELD_ESCAPE) {
-                    return Err("non-canonical rest escape");
-                }
-            }
-            if rest == 0 {
-                return Err("posting repeats or precedes its predecessor");
-            }
-            if rest > bytes.len() {
-                return Err("component count exceeds block size");
-            }
-            let shared = len
-                .checked_sub(trim)
-                .ok_or("trim deeper than predecessor")?;
-            let d0 = read_varint(bytes, &mut pos).ok_or("truncated component")?;
-            let c0 = if trim > 0 {
-                // The predecessor's component where the two diverge.
-                let base = label.get(shared).copied().unwrap_or(0);
-                let v = u64::from(base)
-                    .checked_add(1)
-                    .and_then(|b| b.checked_add(d0))
-                    .ok_or("component overflow")?;
-                u32::try_from(v).map_err(|_| "component overflow")?
-            } else {
-                u32::try_from(d0).map_err(|_| "component overflow")?
-            };
-            len = shared;
-            put_component(label, &mut len, c0);
-            for _ in 1..rest {
-                let c = read_u32_varint(bytes, &mut pos).ok_or("bad component")?;
-                put_component(label, &mut len, c);
-            }
-            let node_type = if header & HDR_SAME_TYPE != 0 {
-                prev_type
-            } else {
-                read_u32_varint(bytes, &mut pos).ok_or("bad node type")?
-            };
-            let dewey = match label.first_chunk() {
-                Some(padded) if len <= Dewey::INLINE => Dewey::from_padded(len, padded),
-                _ => label.get(..len).and_then(Dewey::from_slice),
-            }
-            .ok_or("empty posting label")?;
-            if let Some(runs) = runs.as_deref_mut() {
-                extend_runs(runs, out.len(), &dewey);
-            }
-            out.push(Posting::new(dewey, NodeTypeId(node_type)));
-            prev_type = node_type;
-        }
-        if pos != bytes.len() {
-            return Err("trailing bytes");
-        }
-        match out.last() {
-            Some(last) if last.dewey == meta.max => Ok(()),
-            _ => Err("last posting does not match skip-table max"),
-        }
+        out.push(Posting::new(dewey, NodeTypeId(node_type)));
+        prev_type = node_type;
+    }
+    if pos != bytes.len() {
+        return Err("trailing bytes");
+    }
+    match out.last() {
+        Some(last) if last.dewey == meta.max => Ok(()),
+        _ => Err("last posting does not match skip-table max"),
     }
 }
 
 /// The error block `i`'s decoder reports as `what`.
-fn block_corrupt(i: usize, what: &str) -> KvError {
+pub(crate) fn block_corrupt(i: usize, what: &str) -> KvError {
     KvError::corrupt(format!("compressed list block {i}: {what}"))
 }
 

@@ -83,7 +83,7 @@ impl Model {
 /// The cache under test plus the log of every lookup made of it, so the
 /// probes the test adds are reconciled with the counters like any other.
 struct Logged {
-    cache: ListCache,
+    cache: ListCache<PostingList>,
     hits: u64,
     misses: u64,
 }
@@ -204,7 +204,7 @@ fn handles_stay_valid_after_their_entry_is_evicted() {
 
 #[test]
 fn concurrent_hammer_reconciles_with_the_op_log() {
-    let cache = ListCache::new(2000);
+    let cache: ListCache<PostingList> = ListCache::new(2000);
     const THREADS: u64 = 8;
     const OPS: u64 = 3000;
     let mut per_thread: Vec<(u64, u64)> = Vec::new(); // (gets, inserts)

@@ -13,7 +13,7 @@
 
 use datagen::{random_dewey_corpus, DeweyCorpusConfig};
 use invindex::persist::{decode_list_value, encode_list_value};
-use invindex::{CompressedList, Posting, PostingList, BLOCK_POSTINGS};
+use invindex::{CompressedList, Posting, PostingList, BLOCK_POSTINGS, HEAD_AT_ROOT};
 use xmldom::{Dewey, NodeTypeId};
 
 struct XorShift(u64);
@@ -270,6 +270,219 @@ fn payload_mutations_never_panic_and_keep_structure() {
                     }
                 }
             }
+        }
+    }
+}
+
+// ----- block-lazy reading ---------------------------------------------
+
+/// A list over a few partitions, each holding none, a few, or hundreds
+/// of postings, so runs start, end and continue across block boundaries;
+/// sometimes with a posting on the root.
+fn partitioned_list(g: &mut xcheck::prop::Gen) -> PostingList {
+    let mut labels = std::collections::BTreeSet::new();
+    if g.weighted(&[3, 1]) == 1 {
+        labels.insert(vec![0]);
+    }
+    for p in 0..g.range(1u32..10) {
+        let n = match g.weighted(&[2, 3, 2, 1]) {
+            0 => 0,
+            1 => g.range(1usize..4),
+            2 => g.range(20usize..90),
+            _ => g.range(100usize..220),
+        };
+        for _ in 0..n {
+            let mut label = vec![0, p * 3];
+            for _ in 0..g.range(0usize..4) {
+                label.push(g.range(0u32..40));
+            }
+            labels.insert(label);
+        }
+    }
+    list_from(labels.into_iter().map(|l| Dewey::new(l).unwrap()).collect())
+}
+
+/// The runs of `list` visible through the view `from..to`, view-relative
+/// and clamped to it: what a cursor must report, from `decode_all`'s
+/// run table.
+fn visible_runs(list: &PostingList, from: usize, to: usize) -> Vec<(u64, std::ops::Range<usize>)> {
+    let runs = list.runs();
+    (0..runs.len())
+        .map(|r| {
+            let end = runs.get(r + 1).map_or(list.len(), |n| n.start);
+            (runs[r].head, runs[r].start.max(from)..end.min(to))
+        })
+        .filter(|(_, range)| range.start < range.end)
+        .map(|(head, range)| (head, range.start - from..range.end - from))
+        .collect()
+}
+
+#[test]
+fn lazy_lists_read_the_runs_and_postings_decode_all_does() {
+    use invindex::{ListHandle, StoredList};
+    use std::sync::Arc;
+    xcheck::prop::check(300, |g| {
+        let list = partitioned_list(g);
+        let stored = StoredList::read(encode_list_value(&list)).unwrap();
+        let oracle = CompressedList::parse(&list.encode_compressed())
+            .unwrap()
+            .decode_all()
+            .unwrap();
+        assert_eq!(oracle, list);
+        let lazy = ListHandle::stored(Arc::new(stored));
+        let in_memory = ListHandle::new(Arc::new(list.clone()));
+        let from = g.range(0..list.len() + 1);
+        let to = g.range(from..list.len() + 1);
+        let want = visible_runs(&oracle, from, to);
+        let postings = &oracle.as_slice()[from..to];
+        let heads: Vec<u64> = want.iter().map(|(h, _)| *h).collect();
+        let ops: Vec<u64> = g.vec(0..12, |g| match g.weighted(&[3, 1]) {
+            0 if !heads.is_empty() => g.pick(&heads) + g.range(0u64..2),
+            _ => g.range(0u64..12),
+        });
+        for fresh in [&lazy, &in_memory] {
+            // Bounds on a whole list come from the skip table alone.
+            let all = visible_runs(&oracle, 0, list.len());
+            let below = all.iter().filter(|(h, _)| *h != HEAD_AT_ROOT).count();
+            let (lo, hi) = fresh.partition_bounds();
+            assert!(
+                lo <= below && below <= hi,
+                "whole list: {lo} <= {below} <= {hi}"
+            );
+        }
+        for handle in [&lazy, &in_memory] {
+            let view = handle.slice(from..to);
+            // Forward iteration, run by run.
+            let read: Vec<&[invindex::Posting]> = view.run_postings().collect();
+            assert_eq!(read.len(), want.len());
+            assert_eq!(read.concat(), postings);
+            let mut blocks = Vec::new();
+            view.for_each_block(|block| blocks.extend_from_slice(block));
+            assert_eq!(blocks, postings);
+            // The partitions below the root, bounded before any cursor runs
+            // on a whole list.
+            let below = want.iter().filter(|(h, _)| *h != HEAD_AT_ROOT).count();
+            let (lo, hi) = view.partition_bounds();
+            assert!(lo <= below && below <= hi, "{lo} <= {below} <= {hi}");
+            assert_eq!(
+                view.last_partition(),
+                postings.last().map(|p| {
+                    let c = p.dewey.components();
+                    c.get(1).map_or(0, |&o| u64::from(o) + 1)
+                })
+            );
+            // Seeks: the cursor stands where the run table says.
+            let mut runs = view.partition_runs();
+            let mut at = 0;
+            for &head in &ops {
+                runs.seek(head);
+                while at < want.len() && want[at].0 < head {
+                    at += 1;
+                }
+                assert_eq!(runs.current(), want.get(at).cloned(), "seek {head}");
+                assert_eq!(runs.remaining(), want.len() - at, "remaining after {head}");
+                let (lo, hi) = runs.remaining_bounds();
+                assert!(lo <= want.len() - at && want.len() - at <= hi);
+                let run = want.get(at).map(|(_, r)| &postings[r.clone()]);
+                assert_eq!(runs.current_postings(), run);
+            }
+        }
+    });
+}
+
+#[test]
+fn a_block_that_does_not_decode_reads_empty_and_is_reported() {
+    use invindex::{ListHandle, StoredList};
+    use std::sync::Arc;
+    let list = list_from(
+        (0..300u32)
+            .map(|i| Dewey::new(vec![0, i / 7, i]).unwrap())
+            .collect(),
+    );
+    let mut payload = list.encode_compressed();
+    // The first header byte of the last block's second posting: its
+    // reserved bit fails the block, and nothing the skip table checks.
+    let parsed = CompressedList::parse(&payload).unwrap();
+    let last = parsed.blocks().last().unwrap().clone();
+    let data_at = payload.len() - parsed.blocks().iter().map(|m| m.len).sum::<usize>();
+    let mut pos = data_at + last.offset;
+    invindex::postings::read_varint(&payload, &mut pos).unwrap();
+    payload[pos] |= 0x80;
+    let handle = ListHandle::stored(Arc::new(StoredList::read(frame(&payload)).unwrap()));
+    assert!(
+        handle.damage().is_none(),
+        "the frame and skip table are sound"
+    );
+    // Blocks before the damaged one read as they should.
+    let mut runs = handle.partition_runs();
+    assert_eq!(runs.current_postings().unwrap(), &list.as_slice()[..7]);
+    assert!(handle.damage().is_none());
+    // The damaged block reads as empty, and the list says so.
+    runs.seek(u64::MAX);
+    let read: usize = handle.run_postings().map(<[_]>::len).sum();
+    assert_eq!(read, list.len() - last.count);
+    let damage = handle.damage().expect("the block was read");
+    assert!(damage.is_corrupt(), "{damage}");
+    assert!(
+        damage.to_string().contains("reserved header bit"),
+        "{damage}"
+    );
+}
+
+/// `payload` framed as a store holds it, with a checksum that matches.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    invindex::postings::write_varint(&mut out, payload.len() as u64);
+    out.extend_from_slice(&kvstore::crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+#[test]
+fn forged_block_bytes_never_panic_a_reader() {
+    use invindex::{ListHandle, StoredList};
+    use std::sync::Arc;
+    let mut rng = XorShift(0xB10C_5EED);
+    let list = list_from(
+        (0..400u32)
+            .map(|i| Dewey::new(vec![0, i / 9, i % 9, i % 4]).unwrap())
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .collect(),
+    );
+    let payload = list.encode_compressed();
+    let parsed = CompressedList::parse(&payload).unwrap();
+    let data_at = payload.len() - parsed.blocks().iter().map(|m| m.len).sum::<usize>();
+    for _ in 0..2_000 {
+        let mut bad = payload.clone();
+        // Block bytes only: the skip table, which acquisition checks,
+        // stays sound.
+        for _ in 0..=rng.below(3) {
+            let i = data_at + rng.below((bad.len() - data_at) as u64) as usize;
+            bad[i] ^= 1 << rng.below(8);
+        }
+        let Ok(stored) = StoredList::read(frame(&bad)) else {
+            continue;
+        };
+        let handle = ListHandle::stored(Arc::new(stored));
+        let read: Vec<Posting> = handle.run_postings().flatten().cloned().collect();
+        let mut runs = handle.partition_runs();
+        while let Some((head, range)) = runs.current() {
+            assert!(range.end <= handle.len());
+            runs.seek(head + 1 + rng.below(3));
+        }
+        let _ = (handle.partition_bounds(), handle.last_partition());
+        let view = handle.slice(handle.len() / 3..handle.len() / 2);
+        let _ = view.run_postings().count();
+        let whole = handle.postings().to_vec();
+        match handle.damage() {
+            // Read as it decodes, when nothing was damaged.
+            None => {
+                let decoded = CompressedList::parse(&bad).unwrap().decode_all().unwrap();
+                assert_eq!(read, decoded.as_slice());
+                assert_eq!(whole, decoded.as_slice());
+            }
+            Some(e) => assert!(e.is_corrupt(), "{e}"),
         }
     }
 }

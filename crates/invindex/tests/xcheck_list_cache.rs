@@ -20,7 +20,7 @@ use std::sync::Arc;
 const ID: u32 = 7;
 
 struct State {
-    cache: ListCache,
+    cache: ListCache<PostingList>,
     /// What the reader decodes at generation 0 and at generation 1.
     decoded: [Arc<PostingList>; 2],
 }

@@ -89,9 +89,9 @@ pub fn slca_scan_eager(lists: &[ListHandle]) -> Vec<Dewey> {
         return Vec::new();
     };
     // The shortest list is empty exactly when some list is.
-    let Some(root) = anchors.first().and_then(|p| p.dewey.prefix(1)) else {
+    if anchors.is_empty() {
         return Vec::new();
-    };
+    }
     let mut found = Vec::new();
     let steps = match lists {
         [one] => {
@@ -106,7 +106,7 @@ pub fn slca_scan_eager(lists: &[ListHandle]) -> Vec<Dewey> {
     obs::counter!("slca_eager_steps_total").add(steps);
     obs::trace::count("slca.steps", steps);
     if found.is_empty() {
-        return vec![root];
+        return vec![Dewey::root()];
     }
     found
 }
@@ -147,23 +147,28 @@ pub fn slca_scan_eager_page(
 /// The SLCAs of one list, each handed to `emit` (which returns `true` to
 /// stop), and the steps taken: its postings below the root that the next
 /// posting does not lie inside — a posting with a descendant in the list
-/// has that descendant right after it, in document order. One step per
-/// posting below the root passed.
-fn deepest_postings<'a>(list: &'a [Posting], mut emit: impl FnMut(&'a Posting) -> bool) -> u64 {
-    // The root sorts before every other label.
-    let on_root = list.iter().take_while(|p| p.dewey.len() == 1).count();
-    let below = list.get(on_root..).unwrap_or_default();
-    for (i, p) in below.iter().enumerate() {
-        let label = p.dewey.components();
-        if !below
-            .get(i + 1)
-            .is_some_and(|next| next.dewey.components().starts_with(label))
-            && emit(p)
-        {
-            return i as u64 + 1;
+/// has that descendant right after it, in document order, and in its
+/// partition, so in its run. One step per posting below the root passed.
+fn deepest_postings<'a>(list: &'a ListHandle, mut emit: impl FnMut(&'a Posting) -> bool) -> u64 {
+    let mut steps = 0;
+    for run in list.run_postings() {
+        for (i, p) in run.iter().enumerate() {
+            let label = p.dewey.components();
+            // The root sorts before every other label.
+            if label.len() == 1 {
+                continue;
+            }
+            steps += 1;
+            if !run
+                .get(i + 1)
+                .is_some_and(|next| next.dewey.components().starts_with(label))
+                && emit(p)
+            {
+                return steps;
+            }
         }
     }
-    below.len() as u64
+    steps
 }
 
 /// What the run join does with each anchor's candidate, a prefix of the
@@ -270,7 +275,6 @@ fn run_join<'a>(
     let mut others: Vec<RunJoin<'_>> = (lists.iter().enumerate())
         .filter(|&(i, _)| i != shortest)
         .map(|(_, list)| RunJoin {
-            list,
             runs: list.partition_runs(),
             run: &[],
             pos: 0,
@@ -283,20 +287,20 @@ fn run_join<'a>(
     let mut head = HEAD_AT_ROOT + 1;
     'join: loop {
         steps += anchor_runs.seek(head);
-        let Some((at, range)) = anchor_runs.current() else {
+        let Some(at) = anchor_runs.head() else {
             break;
         };
         head = at;
         for other in &mut others {
             steps += other.runs.seek(head);
-            match other.runs.current() {
-                Some((at, run)) if at == head => {
-                    other.run = other.list.get(run).unwrap_or_default();
+            match other.runs.head() {
+                Some(at) if at == head => {
+                    other.run = other.runs.current_postings().unwrap_or_default();
                     other.pos = 0;
                     other.pred_prefix = 0;
                 }
                 // The list lacks `head`: every cursor must reach `at`.
-                Some((at, _)) => {
+                Some(at) => {
                     head = at;
                     continue 'join;
                 }
@@ -305,7 +309,7 @@ fn run_join<'a>(
         }
         // The previous anchor of the run; none before its first.
         let mut prev: &[u32] = &[];
-        for anchor in anchors.get(range).unwrap_or_default() {
+        for anchor in anchor_runs.current_postings().unwrap_or_default() {
             let a = anchor.dewey.components();
             let (_, step) = first_difference(prev, a);
             prev = a;
@@ -363,7 +367,6 @@ fn keep_minimal(found: &mut Vec<Dewey>, candidate: &[u32]) {
 
 /// Where a list stands in [`slca_scan_eager`]'s run join.
 struct RunJoin<'a> {
-    list: &'a ListHandle,
     runs: PartitionRuns<'a>,
     /// The list's postings in the partition every list stands in …
     run: &'a [Posting],

@@ -102,15 +102,37 @@ impl MeaningfulFilter {
     /// or after it, which lies inside it; the cursor into `list` only
     /// moves forward. No node is looked up.
     pub fn retain_meaningful(&self, slcas: &mut Vec<Dewey>, list: &[Posting]) {
+        self.retain_meaningful_in(slcas, [list]);
+    }
+
+    /// [`retain_meaningful`](Self::retain_meaningful) over a list given as
+    /// consecutive slices in document order — a stored list's runs, read
+    /// without a contiguous copy.
+    pub fn retain_meaningful_in<'p>(
+        &self,
+        slcas: &mut Vec<Dewey>,
+        list: impl IntoIterator<Item = &'p [Posting]>,
+    ) {
         debug_assert!(slcas.windows(2).all(|w| w[0] < w[1]), "sorted SLCAs");
-        let mut rest = list;
+        let mut slices = list.into_iter();
+        let mut rest: &[Posting] = &[];
         slcas.retain(|r| {
-            let (skip, _) = gallop(rest, |p| p.dewey < *r);
-            rest = rest.get(skip..).unwrap_or_default();
-            rest.first().is_some_and(|p| {
-                debug_assert!(r.is_ancestor_or_self_of(&p.dewey), "{r} holds no posting");
-                self.admits_type(r.len(), p.node_type)
-            })
+            let first = loop {
+                let (skip, _) = gallop(rest, |p| p.dewey < *r);
+                rest = rest.get(skip..).unwrap_or_default();
+                match rest.first() {
+                    Some(p) => break p,
+                    None => match slices.next() {
+                        Some(next) => rest = next,
+                        None => return false,
+                    },
+                }
+            };
+            debug_assert!(
+                r.is_ancestor_or_self_of(&first.dewey),
+                "{r} holds no posting"
+            );
+            self.admits_type(r.len(), first.node_type)
         });
     }
 

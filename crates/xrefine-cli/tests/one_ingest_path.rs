@@ -17,12 +17,13 @@ fn cli(args: &[&str], stdin: &str) -> Output {
         .stderr(Stdio::piped())
         .spawn()
         .unwrap();
-    child
-        .stdin
-        .take()
-        .unwrap()
-        .write_all(stdin.as_bytes())
-        .unwrap();
+    let written = child.stdin.take().unwrap().write_all(stdin.as_bytes());
+    // A child that refuses its input (a malformed `--data` file) may exit
+    // before reading it, and the write then meets a closed pipe. What the
+    // child printed is what the callers check.
+    if let Err(e) = written {
+        assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "{e}");
+    }
     child.wait_with_output().unwrap()
 }
 

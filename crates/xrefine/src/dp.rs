@@ -349,9 +349,9 @@ impl DpPlan {
     /// Every keyword set derivable over `available` whose dissimilarity
     /// is below `bound`, as its exact dissimilarity — the cheapest of its
     /// derivations, where [`run`](Self::run)'s beam may have kept a dearer
-    /// one or none — and its [`KeyBits`]; ascending by dissimilarity. `None`
-    /// when the prefixes hold more than `budget` sets in all, or `KS` has
-    /// more than [`KEY_BITS`] keywords.
+    /// one or none — and its [`KeyBits`]; ascending by dissimilarity; and
+    /// how many sets the prefixes held in all. `None` when that is more
+    /// than `budget`, or `KS` has more than [`KEY_BITS`] keywords.
     ///
     /// The recurrence is `run`'s without the beam: each prefix keeps every
     /// distinct set below `bound`, at its cheapest cost. Both cuts are
@@ -366,7 +366,7 @@ impl DpPlan {
         available: &KeyMask,
         bound: f64,
         budget: usize,
-    ) -> Option<Vec<(f64, KeyBits)>> {
+    ) -> Option<(Vec<(f64, KeyBits)>, usize)> {
         if self.rank.len() > KEY_BITS {
             return None;
         }
@@ -421,7 +421,7 @@ impl DpPlan {
             .map(|(set, cost)| (cost, set))
             .collect();
         found.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        Some(found)
+        Some((found, held))
     }
 }
 
@@ -975,7 +975,7 @@ mod bound_tests {
                 0 => usize::MAX,
                 _ => g.range(1usize..12),
             };
-            let Some(found) = plan.admissible(&mask, bound, budget) else {
+            let Some((found, _)) = plan.admissible(&mask, bound, budget) else {
                 assert!(budget < usize::MAX, "no budget to exceed");
                 return;
             };

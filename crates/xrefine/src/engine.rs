@@ -206,7 +206,7 @@ impl XRefineEngine {
             reason = "once per query: brackets the session phase"
         )]
         let t1 = Instant::now();
-        let session = {
+        let mut session = {
             let _span = obs::trace::span("session");
             obs::trace::attr("rules", rules.len());
             RefineSession::with_search_for(
@@ -223,16 +223,16 @@ impl XRefineEngine {
             reason = "once per query: brackets the algorithm phase"
         )]
         let t2 = Instant::now();
-        let outcome = {
+        let run = |session: &RefineSession<'_>| {
             let _span = obs::trace::span(match self.config.algorithm {
                 Algorithm::StackRefine => "stack-refine",
                 Algorithm::Partition => "partition",
                 Algorithm::ShortListEager => "sle",
             });
             match self.config.algorithm {
-                Algorithm::StackRefine => stack_refine(&session),
+                Algorithm::StackRefine => stack_refine(session),
                 Algorithm::Partition => partition_refine(
-                    &session,
+                    session,
                     &PartitionOptions {
                         k: self.config.k,
                         slca: slca::slca_scan_eager,
@@ -240,7 +240,7 @@ impl XRefineEngine {
                     },
                 ),
                 Algorithm::ShortListEager => sle_refine(
-                    &session,
+                    session,
                     &SleOptions {
                         k: self.config.k,
                         slca: slca::slca_scan_eager,
@@ -248,6 +248,14 @@ impl XRefineEngine {
                         smart_choice: true,
                     },
                 ),
+            }
+        };
+        // A block that failed to decode read as empty, so the outcome is
+        // wrong: the query fails, or runs again without the keyword.
+        let outcome = loop {
+            let outcome = run(&session);
+            if !session.drop_damaged()? {
+                break outcome;
             }
         };
         obs::histogram!("xrefine_phase_algorithm_nanos").observe_duration(t2.elapsed());

@@ -61,8 +61,9 @@
 //! list change; when `A` is empty, or no partition left holds any of its
 //! sets, the walk stops.
 //!
-//! **The walk runs on integers** (`PartitionWalk`). Every decoded list
-//! carries its partition runs, and the walk holds one run cursor
+//! **The walk runs on integers** (`PartitionWalk`). Every list carries
+//! its partition runs — a stored list, those of each block it has
+//! decoded — and the walk holds one run cursor
 //! ([`PartitionRuns`]) per `KS` list. The next partition holding some
 //! `S` in `A` is found by leapfrogging `S`'s lists, shortest first, by
 //! galloping `seek`s over their runs — integer compares, no label read,
@@ -285,16 +286,15 @@ pub(crate) fn meaningful_slcas(
 ) -> Vec<Dewey> {
     let mut found = slca(lists);
     found.retain(|d| d.len() > 1);
-    let shortest = lists
-        .iter()
-        .min_by_key(|l| l.len())
-        .map(ListHandle::postings);
-    filter.retain_meaningful(&mut found, shortest.unwrap_or_default());
+    match lists.iter().min_by_key(|l| l.len()) {
+        Some(shortest) => filter.retain_meaningful_in(&mut found, shortest.run_postings()),
+        None => found.clear(),
+    }
     found
 }
 
 /// A pluggable SLCA computation over per-keyword posting slices. The
-/// slices are [`ListHandle`] views over decoded lists, shared with the
+/// slices are [`ListHandle`] views over stored lists, shared with the
 /// list cache; any generic `fn<S: AsRef<[Posting]>>(&[S])`
 /// algorithm from the `slca` crate coerces to this type.
 ///
@@ -435,7 +435,7 @@ impl<'a> PartitionWalk<'a> {
 
 /// The partition a run cursor stands in.
 fn head(runs: &PartitionRuns<'_>) -> u64 {
-    runs.current().map_or(AT_END, |(head, _)| head)
+    runs.head().unwrap_or(AT_END)
 }
 
 /// Moves every cursor to the first partition at or after `from` that all
@@ -498,8 +498,8 @@ struct Admissible {
     available: KeyMask,
     /// The length of each `KS` list.
     lengths: Vec<usize>,
-    /// The most sets a prefix may hold in an enumeration.
-    budget: usize,
+    /// How many sets the prefixes of an enumeration may hold in all.
+    budget: Budget,
     /// The sets of the one enumeration that fit the budget, fewest
     /// keywords first, below the threshold it was made at — a superset of
     /// the sets below any later threshold, as the threshold never rises.
@@ -533,25 +533,27 @@ impl Admissible {
     /// every partition until the cap held it back).
     fn new(lists: &[ListHandle], budget: usize) -> Self {
         let mut available = KeyMask::empty(lists.len());
-        let (mut first, mut last, mut runs_held) = (AT_END, HEAD_AT_ROOT, 0);
+        let (mut first, mut last, mut runs) = (AT_END, HEAD_AT_ROOT, (0, 0));
         for (i, list) in lists.iter().enumerate() {
-            let mut runs = list.partition_runs();
-            runs.seek(HEAD_AT_ROOT + 1);
-            if let Some((head, _)) = runs.current() {
+            let mut cursor = list.partition_runs();
+            cursor.seek(HEAD_AT_ROOT + 1);
+            if let Some(head) = cursor.head() {
                 available.set(i);
-                runs_held += runs.remaining();
+                let (lo, hi) = list.partition_bounds();
+                runs = (runs.0 + lo, runs.1 + hi);
                 first = first.min(head);
                 // The last posting stands in the list's last partition.
-                let label = list.postings().last().map(|p| p.dewey.components());
-                let ordinal = label.and_then(|l| l.get(1)).copied().unwrap_or(0);
-                last = last.max(u64::from(ordinal) + 1);
+                last = last.max(list.last_partition().unwrap_or(head));
             }
         }
         let spanned = usize::try_from(last.saturating_sub(first).saturating_add(1));
         Admissible {
             available,
             lengths: lists.iter().map(ListHandle::len).collect(),
-            budget: budget.min(spanned.unwrap_or(usize::MAX)).min(runs_held / 2),
+            budget: Budget {
+                sets: budget.min(spanned.unwrap_or(usize::MAX)),
+                runs,
+            },
             sets: Vec::new(),
             known: false,
             overflowed_at: None,
@@ -568,8 +570,9 @@ impl Admissible {
     fn update(&mut self, session: &RefineSession<'_>, list: &RqSortedList, memo: &DpMemo) -> bool {
         let theta = list.admission_threshold();
         if !self.known && self.overflowed_at.is_none_or(|at| theta < at) {
-            match session.plan.admissible(&self.available, theta, self.budget) {
-                Some(mut found) => {
+            let most = self.budget.most();
+            match session.plan.admissible(&self.available, theta, most) {
+                Some((mut found, held)) if self.budget.admits(held, &session.lists) => {
                     found.sort_by_key(|&(_, keywords)| keywords.count_ones());
                     self.sets = (found.into_iter())
                         .map(|(cost, keywords)| AdmissibleSet {
@@ -581,7 +584,7 @@ impl Admissible {
                         .collect();
                     self.known = true;
                 }
-                None => self.overflowed_at = Some(theta),
+                _ => self.overflowed_at = Some(theta),
             }
         }
         if !self.known {
@@ -663,6 +666,49 @@ impl Admissible {
             }));
         }
         AT_END
+    }
+}
+
+/// The most sets the prefixes of an enumeration may hold in all:
+/// `sets`, and half the partition runs the lists hold past the root.
+/// The runs are known as bounds read off the lists' skip tables; an
+/// enumeration the bounds cannot judge decodes the blocks whose bounds
+/// are widest until they can ([`PartitionRuns::at_least`]).
+struct Budget {
+    sets: usize,
+    /// Bounds on the runs, read off the skip tables.
+    runs: (usize, usize),
+}
+
+impl Budget {
+    /// No cap but `sets`.
+    #[cfg(test)]
+    fn sets(sets: usize) -> Self {
+        Budget {
+            sets,
+            runs: (usize::MAX, usize::MAX),
+        }
+    }
+
+    /// A bound at or above the cap.
+    fn most(&self) -> usize {
+        self.sets.min(self.runs.1 / 2)
+    }
+
+    /// Whether an enumeration whose prefixes hold `held` sets, no more
+    /// than [`most`](Self::most), fits the cap.
+    fn admits(&self, held: usize, lists: &[ListHandle]) -> bool {
+        if held <= self.runs.0 / 2 {
+            return true;
+        }
+        let cursors: Vec<PartitionRuns<'_>> = (lists.iter())
+            .map(|list| {
+                let mut runs = list.partition_runs();
+                runs.seek(HEAD_AT_ROOT + 1);
+                runs
+            })
+            .collect();
+        PartitionRuns::at_least(&cursors, held.saturating_mul(2))
     }
 }
 
@@ -1055,7 +1101,7 @@ mod tests {
         let mut adm = Admissible::new(&session.lists, ADMISSIBLE_BUDGET);
         // Figure 1 spans too few partitions for the walk to enumerate;
         // the sets are what is tested here.
-        adm.budget = ADMISSIBLE_BUDGET;
+        adm.budget = Budget::sets(ADMISSIBLE_BUDGET);
         assert!(adm.update(&session, &list, &memo));
         // The query holds each one-keyword subset: a partition holding it
         // holds them, so only they are sought.
@@ -1111,7 +1157,7 @@ mod tests {
 
         let mut list = RqSortedList::new(2);
         let mut adm = Admissible::new(&session.lists, ADMISSIBLE_BUDGET);
-        adm.budget = ADMISSIBLE_BUDGET;
+        adm.budget = Budget::sets(ADMISSIBLE_BUDGET);
         assert!(adm.update(&session, &list, &memo));
         for (id, price) in [(fishing_xml, 3.0), (john_fishing, 2.5)] {
             assert!(memo.admit(&session, &mut list, id, price));

@@ -42,8 +42,12 @@ pub struct RefineSession<'a> {
     /// construction (the query's meaning is gone); a corrupt list of a
     /// rule-*generated* keyword only removes refinements that would use
     /// it, so the keyword gets an empty list and a note here.
-    /// Non-corruption storage errors always fail.
+    /// Non-corruption storage errors always fail. A list whose block
+    /// fails to decode while an algorithm reads it falls under the same
+    /// policy afterwards ([`RefineSession::drop_damaged`]).
     pub degraded: Vec<DegradedKeyword>,
+    /// How many of `ks` are the query's own keywords.
+    original: usize,
 }
 
 impl<'a> RefineSession<'a> {
@@ -74,7 +78,9 @@ impl<'a> RefineSession<'a> {
         let mut degraded: Vec<DegradedKeyword> = Vec::new();
         let mut lists: Vec<ListHandle> = Vec::with_capacity(ks.len());
         for (i, k) in ks.iter().enumerate() {
-            match index.list_handle(k) {
+            // A list a query already found damaged is refused here.
+            let list = index.list_handle(k);
+            match list.and_then(|h| h.damage().map_or(Ok(h), Err)) {
                 Ok(h) => {
                     obs::trace::event(
                         "keyword",
@@ -87,10 +93,7 @@ impl<'a> RefineSession<'a> {
                     lists.push(h)
                 }
                 Err(e) if e.is_corrupt() && i >= original => {
-                    degraded.push(DegradedKeyword {
-                        keyword: k.clone(),
-                        reason: format!("posting list unreadable, keyword dropped: {e}"),
-                    });
+                    degraded.push(dropped(k, &e));
                     lists.push(ListHandle::empty());
                 }
                 Err(e) => {
@@ -134,7 +137,38 @@ impl<'a> RefineSession<'a> {
             plan,
             scan_stats: ScanStats::new(),
             degraded,
+            original,
         })
+    }
+
+    /// Applies the degradation policy to the blocks that failed to decode
+    /// while an algorithm read the lists — a list's blocks decode when
+    /// first touched, so acquisition cannot see them. An original
+    /// keyword's damage fails the query. A generated keyword's list is
+    /// replaced by an empty one and noted, the scan counters start
+    /// again, and `true` asks the caller to run the algorithm again: what
+    /// it read of the damaged list was wrong.
+    pub fn drop_damaged(&mut self) -> Result<bool, QueryFailure> {
+        let mut dropped_any = false;
+        for (i, list) in self.lists.iter_mut().enumerate() {
+            let Some(error) = list.damage() else {
+                continue;
+            };
+            let keyword = &self.ks[i];
+            if i < self.original {
+                return Err(QueryFailure {
+                    keyword: Some(keyword.clone()),
+                    error,
+                });
+            }
+            self.degraded.push(dropped(keyword, &error));
+            *list = ListHandle::empty();
+            dropped_any = true;
+        }
+        if dropped_any {
+            self.scan_stats = ScanStats::new();
+        }
+        Ok(dropped_any)
     }
 
     /// `|KS|`.
@@ -151,6 +185,14 @@ impl<'a> RefineSession<'a> {
     // xlint::allow(unused-export): the Theorem 1/2 budget the one-scan tests hold the scan counters to
     pub fn total_list_len(&self) -> usize {
         self.lists.iter().map(|l| l.len()).sum()
+    }
+}
+
+/// The note for a generated keyword dropped because its list is damaged.
+fn dropped(keyword: &str, error: &kvstore::KvError) -> DegradedKeyword {
+    DegradedKeyword {
+        keyword: keyword.to_string(),
+        reason: format!("posting list unreadable, keyword dropped: {error}"),
     }
 }
 

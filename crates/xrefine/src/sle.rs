@@ -128,7 +128,7 @@ pub fn sle_refine(session: &RefineSession<'_>, options: &SleOptions) -> RefineOu
         let ki = remaining.swap_remove(pick_pos);
 
         // Walk S_i sequentially; each new partition is probed once.
-        for posting in session.lists[ki].iter() {
+        for posting in session.lists[ki].postings() {
             // sequential advance over the anchor list
             session_advance(session);
             let Some(pid) = posting.dewey.partition() else {

@@ -158,6 +158,7 @@ suite_maintenance() {
 
 suite_compress() {
     xcargo test --release -q -p invindex --test compress_prop
+    xcargo test --release -q -p xrefine --test block_reads
     xcargo test --release -q -p invindex --test postings_prop
     xcargo test --release -q -p xmldom --test dewey_model
     xcargo test --release -q -p invindex --test decode_alloc
