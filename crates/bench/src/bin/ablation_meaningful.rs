@@ -95,7 +95,7 @@ fn main() {
                 .collect();
             let slcas = slca_scan_eager(&lists);
             // Each SLCA is judged by a posting of the first list inside it.
-            let first = lists.first().map(ListHandle::postings).unwrap_or_default();
+            let first = lists.first().into_iter().flat_map(ListHandle::run_postings);
             let flagged = needs_refinement(&filter, slcas, first);
             match wq.kind {
                 PerturbKind::ExtraTerm => flagged_extra += usize::from(flagged),

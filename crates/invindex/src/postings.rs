@@ -5,18 +5,18 @@
 //! stored compressed in the key-value store, mirroring how the paper keeps
 //! its keyword inverted lists in Berkeley DB (§VII).
 //!
-//! Beside its postings, an in-memory list carries its **partition runs**
-//! ([`PostingList::runs`]): one [`PartitionRun`] per maximal run of
-//! postings that stand in the same partition (Definition 6.1, the
-//! subtree of one child of the document root), holding the partition as
-//! one integer and the index where the run starts. It is the structure
-//! Algorithm 2's walk and Scan Eager's run join move over — a
+//! A list's **partition runs** are its maximal runs of postings that
+//! stand in the same partition (Definition 6.1, the subtree of one child
+//! of the document root), each held as the partition as one integer
+//! ([`HEAD_AT_ROOT`] for the root, `ordinal + 1` inside partition
+//! `0.ordinal`) and the index where the run starts. They are the
+//! structure Algorithm 2's walk and Scan Eager's run join move over — a
 //! [`PartitionRuns`] cursor seeks from run to run and never compares a
-//! label. The table is derived from the labels wherever postings are
-//! decoded or built — by [`PostingList::from_sorted`] and
-//! [`PostingList::push`], which the builders use, and by the block
-//! decoder, which extends it posting by posting as it decodes — and is
-//! never persisted: the stored format does not know it exists.
+//! label. They exist only in decoded blocks, one word a run: the block
+//! decoder writes a stored block's runs as it decodes its postings, and
+//! a block of a list held in memory gets its runs when a cursor first
+//! copies it out ([`crate::reader`]). A [`PostingList`] keeps its
+//! postings alone, and the stored format does not know runs exist.
 //!
 //! [`PartitionRuns`]: crate::PartitionRuns
 //!
@@ -28,7 +28,7 @@
 //! seeks through it: a [`StoredList`] keeps a list encoded and decodes a
 //! block the first time a cursor lands in it, finding that block from
 //! the table's partition keys ([`crate::reader`]); only the whole-list
-//! view decodes every block ([`CompressedList::decode_all`]).
+//! view decodes every block.
 //!
 //! [`StoredList`]: crate::StoredList
 
@@ -63,8 +63,8 @@ impl Posting {
     }
 }
 
-/// [`PartitionRun::head`] of a posting on the document root itself: it
-/// sorts before every partition.
+/// The partition key of a posting on the document root itself: it sorts
+/// before every partition.
 pub const HEAD_AT_ROOT: u64 = 0;
 
 /// The partition a label stands in, as one integer ordered the way the
@@ -78,25 +78,46 @@ pub(crate) fn partition_key(dewey: &Dewey) -> u64 {
     }
 }
 
-/// One maximal run of a list's postings that share a partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionRun {
-    /// The run's partition as one integer ordered the way the labels
-    /// are: [`HEAD_AT_ROOT`] for the document root itself, `ordinal + 1`
-    /// inside partition `0.ordinal` — what [`crate::PartitionRuns`]
-    /// reports while it stands in the run.
-    pub head: u64,
-    /// Index of the run's first posting in the list.
-    pub start: usize,
+/// A partition run of a decoded block, in one word: its partition key
+/// (at most 2^32) in the low bits, and where it starts in the block
+/// (below [`BLOCK_POSTINGS`]) in the top seven.
+#[derive(Clone, Copy)]
+pub(crate) struct BlockRun(u64);
+
+impl BlockRun {
+    const START_SHIFT: u32 = 57;
+    const HEAD_MASK: u64 = (1 << Self::START_SHIFT) - 1;
+
+    fn new(head: u64, start: usize) -> Self {
+        BlockRun(head | (start as u64) << Self::START_SHIFT)
+    }
+
+    /// The run's partition key.
+    #[inline]
+    pub(crate) fn head(self) -> u64 {
+        self.0 & Self::HEAD_MASK
+    }
+
+    /// Where the run starts in its block.
+    #[inline]
+    pub(crate) fn start(self) -> usize {
+        (self.0 >> Self::START_SHIFT) as usize
+    }
+}
+
+/// Accounts a block's posting `i`, labelled `dewey`, in the block's runs:
+/// it opens a run unless it stands where the last run does.
+pub(crate) fn extend_runs(runs: &mut Vec<BlockRun>, i: usize, dewey: &Dewey) {
+    let head = partition_key(dewey);
+    if runs.last().map(|r| r.head()) != Some(head) {
+        runs.push(BlockRun::new(head, i));
+    }
 }
 
 /// A document-ordered list of postings for one keyword.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PostingList {
     postings: Vec<Posting>,
-    /// The partition runs of `postings`, in list order: one entry per
-    /// run, not per posting, derived from the labels on construction.
-    runs: Vec<PartitionRun>,
 }
 
 impl PostingList {
@@ -110,13 +131,7 @@ impl PostingList {
             postings.is_sorted_by(|a, b| a.dewey < b.dewey),
             "postings must be strictly document-ordered"
         );
-        let mut runs = Vec::new();
-        for (i, p) in postings.iter().enumerate() {
-            extend_runs(&mut runs, i, &p.dewey);
-        }
-        // Decoded lists are cached whole and never grow: no slack.
-        runs.shrink_to_fit();
-        PostingList { postings, runs }
+        PostingList { postings }
     }
 
     /// Appends a posting that must follow the current tail in document
@@ -129,15 +144,7 @@ impl PostingList {
                 .unwrap_or(true),
             "push out of document order"
         );
-        extend_runs(&mut self.runs, self.postings.len(), &posting.dewey);
         self.postings.push(posting);
-    }
-
-    /// The partition runs, in list order: run `r` covers the postings
-    /// from `runs()[r].start` up to the next run's start (the list's end
-    /// for the last one).
-    pub fn runs(&self) -> &[PartitionRun] {
-        &self.runs
     }
 
     pub fn len(&self) -> usize {
@@ -154,15 +161,6 @@ impl PostingList {
 
     pub fn as_slice(&self) -> &[Posting] {
         &self.postings
-    }
-}
-
-/// Accounts the posting at index `i`, labelled `dewey`, in the run table:
-/// it opens a run unless it stands where the last run does.
-pub(crate) fn extend_runs(runs: &mut Vec<PartitionRun>, i: usize, dewey: &Dewey) {
-    let head = partition_key(dewey);
-    if runs.last().map(|r| r.head) != Some(head) {
-        runs.push(PartitionRun { head, start: i });
     }
 }
 
@@ -480,9 +478,13 @@ impl<'a> CompressedList<'a> {
     /// block's skip entry (count, strict document order by construction,
     /// max label).
     pub fn decode_block(&self, i: usize) -> Result<Vec<Posting>> {
-        let mut out = Vec::with_capacity(self.blocks.get(i).map_or(0, |m| m.count));
+        let meta = self
+            .blocks
+            .get(i)
+            .ok_or_else(|| block_corrupt(i, "no such block"))?;
+        let mut out = Vec::with_capacity(meta.count);
         let mut label = Vec::with_capacity(Dewey::INLINE);
-        self.decode_block_into(i, &mut out, None, &mut label)
+        decode_block_into(meta, self.data, &mut out, None, &mut label)
             .map_err(|what| block_corrupt(i, what))?;
         Ok(out)
     }
@@ -494,22 +496,10 @@ impl<'a> CompressedList<'a> {
         (self.n, self.blocks, self.data)
     }
 
-    /// Decodes every block into a full [`PostingList`] (scrub, the
-    /// build-side tests, and a handle's contiguous whole-list view). The postings
-    /// go into one vector sized from the header's count, which `parse`
-    /// has bounded by the payload size, and the run table is extended as
-    /// they are decoded.
+    /// Decodes every block into a full [`PostingList`], as a stored
+    /// list's whole-list view does.
     pub fn decode_all(&self) -> Result<PostingList> {
-        let mut postings = Vec::with_capacity(self.n);
-        let mut runs = Vec::with_capacity(self.run_bound());
-        let mut label = Vec::with_capacity(Dewey::INLINE);
-        for i in 0..self.blocks.len() {
-            self.decode_block_into(i, &mut postings, Some(&mut runs), &mut label)
-                .map_err(|what| block_corrupt(i, what))?;
-        }
-        // Decoded lists are cached whole and never grow: no slack.
-        runs.shrink_to_fit();
-        Ok(PostingList { postings, runs })
+        decode_blocks(&self.blocks, self.data, self.n)
     }
 
     /// Decodes every block independently, reporting per-block damage
@@ -523,51 +513,35 @@ impl<'a> CompressedList<'a> {
         }
         damaged
     }
+}
 
-    /// The capacity `decode_all` gives the run table, read off the skip
-    /// table: labels ascend, so a block opens at most as many runs as it
-    /// holds postings, or partition keys from its min's to its max's.
-    /// That bounds the runs of labels under one root, as a document's
-    /// are; on any other list the table just grows past it.
-    fn run_bound(&self) -> usize {
-        self.blocks
-            .iter()
-            .map(|m| {
-                let keys = partition_key(&m.max)
-                    .saturating_sub(partition_key(&m.min))
-                    .saturating_add(1);
-                usize::try_from(keys).map_or(m.count, |k| k.min(m.count))
-            })
-            .sum()
+/// Decodes the blocks a skip table describes, read from `data` (the
+/// list's block region), into one list of `n` postings: one vector sized
+/// from the header's count, which `parse` has bounded by the payload
+/// size.
+pub(crate) fn decode_blocks(blocks: &[BlockMeta], data: &[u8], n: usize) -> Result<PostingList> {
+    let mut postings = Vec::with_capacity(n);
+    let mut label = Vec::with_capacity(Dewey::INLINE);
+    for (i, meta) in blocks.iter().enumerate() {
+        decode_block_into(meta, data, &mut postings, None, &mut label)
+            .map_err(|what| block_corrupt(i, what))?;
     }
-
-    /// [`decode_block_into`] on block `i`.
-    fn decode_block_into(
-        &self,
-        i: usize,
-        out: &mut Vec<Posting>,
-        runs: Option<&mut Vec<PartitionRun>>,
-        label: &mut Vec<u32>,
-    ) -> std::result::Result<(), &'static str> {
-        let meta = self.blocks.get(i).ok_or("no such block")?;
-        decode_block_into(meta, self.data, out, runs, label)
-    }
+    Ok(PostingList { postings })
 }
 
 /// The one block decoder: appends the postings of the block `meta`
 /// describes, read from `data` (the list's block region), to `out` and,
-/// when given `runs`, accounts them in that run table (`out` then holds
-/// the list's earlier blocks, and `runs` their runs). `label` is working
-/// space: the current posting's label, rewritten in place from its
-/// predecessor's and kept at least [`Dewey::INLINE`] wide, so a label
-/// that short is built with one fixed-size copy and allocates nothing.
-/// Damage is reported as a static description, which the caller formats
-/// once.
+/// when given `runs`, writes the block's partition runs there, starts
+/// relative to the block. `label` is working space: the current
+/// posting's label, rewritten in place from its predecessor's and kept
+/// at least [`Dewey::INLINE`] wide, so a label that short is built with
+/// one fixed-size copy and allocates nothing. Damage is reported as a
+/// static description, which the caller formats once.
 pub(crate) fn decode_block_into(
     meta: &BlockMeta,
     data: &[u8],
     out: &mut Vec<Posting>,
-    mut runs: Option<&mut Vec<PartitionRun>>,
+    mut runs: Option<&mut Vec<BlockRun>>,
     label: &mut Vec<u32>,
 ) -> std::result::Result<(), &'static str> {
     let end = meta
@@ -580,7 +554,7 @@ pub(crate) fn decode_block_into(
     let mut pos = 0usize;
     let t0 = read_u32_varint(bytes, &mut pos).ok_or("bad first node type")?;
     if let Some(runs) = runs.as_deref_mut() {
-        extend_runs(runs, out.len(), &meta.min);
+        extend_runs(runs, 0, &meta.min);
     }
     out.push(Posting::new(meta.min.clone(), NodeTypeId(t0)));
     let min = meta.min.components();
@@ -589,7 +563,7 @@ pub(crate) fn decode_block_into(
     label.resize(min.len().max(Dewey::INLINE), 0);
     let mut len = min.len();
     let mut prev_type = t0;
-    for _ in 1..meta.count {
+    for i in 1..meta.count {
         let header = read_byte(bytes, &mut pos).ok_or("truncated posting header")?;
         if header & HDR_RESERVED != 0 {
             return Err("reserved header bit set");
@@ -646,7 +620,7 @@ pub(crate) fn decode_block_into(
         }
         .ok_or("empty posting label")?;
         if let Some(runs) = runs.as_deref_mut() {
-            extend_runs(runs, out.len(), &dewey);
+            extend_runs(runs, i, &dewey);
         }
         out.push(Posting::new(dewey, NodeTypeId(node_type)));
         prev_type = node_type;

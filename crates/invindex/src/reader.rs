@@ -29,8 +29,8 @@
 
 use crate::persist::unframe_value;
 use crate::postings::{
-    block_corrupt, decode_block_into, extend_runs, partition_key, BlockMeta, CompressedList,
-    PartitionRun, Posting, PostingList, BLOCK_POSTINGS, HEAD_AT_ROOT,
+    block_corrupt, decode_block_into, decode_blocks, extend_runs, partition_key, BlockMeta,
+    BlockRun, CompressedList, Posting, PostingList, BLOCK_POSTINGS, HEAD_AT_ROOT,
 };
 use kvstore::{KvError, Result};
 use std::ops::Range;
@@ -42,8 +42,7 @@ use xmldom::{Dewey, NodeTypeId, NodeTypeTable};
 pub struct StoredList {
     /// The stored bytes, as read: the value frame around the payload.
     bytes: Vec<u8>,
-    /// Where the payload starts in `bytes`, and where its block data.
-    payload_at: usize,
+    /// Where the payload's block data starts in `bytes`.
     data_at: usize,
     len: usize,
     /// The skip table.
@@ -79,30 +78,6 @@ struct Block {
     runs: Vec<BlockRun>,
 }
 
-/// A run of a decoded block in one word: its partition key (at most
-/// 2^32) in the low bits, and where it starts in the block (below
-/// [`BLOCK_POSTINGS`]) in the top seven.
-#[derive(Clone, Copy)]
-struct BlockRun(u64);
-
-impl BlockRun {
-    const START_SHIFT: u32 = 57;
-
-    fn new(run: &PartitionRun) -> Self {
-        BlockRun(run.head | (run.start as u64) << Self::START_SHIFT)
-    }
-
-    #[inline]
-    fn head(self) -> u64 {
-        self.0 & ((1 << Self::START_SHIFT) - 1)
-    }
-
-    #[inline]
-    fn start(self) -> usize {
-        (self.0 >> Self::START_SHIFT) as usize
-    }
-}
-
 impl Block {
     /// A block of postings held in memory.
     fn copied(postings: &[Posting]) -> Self {
@@ -112,7 +87,7 @@ impl Block {
         }
         Block {
             postings: postings.to_vec(),
-            runs: runs.iter().map(BlockRun::new).collect(),
+            runs,
         }
     }
 }
@@ -140,19 +115,10 @@ impl StoredList {
     /// Reads a stored list value: the frame is checked and the skip table
     /// parsed, and the blocks stay encoded until a cursor touches them.
     pub fn read(value: Vec<u8>) -> Result<Self> {
-        let payload = unframe_value(&value, "posting list")?.len();
-        let at = value.len() - payload;
-        Self::parse(value, at)
-    }
-
-    /// Reads a list whose compressed payload starts at `payload_at` in
-    /// `bytes`: the skip table is parsed and validated, no block is
-    /// decoded.
-    fn parse(bytes: Vec<u8>, payload_at: usize) -> Result<Self> {
-        let payload = bytes.get(payload_at..).unwrap_or_default();
-        let (len, skips, data) = CompressedList::parse(payload)?.into_parts();
-        let data_at = bytes.len() - data.len();
-        Ok(Self::from_skips(bytes, payload_at, data_at, len, skips))
+        let (len, skips, data) =
+            CompressedList::parse(unframe_value(&value, "posting list")?)?.into_parts();
+        let data_at = value.len() - data.len();
+        Ok(Self::from_skips(value, data_at, len, skips))
     }
 
     /// A list held in memory, never encoded: its blocks are the list's
@@ -171,25 +137,18 @@ impl StoredList {
                 })
             })
             .collect();
-        let stored = Self::from_skips(Vec::new(), 0, 0, list.len(), skips);
+        let stored = Self::from_skips(Vec::new(), 0, list.len(), skips);
         stored.whole.get_or_init(|| list);
         stored
     }
 
-    fn from_skips(
-        bytes: Vec<u8>,
-        payload_at: usize,
-        data_at: usize,
-        len: usize,
-        skips: Vec<BlockMeta>,
-    ) -> Self {
+    fn from_skips(bytes: Vec<u8>, data_at: usize, len: usize, skips: Vec<BlockMeta>) -> Self {
         let keys = (skips.iter())
             .map(|m| (partition_key(&m.min), partition_key(&m.max)))
             .collect();
         let blocks = skips.iter().map(|_| LazyBlock::default()).collect();
         let mut list = StoredList {
             bytes,
-            payload_at,
             data_at,
             len,
             skips,
@@ -255,18 +214,26 @@ impl StoredList {
                 return Block::copied(postings.unwrap_or_default());
             }
             obs::counter!("compress_blocks_decoded_total").inc();
-            let data = self.bytes.get(self.data_at..).unwrap_or_default();
+            // The block opens at most one run a posting, and one a
+            // partition from its first to its last.
             let (first, last) = self.keys.get(b).copied().unwrap_or_default();
-            let run_bound = usize::try_from(last - first).map_or(meta.count, |k| k.min(meta.count));
+            let run_bound =
+                usize::try_from(last - first + 1).map_or(meta.count, |k| k.min(meta.count));
             let mut postings = Vec::with_capacity(meta.count);
-            let mut runs = Vec::with_capacity(run_bound + 1);
+            let mut runs = Vec::with_capacity(run_bound);
             let mut label = Vec::with_capacity(Dewey::INLINE);
-            match decode_block_into(meta, data, &mut postings, Some(&mut runs), &mut label) {
-                Ok(()) => Block {
-                    postings,
-                    // Kept with the list: one word a run, no slack.
-                    runs: runs.iter().map(BlockRun::new).collect(),
-                },
+            match decode_block_into(
+                meta,
+                self.data(),
+                &mut postings,
+                Some(&mut runs),
+                &mut label,
+            ) {
+                Ok(()) => {
+                    // Kept with the list: no slack.
+                    runs.shrink_to_fit();
+                    Block { postings, runs }
+                }
                 Err(what) => {
                     self.record(block_corrupt(b, what));
                     Block::default()
@@ -438,7 +405,7 @@ impl StoredList {
     /// working space and not kept, so a pass over a whole list leaves
     /// only what cursors touched resident.
     fn for_each_block(&self, blocks: Range<usize>, mut f: impl FnMut(usize, &[Posting])) {
-        let data = self.bytes.get(self.data_at..).unwrap_or_default();
+        let data = self.data();
         let (mut scratch, mut label) = (Vec::new(), Vec::new());
         for b in blocks {
             let (Some(slot), Some(meta)) = (self.blocks.get(b), self.skips.get(b)) else {
@@ -466,13 +433,17 @@ impl StoredList {
         }
     }
 
-    /// Every block decoded into one contiguous list, once.
+    /// The block data of the stored payload.
+    fn data(&self) -> &[u8] {
+        self.bytes.get(self.data_at..).unwrap_or_default()
+    }
+
+    /// Every block decoded into one contiguous list, once, from the skip
+    /// table parsed at read.
     fn whole(&self) -> &PostingList {
         self.whole.get_or_init(|| {
             obs::counter!("compress_blocks_decoded_total").add(self.skips.len() as u64);
-            let payload = self.bytes.get(self.payload_at..).unwrap_or_default();
-            let decoded = CompressedList::parse(payload).and_then(|list| list.decode_all());
-            decoded.unwrap_or_else(|e| {
+            decode_blocks(&self.skips, self.data(), self.len).unwrap_or_else(|e| {
                 self.record(e);
                 PostingList::new()
             })
@@ -639,9 +610,10 @@ impl ListHandle {
         });
     }
 
-    /// The partition of the last visible posting, as a run's
-    /// [`PartitionRun::head`] has it: read off the skip table for a view
-    /// that ends with the list.
+    /// The partition of the last visible posting, as a partition key
+    /// ([`HEAD_AT_ROOT`] for the root, `ordinal + 1` inside partition
+    /// `0.ordinal`): read off the skip table for a view that ends with
+    /// the list.
     pub fn last_partition(&self) -> Option<u64> {
         let last = self.end.checked_sub(1).filter(|_| !self.is_empty())?;
         if self.end == self.list.len() {
@@ -715,9 +687,8 @@ impl<'a> PartitionRuns<'a> {
         self.at = at.filter(|at| at.from < self.end);
     }
 
-    /// The partition of the run the cursor stands in (its
-    /// [`PartitionRun::head`]); `None` past the last run. Reads no more of
-    /// the list than the cursor has.
+    /// The partition key of the run the cursor stands in; `None` past the
+    /// last run. Reads no more of the list than the cursor has.
     #[inline]
     pub fn head(&self) -> Option<u64> {
         self.at.map(|at| at.head)
@@ -742,9 +713,8 @@ impl<'a> PartitionRuns<'a> {
         }
     }
 
-    /// The run the cursor stands in: its partition (its
-    /// [`PartitionRun::head`]) and its view-relative range, clamped to the
-    /// view; `None` past the last run.
+    /// The run the cursor stands in: its partition key and its
+    /// view-relative range, clamped to the view; `None` past the last run.
     #[inline]
     pub fn current(&self) -> Option<(u64, Range<usize>)> {
         let (at, postings) = self.run()?;
@@ -764,29 +734,15 @@ impl<'a> PartitionRuns<'a> {
         postings.get(from..to.max(from))
     }
 
-    /// The number of runs from the current one on: exact, decoding the
-    /// blocks whose run count the skip table leaves open.
-    pub fn remaining(&self) -> usize {
-        let Some(at) = self.at else {
-            return 0;
-        };
-        let starts = |c, end| self.list.starts(c, end);
-        let later: usize = (at.block + 1..self.blocks_end)
-            .map(|c| starts(c, self.end))
-            .sum();
-        self.here(at, starts, |n| n) + later
-    }
-
-    /// Bounds on [`remaining`](Self::remaining) that decode nothing more.
+    /// Bounds on the number of runs from the current one on that decode
+    /// nothing more.
     pub fn remaining_bounds(&self) -> (usize, usize) {
         let Some(at) = self.at else {
             return (0, 0);
         };
-        let starts = |c, end| self.list.starts_bounds(c, end);
-        let here = self.here(at, starts, |n| (n, n));
         (at.block + 1..self.blocks_end)
-            .map(|c| starts(c, self.end))
-            .fold(here, |(lo, hi), (l, h)| (lo + l, hi + h))
+            .map(|c| self.list.starts_bounds(c, self.end))
+            .fold(self.here(at), |(lo, hi), (l, h)| (lo + l, hi + h))
     }
 
     /// Whether the cursors have `n` runs or more left between them:
@@ -821,19 +777,20 @@ impl<'a> PartitionRuns<'a> {
         lo >= n
     }
 
-    /// The visible runs of the current block from the current one on:
-    /// when the cursor stands in the first run of a block not decoded,
-    /// they are the runs that start in the block, counted by `starts`.
-    fn here<T>(&self, at: RunAt<'_>, starts: impl Fn(usize, usize) -> T, n: fn(usize) -> T) -> T {
+    /// Bounds on the visible runs of the current block from the current
+    /// one on: when the cursor stands in the first run of a block not
+    /// decoded, they are those on the runs that start in the block.
+    fn here(&self, at: RunAt<'_>) -> (usize, usize) {
         if at.lazy() {
-            return starts(at.block, self.end);
+            return self.list.starts_bounds(at.block, self.end);
         }
         let base = first_of(at.block);
         let rest = at.runs.get(at.run..).unwrap_or_default();
-        n(match base + at.postings.len() <= self.end {
+        let n = match base + at.postings.len() <= self.end {
             true => rest.len(),
             false => rest.iter().filter(|r| base + r.start() < self.end).count(),
-        })
+        };
+        (n, n)
     }
 
     /// Moves to the first run whose partition is `head` or later and

@@ -303,15 +303,20 @@ fn partitioned_list(g: &mut xcheck::prop::Gen) -> PostingList {
 }
 
 /// The runs of `list` visible through the view `from..to`, view-relative
-/// and clamped to it: what a cursor must report, from `decode_all`'s
-/// run table.
+/// and clamped to it: what a cursor must report, read off the labels. A
+/// run is a maximal stretch of postings in one partition, keyed
+/// [`HEAD_AT_ROOT`] on the root and `ordinal + 1` inside `0.ordinal`.
 fn visible_runs(list: &PostingList, from: usize, to: usize) -> Vec<(u64, std::ops::Range<usize>)> {
-    let runs = list.runs();
-    (0..runs.len())
-        .map(|r| {
-            let end = runs.get(r + 1).map_or(list.len(), |n| n.start);
-            (runs[r].head, runs[r].start.max(from)..end.min(to))
-        })
+    let mut runs: Vec<(u64, std::ops::Range<usize>)> = Vec::new();
+    for (i, p) in list.iter().enumerate() {
+        let head = (p.dewey.components().get(1)).map_or(HEAD_AT_ROOT, |&o| u64::from(o) + 1);
+        match runs.last_mut() {
+            Some((h, range)) if *h == head => range.end = i + 1,
+            _ => runs.push((head, i..i + 1)),
+        }
+    }
+    runs.into_iter()
+        .map(|(head, range)| (head, range.start.max(from)..range.end.min(to)))
         .filter(|(_, range)| range.start < range.end)
         .map(|(head, range)| (head, range.start - from..range.end - from))
         .collect()
@@ -319,7 +324,7 @@ fn visible_runs(list: &PostingList, from: usize, to: usize) -> Vec<(u64, std::op
 
 #[test]
 fn lazy_lists_read_the_runs_and_postings_decode_all_does() {
-    use invindex::{ListHandle, StoredList};
+    use invindex::{ListHandle, PartitionRuns, StoredList};
     use std::sync::Arc;
     xcheck::prop::check(300, |g| {
         let list = partitioned_list(g);
@@ -380,9 +385,19 @@ fn lazy_lists_read_the_runs_and_postings_decode_all_does() {
                     at += 1;
                 }
                 assert_eq!(runs.current(), want.get(at).cloned(), "seek {head}");
-                assert_eq!(runs.remaining(), want.len() - at, "remaining after {head}");
+                // Exactly `left` runs from here on.
+                let left = want.len() - at;
+                let here = std::slice::from_ref(&runs);
+                assert!(
+                    PartitionRuns::at_least(here, left),
+                    "{left} left after {head}"
+                );
+                assert!(
+                    !PartitionRuns::at_least(here, left + 1),
+                    "{left} left after {head}"
+                );
                 let (lo, hi) = runs.remaining_bounds();
-                assert!(lo <= want.len() - at && want.len() - at <= hi);
+                assert!(lo <= left && left <= hi);
                 let run = want.get(at).map(|(_, r)| &postings[r.clone()]);
                 assert_eq!(runs.current_postings(), run);
             }

@@ -4,8 +4,8 @@
 //! components, and builds each label from it with one fixed-size copy,
 //! so what a decode costs is a constant however many postings it
 //! covers. A standalone block decode makes its output vector and the
-//! working label. A whole-list decode makes the postings vector, the run
-//! table and the working label once — not once per block. A label
+//! working label. A whole-list decode makes the postings vector and the
+//! working label once — not once per block. A label
 //! longer than seven components spills to the heap, so a list of those
 //! is allowed one allocation per posting on top.
 //!
@@ -25,8 +25,7 @@ static ALLOCATOR: Counting = Counting;
 const PER_BLOCK: u64 = 2;
 
 /// Allocations a whole-list decode may make, whatever its block count:
-/// the postings vector, the run table (sized from the skip table, then
-/// trimmed to its runs) and the working label.
+/// the postings vector and the working label, with room for two more.
 const PER_LIST: u64 = 4;
 
 /// `blocks` full blocks and a partial one: sibling runs, labels that

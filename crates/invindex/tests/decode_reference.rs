@@ -22,7 +22,9 @@
 //! * random lists — labels of one to twelve components, so both sides
 //!   of `Dewey`'s seven-component inline width, a root posting, node
 //!   types that change and repeat, one block to many — where the
-//!   postings *and* the partition-run table must be equal;
+//!   postings must be equal, and the reference's partition-run table
+//!   must equal the runs a `ListHandle` over the same payload reports
+//!   through `partition_runs()`;
 //! * every truncation and every single-bit flip of encoded payloads,
 //!   where `decode_all` and every `decode_block` must agree on `Ok` or
 //!   `Err`, with the identical error string.
@@ -34,14 +36,14 @@
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 
-use invindex::postings::PartitionRun;
-use invindex::{CompressedList, Posting, PostingList};
+use invindex::{CompressedList, ListHandle, Posting, PostingList, StoredList};
 use kvstore::Result;
+use reference::Run;
 use xcheck::prop::{check, Gen};
 use xmldom::{Dewey, NodeTypeId};
 
 mod reference {
-    use invindex::postings::{read_varint, PartitionRun};
+    use invindex::postings::read_varint;
     use invindex::{BlockMeta, Posting, HEAD_AT_ROOT};
     use kvstore::{KvError, Result};
     use xmldom::{Dewey, NodeTypeId};
@@ -53,10 +55,21 @@ mod reference {
         pub data: &'a [u8],
     }
 
+    /// One maximal run of a list's postings that share a partition.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Run {
+        /// The run's partition as one integer ordered the way the labels
+        /// are: `HEAD_AT_ROOT` for the document root itself, `ordinal + 1`
+        /// inside partition `0.ordinal`.
+        pub head: u64,
+        /// Index of the run's first posting in the list.
+        pub start: usize,
+    }
+
     /// A decoded list: its postings and their partition runs.
     pub struct PostingList {
         pub postings: Vec<Posting>,
-        pub runs: Vec<PartitionRun>,
+        pub runs: Vec<Run>,
     }
 
     pub(crate) fn partition_key(dewey: &Dewey) -> u64 {
@@ -86,10 +99,10 @@ mod reference {
 
     /// Accounts the posting at index `i`, labelled `dewey`, in the run table:
     /// it opens a run unless it stands where the last run does.
-    fn extend_runs(runs: &mut Vec<PartitionRun>, i: usize, dewey: &Dewey) {
+    fn extend_runs(runs: &mut Vec<Run>, i: usize, dewey: &Dewey) {
         let head = partition_key(dewey);
         if runs.last().map(|r| r.head) != Some(head) {
-            runs.push(PartitionRun { head, start: i });
+            runs.push(Run { head, start: i });
         }
     }
 
@@ -251,12 +264,35 @@ fn reference_of<'a>(list: &'a CompressedList<'_>, payload: &'a [u8]) -> referenc
 
 /// A decode as the properties compare it: the postings and runs, or the
 /// error's text.
-type Decoded = std::result::Result<(Vec<Posting>, Vec<PartitionRun>), String>;
+type Decoded = std::result::Result<(Vec<Posting>, Vec<Run>), String>;
 
-fn new_decode_all(list: &CompressedList<'_>) -> Decoded {
+/// `decode_all`'s postings, with the runs a cursor over a handle on
+/// `payload`, read from the store, reports.
+fn new_decode_all(list: &CompressedList<'_>, payload: &[u8]) -> Decoded {
     list.decode_all()
-        .map(|l| (l.as_slice().to_vec(), l.runs().to_vec()))
+        .map(|l| (l.as_slice().to_vec(), stored_runs(payload)))
         .map_err(|e| e.to_string())
+}
+
+/// The runs a cursor over a [`ListHandle`] on `payload`, framed as a
+/// store holds it, reports, with their whole-list starts.
+fn stored_runs(payload: &[u8]) -> Vec<Run> {
+    let mut value = Vec::new();
+    invindex::postings::write_varint(&mut value, payload.len() as u64);
+    value.extend_from_slice(&kvstore::crc32(payload).to_le_bytes());
+    value.extend_from_slice(payload);
+    let handle = ListHandle::stored(std::sync::Arc::new(StoredList::read(value).unwrap()));
+    let mut cursor = handle.partition_runs();
+    let mut runs = Vec::new();
+    while let Some((head, range)) = cursor.current() {
+        runs.push(Run {
+            head,
+            start: range.start,
+        });
+        cursor.seek(head + 1);
+    }
+    assert!(handle.damage().is_none(), "a payload decode_all accepts");
+    runs
 }
 
 fn reference_decode_all(list: &reference::RefList<'_>) -> Decoded {
@@ -277,7 +313,7 @@ fn agree_on(payload: &[u8]) -> bool {
         return false;
     };
     let oracle = reference_of(&list, payload);
-    let decoded = new_decode_all(&list);
+    let decoded = new_decode_all(&list, payload);
     assert_eq!(decoded, reference_decode_all(&oracle), "decode_all");
     for i in 0..=list.blocks().len() {
         assert_eq!(

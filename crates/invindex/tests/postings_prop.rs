@@ -149,14 +149,27 @@ fn runs_by_label(postings: &[Posting]) -> Vec<(u64, usize)> {
     runs
 }
 
+/// The runs a cursor over the whole of `handle` reports, as
+/// (partition, start).
+fn cursor_runs(handle: &ListHandle) -> Vec<(u64, usize)> {
+    let mut c = handle.partition_runs();
+    let mut runs = Vec::new();
+    while let Some((head, range)) = c.current() {
+        runs.push((head, range.start));
+        c.seek(head + 1);
+    }
+    runs
+}
+
 /// Every way a list comes into being — `from_sorted`, `push` one by one,
-/// and `encode_compressed` → `decode_all` — carries the by-label run
-/// table, and a run cursor over any view of it (starting and ending
-/// mid-run included) reports exactly the runs of the view's own
-/// postings.
+/// and `encode_compressed` → `decode_all` — holds the same postings; a
+/// run cursor over a handle on it, stored or held in memory, reports the
+/// by-label run table, and one over any view of it (starting and ending
+/// mid-run included) exactly the runs of the view's own postings.
 #[test]
 fn partition_runs_match_the_by_label_definition_however_the_list_is_built() {
-    use invindex::{CompressedList, PostingList};
+    use invindex::persist::encode_list_value;
+    use invindex::{CompressedList, PostingList, StoredList};
     use std::sync::Arc;
 
     check(256, |g| {
@@ -170,23 +183,28 @@ fn partition_runs_match_the_by_label_definition_however_the_list_is_built() {
         }
         let bytes = sorted.encode_compressed();
         let decoded = CompressedList::parse(&bytes).unwrap().decode_all().unwrap();
-        for list in [&sorted, &pushed, &decoded] {
-            let runs: Vec<(u64, usize)> = list.runs().iter().map(|r| (r.head, r.start)).collect();
-            assert_eq!(runs, expected);
+        let stored = StoredList::read(encode_list_value(&sorted)).unwrap();
+        let mut handles = vec![ListHandle::stored(Arc::new(stored))];
+        for list in [sorted, pushed, decoded] {
+            assert_eq!(list.as_slice(), postings);
+            handles.push(ListHandle::new(Arc::new(list)));
         }
 
         let n = postings.len();
         let from = g.range(0..n + 1);
         let to = g.range(from..n + 1);
-        let view = invindex::ListHandle::new(Arc::new(sorted)).slice(from..to);
-        let in_view = runs_by_label(view.postings());
-        let mut c = view.partition_runs();
-        for (r, &(head, start)) in in_view.iter().enumerate() {
-            let end = in_view.get(r + 1).map_or(view.len(), |next| next.1);
-            let want = Some((head, start..end));
-            assert_eq!(c.current(), want, "run {r} of view {from}..{to}");
-            c.seek(head + 1);
+        for handle in &handles {
+            assert_eq!(cursor_runs(handle), expected);
+            let view = handle.slice(from..to);
+            let in_view = runs_by_label(view.postings());
+            let mut c = view.partition_runs();
+            for (r, &(head, start)) in in_view.iter().enumerate() {
+                let end = in_view.get(r + 1).map_or(view.len(), |next| next.1);
+                let want = Some((head, start..end));
+                assert_eq!(c.current(), want, "run {r} of view {from}..{to}");
+                c.seek(head + 1);
+            }
+            assert_eq!(c.current(), None);
         }
-        assert_eq!(c.current(), None);
     });
 }

@@ -32,13 +32,16 @@
 //! are its postings below the root that the next posting does not lie
 //! inside, found in one forward pass.
 //!
-//! [`slca_scan_eager_page`] is Scan Eager stopped at a page: it judges
-//! each SLCA below the root once it is final and stops at the first one
-//! past the page. Anchors ascend, so the last label kept is final once an
-//! anchor outside its subtree has been seen: a later candidate is a
-//! prefix of a later anchor, so it can no longer lie inside that label.
-//! Each result is judged with the anchor it came from, a posting inside
-//! it. Its work is the prefix of the full scan up to that anchor.
+//! The join has one consumer, [`slca_scan_eager_page`]: Scan Eager
+//! stopped at a page. It judges each SLCA below the root once it is
+//! final and stops at the first one past the page. Anchors ascend, so the
+//! last label kept is final once an anchor outside its subtree has been
+//! seen: a later candidate is a prefix of a later anchor, so it can no
+//! longer lie inside that label. Each result is judged with the anchor it
+//! came from, a posting inside it. Its work is the prefix of the full
+//! scan up to that anchor. [`slca_scan_eager`] is the page scan with no
+//! bound and a judge that keeps every SLCA, plus the root when there is
+//! none below it.
 
 use crate::common::{closest_match, minimal_candidates};
 use invindex::{ListHandle, PartitionRuns, Posting, HEAD_AT_ROOT};
@@ -84,28 +87,8 @@ pub fn slca_indexed_lookup_eager<S: AsRef<[Posting]>>(lists: &[S]) -> Vec<Dewey>
 /// list holds. When no list is empty and no partition is held by all,
 /// the root is the one SLCA.
 pub fn slca_scan_eager(lists: &[ListHandle]) -> Vec<Dewey> {
-    obs::counter!("slca_invocations_total").inc();
-    let Some((shortest, anchors)) = (lists.iter().enumerate()).min_by_key(|(_, l)| l.len()) else {
-        return Vec::new();
-    };
-    // The shortest list is empty exactly when some list is.
-    if anchors.is_empty() {
-        return Vec::new();
-    }
-    let mut found = Vec::new();
-    let steps = match lists {
-        [one] => {
-            found.reserve(one.len());
-            deepest_postings(one, |p| {
-                found.push(p.dewey.clone());
-                false
-            })
-        }
-        _ => run_join(lists, shortest, anchors, &mut found),
-    };
-    obs::counter!("slca_eager_steps_total").add(steps);
-    obs::trace::count("slca.steps", steps);
-    if found.is_empty() {
+    let (found, _) = slca_scan_eager_page(lists, usize::MAX, |_, _| true);
+    if found.is_empty() && !lists.is_empty() && !lists.iter().any(ListHandle::is_empty) {
         return vec![Dewey::root()];
     }
     found
@@ -125,6 +108,10 @@ pub fn slca_scan_eager_page(
     let Some((shortest, anchors)) = (lists.iter().enumerate()).min_by_key(|(_, l)| l.len()) else {
         return (Vec::new(), false);
     };
+    // The shortest list is empty exactly when some list is.
+    if anchors.is_empty() {
+        return (Vec::new(), false);
+    }
     let mut page = Page {
         n,
         keep,
@@ -171,22 +158,6 @@ fn deepest_postings<'a>(list: &'a ListHandle, mut emit: impl FnMut(&'a Posting) 
     steps
 }
 
-/// What the run join does with each anchor's candidate, a prefix of the
-/// anchor.
-trait Candidates<'a> {
-    /// Takes `label`, the candidate of `anchor`; `true` ends the join.
-    fn take(&mut self, label: &'a [u32], anchor: &'a Posting) -> bool;
-}
-
-/// The full scan keeps every minimal candidate.
-impl<'a> Candidates<'a> for Vec<Dewey> {
-    #[inline]
-    fn take(&mut self, label: &'a [u32], _: &'a Posting) -> bool {
-        keep_minimal(self, label);
-        false
-    }
-}
-
 /// What [`slca_scan_eager_page`] keeps: the page, and the last minimal
 /// candidate, judged once it is final.
 struct Page<'a, F> {
@@ -208,7 +179,7 @@ struct Last<'a> {
     judged: bool,
 }
 
-impl<F: FnMut(&[u32], &Posting) -> bool> Page<'_, F> {
+impl<'a, F: FnMut(&[u32], &Posting) -> bool> Page<'a, F> {
     /// Judges a final SLCA; `true` once it is one past the page.
     fn judge(&mut self, label: &[u32], inside: &Posting) -> bool {
         if !(self.keep)(label, inside) {
@@ -221,11 +192,14 @@ impl<F: FnMut(&[u32], &Posting) -> bool> Page<'_, F> {
         self.found.extend(Dewey::from_slice(label));
         false
     }
-}
 
-/// [`keep_minimal`]'s decision, with the last label judged once it is
-/// final.
-impl<'a, F: FnMut(&[u32], &Posting) -> bool> Candidates<'a> for Page<'a, F> {
+    /// Takes `label`, the candidate of `anchor` (a prefix of it), and
+    /// returns `true` to end the join. Every label kept is a prefix of an
+    /// anchor at or before this one, so one that neither holds nor lies
+    /// inside the candidate precedes it, and the last label alone
+    /// decides: holding the candidate, it is replaced; inside it (or
+    /// equal), the candidate is not minimal. One walk to their first
+    /// difference tells which. The last label is judged once it is final.
     fn take(&mut self, label: &'a [u32], anchor: &'a Posting) -> bool {
         let next = Last {
             label,
@@ -265,11 +239,11 @@ impl<'a, F: FnMut(&[u32], &Posting) -> bool> Candidates<'a> for Page<'a, F> {
 /// `shortest`: the run join of the module docs. Hands each anchor's
 /// candidate to `found` (none when no partition holds every list) until
 /// it asks to stop, and returns the steps taken.
-fn run_join<'a>(
+fn run_join<'a, F: FnMut(&[u32], &Posting) -> bool>(
     lists: &'a [ListHandle],
     shortest: usize,
     anchors: &'a ListHandle,
-    found: &mut impl Candidates<'a>,
+    found: &mut Page<'a, F>,
 ) -> u64 {
     let mut anchor_runs = anchors.partition_runs();
     let mut others: Vec<RunJoin<'_>> = (lists.iter().enumerate())
@@ -344,28 +318,7 @@ fn first_difference(a: &[u32], b: &[u32]) -> (Ordering, usize) {
     (order, n)
 }
 
-/// Adds an anchor's candidate to `found`, the SLCAs of the anchors before
-/// it: ascending, no two nested. Every kept label is a prefix of an
-/// anchor at or before this one, so one that neither contains nor lies
-/// inside the candidate precedes it; those inside it are the tail of
-/// `found`, and one containing it can only be the last. So the last
-/// label alone decides: inside the candidate (or equal), the candidate
-/// is not minimal; containing it, the candidate replaces it. One walk to
-/// their first difference tells which.
-fn keep_minimal(found: &mut Vec<Dewey>, candidate: &[u32]) {
-    if let Some(last) = found.last().map(Dewey::components) {
-        let (_, shared) = first_difference(last, candidate);
-        if shared == candidate.len() {
-            return;
-        }
-        if shared == last.len() {
-            found.pop();
-        }
-    }
-    found.extend(Dewey::from_slice(candidate));
-}
-
-/// Where a list stands in [`slca_scan_eager`]'s run join.
+/// Where a list stands in Scan Eager's run join.
 struct RunJoin<'a> {
     runs: PartitionRuns<'a>,
     /// The list's postings in the partition every list stands in …

@@ -13,10 +13,11 @@
 //! before its children). The test holds for a node's descendants too —
 //! their types extend its type — so a result is typed by *any* posting
 //! inside it: [`MeaningfulFilter::admits`] judges a result by one posting
-//! inside it, and [`MeaningfulFilter::retain_meaningful`] judges the SLCAs
-//! of a set of lists by the postings of one of those lists, a galloping
-//! forward merge over sorted labels. Neither reads the document, so the
-//! filter owns its tables and a deferred result set can keep a clone.
+//! inside it, and [`MeaningfulFilter::retain_meaningful_in`] judges the
+//! SLCAs of a set of lists by the postings of one of those lists, a
+//! galloping forward merge over sorted labels. Neither reads the
+//! document, so the filter owns its tables and a deferred result set can
+//! keep a clone.
 //!
 //! [`MeaningfulFilter::is_meaningful`] judges a bare label by looking its
 //! node up in the document: the reference judge the oracle tests compare
@@ -98,16 +99,11 @@ impl MeaningfulFilter {
 
     /// Keeps only the meaningful `slcas`, given a list whose every result
     /// holds a posting: the SLCAs of a set of lists, ascending, and one of
-    /// those lists. Each result is typed by the first posting of `list` at
-    /// or after it, which lies inside it; the cursor into `list` only
-    /// moves forward. No node is looked up.
-    pub fn retain_meaningful(&self, slcas: &mut Vec<Dewey>, list: &[Posting]) {
-        self.retain_meaningful_in(slcas, [list]);
-    }
-
-    /// [`retain_meaningful`](Self::retain_meaningful) over a list given as
-    /// consecutive slices in document order — a stored list's runs, read
-    /// without a contiguous copy.
+    /// those lists, as consecutive slices in document order (a stored
+    /// list's runs, read without a contiguous copy, or one slice). Each
+    /// result is typed by the first posting of `list` at or after it,
+    /// which lies inside it; the cursor into `list` only moves forward. No
+    /// node is looked up.
     pub fn retain_meaningful_in<'p>(
         &self,
         slcas: &mut Vec<Dewey>,
@@ -157,14 +153,15 @@ impl MeaningfulFilter {
 }
 
 /// Definition 3.4: does the query need refinement? `slcas` are the SLCAs
-/// of a set of lists, ascending, and `list` is one of those lists; each
-/// result is judged by a posting of `list` inside it.
-pub fn needs_refinement(
+/// of a set of lists, ascending, and `list` is one of those lists, as
+/// consecutive slices in document order; each result is judged by a
+/// posting of `list` inside it.
+pub fn needs_refinement<'p>(
     filter: &MeaningfulFilter,
     mut slcas: Vec<Dewey>,
-    list: &[Posting],
+    list: impl IntoIterator<Item = &'p [Posting]>,
 ) -> bool {
-    filter.retain_meaningful(&mut slcas, list);
+    filter.retain_meaningful_in(&mut slcas, list);
     slcas.is_empty()
 }
 
@@ -214,7 +211,7 @@ mod tests {
         assert!(!slcas.is_empty());
         let kept = filter.filter(idx.document(), slcas.clone());
         assert!(!kept.is_empty());
-        assert!(!needs_refinement(&filter, slcas, &lists[0]));
+        assert!(!needs_refinement(&filter, slcas, lists[0].run_postings()));
     }
 
     #[test]
@@ -228,7 +225,7 @@ mod tests {
         assert_eq!(slcas.len(), 1);
         assert_eq!(slcas[0].to_string(), "0");
         assert!(!filter.is_meaningful(idx.document(), &slcas[0]));
-        assert!(needs_refinement(&filter, slcas, &lists[1]));
+        assert!(needs_refinement(&filter, slcas, lists[1].run_postings()));
     }
 
     #[test]
@@ -241,7 +238,7 @@ mod tests {
         let lists = lists_of(&idx, &["database", "publication"]);
         let slcas = slca_scan_eager(&lists);
         assert!(slcas.is_empty());
-        assert!(needs_refinement(&filter, slcas, &lists[0]));
+        assert!(needs_refinement(&filter, slcas, lists[0].run_postings()));
     }
 
     #[test]

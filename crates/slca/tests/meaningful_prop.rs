@@ -97,7 +97,7 @@ fn filter_agrees_with_first_principles() {
                 let posting = Posting::new(n.dewey.clone(), n.node_type);
                 let admitted = filter.admits(node.dewey.components(), &posting);
                 assert_eq!(admitted, expected, "{} by {}", node.dewey, n.dewey);
-                filter.retain_meaningful(&mut typed, &[posting]);
+                filter.retain_meaningful_in(&mut typed, [std::slice::from_ref(&posting)]);
                 assert_eq!(!typed.is_empty(), expected, "{} by {}", node.dewey, n.dewey);
             }
         }
@@ -117,7 +117,7 @@ fn filter_agrees_with_first_principles() {
         assert!(kept.windows(2).all(|w| w[0] < w[1]));
         for list in &lists {
             let mut typed = slcas.clone();
-            filter.retain_meaningful(&mut typed, list);
+            filter.retain_meaningful_in(&mut typed, list.run_postings());
             assert_eq!(typed, kept);
         }
     });

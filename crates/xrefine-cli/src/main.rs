@@ -36,7 +36,7 @@
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
-use xrefine::{Algorithm, EngineConfig, XRefineEngine};
+use xrefine::{Algorithm, EngineConfig, Refinement, XRefineEngine};
 
 const USAGE: &str = "usage: xrefine-cli [--data <file.xml>|dblp|baseball|figure1] \
 [--algorithm partition|sle|stack] [--k N]\n       \
@@ -549,6 +549,7 @@ fn trace_one_query(engine: &XRefineEngine, query: &str) -> ExitCode {
     let (result, trace) = engine.answer_traced(query);
     print!("{}", trace.render());
     match result {
+        Ok(outcome) if short_result_set(outcome.best()) => ExitCode::FAILURE,
         Ok(outcome) => {
             match outcome.best() {
                 Some(r) if outcome.original_ok => {
@@ -572,6 +573,20 @@ fn trace_one_query(engine: &XRefineEngine, query: &str) -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// Reads the result sets whose counts are printed whole, and reports a
+/// set that a damaged list block left short with a `storage error: …`
+/// line instead.
+fn short_result_set<'a>(printed: impl IntoIterator<Item = &'a Refinement>) -> bool {
+    let damage = printed.into_iter().find_map(|r| {
+        let _whole = r.slcas.len();
+        r.slcas.damage()
+    });
+    if let Some(e) = &damage {
+        eprintln!("storage error: {e}");
+    }
+    damage.is_some()
 }
 
 /// `--metrics`: the global registry in Prometheus text format.
@@ -606,6 +621,13 @@ fn repl(engine: &XRefineEngine, opts: &Options) -> ExitCode {
         };
         for d in &outcome.degraded {
             eprintln!("degraded: keyword \"{}\": {}", d.keyword, d.reason);
+        }
+        // The original query's count is printed alone; each refinement's
+        // otherwise.
+        let printed = if outcome.original_ok { 1 } else { usize::MAX };
+        if short_result_set(outcome.refinements.iter().take(printed)) {
+            eprint!("query> ");
+            continue;
         }
         if outcome.original_ok {
             if let Some(r) = outcome.best() {

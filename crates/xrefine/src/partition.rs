@@ -271,8 +271,7 @@ impl DpMemo {
         if !more {
             return ResultSet::from(page);
         }
-        let (lists, filter) = (slices.clone(), filter.clone());
-        ResultSet::deferred(page, move || meaningful_slcas(&filter, slca, &lists))
+        ResultSet::deferred(page, slices.clone(), filter.clone(), slca)
     }
 }
 

@@ -1,10 +1,13 @@
 //! Output types of the refinement algorithms, and the structured failure
 //! report of the serving path.
 
+use crate::partition::{meaningful_slcas, SlcaMethod};
 use crate::query::RqCandidate;
+use invindex::ListHandle;
+use slca::MeaningfulFilter;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use xmldom::Dewey;
 
 /// How many of a refinement's results are computed with the answer: the
@@ -88,15 +91,14 @@ pub struct Refinement {
 /// A refinement's meaningful results, in document order. The first
 /// [`RESULT_PAGE`] come with the answer ([`ResultSet::page`]), with
 /// whether there are more ([`ResultSet::more`]). The whole set is what
-/// the set derefs to: computed the first time it is read, then kept.
+/// the set derefs to: computed the first time it is read, then kept. A
+/// list block that does not decode then is read as empty, so whoever
+/// reads the whole set asks [`ResultSet::damage`] whether it is short.
 #[derive(Clone)]
 pub struct ResultSet {
     page: Vec<Dewey>,
     rest: Rest,
 }
-
-/// A function computing a whole result set.
-type Compute = Arc<dyn Fn() -> Vec<Dewey> + Send + Sync>;
 
 #[derive(Clone)]
 enum Rest {
@@ -105,20 +107,52 @@ enum Rest {
     /// The whole set, known from the start.
     Known(Vec<Dewey>),
     /// The whole set, computed on first read.
-    Deferred(OnceLock<Vec<Dewey>>, Compute),
+    Deferred(OnceLock<Vec<Dewey>>, Whole),
+}
+
+/// What a deferred whole set is: `slca` over `lists`, reduced by
+/// `filter` to the meaningful results below the root.
+#[derive(Clone)]
+struct Whole {
+    lists: Vec<ListHandle>,
+    filter: MeaningfulFilter,
+    slca: SlcaMethod,
 }
 
 impl ResultSet {
     /// A set of more than [`RESULT_PAGE`] results, known by its first
-    /// [`RESULT_PAGE`] and by `compute`, which yields them all.
+    /// [`RESULT_PAGE`]: all of them are `slca` over `lists`, reduced by
+    /// `filter` to the meaningful ones below the root.
     pub(crate) fn deferred(
         page: Vec<Dewey>,
-        compute: impl Fn() -> Vec<Dewey> + Send + Sync + 'static,
+        lists: Vec<ListHandle>,
+        filter: MeaningfulFilter,
+        slca: SlcaMethod,
     ) -> Self {
         debug_assert_eq!(page.len(), RESULT_PAGE);
         ResultSet {
             page,
-            rest: Rest::Deferred(OnceLock::new(), Arc::new(compute)),
+            rest: Rest::Deferred(
+                OnceLock::new(),
+                Whole {
+                    lists,
+                    filter,
+                    slca,
+                },
+            ),
+        }
+    }
+
+    /// Once the whole set has been read, the first damage a decode of
+    /// the lists it was computed over found: the set then misses what
+    /// the damaged blocks held. `None` before that, and for a set known
+    /// whole with the answer.
+    pub fn damage(&self) -> Option<kvstore::KvError> {
+        match &self.rest {
+            Rest::Deferred(all, whole) if all.get().is_some() => {
+                whole.lists.iter().find_map(ListHandle::damage)
+            }
+            _ => None,
         }
     }
 
@@ -161,8 +195,8 @@ impl Deref for ResultSet {
         match &self.rest {
             Rest::None => &self.page,
             Rest::Known(all) => all,
-            Rest::Deferred(all, compute) => all.get_or_init(|| {
-                let all = compute();
+            Rest::Deferred(all, whole) => all.get_or_init(|| {
+                let all = meaningful_slcas(&whole.filter, whole.slca, &whole.lists);
                 debug_assert!(
                     all.len() > self.page.len() && all.starts_with(&self.page),
                     "the page is a proper prefix of the whole set"

@@ -82,10 +82,11 @@ fn a_query_over_a_long_list_decodes_a_few_of_its_blocks() {
     );
 }
 
-/// `value` with every block's second posting header given its reserved
-/// bit, and a frame checksum that matches: the skip table still parses,
-/// and no block decodes.
-fn forge(value: &[u8]) -> Vec<u8> {
+/// `value` with the second posting header of every block from
+/// `first_block` on given its reserved bit, and a frame checksum that
+/// matches: the skip table still parses, and none of those blocks
+/// decodes.
+fn forge(value: &[u8], first_block: usize) -> Vec<u8> {
     let mut pos = 0;
     let len = read_varint(value, &mut pos).unwrap() as usize;
     let mut payload = value[pos + 4..].to_vec();
@@ -93,6 +94,7 @@ fn forge(value: &[u8]) -> Vec<u8> {
     let list = CompressedList::parse(&payload).unwrap();
     let data_at = payload.len() - list.blocks().iter().map(|m| m.len).sum::<usize>();
     let headers: Vec<usize> = (list.blocks().iter())
+        .skip(first_block)
         .filter(|m| m.count > 1)
         .map(|m| {
             let mut at = data_at + m.offset;
@@ -110,10 +112,11 @@ fn forge(value: &[u8]) -> Vec<u8> {
     framed
 }
 
-/// An engine over the corpus whose stored list for `keyword` is forged.
-fn forged_engine(keyword: &str) -> XRefineEngine {
+/// An engine over the corpus whose stored list for `keyword` is forged
+/// from block `first_block` on.
+fn forged_engine(keyword: &str, first_block: usize) -> XRefineEngine {
     let (mut store, key) = store_of(&corpus(300), keyword);
-    let forged = forge(&store.get(&key).unwrap().unwrap());
+    let forged = forge(&store.get(&key).unwrap().unwrap(), first_block);
     store.put(&key, &forged).unwrap();
     let reader = KvBackedIndex::open(Box::new(store)).unwrap();
     XRefineEngine::from_reader(Arc::new(reader), EngineConfig::default())
@@ -122,7 +125,7 @@ fn forged_engine(keyword: &str) -> XRefineEngine {
 #[test]
 fn a_forged_block_of_a_query_keyword_fails_the_query() {
     let _turn = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
-    let engine = forged_engine("alpha");
+    let engine = forged_engine("alpha", 0);
     for round in 0..2 {
         match engine.answer_detailed("alpha rare") {
             Err(failure) => {
@@ -143,7 +146,7 @@ fn a_forged_block_of_a_query_keyword_fails_the_query() {
 #[test]
 fn a_forged_block_of_a_generated_keyword_drops_the_keyword() {
     let _turn = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
-    let engine = forged_engine("alpha");
+    let engine = forged_engine("alpha", 0);
     let query = xrefine::Query::parse("alphx rare");
     assert!(
         engine
@@ -164,4 +167,36 @@ fn a_forged_block_of_a_generated_keyword_drops_the_keyword() {
             "{r:?}"
         );
     }
+}
+
+#[test]
+fn a_whole_result_set_read_past_a_forged_block_reports_the_damage() {
+    let _turn = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+    // `alpha`'s 900 postings fill 14 blocks and 4 postings of a 15th;
+    // only that last one is forged.
+    let last = 900 / BLOCK_POSTINGS;
+    // Forged from past its last block, the list is sound.
+    let healthy = forged_engine("alpha", last + 1).answer("alpha").unwrap();
+    let best = healthy.best().unwrap();
+    assert_eq!(best.slcas.len(), 900);
+    assert!(best.slcas.damage().is_none());
+
+    let engine = forged_engine("alpha", last);
+    let outcome = engine.answer_detailed("alpha").unwrap();
+    let best = outcome.best().unwrap();
+    // The page is read from the first block, and says there is more.
+    assert_eq!(best.slcas.page().len(), xrefine::RESULT_PAGE);
+    assert!(best.slcas.more());
+    assert!(best.slcas.damage().is_none(), "nothing read past the page");
+    // The whole set is short by what the forged block held, and says so.
+    assert_eq!(best.slcas.len(), 900 - 4);
+    let damage = best
+        .slcas
+        .damage()
+        .expect("the whole set read the forged block");
+    assert!(damage.is_corrupt(), "{damage}");
+    assert!(
+        damage.to_string().contains("reserved header bit"),
+        "{damage}"
+    );
 }

@@ -52,14 +52,19 @@
 #                  racing updaters never rolling the published engine
 #                  back (release), live updates over HTTP
 #   compress       the store format (compressed postings): property/fuzz
-#                  round-trips + corruption sweeps, the partition-run
-#                  table every decoded list carries (same however the
-#                  list is built), `Dewey` against its component-vector
-#                  model across the inline/heap boundary (and its
-#                  fixed-width constructor against `from_slice`), the
-#                  block decoder against the decoder it replaced (equal
-#                  postings and runs, identical error strings on every
-#                  truncation and bit flip) with its ns per posting
+#                  round-trips + corruption sweeps, the block-lazy
+#                  reader (its run cursors against runs read off the
+#                  labels; a block that does not decode fails the query,
+#                  or the whole result set, that reads it), the
+#                  partition runs a cursor reports over a list however
+#                  it is built, stored or held in memory, `Dewey`
+#                  against its component-vector model across the
+#                  inline/heap boundary (and its fixed-width constructor
+#                  against `from_slice`), the block decoder against the
+#                  decoder it replaced (equal postings, its run table
+#                  equal to a stored handle's runs, identical error
+#                  strings on every truncation and bit flip) with its
+#                  ns per posting
 #                  against that reference over corpus_m's lists (printed,
 #                  not asserted), decode's allocation budget (a constant
 #                  per block and per whole list, none per posting), and
