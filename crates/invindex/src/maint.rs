@@ -76,7 +76,6 @@ use crate::reader::StoredList;
 use crate::stats::{KeywordTable, TypeStats};
 use crate::stream::build_streaming;
 use kvstore::{BatchOp, DurableKv, KvError, KvStore, MemKv, Result, StdVfs, Vfs};
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -382,21 +381,25 @@ fn compose_corpus(doc: &Document, records: &[String]) -> String {
     xml
 }
 
-/// Minimal batch turning the live store's contents into `target`'s.
+/// Minimal batch turning the live store's contents into `target`'s: the
+/// puts in key order, then the deletes in key order. Both scans come in
+/// ascending key order, so one merge walk pairs them, and each value put
+/// is moved out of the target's scan, never copied.
 fn diff_stores(live: &dyn KvStore, target: &dyn KvStore) -> Result<Vec<BatchOp>> {
+    let mut current = live.scan_range(b"", None)?.into_iter().peekable();
     let mut ops = Vec::new();
-    let current: BTreeMap<Vec<u8>, Vec<u8>> = live.scan_range(b"", None)?.into_iter().collect();
-    let desired: BTreeMap<Vec<u8>, Vec<u8>> = target.scan_range(b"", None)?.into_iter().collect();
-    for (key, value) in &desired {
-        if current.get(key) != Some(value) {
-            ops.push(BatchOp::Put(key.clone(), value.clone()));
+    let mut deletes = Vec::new();
+    for (key, value) in target.scan_range(b"", None)? {
+        while let Some((gone, _)) = current.next_if(|(k, _)| *k < key) {
+            deletes.push(BatchOp::Delete(gone));
+        }
+        match current.next_if(|(k, _)| *k == key) {
+            Some((_, held)) if held == value => {}
+            _ => ops.push(BatchOp::Put(key, value)),
         }
     }
-    for key in current.keys() {
-        if !desired.contains_key(key) {
-            ops.push(BatchOp::Delete(key.clone()));
-        }
-    }
+    deletes.extend(current.map(|(gone, _)| BatchOp::Delete(gone)));
+    ops.append(&mut deletes);
     Ok(ops)
 }
 
@@ -438,6 +441,7 @@ pub fn decode_maint_meta(value: &[u8]) -> Result<(u64, u64)> {
 mod tests {
     use super::*;
     use kvstore::{DiskKv, Fault, FaultVfs, VfsFile};
+    use std::collections::BTreeMap;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicBool, Ordering};
     use xmldom::parse_document;
@@ -523,6 +527,54 @@ mod tests {
         let fresh: BTreeMap<Vec<u8>, Vec<u8>> =
             scratch.scan_range(b"", None).unwrap().into_iter().collect();
         assert_eq!(live, fresh, "maintained store diverged from rebuild");
+    }
+
+    fn mem(entries: &[(&str, &str)]) -> MemKv {
+        entries
+            .iter()
+            .map(|(k, v)| (k.as_bytes().to_vec(), v.as_bytes().to_vec()))
+            .collect()
+    }
+
+    #[test]
+    fn applying_the_diff_turns_the_live_store_into_the_target() {
+        let live = mem(&[("a", "1"), ("b", "2"), ("c", "3"), ("e", "5"), ("g", "7")]);
+        let target = mem(&[("b", "2"), ("c", "33"), ("d", "4"), ("e", "5"), ("f", "6")]);
+        let batch = diff_stores(&live, &target).unwrap();
+
+        let ops: Vec<(&[u8], Option<&[u8]>)> = batch
+            .iter()
+            .map(|op| match op {
+                BatchOp::Put(k, v) => (k.as_slice(), Some(v.as_slice())),
+                BatchOp::Delete(k) => (k.as_slice(), None),
+            })
+            .collect();
+        let expected: [(&[u8], Option<&[u8]>); 5] = [
+            (b"c", Some(b"33")),
+            (b"d", Some(b"4")),
+            (b"f", Some(b"6")),
+            (b"a", None),
+            (b"g", None),
+        ];
+        assert_eq!(
+            ops, expected,
+            "puts in key order, then deletes in key order"
+        );
+
+        let mut applied = live;
+        for op in batch {
+            match op {
+                BatchOp::Put(k, v) => applied.put(&k, &v).unwrap(),
+                BatchOp::Delete(k) => assert!(applied.delete(&k).unwrap()),
+            }
+        }
+        assert_eq!(
+            applied.scan_range(b"", None).unwrap(),
+            target.scan_range(b"", None).unwrap()
+        );
+        assert!(diff_stores(&target, &target).unwrap().is_empty());
+        assert_eq!(diff_stores(&MemKv::new(), &target).unwrap().len(), 5);
+        assert_eq!(diff_stores(&target, &MemKv::new()).unwrap().len(), 5);
     }
 
     #[test]

@@ -49,7 +49,7 @@ use crate::postings::{read_varint, write_varint, CompressedList, PostingList};
 use crate::stats::{KeywordId, KeywordTable, TypeStats};
 use kvstore::{crc32, KvError, KvStore, Result};
 use std::collections::HashMap;
-use xmldom::{Document, DocumentBuilder, NodeId, NodeTypeId};
+use xmldom::{Document, DocumentBuilder, NodeId, NodeTypeId, Symbol};
 
 /// The on-disk format: compressed posting lists (blocked front-coded
 /// Dewey deltas behind a skip table), a DAG-deduplicated document and
@@ -273,9 +273,19 @@ pub fn decode_list_value(value: &[u8]) -> Result<PostingList> {
 // acyclic by construction on both ends. `total_nodes` bounds expansion:
 // a forged payload whose DAG expands past it (a "DAG bomb") is rejected
 // after at most `total_nodes` emitted nodes.
+//
+// The encoder is one post-order pass over dense tables (one tuple lookup
+// per node, as in Böttcher et al.'s minimal-DAG construction): a node's
+// tuple id sits in a vector indexed by `NodeId`, a tag's string id in a
+// vector indexed by `Symbol`, and the string table borrows its keys from
+// the document. A tuple is formed in one reused `u32` buffer in exactly
+// its payload order, looked up by slice, and on a miss written to the
+// payload and kept as the one allocation it costs. Both maps keep std's
+// keyed hasher: `D/doc`'s strings come from update fragments, which a
+// client chooses, so the unkeyed `fxhash` maps are not for them.
 
-/// One hash-consed subtree: interned field ids plus child tuple ids.
-#[derive(PartialEq, Eq, Hash)]
+/// One hash-consed subtree, as the decoder reads it: interned field ids
+/// plus child tuple ids.
 struct DagTuple {
     tag: u32,
     attrs: Vec<(u32, u32)>,
@@ -283,108 +293,150 @@ struct DagTuple {
     children: Vec<u32>,
 }
 
-/// Serializes the document as a hash-consed subtree DAG.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "encode side: the post-order walk gives every child its tuple id before its parent \
-              exits, and visits the root last, so both `node_tuple` lookups hit"
-)]
-pub(crate) fn encode_document(doc: &Document) -> Vec<u8> {
-    let mut strings: Vec<String> = Vec::new();
-    let mut string_ids: HashMap<String, u32> = HashMap::new();
-    let mut intern_str = |s: &str| -> u32 {
-        if let Some(&id) = string_ids.get(s) {
-            return id;
+/// Serializes the document as a hash-consed subtree DAG. Public so the
+/// allocation-budget test can encode `D/doc` alone.
+pub fn encode_document(doc: &Document) -> Vec<u8> {
+    let mut enc = DagEncoder::new(doc);
+    // Arena order is pre-order, so a node's parent is open when it comes
+    // up; a node is closed — its tuple formed — once the walk leaves its
+    // subtree, which is post-order.
+    let mut open: Vec<NodeId> = Vec::with_capacity(32);
+    for (id, node) in doc.nodes() {
+        while let Some(&top) = open.last() {
+            if Some(top) == node.parent {
+                break;
+            }
+            open.pop();
+            enc.close(top);
         }
-        let id = strings.len() as u32;
-        strings.push(s.to_string());
-        string_ids.insert(s.to_string(), id);
-        id
-    };
-
-    // Iterative post-order: children's tuple ids are known before the
-    // parent's tuple is formed.
-    enum Frame {
-        Enter(NodeId),
-        Exit(NodeId),
+        open.push(id);
     }
-    let mut tuples: Vec<DagTuple> = Vec::new();
-    let mut tuple_ids: HashMap<DagTuple, u32> = HashMap::new();
-    let mut node_tuple: HashMap<NodeId, u32> = HashMap::new();
-    let mut stack = vec![Frame::Enter(doc.root())];
-    while let Some(frame) = stack.pop() {
-        match frame {
-            Frame::Enter(id) => {
-                stack.push(Frame::Exit(id));
-                for &child in doc.node(id).children.iter().rev() {
-                    stack.push(Frame::Enter(child));
+    while let Some(top) = open.pop() {
+        enc.close(top);
+    }
+    enc.finish()
+}
+
+/// The tables of one [`encode_document`] pass.
+struct DagEncoder<'d> {
+    doc: &'d Document,
+    /// String id of each string seen, keyed by the document's own bytes.
+    string_ids: HashMap<&'d str, u32>,
+    /// The string table's payload bytes, in first-seen order.
+    strings: Vec<u8>,
+    /// String id of each tag symbol; `UNSEEN` until its first node.
+    tag_sids: Vec<u32>,
+    /// Tuple id of each node closed so far.
+    node_tuple: Vec<u32>,
+    /// Tuple id of each distinct tuple, keyed by its fields.
+    tuple_ids: HashMap<Box<[u32]>, u32>,
+    /// The tuples' payload bytes, in construction order.
+    tuples: Vec<u8>,
+    /// The tuple being formed, in payload order.
+    scratch: Vec<u32>,
+}
+
+const UNSEEN: u32 = u32::MAX;
+
+impl<'d> DagEncoder<'d> {
+    fn new(doc: &'d Document) -> Self {
+        DagEncoder {
+            doc,
+            string_ids: HashMap::with_capacity(doc.len()),
+            strings: Vec::with_capacity(doc.len()),
+            tag_sids: vec![UNSEEN; doc.symbols().len()],
+            node_tuple: vec![0; doc.len()],
+            tuple_ids: HashMap::with_capacity(doc.len()),
+            tuples: Vec::with_capacity(doc.len().saturating_mul(8)),
+            scratch: Vec::with_capacity(64),
+        }
+    }
+
+    fn intern(&mut self, s: &'d str) -> u32 {
+        let next = self.string_ids.len() as u32;
+        *self.string_ids.entry(s).or_insert_with(|| {
+            write_bytes(&mut self.strings, s.as_bytes());
+            next
+        })
+    }
+
+    /// A tag's string id. Its first sight goes through the string table,
+    /// so a text or attribute value seen earlier with the same bytes
+    /// shares the id.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`tag_sids` has a slot for every symbol of the document the tag comes from"
+    )]
+    fn tag(&mut self, tag: Symbol) -> u32 {
+        let slot = tag.0 as usize;
+        if self.tag_sids[slot] == UNSEEN {
+            self.tag_sids[slot] = self.intern(self.doc.symbols().resolve(tag));
+        }
+        self.tag_sids[slot]
+    }
+
+    /// Forms `id`'s tuple and records its tuple id, a new one unless an
+    /// equal subtree was closed before.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`node_tuple` has a slot for every node, and post-order closes each child \
+                  before its parent reads the child's slot"
+    )]
+    fn close(&mut self, id: NodeId) {
+        let doc = self.doc;
+        let node = doc.node(id);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        scratch.push(self.tag(node.tag));
+        scratch.push(node.attributes.len() as u32);
+        for (name, value) in &node.attributes {
+            scratch.push(self.intern(name));
+            scratch.push(self.intern(value));
+        }
+        scratch.push(self.intern(&node.text));
+        scratch.push(node.children.len() as u32);
+        scratch.extend(node.children.iter().map(|c| self.node_tuple[c.0 as usize]));
+        let tid = match self.tuple_ids.get(scratch.as_slice()) {
+            Some(&tid) => tid,
+            None => {
+                let tid = self.tuple_ids.len() as u32;
+                for &field in &scratch {
+                    write_varint(&mut self.tuples, u64::from(field));
                 }
+                self.tuple_ids.insert(scratch.as_slice().into(), tid);
+                tid
             }
-            Frame::Exit(id) => {
-                let node = doc.node(id);
-                let tag = intern_str(doc.tag_name(id));
-                let attrs = node
-                    .attributes
-                    .iter()
-                    .map(|(n, v)| (intern_str(n), intern_str(v)))
-                    .collect();
-                let text = intern_str(&node.text);
-                let children = node
-                    .children
-                    .iter()
-                    .map(|c| node_tuple[c])
-                    .collect::<Vec<_>>();
-                let tuple = DagTuple {
-                    tag,
-                    attrs,
-                    text,
-                    children,
-                };
-                let tid = match tuple_ids.get(&tuple) {
-                    Some(&tid) => {
-                        obs::counter!("compress_dedup_hits_total").inc();
-                        tid
-                    }
-                    None => {
-                        let tid = tuples.len() as u32;
-                        tuples.push(DagTuple {
-                            tag: tuple.tag,
-                            attrs: tuple.attrs.clone(),
-                            text: tuple.text,
-                            children: tuple.children.clone(),
-                        });
-                        tuple_ids.insert(tuple, tid);
-                        tid
-                    }
-                };
-                node_tuple.insert(id, tid);
-            }
-        }
+        };
+        self.node_tuple[id.0 as usize] = tid;
+        self.scratch = scratch;
     }
 
-    let mut out = Vec::new();
-    write_varint(&mut out, strings.len() as u64);
-    for s in &strings {
-        write_bytes(&mut out, s.as_bytes());
+    fn finish(self) -> Vec<u8> {
+        let nodes = self.doc.len();
+        let root = self
+            .node_tuple
+            .get(self.doc.root().0 as usize)
+            .copied()
+            .unwrap_or_default();
+        // The two tables plus four varints of at most ten bytes each.
+        let mut out = Vec::with_capacity(
+            self.strings
+                .len()
+                .saturating_add(self.tuples.len())
+                .saturating_add(40),
+        );
+        write_varint(&mut out, self.string_ids.len() as u64);
+        out.extend_from_slice(&self.strings);
+        write_varint(&mut out, self.tuple_ids.len() as u64);
+        out.extend_from_slice(&self.tuples);
+        write_varint(&mut out, u64::from(root));
+        write_varint(&mut out, nodes as u64);
+        // Every node either made a new tuple or hit an earlier one.
+        obs::counter!("compress_dedup_hits_total")
+            .add(nodes.saturating_sub(self.tuple_ids.len()) as u64);
+        obs::counter!("compress_encoded_bytes_total").add(out.len() as u64);
+        out
     }
-    write_varint(&mut out, tuples.len() as u64);
-    for t in &tuples {
-        write_varint(&mut out, u64::from(t.tag));
-        write_varint(&mut out, t.attrs.len() as u64);
-        for &(n, v) in &t.attrs {
-            write_varint(&mut out, u64::from(n));
-            write_varint(&mut out, u64::from(v));
-        }
-        write_varint(&mut out, u64::from(t.text));
-        write_varint(&mut out, t.children.len() as u64);
-        for &c in &t.children {
-            write_varint(&mut out, u64::from(c));
-        }
-    }
-    write_varint(&mut out, u64::from(node_tuple[&doc.root()]));
-    write_varint(&mut out, doc.len() as u64);
-    obs::counter!("compress_encoded_bytes_total").add(out.len() as u64);
-    out
 }
 
 /// Rebuilds the document from its DAG payload, replaying pre-order

@@ -31,7 +31,8 @@ pub trait KvStore: Send + Sync {
     fn put(&mut self, key: &[u8], value: &[u8]) -> Result<()>;
     fn delete(&mut self, key: &[u8]) -> Result<bool>;
     fn contains(&self, key: &[u8]) -> Result<bool>;
-    /// Entries with `start <= key < end` (end `None` = unbounded).
+    /// Entries with `start <= key < end` (end `None` = unbounded), in
+    /// ascending key order.
     fn scan_range(&self, start: &[u8], end: Option<&[u8]>) -> Result<Vec<(Vec<u8>, Vec<u8>)>>;
     /// Entries whose key begins with `prefix`, in key order.
     fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>>;

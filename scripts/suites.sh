@@ -34,7 +34,11 @@
 #                  the target dir's BENCH_obs.suite.json, never over
 #                  results/BENCH_obs.json)
 #   ingest         streaming-vs-DOM ingest differential oracle (byte-
-#                  identical stores) + scanner fuzz sweep
+#                  identical stores), the store-byte pin (what persist
+#                  writes for four fixed corpora, hashed, with its
+#                  compression-counter deltas), the D/doc encoder's
+#                  allocation gate (one per distinct tuple plus a
+#                  constant) + scanner fuzz sweep
 #   serve          server lifecycle tests (work-conserving admission
 #                  gate, shedding, request_timeout, a panicking query,
 #                  drain under load, a trickling client cut off by its
@@ -143,6 +147,8 @@ suite_observability() {
 
 suite_ingest() {
     xcargo test --release -q -p invindex --test ingest_differential
+    xcargo test --release -q -p invindex --test store_pin
+    xcargo test --release -q -p invindex --test encode_alloc
     xcargo test -q -p xmldom --test scan_fuzz
 }
 
