@@ -482,9 +482,8 @@ impl<'a> CompressedList<'a> {
             .blocks
             .get(i)
             .ok_or_else(|| block_corrupt(i, "no such block"))?;
-        let mut out = Vec::with_capacity(meta.count);
-        let mut label = Vec::with_capacity(Dewey::INLINE);
-        decode_block_into(meta, self.data, &mut out, None, &mut label)
+        let mut out = Vec::new();
+        decode_block_into(meta, self.data, &mut out, None)
             .map_err(|what| block_corrupt(i, what))?;
         Ok(out)
     }
@@ -521,9 +520,8 @@ impl<'a> CompressedList<'a> {
 /// size.
 pub(crate) fn decode_blocks(blocks: &[BlockMeta], data: &[u8], n: usize) -> Result<PostingList> {
     let mut postings = Vec::with_capacity(n);
-    let mut label = Vec::with_capacity(Dewey::INLINE);
     for (i, meta) in blocks.iter().enumerate() {
-        decode_block_into(meta, data, &mut postings, None, &mut label)
+        decode_block_into(meta, data, &mut postings, None)
             .map_err(|what| block_corrupt(i, what))?;
     }
     Ok(PostingList { postings })
@@ -532,17 +530,19 @@ pub(crate) fn decode_blocks(blocks: &[BlockMeta], data: &[u8], n: usize) -> Resu
 /// The one block decoder: appends the postings of the block `meta`
 /// describes, read from `data` (the list's block region), to `out` and,
 /// when given `runs`, writes the block's partition runs there, starts
-/// relative to the block. `label` is working space: the current
-/// posting's label, rewritten in place from its predecessor's and kept
-/// at least [`Dewey::INLINE`] wide, so a label that short is built with
-/// one fixed-size copy and allocates nothing. Damage is reported as a
-/// static description, which the caller formats once.
+/// relative to the block. The current posting's label is rewritten in
+/// place from its predecessor's in a `[u32; Dewey::INLINE]` on the stack
+/// and built from it with one fixed-size copy, so a label of up to seven
+/// components allocates nothing. Only a deeper label spills: it is built
+/// in a heap buffer sized to it, which becomes the label's own storage,
+/// and the next posting reads the components past the seventh from there
+/// (the predecessor is always `out`'s last posting). Damage is reported
+/// as a static description, which the caller formats once.
 pub(crate) fn decode_block_into(
     meta: &BlockMeta,
     data: &[u8],
     out: &mut Vec<Posting>,
     mut runs: Option<&mut Vec<BlockRun>>,
-    label: &mut Vec<u32>,
 ) -> std::result::Result<(), &'static str> {
     let end = meta
         .offset
@@ -556,11 +556,15 @@ pub(crate) fn decode_block_into(
     if let Some(runs) = runs.as_deref_mut() {
         extend_runs(runs, 0, &meta.min);
     }
+    out.reserve(meta.count);
     out.push(Posting::new(meta.min.clone(), NodeTypeId(t0)));
+    // The predecessor's first `min(len, INLINE)` components; what lies
+    // past them is stale.
+    let mut label = [0u32; Dewey::INLINE];
     let min = meta.min.components();
-    label.clear();
-    label.extend_from_slice(min);
-    label.resize(min.len().max(Dewey::INLINE), 0);
+    for (slot, &c) in label.iter_mut().zip(min) {
+        *slot = c;
+    }
     let mut len = min.len();
     let mut prev_type = t0;
     for i in 1..meta.count {
@@ -594,7 +598,10 @@ pub(crate) fn decode_block_into(
         let d0 = read_varint(bytes, &mut pos).ok_or("truncated component")?;
         let c0 = if trim > 0 {
             // The predecessor's component where the two diverge.
-            let base = label.get(shared).copied().unwrap_or(0);
+            let base = match label.get(shared) {
+                Some(&c) => c,
+                None => predecessor(out).get(shared).copied().unwrap_or(0),
+            };
             let v = u64::from(base)
                 .checked_add(1)
                 .and_then(|b| b.checked_add(d0))
@@ -603,22 +610,29 @@ pub(crate) fn decode_block_into(
         } else {
             u32::try_from(d0).map_err(|_| "component overflow")?
         };
-        len = shared;
-        put_component(label, &mut len, c0);
-        for _ in 1..rest {
-            let c = read_u32_varint(bytes, &mut pos).ok_or("bad component")?;
-            put_component(label, &mut len, c);
+        len = shared.saturating_add(rest);
+        let dewey = match label.get_mut(shared..len) {
+            Some(slots) => {
+                let mut slots = slots.iter_mut();
+                if let Some(slot) = slots.next() {
+                    *slot = c0;
+                }
+                for slot in slots {
+                    *slot = read_u32_varint(bytes, &mut pos).ok_or("bad component")?;
+                }
+                Dewey::from_padded(len, &label)
+            }
+            None => {
+                let prefix = predecessor(out).get(..shared).unwrap_or_default();
+                spill_label(prefix, c0, len, bytes, &mut pos, &mut label)?
+            }
         }
+        .ok_or("empty posting label")?;
         let node_type = if header & HDR_SAME_TYPE != 0 {
             prev_type
         } else {
             read_u32_varint(bytes, &mut pos).ok_or("bad node type")?
         };
-        let dewey = match label.first_chunk() {
-            Some(padded) if len <= Dewey::INLINE => Dewey::from_padded(len, padded),
-            _ => label.get(..len).and_then(Dewey::from_slice),
-        }
-        .ok_or("empty posting label")?;
         if let Some(runs) = runs.as_deref_mut() {
             extend_runs(runs, i, &dewey);
         }
@@ -639,19 +653,35 @@ pub(crate) fn block_corrupt(i: usize, what: &str) -> KvError {
     KvError::corrupt(format!("compressed list block {i}: {what}"))
 }
 
-/// Writes `c` as the working label's component at `*len` and counts it.
+/// The components of the posting the decoder wrote last.
 #[inline]
-#[expect(
-    clippy::arithmetic_side_effects,
-    reason = "`*len` is at most `label.len()`, a `Vec` length, before the slot is written, so \
-              `*len + 1 <= label.len()` after"
-)]
-fn put_component(label: &mut Vec<u32>, len: &mut usize, c: u32) {
-    match label.get_mut(*len) {
-        Some(slot) => *slot = c,
-        None => label.push(c),
+fn predecessor(out: &[Posting]) -> &[u32] {
+    out.last().map_or(&[], |p| p.dewey.components())
+}
+
+/// The decoder's path for a label deeper than [`Dewey::INLINE`]: the
+/// `prefix` it shares with its predecessor, `c0`, then the rest of its
+/// `len` components read from `bytes`, in one buffer of exactly `len`
+/// that the label keeps; `label` gets its first components.
+#[cold]
+fn spill_label(
+    prefix: &[u32],
+    c0: u32,
+    len: usize,
+    bytes: &[u8],
+    pos: &mut usize,
+    label: &mut [u32; Dewey::INLINE],
+) -> std::result::Result<Option<Dewey>, &'static str> {
+    let mut spilled = Vec::with_capacity(len);
+    spilled.extend_from_slice(prefix);
+    spilled.push(c0);
+    while spilled.len() < len {
+        spilled.push(read_u32_varint(bytes, pos).ok_or("bad component")?);
     }
-    *len += 1;
+    for (slot, &c) in label.iter_mut().zip(&spilled) {
+        *slot = c;
+    }
+    Ok(Dewey::new(spilled))
 }
 
 /// Reads an absolutely-coded Dewey label, `varint(len)` then `len`
@@ -686,8 +716,15 @@ fn read_dewey_front_coded(bytes: &[u8], pos: &mut usize, comps: &mut Vec<u32>) -
     Dewey::from_slice(comps)
 }
 
+/// Reads a varint that must fit 32 bits. A one-byte value — nearly every
+/// component and node type — is read here without entering
+/// [`read_varint`]'s loop.
+#[inline(always)]
 fn read_u32_varint(bytes: &[u8], pos: &mut usize) -> Option<u32> {
-    u32::try_from(read_varint(bytes, pos)?).ok()
+    match bytes.get(*pos) {
+        Some(&b) if b & 0x80 == 0 => read_byte(bytes, pos).map(u32::from),
+        _ => u32::try_from(read_varint(bytes, pos)?).ok(),
+    }
 }
 
 #[cfg(test)]

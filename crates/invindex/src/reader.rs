@@ -219,16 +219,9 @@ impl StoredList {
             let (first, last) = self.keys.get(b).copied().unwrap_or_default();
             let run_bound =
                 usize::try_from(last - first + 1).map_or(meta.count, |k| k.min(meta.count));
-            let mut postings = Vec::with_capacity(meta.count);
+            let mut postings = Vec::new();
             let mut runs = Vec::with_capacity(run_bound);
-            let mut label = Vec::with_capacity(Dewey::INLINE);
-            match decode_block_into(
-                meta,
-                self.data(),
-                &mut postings,
-                Some(&mut runs),
-                &mut label,
-            ) {
+            match decode_block_into(meta, self.data(), &mut postings, Some(&mut runs)) {
                 Ok(()) => {
                     // Kept with the list: no slack.
                     runs.shrink_to_fit();
@@ -406,7 +399,7 @@ impl StoredList {
     /// only what cursors touched resident.
     fn for_each_block(&self, blocks: Range<usize>, mut f: impl FnMut(usize, &[Posting])) {
         let data = self.data();
-        let (mut scratch, mut label) = (Vec::new(), Vec::new());
+        let mut scratch = Vec::new();
         for b in blocks {
             let (Some(slot), Some(meta)) = (self.blocks.get(b), self.skips.get(b)) else {
                 continue;
@@ -425,7 +418,7 @@ impl StoredList {
             } else {
                 obs::counter!("compress_blocks_decoded_total").inc();
                 scratch.clear();
-                match decode_block_into(meta, data, &mut scratch, None, &mut label) {
+                match decode_block_into(meta, data, &mut scratch, None) {
                     Ok(()) => f(meta.start, &scratch),
                     Err(what) => self.record(block_corrupt(b, what)),
                 }

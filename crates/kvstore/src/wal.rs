@@ -84,17 +84,42 @@ enum WalRecord {
 /// CRC-32 (IEEE 802.3, reflected) — implemented locally; the workspace
 /// keeps its dependency list minimal (DESIGN.md §5). Every page read is
 /// checksummed whole (4 088 bytes) and so is every list frame, which
-/// makes this the largest per-byte cost of a list-cache miss, so it runs
-/// slice-by-16: sixteen input bytes per step, each looked up in its own
-/// table and the sixteen remainders XORed together, with a byte-at-a-time
-/// tail.
+/// makes this the largest per-byte cost of a list-cache miss. See
+/// `crc32_update` for the two kernels it runs on.
 pub fn crc32(data: &[u8]) -> u32 {
     !crc32_update(0xFFFF_FFFF, data)
 }
 
+/// Inputs shorter than this run on the tables: the carry-less fold
+/// starts from four 16-byte lanes.
+const CLMUL_MIN_LEN: usize = 64;
+
 /// Runs the CRC register `crc` over `data`: `crc32` of a concatenation
 /// is the complement of this folded over its parts.
-fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
+///
+/// On `x86_64` with PCLMULQDQ and SSE4.1 (detected at run time), an input
+/// of at least [`CLMUL_MIN_LEN`] bytes is folded by carry-less multiply
+/// (`crc32_clmul`, ≈ 16 GB/s on the 2 vCPU guest). Shorter inputs and
+/// other targets run slice-by-16 (`crc32_table`, ≈ 1.7 GB/s). Both
+/// compute the same polynomial, so every stored checksum is the same
+/// whichever ran.
+fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= CLMUL_MIN_LEN
+        && std::arch::is_x86_feature_detected!("pclmulqdq")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: `crc32_clmul` is compiled for PCLMULQDQ and SSE4.1, and
+        // both were detected on this CPU just above.
+        return unsafe { crc32_clmul(crc, data) };
+    }
+    crc32_table(crc, data)
+}
+
+/// The CRC register run over `data` slice-by-16: sixteen input bytes per
+/// step, each looked up in its own table and the sixteen remainders
+/// XORed together, with a byte-at-a-time tail.
+fn crc32_table(mut crc: u32, data: &[u8]) -> u32 {
     let (blocks, tail) = data.as_chunks::<16>();
     for block in blocks {
         // The running remainder folds into the block's first four bytes;
@@ -152,6 +177,105 @@ const CRC_TABLES: [[u32; 256]; 16] = {
     }
     tables
 };
+
+/// The CRC register run over `data` by carry-less multiplication: Intel's
+/// "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ"
+/// (Gopal et al., 2009) for the reflected polynomial 0xEDB88320, with the
+/// constants Linux's `crc32-pclmul` uses. Four 128-bit lanes fold 64
+/// bytes a step, then fold into one lane, which folds what is left 16
+/// bytes at a time; the 128-bit remainder is cut to 64 bits and a
+/// Barrett reduction takes it to the 32-bit register. The last 0–15
+/// bytes go through `crc32_table`.
+///
+/// # Safety
+///
+/// Calling it needs `unsafe` because of `#[target_feature]`: the caller
+/// must have seen `is_x86_feature_detected!` report both PCLMULQDQ and
+/// SSE4.1 on the running CPU.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "pclmulqdq,sse4.1")]
+fn crc32_clmul(crc: u32, data: &[u8]) -> u32 {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    // x^(4·128+32) and x^(4·128-32) mod P, then x^(128+32) and
+    // x^(128-32), then x^64 mod P — each reflected and shifted by one —
+    // then P itself and Barrett's μ = floor(x^64 / P), both 33 bits.
+    const K1: i64 = 0x1_5444_2BD4;
+    const K2: i64 = 0x1_C6E4_1596;
+    const K3: i64 = 0x1_7519_97D0;
+    const K4: i64 = 0x0_CCAA_009E;
+    const K5: i64 = 0x1_63CD_6124;
+    const P: i64 = 0x1_DB71_0641;
+    const MU: i64 = 0x1_F701_1641;
+
+    /// Sixteen input bytes as one lane, first byte lowest.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn load(chunk: &[u8; 16]) -> __m128i {
+        let v = u128::from_le_bytes(*chunk);
+        _mm_set_epi64x((v >> 64) as i64, v as i64)
+    }
+
+    /// Folds lane `a` forward over 128 bits (`k` holds the distance's two
+    /// constants) onto the next lane `b`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold(a: __m128i, b: __m128i, k: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(a, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(a, k);
+        _mm_xor_si128(_mm_xor_si128(b, lo), hi)
+    }
+
+    let (lanes, tail) = data.as_chunks::<16>();
+    let (groups, singles) = lanes.as_chunks::<4>();
+    let Some(([first, second, third, fourth], groups)) = groups.split_first() else {
+        return crc32_table(crc, data);
+    };
+
+    // The register is XORed into the input's first four bytes.
+    let mut x3 = _mm_xor_si128(load(first), _mm_cvtsi32_si128(crc as i32));
+    let mut x2 = load(second);
+    let mut x1 = load(third);
+    let mut x0 = load(fourth);
+
+    let k1k2 = _mm_set_epi64x(K2, K1);
+    for [a, b, c, d] in groups {
+        x3 = fold(x3, load(a), k1k2);
+        x2 = fold(x2, load(b), k1k2);
+        x1 = fold(x1, load(c), k1k2);
+        x0 = fold(x0, load(d), k1k2);
+    }
+
+    let k3k4 = _mm_set_epi64x(K4, K3);
+    let mut x = fold(fold(fold(x3, x2, k3k4), x1, k3k4), x0, k3k4);
+    for lane in singles {
+        x = fold(x, load(lane), k3k4);
+    }
+
+    // 128 bits to 64: the low half, times x^(128-32) mod P, onto the high
+    // half; then the low 32 bits, times x^64 mod P, onto the rest.
+    let low32 = _mm_set_epi32(0, 0, 0, -1);
+    let x = _mm_xor_si128(
+        _mm_clmulepi64_si128::<0x10>(x, k3k4),
+        _mm_srli_si128::<8>(x),
+    );
+    let x = _mm_xor_si128(
+        _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5)),
+        _mm_srli_si128::<4>(x),
+    );
+
+    // Barrett: T1 = (R mod x^32)·μ, T2 = (T1 mod x^32)·P, and the
+    // register is the upper half of R ^ T2 (bit-reflected).
+    let pu = _mm_set_epi64x(MU, P);
+    let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), pu);
+    let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), pu);
+    let register = _mm_extract_epi32::<1>(_mm_xor_si128(x, t2)) as u32;
+
+    crc32_table(register, tail)
+}
 
 /// The append-only log over one file. [`crate::durable::DurableKv`] is
 /// its only owner.
@@ -563,6 +687,68 @@ mod tests {
         for cut in 0..=data.len() {
             let (a, b) = data.split_at(cut);
             assert_eq!(!crc32_update(crc32_update(0xFFFF_FFFF, a), b), crc32(&data));
+        }
+    }
+
+    /// Deterministic, unstructured bytes (xorshift64).
+    fn noise(len: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
+    /// The dispatching register fold against slice-by-16, called
+    /// directly so the table path stays covered on a CPU whose inputs of
+    /// 64 bytes and more go to the carry-less fold: every length to 4 200
+    /// bytes — the 64-byte threshold, every fold-tail length, the
+    /// 4 088-byte page payload — at all 16 start offsets, and from a
+    /// register that is not the initial one. Debug builds stride the
+    /// lengths past 200 bytes; `suites.sh torture` runs it in release.
+    #[test]
+    fn crc32_update_matches_the_tables_at_every_length_and_offset() {
+        let stride = if cfg!(debug_assertions) { 29 } else { 1 };
+        let data = noise(4_200 + 16);
+        for offset in 0..16 {
+            for len in (0..=4_200).filter(|len| len < &200 || len % stride == 0) {
+                let bytes = &data[offset..offset + len];
+                for register in [0xFFFF_FFFF, 0x1234_5678] {
+                    assert_eq!(
+                        crc32_update(register, bytes),
+                        crc32_table(register, bytes),
+                        "length {len} at offset {offset} from {register:#x}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The register chained over parts, as `push_frame` runs it (a kind
+    /// byte, then each part), with parts that straddle the 64-byte
+    /// dispatch threshold: the dispatching chain equals the table chain.
+    #[test]
+    fn crc32_chained_over_parts_matches_the_tables() {
+        let data = noise(300);
+        let cuts = [0, 1, 15, 16, 17, 63, 64, 65, 127, 128, 129, 200];
+        for &a in &cuts {
+            for &b in &cuts {
+                let (head, rest) = data.split_at(a);
+                let (mid, tail) = rest.split_at(b.min(rest.len()));
+                let parts = [&[4u8][..], head, mid, tail];
+                let chain =
+                    |step: fn(u32, &[u8]) -> u32| parts.iter().fold(0xFFFF_FFFF, |c, p| step(c, p));
+                assert_eq!(
+                    chain(crc32_update),
+                    chain(crc32_table),
+                    "parts of {a} and {b} bytes"
+                );
+                assert_eq!(!chain(crc32_update), crc32(&parts.concat()));
+            }
         }
     }
 

@@ -14,9 +14,11 @@
 #                  batches and checkpoints, a full disk included
 #                  (release — debug builds stride the sweeps), the
 #                  tree-file store against its BTreeMap model (syncs,
-#                  reopens, byte-identical files for equal entries), the
-#                  slice-by-16 crc32 against the byte-at-a-time loop at
-#                  every length and offset, a point get's allocation
+#                  reopens, byte-identical files for equal entries), both
+#                  crc32 kernels — the carry-less-multiply fold against
+#                  the slice-by-16 tables, and the dispatching crc32
+#                  against the byte-at-a-time loop — at every length and
+#                  offset, a point get's allocation
 #                  bound (pages read + 1), and the read-only opens
 #                  leaving a crashed store's files byte-identical
 #   observability  obs invariants, differential oracles (SLCA — Scan
@@ -118,6 +120,7 @@ suite_torture() {
     xcargo test --release -q -p kvstore --test fault_injection
     xcargo test --release -q -p kvstore --test model
     xcargo test --release -q -p kvstore --test crc32
+    xcargo test --release -q -p kvstore --lib crc
     xcargo test --release -q -p kvstore --test point_get
     xcargo test --release -q -p xrefine-cli read_only_open
     xcargo test --release -q --test storage_bitflips
