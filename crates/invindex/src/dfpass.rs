@@ -2,14 +2,17 @@
 //! `tf(k, T)` and `f^T_k` (XML DF, Definition 3.2) over complete posting
 //! lists. The pass is embarrassingly parallel across keywords: each
 //! worker owns a disjoint keyword range and produces local maps, merged
-//! at the end.
+//! at the end. The same walk over one run of a list, behind the posting
+//! before it, is how a maintenance commit adds an appended tail's
+//! frequencies and takes a dropped tail's away ([`adjust_stats`]).
 //!
 //! A posting's ancestor-or-self types are its node type's parent links,
 //! one per Dewey level: the walk allocates nothing, and the type table it
 //! reads is linear in the number of types, whatever their depth.
 
 use crate::postings::{Posting, PostingList};
-use crate::stats::KeywordId;
+use crate::stats::{KeywordId, Sign, TypeStats};
+use kvstore::Result;
 use std::collections::HashMap;
 use xmldom::{NodeTypeId, NodeTypeTable};
 
@@ -65,11 +68,7 @@ pub(crate) fn compute_tf_df(
 type FreqMap = HashMap<(NodeTypeId, KeywordId), u64>;
 type FreqMaps = (FreqMap, FreqMap);
 
-/// One keyword range of the fused pass. Distinct-ancestor counting for
-/// `df`: along each document-ordered list, every ancestor level not
-/// shared with the previous posting's label is a newly seen `T`-typed
-/// container. `tf` adds the posting's occurrence count at every
-/// ancestor-or-self level.
+/// One keyword range of the fused pass: each list walked whole.
 fn stats_range(
     lists: &[PostingList],
     counts: &[Vec<u64>],
@@ -79,37 +78,104 @@ fn stats_range(
     tf: &mut FreqMap,
     df: &mut FreqMap,
 ) {
-    let num_types = types.len();
-    let mut tf_local = vec![0u64; num_types];
-    let mut df_local = vec![0u64; num_types];
+    let mut totals = TypeTotals::new(types.len());
     for (kid, list) in lists.iter().enumerate().take(end).skip(start) {
         let k = KeywordId(kid as u32);
-        let mut prev: Option<&Posting> = None;
-        for (i, p) in list.iter().enumerate() {
+        totals.walk(types, None, list.as_slice(), &counts[kid]);
+        totals.drain(|t, tf_t, df_t| {
+            if df_t > 0 {
+                df.insert((t, k), df_t);
+            }
+            if tf_t > 0 {
+                tf.insert((t, k), tf_t);
+            }
+        });
+    }
+}
+
+/// Adds (`Sign::Plus`) or takes away the frequencies of `postings` to
+/// keyword `k`'s entries in `stats`: a run of `k`'s list that follows
+/// `prev`, the posting before it (`None` at the head of the list), with
+/// `counts[i]` the occurrences behind `postings[i]`. A list's frequencies
+/// are the sum of its runs', so a commit appends a tail or drops one by
+/// walking that tail alone. Taking away more than `stats` holds means
+/// the statistics and the postings disagree, and fails as corrupt.
+pub(crate) fn adjust_stats(
+    stats: &mut TypeStats,
+    types: &NodeTypeTable,
+    k: KeywordId,
+    prev: Option<&Posting>,
+    postings: &[Posting],
+    counts: &[u64],
+    sign: Sign,
+) -> Result<()> {
+    let mut totals = TypeTotals::new(types.len());
+    totals.walk(types, prev, postings, counts);
+    let mut moved = Ok(());
+    totals.drain(|t, tf, df| {
+        if moved.is_ok() {
+            moved = stats.adjust(t, k, tf, df, sign);
+        }
+    });
+    moved
+}
+
+/// `tf` and `df` of one keyword per node type, dense: the inner loop of
+/// the walk does no hashing at all.
+struct TypeTotals {
+    tf: Vec<u64>,
+    df: Vec<u64>,
+}
+
+impl TypeTotals {
+    fn new(num_types: usize) -> Self {
+        TypeTotals {
+            tf: vec![0; num_types],
+            df: vec![0; num_types],
+        }
+    }
+
+    /// Counts a run of one keyword's document-ordered list that follows
+    /// `prev`. Distinct-ancestor counting for `df`: every ancestor level
+    /// of a posting not shared with the previous posting's label is a
+    /// newly seen `T`-typed container. `tf` adds the posting's occurrence
+    /// count at every ancestor-or-self level.
+    fn walk<'p>(
+        &mut self,
+        types: &NodeTypeTable,
+        mut prev: Option<&'p Posting>,
+        postings: &'p [Posting],
+        counts: &[u64],
+    ) {
+        debug_assert_eq!(postings.len(), counts.len());
+        // Plain slices, so the stores below cannot be taken to move the
+        // vectors' buffers: their bounds stay in registers.
+        let (tf, df) = (&mut self.tf[..], &mut self.df[..]);
+        for (p, &c) in postings.iter().zip(counts) {
             let shared = prev
                 .map(|q| q.dewey.common_prefix_len(&p.dewey))
                 .unwrap_or(0);
             // A node has exactly one ancestor-or-self type per Dewey
             // level; the walk meets them deepest first, so the first
             // `len - shared` are the levels not shared with `prev`.
-            let c = counts[kid][i];
             let unshared = p.dewey.len() - shared;
             for (m, t) in types.ancestors_or_self(p.node_type).enumerate() {
-                tf_local[t.0 as usize] += c;
+                tf[t.0 as usize] += c;
                 if m < unshared {
-                    df_local[t.0 as usize] += 1;
+                    df[t.0 as usize] += 1;
                 }
             }
             prev = Some(p);
         }
-        for t in 0..num_types {
-            if df_local[t] > 0 {
-                df.insert((NodeTypeId(t as u32), k), df_local[t]);
-                df_local[t] = 0;
-            }
-            if tf_local[t] > 0 {
-                tf.insert((NodeTypeId(t as u32), k), tf_local[t]);
-                tf_local[t] = 0;
+    }
+
+    /// Hands `f` every type's `(tf, df)` that is not zero, and zeroes
+    /// the totals for the next walk.
+    fn drain(&mut self, mut f: impl FnMut(NodeTypeId, u64, u64)) {
+        for (t, (tf, df)) in self.tf.iter_mut().zip(&mut self.df).enumerate() {
+            if *tf > 0 || *df > 0 {
+                f(NodeTypeId(t as u32), *tf, *df);
+                (*tf, *df) = (0, 0);
             }
         }
     }

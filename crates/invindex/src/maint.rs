@@ -11,40 +11,66 @@
 //! fresh generation current. `MaintIndex` is a plain value: `commit`
 //! and `compact` take `&mut self`, and it holds no lock of its own.
 //!
-//! # Commit protocol (rebuild-diff)
+//! # Commit protocol
 //!
-//! A commit renders the current records from the document and applies
-//! the ops to them. An added fragment is checked by the scanner that
-//! [`build_streaming`] runs and appended as it came: it is never parsed
-//! into a DOM or re-rendered. The commit then rebuilds the full index of
-//! the recomposed corpus in memory with [`build_streaming`] — the same
-//! builder `xrefine-cli index` runs, single-threaded because the build
-//! happens under the writer lock — persists it to a scratch store, and
-//! diffs that against the live store; only the differing keys ship as
-//! the WAL batch. This is deliberately the *strongest* maintenance
-//! discipline: after every commit the durable store is byte-identical to
-//! a from-scratch rebuild of the same corpus (the differential oracle in
-//! `tests/maint_differential.rs` holds by construction), and crash
-//! recovery is exactly [`kvstore::DurableKv`]'s committed-prefix replay.
-//! The cost is a rebuild per transaction — acceptable for the paper's
-//! corpus scale, and an explicit trade the DESIGN.md section records.
+//! A commit first applies the ops to the current records' slots: an
+//! added fragment is checked by the scanner that
+//! [`build_streaming`](crate::build_streaming) runs and kept as it came
+//! (it is never parsed into a DOM or re-rendered), and a slot out of
+//! range is refused. What the ops leave is always the current records in
+//! their order, less those removed, followed by the fragments added. So
+//! the commit keeps the records before the first slot the ops change —
+//! the first `keep` — and drops every record from that slot on; those of
+//! the dropped records that survive are rendered and appended again,
+//! followed by the added fragments. An add drops nothing, a remove of the
+//! last slot drops one record, and a remove of slot 0 drops and appends
+//! the whole corpus.
+//!
+//! Only the records dropped and appended are indexed. The dropped
+//! records' postings are the tail of each list they touch from the label
+//! `[0, keep]` on; their occurrence counts come from re-tokenizing the
+//! rendered records through the streaming builder's scan and tokenize
+//! phases, and their frequencies are taken away by the builder's own
+//! frequency walk. Keywords, tag names and node types only they held
+//! were first seen there, so they are the last ids of their tables and
+//! are truncated; a store whose vocabulary breaks that, or whose
+//! statistics would be taken below zero, is refused as corrupt before
+//! anything is written. The appended records are the next chunk of a
+//! streaming build, merged into the document builder reopened after the
+//! kept records ([`DocumentBuilder::resume`]), so a new keyword, tag or
+//! type gets the id a build from scratch gives it. Each touched list is
+//! re-encoded from its stored postings minus or plus its tail, read from
+//! the commit's store snapshot (not the list cache); `D/doc`, `V/`, `S/`
+//! and `M/maint` are encoded from the new tables, and a value equal to
+//! the stored one is not shipped.
+//!
+//! The batch is the changed keys' puts in key order, then the deletes in
+//! key order: op for op the one a diff of the live store against a
+//! from-scratch build of the new corpus would ship. So after every commit
+//! the durable store is byte-identical to a build of the same corpus
+//! (`tests/maint_differential.rs` for the final state,
+//! `tests/maint_delta.rs` after every commit), and crash recovery is
+//! exactly [`kvstore::DurableKv`]'s committed-prefix replay. A commit's
+//! work still grows with the corpus in two ways: `D/doc` and the stat
+//! tables are rewritten whole, and a remove re-indexes every record
+//! after its slot.
 //!
 //! # Making a generation current
 //!
 //! ```text
-//! commit:  build → persist to scratch → diff → apply_batch (WAL)
+//! commit:  stage (drop and append records) → apply_batch (WAL)
 //!            ── nothing below can fail ──
 //!            → cache.publish(gen+1, changed ids)
 //!                 (stale inserts refused, then stale entries dropped)
-//!            → new KvBackedIndex at gen+1: the build's document,
+//!            → new KvBackedIndex at gen+1: the staged document,
 //!              vocabulary and statistics over durable.snapshot() (O(1))
 //!            → seq advances
 //! ```
 //!
-//! The new reader is assembled from the commit's own build rather than
+//! The new reader is assembled from the commit's own parts rather than
 //! decoded back from the store, so once the WAL append returns, the
 //! writer's state moves with it: a durable batch is never reported as a
-//! failure, and the next commit diffs against what the store holds.
+//! failure, and the next commit reads what the store holds.
 //!
 //! The epoch pointer readers pin is `LiveEngine`'s (xrefine): it holds
 //! this index behind its writer lock and, still holding it, builds an
@@ -69,17 +95,21 @@
 //! read the old inode through the handle their snapshot pinned.
 
 use crate::cache::ListCache;
+use crate::dfpass;
+use crate::fxhash::FxMap;
 use crate::kvindex::KvBackedIndex;
 use crate::persist;
-use crate::postings::{read_varint, write_varint};
+use crate::postings::{read_varint, write_varint, PostingList};
 use crate::reader::StoredList;
-use crate::stats::{KeywordTable, TypeStats};
-use crate::stream::build_streaming;
-use kvstore::{BatchOp, DurableKv, KvError, KvStore, MemKv, Result, StdVfs, Vfs};
+use crate::stats::{KeywordId, KeywordTable, Sign, TypeStats};
+use crate::stream;
+use kvstore::{BatchOp, DurableKv, KvError, KvStore, Result, Snapshot, StdVfs, Vfs};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
-use xmldom::{check_document, Document, MAX_SCAN_DEPTH};
+use xmldom::{check_document, Dewey, Document, DocumentBuilder, NodeTypeId, MAX_SCAN_DEPTH};
 
 /// The store key holding maintenance metadata (committed transaction
 /// sequence number and record count), framed like every other persisted
@@ -198,61 +228,243 @@ impl MaintIndex {
     }
 
     fn commit_ops(&mut self, ops: &[MaintOp]) -> Result<MaintReport> {
-        // 1. Apply the ops to the current records, rendered from the
-        //    document.
-        let doc = self.reader.document();
-        let mut records = render_records(doc);
-        let (mut added, mut removed) = (0usize, 0usize);
-        for op in ops {
-            match op {
-                MaintOp::Add { fragment } => {
-                    check_fragment(fragment)?;
-                    records.push(fragment.clone());
-                    added += 1;
-                }
-                MaintOp::Remove { slot } => {
-                    if *slot >= records.len() {
-                        return Err(KvError::Refused(format!(
-                            "maintenance remove slot {slot} out of range \
-                             ({} records at that point in the transaction)",
-                            records.len()
-                        )));
-                    }
-                    records.remove(*slot);
-                    removed += 1;
-                }
-            }
-        }
+        // 1. Apply the ops to the current records' slots.
+        let (records, added, removed) = apply_ops(ops, self.record_count())?;
 
-        // 2. Rebuild the post-transaction index in memory.
-        let xml = compose_corpus(doc, &records);
-        let built = build_streaming(&xml, 1)
-            .map_err(|e| KvError::corrupt(format!("reconstructed corpus does not parse: {e}")))?;
-        let mut target = MemKv::new();
-        persist::persist(&built, &mut target)?;
+        // 2. Stage the store delta and the next generation's parts.
         let seq = self.seq + 1;
-        let count = record_count(built.document());
-        target.put(MAINT_KEY, &encode_maint_meta(seq, count as u64))?;
+        let staged = self.stage(&records, seq)?;
 
-        // 3. Diff against the live store; ship only the delta. The
-        //    append is the last step that can fail.
-        let batch = diff_stores(&self.durable.snapshot(), &target)?;
-        let changed_lists = changed_list_ids(&batch);
-        self.durable.apply_batch(&batch)?;
+        // 3. Ship the delta. The append is the last step that can fail.
+        let changed_lists = changed_list_ids(&staged.batch);
+        self.durable.apply_batch(&staged.batch)?;
 
         // 4. The batch is durable: make its generation current from the
-        //    build itself, which is what the store now holds.
-        let (doc, vocab, _, stats) = built.into_parts();
-        self.advance(doc, vocab, stats, &changed_lists);
+        //    staged parts, which are what the store now holds.
+        self.advance(staged.doc, staged.vocab, staged.stats, &changed_lists);
         self.seq = seq;
         obs::gauge!("maint_overlay_entries").set(self.durable.overlay_len() as i64);
         Ok(MaintReport {
             seq,
             generation: self.reader.generation(),
-            records: count,
-            batch_ops: batch.len(),
+            records: records.len(),
+            batch_ops: staged.batch.len(),
             added,
             removed,
+        })
+    }
+
+    /// Stages the commit that leaves `records`: the WAL batch that turns
+    /// the store into a build of those records, and the document,
+    /// vocabulary and statistics of the next generation. The records from
+    /// the first slot the ops change on are dropped; the survivors among
+    /// them are appended again after the kept ones, then the fragments.
+    fn stage(&self, records: &[Record<'_>], seq: u64) -> Result<Staged> {
+        let store = self.durable.snapshot();
+        let old = self.reader.document();
+        let old_vocab = self.reader.vocabulary();
+        let mut stats = self.reader.stats().clone();
+        // The lists the commit touches, by keyword id: each one's postings
+        // as the commit leaves it, and its stored value.
+        let mut touched: BTreeMap<KeywordId, TouchedList> = BTreeMap::new();
+
+        // The records before the first slot the ops change are kept. Every
+        // later one is dropped, rendered and tokenized as a build would
+        // scan it; those that survive are merged from the same tokens.
+        let keep = records
+            .iter()
+            .enumerate()
+            .take_while(|&(slot, r)| *r == Record::Current(slot))
+            .count();
+        let slots = &old.node(old.root()).children;
+        let rendered: Vec<String> = slots[keep..]
+            .iter()
+            .map(|&r| old.subtree_to_xml(r))
+            .collect();
+        let dropped_records = rendered
+            .iter()
+            .map(|xml| stream::TokenizedRecord::new(xml))
+            .collect::<std::result::Result<Vec<_>, _>>()
+            .map_err(|e| KvError::corrupt(format!("a stored record does not scan: {e}")))?;
+
+        // 1. Take the dropped records' postings and frequencies away. The
+        //    occurrences behind each dropped posting are read from the
+        //    tokenized records, in document order.
+        let mut dropped: FxMap<KeywordId, Vec<u64>> = FxMap::default();
+        for (&record, tokenized) in slots[keep..].iter().zip(&dropped_records) {
+            let ids = tokenized
+                .keywords()
+                .iter()
+                .map(|word| {
+                    old_vocab.get(word).ok_or_else(|| {
+                        KvError::corrupt(format!(
+                            "a stored record holds {word:?}, which the vocabulary lacks"
+                        ))
+                    })
+                })
+                .collect::<Result<Vec<_>>>()?;
+            for (local, c) in tokenized.occurrences() {
+                dropped.entry(ids[local as usize]).or_default().push(c);
+            }
+            for id in old.descendants_or_self(record) {
+                stats.adjust_n_nodes(old.node(id).node_type, 1, Sign::Minus)?;
+            }
+        }
+        let first_dropped = Dewey::root().child(keep as u32);
+        for (k, counts) in dropped {
+            let stored = stored_list(&store, k)?;
+            let mut kept = persist::decode_list_value(&stored)?;
+            let at = kept.as_slice().partition_point(|p| p.dewey < first_dropped);
+            let gone = kept.split_off(at);
+            if gone.len() != counts.len() {
+                return Err(KvError::corrupt(format!(
+                    "list {} holds {} postings in the dropped records, which hold {}",
+                    k.0,
+                    gone.len(),
+                    counts.len()
+                )));
+            }
+            let prev = kept.as_slice().last();
+            let types = old.node_types();
+            dfpass::adjust_stats(
+                &mut stats,
+                types,
+                k,
+                prev,
+                gone.as_slice(),
+                &counts,
+                Sign::Minus,
+            )?;
+            touched.insert(
+                k,
+                TouchedList {
+                    postings: kept,
+                    stored: Some(stored),
+                },
+            );
+        }
+        // Keywords only the dropped records held were first seen there, so
+        // their ids are the vocabulary's last.
+        let gone = touched.values().filter(|t| t.postings.is_empty()).count();
+        let kept_words = old_vocab.len() - gone;
+        if touched
+            .iter()
+            .any(|(k, t)| t.postings.is_empty() != (k.0 as usize >= kept_words))
+        {
+            return Err(KvError::corrupt(
+                "the keywords only the dropped records hold are not the vocabulary's last ids",
+            ));
+        }
+        let mut vocab = old_vocab.clone();
+        vocab.truncate(kept_words);
+
+        // 2. Append, after the kept records, the dropped ones that survive
+        //    and then the added fragments, as the next chunks of a
+        //    streaming build. `apply_ops` leaves every current record
+        //    ahead of the added ones, in slot order.
+        let mut survives = vec![false; dropped_records.len()];
+        let mut tail = Vec::with_capacity(records.len() - keep);
+        for record in &records[keep..] {
+            match *record {
+                Record::Current(slot) => survives[slot - keep] = true,
+                Record::Added(fragment) => {
+                    tail.push(stream::TokenizedRecord::new(fragment).map_err(|e| {
+                        KvError::corrupt(format!("a checked fragment does not scan: {e}"))
+                    })?)
+                }
+            }
+        }
+        let survivors = dropped_records.into_iter().zip(survives);
+        let mut appending: Vec<_> = survivors.filter_map(|(r, s)| s.then_some(r)).collect();
+        appending.append(&mut tail);
+        let appended = stream::append_records(DocumentBuilder::resume(old, keep), vocab, appending);
+        let doc = appended.doc;
+        stats.set_type_count(doc.node_types().len())?;
+        for (t, &n) in (0u32..).zip(&appended.n_nodes) {
+            stats.adjust_n_nodes(NodeTypeId(t), n, Sign::Plus)?;
+        }
+        for ((k, list), counts) in (0u32..).zip(appended.lists).zip(&appended.counts) {
+            if list.is_empty() {
+                continue;
+            }
+            let k = KeywordId(k);
+            let entry = match touched.entry(k) {
+                Entry::Occupied(e) => e.into_mut(),
+                // A kept keyword the drop did not touch, or a new one.
+                Entry::Vacant(e) if (k.0 as usize) < kept_words => {
+                    let stored = stored_list(&store, k)?;
+                    e.insert(TouchedList {
+                        postings: persist::decode_list_value(&stored)?,
+                        stored: Some(stored),
+                    })
+                }
+                Entry::Vacant(e) => e.insert(TouchedList {
+                    postings: PostingList::new(),
+                    stored: None,
+                }),
+            };
+            let prev = entry.postings.as_slice().last();
+            let types = doc.node_types();
+            dfpass::adjust_stats(
+                &mut stats,
+                types,
+                k,
+                prev,
+                list.as_slice(),
+                counts,
+                Sign::Plus,
+            )?;
+            entry.postings.append(list);
+        }
+        let vocab = appended.vocab;
+
+        // 3. Every key the commit changes, with its new value (`None`
+        //    deletes it).
+        let mut changes: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
+        for (k, text) in old_vocab.iter().skip(kept_words) {
+            changes.insert(persist::vocab_entry(k, text).0, None);
+        }
+        for (k, text) in vocab.iter().skip(kept_words) {
+            let (key, value) = persist::vocab_entry(k, text);
+            if old_vocab.get(text) == Some(k) {
+                changes.remove(&key);
+            } else {
+                changes.insert(key, Some(value));
+            }
+        }
+        for (k, list) in touched {
+            let value =
+                (!list.postings.is_empty()).then(|| persist::encode_list_value(&list.postings));
+            if value != list.stored {
+                changes.insert(persist::list_key(k.0), value);
+            }
+        }
+        let whole = [
+            (b"D/doc".as_slice(), persist::document_value(&doc)),
+            (MAINT_KEY, encode_maint_meta(seq, records.len() as u64)),
+        ];
+        for (key, value) in whole.into_iter().chain(persist::stats_entries(&stats)) {
+            if store.get(key)?.as_ref() != Some(&value) {
+                changes.insert(key.to_vec(), Some(value));
+            }
+        }
+
+        // 4. The batch: the puts in key order, then the deletes in key
+        //    order.
+        let mut batch = Vec::with_capacity(changes.len());
+        let mut deletes = Vec::new();
+        for (key, value) in changes {
+            match value {
+                Some(value) => batch.push(BatchOp::Put(key, value)),
+                None => deletes.push(BatchOp::Delete(key)),
+            }
+        }
+        batch.append(&mut deletes);
+        Ok(Staged {
+            batch,
+            doc: Arc::new(doc),
+            vocab,
+            stats,
         })
     }
 
@@ -334,6 +546,67 @@ fn record_count(doc: &Document) -> usize {
     doc.node(doc.root()).children.len()
 }
 
+/// A record a transaction leaves, by where it comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Record<'a> {
+    /// The current record in this slot.
+    Current(usize),
+    /// A fragment the transaction adds.
+    Added(&'a str),
+}
+
+/// A commit ready to append: its WAL batch, and the document, vocabulary
+/// and statistics the store holds once the batch is durable.
+struct Staged {
+    batch: Vec<BatchOp>,
+    doc: Arc<Document>,
+    vocab: KeywordTable,
+    stats: TypeStats,
+}
+
+/// A posting list a commit rewrites: its postings after the
+/// commit, and the value stored for its keyword id before it.
+struct TouchedList {
+    postings: PostingList,
+    stored: Option<Vec<u8>>,
+}
+
+/// The records `ops` leave, applied in order to the `current` records,
+/// and how many records they add and remove. Refuses a fragment that
+/// does not scan and a slot out of range, at the first op that has one.
+fn apply_ops(ops: &[MaintOp], current: usize) -> Result<(Vec<Record<'_>>, usize, usize)> {
+    let mut records: Vec<Record<'_>> = (0..current).map(Record::Current).collect();
+    let (mut added, mut removed) = (0usize, 0usize);
+    for op in ops {
+        match op {
+            MaintOp::Add { fragment } => {
+                check_fragment(fragment)?;
+                records.push(Record::Added(fragment));
+                added += 1;
+            }
+            MaintOp::Remove { slot } => {
+                if *slot >= records.len() {
+                    return Err(KvError::Refused(format!(
+                        "maintenance remove slot {slot} out of range \
+                         ({} records at that point in the transaction)",
+                        records.len()
+                    )));
+                }
+                records.remove(*slot);
+                removed += 1;
+            }
+        }
+    }
+    Ok((records, added, removed))
+}
+
+/// The stored value of keyword `k`'s posting list, which must exist.
+fn stored_list(store: &Snapshot, k: KeywordId) -> Result<Vec<u8>> {
+    store
+        .get(&persist::list_key(k.0))?
+        .ok_or_else(|| KvError::corrupt(format!("keyword id {} has no stored list", k.0)))
+}
+
 /// Renders `doc`'s root children back to canonical XML fragments.
 fn render_records(doc: &Document) -> Vec<String> {
     let root = doc.node(doc.root());
@@ -381,28 +654,6 @@ fn compose_corpus(doc: &Document, records: &[String]) -> String {
     xml
 }
 
-/// Minimal batch turning the live store's contents into `target`'s: the
-/// puts in key order, then the deletes in key order. Both scans come in
-/// ascending key order, so one merge walk pairs them, and each value put
-/// is moved out of the target's scan, never copied.
-fn diff_stores(live: &dyn KvStore, target: &dyn KvStore) -> Result<Vec<BatchOp>> {
-    let mut current = live.scan_range(b"", None)?.into_iter().peekable();
-    let mut ops = Vec::new();
-    let mut deletes = Vec::new();
-    for (key, value) in target.scan_range(b"", None)? {
-        while let Some((gone, _)) = current.next_if(|(k, _)| *k < key) {
-            deletes.push(BatchOp::Delete(gone));
-        }
-        match current.next_if(|(k, _)| *k == key) {
-            Some((_, held)) if held == value => {}
-            _ => ops.push(BatchOp::Put(key, value)),
-        }
-    }
-    deletes.extend(current.map(|(gone, _)| BatchOp::Delete(gone)));
-    ops.append(&mut deletes);
-    Ok(ops)
-}
-
 /// Keyword ids of the posting lists a batch touches (the entries the
 /// cache must drop at publish).
 fn changed_list_ids(batch: &[BatchOp]) -> Vec<u32> {
@@ -440,7 +691,8 @@ pub fn decode_maint_meta(value: &[u8]) -> Result<(u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kvstore::{DiskKv, Fault, FaultVfs, VfsFile};
+    use crate::stream::build_streaming;
+    use kvstore::{DiskKv, Fault, FaultVfs, MemKv, VfsFile};
     use std::collections::BTreeMap;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -632,6 +884,41 @@ mod tests {
             assert!(!err.to_string().contains("corrupt"), "{err}");
         }
         assert_eq!(maint.seq(), 0);
+        assert!(Arc::ptr_eq(&before, &maint.snapshot()));
+    }
+
+    #[test]
+    fn statistics_a_drop_would_take_below_zero_refuse_the_commit_as_corrupt() {
+        // A store whose `S/T` and `S/D` lack "refinement", which only the
+        // last record holds: dropping that record takes them below zero.
+        let vfs = FaultVfs::new();
+        let base = PathBuf::from("/maint/store.db");
+        let built = build_streaming(CORPUS, 1).unwrap();
+        let k = built.vocabulary().get("refinement").unwrap();
+        let mut stats = built.stats().clone();
+        let held: Vec<_> = stats
+            .iter_tf()
+            .filter(|&(_, held, _)| held == k)
+            .map(|(t, _, tf)| (t, tf, stats.df(t, k)))
+            .collect();
+        for (t, tf, df) in held {
+            stats.adjust(t, k, tf, df, Sign::Minus).unwrap();
+        }
+        let mut disk = DiskKv::open_with_vfs(&vfs.as_dyn(), &base).unwrap();
+        persist::persist(&built, &mut disk).unwrap();
+        for (key, value) in persist::stats_entries(&stats) {
+            disk.put(key, &value).unwrap();
+        }
+        disk.sync().unwrap();
+        drop(disk);
+
+        let mut maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
+        let before = maint.snapshot();
+        let err = maint.commit(&[MaintOp::Remove { slot: 1 }]).unwrap_err();
+        assert!(!matches!(err, KvError::Refused(_)), "{err}");
+        assert!(err.to_string().contains("disagree"), "{err}");
+        assert_eq!(maint.seq(), 0);
+        assert_eq!(maint.overlay_len(), 0);
         assert!(Arc::ptr_eq(&before, &maint.snapshot()));
     }
 
@@ -880,6 +1167,106 @@ mod tests {
         let snap = maint.snapshot();
         for word in ["first", "second"] {
             assert!(!snap.list_handle(word).unwrap().is_empty(), "{word}");
+        }
+    }
+
+    /// The reference batch: the minimal one turning the live store's contents into `target`'s: the
+    /// puts in key order, then the deletes in key order. Both scans come in
+    /// ascending key order, so one merge walk pairs them, and each value put
+    /// is moved out of the target's scan, never copied.
+    fn diff_stores(live: &dyn KvStore, target: &dyn KvStore) -> Result<Vec<BatchOp>> {
+        let mut current = live.scan_range(b"", None)?.into_iter().peekable();
+        let mut ops = Vec::new();
+        let mut deletes = Vec::new();
+        for (key, value) in target.scan_range(b"", None)? {
+            while let Some((gone, _)) = current.next_if(|(k, _)| *k < key) {
+                deletes.push(BatchOp::Delete(gone));
+            }
+            match current.next_if(|(k, _)| *k == key) {
+                Some((_, held)) if held == value => {}
+                _ => ops.push(BatchOp::Put(key, value)),
+            }
+        }
+        deletes.extend(current.map(|(gone, _)| BatchOp::Delete(gone)));
+        ops.append(&mut deletes);
+        Ok(ops)
+    }
+
+    /// The batch a rebuild would ship for `records`: the live store
+    /// diffed against a from-scratch build of the recomposed corpus.
+    fn rebuilt_batch(maint: &MaintIndex, records: &[Record<'_>], seq: u64) -> Vec<BatchOp> {
+        let doc = maint.reader.document();
+        let slots = &doc.node(doc.root()).children;
+        let texts: Vec<String> = records
+            .iter()
+            .map(|record| match *record {
+                Record::Current(slot) => doc.subtree_to_xml(slots[slot]),
+                Record::Added(fragment) => fragment.to_string(),
+            })
+            .collect();
+        let built = build_streaming(&compose_corpus(doc, &texts), 1).unwrap();
+        let mut target = MemKv::new();
+        persist::persist(&built, &mut target).unwrap();
+        let meta = encode_maint_meta(seq, records.len() as u64);
+        target.put(MAINT_KEY, &meta).unwrap();
+        diff_stores(&maint.durable.snapshot(), &target).unwrap()
+    }
+
+    /// A transaction over `n` records, drawn from `r`: adds (of fragments
+    /// that bring new words, tags and attributes, or none), removes of
+    /// the last slots, an add removed again, and removes from the middle
+    /// and the front.
+    fn shaped(r: u64, n: usize) -> Vec<MaintOp> {
+        const WORDS: [&str; 8] = [
+            "xml",
+            "query",
+            "novel",
+            "stack",
+            "unseen",
+            "refinement",
+            "2003",
+            "odd",
+        ];
+        let fragment = |i: u64| {
+            let (a, b) = (WORDS[i as usize % 8], WORDS[(i / 8) as usize % 8]);
+            match i % 3 {
+                0 => format!("<paper><title>{a} {b}</title><year>2009</year></paper>"),
+                1 => format!("<paper k=\"{b}\"><note>{a}{i}</note></paper>"),
+                _ => format!("<paper><title>{a}</title></paper>"),
+            }
+        };
+        let remove = |slot: usize| MaintOp::Remove { slot };
+        let anywhere = (r / 7) as usize % n.max(1);
+        match (r % 7, n) {
+            (1, _) => (0..2).map(|i| add(&fragment(r / 7 + i))).collect(),
+            (2, 1..) => vec![remove(n - 1)],
+            (3, 2..) => vec![remove(n - 1), remove(n - 2), add(&fragment(r / 7))],
+            (4, _) => vec![add(&fragment(r / 7)), remove(n)],
+            (5, 2..) => vec![remove(anywhere), add(&fragment(r / 7))],
+            (6, 2..) => vec![add(&fragment(r / 7)), remove(0), remove(anywhere)],
+            _ => vec![add(&fragment(r / 7))],
+        }
+    }
+
+    #[test]
+    fn the_commit_batch_is_the_rebuild_diff_op_for_op() {
+        let (vfs, base) = fresh();
+        let mut maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
+        let mut r = 0x9E37_79B9_7F4A_7C15u64;
+        for t in 0..64 {
+            r ^= r << 13;
+            r ^= r >> 7;
+            r ^= r << 17;
+            let ops = shaped(r, maint.record_count());
+            let (records, _, _) = apply_ops(&ops, maint.record_count()).unwrap();
+            let seq = maint.seq() + 1;
+            let staged = maint.stage(&records, seq).unwrap();
+            let rebuilt = rebuilt_batch(&maint, &records, seq);
+            assert_eq!(staged.batch, rebuilt, "txn {t}: {ops:?}");
+            maint.commit(&ops).unwrap();
+            if t % 8 == 7 {
+                maint.compact().unwrap();
+            }
         }
     }
 

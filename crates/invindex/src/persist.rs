@@ -62,29 +62,36 @@ pub fn persist(index: &Index, store: &mut dyn KvStore) -> Result<()> {
     write_varint(&mut buf, FORMAT_VERSION);
     store.put(b"M/version", &buf)?;
 
-    store.put(b"D/doc", &frame_value(&encode_document(index.document())))?;
+    store.put(b"D/doc", &document_value(index.document()))?;
 
     for (k, text) in index.vocabulary().iter() {
-        let key = [b"V/".as_slice(), text.as_bytes()].concat();
-        store.put(&key, &frame_value(&k.0.to_le_bytes()))?;
+        let (key, value) = vocab_entry(k, text);
+        store.put(&key, &value)?;
     }
 
     for (key, value) in list_entries(index.lists()) {
         store.put(&key, &value)?;
     }
 
-    let mut nbuf = Vec::new();
-    for &n in index.stats().n_nodes_vec() {
-        write_varint(&mut nbuf, n);
+    for (key, value) in stats_entries(index.stats()) {
+        store.put(key, &value)?;
     }
-    store.put(b"S/N", &frame_value(&nbuf))?;
+    store.sync()
+}
 
-    let mut gbuf = Vec::new();
-    for &g in index.stats().distinct_keywords_vec() {
-        write_varint(&mut gbuf, g);
-    }
-    store.put(b"S/G", &frame_value(&gbuf))?;
+/// The `D/doc` value of `doc`.
+pub(crate) fn document_value(doc: &Document) -> Vec<u8> {
+    frame_value(&encode_document(doc))
+}
 
+/// The `V/` entry of keyword `k`.
+pub(crate) fn vocab_entry(k: KeywordId, text: &str) -> (Vec<u8>, Vec<u8>) {
+    let key = [b"V/".as_slice(), text.as_bytes()].concat();
+    (key, frame_value(&k.0.to_le_bytes()))
+}
+
+/// The `S/` entries of `stats`: `S/N`, `S/G`, `S/T` and `S/D`.
+pub(crate) fn stats_entries(stats: &TypeStats) -> [(&'static [u8], Vec<u8>); 4] {
     // The stat tables are hash maps; pack their entries in sorted (t, k)
     // order so the stored bytes are a pure function of the index
     // contents (`ingest_differential.rs` relies on persisted
@@ -93,13 +100,25 @@ pub fn persist(index: &Index, store: &mut dyn KvStore) -> Result<()> {
     // one byte, and the stat tables dominate store size on real corpora.
     // The trade-off (DESIGN.md §4i): the CRC covers the whole table, so
     // stat damage is table-granular rather than per-keyword.
-    let mut tf: Vec<_> = index.stats().iter_tf().collect();
+    let mut tf: Vec<_> = stats.iter_tf().collect();
     tf.sort_unstable_by_key(|&(t, k, _)| (t.0, k.0));
-    let mut df: Vec<_> = index.stats().iter_df().collect();
+    let mut df: Vec<_> = stats.iter_df().collect();
     df.sort_unstable_by_key(|&(t, k, _)| (t.0, k.0));
-    store.put(b"S/T", &frame_value(&encode_packed_stats(&tf)))?;
-    store.put(b"S/D", &frame_value(&encode_packed_stats(&df)))?;
-    store.sync()
+    [
+        (b"S/N", varint_vec_value(stats.n_nodes_vec())),
+        (b"S/G", varint_vec_value(stats.distinct_keywords_vec())),
+        (b"S/T", frame_value(&encode_packed_stats(&tf))),
+        (b"S/D", frame_value(&encode_packed_stats(&df))),
+    ]
+}
+
+/// A framed vector of varints (`S/N`, `S/G`).
+fn varint_vec_value(values: &[u64]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    for &v in values {
+        write_varint(&mut buf, v);
+    }
+    frame_value(&buf)
 }
 
 /// The `L/` entries of `lists` (indexed by keyword id), encoded one at a

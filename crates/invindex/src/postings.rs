@@ -147,6 +147,27 @@ impl PostingList {
         self.postings.push(posting);
     }
 
+    /// Moves the postings from `at` on (all of them past the end) into a
+    /// list of their own.
+    pub(crate) fn split_off(&mut self, at: usize) -> PostingList {
+        PostingList {
+            postings: self.postings.split_off(at.min(self.postings.len())),
+        }
+    }
+
+    /// Appends `tail`, whose postings must all follow the current tail in
+    /// document order.
+    pub(crate) fn append(&mut self, mut tail: PostingList) {
+        debug_assert!(
+            match (self.postings.last(), tail.postings.first()) {
+                (Some(last), Some(first)) => last.dewey < first.dewey,
+                _ => true,
+            },
+            "append out of document order"
+        );
+        self.postings.append(&mut tail.postings);
+    }
+
     pub fn len(&self) -> usize {
         self.postings.len()
     }

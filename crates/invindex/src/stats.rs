@@ -13,6 +13,7 @@
 //!   subtrees contain both keywords (Formula 7), served by
 //!   [`crate::cooccur::CoOccurrence`].
 
+use kvstore::{KvError, Result};
 use std::collections::HashMap;
 use xmldom::NodeTypeId;
 
@@ -21,7 +22,7 @@ use xmldom::NodeTypeId;
 pub struct KeywordId(pub u32);
 
 /// Interner for the index vocabulary.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct KeywordTable {
     by_text: HashMap<String, KeywordId>,
     texts: Vec<String>,
@@ -67,10 +68,39 @@ impl KeywordTable {
             .enumerate()
             .map(|(i, t)| (KeywordId(i as u32), t.as_str()))
     }
+
+    /// Forgets every keyword from id `len` on.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        for text in self.texts.drain(len.min(self.texts.len())..) {
+            self.by_text.remove(&text);
+        }
+    }
+}
+
+/// Whether a change to the statistics adds or takes away.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Sign {
+    Plus,
+    Minus,
+}
+
+impl Sign {
+    /// `value` moved by `by` in this direction. Taking away more than
+    /// there is means the statistics and the postings disagree: the
+    /// store is corrupt.
+    fn apply(self, value: u64, by: u64) -> Result<u64> {
+        match self {
+            Sign::Plus => value.checked_add(by),
+            Sign::Minus => value.checked_sub(by),
+        }
+        .ok_or_else(|| {
+            KvError::corrupt("the statistics disagree with the postings: a count leaves its range")
+        })
+    }
 }
 
 /// The frequency tables of §VII ("frequent table").
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct TypeStats {
     /// `N_T` indexed by `NodeTypeId`.
     n_nodes: Vec<u64>,
@@ -158,6 +188,59 @@ impl TypeStats {
             tf,
             df,
         }
+    }
+
+    /// Moves `N_T` by `count` nodes.
+    pub(crate) fn adjust_n_nodes(&mut self, t: NodeTypeId, count: u64, sign: Sign) -> Result<()> {
+        let slot = &mut self.n_nodes[t.0 as usize];
+        *slot = sign.apply(*slot, count)?;
+        Ok(())
+    }
+
+    /// Moves `tf(k, T)` by `tf` and `f^T_k` by `df`. An entry that
+    /// reaches 0 is removed, and `G_T` follows `f^T_k` across 0, so the
+    /// tables stay what a build of the changed document counts.
+    pub(crate) fn adjust(
+        &mut self,
+        t: NodeTypeId,
+        k: KeywordId,
+        tf: u64,
+        df: u64,
+        sign: Sign,
+    ) -> Result<()> {
+        let before = self.df(t, k);
+        for (table, by) in [(&mut self.tf, tf), (&mut self.df, df)] {
+            if by == 0 {
+                continue;
+            }
+            let slot = table.entry((t, k)).or_insert(0);
+            *slot = sign.apply(*slot, by)?;
+            if *slot == 0 {
+                table.remove(&(t, k));
+            }
+        }
+        let after = self.df(t, k);
+        let g = &mut self.distinct_keywords[t.0 as usize];
+        match (before, after) {
+            (0, 1..) => *g = Sign::Plus.apply(*g, 1)?,
+            (1.., 0) => *g = Sign::Minus.apply(*g, 1)?,
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Sizes `N_T` and `G_T` for `num_types` types. A type given up must
+    /// have no node and no keyword left.
+    pub(crate) fn set_type_count(&mut self, num_types: usize) -> Result<()> {
+        for v in [&mut self.n_nodes, &mut self.distinct_keywords] {
+            if v.iter().skip(num_types).any(|&x| x != 0) {
+                return Err(KvError::corrupt(
+                    "the statistics disagree with the document: a node type given up still counts",
+                ));
+            }
+            v.resize(num_types, 0);
+        }
+        Ok(())
     }
 
     pub(crate) fn n_nodes_vec(&self) -> &[u64] {

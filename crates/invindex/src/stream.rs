@@ -42,6 +42,13 @@
 //!
 //! Each phase reports its wall time to an `obs` histogram
 //! (`invindex_ingest_{scan,tokenize,merge,df}_nanos`).
+//!
+//! A maintenance commit runs the same phases over the records it changes
+//! alone (`crate::maint`): `TokenizedRecord::new` scans and tokenizes
+//! one record, whose keywords a dropped record's postings are counted
+//! from, and `append_records` merges records as the next chunks of a
+//! build resumed after the kept ones. A record the commit drops and
+//! appends again is tokenized once for both.
 
 use crate::dfpass;
 use crate::fxhash::FxMap;
@@ -51,7 +58,7 @@ use crate::stats::{KeywordId, KeywordTable, TypeStats};
 use std::sync::Arc;
 use std::time::Instant;
 use xmldom::scan::{scan_with, AttrIter, ScanSink, Span};
-use xmldom::{decode_text, for_each_token, DocumentBuilder, ScanError};
+use xmldom::{decode_text, for_each_token, Document, DocumentBuilder, ScanError};
 
 /// One element as collected by the scan phase.
 #[derive(Debug, Clone, Copy)]
@@ -119,8 +126,7 @@ struct ChunkOut {
 /// each chunk's structure into the shared [`DocumentBuilder`] and binds
 /// chunk-local keyword ids to the global interner in first-encounter
 /// order, so the result is independent of how the ranges were cut.
-struct MergeState<'a> {
-    nodes: &'a [RawNode],
+struct MergeState {
     builder: DocumentBuilder,
     vocab: KeywordTable,
     lists: Vec<PostingList>,
@@ -129,32 +135,33 @@ struct MergeState<'a> {
     /// out of this sequential loop.
     counts_flat: Vec<Vec<u64>>,
     n_nodes: Vec<u64>,
+    /// Elements this merge opened that are still open.
     open_depth: usize,
-    global: usize,
 }
 
-impl<'a> MergeState<'a> {
-    fn new(nodes: &'a [RawNode]) -> Self {
+impl MergeState {
+    /// A merge into `builder` (new, or reopened by
+    /// [`DocumentBuilder::resume`]) that binds keywords in `vocab`.
+    fn new(builder: DocumentBuilder, vocab: KeywordTable) -> Self {
         MergeState {
-            nodes,
-            builder: DocumentBuilder::new(),
-            vocab: KeywordTable::new(),
+            builder,
+            vocab,
             lists: Vec::new(),
             counts_flat: Vec::new(),
             n_nodes: Vec::new(),
             open_depth: 0,
-            global: 0,
         }
     }
 
-    fn consume(&mut self, xml: &str, chunk: ChunkOut) {
+    /// Merges `chunk`, the tokenized elements `nodes` of `xml`. Their
+    /// depths count from the element the merge opens its first element
+    /// under: none in a build, the corpus root in an append.
+    fn consume(&mut self, xml: &str, nodes: &[RawNode], chunk: ChunkOut) {
         // Chunk-local keyword id -> global id, bound on first use so the
         // global interner still sees strings in document-order
         // first-encounter order.
         let mut memo: Vec<Option<KeywordId>> = vec![None; chunk.vocab.len()];
-        for out in chunk.nodes {
-            let raw = &self.nodes[self.global];
-            self.global += 1;
+        for (raw, out) in nodes.iter().zip(chunk.nodes) {
             while self.open_depth >= raw.depth as usize {
                 self.builder.close_element();
                 self.open_depth -= 1;
@@ -190,6 +197,14 @@ impl<'a> MergeState<'a> {
             }
         }
     }
+
+    /// Closes every element this merge opened.
+    fn close_open(&mut self) {
+        while self.open_depth > 0 {
+            self.builder.close_element();
+            self.open_depth -= 1;
+        }
+    }
 }
 
 /// Builds the index directly from XML text via the streaming scanner,
@@ -202,21 +217,7 @@ impl<'a> MergeState<'a> {
 pub fn build_streaming(xml: &str, threads: usize) -> Result<Index, ScanError> {
     // ---- phase 1: scan -----------------------------------------------
     let t_scan = Instant::now();
-    let mut collector = Collector::default();
-    scan_with(xml, &mut collector)?;
-    let nodes = collector.nodes;
-    let mut texts = collector.texts;
-    // Group each element's text segments (they are not contiguous in
-    // document order: `<r><a>x</a>tail</r>` interleaves owners). The
-    // stable sort keeps each owner's segments in document order.
-    texts.sort_by_key(|t| t.owner);
-    let mut text_start = vec![0usize; nodes.len() + 1];
-    for t in &texts {
-        text_start[t.owner as usize + 1] += 1;
-    }
-    for i in 1..text_start.len() {
-        text_start[i] += text_start[i - 1];
-    }
+    let spans = scan_spans(xml)?;
     obs::histogram!("invindex_ingest_scan_nanos").observe_duration(t_scan.elapsed());
 
     // ---- phases 2+3: tokenize (parallel) into merge (sequential) -----
@@ -231,22 +232,21 @@ pub fn build_streaming(xml: &str, threads: usize) -> Result<Index, ScanError> {
     // still amortising per-chunk vocabulary duplication.
     const CHUNK_TARGET_BYTES: usize = 4 << 20;
     let parts = (xml.len() / CHUNK_TARGET_BYTES + 1).max(threads.max(1));
-    let ranges = chunk_ranges(&nodes, &texts, &text_start, parts);
-    let mut merge = MergeState::new(&nodes);
+    let ranges = chunk_ranges(&spans, parts);
+    let mut merge = MergeState::new(DocumentBuilder::new(), KeywordTable::new());
     let mut merge_spent = std::time::Duration::ZERO;
     if threads <= 1 {
         for &(lo, hi) in &ranges {
-            let chunk = tokenize_range(xml, &nodes, &texts, &text_start, lo, hi);
+            let chunk = tokenize_range(xml, &spans, lo, hi);
             let t_merge = Instant::now();
-            merge.consume(xml, chunk);
+            merge.consume(xml, &spans.nodes[lo..hi], chunk);
             merge_spent += t_merge.elapsed();
         }
     } else {
         let next = std::sync::atomic::AtomicUsize::new(0);
         std::thread::scope(|s| {
             let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, ChunkOut)>(threads);
-            let (ranges, next) = (&ranges, &next);
-            let (nodes, texts, text_start) = (&nodes, &texts, &text_start);
+            let (ranges, next, spans) = (&ranges, &next, &spans);
             for _ in 0..threads.min(ranges.len()) {
                 let tx = tx.clone();
                 s.spawn(move || loop {
@@ -254,7 +254,7 @@ pub fn build_streaming(xml: &str, threads: usize) -> Result<Index, ScanError> {
                     let Some(&(lo, hi)) = ranges.get(i) else {
                         break;
                     };
-                    let chunk = tokenize_range(xml, nodes, texts, text_start, lo, hi);
+                    let chunk = tokenize_range(xml, spans, lo, hi);
                     if tx.send((i, chunk)).is_err() {
                         break;
                     }
@@ -269,31 +269,26 @@ pub fn build_streaming(xml: &str, threads: usize) -> Result<Index, ScanError> {
             for (i, chunk) in rx {
                 pending.insert(i, chunk);
                 while let Some(chunk) = pending.remove(&expect) {
+                    let (lo, hi) = ranges[expect];
                     expect += 1;
                     let t_merge = Instant::now();
-                    merge.consume(xml, chunk);
+                    merge.consume(xml, &spans.nodes[lo..hi], chunk);
                     merge_spent += t_merge.elapsed();
                 }
             }
         });
     }
+    merge.close_open();
     let MergeState {
-        mut builder,
+        builder,
         vocab,
         lists,
         counts_flat,
         mut n_nodes,
-        mut open_depth,
         ..
     } = merge;
-    while open_depth > 0 {
-        builder.close_element();
-        open_depth -= 1;
-    }
     let doc = Arc::new(builder.finish());
-    drop(texts);
-    drop(nodes);
-    drop(text_start);
+    drop(spans);
     obs::histogram!("invindex_ingest_tokenize_nanos")
         .observe_duration(t_pipe.elapsed().saturating_sub(merge_spent));
     obs::histogram!("invindex_ingest_merge_nanos").observe_duration(merge_spent);
@@ -313,15 +308,134 @@ pub fn build_streaming(xml: &str, threads: usize) -> Result<Index, ScanError> {
     Ok(Index::from_parts(doc, vocab, lists, stats))
 }
 
+/// One record — an element's XML, a root child of the corpus — scanned
+/// and tokenized on its own (phases 1–2).
+pub(crate) struct TokenizedRecord<'x> {
+    xml: &'x str,
+    nodes: Vec<RawNode>,
+    chunk: ChunkOut,
+}
+
+impl<'x> TokenizedRecord<'x> {
+    /// Scans and tokenizes `xml`.
+    pub(crate) fn new(xml: &'x str) -> Result<Self, ScanError> {
+        let spans = scan_spans(xml)?;
+        let chunk = tokenize_range(xml, &spans, 0, spans.nodes.len());
+        Ok(TokenizedRecord {
+            xml,
+            nodes: spans.nodes,
+            chunk,
+        })
+    }
+
+    /// The record's distinct keywords, in first-encounter order: the
+    /// local ids [`Self::occurrences`] names them by.
+    pub(crate) fn keywords(&self) -> &[String] {
+        &self.chunk.vocab
+    }
+
+    /// `(local keyword id, occurrences)` once per element and keyword in
+    /// it, elements in document order and each element's keywords in
+    /// first-encounter order.
+    pub(crate) fn occurrences(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        self.chunk
+            .nodes
+            .iter()
+            .flat_map(|n| n.counts.iter().copied())
+    }
+}
+
+/// The next records of a streaming build: each record is merged (phase
+/// 3) as the next child of `builder`'s open root, its keywords bound in
+/// `vocab`; then the root closes. The merge runs in document order, so a
+/// keyword, tag name or node type first seen here gets the id a build of
+/// the whole resulting document gives it.
+pub(crate) fn append_records(
+    builder: DocumentBuilder,
+    vocab: KeywordTable,
+    records: Vec<TokenizedRecord<'_>>,
+) -> Appended {
+    let mut merge = MergeState::new(builder, vocab);
+    for record in records {
+        merge.consume(record.xml, &record.nodes, record.chunk);
+        merge.close_open();
+    }
+    let MergeState {
+        mut builder,
+        vocab,
+        lists,
+        counts_flat,
+        n_nodes,
+        ..
+    } = merge;
+    builder.close_element();
+    Appended {
+        doc: builder.finish(),
+        vocab,
+        lists,
+        counts: counts_flat,
+        n_nodes,
+    }
+}
+
+/// What [`append_records`] leaves: the document and vocabulary after the
+/// append, and, of the appended records alone, the postings and their
+/// occurrence counts by keyword id and the nodes by node type id.
+pub(crate) struct Appended {
+    pub(crate) doc: Document,
+    pub(crate) vocab: KeywordTable,
+    pub(crate) lists: Vec<PostingList>,
+    pub(crate) counts: Vec<Vec<u64>>,
+    pub(crate) n_nodes: Vec<u64>,
+}
+
+/// Phase 1's product: every element, and its text segments grouped in
+/// document order behind `text_start` (element `i` owns
+/// `texts[text_start[i]..text_start[i + 1]]`).
+struct Spans {
+    nodes: Vec<RawNode>,
+    texts: Vec<RawText>,
+    text_start: Vec<usize>,
+}
+
+/// Phase 1: scans `xml` into [`Spans`].
+fn scan_spans(xml: &str) -> Result<Spans, ScanError> {
+    let mut collector = Collector::default();
+    scan_with(xml, &mut collector)?;
+    let nodes = collector.nodes;
+    let mut texts = collector.texts;
+    // Group each element's text segments (they are not contiguous in
+    // document order: `<r><a>x</a>tail</r>` interleaves owners). The
+    // stable sort keeps each owner's segments in document order.
+    texts.sort_by_key(|t| t.owner);
+    let mut text_start = vec![0usize; nodes.len() + 1];
+    for t in &texts {
+        text_start[t.owner as usize + 1] += 1;
+    }
+    for i in 1..text_start.len() {
+        text_start[i] += text_start[i - 1];
+    }
+    Ok(Spans {
+        nodes,
+        texts,
+        text_start,
+    })
+}
+
+impl Spans {
+    /// Element `i`'s text segments.
+    fn texts_of(&self, i: usize) -> &[RawText] {
+        self.texts
+            .get(self.text_start[i]..self.text_start[i + 1])
+            .unwrap_or(&[])
+    }
+}
+
 /// Cuts `[0, nodes.len())` into at most `parts` contiguous ranges with
 /// roughly equal byte weight (tag + attribute region + owned text), so
 /// text-heavy regions don't serialise the tokenize phase.
-fn chunk_ranges(
-    nodes: &[RawNode],
-    texts: &[RawText],
-    text_start: &[usize],
-    parts: usize,
-) -> Vec<(usize, usize)> {
+fn chunk_ranges(spans: &Spans, parts: usize) -> Vec<(usize, usize)> {
+    let nodes = &spans.nodes;
     if nodes.is_empty() {
         return Vec::new();
     }
@@ -330,12 +444,7 @@ fn chunk_ranges(
     }
     let weight = |i: usize| -> u64 {
         let n = &nodes[i];
-        let owned: usize = texts
-            .get(text_start[i]..text_start[i + 1])
-            .unwrap_or(&[])
-            .iter()
-            .map(|t| t.span.len())
-            .sum();
+        let owned: usize = spans.texts_of(i).iter().map(|t| t.span.len()).sum();
         (n.name.len() + n.attrs.len() + owned) as u64 + 8
     };
     let total: u64 = (0..nodes.len()).map(weight).sum();
@@ -360,20 +469,13 @@ fn chunk_ranges(
 /// Tokenizes elements `[lo, hi)`: decodes attributes and text, counts
 /// tokens in the reference builder's order (tag, text, attributes)
 /// against a chunk-local first-encounter vocabulary.
-fn tokenize_range(
-    xml: &str,
-    nodes: &[RawNode],
-    texts: &[RawText],
-    text_start: &[usize],
-    lo: usize,
-    hi: usize,
-) -> ChunkOut {
+fn tokenize_range(xml: &str, spans: &Spans, lo: usize, hi: usize) -> ChunkOut {
     let mut vocab: Vec<String> = Vec::new();
     let mut seen: FxMap<String, u32> = FxMap::default();
     let mut out_nodes: Vec<NodeOut> = Vec::with_capacity(hi - lo);
     let mut node_seen: FxMap<u32, usize> = FxMap::default();
     let mut scratch = String::new();
-    for (i, raw) in nodes.iter().enumerate().take(hi).skip(lo) {
+    for (i, raw) in spans.nodes.iter().enumerate().take(hi).skip(lo) {
         let mut counts: Vec<(u32, u64)> = Vec::new();
         node_seen.clear();
         // Tokens arrive as borrowed slices; only a first occurrence in
@@ -405,7 +507,7 @@ fn tokenize_range(
         // drop and the rest join with a single space — exactly the
         // DocumentBuilder::text accumulation the parser performs.
         let mut text = String::new();
-        for t in texts.get(text_start[i]..text_start[i + 1]).unwrap_or(&[]) {
+        for t in spans.texts_of(i) {
             let raw_seg = t.span.slice(xml);
             let decoded;
             let seg = if t.cdata {

@@ -17,7 +17,7 @@ pub struct Symbol(pub u32);
 pub struct NodeTypeId(pub u32);
 
 /// Interner for tag names.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SymbolTable {
     by_name: HashMap<String, Symbol>,
     names: Vec<String>,
@@ -56,10 +56,17 @@ impl SymbolTable {
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
     }
+
+    /// Forgets every symbol from `len` on.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        for name in self.names.drain(len.min(self.names.len())..) {
+            self.by_name.remove(&name);
+        }
+    }
 }
 
 /// One interned node type: its parent type, its tag and its depth.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct NodeType {
     parent: Option<NodeTypeId>,
     tag: Symbol,
@@ -70,7 +77,7 @@ struct NodeType {
 /// questions. A type is stored as (parent type, tag), so it costs the same
 /// whatever its depth. A path is first seen exactly when its (parent type,
 /// tag) pair is, so ids come in first-open order, parents before children.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct NodeTypeTable {
     by_key: HashMap<(Option<NodeTypeId>, Symbol), NodeTypeId>,
     types: Vec<NodeType>,
@@ -125,6 +132,13 @@ impl NodeTypeTable {
 
     pub fn is_empty(&self) -> bool {
         self.types.is_empty()
+    }
+
+    /// Forgets every type from `len` on.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        for t in self.types.drain(len.min(self.types.len())..) {
+            self.by_key.remove(&(t.parent, t.tag));
+        }
     }
 
     /// Renders a node type as its tag path `a/b/c`, for diagnostics.

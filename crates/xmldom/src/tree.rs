@@ -13,7 +13,7 @@ use crate::intern::{NodeTypeId, NodeTypeTable, Symbol, SymbolTable};
 pub struct NodeId(pub u32);
 
 /// An element node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
     /// Interned tag name.
     pub tag: Symbol,
@@ -33,7 +33,7 @@ pub struct Node {
 }
 
 /// A parsed XML document.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Document {
     nodes: Vec<Node>,
     symbols: SymbolTable,
@@ -240,6 +240,32 @@ impl DocumentBuilder {
         }
     }
 
+    /// Reopens `doc` at its root, as a build of its root and first `keep`
+    /// root children would stand before the root closes: the elements
+    /// opened next become root children `keep`, `keep + 1`, …. The later
+    /// root children's subtrees are left out, and so are the tag names
+    /// and node types that only they used. Both tables assign ids in
+    /// first-open order and the kept nodes are a pre-order prefix, so the
+    /// ids left out are a suffix of each, and every id that is kept or
+    /// assigned next is the one a build of the resulting document gives.
+    pub fn resume(doc: &Document, keep: usize) -> DocumentBuilder {
+        let root = doc.node(doc.root());
+        let cut = root.children.get(keep).map_or(doc.len(), |c| c.0 as usize);
+        let mut nodes = doc.nodes[..cut].to_vec();
+        nodes[0].children.truncate(keep);
+        let used = |id: fn(&Node) -> u32| nodes.iter().map(|n| id(n) as usize + 1).max();
+        let mut symbols = doc.symbols.clone();
+        symbols.truncate(used(|n| n.tag.0).unwrap_or(0));
+        let mut node_types = doc.node_types.clone();
+        node_types.truncate(used(|n| n.node_type.0).unwrap_or(0));
+        DocumentBuilder {
+            nodes,
+            symbols,
+            node_types,
+            open: vec![doc.root()],
+        }
+    }
+
     /// Opens a child element under the current element (or the root if
     /// nothing is open yet; only one root is allowed).
     pub fn open_element(&mut self, tag: &str) -> NodeId {
@@ -443,6 +469,33 @@ mod tests {
         for tag in ["bib", "author", "publications", "inproceedings", "hobby"] {
             assert!(xml.contains(&format!("<{tag}")), "missing {tag} in {xml}");
         }
+    }
+
+    #[test]
+    fn resume_continues_a_build_after_the_kept_children() {
+        let full = small_doc();
+        // The second author alone brings `hobby`, a new tag and type.
+        let mut b = DocumentBuilder::resume(&full, 1);
+        b.open_element("author");
+        b.leaf("name", "John Doe");
+        b.leaf("hobby", "fishing");
+        b.close_element();
+        b.close_element();
+        assert_eq!(b.finish(), full);
+
+        // Nothing kept under the root: its tag and type alone remain.
+        let mut b = DocumentBuilder::resume(&full, 0);
+        b.leaf("hobby", "x");
+        b.close_element();
+        let doc = b.finish();
+        assert_eq!((doc.symbols().len(), doc.node_types().len()), (2, 2));
+        assert_eq!(doc.symbols().get("author"), None);
+        assert_eq!(doc.to_xml(), "<bib>\n  <hobby>x</hobby>\n</bib>\n");
+
+        // Everything kept: the document itself, root open.
+        let mut b = DocumentBuilder::resume(&full, 2);
+        b.close_element();
+        assert_eq!(b.finish(), full);
     }
 
     #[test]

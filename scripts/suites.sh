@@ -48,7 +48,9 @@
 #                  then released, SIGTERM, a corrupt stored list over
 #                  HTTP) and the server binary's flag parser
 #   maintenance    online-maintenance guarantees: differential oracle
-#                  (incremental == from-scratch, by both builders), raw
+#                  (incremental == from-scratch, by both builders), the
+#                  store and reader equal to a build after every commit
+#                  of a seeded sequence (maint_delta), raw
 #                  fragments leaving the store a parse-and-render round
 #                  trip would, an 8 000-deep fragment committed and
 #                  rendered in linear space on a 2 MiB stack (debug:
@@ -162,6 +164,7 @@ suite_serve() {
 
 suite_maintenance() {
     xcargo test --release -q -p invindex --test maint_differential
+    xcargo test --release -q -p invindex --test maint_delta
     xcargo test --release -q -p xrefine --test live_differential
     xcargo test -q -p invindex --lib maint::
     xcargo test --release -q -p xrefine --lib live::
