@@ -296,7 +296,7 @@ mod tests {
         for kw in ["xml", "john", "database", "hobby"] {
             let h = handle_of(&idx, kw);
             assert_eq!(
-                h.postings(),
+                h.run_postings().flatten().cloned().collect::<Vec<_>>(),
                 built.list(kw).unwrap().as_slice(),
                 "list mismatch for {kw}"
             );
@@ -332,7 +332,7 @@ mod tests {
             for (_, text) in built.vocabulary().iter() {
                 let h = handle_of(&idx, text);
                 assert_eq!(
-                    h.postings(),
+                    h.run_postings().flatten().cloned().collect::<Vec<_>>(),
                     built.list(text).unwrap().as_slice(),
                     "round {round}: wrong answer for {text}"
                 );
@@ -393,7 +393,7 @@ mod tests {
             for (_, text) in built.vocabulary().iter() {
                 let h = idx.list_handle(text).unwrap();
                 assert_eq!(
-                    h.postings(),
+                    h.run_postings().flatten().cloned().collect::<Vec<_>>(),
                     built.list(text).unwrap().as_slice(),
                     "round {round}: wrong answer for {text}"
                 );
@@ -548,7 +548,12 @@ mod tests {
         );
         for (_, text) in oracle.vocabulary().iter() {
             assert_eq!(
-                idx.list_handle(text).unwrap().postings(),
+                idx.list_handle(text)
+                    .unwrap()
+                    .run_postings()
+                    .flatten()
+                    .cloned()
+                    .collect::<Vec<_>>(),
                 oracle.list(text).unwrap().as_slice(),
                 "list mismatch for {text}"
             );
@@ -577,7 +582,7 @@ mod tests {
                         for kw in vocab {
                             let h = idx.list_handle(kw).unwrap();
                             assert_eq!(
-                                h.postings(),
+                                h.run_postings().flatten().cloned().collect::<Vec<_>>(),
                                 built.list(kw).unwrap().as_slice(),
                                 "thread {t} round {round}: wrong answer for {kw}"
                             );

@@ -16,8 +16,7 @@
 //! * [`cooccur`]: memoized co-occurrence frequencies `f^T_{ki,kj}`;
 //! * [`cursor`]: [`ScanStats`], the advance and random-access counters
 //!   (used to *prove* the one-scan property of the refinement algorithms
-//!   in tests), and [`ListCursor`], Algorithm 1's posting-by-posting
-//!   cursor;
+//!   in tests);
 //! * [`stream`]: the streaming builder — zero-copy span scan, parallel
 //!   chunked tokenization, deterministic merge (byte-identical stores
 //!   with the DOM oracle [`Index::build`]);
@@ -43,7 +42,7 @@ pub mod stats;
 pub mod stream;
 
 pub use cache::{CacheStats, ListCache};
-pub use cursor::{ListCursor, ScanStats};
+pub use cursor::ScanStats;
 pub use index::Index;
 pub use kvindex::KvBackedIndex;
 pub use maint::{MaintIndex, MaintOp, MaintReport};

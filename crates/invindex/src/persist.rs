@@ -933,7 +933,13 @@ mod tests {
         for (k, text) in built.vocabulary().iter() {
             assert_eq!(opened.vocabulary().get(text), Some(k));
             assert_eq!(
-                opened.list_handle(text).unwrap().postings(),
+                opened
+                    .list_handle(text)
+                    .unwrap()
+                    .run_postings()
+                    .flatten()
+                    .cloned()
+                    .collect::<Vec<_>>(),
                 built.list(text).unwrap().as_slice()
             );
         }
@@ -1174,7 +1180,13 @@ mod tests {
         let opened = KvBackedIndex::open(Box::new(DiskKv::open(&path).unwrap())).unwrap();
         for (_, text) in built.vocabulary().iter() {
             assert_eq!(
-                opened.list_handle(text).unwrap().postings(),
+                opened
+                    .list_handle(text)
+                    .unwrap()
+                    .run_postings()
+                    .flatten()
+                    .cloned()
+                    .collect::<Vec<_>>(),
                 built.list(text).unwrap().as_slice()
             );
         }

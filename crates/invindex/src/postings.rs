@@ -14,9 +14,9 @@
 //! [`PartitionRuns`] cursor seeks from run to run and never compares a
 //! label. They exist only in decoded blocks, one word a run: the block
 //! decoder writes a stored block's runs as it decodes its postings, and
-//! a block of a list held in memory gets its runs when a cursor first
-//! copies it out ([`crate::reader`]). A [`PostingList`] keeps its
-//! postings alone, and the stored format does not know runs exist.
+//! every block of a list held in memory gets its runs from its labels
+//! when the list is wrapped ([`crate::reader`]). A [`PostingList`] keeps
+//! its postings alone, and the stored format does not know runs exist.
 //!
 //! [`PartitionRuns`]: crate::PartitionRuns
 //!
@@ -27,8 +27,7 @@
 //! validated on parse and re-checked block by block by scrub. The reader
 //! seeks through it: a [`StoredList`] keeps a list encoded and decodes a
 //! block the first time a cursor lands in it, finding that block from
-//! the table's partition keys ([`crate::reader`]); only the whole-list
-//! view decodes every block.
+//! the table's partition keys ([`crate::reader`]).
 //!
 //! [`StoredList`]: crate::StoredList
 
@@ -516,10 +515,16 @@ impl<'a> CompressedList<'a> {
         (self.n, self.blocks, self.data)
     }
 
-    /// Decodes every block into a full [`PostingList`], as a stored
-    /// list's whole-list view does.
+    /// Decodes every block into a full [`PostingList`]: one vector sized
+    /// from the header's count, which `parse` has bounded by the payload
+    /// size.
     pub fn decode_all(&self) -> Result<PostingList> {
-        decode_blocks(&self.blocks, self.data, self.n)
+        let mut postings = Vec::with_capacity(self.n);
+        for (i, meta) in self.blocks.iter().enumerate() {
+            decode_block_into(meta, self.data, &mut postings, None)
+                .map_err(|what| block_corrupt(i, what))?;
+        }
+        Ok(PostingList { postings })
     }
 
     /// Decodes every block independently, reporting per-block damage
@@ -533,19 +538,6 @@ impl<'a> CompressedList<'a> {
         }
         damaged
     }
-}
-
-/// Decodes the blocks a skip table describes, read from `data` (the
-/// list's block region), into one list of `n` postings: one vector sized
-/// from the header's count, which `parse` has bounded by the payload
-/// size.
-pub(crate) fn decode_blocks(blocks: &[BlockMeta], data: &[u8], n: usize) -> Result<PostingList> {
-    let mut postings = Vec::with_capacity(n);
-    for (i, meta) in blocks.iter().enumerate() {
-        decode_block_into(meta, data, &mut postings, None)
-            .map_err(|what| block_corrupt(i, what))?;
-    }
-    Ok(PostingList { postings })
 }
 
 /// The one block decoder: appends the postings of the block `meta`

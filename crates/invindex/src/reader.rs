@@ -19,9 +19,10 @@
 //! The served path moves over a handle's runs ([`PartitionRuns`]): a
 //! seek gallops over the skip table's block partition keys first, then
 //! decodes only the block it lands in and gallops over that block's runs.
-//! [`ListHandle::postings`] is the one whole-list view: a contiguous
-//! decode of every block, built once per list, for the algorithms that
-//! index a list by position (Algorithms 1 and 3, narrowing).
+//! A scan reads the same runs in order ([`ListHandle::run_postings`]):
+//! Algorithm 1's merge, Algorithm 3's anchor walk and probes, and Scan
+//! Eager all read a list this one way, and no contiguous copy of a whole
+//! list is ever made.
 //!
 //! A block that fails to decode reads as empty and is recorded
 //! ([`ListHandle::damage`]); the engine applies its degradation policy to
@@ -29,8 +30,8 @@
 
 use crate::persist::unframe_value;
 use crate::postings::{
-    block_corrupt, decode_block_into, decode_blocks, extend_runs, partition_key, BlockMeta,
-    BlockRun, CompressedList, Posting, PostingList, BLOCK_POSTINGS, HEAD_AT_ROOT,
+    block_corrupt, decode_block_into, extend_runs, partition_key, BlockMeta, BlockRun,
+    CompressedList, Posting, PostingList, BLOCK_POSTINGS, HEAD_AT_ROOT,
 };
 use kvstore::{KvError, Result};
 use std::ops::Range;
@@ -53,8 +54,6 @@ pub struct StoredList {
     /// past the root's), read off the skip table.
     partitions: (usize, usize),
     blocks: Box<[LazyBlock]>,
-    /// The whole list, contiguous: [`ListHandle::postings`].
-    whole: OnceLock<PostingList>,
     /// What the first decode that failed found.
     damage: OnceLock<String>,
 }
@@ -122,7 +121,9 @@ impl StoredList {
     }
 
     /// A list held in memory, never encoded: its blocks are the list's
-    /// [`BLOCK_POSTINGS`]-posting chunks, copied out on first touch.
+    /// [`BLOCK_POSTINGS`]-posting chunks, each slot filled with its
+    /// postings and runs here, so no reader tells it from a stored list
+    /// whose every block has been read.
     fn in_memory(list: PostingList) -> Self {
         let all = list.as_slice();
         let skips: Vec<BlockMeta> = (all.chunks(BLOCK_POSTINGS).enumerate())
@@ -138,7 +139,9 @@ impl StoredList {
             })
             .collect();
         let stored = Self::from_skips(Vec::new(), 0, list.len(), skips);
-        stored.whole.get_or_init(|| list);
+        for (slot, chunk) in stored.blocks.iter().zip(all.chunks(BLOCK_POSTINGS)) {
+            slot.decoded.get_or_init(|| Block::copied(chunk));
+        }
         stored
     }
 
@@ -155,7 +158,6 @@ impl StoredList {
             keys,
             partitions: (0, 0),
             blocks,
-            whole: OnceLock::new(),
             damage: OnceLock::new(),
         };
         let (lo, hi) = (0..list.skips.len())
@@ -208,11 +210,6 @@ impl StoredList {
             return &NO_BLOCK;
         };
         slot.decoded.get_or_init(|| {
-            if self.bytes.is_empty() {
-                let end = meta.start + meta.count;
-                let postings = self.whole().as_slice().get(meta.start..end);
-                return Block::copied(postings.unwrap_or_default());
-            }
             obs::counter!("compress_blocks_decoded_total").inc();
             // The block opens at most one run a posting, and one a
             // partition from its first to its last.
@@ -406,15 +403,6 @@ impl StoredList {
             };
             if let Some(block) = slot.decoded.get() {
                 f(meta.start, &block.postings);
-            } else if self.bytes.is_empty() {
-                let end = meta.start + meta.count;
-                f(
-                    meta.start,
-                    self.whole()
-                        .as_slice()
-                        .get(meta.start..end)
-                        .unwrap_or_default(),
-                );
             } else {
                 obs::counter!("compress_blocks_decoded_total").inc();
                 scratch.clear();
@@ -429,18 +417,6 @@ impl StoredList {
     /// The block data of the stored payload.
     fn data(&self) -> &[u8] {
         self.bytes.get(self.data_at..).unwrap_or_default()
-    }
-
-    /// Every block decoded into one contiguous list, once, from the skip
-    /// table parsed at read.
-    fn whole(&self) -> &PostingList {
-        self.whole.get_or_init(|| {
-            obs::counter!("compress_blocks_decoded_total").add(self.skips.len() as u64);
-            decode_blocks(&self.skips, self.data(), self.len).unwrap_or_else(|e| {
-                self.record(e);
-                PostingList::new()
-            })
-        })
     }
 }
 
@@ -457,11 +433,10 @@ impl std::fmt::Debug for StoredList {
 /// A shared, immutable view over (a contiguous range of) a stored
 /// posting list.
 ///
-/// Handles deref to `[Posting]` — the whole-list decode of
-/// [`ListHandle::postings`] — so every slice-shaped algorithm works on
-/// them unchanged; [`ListHandle::slice`] produces sub-views that share
-/// the same list, and [`ListHandle::partition_runs`] moves over the view
-/// decoding only the blocks it touches.
+/// [`ListHandle::slice`] produces sub-views that share the same list;
+/// [`ListHandle::partition_runs`] moves over the view decoding only the
+/// blocks it touches, and [`ListHandle::run_postings`] reads it in order,
+/// run by run.
 #[derive(Debug, Clone)]
 pub struct ListHandle {
     list: Arc<StoredList>,
@@ -488,7 +463,7 @@ impl ListHandle {
     }
 
     /// A handle over an owned vector of postings (test/bridge helper).
-    // xlint::allow(unused-export): test constructor — cursor and SLCA tests build handles with no index behind them
+    // xlint::allow(unused-export): test constructor — reader, SLCA and refinement tests build handles with no index behind them
     pub fn from_postings(postings: Vec<Posting>) -> Self {
         ListHandle::new(Arc::new(PostingList::from_sorted(postings)))
     }
@@ -499,13 +474,6 @@ impl ListHandle {
         ListHandle::stored(Arc::clone(
             EMPTY.get_or_init(|| Arc::new(StoredList::in_memory(PostingList::new()))),
         ))
-    }
-
-    /// The postings visible through this handle, contiguous: every block
-    /// of the list decoded into one vector, built once per list.
-    pub fn postings(&self) -> &[Posting] {
-        let all = self.list.whole().as_slice();
-        all.get(self.start..self.end).unwrap_or_default()
     }
 
     pub fn len(&self) -> usize {
@@ -531,20 +499,6 @@ impl ListHandle {
     /// read as empty. What was read from the list is then wrong.
     pub fn damage(&self) -> Option<KvError> {
         self.list.damage()
-    }
-
-    /// Index of the first visible posting `>= target` (view-relative).
-    pub fn lower_bound(&self, target: &Dewey) -> usize {
-        self.postings().partition_point(|p| p.dewey < *target)
-    }
-
-    /// View-relative range of postings inside `root`'s subtree
-    /// (including `root` itself).
-    pub fn partition_range(&self, root: &Dewey) -> Range<usize> {
-        let ps = self.postings();
-        let start = self.lower_bound(root);
-        let end = start + ps[start..].partition_point(|p| root.is_ancestor_or_self_of(&p.dewey));
-        start..end
     }
 
     /// A cursor over the partition runs visible through this handle,
@@ -892,20 +846,6 @@ impl Default for ListHandle {
     }
 }
 
-impl std::ops::Deref for ListHandle {
-    type Target = [Posting];
-
-    fn deref(&self) -> &[Posting] {
-        self.postings()
-    }
-}
-
-impl AsRef<[Posting]> for ListHandle {
-    fn as_ref(&self) -> &[Posting] {
-        self.postings()
-    }
-}
-
 /// Distinct `t`-typed ancestors-or-self of the postings, in document
 /// order — the sets whose intersections the co-occurrence statistics
 /// count.
@@ -956,26 +896,24 @@ mod tests {
             .collect()
     }
 
+    /// The labels a handle shows, in order.
+    fn labels(h: &ListHandle) -> Vec<String> {
+        (h.run_postings().flatten())
+            .map(|p| p.dewey.to_string())
+            .collect()
+    }
+
     #[test]
     fn handle_views_share_the_allocation() {
         let h = ListHandle::from_postings(ps(&["0.0.0", "0.0.1", "0.1.0", "0.1.2", "0.2"]));
         assert_eq!(h.len(), 5);
         let sub = h.slice(1..4);
         assert_eq!(sub.len(), 3);
-        assert_eq!(sub[0].dewey.to_string(), "0.0.1");
+        assert_eq!(labels(&sub), ["0.0.1", "0.1.0", "0.1.2"]);
         // sub-slicing composes and stays view-relative
         let subsub = sub.slice(1..3);
-        assert_eq!(subsub[0].dewey.to_string(), "0.1.0");
+        assert_eq!(labels(&subsub), ["0.1.0", "0.1.2"]);
         assert_eq!(subsub.len(), 2);
-    }
-
-    #[test]
-    fn partition_range_is_view_relative() {
-        let h = ListHandle::from_postings(ps(&["0.0.0", "0.0.1", "0.1.0", "0.1.2", "0.2"]));
-        let root: Dewey = "0.1".parse().unwrap();
-        assert_eq!(h.partition_range(&root), 2..4);
-        let sub = h.slice(2..5);
-        assert_eq!(sub.partition_range(&root), 0..2);
     }
 
     #[test]
@@ -1052,6 +990,6 @@ mod tests {
         let a = ListHandle::empty();
         let b = ListHandle::default();
         assert!(a.is_empty() && b.is_empty());
-        assert_eq!(a.lower_bound(&"0.1".parse().unwrap()), 0);
+        assert_eq!(a.run_postings().count(), 0);
     }
 }

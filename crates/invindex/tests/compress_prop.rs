@@ -489,13 +489,11 @@ fn forged_block_bytes_never_panic_a_reader() {
         let _ = (handle.partition_bounds(), handle.last_partition());
         let view = handle.slice(handle.len() / 3..handle.len() / 2);
         let _ = view.run_postings().count();
-        let whole = handle.postings().to_vec();
         match handle.damage() {
             // Read as it decodes, when nothing was damaged.
             None => {
                 let decoded = CompressedList::parse(&bad).unwrap().decode_all().unwrap();
                 assert_eq!(read, decoded.as_slice());
-                assert_eq!(whole, decoded.as_slice());
             }
             Some(e) => assert!(e.is_corrupt(), "{e}"),
         }

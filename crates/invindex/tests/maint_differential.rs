@@ -192,7 +192,7 @@ fn snapshot_answers_like_an_in_memory_index_of_the_final_corpus() {
     for (id, text) in oracle.vocabulary().iter() {
         let h = snap.list_handle(text).unwrap();
         assert_eq!(
-            h.postings(),
+            h.run_postings().flatten().cloned().collect::<Vec<_>>(),
             oracle.list(text).unwrap().as_slice(),
             "list mismatch for {text:?}"
         );
@@ -260,7 +260,9 @@ fn reopen_restores_the_maintained_state_exactly() {
     let snap = reopened.snapshot();
     for (_, text) in oracle.vocabulary().iter() {
         assert_eq!(
-            snap.list_handle(text).unwrap().postings(),
+            (snap.list_handle(text).unwrap().run_postings().flatten())
+                .cloned()
+                .collect::<Vec<_>>(),
             oracle.list(text).unwrap().as_slice()
         );
     }

@@ -3,6 +3,7 @@
 
 use invindex::{ListHandle, Posting};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use xcheck::prop::{check, Gen};
 use xmldom::{Dewey, NodeTypeId};
 
@@ -24,19 +25,24 @@ fn posting_set(g: &mut Gen) -> Vec<Posting> {
         .collect()
 }
 
+/// The postings of `postings` inside `root`'s subtree (including `root`
+/// itself), found by binary search on the labels: the definition the run
+/// cursor's partition skip is held to.
+fn partition_range(postings: &[Posting], root: &Dewey) -> Range<usize> {
+    let start = postings.partition_point(|p| p.dewey < *root);
+    let inside = postings[start..].partition_point(|p| root.is_ancestor_or_self_of(&p.dewey));
+    start..start + inside
+}
+
 #[test]
 fn bounds_partition_the_list() {
     check(256, |g| {
-        let list = ListHandle::from_postings(posting_set(g));
+        let list = posting_set(g);
         let target = dewey(g);
 
-        let lb = list.lower_bound(&target);
+        let range = partition_range(&list, &target);
         for (i, p) in list.iter().enumerate() {
-            assert_eq!(i < lb, p.dewey < target);
-        }
-
-        let range = list.partition_range(&target);
-        for (i, p) in list.iter().enumerate() {
+            assert_eq!(i < range.start, p.dewey < target);
             let inside = target.is_ancestor_or_self_of(&p.dewey);
             assert_eq!(
                 range.contains(&i),
@@ -51,17 +57,17 @@ fn bounds_partition_the_list() {
 
 /// A run cursor's partition skip (`PartitionRuns::current`, then
 /// `seek` past it) against its binary-search definition
-/// (`ListHandle::partition_range`, which reads labels, not the run
-/// table), on the walk Algorithm 2 takes when it visits every partition:
-/// the partition of the smallest head across all cursors, every cursor
+/// (`partition_range`, which reads labels, not the run table), on the
+/// walk Algorithm 2 takes when it visits every partition: the
+/// partition of the smallest head across all cursors, every cursor
 /// standing in it skipped past it — the others hold nothing of it —
 /// root-level runs sought past.
 #[test]
 fn skip_partition_matches_the_binary_search_definition() {
     check(256, |g| {
-        let handles: Vec<ListHandle> = g
-            .vec(1..5, |g| ListHandle::from_postings(posting_set(g)))
-            .into_iter()
+        let lists: Vec<Vec<Posting>> = g.vec(1..5, posting_set);
+        let handles: Vec<ListHandle> = (lists.iter())
+            .map(|l| ListHandle::from_postings(l.clone()))
             .collect();
         let mut cursors: Vec<_> = handles.iter().map(|h| h.partition_runs()).collect();
         for c in &mut cursors {
@@ -77,10 +83,10 @@ fn skip_partition_matches_the_binary_search_definition() {
             .min()
         {
             let root = Dewey::new(vec![0, u32::try_from(head - 1).unwrap()]).unwrap();
-            for ((c, handle), consumed) in cursors.iter_mut().zip(&handles).zip(&mut consumed) {
+            for ((c, list), consumed) in cursors.iter_mut().zip(&lists).zip(&mut consumed) {
                 // The walk leaves every cursor at or before the
                 // partition, so the whole range is what gets consumed.
-                let expected = handle.partition_range(&root);
+                let expected = partition_range(list, &root);
                 match c.current() {
                     Some((h, range)) if h == head => {
                         assert_eq!(range, expected, "partition {root}");
@@ -92,15 +98,15 @@ fn skip_partition_matches_the_binary_search_definition() {
                     }
                 }
                 *consumed += expected.len();
-                let next = c.current().map_or(handle.len(), |(_, r)| r.start);
+                let next = c.current().map_or(list.len(), |(_, r)| r.start);
                 assert_eq!(next, expected.end, "cursor after partition {root}");
             }
             visited += 1;
         }
         // Every posting below the root lies in exactly one partition
         // visited.
-        for (handle, consumed) in handles.iter().zip(&consumed) {
-            let below_root = handle.iter().filter(|p| p.dewey.len() > 1).count();
+        for (list, consumed) in lists.iter().zip(&consumed) {
+            let below_root = list.iter().filter(|p| p.dewey.len() > 1).count();
             assert_eq!(*consumed, below_root);
         }
         assert!(visited <= 5);
@@ -196,7 +202,7 @@ fn partition_runs_match_the_by_label_definition_however_the_list_is_built() {
         for handle in &handles {
             assert_eq!(cursor_runs(handle), expected);
             let view = handle.slice(from..to);
-            let in_view = runs_by_label(view.postings());
+            let in_view = runs_by_label(&postings[from..to]);
             let mut c = view.partition_runs();
             for (r, &(head, start)) in in_view.iter().enumerate() {
                 let end = in_view.get(r + 1).map_or(view.len(), |next| next.1);

@@ -48,9 +48,10 @@ use invindex::{ListHandle, PartitionRuns, Posting, HEAD_AT_ROOT};
 use std::cmp::Ordering;
 use xmldom::Dewey;
 
-/// Indexed-Lookup-Eager SLCA. Accepts anything list-shaped — `&[Posting]`,
-/// `Vec<Posting>`, or an [`invindex::ListHandle`].
-// xlint::allow(unused-export): advertised pluggable SLCA method (the paper's `stack-slca` baseline), held to the oracle by the differential tests
+/// Indexed-Lookup-Eager SLCA over posting slices: `&[Posting]`,
+/// `Vec<Posting>`, or a built list's `PostingList::as_slice()`. A caller
+/// holding [`ListHandle`]s copies their `run_postings()` into vectors.
+// xlint::allow(unused-export): advertised pluggable SLCA method (XKSearch's Indexed Lookup Eager, the binary-probe sibling of Scan Eager), held to the oracle by the differential tests
 pub fn slca_indexed_lookup_eager<S: AsRef<[Posting]>>(lists: &[S]) -> Vec<Dewey> {
     obs::counter!("slca_invocations_total").inc();
     let lists: Vec<&[Posting]> = lists.iter().map(AsRef::as_ref).collect();

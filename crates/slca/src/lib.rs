@@ -3,10 +3,11 @@
 //! Implements the substrate the paper's refinement algorithms stand on:
 //!
 //! * [`stack::slca_stack`] — the stack-based algorithm of XKSearch \[3\],
-//!   extended by the paper's Algorithm 1;
+//!   extended by the paper's Algorithm 1 (the `stack-slca` baseline of
+//!   Figure 4);
 //! * [`eager::slca_indexed_lookup_eager`] / [`eager::slca_scan_eager`] —
-//!   the XKSearch eager algorithms (the paper's `stack-slca` /
-//!   `scan-slca` baselines of Figure 4);
+//!   the XKSearch eager algorithms (Scan Eager is Figure 4's `scan-slca`
+//!   baseline);
 //! * [`multiway::slca_multiway`] — Multiway-SLCA \[8\], a pluggable
 //!   alternative demonstrating the "orthogonal to any SLCA method" claim;
 //! * [`searchfor`] — search-for node inference (Formula 1);

@@ -10,7 +10,7 @@
 //! from matching too); partial witnesses propagate upward.
 
 use crate::common::minimal_candidates;
-use invindex::Posting;
+use invindex::{ListHandle, Posting};
 use xmldom::Dewey;
 
 struct Entry {
@@ -18,15 +18,17 @@ struct Entry {
     witness: Vec<bool>,
 }
 
-/// Stack-based SLCA over `k` posting lists.
-pub fn slca_stack<S: AsRef<[Posting]>>(lists: &[S]) -> Vec<Dewey> {
+/// Stack-based SLCA over `k` posting lists, each read in document order
+/// run by run ([`ListHandle::run_postings`]).
+pub fn slca_stack(lists: &[ListHandle]) -> Vec<Dewey> {
     obs::counter!("slca_invocations_total").inc();
-    let lists: Vec<&[Posting]> = lists.iter().map(AsRef::as_ref).collect();
-    if lists.is_empty() || lists.iter().any(|l| l.is_empty()) {
+    if lists.is_empty() || lists.iter().any(ListHandle::is_empty) {
         return Vec::new();
     }
     let k = lists.len();
-    let mut pos = vec![0usize; k];
+    let mut streams: Vec<_> = (lists.iter())
+        .map(|l| l.run_postings().flatten().peekable())
+        .collect();
     let mut stack: Vec<Entry> = Vec::new();
     let mut results: Vec<Dewey> = Vec::new();
     // Postings consumed from the merged stream, flushed as one atomic add.
@@ -34,19 +36,22 @@ pub fn slca_stack<S: AsRef<[Posting]>>(lists: &[S]) -> Vec<Dewey> {
 
     loop {
         // k-way merge: smallest head across lists, with its keyword index.
-        let mut best: Option<(usize, &Dewey)> = None;
-        for (i, list) in lists.iter().enumerate() {
-            if let Some(p) = list.get(pos[i]) {
+        let mut best: Option<(usize, &Posting)> = None;
+        for (i, stream) in streams.iter_mut().enumerate() {
+            if let Some(&p) = stream.peek() {
                 match best {
-                    None => best = Some((i, &p.dewey)),
-                    Some((_, d)) if p.dewey < *d => best = Some((i, &p.dewey)),
+                    None => best = Some((i, p)),
+                    Some((_, b)) if p.dewey < b.dewey => best = Some((i, p)),
                     _ => {}
                 }
             }
         }
-        let Some((list_idx, dewey)) = best else { break };
-        pos[list_idx] += 1;
+        let Some((list_idx, posting)) = best else {
+            break;
+        };
+        streams[list_idx].next();
         steps += 1;
+        let dewey = &posting.dewey;
 
         let comps = dewey.components();
         // common prefix length between stack path and the new node
@@ -111,6 +116,12 @@ mod tests {
         s.parse().unwrap()
     }
 
+    fn handles(lists: &[&[Posting]]) -> Vec<ListHandle> {
+        (lists.iter())
+            .map(|l| ListHandle::from_postings(l.to_vec()))
+            .collect()
+    }
+
     #[test]
     fn matches_brute_force_on_small_cases() {
         let a = ps(&["0.0.2.0.0", "0.1.1.0.0"]);
@@ -119,7 +130,11 @@ mod tests {
         let cases: Vec<Vec<&[Posting]>> =
             vec![vec![&a], vec![&a, &b], vec![&a, &c], vec![&a, &b, &c]];
         for lists in cases {
-            assert_eq!(slca_stack(&lists), slca_brute_force(&lists), "{lists:?}");
+            assert_eq!(
+                slca_stack(&handles(&lists)),
+                slca_brute_force(&lists),
+                "{lists:?}"
+            );
         }
     }
 
@@ -129,7 +144,7 @@ mod tests {
         let a = ps(&["0.0", "0.0.1.2"]);
         let b = ps(&["0.0.1.2.0", "0.5"]);
         let expected = slca_brute_force(&[&a, &b]);
-        assert_eq!(slca_stack(&[&a, &b]), expected);
+        assert_eq!(slca_stack(&handles(&[&a, &b])), expected);
         assert_eq!(expected, vec![d("0.0.1.2")]);
     }
 
@@ -137,7 +152,7 @@ mod tests {
     fn same_node_holds_both_keywords() {
         let a = ps(&["0.3.1"]);
         let b = ps(&["0.3.1"]);
-        assert_eq!(slca_stack(&[&a, &b]), vec![d("0.3.1")]);
+        assert_eq!(slca_stack(&handles(&[&a, &b])), vec![d("0.3.1")]);
     }
 
     #[test]
@@ -145,14 +160,14 @@ mod tests {
         let a = ps(&["0.1"]);
         let none: [&[Posting]; 0] = [];
         let pair: [&[Posting]; 2] = [&a, &[]];
-        assert!(slca_stack(&none).is_empty());
-        assert!(slca_stack(&pair).is_empty());
+        assert!(slca_stack(&handles(&none)).is_empty());
+        assert!(slca_stack(&handles(&pair)).is_empty());
     }
 
     #[test]
     fn root_slca_when_keywords_split_across_partitions() {
         let a = ps(&["0.0.5"]);
         let b = ps(&["0.2.1"]);
-        assert_eq!(slca_stack(&[&a, &b]), vec![d("0")]);
+        assert_eq!(slca_stack(&handles(&[&a, &b])), vec![d("0")]);
     }
 }

@@ -58,7 +58,7 @@ fn all_four_algorithms_agree_with_brute_force_on_random_corpora() {
         let handles: Vec<ListHandle> = (lists.iter().cloned())
             .map(ListHandle::from_postings)
             .collect();
-        assert_eq!(slca_stack(&lists), expected, "stack disagrees: {ctx}");
+        assert_eq!(slca_stack(&handles), expected, "stack disagrees: {ctx}");
         assert_eq!(
             slca_indexed_lookup_eager(&lists),
             expected,

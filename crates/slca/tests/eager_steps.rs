@@ -26,12 +26,11 @@ fn eager_steps() -> u64 {
 }
 
 /// `per` postings under each of the partitions `0.p`, `p` in `partitions`.
-fn list(partitions: impl Iterator<Item = u32>, per: u32) -> ListHandle {
-    let postings = partitions
+fn list(partitions: impl Iterator<Item = u32>, per: u32) -> Vec<Posting> {
+    partitions
         .flat_map(|p| (0..per).map(move |i| vec![0, p, i]))
         .map(|l| Posting::new(Dewey::new(l).expect("non-empty"), NodeTypeId(0)))
-        .collect();
-    ListHandle::from_postings(postings)
+        .collect()
 }
 
 #[test]
@@ -53,14 +52,16 @@ fn steps_are_bounded_by_the_shared_partition_and_the_runs() {
             partitions.len() as u64
         })
         .sum();
-    let postings: Vec<&[Posting]> = lists.iter().map(ListHandle::postings).collect();
+    let handles: Vec<ListHandle> = (lists.iter().cloned())
+        .map(ListHandle::from_postings)
+        .collect();
 
     let _turn = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     let before = eager_steps();
-    let found = slca_scan_eager(&lists);
+    let found = slca_scan_eager(&handles);
     let steps = eager_steps() - before;
 
-    assert_eq!(found, slca_brute_force(&postings));
+    assert_eq!(found, slca_brute_force(&lists));
     assert_eq!(found.len(), 1, "{found:?}");
     assert!(steps <= shared + runs, "{steps} > {shared} + {runs}");
     // Well below a scan of the lists, which passes every posting.
@@ -77,8 +78,8 @@ fn one_list_takes_one_step_per_posting_below_the_root() {
         [p.clone(), Posting::new(below, NodeTypeId(0))]
     }));
     let below_root = postings.len() as u64 - 1;
+    let expected = slca_brute_force(&[&postings]);
     let one = [ListHandle::from_postings(postings)];
-    let expected = slca_brute_force(&[one[0].postings()]);
 
     let _turn = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     let before = eager_steps();

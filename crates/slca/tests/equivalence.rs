@@ -29,10 +29,10 @@ fn all_algorithms_agree_with_brute_force() {
         let lists = g.vec(1..4, list);
         let refs: Vec<&[Posting]> = lists.iter().map(|l| l.as_slice()).collect();
         let expected = slca_brute_force(&refs);
-        assert_eq!(slca_stack(&refs), expected, "stack");
         let handles: Vec<ListHandle> = (lists.iter().cloned())
             .map(ListHandle::from_postings)
             .collect();
+        assert_eq!(slca_stack(&handles), expected, "stack");
         assert_eq!(slca_scan_eager(&handles), expected, "scan-eager");
         assert_eq!(slca_indexed_lookup_eager(&refs), expected, "ile");
         assert_eq!(slca_multiway(&refs), expected, "multiway");
@@ -44,7 +44,10 @@ fn slca_results_are_antichain_and_cover_all_keywords() {
     check(512, |g| {
         let lists = g.vec(1..4, list);
         let refs: Vec<&[Posting]> = lists.iter().map(|l| l.as_slice()).collect();
-        let result = slca_stack(&refs);
+        let handles: Vec<ListHandle> = (lists.iter().cloned())
+            .map(ListHandle::from_postings)
+            .collect();
+        let result = slca_stack(&handles);
         // antichain: no result is an ancestor of another
         for a in &result {
             for b in &result {
@@ -68,15 +71,17 @@ fn lemma1_subset_queries_keep_results() {
     check(512, |g| {
         let lists = g.vec(2..4, list);
         // Lemma 1: if a keyword superset has an SLCA, every subset has one.
-        let refs: Vec<&[Posting]> = lists.iter().map(|l| l.as_slice()).collect();
-        let full = slca_stack(&refs);
+        let handles: Vec<ListHandle> = (lists.iter().cloned())
+            .map(ListHandle::from_postings)
+            .collect();
+        let full = slca_stack(&handles);
         if !full.is_empty() {
-            for skip in 0..refs.len() {
-                let subset: Vec<&[Posting]> = refs
+            for skip in 0..handles.len() {
+                let subset: Vec<ListHandle> = handles
                     .iter()
                     .enumerate()
                     .filter(|(i, _)| *i != skip)
-                    .map(|(_, l)| *l)
+                    .map(|(_, l)| l.clone())
                     .collect();
                 assert!(!slca_stack(&subset).is_empty());
             }

@@ -11,7 +11,7 @@ use xmldom::{Dewey, NodeTypeId};
 /// A list over a few of the partitions `0.0` … `0.7` (so the lists of a
 /// case share some partitions and not others), now and then with a
 /// posting on the root itself.
-fn list(g: &mut Gen) -> ListHandle {
+fn list(g: &mut Gen) -> Vec<Posting> {
     let held = g.vec(1..=4, |g| g.range(0u32..8));
     let mut labels: Vec<Vec<u32>> = g.vec(0..=10, |g| {
         let mut label = vec![0, g.pick(&held)];
@@ -23,32 +23,36 @@ fn list(g: &mut Gen) -> ListHandle {
     }
     labels.sort();
     labels.dedup();
-    let postings = labels
+    labels
         .into_iter()
         .map(|l| Posting::new(Dewey::new(l).expect("non-empty"), NodeTypeId(0)))
-        .collect();
-    ListHandle::from_postings(postings)
+        .collect()
 }
 
-/// The whole list or, half the time, a view cut at arbitrary positions —
-/// mostly inside a run.
-fn view(g: &mut Gen, whole: ListHandle) -> ListHandle {
-    if g.bool() {
-        return whole;
-    }
-    let start = g.range(0..whole.len() + 1);
-    let end = g.range(start..whole.len() + 1);
-    whole.slice(start..end)
+/// A handle on the whole list or, half the time, a view cut at arbitrary
+/// positions — mostly inside a run — with the postings it shows.
+fn view(g: &mut Gen, whole: Vec<Posting>) -> (ListHandle, Vec<Posting>) {
+    let (start, end) = match g.bool() {
+        true => (0, whole.len()),
+        false => {
+            let start = g.range(0..whole.len() + 1);
+            (start, g.range(start..whole.len() + 1))
+        }
+    };
+    let shown = whole[start..end].to_vec();
+    (ListHandle::from_postings(whole).slice(start..end), shown)
 }
 
 #[test]
 fn run_joined_scan_eager_equals_brute_force() {
     check(1024, |g| {
-        let lists: Vec<ListHandle> = g.vec(1..=4, |g| {
-            let whole = list(g);
-            view(g, whole)
-        });
-        let postings: Vec<&[Posting]> = lists.iter().map(ListHandle::postings).collect();
+        let (lists, postings): (Vec<ListHandle>, Vec<Vec<Posting>>) = g
+            .vec(1..=4, |g| {
+                let whole = list(g);
+                view(g, whole)
+            })
+            .into_iter()
+            .unzip();
         assert_eq!(slca_scan_eager(&lists), slca_brute_force(&postings));
     });
 }

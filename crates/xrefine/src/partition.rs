@@ -292,12 +292,11 @@ pub(crate) fn meaningful_slcas(
     found
 }
 
-/// A pluggable SLCA computation over per-keyword posting slices. The
-/// slices are [`ListHandle`] views over stored lists, shared with the
-/// list cache; any generic `fn<S: AsRef<[Posting]>>(&[S])`
-/// algorithm from the `slca` crate coerces to this type.
-///
-/// [`Posting`]: invindex::Posting
+/// A pluggable SLCA computation over per-keyword posting lists: the
+/// [`ListHandle`] views over stored lists, shared with the list cache.
+/// `slca_scan_eager` and `slca_stack` are of this type; a slice
+/// algorithm of the `slca` crate is plugged in by a function that copies
+/// the handles' `run_postings()` into vectors first.
 pub type SlcaMethod = fn(&[ListHandle]) -> Vec<Dewey>;
 
 /// Options of the partition algorithm.
@@ -944,7 +943,7 @@ pub(crate) fn finalize(
 mod tests {
     use super::*;
     use crate::query::Query;
-    use invindex::{Index, KvBackedIndex};
+    use invindex::{Index, KvBackedIndex, Posting, PostingList};
     use lexicon::RuleSet;
     use std::sync::Arc;
     use xmldom::fixtures::figure1;
@@ -1177,9 +1176,9 @@ mod tests {
     /// What Algorithm 2's walk over every partition is defined as, on
     /// labels alone: the smallest head label below the root names the
     /// partition `0.i` (reported as `i + 1`), and *every* list's postings
-    /// in it are found by binary search ([`ListHandle::partition_range`])
-    /// — no cursor and no run table involved.
-    fn walk_by_definition(lists: &[ListHandle]) -> Vec<(u64, KeyMask, Vec<Range<usize>>)> {
+    /// in it are found by binary search — no cursor and no run table
+    /// involved. The lists are the build's ([`built_lists`]).
+    fn walk_by_definition(lists: &[&[Posting]]) -> Vec<(u64, KeyMask, Vec<Range<usize>>)> {
         let mut at = vec![0usize; lists.len()];
         let mut partitions = Vec::new();
         while let Some(v) = (lists.iter().zip(&at))
@@ -1198,7 +1197,9 @@ mod tests {
             let mut mask = KeyMask::empty(lists.len());
             let mut ranges = Vec::new();
             for (i, (l, a)) in lists.iter().zip(&mut at).enumerate() {
-                let range = l.partition_range(&root);
+                let start = l.partition_point(|p| p.dewey < root);
+                let inside = l[start..].partition_point(|p| root.is_ancestor_or_self_of(&p.dewey));
+                let range = start..start + inside;
                 if !range.is_empty() {
                     mask.set(i);
                     *a = range.end;
@@ -1208,6 +1209,14 @@ mod tests {
             partitions.push((u64::from(root.components()[1]) + 1, mask, ranges));
         }
         partitions
+    }
+
+    /// The build's list of each of the session's keywords, as the store
+    /// the session reads was encoded from.
+    fn built_lists<'a>(built: &'a Index, session: &RefineSession<'_>) -> Vec<&'a [Posting]> {
+        (session.ks.iter())
+            .map(|k| built.list(k).map_or(&[][..], PostingList::as_slice))
+            .collect()
     }
 
     /// A family of 0-3 keyword sets over `width` lists, or — one time in
@@ -1233,27 +1242,26 @@ mod tests {
             // 1-6 lists over at most 12 partitions: empty lists, lists
             // with a posting on the root itself, lists ending early and
             // partitions only some (or one) of the lists reach.
-            let lists: Vec<ListHandle> = g
-                .vec(1..=6, |g| {
-                    let mut labels: Vec<Vec<u32>> = g.vec(0..=10, |g| {
-                        let mut label = vec![0, g.range(0u32..12)];
-                        label.extend(g.vec(0..=2, |g| g.range(0u32..3)));
-                        label
-                    });
-                    if g.weighted(&[3, 1]) == 1 {
-                        labels.push(vec![0]);
-                    }
-                    labels.sort();
-                    labels.dedup();
-                    let postings = labels
-                        .into_iter()
-                        .map(|l| Posting::new(Dewey::new(l).unwrap(), NodeTypeId(0)))
-                        .collect();
-                    ListHandle::from_postings(postings)
-                })
-                .into_iter()
+            let postings: Vec<Vec<Posting>> = g.vec(1..=6, |g| {
+                let mut labels: Vec<Vec<u32>> = g.vec(0..=10, |g| {
+                    let mut label = vec![0, g.range(0u32..12)];
+                    label.extend(g.vec(0..=2, |g| g.range(0u32..3)));
+                    label
+                });
+                if g.weighted(&[3, 1]) == 1 {
+                    labels.push(vec![0]);
+                }
+                labels.sort();
+                labels.dedup();
+                labels
+                    .into_iter()
+                    .map(|l| Posting::new(Dewey::new(l).unwrap(), NodeTypeId(0)))
+                    .collect()
+            });
+            let lists: Vec<ListHandle> = (postings.iter().cloned())
+                .map(ListHandle::from_postings)
                 .collect();
-            let every = walk_by_definition(&lists);
+            let every = walk_by_definition(&postings.iter().map(Vec::as_slice).collect::<Vec<_>>());
 
             // The targets change at random points of the walk, as the
             // admissible sets change with the list: from each point on,
@@ -1302,14 +1310,16 @@ mod tests {
 
     /// Algorithm 2 as it was before the walk skipped partitions: the same
     /// trials on every partition the lists reach, found by
-    /// [`walk_by_definition`].
+    /// [`walk_by_definition`] on `built`, the build the session's store
+    /// was encoded from.
     fn refine_every_partition(
         session: &RefineSession<'_>,
+        built: &Index,
         options: &PartitionOptions,
         mut admitted: impl FnMut(u64, &DpMemo, RqId, f64),
     ) -> RefineOutcome {
         let mut scan = Scan::new(options.k.max(1));
-        for (at, mask, ranges) in walk_by_definition(&session.lists) {
+        for (at, mask, ranges) in walk_by_definition(&built_lists(built, session)) {
             scan.partition(session, options.slca, &mask, &ranges, |memo, id, ds| {
                 admitted(at, memo, id, ds)
             });
@@ -1339,22 +1349,24 @@ mod tests {
         use lexicon::{RefineOp, Rule, RuleSource};
         use xcheck::prop::check;
 
-        let docs: Vec<KvBackedIndex> = [(8, 1), (30, 2), (80, 3), (150, 4)]
+        // Each corpus's build, and a store encoded from it.
+        let docs: Vec<(Index, KvBackedIndex)> = [(8, 1), (30, 2), (80, 3), (150, 4)]
             .into_iter()
             .map(|(authors, seed)| {
-                let doc = generate_dblp(&DblpConfig {
+                let doc = Arc::new(generate_dblp(&DblpConfig {
                     authors,
                     seed,
                     ..Default::default()
-                });
-                KvBackedIndex::from_built(Index::build(Arc::new(doc)))
+                }));
+                let idx = KvBackedIndex::from_built(Index::build(Arc::clone(&doc)));
+                (Index::build(doc), idx)
             })
             .collect();
         // Each corpus's 40 most frequent words: they share partitions, so
         // the list fills early and later partitions still admit — the
         // trials a wrongly skipped partition would lose.
         let frequent: Vec<Vec<String>> = (docs.iter())
-            .map(|idx| {
+            .map(|(_, idx)| {
                 let mut words: Vec<(usize, String)> = (idx.vocabulary().iter())
                     .map(|(_, w)| (idx.list_handle(w).unwrap().len(), w.to_string()))
                     .collect();
@@ -1365,7 +1377,7 @@ mod tests {
 
         check(200, |g| {
             let d = g.range(0..docs.len());
-            let idx = &docs[d];
+            let (built, idx) = &docs[d];
             // A small universe, so that queries, rules and partitions
             // share keywords: frequent document words and one absent one.
             let mut universe: Vec<String> = g.vec(3..8, |g| g.pick(&frequent[d]));
@@ -1406,8 +1418,9 @@ mod tests {
             let session = || RefineSession::new(idx, query.clone(), rules.clone()).unwrap();
 
             let (s1, s2) = (session(), session());
-            let (want, want_log) =
-                logged(|log| refine_every_partition(&s1, &options, |a, m, i, d| log(a, m, i, d)));
+            let (want, want_log) = logged(|log| {
+                refine_every_partition(&s1, built, &options, |a, m, i, d| log(a, m, i, d))
+            });
             let (got, got_log) =
                 logged(|log| refine(&s2, &options, budget, |a, m, i, d| log(a, m, i, d)).0);
 
@@ -1452,6 +1465,7 @@ mod tests {
             authors: 400,
             ..Default::default()
         }));
+        let built = Index::build(Arc::clone(&doc));
         let engine = XRefineEngine::from_document(doc, EngineConfig::default());
         let keywords = ["databse", "xml", "key", "word", "serch", "retrieval"];
         let query = Query::from_keywords(keywords);
@@ -1461,7 +1475,7 @@ mod tests {
 
         let mut memo = DpMemo::new();
         let (mut calls, mut allocated) = (0u64, 0u64);
-        for (_, mask, _) in walk_by_definition(&session.lists) {
+        for (_, mask, _) in walk_by_definition(&built_lists(&built, &session)) {
             if memo.memo.contains_key(&mask) {
                 continue;
             }

@@ -4,11 +4,15 @@
 //! the shortest inverted list: for every partition containing that
 //! keyword, the other lists are probed by random access to assemble the
 //! partition's available keyword set `T`, and the dynamic program
-//! proposes candidates. After a keyword's iteration, every refined query
-//! containing it is known, so its list is removed; the loop stops early
-//! once even the optimistic dissimilarity of the remaining keyword set
-//! (`C_potential`, the session's DP plan run on the mask of the
-//! remaining keywords) cannot beat the current list. Step 2 computes the
+//! proposes candidates. The anchor list is walked run by run (a run is
+//! one partition), and a probe is one forward [`PartitionRuns::seek`] of
+//! the probed list's run cursor: the anchor's partitions ascend, so the
+//! probes of one walk move each cursor forward only. After a keyword's
+//! iteration, every refined query containing it is known, so its list is
+//! removed; the loop stops early once even the optimistic dissimilarity
+//! of the remaining keyword set (`C_potential`, the session's DP plan
+//! run on the mask of the remaining keywords) cannot beat the current
+//! list. Step 2 computes the
 //! SLCAs of the candidates that are returned over the full lists: their
 //! first page with Scan Eager stopped past it, the rest with an existing
 //! SLCA method when read.
@@ -35,9 +39,8 @@ use crate::results::RefineOutcome;
 use crate::rqlist::RqSortedList;
 use crate::session::RefineSession;
 use crate::util::KeyMask;
-use invindex::ListHandle;
+use invindex::{ListHandle, PartitionRuns, HEAD_AT_ROOT};
 use std::collections::HashSet;
-use xmldom::Dewey;
 
 /// Options of the short-list eager algorithm.
 pub struct SleOptions {
@@ -95,11 +98,13 @@ pub fn sle_refine(session: &RefineSession<'_>, options: &SleOptions) -> RefineOu
         s
     };
 
-    let mut processed_partitions: HashSet<Dewey> = HashSet::new();
+    // Partition keys, as the lists' runs carry them.
+    let mut processed_partitions: HashSet<u64> = HashSet::new();
     let mut potential_scratch = DpScratch::default();
     // Flushed as one atomic add per query (hot-loop discipline).
     let mut partitions_probed = 0u64;
     let mut early_stops = 0u64;
+    let mut advances = 0u64;
 
     while !remaining.is_empty() {
         // Stop condition (line 4): even the best refined query over the
@@ -127,27 +132,33 @@ pub fn sle_refine(session: &RefineSession<'_>, options: &SleOptions) -> RefineOu
             .expect("remaining non-empty");
         let ki = remaining.swap_remove(pick_pos);
 
-        // Walk S_i sequentially; each new partition is probed once.
-        for posting in session.lists[ki].postings() {
-            // sequential advance over the anchor list
-            session_advance(session);
-            let Some(pid) = posting.dewey.partition() else {
-                continue;
-            };
-            if !processed_partitions.insert(pid.clone()) {
+        // Walk S_i run by run: a run is one partition, and each new
+        // partition is probed once. The runs ascend, so one forward
+        // cursor a list serves every probe of this walk.
+        let mut probes: Vec<PartitionRuns<'_>> = session
+            .lists
+            .iter()
+            .map(ListHandle::partition_runs)
+            .collect();
+        let mut anchor = session.lists[ki].partition_runs();
+        while let Some((head, run)) = anchor.current() {
+            anchor.seek(head + 1);
+            // sequential advances over the anchor list
+            advances += run.len() as u64;
+            if head == HEAD_AT_ROOT || !processed_partitions.insert(head) {
                 continue;
             }
             partitions_probed += 1;
             // Random-access probes: which keywords occur in this partition?
             let mut mask = KeyMask::empty(session.width());
             mask.set(ki);
-            for (j, list) in session.lists.iter().enumerate() {
-                if j == ki || list.is_empty() {
+            for (j, probe) in probes.iter_mut().enumerate() {
+                if j == ki || session.lists[j].is_empty() {
                     continue;
                 }
-                session_random(session);
-                let range = list.partition_range(&pid);
-                if !range.is_empty() {
+                session.scan_stats.record_random_access();
+                probe.seek(head);
+                if probe.head() == Some(head) {
                     mask.set(j);
                 }
             }
@@ -158,6 +169,7 @@ pub fn sle_refine(session: &RefineSession<'_>, options: &SleOptions) -> RefineOu
         }
     }
 
+    session.scan_stats.record_advances(advances);
     obs::counter!("xrefine_partitions_scanned_total").add(partitions_probed);
     obs::counter!("xrefine_sle_early_stops_total").add(early_stops);
     dp_memo.flush_hits();
@@ -192,14 +204,6 @@ fn step_two(
             dp_memo.materialise(session, id, options.slca, &mut lists)
         },
     )
-}
-
-fn session_advance(session: &RefineSession<'_>) {
-    session.scan_stats.record_advance();
-}
-
-fn session_random(session: &RefineSession<'_>) {
-    session.scan_stats.record_random_access();
 }
 
 #[cfg(test)]

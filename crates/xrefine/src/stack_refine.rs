@@ -21,7 +21,7 @@ use crate::query::RqCandidate;
 use crate::results::{RefineOutcome, Refinement};
 use crate::session::RefineSession;
 use crate::util::KeyMask;
-use invindex::{ListCursor, Posting};
+use invindex::Posting;
 use xmldom::Dewey;
 
 struct Entry<'p> {
@@ -37,11 +37,12 @@ struct Entry<'p> {
 /// original, at dissimilarity 0) and its meaningful SLCA results.
 pub fn stack_refine(session: &RefineSession<'_>) -> RefineOutcome {
     let width = session.width();
-    let mut cursors: Vec<ListCursor<'_>> = session
-        .lists
-        .iter()
-        .map(|l| ListCursor::new(l, session.scan_stats.clone()))
+    let mut streams: Vec<_> = (session.lists.iter())
+        .map(|l| l.run_postings().flatten().peekable())
         .collect();
+    // Postings taken from the merged stream: one advance each, flushed
+    // once.
+    let mut advances = 0u64;
 
     let mut stack: Vec<Entry<'_>> = Vec::new();
     let mut best: Option<RqCandidate> = None;
@@ -105,19 +106,23 @@ pub fn stack_refine(session: &RefineSession<'_>) -> RefineOutcome {
     };
 
     loop {
-        // k-way merge: smallest head among cursors, with its list index.
-        let mut smallest: Option<(usize, &Dewey)> = None;
-        for (i, c) in cursors.iter().enumerate() {
-            if let Some(p) = c.peek() {
+        // k-way merge: smallest head among the streams, with its list
+        // index.
+        let mut smallest: Option<(usize, &Posting)> = None;
+        for (i, stream) in streams.iter_mut().enumerate() {
+            if let Some(&p) = stream.peek() {
                 match smallest {
-                    None => smallest = Some((i, &p.dewey)),
-                    Some((_, d)) if p.dewey < *d => smallest = Some((i, &p.dewey)),
+                    None => smallest = Some((i, p)),
+                    Some((_, s)) if p.dewey < s.dewey => smallest = Some((i, p)),
                     _ => {}
                 }
             }
         }
-        let Some((list_idx, _)) = smallest else { break };
-        let posting = cursors[list_idx].next().expect("peeked");
+        let Some((list_idx, posting)) = smallest else {
+            break;
+        };
+        streams[list_idx].next();
+        advances += 1;
         let comps = posting.dewey.components();
 
         let mut p = 0;
@@ -138,6 +143,7 @@ pub fn stack_refine(session: &RefineSession<'_>) -> RefineOutcome {
         }
     }
     process_pop(&mut stack, 0, &mut best, &mut best_mask, &mut results);
+    session.scan_stats.record_advances(advances);
 
     results.sort();
     results.dedup();

@@ -2,9 +2,10 @@
 //! orthogonal to the SLCA computation method — plugging in any of the
 //! four implementations yields identical refinements and results.
 
-use invindex::{Index, KvBackedIndex};
+use invindex::{Index, KvBackedIndex, ListHandle, Posting};
 use lexicon::RuleSet;
 use std::sync::Arc;
+use xmldom::Dewey;
 use xrefine::{partition_refine, sle_refine, PartitionOptions, Query, RefineSession, SleOptions};
 
 fn queries() -> Vec<Vec<&'static str>> {
@@ -17,12 +18,27 @@ fn queries() -> Vec<Vec<&'static str>> {
     ]
 }
 
+/// The handles' postings, copied into vectors for a slice algorithm.
+fn copied(lists: &[ListHandle]) -> Vec<Vec<Posting>> {
+    (lists.iter())
+        .map(|l| l.run_postings().flatten().cloned().collect())
+        .collect()
+}
+
+fn indexed_lookup_eager(lists: &[ListHandle]) -> Vec<Dewey> {
+    slca::slca_indexed_lookup_eager(&copied(lists))
+}
+
+fn multiway(lists: &[ListHandle]) -> Vec<Dewey> {
+    slca::slca_multiway(&copied(lists))
+}
+
 fn methods() -> Vec<(&'static str, xrefine::SlcaMethod)> {
     vec![
         ("scan_eager", slca::slca_scan_eager),
-        ("indexed_lookup_eager", slca::slca_indexed_lookup_eager),
+        ("indexed_lookup_eager", indexed_lookup_eager),
         ("stack", slca::slca_stack),
-        ("multiway", slca::slca_multiway),
+        ("multiway", multiway),
     ]
 }
 

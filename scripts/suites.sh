@@ -75,10 +75,11 @@
 #                  ns per posting
 #                  against that reference over corpus_m's lists (printed,
 #                  not asserted), decode's allocation budget (a constant
-#                  per block and per whole list, none per posting), and
-#                  the stored-vs-build differential (every list a
-#                  query reads equals the build's, and so does the
-#                  answer over the build's lists)
+#                  per block and per `decode_all` of a list, none per
+#                  posting), and the stored-vs-build differential
+#                  (every list a query reads, read run by run as every
+#                  algorithm reads it, equals the build's, and so does
+#                  the answer over the build's lists)
 #   bench_e2e      the BENCHMARK.json harness's own tests, built against
 #                  the workspace crates: an API deletion in a measured
 #                  crate that breaks the benchmark fails here, pre-merge

@@ -113,7 +113,9 @@ fn persisted_index_supports_the_same_queries() {
     assert_eq!(opened.document().to_xml(), doc.to_xml());
     for (k, text) in built.vocabulary().iter() {
         assert_eq!(
-            opened.list_handle(text).unwrap().postings(),
+            (opened.list_handle(text).unwrap().run_postings().flatten())
+                .cloned()
+                .collect::<Vec<_>>(),
             built.list(text).unwrap().as_slice(),
             "{text}"
         );
