@@ -86,7 +86,7 @@ fn main() {
                 .iter()
                 .filter_map(|k| index.vocabulary().get(k))
                 .collect();
-            let types = index.document().node_types();
+            let types = index.node_types();
             let filter = MeaningfulFilter::infer(types, index.stats(), &ids, &config);
             let lists: Vec<ListHandle> = q
                 .keywords()

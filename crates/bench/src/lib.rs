@@ -58,6 +58,26 @@ pub fn time_ms<F: FnMut()>(mut f: F, reps: usize) -> f64 {
     start.elapsed().as_secs_f64() * 1000.0 / reps as f64
 }
 
+/// Hot-cache timing of a call too quick for a few runs to measure: one
+/// warm-up run, then batches of doubling size until the runs together
+/// took at least `total_ms`; the mean over all of them, in milliseconds.
+pub fn time_ms_over<F: FnMut()>(mut f: F, total_ms: f64) -> f64 {
+    f();
+    let start = Instant::now();
+    let (mut reps, mut batch) = (0u64, 1u64);
+    loop {
+        for _ in 0..batch {
+            f();
+        }
+        reps += batch;
+        let elapsed = start.elapsed().as_secs_f64() * 1000.0;
+        if elapsed >= total_ms {
+            return elapsed / reps as f64;
+        }
+        batch *= 2;
+    }
+}
+
 /// Runs a query through the engine's configured algorithm (the quantity
 /// the paper times: refinement + SLCA generation end-to-end). Returns the
 /// total number of SLCA results across the returned refinements.

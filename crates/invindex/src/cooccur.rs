@@ -90,7 +90,7 @@ impl CoOccurrence {
             return Ok(Arc::clone(v));
         }
         let list = reader.list_handle_by_id(k)?;
-        let types = reader.document().node_types();
+        let types = reader.node_types();
         // Block by block: the projection keeps no block resident that
         // no cursor decoded, and builds no contiguous copy.
         let mut v = Vec::new();

@@ -1,14 +1,19 @@
 //! The one index reader: every engine answers through [`KvBackedIndex`].
 //!
 //! [`KvBackedIndex`] opens a persisted index (see [`crate::persist`])
-//! and serves queries without rehydrating the posting lists. An index
-//! built in memory is served the same way: [`KvBackedIndex::from_built`]
-//! encodes its lists into a [`kvstore::MemKv`] with the store format's
-//! encoder, so every list a query reads is CRC-checked, block-decoded and
-//! cached exactly as under a store on disk. Vocabulary and statistics
-//! load eagerly (they are small and every query touches them), lists
-//! materialize lazily on first touch and live in an LRU cache with a
-//! configurable byte budget. A list is read as a [`StoredList`]: its
+//! and serves queries without rehydrating the posting lists or the
+//! document. An index built in memory is served the same way:
+//! [`KvBackedIndex::from_built`] encodes its lists and its document into a
+//! [`kvstore::MemKv`] with the store format's encoders, so every list a
+//! query reads is CRC-checked, block-decoded and cached exactly as under
+//! a store on disk, and every node is read from its record's chunk.
+//! The reader holds no corpus: of the document it keeps `D/types` (the
+//! node-type table, the tag symbols, the root and the counts), which is
+//! all the query path reads; [`KvBackedIndex::document_at`] decodes the
+//! one record a label falls in, for rendering and narrowing. Vocabulary
+//! and statistics load eagerly (they are small and every query touches
+//! them), lists materialize lazily on first touch and live in an LRU
+//! cache with a configurable byte budget. A list is read as a [`StoredList`]: its
 //! frame CRC is checked and its skip table parsed, and each block decodes
 //! the first time a cursor touches it and stays with the list. Cold start
 //! is therefore `O(vocabulary + stats)` instead of `O(index size)`, and a
@@ -22,7 +27,7 @@
 //! reads the reader's pinned [`kvstore::Snapshot`] directly — the
 //! snapshot is immutable, so misses take **no lock at all** and decoding
 //! happens outside every lock. Writers never block readers: a committing
-//! [`crate::maint::MaintIndex`] lays the document, vocabulary and
+//! [`crate::maint::MaintIndex`] lays the document header, vocabulary and
 //! statistics of its own build over the store's *new* snapshot (epoch
 //! handoff), decoding nothing, while existing readers keep serving the
 //! one they pinned at open.
@@ -51,12 +56,12 @@
 use crate::cache::{CacheStats, ListCache};
 use crate::cooccur::CoOccurrence;
 use crate::index::Index;
-use crate::persist;
+use crate::persist::{self, DocHeader};
 use crate::reader::{ListHandle, StoredList};
 use crate::stats::{KeywordId, KeywordTable, TypeStats};
 use kvstore::{KvError, KvStore, MemKv, Result, Snapshot};
 use std::sync::Arc;
-use xmldom::{Document, NodeTypeId};
+use xmldom::{Dewey, Document, NodeTypeId, NodeTypeTable, SymbolTable};
 
 /// Default list-cache budget: 64 MiB of encoded list bytes.
 pub const DEFAULT_CACHE_BUDGET: usize = 64 << 20;
@@ -68,7 +73,8 @@ pub const DEFAULT_CACHE_BUDGET: usize = 64 << 20;
 /// reach them. List acquisition is fallible;
 /// statistics access is not, because they load up front.
 pub struct KvBackedIndex {
-    doc: Arc<Document>,
+    /// `D/types`: the document but its records.
+    header: DocHeader,
     vocab: KeywordTable,
     stats: TypeStats,
     cooccur: CoOccurrence,
@@ -81,15 +87,18 @@ pub struct KvBackedIndex {
 }
 
 impl KvBackedIndex {
-    /// Serves a freshly built index: its posting lists are encoded into a
-    /// [`MemKv`] by the encoder [`persist::persist`] uses, and its
-    /// document, vocabulary and statistics move across as they are. The
-    /// reader is generation 0 with the default cache budget.
+    /// Serves a freshly built index: its posting lists and its document
+    /// are encoded into a [`MemKv`] by the encoders [`persist::persist`]
+    /// uses, and its vocabulary and statistics move across as they are.
+    /// The reader is generation 0 with the default cache budget.
     pub fn from_built(index: Index) -> Self {
         let (doc, vocab, lists, stats) = index.into_parts();
-        let store: MemKv = persist::list_entries(&lists).collect();
+        let mut store: MemKv = persist::list_entries(&lists).collect();
+        let encoded = persist::encode_document(&doc, |key, value| store.put(key, value));
+        // A `MemKv` put cannot fail.
+        debug_assert!(encoded.is_ok());
         Self::from_parts(
-            doc,
+            DocHeader::of(&doc),
             vocab,
             stats,
             0,
@@ -104,29 +113,29 @@ impl KvBackedIndex {
         Self::open_snapshot(Snapshot::new(Arc::from(store)))
     }
 
-    /// Opens a reader over `store` as generation 0, rebuilding the
-    /// document from its embedded `D/doc` record, with the default
-    /// cache budget.
+    /// Opens a reader over `store` as generation 0, with the default
+    /// cache budget. Reads `M/version`, `D/types`, `V/` and `S/`, and no
+    /// record's chunk.
     pub fn open_snapshot(store: Snapshot) -> Result<Self> {
-        let doc = Arc::new(persist::load_document(&store)?);
+        let header = persist::load_header(&store)?;
         let vocab = persist::load_vocab(&store)?;
         let stats = persist::load_stats(&store)?;
-        if stats.n_nodes_vec().len() != doc.node_types().len() {
+        if stats.n_nodes_vec().len() != header.node_types.len() {
             return Err(KvError::corrupt(
                 "document does not match persisted index (type count)",
             ));
         }
         let cache = Arc::new(ListCache::new(DEFAULT_CACHE_BUDGET));
-        Ok(Self::from_parts(doc, vocab, stats, 0, store, cache))
+        Ok(Self::from_parts(header, vocab, stats, 0, store, cache))
     }
 
-    /// A reader over `store`, whose document, vocabulary and statistics
-    /// the caller already holds, published as generation `gen` and
+    /// A reader over `store`, whose document header, vocabulary and
+    /// statistics the caller already holds, published as generation `gen` and
     /// sharing `cache` with readers of other generations. Decodes
     /// nothing, so it cannot fail: [`crate::maint::MaintIndex`] builds
     /// each generation's reader with it after the commit is durable.
     pub(crate) fn from_parts(
-        doc: Arc<Document>,
+        header: DocHeader,
         vocab: KeywordTable,
         stats: TypeStats,
         gen: u64,
@@ -134,7 +143,7 @@ impl KvBackedIndex {
         cache: Arc<ListCache<StoredList>>,
     ) -> Self {
         KvBackedIndex {
-            doc,
+            header,
             vocab,
             stats,
             cooccur: CoOccurrence::new(),
@@ -168,9 +177,52 @@ impl KvBackedIndex {
         self.store.scan_range(b"", None)
     }
 
-    /// The indexed document.
-    pub fn document(&self) -> &Arc<Document> {
-        &self.doc
+    /// The node-type table: every tag path of the document.
+    pub fn node_types(&self) -> &NodeTypeTable {
+        &self.header.node_types
+    }
+
+    /// The tag names the node types name.
+    pub fn symbols(&self) -> &SymbolTable {
+        &self.header.symbols
+    }
+
+    /// Element nodes in the document, the root included.
+    pub fn node_count(&self) -> usize {
+        self.header.nodes as usize
+    }
+
+    /// Records in the document: its root's children.
+    pub fn record_count(&self) -> usize {
+        self.header.records as usize
+    }
+
+    /// `D/types` as this reader holds it.
+    pub(crate) fn header(&self) -> &DocHeader {
+        &self.header
+    }
+
+    /// The part of the document `label` falls in, decoded from the
+    /// store: the root and the one record holding `label`, whose nodes
+    /// carry their labels and node types in the whole document; for the
+    /// root's own label, the whole document. `None` when `label` names no
+    /// record. Fallible: the chunk is read from the pinned snapshot.
+    pub fn document_at(&self, label: &Dewey) -> Result<Option<Document>> {
+        match label.components() {
+            [0] => self.read_document().map(Some),
+            [0, ordinal, ..] if *ordinal < self.header.records => {
+                let range = *ordinal..ordinal.saturating_add(1);
+                Ok(Some(
+                    persist::read_records(&self.store, &self.header, range)?.doc,
+                ))
+            }
+            _ => Ok(None),
+        }
+    }
+
+    /// The whole document, assembled from every record's chunk.
+    pub fn read_document(&self) -> Result<Document> {
+        persist::read_document(&self.store, &self.header)
     }
 
     /// The keyword vocabulary.
@@ -291,7 +343,9 @@ mod tests {
     fn opens_from_embedded_document_and_serves_lists() {
         let (doc, built, store) = persisted();
         let idx = KvBackedIndex::open(Box::new(store)).unwrap();
-        assert_eq!(idx.document().len(), doc.len());
+        assert_eq!(idx.node_count(), doc.len());
+        assert_eq!(idx.node_types(), doc.node_types());
+        assert_eq!(idx.symbols(), doc.symbols());
         assert_eq!(idx.vocabulary().len(), built.vocabulary().len());
         for kw in ["xml", "john", "database", "hobby"] {
             let h = handle_of(&idx, kw);

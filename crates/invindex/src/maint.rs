@@ -3,8 +3,10 @@
 //!
 //! [`MaintIndex`] owns a [`kvstore::DurableKv`] and, beside it, the
 //! [`KvBackedIndex`] over the last committed state, which
-//! [`MaintIndex::snapshot`] hands out. The corpus model is that reader's
-//! document: a root element whose direct children are the *records*; a
+//! [`MaintIndex::snapshot`] hands out. The corpus is a root element whose
+//! direct children are the *records*, and the writer holds none of it:
+//! its model is the reader's `D/types` (the tables, the root, the counts)
+//! and one stored chunk per record (see [`crate::persist`]); a
 //! maintenance transaction ([`MaintIndex::commit`] over a slice of
 //! [`MaintOp`]s) appends and/or removes records, commits the resulting
 //! store delta as **one atomic WAL transaction group**, and makes a
@@ -26,23 +28,28 @@
 //! last slot drops one record, and a remove of slot 0 drops and appends
 //! the whole corpus.
 //!
-//! Only the records dropped and appended are indexed. The dropped
-//! records' postings are the tail of each list they touch from the label
-//! `[0, keep]` on; their occurrence counts come from re-tokenizing the
-//! rendered records through the streaming builder's scan and tokenize
-//! phases, and their frequencies are taken away by the builder's own
-//! frequency walk. Keywords, tag names and node types only they held
-//! were first seen there, so they are the last ids of their tables and
-//! are truncated; a store whose vocabulary breaks that, or whose
-//! statistics would be taken below zero, is refused as corrupt before
-//! anything is written. The appended records are the next chunk of a
-//! streaming build, merged into the document builder reopened after the
-//! kept records ([`DocumentBuilder::resume`]), so a new keyword, tag or
-//! type gets the id a build from scratch gives it. Each touched list is
-//! re-encoded from its stored postings minus or plus its tail, read from
-//! the commit's store snapshot (not the list cache); `D/doc`, `V/`, `S/`
-//! and `M/maint` are encoded from the new tables, and a value equal to
-//! the stored one is not shipped.
+//! Only the records dropped and appended are indexed, and only their
+//! chunks are read or written. The dropped records' chunks are read from
+//! the commit's store snapshot and rendered; their postings are the tail
+//! of each list they touch from the label `[0, keep]` on, their
+//! occurrence counts come from re-tokenizing the renderings through the
+//! streaming builder's scan and tokenize phases, and their frequencies
+//! are taken away by the builder's own frequency walk. Keywords, tag
+//! names and node types only they held were first seen there, so they
+//! are the last ids of their tables and are truncated (the tag and type
+//! tables to the first dropped chunk's mark); a store whose vocabulary
+//! breaks that, or whose statistics would be taken below zero, is refused
+//! as corrupt before anything is written. The appended records are the
+//! next chunk of a streaming build, merged into a document builder
+//! resumed after the kept records from the truncated tables
+//! ([`DocumentBuilder::resume`]), so a new keyword, tag or type gets the
+//! id a build from scratch gives it. Each touched list is re-encoded from
+//! its stored postings minus or plus its tail, read from the commit's
+//! store snapshot (not the list cache); the appended records' chunks,
+//! `D/types`, `V/`, `S/` and `M/maint` are encoded from the new tables, a
+//! value equal to the stored one is not shipped, and the chunks of the
+//! ordinals past the new last record are deleted. An add reads no chunk;
+//! a remove of the last slot reads the one it drops.
 //!
 //! The batch is the changed keys' puts in key order, then the deletes in
 //! key order: op for op the one a diff of the live store against a
@@ -51,9 +58,8 @@
 //! (`tests/maint_differential.rs` for the final state,
 //! `tests/maint_delta.rs` after every commit), and crash recovery is
 //! exactly [`kvstore::DurableKv`]'s committed-prefix replay. A commit's
-//! work still grows with the corpus in two ways: `D/doc` and the stat
-//! tables are rewritten whole, and a remove re-indexes every record
-//! after its slot.
+//! work still grows with the corpus in two ways: the stat tables are
+//! rewritten whole, and a remove re-indexes every record after its slot.
 //!
 //! # Making a generation current
 //!
@@ -62,7 +68,7 @@
 //!            ── nothing below can fail ──
 //!            → cache.publish(gen+1, changed ids)
 //!                 (stale inserts refused, then stale entries dropped)
-//!            → new KvBackedIndex at gen+1: the staged document,
+//!            → new KvBackedIndex at gen+1: the staged D/types,
 //!              vocabulary and statistics over durable.snapshot() (O(1))
 //!            → seq advances
 //! ```
@@ -88,7 +94,7 @@
 //! [`kvstore::DurableKv::checkpoint`] (write `.db.new`, fsync, rename
 //! over `.db`, fsync dir, then reset the WAL) and makes the store's
 //! next snapshot — the new base, an empty overlay — a new generation,
-//! reusing the current reader's document, vocabulary and statistics,
+//! reusing the current reader's `D/types`, vocabulary and statistics,
 //! with **no cache invalidation**: the merged bytes are identical, so
 //! entries stamped by older generations keep hitting. That a checkpoint
 //! renames a file is `kvstore`'s business alone; earlier readers still
@@ -98,12 +104,12 @@ use crate::cache::ListCache;
 use crate::dfpass;
 use crate::fxhash::FxMap;
 use crate::kvindex::KvBackedIndex;
-use crate::persist;
+use crate::persist::{self, ChunkEncoder, DocHeader};
 use crate::postings::{read_varint, write_varint, PostingList};
 use crate::reader::StoredList;
 use crate::stats::{KeywordId, KeywordTable, Sign, TypeStats};
 use crate::stream;
-use kvstore::{BatchOp, DurableKv, KvError, KvStore, Result, Snapshot, StdVfs, Vfs};
+use kvstore::{BatchOp, DurableKv, KvError, KvStore, Result, StdVfs, Vfs};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -111,9 +117,8 @@ use std::sync::Arc;
 use std::time::Instant;
 use xmldom::{check_document, Dewey, Document, DocumentBuilder, NodeTypeId, MAX_SCAN_DEPTH};
 
-/// The store key holding maintenance metadata (committed transaction
-/// sequence number and record count), framed like every other persisted
-/// value.
+/// The store key holding maintenance metadata (the committed transaction
+/// sequence number), framed like every other persisted value.
 pub const MAINT_KEY: &[u8] = b"M/maint";
 
 /// One staged corpus mutation.
@@ -152,8 +157,8 @@ pub struct MaintReport {
 /// commits after it.
 pub struct MaintIndex {
     durable: DurableKv,
-    /// The reader over the last committed state: its document is the
-    /// corpus and its generation the current one.
+    /// The reader over the last committed state: its `D/types` and the
+    /// store's chunks are the corpus, and its generation the current one.
     reader: Arc<KvBackedIndex>,
     seq: u64,
 }
@@ -171,18 +176,8 @@ impl MaintIndex {
     pub fn open_with_vfs(vfs: Arc<dyn Vfs>, base: &Path) -> Result<Self> {
         let durable = DurableKv::open_with_vfs(vfs, base)?;
         let reader = Arc::new(KvBackedIndex::open_snapshot(durable.snapshot())?);
-        let records = record_count(reader.document());
         let seq = match durable.snapshot().get(MAINT_KEY)? {
-            Some(value) => {
-                let (seq, count) = decode_maint_meta(&value)?;
-                if count != records as u64 {
-                    return Err(KvError::corrupt(format!(
-                        "maintenance metadata claims {count} records but the \
-                         embedded document has {records}"
-                    )));
-                }
-                seq
-            }
+            Some(value) => decode_maint_meta(&value)?,
             None => 0,
         };
         obs::gauge!("maint_overlay_entries").set(durable.overlay_len() as i64);
@@ -233,7 +228,7 @@ impl MaintIndex {
 
         // 2. Stage the store delta and the next generation's parts.
         let seq = self.seq + 1;
-        let staged = self.stage(&records, seq)?;
+        let staged = self.stage(&records, seq, &self.durable.snapshot())?;
 
         // 3. Ship the delta. The append is the last step that can fail.
         let changed_lists = changed_list_ids(&staged.batch);
@@ -241,7 +236,7 @@ impl MaintIndex {
 
         // 4. The batch is durable: make its generation current from the
         //    staged parts, which are what the store now holds.
-        self.advance(staged.doc, staged.vocab, staged.stats, &changed_lists);
+        self.advance(staged.header, staged.vocab, staged.stats, &changed_lists);
         self.seq = seq;
         obs::gauge!("maint_overlay_entries").set(self.durable.overlay_len() as i64);
         Ok(MaintReport {
@@ -255,13 +250,13 @@ impl MaintIndex {
     }
 
     /// Stages the commit that leaves `records`: the WAL batch that turns
-    /// the store into a build of those records, and the document,
-    /// vocabulary and statistics of the next generation. The records from
-    /// the first slot the ops change on are dropped; the survivors among
-    /// them are appended again after the kept ones, then the fragments.
-    fn stage(&self, records: &[Record<'_>], seq: u64) -> Result<Staged> {
-        let store = self.durable.snapshot();
-        let old = self.reader.document();
+    /// `store` (the commit's snapshot) into a build of those records, and
+    /// the document header, vocabulary and statistics of the next
+    /// generation. The records from the first slot the ops change on are
+    /// dropped; the survivors among them are appended again after the kept
+    /// ones, then the fragments.
+    fn stage(&self, records: &[Record<'_>], seq: u64, store: &dyn KvStore) -> Result<Staged> {
+        let header = self.reader.header();
         let old_vocab = self.reader.vocabulary();
         let mut stats = self.reader.stats().clone();
         // The lists the commit touches, by keyword id: each one's postings
@@ -269,18 +264,18 @@ impl MaintIndex {
         let mut touched: BTreeMap<KeywordId, TouchedList> = BTreeMap::new();
 
         // The records before the first slot the ops change are kept. Every
-        // later one is dropped, rendered and tokenized as a build would
-        // scan it; those that survive are merged from the same tokens.
+        // later one is dropped: its chunk is read and rendered, and the
+        // rendering tokenized as a build would scan it; those that survive
+        // are merged from the same tokens.
         let keep = records
             .iter()
             .enumerate()
             .take_while(|&(slot, r)| *r == Record::Current(slot))
             .count();
+        let dropped_chunks = persist::read_records(store, header, keep as u32..header.records)?;
+        let old = &dropped_chunks.doc;
         let slots = &old.node(old.root()).children;
-        let rendered: Vec<String> = slots[keep..]
-            .iter()
-            .map(|&r| old.subtree_to_xml(r))
-            .collect();
+        let rendered: Vec<String> = slots.iter().map(|&r| old.subtree_to_xml(r)).collect();
         let dropped_records = rendered
             .iter()
             .map(|xml| stream::TokenizedRecord::new(xml))
@@ -291,7 +286,7 @@ impl MaintIndex {
         //    occurrences behind each dropped posting are read from the
         //    tokenized records, in document order.
         let mut dropped: FxMap<KeywordId, Vec<u64>> = FxMap::default();
-        for (&record, tokenized) in slots[keep..].iter().zip(&dropped_records) {
+        for (&record, tokenized) in slots.iter().zip(&dropped_records) {
             let ids = tokenized
                 .keywords()
                 .iter()
@@ -312,7 +307,7 @@ impl MaintIndex {
         }
         let first_dropped = Dewey::root().child(keep as u32);
         for (k, counts) in dropped {
-            let stored = stored_list(&store, k)?;
+            let stored = stored_list(store, k)?;
             let mut kept = persist::decode_list_value(&stored)?;
             let at = kept.as_slice().partition_point(|p| p.dewey < first_dropped);
             let gone = kept.split_off(at);
@@ -325,7 +320,7 @@ impl MaintIndex {
                 )));
             }
             let prev = kept.as_slice().last();
-            let types = old.node_types();
+            let types = &header.node_types;
             dfpass::adjust_stats(
                 &mut stats,
                 types,
@@ -377,7 +372,20 @@ impl MaintIndex {
         let survivors = dropped_records.into_iter().zip(survives);
         let mut appending: Vec<_> = survivors.filter_map(|(r, s)| s.then_some(r)).collect();
         appending.append(&mut tail);
-        let appended = stream::append_records(DocumentBuilder::resume(old, keep), vocab, appending);
+        // Tag names and node types only the dropped records used were
+        // first seen there: the tables keep what the kept records use, up
+        // to the mark of the first dropped record.
+        let mark = dropped_chunks.mark;
+        let (symbols, node_types) = persist::tables_before(header, mark);
+        let builder = DocumentBuilder::resume(
+            symbols,
+            node_types,
+            header.root_attributes.clone(),
+            header.root_text.clone(),
+            keep as u32,
+        );
+        let appended = stream::append_records(builder, vocab, appending);
+        // The root and the appended records.
         let doc = appended.doc;
         stats.set_type_count(doc.node_types().len())?;
         for (t, &n) in (0u32..).zip(&appended.n_nodes) {
@@ -392,7 +400,7 @@ impl MaintIndex {
                 Entry::Occupied(e) => e.into_mut(),
                 // A kept keyword the drop did not touch, or a new one.
                 Entry::Vacant(e) if (k.0 as usize) < kept_words => {
-                    let stored = stored_list(&store, k)?;
+                    let stored = stored_list(store, k)?;
                     e.insert(TouchedList {
                         postings: persist::decode_list_value(&stored)?,
                         stored: Some(stored),
@@ -439,9 +447,46 @@ impl MaintIndex {
                 changes.insert(persist::list_key(k.0), value);
             }
         }
+        // The appended records' chunks, each put unless the record its
+        // ordinal held was dropped with the same bytes; the ordinals past
+        // the new last record go. Both windows hold their root besides
+        // their records.
+        let kept_nodes = header.nodes.checked_sub(old.len() as u64 - 1);
+        let next = DocHeader {
+            symbols: doc.symbols().clone(),
+            node_types: doc.node_types().clone(),
+            root_attributes: header.root_attributes.clone(),
+            root_text: header.root_text.clone(),
+            nodes: kept_nodes.ok_or_else(|| {
+                KvError::corrupt("D/types counts fewer nodes than the dropped records hold")
+            })? + (doc.len() as u64 - 1),
+            records: records.len() as u32,
+        };
+        let mut encoder = ChunkEncoder::new(&doc);
+        let root = doc.node(doc.root());
+        let types_value = (encoder.header(
+            &next.symbols,
+            &next.node_types,
+            root,
+            next.nodes,
+            next.records,
+        ))
+        .to_vec();
+        encoder.records(mark, |key, value| {
+            let held = persist::chunk_ordinal(key)
+                .and_then(|ordinal| ordinal.checked_sub(keep as u32))
+                .and_then(|i| dropped_chunks.stored.get(i as usize));
+            if held.map(Vec::as_slice) != Some(value) {
+                changes.insert(key.to_vec(), Some(value.to_vec()));
+            }
+            Ok(())
+        })?;
+        for ordinal in next.records..header.records {
+            changes.insert(persist::chunk_key(ordinal).to_vec(), None);
+        }
         let whole = [
-            (b"D/doc".as_slice(), persist::document_value(&doc)),
-            (MAINT_KEY, encode_maint_meta(seq, records.len() as u64)),
+            (persist::TYPES_KEY, types_value),
+            (MAINT_KEY, encode_maint_meta(seq)),
         ];
         for (key, value) in whole.into_iter().chain(persist::stats_entries(&stats)) {
             if store.get(key)?.as_ref() != Some(&value) {
@@ -462,19 +507,19 @@ impl MaintIndex {
         batch.append(&mut deletes);
         Ok(Staged {
             batch,
-            doc: Arc::new(doc),
+            header: next,
             vocab,
             stats,
         })
     }
 
-    /// Makes `doc`, `vocab` and `stats` over the store's current
+    /// Makes `header`, `vocab` and `stats` over the store's current
     /// snapshot the reader of the next generation, and publishes that
     /// generation to the cache with the `changed` lists dropped
     /// ([`ListCache::publish`]).
     fn advance(
         &mut self,
-        doc: Arc<Document>,
+        header: DocHeader,
         vocab: KeywordTable,
         stats: TypeStats,
         changed: &[u32],
@@ -484,13 +529,13 @@ impl MaintIndex {
         cache.publish(gen, changed);
         let store = self.durable.snapshot();
         self.reader = Arc::new(KvBackedIndex::from_parts(
-            doc, vocab, stats, gen, store, cache,
+            header, vocab, stats, gen, store, cache,
         ));
     }
 
     /// Folds the WAL overlay into the base store and makes the compacted
-    /// state a new generation over the same document, vocabulary and
-    /// statistics (no cache invalidation: the merged bytes are
+    /// state a new generation over the same document header, vocabulary
+    /// and statistics (no cache invalidation: the merged bytes are
     /// identical). Returns whether anything was folded.
     pub fn compact(&mut self) -> Result<bool> {
         if self.durable.overlay_len() == 0 {
@@ -498,8 +543,8 @@ impl MaintIndex {
         }
         self.durable.checkpoint()?;
         let r = &self.reader;
-        let doc = Arc::clone(r.document());
-        self.advance(doc, r.vocabulary().clone(), r.stats().clone(), &[]);
+        let header = r.header().clone();
+        self.advance(header, r.vocabulary().clone(), r.stats().clone(), &[]);
         obs::counter!("maint_compactions_total").inc();
         obs::counter!("maint_epochs_total").inc();
         obs::gauge!("maint_overlay_entries").set(0);
@@ -514,19 +559,26 @@ impl MaintIndex {
 
     /// Records currently in the corpus.
     pub fn record_count(&self) -> usize {
-        record_count(self.reader.document())
+        self.reader.record_count()
     }
 
-    /// Canonical record fragments, in slot order.
-    pub fn records(&self) -> Vec<String> {
-        render_records(self.reader.document())
+    /// Canonical record fragments, in slot order, rendered from the
+    /// document assembled from every record's chunk. Fallible: the
+    /// chunks are read from the store.
+    pub fn records(&self) -> Result<Vec<String>> {
+        Ok(render_records(&self.reader.read_document()?))
     }
 
     /// The full corpus as one XML document (what a from-scratch build
-    /// of the current state would ingest).
+    /// of the current state would ingest), assembled from every record's
+    /// chunk. When a chunk cannot be read (an I/O error, or damage) it is
+    /// the empty string, which no XML parse accepts.
     pub fn full_xml(&self) -> String {
-        let doc = self.reader.document();
-        compose_corpus(doc, &render_records(doc))
+        let doc = self.reader.read_document();
+        doc.map_or_else(
+            |_| String::new(),
+            |doc| compose_corpus(&doc, &render_records(&doc)),
+        )
     }
 
     /// Entries (puts and deletes) accumulated in the WAL overlay since
@@ -541,11 +593,6 @@ impl MaintIndex {
     }
 }
 
-/// Records in `doc`: its root's children.
-fn record_count(doc: &Document) -> usize {
-    doc.node(doc.root()).children.len()
-}
-
 /// A record a transaction leaves, by where it comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Record<'a> {
@@ -555,11 +602,11 @@ enum Record<'a> {
     Added(&'a str),
 }
 
-/// A commit ready to append: its WAL batch, and the document, vocabulary
-/// and statistics the store holds once the batch is durable.
+/// A commit ready to append: its WAL batch, and the document header,
+/// vocabulary and statistics the store holds once the batch is durable.
 struct Staged {
     batch: Vec<BatchOp>,
-    doc: Arc<Document>,
+    header: DocHeader,
     vocab: KeywordTable,
     stats: TypeStats,
 }
@@ -601,7 +648,7 @@ fn apply_ops(ops: &[MaintOp], current: usize) -> Result<(Vec<Record<'_>>, usize,
 }
 
 /// The stored value of keyword `k`'s posting list, which must exist.
-fn stored_list(store: &Snapshot, k: KeywordId) -> Result<Vec<u8>> {
+fn stored_list(store: &dyn KvStore, k: KeywordId) -> Result<Vec<u8>> {
     store
         .get(&persist::list_key(k.0))?
         .ok_or_else(|| KvError::corrupt(format!("keyword id {} has no stored list", k.0)))
@@ -665,27 +712,25 @@ fn changed_list_ids(batch: &[BatchOp]) -> Vec<u32> {
         .collect()
 }
 
-/// `M/maint` value: persist-framed `varint(seq) ‖ varint(record_count)`.
-fn encode_maint_meta(seq: u64, records: u64) -> Vec<u8> {
+/// `M/maint` value: persist-framed `varint(seq)`. The record count is
+/// `D/types`'.
+fn encode_maint_meta(seq: u64) -> Vec<u8> {
     let mut payload = Vec::with_capacity(8);
     write_varint(&mut payload, seq);
-    write_varint(&mut payload, records);
     persist::frame_value(&payload)
 }
 
-/// Decodes an `M/maint` value into (seq, record_count). Public to the
-/// crate so the CLI `scrub` path can report maintenance state.
-pub fn decode_maint_meta(value: &[u8]) -> Result<(u64, u64)> {
+/// Decodes an `M/maint` value into the committed sequence number. Public
+/// so the CLI `scrub` path can report maintenance state.
+pub fn decode_maint_meta(value: &[u8]) -> Result<u64> {
     let raw = persist::unframe_value(value, "M/maint")?;
     let mut pos = 0;
     let seq = read_varint(raw, &mut pos)
         .ok_or_else(|| KvError::corrupt("M/maint: bad sequence varint"))?;
-    let records = read_varint(raw, &mut pos)
-        .ok_or_else(|| KvError::corrupt("M/maint: bad record-count varint"))?;
     if pos != raw.len() {
         return Err(KvError::corrupt("M/maint: trailing bytes"));
     }
-    Ok((seq, records))
+    Ok(seq)
 }
 
 #[cfg(test)]
@@ -978,12 +1023,7 @@ mod tests {
         let built = build_streaming(&maint.full_xml(), 1).unwrap();
         let mut scratch = MemKv::new();
         persist::persist(&built, &mut scratch).unwrap();
-        scratch
-            .put(
-                MAINT_KEY,
-                &encode_maint_meta(3, maint.record_count() as u64),
-            )
-            .unwrap();
+        scratch.put(MAINT_KEY, &encode_maint_meta(3)).unwrap();
         let fresh: BTreeMap<Vec<u8>, Vec<u8>> =
             scratch.scan_range(b"", None).unwrap().into_iter().collect();
         assert_eq!(live, fresh, "maintained store diverged from rebuild");
@@ -1195,7 +1235,7 @@ mod tests {
     /// The batch a rebuild would ship for `records`: the live store
     /// diffed against a from-scratch build of the recomposed corpus.
     fn rebuilt_batch(maint: &MaintIndex, records: &[Record<'_>], seq: u64) -> Vec<BatchOp> {
-        let doc = maint.reader.document();
+        let doc = maint.reader.read_document().unwrap();
         let slots = &doc.node(doc.root()).children;
         let texts: Vec<String> = records
             .iter()
@@ -1204,10 +1244,10 @@ mod tests {
                 Record::Added(fragment) => fragment.to_string(),
             })
             .collect();
-        let built = build_streaming(&compose_corpus(doc, &texts), 1).unwrap();
+        let built = build_streaming(&compose_corpus(&doc, &texts), 1).unwrap();
         let mut target = MemKv::new();
         persist::persist(&built, &mut target).unwrap();
-        let meta = encode_maint_meta(seq, records.len() as u64);
+        let meta = encode_maint_meta(seq);
         target.put(MAINT_KEY, &meta).unwrap();
         diff_stores(&maint.durable.snapshot(), &target).unwrap()
     }
@@ -1260,7 +1300,9 @@ mod tests {
             let ops = shaped(r, maint.record_count());
             let (records, _, _) = apply_ops(&ops, maint.record_count()).unwrap();
             let seq = maint.seq() + 1;
-            let staged = maint.stage(&records, seq).unwrap();
+            let staged = maint
+                .stage(&records, seq, &maint.durable.snapshot())
+                .unwrap();
             let rebuilt = rebuilt_batch(&maint, &records, seq);
             assert_eq!(staged.batch, rebuilt, "txn {t}: {ops:?}");
             maint.commit(&ops).unwrap();
@@ -1270,10 +1312,109 @@ mod tests {
         }
     }
 
+    /// A view of a store that records the keys it is asked for.
+    struct Counting<'s> {
+        inner: &'s dyn KvStore,
+        gets: std::sync::Mutex<Vec<Vec<u8>>>,
+    }
+
+    impl KvStore for Counting<'_> {
+        fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+            self.gets.lock().unwrap().push(key.to_vec());
+            self.inner.get(key)
+        }
+        fn put(&mut self, _: &[u8], _: &[u8]) -> Result<()> {
+            unreachable!("a commit stages against a read-only view")
+        }
+        fn delete(&mut self, _: &[u8]) -> Result<bool> {
+            unreachable!("a commit stages against a read-only view")
+        }
+        fn contains(&self, key: &[u8]) -> Result<bool> {
+            self.gets.lock().unwrap().push(key.to_vec());
+            self.inner.contains(key)
+        }
+        fn scan_range(&self, start: &[u8], end: Option<&[u8]>) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+            self.gets.lock().unwrap().push(start.to_vec());
+            self.inner.scan_range(start, end)
+        }
+        fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+            self.gets.lock().unwrap().push(prefix.to_vec());
+            self.inner.scan_prefix(prefix)
+        }
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+        fn sync(&mut self) -> Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Stages `ops` against a counting view of the store, then commits
+    /// them: the staged batch's `D/<ordinal>` puts and deletes, and the
+    /// `D/` keys the stage read.
+    fn stage_counted(maint: &mut MaintIndex, ops: &[MaintOp]) -> [Vec<u32>; 3] {
+        let (records, _, _) = apply_ops(ops, maint.record_count()).unwrap();
+        let snapshot = maint.durable.snapshot();
+        let view = Counting {
+            inner: &snapshot,
+            gets: Default::default(),
+        };
+        let staged = maint.stage(&records, maint.seq() + 1, &view).unwrap();
+        let chunk = |key: &Vec<u8>| persist::chunk_ordinal(key);
+        let (mut puts, mut deletes) = (Vec::new(), Vec::new());
+        for op in &staged.batch {
+            match op {
+                BatchOp::Put(key, _) => puts.extend(chunk(key)),
+                BatchOp::Delete(key) => deletes.extend(chunk(key)),
+            }
+        }
+        let gets = view.gets.into_inner().unwrap();
+        assert!(
+            gets.iter().all(|k| !k.is_empty() && !b"D/".starts_with(k)),
+            "a scan that reaches D/: {gets:?}"
+        );
+        let read = gets.iter().filter_map(chunk).collect();
+        maint.commit(ops).unwrap();
+        [puts, deletes, read]
+    }
+
+    #[test]
+    fn an_add_and_a_remove_of_the_last_slot_touch_one_chunk() {
+        let corpus = datagen::generate_dblp(&datagen::DblpConfig {
+            authors: 300,
+            seed: 0xD8B1,
+            ..Default::default()
+        });
+        let vfs = FaultVfs::new();
+        let base = PathBuf::from("/maint/corpus_s.db");
+        let built = build_streaming(&corpus.to_xml(), 1).unwrap();
+        let mut disk = DiskKv::open_with_vfs(&vfs.as_dyn(), &base).unwrap();
+        persist::persist(&built, &mut disk).unwrap();
+        drop(disk);
+        let mut maint = MaintIndex::open_with_vfs(vfs.as_dyn(), &base).unwrap();
+        assert_eq!(maint.record_count(), 300);
+
+        // An add puts the new last record's chunk and reads none.
+        let record = add("<author><name>Ada Lovelace</name><hobby>engines</hobby></author>");
+        let [puts, deletes, read] = stage_counted(&mut maint, &[record]);
+        assert_eq!((puts, deletes, read), (vec![300], vec![], vec![]), "add");
+
+        // A remove of the last slot deletes its chunk, and reads that one
+        // alone: it keeps every other.
+        let last = MaintOp::Remove { slot: 300 };
+        let [puts, deletes, read] = stage_counted(&mut maint, &[last]);
+        assert_eq!(
+            (puts, deletes, read),
+            (vec![], vec![300], vec![300]),
+            "remove"
+        );
+        assert_eq!(maint.record_count(), 300);
+    }
+
     #[test]
     fn maint_meta_codec_round_trips_and_rejects_garbage() {
-        let enc = encode_maint_meta(42, 7);
-        assert_eq!(decode_maint_meta(&enc).unwrap(), (42, 7));
+        let enc = encode_maint_meta(42);
+        assert_eq!(decode_maint_meta(&enc).unwrap(), 42);
         let mut bad = enc.clone();
         *bad.last_mut().unwrap() ^= 0xFF;
         assert!(decode_maint_meta(&bad).is_err());

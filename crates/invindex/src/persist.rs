@@ -6,9 +6,14 @@
 //! * `M/version`                — format version (raw varint: it is the
 //!   byte that says how everything else is framed, so it cannot itself
 //!   be framed);
-//! * `D/doc`                    — the source document as a hash-consed
-//!   subtree DAG with an interned string table, so
-//!   [`crate::KvBackedIndex`] can open with no re-parse;
+//! * `D/types`                  — the document but its records: the
+//!   root element, the tag-name symbols, the `(parent type, tag)`
+//!   node-type table, and the node and record counts;
+//! * `D/<ordinal:u32 BE>`       — one record (a root child, one
+//!   partition) as a hash-consed subtree DAG with its own string table,
+//!   tags written as symbol ids, so a record is read, and rewritten,
+//!   alone, and [`crate::KvBackedIndex`] opens on `D/types` with no
+//!   re-parse;
 //! * `V/<keyword>`              — keyword id (u32 LE);
 //! * `L/<id:u32 BE>`            — posting list (blocked
 //!   [`CompressedList`] encoding with a skip table);
@@ -49,12 +54,15 @@ use crate::postings::{read_varint, write_varint, CompressedList, PostingList};
 use crate::stats::{KeywordId, KeywordTable, TypeStats};
 use kvstore::{crc32, KvError, KvStore, Result};
 use std::collections::HashMap;
-use xmldom::{Document, DocumentBuilder, NodeId, NodeTypeId, Symbol};
+use xmldom::{
+    Document, DocumentBuilder, Node, NodeId, NodeTypeId, NodeTypeTable, Symbol, SymbolTable,
+};
 
 /// The on-disk format: compressed posting lists (blocked front-coded
-/// Dewey deltas behind a skip table), a DAG-deduplicated document and
-/// packed stat tables, every value class framed and checksummed.
-pub const FORMAT_VERSION: u64 = 4;
+/// Dewey deltas behind a skip table), the document as a header and one
+/// DAG-deduplicated chunk per record, and packed stat tables, every
+/// value class framed and checksummed.
+pub const FORMAT_VERSION: u64 = 5;
 
 /// Writes the index into `store`.
 pub fn persist(index: &Index, store: &mut dyn KvStore) -> Result<()> {
@@ -62,7 +70,7 @@ pub fn persist(index: &Index, store: &mut dyn KvStore) -> Result<()> {
     write_varint(&mut buf, FORMAT_VERSION);
     store.put(b"M/version", &buf)?;
 
-    store.put(b"D/doc", &document_value(index.document()))?;
+    encode_document(index.document(), |key, value| store.put(key, value))?;
 
     for (k, text) in index.vocabulary().iter() {
         let (key, value) = vocab_entry(k, text);
@@ -77,11 +85,6 @@ pub fn persist(index: &Index, store: &mut dyn KvStore) -> Result<()> {
         store.put(key, &value)?;
     }
     store.sync()
-}
-
-/// The `D/doc` value of `doc`.
-pub(crate) fn document_value(doc: &Document) -> Vec<u8> {
-    frame_value(&encode_document(doc))
 }
 
 /// The `V/` entry of keyword `k`.
@@ -149,18 +152,6 @@ pub(crate) fn read_version(store: &dyn KvStore) -> Result<u64> {
     Ok(version)
 }
 
-/// Checks the format version, then decodes the embedded `D/doc`
-/// document — the first read of every kv-backed open, so the version is
-/// checked once on the way in and a foreign store is refused before any
-/// of it is interpreted.
-pub(crate) fn load_document(store: &dyn KvStore) -> Result<Document> {
-    read_version(store)?;
-    let blob = store
-        .get(b"D/doc")?
-        .ok_or_else(|| KvError::corrupt("store has no embedded document (D/doc)"))?;
-    decode_document(unframe_value(&blob, "D/doc")?)
-}
-
 /// Rebuilds the keyword table from the `V/` entries. Vocabulary damage
 /// is always fatal: keyword ids must be gapless, so a single undecodable
 /// id makes every later id ambiguous.
@@ -223,10 +214,16 @@ pub(crate) fn list_id(key: &[u8]) -> Option<u32> {
 /// Frames `payload` as `varint(len) ‖ crc32 ‖ payload`.
 pub(crate) fn frame_value(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len().saturating_add(9));
-    write_varint(&mut out, payload.len() as u64);
+    frame_into(&mut out, payload);
+    out
+}
+
+/// [`frame_value`] into a reused buffer.
+fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
+    out.clear();
+    write_varint(out, payload.len() as u64);
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
-    out
 }
 
 /// Validates a frame written by [`frame_value`] and returns its payload.
@@ -274,101 +271,305 @@ pub fn decode_list_value(value: &[u8]) -> Result<PostingList> {
     CompressedList::parse(unframe_value(value, "posting list")?)?.decode_all()
 }
 
-// ----- DAG document codec ---------------------------------------------
+// ----- document codec: `D/types` and one DAG chunk per record --------
 //
-// Repeated subtrees (DBLP-style corpora are full of them: every
-// `<paper><title>…</title></paper>` shares its shape, many share whole
-// contents) are hash-consed into one tuple each, and every string — tag
-// names above all — is interned once in a shared table. The payload is
+// The document is stored as a header and one chunk per record (root
+// child). `D/types` holds everything but the records:
 //
-//   varint n_strings ‖ (varint len ‖ bytes)*            string table
-//   varint n_dag
+//   varint n_symbols ‖ (varint len ‖ bytes)*              tag names
+//   varint n_types ‖ (varint parent+1, 0 for none ‖ varint tag)*
+//   varint n_attrs ‖ (name ‖ value)* ‖ text               the root element
+//   varint nodes ‖ varint records
+//
+// Type 0 is the root's, its tag the root's tag, and every symbol is
+// some type's tag. `D/<ordinal:u32 BE>`
+// holds one record. Repeated subtrees (DBLP-style corpora are full of
+// them: every `<paper><title>…</title></paper>` shares its shape, many
+// share whole contents) are hash-consed into one tuple each, and every
+// text and attribute string is interned once in the chunk's table:
+//
+//   varint mark                           the node types the root and
+//                                         the records before it use
+//   varint n_strings ‖ (varint len ‖ bytes)*
+//   varint n_tuples
 //   per tuple, in construction (post-) order:
-//     varint tag_sid ‖ varint n_attrs ‖ (name_sid ‖ value_sid)*
-//     ‖ varint text_sid ‖ varint n_children ‖ child dag-ids
-//   varint root_id ‖ varint total_nodes
+//     varint tag_symbol ‖ varint n_attrs ‖ (name_sid ‖ value_sid)*
+//     ‖ varint text_sid ‖ varint n_children ‖ child tuple ids
+//   varint nodes
 //
-// Child dag-ids always reference earlier tuples, so the structure is
-// acyclic by construction on both ends. `total_nodes` bounds expansion:
-// a forged payload whose DAG expands past it (a "DAG bomb") is rejected
-// after at most `total_nodes` emitted nodes.
+// The record's root is the last tuple: no subtree of a record equals the
+// whole of it. Child ids always reference earlier tuples, so the
+// structure is acyclic by construction on both ends. `nodes` bounds
+// expansion: a forged payload whose DAG expands past it (a "DAG bomb")
+// is rejected after at most `nodes` emitted nodes. Tags are symbol ids of
+// `D/types`, and a record's node types are found by replaying it under
+// the header's tables, which must already hold them. Types and symbols
+// get their ids in first-open order, so the mark is what a commit that
+// drops this record and every later one truncates the type table to,
+// and the symbols to its types' tags ([`tables_before`]): it reads no
+// chunk it keeps.
 //
 // The encoder is one post-order pass over dense tables (one tuple lookup
 // per node, as in Böttcher et al.'s minimal-DAG construction): a node's
-// tuple id sits in a vector indexed by `NodeId`, a tag's string id in a
-// vector indexed by `Symbol`, and the string table borrows its keys from
-// the document. A tuple is formed in one reused `u32` buffer in exactly
-// its payload order, looked up by slice, and on a miss written to the
-// payload and kept as the one allocation it costs. Both maps keep std's
-// keyed hasher: `D/doc`'s strings come from update fragments, which a
-// client chooses, so the unkeyed `fxhash` maps are not for them.
+// tuple id sits in a vector indexed by `NodeId`, and the string table
+// borrows its keys from the document. A tuple is formed in one reused
+// `u32` buffer in exactly its payload order, looked up by slice, and on
+// a miss written to the payload and kept as the one allocation it costs.
+// The tables and buffers are cleared between chunks, never freed. Both
+// maps keep std's keyed hasher: the strings come from update fragments,
+// which a client chooses, so the unkeyed `fxhash` maps are not for them.
 
-/// One hash-consed subtree, as the decoder reads it: interned field ids
-/// plus child tuple ids.
-struct DagTuple {
-    tag: u32,
-    attrs: Vec<(u32, u32)>,
-    text: u32,
-    children: Vec<u32>,
+/// The key of the document header.
+pub(crate) const TYPES_KEY: &[u8] = b"D/types";
+
+/// Prefix of every document key.
+const DOC_PREFIX: &[u8] = b"D/";
+
+/// The `D/` key of record `ordinal`'s chunk.
+pub(crate) fn chunk_key(ordinal: u32) -> [u8; 6] {
+    let [a, b, c, d] = ordinal.to_be_bytes();
+    [b'D', b'/', a, b, c, d]
 }
 
-/// Serializes the document as a hash-consed subtree DAG. Public so the
-/// allocation-budget test can encode `D/doc` alone.
-pub fn encode_document(doc: &Document) -> Vec<u8> {
-    let mut enc = DagEncoder::new(doc);
-    // Arena order is pre-order, so a node's parent is open when it comes
-    // up; a node is closed — its tuple formed — once the walk leaves its
-    // subtree, which is post-order.
-    let mut open: Vec<NodeId> = Vec::with_capacity(32);
-    for (id, node) in doc.nodes() {
-        while let Some(&top) = open.last() {
-            if Some(top) == node.parent {
-                break;
-            }
-            open.pop();
-            enc.close(top);
+/// The record ordinal a chunk key names; `None` for any other key,
+/// `D/types` included.
+pub(crate) fn chunk_ordinal(key: &[u8]) -> Option<u32> {
+    let ordinal = key.strip_prefix(DOC_PREFIX)?.try_into().ok()?;
+    Some(u32::from_be_bytes(ordinal))
+}
+
+/// What `D/types` holds: the document but its records.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct DocHeader {
+    pub(crate) symbols: SymbolTable,
+    pub(crate) node_types: NodeTypeTable,
+    pub(crate) root_attributes: Vec<(String, String)>,
+    pub(crate) root_text: String,
+    /// Element nodes, the root included.
+    pub(crate) nodes: u64,
+    /// Root children.
+    pub(crate) records: u32,
+}
+
+impl DocHeader {
+    /// `doc`'s header.
+    pub(crate) fn of(doc: &Document) -> DocHeader {
+        let root = doc.node(doc.root());
+        DocHeader {
+            symbols: doc.symbols().clone(),
+            node_types: doc.node_types().clone(),
+            root_attributes: root.attributes.clone(),
+            root_text: root.text.clone(),
+            nodes: doc.len() as u64,
+            records: root.children.len() as u32,
         }
-        open.push(id);
     }
-    while let Some(top) = open.pop() {
-        enc.close(top);
-    }
-    enc.finish()
 }
 
-/// The tables of one [`encode_document`] pass.
-struct DagEncoder<'d> {
+/// The mark of the first record: the root alone uses type 0.
+const FIRST_MARK: u32 = 1;
+
+/// The tables of a document cut before the record whose chunk holds
+/// `mark`: the node types the root and the records before it use, and
+/// the symbols those types' tags are.
+pub(crate) fn tables_before(header: &DocHeader, mark: u32) -> (SymbolTable, NodeTypeTable) {
+    let mut node_types = header.node_types.clone();
+    node_types.truncate(mark as usize);
+    let used = node_types
+        .iter()
+        .map(|t| (node_types.tag(t).0 as usize).saturating_add(1))
+        .max();
+    let mut symbols = header.symbols.clone();
+    symbols.truncate(used.unwrap_or(0));
+    (symbols, node_types)
+}
+
+/// Writes `doc` as `D/types` and one chunk per record, handing each key
+/// and framed value to `put`. Public so the allocation-budget test can
+/// encode `D/` alone.
+pub fn encode_document(
+    doc: &Document,
+    mut put: impl FnMut(&[u8], &[u8]) -> Result<()>,
+) -> Result<()> {
+    let mut enc = ChunkEncoder::new(doc);
+    let root = doc.node(doc.root());
+    enc.header(
+        doc.symbols(),
+        doc.node_types(),
+        root,
+        doc.len() as u64,
+        root.children.len() as u32,
+    );
+    put(TYPES_KEY, &enc.out)?;
+    enc.records(FIRST_MARK, put)
+}
+
+/// The tables and buffers of one document's encode, reused chunk after
+/// chunk.
+pub(crate) struct ChunkEncoder<'d> {
     doc: &'d Document,
-    /// String id of each string seen, keyed by the document's own bytes.
+    /// String id of each string of the chunk, keyed by the document's
+    /// own bytes.
     string_ids: HashMap<&'d str, u32>,
-    /// The string table's payload bytes, in first-seen order.
+    /// The chunk's string table payload, in first-seen order.
     strings: Vec<u8>,
-    /// String id of each tag symbol; `UNSEEN` until its first node.
-    tag_sids: Vec<u32>,
     /// Tuple id of each node closed so far.
     node_tuple: Vec<u32>,
-    /// Tuple id of each distinct tuple, keyed by its fields.
+    /// Tuple id of each distinct tuple of the chunk, keyed by its fields.
     tuple_ids: HashMap<Box<[u32]>, u32>,
-    /// The tuples' payload bytes, in construction order.
+    /// The chunk's tuples, in construction order.
     tuples: Vec<u8>,
     /// The tuple being formed, in payload order.
     scratch: Vec<u32>,
+    /// The walk's open elements.
+    open: Vec<NodeId>,
+    /// The payload being framed.
+    payload: Vec<u8>,
+    /// The framed value last written.
+    out: Vec<u8>,
 }
 
-const UNSEEN: u32 = u32::MAX;
-
-impl<'d> DagEncoder<'d> {
-    fn new(doc: &'d Document) -> Self {
-        DagEncoder {
+impl<'d> ChunkEncoder<'d> {
+    /// An encoder whose tables and buffers fit `doc`'s largest chunk
+    /// and its header, so no chunk grows them.
+    pub(crate) fn new(doc: &'d Document) -> Self {
+        let most = ChunkBounds::of(doc);
+        let header = doc
+            .symbols()
+            .len()
+            .saturating_mul(32)
+            .saturating_add(doc.node_types().len().saturating_mul(20))
+            .saturating_add(ChunkBounds::node(doc.node(doc.root())).string_bytes)
+            .saturating_add(64);
+        let payload = most
+            .string_bytes
+            .saturating_add(most.tuple_bytes)
+            .saturating_add(64)
+            .max(header);
+        ChunkEncoder {
             doc,
-            string_ids: HashMap::with_capacity(doc.len()),
-            strings: Vec::with_capacity(doc.len()),
-            tag_sids: vec![UNSEEN; doc.symbols().len()],
+            string_ids: HashMap::with_capacity(most.strings),
+            strings: Vec::with_capacity(most.string_bytes),
             node_tuple: vec![0; doc.len()],
-            tuple_ids: HashMap::with_capacity(doc.len()),
-            tuples: Vec::with_capacity(doc.len().saturating_mul(8)),
-            scratch: Vec::with_capacity(64),
+            tuple_ids: HashMap::with_capacity(most.nodes),
+            tuples: Vec::with_capacity(most.tuple_bytes),
+            scratch: Vec::with_capacity(most.width),
+            open: Vec::with_capacity(most.depth),
+            payload: Vec::with_capacity(payload),
+            out: Vec::with_capacity(payload.saturating_add(16)),
         }
+    }
+
+    /// Frames the `D/types` value of a document with these tables and
+    /// this root, `nodes` elements and `records` root children into
+    /// [`Self::out`].
+    pub(crate) fn header(
+        &mut self,
+        symbols: &SymbolTable,
+        node_types: &NodeTypeTable,
+        root: &Node,
+        nodes: u64,
+        records: u32,
+    ) -> &[u8] {
+        let p = &mut self.payload;
+        p.clear();
+        write_varint(p, symbols.len() as u64);
+        for s in (0..symbols.len() as u32).map(Symbol) {
+            write_bytes(p, symbols.resolve(s).as_bytes());
+        }
+        write_varint(p, node_types.len() as u64);
+        for t in node_types.iter() {
+            let parent = node_types.parent(t).map_or(0, |p| u64::from(p.0) + 1);
+            write_varint(p, parent);
+            write_varint(p, u64::from(node_types.tag(t).0));
+        }
+        write_varint(p, root.attributes.len() as u64);
+        for (name, value) in &root.attributes {
+            write_bytes(p, name.as_bytes());
+            write_bytes(p, value.as_bytes());
+        }
+        write_bytes(p, root.text.as_bytes());
+        write_varint(p, nodes);
+        write_varint(p, u64::from(records));
+        frame_into(&mut self.out, &self.payload);
+        &self.out
+    }
+
+    /// Encodes each root child of the document, the first at mark
+    /// `start`, and hands its key and framed value to `put`.
+    pub(crate) fn records(
+        &mut self,
+        start: u32,
+        mut put: impl FnMut(&[u8], &[u8]) -> Result<()>,
+    ) -> Result<()> {
+        let doc = self.doc;
+        let records = &doc.node(doc.root()).children;
+        let (mut dedup_hits, mut bytes) = (0u64, 0u64);
+        let mut mark = start;
+        for (i, &record) in records.iter().enumerate() {
+            let end = records
+                .get(i.saturating_add(1))
+                .map_or(doc.len(), |c| c.0 as usize);
+            let (nodes, end_mark) = self.chunk(record, end, mark);
+            let distinct = self.tuple_ids.len() as u64;
+            dedup_hits = dedup_hits.saturating_add(nodes.saturating_sub(distinct));
+            bytes = bytes.saturating_add(self.payload.len() as u64);
+            let ordinal = doc
+                .node(record)
+                .dewey
+                .components()
+                .last()
+                .copied()
+                .unwrap_or_default();
+            put(&chunk_key(ordinal), &self.out)?;
+            mark = end_mark;
+        }
+        // Every node either made a new tuple or hit an earlier one.
+        obs::counter!("compress_dedup_hits_total").add(dedup_hits);
+        obs::counter!("compress_encoded_bytes_total").add(bytes);
+        Ok(())
+    }
+
+    /// Frames the chunk of the record whose nodes are `record..end` into
+    /// [`Self::out`]; returns its node count and the mark it ends at.
+    fn chunk(&mut self, record: NodeId, end: usize, start: u32) -> (u64, u32) {
+        self.string_ids.clear();
+        self.strings.clear();
+        self.tuple_ids.clear();
+        self.tuples.clear();
+        let mut mark = start;
+        // Arena order is pre-order, so a node's parent is open when it
+        // comes up; a node is closed — its tuple formed — once the walk
+        // leaves its subtree, which is post-order.
+        let mut open = std::mem::take(&mut self.open);
+        let first = record.0 as usize;
+        for id in (first..end).map(|i| NodeId(i as u32)) {
+            let node = self.doc.node(id);
+            mark = mark.max(node.node_type.0.saturating_add(1));
+            while let Some(&top) = open.last() {
+                if Some(top) == node.parent {
+                    break;
+                }
+                open.pop();
+                self.close(top);
+            }
+            open.push(id);
+        }
+        while let Some(top) = open.pop() {
+            self.close(top);
+        }
+        self.open = open;
+        let nodes = end.saturating_sub(first) as u64;
+        let p = &mut self.payload;
+        p.clear();
+        write_varint(p, u64::from(start));
+        write_varint(p, self.string_ids.len() as u64);
+        p.extend_from_slice(&self.strings);
+        write_varint(p, self.tuple_ids.len() as u64);
+        p.extend_from_slice(&self.tuples);
+        write_varint(p, nodes);
+        frame_into(&mut self.out, &self.payload);
+        (nodes, mark)
     }
 
     fn intern(&mut self, s: &'d str) -> u32 {
@@ -379,23 +580,8 @@ impl<'d> DagEncoder<'d> {
         })
     }
 
-    /// A tag's string id. Its first sight goes through the string table,
-    /// so a text or attribute value seen earlier with the same bytes
-    /// shares the id.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`tag_sids` has a slot for every symbol of the document the tag comes from"
-    )]
-    fn tag(&mut self, tag: Symbol) -> u32 {
-        let slot = tag.0 as usize;
-        if self.tag_sids[slot] == UNSEEN {
-            self.tag_sids[slot] = self.intern(self.doc.symbols().resolve(tag));
-        }
-        self.tag_sids[slot]
-    }
-
     /// Forms `id`'s tuple and records its tuple id, a new one unless an
-    /// equal subtree was closed before.
+    /// equal subtree of the chunk was closed before.
     #[expect(
         clippy::indexing_slicing,
         reason = "`node_tuple` has a slot for every node, and post-order closes each child \
@@ -406,7 +592,7 @@ impl<'d> DagEncoder<'d> {
         let node = doc.node(id);
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
-        scratch.push(self.tag(node.tag));
+        scratch.push(node.tag.0);
         scratch.push(node.attributes.len() as u32);
         for (name, value) in &node.attributes {
             scratch.push(self.intern(name));
@@ -429,160 +615,422 @@ impl<'d> DagEncoder<'d> {
         self.node_tuple[id.0 as usize] = tid;
         self.scratch = scratch;
     }
+}
 
-    fn finish(self) -> Vec<u8> {
-        let nodes = self.doc.len();
-        let root = self
-            .node_tuple
-            .get(self.doc.root().0 as usize)
-            .copied()
-            .unwrap_or_default();
-        // The two tables plus four varints of at most ten bytes each.
-        let mut out = Vec::with_capacity(
-            self.strings
-                .len()
-                .saturating_add(self.tuples.len())
-                .saturating_add(40),
-        );
-        write_varint(&mut out, self.string_ids.len() as u64);
-        out.extend_from_slice(&self.strings);
-        write_varint(&mut out, self.tuple_ids.len() as u64);
-        out.extend_from_slice(&self.tuples);
-        write_varint(&mut out, u64::from(root));
-        write_varint(&mut out, nodes as u64);
-        // Every node either made a new tuple or hit an earlier one.
-        obs::counter!("compress_dedup_hits_total")
-            .add(nodes.saturating_sub(self.tuple_ids.len()) as u64);
-        obs::counter!("compress_encoded_bytes_total").add(out.len() as u64);
-        out
+/// Upper bounds on what one chunk's encode holds, as the maxima over a
+/// document's records.
+#[derive(Default)]
+struct ChunkBounds {
+    nodes: usize,
+    /// Strings interned: a text per node, a name and a value per
+    /// attribute.
+    strings: usize,
+    /// String table bytes, each string with a length varint.
+    string_bytes: usize,
+    /// Tuple bytes: at most five per `u32` field.
+    tuple_bytes: usize,
+    /// The widest tuple, in fields.
+    width: usize,
+    /// The deepest nesting.
+    depth: usize,
+}
+
+impl ChunkBounds {
+    /// What one node adds.
+    fn node(node: &Node) -> ChunkBounds {
+        let attrs = node.attributes.len();
+        let bytes = node
+            .attributes
+            .iter()
+            .map(|(n, v)| n.len().saturating_add(v.len()));
+        let width = attrs
+            .saturating_mul(2)
+            .saturating_add(node.children.len())
+            .saturating_add(4);
+        ChunkBounds {
+            nodes: 1,
+            strings: attrs.saturating_mul(2).saturating_add(1),
+            string_bytes: bytes
+                .fold(node.text.len(), usize::saturating_add)
+                .saturating_add(attrs.saturating_mul(20).saturating_add(10)),
+            tuple_bytes: width.saturating_mul(5),
+            width,
+            depth: 0,
+        }
+    }
+
+    /// The maxima over `doc`'s records.
+    fn of(doc: &Document) -> ChunkBounds {
+        let mut most = ChunkBounds::default();
+        let mut record = ChunkBounds::default();
+        for (_, node) in doc.nodes().skip(1) {
+            let depth = node.dewey.len();
+            if depth == 2 {
+                most = most.max(&record);
+                record = ChunkBounds::default();
+            }
+            let n = ChunkBounds::node(node);
+            record.nodes = record.nodes.saturating_add(1);
+            record.strings = record.strings.saturating_add(n.strings);
+            record.string_bytes = record.string_bytes.saturating_add(n.string_bytes);
+            record.tuple_bytes = record.tuple_bytes.saturating_add(n.tuple_bytes);
+            record.width = record.width.max(n.width);
+            record.depth = record.depth.max(depth);
+        }
+        most.max(&record)
+    }
+
+    fn max(&self, other: &ChunkBounds) -> ChunkBounds {
+        ChunkBounds {
+            nodes: self.nodes.max(other.nodes),
+            strings: self.strings.max(other.strings),
+            string_bytes: self.string_bytes.max(other.string_bytes),
+            tuple_bytes: self.tuple_bytes.max(other.tuple_bytes),
+            width: self.width.max(other.width),
+            depth: self.depth.max(other.depth),
+        }
     }
 }
 
-/// Rebuilds the document from its DAG payload, replaying pre-order
-/// through [`DocumentBuilder`] so interner id assignment matches a parse
-/// of the source exactly.
-pub(crate) fn decode_document(bytes: &[u8]) -> Result<Document> {
-    let corrupt = |what: &str| KvError::corrupt(format!("document dag: {what}"));
-    let mut pos = 0usize;
+/// Reads and checks the format version, then decodes `D/types`: the
+/// first read of every kv-backed open, so the version is checked once on
+/// the way in and a foreign store is refused before any of it is
+/// interpreted.
+pub(crate) fn load_header(store: &dyn KvStore) -> Result<DocHeader> {
+    read_version(store)?;
+    read_header(store)
+}
 
-    let n_strings = read_varint(bytes, &mut pos).ok_or_else(|| corrupt("missing string count"))?;
+/// Decodes `D/types`.
+fn read_header(store: &dyn KvStore) -> Result<DocHeader> {
+    let blob = store
+        .get(TYPES_KEY)?
+        .ok_or_else(|| KvError::corrupt("store has no document header (D/types)"))?;
+    decode_header(unframe_value(&blob, "D/types")?)
+}
+
+/// Decodes a `D/types` payload.
+fn decode_header(bytes: &[u8]) -> Result<DocHeader> {
+    let corrupt = |what: &str| KvError::corrupt(format!("D/types: {what}"));
+    let mut pos = 0usize;
+    let mut next = |what: &str| read_varint(bytes, &mut pos).ok_or_else(|| corrupt(what));
+    let n_symbols = next("missing symbol count")?;
+    if n_symbols as usize > bytes.len() {
+        return Err(corrupt("symbol count exceeds payload size"));
+    }
+    let mut symbols = SymbolTable::new();
+    for i in 0..n_symbols {
+        let name = read_str(bytes, &mut pos).ok_or_else(|| corrupt("bad tag name"))?;
+        if u64::from(symbols.intern(name).0) != i {
+            return Err(corrupt("a tag name repeats"));
+        }
+    }
+    let mut next = |what: &str| read_varint(bytes, &mut pos).ok_or_else(|| corrupt(what));
+    let n_types = next("missing type count")?;
+    if n_types == 0 || n_types as usize > bytes.len() {
+        return Err(corrupt("type count is zero or exceeds payload size"));
+    }
+    let mut node_types = NodeTypeTable::new();
+    for i in 0..n_types {
+        let parent = match next("missing parent type")? {
+            0 => None,
+            p if p <= i => Some(NodeTypeId(p.saturating_sub(1) as u32)),
+            _ => return Err(corrupt("a parent type does not come before its child")),
+        };
+        if parent.is_none() != (i == 0) {
+            return Err(corrupt("the root type, and only it, has no parent"));
+        }
+        let tag = next("missing type tag")?;
+        if tag >= n_symbols {
+            return Err(corrupt("type tag out of range"));
+        }
+        if u64::from(node_types.intern(parent, Symbol(tag as u32)).0) != i {
+            return Err(corrupt("a node type repeats"));
+        }
+    }
+    let tags = node_types
+        .iter()
+        .map(|t| u64::from(node_types.tag(t).0) + 1);
+    if tags.max() != Some(n_symbols) {
+        return Err(corrupt("a tag name is no type's tag"));
+    }
+    let n_attrs = next("missing root attribute count")?;
+    if n_attrs as usize > bytes.len() {
+        return Err(corrupt("root attribute count exceeds payload size"));
+    }
+    let mut root_attributes = Vec::with_capacity(n_attrs as usize);
+    for _ in 0..n_attrs {
+        let name = read_str(bytes, &mut pos).ok_or_else(|| corrupt("bad root attribute"))?;
+        let value = read_str(bytes, &mut pos).ok_or_else(|| corrupt("bad root attribute"))?;
+        root_attributes.push((name.to_string(), value.to_string()));
+    }
+    let root_text = read_str(bytes, &mut pos)
+        .ok_or_else(|| corrupt("bad root text"))?
+        .to_string();
+    let mut next = |what: &str| read_varint(bytes, &mut pos).ok_or_else(|| corrupt(what));
+    let nodes = next("missing node count")?;
+    let records = u32::try_from(next("missing record count")?)
+        .map_err(|_| corrupt("record count overflow"))?;
+    if nodes <= u64::from(records) {
+        return Err(corrupt("fewer nodes than the root and its records"));
+    }
+    if pos != bytes.len() {
+        return Err(corrupt("trailing bytes"));
+    }
+    Ok(DocHeader {
+        symbols,
+        node_types,
+        root_attributes,
+        root_text,
+        nodes,
+        records,
+    })
+}
+
+/// One hash-consed subtree, as the decoder reads it: interned field ids
+/// plus child tuple ids.
+struct DagTuple {
+    tag: u32,
+    attrs: Vec<(u32, u32)>,
+    text: u32,
+    children: Vec<u32>,
+}
+
+/// One record's chunk, parsed but not expanded.
+struct Chunk<'a> {
+    mark: u32,
+    strings: Vec<&'a str>,
+    tuples: Vec<DagTuple>,
+    nodes: u64,
+}
+
+/// Parses the chunk payload of entry `entry`, checking its structure:
+/// every id in range, children before their parents, no trailing bytes.
+fn parse_chunk<'a>(bytes: &'a [u8], entry: &str) -> Result<Chunk<'a>> {
+    let corrupt = |what: &str| KvError::corrupt(format!("{entry}: record dag: {what}"));
+    let mut pos = 0usize;
+    let mut next = |what: &str| read_varint(bytes, &mut pos).ok_or_else(|| corrupt(what));
+    let mark = u32::try_from(next("missing mark")?).map_err(|_| corrupt("mark overflow"))?;
+    let n_strings = next("missing string count")?;
     if n_strings as usize > bytes.len() {
         return Err(corrupt("string count exceeds payload size"));
     }
-    let mut strings: Vec<String> = Vec::with_capacity(n_strings as usize);
+    let mut strings: Vec<&str> = Vec::with_capacity(n_strings as usize);
     for _ in 0..n_strings {
-        strings.push(read_string(bytes, &mut pos).ok_or_else(|| corrupt("bad string"))?);
+        strings.push(read_str(bytes, &mut pos).ok_or_else(|| corrupt("bad string"))?);
     }
-    let sid = |id: u64| -> Result<&str> {
-        strings
-            .get(id as usize)
-            .map(String::as_str)
-            .ok_or_else(|| corrupt("string id out of range"))
+    let mut next = |what: &str| read_varint(bytes, &mut pos).ok_or_else(|| corrupt(what));
+    let sid = |id: u64| -> Result<u32> {
+        match u32::try_from(id) {
+            Ok(id) if id < n_strings as u32 => Ok(id),
+            _ => Err(corrupt("string id out of range")),
+        }
     };
-
-    let n_dag = read_varint(bytes, &mut pos).ok_or_else(|| corrupt("missing tuple count"))?;
-    if n_dag as usize > bytes.len() {
-        return Err(corrupt("tuple count exceeds payload size"));
+    let n_tuples = next("missing tuple count")?;
+    if n_tuples == 0 || n_tuples as usize > bytes.len() {
+        return Err(corrupt("tuple count is zero or exceeds payload size"));
     }
-    let mut tuples: Vec<DagTuple> = Vec::with_capacity(n_dag as usize);
-    for i in 0..n_dag {
-        let tag = read_varint(bytes, &mut pos).ok_or_else(|| corrupt("missing tag id"))?;
-        let n_attrs = read_varint(bytes, &mut pos).ok_or_else(|| corrupt("missing attr count"))?;
+    let mut tuples: Vec<DagTuple> = Vec::with_capacity(n_tuples as usize);
+    for i in 0..n_tuples {
+        let tag = u32::try_from(next("missing tag id")?).map_err(|_| corrupt("tag id overflow"))?;
+        let n_attrs = next("missing attr count")?;
         if n_attrs as usize > bytes.len() {
             return Err(corrupt("attr count exceeds payload size"));
         }
         let mut attrs = Vec::with_capacity(n_attrs as usize);
         for _ in 0..n_attrs {
-            let n = read_varint(bytes, &mut pos).ok_or_else(|| corrupt("missing attr name"))?;
-            let v = read_varint(bytes, &mut pos).ok_or_else(|| corrupt("missing attr value"))?;
-            attrs.push((
-                u32::try_from(n).map_err(|_| corrupt("attr name id overflow"))?,
-                u32::try_from(v).map_err(|_| corrupt("attr value id overflow"))?,
-            ));
+            let name = sid(next("missing attr name")?)?;
+            attrs.push((name, sid(next("missing attr value")?)?));
         }
-        let text = read_varint(bytes, &mut pos).ok_or_else(|| corrupt("missing text id"))?;
-        let n_children =
-            read_varint(bytes, &mut pos).ok_or_else(|| corrupt("missing child count"))?;
+        let text = sid(next("missing text id")?)?;
+        let n_children = next("missing child count")?;
         if n_children as usize > bytes.len() {
             return Err(corrupt("child count exceeds payload size"));
         }
         let mut children = Vec::with_capacity(n_children as usize);
         for _ in 0..n_children {
-            let c = read_varint(bytes, &mut pos).ok_or_else(|| corrupt("missing child id"))?;
+            let c = next("missing child id")?;
             if c >= i {
                 return Err(corrupt("child id references a later tuple"));
             }
-            children.push(u32::try_from(c).map_err(|_| corrupt("child id overflow"))?);
+            children.push(c as u32);
         }
         tuples.push(DagTuple {
-            tag: u32::try_from(tag).map_err(|_| corrupt("tag id overflow"))?,
+            tag,
             attrs,
-            text: u32::try_from(text).map_err(|_| corrupt("text id overflow"))?,
+            text,
             children,
         });
     }
-
-    let root_id = read_varint(bytes, &mut pos).ok_or_else(|| corrupt("missing root id"))?;
-    if root_id >= n_dag {
-        return Err(corrupt("root id out of range"));
-    }
-    let total_nodes = read_varint(bytes, &mut pos).ok_or_else(|| corrupt("missing node count"))?;
-    if total_nodes == 0 {
-        return Err(corrupt("empty document"));
-    }
-    if total_nodes > u64::from(u32::MAX) {
-        return Err(corrupt("node count overflow"));
+    let nodes = next("missing node count")?;
+    if nodes == 0 || nodes > u64::from(u32::MAX) {
+        return Err(corrupt("node count is zero or overflows"));
     }
     if pos != bytes.len() {
         return Err(corrupt("trailing bytes"));
     }
+    Ok(Chunk {
+        mark,
+        strings,
+        tuples,
+        nodes,
+    })
+}
 
-    // Pre-order expansion with an explicit (tuple, child-cursor) stack,
-    // capped at `total_nodes` emitted elements.
-    let mut builder = DocumentBuilder::new();
-    let mut emitted = 0u64;
-    let mut stack: Vec<(u32, usize)> = Vec::new();
-    let enter = |builder: &mut DocumentBuilder,
-                 tuples: &[DagTuple],
-                 tid: u32,
-                 emitted: &mut u64|
-     -> Result<()> {
-        if *emitted >= total_nodes {
-            return Err(corrupt("dag expands past its declared node count"));
+/// Replays chunks, record by record, into a window of the document that
+/// starts at one record ([`DocumentBuilder::resume`] under the header's
+/// tables).
+struct Replay<'h> {
+    header: &'h DocHeader,
+    builder: DocumentBuilder,
+    /// The mark the next record must start at; `None` before the first
+    /// record of a window that does not start at record 0.
+    mark: Option<u32>,
+}
+
+impl<'h> Replay<'h> {
+    fn new(header: &'h DocHeader, first: u32) -> Self {
+        let builder = DocumentBuilder::resume(
+            header.symbols.clone(),
+            header.node_types.clone(),
+            header.root_attributes.clone(),
+            header.root_text.clone(),
+            first,
+        );
+        Replay {
+            header,
+            builder,
+            mark: (first == 0).then_some(FIRST_MARK),
         }
-        *emitted = emitted.saturating_add(1);
-        let t = tuples
-            .get(tid as usize)
-            .ok_or_else(|| corrupt("tuple id out of range"))?;
-        builder.open_element(sid(u64::from(t.tag))?);
-        for &(n, v) in &t.attrs {
-            builder.attribute(sid(u64::from(n))?, sid(u64::from(v))?);
+    }
+
+    /// Expands `chunk`, entry `entry`, as the next root child; returns the
+    /// mark it ends at.
+    fn record(&mut self, chunk: &Chunk<'_>, entry: &str) -> Result<u32> {
+        let corrupt = |what: &str| KvError::corrupt(format!("{entry}: record dag: {what}"));
+        let start = *self.mark.get_or_insert(chunk.mark);
+        let types = self.header.node_types.len() as u32;
+        if chunk.mark != start || start > types {
+            return Err(corrupt("its mark disagrees with the records before it"));
         }
-        let text = sid(u64::from(t.text))?;
-        if !text.is_empty() {
-            builder.text(text);
-        }
-        Ok(())
-    };
-    enter(&mut builder, &tuples, root_id as u32, &mut emitted)?;
-    stack.push((root_id as u32, 0));
-    while let Some((tid, cursor)) = stack.pop() {
-        let t = tuples
-            .get(tid as usize)
-            .ok_or_else(|| corrupt("tuple id out of range"))?;
-        match t.children.get(cursor) {
-            Some(&child) => {
-                stack.push((tid, cursor.saturating_add(1)));
-                enter(&mut builder, &tuples, child, &mut emitted)?;
-                stack.push((child, 0));
+        let symbols = &self.header.symbols;
+        let builder = &mut self.builder;
+        let mut mark = start;
+        let mut emitted = 0u64;
+        let mut enter = |builder: &mut DocumentBuilder, tid: u32| -> Result<()> {
+            if emitted >= chunk.nodes {
+                return Err(corrupt("dag expands past its declared node count"));
             }
-            None => builder.close_element(),
+            emitted = emitted.saturating_add(1);
+            let t = chunk
+                .tuples
+                .get(tid as usize)
+                .ok_or_else(|| corrupt("tuple id out of range"))?;
+            if t.tag as usize >= symbols.len() {
+                return Err(corrupt("tag id out of range"));
+            }
+            let tag = Symbol(t.tag);
+            let id = builder.open_element(symbols.resolve(tag));
+            mark = mark.max(builder.node(id).node_type.0.saturating_add(1));
+            let sid = |id: u32| chunk.strings.get(id as usize).copied().unwrap_or_default();
+            for &(n, v) in &t.attrs {
+                builder.attribute(sid(n), sid(v));
+            }
+            builder.text(sid(t.text));
+            Ok(())
+        };
+        // Pre-order expansion with an explicit (tuple, child-cursor) stack.
+        let root = chunk.tuples.len().saturating_sub(1) as u32;
+        enter(builder, root)?;
+        let mut stack: Vec<(u32, usize)> = vec![(root, 0)];
+        while let Some((tid, cursor)) = stack.pop() {
+            let t = chunk
+                .tuples
+                .get(tid as usize)
+                .ok_or_else(|| corrupt("tuple id out of range"))?;
+            match t.children.get(cursor) {
+                Some(&child) => {
+                    stack.push((tid, cursor.saturating_add(1)));
+                    enter(builder, child)?;
+                    stack.push((child, 0));
+                }
+                None => builder.close_element(),
+            }
         }
+        if emitted != chunk.nodes {
+            return Err(corrupt("dag expands short of its declared node count"));
+        }
+        // The builder gives a type the header's table lacks the next id.
+        if mark > types {
+            return Err(corrupt("a tag path is missing from D/types"));
+        }
+        self.mark = Some(mark);
+        Ok(mark)
     }
-    if emitted != total_nodes {
-        return Err(corrupt("dag expands short of its declared node count"));
+
+    /// Closes the root.
+    fn finish(mut self) -> Document {
+        self.builder.close_element();
+        self.builder.finish()
     }
-    Ok(builder.finish())
+}
+
+/// Records read from the store and replayed into one window.
+pub(crate) struct ReadRecords {
+    /// The root and the records read.
+    pub(crate) doc: Document,
+    /// The mark of the first record read; the type count when none is.
+    pub(crate) mark: u32,
+    /// The records' stored chunk values, in order.
+    pub(crate) stored: Vec<Vec<u8>>,
+}
+
+/// Reads the chunks of records `range` from `store` and replays them into
+/// one window of the document.
+pub(crate) fn read_records(
+    store: &dyn KvStore,
+    header: &DocHeader,
+    range: std::ops::Range<u32>,
+) -> Result<ReadRecords> {
+    if range.end > header.records {
+        return Err(KvError::corrupt(format!(
+            "record {} read past the {} D/types holds",
+            range.end, header.records
+        )));
+    }
+    let mut replay = Replay::new(header, range.start);
+    let mut first_mark = None;
+    let mut stored = Vec::with_capacity(range.len());
+    for ordinal in range {
+        let entry = format!("D/{ordinal}");
+        let value = store
+            .get(&chunk_key(ordinal))?
+            .ok_or_else(|| KvError::corrupt(format!("{entry}: missing")))?;
+        let chunk = parse_chunk(unframe_value(&value, &entry)?, &entry)?;
+        first_mark.get_or_insert(chunk.mark);
+        replay.record(&chunk, &entry)?;
+        drop(chunk);
+        stored.push(value);
+    }
+    Ok(ReadRecords {
+        doc: replay.finish(),
+        mark: first_mark.unwrap_or(header.node_types.len() as u32),
+        stored,
+    })
+}
+
+/// The whole document: every record's chunk, replayed in order under
+/// `D/types`.
+pub(crate) fn read_document(store: &dyn KvStore, header: &DocHeader) -> Result<Document> {
+    let doc = read_records(store, header, 0..header.records)?.doc;
+    if doc.len() as u64 != header.nodes {
+        return Err(KvError::corrupt(format!(
+            "D/types: {} nodes, but the records hold {}",
+            header.nodes,
+            doc.len()
+        )));
+    }
+    Ok(doc)
 }
 
 // ----- integrity checking (the `scrub` path) -------------------------
@@ -655,15 +1103,7 @@ pub fn verify_store(store: &dyn KvStore) -> IntegrityReport {
     // of the store is checked against the one format this build knows,
     // so the damage report is best-effort rather than absent.
 
-    let mut doc_section = SectionReport {
-        name: "document",
-        entries: 1,
-        damaged: Vec::new(),
-    };
-    if let Err(e) = load_document(store) {
-        doc_section.damaged.push(("D/doc".into(), e.to_string()));
-    }
-    sections.push(doc_section);
+    sections.push(verify_document(store));
 
     // Vocabulary: per-entry decode, then the global gapless-ids check.
     let mut vocab_section = SectionReport {
@@ -774,6 +1214,110 @@ pub fn verify_store(store: &dyn KvStore) -> IntegrityReport {
     IntegrityReport { version, sections }
 }
 
+/// The document section: `D/types`, then each chunk alone, each damaged
+/// entry named by its key (`D/types`, `D/<ordinal>`). Each chunk is
+/// replayed under `D/types` on its own, so damage in one does not hide
+/// the others; its mark is held to where the record before it ends,
+/// and the chunks to the records and nodes `D/types` counts.
+fn verify_document(store: &dyn KvStore) -> SectionReport {
+    let mut section = SectionReport {
+        name: "document",
+        entries: 0,
+        damaged: Vec::new(),
+    };
+    let mut damage = |entry: String, detail: String| section.damaged.push((entry, detail));
+    let header = read_header(store)
+        .map_err(|e| damage("D/types".into(), e.to_string()))
+        .ok();
+    let entries = match store.scan_prefix(DOC_PREFIX) {
+        Ok(entries) => entries,
+        Err(e) => {
+            damage("<scan>".into(), e.to_string());
+            Vec::new()
+        }
+    };
+    let mut chunks = 0u32;
+    // Whether every chunk replayed, with the nodes they hold and the
+    // mark the last one ends at.
+    let mut sound = true;
+    let mut nodes = 1u64;
+    let mut end: Option<(u32, u32)> = None;
+    for (key, value) in &entries {
+        if key.as_slice() == TYPES_KEY {
+            continue;
+        }
+        let Some(ordinal) = chunk_ordinal(key) else {
+            damage(
+                String::from_utf8_lossy(key).into_owned(),
+                "not a document key".into(),
+            );
+            continue;
+        };
+        let entry = format!("D/{ordinal}");
+        let checked = unframe_value(value, &entry)
+            .and_then(|payload| parse_chunk(payload, &entry))
+            .and_then(|chunk| {
+                let Some(header) = &header else {
+                    return Ok(None);
+                };
+                if ordinal >= header.records {
+                    return Err(KvError::corrupt(format!(
+                        "past the {} records D/types holds",
+                        header.records
+                    )));
+                }
+                if let Some((before, mark)) = end {
+                    if before.checked_add(1) == Some(ordinal) && mark != chunk.mark {
+                        return Err(KvError::corrupt(
+                            "its mark disagrees with where the record before it ends",
+                        ));
+                    }
+                }
+                let mark = Replay::new(header, ordinal).record(&chunk, &entry)?;
+                Ok(Some((chunk.nodes, mark)))
+            });
+        chunks = chunks.saturating_add(1);
+        match checked {
+            Ok(Some((n, mark))) => {
+                nodes = nodes.saturating_add(n);
+                end = Some((ordinal, mark));
+            }
+            Ok(None) => {}
+            Err(e) => {
+                sound = false;
+                end = None;
+                damage(entry, e.to_string());
+            }
+        }
+    }
+    if let Some(header) = &header {
+        if chunks < header.records {
+            sound = false;
+            let present: Vec<u32> = entries
+                .iter()
+                .filter_map(|(k, _)| chunk_ordinal(k))
+                .collect();
+            for ordinal in (0..header.records).filter(|o| present.binary_search(o).is_err()) {
+                damage(format!("D/{ordinal}"), "missing".into());
+            }
+        }
+        let types = header.node_types.len() as u32;
+        let last = end.map_or(FIRST_MARK, |(_, mark)| mark);
+        if sound && (nodes != header.nodes || last != types) {
+            damage(
+                "D/types".into(),
+                format!(
+                    "{} nodes and {types} node types, but the records hold {nodes} nodes and \
+                     use {last} types",
+                    header.nodes
+                ),
+            );
+        }
+    }
+    section.entries = u64::from(chunks).saturating_add(1);
+    section
+}
+
 // ----- helpers -------------------------------------------------------
 
 fn write_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
@@ -781,11 +1325,10 @@ fn write_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
-fn read_string(bytes: &[u8], pos: &mut usize) -> Option<String> {
+fn read_str<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a str> {
     let len = read_varint(bytes, pos)? as usize;
     let end = pos.checked_add(len)?;
-    let raw = bytes.get(*pos..end)?;
-    let s = String::from_utf8(raw.to_vec()).ok()?;
+    let s = std::str::from_utf8(bytes.get(*pos..end)?).ok()?;
     *pos = end;
     Some(s)
 }
@@ -928,7 +1471,7 @@ mod tests {
         persist(&built, &mut store).unwrap();
         let opened = open(store).unwrap();
 
-        assert_eq!(opened.document().to_xml(), doc.to_xml());
+        assert_eq!(opened.read_document().unwrap(), *doc);
         assert_eq!(built.vocabulary().len(), opened.vocabulary().len());
         for (k, text) in built.vocabulary().iter() {
             assert_eq!(opened.vocabulary().get(text), Some(k));
@@ -1091,71 +1634,138 @@ mod tests {
     }
 
     #[test]
-    fn document_blob_roundtrips_exactly() {
+    fn document_chunks_roundtrip_exactly() {
         let doc = Arc::new(figure1());
         let built = Index::build(Arc::clone(&doc));
         let mut store = MemKv::new();
         persist(&built, &mut store).unwrap();
-        let replayed = load_document(&store).unwrap();
-        assert_eq!(replayed.len(), doc.len());
-        for ((_, a), (_, b)) in doc.nodes().zip(replayed.nodes()) {
-            assert_eq!(a.dewey, b.dewey);
-            assert_eq!(a.node_type, b.node_type);
-            assert_eq!(a.text, b.text);
-            assert_eq!(a.attributes, b.attributes);
+        let header = load_header(&store).unwrap();
+        assert_eq!(header, DocHeader::of(&doc));
+        assert_eq!(read_document(&store, &header).unwrap(), *doc);
+        // Every label's chunk holds it, with its type and subtree.
+        let opened = open(store).unwrap();
+        for (id, node) in doc.nodes() {
+            let part = opened.document_at(&node.dewey).unwrap().unwrap();
+            let at = part.node_by_dewey(&node.dewey).unwrap();
+            assert_eq!(part.node(at).node_type, node.node_type);
+            assert_eq!(part.subtree_to_xml(at), doc.subtree_to_xml(id));
         }
-        assert_eq!(doc.to_xml(), replayed.to_xml());
+        for label in ["1", "0.2", "0.9.9"] {
+            assert!(opened
+                .document_at(&label.parse().unwrap())
+                .unwrap()
+                .is_none());
+        }
+    }
+
+    /// `doc`'s chunk of record `ordinal`, unframed.
+    fn chunk_payload(doc: &Document, ordinal: u32) -> Vec<u8> {
+        let mut payload = Vec::new();
+        encode_document(doc, |key, value| {
+            if key == chunk_key(ordinal) {
+                payload = unframe_value(value, "chunk").unwrap().to_vec();
+            }
+            Ok(())
+        })
+        .unwrap();
+        payload
     }
 
     #[test]
-    fn dag_document_dedups_repeated_subtrees() {
-        // 50 identical records: the DAG stores the record subtree once.
-        let mut xml = String::from("<bib>");
+    fn a_chunk_dedups_repeated_subtrees() {
+        // 50 identical papers in one record: its DAG stores the paper once.
+        let mut xml = String::from("<bib><shelf>");
         for _ in 0..50 {
             xml.push_str("<paper><title>xml keyword</title><year>2009</year></paper>");
         }
-        xml.push_str("</bib>");
+        xml.push_str("</shelf></bib>");
         let doc = xmldom::parse_document(&xml).unwrap();
-        let dag = encode_document(&doc);
+        let chunk = chunk_payload(&doc, 0);
         assert!(
-            dag.len() * 5 < xml.len(),
-            "dag {} vs xml {}: expected >5x shrink on repeated records",
-            dag.len(),
+            chunk.len() * 5 < xml.len(),
+            "chunk {} vs xml {}: expected >5x shrink on repeated subtrees",
+            chunk.len(),
             xml.len()
         );
-        let back = decode_document(&dag).unwrap();
-        assert_eq!(back.to_xml(), doc.to_xml());
-        for ((_, a), (_, b)) in doc.nodes().zip(back.nodes()) {
-            assert_eq!(a.dewey, b.dewey);
-            assert_eq!(a.node_type, b.node_type);
+        let mut store = MemKv::new();
+        encode_document(&doc, |key, value| store.put(key, value)).unwrap();
+        let back = read_document(&store, &read_header(&store).unwrap()).unwrap();
+        assert_eq!(back, doc);
+    }
+
+    #[test]
+    fn a_damaged_chunk_or_header_is_an_error_not_a_panic() {
+        let doc = figure1();
+        let header = DocHeader::of(&doc);
+        let decode = |payload: &[u8]| {
+            parse_chunk(payload, "D/0")
+                .and_then(|chunk| Replay::new(&header, 0).record(&chunk, "D/0"))
+        };
+        let chunk = chunk_payload(&doc, 0);
+        assert!(decode(&chunk).is_ok());
+        // truncations at every prefix must error, never panic
+        for cut in 0..chunk.len() {
+            assert!(decode(&chunk[..cut]).is_err(), "cut {cut}");
+        }
+        // every single-byte flip must error or replay (the store frame
+        // CRC is what guarantees detection; here we only require no panic
+        // and no expansion blow-up)
+        for i in 0..chunk.len() {
+            let mut bad = chunk.clone();
+            bad[i] ^= 0xFF;
+            let _ = decode(&bad);
+        }
+        // a DAG bomb — node count understating the expansion — is cut off
+        // (record 0 has fewer than 128 nodes, so the count is the final
+        // single byte)
+        let mut bomb = chunk.clone();
+        *bomb.last_mut().unwrap() = 1;
+        let err = decode(&bomb).unwrap_err();
+        assert!(err.to_string().contains("expands past"), "{err}");
+
+        let mut store = MemKv::new();
+        encode_document(&doc, |key, value| store.put(key, value)).unwrap();
+        let framed = store.get(TYPES_KEY).unwrap().unwrap();
+        let types = unframe_value(&framed, "D/types").unwrap();
+        assert_eq!(decode_header(types).unwrap(), header);
+        for cut in 0..types.len() {
+            assert!(decode_header(&types[..cut]).is_err(), "cut {cut}");
+        }
+        for i in 0..types.len() {
+            let mut bad = types.to_vec();
+            bad[i] ^= 0xFF;
+            let _ = decode_header(&bad);
         }
     }
 
     #[test]
-    fn dag_document_rejects_structural_damage() {
-        let doc = figure1();
-        let dag = encode_document(&doc);
-        // truncations at every prefix must error, never panic
-        for cut in 0..dag.len() {
-            assert!(decode_document(&dag[..cut]).is_err(), "cut {cut}");
-        }
-        // every single-byte flip must error or produce a well-formed doc
-        // (the store frame CRC is what guarantees detection; here we only
-        // require no panic and no expansion blow-up)
-        for i in 0..dag.len() {
-            let mut bad = dag.clone();
-            bad[i] ^= 0xFF;
-            let _ = decode_document(&bad);
-        }
-        // a DAG bomb — node count understating the expansion — is cut off
-        let mut bomb = dag.clone();
-        let n = doc.len() as u64;
-        // rewrite the trailing total_nodes varint to 1 (figure1 has < 128
-        // nodes, so the count is the final single byte)
-        assert_eq!(*bomb.last().unwrap() as u64, n);
-        *bomb.last_mut().unwrap() = 1;
-        let err = decode_document(&bomb).unwrap_err();
-        assert!(err.to_string().contains("expands past"), "{err}");
+    fn verify_store_names_the_damaged_document_key() {
+        let built = Index::build(Arc::new(figure1()));
+        let mut store = MemKv::new();
+        persist(&built, &mut store).unwrap();
+        let damaged = |store: &MemKv| -> Vec<String> {
+            let report = verify_store(store);
+            let doc = report
+                .sections
+                .iter()
+                .find(|s| s.name == "document")
+                .unwrap();
+            let others = report.total_damaged() - doc.damaged.len();
+            assert_eq!(others, 0, "{report:?}");
+            doc.damaged.iter().map(|(entry, _)| entry.clone()).collect()
+        };
+        assert!(damaged(&store).is_empty());
+
+        let flip = |key: &[u8]| {
+            let mut value = store.get(key).unwrap().unwrap();
+            *value.last_mut().unwrap() ^= 0xFF;
+            with_value(&store, key, &value)
+        };
+        assert_eq!(damaged(&flip(&chunk_key(1))), ["D/1"]);
+        assert_eq!(damaged(&flip(TYPES_KEY)), ["D/types"]);
+        let mut gap = flip(&chunk_key(0));
+        gap.delete(&chunk_key(1)).unwrap();
+        assert_eq!(damaged(&gap), ["D/0", "D/1"]);
     }
 
     #[test]

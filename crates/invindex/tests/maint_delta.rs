@@ -4,7 +4,9 @@
 //!
 //! * the store dump, minus `M/maint`, equals `persist` of
 //!   `build_streaming(full_xml, 1)`;
-//! * the reader's document, vocabulary and statistics equal the build's.
+//! * the reader's node types, symbols and node count, the document
+//!   assembled from its chunks, its vocabulary and statistics equal the
+//!   build's.
 //!
 //! The transactions are seeded and random, over a DBLP corpus: adds, a
 //! remove of the last slot, a remove of the last few then an add, an add
@@ -111,9 +113,13 @@ fn assert_matches_a_build(maint: &MaintIndex, what: &str) {
         );
     }
 
+    let assembled = reader.read_document().unwrap();
+    assert!(assembled == **built.document(), "{what}: document differs");
     assert!(
-        **reader.document() == **built.document(),
-        "{what}: document differs"
+        reader.node_types() == built.document().node_types()
+            && reader.symbols() == built.document().symbols()
+            && reader.node_count() == built.document().len(),
+        "{what}: the reader's type and symbol tables differ"
     );
     assert!(
         reader.vocabulary() == built.vocabulary(),

@@ -247,12 +247,12 @@ fn reopen_restores_the_maintained_state_exactly() {
         let mut maint = MaintIndex::open_with_vfs(Arc::clone(&dynvfs), &base).unwrap();
         let mut rng = XorShift(0x5EED_5EED);
         let xml = run_workload(&mut maint, &mut rng, 8);
-        (xml, maint.seq(), maint.records())
+        (xml, maint.seq(), maint.records().unwrap())
     };
 
     let reopened = MaintIndex::open_with_vfs(Arc::clone(&dynvfs), &base).unwrap();
     assert_eq!(reopened.seq(), seq);
-    assert_eq!(reopened.records(), records);
+    assert_eq!(reopened.records().unwrap(), records);
     assert_eq!(reopened.full_xml(), final_xml);
 
     // And the reopened snapshot serves the final corpus.

@@ -112,7 +112,7 @@ fn seed_store(vfs: &Arc<dyn Vfs>, base: &Path) {
     let mut disk = DiskKv::open_with_vfs(vfs, &base.with_extension("db")).unwrap();
     persist::persist(&built, &mut disk).unwrap();
     disk.sync().unwrap();
-    // The sweep must exercise the compressed (v4) format.
+    // The sweep must exercise the current format.
     assert_eq!(
         disk.get(b"M/version").unwrap().as_deref(),
         Some([persist::FORMAT_VERSION as u8].as_slice()),

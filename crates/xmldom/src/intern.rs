@@ -58,7 +58,7 @@ impl SymbolTable {
     }
 
     /// Forgets every symbol from `len` on.
-    pub(crate) fn truncate(&mut self, len: usize) {
+    pub fn truncate(&mut self, len: usize) {
         for name in self.names.drain(len.min(self.names.len())..) {
             self.by_name.remove(&name);
         }
@@ -135,7 +135,7 @@ impl NodeTypeTable {
     }
 
     /// Forgets every type from `len` on.
-    pub(crate) fn truncate(&mut self, len: usize) {
+    pub fn truncate(&mut self, len: usize) {
         for t in self.types.drain(len.min(self.types.len())..) {
             self.by_key.remove(&(t.parent, t.tag));
         }

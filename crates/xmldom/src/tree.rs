@@ -32,7 +32,8 @@ pub struct Node {
     pub text: String,
 }
 
-/// A parsed XML document.
+/// A parsed XML document, or a window of one: its root and a run of the
+/// root's children, as [`DocumentBuilder::resume`] builds it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Document {
     nodes: Vec<Node>,
@@ -97,17 +98,32 @@ impl Document {
     /// [`DocumentBuilder`] — the only way a `Document` is made — numbers
     /// children densely, so a label's components are the child ordinals
     /// on the path from the root: the lookup follows `children[ordinal]`
-    /// down, one step per component. The node reached is returned only if
-    /// its own label equals the target, so a label that names nothing
-    /// yields `None`, never a neighbouring node.
+    /// down, one step per component. In a window
+    /// ([`DocumentBuilder::resume`]) the root's children start at the
+    /// first one's ordinal, and a label under a root child the window
+    /// leaves out names nothing. The node reached is returned only if its
+    /// own label equals the target, so a label that names nothing yields
+    /// `None`, never a neighbouring node.
     pub fn node_by_dewey(&self, dewey: &Dewey) -> Option<NodeId> {
         let mut id = self.root();
         let mut node = self.nodes.first()?;
+        let mut base = self.first_record();
         for &ordinal in dewey.components().get(1..)? {
-            id = *node.children.get(ordinal as usize)?;
+            id = *node.children.get(ordinal.checked_sub(base)? as usize)?;
             node = self.nodes.get(id.0 as usize)?;
+            base = 0;
         }
         (node.dewey == *dewey).then_some(id)
+    }
+
+    /// The ordinal of the root's first child here: 0, unless the document
+    /// is a window that starts after some of them.
+    fn first_record(&self) -> u32 {
+        let first = self.nodes.first().and_then(|root| root.children.first());
+        first.map_or(0, |c| {
+            let label = self.node(*c).dewey.components();
+            label.last().copied().unwrap_or(0)
+        })
     }
 
     /// Pre-order subtree traversal rooted at `id` (inclusive).
@@ -222,6 +238,9 @@ pub struct DocumentBuilder {
     node_types: NodeTypeTable,
     /// Stack of open elements (arena ids).
     open: Vec<NodeId>,
+    /// The ordinal of the first root child this build opens (non-zero
+    /// only when resumed).
+    first_record: u32,
 }
 
 impl Default for DocumentBuilder {
@@ -237,32 +256,44 @@ impl DocumentBuilder {
             symbols: SymbolTable::new(),
             node_types: NodeTypeTable::new(),
             open: Vec::new(),
+            first_record: 0,
         }
     }
 
-    /// Reopens `doc` at its root, as a build of its root and first `keep`
-    /// root children would stand before the root closes: the elements
-    /// opened next become root children `keep`, `keep + 1`, …. The later
-    /// root children's subtrees are left out, and so are the tag names
-    /// and node types that only they used. Both tables assign ids in
-    /// first-open order and the kept nodes are a pre-order prefix, so the
-    /// ids left out are a suffix of each, and every id that is kept or
-    /// assigned next is the one a build of the resulting document gives.
-    pub fn resume(doc: &Document, keep: usize) -> DocumentBuilder {
-        let root = doc.node(doc.root());
-        let cut = root.children.get(keep).map_or(doc.len(), |c| c.0 as usize);
-        let mut nodes = doc.nodes[..cut].to_vec();
-        nodes[0].children.truncate(keep);
-        let used = |id: fn(&Node) -> u32| nodes.iter().map(|n| id(n) as usize + 1).max();
-        let mut symbols = doc.symbols.clone();
-        symbols.truncate(used(|n| n.tag.0).unwrap_or(0));
-        let mut node_types = doc.node_types.clone();
-        node_types.truncate(used(|n| n.node_type.0).unwrap_or(0));
+    /// Reopens a document at its root, as a build of its root and first
+    /// `first` root children stands before the root closes, but holding
+    /// none of those children: the elements opened next become root
+    /// children `first`, `first + 1`, …, and what [`Self::finish`] returns
+    /// is a *window* of the document, its root and those children. The
+    /// root is type 0 of `node_types`, whose tag names it, and carries
+    /// `attributes` and `text`. The tables are taken as they are: an
+    /// element whose tag or type they hold gets that id, and any other
+    /// the next one, as in a build of the whole document when the tables
+    /// are the ones its first `first` root children leave. Panics if
+    /// `node_types` holds no root type.
+    pub fn resume(
+        symbols: SymbolTable,
+        node_types: NodeTypeTable,
+        attributes: Vec<(String, String)>,
+        text: String,
+        first: u32,
+    ) -> DocumentBuilder {
+        let root_type = NodeTypeId(0);
+        let root = Node {
+            tag: node_types.tag(root_type),
+            dewey: Dewey::root(),
+            node_type: root_type,
+            parent: None,
+            children: Vec::new(),
+            attributes,
+            text,
+        };
         DocumentBuilder {
-            nodes,
+            nodes: vec![root],
             symbols,
             node_types,
-            open: vec![doc.root()],
+            open: vec![NodeId(0)],
+            first_record: first,
         }
     }
 
@@ -277,7 +308,8 @@ impl DocumentBuilder {
             }
             Some(&p) => {
                 let parent_node = &self.nodes[p.0 as usize];
-                let ordinal = parent_node.children.len() as u32;
+                let base = if p.0 == 0 { self.first_record } else { 0 };
+                let ordinal = base + parent_node.children.len() as u32;
                 let dewey = parent_node.dewey.child(ordinal);
                 (dewey, Some(p), Some(parent_node.node_type))
             }
@@ -471,20 +503,54 @@ mod tests {
         }
     }
 
+    /// Resumes `full` after its first `keep` root children, with the
+    /// tables those children leave.
+    fn resume_after(full: &Document, keep: u32, symbols: usize, types: usize) -> DocumentBuilder {
+        let mut syms = full.symbols().clone();
+        syms.truncate(symbols);
+        let mut node_types = full.node_types().clone();
+        node_types.truncate(types);
+        let root = full.node(full.root());
+        DocumentBuilder::resume(
+            syms,
+            node_types,
+            root.attributes.clone(),
+            root.text.clone(),
+            keep,
+        )
+    }
+
     #[test]
     fn resume_continues_a_build_after_the_kept_children() {
         let full = small_doc();
         // The second author alone brings `hobby`, a new tag and type.
-        let mut b = DocumentBuilder::resume(&full, 1);
+        let mut b = resume_after(&full, 1, 7, 7);
         b.open_element("author");
         b.leaf("name", "John Doe");
         b.leaf("hobby", "fishing");
         b.close_element();
         b.close_element();
-        assert_eq!(b.finish(), full);
+        let window = b.finish();
+        assert_eq!(window.symbols(), full.symbols());
+        assert_eq!(window.node_types(), full.node_types());
+        let second = full.node(full.root()).children[1];
+        let last = window.node(window.root()).children[0];
+        assert_eq!(window.subtree_to_xml(last), full.subtree_to_xml(second));
+        for id in full.descendants_or_self(second) {
+            let n = full.node(id);
+            let at = window.node_by_dewey(&n.dewey).unwrap();
+            assert_eq!(
+                (&window.node(at).dewey, window.node(at).node_type),
+                (&n.dewey, n.node_type)
+            );
+        }
+        // The children the window leaves out name nothing in it.
+        assert_eq!(window.node_by_dewey(&"0.0".parse().unwrap()), None);
+        assert_eq!(window.node_by_dewey(&"0.0.1".parse().unwrap()), None);
+        assert_eq!(window.node_by_dewey(&"0.2".parse().unwrap()), None);
 
         // Nothing kept under the root: its tag and type alone remain.
-        let mut b = DocumentBuilder::resume(&full, 0);
+        let mut b = resume_after(&full, 0, 1, 1);
         b.leaf("hobby", "x");
         b.close_element();
         let doc = b.finish();
@@ -492,10 +558,27 @@ mod tests {
         assert_eq!(doc.symbols().get("author"), None);
         assert_eq!(doc.to_xml(), "<bib>\n  <hobby>x</hobby>\n</bib>\n");
 
-        // Everything kept: the document itself, root open.
-        let mut b = DocumentBuilder::resume(&full, 2);
+        // Resumed at 0 with the whole tables, a replay is the document.
+        let mut b = resume_after(&full, 0, usize::MAX, usize::MAX);
+        for &c in &full.node(full.root()).children {
+            replay(&full, c, &mut b);
+        }
         b.close_element();
         assert_eq!(b.finish(), full);
+    }
+
+    /// Opens `id`'s subtree of `doc` in `b`.
+    fn replay(doc: &Document, id: NodeId, b: &mut DocumentBuilder) {
+        let n = doc.node(id);
+        b.open_element(doc.tag_name(id));
+        for (k, v) in &n.attributes {
+            b.attribute(k, v);
+        }
+        b.text(&n.text);
+        for &c in &n.children {
+            replay(doc, c, b);
+        }
+        b.close_element();
     }
 
     #[test]

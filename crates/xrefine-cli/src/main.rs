@@ -11,17 +11,17 @@
 //! The flag-only form indexes the document, encodes it into an
 //! in-memory store, then reads keyword queries from stdin (one per
 //! line). `index` persists the built index into a kvstore file; `query
-//! --store` serves the same REPL straight from that file — the document
-//! is replayed from the embedded blob. Either way posting lists are read
-//! through the same store format and decoded lazily, per query.
+//! --store` serves the same REPL straight from that file — a result is
+//! rendered from its record's stored chunk. Either way posting lists are
+//! read through the same store format and decoded lazily, per query.
 //!
 //! Both `--data` and `index` build via the zero-copy scanner
 //! (`invindex::build_streaming`, the one ingest path: a malformed file
 //! is reported the same way by either); `index --threads N`
 //! parallelises its tokenize/DF phases, and the persisted store is
 //! byte-identical at any thread count: compressed postings (blocked
-//! front-coded Dewey lists with skip tables), the deduplicated DAG
-//! document and packed stat tables.
+//! front-coded Dewey lists with skip tables), the document as a header
+//! and one deduplicated DAG chunk per record, and packed stat tables.
 //!
 //! Observability (see DESIGN.md "Observability"):
 //!
@@ -397,9 +397,7 @@ fn scrub_store_with_vfs(vfs: &Arc<dyn kvstore::Vfs>, store_path: &str) -> Result
             }
             if let Ok(Some(value)) = view.get(invindex::maint::MAINT_KEY) {
                 match invindex::maint::decode_maint_meta(&value) {
-                    Ok((seq, records)) => {
-                        println!("maintenance: seq {seq}, {records} record(s) under maintenance")
-                    }
+                    Ok(seq) => println!("maintenance: seq {seq}"),
                     Err(e) => {
                         maint_clean = false;
                         println!("maintenance: damaged M/maint record: {e}");
@@ -456,7 +454,7 @@ fn build_engine(opts: &Options) -> Result<XRefineEngine, String> {
             eprintln!(
                 "opened persisted index {} ({} elements, {:?}, Top-{})",
                 path,
-                engine.document().len(),
+                engine.index().node_count(),
                 opts.algorithm,
                 opts.k
             );
@@ -697,10 +695,16 @@ fn repl(engine: &XRefineEngine, opts: &Options) -> ExitCode {
 
 fn render(engine: &XRefineEngine, slcas: &[xmldom::Dewey], max: usize, out: &mut impl Write) {
     for d in slcas.iter().take(max) {
-        if let Some(xml) = engine.render(d) {
-            let _ = writeln!(out, "--- result at {d} ---");
-            for line in xml.lines().take(12) {
-                let _ = writeln!(out, "  {line}");
+        match engine.render(d) {
+            Ok(Some(xml)) => {
+                let _ = writeln!(out, "--- result at {d} ---");
+                for line in xml.lines().take(12) {
+                    let _ = writeln!(out, "  {line}");
+                }
+            }
+            Ok(None) => {}
+            Err(e) => {
+                let _ = writeln!(out, "--- result at {d}: cannot render: {e} ---");
             }
         }
     }

@@ -95,9 +95,10 @@ impl XRefineEngine {
     }
 
     /// Opens a persisted index (written by `invindex::persist`) straight
-    /// from its on-disk kv store: the document is replayed from the
-    /// embedded blob and posting lists are decoded lazily, per query —
-    /// no XML re-parse, no full index load. The store is read through
+    /// from its on-disk kv store: of the document only `D/types` is read,
+    /// a record's chunk is decoded when a result in it is rendered, and
+    /// posting lists are decoded lazily, per query — no XML re-parse, no
+    /// full index load. The store is read through
     /// [`kvstore::Snapshot::open`], the one read-only open: committed
     /// but not yet compacted updates in the WAL beside it are visible,
     /// nothing on disk is created, repaired or truncated, and a missing
@@ -125,10 +126,6 @@ impl XRefineEngine {
 
     pub fn index(&self) -> &KvBackedIndex {
         &self.reader
-    }
-
-    pub fn document(&self) -> &Arc<Document> {
-        self.reader.document()
     }
 
     pub fn config(&self) -> &EngineConfig {
@@ -316,11 +313,15 @@ impl XRefineEngine {
         Ok(method(&slices))
     }
 
-    /// Renders a result subtree back to XML (for display).
-    pub fn render(&self, dewey: &Dewey) -> Option<String> {
-        let doc = self.reader.document();
-        let id = doc.node_by_dewey(dewey)?;
-        Some(doc.subtree_to_xml(id))
+    /// Renders a result subtree back to XML (for display), decoding the
+    /// record it falls in ([`KvBackedIndex::document_at`]): `None` when
+    /// the label names no node, an error when the record's chunk cannot
+    /// be read.
+    pub fn render(&self, dewey: &Dewey) -> kvstore::Result<Option<String>> {
+        let Some(doc) = self.reader.document_at(dewey)? else {
+            return Ok(None);
+        };
+        Ok(doc.node_by_dewey(dewey).map(|id| doc.subtree_to_xml(id)))
     }
 }
 
@@ -447,9 +448,9 @@ mod tests {
         let e = engine(Algorithm::Partition);
         let out = e.answer("john fishing").unwrap();
         let d = &out.best().unwrap().slcas[0];
-        let xml = e.render(d).unwrap();
+        let xml = e.render(d).unwrap().unwrap();
         assert!(xml.contains("fishing") || xml.contains("John"));
-        assert!(e.render(&"0.9.9".parse().unwrap()).is_none());
+        assert!(e.render(&"0.9.9".parse().unwrap()).unwrap().is_none());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::results::Refinement;
 use invindex::{KvBackedIndex, ListHandle};
 use slca::{slca_scan_eager, MeaningfulFilter, SearchForConfig};
 use std::collections::HashMap;
-use xmldom::tokenize;
+use xmldom::{tokenize, Document};
 
 /// Options for narrowing refinement.
 #[derive(Debug, Clone)]
@@ -70,9 +70,8 @@ pub fn narrow_refine(
     if ids.len() != query.keywords().len() || ids.is_empty() {
         return Ok(None); // broken queries are the main system's job
     }
-    let doc = index.document();
     let filter =
-        MeaningfulFilter::infer(doc.node_types(), index.stats(), &ids, &options.search_for);
+        MeaningfulFilter::infer(index.node_types(), index.stats(), &ids, &options.search_for);
 
     let lists: Vec<ListHandle> = query
         .keywords()
@@ -87,23 +86,37 @@ pub fn narrow_refine(
     // Mine candidate keywords from a sample of the result subtrees. Each
     // SLCA is lifted to its enclosing *search-for entity* (the highest
     // ancestor-or-self of a candidate search-for type): users constrain
-    // entities, not minimal text nodes.
+    // entities, not minimal text nodes. An SLCA is looked up in its
+    // record's chunk alone; an entity that is the root reads the whole
+    // document, once.
     let mut containing: HashMap<String, usize> = HashMap::new();
     let sampled = slcas.len().min(options.sample_subtrees);
+    let mut whole: Option<Document> = None;
     for dewey in slcas.iter().take(sampled) {
-        let Some(mut node) = doc.node_by_dewey(dewey) else {
+        let Some(part) = index.document_at(dewey)? else {
+            continue;
+        };
+        let Some(mut node) = part.node_by_dewey(dewey) else {
             continue;
         };
         let mut cur = node;
         loop {
-            if filter.candidates().contains(&doc.node(cur).node_type) {
+            if filter.candidates().contains(&part.node(cur).node_type) {
                 node = cur;
             }
-            match doc.node(cur).parent {
+            match part.node(cur).parent {
                 Some(p) => cur = p,
                 None => break,
             }
         }
+        let at_root = node == part.root();
+        if at_root && whole.is_none() {
+            whole = Some(index.read_document()?);
+        }
+        let doc = match &whole {
+            Some(whole) if at_root => whole,
+            _ => &part,
+        };
         let mut seen: std::collections::HashSet<String> = Default::default();
         for id in doc.descendants_or_self(node) {
             for t in tokenize(doc.tag_name(id)) {

@@ -94,7 +94,7 @@ impl<'a> Ranker<'a> {
             .iter()
             .filter_map(|k| index.vocabulary().get(k))
             .collect();
-        let types = index.document().node_types();
+        let types = index.node_types();
         let mut search_for = infer_search_for(types, index.stats(), &ids, &config.search_for);
         if !config.use_guideline3 {
             // RS3: single search-for node, unit weight.

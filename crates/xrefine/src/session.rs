@@ -121,7 +121,7 @@ impl<'a> RefineSession<'a> {
                 .filter_map(|k| index.vocabulary().get(k))
                 .collect();
         }
-        let types = index.document().node_types();
+        let types = index.node_types();
         let filter = MeaningfulFilter::infer(types, index.stats(), &query_ids, search_for);
         let plan = DpPlan::new(&query, &rules, &ks, &ks_pos);
         obs::trace::attr("ks_width", ks.len());

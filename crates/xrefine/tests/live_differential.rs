@@ -110,17 +110,48 @@ fn reopened_live_engine_still_matches_the_scratch_engine() {
     }
 }
 
-/// `Document::node_by_dewey` resolves exactly the labels `doc` holds.
+/// `Document::node_by_dewey` resolves exactly the labels `doc` holds,
+/// whether `doc` is a whole document or a window of one.
 fn assert_lookup_is_exact(doc: &xmldom::Document) {
     let mut nothing: Vec<xmldom::Dewey> = vec!["1".parse().unwrap()];
     for (id, n) in doc.nodes() {
         assert_eq!(doc.node_by_dewey(&n.dewey), Some(id), "{}", n.dewey);
         // one past the last child; for a leaf, one level below it
-        nothing.push(n.dewey.child(n.children.len() as u32));
+        let last = n
+            .children
+            .last()
+            .map(|&c| doc.node(c).dewey.components()[n.dewey.len()]);
+        nothing.push(n.dewey.child(last.map_or(0, |o| o + 1)));
+    }
+    // In a window, the root child before its first names nothing either.
+    let root = doc.node(doc.root());
+    if let Some(before) = root.children.first().and_then(|&c| {
+        let first = doc.node(c).dewey.components()[1];
+        first.checked_sub(1)
+    }) {
+        nothing.push(root.dewey.child(before));
     }
     for label in nothing {
         assert_eq!(doc.node_by_dewey(&label), None, "{label}");
     }
+}
+
+/// The reader's whole document, assembled from its chunks: it agrees
+/// with the reader's type and symbol tables, lookups in it are exact, and
+/// so are they in each record's window, holding that record's labels.
+fn assert_assembled_lookup_is_exact(reader: &invindex::KvBackedIndex) -> xmldom::Document {
+    let doc = reader.read_document().unwrap();
+    assert_eq!(doc.node_types(), reader.node_types());
+    assert_eq!(doc.symbols(), reader.symbols());
+    assert_eq!(doc.len(), reader.node_count());
+    assert_lookup_is_exact(&doc);
+    for (_, n) in doc.nodes() {
+        let part = reader.document_at(&n.dewey).unwrap().unwrap();
+        let at = part.node_by_dewey(&n.dewey).unwrap();
+        assert_eq!(part.node(at).node_type, n.node_type, "{}", n.dewey);
+        assert_lookup_is_exact(&part);
+    }
+    doc
 }
 
 #[test]
@@ -129,17 +160,19 @@ fn node_lookup_is_exact_on_stored_and_live_documents() {
     let base = PathBuf::from("/live-diff/store.db");
     seed(&vfs, &base);
 
-    // A document decoded from a v4 store's `D/doc` record.
+    // A document assembled from a store's `D/` chunks, and each record's
+    // window of it, decoded from its chunk alone.
     let stored = XRefineEngine::from_store_with_vfs(&vfs, &base, EngineConfig::default()).unwrap();
-    assert_eq!(stored.document().len(), 10);
-    assert_lookup_is_exact(stored.document());
+    let doc = assert_assembled_lookup_is_exact(stored.index());
+    assert_eq!(doc.len(), 10);
 
     // The live engine's document after a remove shifted later siblings:
     // what was `0.2` is `0.1` now, and `0.2` names nothing.
     let live = LiveEngine::open_with_vfs(Arc::clone(&vfs), &base, EngineConfig::default()).unwrap();
     live.update(&[MaintOp::Remove { slot: 1 }]).unwrap();
     let engine = live.engine();
-    let doc = engine.document();
+    let doc = assert_assembled_lookup_is_exact(engine.index());
+    let doc = &doc;
     assert_eq!(doc.len(), 7);
     let shifted = doc.node_by_dewey(&"0.1.0".parse().unwrap()).unwrap();
     assert_eq!(doc.node(shifted).text, "stack based slca computation");

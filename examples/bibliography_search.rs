@@ -38,7 +38,7 @@ fn main() {
         .collect();
     println!("\nsearch-for candidates for {q}:");
     let candidates = infer_search_for(
-        index.document().node_types(),
+        index.node_types(),
         index.stats(),
         &ids,
         &SearchForConfig::default(),

@@ -51,7 +51,8 @@ fn main() {
     );
     for d in &best.slcas {
         println!("--- result at {d} ---");
-        print!("{}", engine.render(d).expect("result renders"));
+        let xml = engine.render(d).expect("an in-memory store reads");
+        print!("{}", xml.expect("a result label names a node"));
     }
 
     // A query that is fine as-is returns its own results untouched.

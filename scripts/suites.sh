@@ -38,9 +38,10 @@
 #   ingest         streaming-vs-DOM ingest differential oracle (byte-
 #                  identical stores), the store-byte pin (what persist
 #                  writes for four fixed corpora, hashed, with its
-#                  compression-counter deltas), the D/doc encoder's
-#                  allocation gate (one per distinct tuple plus a
-#                  constant) + scanner fuzz sweep
+#                  compression-counter deltas), the D/ encoder's
+#                  allocation gate (one per distinct tuple of each
+#                  record's chunk, summed, plus a constant that does not
+#                  grow with the record count) + scanner fuzz sweep
 #   serve          server lifecycle tests (work-conserving admission
 #                  gate, shedding, request_timeout, a panicking query,
 #                  drain under load, a trickling client cut off by its
@@ -50,7 +51,12 @@
 #   maintenance    online-maintenance guarantees: differential oracle
 #                  (incremental == from-scratch, by both builders), the
 #                  store and reader equal to a build after every commit
-#                  of a seeded sequence (maint_delta), raw
+#                  of a seeded sequence (maint_delta), what each path
+#                  reads and writes of the document by key (opening and
+#                  the 280-query pool read D/types and no record chunk;
+#                  at corpus_s an add puts one D/<ordinal>, a remove of
+#                  the last slot deletes one, neither reads a kept
+#                  chunk: store_reads, maint::tests), raw
 #                  fragments leaving the store a parse-and-render round
 #                  trip would, an 8 000-deep fragment committed and
 #                  rendered in linear space on a 2 MiB stack (debug:
@@ -167,6 +173,7 @@ suite_maintenance() {
     xcargo test --release -q -p invindex --test maint_differential
     xcargo test --release -q -p invindex --test maint_delta
     xcargo test --release -q -p xrefine --test live_differential
+    xcargo test --release -q -p xrefine --test store_reads
     xcargo test -q -p invindex --lib maint::
     xcargo test --release -q -p xrefine --lib live::
     MAINT_TORTURE_STRIDE="${MAINT_TORTURE_STRIDE:-1}" \

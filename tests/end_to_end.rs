@@ -21,7 +21,7 @@ fn full_pipeline_through_xml_text() {
     });
     let xml = doc.to_xml();
     let engine = XRefineEngine::from_xml(&xml, EngineConfig::default()).unwrap();
-    assert_eq!(engine.document().len(), doc.len());
+    assert_eq!(engine.index().node_count(), doc.len());
     let out = engine.answer("xml data").unwrap();
     assert!(!out.refinements.is_empty() || out.original_ok);
 }
@@ -110,7 +110,7 @@ fn persisted_index_supports_the_same_queries() {
     let opened = KvBackedIndex::open(Box::new(store)).unwrap();
 
     // identical lists and stats imply identical SLCA/refinement behaviour
-    assert_eq!(opened.document().to_xml(), doc.to_xml());
+    assert_eq!(opened.read_document().unwrap().to_xml(), doc.to_xml());
     for (k, text) in built.vocabulary().iter() {
         assert_eq!(
             (opened.list_handle(text).unwrap().run_postings().flatten())

@@ -38,7 +38,7 @@ fn answer_never_panics_and_keeps_invariants() {
                 assert!(!r.candidate.keywords.is_empty());
                 // every result renders (is a real node)
                 for d in &r.slcas {
-                    assert!(e.render(d).is_some(), "dangling result {d}");
+                    assert!(e.render(d).unwrap().is_some(), "dangling result {d}");
                 }
                 // results are document-ordered and distinct
                 assert!(r.slcas.windows(2).all(|w| w[0] < w[1]));
